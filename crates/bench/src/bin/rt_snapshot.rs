@@ -37,16 +37,6 @@ use weakset_store::prelude::{CollectionRef, ReadPolicy, StoreClient, StoreServer
 const COLL: CollectionId = CollectionId(1);
 const MEMBERS: u64 = 64;
 
-fn policy_label(p: ReadPolicy) -> &'static str {
-    match p {
-        ReadPolicy::Primary => "primary",
-        ReadPolicy::Any => "any",
-        ReadPolicy::Quorum => "quorum",
-        ReadPolicy::Leaderless => "leaderless",
-        ReadPolicy::CausalSession => "causal_session",
-    }
-}
-
 /// One `GET /snapshot.json` against the live endpoint.
 fn scrape_snapshot(addr: std::net::SocketAddr) -> ObsSnapshot {
     let (status, body) =
@@ -153,7 +143,7 @@ fn main() {
         ReadPolicy::Quorum,
         ReadPolicy::Leaderless,
     ] {
-        let label = policy_label(policy);
+        let label = policy.label();
         // One client node (and thus one mailbox identity) per worker
         // thread, each driving its own cloned runtime view. Views are
         // consumed by their threads: results reach us only through the

@@ -2,8 +2,7 @@
 //!
 //! The experiment harness for the weak-sets reproduction: ten
 //! deterministic experiments (E1-E10) mapping the paper's figures and
-//! claims to regenerable tables (see DESIGN.md §4 and EXPERIMENTS.md),
-//! plus Criterion micro-benchmarks under `benches/`.
+//! claims to regenerable tables (see DESIGN.md §4 and EXPERIMENTS.md).
 //!
 //! Run all tables with `cargo run -p weakset-bench --bin experiments`,
 //! or a subset with e.g. `... --bin experiments e5 e6`.

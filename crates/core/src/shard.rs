@@ -313,11 +313,10 @@ impl ShardedWeakSet {
                 i,
                 if r.is_ok() { "read.ok" } else { "read.err" },
             ));
-            let contacts = match policy {
-                weakset_store::prelude::ReadPolicy::Primary => 1,
-                _ => 1 + cref.replicas.len(),
-            };
-            m.gauge_max(&shard_key(i, "queue.depth.max"), contacts as u64);
+            m.gauge_max(
+                &shard_key(i, "queue.depth.max"),
+                policy.contacts(cref) as u64,
+            );
         }
         results
     }

@@ -156,17 +156,193 @@ pub enum ReadPolicy {
     CausalSession,
 }
 
+/// How the replies of one round merge into one read.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Merge {
+    /// The first success wins; a sequential read stops contacting there.
+    First,
+    /// The newest version among a majority of the contact set.
+    Newest,
+    /// The union of every success, under the highest version seen.
+    Union,
+}
+
+/// One read policy as data: whom to contact, in what order, how replies
+/// merge, whether the session floor admits them, and what the read is
+/// called in spans and metrics.
+struct ReadPlan {
+    label: &'static str,
+    /// Contact every secondary after the home node, not the home alone.
+    all_replicas: bool,
+    /// Fold replies closest first by estimated latency (a stable sort:
+    /// ties keep their order) rather than in the order contacted.
+    closest_first: bool,
+    merge: Merge,
+    /// Requests carry the session token, successes are folded back into
+    /// it, and a round whose every reply was behind waits and retries.
+    session: bool,
+    /// Counter bumped before each sequential contact.
+    contacts_counter: Option<&'static str>,
+    span: &'static str,
+    us: &'static str,
+    ok: &'static str,
+    err: &'static str,
+    batched_us: &'static str,
+    batched_ok: &'static str,
+    batched_err: &'static str,
+}
+
+/// A session-less [`ReadPlan`] with every name derived from the label.
+macro_rules! read_plan {
+    ($label:literal, all_replicas: $all:literal, closest_first: $closest:literal, $merge:ident) => {
+        ReadPlan {
+            label: $label,
+            all_replicas: $all,
+            closest_first: $closest,
+            merge: Merge::$merge,
+            session: false,
+            contacts_counter: None,
+            span: concat!("store.read.", $label),
+            us: concat!("store.read.", $label, ".us"),
+            ok: concat!("store.read.", $label, ".ok"),
+            err: concat!("store.read.", $label, ".err"),
+            batched_us: concat!("store.read.batched.", $label, ".us"),
+            batched_ok: concat!("store.read.batched.", $label, ".ok"),
+            batched_err: concat!("store.read.batched.", $label, ".err"),
+        }
+    };
+}
+
+impl ReadPlan {
+    /// The secondaries contacted after `cref.home` — the one definition
+    /// of a policy's contact set.
+    fn secondaries<'a>(&self, cref: &'a CollectionRef) -> &'a [NodeId] {
+        if self.all_replicas {
+            &cref.replicas
+        } else {
+            &[]
+        }
+    }
+}
+
 impl ReadPolicy {
     /// Stable lowercase label, used as the metric-name segment for
     /// per-policy instrumentation (`store.read.<label>.us`).
     pub fn label(self) -> &'static str {
+        self.plan().label
+    }
+
+    /// How many of `cref`'s replicas a read under this policy contacts.
+    pub fn contacts(self, cref: &CollectionRef) -> usize {
+        1 + self.plan().secondaries(cref).len()
+    }
+
+    /// The plan table: everything that distinguishes one policy's read
+    /// from another's.
+    fn plan(self) -> &'static ReadPlan {
         match self {
-            ReadPolicy::Primary => "primary",
-            ReadPolicy::Any => "any",
-            ReadPolicy::Quorum => "quorum",
-            ReadPolicy::Leaderless => "leaderless",
-            ReadPolicy::CausalSession => "causal_session",
+            ReadPolicy::Primary => {
+                &read_plan!("primary", all_replicas: false, closest_first: false, First)
+            }
+            ReadPolicy::Any => &read_plan!("any", all_replicas: true, closest_first: true, First),
+            ReadPolicy::Quorum => &ReadPlan {
+                contacts_counter: Some("store.read.quorum.contacts"),
+                ..read_plan!("quorum", all_replicas: true, closest_first: false, Newest)
+            },
+            ReadPolicy::Leaderless => {
+                &read_plan!("leaderless", all_replicas: true, closest_first: true, Union)
+            }
+            ReadPolicy::CausalSession => &ReadPlan {
+                session: true,
+                ..read_plan!("causal_session", all_replicas: true, closest_first: true, Union)
+            },
         }
+    }
+}
+
+/// The streaming fold of one round's replies under a plan's [`Merge`]
+/// rule. The sequential and the batched read both feed it one reply at
+/// a time, in the plan's order.
+struct ReadFold {
+    merge: Merge,
+    /// Successes [`Merge::Newest`] needs: a majority of the contacts.
+    need: usize,
+    got: usize,
+    read: Option<MembershipRead>,
+    /// Highest `(have, need)` among replies behind the session floor.
+    behind: Option<(u64, u64)>,
+    last_err: StoreError,
+}
+
+impl ReadFold {
+    fn new(plan: &ReadPlan, contacts: usize) -> Self {
+        ReadFold {
+            merge: plan.merge,
+            need: contacts / 2 + 1,
+            got: 0,
+            read: None,
+            behind: None,
+            last_err: StoreError::Net(NetError::Timeout),
+        }
+    }
+
+    /// Folds one replica's reply in; true once no further reply can
+    /// change the outcome.
+    fn push(&mut self, reply: Result<MembershipRead, StoreError>) -> bool {
+        match reply {
+            Ok(read) => {
+                self.got += 1;
+                match (&mut self.read, self.merge) {
+                    (None, _) => self.read = Some(read),
+                    (Some(_), Merge::First) => {}
+                    (Some(best), Merge::Newest) => {
+                        if read.version > best.version {
+                            *best = read;
+                        }
+                    }
+                    (Some(merged), Merge::Union) => {
+                        merged.version = merged.version.max(read.version);
+                        merged.entries.extend(read.entries);
+                    }
+                }
+            }
+            Err(StoreError::SessionBehind { have, need }) => {
+                self.behind = Some(match self.behind {
+                    Some((h, n)) => (h.max(have), n.max(need)),
+                    None => (have, need),
+                });
+            }
+            Err(e) => self.last_err = e,
+        }
+        self.merge == Merge::First && self.read.is_some()
+    }
+
+    fn finish(self) -> Result<MembershipRead, StoreError> {
+        let (got, need) = (self.got, self.need);
+        if self.merge == Merge::Newest && got < need {
+            return Err(StoreError::NoQuorum { got, need });
+        }
+        match (self.read, self.behind) {
+            (Some(mut read), _) => {
+                if self.merge == Merge::Union {
+                    read.entries.sort_unstable();
+                    read.entries.dedup();
+                }
+                Ok(read)
+            }
+            // Every replica behind beats a generic error: the caller
+            // can wait and retry on SessionBehind.
+            (None, Some((have, need))) => Err(StoreError::SessionBehind { have, need }),
+            (None, None) => Err(self.last_err),
+        }
+    }
+}
+
+/// Splits a gossip replica's dot-level clock stamp, if any, off a reply.
+fn unstamp(reply: StoreMsg) -> (Option<VersionVector>, StoreMsg) {
+    match reply {
+        StoreMsg::SessionStamped { clock, inner } => (Some(clock), *inner),
+        other => (None, other),
     }
 }
 
@@ -255,14 +431,14 @@ impl StoreClient {
     }
 
     fn call(&self, world: &mut StoreRt, to: NodeId, msg: StoreMsg) -> Result<StoreMsg, StoreError> {
-        let mut attempt = 0;
-        loop {
-            match world.rpc(self.node, to, msg.clone(), self.timeout) {
-                Ok(reply) => return Ok(reply),
-                Err(e) if attempt >= self.retries => return Err(e.into()),
-                Err(_) => attempt += 1,
+        // Only an attempt that may be retried needs its own copy of the
+        // request; the last one takes it.
+        for _ in 0..self.retries {
+            if let Ok(reply) = world.rpc(self.node, to, msg.clone(), self.timeout) {
+                return Ok(reply);
             }
         }
+        Ok(world.rpc(self.node, to, msg, self.timeout)?)
     }
 
     /// Stores an object on a node.
@@ -439,14 +615,7 @@ impl StoreClient {
         } else {
             store_health::WRITE_ERR
         });
-        let mut clock = None;
-        let reply = match primary? {
-            StoreMsg::SessionStamped { clock: c, inner } => {
-                clock = Some(c);
-                *inner
-            }
-            other => other,
-        };
+        let (clock, reply) = unstamp(primary?);
         let (version, entries) = match reply {
             StoreMsg::Members { version, entries } => (version, entries),
             StoreMsg::Locked => return Err(StoreError::Locked),
@@ -481,196 +650,108 @@ impl StoreClient {
     ///
     /// [`StoreError::Net`] when the required replicas are unreachable;
     /// [`StoreError::NoQuorum`] when [`ReadPolicy::Quorum`] cannot gather a
-    /// majority.
+    /// majority; [`StoreError::SessionBehind`] when every reachable
+    /// replica stays behind a [`ReadPolicy::CausalSession`] floor.
     pub fn read_members(
         &self,
         world: &mut StoreRt,
         cref: &CollectionRef,
         policy: ReadPolicy,
     ) -> Result<MembershipRead, StoreError> {
+        let plan = policy.plan();
         let started = world.now();
-        let span_kind = match policy {
-            ReadPolicy::Primary => "store.read.primary",
-            ReadPolicy::Any => "store.read.any",
-            ReadPolicy::Quorum => "store.read.quorum",
-            ReadPolicy::Leaderless => "store.read.leaderless",
-            ReadPolicy::CausalSession => "store.read.causal_session",
-        };
-        let span = world.span_enter(span_kind, &|| cref.id.to_string());
-        let result = self.read_members_inner(world, cref, policy);
+        let span = world.span_enter(plan.span, &|| cref.id.to_string());
+        let result = self.read_rounds(world, cref, plan);
         if let Err(e) = &result {
             let msg = e.to_string();
             world.trace_event("store.read.failed", &|| {
-                format!("{} {}: {}", policy.label(), cref.id, msg)
+                format!("{} {}: {}", plan.label, cref.id, msg)
             });
         }
         world.span_exit(span);
         let elapsed = world.now().saturating_since(started).as_micros();
         let m = world.metrics_mut();
-        m.observe(&format!("store.read.{}.us", policy.label()), elapsed);
-        m.incr(&format!(
-            "store.read.{}.{}",
-            policy.label(),
-            if result.is_ok() { "ok" } else { "err" }
-        ));
+        m.observe(plan.us, elapsed);
+        m.incr(if result.is_ok() { plan.ok } else { plan.err });
         result
     }
 
-    fn read_members_inner(
-        &self,
-        world: &mut StoreRt,
-        cref: &CollectionRef,
-        policy: ReadPolicy,
-    ) -> Result<MembershipRead, StoreError> {
-        match policy {
-            ReadPolicy::Primary => self.list_one(world, cref.home, cref.id),
-            ReadPolicy::Any => {
-                // Closest-first: rank replicas by estimated latency.
-                let mut nodes = cref.all_nodes();
-                nodes.sort_by_key(|&n| world.estimate_latency(self.node, n));
-                let mut last_err = StoreError::Net(NetError::Timeout);
-                for node in nodes {
-                    match self.list_one(world, node, cref.id) {
-                        Ok(read) => return Ok(read),
-                        Err(e) => last_err = e,
-                    }
-                }
-                Err(last_err)
-            }
-            ReadPolicy::Quorum => {
-                let nodes = cref.all_nodes();
-                let need = nodes.len() / 2 + 1;
-                let mut best: Option<MembershipRead> = None;
-                let mut got = 0;
-                for node in nodes {
-                    world.metrics_mut().incr("store.read.quorum.contacts");
-                    if let Ok(read) = self.list_one(world, node, cref.id) {
-                        got += 1;
-                        if best.as_ref().is_none_or(|b| read.version > b.version) {
-                            best = Some(read);
-                        }
-                    }
-                }
-                if got >= need {
-                    Ok(best.expect("quorum reached but no reads recorded"))
-                } else {
-                    Err(StoreError::NoQuorum { got, need })
-                }
-            }
-            ReadPolicy::Leaderless => {
-                // Closest-first so the common case touches nearby replicas
-                // before paying wide-area latencies.
-                let mut nodes = cref.all_nodes();
-                nodes.sort_by_key(|&n| world.estimate_latency(self.node, n));
-                let mut merged: Option<MembershipRead> = None;
-                let mut last_err = StoreError::Net(NetError::Timeout);
-                for node in nodes {
-                    match self.list_one(world, node, cref.id) {
-                        Ok(read) => match &mut merged {
-                            Some(m) => {
-                                m.version = m.version.max(read.version);
-                                m.entries.extend(read.entries);
-                            }
-                            None => merged = Some(read),
-                        },
-                        Err(e) => last_err = e,
-                    }
-                }
-                match merged {
-                    Some(mut m) => {
-                        m.entries.sort_unstable();
-                        m.entries.dedup();
-                        Ok(m)
-                    }
-                    None => Err(last_err),
-                }
-            }
-            ReadPolicy::CausalSession => self.read_causal_session(world, cref),
-        }
-    }
-
-    /// The [`ReadPolicy::CausalSession`] read loop: leaderless union
-    /// reads over every replica, but each request carries the session
-    /// token and replicas behind the session's dependency floor answer
-    /// [`StoreMsg::SessionBehind`]. Any satisfying replica suffices
-    /// (redirect); if *every* reachable replica is behind, the client
-    /// waits and retries until its timeout, then surfaces
+    /// The one sequential read loop: contacts the plan's replicas in the
+    /// plan's order and folds their replies under its merge rule. A
+    /// session plan whose every reachable replica answered
+    /// [`StoreMsg::SessionBehind`] waits and retries the whole ring
+    /// until the client's timeout, then surfaces
     /// [`StoreError::SessionBehind`] — blocking beats silently violating
-    /// read-your-writes.
-    fn read_causal_session(
+    /// read-your-writes. Any satisfying replica suffices (redirect).
+    fn read_rounds(
         &self,
         world: &mut StoreRt,
         cref: &CollectionRef,
+        plan: &ReadPlan,
     ) -> Result<MembershipRead, StoreError> {
         /// Delay between rounds while waiting for laggards to catch up.
         const WAIT_STEP: SimDuration = SimDuration::from_millis(5);
-        let deadline = world.now() + self.timeout;
         let started = world.now();
-        let mut nodes = cref.all_nodes();
-        nodes.sort_by_key(|&n| world.estimate_latency(self.node, n));
+        let deadline = started + self.timeout;
+        let secondaries = plan.secondaries(cref);
+        // A lone contact needs neither a list nor a ranking.
+        let mut ranked: Vec<NodeId>;
+        let nodes: &[NodeId] = if secondaries.is_empty() {
+            std::slice::from_ref(&cref.home)
+        } else {
+            ranked = cref.all_nodes();
+            if plan.closest_first {
+                ranked.sort_by_key(|&n| world.estimate_latency(self.node, n));
+            }
+            &ranked
+        };
         let mut waited = false;
-        loop {
-            let mut merged: Option<MembershipRead> = None;
-            let mut last_err = StoreError::Net(NetError::Timeout);
-            let mut behind: Option<(u64, u64)> = None;
-            for &node in &nodes {
-                match self.list_one_session(world, node, cref.id) {
-                    Ok(read) => match &mut merged {
-                        Some(m) => {
-                            m.version = m.version.max(read.version);
-                            m.entries.extend(read.entries);
-                        }
-                        None => merged = Some(read),
-                    },
-                    Err(StoreError::SessionBehind { have, need }) => {
-                        world.metrics_mut().incr(session_names::READ_BEHIND);
-                        behind = Some(match behind {
-                            Some((h, n)) => (h.max(have), n.max(need)),
-                            None => (have, need),
-                        });
-                    }
-                    Err(e) => last_err = e,
+        let (result, redirected) = loop {
+            let mut fold = ReadFold::new(plan, nodes.len());
+            for &node in nodes {
+                if let Some(counter) = plan.contacts_counter {
+                    world.metrics_mut().incr(counter);
+                }
+                let reply = self.call(world, node, self.list_request(cref.id, plan));
+                if fold.push(self.decode_list(world, cref.id, plan, reply)) {
+                    break;
                 }
             }
-            if let Some(mut m) = merged {
-                m.entries.sort_unstable();
-                m.entries.dedup();
-                if behind.is_some() {
-                    // Some replica was behind, but another satisfied the
-                    // session: the read was redirected, not blocked.
-                    world.metrics_mut().incr(session_names::READ_REDIRECT);
+            let redirected = fold.behind.is_some();
+            match fold.finish() {
+                // Every reachable replica is behind: wait for replication
+                // or anti-entropy to catch up, while the deadline allows.
+                Err(StoreError::SessionBehind { .. })
+                    if plan.session && world.now() + WAIT_STEP <= deadline =>
+                {
+                    waited = true;
+                    world.sleep(WAIT_STEP);
                 }
-                if waited {
-                    let us = world.now().saturating_since(started).as_micros();
-                    world.metrics_mut().observe(session_names::READ_WAIT_US, us);
-                }
-                return Ok(m);
+                result => break (result, redirected),
             }
-            let Some((have, need)) = behind else {
-                // Nothing was behind — the read failed for ordinary
-                // reasons (unreachable replicas, missing collection).
-                return Err(last_err);
-            };
-            if world.now() + WAIT_STEP > deadline {
-                let us = world.now().saturating_since(started).as_micros();
-                let m = world.metrics_mut();
-                m.observe(session_names::READ_WAIT_US, us);
-                m.incr(session_names::READ_GAVE_UP);
-                return Err(StoreError::SessionBehind { have, need });
-            }
-            // Every reachable replica is behind: wait for replication or
-            // anti-entropy to catch up, then retry the whole ring.
-            waited = true;
-            world.sleep(WAIT_STEP);
+        };
+        let gave_up = plan.session && matches!(result, Err(StoreError::SessionBehind { .. }));
+        if gave_up || (waited && result.is_ok()) {
+            let us = world.now().saturating_since(started).as_micros();
+            world.metrics_mut().observe(session_names::READ_WAIT_US, us);
         }
+        if gave_up {
+            world.metrics_mut().incr(session_names::READ_GAVE_UP);
+        }
+        // Some replica was behind, but another satisfied the session:
+        // the read was redirected, not blocked.
+        if redirected && result.is_ok() {
+            world.metrics_mut().incr(session_names::READ_REDIRECT);
+        }
+        result
     }
 
     /// Reads the memberships of several co-located collections (shard
     /// sub-collections) in one round of batched traffic: ONE envelope
     /// per replica node carries the `ListMembers` for every shard
     /// hosted there, and all envelopes are in flight concurrently.
-    /// Results come back per shard, in input order, each aggregated
-    /// under `policy` exactly as [`StoreClient::read_members`] would.
+    /// Results come back per shard, in input order, each folded under
+    /// `policy` exactly as [`StoreClient::read_members`] would.
     ///
     /// Against the sequential path (one round-trip per shard per
     /// replica), the whole read costs one round-trip per *node* —
@@ -683,119 +764,78 @@ impl StoreClient {
         shards: &[CollectionRef],
         policy: ReadPolicy,
     ) -> Vec<Result<MembershipRead, StoreError>> {
+        let plan = policy.plan();
         let started = world.now();
-        let n_shards = shards.len();
         let span = world.span_enter("store.read.batched", &|| {
-            format!("{} shards, {}", n_shards, policy.label())
+            format!("{} shards, {}", shards.len(), plan.label)
         });
-        // Which nodes each shard contacts under this policy.
-        let contacts: Vec<Vec<NodeId>> = shards
-            .iter()
-            .map(|s| match policy {
-                ReadPolicy::Primary => vec![s.home],
-                _ => s.all_nodes(),
-            })
-            .collect();
         // Group the per-shard requests by destination; remember which
         // shard index each envelope slot belongs to (reply order ==
-        // request order within an envelope).
+        // request order within an envelope). Session plans gate every
+        // part individually: a stale replica answers SessionBehind for
+        // exactly the shards it lags on.
         let mut buf = BatchBuffer::new(self.node);
         let mut slots: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        let mut folds = Vec::with_capacity(shards.len());
         for (i, shard) in shards.iter().enumerate() {
-            for &node in &contacts[i] {
+            let secondaries = plan.secondaries(shard);
+            folds.push(ReadFold::new(plan, 1 + secondaries.len()));
+            for &node in std::iter::once(&shard.home).chain(secondaries) {
                 slots.entry(node).or_default().push(i);
-                let part = StoreMsg::ListMembers(shard.id);
-                // Session reads gate every part individually: a stale
-                // replica answers SessionBehind for exactly the shards
-                // it lags on.
-                let part = if policy == ReadPolicy::CausalSession {
-                    StoreMsg::WithSession {
-                        session: self.session_token().unwrap_or_default(),
-                        inner: Box::new(part),
-                    }
-                } else {
-                    part
-                };
-                buf.push(node, part);
+                buf.push(node, self.list_request(shard.id, plan));
             }
         }
         world
             .metrics_mut()
             .add("store.read.batched.contacts", buf.pending_parts() as u64);
-        let launched: Vec<(NodeId, ReplyToken, usize)> = buf
+        let mut launched: Vec<(NodeId, ReplyToken)> = buf
             .drain()
             .into_iter()
-            .map(|(to, parts)| {
-                let n = parts.len();
-                let token = world.send_batch(self.node, to, parts);
-                (to, token, n)
-            })
+            .map(|(to, parts)| (to, world.send_batch(self.node, to, parts)))
             .collect();
         let deadline = world.now() + self.timeout;
-        let mut outstanding: Vec<ReplyToken> = launched.iter().map(|&(_, t, _)| t).collect();
+        let mut outstanding: Vec<ReplyToken> = launched.iter().map(|&(_, t)| t).collect();
         while !outstanding.is_empty() {
             match world.wait_any(&outstanding, deadline) {
                 Some(done) => outstanding.retain(|&t| t != done),
                 None => break,
             }
         }
-        // Slice each node's reply envelope back into per-shard reads.
-        let mut reads: Vec<Vec<(NodeId, Result<MembershipRead, StoreError>)>> =
-            vec![Vec::new(); shards.len()];
-        for (node, token, parts) in launched {
+        if plan.closest_first {
+            launched.sort_by_key(|&(n, _)| world.estimate_latency(self.node, n));
+        }
+        // Slice each node's reply envelope back into per-shard replies.
+        for (node, token) in launched {
+            let idxs = &slots[&node];
             let outcome = match world.try_take_reply(token) {
                 Some(Ok(msg)) => match msg.unwrap_batch() {
-                    Ok(replies) if replies.len() == parts => Ok(replies),
+                    Ok(replies) if replies.len() == idxs.len() => Ok(replies),
                     _ => Err(StoreError::Protocol),
                 },
                 Some(Err(e)) => Err(StoreError::Net(e)),
                 None => Err(StoreError::Net(NetError::Timeout)),
             };
-            let idxs = &slots[&node];
             match outcome {
                 Ok(replies) => {
                     for (&i, part) in idxs.iter().zip(replies) {
-                        let mut clock = None;
-                        let part = match part {
-                            StoreMsg::SessionStamped { clock: c, inner } => {
-                                clock = Some(c);
-                                *inner
-                            }
-                            other => other,
-                        };
-                        let read = match part {
-                            StoreMsg::Members { version, entries } => {
-                                self.session_observe(shards[i].id, version, clock.as_ref());
-                                Ok(MembershipRead { version, entries })
-                            }
-                            StoreMsg::SessionBehind { have, need, .. } => {
-                                world.metrics_mut().incr(session_names::READ_BEHIND);
-                                Err(StoreError::SessionBehind { have, need })
-                            }
-                            StoreMsg::NoSuchCollection(c) => Err(StoreError::NoSuchCollection(c)),
-                            _ => Err(StoreError::Protocol),
-                        };
-                        reads[i].push((node, read));
+                        folds[i].push(self.decode_list(world, shards[i].id, plan, Ok(part)));
                     }
                 }
                 Err(e) => {
                     for &i in idxs {
-                        reads[i].push((node, Err(e.clone())));
+                        folds[i].push(Err(e.clone()));
                     }
                 }
             }
         }
-        let mut results: Vec<Result<MembershipRead, StoreError>> = reads
-            .into_iter()
-            .map(|per_node| Self::aggregate_reads(world, self.node, policy, per_node))
-            .collect();
+        let mut results: Vec<_> = folds.into_iter().map(ReadFold::finish).collect();
         // Session reads do not give up after one round: a shard whose
         // replicas were all behind falls back to the sequential
-        // wait/redirect loop, which retries until the timeout.
-        if policy == ReadPolicy::CausalSession {
+        // wait/redirect loop, which retries until a fresh timeout.
+        if plan.session {
             for (shard, r) in shards.iter().zip(results.iter_mut()) {
                 if matches!(r, Err(StoreError::SessionBehind { .. })) {
-                    *r = self.read_causal_session(world, shard);
+                    *r = self.read_rounds(world, shard, plan);
                 }
             }
         }
@@ -803,150 +843,58 @@ impl StoreClient {
             if let Err(e) = r {
                 let msg = e.to_string();
                 world.trace_event("store.read.failed", &|| {
-                    format!("batched {} {}: {}", policy.label(), shard.id, msg)
+                    format!("batched {} {}: {}", plan.label, shard.id, msg)
                 });
             }
         }
         world.span_exit(span);
         let elapsed = world.now().saturating_since(started).as_micros();
         let m = world.metrics_mut();
-        m.observe(
-            &format!("store.read.batched.{}.us", policy.label()),
-            elapsed,
-        );
+        m.observe(plan.batched_us, elapsed);
         for r in &results {
-            m.incr(&format!(
-                "store.read.batched.{}.{}",
-                policy.label(),
-                if r.is_ok() { "ok" } else { "err" }
-            ));
+            m.incr(if r.is_ok() {
+                plan.batched_ok
+            } else {
+                plan.batched_err
+            });
         }
         results
     }
 
-    /// Folds one shard's per-replica reads into a single result under
-    /// `policy`, mirroring the aggregation in `read_members_inner`.
-    fn aggregate_reads(
-        world: &StoreRt,
-        client: NodeId,
-        policy: ReadPolicy,
-        mut per_node: Vec<(NodeId, Result<MembershipRead, StoreError>)>,
-    ) -> Result<MembershipRead, StoreError> {
-        match policy {
-            ReadPolicy::Primary => per_node
-                .pop()
-                .map_or(Err(StoreError::Net(NetError::Timeout)), |(_, r)| r),
-            ReadPolicy::Any => {
-                // Closest-first, as in the sequential path.
-                per_node.sort_by_key(|&(n, _)| world.estimate_latency(client, n));
-                let mut last_err = StoreError::Net(NetError::Timeout);
-                for (_, r) in per_node {
-                    match r {
-                        Ok(read) => return Ok(read),
-                        Err(e) => last_err = e,
-                    }
-                }
-                Err(last_err)
+    /// The `ListMembers` request for `coll`; session plans wrap it with
+    /// the current session token so the replica can gate on it.
+    fn list_request(&self, coll: CollectionId, plan: &ReadPlan) -> StoreMsg {
+        let list = StoreMsg::ListMembers(coll);
+        if plan.session {
+            StoreMsg::WithSession {
+                session: self.session_token().unwrap_or_default(),
+                inner: Box::new(list),
             }
-            ReadPolicy::Quorum => {
-                let need = per_node.len() / 2 + 1;
-                let mut best: Option<MembershipRead> = None;
-                let mut got = 0;
-                for (_, r) in per_node {
-                    if let Ok(read) = r {
-                        got += 1;
-                        if best.as_ref().is_none_or(|b| read.version > b.version) {
-                            best = Some(read);
-                        }
-                    }
-                }
-                if got >= need {
-                    Ok(best.expect("quorum reached but no reads recorded"))
-                } else {
-                    Err(StoreError::NoQuorum { got, need })
-                }
-            }
-            ReadPolicy::Leaderless | ReadPolicy::CausalSession => {
-                let mut merged: Option<MembershipRead> = None;
-                let mut last_err = StoreError::Net(NetError::Timeout);
-                let mut behind: Option<(u64, u64)> = None;
-                for (_, r) in per_node {
-                    match r {
-                        Ok(read) => match &mut merged {
-                            Some(m) => {
-                                m.version = m.version.max(read.version);
-                                m.entries.extend(read.entries);
-                            }
-                            None => merged = Some(read),
-                        },
-                        Err(StoreError::SessionBehind { have, need }) => {
-                            behind = Some(match behind {
-                                Some((h, n)) => (h.max(have), n.max(need)),
-                                None => (have, need),
-                            });
-                        }
-                        Err(e) => last_err = e,
-                    }
-                }
-                match merged {
-                    Some(mut m) => {
-                        m.entries.sort_unstable();
-                        m.entries.dedup();
-                        Ok(m)
-                    }
-                    // Every replica behind beats a generic error: the
-                    // caller can wait and retry on SessionBehind.
-                    None => match behind {
-                        Some((have, need)) => Err(StoreError::SessionBehind { have, need }),
-                        None => Err(last_err),
-                    },
-                }
-            }
+        } else {
+            list
         }
     }
 
-    fn list_one(
+    /// Decodes the outcome of one replica's `ListMembers`. Session plans
+    /// fold a success (and its gossip clock stamp) into the session
+    /// token; a behind replica surfaces as [`StoreError::SessionBehind`].
+    fn decode_list(
         &self,
         world: &mut StoreRt,
-        node: NodeId,
         coll: CollectionId,
+        plan: &ReadPlan,
+        reply: Result<StoreMsg, StoreError>,
     ) -> Result<MembershipRead, StoreError> {
-        match self.call(world, node, StoreMsg::ListMembers(coll))? {
-            StoreMsg::Members { version, entries } => Ok(MembershipRead { version, entries }),
-            StoreMsg::NoSuchCollection(c) => Err(StoreError::NoSuchCollection(c)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// A session-gated `ListMembers` against one replica. Successful
-    /// replies (and their gossip clock stamps) are folded into the
-    /// session token; a behind replica surfaces as
-    /// [`StoreError::SessionBehind`].
-    fn list_one_session(
-        &self,
-        world: &mut StoreRt,
-        node: NodeId,
-        coll: CollectionId,
-    ) -> Result<MembershipRead, StoreError> {
-        let session = self.session_token().unwrap_or_default();
-        let msg = StoreMsg::WithSession {
-            session,
-            inner: Box::new(StoreMsg::ListMembers(coll)),
-        };
-        let mut clock = None;
-        let reply = match self.call(world, node, msg)? {
-            StoreMsg::SessionStamped { clock: c, inner } => {
-                clock = Some(c);
-                *inner
-            }
-            other => other,
-        };
+        let (clock, reply) = unstamp(reply?);
         match reply {
             StoreMsg::Members { version, entries } => {
-                self.session_observe(coll, version, clock.as_ref());
+                if plan.session {
+                    self.session_observe(coll, version, clock.as_ref());
+                }
                 Ok(MembershipRead { version, entries })
             }
             StoreMsg::SessionBehind { have, need, .. } => {
+                world.metrics_mut().incr(session_names::READ_BEHIND);
                 Err(StoreError::SessionBehind { have, need })
             }
             StoreMsg::NoSuchCollection(c) => Err(StoreError::NoSuchCollection(c)),
@@ -1332,28 +1280,101 @@ mod tests {
 
     #[test]
     fn batched_read_matches_sequential_and_saves_round_trips() {
-        let (mut w, c, s) = world_with(3);
-        let cl = StoreClient::new(c, SimDuration::from_millis(50));
-        let shards = sharded_fixture(&mut w, &cl, &s);
+        const POLICIES: [ReadPolicy; 5] = [
+            ReadPolicy::Primary,
+            ReadPolicy::Any,
+            ReadPolicy::Quorum,
+            ReadPolicy::Leaderless,
+            ReadPolicy::CausalSession,
+        ];
+        // Which of the three servers each fault cuts off (0 = primary).
+        let faults: [(&str, &[usize]); 4] = [
+            ("healthy", &[]),
+            ("minority partitioned", &[2]),
+            ("primary partitioned", &[0]),
+            ("all down", &[0, 1, 2]),
+        ];
+        for policy in POLICIES {
+            for (fault, cut) in faults {
+                let (mut w, c, s) = world_with(3);
+                let mut cl = StoreClient::new(c, SimDuration::from_millis(50));
+                if policy == ReadPolicy::CausalSession {
+                    cl = cl.with_session();
+                }
+                let shards = sharded_fixture(&mut w, &cl, &s);
+                // Only the primary policy needs one particular replica.
+                let expect_ok =
+                    cut.len() < s.len() && !(policy == ReadPolicy::Primary && cut.contains(&0));
+                let cut: Vec<NodeId> = cut.iter().map(|&i| s[i]).collect();
+                w.topology_mut().partition(&cut);
 
-        let sequential: Vec<_> = shards
-            .iter()
-            .map(|cref| cl.read_members(&mut w, cref, ReadPolicy::Quorum).unwrap())
-            .collect();
-        let rpc_before = w.metrics().counter("rpc.sent");
-        let batched = cl.read_members_batched(&mut w, &shards, ReadPolicy::Quorum);
-        let rpc_spent = w.metrics().counter("rpc.sent") - rpc_before;
+                let sequential: Vec<_> = shards
+                    .iter()
+                    .map(|cref| cl.read_members(&mut w, cref, policy))
+                    .collect();
+                let rpc_before = w.metrics().counter("rpc.sent");
+                let batched = cl.read_members_batched(&mut w, &shards, policy);
+                let rpc_spent = w.metrics().counter("rpc.sent") - rpc_before;
 
-        for (seq, bat) in sequential.iter().zip(&batched) {
-            assert_eq!(Ok(seq), bat.as_ref(), "same reads either way");
+                assert_eq!(sequential, batched, "{policy:?}, {fault}");
+                for r in &batched {
+                    assert_eq!(r.is_ok(), expect_ok, "{policy:?}, {fault}");
+                }
+                // One envelope per contacted node, however many shards.
+                let nodes = policy.contacts(&shards[0]) as u64;
+                assert_eq!(rpc_spent, nodes, "{policy:?}, {fault}");
+                let key = |suffix| format!("store.read.batched.{}.{suffix}", policy.label());
+                let oks = batched.iter().filter(|r| r.is_ok()).count() as u64;
+                assert_eq!(w.metrics().counter(&key("ok")), oks);
+                assert_eq!(w.metrics().counter(&key("err")), 4 - oks);
+                assert_eq!(w.metrics().counter("net.batch.envelopes"), nodes);
+                assert_eq!(w.metrics().counter("net.batch.parts"), 4 * nodes);
+                assert_eq!(
+                    w.metrics().counter("store.read.batched.contacts"),
+                    4 * nodes
+                );
+            }
         }
-        // 4 shards × 3 replicas sequentially = 12 messages; batched,
-        // one envelope per node = 3.
-        assert_eq!(rpc_spent, 3);
-        assert_eq!(w.metrics().counter("net.batch.envelopes"), 3);
-        assert_eq!(w.metrics().counter("net.batch.parts"), 12);
-        assert_eq!(w.metrics().counter("store.read.batched.contacts"), 12);
-        assert_eq!(w.metrics().counter("store.read.batched.quorum.ok"), 4);
+    }
+
+    fn read(version: u64, elems: &[u64]) -> Result<MembershipRead, StoreError> {
+        Ok(MembershipRead {
+            version,
+            entries: elems.iter().map(|&e| entry(e, NodeId(0))).collect(),
+        })
+    }
+
+    #[test]
+    fn fold_newest_keeps_the_first_of_equal_versions() {
+        let mut fold = ReadFold::new(ReadPolicy::Quorum.plan(), 3);
+        assert!(!fold.push(read(2, &[1])));
+        assert!(!fold.push(read(2, &[9])));
+        assert!(!fold.push(read(1, &[7])));
+        assert_eq!(fold.finish(), read(2, &[1]));
+    }
+
+    #[test]
+    fn fold_union_with_every_reply_behind_reports_the_highest_floor() {
+        let mut fold = ReadFold::new(ReadPolicy::CausalSession.plan(), 3);
+        fold.push(Err(StoreError::SessionBehind { have: 1, need: 4 }));
+        fold.push(Err(StoreError::SessionBehind { have: 3, need: 2 }));
+        // A later network error does not mask the replicas that were
+        // merely behind: the caller can still wait for them.
+        fold.push(Err(StoreError::Net(NetError::Timeout)));
+        assert_eq!(
+            fold.finish(),
+            Err(StoreError::SessionBehind { have: 3, need: 4 })
+        );
+    }
+
+    #[test]
+    fn fold_first_ignores_later_replies() {
+        let mut fold = ReadFold::new(ReadPolicy::Any.plan(), 3);
+        assert!(!fold.push(Err(StoreError::Protocol)));
+        assert!(fold.push(read(1, &[5])), "the first success settles it");
+        fold.push(read(9, &[6]));
+        fold.push(Err(StoreError::Protocol));
+        assert_eq!(fold.finish(), read(1, &[5]));
     }
 
     #[test]

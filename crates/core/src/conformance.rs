@@ -33,7 +33,7 @@ use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_spec::prelude::{Computation, Outcome, Recorder, SetValue, State};
 use weakset_spec::value::ElemId;
-use weakset_store::collection::{CollectionState, MemberEntry};
+use weakset_store::collection::{CollectionState, MemberEntry, Membership};
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::prelude::{StoreRt, StoreServer};
 
@@ -187,10 +187,10 @@ impl RunObserver {
         self
     }
 
-    fn log_members(&mut self, world: &StoreRt, version: u64) -> Option<Vec<MemberEntry>> {
+    fn log_members(&mut self, world: &StoreRt, version: u64) -> Option<Membership> {
         self.source
             .inspect(world, self.home, self.coll, |coll| {
-                coll.members_at(version).map(<[MemberEntry]>::to_vec)
+                coll.members_at(version).cloned()
             })
             .flatten()
     }
@@ -233,9 +233,9 @@ impl RunObserver {
 
     /// Feeds all primary-log states in `(seen, upto]` to the recorder as
     /// mutation states, returning the members at `upto`.
-    fn sync_to(&mut self, world: &StoreRt, upto: u64) -> Vec<MemberEntry> {
+    fn sync_to(&mut self, world: &StoreRt, upto: u64) -> Membership {
         self.learn_homes(world);
-        let mut members = Vec::new();
+        let mut members = Membership::new();
         let from = self.seen_version;
         for v in from..=upto {
             if let Some(m) = self.log_members(world, v) {

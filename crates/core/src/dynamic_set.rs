@@ -93,7 +93,7 @@ impl DynamicSet {
         let read = client.read_members(world, cref, policy)?;
         let found = read.entries.len();
         Ok(DynamicSet {
-            engine: PrefetchEngine::new(world, client.node(), read.entries, cfg),
+            engine: PrefetchEngine::new(world, client.node(), read.entries.to_vec(), cfg),
             yielded: BTreeSet::new(),
             pending: Vec::new(),
             members_found: found,

@@ -107,7 +107,7 @@ impl WeakSet {
     pub fn contains(&self, world: &mut StoreRt, elem: ObjectId) -> Result<bool, Failure> {
         self.client
             .read_members(world, &self.cref, self.config.read_policy)
-            .map(|r| r.entries.iter().any(|m| m.elem == elem))
+            .map(|r| r.entries.contains(elem))
             .map_err(Failure::MembershipUnavailable)
     }
 

@@ -6,7 +6,7 @@ use crate::conformance::{RunObserver, StepEvidence};
 use crate::error::{Failure, IterStep};
 use std::collections::BTreeSet;
 use weakset_spec::prelude::Computation;
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::object::ObjectId;
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreRt};
 
@@ -23,7 +23,7 @@ pub struct SnapshotElements {
     client: StoreClient,
     cref: CollectionRef,
     config: IterConfig,
-    snapshot: Option<(u64, Vec<MemberEntry>)>,
+    snapshot: Option<(u64, Membership)>,
     yielded: BTreeSet<ObjectId>,
     terminated: bool,
     cache: Option<weakset_store::cache::ObjectCache>,

@@ -12,7 +12,7 @@ use crate::error::{Failure, IterStep};
 use crate::iter::{fetch_first_reachable, order_candidates, IterConfig, ObserverSlot};
 use std::collections::BTreeSet;
 use weakset_spec::prelude::Computation;
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::object::ObjectId;
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreRt};
 
@@ -33,7 +33,7 @@ pub struct LockedElements {
     client: StoreClient,
     cref: CollectionRef,
     config: IterConfig,
-    members: Option<Vec<MemberEntry>>,
+    members: Option<Membership>,
     version: u64,
     yielded: BTreeSet<ObjectId>,
     terminated: bool,

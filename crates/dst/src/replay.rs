@@ -366,7 +366,7 @@ fn run_schedule(
 fn ground_truth_threaded(rt: &ThreadedRuntime<StoreMsg>, cref: &CollectionRef) -> Vec<u64> {
     rt.with_service(cref.home, |sv: &StoreServer| {
         sv.collection(cref.id)
-            .map(|c| c.snapshot().iter().map(|m| m.elem.0).collect())
+            .map(|c| c.members().iter().map(|m| m.elem.0).collect())
             .unwrap_or_default()
     })
     .unwrap_or_default()

@@ -201,12 +201,12 @@ fn ground_truth_members(w: &StoreWorld, s: &Scenario, set: &TestSet) -> Vec<u64>
                     .service::<StoreServer>(home)
                     .and_then(|sv| sv.collection(coll))
                 {
-                    out = c.snapshot().iter().map(|m| m.elem.0).collect();
+                    out = c.members().iter().map(|m| m.elem.0).collect();
                 }
             }
             Deployment::Gossip { .. } => {
                 GossipNode::visit_collection_history(w, home, coll, &mut |c| {
-                    out = c.snapshot().iter().map(|m| m.elem.0).collect();
+                    out = c.members().iter().map(|m| m.elem.0).collect();
                 });
             }
         }
@@ -278,7 +278,7 @@ fn session_floors(w: &StoreWorld, s: &Scenario, set: &TestSet) -> Vec<SetValue> 
                 let members = w
                     .service::<StoreServer>(cref.home)
                     .and_then(|sv| sv.collection(cref.id))
-                    .map(|c| c.snapshot().iter().map(|m| m.elem.0).collect())
+                    .map(|c| c.members().iter().map(|m| m.elem.0).collect())
                     .unwrap_or_default();
                 floor_of(members)
             })

@@ -511,7 +511,7 @@ impl FileSystem {
                 continue;
             }
             match self.client.read_members(world, cref, ReadPolicy::Primary) {
-                Ok(read) => members.extend(read.entries),
+                Ok(read) => members.extend(&read.entries),
                 Err(_) => dirs_skipped += 1,
             }
         }

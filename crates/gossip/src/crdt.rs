@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use weakset_sim::node::NodeId;
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
 use weakset_store::object::ObjectId;
 use weakset_store::wire::DeltaBatch;
@@ -48,7 +48,7 @@ impl GSet {
     }
 
     /// The current membership (dots deduplicated to values).
-    pub fn elements(&self) -> BTreeSet<MemberEntry> {
+    pub fn elements(&self) -> Membership {
         self.entries.values().copied().collect()
     }
 
@@ -163,7 +163,7 @@ impl ORSet {
     }
 
     /// The current membership (live dots deduplicated to values).
-    pub fn elements(&self) -> BTreeSet<MemberEntry> {
+    pub fn elements(&self) -> Membership {
         self.entries.values().copied().collect()
     }
 
@@ -282,8 +282,9 @@ mod tests {
         b.merge(&a);
         assert_eq!(a.elements(), b.elements());
         assert_eq!(a.elements().len(), 2);
-        assert!(
-            snapshot.is_subset(&a.elements()),
+        assert_eq!(
+            snapshot.union(&a.elements()),
+            a.elements(),
             "Fig. 5: the set only grows"
         );
         assert!(a.contains(ObjectId(2)));

@@ -40,7 +40,7 @@ use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_store::client::StoreRt;
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::Membership;
 use weakset_store::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
 use weakset_store::msg::StoreMsg;
 use weakset_store::object::CollectionId;
@@ -226,7 +226,7 @@ pub fn sync_pair_with(
 /// and reports the same membership and digest. (Test/experiment helper —
 /// a real deployment cannot observe this.)
 pub fn converged(world: &StoreRt, coll: CollectionId, replicas: &[NodeId]) -> bool {
-    let mut first: Option<(Vec<MemberEntry>, VersionVector)> = None;
+    let mut first: Option<(Membership, VersionVector)> = None;
     for &r in replicas {
         let Some(state) = world
             .with_service(r, |g: &GossipNode| {
@@ -249,7 +249,7 @@ pub fn converged(world: &StoreRt, coll: CollectionId, replicas: &[NodeId]) -> bo
 }
 
 /// A replica's current CRDT membership, read omnisciently.
-pub fn elements_at(world: &StoreRt, node: NodeId, coll: CollectionId) -> Option<Vec<MemberEntry>> {
+pub fn elements_at(world: &StoreRt, node: NodeId, coll: CollectionId) -> Option<Membership> {
     world
         .with_service(node, |g: &GossipNode| g.crdt(coll).map(|c| c.elements()))
         .flatten()

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, HashMap};
 use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_sim::world::{Service, ServiceCtx};
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::dotted::{Dot, MembershipDelta, VersionVector};
 use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId};
@@ -83,12 +83,11 @@ impl MembershipCrdt {
     }
 
     /// The current membership, sorted.
-    pub fn elements(&self) -> Vec<MemberEntry> {
-        let set = match self {
+    pub fn elements(&self) -> Membership {
+        match self {
             MembershipCrdt::GrowOnly(s) => s.elements(),
             MembershipCrdt::GrowShrink(s) => s.elements(),
-        };
-        set.into_iter().collect()
+        }
     }
 
     /// True when some live entry has this element id.
@@ -489,7 +488,7 @@ mod tests {
             reply,
             StoreMsg::Members {
                 version: 3,
-                entries: vec![e(2)]
+                entries: vec![e(2)].into()
             }
         );
         // The wrapped server's versioned log evolved in lock-step.

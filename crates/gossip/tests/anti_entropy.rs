@@ -115,7 +115,7 @@ fn removals_propagate() {
     w.run_until(deadline);
     assert!(engine::converged(&w, COLL, &cref.all_nodes()));
     let members = engine::elements_at(&w, cref.replicas[1], COLL).unwrap();
-    assert_eq!(members, vec![entry(2, cref.home)]);
+    assert_eq!(members[..], [entry(2, cref.home)]);
     handle.stop();
     w.run_to_quiescence();
 }

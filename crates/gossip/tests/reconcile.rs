@@ -20,7 +20,7 @@ use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
 use weakset_sim::world::WorldConfig;
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreServer, StoreWorld};
 
@@ -66,7 +66,7 @@ fn preload(w: &mut StoreWorld, node: NodeId, set: &ORSet) {
 }
 
 /// A replica's observable state: sorted membership plus its digest.
-type ReplicaState = (Vec<MemberEntry>, weakset_store::dotted::VersionVector);
+type ReplicaState = (Membership, weakset_store::dotted::VersionVector);
 
 /// Reads `node`'s replica state: (sorted membership, digest).
 fn state_at(w: &StoreWorld, node: NodeId) -> ReplicaState {

@@ -1,6 +1,6 @@
 //! The repository client: typed operations over the message protocol.
 
-use crate::collection::MemberEntry;
+use crate::collection::{MemberEntry, Membership};
 use crate::dotted::VersionVector;
 use crate::msg::StoreMsg;
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
@@ -163,7 +163,9 @@ enum Merge {
     First,
     /// The newest version among a majority of the contact set.
     Newest,
-    /// The union of every success, under the highest version seen.
+    /// The union of every success, under the highest version seen: a
+    /// linear merge of the replies' sorted runs, and no copy at all
+    /// when they are the same array.
     Union,
 }
 
@@ -302,7 +304,7 @@ impl ReadFold {
                     }
                     (Some(merged), Merge::Union) => {
                         merged.version = merged.version.max(read.version);
-                        merged.entries.extend(read.entries);
+                        merged.entries = merged.entries.union(&read.entries);
                     }
                 }
             }
@@ -323,13 +325,7 @@ impl ReadFold {
             return Err(StoreError::NoQuorum { got, need });
         }
         match (self.read, self.behind) {
-            (Some(mut read), _) => {
-                if self.merge == Merge::Union {
-                    read.entries.sort_unstable();
-                    read.entries.dedup();
-                }
-                Ok(read)
-            }
+            (Some(read), _) => Ok(read),
             // Every replica behind beats a generic error: the caller
             // can wait and retry on SessionBehind.
             (None, Some((have, need))) => Err(StoreError::SessionBehind { have, need }),
@@ -352,7 +348,7 @@ pub struct MembershipRead {
     /// Version of the replica that answered (highest version for quorum).
     pub version: u64,
     /// The membership.
-    pub entries: Vec<MemberEntry>,
+    pub entries: Membership,
 }
 
 /// A client of the distributed object repository, bound to the node it
@@ -1354,6 +1350,16 @@ mod tests {
     }
 
     #[test]
+    fn fold_union_merges_diverging_replies_under_the_highest_version() {
+        let mut fold = ReadFold::new(ReadPolicy::Leaderless.plan(), 3);
+        // One replica stale, one current, one ahead; each run sorted.
+        assert!(!fold.push(read(1, &[2, 9])));
+        assert!(!fold.push(read(2, &[2, 5, 9])));
+        assert!(!fold.push(read(3, &[1, 5, 9, 12])));
+        assert_eq!(fold.finish(), read(3, &[1, 2, 5, 9, 12]));
+    }
+
+    #[test]
     fn fold_union_with_every_reply_behind_reports_the_highest_floor() {
         let mut fold = ReadFold::new(ReadPolicy::CausalSession.plan(), 3);
         fold.push(Err(StoreError::SessionBehind { have: 1, need: 4 }));
@@ -1477,7 +1483,7 @@ mod tests {
         // Replication catches the laggard up 20ms from now.
         let replica = s[1];
         let coll = cref.id;
-        let members = vec![entry(1, s[0]), entry(2, s[0])];
+        let members = Membership::from(vec![entry(1, s[0]), entry(2, s[0])]);
         w.spawn_in(SimDuration::from_millis(20), move |w: &mut StoreWorld| {
             w.with_service_mut::<StoreServer, _>(replica, |srv| {
                 srv.apply(StoreMsg::SyncMembers {

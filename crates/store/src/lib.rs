@@ -18,7 +18,9 @@
 //!   with best-effort replica sync, and [`client::ReadPolicy`] for
 //!   primary/any/quorum membership reads.
 //! * [`collection`] — versioned membership state with a full mutation log
-//!   (the omniscient history that conformance checking replays).
+//!   (the omniscient history that conformance checking replays), and
+//!   [`collection::Membership`], the immutable sorted array every
+//!   version is held and shipped as.
 //! * [`dotted`] — dots, version vectors, and membership deltas: the wire
 //!   data for the `weakset-gossip` anti-entropy protocol.
 //! * [`query`] — predicate queries ("all Chinese restaurant menus").
@@ -70,7 +72,7 @@ pub mod prelude {
     pub use crate::client::{
         CollectionRef, MembershipRead, ReadPolicy, StoreClient, StoreError, StoreRt, StoreWorld,
     };
-    pub use crate::collection::{CollectionState, MemberEntry, MembershipVersion};
+    pub use crate::collection::{CollectionState, MemberEntry, Membership, MembershipVersion};
     pub use crate::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
     pub use crate::msg::StoreMsg;
     pub use crate::object::{CollectionId, ObjectId, ObjectRecord};

@@ -1,6 +1,6 @@
 //! The client/server message protocol.
 
-use crate::collection::MemberEntry;
+use crate::collection::{MemberEntry, Membership};
 use crate::dotted::{MembershipDelta, VersionVector};
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
 use crate::query::Query;
@@ -50,7 +50,7 @@ pub enum StoreMsg {
         /// Version being pushed.
         version: u64,
         /// Full membership at that version.
-        members: Vec<MemberEntry>,
+        members: Membership,
     },
     /// Block collection mutations (strong baseline). `token` identifies
     /// the holder.
@@ -161,7 +161,7 @@ pub enum StoreMsg {
         /// Replica's version.
         version: u64,
         /// Membership at that version.
-        entries: Vec<MemberEntry>,
+        entries: Membership,
     },
     /// Local query results.
     Matches(Vec<ObjectId>),

@@ -1,8 +1,6 @@
 //! The per-node object store server.
 
 use crate::collection::CollectionState;
-#[cfg(test)]
-use crate::collection::MemberEntry;
 use crate::msg::StoreMsg;
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
 use std::collections::{BTreeSet, HashMap};
@@ -101,7 +99,7 @@ impl StoreServer {
             StoreMsg::ListMembers(id) => match self.collections.get(&id) {
                 Some(c) => StoreMsg::Members {
                     version: c.version(),
-                    entries: c.snapshot(),
+                    entries: c.members().clone(),
                 },
                 None => StoreMsg::NoSuchCollection(id),
             },
@@ -127,7 +125,7 @@ impl StoreServer {
                 members,
             } => match self.collections.get_mut(&coll) {
                 Some(c) => {
-                    c.sync_to(version, &members);
+                    c.sync_to(version, members);
                     StoreMsg::Ack
                 }
                 None => StoreMsg::NoSuchCollection(coll),
@@ -175,7 +173,7 @@ impl StoreServer {
                     match self.collections.get(&id) {
                         Some(c) if c.version() >= need => StoreMsg::Members {
                             version: c.version(),
-                            entries: c.snapshot(),
+                            entries: c.members().clone(),
                         },
                         Some(c) => StoreMsg::SessionBehind {
                             coll: id,
@@ -236,7 +234,7 @@ impl StoreServer {
                 f(c);
                 StoreMsg::Members {
                     version: c.version(),
-                    entries: c.snapshot(),
+                    entries: c.members().clone(),
                 }
             }
             None => StoreMsg::NoSuchCollection(coll),
@@ -253,6 +251,7 @@ impl Service<StoreMsg> for StoreServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::{MemberEntry, Membership};
     use crate::query::Query;
 
     fn entry(id: u64) -> MemberEntry {
@@ -297,7 +296,7 @@ mod tests {
             r,
             StoreMsg::Members {
                 version: 1,
-                entries: vec![entry(1)]
+                entries: vec![entry(1)].into()
             }
         );
         let r = s.handle_msg(StoreMsg::RemoveMember {
@@ -308,7 +307,7 @@ mod tests {
             r,
             StoreMsg::Members {
                 version: 2,
-                entries: vec![]
+                entries: Membership::new()
             }
         );
     }
@@ -385,7 +384,7 @@ mod tests {
         let r = s.handle_msg(StoreMsg::SyncMembers {
             coll: c,
             version: 5,
-            members: vec![entry(3)],
+            members: vec![entry(3)].into(),
         });
         assert_eq!(r, StoreMsg::Ack);
         assert_eq!(s.collection(c).unwrap().version(), 5);
@@ -500,7 +499,7 @@ mod tests {
         s.handle_msg(StoreMsg::SyncMembers {
             coll: c,
             version: 3,
-            members: vec![entry(1), entry(2)],
+            members: vec![entry(1), entry(2)].into(),
         });
         assert!(matches!(
             s.handle_msg(gated(&tok)),

@@ -21,6 +21,16 @@ pub struct MetricsRegistry {
     latencies: BTreeMap<String, LatencyRecorder>,
 }
 
+/// Applies `f` to the slot for `name`, created (default) on first use.
+/// A name is hit far more often than it is introduced, so the lookup
+/// borrows the `&str`; only the first insert allocates the owned key.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(slot) => f(slot),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -29,8 +39,9 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named counter (saturating).
     pub fn add(&mut self, name: &str, delta: u64) {
-        let slot = self.counters.entry(name.to_string()).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        upsert(&mut self.counters, name, |slot| {
+            *slot = slot.saturating_add(delta);
+        });
     }
 
     /// Increments the named counter by one.
@@ -50,14 +61,13 @@ impl MetricsRegistry {
 
     /// Sets the named gauge to `value` unconditionally.
     pub fn gauge_set(&mut self, name: &str, value: u64) {
-        self.gauges.insert(name.to_string(), value);
+        upsert(&mut self.gauges, name, |slot| *slot = value);
     }
 
     /// Raises the named gauge to `value` if it is higher than the
     /// current reading (high-water mark, e.g. peak queue depth).
     pub fn gauge_max(&mut self, name: &str, value: u64) {
-        let slot = self.gauges.entry(name.to_string()).or_insert(0);
-        *slot = (*slot).max(value);
+        upsert(&mut self.gauges, name, |slot| *slot = (*slot).max(value));
     }
 
     /// Current value of a gauge (zero if never set).
@@ -72,10 +82,7 @@ impl MetricsRegistry {
 
     /// Records one latency observation, in microseconds.
     pub fn observe(&mut self, name: &str, us: u64) {
-        self.latencies
-            .entry(name.to_string())
-            .or_default()
-            .record(us);
+        upsert(&mut self.latencies, name, |rec| rec.record(us));
     }
 
     /// Read access to a latency recorder, if it exists.
@@ -85,7 +92,16 @@ impl MetricsRegistry {
 
     /// The recorder for `name`, created on first use.
     pub fn latency_mut(&mut self, name: &str) -> &mut LatencyRecorder {
-        self.latencies.entry(name.to_string()).or_default()
+        // Returning the borrow rules out `upsert`'s single lookup
+        // (the borrow checker keeps `get_mut`'s borrow alive across the
+        // miss arm), so a hit here looks the name up twice.
+        if !self.latencies.contains_key(name) {
+            self.latencies
+                .insert(name.to_string(), LatencyRecorder::default());
+        }
+        self.latencies
+            .get_mut(name)
+            .expect("recorder inserted above")
     }
 
     /// All latency recorders, in name order.
@@ -109,7 +125,7 @@ impl MetricsRegistry {
             self.gauge_max(name, *value);
         }
         for (name, rec) in &other.latencies {
-            self.latencies.entry(name.clone()).or_default().merge(rec);
+            upsert(&mut self.latencies, name, |mine| mine.merge(rec));
         }
     }
 

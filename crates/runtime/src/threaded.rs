@@ -11,6 +11,17 @@
 //! fleet but gives the clone its own completion channel, token space,
 //! timer heap, metrics, and span stack, so views never contend.
 //!
+//! ## Shared reads
+//!
+//! An `rpc` whose target is idle — empty mailbox, nobody inside the
+//! handler — first offers the request to [`Service::serve_shared`] on
+//! the *calling* thread, under the node's own service lock. A service
+//! that recognises a read answers it there and the rpc returns without
+//! a thread hand-off; anything else, and any busy node, goes through
+//! the mailbox. `send`/`send_batch` always use the mailbox. See
+//! `NodeHandle::serve_shared` for the two conditions and what each
+//! guarantees.
+//!
 //! ## Time and timers
 //!
 //! `now()` is `Instant::elapsed` since the runtime was created,
@@ -78,6 +89,13 @@ struct Envelope<M> {
     msg: M,
     token: u64,
     reply: Sender<(u64, Result<M, NetError>)>,
+}
+
+/// How an rpc left its caller: answered in place by a shared read, or
+/// in the target's mailbox under this token.
+enum Launched<M> {
+    Served(M),
+    Posted(u64),
 }
 
 /// Lock-free mailbox occupancy cells, shared by the posting views and
@@ -158,15 +176,88 @@ struct NodeHandle<M> {
     stats: MailboxStats,
 }
 
+impl<M: 'static> NodeHandle<M> {
+    fn is_up(&self) -> bool {
+        self.up.load(Ordering::SeqCst)
+    }
+
+    /// Answers a read on the *caller's* thread, without crossing the
+    /// mailbox, when the node is idle; `None` sends the request through
+    /// the mailbox as usual.
+    ///
+    /// Two conditions, both required. `depth == 0`: nothing is posted
+    /// and unfinished by anyone, so every earlier `send` of the calling
+    /// view has already been applied (a view's own `posted` precedes
+    /// this load on the same cell) and per-sender FIFO holds. The slot
+    /// lock, taken without waiting: no handler is mid-flight, so the
+    /// state is the one between two handler executions, and acquiring
+    /// the lock is what makes the last handler's writes visible here —
+    /// `depth` itself only gates, which is why `Relaxed` is enough for
+    /// it. A busy, wedged or poisoned slot is simply not idle.
+    fn serve_shared(&self, from: NodeId, msg: &M) -> Option<M> {
+        if self.stats.depth.load(Ordering::Relaxed) != 0 {
+            return None;
+        }
+        let slot = self.slot.try_lock().ok()?;
+        slot.as_ref()?.serve_shared(from, msg)
+    }
+
+    /// Puts one envelope into the node's mailbox. `Err` when its thread
+    /// is gone.
+    fn post(&self, to: NodeId, env: Envelope<M>) -> Result<(), NetError> {
+        // Count BEFORE sending: the node thread decrements on pickup,
+        // and a decrement racing ahead of its increment would no-op at
+        // zero and leave a phantom +1 behind.
+        self.stats.posted();
+        self.tx.send(env).map_err(|_| {
+            // The envelope never entered the mailbox.
+            self.stats.picked_up();
+            self.stats.finished();
+            NetError::NodeDown(to)
+        })
+    }
+}
+
+type Fleet<M> = HashMap<NodeId, NodeHandle<M>>;
+
+fn node_up<M: 'static>(nodes: &Fleet<M>, node: NodeId) -> bool {
+    nodes.get(&node).is_some_and(NodeHandle::is_up)
+}
+
 /// Fleet state shared by every view.
 struct Shared<M> {
     seed: u64,
     start: Instant,
     stop: Arc<AtomicBool>,
     next_node: AtomicU32,
-    nodes: Mutex<HashMap<NodeId, NodeHandle<M>>>,
+    nodes: Mutex<Fleet<M>>,
     /// Symmetric blocked pairs, stored normalized `(min, max)`.
     blocked: Mutex<HashSet<(NodeId, NodeId)>>,
+}
+
+impl<M: 'static> Shared<M> {
+    fn is_blocked(&self, a: NodeId, b: NodeId) -> bool {
+        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        lock(&self.blocked).contains(&key)
+    }
+
+    /// `to`'s handle when a request from a live `from` may be delivered
+    /// to it: `to` must be known and up, and the route open.
+    fn route<'a>(
+        &self,
+        nodes: &'a Fleet<M>,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<&'a NodeHandle<M>, NetError> {
+        let h = nodes
+            .get(&to)
+            .filter(|h| h.is_up())
+            .ok_or(NetError::NodeDown(to))?;
+        if self.is_blocked(from, to) {
+            return Err(NetError::Unreachable { from, to });
+        }
+        Ok(h)
+    }
 }
 
 /// A deferred task on a view's timer heap; earliest `(at, seq)` pops
@@ -261,26 +352,25 @@ fn node_loop<M: RtMessage>(
                     stats.finished();
                     continue;
                 }
-                let mut guard = lock(&slot);
-                if let Some(svc) = guard.as_mut() {
+                let reply = lock(&slot).as_mut().map(|svc| {
                     let now = SimTime::from_micros(start.elapsed().as_micros() as u64);
                     let mut ctx = ServiceCtx {
                         now,
                         node,
                         rng: &mut rng,
                     };
-                    let reply = svc.handle(&mut ctx, env.from, env.msg);
-                    // Decrement before replying: a caller that sees the
-                    // reply must not still see the op in the queue.
-                    stats.finished();
-                    // A dead receiver just means the requesting view is
-                    // gone; nothing to do with the reply.
+                    svc.handle(&mut ctx, env.from, env.msg)
+                });
+                // The slot is free and the op out of the queue BEFORE
+                // the reply goes out: a caller that sees the reply finds
+                // the node idle again.
+                stats.finished();
+                // No service installed yet: the request is dropped and
+                // the caller times out — same as the simulator's
+                // service-less node. A dead receiver just means the
+                // requesting view is gone; nothing to do with the reply.
+                if let Some(reply) = reply {
                     let _ = env.reply.send((env.token, Ok(reply)));
-                } else {
-                    // No service installed yet: drop the request, the
-                    // caller times out — same as the simulator's
-                    // service-less node.
-                    stats.finished();
                 }
             }
             Err(RecvTimeoutError::Timeout) => continue,
@@ -625,11 +715,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         &mut self.events
     }
 
-    fn is_blocked(&self, a: NodeId, b: NodeId) -> bool {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        lock(&self.shared.blocked).contains(&key)
-    }
-
     /// Moves any newly-arrived completions into the completed map
     /// without blocking.
     fn drain_completions(&mut self) {
@@ -660,36 +745,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         }
     }
 
-    /// Launches one envelope toward `to`'s mailbox. `Err` when the node
-    /// is unknown or its thread is gone.
-    fn post(&mut self, from: NodeId, to: NodeId, msg: M, token: u64) -> Result<(), NetError> {
-        let env = Envelope {
-            from,
-            msg,
-            token,
-            reply: self.comp_tx.clone(),
-        };
-        let nodes = lock(&self.shared.nodes);
-        match nodes.get(&to) {
-            Some(h) => {
-                // Count BEFORE sending: the node thread decrements on
-                // pickup, and a decrement racing ahead of its increment
-                // would no-op at zero and leave a phantom +1 behind.
-                h.stats.posted();
-                match h.tx.send(env) {
-                    Ok(()) => Ok(()),
-                    Err(_) => {
-                        // The envelope never entered the mailbox.
-                        h.stats.picked_up();
-                        h.stats.finished();
-                        Err(NetError::NodeDown(to))
-                    }
-                }
-            }
-            None => Err(NetError::NodeDown(to)),
-        }
-    }
-
     /// The wall-clock instant `t` maps to.
     fn instant_at(&self, t: SimTime) -> Instant {
         self.shared.start + Duration::from_micros(t.as_micros())
@@ -702,26 +757,45 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        if !self.is_up(from) {
-            return Err(NetError::NodeDown(from));
-        }
-        self.metrics.incr("rpc.sent");
-        let started = Instant::now();
-        if !self.reachable(from, to) {
-            let err = if self.is_up(to) {
-                NetError::Unreachable { from, to }
-            } else {
-                NetError::NodeDown(to)
-            };
-            self.note_rpc_failed(&err);
-            return Err(err);
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        if let Err(e) = self.post(from, to, msg, token) {
-            self.note_rpc_failed(&e);
-            return Err(e);
-        }
+        // One pass over the fleet tables: liveness, route, then either
+        // the shared read or the post, all under one `nodes` lock.
+        let started;
+        let launched = {
+            let nodes = lock(&self.shared.nodes);
+            if !node_up(&nodes, from) {
+                return Err(NetError::NodeDown(from));
+            }
+            self.metrics.incr("rpc.sent");
+            started = Instant::now();
+            self.shared.route(&nodes, from, to).and_then(|h| {
+                if let Some(reply) = h.serve_shared(from, &msg) {
+                    return Ok(Launched::Served(reply));
+                }
+                let token = self.next_token;
+                self.next_token += 1;
+                let env = Envelope {
+                    from,
+                    msg,
+                    token,
+                    reply: self.comp_tx.clone(),
+                };
+                h.post(to, env).map(|()| Launched::Posted(token))
+            })
+        };
+        let token = match launched {
+            Ok(Launched::Served(reply)) => {
+                self.metrics.incr("rpc.ok");
+                self.metrics.incr("rpc.shared");
+                self.metrics
+                    .observe("rpc.latency", started.elapsed().as_micros() as u64);
+                return Ok(reply);
+            }
+            Ok(Launched::Posted(token)) => token,
+            Err(e) => {
+                self.note_rpc_failed(&e);
+                return Err(e);
+            }
+        };
         let deadline = started + Duration::from_micros(timeout.as_micros());
         loop {
             self.drain_completions();
@@ -929,16 +1003,23 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         let token = self.next_token;
         self.next_token += 1;
         self.metrics.incr("rpc.sent");
-        if !self.is_up(from) {
-            self.completed.insert(token, Err(NetError::NodeDown(from)));
-        } else if !self.reachable(from, to) {
-            let err = if self.is_up(to) {
-                NetError::Unreachable { from, to }
+        let posted = {
+            let nodes = lock(&self.shared.nodes);
+            if node_up(&nodes, from) {
+                self.shared.route(&nodes, from, to).and_then(|h| {
+                    let env = Envelope {
+                        from,
+                        msg,
+                        token,
+                        reply: self.comp_tx.clone(),
+                    };
+                    h.post(to, env)
+                })
             } else {
-                NetError::NodeDown(to)
-            };
-            self.completed.insert(token, Err(err));
-        } else if let Err(e) = self.post(from, to, msg, token) {
+                Err(NetError::NodeDown(from))
+            }
+        };
+        if let Err(e) = posted {
             self.completed.insert(token, Err(e));
         }
         if let Some(req_hash) = req_hash {
@@ -949,7 +1030,9 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
                 token,
             });
         }
-        self.flight_note(&format!("{from}->{to}"), "send", &format!("token {token}"));
+        if self.flight.is_some() {
+            self.flight_note(&format!("{from}->{to}"), "send", &format!("token {token}"));
+        }
         ReplyToken::from_raw(token)
     }
 
@@ -1069,13 +1152,12 @@ impl<M: RtMessage> ServiceHost<M> for ThreadedRuntime<M> {
     }
 
     fn is_up(&self, node: NodeId) -> bool {
-        lock(&self.shared.nodes)
-            .get(&node)
-            .is_some_and(|h| h.up.load(Ordering::SeqCst))
+        node_up(&lock(&self.shared.nodes), node)
     }
 
     fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        self.is_up(from) && self.is_up(to) && !self.is_blocked(from, to)
+        let nodes = lock(&self.shared.nodes);
+        node_up(&nodes, from) && self.shared.route(&nodes, from, to).is_ok()
     }
 }
 
@@ -1103,6 +1185,7 @@ mod tests {
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
         Val(u64),
+        Get,
         Batch(Vec<Msg>),
     }
 
@@ -1127,6 +1210,7 @@ mod tests {
             self.hits += 1;
             match msg {
                 Msg::Val(n) => Msg::Val(n + 1),
+                Msg::Get => Msg::Get,
                 Msg::Batch(parts) => Msg::Batch(
                     parts
                         .into_iter()
@@ -1290,6 +1374,266 @@ mod tests {
             .any(|e| matches!(&e.ev, RecEvent::Send { from: 0, to: 1, .. })));
         // Once the wedged handler finishes, the fleet drains normally.
         assert!(rt.shutdown(Duration::from_secs(5)).is_ok());
+    }
+
+    /// A one-word register: `Val(n)` writes (through `handle` only),
+    /// `Get` reads — the one kind it also serves shared. With a gate, a
+    /// write announces that it is inside `handle` and stays there until
+    /// released, so a test can hold the node mid-handler without sleeps.
+    struct Register {
+        value: u64,
+        gate: Option<(Sender<()>, Receiver<()>)>,
+    }
+
+    impl Service<Msg> for Register {
+        fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: Msg) -> Msg {
+            match msg {
+                Msg::Val(n) => {
+                    if let Some((entered, release)) = &self.gate {
+                        let _ = entered.send(());
+                        let _ = release.recv_timeout(Duration::from_secs(5));
+                    }
+                    self.value = n;
+                    Msg::Val(n)
+                }
+                Msg::Get => Msg::Val(self.value),
+                other => other,
+            }
+        }
+
+        fn serve_shared(&self, _from: NodeId, msg: &Msg) -> Option<Msg> {
+            matches!(msg, Msg::Get).then_some(Msg::Val(self.value))
+        }
+    }
+
+    /// What the test side of a gated [`Register`] holds: `entered`
+    /// fires when a write is inside `handle`, `release` lets it finish.
+    struct Gate {
+        entered: Receiver<()>,
+        release: Sender<()>,
+    }
+
+    fn register_fleet(value: u64, gated: bool) -> (ThreadedRuntime<Msg>, NodeId, NodeId, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let mut rt = ThreadedRuntime::new(29);
+        let client = rt.add_node("client");
+        let server = rt.add_node("server");
+        let gate = gated.then_some((entered_tx, release_rx));
+        rt.install_service(server, Box::new(Register { value, gate }));
+        (rt, client, server, Gate { entered, release })
+    }
+
+    /// Lets a gated write finish from inside this view's next wait, i.e.
+    /// strictly after whatever the caller does next has been posted.
+    fn release_from_timer(rt: &mut ThreadedRuntime<Msg>, gate: &Gate) {
+        let release = gate.release.clone();
+        Spawner::spawn_in(
+            rt,
+            SimDuration::from_millis(10),
+            Box::new(TaskFn(move |_: &mut (dyn Runtime<Msg> + 'static)| {
+                let _ = release.send(());
+            })),
+        );
+    }
+
+    const SECS5: SimDuration = SimDuration::from_secs(5);
+
+    #[test]
+    fn idle_node_serves_reads_without_its_mailbox() {
+        let (mut rt, c, s, _gate) = register_fleet(7, false);
+        let n = 50;
+        for _ in 0..n {
+            assert_eq!(
+                Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+                Ok(Msg::Val(7))
+            );
+        }
+        for name in ["rpc.sent", "rpc.ok", "rpc.shared"] {
+            assert_eq!(rt.metrics.counter(name), n, "{name}");
+        }
+        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(50));
+        let depth_max = lock(&rt.shared.nodes)[&s]
+            .stats
+            .depth_max
+            .load(Ordering::Relaxed);
+        assert_eq!(depth_max, 0, "no read entered the mailbox");
+        // `send` always crosses the mailbox, so this is `handle`'s reply.
+        let token = Transport::send(&mut rt, c, s, Msg::Get);
+        let deadline = Clock::now(&rt) + SECS5;
+        assert_eq!(
+            Transport::wait_any(&mut rt, &[token], deadline),
+            Some(token)
+        );
+        assert_eq!(
+            Transport::try_take_reply(&mut rt, token),
+            Some(Ok(Msg::Val(7)))
+        );
+        // Only reads are served shared: a write goes through `handle`.
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Val(9), SECS5),
+            Ok(Msg::Val(9))
+        );
+        assert_eq!(rt.metrics.counter("rpc.shared"), n);
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+            Ok(Msg::Val(9))
+        );
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    #[test]
+    fn a_read_never_overtakes_the_views_own_send() {
+        let (mut rt, c, s, _gate) = register_fleet(0, false);
+        for i in 1..=1000 {
+            let _write = Transport::send(&mut rt, c, s, Msg::Val(i));
+            assert_eq!(
+                Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+                Ok(Msg::Val(i))
+            );
+        }
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    #[test]
+    fn a_busy_node_is_never_waited_on() {
+        let (mut rt, c, s, gate) = register_fleet(7, true);
+        let short = SimDuration::from_millis(100);
+        // Wedged inside `handle`: the read queues behind it and times out.
+        let _write = Transport::send(&mut rt, c, s, Msg::Val(8));
+        gate.entered.recv().expect("write reached the handler");
+        let t0 = Instant::now();
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, short),
+            Err(NetError::Timeout)
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "honoured its timeout"
+        );
+        gate.release.send(()).unwrap();
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+            Ok(Msg::Val(8))
+        );
+        // Empty mailbox but the slot is held (as a concurrent shared
+        // reader would hold it): fall back to the mailbox, do not wait.
+        while lock(&rt.shared.nodes)[&s]
+            .stats
+            .depth
+            .load(Ordering::Relaxed)
+            != 0
+        {
+            thread::yield_now();
+        }
+        let shared_before = rt.metrics.counter("rpc.shared");
+        let slot = Arc::clone(&lock(&rt.shared.nodes)[&s].slot);
+        let held = slot.lock().unwrap();
+        let t0 = Instant::now();
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, short),
+            Err(NetError::Timeout)
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "honoured its timeout"
+        );
+        assert_eq!(rt.metrics.counter("rpc.shared"), shared_before);
+        drop(held);
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+            Ok(Msg::Val(8))
+        );
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    #[test]
+    fn reads_fail_exactly_like_any_other_rpc() {
+        let (mut rt, c, s, _gate) = register_fleet(7, false);
+        let empty = rt.add_node("empty");
+        let get = |rt: &mut ThreadedRuntime<Msg>, from, to| {
+            Transport::rpc(rt, from, to, Msg::Get, SimDuration::from_millis(80))
+        };
+        rt.crash(s);
+        assert_eq!(get(&mut rt, c, s), Err(NetError::NodeDown(s)));
+        rt.set_node_up(s, true);
+        rt.set_reachable(c, s, false);
+        assert_eq!(
+            get(&mut rt, c, s),
+            Err(NetError::Unreachable { from: c, to: s })
+        );
+        rt.set_reachable(c, s, true);
+        assert_eq!(get(&mut rt, c, empty), Err(NetError::Timeout));
+        assert_eq!(
+            get(&mut rt, c, NodeId(99)),
+            Err(NetError::NodeDown(NodeId(99)))
+        );
+        rt.crash(c);
+        assert_eq!(get(&mut rt, c, s), Err(NetError::NodeDown(c)));
+        assert_eq!(rt.metrics.counter("rpc.shared"), 0);
+        assert_eq!(
+            rt.metrics.counter("rpc.sent"),
+            4,
+            "a down caller sends nothing"
+        );
+        assert_eq!(rt.metrics.counter("rpc.failed"), 4);
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    #[test]
+    fn a_poisoned_slot_falls_back_to_the_mailbox() {
+        let (mut rt, c, s, _gate) = register_fleet(7, false);
+        let slot = Arc::clone(&lock(&rt.shared.nodes)[&s].slot);
+        let poisoner = thread::spawn(move || {
+            let _held = slot.lock().unwrap();
+            panic!("poison the slot (expected by the test)");
+        });
+        assert!(poisoner.join().is_err());
+        // The node thread recovers the poisoned guard; the caller must
+        // neither panic nor serve from it.
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+            Ok(Msg::Val(7))
+        );
+        assert_eq!(rt.metrics.counter("rpc.ok"), 1);
+        assert_eq!(rt.metrics.counter("rpc.shared"), 0);
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    #[test]
+    fn recorder_sees_a_shared_read_like_a_mailbox_read() {
+        let (mut rt, c, s, gate) = register_fleet(7, true);
+        rt.attach_recorder(Recorder::new(29));
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+            Ok(Msg::Val(7))
+        );
+        assert_eq!(rt.metrics.counter("rpc.shared"), 1);
+        // Same read behind a write held in the handler: it must queue.
+        let _write = Transport::send(&mut rt, c, s, Msg::Val(7));
+        gate.entered.recv().expect("write reached the handler");
+        release_from_timer(&mut rt, &gate);
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
+            Ok(Msg::Val(7))
+        );
+        assert_eq!(rt.metrics.counter("rpc.shared"), 1, "second read queued");
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+
+        let rec = rt.recorder().unwrap().finish();
+        let rpcs: Vec<(u64, RecOutcome)> = rec
+            .entries
+            .iter()
+            .filter_map(|e| match &e.ev {
+                RecEvent::Rpc {
+                    req_hash, outcome, ..
+                } => Some((*req_hash, *outcome)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rpcs.len(), 2, "one Rpc event per read, shared or not");
+        assert!(matches!(rpcs[0].1, RecOutcome::Ok { .. }));
+        assert_eq!(rpcs[0], rpcs[1], "same request hash, same reply hash");
     }
 
     #[test]

@@ -58,6 +58,22 @@ impl ReplyToken {
 pub trait Service<M>: Any {
     /// Handles one request from `from`, producing the reply.
     fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: M) -> M;
+
+    /// Answers `msg` from `&self`, for requests that only read.
+    ///
+    /// Contract: when this returns `Some(r)`, [`Service::handle`] called
+    /// in the same state would have replied `r` and changed nothing; the
+    /// call is O(1) and never blocks. `None` means "send it through
+    /// `handle`" and is always a correct answer, which is what the
+    /// default gives.
+    ///
+    /// A backend may call this from the *requesting* thread while it
+    /// holds the service between two `handle` executions (the threaded
+    /// runtime does, see `weakset-runtime`'s `threaded` module). The
+    /// simulator never calls it.
+    fn serve_shared(&self, _from: NodeId, _msg: &M) -> Option<M> {
+        None
+    }
 }
 
 /// Context passed to a [`Service`] handler.

@@ -68,7 +68,50 @@ impl StoreServer {
         self.handle_msg(msg)
     }
 
+    /// The membership reads — `ListMembers`, bare or session-gated —
+    /// answered from `&self`; `None` for every other request. This is
+    /// the only place they are answered: `handle_msg` calls it first,
+    /// and [`Service::serve_shared`] is exactly this function.
+    ///
+    /// A session-gated read is refused until this replica has applied
+    /// the session's dependencies. Versions are primary-serialized and
+    /// replica sync ships full snapshots, so `version >= floor` implies
+    /// every dependency has been applied here. A bare read is the same
+    /// read with floor 0.
+    fn read(&self, msg: &StoreMsg) -> Option<StoreMsg> {
+        let (id, need) = match msg {
+            StoreMsg::ListMembers(id) => (*id, 0),
+            StoreMsg::WithSession { session, inner } => match **inner {
+                StoreMsg::ListMembers(id) => (id, session.floor(id)),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        Some(match self.collections.get(&id) {
+            Some(c) if c.version() >= need => StoreMsg::Members {
+                version: c.version(),
+                entries: c.members().clone(),
+            },
+            Some(c) => StoreMsg::SessionBehind {
+                coll: id,
+                have: c.version(),
+                need,
+            },
+            // A replica that never heard of the collection is behind
+            // any non-trivial session.
+            None if need > 0 => StoreMsg::SessionBehind {
+                coll: id,
+                have: 0,
+                need,
+            },
+            None => StoreMsg::NoSuchCollection(id),
+        })
+    }
+
     fn handle_msg(&mut self, msg: StoreMsg) -> StoreMsg {
+        if let Some(reply) = self.read(&msg) {
+            return reply;
+        }
         match msg {
             StoreMsg::GetObject(id) => match self.objects.get(&id) {
                 Some(rec) => StoreMsg::Object(rec.clone()),
@@ -96,13 +139,6 @@ impl StoreServer {
                 self.collections.entry(id).or_default();
                 StoreMsg::Ack
             }
-            StoreMsg::ListMembers(id) => match self.collections.get(&id) {
-                Some(c) => StoreMsg::Members {
-                    version: c.version(),
-                    entries: c.members().clone(),
-                },
-                None => StoreMsg::NoSuchCollection(id),
-            },
             StoreMsg::AddMember { coll, entry } => self.mutate(coll, |c| {
                 c.add(entry);
             }),
@@ -162,39 +198,12 @@ impl StoreServer {
                 }
                 StoreMsg::Ack
             }
-            // A session-gated request: refuse to serve a membership read
-            // until this replica has applied the session's dependencies.
-            // Versions are primary-serialized and replica sync ships full
-            // snapshots, so `version >= floor` implies every dependency
-            // has been applied here.
-            StoreMsg::WithSession { session, inner } => match *inner {
-                StoreMsg::ListMembers(id) => {
-                    let need = session.floor(id);
-                    match self.collections.get(&id) {
-                        Some(c) if c.version() >= need => StoreMsg::Members {
-                            version: c.version(),
-                            entries: c.members().clone(),
-                        },
-                        Some(c) => StoreMsg::SessionBehind {
-                            coll: id,
-                            have: c.version(),
-                            need,
-                        },
-                        // A replica that never heard of the collection is
-                        // behind any non-trivial session.
-                        None if need > 0 => StoreMsg::SessionBehind {
-                            coll: id,
-                            have: 0,
-                            need,
-                        },
-                        None => StoreMsg::NoSuchCollection(id),
-                    }
-                }
-                // Mutations and everything else are primary-serialized
-                // already; the session learns the new version from the
-                // ordinary reply.
-                other => self.handle_msg(other),
-            },
+            StoreMsg::ListMembers(_) => unreachable!("read() answers every ListMembers"),
+            // A session-wrapped membership read was answered by `read`;
+            // mutations and everything else are primary-serialized
+            // already, and the session learns the new version from the
+            // ordinary reply.
+            StoreMsg::WithSession { inner, .. } => self.handle_msg(*inner),
             // A batch envelope: answer each part independently, in
             // request order.
             StoreMsg::Batch(parts) => {
@@ -245,6 +254,10 @@ impl StoreServer {
 impl Service<StoreMsg> for StoreServer {
     fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: StoreMsg) -> StoreMsg {
         self.handle_msg(msg)
+    }
+
+    fn serve_shared(&self, _from: NodeId, msg: &StoreMsg) -> Option<StoreMsg> {
+        self.read(msg)
     }
 }
 

@@ -470,6 +470,7 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
 
     let mut it = set.elements_observed(s.semantics);
     let mut yielded: Vec<u64> = Vec::new();
+    let mut yielded_ids: BTreeSet<u64> = BTreeSet::new();
     let mut steps = 0usize;
     let mut waits = 0usize;
     let budget = s.budget.max(1);
@@ -485,7 +486,7 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
         // step. Driver-side omniscience; emits no region.
         if matches!(s.semantics, Semantics::Optimistic | Semantics::GrowOnly) {
             let members = ground_truth_threaded(&rt, &cref);
-            let all_yielded = members.iter().all(|m| yielded.contains(m));
+            let all_yielded = members.iter().all(|m| yielded_ids.contains(m));
             if all_yielded && !membership_readable_threaded(&rt, s.read_policy, cn, &cref) {
                 waits += 1;
                 if waits > MAX_WAITS {
@@ -503,6 +504,7 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
             IterStep::Yielded(obj) => {
                 waits = 0;
                 yielded.push(obj.id.0);
+                yielded_ids.insert(obj.id.0);
                 if yielded.len() >= budget {
                     break;
                 }

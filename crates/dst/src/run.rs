@@ -17,6 +17,7 @@
 
 use crate::oracle;
 use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
+use std::collections::BTreeSet;
 use weakset::prelude::{
     Elements, Failure, HistorySource, IterConfig, IterStep, Semantics, ShardGroup, ShardedElements,
     ShardedWeakSet, WeakSet,
@@ -255,7 +256,7 @@ fn membership_readable(
 /// iterator must yield everything else before claiming the set drained —
 /// that is read-your-writes, machine-checked.
 fn session_floors(w: &StoreWorld, s: &Scenario, set: &TestSet) -> Vec<SetValue> {
-    let removed: std::collections::BTreeSet<u64> = s
+    let removed: BTreeSet<u64> = s
         .ops
         .iter()
         .filter_map(|op| match op {
@@ -484,6 +485,9 @@ pub fn execute(s: &Scenario) -> RunReport {
     };
 
     let mut yielded: Vec<u64> = Vec::new();
+    // The same ids as a set: the tail guard below asks "has every member
+    // been yielded?" on every loop turn.
+    let mut yielded_ids: BTreeSet<u64> = BTreeSet::new();
     let mut steps = 0usize;
     let mut waits = 0usize;
     let budget = s.budget.max(1);
@@ -498,7 +502,7 @@ pub fn execute(s: &Scenario) -> RunReport {
         // terminal step. Omniscient, driver-only knowledge.
         if matches!(s.semantics, Semantics::Optimistic | Semantics::GrowOnly) {
             let members = ground_truth_members(&w, s, &set);
-            let all_yielded = members.iter().all(|m| yielded.contains(m));
+            let all_yielded = members.iter().all(|m| yielded_ids.contains(m));
             if all_yielded && !all_membership_readable(&w, s.read_policy, cn, &set) {
                 waits += 1;
                 if waits > MAX_WAITS {
@@ -515,6 +519,7 @@ pub fn execute(s: &Scenario) -> RunReport {
             IterStep::Yielded(rec) => {
                 waits = 0;
                 yielded.push(rec.id.0);
+                yielded_ids.insert(rec.id.0);
                 if yielded.len() >= budget {
                     break;
                 }
@@ -595,16 +600,19 @@ pub fn execute(s: &Scenario) -> RunReport {
         "unclosed spans at end of run: {unclosed:?}"
     );
     let events = w.events_mut().take_events();
+    let trace_hash = w.trace_hash();
+    let sim_time_us = w.now().as_micros();
 
     RunReport {
         seed: s.seed,
-        trace_hash: w.trace_hash(),
+        trace_hash,
         yielded,
         steps,
         violations,
         computations,
-        sim_time_us: w.now().as_micros(),
-        metrics: w.metrics().clone(),
+        sim_time_us,
+        // The world is dropped on return: take its registry, don't copy it.
+        metrics: std::mem::take(w.metrics_mut()),
         events,
     }
 }

@@ -64,3 +64,54 @@ fn corpus_trace_hash_is_pinned() {
     pin("causal", generate_causal, 0x05fc_05b5_b8af_26d0);
     pin("merkle", generate_merkle, 0x78a6_aac3_6a78_75f1);
 }
+
+/// What each run *recorded*, pinned across commits beside its trace hash:
+/// the causal event stream (every kind, detail, span edge, parent and
+/// trace id, in order) and the metrics registry as it prints. Constants
+/// measured at 2afe24d, before the simulator's bookkeeping was made
+/// cheaper; a change that moves one recorded a different byte.
+#[test]
+fn events_and_metrics_are_pinned() {
+    fn fnv(acc: u64, text: &str) -> u64 {
+        text.bytes().fold(acc, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    fn pin(leg: &str, gen: fn(u64) -> Scenario, events: u64, metrics: u64) {
+        let (mut e, mut m) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        for i in 0..64 {
+            let report = execute(&gen(mix(2026, i)));
+            e = fnv(e, &format!("{:?}", report.events));
+            m = fnv(m, &report.metrics.to_string());
+        }
+        assert_eq!(
+            (e, m),
+            (events, metrics),
+            "{leg}: events fold is now {e:#018x}, metrics fold {m:#018x}"
+        );
+    }
+    pin(
+        "plain",
+        generate,
+        0xb082_9227_f072_5814,
+        0x35d0_a334_26af_bc38,
+    );
+    pin(
+        "sharded",
+        generate_sharded,
+        0x4cdc_493b_d219_5f85,
+        0xa3c5_2445_829b_64a3,
+    );
+    pin(
+        "causal",
+        generate_causal,
+        0x3a0a_9826_8ec5_32f1,
+        0x3bda_4778_4cd6_47dc,
+    );
+    pin(
+        "merkle",
+        generate_merkle,
+        0x9b17_b8a4_dee5_268f,
+        0x9d78_e42e_5323_84e8,
+    );
+}

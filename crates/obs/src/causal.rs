@@ -130,7 +130,7 @@ impl CausalDag {
                             id,
                             parent: e.parent,
                             trace: e.trace,
-                            kind: e.kind.clone(),
+                            kind: e.kind.to_string(),
                             detail: e.detail.clone(),
                             begin_us: e.at_us,
                             end_us: e.at_us,

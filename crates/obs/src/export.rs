@@ -59,7 +59,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> String {
                     args.push(("parent".to_string(), Json::u64(p.0)));
                 }
                 out.push(Json::Obj(vec![
-                    ("name".to_string(), Json::Str(e.kind.clone())),
+                    ("name".to_string(), Json::Str(e.kind.to_string())),
                     ("cat".to_string(), Json::Str("weakset".to_string())),
                     ("ph".to_string(), Json::Str("i".to_string())),
                     ("ts".to_string(), Json::u64(e.at_us)),

@@ -75,7 +75,7 @@ pub use json::Json;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use registry::MetricsRegistry;
 pub use shard::{per_shard_stats, shard_key, ShardStats};
-pub use sink::{EventSink, ObsEvent, SpanId};
+pub use sink::{EventSink, ObsEvent, ObsKind, SpanId};
 pub use snapshot::{Direction, Objective, ObsSnapshot};
 pub use telemetry::{
     http_get, parse_prometheus, prometheus_text, FlightRecorder, HubPublisher, TelemetryHub,
@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::latency::{LatencyRecorder, LatencySummary};
     pub use crate::registry::MetricsRegistry;
     pub use crate::shard::{per_shard_stats, shard_key, ShardStats};
-    pub use crate::sink::{EventSink, ObsEvent, SpanId};
+    pub use crate::sink::{EventSink, ObsEvent, ObsKind, SpanId};
     pub use crate::snapshot::{Direction, Objective, ObsSnapshot};
     pub use crate::telemetry::{
         http_get, parse_prometheus, prometheus_text, FlightRecorder, HubPublisher, TelemetryHub,

@@ -6,10 +6,16 @@
 //! [`SpanId`]. Each span carries an optional parent span and trace id
 //! (see [`TraceContext`]), which is what turns a flat event log into
 //! the happens-before DAG consumed by [`crate::causal`].
+//!
+//! Recording an event allocates nothing the event does not keep: its
+//! kind is a clone of a name the sink already holds ([`ObsKind`]), its
+//! detail is moved in when the caller built a `String` for it, and
+//! the open-span ledger is a stack.
 
 use crate::causal::{TraceContext, TraceId};
-use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Identifies one span across its `begin`/`end` pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,13 +27,70 @@ impl fmt::Display for SpanId {
     }
 }
 
+/// A dotted event kind such as `"net.rpc"`, held as a shared name.
+///
+/// A run records thousands of events of a few dozen kinds, so an event
+/// does not own its kind's text: a sink keeps one `ObsKind` per kind it
+/// has seen and every event of that kind holds a clone (a reference
+/// count, not a copy). It reads as the `str` it names — it derefs to
+/// it, prints (`Display` and `Debug`) as it, and compares and orders as
+/// it.
+///
+/// Why not `&'static str`: kinds arrive through `Observe::span_enter(&mut
+/// self, kind: &str, ..)`, and implementations outside this workspace's
+/// crates are written against that signature.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ObsKind(Arc<str>);
+
+impl ObsKind {
+    /// The kind's text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for ObsKind {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for ObsKind {
+    fn from(name: &str) -> Self {
+        ObsKind(name.into())
+    }
+}
+
+impl fmt::Display for ObsKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for ObsKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<&str> for ObsKind {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
 /// One structured event, stamped with simulated microseconds.
+///
+/// Recording one costs a push: the kind is a shared name ([`ObsKind`]),
+/// not a copy, and the detail is whatever `String` the caller handed
+/// over. `Debug` and `==` read exactly as when `kind` was a `String`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObsEvent {
     /// Simulated time of the event, in microseconds since run start.
     pub at_us: u64,
     /// Dotted event kind, e.g. `"sim.fault.crash"` or `"span.begin"`.
-    pub kind: String,
+    pub kind: ObsKind,
     /// Free-form detail (node id, figure key, …).
     pub detail: String,
     /// The span this event opens/closes, when it is a span edge.
@@ -47,8 +110,12 @@ pub struct EventSink {
     next_span: u64,
     next_trace: u64,
     /// Spans begun but not yet ended, so unbalanced instrumentation is
-    /// caught instead of silently producing a broken DAG.
-    open: BTreeSet<SpanId>,
+    /// caught instead of silently producing a broken DAG. Ascending:
+    /// ids are handed out in order and pushed at the end, and spans
+    /// almost always close innermost-first, i.e. from the end.
+    open: Vec<SpanId>,
+    /// The shared name of every kind recorded so far (a few dozen).
+    kinds: Vec<ObsKind>,
     events: Vec<ObsEvent>,
 }
 
@@ -76,25 +143,55 @@ impl EventSink {
         self.enabled
     }
 
+    /// Appends one event: the only place an [`ObsEvent`] is built. Its
+    /// kind is the shared name for `kind`, allocated the first time the
+    /// sink sees it.
+    fn record(
+        &mut self,
+        at_us: u64,
+        kind: &str,
+        detail: String,
+        span: Option<SpanId>,
+        parent: Option<SpanId>,
+        trace: Option<TraceId>,
+    ) {
+        let kind = match self.kinds.iter().find(|k| k.as_str() == kind) {
+            Some(known) => known.clone(),
+            None => {
+                let new = ObsKind::from(kind);
+                self.kinds.push(new.clone());
+                new
+            }
+        };
+        self.events.push(ObsEvent {
+            at_us,
+            kind,
+            detail,
+            span,
+            parent,
+            trace,
+        });
+    }
+
     /// Records a point event. No-op when disabled.
-    pub fn event(&mut self, at_us: u64, kind: &str, detail: &str) {
+    pub fn event(&mut self, at_us: u64, kind: &str, detail: impl Into<String>) {
         self.event_in(at_us, kind, detail, None)
     }
 
     /// Records a point event attributed to a trace/parent span. No-op
-    /// when disabled.
-    pub fn event_in(&mut self, at_us: u64, kind: &str, detail: &str, ctx: Option<TraceContext>) {
-        if !self.enabled {
-            return;
+    /// when disabled. A `String` detail is moved into the event, a
+    /// `&str` is copied.
+    pub fn event_in(
+        &mut self,
+        at_us: u64,
+        kind: &str,
+        detail: impl Into<String>,
+        ctx: Option<TraceContext>,
+    ) {
+        if self.enabled {
+            let (parent, trace) = (ctx.map(|c| c.span), ctx.map(|c| c.trace));
+            self.record(at_us, kind, detail.into(), None, parent, trace);
         }
-        self.events.push(ObsEvent {
-            at_us,
-            kind: kind.to_string(),
-            detail: detail.to_string(),
-            span: None,
-            parent: ctx.map(|c| c.span),
-            trace: ctx.map(|c| c.trace),
-        });
     }
 
     /// Opens a span under `ctx` (or as a fresh trace root when `ctx` is
@@ -107,7 +204,7 @@ impl EventSink {
         &mut self,
         at_us: u64,
         kind: &str,
-        detail: &str,
+        detail: impl Into<String>,
         ctx: Option<TraceContext>,
     ) -> TraceContext {
         let id = SpanId(self.next_span);
@@ -121,15 +218,9 @@ impl EventSink {
             }
         };
         if self.enabled {
-            self.open.insert(id);
-            self.events.push(ObsEvent {
-                at_us,
-                kind: kind.to_string(),
-                detail: detail.to_string(),
-                span: Some(id),
-                parent: ctx.map(|c| c.span),
-                trace: Some(trace),
-            });
+            self.open.push(id);
+            let parent = ctx.map(|c| c.span);
+            self.record(at_us, kind, detail.into(), Some(id), parent, Some(trace));
         }
         TraceContext { trace, span: id }
     }
@@ -144,21 +235,20 @@ impl EventSink {
         if !self.enabled {
             return;
         }
-        let was_open = self.open.remove(&id);
-        debug_assert!(was_open, "end_span on span that is not open: {id}");
-        self.events.push(ObsEvent {
-            at_us,
-            kind: "span.end".to_string(),
-            detail: String::new(),
-            span: Some(id),
-            parent: None,
-            trace: None,
-        });
+        // Searched from the end, where an innermost-first close finds it
+        // at once; an out-of-order close shifts the tail and keeps the
+        // ledger ascending.
+        let at = self.open.iter().rposition(|&open| open == id);
+        debug_assert!(at.is_some(), "end_span on span that is not open: {id}");
+        if let Some(at) = at {
+            self.open.remove(at);
+        }
+        self.record(at_us, "span.end", String::new(), Some(id), None, None);
     }
 
     /// Opens a root span with no trace context. Prefer
     /// [`EventSink::begin_span`] when a parent context is available.
-    pub fn begin(&mut self, at_us: u64, kind: &str, detail: &str) -> SpanId {
+    pub fn begin(&mut self, at_us: u64, kind: &str, detail: impl Into<String>) -> SpanId {
         self.begin_span(at_us, kind, detail, None).span
     }
 
@@ -172,17 +262,10 @@ impl EventSink {
     /// means all instrumentation paired its spans; callers that care
     /// should assert on it.
     pub fn finish(&mut self, at_us: u64) -> Vec<SpanId> {
-        let unclosed: Vec<SpanId> = std::mem::take(&mut self.open).into_iter().collect();
+        let unclosed = std::mem::take(&mut self.open);
         if self.enabled {
             for &id in &unclosed {
-                self.events.push(ObsEvent {
-                    at_us,
-                    kind: "span.unclosed".to_string(),
-                    detail: String::new(),
-                    span: Some(id),
-                    parent: None,
-                    trace: None,
-                });
+                self.record(at_us, "span.unclosed", String::new(), Some(id), None, None);
             }
         }
         unclosed
@@ -216,8 +299,8 @@ impl EventSink {
         self.events.iter().filter(|e| e.kind == kind).count()
     }
 
-    /// Drops every recorded event (keeps the enabled flag and span
-    /// counter). Also forgets open-span bookkeeping.
+    /// Drops every recorded event (keeps the enabled flag, the span
+    /// counter and the kind names). Also forgets open-span bookkeeping.
     pub fn clear(&mut self) {
         self.events.clear();
         self.open.clear();
@@ -320,6 +403,61 @@ mod tests {
         let a = s.begin_span(0, "op", "", None);
         s.end_span(1, a.span);
         s.end_span(2, a.span);
+    }
+
+    #[test]
+    fn a_kind_reads_as_the_str_it_names() {
+        let mut s = EventSink::enabled();
+        s.event(1, "net.rpc.failed", "n0->n1: \"timeout\"");
+        let ev = &s.events()[0];
+        // The same text a `String` field printed: consumers that format,
+        // export or hash the stream see no difference.
+        assert_eq!(
+            format!("{ev:?}"),
+            "ObsEvent { at_us: 1, kind: \"net.rpc.failed\", \
+             detail: \"n0->n1: \\\"timeout\\\"\", span: None, parent: None, trace: None }"
+        );
+        assert_eq!(format!("{}", ev.kind), "net.rpc.failed");
+        assert_eq!(format!("{:>16}|", ev.kind), "  net.rpc.failed|");
+        assert_eq!(ev.kind.as_str(), "net.rpc.failed");
+        assert!(ev.kind == "net.rpc.failed" && ev.kind != "net.rpc");
+        assert!(ev.kind.starts_with("net."), "derefs to str");
+        assert_eq!(ev.kind, ObsKind::from("net.rpc.failed"));
+
+        let mut kinds = ["svc.handle", "net.rpc", "span.end", "net"].map(ObsKind::from);
+        kinds.sort();
+        assert_eq!(kinds, ["net", "net.rpc", "span.end", "svc.handle"]);
+    }
+
+    #[test]
+    fn events_of_one_kind_share_one_name() {
+        let mut s = EventSink::enabled();
+        let a = s.begin_span(0, "net.rpc", "n0->n1", None);
+        let b = s.begin_span(1, "net.rpc", String::from("n0->n2"), Some(a));
+        s.event_in(2, "net.msg.lost", "n0->n2", Some(b));
+        s.end_span(3, b.span);
+        s.end_span(4, a.span);
+        let ev = s.events();
+        let same = |x: &ObsEvent, y: &ObsEvent| std::ptr::eq(x.kind.as_str(), y.kind.as_str());
+        assert!(same(&ev[0], &ev[1]), "two net.rpc begins, one allocation");
+        assert!(same(&ev[3], &ev[4]), "two span.end edges, one allocation");
+        assert!(!same(&ev[0], &ev[2]));
+        assert_eq!(ev[1].detail, "n0->n2");
+        // A drained sink keeps handing out the names it already holds.
+        let drained = s.take_events();
+        s.event(5, "net.rpc", "");
+        assert!(same(&drained[0], &s.events()[0]));
+    }
+
+    #[test]
+    fn spans_may_close_out_of_order_and_finish_stays_ascending() {
+        let mut s = EventSink::enabled();
+        let ids: Vec<SpanId> = (0..5).map(|i| s.begin(i, "op", "")).collect();
+        s.end(10, ids[1]);
+        s.end(11, ids[4]);
+        assert_eq!(s.finish(12), vec![ids[0], ids[2], ids[3]]);
+        assert_eq!(s.count_kind("span.end"), 2);
+        assert_eq!(s.count_kind("span.unclosed"), 3);
     }
 
     #[test]

@@ -527,7 +527,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                     })
                     .map(|e| {
                         if e.detail.is_empty() {
-                            e.kind.clone()
+                            e.kind.to_string()
                         } else {
                             format!("{} ({})", e.kind, e.detail)
                         }

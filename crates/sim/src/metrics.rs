@@ -12,7 +12,8 @@
 pub use weakset_obs::{
     category_of, chrome_trace, critical_path, critical_path_of, per_shard_stats, shard_key,
     CausalDag, CriticalPath, Direction, EventSink, LatencyRecorder, LatencySummary, Objective,
-    ObsEvent, ObsSnapshot, PathCategory, ShardStats, SpanId, SpanNode, TraceContext, TraceId,
+    ObsEvent, ObsKind, ObsSnapshot, PathCategory, ShardStats, SpanId, SpanNode, TraceContext,
+    TraceId,
 };
 
 /// Named counters, gauges, and latency recorders for a run.

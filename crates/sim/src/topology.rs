@@ -5,10 +5,15 @@
 //! node *in the current state*. Reachability accounts for crashed nodes,
 //! administratively-down links, and network partitions, and is transitive
 //! (messages route through intermediate up nodes).
+//!
+//! The question is asked three times per simulated message and the graph
+//! changes only when a fault fires, so the answer is kept, not searched
+//! for: every mutator leaves a connected-component label per node behind
+//! and `reachable` compares two labels.
 
 use crate::link::LinkState;
 use crate::node::{Node, NodeId, NodeStatus};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// A partition group id. Nodes in different groups cannot exchange messages
 /// while the partition is in force.
@@ -19,6 +24,17 @@ pub struct PartitionGroup(pub u32);
 ///
 /// By default the graph is a fully-connected clique of healthy links; tests
 /// and fault plans then crash nodes, take links down, or impose partitions.
+///
+/// Invariant: for up nodes `a` and `b`, `comp[a] == comp[b]` exactly when
+/// a path of [open edges](Topology::edge_open) joins them. The seven
+/// mutators keep it: [`add_node`](Topology::add_node) merges the
+/// newcomer's neighbours in O(n); [`crash`](Topology::crash),
+/// [`restart`](Topology::restart), [`set_link`](Topology::set_link),
+/// [`set_group`](Topology::set_group), [`partition`](Topology::partition)
+/// and [`heal_partition`](Topology::heal_partition) relabel the graph
+/// (O(n²), once per fault). [`reachable`](Topology::reachable) and
+/// [`reachable_set`](Topology::reachable_set) only read labels: no
+/// search, no allocation, no hashing per query.
 ///
 /// ```
 /// use weakset_sim::prelude::*;
@@ -40,6 +56,10 @@ pub struct Topology {
     links: HashMap<(NodeId, NodeId), LinkState>,
     /// Partition group per node; `None` means the default (connected) group.
     groups: Vec<Option<PartitionGroup>>,
+    /// Connected-component label per node: the lowest index among the up
+    /// nodes it can exchange messages with. A crashed node is alone under
+    /// its own index.
+    comp: Vec<u32>,
 }
 
 impl Topology {
@@ -53,6 +73,24 @@ impl Topology {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, name, site));
         self.groups.push(None);
+        self.comp.push(id.0);
+        // The newcomer joins every component it has an open edge into,
+        // which fuses them under the lowest label (all are below `id`).
+        let mut joined = vec![false; self.nodes.len()];
+        let mut label = id.0;
+        for other in self.node_ids() {
+            if self.edge_open(id, other) {
+                let c = self.comp[other.index()];
+                joined[c as usize] = true;
+                label = label.min(c);
+            }
+        }
+        joined[id.index()] = true;
+        for c in &mut self.comp {
+            if joined[*c as usize] {
+                *c = label;
+            }
+        }
         id
     }
 
@@ -112,11 +150,13 @@ impl Topology {
     /// Crashes a node: it stops sending, receiving, and serving.
     pub fn crash(&mut self, id: NodeId) {
         self.nodes[id.index()].set_status(NodeStatus::Crashed);
+        self.relabel();
     }
 
     /// Restarts a crashed node.
     pub fn restart(&mut self, id: NodeId) {
         self.nodes[id.index()].set_status(NodeStatus::Up);
+        self.relabel();
     }
 
     /// True when the node is up.
@@ -134,6 +174,9 @@ impl Topology {
 
     /// Current state of the link between `a` and `b` (healthy by default).
     pub fn link(&self, a: NodeId, b: NodeId) -> LinkState {
+        if self.links.is_empty() {
+            return LinkState::default();
+        }
         self.links
             .get(&Self::key(a, b))
             .copied()
@@ -143,6 +186,7 @@ impl Topology {
     /// Overrides the link between `a` and `b`.
     pub fn set_link(&mut self, a: NodeId, b: NodeId, state: LinkState) {
         self.links.insert(Self::key(a, b), state);
+        self.relabel();
     }
 
     /// Places a node into a partition group. Nodes in different groups are
@@ -150,27 +194,26 @@ impl Topology {
     /// communicate normally.
     pub fn set_group(&mut self, id: NodeId, group: Option<PartitionGroup>) {
         self.groups[id.index()] = group;
+        self.relabel();
     }
 
     /// Imposes a two-sided partition: every node in `side` goes to group 1,
     /// everyone else to group 0.
     pub fn partition(&mut self, side: &[NodeId]) {
-        for id in self.node_ids().collect::<Vec<_>>() {
-            let g = if side.contains(&id) {
-                PartitionGroup(1)
-            } else {
-                PartitionGroup(0)
-            };
-            self.groups[id.index()] = Some(g);
+        self.groups.fill(Some(PartitionGroup(0)));
+        for id in side {
+            if let Some(g) = self.groups.get_mut(id.index()) {
+                *g = Some(PartitionGroup(1));
+            }
         }
+        self.relabel();
     }
 
     /// Removes all partition groups, reconnecting the network (links and
     /// node statuses are unaffected).
     pub fn heal_partition(&mut self) {
-        for g in &mut self.groups {
-            *g = None;
-        }
+        self.groups.fill(None);
+        self.relabel();
     }
 
     /// The partition group of a node, if any.
@@ -188,27 +231,73 @@ impl Topology {
         a != b && self.is_up(a) && self.is_up(b) && self.link(a, b).up && self.same_group(a, b)
     }
 
+    /// Recomputes every component label from the current statuses, links
+    /// and groups: a flood from each still-unlabelled up node, in index
+    /// order, so a component is named after its lowest member.
+    fn relabel(&mut self) {
+        let n = self.nodes.len() as u32;
+        self.comp.clear();
+        self.comp.extend(0..n);
+        let mut frontier = Vec::new();
+        for root in 0..n {
+            // Labelled by an earlier flood, or crashed (stays alone).
+            if self.comp[root as usize] != root || !self.is_up(NodeId(root)) {
+                continue;
+            }
+            frontier.push(root);
+            while let Some(cur) = frontier.pop() {
+                // Everything below `root` is already labelled; above it,
+                // a node still under its own index has not been reached.
+                for next in root + 1..n {
+                    if self.comp[next as usize] == next && self.edge_open(NodeId(cur), NodeId(next))
+                    {
+                        self.comp[next as usize] = root;
+                        frontier.push(next);
+                    }
+                }
+            }
+        }
+    }
+
     /// True when messages can currently get from `a` to `b`, routing through
     /// intermediate up nodes if necessary. Reflexive for up nodes.
+    ///
+    /// O(1): two status checks and one label comparison.
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        if !self.is_up(a) || !self.is_up(b) {
+        self.is_up(a) && self.is_up(b) && self.comp[a.index()] == self.comp[b.index()]
+    }
+
+    /// The set of nodes currently reachable from `from` (including itself,
+    /// if up), ascending. This is the state-σ footprint that the paper's
+    /// `reachable(x)` function projects collections through.
+    pub fn reachable_set(&self, from: NodeId) -> Vec<NodeId> {
+        self.node_ids()
+            .filter(|&id| self.reachable(from, id))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The definition the labels must agree with: breadth-first search
+    /// over open edges, as `reachable` itself did before it kept labels.
+    fn reachable_by_search(t: &Topology, a: NodeId, b: NodeId) -> bool {
+        if !t.is_up(a) || !t.is_up(b) {
             return false;
         }
-        if a == b {
-            return true;
-        }
-        // BFS over open edges.
-        let n = self.nodes.len();
-        let mut seen = vec![false; n];
-        let mut q = VecDeque::new();
+        let mut seen = vec![false; t.len()];
+        let mut q = VecDeque::from([a]);
         seen[a.index()] = true;
-        q.push_back(a);
         while let Some(cur) = q.pop_front() {
-            for id in self.node_ids() {
-                if !seen[id.index()] && self.edge_open(cur, id) {
-                    if id == b {
-                        return true;
-                    }
+            if cur == b {
+                return true;
+            }
+            for id in t.node_ids() {
+                if !seen[id.index()] && t.edge_open(cur, id) {
                     seen[id.index()] = true;
                     q.push_back(id);
                 }
@@ -217,37 +306,86 @@ impl Topology {
         false
     }
 
-    /// The set of nodes currently reachable from `from` (including itself,
-    /// if up). This is the state-σ footprint that the paper's
-    /// `reachable(x)` function projects collections through.
-    pub fn reachable_set(&self, from: NodeId) -> Vec<NodeId> {
-        if !self.is_up(from) {
-            return Vec::new();
-        }
-        let n = self.nodes.len();
-        let mut seen = vec![false; n];
-        let mut order = Vec::new();
-        let mut q = VecDeque::new();
-        seen[from.index()] = true;
-        order.push(from);
-        q.push_back(from);
-        while let Some(cur) = q.pop_front() {
-            for id in self.node_ids() {
-                if !seen[id.index()] && self.edge_open(cur, id) {
-                    seen[id.index()] = true;
-                    order.push(id);
-                    q.push_back(id);
+    /// Every ordered pair answers as the search does, and `reachable_set`
+    /// is the ascending row of `reachable`.
+    fn assert_labels_match_search(t: &Topology) -> Result<(), TestCaseError> {
+        for a in t.node_ids() {
+            prop_assert_eq!(t.reachable(a, a), t.is_up(a));
+            let mut row = Vec::new();
+            for b in t.node_ids() {
+                let r = t.reachable(a, b);
+                prop_assert_eq!(r, reachable_by_search(t, a, b), "{} -> {} in {:?}", a, b, t);
+                prop_assert!(!r || (t.is_up(a) && t.is_up(b)));
+                if r {
+                    row.push(b);
                 }
             }
+            prop_assert_eq!(t.reachable_set(a), row);
         }
-        order.sort_unstable();
-        order
+        Ok(())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of all seven mutators over 1–12 nodes: after
+        /// every step the labels answer exactly as a fresh search would.
+        #[test]
+        fn labels_track_every_mutator(
+            n in 1usize..=12,
+            steps in proptest::collection::vec(
+                (0u8..7, 0usize..12, 0usize..12, any::<bool>(), proptest::collection::vec(0usize..12, 0..5)),
+                0..24,
+            ),
+        ) {
+            let mut t = Topology::new();
+            t.add_nodes("n", n);
+            assert_labels_match_search(&t)?;
+            for (op, a, b, flag, side) in steps {
+                let len = t.len();
+                let (a, b) = (NodeId((a % len) as u32), NodeId((b % len) as u32));
+                match op {
+                    0 if len < 12 => {
+                        t.add_node("late", 0);
+                    }
+                    0 | 1 => t.crash(a),
+                    2 => t.restart(a),
+                    3 => t.set_link(a, b, if flag { LinkState::healthy() } else { LinkState::down() }),
+                    4 => t.set_group(a, flag.then_some(PartitionGroup(b.0 % 3))),
+                    5 => {
+                        let side: Vec<NodeId> =
+                            side.iter().map(|&i| NodeId((i % len) as u32)).collect();
+                        t.partition(&side);
+                    }
+                    _ => t.heal_partition(),
+                }
+                assert_labels_match_search(&t)?;
+            }
+        }
+    }
+
+    #[test]
+    fn chain_with_the_end_to_end_link_down_is_still_reachable() {
+        let (mut t, a, b, c) = three();
+        t.set_link(a, c, LinkState::down());
+        assert!(!t.edge_open(a, c));
+        assert!(t.reachable(a, c), "a-b-c routes around the down a-c link");
+        assert_eq!(t.reachable_set(a), vec![a, b, c]);
+        t.crash(b);
+        assert!(!t.reachable(a, c), "the only relay is down");
+    }
+
+    #[test]
+    fn a_late_node_fuses_the_components_it_touches() {
+        let mut t = Topology::new();
+        let a = t.add_node("a", 0);
+        let b = t.add_node("b", 1);
+        t.set_link(a, b, LinkState::down());
+        assert!(!t.reachable(a, b));
+        let c = t.add_node("c", 2);
+        assert!(t.reachable(a, b), "c relays between a and b");
+        assert_eq!(t.reachable_set(c), vec![a, b, c]);
+    }
 
     fn three() -> (Topology, NodeId, NodeId, NodeId) {
         let mut t = Topology::new();

@@ -9,6 +9,7 @@ use crate::net::NetError;
 use crate::node::NodeId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::fmt::{self, Write as _};
 
 /// One recorded occurrence.
 ///
@@ -50,6 +51,69 @@ pub enum TraceEvent {
     },
     /// Free-form annotation from user code.
     Note(String),
+}
+
+/// FNV-1a state that takes its bytes as they are produced: it is a
+/// [`fmt::Write`], so an event's `Debug` rendering is folded piece by
+/// piece and never exists as a `String`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// Folds the decimal digits of `v`, as `Display` would print them.
+    fn fold_decimal(&mut self, mut v: u32) {
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.fold(&digits[at..]);
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.fold(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl TraceEvent {
+    /// Folds exactly the bytes of `format!("{self:?}")` into `h`.
+    ///
+    /// The four `{ from, to }` variants are most of every trace (one
+    /// send, one handled, one ok per rpc), so their text is written out
+    /// by hand instead of through the `Debug` machinery; a unit test
+    /// holds both routes to `format!`'s bytes.
+    fn fold_debug(&self, h: &mut Fnv) {
+        let (name, from, to) = match self {
+            TraceEvent::RpcSend { from, to } => ("RpcSend", from, to),
+            TraceEvent::RpcHandled { from, to } => ("RpcHandled", from, to),
+            TraceEvent::RpcOk { from, to } => ("RpcOk", from, to),
+            TraceEvent::MessageLost { from, to } => ("MessageLost", from, to),
+            other => {
+                write!(h, "{other:?}").expect("folding into a hash cannot fail");
+                return;
+            }
+        };
+        h.fold(name.as_bytes());
+        h.fold(b" { from: n");
+        h.fold_decimal(from.0);
+        h.fold(b", to: n");
+        h.fold_decimal(to.0);
+        h.fold(b" }");
+    }
 }
 
 /// A time-stamped record of everything that happened in a run.
@@ -121,19 +185,18 @@ impl Trace {
     /// fingerprint `weakset-dst` compares across replays: any stray
     /// system entropy or iteration-order dependence in the simulator shows
     /// up as a digest mismatch for a fixed seed.
+    ///
+    /// The digest is *defined* over `format!("{ev:?}")` — checked-in
+    /// repro artifacts and the pinned corpus constants in
+    /// `weakset-dst` hold values of it — but computed without building
+    /// that string: the rendering is streamed into the hash.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         for (at, ev) in &self.events {
-            fold(&at.as_micros().to_le_bytes());
-            fold(format!("{ev:?}").as_bytes());
+            h.fold(&at.as_micros().to_le_bytes());
+            ev.fold_debug(&mut h);
         }
-        h
+        h.0
     }
 }
 
@@ -174,6 +237,85 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert!(t.is_enabled());
+    }
+
+    /// The digest as it was first defined: one `String` per event.
+    fn hash_by_definition(t: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        for (at, ev) in t.events() {
+            fold(&at.as_micros().to_le_bytes());
+            fold(format!("{ev:?}").as_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_hash_is_the_defined_hash_for_every_variant() {
+        let ids = [0, 7, 10, 4_096, 999_999, u32::MAX].map(NodeId);
+        let mut every = Vec::new();
+        for &from in &ids {
+            for &to in &ids {
+                every.extend([
+                    TraceEvent::RpcSend { from, to },
+                    TraceEvent::RpcHandled { from, to },
+                    TraceEvent::RpcOk { from, to },
+                    TraceEvent::MessageLost { from, to },
+                    TraceEvent::LinkChanged(from, to),
+                ]);
+                for error in [
+                    NetError::Timeout,
+                    NetError::NodeDown(to),
+                    NetError::Unreachable { from, to },
+                ] {
+                    every.push(TraceEvent::RpcFailed { from, to, error });
+                }
+            }
+            every.extend([
+                TraceEvent::NodeCrashed(from),
+                TraceEvent::NodeRestarted(from),
+                TraceEvent::GroupChanged(from),
+            ]);
+        }
+        every.extend([
+            TraceEvent::PartitionImposed(Vec::new()),
+            TraceEvent::PartitionImposed(ids.to_vec()),
+            TraceEvent::PartitionHealed,
+        ]);
+        for text in [
+            "",
+            "gossip.round",
+            "say \"hi\"",
+            "back\\slash\n\ttab",
+            "naïve – 集合 \u{7f}",
+        ] {
+            every.push(TraceEvent::TaskRan { label: text.into() });
+            every.push(TraceEvent::Note(text.into()));
+        }
+
+        let mut t = Trace::new();
+        for (i, ev) in every.iter().enumerate() {
+            // One event at a time, so a wrong byte names its variant.
+            let mut one = Trace::new();
+            one.record(SimTime::from_micros(i as u64), ev.clone());
+            assert_eq!(one.hash(), hash_by_definition(&one), "{ev:?}");
+            t.record(SimTime::from_micros(i as u64 * 1_000_003), ev.clone());
+        }
+        assert_eq!(t.hash(), hash_by_definition(&t));
+
+        let mut off = Trace::disabled();
+        off.record(SimTime::ZERO, TraceEvent::PartitionHealed);
+        assert_eq!(off.hash(), hash_by_definition(&off));
+        assert_eq!(
+            off.hash(),
+            Trace::new().hash(),
+            "nothing recorded, nothing folded"
+        );
     }
 
     #[test]

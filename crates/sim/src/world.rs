@@ -156,7 +156,9 @@ pub struct World<M> {
     now: SimTime,
     queue: EventQueue<M>,
     topology: Topology,
-    services: HashMap<NodeId, Box<dyn Service<M>>>,
+    /// Indexed by the dense [`NodeId`]; `None` where nothing is installed
+    /// (or while the node's handler is running).
+    services: Vec<Option<Box<dyn Service<M>>>>,
     completed: HashMap<ReplyToken, Result<M, NetError>>,
     next_token: u64,
     latency: LatencyModel,
@@ -191,7 +193,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             now: SimTime::ZERO,
             queue: EventQueue::default(),
             topology,
-            services: HashMap::new(),
+            services: Vec::new(),
             completed: HashMap::new(),
             next_token: 0,
             latency,
@@ -299,7 +301,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         } else {
             String::new()
         };
-        let ctx = self.events.begin_span(at, kind, &d, parent);
+        let ctx = self.events.begin_span(at, kind, d, parent);
         self.ctx.push(ctx);
         ctx.span
     }
@@ -323,9 +325,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// No-op (and no allocation) when the sink is disabled.
     pub fn trace_event(&mut self, kind: &str, detail: impl FnOnce() -> String) {
         if self.events.is_enabled() {
-            let d = detail();
             let ctx = self.current_ctx();
-            self.events.event_in(self.now.as_micros(), kind, &d, ctx);
+            self.events
+                .event_in(self.now.as_micros(), kind, detail(), ctx);
         }
     }
 
@@ -350,34 +352,33 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Installs (or replaces) the service on a node.
     pub fn install_service(&mut self, node: NodeId, svc: Box<dyn Service<M>>) {
-        self.services.insert(node, svc);
+        if self.services.len() <= node.index() {
+            self.services.resize_with(node.index() + 1, || None);
+        }
+        self.services[node.index()] = Some(svc);
     }
 
     /// Downcasts the service on `node` to a concrete type.
     pub fn service<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.services
-            .get(&node)
-            .and_then(|s| (s.as_ref() as &dyn Any).downcast_ref::<T>())
+        self.service_dyn(node).and_then(<dyn Any>::downcast_ref)
     }
 
     /// Mutable downcast of the service on `node`.
     pub fn service_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.services
-            .get_mut(&node)
-            .and_then(|s| (s.as_mut() as &mut dyn Any).downcast_mut::<T>())
+        self.service_dyn_mut(node).and_then(<dyn Any>::downcast_mut)
     }
 
     /// Borrows the service on `node` untyped, for runtime-agnostic
     /// inspection (the `weakset-runtime` trait boundary downcasts it).
     pub fn service_dyn(&self, node: NodeId) -> Option<&dyn Any> {
-        self.services.get(&node).map(|s| s.as_ref() as &dyn Any)
+        let svc = self.services.get(node.index())?.as_ref()?;
+        Some(svc.as_ref() as &dyn Any)
     }
 
     /// Mutable untyped borrow of the service on `node`.
     pub fn service_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Any> {
-        self.services
-            .get_mut(&node)
-            .map(|s| s.as_mut() as &mut dyn Any)
+        let svc = self.services.get_mut(node.index())?.as_mut()?;
+        Some(svc.as_mut() as &mut dyn Any)
     }
 
     /// Schedules a task at an absolute time.
@@ -756,7 +757,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     self.events.event_in(
                         self.now.as_micros(),
                         "net.send.failed",
-                        &error.to_string(),
+                        error.to_string(),
                         ctx,
                     );
                 }
@@ -781,13 +782,13 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         self.events.event_in(
                             self.now.as_micros(),
                             "net.msg.lost",
-                            &format!("{from}->{to}"),
+                            format!("{from}->{to}"),
                             ctx,
                         );
                     }
                     return;
                 }
-                let Some(mut svc) = self.services.remove(&to) else {
+                let Some(mut svc) = self.services.get_mut(to.index()).and_then(Option::take) else {
                     self.trace
                         .record(self.now, TraceEvent::MessageLost { from, to });
                     self.metrics.incr("msg.no_service");
@@ -808,7 +809,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 };
                 self.span_exit(span);
                 self.ctx = saved;
-                self.services.insert(to, svc);
+                self.services[to.index()] = Some(svc);
                 self.trace
                     .record(self.now, TraceEvent::RpcHandled { from, to });
                 // Reply drop sampling uses the same link.
@@ -821,7 +822,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         self.events.event_in(
                             self.now.as_micros(),
                             "net.msg.lost",
-                            &format!("{to}->{from}"),
+                            format!("{to}->{from}"),
                             ctx,
                         );
                     }
@@ -859,7 +860,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         self.events.event_in(
                             self.now.as_micros(),
                             "net.msg.lost",
-                            &format!("{from}->{to}"),
+                            format!("{from}->{to}"),
                             ctx,
                         );
                     }
@@ -888,25 +889,32 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     }
 
     fn apply_fault(&mut self, action: FaultAction) {
-        let (kind, detail) = match &action {
-            FaultAction::Crash(n) => ("sim.fault.crash", n.to_string()),
-            FaultAction::Restart(n) => ("sim.fault.restart", n.to_string()),
-            FaultAction::SetLink(a, b, state) => (
-                "sim.fault.set_link",
-                format!("{a}->{b} {}", if state.up { "up" } else { "down" }),
-            ),
-            FaultAction::Partition(side) => {
-                // Name the isolated side so failure explanations can tie
-                // an unreachable member back to this exact event.
-                let nodes: Vec<String> = side.iter().map(|n| n.to_string()).collect();
-                ("sim.fault.partition", format!("[{}]", nodes.join(",")))
-            }
-            FaultAction::HealPartition => ("sim.fault.heal_partition", String::new()),
-            FaultAction::SetGroup(n, _) => ("sim.fault.set_group", n.to_string()),
+        let kind = match &action {
+            FaultAction::Crash(_) => "sim.fault.crash",
+            FaultAction::Restart(_) => "sim.fault.restart",
+            FaultAction::SetLink(..) => "sim.fault.set_link",
+            FaultAction::Partition(_) => "sim.fault.partition",
+            FaultAction::HealPartition => "sim.fault.heal_partition",
+            FaultAction::SetGroup(..) => "sim.fault.set_group",
         };
         self.metrics.incr(kind);
         if self.events.is_enabled() {
-            self.events.event(self.now.as_micros(), kind, &detail);
+            let detail = match &action {
+                FaultAction::Crash(n) | FaultAction::Restart(n) | FaultAction::SetGroup(n, _) => {
+                    n.to_string()
+                }
+                FaultAction::SetLink(a, b, state) => {
+                    format!("{a}->{b} {}", if state.up { "up" } else { "down" })
+                }
+                // Name the isolated side so failure explanations can tie
+                // an unreachable member back to this exact event.
+                FaultAction::Partition(side) => {
+                    let nodes: Vec<String> = side.iter().map(|n| n.to_string()).collect();
+                    format!("[{}]", nodes.join(","))
+                }
+                FaultAction::HealPartition => String::new(),
+            };
+            self.events.event(self.now.as_micros(), kind, detail);
         }
         match action {
             FaultAction::Crash(n) => {
@@ -1122,6 +1130,13 @@ mod tests {
         w.service_mut::<Counter>(s).unwrap().hits = 0;
         assert_eq!(w.service::<Counter>(s).unwrap().hits, 0);
         assert!(w.service::<PlusOne>(s).is_none());
+        // The table is dense: a node below the highest install with
+        // nothing on it, and one past the table's end, both read empty.
+        assert!(w.service::<Counter>(c).is_none());
+        let late = w.topology_mut().add_node("late", 2);
+        assert!(w.service_dyn(late).is_none() && w.service_mut::<Counter>(late).is_none());
+        w.install_service(late, Box::new(Counter { hits: 7 }));
+        assert_eq!(w.service::<Counter>(late).unwrap().hits, 7);
     }
 
     #[test]

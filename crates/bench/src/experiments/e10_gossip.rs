@@ -19,8 +19,7 @@
 //!   set grows.
 
 use crate::report::{pct, Table};
-use weakset::iter::optimistic::OptimisticElements;
-use weakset::prelude::{IterConfig, IterStep};
+use weakset::prelude::{Elements, IterConfig, IterStep, Semantics};
 use weakset_gossip::prelude::*;
 use weakset_runtime::prelude::RuntimeExt;
 use weakset_sim::latency::LatencyModel;
@@ -259,10 +258,18 @@ pub fn iter_availability_points() -> Vec<IterAvailabilityPoint> {
             let deadline = w.now() + SimDuration::from_secs(2);
             w.run_until(deadline);
             assert!(engine::converged(&w, COLL, &cref.all_nodes()));
-            let mut primary_it =
-                OptimisticElements::new(client.clone(), cref.clone(), IterConfig::default());
-            let mut leaderless_it =
-                OptimisticElements::new(client.clone(), cref.clone(), IterConfig::leaderless());
+            let mut primary_it = Elements::new(
+                Semantics::Optimistic,
+                client.clone(),
+                cref.clone(),
+                IterConfig::default(),
+            );
+            let mut leaderless_it = Elements::new(
+                Semantics::Optimistic,
+                client.clone(),
+                cref.clone(),
+                IterConfig::leaderless(),
+            );
             // Partition the primary away for the window; every object
             // record stays reachable (they are homed on the replicas).
             w.topology_mut().partition(&[cref.home]);

@@ -3,14 +3,9 @@
 
 use crate::conformance::{HistorySource, RunObserver};
 use crate::error::{Failure, IterStep};
-use crate::iter::grow_only::GrowElements;
-use crate::iter::optimistic::OptimisticElements;
-use crate::iter::snapshot::SnapshotElements;
-use crate::iter::IterConfig;
+use crate::iter::{Elements, IterConfig, COLLECT_MAX_BLOCKS};
 use crate::semantics::Semantics;
-use crate::strong::LockedElements;
 use weakset_sim::node::NodeId;
-use weakset_spec::prelude::Computation;
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{ObjectId, ObjectRecord};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreRt};
@@ -113,15 +108,12 @@ impl WeakSet {
 
     /// Opens an `elements` iterator with the chosen semantics.
     pub fn elements(&self, semantics: Semantics) -> Elements {
-        let c = self.client.clone();
-        let r = self.cref.clone();
-        let cfg = self.config.clone();
-        match semantics {
-            Semantics::Snapshot => Elements::Snapshot(SnapshotElements::new(c, r, cfg)),
-            Semantics::GrowOnly => Elements::GrowOnly(GrowElements::new(c, r, cfg)),
-            Semantics::Optimistic => Elements::Optimistic(OptimisticElements::new(c, r, cfg)),
-            Semantics::Locked => Elements::Locked(LockedElements::new(c, r, cfg)),
-        }
+        Elements::new(
+            semantics,
+            self.client.clone(),
+            self.cref.clone(),
+            self.config.clone(),
+        )
     }
 
     /// Opens an iterator with a conformance observer already attached.
@@ -155,175 +147,8 @@ impl WeakSet {
         world: &mut StoreRt,
         semantics: Semantics,
     ) -> (Vec<ObjectRecord>, IterStep) {
-        let mut it = self.elements(semantics);
-        let mut out = Vec::new();
-        let mut blocked = 0usize;
-        loop {
-            match it.next(world) {
-                IterStep::Yielded(rec) => {
-                    blocked = 0;
-                    out.push(rec);
-                }
-                IterStep::Blocked => {
-                    blocked += 1;
-                    if blocked >= 3 {
-                        return (out, IterStep::Blocked);
-                    }
-                    world.sleep(self.config.retry_interval);
-                }
-                step => return (out, step),
-            }
-        }
-    }
-}
-
-/// An open `elements` iterator of any semantics.
-#[derive(Debug)]
-pub enum Elements {
-    /// Snapshot semantics (Figures 1/3/4).
-    Snapshot(SnapshotElements),
-    /// Grow-only pessimistic semantics (Figure 5).
-    GrowOnly(GrowElements),
-    /// Optimistic semantics (Figure 6).
-    Optimistic(OptimisticElements),
-    /// Locked strong baseline.
-    Locked(LockedElements),
-}
-
-impl Elements {
-    /// Which semantics this iterator provides.
-    pub fn semantics(&self) -> Semantics {
-        match self {
-            Elements::Snapshot(_) => Semantics::Snapshot,
-            Elements::GrowOnly(_) => Semantics::GrowOnly,
-            Elements::Optimistic(_) => Semantics::Optimistic,
-            Elements::Locked(_) => Semantics::Locked,
-        }
-    }
-
-    /// One invocation. Each call records per-figure observability: an
-    /// `iter.<fig>.invocation_us` latency sample plus a counter for the
-    /// paper's `terminates` outcome it produced
-    /// (`yielded`/`returned`/`failed`/`blocked`).
-    ///
-    /// Each invocation also opens an `iter.<fig>.invocation` causal
-    /// span: the first invocation roots the computation's trace, later
-    /// invocations parent under that root (or under whatever span is
-    /// already open — the sharded fan-out case), so every store read
-    /// and RPC the step performs joins one cross-node span tree.
-    pub fn next(&mut self, world: &mut StoreRt) -> IterStep {
-        let started = world.now();
-        let fig = self.semantics().figure().key();
-        let kind = match fig {
-            "fig3" => "iter.fig3.invocation",
-            "fig4" => "iter.fig4.invocation",
-            "fig5" => "iter.fig5.invocation",
-            "fig6" => "iter.fig6.invocation",
-            _ => "iter.invocation",
-        };
-        let span = if world.current_ctx().is_some() {
-            world.span_enter(kind, &String::new)
-        } else {
-            world.span_enter_under(self.trace_root(), kind, &String::new)
-        };
-        if self.trace_root().is_none() {
-            self.set_trace_root(world.current_ctx());
-        }
-        let step = match self {
-            Elements::Snapshot(it) => it.next(world),
-            Elements::GrowOnly(it) => it.next(world),
-            Elements::Optimistic(it) => it.next(world),
-            Elements::Locked(it) => it.next(world),
-        };
-        world.trace_event("iter.outcome", &|| match &step {
-            IterStep::Yielded(rec) => format!("{fig} yielded elem={}", rec.id),
-            IterStep::Done => format!("{fig} returned"),
-            IterStep::Failed(f) => format!("{fig} failed: {f}"),
-            IterStep::Blocked => format!("{fig} blocked"),
-        });
-        world.span_exit(span);
-        let elapsed = world.now().saturating_since(started).as_micros();
-        let outcome = match &step {
-            IterStep::Yielded(_) => "yielded",
-            IterStep::Done => "returned",
-            IterStep::Failed(_) => "failed",
-            IterStep::Blocked => "blocked",
-        };
-        let m = world.metrics_mut();
-        m.observe(&format!("iter.{fig}.invocation_us"), elapsed);
-        m.incr(&format!("iter.{fig}.{outcome}"));
-        step
-    }
-
-    /// The stored trace-root context (set by the first invocation).
-    fn trace_root(&self) -> Option<weakset_sim::metrics::TraceContext> {
-        match self {
-            Elements::Snapshot(it) => it.trace,
-            Elements::GrowOnly(it) => it.trace,
-            Elements::Optimistic(it) => it.trace,
-            Elements::Locked(it) => it.trace,
-        }
-    }
-
-    fn set_trace_root(&mut self, ctx: Option<weakset_sim::metrics::TraceContext>) {
-        match self {
-            Elements::Snapshot(it) => it.trace = ctx,
-            Elements::GrowOnly(it) => it.trace = ctx,
-            Elements::Optimistic(it) => it.trace = ctx,
-            Elements::Locked(it) => it.trace = ctx,
-        }
-    }
-
-    /// Attaches a conformance observer.
-    pub fn observe(&mut self, observer: RunObserver) {
-        match self {
-            Elements::Snapshot(it) => it.observe(observer),
-            Elements::GrowOnly(it) => it.observe(observer),
-            Elements::Optimistic(it) => it.observe(observer),
-            Elements::Locked(it) => it.observe(observer),
-        }
-    }
-
-    /// Finishes observation and returns the recorded computation, if an
-    /// observer was attached.
-    pub fn take_computation(&mut self, world: &StoreRt) -> Option<Computation> {
-        match self {
-            Elements::Snapshot(it) => it.take_computation(world),
-            Elements::GrowOnly(it) => it.take_computation(world),
-            Elements::Optimistic(it) => it.take_computation(world),
-            Elements::Locked(it) => it.take_computation(world),
-        }
-    }
-
-    /// Detaches the live observer so another run can record into the same
-    /// computation.
-    pub fn take_observer(&mut self) -> Option<RunObserver> {
-        match self {
-            Elements::Snapshot(it) => it.take_observer(),
-            Elements::GrowOnly(it) => it.take_observer(),
-            Elements::Optimistic(it) => it.take_observer(),
-            Elements::Locked(it) => it.take_observer(),
-        }
-    }
-
-    /// Hands the warm object cache to a subsequent run.
-    pub fn take_cache(&mut self) -> Option<weakset_store::cache::ObjectCache> {
-        match self {
-            Elements::Snapshot(it) => it.take_cache(),
-            Elements::GrowOnly(it) => it.take_cache(),
-            Elements::Optimistic(it) => it.take_cache(),
-            Elements::Locked(it) => it.take_cache(),
-        }
-    }
-
-    /// Installs a (possibly pre-warmed) object cache.
-    pub fn set_cache(&mut self, cache: weakset_store::cache::ObjectCache) {
-        match self {
-            Elements::Snapshot(it) => it.set_cache(cache),
-            Elements::GrowOnly(it) => it.set_cache(cache),
-            Elements::Optimistic(it) => it.set_cache(cache),
-            Elements::Locked(it) => it.set_cache(cache),
-        }
+        self.elements(semantics)
+            .drain(world, COLLECT_MAX_BLOCKS, self.config.retry_interval)
     }
 }
 

@@ -1,16 +1,26 @@
-//! The `elements` iterator implementations, one per design point.
+//! The `elements` iterator: one engine, one plan per design point.
 //!
-//! All four share the same skeleton: read the membership list (when their
-//! semantics says to), pick an unyielded member, fetch its object from its
-//! home node, and yield it. They differ exactly where the paper's figures
-//! differ — *which* membership state they consult and *what they do when a
-//! member is unreachable*.
+//! Every semantics shares one skeleton: read the membership list (when
+//! its plan says to), pick an unyielded member, fetch its object from its
+//! home node, and yield it. The design points differ exactly where the
+//! paper's figures differ, and each difference is a column of the plan
+//! table (`Semantics::plan` in `elements.rs`), not a copy of the loop:
+//!
+//! | [`Semantics`](crate::semantics::Semantics) | figure | membership consulted | held while running | nothing reachable |
+//! |---|---|---|---|---|
+//! | `Locked` | 3 (+§3.1) | the first invocation's | read lock | `fails` |
+//! | `Snapshot` | 1/3/4 | the first invocation's | nothing | `fails` |
+//! | `GrowOnly` | 5 | the current one | §3.3 grow guard, if [`IterConfig::guard_growth`] | `fails` |
+//! | `Optimistic` | 6 | the current one | nothing | block and retry |
+//!
+//! This module holds what every plan shares: the tunables
+//! ([`IterConfig`]), candidate ordering and the cache-aware fetch.
 
-pub mod grow_only;
-pub mod optimistic;
-pub mod snapshot;
+mod elements;
 
-use crate::conformance::RunObserver;
+pub use elements::Elements;
+pub(crate) use elements::{drive, COLLECT_MAX_BLOCKS};
+
 use crate::error::IterStep;
 use serde::{Deserialize, Serialize};
 use weakset_sim::node::NodeId;
@@ -94,11 +104,6 @@ impl IterConfig {
     }
 }
 
-/// Builds the iterator-local cache an [`IterConfig`] asks for.
-pub(crate) fn cache_from(config: &IterConfig) -> Option<weakset_store::cache::ObjectCache> {
-    config.cache_ttl.map(weakset_store::cache::ObjectCache::new)
-}
-
 /// Orders fetch candidates per the configured [`FetchOrder`].
 pub(crate) fn order_candidates(
     world: &StoreRt,
@@ -165,55 +170,6 @@ pub(crate) fn outcome_of(step: &IterStep) -> Outcome {
         IterStep::Done => Outcome::Returned,
         IterStep::Failed(_) => Outcome::Failed,
         IterStep::Blocked => Outcome::Blocked,
-    }
-}
-
-/// Shared observer plumbing for iterator implementations.
-#[derive(Debug, Default)]
-pub(crate) struct ObserverSlot {
-    observer: Option<RunObserver>,
-    computation: Option<weakset_spec::prelude::Computation>,
-}
-
-impl ObserverSlot {
-    pub fn attach(&mut self, observer: RunObserver) {
-        self.observer = Some(observer);
-    }
-
-    /// Marks the start of an invocation (see
-    /// [`RunObserver::mark_invocation_start`]).
-    pub fn mark_start(&mut self, world: &StoreRt) {
-        if let Some(obs) = &mut self.observer {
-            obs.mark_invocation_start(world);
-        }
-    }
-
-    pub fn record(
-        &mut self,
-        world: &StoreRt,
-        step: &IterStep,
-        evidence: &crate::conformance::StepEvidence,
-    ) {
-        if let Some(obs) = &mut self.observer {
-            obs.record_step(world, outcome_of(step), evidence);
-        }
-    }
-
-    /// Finishes observation and returns the recorded computation.
-    pub fn take_computation(
-        &mut self,
-        world: &StoreRt,
-    ) -> Option<weakset_spec::prelude::Computation> {
-        if let Some(obs) = self.observer.take() {
-            self.computation = Some(obs.finish(world));
-        }
-        self.computation.take()
-    }
-
-    /// Detaches the live observer so a *subsequent* iterator run can keep
-    /// recording into the same computation (multi-run checking).
-    pub fn take_observer(&mut self) -> Option<RunObserver> {
-        self.observer.take()
     }
 }
 

@@ -14,14 +14,15 @@
 //!
 //! The paper specifies four semantics for the `elements` iterator; this
 //! crate implements all of them plus the strongly-consistent baseline the
-//! paper argues against ([`semantics::Semantics`]):
+//! paper argues against. One engine, [`iter::Elements`], runs every row;
+//! a [`semantics::Semantics`] variant selects the row:
 //!
-//! | Semantics | Figure | Membership consulted | Failure handling |
-//! |---|---|---|---|
-//! | [`strong::LockedElements`] | 3 (+§3.1 lock discussion) | locked snapshot | fail |
-//! | [`iter::snapshot::SnapshotElements`] | 1/3/4 | first-invocation snapshot | fail |
-//! | [`iter::grow_only::GrowElements`] | 5 | current, every invocation | fail fast |
-//! | [`iter::optimistic::OptimisticElements`] | 6 | current, every invocation | block & retry |
+//! | [`Semantics`](semantics::Semantics) | Figure | Membership consulted | Held while running | Nothing reachable |
+//! |---|---|---|---|---|
+//! | `Locked` | 3 (+§3.1 lock discussion) | the first invocation's | read lock | fail |
+//! | `Snapshot` | 1/3/4 | the first invocation's | nothing | fail |
+//! | `GrowOnly` | 5 | current, every invocation | §3.3 grow guard, if [`iter::IterConfig::guard_growth`] | fail fast |
+//! | `Optimistic` | 6 | current, every invocation | nothing | block & retry |
 //!
 //! Every iterator can carry a [`conformance::RunObserver`] that records
 //! the run as a `weakset-spec` computation, machine-checked against the
@@ -79,7 +80,6 @@ pub mod iter;
 pub mod prefetch;
 pub mod semantics;
 pub mod shard;
-pub mod strong;
 
 /// One-stop imports for weak-set users.
 pub mod prelude {
@@ -87,12 +87,11 @@ pub mod prelude {
     pub use crate::conformance::{HistorySource, RunObserver, StepEvidence};
     pub use crate::dynamic_set::DynamicSet;
     pub use crate::error::{Failure, IterStep};
-    pub use crate::handle::{Elements, WeakSet};
-    pub use crate::iter::{FetchOrder, IterConfig};
+    pub use crate::handle::WeakSet;
+    pub use crate::iter::{Elements, FetchOrder, IterConfig};
     pub use crate::prefetch::{PrefetchConfig, PrefetchEngine, PrefetchStep};
     pub use crate::semantics::Semantics;
     pub use crate::shard::{
         shard_collection_id, ShardGroup, ShardRouter, ShardedElements, ShardedWeakSet,
     };
-    pub use crate::strong::LockedElements;
 }

@@ -59,15 +59,17 @@ impl Semantics {
         }
     }
 
-    /// Whether this iterator may signal the failure exception.
+    /// Whether this iterator may signal the failure exception. Read off
+    /// the plan the iterator itself runs, so the two cannot disagree.
     pub fn signals_failure(self) -> bool {
-        self != Semantics::Optimistic
+        !self.plan().retry
     }
 
     /// Whether this iterator may block (return
-    /// [`crate::error::IterStep::Blocked`]).
+    /// [`crate::error::IterStep::Blocked`]) — the other answer to the
+    /// same plan column.
     pub fn may_block(self) -> bool {
-        self == Semantics::Optimistic
+        self.plan().retry
     }
 }
 

@@ -20,8 +20,8 @@
 
 use crate::conformance::{HistorySource, RunObserver};
 use crate::error::{Failure, IterStep};
-use crate::handle::{Elements, WeakSet};
-use crate::iter::IterConfig;
+use crate::handle::WeakSet;
+use crate::iter::{drive, Elements, IterConfig, COLLECT_MAX_BLOCKS};
 use crate::semantics::Semantics;
 use weakset_sim::metrics::shard_key;
 use weakset_sim::node::NodeId;
@@ -379,24 +379,7 @@ impl ShardedWeakSet {
             |s| s.config().retry_interval,
         );
         let mut it = self.elements(semantics);
-        let mut out = Vec::new();
-        let mut blocked = 0usize;
-        loop {
-            match it.next(world) {
-                IterStep::Yielded(rec) => {
-                    blocked = 0;
-                    out.push(rec);
-                }
-                IterStep::Blocked => {
-                    blocked += 1;
-                    if blocked >= 3 {
-                        return (out, IterStep::Blocked);
-                    }
-                    world.sleep(retry);
-                }
-                step => return (out, step),
-            }
-        }
+        drive(world, COLLECT_MAX_BLOCKS, retry, |w| it.next(w))
     }
 }
 

@@ -49,7 +49,7 @@
 //! the *replay*.
 
 use crate::oracle;
-use crate::run::{self, RunReport, COLL};
+use crate::run::{self, ms, RunReport, TestSet, COLL, MAX_WAITS};
 use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -59,9 +59,7 @@ use weakset_obs::replay as names;
 use weakset_obs::FlightRecorder;
 use weakset_runtime::record::{hash_debug, RecEvent, RecOutcome, Recorder, Recording};
 use weakset_runtime::threaded::ThreadedRuntime;
-use weakset_runtime::traits::{
-    Clock, Observe, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, Transport,
-};
+use weakset_runtime::traits::{Clock, Observe, RtTask, Runtime, ServiceHost, Spawner, Transport};
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::link::LinkState;
 use weakset_sim::metrics::{SpanId, TraceContext};
@@ -73,22 +71,11 @@ use weakset_sim::topology::Topology;
 use weakset_sim::world::{ReplyToken, Service, Task, WorldConfig};
 use weakset_spec::prelude::Computation;
 use weakset_store::object::{ObjectId, ObjectRecord};
-use weakset_store::prelude::{
-    CollectionRef, ReadPolicy, StoreClient, StoreMsg, StoreServer, StoreWorld,
-};
-
-/// Driver patience bound, mirroring the executor in [`crate::run`]: how
-/// many 5 ms waits the record driver tolerates while blocked before
-/// declaring the run wedged.
-const MAX_WAITS: usize = 400;
+use weakset_store::prelude::{CollectionRef, StoreClient, StoreMsg, StoreServer, StoreWorld};
 
 /// Shrinking budget: hard cap on replays one [`shrink_recording`] call
 /// may perform (mirrors [`crate::shrink`]).
 const MAX_EXECUTIONS: usize = 200;
-
-fn ms(v: u64) -> SimDuration {
-    SimDuration::from_millis(v)
-}
 
 /// What recording one scenario on the threaded runtime produced.
 #[derive(Debug)]
@@ -294,23 +281,6 @@ fn build_schedule(s: &Scenario) -> Vec<SchedItem> {
 // Record driver (threaded backend)
 // ---------------------------------------------------------------------
 
-fn apply_op_threaded(
-    rt: &mut ThreadedRuntime<StoreMsg>,
-    set: &WeakSet,
-    servers: &[NodeId],
-    op: Op,
-) {
-    match op {
-        Op::Add { elem, home, .. } => {
-            let obj = ObjectRecord::new(ObjectId(elem), format!("e{elem}"), &b"dst"[..]);
-            let _ = set.add(rt, obj, servers[home % servers.len()]);
-        }
-        Op::Remove { elem, .. } => {
-            let _ = set.remove(rt, ObjectId(elem));
-        }
-    }
-}
-
 /// Applies every schedule item due at or before `limit_ms`, each under
 /// its own region marker. With `advance_clock`, sleeps (wall time) to
 /// each item's due instant first; without, applies only the already-due.
@@ -318,7 +288,7 @@ fn apply_op_threaded(
 fn run_schedule(
     rt: &mut ThreadedRuntime<StoreMsg>,
     rec: &Recorder,
-    set: &WeakSet,
+    set: &TestSet,
     servers: &[NodeId],
     schedule: &[SchedItem],
     next: &mut usize,
@@ -354,43 +324,10 @@ fn run_schedule(
             }
             SchedItem::Op(op) => {
                 rec.region(rt.now(), &op_label(op));
-                apply_op_threaded(rt, set, servers, *op);
+                run::apply_op(rt, set, servers, *op);
             }
         }
         *next += 1;
-    }
-}
-
-/// Membership ground truth as the primary's thread holds it — driver
-/// omniscience, mirroring [`crate::run`]'s tail guard.
-fn ground_truth_threaded(rt: &ThreadedRuntime<StoreMsg>, cref: &CollectionRef) -> Vec<u64> {
-    rt.with_service(cref.home, |sv: &StoreServer| {
-        sv.collection(cref.id)
-            .map(|c| c.members().iter().map(|m| m.elem.0).collect())
-            .unwrap_or_default()
-    })
-    .unwrap_or_default()
-}
-
-/// Whether a membership read under `policy` can currently succeed,
-/// judged from the fleet's fault tables.
-fn membership_readable_threaded(
-    rt: &ThreadedRuntime<StoreMsg>,
-    policy: ReadPolicy,
-    client: NodeId,
-    cref: &CollectionRef,
-) -> bool {
-    let live = |n: NodeId| rt.is_up(n) && rt.reachable(client, n);
-    match policy {
-        ReadPolicy::Primary => live(cref.home),
-        ReadPolicy::Quorum => {
-            let all = cref.all_nodes();
-            all.iter().filter(|&&n| live(n)).count() * 2 > all.len()
-        }
-        ReadPolicy::Any | ReadPolicy::Leaderless => cref.all_nodes().iter().any(|&n| live(n)),
-        // Conservative, mirroring the simulator driver: a live home
-        // always satisfies the session floor.
-        ReadPolicy::CausalSession => live(cref.home),
     }
 }
 
@@ -446,7 +383,7 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
     client
         .create_collection(&mut rt, &cref)
         .map_err(|e| format!("create_collection failed: {e:?}"))?;
-    let set = WeakSet::new(client.clone(), cref.clone()).with_config(config);
+    let set = TestSet::One(WeakSet::new(client.clone(), cref.clone()).with_config(config));
 
     for &(elem, home) in &s.setup {
         rec.region(rt.now(), &setup_label(elem, home));
@@ -468,7 +405,7 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
     }
     rec.region(rt.now(), "start");
 
-    let mut it = set.elements_observed(s.semantics);
+    let mut it = set.single().elements_observed(s.semantics);
     let mut yielded: Vec<u64> = Vec::new();
     let mut yielded_ids: BTreeSet<u64> = BTreeSet::new();
     let mut steps = 0usize;
@@ -485,9 +422,9 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
         // self-healing fault instead of forcing an illegal terminal
         // step. Driver-side omniscience; emits no region.
         if matches!(s.semantics, Semantics::Optimistic | Semantics::GrowOnly) {
-            let members = ground_truth_threaded(&rt, &cref);
+            let members = run::ground_truth_members(&rt, s, &set);
             let all_yielded = members.iter().all(|m| yielded_ids.contains(m));
-            if all_yielded && !membership_readable_threaded(&rt, s.read_policy, cn, &cref) {
+            if all_yielded && !run::all_membership_readable(&rt, s.read_policy, cn, &set) {
                 waits += 1;
                 if waits > MAX_WAITS {
                     violations.push("driver wedged: membership never became readable".into());
@@ -1112,18 +1049,6 @@ impl Spawner<StoreMsg> for ReplayRuntime {
 // Replay driver (simulated backend)
 // ---------------------------------------------------------------------
 
-fn apply_op_replay(rt: &mut ReplayRuntime, set: &WeakSet, servers: &[NodeId], op: Op) {
-    match op {
-        Op::Add { elem, home, .. } => {
-            let obj = ObjectRecord::new(ObjectId(elem), format!("e{elem}"), &b"dst"[..]);
-            let _ = set.add(rt, obj, servers[home % servers.len()]);
-        }
-        Op::Remove { elem, .. } => {
-            let _ = set.remove(rt, ObjectId(elem));
-        }
-    }
-}
-
 /// Replays a recording through the deterministic simulator and checks
 /// the conformance oracles over the replayed computation.
 ///
@@ -1198,7 +1123,7 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
     if let Err(e) = client.create_collection(&mut rt, &cref) {
         rt.diverge(format!("create_collection failed on replay: {e:?}"));
     }
-    let set = WeakSet::new(client.clone(), cref.clone()).with_config(config);
+    let set = TestSet::One(WeakSet::new(client.clone(), cref.clone()).with_config(config));
 
     let ops_by_label: HashMap<String, Op> = s.ops.iter().map(|o| (op_label(o), *o)).collect();
 
@@ -1247,7 +1172,7 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
             Some(l) if l.starts_with("op.") => {
                 rt.sync_region(&l);
                 match ops_by_label.get(&l) {
-                    Some(&op) => apply_op_replay(&mut rt, &set, &servers, op),
+                    Some(&op) => run::apply_op(&mut rt, &set, &servers, op),
                     None => rt.diverge(format!("recorded op region '{l}' is not in the workload")),
                 }
             }
@@ -1258,7 +1183,7 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
         }
     }
 
-    let mut it = set.elements_observed(s.semantics);
+    let mut it = set.single().elements_observed(s.semantics);
     let mut yielded: Vec<u64> = Vec::new();
     let mut steps = 0usize;
     loop {
@@ -1274,7 +1199,7 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
             Some(l) if l.starts_with("op.") => {
                 rt.sync_region(&l);
                 match ops_by_label.get(&l) {
-                    Some(&op) => apply_op_replay(&mut rt, &set, &servers, op),
+                    Some(&op) => run::apply_op(&mut rt, &set, &servers, op),
                     None => rt.diverge(format!("recorded op region '{l}' is not in the workload")),
                 }
             }
@@ -1521,6 +1446,7 @@ pub fn load_recording(path: &Path) -> Result<Recording, String> {
 mod tests {
     use super::*;
     use weakset_runtime::record::RecEntry;
+    use weakset_store::prelude::ReadPolicy;
 
     #[test]
     fn partition_expansion_cuts_the_client_too() {

@@ -23,6 +23,7 @@ use weakset::prelude::{
     ShardedWeakSet, WeakSet,
 };
 use weakset_gossip::prelude::{engine, DigestMode, GossipConfig, GossipNode, GossipSemantics};
+use weakset_runtime::traits::RuntimeExt;
 use weakset_sim::fault::FaultPlan;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
@@ -31,7 +32,9 @@ use weakset_sim::topology::Topology;
 use weakset_sim::world::WorldConfig;
 use weakset_spec::prelude::{Computation, ElemId, Invocation, Outcome, SetValue};
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
-use weakset_store::prelude::{CollectionRef, ReadPolicy, StoreClient, StoreServer, StoreWorld};
+use weakset_store::prelude::{
+    CollectionRef, ReadPolicy, StoreClient, StoreRt, StoreServer, StoreWorld,
+};
 
 /// The collection every scenario iterates over.
 pub const COLL: CollectionId = CollectionId(1);
@@ -39,7 +42,7 @@ pub const COLL: CollectionId = CollectionId(1);
 /// Bound on driver patience: how many 5 ms waits the driver tolerates
 /// while blocked or stalled before declaring the run wedged. All
 /// generated faults self-heal well inside this window.
-const MAX_WAITS: usize = 400;
+pub(crate) const MAX_WAITS: usize = 400;
 
 /// What one execution produced.
 #[derive(Clone, Debug)]
@@ -73,27 +76,33 @@ pub struct RunReport {
     pub events: Vec<weakset_sim::metrics::ObsEvent>,
 }
 
-fn ms(v: u64) -> SimDuration {
+pub(crate) fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
 }
 
 /// The set under test: one plain collection, or a routed sharded set.
 /// Every workload mutation and iterator invocation goes through this, so
-/// the driver is deployment-agnostic past construction.
-enum TestSet {
+/// the drivers — this one and the record/replay pair — are deployment-
+/// and backend-agnostic past construction.
+pub(crate) enum TestSet {
     One(WeakSet),
     Sharded(ShardedWeakSet),
 }
 
 impl TestSet {
-    fn add(&self, w: &mut StoreWorld, rec: ObjectRecord, home: NodeId) -> Result<(), Failure> {
+    pub(crate) fn add(
+        &self,
+        w: &mut StoreRt,
+        rec: ObjectRecord,
+        home: NodeId,
+    ) -> Result<(), Failure> {
         match self {
             TestSet::One(s) => s.add(w, rec, home),
             TestSet::Sharded(s) => s.add(w, rec, home),
         }
     }
 
-    fn remove(&self, w: &mut StoreWorld, elem: ObjectId) -> Result<(), Failure> {
+    fn remove(&self, w: &mut StoreRt, elem: ObjectId) -> Result<(), Failure> {
         match self {
             TestSet::One(s) => s.remove(w, elem),
             TestSet::Sharded(s) => s.remove(w, elem),
@@ -101,7 +110,7 @@ impl TestSet {
     }
 
     /// The single underlying set (gossip deployments are never sharded).
-    fn single(&self) -> &WeakSet {
+    pub(crate) fn single(&self) -> &WeakSet {
         match self {
             TestSet::One(s) => s,
             TestSet::Sharded(_) => unreachable!("sharded deployments have no single collection"),
@@ -178,7 +187,7 @@ fn apply_due(
     }
 }
 
-fn apply_op(w: &mut StoreWorld, set: &TestSet, servers: &[NodeId], op: Op) {
+pub(crate) fn apply_op(w: &mut StoreRt, set: &TestSet, servers: &[NodeId], op: Op) {
     match op {
         Op::Add { elem, home, .. } => {
             let rec = ObjectRecord::new(ObjectId(elem), format!("e{elem}"), &b"dst"[..]);
@@ -193,17 +202,16 @@ fn apply_op(w: &mut StoreWorld, set: &TestSet, servers: &[NodeId], op: Op) {
 /// The current membership as the shard primaries hold it, read
 /// omnisciently (driver-side ground truth, never visible to the iterator
 /// under test). For a sharded set: the union over the shard homes.
-fn ground_truth_members(w: &StoreWorld, s: &Scenario, set: &TestSet) -> Vec<u64> {
+pub(crate) fn ground_truth_members(w: &StoreRt, s: &Scenario, set: &TestSet) -> Vec<u64> {
     let read_home = |home: NodeId, coll: CollectionId| -> Vec<u64> {
         let mut out = Vec::new();
         match s.deployment {
             Deployment::Plain | Deployment::Sharded { .. } => {
-                if let Some(c) = w
-                    .service::<StoreServer>(home)
-                    .and_then(|sv| sv.collection(coll))
-                {
-                    out = c.members().iter().map(|m| m.elem.0).collect();
-                }
+                w.with_service(home, |sv: &StoreServer| {
+                    if let Some(c) = sv.collection(coll) {
+                        out = c.members().iter().map(|m| m.elem.0).collect();
+                    }
+                });
             }
             Deployment::Gossip { .. } => {
                 GossipNode::visit_collection_history(w, home, coll, &mut |c| {
@@ -225,15 +233,14 @@ fn ground_truth_members(w: &StoreWorld, s: &Scenario, set: &TestSet) -> Vec<u64>
 }
 
 /// Whether a membership read under `policy` can currently succeed, judged
-/// omnisciently from the topology.
+/// omnisciently from the backend's fault tables.
 fn membership_readable(
-    w: &StoreWorld,
+    w: &StoreRt,
     policy: ReadPolicy,
     client: NodeId,
     cref: &CollectionRef,
 ) -> bool {
-    let t = w.topology();
-    let live = |n: NodeId| t.is_up(n) && t.reachable(client, n);
+    let live = |n: NodeId| w.is_up(n) && w.reachable(client, n);
     match policy {
         ReadPolicy::Primary => live(cref.home),
         ReadPolicy::Quorum => {
@@ -289,8 +296,8 @@ fn session_floors(w: &StoreWorld, s: &Scenario, set: &TestSet) -> Vec<SetValue> 
 
 /// [`membership_readable`] over every collection the set spans (a
 /// sharded read needs every shard readable).
-fn all_membership_readable(
-    w: &StoreWorld,
+pub(crate) fn all_membership_readable(
+    w: &StoreRt,
     policy: ReadPolicy,
     client: NodeId,
     set: &TestSet,

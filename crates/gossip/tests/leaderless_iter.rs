@@ -9,9 +9,7 @@
 //! observer keeps reading ground truth from the primary's log through a
 //! [`HistorySource`] that reaches inside the [`GossipNode`] wrapper.
 
-use weakset::iter::grow_only::GrowElements;
-use weakset::iter::optimistic::OptimisticElements;
-use weakset::prelude::{HistorySource, IterConfig, IterStep, RunObserver};
+use weakset::prelude::{Elements, HistorySource, IterConfig, IterStep, RunObserver, Semantics};
 use weakset_gossip::prelude::*;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
@@ -114,11 +112,21 @@ fn optimistic_leaderless_completes_without_the_primary() {
     w.topology_mut().partition(&[cref.home]);
 
     // Control: primary reads block (never fail — Fig. 6), no progress.
-    let mut blocked = OptimisticElements::new(client.clone(), cref.clone(), IterConfig::default());
+    let mut blocked = Elements::new(
+        Semantics::Optimistic,
+        client.clone(),
+        cref.clone(),
+        IterConfig::default(),
+    );
     assert_eq!(blocked.next(&mut w), IterStep::Blocked);
 
     // Leaderless: both elements arrive from the converged replicas.
-    let mut it = OptimisticElements::new(client.clone(), cref.clone(), IterConfig::leaderless());
+    let mut it = Elements::new(
+        Semantics::Optimistic,
+        client.clone(),
+        cref.clone(),
+        IterConfig::leaderless(),
+    );
     it.observe(
         RunObserver::new(cref.id, cref.home, client.node()).with_history_source(gossip_history()),
     );
@@ -144,7 +152,12 @@ fn grow_only_leaderless_conforms_to_fig5() {
     converge(&mut w, &cref);
     w.topology_mut().partition(&[cref.home]);
 
-    let mut it = GrowElements::new(client.clone(), cref.clone(), IterConfig::leaderless());
+    let mut it = Elements::new(
+        Semantics::GrowOnly,
+        client.clone(),
+        cref.clone(),
+        IterConfig::leaderless(),
+    );
     it.observe(
         RunObserver::new(cref.id, cref.home, client.node()).with_history_source(gossip_history()),
     );
@@ -172,7 +185,12 @@ fn leaderless_iterator_sees_gossiped_growth() {
     add(&mut w, &client, &cref, 1, cref.replicas[0]);
     converge(&mut w, &cref);
 
-    let mut it = OptimisticElements::new(client.clone(), cref.clone(), IterConfig::leaderless());
+    let mut it = Elements::new(
+        Semantics::Optimistic,
+        client.clone(),
+        cref.clone(),
+        IterConfig::leaderless(),
+    );
     it.observe(
         RunObserver::new(cref.id, cref.home, client.node()).with_history_source(gossip_history()),
     );

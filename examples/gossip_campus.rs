@@ -13,7 +13,6 @@
 //! Run with: `cargo run --example gossip_campus`
 
 use weak_sets::prelude::*;
-use weakset::iter::optimistic::OptimisticElements;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut topo = Topology::new();
@@ -99,14 +98,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client = StoreClient::new(student, SimDuration::from_millis(100));
 
     // Reading through the primary can only block now.
-    let mut stuck =
-        OptimisticElements::new(client.clone(), readings.clone(), IterConfig::default());
+    let mut stuck = Elements::new(
+        Semantics::Optimistic,
+        client.clone(),
+        readings.clone(),
+        IterConfig::default(),
+    );
     assert_eq!(stuck.next(&mut world), IterStep::Blocked);
     println!("primary-read iterator: Blocked (optimistic semantics never fail)");
 
     // Leaderless: any reachable converged replica serves the listing.
-    let mut it =
-        OptimisticElements::new(client.clone(), readings.clone(), IterConfig::leaderless());
+    let mut it = Elements::new(
+        Semantics::Optimistic,
+        client.clone(),
+        readings.clone(),
+        IterConfig::leaderless(),
+    );
     it.observe(
         RunObserver::new(readings.id, readings.home, client.node())
             .with_history_source(HistorySource::new(GossipNode::visit_collection_history)),

@@ -156,3 +156,22 @@ fn guard_is_released_on_failure_too() {
         .unwrap();
     assert!(!read.entries.iter().any(|m| m.elem == ObjectId(1)));
 }
+
+/// A caller that stops before the terminal step — a budgeted listing, a
+/// closed window — must be able to give the guard back: until it does,
+/// every removal is a ghost.
+#[test]
+fn abort_releases_the_guard_early() {
+    let mut r = rig(4, true);
+    let mut it = r.set.elements(Semantics::GrowOnly);
+    assert!(matches!(it.next(&mut r.world), IterStep::Yielded(_)));
+    assert!(it.holds());
+    // Deferred: accepted, but the member is still read back.
+    r.set.remove(&mut r.world, ObjectId(1)).unwrap();
+    assert!(r.set.contains(&mut r.world, ObjectId(1)).unwrap());
+    it.abort(&mut r.world);
+    assert!(!it.holds());
+    assert_eq!(it.next(&mut r.world), IterStep::Done);
+    // The guard is gone and the ghost with it.
+    assert!(!r.set.contains(&mut r.world, ObjectId(1)).unwrap());
+}

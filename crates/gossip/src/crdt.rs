@@ -18,12 +18,54 @@
 //! Joins are commutative, associative, and idempotent (property-tested in
 //! this crate), which is what makes anti-entropy order-insensitive.
 
+use crate::reconcile::RangeTree;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 use weakset_sim::node::NodeId;
 use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
 use weakset_store::object::ObjectId;
 use weakset_store::wire::DeltaBatch;
+
+/// A set's [`RangeTree`] over its live dots: built the first time a
+/// reconciliation asks for it, then shared until a mutator changes
+/// `entries` — every mutator that does calls [`TreeCache::invalidate`].
+/// Derived state, not part of the set's value: it never makes two sets
+/// unequal and prints only whether it is built.
+#[derive(Clone, Default)]
+struct TreeCache(OnceLock<Arc<RangeTree>>);
+
+impl TreeCache {
+    fn get_or_build(&self, entries: &BTreeMap<Dot, MemberEntry>) -> Arc<RangeTree> {
+        let build = || Arc::new(RangeTree::from_entries(dotted(entries)));
+        Arc::clone(self.0.get_or_init(build))
+    }
+
+    fn invalidate(&mut self) {
+        self.0.take();
+    }
+}
+
+impl PartialEq for TreeCache {
+    fn eq(&self, _: &TreeCache) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for TreeCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TreeCache(built: {})", self.0.get().is_some())
+    }
+}
+
+/// Every live entry with its dot, in dot order.
+fn dotted(entries: &BTreeMap<Dot, MemberEntry>) -> Vec<DottedEntry> {
+    entries
+        .iter()
+        .map(|(&dot, &entry)| DottedEntry { dot, entry })
+        .collect()
+}
 
 /// A grow-only membership set: dotted entries plus the vector of observed
 /// dots. The dot tags exist purely so digests can compress exchanges;
@@ -32,6 +74,7 @@ use weakset_store::wire::DeltaBatch;
 pub struct GSet {
     entries: BTreeMap<Dot, MemberEntry>,
     vv: VersionVector,
+    tree: TreeCache,
 }
 
 impl GSet {
@@ -44,6 +87,7 @@ impl GSet {
     pub fn add(&mut self, replica: NodeId, entry: MemberEntry) -> Dot {
         let dot = self.vv.advance(replica);
         self.entries.insert(dot, entry);
+        self.tree.invalidate();
         dot
     }
 
@@ -80,10 +124,18 @@ impl GSet {
 
     /// Joins a delta into this set: union of entries, join of vectors.
     pub fn apply(&mut self, delta: &MembershipDelta) {
-        for de in &delta.novel {
-            self.entries.insert(de.dot, de.entry);
-        }
+        self.adopt(&delta.novel);
         self.vv.join(&delta.vv);
+    }
+
+    fn adopt(&mut self, novel: &[DottedEntry]) {
+        let mut changed = false;
+        for de in novel {
+            changed |= self.entries.insert(de.dot, de.entry) != Some(de.entry);
+        }
+        if changed {
+            self.tree.invalidate();
+        }
     }
 
     /// Full-state join with another replica's set.
@@ -99,19 +151,20 @@ impl GSet {
     /// Every live entry with its dot, in dot order — the input to a
     /// Merkle-range reconciliation tree.
     pub fn dotted_entries(&self) -> Vec<DottedEntry> {
-        self.entries
-            .iter()
-            .map(|(&dot, &entry)| DottedEntry { dot, entry })
-            .collect()
+        dotted(&self.entries)
+    }
+
+    /// The set's [`RangeTree`], built at most once per state of the live
+    /// dots.
+    pub(crate) fn range_tree(&self) -> Arc<RangeTree> {
+        self.tree.get_or_build(&self.entries)
     }
 
     /// Joins a Merkle-range [`DeltaBatch`] into this set. Grow-only sets
     /// never remove, so the batch's `drop` list is ignored; novel entries
     /// union in and vectors join, exactly like [`GSet::apply`].
     pub fn apply_batch(&mut self, batch: &DeltaBatch) {
-        for de in &batch.novel {
-            self.entries.insert(de.dot, de.entry);
-        }
+        self.adopt(&batch.novel);
         self.vv.join(&batch.vv);
     }
 }
@@ -124,6 +177,7 @@ impl GSet {
 pub struct ORSet {
     entries: BTreeMap<Dot, MemberEntry>,
     vv: VersionVector,
+    tree: TreeCache,
 }
 
 impl ORSet {
@@ -138,6 +192,7 @@ impl ORSet {
     pub fn add(&mut self, replica: NodeId, entry: MemberEntry) -> Dot {
         let dot = self.vv.advance(replica);
         self.entries.insert(dot, entry);
+        self.tree.invalidate();
         dot
     }
 
@@ -158,6 +213,7 @@ impl ORSet {
         let killed = before - self.entries.len();
         if killed > 0 {
             self.vv.advance(replica);
+            self.tree.invalidate();
         }
         killed
     }
@@ -202,15 +258,28 @@ impl ORSet {
     ///   no longer lists it live (the sender removed it);
     /// * vectors join pointwise.
     pub fn apply(&mut self, delta: &MembershipDelta) {
-        for de in &delta.novel {
-            if !self.vv.contains(de.dot) {
-                self.entries.insert(de.dot, de.entry);
-            }
-        }
+        let adopted = self.adopt(&delta.novel);
+        let before = self.entries.len();
         let sender_live: BTreeSet<Dot> = delta.live.iter().copied().collect();
         self.entries
             .retain(|&dot, _| !delta.vv.contains(dot) || sender_live.contains(&dot));
+        if adopted || self.entries.len() != before {
+            self.tree.invalidate();
+        }
         self.vv.join(&delta.vv);
+    }
+
+    /// Inserts the entries whose dots our vector does not cover; true
+    /// when there was one.
+    fn adopt(&mut self, novel: &[DottedEntry]) -> bool {
+        let mut adopted = false;
+        for de in novel {
+            if !self.vv.contains(de.dot) {
+                self.entries.insert(de.dot, de.entry);
+                adopted = true;
+            }
+        }
+        adopted
     }
 
     /// Full-state join with another replica's set.
@@ -226,10 +295,13 @@ impl ORSet {
     /// Every live entry with its dot, in dot order — the input to a
     /// Merkle-range reconciliation tree.
     pub fn dotted_entries(&self) -> Vec<DottedEntry> {
-        self.entries
-            .iter()
-            .map(|(&dot, &entry)| DottedEntry { dot, entry })
-            .collect()
+        dotted(&self.entries)
+    }
+
+    /// The set's [`RangeTree`], built at most once per state of the live
+    /// dots.
+    pub(crate) fn range_tree(&self) -> Arc<RangeTree> {
+        self.tree.get_or_build(&self.entries)
     }
 
     /// Joins a Merkle-range [`DeltaBatch`] into this set. The same
@@ -242,15 +314,14 @@ impl ORSet {
     ///   (the sender *observed* the add and still says it is gone);
     /// * vectors join pointwise.
     pub fn apply_batch(&mut self, batch: &DeltaBatch) {
-        for de in &batch.novel {
-            if !self.vv.contains(de.dot) {
-                self.entries.insert(de.dot, de.entry);
-            }
-        }
+        let mut changed = self.adopt(&batch.novel);
         for &dot in &batch.drop {
             if batch.vv.contains(dot) {
-                self.entries.remove(&dot);
+                changed |= self.entries.remove(&dot).is_some();
             }
+        }
+        if changed {
+            self.tree.invalidate();
         }
         self.vv.join(&batch.vv);
     }

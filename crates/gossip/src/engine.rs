@@ -145,6 +145,7 @@ pub fn install(
     let round = Round {
         coll,
         replicas: Arc::new(replicas),
+        peers: Vec::new(),
         config,
         rng: world.rng_for("gossip.engine"),
         stop: Arc::clone(&stop),
@@ -259,6 +260,8 @@ pub fn elements_at(world: &StoreRt, node: NodeId, coll: CollectionId) -> Option<
 struct Round {
     coll: CollectionId,
     replicas: Arc<Vec<NodeId>>,
+    /// Scratch for one origin's shuffled peer list, kept across rounds.
+    peers: Vec<NodeId>,
     config: GossipConfig,
     rng: SimRng,
     stop: Arc<AtomicBool>,
@@ -283,16 +286,18 @@ impl RtTask<StoreMsg> for Round {
         // causal stack, so this span roots a fresh per-round trace that
         // every exchange (and its RPCs) nests under.
         let coll = self.coll;
-        let round_span = world.span_enter("gossip.round", &|| coll.to_string());
-        let nodes: Vec<NodeId> = self.replicas.to_vec();
-        for &origin in &nodes {
+        let round_span = world.span_enter("gossip.round", &|| coll.label());
+        let nodes = Arc::clone(&self.replicas);
+        for &origin in nodes.iter() {
             if !world.is_up(origin) {
                 continue;
             }
-            let mut peers: Vec<NodeId> = nodes.iter().copied().filter(|&p| p != origin).collect();
-            self.rng.shuffle(&mut peers);
-            peers.truncate(self.config.fanout);
-            for peer in peers {
+            self.peers.clear();
+            self.peers
+                .extend(nodes.iter().copied().filter(|&p| p != origin));
+            self.rng.shuffle(&mut self.peers);
+            self.peers.truncate(self.config.fanout);
+            for &peer in &self.peers {
                 exchange(
                     world,
                     self.coll,
@@ -320,30 +325,30 @@ impl RtTask<StoreMsg> for Round {
 /// `gossip.unreplicated_dots` gauge (dots that would be lost if the
 /// crashed holders never recovered).
 fn record_convergence_lag(world: &mut StoreRt, coll: CollectionId, replicas: &[NodeId]) {
-    let mut live: Vec<VersionVector> = Vec::new();
-    let mut down: Vec<VersionVector> = Vec::new();
+    // Digests are shares of the replicas' vectors, so they are read
+    // twice instead of being collected; in the steady state every
+    // replica holds the same vector and both joins share the first map.
+    let mut holders = 0usize;
+    let mut all_join = VersionVector::default();
+    let mut live_join = VersionVector::default();
     for &r in replicas {
         if let Some(d) = local_digest(world, r, coll) {
+            holders += 1;
+            all_join.join(&d);
             if world.is_up(r) {
-                live.push(d);
-            } else {
-                down.push(d);
+                live_join.join(&d);
             }
         }
     }
-    if live.len() + down.len() < 2 {
+    if holders < 2 {
         return;
     }
-    let mut all_join = VersionVector::default();
-    let mut live_join = VersionVector::default();
-    for d in &live {
-        all_join.join(d);
-        live_join.join(d);
-    }
-    for d in &down {
-        all_join.join(d);
-    }
-    let stale = live.iter().filter(|d| !d.dominates(&all_join)).count() as u64;
+    let stale = replicas
+        .iter()
+        .filter(|&&r| world.is_up(r))
+        .filter_map(|&r| local_digest(world, r, coll))
+        .filter(|d| !d.dominates(&all_join))
+        .count() as u64;
     let m = world.metrics_mut();
     m.add(names::REPLICA_STALE_ROUNDS, stale);
     m.gauge_max(names::STALE_REPLICAS_MAX, stale);
@@ -364,7 +369,7 @@ fn exchange(
     timeout: SimDuration,
 ) {
     world.metrics_mut().incr(names::EXCHANGES);
-    let span = world.span_enter("gossip.exchange", &|| format!("{origin}->{peer}"));
+    let span = world.span_enter("gossip.exchange", &|| origin.link_label(peer));
     match digest_mode {
         DigestMode::Full => match mode {
             GossipMode::Pull => {

@@ -33,7 +33,6 @@
 //! OR-Set join — covered means removed, uncovered means novel — which is
 //! why every range response carries the replier's digest.
 
-use crate::crdt::{GSet, ORSet};
 use weakset_store::dotted::{Dot, DottedEntry, VersionVector};
 use weakset_store::wire::{RangeKey, RangeReply, RangeSummary};
 
@@ -69,10 +68,17 @@ fn dot_hash(dot: Dot) -> u64 {
 
 /// A queryable snapshot of one replica's live-dot set: entries sorted by
 /// [`dot_key`], with a prefix-XOR table so any contiguous span's
-/// fingerprint costs two lookups. Build once per reconciliation from
-/// [`RangeTree::from_entries`]; both sides of the exchange use the same
+/// fingerprint costs two lookups. Both sides of an exchange use the same
 /// structure (the initiator to pick frontiers and diff leaves, the
 /// responder inside [`RangeTree::respond`]).
+///
+/// Building one sorts the whole set, so a replica builds one tree per
+/// *state of its live dots*, not per reconciliation and never per probe:
+/// `MembershipCrdt::range_tree` hands out shares of a tree the set keeps
+/// beside its entries, and the set's own mutators (`add`, `remove`,
+/// `apply`, `apply_batch`) drop it when — and only when — they change a
+/// live dot. A tree in hand is an immutable value; it goes stale, it
+/// never changes.
 #[derive(Clone, Debug)]
 pub struct RangeTree {
     /// `(key, entry)` sorted by key, ties broken by dot.
@@ -101,16 +107,6 @@ impl RangeTree {
             xor.push(acc);
         }
         RangeTree { keyed, xor }
-    }
-
-    /// Builds the tree for a grow-only set's live entries.
-    pub fn for_gset(set: &GSet) -> Self {
-        RangeTree::from_entries(set.dotted_entries())
-    }
-
-    /// Builds the tree for an OR-Set's live entries.
-    pub fn for_orset(set: &ORSet) -> Self {
-        RangeTree::from_entries(set.dotted_entries())
     }
 
     /// Total live dots in the tree.

@@ -16,6 +16,7 @@
 use crate::crdt::{GSet, ORSet};
 use crate::reconcile::RangeTree;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_sim::world::{Service, ServiceCtx};
@@ -98,7 +99,8 @@ impl MembershipCrdt {
         }
     }
 
-    /// The replica's digest (every observed dot).
+    /// The replica's digest (every observed dot): a share of the
+    /// replica's vector, not a copy, so reading it this way is cheap.
     pub fn digest(&self) -> VersionVector {
         match self {
             MembershipCrdt::GrowOnly(s) => s.digest(),
@@ -140,9 +142,13 @@ impl MembershipCrdt {
     }
 
     /// The replica's [`RangeTree`] over its live dots, for answering or
-    /// driving a Merkle-range descent.
-    pub fn range_tree(&self) -> RangeTree {
-        RangeTree::from_entries(self.dotted_entries())
+    /// driving a Merkle-range descent. Built once per state of the live
+    /// dots and shared by every descent that finds them unchanged.
+    pub fn range_tree(&self) -> Arc<RangeTree> {
+        match self {
+            MembershipCrdt::GrowOnly(s) => s.range_tree(),
+            MembershipCrdt::GrowShrink(s) => s.range_tree(),
+        }
     }
 
     /// True when a peer holding `digest` could learn nothing from us:
@@ -285,8 +291,8 @@ impl GossipNode {
                 None => StoreMsg::NoSuchCollection(coll),
             },
             // One round of a Merkle-range descent: answer every probed
-            // range from a fresh snapshot of the live-dot tree, stamping
-            // the reply with our digest (the initiator needs it to tell
+            // range from the tree of the current live dots, stamping the
+            // reply with our digest (the initiator needs it to tell
             // removals from unseen adds).
             StoreMsg::GossipRangeReq { coll, ranges } => match self.replicas.get(&coll) {
                 Some(crdt) => StoreMsg::GossipRangeResp {

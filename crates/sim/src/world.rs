@@ -486,7 +486,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        let span = self.span_enter("net.rpc", || format!("{from}->{to}"));
+        let span = self.span_enter("net.rpc", || from.link_label(to));
         let result = self.rpc_inner(from, to, msg, timeout);
         if let Err(e) = &result {
             let err = *e;
@@ -540,7 +540,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             self.trace
                 .record(self.now, TraceEvent::MessageLost { from, to });
             self.metrics.incr("msg.dropped");
-            self.trace_event("net.msg.lost", || format!("{from}->{to}"));
+            self.trace_event("net.msg.lost", || from.link_label(to));
         } else {
             let lat = self.latency.sample(
                 self.topology.node(from),
@@ -650,7 +650,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             self.trace
                 .record(self.now, TraceEvent::MessageLost { from, to });
             self.metrics.incr("msg.dropped");
-            self.trace_event("net.msg.lost", || format!("{from}->{to}"));
+            self.trace_event("net.msg.lost", || from.link_label(to));
             return token; // never completes; caller's deadline applies
         }
         let lat = self.latency.sample(
@@ -782,7 +782,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         self.events.event_in(
                             self.now.as_micros(),
                             "net.msg.lost",
-                            format!("{from}->{to}"),
+                            from.link_label(to),
                             ctx,
                         );
                     }
@@ -798,7 +798,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 // whatever span the pumping client has open.
                 let saved = std::mem::take(&mut self.ctx);
                 self.ctx.extend(ctx);
-                let span = self.span_enter("svc.handle", || to.to_string());
+                let span = self.span_enter("svc.handle", || to.label());
                 let reply = {
                     let mut ctx = ServiceCtx {
                         now: self.now,
@@ -822,7 +822,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         self.events.event_in(
                             self.now.as_micros(),
                             "net.msg.lost",
-                            format!("{to}->{from}"),
+                            to.link_label(from),
                             ctx,
                         );
                     }
@@ -860,7 +860,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         self.events.event_in(
                             self.now.as_micros(),
                             "net.msg.lost",
-                            format!("{from}->{to}"),
+                            from.link_label(to),
                             ctx,
                         );
                     }

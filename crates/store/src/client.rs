@@ -656,7 +656,7 @@ impl StoreClient {
     ) -> Result<MembershipRead, StoreError> {
         let plan = policy.plan();
         let started = world.now();
-        let span = world.span_enter(plan.span, &|| cref.id.to_string());
+        let span = world.span_enter(plan.span, &|| cref.id.label());
         let result = self.read_rounds(world, cref, plan);
         if let Err(e) = &result {
             let msg = e.to_string();

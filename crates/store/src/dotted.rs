@@ -12,6 +12,7 @@ use crate::collection::MemberEntry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use weakset_sim::node::NodeId;
 
 /// One mutation event: the `counter`-th membership change issued by
@@ -36,9 +37,26 @@ impl fmt::Debug for Dot {
 /// `r:1 ..= r:n` has been observed. Joining two vectors takes the
 /// pointwise maximum, so version vectors form a lattice — the digest half
 /// of the digest-then-delta exchange.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A vector is a value that is handed out far more often than it changes
+/// (every exchange ships a digest; most find nothing new), so clones
+/// share one map and a mutator copies it only when it is shared *and* the
+/// mutation changes something. No clone ever sees another's mutation.
+#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VersionVector {
-    counters: BTreeMap<NodeId, u64>,
+    /// `None` is the empty vector, which allocates nothing; a map, once
+    /// there, holds at least one slot.
+    counters: Option<Arc<BTreeMap<NodeId, u64>>>,
+}
+
+/// Prints as the plain map-holding struct it stands for.
+impl fmt::Debug for VersionVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let empty = BTreeMap::new();
+        f.debug_struct("VersionVector")
+            .field("counters", self.counters.as_deref().unwrap_or(&empty))
+            .finish()
+    }
 }
 
 impl VersionVector {
@@ -47,9 +65,18 @@ impl VersionVector {
         VersionVector::default()
     }
 
+    fn slot(&self, replica: NodeId) -> Option<u64> {
+        self.counters.as_ref()?.get(&replica).copied()
+    }
+
+    /// Sets `replica`'s slot, unsharing the map first if clones hold it.
+    fn set(&mut self, replica: NodeId, counter: u64) {
+        Arc::make_mut(self.counters.get_or_insert_with(Arc::default)).insert(replica, counter);
+    }
+
     /// The highest observed counter for `replica` (0 when unseen).
     pub fn get(&self, replica: NodeId) -> u64 {
-        self.counters.get(&replica).copied().unwrap_or(0)
+        self.slot(replica).unwrap_or(0)
     }
 
     /// True when `dot` has been observed.
@@ -59,12 +86,9 @@ impl VersionVector {
 
     /// Mints the next dot for `replica` and records it as observed.
     pub fn advance(&mut self, replica: NodeId) -> Dot {
-        let c = self.counters.entry(replica).or_insert(0);
-        *c += 1;
-        Dot {
-            replica,
-            counter: *c,
-        }
+        let counter = self.get(replica) + 1;
+        self.set(replica, counter);
+        Dot { replica, counter }
     }
 
     /// Records `dot` as observed (pointwise max with a single dot).
@@ -73,43 +97,52 @@ impl VersionVector {
     /// vector, so "observing" a dot may safely imply observing all its
     /// per-replica predecessors.
     pub fn observe(&mut self, dot: Dot) {
-        let c = self.counters.entry(dot.replica).or_insert(0);
-        *c = (*c).max(dot.counter);
+        // An unseen replica gains its slot even for counter 0.
+        if self.slot(dot.replica).is_none_or(|c| c < dot.counter) {
+            self.set(dot.replica, dot.counter);
+        }
     }
 
-    /// Joins with `other`: pointwise maximum (the lattice join).
+    /// Joins with `other`: pointwise maximum (the lattice join). Joining
+    /// into the empty vector shares `other`'s map; joining what is
+    /// already covered touches nothing.
     pub fn join(&mut self, other: &VersionVector) {
-        for (&r, &n) in &other.counters {
-            let c = self.counters.entry(r).or_insert(0);
-            *c = (*c).max(n);
+        if self.counters.is_none() {
+            self.counters.clone_from(&other.counters);
+            return;
+        }
+        for (replica, counter) in other.iter() {
+            self.observe(Dot { replica, counter });
         }
     }
 
     /// True when every dot covered by `other` is covered by `self`.
     pub fn dominates(&self, other: &VersionVector) -> bool {
-        other.counters.iter().all(|(&r, &n)| self.get(r) >= n)
+        other.iter().all(|(r, n)| self.get(r) >= n)
     }
 
     /// Total number of dots covered — a scalar, monotone summary used as
     /// the `version` field of leaderless membership reads (replicas with
     /// identical vectors report identical totals).
     pub fn total(&self) -> u64 {
-        self.counters.values().sum()
+        self.iter().map(|(_, n)| n).sum()
     }
 
     /// Number of replicas with at least one observed dot.
     pub fn len(&self) -> usize {
-        self.counters.len()
+        self.counters.as_ref().map_or(0, |c| c.len())
     }
 
     /// True when no dots have been observed.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+        self.counters.is_none()
     }
 
     /// Iterates `(replica, highest counter)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.counters.iter().map(|(&r, &n)| (r, n))
+        self.counters
+            .iter()
+            .flat_map(|c| c.iter().map(|(&r, &n)| (r, n)))
     }
 }
 
@@ -243,6 +276,180 @@ mod tests {
         assert_eq!(a.get(n(3)), 4);
         assert!(a.dominates(&b));
         assert_eq!(a.iter().count(), 3);
+    }
+
+    fn shares_map(a: &VersionVector, b: &VersionVector) -> bool {
+        match (&a.counters, &b.counters) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn clones_share_until_one_of_them_changes() {
+        let mut vv = VersionVector::new();
+        vv.advance(n(1));
+        vv.advance(n(2));
+        let digest = vv.clone();
+        assert!(shares_map(&vv, &digest), "a digest is a share, not a copy");
+        // Mutations that change nothing leave the map shared.
+        vv.observe(Dot {
+            replica: n(1),
+            counter: 1,
+        });
+        vv.join(&digest);
+        let mut older = VersionVector::new();
+        older.observe(Dot {
+            replica: n(2),
+            counter: 1,
+        });
+        vv.join(&older);
+        assert!(shares_map(&vv, &digest));
+        // The first real change unshares; the digest handed out keeps
+        // reading what it read when it was taken.
+        vv.advance(n(1));
+        assert!(!shares_map(&vv, &digest));
+        assert_eq!(digest.iter().collect::<Vec<_>>(), [(n(1), 1), (n(2), 1)]);
+        assert_eq!(vv.iter().collect::<Vec<_>>(), [(n(1), 2), (n(2), 1)]);
+        // Joining into the empty vector adopts the operand's map.
+        let mut fresh = VersionVector::new();
+        fresh.join(&vv);
+        assert!(shares_map(&fresh, &vv) && fresh == vv);
+        fresh.join(&VersionVector::new());
+        assert!(shares_map(&fresh, &vv));
+        let mut empty = VersionVector::new();
+        empty.join(&VersionVector::new());
+        assert!(empty.is_empty() && empty == VersionVector::new());
+    }
+
+    #[test]
+    fn debug_prints_the_map_it_stands_for() {
+        let mut vv = VersionVector::new();
+        assert_eq!(format!("{vv:?}"), "VersionVector { counters: {} }");
+        vv.advance(n(3));
+        assert_eq!(format!("{vv:?}"), "VersionVector { counters: {n3: 1} }");
+    }
+
+    /// The vector as it was: one owned map, mutated in place by the
+    /// pointwise loops.
+    #[derive(Clone, Default)]
+    struct Pointwise(BTreeMap<NodeId, u64>);
+
+    impl Pointwise {
+        fn advance(&mut self, replica: NodeId) -> Dot {
+            let c = self.0.entry(replica).or_insert(0);
+            *c += 1;
+            Dot {
+                replica,
+                counter: *c,
+            }
+        }
+
+        fn observe(&mut self, dot: Dot) {
+            let c = self.0.entry(dot.replica).or_insert(0);
+            *c = (*c).max(dot.counter);
+        }
+
+        fn join(&mut self, other: &Pointwise) {
+            for (&r, &n) in &other.0 {
+                let c = self.0.entry(r).or_insert(0);
+                *c = (*c).max(n);
+            }
+        }
+
+        fn dominates(&self, other: &Pointwise) -> bool {
+            let get = |r| self.0.get(r).copied().unwrap_or(0);
+            other.0.iter().all(|(r, &n)| get(r) >= n)
+        }
+
+        fn encoded_size(&self) -> usize {
+            use crate::wire::varint_len;
+            varint_len(self.0.len() as u64)
+                + self
+                    .0
+                    .iter()
+                    .map(|(r, &n)| varint_len(r.0 as u64) + varint_len(n))
+                    .sum::<usize>()
+        }
+    }
+
+    fn assert_reads_as(vv: &VersionVector, model: &Pointwise) {
+        let slots: Vec<(NodeId, u64)> = model.0.iter().map(|(&r, &n)| (r, n)).collect();
+        assert_eq!(vv.iter().collect::<Vec<_>>(), slots);
+        assert_eq!(vv.len(), model.0.len());
+        assert_eq!(vv.is_empty(), model.0.is_empty());
+        assert_eq!(vv.total(), model.0.values().sum::<u64>());
+        assert_eq!(crate::wire::vv_encoded_size(vv), model.encoded_size());
+        for r in 0..5 {
+            assert_eq!(vv.get(n(r)), model.0.get(&n(r)).copied().unwrap_or(0));
+        }
+        // `==` sees slots (zero-valued ones included), not how the
+        // vector came to hold them.
+        let mut rebuilt = VersionVector::new();
+        for (&replica, &counter) in model.0.iter().rev() {
+            rebuilt.observe(Dot { replica, counter });
+        }
+        assert!(*vv == rebuilt, "{vv:?} != {rebuilt:?}");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any sequence of mutations, over operands that are shared,
+        /// identical, dominated, empty or carry zero-valued slots, reads
+        /// exactly as the pointwise loops leave an owned map — and no
+        /// vector handed out along the way ever changes.
+        #[test]
+        fn shared_vectors_read_as_the_pointwise_loops(
+            steps in proptest::collection::vec((0u8..8, 0u32..4, 0u64..5), 1..40)
+        ) {
+            let mut vv = VersionVector::new();
+            let mut model = Pointwise::default();
+            // Every value handed out so far, with what it read then.
+            let mut handed_out: Vec<(VersionVector, Pointwise)> = Vec::new();
+            for (what, r, c) in steps {
+                let dot = Dot { replica: n(r), counter: c };
+                match what {
+                    0 | 1 => prop_assert_eq!(vv.advance(n(r)), model.advance(n(r))),
+                    // Counter 0 on an unseen replica still makes a slot.
+                    2 | 3 => {
+                        vv.observe(dot);
+                        model.observe(dot);
+                    }
+                    // Itself: identical and shared.
+                    4 => {
+                        let same = vv.clone();
+                        vv.join(&same);
+                    }
+                    // An earlier value: dominated or concurrent.
+                    5 if !handed_out.is_empty() => {
+                        let (old, old_model) = &handed_out[c as usize % handed_out.len()];
+                        vv.join(old);
+                        model.join(old_model);
+                        prop_assert!(vv.dominates(old));
+                    }
+                    // A one-slot stranger (zero-valued when `c` is 0),
+                    // or the empty vector.
+                    6 => {
+                        let mut other = VersionVector::new();
+                        let mut other_model = Pointwise::default();
+                        other.observe(dot);
+                        other_model.observe(dot);
+                        prop_assert_eq!(vv.dominates(&other), model.dominates(&other_model));
+                        vv.join(&other);
+                        model.join(&other_model);
+                    }
+                    _ => vv.join(&VersionVector::new()),
+                }
+                assert_reads_as(&vv, &model);
+                handed_out.push((vv.clone(), model.clone()));
+                for (held, then) in &handed_out {
+                    assert_reads_as(held, then);
+                }
+            }
+        }
     }
 
     #[test]

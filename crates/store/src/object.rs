@@ -32,6 +32,14 @@ impl From<u64> for ObjectId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CollectionId(pub u64);
 
+impl CollectionId {
+    /// This id's `Display` text (`c7`), built without going through
+    /// `fmt`: it is the detail of every membership-read span.
+    pub fn label(self) -> String {
+        weakset_sim::node::id_label('c', self.0)
+    }
+}
+
 impl fmt::Debug for CollectionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}", self.0)
@@ -107,6 +115,13 @@ impl ObjectRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn collection_label_is_the_display_text() {
+        for v in [0, 9, 10, 4_096, u64::MAX] {
+            assert_eq!(CollectionId(v).label(), CollectionId(v).to_string());
+        }
+    }
 
     #[test]
     fn record_builder() {

@@ -43,7 +43,40 @@ pub fn vv_encoded_size(vv: &VersionVector) -> usize {
 /// Encoded size of a dot list, grouped by replica and delta-encoded:
 /// per group one replica varint, one count varint, then each counter as
 /// a varint of its distance from the previous counter in the group.
-pub fn dots_encoded_size(dots: impl IntoIterator<Item = Dot>) -> usize {
+///
+/// Dot lists nearly always arrive in dot order (they are read off ordered
+/// maps), where the groups are runs and one pass sizes them; a list that
+/// turns out not to be ascending is grouped first.
+pub fn dots_encoded_size<I>(dots: I) -> usize
+where
+    I: IntoIterator<Item = Dot>,
+    I::IntoIter: Clone,
+{
+    let dots = dots.into_iter();
+    let (mut groups, mut size) = (0u64, 0usize);
+    // The open run: its last dot and how many it holds.
+    let mut run: Option<(Dot, u64)> = None;
+    for d in dots.clone() {
+        match run {
+            Some((prev, n)) if prev.replica == d.replica && prev.counter <= d.counter => {
+                size += varint_len(d.counter - prev.counter);
+                run = Some((d, n + 1));
+            }
+            Some((prev, _)) if prev > d => return dots_grouped_size(dots),
+            _ => {
+                size += run.map_or(0, |(_, n)| varint_len(n));
+                size += varint_len(d.replica.0 as u64) + varint_len(d.counter);
+                groups += 1;
+                run = Some((d, 1));
+            }
+        }
+    }
+    varint_len(groups) + size + run.map_or(0, |(_, n)| varint_len(n))
+}
+
+/// [`dots_encoded_size`] for a list in any order: the encoding's
+/// definition, group by group.
+fn dots_grouped_size(dots: impl Iterator<Item = Dot>) -> usize {
     let mut groups: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
     for d in dots {
         groups.entry(d.replica).or_default().push(d.counter);
@@ -270,6 +303,42 @@ mod tests {
         let mut rev = dots.clone();
         rev.reverse();
         assert_eq!(dots_encoded_size(rev), size);
+        // One replica, one count, three one-byte distances; no dots, one
+        // zero group count.
+        assert_eq!(
+            dots_encoded_size([dot(3, 1), dot(3, 2), dot(3, 9)]),
+            1 + 2 + 3
+        );
+        assert_eq!(dots_encoded_size([]), 1);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass sizing is the grouped definition: on lists in dot
+        /// order (with and without repeats), in any other order, and on
+        /// the empty list.
+        #[test]
+        fn one_pass_dot_sizing_is_the_grouped_definition(
+            raw in proptest::collection::vec((0u32..4, 0u64..300), 0..24),
+            sorted in any::<bool>(),
+        ) {
+            // Counters cross the one-byte varint boundary (128), and the
+            // small pools repeat dots often.
+            let mut dots: Vec<Dot> = raw.into_iter().map(|(r, c)| dot(r, c)).collect();
+            if sorted {
+                dots.sort_unstable();
+            }
+            let grouped = dots_grouped_size(dots.iter().copied());
+            prop_assert_eq!(dots_encoded_size(dots.iter().copied()), grouped);
+            dots.dedup();
+            prop_assert_eq!(
+                dots_encoded_size(dots.iter().copied()),
+                dots_grouped_size(dots.iter().copied())
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn mix(seed: u64, iter: u64) -> u64 {
 pub fn generate(seed: u64) -> Scenario {
     let mut rng = SimRng::for_label(seed, "dst.gen");
     if rng.chance(0.35) {
-        gen_gossip(seed, &mut rng)
+        gen_gossip(seed, &mut rng, &CONVERGED_GOSSIP, false)
     } else {
         gen_plain(seed, &mut rng)
     }
@@ -118,25 +118,16 @@ fn gen_faults(
         .collect()
 }
 
-fn gen_plain(seed: u64, rng: &mut SimRng) -> Scenario {
-    let servers = rng.range_u64(2, 5) as usize;
-    let semantics = Semantics::ALL[rng.index(Semantics::ALL.len())];
-    let read_policy = if rng.chance(0.3) {
-        ReadPolicy::Quorum
-    } else {
-        ReadPolicy::Primary
-    };
-    let start_ms = rng.range_u64(10, 31);
-    let setup = gen_setup(rng, servers, 6);
-
+/// Up to `n` workload mutations over the first 110 ms: removals of
+/// distinct setup members — always leaving one un-removed, so a
+/// pessimistic failure can point at an unyielded member — and adds of
+/// fresh ids, sorted by due time.
+fn gen_churn(rng: &mut SimRng, setup: &[(u64, usize)], servers: usize, n: u64) -> Vec<Op> {
     let mut ops = Vec::new();
-    let n_ops = rng.range_u64(0, 6);
     let mut victims: Vec<u64> = setup.iter().map(|&(e, _)| e).collect();
     let mut next_id = 100;
-    for _ in 0..n_ops {
+    for _ in 0..n {
         let at_ms = rng.range_u64(2, 111);
-        // Keep at least one member un-removed so a pessimistic failure
-        // can always point at an unyielded member.
         if victims.len() > 1 && rng.chance(0.4) {
             let v = victims.remove(rng.index(victims.len()));
             ops.push(Op::Remove { at_ms, elem: v });
@@ -150,31 +141,75 @@ fn gen_plain(seed: u64, rng: &mut SimRng) -> Scenario {
         }
     }
     ops.sort_by_key(Op::at_ms);
+    ops
+}
 
+/// What a generator leg decides for itself; [`Leg::finish`] draws the
+/// client-side tail every leg shares.
+struct Leg {
+    servers: usize,
+    deployment: Deployment,
+    semantics: Semantics,
+    read_policy: ReadPolicy,
+    start_ms: u64,
+    setup: Vec<(u64, usize)>,
+    ops: Vec<Op>,
+    faults: Vec<FaultSpec>,
+}
+
+impl Leg {
+    fn finish(self, seed: u64, rng: &mut SimRng) -> Scenario {
+        Scenario {
+            seed,
+            servers: self.servers,
+            deployment: self.deployment,
+            semantics: self.semantics,
+            read_policy: self.read_policy,
+            // Grow-only iteration over a shrinking workload holds the
+            // §3.3 guard, so the relaxed per-run constraint is sound.
+            guard_growth: self.semantics == Semantics::GrowOnly
+                && self.ops.iter().any(|o| matches!(o, Op::Remove { .. })),
+            fetch_order: pick_fetch_order(rng),
+            think_ms: rng.range_u64(1, 5),
+            budget: rng.range_u64(24, 41) as usize,
+            start_ms: self.start_ms,
+            setup: self.setup,
+            ops: self.ops,
+            faults: self.faults,
+            chaos: Chaos::None,
+        }
+    }
+}
+
+fn gen_plain(seed: u64, rng: &mut SimRng) -> Scenario {
+    let servers = rng.range_u64(2, 5) as usize;
+    let semantics = Semantics::ALL[rng.index(Semantics::ALL.len())];
+    let read_policy = if rng.chance(0.3) {
+        ReadPolicy::Quorum
+    } else {
+        ReadPolicy::Primary
+    };
+    let start_ms = rng.range_u64(10, 31);
+    let setup = gen_setup(rng, servers, 6);
+    let n_ops = rng.range_u64(0, 6);
+    let ops = gen_churn(rng, &setup, servers, n_ops);
     let mut faults = gen_faults(rng, servers, 3, 5, 101);
     if read_policy == ReadPolicy::Quorum && !ops.is_empty() {
         // Quorum reads are only fresh while either replicas stay in sync
         // (no faults) or membership stays put (no ops).
         faults.clear();
     }
-
-    Scenario {
-        seed,
+    Leg {
         servers,
         deployment: Deployment::Plain,
         semantics,
         read_policy,
-        guard_growth: semantics == Semantics::GrowOnly
-            && ops.iter().any(|o| matches!(o, Op::Remove { .. })),
-        fetch_order: pick_fetch_order(rng),
-        think_ms: rng.range_u64(1, 5),
-        budget: rng.range_u64(24, 41) as usize,
         start_ms,
         setup,
         ops,
         faults,
-        chaos: Chaos::None,
     }
+    .finish(seed, rng)
 }
 
 /// Generates a sharded-deployment scenario for `seed`. Pure, like
@@ -196,7 +231,7 @@ fn gen_plain(seed: u64, rng: &mut SimRng) -> Scenario {
 ///   optimistic runs block and retry instead, which every figure
 ///   accepts.
 pub fn generate_sharded(seed: u64) -> Scenario {
-    let mut rng = SimRng::for_label(seed, "dst.gen.sharded");
+    let rng = &mut SimRng::for_label(seed, "dst.gen.sharded");
     let shards = rng.range_u64(2, 4) as usize;
     let group_size = rng.range_u64(1, 4) as usize;
     let servers = shards * group_size;
@@ -207,30 +242,11 @@ pub fn generate_sharded(seed: u64) -> Scenario {
         ReadPolicy::Primary
     };
     let start_ms = rng.range_u64(10, 31);
-    let setup = gen_setup(&mut rng, servers, 8);
-
-    let mut ops = Vec::new();
+    let setup = gen_setup(rng, servers, 8);
     let n_ops = rng.range_u64(0, 6);
-    let mut victims: Vec<u64> = setup.iter().map(|&(e, _)| e).collect();
-    let mut next_id = 100;
-    for _ in 0..n_ops {
-        let at_ms = rng.range_u64(2, 111);
-        if victims.len() > 1 && rng.chance(0.4) {
-            let v = victims.remove(rng.index(victims.len()));
-            ops.push(Op::Remove { at_ms, elem: v });
-        } else {
-            ops.push(Op::Add {
-                at_ms,
-                elem: next_id,
-                home: rng.index(servers),
-            });
-            next_id += 1;
-        }
-    }
-    ops.sort_by_key(Op::at_ms);
-
+    let ops = gen_churn(rng, &setup, servers, n_ops);
     let mut faults = if semantics == Semantics::Optimistic {
-        gen_faults(&mut rng, servers, 2, 5, 101)
+        gen_faults(rng, servers, 2, 5, 101)
     } else {
         Vec::new()
     };
@@ -238,24 +254,17 @@ pub fn generate_sharded(seed: u64) -> Scenario {
         // Same freshness rule as plain quorum scenarios, per group.
         faults.clear();
     }
-
-    Scenario {
-        seed,
+    Leg {
         servers,
         deployment: Deployment::Sharded { shards },
         semantics,
         read_policy,
-        guard_growth: semantics == Semantics::GrowOnly
-            && ops.iter().any(|o| matches!(o, Op::Remove { .. })),
-        fetch_order: pick_fetch_order(&mut rng),
-        think_ms: rng.range_u64(1, 5),
-        budget: rng.range_u64(24, 41) as usize,
         start_ms,
         setup,
         ops,
         faults,
-        chaos: Chaos::None,
     }
+    .finish(seed, rng)
 }
 
 /// Generates a [`ReadPolicy::CausalSession`] scenario for `seed`. Pure,
@@ -277,7 +286,7 @@ pub fn generate_sharded(seed: u64) -> Scenario {
 pub fn generate_causal(seed: u64) -> Scenario {
     let mut rng = SimRng::for_label(seed, "dst.gen.causal");
     if rng.chance(0.5) {
-        causal_gossip(seed, &mut rng)
+        gen_gossip(seed, &mut rng, &CAUSAL_GOSSIP, false)
     } else {
         causal_plain(seed, &mut rng)
     }
@@ -288,145 +297,99 @@ fn causal_plain(seed: u64, rng: &mut SimRng) -> Scenario {
     let semantics = Semantics::ALL[rng.index(Semantics::ALL.len())];
     let start_ms = rng.range_u64(10, 31);
     let setup = gen_setup(rng, servers, 6);
-
     // Ops or faults, never both: every mutation's reply must reach the
     // session (see [`generate_causal`]).
-    let mut ops = Vec::new();
-    let mut faults = Vec::new();
-    if rng.chance(0.5) {
+    let (ops, faults) = if rng.chance(0.5) {
         let n_ops = rng.range_u64(1, 6);
-        let mut victims: Vec<u64> = setup.iter().map(|&(e, _)| e).collect();
-        let mut next_id = 100;
-        for _ in 0..n_ops {
-            let at_ms = rng.range_u64(2, 111);
-            if victims.len() > 1 && rng.chance(0.4) {
-                let v = victims.remove(rng.index(victims.len()));
-                ops.push(Op::Remove { at_ms, elem: v });
-            } else {
-                ops.push(Op::Add {
-                    at_ms,
-                    elem: next_id,
-                    home: rng.index(servers),
-                });
-                next_id += 1;
-            }
-        }
-        ops.sort_by_key(Op::at_ms);
+        (gen_churn(rng, &setup, servers, n_ops), Vec::new())
     } else {
-        faults = gen_faults(rng, servers, 3, 5, 101);
-    }
-
-    Scenario {
-        seed,
+        (Vec::new(), gen_faults(rng, servers, 3, 5, 101))
+    };
+    Leg {
         servers,
         deployment: Deployment::Plain,
         semantics,
         read_policy: ReadPolicy::CausalSession,
-        guard_growth: semantics == Semantics::GrowOnly
-            && ops.iter().any(|o| matches!(o, Op::Remove { .. })),
-        fetch_order: pick_fetch_order(rng),
-        think_ms: rng.range_u64(1, 5),
-        budget: rng.range_u64(24, 41) as usize,
         start_ms,
         setup,
         ops,
         faults,
-        chaos: Chaos::None,
     }
+    .finish(seed, rng)
 }
 
-fn causal_gossip(seed: u64, rng: &mut SimRng) -> Scenario {
+/// Where a gossip leg's windows sit relative to each other.
+struct GossipWindows {
+    /// The read policy, or `None` to draw `Leaderless`/`Primary`.
+    policy: Option<ReadPolicy>,
+    /// Iteration starts somewhere in `[start.0, start.1)` ms.
+    start: (u64, u64),
+    /// Adds land in `[2, add_end(start_ms))` ms.
+    add_end: fn(u64) -> u64,
+    /// The first fault fires no earlier than this long after the start.
+    fault_lead_ms: u64,
+}
+
+/// Adds land by 20 ms; anti-entropy (5 ms rounds) has ≥ 40 ms to
+/// converge every replica before iteration starts.
+const CONVERGED_GOSSIP: GossipWindows = GossipWindows {
+    policy: None,
+    start: (60, 81),
+    add_end: |_| 21,
+    fault_lead_ms: 0,
+};
+
+/// Iteration starts hot on the heels of the last add — anti-entropy may
+/// not have converged a single replica yet; the session token, not a
+/// convergence margin, keeps the union reads sound. The first fault
+/// fires ≥ 10 ms after the last possible add commit.
+const CAUSAL_GOSSIP: GossipWindows = GossipWindows {
+    policy: Some(ReadPolicy::CausalSession),
+    start: (20, 41),
+    add_end: |start_ms| start_ms.saturating_sub(11),
+    fault_lead_ms: 5,
+};
+
+fn gen_gossip(seed: u64, rng: &mut SimRng, win: &GossipWindows, merkle: bool) -> Scenario {
     let servers = rng.range_u64(3, 5) as usize;
     let semantics = [
         Semantics::Snapshot,
         Semantics::GrowOnly,
         Semantics::Optimistic,
     ][rng.index(3)];
-    // Iteration starts hot on the heels of the last add — anti-entropy
-    // (5 ms rounds) may not have converged a single replica yet. The
-    // session token, not a convergence margin, is what keeps the union
-    // reads sound.
-    let start_ms = rng.range_u64(20, 41);
+    let read_policy = win.policy.unwrap_or_else(|| {
+        if rng.chance(0.5) {
+            ReadPolicy::Leaderless
+        } else {
+            ReadPolicy::Primary
+        }
+    });
+    let start_ms = rng.range_u64(win.start.0, win.start.1);
     let setup = gen_setup(rng, servers, 5);
     let n_ops = rng.range_u64(0, 5);
     let mut ops: Vec<Op> = (0..n_ops)
         .map(|i| Op::Add {
-            at_ms: rng.range_u64(2, start_ms.saturating_sub(11)),
+            at_ms: rng.range_u64(2, (win.add_end)(start_ms)),
             elem: 100 + i,
             home: rng.index(servers),
         })
         .collect();
     ops.sort_by_key(Op::at_ms);
-    // First fault fires ≥ 10 ms after the last possible add commit.
-    let faults = gen_faults(rng, servers, 2, start_ms + 5, start_ms + 51);
-
-    Scenario {
-        seed,
+    let faults = gen_faults(rng, servers, 2, start_ms + win.fault_lead_ms, start_ms + 51);
+    Leg {
         servers,
         deployment: Deployment::Gossip {
             grow_only: rng.chance(0.5),
-            merkle: false,
-        },
-        semantics,
-        read_policy: ReadPolicy::CausalSession,
-        guard_growth: false,
-        fetch_order: pick_fetch_order(rng),
-        think_ms: rng.range_u64(1, 5),
-        budget: rng.range_u64(24, 41) as usize,
-        start_ms,
-        setup,
-        ops,
-        faults,
-        chaos: Chaos::None,
-    }
-}
-
-fn gen_gossip(seed: u64, rng: &mut SimRng) -> Scenario {
-    let servers = rng.range_u64(3, 5) as usize;
-    let semantics = [
-        Semantics::Snapshot,
-        Semantics::GrowOnly,
-        Semantics::Optimistic,
-    ][rng.index(3)];
-    let read_policy = if rng.chance(0.5) {
-        ReadPolicy::Leaderless
-    } else {
-        ReadPolicy::Primary
-    };
-    // Adds land by 20 ms; anti-entropy (5 ms rounds) has ≥ 40 ms to
-    // converge every replica before iteration starts.
-    let start_ms = rng.range_u64(60, 81);
-    let setup = gen_setup(rng, servers, 5);
-    let n_ops = rng.range_u64(0, 5);
-    let mut ops: Vec<Op> = (0..n_ops)
-        .map(|i| Op::Add {
-            at_ms: rng.range_u64(2, 21),
-            elem: 100 + i,
-            home: rng.index(servers),
-        })
-        .collect();
-    ops.sort_by_key(Op::at_ms);
-    let faults = gen_faults(rng, servers, 2, start_ms, start_ms + 51);
-
-    Scenario {
-        seed,
-        servers,
-        deployment: Deployment::Gossip {
-            grow_only: rng.chance(0.5),
-            merkle: false,
+            merkle,
         },
         semantics,
         read_policy,
-        guard_growth: false,
-        fetch_order: pick_fetch_order(rng),
-        think_ms: rng.range_u64(1, 5),
-        budget: rng.range_u64(24, 41) as usize,
         start_ms,
         setup,
         ops,
         faults,
-        chaos: Chaos::None,
     }
+    .finish(seed, rng)
 }
 
 /// Generates a gossip scenario that samples *both* digest modes for
@@ -441,14 +404,7 @@ fn gen_gossip(seed: u64, rng: &mut SimRng) -> Scenario {
 pub fn generate_merkle(seed: u64) -> Scenario {
     let mut rng = SimRng::for_label(seed, "dst.gen.merkle");
     let merkle = rng.chance(0.5);
-    let mut s = gen_gossip(seed, &mut rng);
-    if let Deployment::Gossip {
-        merkle: ref mut m, ..
-    } = s.deployment
-    {
-        *m = merkle;
-    }
-    s
+    gen_gossip(seed, &mut rng, &CONVERGED_GOSSIP, merkle)
 }
 
 #[cfg(test)]

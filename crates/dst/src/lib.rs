@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod drive;
 pub mod explain;
 pub mod gen;
 pub mod oracle;

@@ -14,13 +14,16 @@
 //!
 //! ## Alignment model
 //!
-//! The recorded log is the authority. The record driver brackets every
+//! The recorded log is the authority. Both halves are stages of the one
+//! driver (`drive.rs`): the threaded stage brackets every
 //! driver-level activity (each setup add, workload op, fault transition,
 //! and iterator invocation) in a [`RecEvent::Region`] marker; the replay
-//! driver *peeks* the next marker to decide what to re-issue, so the two
-//! drivers walk the same schedule even when wall-clock timing skewed the
-//! live interleaving. Between markers, each live transport call is
-//! matched against the next recorded one:
+//! stage re-aligns on each marker as the driver reaches the same
+//! activity, and takes its schedule — which fault and op regions come
+//! next, whether there is a next invocation at all — from the log, so
+//! the two runs walk the same schedule even when wall-clock timing
+//! skewed the live interleaving. Between markers, each live transport
+//! call is matched against the next recorded one:
 //!
 //! * a recorded `Ok` rpc is **re-executed** against the simulated
 //!   services (and its reply hash verified),
@@ -48,16 +51,16 @@
 //! scheduling has no deterministic trace; determinism is a property of
 //! the *replay*.
 
-use crate::oracle;
-use crate::run::{self, ms, RunReport, TestSet, COLL, MAX_WAITS};
-use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
+use crate::drive::{drive, ms, Closed, Fleet, Mark, Schedule, Stage};
+use crate::run::RunReport;
+use crate::scenario::{Deployment, FaultSpec, Op, Scenario};
+use crate::shrink::{shrink_by, Field};
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use weakset::prelude::{IterConfig, IterStep, Semantics, WeakSet};
 use weakset_obs::replay as names;
 use weakset_obs::FlightRecorder;
-use weakset_runtime::record::{hash_debug, RecEvent, RecOutcome, Recorder, Recording};
+use weakset_runtime::record::{hash_debug, RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 use weakset_runtime::threaded::ThreadedRuntime;
 use weakset_runtime::traits::{Clock, Observe, RtTask, Runtime, ServiceHost, Spawner, Transport};
 use weakset_sim::latency::LatencyModel;
@@ -69,13 +72,7 @@ use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
 use weakset_sim::world::{ReplyToken, Service, Task, WorldConfig};
-use weakset_spec::prelude::Computation;
-use weakset_store::object::{ObjectId, ObjectRecord};
-use weakset_store::prelude::{CollectionRef, StoreClient, StoreMsg, StoreServer, StoreWorld};
-
-/// Shrinking budget: hard cap on replays one [`shrink_recording`] call
-/// may perform (mirrors [`crate::shrink`]).
-const MAX_EXECUTIONS: usize = 200;
+use weakset_store::prelude::{StoreMsg, StoreRt, StoreWorld};
 
 /// What recording one scenario on the threaded runtime produced.
 #[derive(Debug)]
@@ -105,25 +102,13 @@ pub struct ReplayReport {
 }
 
 // ---------------------------------------------------------------------
-// Region labels and the fault-transition expansion
+// The fault-transition expansion
 // ---------------------------------------------------------------------
 //
-// Labels are intrinsic to the scenario item (never positional), so the
-// shrinker can drop an item from the workload and excise exactly its
-// regions from the log. Two identical items produce identical labels;
-// the shrinker then removes both regions at once and the candidate is
-// simply rejected if that breaks alignment.
-
-fn setup_label(elem: u64, home: usize) -> String {
-    format!("setup.{elem}.{home}")
-}
-
-fn op_label(op: &Op) -> String {
-    match *op {
-        Op::Add { at_ms, elem, home } => format!("op.{at_ms}.add.{elem}.{home}"),
-        Op::Remove { at_ms, elem } => format!("op.{at_ms}.rm.{elem}"),
-    }
-}
+// Fault labels, like every [`Mark`], are intrinsic to the scenario item:
+// two identical items produce identical labels; the shrinker then removes
+// both regions at once and the candidate is simply rejected if that
+// breaks alignment.
 
 /// One scheduled topology change: a fault edge (down or up) expanded to
 /// node-index space, where index 0 is the client and server `i` is node
@@ -250,23 +235,17 @@ fn expand_faults(faults: &[FaultSpec], n: usize) -> Vec<Transition> {
     out
 }
 
-/// The merged record-driver schedule: fault transitions and workload
-/// ops, ordered by due time (transitions first on ties).
+/// One item of the threaded stage's schedule: a fault edge or a
+/// workload op.
 enum SchedItem {
     Trans(Transition),
     Op(Op),
 }
 
-fn sched_at(item: &SchedItem) -> u64 {
-    match item {
-        SchedItem::Trans(t) => t.at_ms,
-        SchedItem::Op(o) => o.at_ms(),
-    }
-}
-
-fn build_schedule(s: &Scenario) -> Vec<SchedItem> {
-    let n = s.servers.max(1);
-    let mut keyed: Vec<(u64, u8, SchedItem)> = expand_faults(&s.faults, n)
+/// The merged schedule: fault transitions and workload ops, ordered by
+/// due time (transitions first on ties).
+fn build_schedule(s: &Scenario) -> Vec<(u64, SchedItem)> {
+    let mut keyed: Vec<(u64, u8, SchedItem)> = expand_faults(&s.faults, s.servers.max(1))
         .into_iter()
         .map(|t| (t.at_ms, 0, SchedItem::Trans(t)))
         .collect();
@@ -274,70 +253,152 @@ fn build_schedule(s: &Scenario) -> Vec<SchedItem> {
     ops.sort_by_key(Op::at_ms);
     keyed.extend(ops.into_iter().map(|o| (o.at_ms(), 1, SchedItem::Op(o))));
     keyed.sort_by_key(|(at, kind, _)| (*at, *kind));
-    keyed.into_iter().map(|(_, _, item)| item).collect()
+    keyed.into_iter().map(|(at, _, item)| (at, item)).collect()
 }
 
 // ---------------------------------------------------------------------
-// Record driver (threaded backend)
+// Threaded stage (records)
 // ---------------------------------------------------------------------
 
-/// Applies every schedule item due at or before `limit_ms`, each under
-/// its own region marker. With `advance_clock`, sleeps (wall time) to
-/// each item's due instant first; without, applies only the already-due.
-#[allow(clippy::too_many_arguments)]
-fn run_schedule(
-    rt: &mut ThreadedRuntime<StoreMsg>,
-    rec: &Recorder,
-    set: &TestSet,
-    servers: &[NodeId],
-    schedule: &[SchedItem],
-    next: &mut usize,
-    t0: SimTime,
-    limit_ms: u64,
-    advance_clock: bool,
-) {
-    while *next < schedule.len() {
-        let due = sched_at(&schedule[*next]);
-        if due > limit_ms {
-            break;
+/// The threaded stage: nodes are OS threads, the schedule is fault
+/// transitions merged with ops and applied by the driver thread, every
+/// mark is a region marker in the recorder's log, and the run closes
+/// with a deadline shutdown and — if anything went wrong — a
+/// flight-recorder dump.
+struct Threads {
+    rt: ThreadedRuntime<StoreMsg>,
+    rec: Recorder,
+    flight: FlightRecorder,
+    client: NodeId,
+    servers: Vec<NodeId>,
+    schedule: Schedule<SchedItem>,
+    /// Final membership under the scenario's read policy, sorted.
+    membership: Vec<u64>,
+}
+
+impl Threads {
+    fn new(s: &Scenario) -> Self {
+        let mut rt = ThreadedRuntime::<StoreMsg>::new(s.seed);
+        let rec = Recorder::new(s.seed);
+        rec.set_workload(s.to_ron());
+        rt.attach_recorder(rec.clone());
+        rt.events_mut().set_enabled(true);
+        // Black box for the live run: boundary crossings land in a bounded
+        // ring, dumped as a Perfetto-loadable trace only when something goes
+        // wrong (a violation here, hung shutdown inside the runtime).
+        let flight = FlightRecorder::new(4096)
+            .with_dump_path(std::env::temp_dir().join(format!("weakset-flight-{}.json", s.seed)));
+        rt.attach_flight_recorder(flight.clone());
+        let client = rt.add_node("client");
+        let servers = (0..s.servers.max(1))
+            .map(|i| rt.add_node(format!("s{i}")))
+            .collect();
+        Threads {
+            rt,
+            rec,
+            flight,
+            client,
+            servers,
+            schedule: Schedule::new(build_schedule(s)),
+            membership: Vec::new(),
         }
-        if advance_clock {
-            let due_t = t0 + ms(due);
-            let now = rt.now();
-            if now < due_t {
-                rt.sleep(due_t.saturating_since(now));
-            }
-        } else if due > rt.now().saturating_since(t0).as_millis() {
-            break;
-        }
-        match &schedule[*next] {
-            SchedItem::Trans(tr) => {
-                rec.region(rt.now(), &tr.label);
-                for act in &tr.acts {
-                    match *act {
-                        TAct::Link { a, b, ok } => {
-                            rt.set_reachable(NodeId(a as u32), NodeId(b as u32), ok);
-                        }
-                        TAct::Node { node, up } => rt.set_node_up(NodeId(node as u32), up),
-                    }
-                }
-            }
-            SchedItem::Op(op) => {
-                rec.region(rt.now(), &op_label(op));
-                run::apply_op(rt, set, servers, *op);
-            }
-        }
-        *next += 1;
     }
 }
+
+impl Stage for Threads {
+    fn rt(&mut self) -> &mut StoreRt {
+        &mut self.rt
+    }
+
+    fn nodes(&self) -> (NodeId, Vec<NodeId>) {
+        (self.client, self.servers.clone())
+    }
+
+    fn mark(&mut self, mark: Mark<'_>) -> bool {
+        self.rec.region(self.rt.now(), &mark.to_string());
+        true
+    }
+
+    fn origin(&mut self) {
+        self.schedule.start(self.rt.now());
+    }
+
+    fn advance(&mut self, fleet: &Fleet, to_ms: Option<u64>) {
+        let rec = &self.rec;
+        self.schedule
+            .advance(&mut self.rt, to_ms, |rt, item| match item {
+                SchedItem::Trans(tr) => {
+                    rec.region(rt.now(), &tr.label);
+                    for act in &tr.acts {
+                        match *act {
+                            TAct::Link { a, b, ok } => {
+                                rt.set_reachable(NodeId(a as u32), NodeId(b as u32), ok);
+                            }
+                            TAct::Node { node, up } => rt.set_node_up(NodeId(node as u32), up),
+                        }
+                    }
+                }
+                SchedItem::Op(op) => {
+                    rec.region(rt.now(), &Mark::Op(op).to_string());
+                    fleet.apply_op(rt, *op);
+                }
+            });
+    }
+
+    fn settle(&mut self, fleet: &Fleet) {
+        self.membership = final_membership(self, fleet);
+    }
+
+    fn close(&mut self, violations: &mut Vec<String>) -> Closed {
+        if let Err(hung) = self.rt.shutdown(Duration::from_secs(10)) {
+            // The shutdown hook already marked the recording truncated.
+            violations.push(format!("threaded shutdown reported hung nodes: {hung:?}"));
+        }
+        // Report-only ledger: names any span a crashed or wedged activity
+        // left open, and counts them under `trace.unclosed_spans`.
+        let unclosed = self.rt.finish_spans();
+        if !unclosed.is_empty() {
+            eprintln!(
+                "record: {} span(s) left unclosed: {}",
+                unclosed.len(),
+                unclosed.join(", ")
+            );
+        }
+        if !violations.is_empty() && !self.flight.has_dumped() {
+            match self.flight.dump() {
+                Ok(path) => eprintln!("record: flight recorder dumped to {}", path.display()),
+                Err(e) => eprintln!("record: flight-recorder dump failed: {e}"),
+            }
+        }
+        Closed {
+            trace_hash: 0, // real scheduling has no deterministic trace
+            sim_time_us: self.rt.now().as_micros(),
+            metrics: std::mem::take(Observe::metrics_mut(&mut self.rt)),
+            events: self.rt.events_mut().take_events(),
+        }
+    }
+}
+
+/// The final membership read both log-bound stages end on, under its
+/// [`Mark::Members`] / [`Mark::End`] brackets.
+fn final_membership(stage: &mut impl Stage, fleet: &Fleet) -> Vec<u64> {
+    let mut membership = Vec::new();
+    if stage.mark(Mark::Members) {
+        membership = fleet.read_members(stage.rt());
+    }
+    stage.mark(Mark::End);
+    membership
+}
+
+const PLAIN_ONLY: &str = "record/replay v1 drives Plain deployments only";
 
 /// Runs a [`Deployment::Plain`] scenario on the threaded runtime with a
 /// [`Recorder`] attached, producing a replayable [`Recording`] alongside
 /// the live run's oracle-checked report.
 ///
-/// The driver mirrors [`crate::run::execute`] — same setup, schedule,
-/// invocation loop, tail guard, and oracle pipeline — but every activity
-/// is bracketed in a region marker so replay can re-align on it. A hung
+/// This is [`crate::run::execute`]'s driver on another stage — same
+/// fleet, invocation loop, tail guard, and verdict — with every activity
+/// bracketed in a region marker so replay can re-align on it. A hung
 /// shutdown is reported as a violation and marks the recording
 /// truncated rather than hanging the caller.
 ///
@@ -347,202 +408,14 @@ fn run_schedule(
 /// the faultless prelude (collection creation, setup adds).
 pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
     if s.deployment != Deployment::Plain {
-        return Err("record/replay v1 drives Plain deployments only".into());
+        return Err(PLAIN_ONLY.into());
     }
-    let mut violations: Vec<String> = Vec::new();
-    let mut rt = ThreadedRuntime::<StoreMsg>::new(s.seed);
-    let rec = Recorder::new(s.seed);
-    rec.set_workload(s.to_ron());
-    rt.attach_recorder(rec.clone());
-    rt.events_mut().set_enabled(true);
-    // Black box for the live run: boundary crossings land in a bounded
-    // ring, dumped as a Perfetto-loadable trace only when something goes
-    // wrong (oracle violation here, hung shutdown inside the runtime).
-    let flight = FlightRecorder::new(4096)
-        .with_dump_path(std::env::temp_dir().join(format!("weakset-flight-{}.json", s.seed)));
-    rt.attach_flight_recorder(flight.clone());
-
-    let cn = rt.add_node("client");
-    let n = s.servers.max(1);
-    let servers: Vec<NodeId> = (0..n).map(|i| rt.add_node(format!("s{i}"))).collect();
-    for &server in &servers {
-        rt.install_service(server, Box::new(StoreServer::new()));
-    }
-    let client = StoreClient::new(cn, ms(50));
-    let config = IterConfig {
-        read_policy: s.read_policy,
-        fetch_order: s.fetch_order,
-        guard_growth: s.guard_growth,
-        ..IterConfig::default()
-    };
-    let cref = CollectionRef {
-        id: COLL,
-        home: servers[0],
-        replicas: servers[1..].to_vec(),
-    };
-    client
-        .create_collection(&mut rt, &cref)
-        .map_err(|e| format!("create_collection failed: {e:?}"))?;
-    let set = TestSet::One(WeakSet::new(client.clone(), cref.clone()).with_config(config));
-
-    for &(elem, home) in &s.setup {
-        rec.region(rt.now(), &setup_label(elem, home));
-        let obj = ObjectRecord::new(ObjectId(elem), format!("e{elem}"), &b"dst"[..]);
-        set.add(&mut rt, obj, servers[home % n])
-            .map_err(|e| format!("setup add failed: {e:?}"))?;
-    }
-
-    let schedule = build_schedule(s);
-    let mut next = 0usize;
-    let t0 = rt.now();
-    run_schedule(
-        &mut rt, &rec, &set, &servers, &schedule, &mut next, t0, s.start_ms, true,
-    );
-    let at_start = t0 + ms(s.start_ms);
-    let now = rt.now();
-    if now < at_start {
-        rt.sleep(at_start.saturating_since(now));
-    }
-    rec.region(rt.now(), "start");
-
-    let mut it = set.single().elements_observed(s.semantics);
-    let mut yielded: Vec<u64> = Vec::new();
-    let mut yielded_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut steps = 0usize;
-    let mut waits = 0usize;
-    let budget = s.budget.max(1);
-    loop {
-        let elapsed = rt.now().saturating_since(t0).as_millis();
-        run_schedule(
-            &mut rt, &rec, &set, &servers, &schedule, &mut next, t0, elapsed, false,
-        );
-
-        // Tail guard (see run::execute): when every current member has
-        // been yielded but membership is unreadable, wait for the
-        // self-healing fault instead of forcing an illegal terminal
-        // step. Driver-side omniscience; emits no region.
-        if matches!(s.semantics, Semantics::Optimistic | Semantics::GrowOnly) {
-            let members = run::ground_truth_members(&rt, s, &set);
-            let all_yielded = members.iter().all(|m| yielded_ids.contains(m));
-            if all_yielded && !run::all_membership_readable(&rt, s.read_policy, cn, &set) {
-                waits += 1;
-                if waits > MAX_WAITS {
-                    violations.push("driver wedged: membership never became readable".into());
-                    break;
-                }
-                rt.sleep(ms(5));
-                continue;
-            }
-        }
-
-        steps += 1;
-        rec.region(rt.now(), &format!("inv.{steps}"));
-        match it.next(&mut rt) {
-            IterStep::Yielded(obj) => {
-                waits = 0;
-                yielded.push(obj.id.0);
-                yielded_ids.insert(obj.id.0);
-                if yielded.len() >= budget {
-                    break;
-                }
-                rt.sleep(ms(s.think_ms));
-            }
-            IterStep::Done => break,
-            IterStep::Failed(f) => {
-                if s.semantics == Semantics::Optimistic {
-                    violations.push(format!("optimistic iterator signalled failure: {f}"));
-                }
-                break;
-            }
-            IterStep::Blocked => {
-                waits += 1;
-                if waits > MAX_WAITS {
-                    violations.push("driver wedged: iterator blocked past every heal".into());
-                    break;
-                }
-                rt.sleep(ms(5));
-            }
-        }
-        if steps > 4 * MAX_WAITS {
-            violations.push("driver wedged: invocation budget exhausted".into());
-            break;
-        }
-    }
-
-    // Drain the schedule so every fault heals and every op lands.
-    run_schedule(
-        &mut rt,
-        &rec,
-        &set,
-        &servers,
-        &schedule,
-        &mut next,
-        t0,
-        u64::MAX,
-        true,
-    );
-    let drained = t0 + ms(s.horizon_ms() + 60);
-    let now = rt.now();
-    if now < drained {
-        rt.sleep(drained.saturating_since(now));
-    }
-
-    rec.region(rt.now(), "members");
-    let mut membership: Vec<u64> = client
-        .read_members(&mut rt, &cref, s.read_policy)
-        .map(|m| m.entries.iter().map(|e| e.elem.0).collect())
-        .unwrap_or_default();
-    membership.sort_unstable();
-    rec.region(rt.now(), "end");
-
-    let mut computations: Vec<Computation> = it.take_computation(&rt).into_iter().collect();
-    if let Err(hung) = rt.shutdown(Duration::from_secs(10)) {
-        // The shutdown hook already marked the recording truncated.
-        violations.push(format!("threaded shutdown reported hung nodes: {hung:?}"));
-    }
-
-    if s.chaos == Chaos::PhantomYield {
-        run::inject_phantom_yield(computations.last_mut(), &mut violations);
-    }
-    if computations.is_empty() {
-        violations.push("observer produced no computation".into());
-    }
-    for comp in &computations {
-        violations.extend(oracle::check(s, comp));
-    }
-
-    // Report-only ledger: names any span a crashed or wedged activity
-    // left open, and counts them under `trace.unclosed_spans`.
-    let unclosed = rt.finish_spans();
-    if !unclosed.is_empty() {
-        eprintln!(
-            "record: {} span(s) left unclosed: {}",
-            unclosed.len(),
-            unclosed.join(", ")
-        );
-    }
-    if !violations.is_empty() && !flight.has_dumped() {
-        match flight.dump() {
-            Ok(path) => eprintln!("record: flight recorder dumped to {}", path.display()),
-            Err(e) => eprintln!("record: flight-recorder dump failed: {e}"),
-        }
-    }
-    let events = rt.events_mut().take_events();
-    let report = RunReport {
-        seed: s.seed,
-        trace_hash: 0, // real scheduling has no deterministic trace
-        yielded,
-        steps,
-        violations,
-        computations,
-        sim_time_us: rt.now().as_micros(),
-        metrics: Observe::metrics(&rt).clone(),
-        events,
-    };
+    let mut stage = Threads::new(s);
+    let report = drive(s, &mut stage)?;
     Ok(RecordedRun {
-        recording: rec.finish(),
+        recording: stage.rec.finish(),
         report,
-        membership,
+        membership: stage.membership,
     })
 }
 
@@ -557,23 +430,6 @@ fn is_matchable(ev: &RecEvent) -> bool {
     )
 }
 
-fn kind_name(ev: &RecEvent) -> &'static str {
-    match ev {
-        RecEvent::AddNode { .. } => "AddNode",
-        RecEvent::InstallService { .. } => "InstallService",
-        RecEvent::Region { .. } => "Region",
-        RecEvent::Rpc { .. } => "Rpc",
-        RecEvent::Send { .. } => "Send",
-        RecEvent::TookReply { .. } => "TookReply",
-        RecEvent::WaitAny { .. } => "WaitAny",
-        RecEvent::Sleep { .. } => "Sleep",
-        RecEvent::SpawnIn { .. } => "SpawnIn",
-        RecEvent::TimerFired { .. } => "TimerFired",
-        RecEvent::SetReachable { .. } => "SetReachable",
-        RecEvent::SetNodeUp { .. } => "SetNodeUp",
-    }
-}
-
 /// A [`Runtime`] that wraps the simulator and consumes a recording as
 /// the client code re-executes: transport calls are matched against the
 /// log (re-executed, substituted, or pinned), recorded fault transitions
@@ -582,6 +438,9 @@ fn kind_name(ev: &RecEvent) -> &'static str {
 struct ReplayRuntime {
     world: StoreWorld,
     rec: Recording,
+    /// The embedded workload's ops by region label: what an `op.` region
+    /// re-issues.
+    ops_by_label: HashMap<String, Op>,
     /// Cursor into `rec.entries`: everything before it has been
     /// consumed (replayed, applied, or skipped as informational).
     pos: usize,
@@ -592,6 +451,8 @@ struct ReplayRuntime {
     /// The cursor ran past the last entry (or up to a region boundary
     /// with nothing left) — meaningful together with `rec.truncated`.
     past_end: bool,
+    /// Final membership under the workload's read policy, sorted.
+    membership: Vec<u64>,
 }
 
 impl ReplayRuntime {
@@ -636,27 +497,6 @@ impl ReplayRuntime {
         }
     }
 
-    /// Advances the cursor to the next transport entry, applying fault
-    /// entries and skipping informational ones on the way. Stops (without
-    /// consuming) at a region marker — matching never crosses regions.
-    fn next_matchable(&mut self) -> Option<usize> {
-        loop {
-            if self.pos >= self.rec.entries.len() {
-                self.past_end = true;
-                return None;
-            }
-            let ev = self.rec.entries[self.pos].ev.clone();
-            match ev {
-                RecEvent::Region { .. } => return None,
-                ref m if is_matchable(m) => return Some(self.pos),
-                other => {
-                    self.apply_fault(&other);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
     /// Consumes fault/informational entries up to the next marker or
     /// transport entry, so transitions recorded at a region's head take
     /// effect before the driver issues its first call.
@@ -674,51 +514,78 @@ impl ReplayRuntime {
         }
     }
 
-    /// The next region marker's label, without consuming anything.
-    fn peek_region(&self) -> Option<String> {
+    /// The recorded counterpart of the live transport call `live`: the
+    /// region's next transport entry, consumed iff it is of the `kind`
+    /// the call needs — matching never crosses a region marker. A miss
+    /// is a divergence, except beyond a truncated log's end.
+    fn counterpart(
+        &mut self,
+        live: std::fmt::Arguments<'_>,
+        kind: fn(&RecEvent) -> bool,
+    ) -> Option<RecEvent> {
+        self.drain_passive();
+        let next = self.rec.entries.get(self.pos).map(|e| e.ev.clone());
+        match next.filter(is_matchable) {
+            Some(ev) if kind(&ev) => {
+                self.pos += 1;
+                Some(ev)
+            }
+            Some(other) => {
+                self.diverge(format!("live {live} does not match recorded {other:?}"));
+                None
+            }
+            None => {
+                if !self.off_log() {
+                    self.diverge(format!(
+                        "live {live} has no recorded counterpart before the next region"
+                    ));
+                }
+                None
+            }
+        }
+    }
+
+    /// Reports a live call whose endpoints or payload hash differ from
+    /// its recorded counterpart's.
+    fn check_call(&mut self, what: &str, live: (NodeId, NodeId, u64), recorded: (u32, u32, u64)) {
+        let (from, to, hash) = live;
+        let (rec_from, rec_to, rec_hash) = recorded;
+        if (rec_from, rec_to) != (from.0, to.0) {
+            self.diverge(format!(
+                "{what} endpoints diverge: live {from}->{to}, recorded {rec_from}->{rec_to}"
+            ));
+        }
+        if rec_hash != hash {
+            self.diverge(format!(
+                "{what} payload diverges ({from}->{to}): live {hash:#018x}, recorded {rec_hash:#018x}"
+            ));
+        }
+    }
+
+    /// The next region marker — its index and label — without consuming
+    /// anything.
+    fn next_region(&self) -> Option<(usize, &str)> {
         self.rec.entries[self.pos..]
             .iter()
-            .find_map(|e| match &e.ev {
-                RecEvent::Region { label } => Some(label.clone()),
+            .enumerate()
+            .find_map(|(i, e)| match &e.ev {
+                RecEvent::Region { label } => Some((self.pos + i, label.as_str())),
                 _ => None,
             })
     }
 
-    /// Re-aligns on the next region marker, which must carry `label`:
-    /// consumes through it (applying fault entries, reporting any
-    /// unreplayed transport entries), pins the virtual clock to the
-    /// marker's recorded timestamp, and applies the region's leading
-    /// passive entries. Returns whether alignment succeeded.
-    fn sync_region(&mut self, label: &str) -> bool {
-        let mut marker = None;
-        let mut skipped = 0usize;
-        for (j, e) in self.rec.entries.iter().enumerate().skip(self.pos) {
-            match &e.ev {
-                RecEvent::Region { .. } => {
-                    marker = Some(j);
-                    break;
-                }
-                ev if is_matchable(ev) => skipped += 1,
-                _ => {}
-            }
-        }
-        let Some(j) = marker else {
-            self.past_end = true;
-            if !self.rec.truncated {
-                self.diverge(format!("log ended before region '{label}'"));
-            }
-            return false;
-        };
-        let RecEvent::Region { label: got } = self.rec.entries[j].ev.clone() else {
-            unreachable!("marker index points at a Region entry");
-        };
-        if got != label {
-            self.diverge(format!("expected region '{label}', log has '{got}'"));
-            return false;
-        }
+    /// Re-aligns on the region marker at `j`: consumes through it
+    /// (applying fault entries, reporting any unreplayed transport
+    /// entries), pins the virtual clock to the marker's recorded
+    /// timestamp, and applies the region's leading passive entries.
+    fn enter_region(&mut self, j: usize) {
+        let skipped = self.rec.entries[self.pos..j]
+            .iter()
+            .filter(|e| is_matchable(&e.ev))
+            .count();
         if skipped > 0 {
             self.diverge(format!(
-                "{skipped} recorded call(s) before region '{label}' were not re-issued"
+                "{skipped} recorded call(s) before entry {j} were not re-issued"
             ));
         }
         while self.pos < j {
@@ -734,26 +601,106 @@ impl ReplayRuntime {
             self.world.run_until(at);
         }
         self.drain_passive();
-        true
+    }
+}
+
+/// The replay stage: nodes are the recorded roster, the schedule is
+/// whatever fault and op regions the log holds next, a mark re-aligns on
+/// the log's next region — and refuses the activity when the log has
+/// another or none — and the run closes by accounting for every entry
+/// the replay did not consume.
+impl Stage for ReplayRuntime {
+    fn rt(&mut self) -> &mut StoreRt {
+        self
     }
 
-    /// Consumes through the next marker unconditionally (for regions the
-    /// replayer does not recognize).
-    fn skip_region(&mut self) {
-        while self.pos < self.rec.entries.len() {
-            let at_us = self.rec.entries[self.pos].at_us;
-            let ev = self.rec.entries[self.pos].ev.clone();
-            self.apply_fault(&ev);
-            self.pos += 1;
-            if matches!(ev, RecEvent::Region { .. }) {
-                let at = SimTime::from_micros(at_us);
-                if self.world.now() < at {
-                    self.world.run_until(at);
+    fn nodes(&self) -> (NodeId, Vec<NodeId>) {
+        let n = self.rec.nodes.len() as u32;
+        (NodeId(0), (1..n).map(NodeId).collect())
+    }
+
+    fn mark(&mut self, mark: Mark<'_>) -> bool {
+        let want = mark.to_string();
+        match self.next_region() {
+            Some((j, got)) if got == want => {
+                self.enter_region(j);
+                true
+            }
+            Some((_, got)) => {
+                let detail = format!("expected region '{want}', log has '{got}'");
+                self.diverge(detail);
+                false
+            }
+            None => {
+                // A truncated log's missing tail is expected; replay runs
+                // its completed prefix.
+                if !self.rec.truncated {
+                    self.diverge(format!("log ends before region '{want}'"));
                 }
-                return;
+                self.past_end = true;
+                false
             }
         }
-        self.past_end = true;
+    }
+
+    fn origin(&mut self) {}
+
+    /// The log is the schedule: re-issues every fault and op region up to
+    /// the next region of another kind, wherever the clock stands.
+    fn advance(&mut self, fleet: &Fleet, _: Option<u64>) {
+        while let Some((j, label)) = self.next_region() {
+            let is_op = label.starts_with("op.");
+            if !is_op && !label.starts_with("fault.") {
+                break;
+            }
+            let op = self.ops_by_label.get(label).copied();
+            let unknown = (is_op && op.is_none())
+                .then(|| format!("recorded op region '{label}' is not in the workload"));
+            self.enter_region(j);
+            if let Some(op) = op {
+                fleet.apply_op(self, op);
+            }
+            if let Some(detail) = unknown {
+                self.diverge(detail);
+            }
+        }
+    }
+
+    fn settle(&mut self, fleet: &Fleet) {
+        self.membership = final_membership(self, fleet);
+        // Anything still unconsumed means the replay issued fewer calls
+        // than the live run — a divergence unless the log is truncated.
+        let leftover = self.rec.entries[self.pos..]
+            .iter()
+            .filter(|e| is_matchable(&e.ev))
+            .count();
+        if leftover > 0 && !self.rec.truncated {
+            self.diverge(format!(
+                "{leftover} recorded call(s) were never re-issued by the replay"
+            ));
+        }
+        self.world.run_to_quiescence();
+    }
+
+    fn close(&mut self, _: &mut Vec<String>) -> Closed {
+        let consumed = self.pos as u64;
+        self.world
+            .metrics_mut()
+            .add(names::ENTRIES_CONSUMED, consumed);
+        let at = self.world.now().as_micros();
+        let unclosed = self.world.events_mut().finish(at);
+        if !unclosed.is_empty() {
+            self.diverge(format!(
+                "{} span(s) left open at end of replay",
+                unclosed.len()
+            ));
+        }
+        Closed {
+            trace_hash: self.world.trace_hash(),
+            sim_time_us: at,
+            metrics: std::mem::take(self.world.metrics_mut()),
+            events: self.world.events_mut().take_events(),
+        }
     }
 }
 
@@ -814,41 +761,23 @@ impl Transport<StoreMsg> for ReplayRuntime {
         msg: StoreMsg,
         timeout: SimDuration,
     ) -> Result<StoreMsg, NetError> {
-        let req = hash_debug(&msg);
-        let Some(i) = self.next_matchable() else {
-            if !self.off_log() {
-                self.diverge(format!(
-                    "live rpc {from}->{to} has no recorded counterpart before the next region"
-                ));
-            }
-            return self.world.rpc(from, to, msg, timeout);
-        };
-        let entry = self.rec.entries[i].ev.clone();
-        let RecEvent::Rpc {
+        let Some(RecEvent::Rpc {
             from: rec_from,
             to: rec_to,
             req_hash,
             outcome,
             elapsed_us,
-        } = entry
+        }) = self.counterpart(format_args!("rpc {from}->{to}"), |e| {
+            matches!(e, RecEvent::Rpc { .. })
+        })
         else {
-            self.diverge(format!(
-                "live rpc {from}->{to} does not match recorded {}",
-                kind_name(&entry)
-            ));
             return self.world.rpc(from, to, msg, timeout);
         };
-        self.pos = i + 1;
-        if (rec_from, rec_to) != (from.0, to.0) {
-            self.diverge(format!(
-                "rpc endpoints diverge: live {from}->{to}, recorded {rec_from}->{rec_to}"
-            ));
-        }
-        if req_hash != req {
-            self.diverge(format!(
-                "rpc request payload diverges ({from}->{to}): live {req:#018x}, recorded {req_hash:#018x}"
-            ));
-        }
+        self.check_call(
+            "rpc request",
+            (from, to, hash_debug(&msg)),
+            (rec_from, rec_to, req_hash),
+        );
         match outcome {
             RecOutcome::Ok { reply_hash } => {
                 self.world.metrics_mut().incr(names::RPC_REPLAYED);
@@ -882,38 +811,22 @@ impl Transport<StoreMsg> for ReplayRuntime {
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: StoreMsg) -> ReplyToken {
-        let req = hash_debug(&msg);
-        let Some(i) = self.next_matchable() else {
-            if !self.off_log() {
-                self.diverge(format!(
-                    "live send {from}->{to} has no recorded counterpart before the next region"
-                ));
-            }
-            return self.world.send(from, to, msg);
-        };
-        let entry = self.rec.entries[i].ev.clone();
-        let RecEvent::Send {
+        let Some(RecEvent::Send {
             from: rec_from,
             to: rec_to,
             req_hash,
             token,
-        } = entry
+        }) = self.counterpart(format_args!("send {from}->{to}"), |e| {
+            matches!(e, RecEvent::Send { .. })
+        })
         else {
-            self.diverge(format!(
-                "live send {from}->{to} does not match recorded {}",
-                kind_name(&entry)
-            ));
             return self.world.send(from, to, msg);
         };
-        self.pos = i + 1;
-        if (rec_from, rec_to) != (from.0, to.0) {
-            self.diverge(format!(
-                "send endpoints diverge: live {from}->{to}, recorded {rec_from}->{rec_to}"
-            ));
-        }
-        if req_hash != req {
-            self.diverge(format!("send payload diverges ({from}->{to})"));
-        }
+        self.check_call(
+            "send",
+            (from, to, hash_debug(&msg)),
+            (rec_from, rec_to, req_hash),
+        );
         let sim = self.world.send(from, to, msg);
         self.token_map.insert(token, sim);
         sim
@@ -936,23 +849,13 @@ impl Transport<StoreMsg> for ReplayRuntime {
     }
 
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
-        let Some(i) = self.next_matchable() else {
-            if !self.off_log() {
-                self.diverge(
-                    "live wait_any has no recorded counterpart before the next region".to_string(),
-                );
-            }
+        let Some(RecEvent::WaitAny { winner, elapsed_us }) = self
+            .counterpart(format_args!("wait_any"), |e| {
+                matches!(e, RecEvent::WaitAny { .. })
+            })
+        else {
             return self.world.wait_any(tokens, deadline);
         };
-        let entry = self.rec.entries[i].ev.clone();
-        let RecEvent::WaitAny { winner, elapsed_us } = entry else {
-            self.diverge(format!(
-                "live wait_any does not match recorded {}",
-                kind_name(&entry)
-            ));
-            return self.world.wait_any(tokens, deadline);
-        };
-        self.pos = i + 1;
         match winner {
             Some(raw) => match self.token_map.get(&raw).copied() {
                 Some(sim_tok) if tokens.contains(&sim_tok) => {
@@ -1045,10 +948,6 @@ impl Spawner<StoreMsg> for ReplayRuntime {
     }
 }
 
-// ---------------------------------------------------------------------
-// Replay driver (simulated backend)
-// ---------------------------------------------------------------------
-
 /// Replays a recording through the deterministic simulator and checks
 /// the conformance oracles over the replayed computation.
 ///
@@ -1061,12 +960,13 @@ impl Spawner<StoreMsg> for ReplayRuntime {
 ///
 /// # Errors
 ///
-/// An unparsable embedded workload, a non-`Plain` deployment, or a node
-/// roster that does not fit the workload.
+/// An unparsable embedded workload, a non-`Plain` deployment, a node
+/// roster that does not fit the workload, or a prelude (collection
+/// creation, setup adds) the log does not let succeed.
 pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
     let s = Scenario::from_ron(&rec.workload).map_err(|e| format!("embedded workload: {e}"))?;
     if s.deployment != Deployment::Plain {
-        return Err("record/replay v1 drives Plain deployments only".into());
+        return Err(PLAIN_ONLY.into());
     }
     let n = s.servers.max(1);
     if rec.nodes.len() != n + 1 {
@@ -1078,222 +978,37 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
     }
 
     // Rebuild the fleet in recorded creation order, so node ids match
-    // the raw ids in the log.
+    // the raw ids in the log (client 0, servers after it).
     let mut t = Topology::new();
-    let ids: Vec<NodeId> = rec
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, name)| t.add_node(name.clone(), i as u32))
-        .collect();
-    let cn = ids[0];
-    let servers: Vec<NodeId> = ids[1..].to_vec();
+    for (i, name) in rec.nodes.iter().enumerate() {
+        t.add_node(name.clone(), i as u32);
+    }
     let mut world = StoreWorld::new(
         WorldConfig::seeded(rec.seed),
         t,
         LatencyModel::Constant(ms(1)),
     );
     world.events_mut().set_enabled(true);
-    for &server in &servers {
-        world.install_service(server, Box::new(StoreServer::new()));
-    }
-    let mut rt = ReplayRuntime {
+    let mut stage = ReplayRuntime {
         world,
         rec: rec.clone(),
+        ops_by_label: s
+            .ops
+            .iter()
+            .map(|o| (Mark::Op(o).to_string(), *o))
+            .collect(),
         pos: 0,
         token_map: HashMap::new(),
         divergences: Vec::new(),
         past_end: false,
+        membership: Vec::new(),
     };
-
-    let mut violations: Vec<String> = Vec::new();
-    let client = StoreClient::new(cn, ms(50));
-    let config = IterConfig {
-        read_policy: s.read_policy,
-        fetch_order: s.fetch_order,
-        guard_growth: s.guard_growth,
-        ..IterConfig::default()
-    };
-    let cref = CollectionRef {
-        id: COLL,
-        home: servers[0],
-        replicas: servers[1..].to_vec(),
-    };
-    // The prelude's rpcs are the first matchable entries in the log.
-    if let Err(e) = client.create_collection(&mut rt, &cref) {
-        rt.diverge(format!("create_collection failed on replay: {e:?}"));
-    }
-    let set = TestSet::One(WeakSet::new(client.clone(), cref.clone()).with_config(config));
-
-    let ops_by_label: HashMap<String, Op> = s.ops.iter().map(|o| (op_label(o), *o)).collect();
-
-    let mut halted = false;
-    for &(elem, home) in &s.setup {
-        let label = setup_label(elem, home);
-        match rt.peek_region() {
-            Some(l) if l == label => {
-                rt.sync_region(&label);
-                let obj = ObjectRecord::new(ObjectId(elem), format!("e{elem}"), &b"dst"[..]);
-                let _ = set.add(&mut rt, obj, servers[home % n]);
-            }
-            Some(other) => {
-                rt.diverge(format!(
-                    "expected setup region '{label}', log has '{other}'"
-                ));
-                rt.skip_region();
-            }
-            None => {
-                if !rec.truncated {
-                    rt.diverge(format!("log ends before setup region '{label}'"));
-                }
-                halted = true;
-                break;
-            }
-        }
-    }
-
-    // Pre-start schedule: ops and fault transitions the live driver
-    // applied before iteration began, in log order.
-    while !halted {
-        match rt.peek_region() {
-            None => {
-                if !rec.truncated {
-                    rt.diverge("log ends before the start region".to_string());
-                }
-                halted = true;
-            }
-            Some(l) if l == "start" => {
-                rt.sync_region("start");
-                break;
-            }
-            Some(l) if l.starts_with("fault.") => {
-                rt.sync_region(&l);
-            }
-            Some(l) if l.starts_with("op.") => {
-                rt.sync_region(&l);
-                match ops_by_label.get(&l) {
-                    Some(&op) => run::apply_op(&mut rt, &set, &servers, op),
-                    None => rt.diverge(format!("recorded op region '{l}' is not in the workload")),
-                }
-            }
-            Some(l) => {
-                rt.diverge(format!("unexpected region '{l}' before start"));
-                rt.skip_region();
-            }
-        }
-    }
-
-    let mut it = set.single().elements_observed(s.semantics);
-    let mut yielded: Vec<u64> = Vec::new();
-    let mut steps = 0usize;
-    loop {
-        if halted {
-            break;
-        }
-        match rt.peek_region() {
-            None => break,
-            Some(l) if l == "members" || l == "end" => break,
-            Some(l) if l.starts_with("fault.") => {
-                rt.sync_region(&l);
-            }
-            Some(l) if l.starts_with("op.") => {
-                rt.sync_region(&l);
-                match ops_by_label.get(&l) {
-                    Some(&op) => run::apply_op(&mut rt, &set, &servers, op),
-                    None => rt.diverge(format!("recorded op region '{l}' is not in the workload")),
-                }
-            }
-            Some(l) if l.starts_with("inv.") => {
-                rt.sync_region(&l);
-                steps += 1;
-                match it.next(&mut rt) {
-                    IterStep::Yielded(obj) => {
-                        yielded.push(obj.id.0);
-                        rt.sleep(ms(s.think_ms));
-                    }
-                    IterStep::Done => {}
-                    IterStep::Failed(f) => {
-                        if s.semantics == Semantics::Optimistic {
-                            violations.push(format!("optimistic iterator signalled failure: {f}"));
-                        }
-                    }
-                    IterStep::Blocked => rt.sleep(ms(5)),
-                }
-            }
-            Some(l) => {
-                rt.diverge(format!("unexpected region '{l}'"));
-                rt.skip_region();
-            }
-        }
-    }
-
-    let mut membership: Vec<u64> = Vec::new();
-    if rt.peek_region().as_deref() == Some("members") {
-        rt.sync_region("members");
-        membership = client
-            .read_members(&mut rt, &cref, s.read_policy)
-            .map(|m| m.entries.iter().map(|e| e.elem.0).collect())
-            .unwrap_or_default();
-        membership.sort_unstable();
-    } else if !rec.truncated {
-        rt.diverge("log ended without a members region".to_string());
-    }
-    if rt.peek_region().as_deref() == Some("end") {
-        rt.sync_region("end");
-    } else if !rec.truncated {
-        rt.diverge("log ended without an end region".to_string());
-    }
-
-    // Anything still unconsumed means the replay issued fewer calls
-    // than the live run — a divergence unless the log is truncated.
-    let leftover = rt.rec.entries[rt.pos..]
-        .iter()
-        .filter(|e| is_matchable(&e.ev))
-        .count();
-    if leftover > 0 && !rt.rec.truncated {
-        rt.diverge(format!(
-            "{leftover} recorded call(s) were never re-issued by the replay"
-        ));
-    }
-
-    rt.world.run_to_quiescence();
-    let mut computations: Vec<Computation> = it.take_computation(&rt).into_iter().collect();
-    if s.chaos == Chaos::PhantomYield {
-        run::inject_phantom_yield(computations.last_mut(), &mut violations);
-    }
-    if computations.is_empty() {
-        violations.push("observer produced no computation".into());
-    }
-    for comp in &computations {
-        violations.extend(oracle::check(&s, comp));
-    }
-
-    let consumed = rt.pos as u64;
-    rt.world
-        .metrics_mut()
-        .add(names::ENTRIES_CONSUMED, consumed);
-    let at = rt.world.now().as_micros();
-    let unclosed = rt.world.events_mut().finish(at);
-    if !unclosed.is_empty() {
-        let detail = format!("{} span(s) left open at end of replay", unclosed.len());
-        rt.diverge(detail);
-    }
-    let events = rt.world.events_mut().take_events();
-    let report = RunReport {
-        seed: rec.seed,
-        trace_hash: rt.world.trace_hash(),
-        yielded,
-        steps,
-        violations,
-        computations,
-        sim_time_us: rt.world.now().as_micros(),
-        metrics: rt.world.metrics().clone(),
-        events,
-    };
+    let mut report = drive(&s, &mut stage)?;
+    report.seed = rec.seed;
     Ok(ReplayReport {
         report,
-        membership,
-        divergences: rt.divergences,
+        membership: stage.membership,
+        divergences: stage.divergences,
     })
 }
 
@@ -1303,10 +1018,7 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
 
 /// Removes every region whose marker carries one of `labels`: the
 /// marker and everything after it up to the next marker.
-fn remove_regions(
-    entries: &[weakset_runtime::record::RecEntry],
-    labels: &[String],
-) -> Vec<weakset_runtime::record::RecEntry> {
+fn remove_regions(entries: &[RecEntry], labels: &[String]) -> Vec<RecEntry> {
     let mut out = Vec::new();
     let mut dropping = false;
     for e in entries {
@@ -1320,43 +1032,20 @@ fn remove_regions(
     out
 }
 
-#[derive(Clone, Copy)]
-enum Field {
-    Faults,
-    Ops,
-    Setup,
-}
-
-fn field_len(s: &Scenario, field: Field) -> usize {
-    match field {
-        Field::Faults => s.faults.len(),
-        Field::Ops => s.ops.len(),
-        Field::Setup => s.setup.len(),
-    }
-}
-
 /// Drops workload item `i` of `field` from both the scenario and the
 /// recording: the item leaves the embedded workload, and its regions
 /// (by intrinsic label) leave the log.
-fn drop_item(rec: &Recording, s: &Scenario, field: Field, i: usize) -> (Recording, Scenario) {
-    let mut s2 = s.clone();
+fn drop_item((rec, s): &(Recording, Scenario), field: Field, i: usize) -> (Recording, Scenario) {
     let labels: Vec<String> = match field {
-        Field::Faults => {
-            let f = s2.faults.remove(i);
-            expand_one(&f, s2.servers.max(1))
-                .into_iter()
-                .map(|t| t.label)
-                .collect()
-        }
-        Field::Ops => {
-            let o = s2.ops.remove(i);
-            vec![op_label(&o)]
-        }
-        Field::Setup => {
-            let (elem, home) = s2.setup.remove(i);
-            vec![setup_label(elem, home)]
-        }
+        Field::Faults => expand_one(&s.faults[i], s.servers.max(1))
+            .into_iter()
+            .map(|t| t.label)
+            .collect(),
+        Field::Ops => vec![Mark::Op(&s.ops[i]).to_string()],
+        Field::Setup => vec![Mark::Setup(s.setup[i].0, s.setup[i].1).to_string()],
     };
+    let mut s2 = s.clone();
+    field.remove(&mut s2, i);
     let mut r2 = rec.clone();
     r2.workload = s2.to_ron();
     r2.entries = remove_regions(&rec.entries, &labels);
@@ -1370,42 +1059,14 @@ fn drop_item(rec: &Recording, s: &Scenario, field: Field, i: usize) -> (Recordin
 /// replays spent. A non-violating (or unparsable) input is returned
 /// unchanged.
 pub fn shrink_recording(rec: &Recording) -> (Recording, usize) {
-    let mut execs = 0usize;
-    let violating = |r: &Recording, execs: &mut usize| -> bool {
-        *execs += 1;
-        replay_recording(r)
-            .map(|rep| !rep.report.violations.is_empty())
-            .unwrap_or(false)
-    };
-    let mut best = rec.clone();
-    if !violating(&best, &mut execs) {
-        return (best, execs);
+    let violates =
+        |r: &Recording| replay_recording(r).is_ok_and(|rep| !rep.report.violations.is_empty());
+    if !violates(rec) {
+        return (rec.clone(), 1);
     }
-    let Ok(mut s) = Scenario::from_ron(&best.workload) else {
-        return (best, execs);
-    };
-    loop {
-        let mut progressed = false;
-        for field in [Field::Faults, Field::Ops, Field::Setup] {
-            let mut i = 0usize;
-            while i < field_len(&s, field) {
-                if execs >= MAX_EXECUTIONS {
-                    return (best, execs);
-                }
-                let (cand_rec, cand_s) = drop_item(&best, &s, field, i);
-                if violating(&cand_rec, &mut execs) {
-                    best = cand_rec;
-                    s = cand_s;
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if !progressed {
-            return (best, execs);
-        }
-    }
+    let s = Scenario::from_ron(&rec.workload).expect("a recording that replays has a workload");
+    let ((best, _), execs) = shrink_by((rec.clone(), s), |c| &c.1, drop_item, |c| violates(&c.0));
+    (best, execs + 1)
 }
 
 // ---------------------------------------------------------------------
@@ -1445,7 +1106,8 @@ pub fn load_recording(path: &Path) -> Result<Recording, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weakset_runtime::record::RecEntry;
+    use crate::scenario::Chaos;
+    use weakset::prelude::Semantics;
     use weakset_store::prelude::ReadPolicy;
 
     #[test]
@@ -1542,9 +1204,9 @@ mod tests {
         };
         let sched = build_schedule(&s);
         assert_eq!(sched.len(), 3); // down, up, add
-        assert!(matches!(&sched[0], SchedItem::Trans(t) if t.at_ms == 5));
-        assert!(matches!(&sched[1], SchedItem::Op(_)));
-        assert!(matches!(&sched[2], SchedItem::Trans(t) if t.at_ms == 8));
+        assert!(matches!(&sched[0], (5, SchedItem::Trans(_))));
+        assert!(matches!(&sched[1], (5, SchedItem::Op(_))));
+        assert!(matches!(&sched[2], (8, SchedItem::Trans(_))));
     }
 
     #[test]
@@ -1589,10 +1251,10 @@ mod tests {
             home: 1,
         };
         let rm = Op::Remove { at_ms: 7, elem: 3 };
-        assert_eq!(op_label(&add), "op.7.add.3.1");
-        assert_eq!(op_label(&rm), "op.7.rm.3");
-        assert_ne!(op_label(&add), op_label(&rm));
-        assert_eq!(setup_label(3, 1), "setup.3.1");
+        assert_eq!(Mark::Op(&add).to_string(), "op.7.add.3.1");
+        assert_eq!(Mark::Op(&rm).to_string(), "op.7.rm.3");
+        assert_eq!(Mark::Setup(3, 1).to_string(), "setup.3.1");
+        assert_eq!(Mark::Inv(12).to_string(), "inv.12");
     }
 
     #[test]
@@ -1660,5 +1322,55 @@ mod tests {
         };
         // 1 node recorded, workload needs client + 2 servers.
         assert!(replay_recording(&rec).unwrap_err().contains("node"));
+    }
+
+    /// The fleet builder is the driver's, not a stage's, so the threaded
+    /// stage runs every deployment — oracle on — even though
+    /// `record_scenario` still refuses the ones replay v1 cannot re-drive.
+    #[test]
+    fn quiet_sharded_and_gossip_runs_conform_on_threads() {
+        let gossip = Deployment::Gossip {
+            grow_only: false,
+            merkle: false,
+        };
+        for (deployment, servers, semantics, read_policy, computations) in [
+            (
+                Deployment::Sharded { shards: 2 },
+                4,
+                Semantics::Snapshot,
+                ReadPolicy::Quorum,
+                2,
+            ),
+            (gossip, 3, Semantics::Optimistic, ReadPolicy::Leaderless, 1),
+        ] {
+            let s = Scenario {
+                seed: 0x7EAD,
+                servers,
+                deployment,
+                semantics,
+                read_policy,
+                guard_growth: false,
+                fetch_order: weakset::prelude::FetchOrder::IdOrder,
+                think_ms: 1,
+                budget: 16,
+                start_ms: 60,
+                setup: (1..=6).map(|i| (i, i as usize - 1)).collect(),
+                ops: vec![Op::Add {
+                    at_ms: 5,
+                    elem: 7,
+                    home: 2,
+                }],
+                faults: vec![],
+                chaos: Chaos::None,
+            };
+            let mut stage = Threads::new(&s);
+            let report = drive(&s, &mut stage).expect("faultless prelude");
+            assert_eq!(report.violations, Vec::<String>::new(), "{deployment:?}");
+            assert_eq!(report.computations.len(), computations, "{deployment:?}");
+            let mut yielded = report.yielded;
+            yielded.sort_unstable();
+            assert_eq!(yielded, (1..=7).collect::<Vec<u64>>(), "{deployment:?}");
+            assert_eq!(stage.membership, yielded, "{deployment:?}");
+        }
     }
 }

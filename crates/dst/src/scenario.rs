@@ -12,7 +12,9 @@
 //! indices* (0-based, primary is server 0), not simulator `NodeId`s, so
 //! an artifact stays meaningful on its own.
 
+use std::fmt::Write as _;
 use weakset::prelude::{FetchOrder, Semantics};
+use weakset_obs::ron::{Parser, Tok};
 use weakset_store::prelude::ReadPolicy;
 
 /// How the servers are deployed.
@@ -191,32 +193,56 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------------
-// Serialization (RON-like, hand-rolled)
+// Serialization (the `weakset_obs::ron` dialect, written by hand)
 // ---------------------------------------------------------------------
 
-fn semantics_name(s: Semantics) -> &'static str {
-    match s {
-        Semantics::Snapshot => "Snapshot",
-        Semantics::GrowOnly => "GrowOnly",
-        Semantics::Optimistic => "Optimistic",
-        Semantics::Locked => "Locked",
-    }
+/// The artifact spelling of each plain enum, used in both directions.
+const SEMANTICS: [(&str, Semantics); 4] = [
+    ("Snapshot", Semantics::Snapshot),
+    ("GrowOnly", Semantics::GrowOnly),
+    ("Optimistic", Semantics::Optimistic),
+    ("Locked", Semantics::Locked),
+];
+const POLICIES: [(&str, ReadPolicy); 5] = [
+    ("Primary", ReadPolicy::Primary),
+    ("Any", ReadPolicy::Any),
+    ("Quorum", ReadPolicy::Quorum),
+    ("Leaderless", ReadPolicy::Leaderless),
+    ("CausalSession", ReadPolicy::CausalSession),
+];
+const ORDERS: [(&str, FetchOrder); 2] = [
+    ("ClosestFirst", FetchOrder::ClosestFirst),
+    ("IdOrder", FetchOrder::IdOrder),
+];
+const CHAOS: [(&str, Chaos); 2] = [("None", Chaos::None), ("PhantomYield", Chaos::PhantomYield)];
+
+fn name_of<T: PartialEq>(table: &[(&'static str, T)], v: T) -> &'static str {
+    let (name, _) = table
+        .iter()
+        .find(|(_, t)| *t == v)
+        .expect("every variant is spelled in its table");
+    name
 }
 
-fn policy_name(p: ReadPolicy) -> &'static str {
-    match p {
-        ReadPolicy::Primary => "Primary",
-        ReadPolicy::Any => "Any",
-        ReadPolicy::Quorum => "Quorum",
-        ReadPolicy::Leaderless => "Leaderless",
-        ReadPolicy::CausalSession => "CausalSession",
-    }
+/// `field: <Name>,` looked up in `table`.
+fn named<T: Copy>(p: &mut Parser, field: &str, table: &[(&str, T)]) -> Result<T, String> {
+    p.key(field)?;
+    let got = p.ident()?;
+    p.expect(Tok::Comma)?;
+    table
+        .iter()
+        .find(|(name, _)| *name == got)
+        .map(|&(_, v)| v)
+        .ok_or_else(|| format!("unknown {field} '{got}'"))
 }
 
-fn order_name(o: FetchOrder) -> &'static str {
-    match o {
-        FetchOrder::ClosestFirst => "ClosestFirst",
-        FetchOrder::IdOrder => "IdOrder",
+/// Writes `items` comma-separated.
+fn join<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, it);
     }
 }
 
@@ -224,93 +250,73 @@ impl Scenario {
     /// Renders the scenario in its artifact text form.
     pub fn to_ron(&self) -> String {
         let mut s = String::new();
-        s.push_str("Scenario(\n");
-        s.push_str(&format!("    seed: {},\n", self.seed));
-        s.push_str(&format!("    servers: {},\n", self.servers));
+        // Writing to a `String` cannot fail.
+        let _ = self.write_ron(&mut s);
+        s
+    }
+
+    fn write_ron(&self, s: &mut String) -> std::fmt::Result {
+        writeln!(s, "Scenario(\n    seed: {},", self.seed)?;
+        writeln!(s, "    servers: {},", self.servers)?;
         match self.deployment {
-            Deployment::Plain => s.push_str("    deployment: Plain,\n"),
-            Deployment::Gossip { grow_only, merkle } => {
-                // `merkle: true` is appended only when set, so artifacts
-                // written before the field existed stay byte-identical.
-                if merkle {
-                    s.push_str(&format!(
-                        "    deployment: Gossip(grow_only: {grow_only}, merkle: true),\n"
-                    ));
-                } else {
-                    s.push_str(&format!(
-                        "    deployment: Gossip(grow_only: {grow_only}),\n"
-                    ));
-                }
+            Deployment::Plain => writeln!(s, "    deployment: Plain,")?,
+            // `merkle: true` is appended only when set, so artifacts
+            // written before the field existed stay byte-identical.
+            Deployment::Gossip {
+                grow_only,
+                merkle: true,
+            } => writeln!(
+                s,
+                "    deployment: Gossip(grow_only: {grow_only}, merkle: true),"
+            )?,
+            Deployment::Gossip { grow_only, .. } => {
+                writeln!(s, "    deployment: Gossip(grow_only: {grow_only}),")?
             }
             Deployment::Sharded { shards } => {
-                s.push_str(&format!("    deployment: Sharded(shards: {shards}),\n"));
+                writeln!(s, "    deployment: Sharded(shards: {shards}),")?
             }
         }
-        s.push_str(&format!(
-            "    semantics: {},\n",
-            semantics_name(self.semantics)
-        ));
-        s.push_str(&format!(
-            "    read_policy: {},\n",
-            policy_name(self.read_policy)
-        ));
-        s.push_str(&format!("    guard_growth: {},\n", self.guard_growth));
-        s.push_str(&format!(
-            "    fetch_order: {},\n",
-            order_name(self.fetch_order)
-        ));
-        s.push_str(&format!("    think_ms: {},\n", self.think_ms));
-        s.push_str(&format!("    budget: {},\n", self.budget));
-        s.push_str(&format!("    start_ms: {},\n", self.start_ms));
+        let semantics = name_of(&SEMANTICS, self.semantics);
+        writeln!(s, "    semantics: {semantics},")?;
+        let policy = name_of(&POLICIES, self.read_policy);
+        writeln!(s, "    read_policy: {policy},")?;
+        writeln!(s, "    guard_growth: {},", self.guard_growth)?;
+        let order = name_of(&ORDERS, self.fetch_order);
+        writeln!(s, "    fetch_order: {order},")?;
+        writeln!(s, "    think_ms: {},", self.think_ms)?;
+        writeln!(s, "    budget: {},", self.budget)?;
+        writeln!(s, "    start_ms: {},", self.start_ms)?;
         s.push_str("    setup: [");
-        for (i, (elem, home)) in self.setup.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("({elem}, {home})"));
-        }
+        join(s, &self.setup, |s, (elem, home)| {
+            let _ = write!(s, "({elem}, {home})");
+        });
         s.push_str("],\n    ops: [");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            match *op {
+        join(s, &self.ops, |s, op| {
+            let _ = match *op {
                 Op::Add { at_ms, elem, home } => {
-                    s.push_str(&format!("Add(at_ms: {at_ms}, elem: {elem}, home: {home})"));
+                    write!(s, "Add(at_ms: {at_ms}, elem: {elem}, home: {home})")
                 }
-                Op::Remove { at_ms, elem } => {
-                    s.push_str(&format!("Remove(at_ms: {at_ms}, elem: {elem})"));
-                }
-            }
-        }
+                Op::Remove { at_ms, elem } => write!(s, "Remove(at_ms: {at_ms}, elem: {elem})"),
+            };
+        });
         s.push_str("],\n    faults: [");
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            match f {
+        join(s, &self.faults, |s, f| {
+            let _ = match f {
                 FaultSpec::Outage {
                     at_ms,
                     node,
                     for_ms,
-                } => {
-                    s.push_str(&format!(
-                        "Outage(at_ms: {at_ms}, node: {node}, for_ms: {for_ms})"
-                    ));
-                }
+                } => write!(s, "Outage(at_ms: {at_ms}, node: {node}, for_ms: {for_ms})"),
                 FaultSpec::Partition {
                     at_ms,
                     side,
                     for_ms,
                 } => {
-                    s.push_str(&format!("Partition(at_ms: {at_ms}, side: ["));
-                    for (j, n) in side.iter().enumerate() {
-                        if j > 0 {
-                            s.push_str(", ");
-                        }
-                        s.push_str(&n.to_string());
-                    }
-                    s.push_str(&format!("], for_ms: {for_ms})"));
+                    let _ = write!(s, "Partition(at_ms: {at_ms}, side: [");
+                    join(s, side, |s, n| {
+                        let _ = write!(s, "{n}");
+                    });
+                    write!(s, "], for_ms: {for_ms})")
                 }
                 FaultSpec::Flap {
                     at_ms,
@@ -319,20 +325,13 @@ impl Scenario {
                     down_ms,
                     up_ms,
                     cycles,
-                } => {
-                    s.push_str(&format!(
-                        "Flap(at_ms: {at_ms}, a: {a}, b: {b}, down_ms: {down_ms}, up_ms: {up_ms}, cycles: {cycles})"
-                    ));
-                }
-            }
-        }
-        s.push_str("],\n");
-        match self.chaos {
-            Chaos::None => s.push_str("    chaos: None,\n"),
-            Chaos::PhantomYield => s.push_str("    chaos: PhantomYield,\n"),
-        }
-        s.push_str(")\n");
-        s
+                } => write!(
+                    s,
+                    "Flap(at_ms: {at_ms}, a: {a}, b: {b}, down_ms: {down_ms}, up_ms: {up_ms}, cycles: {cycles})"
+                ),
+            };
+        });
+        writeln!(s, "],\n    chaos: {},\n)", name_of(&CHAOS, self.chaos))
     }
 
     /// Parses the artifact text form. Fields must appear in the order
@@ -342,415 +341,132 @@ impl Scenario {
     ///
     /// Returns a human-readable description of the first syntax problem.
     pub fn from_ron(text: &str) -> Result<Scenario, String> {
-        let tokens = tokenize(text)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let s = p.scenario()?;
+        let mut p = Parser::new(text)?;
+        let s = scenario(&mut p)?;
         p.expect_end()?;
         Ok(s)
     }
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Num(u64),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Comma,
-    Colon,
+fn deployment(p: &mut Parser) -> Result<Deployment, String> {
+    match p.ident()?.as_str() {
+        "Plain" => Ok(Deployment::Plain),
+        "Gossip" => p.parens(|p| {
+            let grow_only = p.bool_key("grow_only")?;
+            let merkle = p.eat(&Tok::Comma) && p.bool_key("merkle")?;
+            Ok(Deployment::Gossip { grow_only, merkle })
+        }),
+        "Sharded" => p.parens(|p| match p.num_key("shards")? as usize {
+            0 => Err("shards must be at least 1".into()),
+            shards => Ok(Deployment::Sharded { shards }),
+        }),
+        other => Err(format!("unknown deployment '{other}'")),
+    }
 }
 
-fn tokenize(text: &str) -> Result<Vec<Tok>, String> {
-    let mut out = Vec::new();
-    let mut chars = text.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                chars.next();
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for nc in chars.by_ref() {
-                        if nc == '\n' {
-                            break;
-                        }
-                    }
-                } else {
-                    return Err("stray '/'".into());
-                }
-            }
-            '(' => {
-                chars.next();
-                out.push(Tok::LParen);
-            }
-            ')' => {
-                chars.next();
-                out.push(Tok::RParen);
-            }
-            '[' => {
-                chars.next();
-                out.push(Tok::LBracket);
-            }
-            ']' => {
-                chars.next();
-                out.push(Tok::RBracket);
-            }
-            ',' => {
-                chars.next();
-                out.push(Tok::Comma);
-            }
-            ':' => {
-                chars.next();
-                out.push(Tok::Colon);
-            }
-            '0'..='9' => {
-                let mut n: u64 = 0;
-                while let Some(&d) = chars.peek() {
-                    if let Some(v) = d.to_digit(10) {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(v as u64))
-                            .ok_or("number overflows u64")?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Tok::Num(n));
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut id = String::new();
-                while let Some(&a) = chars.peek() {
-                    if a.is_ascii_alphanumeric() || a == '_' {
-                        id.push(a);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Tok::Ident(id));
-            }
-            other => return Err(format!("unexpected character {other:?}")),
+fn op(p: &mut Parser) -> Result<Op, String> {
+    let tag = p.ident()?;
+    p.parens(|p| {
+        let at_ms = p.num_field("at_ms")?;
+        match tag.as_str() {
+            "Add" => Ok(Op::Add {
+                at_ms,
+                elem: p.num_field("elem")?,
+                home: p.num_key("home")? as usize,
+            }),
+            "Remove" => Ok(Op::Remove {
+                at_ms,
+                elem: p.num_key("elem")?,
+            }),
+            other => Err(format!("unknown op '{other}'")),
         }
-    }
-    Ok(out)
+    })
 }
 
-struct Parser {
-    tokens: Vec<Tok>,
-    pos: usize,
+fn fault(p: &mut Parser) -> Result<FaultSpec, String> {
+    let tag = p.ident()?;
+    p.parens(|p| {
+        let at_ms = p.num_field("at_ms")?;
+        match tag.as_str() {
+            "Outage" => Ok(FaultSpec::Outage {
+                at_ms,
+                node: p.num_field("node")? as usize,
+                for_ms: p.num_key("for_ms")?,
+            }),
+            "Partition" => {
+                p.key("side")?;
+                let side = p.comma_sep(|p| Ok(p.num()? as usize))?;
+                p.expect(Tok::Comma)?;
+                Ok(FaultSpec::Partition {
+                    at_ms,
+                    side,
+                    for_ms: p.num_key("for_ms")?,
+                })
+            }
+            "Flap" => Ok(FaultSpec::Flap {
+                at_ms,
+                a: p.num_field("a")? as usize,
+                b: p.num_field("b")? as usize,
+                down_ms: p.num_field("down_ms")?,
+                up_ms: p.num_field("up_ms")?,
+                cycles: p.num_key("cycles")? as usize,
+            }),
+            other => Err(format!("unknown fault '{other}'")),
+        }
+    })
 }
 
-impl Parser {
-    fn next(&mut self) -> Result<Tok, String> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(t)
+/// `name: [item, ...],`
+fn list_field<T>(
+    p: &mut Parser,
+    name: &str,
+    item: impl FnMut(&mut Parser) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    p.key(name)?;
+    let items = p.comma_sep(item)?;
+    p.expect(Tok::Comma)?;
+    Ok(items)
+}
+
+fn scenario(p: &mut Parser) -> Result<Scenario, String> {
+    p.keyword("Scenario")?;
+    p.expect(Tok::LParen)?;
+    let seed = p.num_field("seed")?;
+    let servers = p.num_field("servers")? as usize;
+    if servers == 0 {
+        return Err("servers must be at least 1".into());
     }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos)
-    }
-
-    fn expect(&mut self, want: Tok) -> Result<(), String> {
-        let got = self.next()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected {want:?}, got {got:?}"))
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<(), String> {
-        if self.pos == self.tokens.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing input at token {}", self.pos))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, String> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            other => Err(format!("expected identifier, got {other:?}")),
-        }
-    }
-
-    fn num(&mut self) -> Result<u64, String> {
-        match self.next()? {
-            Tok::Num(n) => Ok(n),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn keyword(&mut self, want: &str) -> Result<(), String> {
-        let got = self.ident()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected field '{want}', got '{got}'"))
-        }
-    }
-
-    /// `name: <num>` followed by a comma.
-    fn num_field(&mut self, name: &str) -> Result<u64, String> {
-        self.keyword(name)?;
-        self.expect(Tok::Colon)?;
-        let n = self.num()?;
-        self.expect(Tok::Comma)?;
-        Ok(n)
-    }
-
-    fn bool_field(&mut self, name: &str) -> Result<bool, String> {
-        self.keyword(name)?;
-        self.expect(Tok::Colon)?;
-        let b = self.bool_value()?;
-        self.expect(Tok::Comma)?;
-        Ok(b)
-    }
-
-    fn bool_value(&mut self) -> Result<bool, String> {
-        match self.ident()?.as_str() {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(format!("expected bool, got '{other}'")),
-        }
-    }
-
-    fn ident_field(&mut self, name: &str) -> Result<String, String> {
-        self.keyword(name)?;
-        self.expect(Tok::Colon)?;
-        let v = self.ident()?;
-        self.expect(Tok::Comma)?;
-        Ok(v)
-    }
-
-    fn scenario(&mut self) -> Result<Scenario, String> {
-        self.keyword("Scenario")?;
-        self.expect(Tok::LParen)?;
-        let seed = self.num_field("seed")?;
-        let servers = self.num_field("servers")? as usize;
-        if servers == 0 {
-            return Err("servers must be at least 1".into());
-        }
-        self.keyword("deployment")?;
-        self.expect(Tok::Colon)?;
-        let deployment = match self.ident()?.as_str() {
-            "Plain" => Deployment::Plain,
-            "Gossip" => {
-                self.expect(Tok::LParen)?;
-                self.keyword("grow_only")?;
-                self.expect(Tok::Colon)?;
-                let grow_only = self.bool_value()?;
-                let merkle = if self.peek() == Some(&Tok::Comma) {
-                    self.expect(Tok::Comma)?;
-                    self.keyword("merkle")?;
-                    self.expect(Tok::Colon)?;
-                    self.bool_value()?
-                } else {
-                    false
-                };
-                self.expect(Tok::RParen)?;
-                Deployment::Gossip { grow_only, merkle }
-            }
-            "Sharded" => {
-                self.expect(Tok::LParen)?;
-                self.keyword("shards")?;
-                self.expect(Tok::Colon)?;
-                let shards = self.num()? as usize;
-                if shards == 0 {
-                    return Err("shards must be at least 1".into());
-                }
-                self.expect(Tok::RParen)?;
-                Deployment::Sharded { shards }
-            }
-            other => return Err(format!("unknown deployment '{other}'")),
-        };
-        self.expect(Tok::Comma)?;
-        let semantics = match self.ident_field("semantics")?.as_str() {
-            "Snapshot" => Semantics::Snapshot,
-            "GrowOnly" => Semantics::GrowOnly,
-            "Optimistic" => Semantics::Optimistic,
-            "Locked" => Semantics::Locked,
-            other => return Err(format!("unknown semantics '{other}'")),
-        };
-        let read_policy = match self.ident_field("read_policy")?.as_str() {
-            "Primary" => ReadPolicy::Primary,
-            "Any" => ReadPolicy::Any,
-            "Quorum" => ReadPolicy::Quorum,
-            "Leaderless" => ReadPolicy::Leaderless,
-            "CausalSession" => ReadPolicy::CausalSession,
-            other => return Err(format!("unknown read policy '{other}'")),
-        };
-        let guard_growth = self.bool_field("guard_growth")?;
-        let fetch_order = match self.ident_field("fetch_order")?.as_str() {
-            "ClosestFirst" => FetchOrder::ClosestFirst,
-            "IdOrder" => FetchOrder::IdOrder,
-            other => return Err(format!("unknown fetch order '{other}'")),
-        };
-        let think_ms = self.num_field("think_ms")?;
-        let budget = self.num_field("budget")? as usize;
-        let start_ms = self.num_field("start_ms")?;
-
-        self.keyword("setup")?;
-        self.expect(Tok::Colon)?;
-        self.expect(Tok::LBracket)?;
-        let mut setup = Vec::new();
-        while self.peek() != Some(&Tok::RBracket) {
-            self.expect(Tok::LParen)?;
-            let elem = self.num()?;
-            self.expect(Tok::Comma)?;
-            let home = self.num()? as usize;
-            self.expect(Tok::RParen)?;
-            setup.push((elem, home));
-            if self.peek() == Some(&Tok::Comma) {
-                self.next()?;
-            }
-        }
-        self.expect(Tok::RBracket)?;
-        self.expect(Tok::Comma)?;
-
-        self.keyword("ops")?;
-        self.expect(Tok::Colon)?;
-        self.expect(Tok::LBracket)?;
-        let mut ops = Vec::new();
-        while self.peek() != Some(&Tok::RBracket) {
-            match self.ident()?.as_str() {
-                "Add" => {
-                    self.expect(Tok::LParen)?;
-                    let at_ms = self.num_field("at_ms")?;
-                    self.keyword("elem")?;
-                    self.expect(Tok::Colon)?;
-                    let elem = self.num()?;
-                    self.expect(Tok::Comma)?;
-                    self.keyword("home")?;
-                    self.expect(Tok::Colon)?;
-                    let home = self.num()? as usize;
-                    self.expect(Tok::RParen)?;
-                    ops.push(Op::Add { at_ms, elem, home });
-                }
-                "Remove" => {
-                    self.expect(Tok::LParen)?;
-                    let at_ms = self.num_field("at_ms")?;
-                    self.keyword("elem")?;
-                    self.expect(Tok::Colon)?;
-                    let elem = self.num()?;
-                    self.expect(Tok::RParen)?;
-                    ops.push(Op::Remove { at_ms, elem });
-                }
-                other => return Err(format!("unknown op '{other}'")),
-            }
-            if self.peek() == Some(&Tok::Comma) {
-                self.next()?;
-            }
-        }
-        self.expect(Tok::RBracket)?;
-        self.expect(Tok::Comma)?;
-
-        self.keyword("faults")?;
-        self.expect(Tok::Colon)?;
-        self.expect(Tok::LBracket)?;
-        let mut faults = Vec::new();
-        while self.peek() != Some(&Tok::RBracket) {
-            match self.ident()?.as_str() {
-                "Outage" => {
-                    self.expect(Tok::LParen)?;
-                    let at_ms = self.num_field("at_ms")?;
-                    let node = self.num_field("node")? as usize;
-                    self.keyword("for_ms")?;
-                    self.expect(Tok::Colon)?;
-                    let for_ms = self.num()?;
-                    self.expect(Tok::RParen)?;
-                    faults.push(FaultSpec::Outage {
-                        at_ms,
-                        node,
-                        for_ms,
-                    });
-                }
-                "Partition" => {
-                    self.expect(Tok::LParen)?;
-                    let at_ms = self.num_field("at_ms")?;
-                    self.keyword("side")?;
-                    self.expect(Tok::Colon)?;
-                    self.expect(Tok::LBracket)?;
-                    let mut side = Vec::new();
-                    while self.peek() != Some(&Tok::RBracket) {
-                        side.push(self.num()? as usize);
-                        if self.peek() == Some(&Tok::Comma) {
-                            self.next()?;
-                        }
-                    }
-                    self.expect(Tok::RBracket)?;
-                    self.expect(Tok::Comma)?;
-                    self.keyword("for_ms")?;
-                    self.expect(Tok::Colon)?;
-                    let for_ms = self.num()?;
-                    self.expect(Tok::RParen)?;
-                    faults.push(FaultSpec::Partition {
-                        at_ms,
-                        side,
-                        for_ms,
-                    });
-                }
-                "Flap" => {
-                    self.expect(Tok::LParen)?;
-                    let at_ms = self.num_field("at_ms")?;
-                    let a = self.num_field("a")? as usize;
-                    let b = self.num_field("b")? as usize;
-                    let down_ms = self.num_field("down_ms")?;
-                    let up_ms = self.num_field("up_ms")?;
-                    self.keyword("cycles")?;
-                    self.expect(Tok::Colon)?;
-                    let cycles = self.num()? as usize;
-                    self.expect(Tok::RParen)?;
-                    faults.push(FaultSpec::Flap {
-                        at_ms,
-                        a,
-                        b,
-                        down_ms,
-                        up_ms,
-                        cycles,
-                    });
-                }
-                other => return Err(format!("unknown fault '{other}'")),
-            }
-            if self.peek() == Some(&Tok::Comma) {
-                self.next()?;
-            }
-        }
-        self.expect(Tok::RBracket)?;
-        self.expect(Tok::Comma)?;
-
-        let chaos = match self.ident_field("chaos")?.as_str() {
-            "None" => Chaos::None,
-            "PhantomYield" => Chaos::PhantomYield,
-            other => return Err(format!("unknown chaos '{other}'")),
-        };
-        self.expect(Tok::RParen)?;
-        Ok(Scenario {
-            seed,
-            servers,
-            deployment,
-            semantics,
-            read_policy,
-            guard_growth,
-            fetch_order,
-            think_ms,
-            budget,
-            start_ms,
-            setup,
-            ops,
-            faults,
-            chaos,
-        })
-    }
+    p.key("deployment")?;
+    let deployment = deployment(p)?;
+    p.expect(Tok::Comma)?;
+    let semantics = named(p, "semantics", &SEMANTICS)?;
+    let read_policy = named(p, "read_policy", &POLICIES)?;
+    let guard_growth = p.bool_key("guard_growth")?;
+    p.expect(Tok::Comma)?;
+    let s = Scenario {
+        seed,
+        servers,
+        deployment,
+        semantics,
+        read_policy,
+        guard_growth,
+        fetch_order: named(p, "fetch_order", &ORDERS)?,
+        think_ms: p.num_field("think_ms")?,
+        budget: p.num_field("budget")? as usize,
+        start_ms: p.num_field("start_ms")?,
+        setup: list_field(p, "setup", |p| {
+            p.parens(|p| {
+                let elem = p.num()?;
+                p.expect(Tok::Comma)?;
+                Ok((elem, p.num()? as usize))
+            })
+        })?,
+        ops: list_field(p, "ops", op)?,
+        faults: list_field(p, "faults", fault)?,
+        chaos: named(p, "chaos", &CHAOS)?,
+    };
+    p.expect(Tok::RParen)?;
+    Ok(s)
 }
 
 #[cfg(test)]

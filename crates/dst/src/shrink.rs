@@ -13,35 +13,10 @@ use crate::scenario::Scenario;
 /// droppable pieces, so a fixpoint fits comfortably.
 const MAX_EXECUTIONS: usize = 200;
 
-/// Shrinks a violating scenario to a locally minimal one, returning it
-/// and the number of executions spent. If `s` does not actually violate,
-/// it is returned unchanged.
-pub fn shrink(s: &Scenario) -> (Scenario, usize) {
-    let mut best = s.clone();
-    let mut execs = 0usize;
-    let mut progress = true;
-    while progress && execs < MAX_EXECUTIONS {
-        progress = false;
-        for field in [Field::Faults, Field::Ops, Field::Setup] {
-            let mut i = 0;
-            while i < field.len(&best) && execs < MAX_EXECUTIONS {
-                let mut cand = best.clone();
-                field.remove(&mut cand, i);
-                execs += 1;
-                if !run::execute(&cand).violations.is_empty() {
-                    best = cand;
-                    progress = true;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    (best, execs)
-}
-
+/// The droppable lists of a scenario, in the order the shrinker tries
+/// them.
 #[derive(Clone, Copy)]
-enum Field {
+pub(crate) enum Field {
     Faults,
     Ops,
     Setup,
@@ -56,7 +31,7 @@ impl Field {
         }
     }
 
-    fn remove(self, s: &mut Scenario, i: usize) {
+    pub(crate) fn remove(self, s: &mut Scenario, i: usize) {
         match self {
             Field::Faults => {
                 s.faults.remove(i);
@@ -69,6 +44,56 @@ impl Field {
             }
         }
     }
+}
+
+/// The greedy fixpoint itself, over any candidate that carries a
+/// workload: drop item `i` of one field, keep the result iff it still
+/// violates, until a full pass drops nothing or the execution budget is
+/// spent. Returns the smallest candidate found and the executions spent.
+pub(crate) fn shrink_by<C>(
+    mut best: C,
+    workload: impl Fn(&C) -> &Scenario,
+    drop_item: impl Fn(&C, Field, usize) -> C,
+    still_violates: impl Fn(&C) -> bool,
+) -> (C, usize) {
+    let mut execs = 0usize;
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for field in [Field::Faults, Field::Ops, Field::Setup] {
+            let mut i = 0;
+            while i < field.len(workload(&best)) {
+                if execs >= MAX_EXECUTIONS {
+                    return (best, execs);
+                }
+                let cand = drop_item(&best, field, i);
+                execs += 1;
+                if still_violates(&cand) {
+                    best = cand;
+                    progress = true;
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+    (best, execs)
+}
+
+/// Shrinks a violating scenario to a locally minimal one, returning it
+/// and the number of executions spent. If `s` does not actually violate,
+/// it is returned unchanged.
+pub fn shrink(s: &Scenario) -> (Scenario, usize) {
+    shrink_by(
+        s.clone(),
+        |s| s,
+        |s, field, i| {
+            let mut cand = s.clone();
+            field.remove(&mut cand, i);
+            cand
+        },
+        |cand| !run::execute(cand).violations.is_empty(),
+    )
 }
 
 #[cfg(test)]

@@ -60,6 +60,7 @@ pub mod json;
 pub mod latency;
 pub mod registry;
 pub mod replay;
+pub mod ron;
 pub mod session;
 pub mod shard;
 pub mod sink;

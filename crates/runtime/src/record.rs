@@ -24,6 +24,7 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use weakset_obs::ron::{push_str_lit, Parser, Tok};
 use weakset_sim::time::SimTime;
 
 /// Artifact schema version; bump on any breaking change to the log
@@ -341,24 +342,9 @@ impl Recorder {
 }
 
 // ---------------------------------------------------------------------
-// Serialization (RON-like, hand-rolled — same dialect as weakset-dst
-// scenario artifacts, extended with quoted strings)
+// Serialization (the `weakset_obs::ron` dialect weakset-dst scenario
+// artifacts are written in)
 // ---------------------------------------------------------------------
-
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-}
 
 fn push_outcome(out: &mut String, o: &RecOutcome) {
     match *o {
@@ -476,433 +462,149 @@ impl Recording {
     /// Returns a human-readable description of the first syntax problem,
     /// including an unsupported `schema_version`.
     pub fn from_ron(text: &str) -> Result<Recording, String> {
-        let tokens = tokenize(text)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let r = p.recording()?;
+        let mut p = Parser::new(text)?;
+        let r = recording(&mut p)?;
         p.expect_end()?;
         Ok(r)
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Num(u64),
-    Str(String),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Comma,
-    Colon,
+fn outcome(p: &mut Parser) -> Result<RecOutcome, String> {
+    match p.ident()?.as_str() {
+        "Ok" => p.parens(|p| {
+            Ok(RecOutcome::Ok {
+                reply_hash: p.num_key("reply_hash")?,
+            })
+        }),
+        "NodeDown" => p.parens(|p| {
+            Ok(RecOutcome::NodeDown {
+                node: p.num_key("node")? as u32,
+            })
+        }),
+        "Unreachable" => p.parens(|p| {
+            Ok(RecOutcome::Unreachable {
+                from: p.num_field("from")? as u32,
+                to: p.num_key("to")? as u32,
+            })
+        }),
+        "Timeout" => Ok(RecOutcome::Timeout),
+        other => Err(format!("unknown outcome '{other}'")),
+    }
 }
 
-fn tokenize(text: &str) -> Result<Vec<Tok>, String> {
-    let mut out = Vec::new();
-    let mut chars = text.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                chars.next();
+fn event_body(p: &mut Parser, tag: &str) -> Result<RecEvent, String> {
+    Ok(match tag {
+        "AddNode" => RecEvent::AddNode {
+            name: p.str_key("name")?,
+        },
+        "InstallService" => RecEvent::InstallService {
+            node: p.num_key("node")? as u32,
+        },
+        "Region" => RecEvent::Region {
+            label: p.str_key("label")?,
+        },
+        "Rpc" => {
+            let from = p.num_field("from")? as u32;
+            let to = p.num_field("to")? as u32;
+            let req_hash = p.num_field("req_hash")?;
+            p.key("outcome")?;
+            let outcome = outcome(p)?;
+            p.expect(Tok::Comma)?;
+            RecEvent::Rpc {
+                from,
+                to,
+                req_hash,
+                outcome,
+                elapsed_us: p.num_key("elapsed_us")?,
             }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for nc in chars.by_ref() {
-                        if nc == '\n' {
-                            break;
-                        }
-                    }
-                } else {
-                    return Err("stray '/'".into());
-                }
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some('r') => s.push('\r'),
-                            other => return Err(format!("bad escape {other:?}")),
-                        },
-                        Some(other) => s.push(other),
-                        None => return Err("unterminated string".into()),
-                    }
-                }
-                out.push(Tok::Str(s));
-            }
-            '(' => {
-                chars.next();
-                out.push(Tok::LParen);
-            }
-            ')' => {
-                chars.next();
-                out.push(Tok::RParen);
-            }
-            '[' => {
-                chars.next();
-                out.push(Tok::LBracket);
-            }
-            ']' => {
-                chars.next();
-                out.push(Tok::RBracket);
-            }
-            ',' => {
-                chars.next();
-                out.push(Tok::Comma);
-            }
-            ':' => {
-                chars.next();
-                out.push(Tok::Colon);
-            }
-            '0'..='9' => {
-                let mut n: u64 = 0;
-                while let Some(&d) = chars.peek() {
-                    if let Some(v) = d.to_digit(10) {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(v as u64))
-                            .ok_or("number overflows u64")?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Tok::Num(n));
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut id = String::new();
-                while let Some(&a) = chars.peek() {
-                    if a.is_ascii_alphanumeric() || a == '_' {
-                        id.push(a);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Tok::Ident(id));
-            }
-            other => return Err(format!("unexpected character {other:?}")),
         }
-    }
-    Ok(out)
+        "Send" => RecEvent::Send {
+            from: p.num_field("from")? as u32,
+            to: p.num_field("to")? as u32,
+            req_hash: p.num_field("req_hash")?,
+            token: p.num_key("token")?,
+        },
+        "TookReply" => {
+            let token = p.num_field("token")?;
+            p.key("outcome")?;
+            RecEvent::TookReply {
+                token,
+                outcome: outcome(p)?,
+            }
+        }
+        "WaitAny" => {
+            p.key("winner")?;
+            let winner = match p.ident()?.as_str() {
+                "Some" => Some(p.parens(Parser::num)?),
+                "None" => None,
+                other => return Err(format!("expected Some/None, got '{other}'")),
+            };
+            p.expect(Tok::Comma)?;
+            RecEvent::WaitAny {
+                winner,
+                elapsed_us: p.num_key("elapsed_us")?,
+            }
+        }
+        "Sleep" => RecEvent::Sleep {
+            us: p.num_key("us")?,
+        },
+        "SpawnIn" => RecEvent::SpawnIn {
+            delay_us: p.num_field("delay_us")?,
+            label: p.str_key("label")?,
+        },
+        "TimerFired" => RecEvent::TimerFired {
+            label: p.str_key("label")?,
+        },
+        "SetReachable" => RecEvent::SetReachable {
+            a: p.num_field("a")? as u32,
+            b: p.num_field("b")? as u32,
+            ok: p.bool_key("ok")?,
+        },
+        "SetNodeUp" => RecEvent::SetNodeUp {
+            node: p.num_field("node")? as u32,
+            up: p.bool_key("up")?,
+        },
+        other => return Err(format!("unknown event '{other}'")),
+    })
 }
 
-struct Parser {
-    tokens: Vec<Tok>,
-    pos: usize,
-}
-
-impl Parser {
-    fn next(&mut self) -> Result<Tok, String> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(t)
+fn recording(p: &mut Parser) -> Result<Recording, String> {
+    p.keyword("Recording")?;
+    p.expect(Tok::LParen)?;
+    let schema_version = p.num_field("schema_version")?;
+    if schema_version != SCHEMA_VERSION {
+        return Err(format!(
+            "unsupported schema_version {schema_version} (this build reads {SCHEMA_VERSION})"
+        ));
     }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos)
-    }
-
-    fn expect(&mut self, want: Tok) -> Result<(), String> {
-        let got = self.next()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected {want:?}, got {got:?}"))
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<(), String> {
-        if self.pos == self.tokens.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing input at token {}", self.pos))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, String> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            other => Err(format!("expected identifier, got {other:?}")),
-        }
-    }
-
-    fn num(&mut self) -> Result<u64, String> {
-        match self.next()? {
-            Tok::Num(n) => Ok(n),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        match self.next()? {
-            Tok::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn keyword(&mut self, want: &str) -> Result<(), String> {
-        let got = self.ident()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected field '{want}', got '{got}'"))
-        }
-    }
-
-    /// `name: <num>` followed by a comma.
-    fn num_field(&mut self, name: &str) -> Result<u64, String> {
-        self.keyword(name)?;
-        self.expect(Tok::Colon)?;
-        let n = self.num()?;
-        self.expect(Tok::Comma)?;
-        Ok(n)
-    }
-
-    /// `name: <num>` without the trailing comma (closing-paren position).
-    fn num_key(&mut self, name: &str) -> Result<u64, String> {
-        self.keyword(name)?;
-        self.expect(Tok::Colon)?;
-        self.num()
-    }
-
-    fn bool_value(&mut self) -> Result<bool, String> {
-        match self.ident()?.as_str() {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(format!("expected bool, got '{other}'")),
-        }
-    }
-
-    fn comma_sep<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        self.expect(Tok::LBracket)?;
-        let mut out = Vec::new();
-        while self.peek() != Some(&Tok::RBracket) {
-            out.push(item(self)?);
-            if self.peek() == Some(&Tok::Comma) {
-                self.next()?;
-            }
-        }
-        self.expect(Tok::RBracket)?;
-        Ok(out)
-    }
-
-    fn outcome(&mut self) -> Result<RecOutcome, String> {
-        match self.ident()?.as_str() {
-            "Ok" => {
-                self.expect(Tok::LParen)?;
-                let reply_hash = self.num_key("reply_hash")?;
-                self.expect(Tok::RParen)?;
-                Ok(RecOutcome::Ok { reply_hash })
-            }
-            "NodeDown" => {
-                self.expect(Tok::LParen)?;
-                let node = self.num_key("node")? as u32;
-                self.expect(Tok::RParen)?;
-                Ok(RecOutcome::NodeDown { node })
-            }
-            "Unreachable" => {
-                self.expect(Tok::LParen)?;
-                let from = self.num_field("from")? as u32;
-                let to = self.num_key("to")? as u32;
-                self.expect(Tok::RParen)?;
-                Ok(RecOutcome::Unreachable { from, to })
-            }
-            "Timeout" => Ok(RecOutcome::Timeout),
-            other => Err(format!("unknown outcome '{other}'")),
-        }
-    }
-
-    fn event(&mut self) -> Result<RecEvent, String> {
-        let tag = self.ident()?;
-        match tag.as_str() {
-            "AddNode" => {
-                self.expect(Tok::LParen)?;
-                self.keyword("name")?;
-                self.expect(Tok::Colon)?;
-                let name = self.string()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::AddNode { name })
-            }
-            "InstallService" => {
-                self.expect(Tok::LParen)?;
-                let node = self.num_key("node")? as u32;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::InstallService { node })
-            }
-            "Region" => {
-                self.expect(Tok::LParen)?;
-                self.keyword("label")?;
-                self.expect(Tok::Colon)?;
-                let label = self.string()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::Region { label })
-            }
-            "Rpc" => {
-                self.expect(Tok::LParen)?;
-                let from = self.num_field("from")? as u32;
-                let to = self.num_field("to")? as u32;
-                let req_hash = self.num_field("req_hash")?;
-                self.keyword("outcome")?;
-                self.expect(Tok::Colon)?;
-                let outcome = self.outcome()?;
-                self.expect(Tok::Comma)?;
-                let elapsed_us = self.num_key("elapsed_us")?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::Rpc {
-                    from,
-                    to,
-                    req_hash,
-                    outcome,
-                    elapsed_us,
-                })
-            }
-            "Send" => {
-                self.expect(Tok::LParen)?;
-                let from = self.num_field("from")? as u32;
-                let to = self.num_field("to")? as u32;
-                let req_hash = self.num_field("req_hash")?;
-                let token = self.num_key("token")?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::Send {
-                    from,
-                    to,
-                    req_hash,
-                    token,
-                })
-            }
-            "TookReply" => {
-                self.expect(Tok::LParen)?;
-                let token = self.num_field("token")?;
-                self.keyword("outcome")?;
-                self.expect(Tok::Colon)?;
-                let outcome = self.outcome()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::TookReply { token, outcome })
-            }
-            "WaitAny" => {
-                self.expect(Tok::LParen)?;
-                self.keyword("winner")?;
-                self.expect(Tok::Colon)?;
-                let winner = match self.ident()?.as_str() {
-                    "Some" => {
-                        self.expect(Tok::LParen)?;
-                        let t = self.num()?;
-                        self.expect(Tok::RParen)?;
-                        Some(t)
-                    }
-                    "None" => None,
-                    other => return Err(format!("expected Some/None, got '{other}'")),
-                };
-                self.expect(Tok::Comma)?;
-                let elapsed_us = self.num_key("elapsed_us")?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::WaitAny { winner, elapsed_us })
-            }
-            "Sleep" => {
-                self.expect(Tok::LParen)?;
-                let us = self.num_key("us")?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::Sleep { us })
-            }
-            "SpawnIn" => {
-                self.expect(Tok::LParen)?;
-                let delay_us = self.num_field("delay_us")?;
-                self.keyword("label")?;
-                self.expect(Tok::Colon)?;
-                let label = self.string()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::SpawnIn { delay_us, label })
-            }
-            "TimerFired" => {
-                self.expect(Tok::LParen)?;
-                self.keyword("label")?;
-                self.expect(Tok::Colon)?;
-                let label = self.string()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::TimerFired { label })
-            }
-            "SetReachable" => {
-                self.expect(Tok::LParen)?;
-                let a = self.num_field("a")? as u32;
-                let b = self.num_field("b")? as u32;
-                self.keyword("ok")?;
-                self.expect(Tok::Colon)?;
-                let ok = self.bool_value()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::SetReachable { a, b, ok })
-            }
-            "SetNodeUp" => {
-                self.expect(Tok::LParen)?;
-                let node = self.num_field("node")? as u32;
-                self.keyword("up")?;
-                self.expect(Tok::Colon)?;
-                let up = self.bool_value()?;
-                self.expect(Tok::RParen)?;
-                Ok(RecEvent::SetNodeUp { node, up })
-            }
-            other => Err(format!("unknown event '{other}'")),
-        }
-    }
-
-    fn recording(&mut self) -> Result<Recording, String> {
-        self.keyword("Recording")?;
-        self.expect(Tok::LParen)?;
-        let schema_version = self.num_field("schema_version")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {schema_version} (this build reads {SCHEMA_VERSION})"
-            ));
-        }
-        let seed = self.num_field("seed")?;
-        self.keyword("truncated")?;
-        self.expect(Tok::Colon)?;
-        let truncated = self.bool_value()?;
-        self.expect(Tok::Comma)?;
-        self.keyword("nodes")?;
-        self.expect(Tok::Colon)?;
-        let nodes = self.comma_sep(Parser::string)?;
-        self.expect(Tok::Comma)?;
-        self.keyword("workload")?;
-        self.expect(Tok::Colon)?;
-        let workload = self.string()?;
-        self.expect(Tok::Comma)?;
-        self.keyword("entries")?;
-        self.expect(Tok::Colon)?;
-        let entries = self.comma_sep(|p| {
-            p.expect(Tok::LParen)?;
+    let seed = p.num_field("seed")?;
+    let truncated = p.bool_key("truncated")?;
+    p.expect(Tok::Comma)?;
+    p.key("nodes")?;
+    let nodes = p.comma_sep(Parser::string)?;
+    p.expect(Tok::Comma)?;
+    let workload = p.str_key("workload")?;
+    p.expect(Tok::Comma)?;
+    p.key("entries")?;
+    let entries = p.comma_sep(|p| {
+        p.parens(|p| {
             let at_us = p.num_field("at_us")?;
-            p.keyword("ev")?;
-            p.expect(Tok::Colon)?;
-            let ev = p.event()?;
-            p.expect(Tok::RParen)?;
+            p.key("ev")?;
+            let tag = p.ident()?;
+            let ev = p.parens(|p| event_body(p, &tag))?;
             Ok(RecEntry { at_us, ev })
-        })?;
-        self.expect(Tok::Comma)?;
-        self.expect(Tok::RParen)?;
-        Ok(Recording {
-            schema_version,
-            seed,
-            truncated,
-            nodes,
-            workload,
-            entries,
         })
-    }
+    })?;
+    p.expect(Tok::Comma)?;
+    p.expect(Tok::RParen)?;
+    Ok(Recording {
+        schema_version,
+        seed,
+        truncated,
+        nodes,
+        workload,
+        entries,
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! observed iteration, then compares what the two backends produced:
 //! the yielded elements, the final membership under the read policy,
 //! and the per-figure conformance verdicts. The grid covers all four
-//! figure semantics crossed with the three read policies.
+//! figure semantics crossed with the three read policies; the
+//! record→replay round trip adds causal-session reads as a fourth.
 
 use std::time::Duration;
 use weak_sets::prelude::*;
@@ -385,6 +386,7 @@ fn sharded_quorum_fanout_runs_on_threads() {
 /// per-figure conformance verdicts — divergence-free.
 #[test]
 fn recorded_threaded_runs_replay_to_identical_verdicts() {
+    use weak_sets::weakset_runtime::record::hash_debug;
     use weakset_dst::prelude::{
         record_scenario, replay_recording, Chaos, Deployment, Op, Scenario,
     };
@@ -409,12 +411,13 @@ fn recorded_threaded_runs_replay_to_identical_verdicts() {
             ReadPolicy::Primary,
             ReadPolicy::Quorum,
             ReadPolicy::Leaderless,
+            ReadPolicy::CausalSession,
         ]
         .into_iter()
         .enumerate()
         {
             let scenario = Scenario {
-                seed: SEED + (si * 3 + pi) as u64,
+                seed: SEED + (si * 4 + pi) as u64,
                 servers: 3,
                 deployment: Deployment::Plain,
                 semantics,
@@ -436,6 +439,19 @@ fn recorded_threaded_runs_replay_to_identical_verdicts() {
                 live.report.violations.is_empty(),
                 "live {semantics:?}/{policy:?}: {:?}",
                 live.report.violations
+            );
+            // A causal read runs with the session attached: after five
+            // setup adds its token is never the empty one, so no recorded
+            // request may hash to a session read that depends on nothing.
+            let sessionless = hash_debug(&StoreMsg::WithSession {
+                session: SessionToken::new(),
+                inner: Box::new(StoreMsg::ListMembers(weakset_dst::prelude::COLL)),
+            });
+            assert!(
+                !live.recording.entries.iter().any(
+                    |e| matches!(e.ev, RecEvent::Rpc { req_hash, .. } if req_hash == sessionless)
+                ),
+                "{semantics:?}/{policy:?} read membership without its session"
             );
             let replayed = replay_recording(&live.recording)
                 .unwrap_or_else(|e| panic!("replay {semantics:?}/{policy:?}: {e}"));

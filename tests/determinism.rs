@@ -46,6 +46,27 @@ fn generation_is_pure() {
     }
 }
 
+/// The generators pinned *across commits*, as scenarios rather than as
+/// the traces they produce: one FNV fold per generator over the artifact
+/// text of 1,000 scenarios. Equal trace hashes cannot tell a moved draw
+/// that two schedules happen to absorb; equal text can. Constants
+/// measured at f5f802f, before the generators' shared parts were folded.
+#[test]
+fn generated_scenarios_are_pinned() {
+    fn pin(leg: &str, gen: fn(u64) -> Scenario, pinned: u64) {
+        let folded = (0..1000).fold(0xcbf2_9ce4_8422_2325u64, |acc, i| {
+            gen(mix(2026, i)).to_ron().bytes().fold(acc, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        });
+        assert_eq!(folded, pinned, "{leg}: scenario fold is now {folded:#018x}");
+    }
+    pin("plain", generate, 0x1aaf_65ea_e824_3fd8);
+    pin("sharded", generate_sharded, 0xf42f_f4a5_6b11_f6ba);
+    pin("causal", generate_causal, 0x15e8_c191_e63c_2cb8);
+    pin("merkle", generate_merkle, 0x2d93_7ae1_c976_43e6);
+}
+
 /// Trace hashes pinned *across commits*: the suite above only compares
 /// two executions of one build, but a refactor that claims "nothing
 /// moved" is judged by the simulator producing the same traces as its

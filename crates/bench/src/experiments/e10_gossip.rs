@@ -348,7 +348,7 @@ pub fn reconcile_points() -> Vec<ReconcilePoint> {
             for &s in &servers {
                 w.install_service(s, Box::new(GossipNode::new(s)));
             }
-            let mut base = ORSet::new();
+            let mut base = MembershipCrdt::new(GossipSemantics::GrowShrink);
             for i in 1..=n {
                 base.add(
                     servers[0],
@@ -379,11 +379,10 @@ pub fn reconcile_points() -> Vec<ReconcilePoint> {
             for (node, set) in [(servers[0], a), (servers[1], b)] {
                 w.with_service_mut(node, |g: &mut GossipNode| {
                     g.create_replica(COLL, GossipSemantics::GrowShrink);
-                    *g.crdt_mut(COLL).expect("replica just created") =
-                        MembershipCrdt::GrowShrink(set);
+                    *g.crdt_mut(COLL).expect("replica just created") = set;
                 });
             }
-            engine::sync_pair_with(
+            engine::sync_pair(
                 &mut w,
                 COLL,
                 servers[0],

@@ -17,7 +17,7 @@ use weakset::prelude::*;
 use weakset::semantics::Semantics;
 use weakset_dst::prelude::{execute, generate, mix, shrink, Chaos};
 use weakset_gossip::prelude::{
-    engine, DigestMode, GossipConfig, GossipNode, GossipSemantics, MembershipCrdt, ORSet,
+    engine, DigestMode, GossipConfig, GossipNode, GossipSemantics, MembershipCrdt,
 };
 use weakset_obs::{
     critical_path, CausalDag, CriticalPath, Direction, MetricsRegistry, ObsEvent, ObsSnapshot,
@@ -345,7 +345,7 @@ fn big_reconcile(seed: u64, n: u64, k: u64, mode: DigestMode) -> (u64, u64, bool
         world.install_service(s, Box::new(GossipNode::new(s)));
     }
     let coll = CollectionId(1);
-    let mut base = ORSet::new();
+    let mut base = MembershipCrdt::new(GossipSemantics::GrowShrink);
     for i in 1..=n {
         base.add(
             servers[0],
@@ -376,10 +376,10 @@ fn big_reconcile(seed: u64, n: u64, k: u64, mode: DigestMode) -> (u64, u64, bool
     for (node, set) in [(servers[0], diverged_a), (servers[1], diverged_b)] {
         world.with_service_mut(node, |g: &mut GossipNode| {
             g.create_replica(coll, GossipSemantics::GrowShrink);
-            *g.crdt_mut(coll).expect("replica just created") = MembershipCrdt::GrowShrink(set);
+            *g.crdt_mut(coll).expect("replica just created") = set;
         });
     }
-    engine::sync_pair_with(&mut world, coll, servers[0], servers[1], mode, ms(200));
+    engine::sync_pair(&mut world, coll, servers[0], servers[1], mode, ms(200));
     let digest = world.metrics().counter(weakset_obs::gossip::DIGEST_BYTES);
     let delta = world.metrics().counter(weakset_obs::gossip::DELTA_BYTES);
     let converged = engine::converged(&world, coll, &servers);

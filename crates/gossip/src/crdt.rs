@@ -1,22 +1,24 @@
-//! Delta-state CRDTs for weak-set membership.
+//! The delta-state CRDT for weak-set membership.
 //!
-//! Two flavours, matching the paper's two specification figures:
+//! One [`MembershipCrdt`] serves both of the paper's membership figures;
+//! the [`GossipSemantics`] it is built with says which:
 //!
-//! * [`GSet`] — a grow-only set (Figure 5). Merge is set union, so along
-//!   any replica's timeline and across any exchange `s_i ⊆ s_j` for
-//!   `i ≤ j`: exactly the monotonicity Fig. 5's `ensures` clause demands.
-//! * [`ORSet`] — an observed-remove set (Figure 6) in the *optimized*
-//!   formulation: live entries tagged with dots plus a version vector of
-//!   every dot ever observed. A removal deletes the observed dots of an
-//!   element; a concurrent re-add mints a fresh dot, so adds win over
-//!   concurrent removes and membership still converges.
+//! * [`GossipSemantics::GrowOnly`] — a grow-only set (Figure 5). The join
+//!   is set union, so along any replica's timeline and across any
+//!   exchange `s_i ⊆ s_j` for `i ≤ j`: exactly the monotonicity Fig. 5's
+//!   `ensures` clause demands.
+//! * [`GossipSemantics::GrowShrink`] — an observed-remove set (Figure 6)
+//!   in the *optimized* formulation: live entries tagged with dots plus a
+//!   version vector of every dot ever observed. A removal deletes the
+//!   observed dots of an element; a concurrent re-add mints a fresh dot,
+//!   so adds win over concurrent removes and membership still converges.
 //!
-//! Both are *delta-state* CRDTs: [`GSet::delta_since`] /
-//! [`ORSet::delta_since`] produce a [`MembershipDelta`] against a peer's
-//! digest so that only entries the peer has not observed cross the wire,
-//! and [`GSet::apply`] / [`ORSet::apply`] join a delta into local state.
-//! Joins are commutative, associative, and idempotent (property-tested in
-//! this crate), which is what makes anti-entropy order-insensitive.
+//! [`MembershipCrdt::delta_since`] produces a [`MembershipDelta`] against
+//! a peer's digest so that only entries the peer has not observed cross
+//! the wire, and [`MembershipCrdt::apply`] joins a delta into local
+//! state. Joins are commutative, associative, and idempotent
+//! (property-tested in this crate), which is what makes anti-entropy
+//! order-insensitive.
 
 use crate::reconcile::RangeTree;
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,123 +69,61 @@ fn dotted(entries: &BTreeMap<Dot, MemberEntry>) -> Vec<DottedEntry> {
         .collect()
 }
 
-/// A grow-only membership set: dotted entries plus the vector of observed
-/// dots. The dot tags exist purely so digests can compress exchanges;
-/// semantically this is a plain G-Set whose merge is union.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GSet {
+/// Which of the paper's two membership specifications a replica enforces.
+/// The two figures share one `ensures` shape and differ in one constraint
+/// clause, so they share one [`MembershipCrdt`] and differ in one column:
+/// [`GossipSemantics::shrinks`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum GossipSemantics {
+    /// Figure 5: `s_i ⊆ s_j` — the membership only grows. Removals are
+    /// ignored at the CRDT layer and the join is set union.
+    GrowOnly,
+    /// Figure 6: no constraint — members come and go, with
+    /// observed-remove semantics.
+    #[default]
+    GrowShrink,
+}
+
+impl GossipSemantics {
+    /// True when removals take effect and travel. Everything that tells a
+    /// removed dot from an unseen one — removal dots, a delta's live
+    /// list, the drop half of a join, the no-resurrection check — exists
+    /// only under this column.
+    pub fn shrinks(self) -> bool {
+        self == GossipSemantics::GrowShrink
+    }
+}
+
+/// One collection's CRDT replica: `entries` holds the *live* dots, `vv`
+/// every dot ever observed. Under [`GossipSemantics::GrowShrink`] this is
+/// the optimized OR-Set — a dot covered by `vv` but absent from `entries`
+/// has been removed, and because the vector remembers it, a late-arriving
+/// copy of the add cannot resurrect it. Under
+/// [`GossipSemantics::GrowOnly`] nothing is ever removed, the dot tags
+/// exist purely so digests can compress exchanges, and the join is a
+/// plain G-Set union.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MembershipCrdt {
+    semantics: GossipSemantics,
     entries: BTreeMap<Dot, MemberEntry>,
     vv: VersionVector,
     tree: TreeCache,
 }
 
-impl GSet {
-    /// An empty grow-only set.
-    pub fn new() -> Self {
-        GSet::default()
-    }
-
-    /// Adds `entry` as a mutation of `replica`, returning the new dot.
-    pub fn add(&mut self, replica: NodeId, entry: MemberEntry) -> Dot {
-        let dot = self.vv.advance(replica);
-        self.entries.insert(dot, entry);
-        self.tree.invalidate();
-        dot
-    }
-
-    /// The current membership (dots deduplicated to values).
-    pub fn elements(&self) -> Membership {
-        self.entries.values().copied().collect()
-    }
-
-    /// True when some live entry has this element id.
-    pub fn contains(&self, elem: ObjectId) -> bool {
-        self.entries.values().any(|e| e.elem == elem)
-    }
-
-    /// The digest: every dot this replica has observed.
-    pub fn digest(&self) -> VersionVector {
-        self.vv.clone()
-    }
-
-    /// The delta a peer with `digest` is missing. Grow-only sets never
-    /// remove, so the delta's `live` list is left empty (it carries no
-    /// information the entries themselves do not).
-    pub fn delta_since(&self, digest: &VersionVector) -> MembershipDelta {
-        MembershipDelta {
-            vv: self.vv.clone(),
-            novel: self
-                .entries
-                .iter()
-                .filter(|(&dot, _)| !digest.contains(dot))
-                .map(|(&dot, &entry)| DottedEntry { dot, entry })
-                .collect(),
-            live: Vec::new(),
+impl MembershipCrdt {
+    /// An empty replica with the given semantics.
+    pub fn new(semantics: GossipSemantics) -> Self {
+        MembershipCrdt {
+            semantics,
+            entries: BTreeMap::new(),
+            vv: VersionVector::new(),
+            tree: TreeCache::default(),
         }
     }
 
-    /// Joins a delta into this set: union of entries, join of vectors.
-    pub fn apply(&mut self, delta: &MembershipDelta) {
-        self.adopt(&delta.novel);
-        self.vv.join(&delta.vv);
-    }
-
-    fn adopt(&mut self, novel: &[DottedEntry]) {
-        let mut changed = false;
-        for de in novel {
-            changed |= self.entries.insert(de.dot, de.entry) != Some(de.entry);
-        }
-        if changed {
-            self.tree.invalidate();
-        }
-    }
-
-    /// Full-state join with another replica's set.
-    pub fn merge(&mut self, other: &GSet) {
-        self.apply(&other.delta_since(&VersionVector::new()));
-    }
-
-    /// Number of live dots (not deduplicated values).
-    pub fn dot_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Every live entry with its dot, in dot order — the input to a
-    /// Merkle-range reconciliation tree.
-    pub fn dotted_entries(&self) -> Vec<DottedEntry> {
-        dotted(&self.entries)
-    }
-
-    /// The set's [`RangeTree`], built at most once per state of the live
-    /// dots.
-    pub(crate) fn range_tree(&self) -> Arc<RangeTree> {
-        self.tree.get_or_build(&self.entries)
-    }
-
-    /// Joins a Merkle-range [`DeltaBatch`] into this set. Grow-only sets
-    /// never remove, so the batch's `drop` list is ignored; novel entries
-    /// union in and vectors join, exactly like [`GSet::apply`].
-    pub fn apply_batch(&mut self, batch: &DeltaBatch) {
-        self.adopt(&batch.novel);
-        self.vv.join(&batch.vv);
-    }
-}
-
-/// An observed-remove membership set (optimized OR-Set): `entries` holds
-/// the *live* dots, `vv` every dot ever observed. A dot covered by `vv`
-/// but absent from `entries` has been removed; because the vector
-/// remembers it, a late-arriving copy of the add cannot resurrect it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ORSet {
-    entries: BTreeMap<Dot, MemberEntry>,
-    vv: VersionVector,
-    tree: TreeCache,
-}
-
-impl ORSet {
-    /// An empty observed-remove set.
-    pub fn new() -> Self {
-        ORSet::default()
+    /// The semantics this replica enforces.
+    pub fn semantics(&self) -> GossipSemantics {
+        self.semantics
     }
 
     /// Adds `entry` as a mutation of `replica`, returning the new dot.
@@ -200,6 +140,8 @@ impl ORSet {
     /// were removed. Dots this replica has not yet seen are unaffected
     /// (observed-remove semantics). The removed dots stay covered by the
     /// version vector, which is precisely what prevents resurrection.
+    /// Grow-only replicas ignore the request (Fig. 5 has no removal
+    /// transition) and report 0.
     ///
     /// An effective removal additionally mints one *removal dot* for
     /// `replica`: a vector advance with no live entry. It records the
@@ -208,6 +150,9 @@ impl ORSet {
     /// even after removals — and (b) the digest total counts every
     /// effective mutation, aligning it with the primary's versioned log.
     pub fn remove(&mut self, replica: NodeId, elem: ObjectId) -> usize {
+        if !self.semantics.shrinks() {
+            return 0;
+        }
         let before = self.entries.len();
         self.entries.retain(|_, e| e.elem != elem);
         let killed = before - self.entries.len();
@@ -218,7 +163,7 @@ impl ORSet {
         killed
     }
 
-    /// The current membership (live dots deduplicated to values).
+    /// The current membership (live dots deduplicated to values), sorted.
     pub fn elements(&self) -> Membership {
         self.entries.values().copied().collect()
     }
@@ -228,15 +173,27 @@ impl ORSet {
         self.entries.values().any(|e| e.elem == elem)
     }
 
-    /// The digest: every dot this replica has observed (live or removed).
+    /// The digest — every dot this replica has observed, live or removed:
+    /// a share of the replica's vector, not a copy, so reading it is
+    /// cheap.
     pub fn digest(&self) -> VersionVector {
         self.vv.clone()
     }
 
+    /// True when a peer holding `digest` could learn nothing from us:
+    /// the digest dominates ours. Sound under both semantics because
+    /// every effective mutation — removals included, via their removal
+    /// dots — advances the version vector.
+    pub fn nothing_for(&self, digest: &VersionVector) -> bool {
+        digest.dominates(&self.vv)
+    }
+
     /// The delta a peer with `digest` is missing: entry payloads only for
-    /// dots the digest does not cover, plus this replica's full vector and
-    /// live-dot list so the peer can detect removals (a dot it holds that
-    /// `vv` covers but `live` omits was removed here).
+    /// dots the digest does not cover, plus this replica's full vector
+    /// and — when the set shrinks — its live-dot list, so the peer can
+    /// detect removals (a dot it holds that `vv` covers but `live` omits
+    /// was removed here). A set that never removes leaves `live` empty:
+    /// it carries nothing the entries themselves do not.
     pub fn delta_since(&self, digest: &VersionVector) -> MembershipDelta {
         MembershipDelta {
             vv: self.vv.clone(),
@@ -246,50 +203,77 @@ impl ORSet {
                 .filter(|(&dot, _)| !digest.contains(dot))
                 .map(|(&dot, &entry)| DottedEntry { dot, entry })
                 .collect(),
-            live: self.entries.keys().copied().collect(),
+            live: if self.semantics.shrinks() {
+                self.entries.keys().copied().collect()
+            } else {
+                Vec::new()
+            },
         }
     }
 
-    /// Joins a delta into this set — the optimized OR-Set join:
+    /// Joins a delta into this set:
     ///
-    /// * a novel entry is adopted unless our vector already covers its dot
-    ///   (covered + absent locally = we removed it; do not resurrect);
-    /// * a local live dot is dropped when the sender has observed it but
-    ///   no longer lists it live (the sender removed it);
+    /// * a novel entry is adopted (see `adopt`);
+    /// * when the set shrinks, a local live dot is dropped if the sender
+    ///   has observed it but no longer lists it live (the sender removed
+    ///   it);
     /// * vectors join pointwise.
     pub fn apply(&mut self, delta: &MembershipDelta) {
-        let adopted = self.adopt(&delta.novel);
-        let before = self.entries.len();
-        let sender_live: BTreeSet<Dot> = delta.live.iter().copied().collect();
-        self.entries
-            .retain(|&dot, _| !delta.vv.contains(dot) || sender_live.contains(&dot));
-        if adopted || self.entries.len() != before {
-            self.tree.invalidate();
+        let mut changed = self.adopt(&delta.novel);
+        if self.semantics.shrinks() {
+            let before = self.entries.len();
+            let sender_live: BTreeSet<Dot> = delta.live.iter().copied().collect();
+            self.entries
+                .retain(|&dot, _| !delta.vv.contains(dot) || sender_live.contains(&dot));
+            changed |= self.entries.len() != before;
         }
-        self.vv.join(&delta.vv);
+        self.finish_join(changed, &delta.vv);
     }
 
-    /// Inserts the entries whose dots our vector does not cover; true
-    /// when there was one.
-    fn adopt(&mut self, novel: &[DottedEntry]) -> bool {
-        let mut adopted = false;
-        for de in novel {
-            if !self.vv.contains(de.dot) {
-                self.entries.insert(de.dot, de.entry);
-                adopted = true;
+    /// Joins a Merkle-range [`DeltaBatch`] into this set. The same rules
+    /// as [`MembershipCrdt::apply`], but against an explicit drop list
+    /// instead of a full live list: a dropped dot is deleted only when
+    /// the sender's vector covers it (the sender *observed* the add and
+    /// still says it is gone). A set that never removes ignores `drop`.
+    pub fn apply_batch(&mut self, batch: &DeltaBatch) {
+        let mut changed = self.adopt(&batch.novel);
+        if self.semantics.shrinks() {
+            for &dot in &batch.drop {
+                if batch.vv.contains(dot) {
+                    changed |= self.entries.remove(&dot).is_some();
+                }
             }
         }
-        adopted
+        self.finish_join(changed, &batch.vv);
+    }
+
+    /// Inserts the novel entries; true when the live dots changed. A set
+    /// that shrinks skips the dots its vector already covers (covered and
+    /// absent locally means removed here: no resurrection); a set that
+    /// never removes has nothing to resurrect and takes them all.
+    fn adopt(&mut self, novel: &[DottedEntry]) -> bool {
+        let mut changed = false;
+        for de in novel {
+            if self.semantics.shrinks() && self.vv.contains(de.dot) {
+                continue;
+            }
+            changed |= self.entries.insert(de.dot, de.entry) != Some(de.entry);
+        }
+        changed
+    }
+
+    /// The tail of both joins — the one place a join invalidates the
+    /// tree: forget it if the live dots `changed`, then join the vectors.
+    fn finish_join(&mut self, changed: bool, sender_vv: &VersionVector) {
+        if changed {
+            self.tree.invalidate();
+        }
+        self.vv.join(sender_vv);
     }
 
     /// Full-state join with another replica's set.
-    pub fn merge(&mut self, other: &ORSet) {
+    pub fn merge(&mut self, other: &MembershipCrdt) {
         self.apply(&other.delta_since(&VersionVector::new()));
-    }
-
-    /// Number of live dots (not deduplicated values).
-    pub fn dot_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Every live entry with its dot, in dot order — the input to a
@@ -298,32 +282,12 @@ impl ORSet {
         dotted(&self.entries)
     }
 
-    /// The set's [`RangeTree`], built at most once per state of the live
-    /// dots.
-    pub(crate) fn range_tree(&self) -> Arc<RangeTree> {
+    /// The replica's [`RangeTree`] over its live dots, for answering or
+    /// driving a Merkle-range descent. Built at most once per state of
+    /// the live dots and shared by every descent that finds them
+    /// unchanged.
+    pub fn range_tree(&self) -> Arc<RangeTree> {
         self.tree.get_or_build(&self.entries)
-    }
-
-    /// Joins a Merkle-range [`DeltaBatch`] into this set. The same
-    /// observed-remove rules as [`ORSet::apply`], but against an explicit
-    /// drop list instead of a full live list:
-    ///
-    /// * a novel entry is adopted unless our vector already covers its
-    ///   dot (covered + locally absent = removed here; no resurrection);
-    /// * a dropped dot is deleted only when the sender's vector covers it
-    ///   (the sender *observed* the add and still says it is gone);
-    /// * vectors join pointwise.
-    pub fn apply_batch(&mut self, batch: &DeltaBatch) {
-        let mut changed = self.adopt(&batch.novel);
-        for &dot in &batch.drop {
-            if batch.vv.contains(dot) {
-                changed |= self.entries.remove(&dot).is_some();
-            }
-        }
-        if changed {
-            self.tree.invalidate();
-        }
-        self.vv.join(&batch.vv);
     }
 }
 
@@ -342,10 +306,18 @@ mod tests {
         }
     }
 
+    fn grow_only() -> MembershipCrdt {
+        MembershipCrdt::new(GossipSemantics::GrowOnly)
+    }
+
+    fn grow_shrink() -> MembershipCrdt {
+        MembershipCrdt::new(GossipSemantics::GrowShrink)
+    }
+
     #[test]
-    fn gset_grows_and_merges_by_union() {
-        let mut a = GSet::new();
-        let mut b = GSet::new();
+    fn grow_only_grows_and_merges_by_union() {
+        let mut a = grow_only();
+        let mut b = grow_only();
         a.add(n(1), e(1));
         b.add(n(2), e(2));
         let snapshot = a.elements();
@@ -359,15 +331,15 @@ mod tests {
             "Fig. 5: the set only grows"
         );
         assert!(a.contains(ObjectId(2)));
-        assert_eq!(a.dot_count(), 2);
+        assert_eq!(a.dotted_entries().len(), 2);
     }
 
     #[test]
-    fn gset_delta_ships_only_uncovered_dots() {
-        let mut a = GSet::new();
+    fn grow_only_delta_ships_only_uncovered_dots() {
+        let mut a = grow_only();
         a.add(n(1), e(1));
         a.add(n(1), e(2));
-        let mut b = GSet::new();
+        let mut b = grow_only();
         b.apply(&a.delta_since(&b.digest()));
         assert_eq!(b.elements(), a.elements());
         // Nothing new: the next delta is empty.
@@ -380,9 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn orset_remove_deletes_observed_dots_only() {
-        let mut a = ORSet::new();
-        let mut b = ORSet::new();
+    fn grow_shrink_remove_deletes_observed_dots_only() {
+        let mut a = grow_shrink();
+        let mut b = grow_shrink();
         a.add(n(1), e(7));
         // b adds the same element concurrently under its own dot.
         b.add(n(2), e(7));
@@ -401,9 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn orset_removal_propagates_without_resurrection() {
-        let mut a = ORSet::new();
-        let mut b = ORSet::new();
+    fn grow_shrink_removal_propagates_without_resurrection() {
+        let mut a = grow_shrink();
+        let mut b = grow_shrink();
         a.add(n(1), e(3));
         b.merge(&a);
         assert!(b.contains(ObjectId(3)));
@@ -416,30 +388,30 @@ mod tests {
         assert!(!a.contains(ObjectId(3)));
         // A stale full-state delta from before the removal cannot
         // resurrect the element: the dot is already observed.
-        let mut stale = ORSet::new();
+        let mut stale = grow_shrink();
         stale.add(n(1), e(3)); // same replica id/counter as a's original dot
         a.apply(&stale.delta_since(&VersionVector::new()));
         assert!(!a.contains(ObjectId(3)));
     }
 
     #[test]
-    fn orset_readd_after_remove_is_a_fresh_dot() {
-        let mut a = ORSet::new();
+    fn grow_shrink_readd_after_remove_is_a_fresh_dot() {
+        let mut a = grow_shrink();
         a.add(n(1), e(5));
         a.remove(n(1), ObjectId(5)); // counter 2: the removal dot
         let dot = a.add(n(1), e(5));
         assert_eq!(dot.counter, 3);
         assert!(a.contains(ObjectId(5)));
-        let mut b = ORSet::new();
+        let mut b = grow_shrink();
         b.merge(&a);
         assert!(b.contains(ObjectId(5)));
-        assert_eq!(b.dot_count(), 1);
+        assert_eq!(b.dotted_entries().len(), 1);
     }
 
     #[test]
     fn merge_is_commutative_on_a_small_divergence() {
-        let mut a = ORSet::new();
-        let mut b = ORSet::new();
+        let mut a = grow_shrink();
+        let mut b = grow_shrink();
         a.add(n(1), e(1));
         a.add(n(1), e(2));
         a.remove(n(1), ObjectId(1));

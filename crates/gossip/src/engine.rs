@@ -4,11 +4,12 @@
 //! [`install`] spawns a self-rescheduling [`weakset_runtime::RtTask`]
 //! that fires every [`GossipConfig::interval`]. Each round, every live
 //! replica picks [`GossipConfig::fanout`] random peers (deterministically,
-//! from the runtime's seeded RNG) and runs a digest-then-delta exchange in
-//! the configured [`GossipMode`]. Exchanges are plain RPCs on the store
-//! protocol, so partitions, crashes, and lossy links bite gossip exactly
-//! as they bite every other client: a failed exchange is counted and
-//! retried implicitly by the next round.
+//! from the runtime's seeded RNG) and runs one exchange ([`sync_pair`]):
+//! a pull, then a push of whatever the peer turns out to be missing.
+//! Exchanges are plain RPCs on the store protocol, so partitions,
+//! crashes, and lossy links bite gossip exactly as they bite every other
+//! client: a failed exchange is counted and retried implicitly by the
+//! next round.
 //!
 //! Everything here runs against `&mut StoreRt` — the simulator and the
 //! threaded backend drive the same rounds, the same metrics, the same
@@ -46,20 +47,6 @@ use weakset_store::msg::StoreMsg;
 use weakset_store::object::CollectionId;
 use weakset_store::wire::{self, DeltaBatch, RangeKey, RangeReply, RangeSummary};
 
-/// Epidemic exchange style for one round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GossipMode {
-    /// The initiator ships its missing dots to the peer (digest request,
-    /// then delta push: two RPCs).
-    Push,
-    /// The initiator asks the peer for its own missing dots (one RPC).
-    Pull,
-    /// Both directions in two RPCs: a pull whose reply reveals the
-    /// peer's digest, then a push of whatever the peer is missing.
-    #[default]
-    PushPull,
-}
-
 /// How an exchange locates the dots a peer is missing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DigestMode {
@@ -84,8 +71,6 @@ pub struct GossipConfig {
     pub fanout: usize,
     /// Time between rounds.
     pub interval: SimDuration,
-    /// Exchange style.
-    pub mode: GossipMode,
     /// How exchanges locate missing dots.
     pub digest_mode: DigestMode,
     /// Per-RPC timeout inside an exchange.
@@ -100,7 +85,6 @@ impl Default for GossipConfig {
         GossipConfig {
             fanout: 1,
             interval: SimDuration::from_millis(25),
-            mode: GossipMode::default(),
             digest_mode: DigestMode::default(),
             rpc_timeout: SimDuration::from_millis(20),
             until: None,
@@ -121,11 +105,6 @@ impl GossipHandle {
     /// or rescheduling.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`GossipHandle::stop`] has been called.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
     }
 }
 
@@ -152,75 +131,6 @@ pub fn install(
     };
     world.spawn_in(config.interval, Box::new(round));
     GossipHandle { stop }
-}
-
-/// Installs one independent anti-entropy schedule per shard: each
-/// shard's sub-collection gossips strictly within its own replica
-/// group, never across groups, so a partition (or a hot spot) in one
-/// shard cannot slow convergence of the others. Handles come back in
-/// shard order; stop them individually or all together.
-///
-/// Shard sub-collection ids are the caller's business (sharded weak
-/// sets derive them with `weakset::shard::shard_collection_id`).
-pub fn install_sharded(
-    world: &mut StoreRt,
-    shards: &[(CollectionId, Vec<NodeId>)],
-    config: GossipConfig,
-) -> Vec<GossipHandle> {
-    shards
-        .iter()
-        .map(|(coll, replicas)| install(world, *coll, replicas.clone(), config))
-        .collect()
-}
-
-/// True when every shard's replica group has converged on its own
-/// sub-collection (see [`converged`]).
-pub fn converged_sharded(world: &StoreRt, shards: &[(CollectionId, Vec<NodeId>)]) -> bool {
-    shards
-        .iter()
-        .all(|(coll, replicas)| converged(world, *coll, replicas))
-}
-
-/// One immediate push-pull exchange between two replicas (no schedule) —
-/// deterministic pairwise sync for tests and targeted repair. Uses the
-/// classic [`DigestMode::Full`] exchange.
-pub fn sync_pair(
-    world: &mut StoreRt,
-    coll: CollectionId,
-    a: NodeId,
-    b: NodeId,
-    rpc_timeout: SimDuration,
-) {
-    exchange(
-        world,
-        coll,
-        a,
-        b,
-        GossipMode::PushPull,
-        DigestMode::Full,
-        rpc_timeout,
-    );
-}
-
-/// [`sync_pair`] with an explicit digest mode: one immediate push-pull
-/// exchange, reconciling by Merkle-range descent when asked.
-pub fn sync_pair_with(
-    world: &mut StoreRt,
-    coll: CollectionId,
-    a: NodeId,
-    b: NodeId,
-    digest_mode: DigestMode,
-    rpc_timeout: SimDuration,
-) {
-    exchange(
-        world,
-        coll,
-        a,
-        b,
-        GossipMode::PushPull,
-        digest_mode,
-        rpc_timeout,
-    );
 }
 
 /// Omniscient convergence check: true when every replica's CRDT exists
@@ -298,12 +208,11 @@ impl RtTask<StoreMsg> for Round {
             self.rng.shuffle(&mut self.peers);
             self.peers.truncate(self.config.fanout);
             for &peer in &self.peers {
-                exchange(
+                sync_pair(
                     world,
                     self.coll,
                     origin,
                     peer,
-                    self.config.mode,
                     self.config.digest_mode,
                     self.config.rpc_timeout,
                 );
@@ -317,13 +226,10 @@ impl RtTask<StoreMsg> for Round {
 }
 
 /// After each round, counts live replicas whose digest still trails the
-/// join of **every** replica's digest — crashed ones included. A crashed
-/// replica holding dots no live replica has observed used to vanish from
-/// the join entirely, so the round read as fully converged while state
-/// sat unreplicated on a dead node; now those dots keep the live
-/// replicas counted stale and additionally surface as the
-/// `gossip.unreplicated_dots` gauge (dots that would be lost if the
-/// crashed holders never recovered).
+/// join of **every** replica's digest — crashed ones included, so dots
+/// held only by a dead node keep the live replicas counted stale and
+/// surface as the `gossip.unreplicated_dots` gauge (what would be lost if
+/// the crashed holders never recovered).
 fn record_convergence_lag(world: &mut StoreRt, coll: CollectionId, replicas: &[NodeId]) {
     // Digests are shares of the replicas' vectors, so they are read
     // twice instead of being collected; in the steady state every
@@ -358,41 +264,30 @@ fn record_convergence_lag(world: &mut StoreRt, coll: CollectionId, replicas: &[N
     );
 }
 
-/// Runs one exchange initiated by `origin` towards `peer`.
-fn exchange(
+/// Runs one exchange initiated by `origin` towards `peer`; both
+/// directions always move. Every round runs this once per chosen peer;
+/// called directly it is an immediate, deterministic pairwise sync (no
+/// schedule) for tests, experiments and targeted repair.
+pub fn sync_pair(
     world: &mut StoreRt,
     coll: CollectionId,
     origin: NodeId,
     peer: NodeId,
-    mode: GossipMode,
     digest_mode: DigestMode,
     timeout: SimDuration,
 ) {
     world.metrics_mut().incr(names::EXCHANGES);
     let span = world.span_enter("gossip.exchange", &|| origin.link_label(peer));
     match digest_mode {
-        DigestMode::Full => match mode {
-            GossipMode::Pull => {
-                pull(world, coll, origin, peer, timeout);
+        // The pull reply carries the peer's full vector, which is
+        // exactly the digest the return push needs: two RPCs total.
+        DigestMode::Full => {
+            if let Some(peer_vv) = pull(world, coll, origin, peer, timeout) {
+                push(world, coll, origin, peer, &peer_vv, timeout);
             }
-            GossipMode::Push => {
-                if let Some(peer_digest) = fetch_digest(world, coll, origin, peer, timeout) {
-                    push(world, coll, origin, peer, &peer_digest, timeout);
-                }
-            }
-            GossipMode::PushPull => {
-                // The pull reply carries the peer's full vector, which is
-                // exactly the digest the return push needs: two RPCs total.
-                if let Some(peer_vv) = pull(world, coll, origin, peer, timeout) {
-                    push(world, coll, origin, peer, &peer_vv, timeout);
-                }
-            }
-        },
-        // The descent itself is direction-agnostic (both sides' trees are
-        // compared range by range); GossipMode only selects which halves
-        // of the located difference move.
+        }
         DigestMode::MerkleRange => {
-            merkle_exchange(world, coll, origin, peer, mode, timeout);
+            merkle_exchange(world, coll, origin, peer, timeout);
         }
     }
     world.span_exit(span);
@@ -418,7 +313,11 @@ fn pull(
         Ok(StoreMsg::GossipDelta { delta, .. }) => {
             let peer_vv = delta.vv.clone();
             record_shipped(world, &delta);
-            apply_local(world, origin, coll, delta);
+            // Through the service's own handler, so local joins and
+            // remote pushes share one code path.
+            world.with_service_mut(origin, |g: &mut GossipNode| {
+                g.apply(StoreMsg::GossipPush { coll, delta });
+            });
             Some(peer_vv)
         }
         Ok(other) => {
@@ -441,22 +340,31 @@ fn push(
     peer_digest: &VersionVector,
     timeout: SimDuration,
 ) {
-    let Some(delta) = local_delta(world, origin, coll, peer_digest) else {
+    // Nothing to ship when the CRDT can prove the peer needs nothing.
+    let delta = world
+        .with_service(origin, |g: &GossipNode| {
+            let crdt = g.crdt(coll)?;
+            if crdt.nothing_for(peer_digest) {
+                return None;
+            }
+            Some(crdt.delta_since(peer_digest))
+        })
+        .flatten();
+    let Some(delta) = delta else {
         world.metrics_mut().incr(names::PUSH_SKIPPED);
         return;
     };
     record_shipped(world, &delta);
-    match world.rpc(origin, peer, StoreMsg::GossipPush { coll, delta }, timeout) {
-        Ok(_) => {}
-        Err(_) => world.metrics_mut().incr(names::FAILURES),
+    let push = StoreMsg::GossipPush { coll, delta };
+    if world.rpc(origin, peer, push, timeout).is_err() {
+        world.metrics_mut().incr(names::FAILURES);
     }
 }
 
 /// One Merkle-range exchange: descend mismatched ranges of the two
 /// replicas' live-dot trees, classify every one-sided dot as a missing
-/// add or a propagating removal using the digests, then move the halves
-/// [`GossipMode`] asks for — `Pull` applies the peer's half locally,
-/// `Push` ships ours, `PushPull` does both. Bytes are charged to the
+/// add or a propagating removal using the digests, then apply the
+/// peer's half locally and ship ours. Bytes are charged to the
 /// same counters as the `Full` path: summaries, match/split replies, and
 /// digests to `gossip.digest_bytes`; leaf enumerations and the final
 /// [`DeltaBatch`] to `gossip.delta_bytes`.
@@ -465,7 +373,6 @@ fn merkle_exchange(
     coll: CollectionId,
     origin: NodeId,
     peer: NodeId,
-    mode: GossipMode,
     timeout: SimDuration,
 ) -> Option<()> {
     let (tree, my_vv) = world
@@ -571,83 +478,50 @@ fn merkle_exchange(
         }
     }
 
-    if matches!(mode, GossipMode::Pull | GossipMode::PushPull) {
-        // Applying the peer's vector alongside its half also certifies
-        // the drops (apply_batch only honours covered dots) and joins
-        // the vectors, mirroring what a Full-mode pull learns.
-        let batch = DeltaBatch {
-            vv: peer_vv.clone(),
-            novel: novel_for_me,
-            drop: drop_for_me,
-        };
-        world.with_service_mut(origin, |g: &mut GossipNode| {
-            g.apply(StoreMsg::GossipDeltaBatch { coll, batch });
-        });
-    }
+    // Applying the peer's vector alongside its half also certifies the
+    // drops (apply_batch only honours covered dots) and joins the
+    // vectors, mirroring what a Full-mode pull learns.
+    let batch = DeltaBatch {
+        vv: peer_vv.clone(),
+        novel: novel_for_me,
+        drop: drop_for_me,
+    };
+    world.with_service_mut(origin, |g: &mut GossipNode| {
+        g.apply(StoreMsg::GossipDeltaBatch { coll, batch });
+    });
 
-    if matches!(mode, GossipMode::Push | GossipMode::PushPull) {
-        // Ship the join of the two vectors *the diff was computed
-        // against* — never a live re-read, which could cover dots added
-        // concurrently whose entries are in neither half of the diff
-        // (the peer would then refuse them forever as already-seen).
-        // The snapshot join still certifies our drops and hands the
-        // peer everything a Full-mode exchange would.
-        let mut vv_join = my_vv.clone();
-        vv_join.join(&peer_vv);
-        if novel_for_peer.is_empty() && drop_for_peer.is_empty() && peer_vv.dominates(&vv_join) {
-            world.metrics_mut().incr(names::PUSH_SKIPPED);
-        } else {
-            let batch = DeltaBatch {
-                vv: vv_join,
-                novel: novel_for_peer,
-                drop: drop_for_peer,
-            };
-            let m = world.metrics_mut();
-            m.add(names::NOVEL_SHIPPED, batch.novel.len() as u64);
-            m.add(names::DELTA_BYTES, batch.encoded_size() as u64);
-            match world.rpc(
-                origin,
-                peer,
-                StoreMsg::GossipDeltaBatch { coll, batch },
-                timeout,
-            ) {
-                Ok(_) => {}
-                Err(_) => world.metrics_mut().incr(names::FAILURES),
-            }
-        }
+    // Ship the join of the two vectors *the diff was computed against* —
+    // never a live re-read, which could cover dots added concurrently
+    // whose entries are in neither half of the diff (the peer would then
+    // refuse them forever as already-seen). The snapshot join still
+    // certifies our drops and hands the peer everything a Full-mode
+    // exchange would.
+    let mut vv_join = my_vv.clone();
+    vv_join.join(&peer_vv);
+    if novel_for_peer.is_empty() && drop_for_peer.is_empty() && peer_vv.dominates(&vv_join) {
+        world.metrics_mut().incr(names::PUSH_SKIPPED);
+        return Some(());
+    }
+    let batch = DeltaBatch {
+        vv: vv_join,
+        novel: novel_for_peer,
+        drop: drop_for_peer,
+    };
+    let m = world.metrics_mut();
+    m.add(names::NOVEL_SHIPPED, batch.novel.len() as u64);
+    m.add(names::DELTA_BYTES, batch.encoded_size() as u64);
+    let push = StoreMsg::GossipDeltaBatch { coll, batch };
+    if world.rpc(origin, peer, push, timeout).is_err() {
+        world.metrics_mut().incr(names::FAILURES);
     }
     Some(())
 }
 
-fn fetch_digest(
-    world: &mut StoreRt,
-    coll: CollectionId,
-    origin: NodeId,
-    peer: NodeId,
-    timeout: SimDuration,
-) -> Option<VersionVector> {
-    match world.rpc(origin, peer, StoreMsg::GossipDigestReq(coll), timeout) {
-        Ok(StoreMsg::GossipDigest { digest, .. }) => {
-            record_digest(world, &digest);
-            Some(digest)
-        }
-        Ok(other) => {
-            unexpected_reply(world, "fetch_digest", peer, &other);
-            None
-        }
-        Err(_) => {
-            world.metrics_mut().incr(names::FAILURES);
-            None
-        }
-    }
-}
-
 /// A peer answered an anti-entropy request with the wrong message type —
 /// usually a node that does not run a [`GossipNode`], or a collection it
-/// does not replicate. Dropping these silently made misconfigured
-/// deployments look healthy (the exchange just vanished, every round,
-/// forever); count them as failures and leave a trace breadcrumb naming
-/// the leg and the reply.
+/// does not replicate. Counted as a failure, with a trace breadcrumb
+/// naming the leg and the reply, so a misconfigured deployment does not
+/// look healthy.
 fn unexpected_reply(world: &mut StoreRt, leg: &str, peer: NodeId, reply: &StoreMsg) {
     world.metrics_mut().incr(names::FAILURES);
     world.trace_event("gossip.unexpected_reply", &|| {
@@ -661,44 +535,15 @@ fn local_digest(world: &StoreRt, node: NodeId, coll: CollectionId) -> Option<Ver
         .flatten()
 }
 
-/// The delta `node` would send a peer holding `digest`; `None` when the
-/// CRDT can prove the peer needs nothing.
-fn local_delta(
-    world: &StoreRt,
-    node: NodeId,
-    coll: CollectionId,
-    digest: &VersionVector,
-) -> Option<MembershipDelta> {
-    world
-        .with_service(node, |g: &GossipNode| {
-            let crdt = g.crdt(coll)?;
-            if crdt.nothing_for(digest) {
-                return None;
-            }
-            Some(crdt.delta_since(digest))
-        })
-        .flatten()
-}
-
-fn apply_local(world: &mut StoreRt, node: NodeId, coll: CollectionId, delta: MembershipDelta) {
-    world.with_service_mut(node, |g: &mut GossipNode| {
-        // Route through the service's own handler so local joins and
-        // remote pushes share one code path.
-        g.apply(StoreMsg::GossipPush { coll, delta });
-    });
-}
-
 fn record_shipped(world: &mut StoreRt, delta: &MembershipDelta) {
     let m = world.metrics_mut();
     m.add(names::NOVEL_SHIPPED, delta.novel.len() as u64);
     m.add(names::DELTA_BYTES, wire::delta_encoded_size(delta) as u64);
 }
 
-/// Charges a version vector crossing the wire at its compact encoded
-/// size. The old flat `16 * len` both overcharged small vectors (varints
-/// are 1–3 bytes here, not 16) and ignored that OR-Set removal dots keep
-/// widening the vector — the two modes are only comparable when both are
-/// billed by the same `weakset_store::wire` encoding.
+/// Charges a version vector crossing the wire at its compact
+/// `weakset_store::wire` encoded size — the encoding both digest modes
+/// are billed by, which is what makes their byte counts comparable.
 fn record_digest(world: &mut StoreRt, vv: &VersionVector) {
     world
         .metrics_mut()

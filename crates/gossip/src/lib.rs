@@ -11,21 +11,22 @@
 //! they constrain each observation against the history, not against a
 //! single authoritative replica. This crate exploits that latitude:
 //!
-//! * [`crdt::GSet`] — grow-only membership; merge is union, so Figure 5's
-//!   monotonicity survives any exchange order.
-//! * [`crdt::ORSet`] — observed-remove membership with per-replica dotted
-//!   version vectors; every element a replica ever reports was added at
-//!   some point, which is Figure 6's guarantee.
+//! * [`crdt::MembershipCrdt`] — one dotted set for both figures, built
+//!   with the [`crdt::GossipSemantics`] it enforces. Grow-only: the join
+//!   is union, so Figure 5's monotonicity survives any exchange order.
+//!   Grow-and-shrink: observed-remove with per-replica dotted version
+//!   vectors; every element a replica ever reports was added at some
+//!   point, which is Figure 6's guarantee.
 //! * [`replica::GossipNode`] — a drop-in store service wrapping
 //!   [`weakset_store::server::StoreServer`]: object traffic delegates,
 //!   membership mutations mirror into the CRDT, membership reads answer
 //!   from it, and the anti-entropy messages
-//!   ([`weakset_store::msg::StoreMsg::GossipDigestReq`] and friends) are
+//!   ([`weakset_store::msg::StoreMsg::GossipDeltaReq`] and friends) are
 //!   served.
 //! * [`engine`] — periodic anti-entropy rounds as scheduled events on the
-//!   [`weakset_sim`] event loop: configurable fan-out, interval, and
-//!   push/pull/push-pull mode, with digest-then-delta exchanges so only
-//!   missing dots cross the wire.
+//!   [`weakset_sim`] event loop: configurable fan-out and interval, with
+//!   digest-then-delta push-pull exchanges so only missing dots cross
+//!   the wire.
 //! * [`reconcile`] — Merkle-range reconciliation over the live-dot
 //!   space, selected by [`engine::DigestMode::MerkleRange`]: replicas
 //!   locate their symmetric difference by descending mismatched hash
@@ -78,8 +79,8 @@ pub mod replica;
 
 /// One-stop imports for gossip deployments.
 pub mod prelude {
-    pub use crate::crdt::{GSet, ORSet};
-    pub use crate::engine::{self, DigestMode, GossipConfig, GossipHandle, GossipMode};
+    pub use crate::crdt::{GossipSemantics, MembershipCrdt};
+    pub use crate::engine::{self, DigestMode, GossipConfig, GossipHandle};
     pub use crate::reconcile::RangeTree;
-    pub use crate::replica::{GossipNode, GossipSemantics, MembershipCrdt};
+    pub use crate::replica::GossipNode;
 }

@@ -13,152 +13,15 @@
 //!
 //! [`CollectionState`]: weakset_store::collection::CollectionState
 
-use crate::crdt::{GSet, ORSet};
-use crate::reconcile::RangeTree;
+use crate::crdt::{GossipSemantics, MembershipCrdt};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_sim::world::{Service, ServiceCtx};
-use weakset_store::collection::{MemberEntry, Membership};
-use weakset_store::dotted::{Dot, MembershipDelta, VersionVector};
+use weakset_store::dotted::VersionVector;
 use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::server::StoreServer;
-use weakset_store::wire::DeltaBatch;
-
-/// Which of the paper's two membership specifications a replica enforces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GossipSemantics {
-    /// Figure 5: the membership only grows. Backed by a [`GSet`];
-    /// removals are ignored at the CRDT layer.
-    GrowOnly,
-    /// Figure 6: members come and go. Backed by an [`ORSet`] with
-    /// observed-remove semantics.
-    #[default]
-    GrowShrink,
-}
-
-/// One collection's CRDT replica: either flavour behind a uniform API.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MembershipCrdt {
-    /// Grow-only membership (Figure 5).
-    GrowOnly(GSet),
-    /// Grow-and-shrink membership (Figure 6).
-    GrowShrink(ORSet),
-}
-
-impl MembershipCrdt {
-    /// An empty replica with the given semantics.
-    pub fn new(semantics: GossipSemantics) -> Self {
-        match semantics {
-            GossipSemantics::GrowOnly => MembershipCrdt::GrowOnly(GSet::new()),
-            GossipSemantics::GrowShrink => MembershipCrdt::GrowShrink(ORSet::new()),
-        }
-    }
-
-    /// The semantics this replica enforces.
-    pub fn semantics(&self) -> GossipSemantics {
-        match self {
-            MembershipCrdt::GrowOnly(_) => GossipSemantics::GrowOnly,
-            MembershipCrdt::GrowShrink(_) => GossipSemantics::GrowShrink,
-        }
-    }
-
-    /// Adds `entry` as a mutation of `replica`.
-    pub fn add(&mut self, replica: NodeId, entry: MemberEntry) -> Dot {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.add(replica, entry),
-            MembershipCrdt::GrowShrink(s) => s.add(replica, entry),
-        }
-    }
-
-    /// Removes an element as a mutation of `replica`. Grow-only replicas
-    /// ignore the request (the set only grows — Fig. 5 has no removal
-    /// transition) and report 0.
-    pub fn remove(&mut self, replica: NodeId, elem: ObjectId) -> usize {
-        match self {
-            MembershipCrdt::GrowOnly(_) => 0,
-            MembershipCrdt::GrowShrink(s) => s.remove(replica, elem),
-        }
-    }
-
-    /// The current membership, sorted.
-    pub fn elements(&self) -> Membership {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.elements(),
-            MembershipCrdt::GrowShrink(s) => s.elements(),
-        }
-    }
-
-    /// True when some live entry has this element id.
-    pub fn contains(&self, elem: ObjectId) -> bool {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.contains(elem),
-            MembershipCrdt::GrowShrink(s) => s.contains(elem),
-        }
-    }
-
-    /// The replica's digest (every observed dot): a share of the
-    /// replica's vector, not a copy, so reading it this way is cheap.
-    pub fn digest(&self) -> VersionVector {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.digest(),
-            MembershipCrdt::GrowShrink(s) => s.digest(),
-        }
-    }
-
-    /// The delta a peer with `digest` is missing.
-    pub fn delta_since(&self, digest: &VersionVector) -> MembershipDelta {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.delta_since(digest),
-            MembershipCrdt::GrowShrink(s) => s.delta_since(digest),
-        }
-    }
-
-    /// Joins a delta into this replica.
-    pub fn apply(&mut self, delta: &MembershipDelta) {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.apply(delta),
-            MembershipCrdt::GrowShrink(s) => s.apply(delta),
-        }
-    }
-
-    /// Every live entry with its dot — the input to a Merkle-range
-    /// reconciliation tree.
-    pub fn dotted_entries(&self) -> Vec<weakset_store::dotted::DottedEntry> {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.dotted_entries(),
-            MembershipCrdt::GrowShrink(s) => s.dotted_entries(),
-        }
-    }
-
-    /// Joins a Merkle-range delta batch into this replica.
-    pub fn apply_batch(&mut self, batch: &DeltaBatch) {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.apply_batch(batch),
-            MembershipCrdt::GrowShrink(s) => s.apply_batch(batch),
-        }
-    }
-
-    /// The replica's [`RangeTree`] over its live dots, for answering or
-    /// driving a Merkle-range descent. Built once per state of the live
-    /// dots and shared by every descent that finds them unchanged.
-    pub fn range_tree(&self) -> Arc<RangeTree> {
-        match self {
-            MembershipCrdt::GrowOnly(s) => s.range_tree(),
-            MembershipCrdt::GrowShrink(s) => s.range_tree(),
-        }
-    }
-
-    /// True when a peer holding `digest` could learn nothing from us:
-    /// the digest dominates ours. Sound for both flavours because every
-    /// effective mutation — including OR-Set removals, via their removal
-    /// dots — advances the version vector.
-    pub fn nothing_for(&self, digest: &VersionVector) -> bool {
-        digest.dominates(&self.digest())
-    }
-}
 
 /// A store node that also speaks the anti-entropy protocol.
 ///
@@ -233,12 +96,6 @@ impl GossipNode {
         &mut self.inner
     }
 
-    /// Applies a request locally, exactly as [`StoreServer::apply`] but
-    /// through the gossip-aware interception.
-    pub fn apply(&mut self, msg: StoreMsg) -> StoreMsg {
-        self.handle_msg(msg)
-    }
-
     /// Omniscient visitor for the collection's primary-path state (the
     /// version log that conformance checking replays), reaching through
     /// the [`GossipNode`] wrapper on `node`. Pass it straight to
@@ -264,54 +121,116 @@ impl GossipNode {
             .is_some_and(|c| c.contains(elem))
     }
 
-    fn handle_msg(&mut self, msg: StoreMsg) -> StoreMsg {
-        match msg {
-            StoreMsg::GossipDigestReq(coll) => match self.replicas.get(&coll) {
-                Some(crdt) => StoreMsg::GossipDigest {
-                    coll,
-                    digest: crdt.digest(),
-                },
-                None => StoreMsg::NoSuchCollection(coll),
+    /// Answers an anti-entropy request from the collection's CRDT replica.
+    fn gossip(
+        &mut self,
+        coll: CollectionId,
+        answer: impl FnOnce(&mut MembershipCrdt) -> StoreMsg,
+    ) -> StoreMsg {
+        match self.replicas.get_mut(&coll) {
+            Some(crdt) => answer(crdt),
+            None => StoreMsg::NoSuchCollection(coll),
+        }
+    }
+
+    /// The membership reads — `ListMembers`, bare or session-gated —
+    /// answered from `&self`; `None` for every other request. This is
+    /// the only place they are answered: [`GossipNode::apply`] calls it first,
+    /// and [`Service::serve_shared`] is exactly this function.
+    ///
+    /// Reads come from the CRDT: its digest total is a monotone version
+    /// and converged replicas agree on it. Scalar version totals are NOT
+    /// a sound causality floor for gossip replicas (two replicas can
+    /// cover disjoint dot sets with equal totals), so the session gate is
+    /// dot-level: the replica must dominate the clock the session has
+    /// observed. A gated reply carries the replica's digest so the client
+    /// learns dot-level dependencies.
+    ///
+    /// Cost: a reply builds `crdt.elements()` — every live dot walked,
+    /// sorted and deduplicated into a fresh `Membership`, O(n log n) and
+    /// one allocation — so a shared read does the work `handle` would
+    /// have done, on the requesting thread; it is not the `Arc` clone a
+    /// plain `StoreServer` read is.
+    fn read(&self, msg: &StoreMsg) -> Option<StoreMsg> {
+        let (coll, session) = match msg {
+            StoreMsg::ListMembers(coll) => (*coll, None),
+            StoreMsg::WithSession { session, inner } => match **inner {
+                StoreMsg::ListMembers(coll) => (coll, Some(session)),
+                _ => return None,
             },
-            StoreMsg::GossipDeltaReq { coll, digest } => match self.replicas.get(&coll) {
-                Some(crdt) => StoreMsg::GossipDelta {
+            _ => return None,
+        };
+        // No CRDT replica here: the wrapped plain server answers, with
+        // its scalar gate (sound for primary-serialized state).
+        let Some(crdt) = self.replicas.get(&coll) else {
+            return self.inner.serve_shared(self.node, msg);
+        };
+        let digest = crdt.digest();
+        let members = || StoreMsg::Members {
+            version: digest.total(),
+            entries: crdt.elements(),
+        };
+        let Some(session) = session else {
+            return Some(members());
+        };
+        let floor_clock = session.clock(coll);
+        let clock_ok = floor_clock.is_none_or(|c| digest.dominates(c));
+        let total_ok = digest.total() >= session.floor(coll);
+        Some(if clock_ok && total_ok {
+            StoreMsg::SessionStamped {
+                clock: digest.clone(),
+                inner: Box::new(members()),
+            }
+        } else {
+            StoreMsg::SessionBehind {
+                coll,
+                have: digest.total(),
+                need: session
+                    .floor(coll)
+                    .max(floor_clock.map_or(0, VersionVector::total)),
+            }
+        })
+    }
+
+    /// Applies a request locally, exactly as [`StoreServer::apply`] but
+    /// through the gossip-aware interception; [`Service::handle`] is this
+    /// function.
+    pub fn apply(&mut self, msg: StoreMsg) -> StoreMsg {
+        if let Some(reply) = self.read(&msg) {
+            return reply;
+        }
+        match msg {
+            StoreMsg::GossipDeltaReq { coll, digest } => {
+                self.gossip(coll, |crdt| StoreMsg::GossipDelta {
                     coll,
                     delta: crdt.delta_since(&digest),
-                },
-                None => StoreMsg::NoSuchCollection(coll),
-            },
-            StoreMsg::GossipPush { coll, delta } => match self.replicas.get_mut(&coll) {
-                Some(crdt) => {
-                    crdt.apply(&delta);
-                    StoreMsg::GossipDigest {
-                        coll,
-                        digest: crdt.digest(),
-                    }
+                })
+            }
+            StoreMsg::GossipPush { coll, delta } => self.gossip(coll, |crdt| {
+                crdt.apply(&delta);
+                StoreMsg::GossipDigest {
+                    coll,
+                    digest: crdt.digest(),
                 }
-                None => StoreMsg::NoSuchCollection(coll),
-            },
+            }),
             // One round of a Merkle-range descent: answer every probed
             // range from the tree of the current live dots, stamping the
             // reply with our digest (the initiator needs it to tell
             // removals from unseen adds).
-            StoreMsg::GossipRangeReq { coll, ranges } => match self.replicas.get(&coll) {
-                Some(crdt) => StoreMsg::GossipRangeResp {
+            StoreMsg::GossipRangeReq { coll, ranges } => {
+                self.gossip(coll, |crdt| StoreMsg::GossipRangeResp {
                     coll,
                     digest: crdt.digest(),
                     ranges: crdt.range_tree().respond(&ranges),
-                },
-                None => StoreMsg::NoSuchCollection(coll),
-            },
-            StoreMsg::GossipDeltaBatch { coll, batch } => match self.replicas.get_mut(&coll) {
-                Some(crdt) => {
-                    crdt.apply_batch(&batch);
-                    StoreMsg::GossipDigest {
-                        coll,
-                        digest: crdt.digest(),
-                    }
+                })
+            }
+            StoreMsg::GossipDeltaBatch { coll, batch } => self.gossip(coll, |crdt| {
+                crdt.apply_batch(&batch);
+                StoreMsg::GossipDigest {
+                    coll,
+                    digest: crdt.digest(),
                 }
-                None => StoreMsg::NoSuchCollection(coll),
-            },
+            }),
             StoreMsg::CreateCollection(coll) => {
                 let reply = self.inner.apply(StoreMsg::CreateCollection(coll));
                 self.replicas
@@ -319,15 +238,6 @@ impl GossipNode {
                     .or_insert_with(|| MembershipCrdt::new(self.default_semantics));
                 reply
             }
-            StoreMsg::ListMembers(coll) => match self.replicas.get(&coll) {
-                // Reads come from the CRDT: its digest total is a
-                // monotone version and converged replicas agree on it.
-                Some(crdt) => StoreMsg::Members {
-                    version: crdt.digest().total(),
-                    entries: crdt.elements(),
-                },
-                None => self.inner.apply(StoreMsg::ListMembers(coll)),
-            },
             StoreMsg::AddMember { coll, entry } => {
                 // Mirror only *effective* adds so the CRDT's dot count
                 // tracks the wrapped server's version (duplicate adds do
@@ -368,71 +278,33 @@ impl GossipNode {
                 }
                 reply
             }
-            // Session-gated requests. Scalar version totals are NOT a
-            // sound causality floor for gossip replicas (two replicas
-            // can cover disjoint dot sets with equal totals), so the
-            // gate is dot-level: the replica must dominate the clock
-            // the session has observed. Replies carry the replica's
-            // digest so the client learns dot-level dependencies.
-            StoreMsg::WithSession { session, inner } => match *inner {
-                StoreMsg::ListMembers(coll) => match self.replicas.get(&coll) {
-                    Some(crdt) => {
-                        let digest = crdt.digest();
-                        let floor_clock = session.clock(coll);
-                        let clock_ok = floor_clock.is_none_or(|c| digest.dominates(c));
-                        let total_ok = digest.total() >= session.floor(coll);
-                        if clock_ok && total_ok {
-                            StoreMsg::SessionStamped {
-                                clock: digest.clone(),
-                                inner: Box::new(StoreMsg::Members {
-                                    version: digest.total(),
-                                    entries: crdt.elements(),
-                                }),
-                            }
-                        } else {
-                            StoreMsg::SessionBehind {
-                                coll,
-                                have: digest.total(),
-                                need: session
-                                    .floor(coll)
-                                    .max(floor_clock.map_or(0, VersionVector::total)),
-                            }
+            // A session-gated membership read was answered by `read`.
+            // Session-gated mutations pass through the gossip-aware
+            // interception, then the reply is stamped with the
+            // post-mutation digest — the dot this session must later
+            // find.
+            StoreMsg::WithSession { inner, .. } => {
+                let target = match &*inner {
+                    StoreMsg::AddMember { coll, .. } | StoreMsg::RemoveMember { coll, .. } => {
+                        Some(*coll)
+                    }
+                    _ => None,
+                };
+                let reply = self.apply(*inner);
+                match target.and_then(|c| self.replicas.get(&c)) {
+                    Some(crdt) if matches!(reply, StoreMsg::Members { .. }) => {
+                        StoreMsg::SessionStamped {
+                            clock: crdt.digest(),
+                            inner: Box::new(reply),
                         }
                     }
-                    // No CRDT replica here: the wrapped plain server's
-                    // scalar gate (sound for primary-serialized state)
-                    // takes over.
-                    None => self.inner.apply(StoreMsg::WithSession {
-                        session,
-                        inner: Box::new(StoreMsg::ListMembers(coll)),
-                    }),
-                },
-                // Mutations pass through the gossip-aware interception,
-                // then the reply is stamped with the post-mutation
-                // digest — the dot this session must later find.
-                other => {
-                    let target = match &other {
-                        StoreMsg::AddMember { coll, .. } | StoreMsg::RemoveMember { coll, .. } => {
-                            Some(*coll)
-                        }
-                        _ => None,
-                    };
-                    let reply = self.handle_msg(other);
-                    match target.and_then(|c| self.replicas.get(&c)) {
-                        Some(crdt) if matches!(reply, StoreMsg::Members { .. }) => {
-                            StoreMsg::SessionStamped {
-                                clock: crdt.digest(),
-                                inner: Box::new(reply),
-                            }
-                        }
-                        _ => reply,
-                    }
+                    _ => reply,
                 }
-            },
+            }
             // Batched parts must re-enter HERE, not the wrapped server,
             // so CRDT-backed reads stay CRDT-backed inside envelopes.
             StoreMsg::Batch(parts) => {
-                StoreMsg::BatchReply(parts.into_iter().map(|p| self.handle_msg(p)).collect())
+                StoreMsg::BatchReply(parts.into_iter().map(|p| self.apply(p)).collect())
             }
             // Object traffic, queries, locks, and the rival primary-sync
             // path go straight to the wrapped server.
@@ -443,13 +315,19 @@ impl GossipNode {
 
 impl Service<StoreMsg> for GossipNode {
     fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: StoreMsg) -> StoreMsg {
-        self.handle_msg(msg)
+        self.apply(msg)
+    }
+
+    fn serve_shared(&self, _from: NodeId, msg: &StoreMsg) -> Option<StoreMsg> {
+        self.read(msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use weakset_store::collection::MemberEntry;
+    use weakset_store::dotted::MembershipDelta;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -570,10 +448,7 @@ mod tests {
         });
 
         // Pull: b asks a for what it is missing.
-        let digest = match b.apply(StoreMsg::GossipDigestReq(c)) {
-            StoreMsg::GossipDigest { digest, .. } => digest,
-            other => panic!("unexpected {other:?}"),
-        };
+        let digest = b.crdt(c).unwrap().digest();
         let delta = match a.apply(StoreMsg::GossipDeltaReq { coll: c, digest }) {
             StoreMsg::GossipDelta { delta, .. } => delta,
             other => panic!("unexpected {other:?}"),
@@ -588,7 +463,10 @@ mod tests {
     fn gossip_requests_for_unknown_collections() {
         let mut g = GossipNode::new(n(1));
         assert_eq!(
-            g.apply(StoreMsg::GossipDigestReq(CollectionId(9))),
+            g.apply(StoreMsg::GossipDeltaReq {
+                coll: CollectionId(9),
+                digest: VersionVector::new()
+            }),
             StoreMsg::NoSuchCollection(CollectionId(9))
         );
         assert_eq!(

@@ -1,5 +1,5 @@
 //! Engine-level integration: anti-entropy rounds on the simulated event
-//! loop converge replicas in every mode, survive partitions, and back
+//! loop converge replicas, survive partitions, and back
 //! leaderless membership reads.
 
 use weakset_gossip::prelude::*;
@@ -48,43 +48,40 @@ fn entry(id: u64, home: NodeId) -> MemberEntry {
 /// Mutations at the primary reach every replica through gossip alone —
 /// the best-effort SyncMembers path plays no part in CRDT state.
 #[test]
-fn all_modes_converge() {
-    for mode in [GossipMode::Push, GossipMode::Pull, GossipMode::PushPull] {
-        let (mut w, client, cref) = setup(4, 11);
-        for i in 1..=5 {
-            client
-                .add_member(&mut w, &cref, entry(i, cref.home))
-                .unwrap();
-        }
-        assert!(
-            !engine::converged(&w, COLL, &cref.all_nodes()),
-            "secondaries must start stale ({mode:?})"
-        );
-        let handle = engine::install(
-            &mut w,
-            COLL,
-            cref.all_nodes(),
-            GossipConfig {
-                mode,
-                interval: SimDuration::from_millis(10),
-                ..GossipConfig::default()
-            },
-        );
-        let deadline = w.now() + SimDuration::from_millis(500);
-        w.run_until(deadline);
-        assert!(
-            engine::converged(&w, COLL, &cref.all_nodes()),
-            "mode {mode:?} failed to converge"
-        );
-        assert_eq!(
-            engine::elements_at(&w, cref.replicas[0], COLL)
-                .unwrap()
-                .len(),
-            5
-        );
-        handle.stop();
-        w.run_to_quiescence();
+fn rounds_converge() {
+    let (mut w, client, cref) = setup(4, 11);
+    for i in 1..=5 {
+        client
+            .add_member(&mut w, &cref, entry(i, cref.home))
+            .unwrap();
     }
+    assert!(
+        !engine::converged(&w, COLL, &cref.all_nodes()),
+        "secondaries must start stale"
+    );
+    let handle = engine::install(
+        &mut w,
+        COLL,
+        cref.all_nodes(),
+        GossipConfig {
+            interval: SimDuration::from_millis(10),
+            ..GossipConfig::default()
+        },
+    );
+    let deadline = w.now() + SimDuration::from_millis(500);
+    w.run_until(deadline);
+    assert!(
+        engine::converged(&w, COLL, &cref.all_nodes()),
+        "failed to converge"
+    );
+    assert_eq!(
+        engine::elements_at(&w, cref.replicas[0], COLL)
+            .unwrap()
+            .len(),
+        5
+    );
+    handle.stop();
+    w.run_to_quiescence();
 }
 
 /// Removals propagate: the (vv, live) half of the delta carries them even
@@ -249,6 +246,7 @@ fn sync_pair_repairs_two_replicas() {
         COLL,
         cref.replicas[0],
         cref.home,
+        DigestMode::Full,
         SimDuration::from_millis(20),
     );
     assert!(engine::converged(&w, COLL, &cref.all_nodes()));

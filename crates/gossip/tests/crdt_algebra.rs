@@ -7,7 +7,7 @@
 //! over any topology, and still converge every replica to one membership.
 
 use proptest::prelude::*;
-use weakset_gossip::prelude::{GSet, ORSet};
+use weakset_gossip::prelude::{GossipSemantics, MembershipCrdt};
 use weakset_sim::node::NodeId;
 use weakset_store::collection::MemberEntry;
 use weakset_store::dotted::VersionVector;
@@ -26,8 +26,8 @@ fn entry(elem: u64) -> MemberEntry {
 }
 
 /// Replays `ops` as local mutations of replica `id` on an OR-Set.
-fn orset_of(id: u32, ops: &[Op]) -> ORSet {
-    let mut s = ORSet::new();
+fn orset_of(id: u32, ops: &[Op]) -> MembershipCrdt {
+    let mut s = MembershipCrdt::new(GossipSemantics::GrowShrink);
     for &(kind, elem) in ops {
         if kind == 0 {
             s.remove(NodeId(id), ObjectId(elem));
@@ -39,8 +39,8 @@ fn orset_of(id: u32, ops: &[Op]) -> ORSet {
 }
 
 /// Replays `ops` on a G-Set (removes are skipped: grow-only).
-fn gset_of(id: u32, ops: &[Op]) -> GSet {
-    let mut s = GSet::new();
+fn gset_of(id: u32, ops: &[Op]) -> MembershipCrdt {
+    let mut s = MembershipCrdt::new(GossipSemantics::GrowOnly);
     for &(kind, elem) in ops {
         if kind != 0 {
             s.add(NodeId(id), entry(elem));
@@ -166,7 +166,7 @@ proptest! {
         per_replica in proptest::collection::vec(ops(), 3),
         deliveries in proptest::collection::vec((0usize..3, 0usize..3), 0..20),
     ) {
-        let mut rs: Vec<ORSet> = per_replica
+        let mut rs: Vec<MembershipCrdt> = per_replica
             .iter()
             .enumerate()
             .map(|(i, ops)| orset_of(i as u32 + 1, ops))
@@ -201,7 +201,7 @@ proptest! {
         per_replica in proptest::collection::vec(ops(), 3),
         deliveries in proptest::collection::vec((0usize..3, 0usize..3), 0..20),
     ) {
-        let mut rs: Vec<GSet> = per_replica
+        let mut rs: Vec<MembershipCrdt> = per_replica
             .iter()
             .enumerate()
             .map(|(i, ops)| gset_of(i as u32 + 1, ops))
@@ -235,7 +235,7 @@ proptest! {
     #[test]
     fn full_state_delta_reconstructs_the_set(oa in ops()) {
         let a = orset_of(1, &oa);
-        let mut fresh = ORSet::new();
+        let mut fresh = MembershipCrdt::new(GossipSemantics::GrowShrink);
         fresh.apply(&a.delta_since(&VersionVector::new()));
         prop_assert_eq!(fresh, a);
     }

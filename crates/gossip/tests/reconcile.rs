@@ -58,10 +58,10 @@ fn setup(n: usize, seed: u64) -> (StoreWorld, StoreClient, CollectionRef) {
 }
 
 /// Installs a prebuilt OR-Set as `node`'s replica of [`COLL`].
-fn preload(w: &mut StoreWorld, node: NodeId, set: &ORSet) {
+fn preload(w: &mut StoreWorld, node: NodeId, set: &MembershipCrdt) {
     w.with_service_mut(node, |g: &mut GossipNode| {
         g.create_replica(COLL, GossipSemantics::GrowShrink);
-        *g.crdt_mut(COLL).unwrap() = MembershipCrdt::GrowShrink(set.clone());
+        *g.crdt_mut(COLL).unwrap() = set.clone();
     });
 }
 
@@ -102,8 +102,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// Interprets a step list into two divergent OR-Sets. Interleaved
 /// partial merges make the divergence genuinely two-sided: each side
 /// can hold novel adds *and* removals of dots the other still lists.
-fn divergent_pair(steps: &[Step], r0: NodeId, r1: NodeId) -> (ORSet, ORSet) {
-    let mut sets = [ORSet::new(), ORSet::new()];
+fn divergent_pair(steps: &[Step], r0: NodeId, r1: NodeId) -> (MembershipCrdt, MembershipCrdt) {
+    let mut sets = [
+        MembershipCrdt::new(GossipSemantics::GrowShrink),
+        MembershipCrdt::new(GossipSemantics::GrowShrink),
+    ];
     let replicas = [r0, r1];
     for step in steps {
         match *step {
@@ -130,15 +133,15 @@ fn divergent_pair(steps: &[Step], r0: NodeId, r1: NodeId) -> (ORSet, ORSet) {
 /// `b`, in the given digest mode; returns the post-sync states of both
 /// plus total (digest, delta) bytes charged.
 fn sync_divergent(
-    a: &ORSet,
-    b: &ORSet,
+    a: &MembershipCrdt,
+    b: &MembershipCrdt,
     digest_mode: DigestMode,
     seed: u64,
 ) -> (ReplicaState, ReplicaState, u64, u64) {
     let (mut w, _client, cref) = setup(2, seed);
     preload(&mut w, cref.home, a);
     preload(&mut w, cref.replicas[0], b);
-    engine::sync_pair_with(
+    engine::sync_pair(
         &mut w,
         COLL,
         cref.home,
@@ -188,7 +191,7 @@ proptest! {
 fn merkle_bytes_scale_with_difference() {
     let n = 8192u64;
     let r0 = NodeId(1);
-    let mut base = ORSet::new();
+    let mut base = MembershipCrdt::new(GossipSemantics::GrowShrink);
     for i in 1..=n {
         base.add(r0, entry(i, r0));
     }
@@ -220,48 +223,45 @@ fn merkle_bytes_scale_with_difference() {
     );
 }
 
-/// All three gossip modes converge under `MerkleRange`, end to end
-/// through the scheduled engine (not just pairwise syncs).
+/// Scheduled rounds converge under `MerkleRange`, end to end through
+/// the scheduled engine (not just pairwise syncs).
 #[test]
 fn merkle_mode_converges_under_schedule() {
-    for mode in [GossipMode::Push, GossipMode::Pull, GossipMode::PushPull] {
-        let (mut w, client, cref) = setup(4, 19);
-        for i in 1..=6 {
-            client
-                .add_member(&mut w, &cref, entry(i, cref.home))
-                .unwrap();
-        }
-        client.remove_member(&mut w, &cref, ObjectId(3)).unwrap();
-        let handle = engine::install(
-            &mut w,
-            COLL,
-            cref.all_nodes(),
-            GossipConfig {
-                mode,
-                digest_mode: DigestMode::MerkleRange,
-                interval: SimDuration::from_millis(10),
-                ..GossipConfig::default()
-            },
-        );
-        let deadline = w.now() + SimDuration::from_millis(500);
-        w.run_until(deadline);
-        assert!(
-            engine::converged(&w, COLL, &cref.all_nodes()),
-            "mode {mode:?} failed to converge under MerkleRange"
-        );
-        assert_eq!(
-            engine::elements_at(&w, cref.replicas[0], COLL)
-                .unwrap()
-                .len(),
-            5
-        );
-        assert!(
-            w.metrics().counter(names::RANGE_RPCS) > 0,
-            "MerkleRange must actually descend"
-        );
-        handle.stop();
-        w.run_to_quiescence();
+    let (mut w, client, cref) = setup(4, 19);
+    for i in 1..=6 {
+        client
+            .add_member(&mut w, &cref, entry(i, cref.home))
+            .unwrap();
     }
+    client.remove_member(&mut w, &cref, ObjectId(3)).unwrap();
+    let handle = engine::install(
+        &mut w,
+        COLL,
+        cref.all_nodes(),
+        GossipConfig {
+            digest_mode: DigestMode::MerkleRange,
+            interval: SimDuration::from_millis(10),
+            ..GossipConfig::default()
+        },
+    );
+    let deadline = w.now() + SimDuration::from_millis(500);
+    w.run_until(deadline);
+    assert!(
+        engine::converged(&w, COLL, &cref.all_nodes()),
+        "failed to converge under MerkleRange"
+    );
+    assert_eq!(
+        engine::elements_at(&w, cref.replicas[0], COLL)
+            .unwrap()
+            .len(),
+        5
+    );
+    assert!(
+        w.metrics().counter(names::RANGE_RPCS) > 0,
+        "MerkleRange must actually descend"
+    );
+    handle.stop();
+    w.run_to_quiescence();
 }
 
 /// Regression (silent drop): a peer that does not speak the anti-entropy
@@ -291,7 +291,7 @@ fn unexpected_replies_count_as_failures() {
                 .add(gossip_node, entry(1, gossip_node));
         });
         assert_eq!(w.metrics().counter(names::FAILURES), 0);
-        engine::sync_pair_with(&mut w, COLL, gossip_node, plain_node, digest_mode, TIMEOUT);
+        engine::sync_pair(&mut w, COLL, gossip_node, plain_node, digest_mode, TIMEOUT);
         assert!(
             w.metrics().counter(names::FAILURES) > 0,
             "{digest_mode:?}: a BadRequest reply must be counted, not swallowed"

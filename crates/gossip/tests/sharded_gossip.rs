@@ -1,8 +1,8 @@
 //! End-to-end: a sharded weak set over gossip-replicated shard groups.
 //!
 //! Each shard's sub-collection runs its own anti-entropy schedule
-//! strictly inside its replica group (`engine::install_sharded`);
-//! convergence is per shard (`engine::converged_sharded`). Once the
+//! strictly inside its replica group (one `engine::install` per shard);
+//! convergence is per shard (`engine::converged` over each). Once the
 //! groups converge, leaderless batched reads and fan-out iteration keep
 //! working with EVERY shard primary partitioned away — and the per-shard
 //! runs still conform to the paper's figures.
@@ -74,22 +74,33 @@ fn shard_pairs(set: &ShardedWeakSet) -> Vec<(CollectionId, Vec<NodeId>)> {
         .collect()
 }
 
+/// One independent schedule per shard, gossiping strictly within its
+/// own replica group; handles come back in shard order.
+fn install_per_shard(
+    w: &mut StoreWorld,
+    pairs: &[(CollectionId, Vec<NodeId>)],
+) -> Vec<GossipHandle> {
+    let config = GossipConfig {
+        interval: SimDuration::from_millis(5),
+        fanout: 2,
+        ..GossipConfig::default()
+    };
+    pairs
+        .iter()
+        .map(|(coll, replicas)| engine::install(w, *coll, replicas.clone(), config))
+        .collect()
+}
+
 fn converge_all(w: &mut StoreWorld, set: &ShardedWeakSet) {
     let pairs = shard_pairs(set);
-    let handles = engine::install_sharded(
-        w,
-        &pairs,
-        GossipConfig {
-            interval: SimDuration::from_millis(5),
-            fanout: 2,
-            ..GossipConfig::default()
-        },
-    );
+    let handles = install_per_shard(w, &pairs);
     assert_eq!(handles.len(), set.shard_count());
     let deadline = w.now() + SimDuration::from_millis(500);
     w.run_until(deadline);
     assert!(
-        engine::converged_sharded(w, &pairs),
+        pairs
+            .iter()
+            .all(|(coll, replicas)| engine::converged(w, *coll, replicas)),
         "every shard group converged"
     );
     for h in handles {
@@ -157,15 +168,7 @@ fn per_shard_gossip_stays_inside_its_group() {
     w.topology_mut().partition(&other_group);
 
     let pairs = shard_pairs(&set);
-    let handles = engine::install_sharded(
-        &mut w,
-        &pairs,
-        GossipConfig {
-            interval: SimDuration::from_millis(5),
-            fanout: 2,
-            ..GossipConfig::default()
-        },
-    );
+    let handles = install_per_shard(&mut w, &pairs);
     let deadline = w.now() + SimDuration::from_millis(500);
     w.run_until(deadline);
     assert!(

@@ -63,9 +63,9 @@ pub trait Service<M>: Any {
     ///
     /// Contract: when this returns `Some(r)`, [`Service::handle`] called
     /// in the same state would have replied `r` and changed nothing; the
-    /// call is O(1) and never blocks. `None` means "send it through
-    /// `handle`" and is always a correct answer, which is what the
-    /// default gives.
+    /// call does no more work than `handle` would and never blocks.
+    /// `None` means "send it through `handle`" and is always a correct
+    /// answer, which is what the default gives.
     ///
     /// A backend may call this from the *requesting* thread while it
     /// holds the service between two `handle` executions (the threaded

@@ -85,11 +85,10 @@ pub enum StoreMsg {
     },
 
     // ---- anti-entropy gossip requests (see weakset-gossip) ----
-    /// Ask a gossip replica for its digest (version vector). Plain
-    /// [`crate::server::StoreServer`]s answer [`StoreMsg::BadRequest`].
-    GossipDigestReq(CollectionId),
     /// Pull: "here is my digest, send me what I am missing". The reply is
     /// a [`StoreMsg::GossipDelta`] with only the uncovered dots' entries.
+    /// Plain [`crate::server::StoreServer`]s answer
+    /// [`StoreMsg::BadRequest`].
     GossipDeltaReq {
         /// Target collection.
         coll: CollectionId,
@@ -171,8 +170,8 @@ pub enum StoreMsg {
     NoSuchCollection(CollectionId),
     /// The request was not understood.
     BadRequest,
-    /// A gossip replica's digest (reply to [`StoreMsg::GossipDigestReq`]
-    /// and [`StoreMsg::GossipPush`]).
+    /// A gossip replica's post-join digest (reply to
+    /// [`StoreMsg::GossipPush`] and [`StoreMsg::GossipDeltaBatch`]).
     GossipDigest {
         /// The collection the digest describes.
         coll: CollectionId,

@@ -211,8 +211,7 @@ impl StoreServer {
             }
             // Plain store servers do not speak the anti-entropy protocol;
             // gossip requests belong on `weakset-gossip` replica nodes.
-            StoreMsg::GossipDigestReq(_)
-            | StoreMsg::GossipDeltaReq { .. }
+            StoreMsg::GossipDeltaReq { .. }
             | StoreMsg::GossipPush { .. }
             | StoreMsg::GossipRangeReq { .. }
             | StoreMsg::GossipDeltaBatch { .. } => StoreMsg::BadRequest,

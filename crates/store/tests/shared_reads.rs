@@ -34,7 +34,6 @@ fn is_membership_read(msg: &StoreMsg) -> bool {
         | StoreMsg::ReleaseReadLock { .. }
         | StoreMsg::AcquireGrowGuard { .. }
         | StoreMsg::ReleaseGrowGuard { .. }
-        | StoreMsg::GossipDigestReq(_)
         | StoreMsg::GossipDeltaReq { .. }
         | StoreMsg::GossipPush { .. }
         | StoreMsg::GossipRangeReq { .. }
@@ -129,7 +128,6 @@ fn every_request(coll: CollectionId, x: u64) -> Vec<StoreMsg> {
         StoreMsg::ReleaseReadLock { coll, token: x },
         StoreMsg::AcquireGrowGuard { coll, token: x },
         StoreMsg::ReleaseGrowGuard { coll, token: x },
-        StoreMsg::GossipDigestReq(coll),
         StoreMsg::GossipDeltaReq {
             coll,
             digest: VersionVector::new(),

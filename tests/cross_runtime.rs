@@ -262,12 +262,11 @@ fn optimistic_blocking_agrees_across_backends() {
     }
 }
 
-/// Anti-entropy rounds — the gossip engine's self-rescheduling task —
-/// run on the threaded backend's timer queue and converge real replica
-/// threads, exactly as they do on the simulator's event loop.
-#[test]
-fn gossip_anti_entropy_converges_on_threads() {
-    let mut rt = ThreadedRuntime::<StoreMsg>::new(7);
+/// Three gossip replicas on real threads with five members added at the
+/// primary (which mirrors them into its CRDT; the others hear of them by
+/// gossip or not at all).
+fn gossip_fleet(seed: u64) -> (ThreadedRuntime<StoreMsg>, StoreClient, CollectionRef) {
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(seed);
     let cn = rt.add_node("client");
     let servers: Vec<NodeId> = (0..3).map(|i| rt.add_node(format!("g{i}"))).collect();
     for &s in &servers {
@@ -292,6 +291,15 @@ fn gossip_anti_entropy_converges_on_threads() {
             )
             .unwrap();
     }
+    (rt, client, cref)
+}
+
+/// Anti-entropy rounds — the gossip engine's self-rescheduling task —
+/// run on the threaded backend's timer queue and converge real replica
+/// threads, exactly as they do on the simulator's event loop.
+#[test]
+fn gossip_anti_entropy_converges_on_threads() {
+    let (mut rt, _client, cref) = gossip_fleet(7);
 
     let handle = engine::install(
         &mut rt,
@@ -322,6 +330,24 @@ fn gossip_anti_entropy_converges_on_threads() {
         assert_eq!(ids, vec![1, 2, 3, 4, 5], "replica {r:?} membership");
     }
     assert!(rt.metrics().counter("gossip.rounds") > 0);
+    rt.shutdown(Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+}
+
+/// A gossip replica forwards `Service::serve_shared` like the plain
+/// server it wraps: with no schedule installed the fleet is idle, so
+/// every rpc of a membership read is answered on the caller's thread.
+#[test]
+fn idle_gossip_replica_reads_skip_the_mailbox() {
+    let (mut rt, client, cref) = gossip_fleet(8);
+    let shared_before = rt.metrics().counter("rpc.shared");
+    for _ in 0..10 {
+        let read = client
+            .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
+            .unwrap();
+        assert_eq!((read.version, read.entries.len()), (5, 5));
+    }
+    assert_eq!(rt.metrics().counter("rpc.shared") - shared_before, 3 * 10);
     rt.shutdown(Duration::from_secs(10))
         .expect("no node thread should hang at shutdown");
 }

@@ -132,6 +132,32 @@ impl StepEvidence {
     }
 }
 
+/// The home's membership as the observer last replayed it from the
+/// version log: the first `commits` changes applied to the empty set,
+/// which is the membership at `version`.
+#[derive(Debug)]
+struct Replay {
+    commits: usize,
+    version: u64,
+    members: Vec<MemberEntry>,
+}
+
+impl Replay {
+    /// Applies the next logged change when it commits a version at or
+    /// below `upto`; false when there is none.
+    fn step(&mut self, coll: &CollectionState, upto: u64) -> bool {
+        match coll.log().get(self.commits) {
+            Some(change) if self.version + change.span() <= upto => {
+                change.apply(&mut self.members);
+                self.version += change.span();
+                self.commits += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// Observes one iterator run and produces a checkable [`Computation`].
 #[derive(Debug)]
 pub struct RunObserver {
@@ -140,6 +166,10 @@ pub struct RunObserver {
     home: NodeId,
     client_node: NodeId,
     seen_version: u64,
+    /// The membership at `seen_version`; `None` until the first
+    /// invocation fixes where observation starts (or while the home
+    /// hosts no such collection).
+    replay: Option<Replay>,
     /// Lowest version an invocation may legitimately claim as its
     /// linearization point: the primary's version when the previous
     /// invocation finished. A claim below this (a stale replica read) is
@@ -149,9 +179,10 @@ pub struct RunObserver {
     /// Observation starts at the first recorded invocation; history from
     /// before that (workload setup) is not part of the computation.
     initialized: bool,
-    /// Homes of every element ever seen in the log (for accessibility
-    /// sampling).
+    /// Homes of every element ever listed in the log (for accessibility
+    /// sampling), and how many log entries they were learned from.
     homes: BTreeMap<ObjectId, NodeId>,
+    homes_commits: usize,
     finished: Option<Computation>,
     source: HistorySource,
 }
@@ -170,9 +201,11 @@ impl RunObserver {
             home,
             client_node,
             seen_version: 0,
+            replay: None,
             window_floor: 0,
             initialized: false,
             homes: BTreeMap::new(),
+            homes_commits: 0,
             finished: None,
             source: HistorySource::default(),
         }
@@ -187,11 +220,9 @@ impl RunObserver {
         self
     }
 
-    fn log_members(&mut self, world: &StoreRt, version: u64) -> Option<Membership> {
+    fn log_members(&self, world: &StoreRt, version: u64) -> Option<Membership> {
         self.source
-            .inspect(world, self.home, self.coll, |coll| {
-                coll.members_at(version).cloned()
-            })
+            .inspect(world, self.home, self.coll, |coll| coll.members_at(version))
             .flatten()
     }
 
@@ -201,15 +232,47 @@ impl RunObserver {
             .unwrap_or(0)
     }
 
+    /// Takes in the entries listed by commits logged since the last call.
     fn learn_homes(&mut self, world: &StoreRt) {
-        let homes = &mut self.homes;
+        let (homes, learned) = (&mut self.homes, &mut self.homes_commits);
         self.source.inspect(world, self.home, self.coll, |coll| {
-            for mv in coll.log() {
-                for m in &mv.members {
+            let log = coll.log();
+            // A log shorter than what was learned from is another
+            // state's (the home's service was replaced): start over.
+            for change in log.get(*learned..).unwrap_or(log) {
+                for m in change.listed() {
                     homes.insert(m.elem, m.home);
                 }
             }
+            *learned = log.len();
         });
+    }
+
+    /// Starts the replay at the last version logged at or below
+    /// `seen_version`.
+    fn start_replay(&mut self, world: &StoreRt) {
+        let at = self.seen_version;
+        self.replay = self.source.inspect(world, self.home, self.coll, |coll| {
+            let mut replay = Replay {
+                commits: 0,
+                version: 0,
+                // Sized for where replays usually start: the present.
+                members: Vec::with_capacity(coll.len()),
+            };
+            while replay.step(coll, at) {}
+            replay
+        });
+    }
+
+    /// Applies the next logged change to the replay when its version is
+    /// at most `upto`; false when there is none.
+    fn step_replay(&mut self, world: &StoreRt, upto: u64) -> bool {
+        let Some(replay) = &mut self.replay else {
+            return false;
+        };
+        self.source
+            .inspect(world, self.home, self.coll, |coll| replay.step(coll, upto))
+            .unwrap_or(false)
     }
 
     fn sample_accessible(&self, world: &StoreRt, evidence: &StepEvidence) -> SetValue {
@@ -232,35 +295,50 @@ impl RunObserver {
     }
 
     /// Feeds all primary-log states in `(seen, upto]` to the recorder as
-    /// mutation states, returning the members at `upto`.
-    fn sync_to(&mut self, world: &StoreRt, upto: u64) -> Membership {
+    /// mutation states — one logged change applied at a time, never a
+    /// membership rebuilt per version. True when the replay then stands
+    /// at a version committed in `[seen, upto]`, false when there is none.
+    fn sync_to(&mut self, world: &StoreRt, upto: u64) -> bool {
         self.learn_homes(world);
-        let mut members = Membership::new();
         let from = self.seen_version;
-        for v in from..=upto {
-            if let Some(m) = self.log_members(world, v) {
-                if v > from || self.recorder.is_none() {
-                    let st = State {
-                        members: to_set(&m),
-                        // Accessibility of pure-mutation states is not
-                        // consulted by any ensures clause; approximate
-                        // with "all known homes reachable now".
-                        accessible: self.sample_accessible(world, &StepEvidence::default()),
-                    };
-                    match &mut self.recorder {
-                        Some(r) => {
-                            r.observe_state(st);
-                        }
-                        None => self.recorder = Some(Recorder::new(st)),
-                    }
+        if self.replay.is_none() {
+            self.start_replay(world);
+        }
+        // The state at `seen` itself opens the computation when nothing
+        // has yet, provided `seen` is a version the home committed.
+        let mut opening = self.recorder.is_none() && self.replayed_version() == Some(from);
+        while opening || self.step_replay(world, upto) {
+            opening = false;
+            let st = State {
+                members: self.replayed(),
+                // Accessibility of pure-mutation states is not
+                // consulted by any ensures clause; approximate
+                // with "all known homes reachable now".
+                accessible: self.sample_accessible(world, &StepEvidence::default()),
+            };
+            match &mut self.recorder {
+                Some(r) => {
+                    r.observe_state(st);
                 }
-                members = m;
+                None => self.recorder = Some(Recorder::new(st)),
             }
         }
         if upto > self.seen_version {
             self.seen_version = upto;
         }
-        members
+        self.replayed_version() >= Some(from)
+    }
+
+    /// The version the replay stands at.
+    fn replayed_version(&self) -> Option<u64> {
+        self.replay.as_ref().map(|r| r.version)
+    }
+
+    /// The replayed membership as a spec value (empty before any replay).
+    fn replayed(&self) -> SetValue {
+        self.replay
+            .as_ref()
+            .map_or_else(SetValue::empty, |r| to_set(&r.members))
     }
 
     /// Marks the start of an invocation: mutations already applied at this
@@ -293,14 +371,16 @@ impl RunObserver {
             self.seen_version = version;
             self.initialized = true;
         }
-        let members = if version >= self.seen_version {
-            self.sync_to(world, version)
-        } else {
+        let members = if version < self.seen_version {
             self.learn_homes(world);
-            self.log_members(world, version).unwrap_or_default()
+            to_set(&self.log_members(world, version).unwrap_or_default())
+        } else if self.sync_to(world, version) {
+            self.replayed()
+        } else {
+            SetValue::empty()
         };
         let pre = State {
-            members: to_set(&members),
+            members,
             accessible: self.sample_accessible(world, evidence),
         };
         let rec = match &mut self.recorder {

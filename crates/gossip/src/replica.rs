@@ -28,7 +28,7 @@ use weakset_store::server::StoreServer;
 /// Install one per replica node instead of a bare [`StoreServer`]; the
 /// anti-entropy rounds themselves are driven by
 /// [`crate::engine::install`].
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GossipNode {
     node: NodeId,
     inner: StoreServer,
@@ -135,8 +135,8 @@ impl GossipNode {
 
     /// The membership reads — `ListMembers`, bare or session-gated —
     /// answered from `&self`; `None` for every other request. This is
-    /// the only place they are answered: [`GossipNode::apply`] calls it first,
-    /// and [`Service::serve_shared`] is exactly this function.
+    /// the only place a CRDT-backed collection's reads are answered:
+    /// [`GossipNode::apply`] calls it first.
     ///
     /// Reads come from the CRDT: its digest total is a monotone version
     /// and converged replicas agree on it. Scalar version totals are NOT
@@ -148,9 +148,9 @@ impl GossipNode {
     ///
     /// Cost: a reply builds `crdt.elements()` — every live dot walked,
     /// sorted and deduplicated into a fresh `Membership`, O(n log n) and
-    /// one allocation — so a shared read does the work `handle` would
-    /// have done, on the requesting thread; it is not the `Arc` clone a
-    /// plain `StoreServer` read is.
+    /// one allocation — so a read handed off to an idle replica does that
+    /// work on the requesting thread; it is not the `Arc` clone a plain
+    /// `StoreServer` read is.
     fn read(&self, msg: &StoreMsg) -> Option<StoreMsg> {
         let (coll, session) = match msg {
             StoreMsg::ListMembers(coll) => (*coll, None),
@@ -160,11 +160,10 @@ impl GossipNode {
             },
             _ => return None,
         };
-        // No CRDT replica here: the wrapped plain server answers, with
-        // its scalar gate (sound for primary-serialized state).
-        let Some(crdt) = self.replicas.get(&coll) else {
-            return self.inner.serve_shared(self.node, msg);
-        };
+        // No CRDT replica here: `apply` passes the request, session and
+        // all, to the wrapped plain server and its scalar gate (sound
+        // for primary-serialized state).
+        let crdt = self.replicas.get(&coll)?;
         let digest = crdt.digest();
         let members = || StoreMsg::Members {
             version: digest.total(),
@@ -278,12 +277,12 @@ impl GossipNode {
                 }
                 reply
             }
-            // A session-gated membership read was answered by `read`.
-            // Session-gated mutations pass through the gossip-aware
-            // interception, then the reply is stamped with the
-            // post-mutation digest — the dot this session must later
-            // find.
-            StoreMsg::WithSession { inner, .. } => {
+            // A session-gated membership read was answered by `read`, or
+            // has no CRDT replica and falls through whole. Session-gated
+            // mutations pass through the gossip-aware interception, then
+            // the reply is stamped with the post-mutation digest — the
+            // dot this session must later find.
+            StoreMsg::WithSession { inner, .. } if !matches!(*inner, StoreMsg::ListMembers(_)) => {
                 let target = match &*inner {
                     StoreMsg::AddMember { coll, .. } | StoreMsg::RemoveMember { coll, .. } => {
                         Some(*coll)
@@ -318,8 +317,15 @@ impl Service<StoreMsg> for GossipNode {
         self.apply(msg)
     }
 
-    fn serve_shared(&self, _from: NodeId, msg: &StoreMsg) -> Option<StoreMsg> {
-        self.read(msg)
+    /// As [`StoreServer`]'s: every request, gossip exchanges included,
+    /// is a bounded step on local state.
+    fn serve_inline(
+        &mut self,
+        _ctx: &mut ServiceCtx<'_>,
+        _from: NodeId,
+        msg: StoreMsg,
+    ) -> Result<StoreMsg, StoreMsg> {
+        Ok(self.apply(msg))
     }
 }
 

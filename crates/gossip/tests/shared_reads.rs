@@ -1,9 +1,10 @@
-//! `GossipNode::serve_shared` against `handle`: a gossip replica answers
-//! exactly the membership reads from `&self`, with exactly `handle`'s
-//! reply — whichever semantics its CRDTs enforce, with or without a grow
-//! guard parking removals, and whether the read lands on a CRDT or falls
-//! through to the wrapped plain server. (`StoreServer`'s own half of the
-//! contract is `crates/store/tests/shared_reads.rs`.)
+//! `GossipNode::serve_inline` against `handle`: a gossip replica takes
+//! every request in place, with exactly `handle`'s reply and exactly
+//! `handle`'s resulting state — wrapped server, CRDT dots, parked
+//! removals — whichever semantics its CRDTs enforce, with or without a
+//! grow guard, and whether a read lands on a CRDT or falls through to
+//! the wrapped plain server. (`StoreServer`'s own half of the contract
+//! is `crates/store/tests/shared_reads.rs`.)
 
 use proptest::prelude::*;
 use weakset_gossip::prelude::*;
@@ -171,11 +172,12 @@ fn sessions(g: &GossipNode, peer: &MembershipCrdt, coll: CollectionId) -> Vec<Se
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// On any node state, for every request: `serve_shared` answers iff
-    /// the request is a membership read, `handle` then gives the same
-    /// reply, and neither changed the node.
+    /// On any node state, for every request: the hook takes it, replies
+    /// as `handle` does and leaves the state `handle` leaves, and a
+    /// membership read changes nothing. Each request runs on the state
+    /// the ones before it left.
     #[test]
-    fn serve_shared_is_handle_on_reads_and_nothing_else(
+    fn the_hook_is_handle_on_every_request(
         grow_only in any::<bool>(),
         steps in proptest::collection::vec((0u8..10, 0u64..4, 0u64..6), 0..40),
         x in 0u64..6,
@@ -190,19 +192,31 @@ proptest! {
         for step in steps {
             setup_step(&mut g, &mut peer, step);
         }
-        let mut rng = SimRng::for_label(22, "svc.prop");
-        let mut ctx = ServiceCtx { now: SimTime::ZERO, node: HERE, rng: &mut rng };
         let from = NodeId(9);
         for coll in (0..5).map(CollectionId) {
             for session in sessions(&g, &peer, coll) {
                 for msg in every_request(coll, x, &session) {
-                    let before = format!("{g:?}");
-                    let shared = g.serve_shared(from, &msg);
-                    prop_assert_eq!(shared.is_some(), is_membership_read(&msg), "{:?}", msg);
-                    if let Some(reply) = shared {
-                        prop_assert_eq!(g.handle(&mut ctx, from, msg.clone()), reply, "{:?}", msg);
-                        prop_assert_eq!(format!("{g:?}"), before, "{:?} changed the node", msg);
+                    let (mut inline, mut mailbox) = (g.clone(), g.clone());
+                    // Two copies of one stream: a handler that draws,
+                    // draws the same.
+                    let mut rngs = [(); 2].map(|()| SimRng::for_label(22, "svc.prop"));
+                    let [inline_rng, mailbox_rng] = &mut rngs;
+                    let now = SimTime::ZERO;
+                    let mut ctx = ServiceCtx { now, node: HERE, rng: inline_rng };
+                    let served = inline.serve_inline(&mut ctx, from, msg.clone());
+                    let mut ctx = ServiceCtx { now, node: HERE, rng: mailbox_rng };
+                    let reply = mailbox.handle(&mut ctx, from, msg.clone());
+                    prop_assert_eq!(served, Ok(reply), "reply to {:?}", msg);
+                    prop_assert_eq!(&inline, &mailbox, "state after {:?}", msg);
+                    prop_assert_eq!(
+                        inline_rng.range_u64(0, u64::MAX),
+                        mailbox_rng.range_u64(0, u64::MAX),
+                        "draws after {:?}", msg
+                    );
+                    if is_membership_read(&msg) {
+                        prop_assert_eq!(&mailbox, &g, "{:?} changed the node", msg);
                     }
+                    g = mailbox;
                 }
             }
         }
@@ -224,9 +238,20 @@ fn both_read_paths_and_both_gate_outcomes_are_reached() {
         g.apply(StoreMsg::AddMember { coll, entry });
     }
     assert!(g.crdt(without).is_none());
-    let read = |coll, session: SessionToken| {
+    let mut read = |coll, session: SessionToken| {
         let inner = Box::new(StoreMsg::ListMembers(coll));
-        g.serve_shared(NodeId(9), &StoreMsg::WithSession { session, inner })
+        let mut rng = SimRng::for_label(22, "svc.prop");
+        let mut ctx = ServiceCtx {
+            now: SimTime::ZERO,
+            node: HERE,
+            rng: &mut rng,
+        };
+        g.serve_inline(
+            &mut ctx,
+            NodeId(9),
+            StoreMsg::WithSession { session, inner },
+        )
+        .ok()
     };
     let mut clock = VersionVector::new();
     clock.advance(NodeId(9));

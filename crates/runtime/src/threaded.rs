@@ -11,16 +11,20 @@
 //! fleet but gives the clone its own completion channel, token space,
 //! timer heap, metrics, and span stack, so views never contend.
 //!
-//! ## Shared reads
+//! ## Idle hand-off
 //!
 //! An `rpc` whose target is idle — empty mailbox, nobody inside the
-//! handler — first offers the request to [`Service::serve_shared`] on
-//! the *calling* thread, under the node's own service lock. A service
-//! that recognises a read answers it there and the rpc returns without
-//! a thread hand-off; anything else, and any busy node, goes through
-//! the mailbox. `send`/`send_batch` always use the mailbox. See
-//! `NodeHandle::serve_shared` for the two conditions and what each
-//! guarantees.
+//! handler — first offers the request to [`Service::serve_inline`] on
+//! the *calling* thread, under the node's own slot lock and with the
+//! [`ServiceCtx`] the node thread would have built. A service whose
+//! handlers are bounded state steps runs the request there, reads and
+//! writes alike, and the rpc returns without a thread hand-off; a
+//! service that hands the request back, and any busy node, goes through
+//! the mailbox. `send`/`send_batch` always use the mailbox. The slot
+//! lock, not the node's thread, is the node's serialisation point: see
+//! `NodeHandle::serve_inline` for the two conditions and what each
+//! guarantees. A handler that panics, on either path, crashes its node
+//! (`NodeSlot::run`).
 //!
 //! ## Time and timers
 //!
@@ -61,7 +65,8 @@ use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Tra
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -91,7 +96,7 @@ struct Envelope<M> {
     reply: Sender<(u64, Result<M, NetError>)>,
 }
 
-/// How an rpc left its caller: answered in place by a shared read, or
+/// How an rpc left its caller: handled in place on the idle target, or
 /// in the target's mailbox under this token.
 enum Launched<M> {
     Served(M),
@@ -162,16 +167,53 @@ fn register_node_gauges(hub: &TelemetryHub, name: &str, stats: &MailboxStats) {
     );
 }
 
-/// The per-node state a view needs to reach a node. The pieces a node's
-/// own thread needs (`up`, `slot`, the stop flag) are `Arc`-cloned into
-/// it at spawn time — the thread deliberately does NOT hold the
-/// [`Shared`] fleet, so dropping the last view drops every mailbox
-/// sender and the threads drain out on their own.
+/// What a node's slot lock guards: the installed service and the RNG
+/// stream its handlers draw from — one stream, whichever thread runs
+/// the handler.
+struct NodeSlot<M> {
+    svc: Option<Box<dyn Service<M> + Send>>,
+    rng: SimRng,
+}
+
+impl<M> NodeSlot<M> {
+    /// Runs `handler` on the installed service, with `msg` and the
+    /// context a handler on `node` gets at `now`; `Err(msg)` when no
+    /// service is installed. Both handler call sites go through here, so
+    /// a panicking handler is caught on either path: `Ok(Err(_))` tells
+    /// the caller to crash the node. The guard this runs under outlives
+    /// the unwind, so the slot is not poisoned.
+    fn run<R>(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        msg: M,
+        handler: impl FnOnce(&mut dyn Service<M>, &mut ServiceCtx<'_>, M) -> R,
+    ) -> Result<thread::Result<R>, M> {
+        let Some(svc) = self.svc.as_deref_mut() else {
+            return Err(msg);
+        };
+        let mut ctx = ServiceCtx {
+            now,
+            node,
+            rng: &mut self.rng,
+        };
+        Ok(catch_unwind(AssertUnwindSafe(|| {
+            handler(svc, &mut ctx, msg)
+        })))
+    }
+}
+
+/// The per-node state a view needs to reach a node, shared by the fleet
+/// table and, for the length of one rpc, the calling view. The pieces a
+/// node's own thread needs (`up`, `slot`, the stop flag) are
+/// `Arc`-cloned into it at spawn time — the thread deliberately does
+/// NOT hold the [`Shared`] fleet, so dropping the last view drops every
+/// mailbox sender and the threads drain out on their own.
 struct NodeHandle<M> {
     tx: Sender<Envelope<M>>,
     up: Arc<AtomicBool>,
-    slot: Arc<Mutex<Option<Box<dyn Service<M> + Send>>>>,
-    join: Option<JoinHandle<()>>,
+    slot: Arc<Mutex<NodeSlot<M>>>,
+    join: Mutex<Option<JoinHandle<()>>>,
     name: String,
     stats: MailboxStats,
 }
@@ -181,25 +223,43 @@ impl<M: 'static> NodeHandle<M> {
         self.up.load(Ordering::SeqCst)
     }
 
-    /// Answers a read on the *caller's* thread, without crossing the
-    /// mailbox, when the node is idle; `None` sends the request through
-    /// the mailbox as usual.
+    /// Runs a request on the *caller's* thread, without crossing the
+    /// mailbox, when the node is idle and its service takes it;
+    /// `Err(msg)` sends the request through the mailbox as usual.
+    /// `Ok(Err(_))`: the handler panicked and the node is now down.
     ///
     /// Two conditions, both required. `depth == 0`: nothing is posted
     /// and unfinished by anyone, so every earlier `send` of the calling
     /// view has already been applied (a view's own `posted` precedes
     /// this load on the same cell) and per-sender FIFO holds. The slot
     /// lock, taken without waiting: no handler is mid-flight, so the
-    /// state is the one between two handler executions, and acquiring
-    /// the lock is what makes the last handler's writes visible here —
-    /// `depth` itself only gates, which is why `Relaxed` is enough for
-    /// it. A busy, wedged or poisoned slot is simply not idle.
-    fn serve_shared(&self, from: NodeId, msg: &M) -> Option<M> {
+    /// state is the one between two handler executions, and the lock is
+    /// both what makes the last handler's writes visible here and what
+    /// orders this one against every other — `depth` itself only gates,
+    /// which is why `Relaxed` is enough for it. A busy, wedged or
+    /// poisoned slot is simply not idle.
+    fn serve_inline(
+        &self,
+        now: SimTime,
+        to: NodeId,
+        from: NodeId,
+        msg: M,
+    ) -> Result<Result<M, NetError>, M> {
         if self.stats.depth.load(Ordering::Relaxed) != 0 {
-            return None;
+            return Err(msg);
         }
-        let slot = self.slot.try_lock().ok()?;
-        slot.as_ref()?.serve_shared(from, msg)
+        let Ok(mut slot) = self.slot.try_lock() else {
+            return Err(msg);
+        };
+        match slot.run(now, to, msg, |svc, ctx, msg| {
+            svc.serve_inline(ctx, from, msg)
+        })? {
+            Ok(served) => served.map(Ok),
+            Err(_panic) => {
+                self.up.store(false, Ordering::SeqCst);
+                Ok(Err(NetError::NodeDown(to)))
+            }
+        }
     }
 
     /// Puts one envelope into the node's mailbox. `Err` when its thread
@@ -218,10 +278,12 @@ impl<M: 'static> NodeHandle<M> {
     }
 }
 
-type Fleet<M> = HashMap<NodeId, NodeHandle<M>>;
+/// Every node of the fleet, indexed by its id: ids are handed out
+/// densely, in `add_node` order, and a node is never removed.
+type Fleet<M> = Vec<Arc<NodeHandle<M>>>;
 
 fn node_up<M: 'static>(nodes: &Fleet<M>, node: NodeId) -> bool {
-    nodes.get(&node).is_some_and(NodeHandle::is_up)
+    nodes.get(node.0 as usize).is_some_and(|h| h.is_up())
 }
 
 /// Fleet state shared by every view.
@@ -229,13 +291,18 @@ struct Shared<M> {
     seed: u64,
     start: Instant,
     stop: Arc<AtomicBool>,
-    next_node: AtomicU32,
     nodes: Mutex<Fleet<M>>,
     /// Symmetric blocked pairs, stored normalized `(min, max)`.
     blocked: Mutex<HashSet<(NodeId, NodeId)>>,
 }
 
 impl<M: 'static> Shared<M> {
+    /// A share of `node`'s handle, so the caller can use it with the
+    /// fleet table unlocked.
+    fn handle(&self, node: NodeId) -> Option<Arc<NodeHandle<M>>> {
+        lock(&self.nodes).get(node.0 as usize).cloned()
+    }
+
     fn is_blocked(&self, a: NodeId, b: NodeId) -> bool {
         let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
         lock(&self.blocked).contains(&key)
@@ -248,9 +315,9 @@ impl<M: 'static> Shared<M> {
         nodes: &'a Fleet<M>,
         from: NodeId,
         to: NodeId,
-    ) -> Result<&'a NodeHandle<M>, NetError> {
+    ) -> Result<&'a Arc<NodeHandle<M>>, NetError> {
         let h = nodes
-            .get(&to)
+            .get(to.0 as usize)
             .filter(|h| h.is_up())
             .ok_or(NetError::NodeDown(to))?;
         if self.is_blocked(from, to) {
@@ -322,19 +389,15 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// The body of one node's thread: drain the mailbox, run the installed
 /// service, reply. Holds only the `Arc` pieces it needs, never the
 /// fleet, so channel disconnection is a reliable exit signal.
-#[allow(clippy::too_many_arguments)]
 fn node_loop<M: RtMessage>(
     rx: Receiver<Envelope<M>>,
     stop: Arc<AtomicBool>,
     up: Arc<AtomicBool>,
-    slot: Arc<Mutex<Option<Box<dyn Service<M> + Send>>>>,
-    seed: u64,
+    slot: Arc<Mutex<NodeSlot<M>>>,
     start: Instant,
     node: NodeId,
-    name: String,
     stats: MailboxStats,
 ) {
-    let mut rng = SimRng::for_label(seed, &format!("svc.{name}"));
     loop {
         if stop.load(Ordering::Relaxed) {
             break;
@@ -352,15 +415,24 @@ fn node_loop<M: RtMessage>(
                     stats.finished();
                     continue;
                 }
-                let reply = lock(&slot).as_mut().map(|svc| {
-                    let now = SimTime::from_micros(start.elapsed().as_micros() as u64);
-                    let mut ctx = ServiceCtx {
-                        now,
-                        node,
-                        rng: &mut rng,
-                    };
-                    svc.handle(&mut ctx, env.from, env.msg)
-                });
+                let now = SimTime::from_micros(start.elapsed().as_micros() as u64);
+                let Envelope {
+                    from,
+                    msg,
+                    token,
+                    reply,
+                } = env;
+                let outcome = lock(&slot)
+                    .run(now, node, msg, |svc, ctx, msg| svc.handle(ctx, from, msg))
+                    .map(|handled| {
+                        handled.map_err(|_panic| {
+                            // A panicking handler is a crashed node: this
+                            // caller is told so, later ones fast-fail, and
+                            // the thread lives on to eat the node's mail.
+                            up.store(false, Ordering::SeqCst);
+                            NetError::NodeDown(node)
+                        })
+                    });
                 // The slot is free and the op out of the queue BEFORE
                 // the reply goes out: a caller that sees the reply finds
                 // the node idle again.
@@ -369,8 +441,8 @@ fn node_loop<M: RtMessage>(
                 // the caller times out — same as the simulator's
                 // service-less node. A dead receiver just means the
                 // requesting view is gone; nothing to do with the reply.
-                if let Some(reply) = reply {
-                    let _ = env.reply.send((env.token, Ok(reply)));
+                if let Ok(outcome) = outcome {
+                    let _ = reply.send((token, outcome));
                 }
             }
             Err(RecvTimeoutError::Timeout) => continue,
@@ -391,8 +463,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 seed,
                 start: Instant::now(),
                 stop: Arc::new(AtomicBool::new(false)),
-                next_node: AtomicU32::new(0),
-                nodes: Mutex::new(HashMap::new()),
+                nodes: Mutex::new(Vec::new()),
                 blocked: Mutex::new(HashSet::new()),
             }),
             comp_tx,
@@ -443,7 +514,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// at scrape time with no publish round-trip. Views cloned *after*
     /// this call inherit the hub with their own publisher slot.
     pub fn attach_telemetry(&mut self, hub: TelemetryHub, cadence: Duration) {
-        for h in lock(&self.shared.nodes).values() {
+        for h in lock(&self.shared.nodes).iter() {
             register_node_gauges(&hub, &h.name, &h.stats);
         }
         self.telemetry = Some(RtTelemetry {
@@ -564,10 +635,15 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// unknown node.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let name = name.into();
-        let node = NodeId(self.shared.next_node.fetch_add(1, Ordering::SeqCst));
+        // The table stays locked from taking the id to filling its place.
+        let mut nodes = lock(&self.shared.nodes);
+        let node = NodeId(u32::try_from(nodes.len()).expect("fewer than 2^32 nodes"));
         let (tx, rx) = mpsc::channel();
         let up = Arc::new(AtomicBool::new(true));
-        let slot: Arc<Mutex<Option<Box<dyn Service<M> + Send>>>> = Arc::new(Mutex::new(None));
+        let slot = Arc::new(Mutex::new(NodeSlot {
+            svc: None,
+            rng: SimRng::for_label(self.shared.seed, &format!("svc.{name}")),
+        }));
         let stats = MailboxStats::default();
         let join = thread::Builder::new()
             .name(format!("weakset-node-{name}"))
@@ -575,27 +651,23 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 let stop = Arc::clone(&self.shared.stop);
                 let up = Arc::clone(&up);
                 let slot = Arc::clone(&slot);
-                let seed = self.shared.seed;
                 let start = self.shared.start;
-                let name = name.clone();
                 let stats = stats.clone();
-                move || node_loop(rx, stop, up, slot, seed, start, node, name, stats)
+                move || node_loop(rx, stop, up, slot, start, node, stats)
             })
             .expect("spawn node thread");
         if let Some(t) = &self.telemetry {
             register_node_gauges(&t.hub, &name, &stats);
         }
-        lock(&self.shared.nodes).insert(
-            node,
-            NodeHandle {
-                tx,
-                up,
-                slot,
-                join: Some(join),
-                name: name.clone(),
-                stats,
-            },
-        );
+        nodes.push(Arc::new(NodeHandle {
+            tx,
+            up,
+            slot,
+            join: Mutex::new(Some(join)),
+            name: name.clone(),
+            stats,
+        }));
+        drop(nodes);
         if let Some(rec) = &self.recorder {
             rec.note_add_node(Clock::now(self), &name);
         }
@@ -604,14 +676,14 @@ impl<M: RtMessage> ThreadedRuntime<M> {
 
     /// The node's registered name, when it exists.
     pub fn node_name(&self, node: NodeId) -> Option<String> {
-        lock(&self.shared.nodes).get(&node).map(|h| h.name.clone())
+        self.shared.handle(node).map(|h| h.name.clone())
     }
 
     /// Marks a node up or down. A down node eats incoming mail (callers
     /// time out) and the transport fast-fails new requests to it.
     pub fn set_node_up(&mut self, node: NodeId, up: bool) {
         let mut name = node.to_string();
-        if let Some(h) = lock(&self.shared.nodes).get(&node) {
+        if let Some(h) = self.shared.handle(node) {
             h.up.store(up, Ordering::SeqCst);
             name.clone_from(&h.name);
         }
@@ -656,22 +728,18 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         loop {
             let hung: Vec<NodeId> = {
                 let nodes = lock(&self.shared.nodes);
-                let mut hung: Vec<NodeId> = nodes
-                    .iter()
-                    .filter(|(_, h)| h.join.as_ref().is_some_and(|j| !j.is_finished()))
-                    .map(|(n, _)| *n)
-                    .collect();
-                hung.sort();
-                hung
+                (0u32..)
+                    .zip(nodes.iter())
+                    .filter(|(_, h)| lock(&h.join).as_ref().is_some_and(|j| !j.is_finished()))
+                    .map(|(n, _)| NodeId(n))
+                    .collect()
             };
             if hung.is_empty() {
-                let mut nodes = lock(&self.shared.nodes);
-                for h in nodes.values_mut() {
-                    if let Some(j) = h.join.take() {
+                for h in lock(&self.shared.nodes).iter() {
+                    if let Some(j) = lock(&h.join).take() {
                         let _ = j.join();
                     }
                 }
-                drop(nodes);
                 self.flush_telemetry();
                 return Ok(());
             }
@@ -757,31 +825,36 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        // One pass over the fleet tables: liveness, route, then either
-        // the shared read or the post, all under one `nodes` lock.
+        // One pass over the fleet tables — liveness, route — and the
+        // `nodes` lock is released: no handler ever runs under it.
         let started;
-        let launched = {
+        let target = {
             let nodes = lock(&self.shared.nodes);
             if !node_up(&nodes, from) {
                 return Err(NetError::NodeDown(from));
             }
             self.metrics.incr("rpc.sent");
             started = Instant::now();
-            self.shared.route(&nodes, from, to).and_then(|h| {
-                if let Some(reply) = h.serve_shared(from, &msg) {
-                    return Ok(Launched::Served(reply));
-                }
-                let token = self.next_token;
-                self.next_token += 1;
-                let env = Envelope {
-                    from,
-                    msg,
-                    token,
-                    reply: self.comp_tx.clone(),
-                };
-                h.post(to, env).map(|()| Launched::Posted(token))
-            })
+            self.shared.route(&nodes, from, to).cloned()
         };
+        let launched = target.and_then(|h| {
+            let now = started.saturating_duration_since(self.shared.start);
+            let now = SimTime::from_micros(now.as_micros() as u64);
+            match h.serve_inline(now, to, from, msg) {
+                Ok(handled) => handled.map(Launched::Served),
+                Err(msg) => {
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    let env = Envelope {
+                        from,
+                        msg,
+                        token,
+                        reply: self.comp_tx.clone(),
+                    };
+                    h.post(to, env).map(|()| Launched::Posted(token))
+                }
+            }
+        });
         let token = match launched {
             Ok(Launched::Served(reply)) => {
                 self.metrics.incr("rpc.ok");
@@ -1114,23 +1187,22 @@ impl<M: RtMessage> ThreadedRuntime<M> {
 
 impl<M: RtMessage> ServiceHost<M> for ThreadedRuntime<M> {
     fn install_service(&mut self, node: NodeId, svc: Box<dyn Service<M> + Send>) {
-        {
-            let nodes = lock(&self.shared.nodes);
-            let h = nodes.get(&node).unwrap_or_else(|| {
-                panic!("install_service on unknown node {node:?}; add_node first")
-            });
-            *lock(&h.slot) = Some(svc);
-        }
+        let h = self
+            .shared
+            .handle(node)
+            .unwrap_or_else(|| panic!("install_service on unknown node {node:?}; add_node first"));
+        lock(&h.slot).svc = Some(svc);
         self.note(RecEvent::InstallService { node: node.0 });
     }
 
     fn with_service_any(&self, node: NodeId, f: &mut dyn FnMut(&dyn Any)) -> bool {
-        let nodes = lock(&self.shared.nodes);
-        let Some(h) = nodes.get(&node) else {
+        // As in `rpc_inner`: the visit runs under the node's slot lock
+        // only, never under the fleet table's.
+        let Some(h) = self.shared.handle(node) else {
             return false;
         };
         let guard = lock(&h.slot);
-        match guard.as_ref() {
+        match guard.svc.as_ref() {
             Some(svc) => {
                 f(svc.as_ref() as &dyn Any);
                 true
@@ -1140,12 +1212,11 @@ impl<M: RtMessage> ServiceHost<M> for ThreadedRuntime<M> {
     }
 
     fn with_service_any_mut(&mut self, node: NodeId, f: &mut dyn FnMut(&mut dyn Any)) -> bool {
-        let nodes = lock(&self.shared.nodes);
-        let Some(h) = nodes.get(&node) else {
+        let Some(h) = self.shared.handle(node) else {
             return false;
         };
         let mut guard = lock(&h.slot);
-        match guard.as_mut() {
+        match guard.svc.as_mut() {
             Some(svc) => {
                 f(svc.as_mut() as &mut dyn Any);
                 true
@@ -1380,7 +1451,7 @@ mod tests {
     }
 
     /// A one-word register: `Val(n)` writes (through `handle` only),
-    /// `Get` reads — the one kind it also serves shared. With a gate, a
+    /// `Get` reads — the one kind it also serves inline. With a gate, a
     /// write announces that it is inside `handle` and stays there until
     /// released, so a test can hold the node mid-handler without sleeps.
     struct Register {
@@ -1404,8 +1475,16 @@ mod tests {
             }
         }
 
-        fn serve_shared(&self, _from: NodeId, msg: &Msg) -> Option<Msg> {
-            matches!(msg, Msg::Get).then_some(Msg::Val(self.value))
+        fn serve_inline(
+            &mut self,
+            _ctx: &mut ServiceCtx<'_>,
+            _from: NodeId,
+            msg: Msg,
+        ) -> Result<Msg, Msg> {
+            match msg {
+                Msg::Get => Ok(Msg::Val(self.value)),
+                other => Err(other),
+            }
         }
     }
 
@@ -1456,7 +1535,7 @@ mod tests {
             assert_eq!(rt.metrics.counter(name), n, "{name}");
         }
         assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(50));
-        let depth_max = lock(&rt.shared.nodes)[&s]
+        let depth_max = lock(&rt.shared.nodes)[s.0 as usize]
             .stats
             .depth_max
             .load(Ordering::Relaxed);
@@ -1521,7 +1600,7 @@ mod tests {
         );
         // Empty mailbox but the slot is held (as a concurrent shared
         // reader would hold it): fall back to the mailbox, do not wait.
-        while lock(&rt.shared.nodes)[&s]
+        while lock(&rt.shared.nodes)[s.0 as usize]
             .stats
             .depth
             .load(Ordering::Relaxed)
@@ -1530,7 +1609,7 @@ mod tests {
             thread::yield_now();
         }
         let shared_before = rt.metrics.counter("rpc.shared");
-        let slot = Arc::clone(&lock(&rt.shared.nodes)[&s].slot);
+        let slot = Arc::clone(&lock(&rt.shared.nodes)[s.0 as usize].slot);
         let held = slot.lock().unwrap();
         let t0 = Instant::now();
         assert_eq!(
@@ -1586,7 +1665,7 @@ mod tests {
     #[test]
     fn a_poisoned_slot_falls_back_to_the_mailbox() {
         let (mut rt, c, s, _gate) = register_fleet(7, false);
-        let slot = Arc::clone(&lock(&rt.shared.nodes)[&s].slot);
+        let slot = Arc::clone(&lock(&rt.shared.nodes)[s.0 as usize].slot);
         let poisoner = thread::spawn(move || {
             let _held = slot.lock().unwrap();
             panic!("poison the slot (expected by the test)");
@@ -1601,6 +1680,90 @@ mod tests {
         assert_eq!(rt.metrics.counter("rpc.ok"), 1);
         assert_eq!(rt.metrics.counter("rpc.shared"), 0);
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    /// Echoes, except that `Val(13)` panics inside the handler — on the
+    /// caller's thread when `inline`, on the node's otherwise.
+    struct Fragile {
+        inline: bool,
+        handled: u64,
+    }
+
+    impl Service<Msg> for Fragile {
+        fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: Msg) -> Msg {
+            assert_ne!(msg, Msg::Val(13), "unlucky request (expected by the test)");
+            self.handled += 1;
+            msg
+        }
+
+        fn serve_inline(
+            &mut self,
+            ctx: &mut ServiceCtx<'_>,
+            from: NodeId,
+            msg: Msg,
+        ) -> Result<Msg, Msg> {
+            if self.inline {
+                Ok(self.handle(ctx, from, msg))
+            } else {
+                Err(msg)
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_is_a_crashed_node_on_either_path() {
+        for inline in [true, false] {
+            let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(31);
+            let c = rt.add_node("client");
+            let s = rt.add_node("fragile");
+            rt.install_service(s, Box::new(Fragile { inline, handled: 0 }));
+            assert_eq!(
+                Transport::rpc(&mut rt, c, s, Msg::Val(1), SECS5),
+                Ok(Msg::Val(1))
+            );
+            assert_eq!(rt.metrics.counter("rpc.shared"), u64::from(inline));
+            // The panic reaches neither this thread nor the timeout.
+            let t0 = Instant::now();
+            assert_eq!(
+                Transport::rpc(&mut rt, c, s, Msg::Val(13), SECS5),
+                Err(NetError::NodeDown(s)),
+                "inline: {inline}"
+            );
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "answered, not timed out"
+            );
+            assert!(!ServiceHost::is_up(&rt, s));
+            // Later rpcs fast-fail like any rpc to a crashed node.
+            assert_eq!(
+                Transport::rpc(&mut rt, c, s, Msg::Val(2), SECS5),
+                Err(NetError::NodeDown(s))
+            );
+            assert_eq!(rt.metrics.counter(telemetry::RPC_FAILED_CLOSED), 2);
+            assert_eq!(rt.metrics.counter("rpc.failed"), 2);
+            // The slot is neither poisoned nor wedged, and a restart
+            // serves again — `send` always through the mailbox, so this
+            // panic is on the node's own thread for both services.
+            assert_eq!(rt.with_service(s, |f: &Fragile| f.handled), Some(1));
+            rt.set_node_up(s, true);
+            assert_eq!(
+                Transport::rpc(&mut rt, c, s, Msg::Val(3), SECS5),
+                Ok(Msg::Val(3))
+            );
+            let token = Transport::send(&mut rt, c, s, Msg::Val(13));
+            let deadline = Clock::now(&rt) + SECS5;
+            assert_eq!(
+                Transport::wait_any(&mut rt, &[token], deadline),
+                Some(token)
+            );
+            assert_eq!(
+                Transport::try_take_reply(&mut rt, token),
+                Some(Err(NetError::NodeDown(s)))
+            );
+            assert!(!ServiceHost::is_up(&rt, s));
+            // The node thread survived its handler: nothing hangs.
+            assert_eq!(rt.shutdown(Duration::from_secs(2)), Ok(()));
+        }
     }
 
     #[test]

@@ -59,20 +59,22 @@ pub trait Service<M>: Any {
     /// Handles one request from `from`, producing the reply.
     fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: M) -> M;
 
-    /// Answers `msg` from `&self`, for requests that only read.
+    /// Handles `msg` right now, on whichever thread asks, when that is
+    /// bounded work.
     ///
-    /// Contract: when this returns `Some(r)`, [`Service::handle`] called
-    /// in the same state would have replied `r` and changed nothing; the
-    /// call does no more work than `handle` would and never blocks.
-    /// `None` means "send it through `handle`" and is always a correct
-    /// answer, which is what the default gives.
+    /// Contract: `Ok(r)` is exactly what [`Service::handle`] would have
+    /// replied *and done* in the same state, and the call neither blocks
+    /// nor sleeps. `Err(msg)` hands the request back untouched, state
+    /// unchanged: "use the mailbox". That is always a correct answer and
+    /// is what the default gives, so a service that does not opt in is
+    /// served by `handle` alone.
     ///
     /// A backend may call this from the *requesting* thread while it
     /// holds the service between two `handle` executions (the threaded
     /// runtime does, see `weakset-runtime`'s `threaded` module). The
     /// simulator never calls it.
-    fn serve_shared(&self, _from: NodeId, _msg: &M) -> Option<M> {
-        None
+    fn serve_inline(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: M) -> Result<M, M> {
+        Err(msg)
     }
 }
 

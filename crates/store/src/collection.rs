@@ -9,14 +9,18 @@
 //!
 //! A membership rests and travels as one value, [`Membership`]: an
 //! immutable, sorted, duplicate-free array behind an `Arc`. A mutation
-//! builds the next version with one copy; from there the live state, the
-//! version-log entry, every `ListMembers` reply and every replica the
-//! version is synced to share that one allocation.
+//! builds the next version with one copy; from there the live state,
+//! every `ListMembers` reply and every replica the version is synced to
+//! share that one allocation, and it is freed when the last of them
+//! moves on.
 //!
-//! Every mutation appends its version to the collection's log (sharing
-//! the array, not copying it). The log is the omniscient state history
-//! that conformance checking replays; a real deployment would not keep
-//! it.
+//! Every mutation appends one [`Change`] to the collection's log: what
+//! the new version lists and delists — three words, never a copy of the
+//! membership, and never a reference to one, so no replica's log keeps
+//! an old array alive. The log is the omniscient state history
+//! that conformance checking consumes; its readers (`RunObserver`,
+//! tests) replay it — [`CollectionState::members_at`],
+//! [`CollectionState::history`] — when they want a past membership back.
 
 use crate::object::ObjectId;
 use serde::{Deserialize, Serialize};
@@ -90,16 +94,25 @@ impl Membership {
         }
     }
 
+    /// Where `elem`'s entries sit (one per home it is listed under).
+    fn span_of(&self, elem: ObjectId) -> std::ops::Range<usize> {
+        let start = self.partition_point(|m| m.elem < elem);
+        start..start + self[start..].partition_point(|m| m.elem == elem)
+    }
+
     /// This membership minus every entry for `elem`: one O(n) copy, or
     /// `self` again when `elem` is not a member.
     #[must_use]
     pub fn without(&self, elem: ObjectId) -> Membership {
-        let start = self.partition_point(|m| m.elem < elem);
-        let end = start + self[start..].partition_point(|m| m.elem == elem);
-        if start == end {
+        let gone = self.span_of(elem);
+        if gone.is_empty() {
             return self.clone();
         }
-        let run: Arc<[MemberEntry]> = self[..start].iter().chain(&self[end..]).copied().collect();
+        let run: Arc<[MemberEntry]> = self[..gone.start]
+            .iter()
+            .chain(&self[gone.end..])
+            .copied()
+            .collect();
         Membership::from_sorted(run)
     }
 
@@ -136,6 +149,13 @@ impl Membership {
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
         Membership::from_sorted(merged)
+    }
+
+    /// How many values share this membership's array (0 for the empty
+    /// membership, which has none): what a test asks to learn whether
+    /// anything still pins a version.
+    pub fn holders(&self) -> usize {
+        self.0.as_ref().map_or(0, Arc::strong_count)
     }
 
     /// True when both are the same allocation (or both empty): the
@@ -200,7 +220,8 @@ impl<'a> IntoIterator for &'a Membership {
     }
 }
 
-/// A versioned membership snapshot.
+/// A versioned membership snapshot, as [`CollectionState::history`]
+/// rebuilds it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MembershipVersion {
     /// Monotonic version number (0 = initial empty membership).
@@ -209,12 +230,118 @@ pub struct MembershipVersion {
     pub members: Membership,
 }
 
+/// What one committed version changed, relative to the one before it:
+/// one entry of a collection's version log. The two one-entry cases —
+/// every `add`, every `remove` of an element with one home, and every
+/// sync that amounts to either — allocate nothing.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Change {
+    /// The next version lists exactly one more entry.
+    Added(MemberEntry),
+    /// The next version lists exactly one entry fewer.
+    Removed(MemberEntry),
+    /// Anything else: a sync across versions this replica never saw, or
+    /// the removal of an element listed under several homes.
+    Rewritten(Box<Rewrite>),
+}
+
+/// The general [`Change`].
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct Rewrite {
+    /// Versions between the one before and the one committed, which
+    /// this replica never held (a sync jumped over them).
+    pub skipped: u64,
+    /// Entries the version lists that its predecessor here did not,
+    /// ascending.
+    pub listed: Box<[MemberEntry]>,
+    /// Entries its predecessor here listed that the version does not,
+    /// ascending.
+    pub delisted: Box<[MemberEntry]>,
+}
+
+impl Change {
+    /// What takes the ascending run `old` to the ascending run `new`,
+    /// `skipped + 1` versions later: one pass over the common prefix and
+    /// suffix, then a merge of whatever lies between.
+    fn between(old: &[MemberEntry], new: &[MemberEntry], skipped: u64) -> Change {
+        let head = old.iter().zip(new).take_while(|(a, b)| a == b).count();
+        let (old, new) = (&old[head..], &new[head..]);
+        let tail = old
+            .iter()
+            .rev()
+            .zip(new.iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (old, new) = (&old[..old.len() - tail], &new[..new.len() - tail]);
+        match (old, new, skipped) {
+            ([], [one], 0) => Change::Added(*one),
+            ([one], [], 0) => Change::Removed(*one),
+            _ => Change::Rewritten(Box::new(Rewrite {
+                skipped,
+                listed: new
+                    .iter()
+                    .filter(|m| old.binary_search(m).is_err())
+                    .copied()
+                    .collect(),
+                delisted: old
+                    .iter()
+                    .filter(|m| new.binary_search(m).is_err())
+                    .copied()
+                    .collect(),
+            })),
+        }
+    }
+
+    /// How many versions the commit advanced: one, unless it is a sync
+    /// that jumped over some.
+    pub fn span(&self) -> u64 {
+        match self {
+            Change::Added(_) | Change::Removed(_) => 1,
+            Change::Rewritten(rewrite) => 1 + rewrite.skipped,
+        }
+    }
+
+    /// The entries this change listed.
+    pub fn listed(&self) -> &[MemberEntry] {
+        match self {
+            Change::Added(entry) => std::slice::from_ref(entry),
+            Change::Removed(_) => &[],
+            Change::Rewritten(rewrite) => &rewrite.listed,
+        }
+    }
+
+    /// The entries this change delisted.
+    pub fn delisted(&self) -> &[MemberEntry] {
+        match self {
+            Change::Added(_) => &[],
+            Change::Removed(entry) => std::slice::from_ref(entry),
+            Change::Rewritten(rewrite) => &rewrite.delisted,
+        }
+    }
+
+    /// Replays the change on `members`, the ascending run of the version
+    /// before it, leaving the run of the version it committed.
+    pub fn apply(&self, members: &mut Vec<MemberEntry>) {
+        for gone in self.delisted() {
+            if let Ok(at) = members.binary_search(gone) {
+                members.remove(at);
+            }
+        }
+        for entry in self.listed() {
+            if let Err(at) = members.binary_search(entry) {
+                members.insert(at, *entry);
+            }
+        }
+    }
+}
+
 /// The state of one collection replica (primary or secondary).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CollectionState {
     members: Membership,
     version: u64,
-    log: Vec<MembershipVersion>,
+    /// One change per version committed here after 0, oldest first.
+    log: Vec<Change>,
     /// Removals deferred while a grow guard is held (§3.3's "ghost"
     /// mechanism): the member stays visible until the guard releases.
     deferred: std::collections::BTreeSet<ObjectId>,
@@ -232,10 +359,7 @@ impl CollectionState {
         CollectionState {
             members: Membership::new(),
             version: 0,
-            log: vec![MembershipVersion {
-                version: 0,
-                members: Membership::new(),
-            }],
+            log: Vec::new(),
             deferred: std::collections::BTreeSet::new(),
         }
     }
@@ -270,53 +394,101 @@ impl CollectionState {
         if self.members.contains(entry.elem) {
             return false;
         }
-        self.commit(self.version + 1, self.members.with(entry));
+        let next = self.members.with(entry);
+        self.commit(self.version + 1, next, Change::Added(entry));
         true
     }
 
     /// Removes a member; returns true (and bumps the version) when it was
     /// present.
     pub fn remove(&mut self, elem: ObjectId) -> bool {
-        if !self.members.contains(elem) {
-            return false;
-        }
-        self.commit(self.version + 1, self.members.without(elem));
+        let change = match &self.members[self.members.span_of(elem)] {
+            [] => return false,
+            [one] => Change::Removed(*one),
+            homes => Change::Rewritten(Box::new(Rewrite {
+                delisted: homes.into(),
+                ..Rewrite::default()
+            })),
+        };
+        let next = self.members.without(elem);
+        self.commit(self.version + 1, next, change);
         true
     }
 
     /// Replaces the entire membership with a newer version (replica sync),
-    /// sharing the sender's array. Older or equal versions are ignored
-    /// (idempotent, out-of-order safe). Returns true when applied.
+    /// sharing the sender's array while it is current; the log keeps only
+    /// how it differs from the membership it replaces. Older or equal
+    /// versions are ignored (idempotent, out-of-order safe). Returns true
+    /// when applied.
     pub fn sync_to(&mut self, version: u64, members: Membership) -> bool {
         if version <= self.version {
             return false;
         }
-        self.commit(version, members);
+        let skipped = version - self.version - 1;
+        let change = Change::between(&self.members, &members, skipped);
+        self.commit(version, members, change);
         true
     }
 
-    /// Makes `members` the current membership and logs it.
-    fn commit(&mut self, version: u64, members: Membership) {
+    /// Makes `members` the current membership and logs how it got there.
+    fn commit(&mut self, version: u64, members: Membership, change: Change) {
+        debug_assert_eq!(version, self.version + change.span());
         self.version = version;
-        self.members = members.clone();
-        self.log.push(MembershipVersion { version, members });
+        self.members = members;
+        self.log.push(change);
     }
 
-    /// The full version log: membership after every change, oldest first.
-    pub fn log(&self) -> &[MembershipVersion] {
+    /// The version log: one [`Change`] per version committed here after
+    /// 0, oldest first. Versions are implicit — each entry commits the
+    /// version [`Change::span`] past the one before it —
+    /// [`CollectionState::commits`] spells them out.
+    pub fn log(&self) -> &[Change] {
         &self.log
     }
 
-    /// The logged membership at exactly `version`, if that version was
-    /// ever recorded (replica sync can skip versions). This is the lookup
-    /// conformance observers use to evaluate a spec pre-state at an
-    /// invocation's linearization point.
-    pub fn members_at(&self, version: u64) -> Option<&Membership> {
-        // Log versions are strictly increasing.
-        self.log
-            .binary_search_by_key(&version, |mv| mv.version)
-            .ok()
-            .map(|i| &self.log[i].members)
+    /// The log with the version each change committed.
+    pub fn commits(&self) -> impl Iterator<Item = (u64, &Change)> + '_ {
+        self.log.iter().scan(0, |version, change| {
+            *version += change.span();
+            Some((*version, change))
+        })
+    }
+
+    /// The membership at exactly `version`, rebuilt from the log, if that
+    /// version was ever committed here (replica sync can skip versions).
+    /// This is the lookup conformance observers use to evaluate a spec
+    /// pre-state at an invocation's linearization point.
+    pub fn members_at(&self, version: u64) -> Option<Membership> {
+        if version == self.version {
+            return Some(self.members.clone());
+        }
+        let (mut at, mut members) = (0, Vec::new());
+        for change in &self.log {
+            if at >= version {
+                break;
+            }
+            at += change.span();
+            change.apply(&mut members);
+        }
+        (at == version).then(|| Membership::from_sorted(members))
+    }
+
+    /// Every version committed here with its membership, oldest first,
+    /// starting from the empty version 0: the log replayed one change at
+    /// a time (each item is a fresh array).
+    pub fn history(&self) -> impl Iterator<Item = MembershipVersion> + '_ {
+        let mut members = Vec::new();
+        let initial = MembershipVersion {
+            version: 0,
+            members: Membership::new(),
+        };
+        std::iter::once(initial).chain(self.commits().map(move |(version, change)| {
+            change.apply(&mut members);
+            MembershipVersion {
+                version,
+                members: Membership::from_sorted(members.clone()),
+            }
+        }))
     }
 
     /// Defers the removal of a member (grow-guard mode, §3.3): the member
@@ -362,8 +534,8 @@ mod tests {
         let c = CollectionState::new();
         assert!(c.is_empty());
         assert_eq!(c.version(), 0);
-        assert_eq!(c.log().len(), 1);
-        assert!(c.log()[0].members.is_empty());
+        assert!(c.log().is_empty());
+        assert_eq!(c.members_at(0), Some(Membership::new()));
     }
 
     #[test]
@@ -374,7 +546,7 @@ mod tests {
         assert_eq!(c.version(), 1);
         assert_eq!(c.len(), 1);
         assert!(c.contains(ObjectId(1)));
-        assert_eq!(c.log().len(), 2);
+        assert_eq!(c.log(), [Change::Added(e(1, 0))]);
     }
 
     #[test]
@@ -385,18 +557,27 @@ mod tests {
         assert!(!c.remove(ObjectId(1)));
         assert_eq!(c.version(), 2);
         assert!(c.is_empty());
-        // Log: initial, after add, after remove.
-        assert_eq!(c.log().len(), 3);
+        // History: initial, after add, after remove.
+        assert_eq!(c.log().len(), 2);
+        assert_eq!(c.log()[1], Change::Removed(e(1, 0)));
+        let sizes: Vec<usize> = c.history().map(|mv| mv.members.len()).collect();
+        assert_eq!(sizes, [0, 1, 0]);
     }
 
     #[test]
-    fn members_are_sorted_and_shared_with_the_log() {
+    fn members_are_sorted_and_the_log_pins_no_array() {
         let mut c = CollectionState::new();
         c.add(e(5, 0));
+        let first = c.members().clone();
+        assert_eq!(first.holders(), 2, "the state and this test");
         c.add(e(1, 1));
         assert_eq!(c.members()[..], [e(1, 1), e(5, 0)]);
-        let logged = &c.log().last().unwrap().members;
-        assert!(Membership::ptr_eq(c.members(), logged));
+        assert_eq!(first.holders(), 1, "superseded: only this test holds it");
+        assert_eq!(c.members().holders(), 1);
+        // The current version is served from the live array, older ones
+        // are rebuilt.
+        assert!(Membership::ptr_eq(&c.members_at(2).unwrap(), c.members()));
+        assert_eq!(c.members_at(1), Some(first));
     }
 
     #[test]
@@ -472,6 +653,47 @@ mod tests {
         // Newer applies.
         assert!(c.sync_to(4, vec![e(9, 0)].into()));
         assert!(c.contains(ObjectId(9)));
-        assert_eq!(c.log().last().unwrap().version, 4);
+        // Applied syncs are logged as what they changed.
+        let rewrite = |skipped, listed: &[MemberEntry], delisted: &[MemberEntry]| {
+            Change::Rewritten(Box::new(Rewrite {
+                skipped,
+                listed: listed.into(),
+                delisted: delisted.into(),
+            }))
+        };
+        assert_eq!(
+            c.log(),
+            [
+                rewrite(2, &[e(1, 0), e(2, 0)], &[]),
+                rewrite(0, &[e(9, 0)], &[e(1, 0), e(2, 0)])
+            ]
+        );
+        assert_eq!(c.commits().last().unwrap().0, 4);
+        // One step apart, a sync is logged exactly like the write it
+        // carries; apart by nothing, as nothing.
+        assert!(c.sync_to(5, vec![e(7, 1), e(9, 0)].into()));
+        assert!(c.sync_to(6, vec![e(7, 1)].into()));
+        assert!(c.sync_to(8, vec![e(7, 1)].into()));
+        assert_eq!(
+            c.log()[2..],
+            [
+                Change::Added(e(7, 1)),
+                Change::Removed(e(9, 0)),
+                rewrite(1, &[], &[])
+            ]
+        );
+        let versions: Vec<u64> = c.commits().map(|(v, _)| v).collect();
+        assert_eq!(versions, [3, 4, 5, 6, 8]);
+    }
+
+    #[test]
+    fn removing_an_element_with_several_homes_is_one_commit() {
+        let mut c = CollectionState::new();
+        c.sync_to(1, vec![e(1, 0), e(1, 2), e(3, 0)].into());
+        assert!(c.remove(ObjectId(1)));
+        assert_eq!(c.members()[..], [e(3, 0)]);
+        assert_eq!(c.log()[1].delisted(), [e(1, 0), e(1, 2)]);
+        assert_eq!((c.log()[1].listed().len(), c.log()[1].span()), (0, 1));
+        assert_eq!(c.members_at(1).unwrap()[..], [e(1, 0), e(1, 2), e(3, 0)]);
     }
 }

@@ -72,7 +72,9 @@ pub mod prelude {
     pub use crate::client::{
         CollectionRef, MembershipRead, ReadPolicy, StoreClient, StoreError, StoreRt, StoreWorld,
     };
-    pub use crate::collection::{CollectionState, MemberEntry, Membership, MembershipVersion};
+    pub use crate::collection::{
+        Change, CollectionState, MemberEntry, Membership, MembershipVersion, Rewrite,
+    };
     pub use crate::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
     pub use crate::msg::StoreMsg;
     pub use crate::object::{CollectionId, ObjectId, ObjectRecord};

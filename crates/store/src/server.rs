@@ -9,7 +9,7 @@ use weakset_sim::world::{Service, ServiceCtx};
 
 /// A node's object store: local objects plus any collection replicas
 /// (primary or secondary) hosted here.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StoreServer {
     objects: HashMap<ObjectId, ObjectRecord>,
     collections: HashMap<CollectionId, CollectionState>,
@@ -70,8 +70,7 @@ impl StoreServer {
 
     /// The membership reads — `ListMembers`, bare or session-gated —
     /// answered from `&self`; `None` for every other request. This is
-    /// the only place they are answered: `handle_msg` calls it first,
-    /// and [`Service::serve_shared`] is exactly this function.
+    /// the only place they are answered: `handle_msg` calls it first.
     ///
     /// A session-gated read is refused until this replica has applied
     /// the session's dependencies. Versions are primary-serialized and
@@ -255,8 +254,15 @@ impl Service<StoreMsg> for StoreServer {
         self.handle_msg(msg)
     }
 
-    fn serve_shared(&self, _from: NodeId, msg: &StoreMsg) -> Option<StoreMsg> {
-        self.read(msg)
+    /// Every request is a bounded step on local state, so an idle
+    /// server takes all of them in place: the hook *is* `handle`.
+    fn serve_inline(
+        &mut self,
+        _ctx: &mut ServiceCtx<'_>,
+        _from: NodeId,
+        msg: StoreMsg,
+    ) -> Result<StoreMsg, StoreMsg> {
+        Ok(self.handle_msg(msg))
     }
 }
 

@@ -1,9 +1,10 @@
 //! [`Membership`] as a value: its set algebra against the sort-and-dedup
-//! oracle it replaced, and the one-array-per-version sharing it exists
-//! for, observed across a threaded fleet.
+//! oracle it replaced, the one-array-per-version sharing it exists for,
+//! observed across a threaded fleet, and the version log of changes
+//! against the log of full copies it replaced.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
@@ -91,9 +92,196 @@ proptest! {
     }
 }
 
+/// What `CollectionState` was before its log held changes: the same
+/// five operations, with one full copy of the membership per committed
+/// version. Kept here as the reference the delta log is checked against.
+#[derive(Default)]
+struct FullCopyLog {
+    members: Vec<MemberEntry>,
+    version: u64,
+    log: Vec<(u64, Vec<MemberEntry>)>,
+    deferred: BTreeSet<ObjectId>,
+}
+
+impl FullCopyLog {
+    fn new() -> Self {
+        FullCopyLog {
+            log: vec![(0, Vec::new())],
+            ..Default::default()
+        }
+    }
+
+    fn commit(&mut self, version: u64, mut members: Vec<MemberEntry>) {
+        members.sort_unstable();
+        members.dedup();
+        self.version = version;
+        self.log.push((version, members.clone()));
+        self.members = members;
+    }
+
+    fn contains(&self, elem: ObjectId) -> bool {
+        self.members.iter().any(|m| m.elem == elem)
+    }
+
+    fn add(&mut self, entry: MemberEntry) -> bool {
+        let new = !self.contains(entry.elem);
+        if new {
+            let mut next = self.members.clone();
+            next.push(entry);
+            self.commit(self.version + 1, next);
+        }
+        new
+    }
+
+    fn remove(&mut self, elem: ObjectId) -> bool {
+        let present = self.contains(elem);
+        if present {
+            let next = self.members.iter().filter(|m| m.elem != elem).copied();
+            self.commit(self.version + 1, next.collect());
+        }
+        present
+    }
+
+    fn sync_to(&mut self, version: u64, members: Vec<MemberEntry>) -> bool {
+        let newer = version > self.version;
+        if newer {
+            self.commit(version, members);
+        }
+        newer
+    }
+
+    fn defer_remove(&mut self, elem: ObjectId) -> bool {
+        let present = self.contains(elem);
+        if present {
+            self.deferred.insert(elem);
+        }
+        present
+    }
+
+    fn apply_deferred(&mut self) -> usize {
+        let pending = std::mem::take(&mut self.deferred);
+        pending.into_iter().filter(|&e| self.remove(e)).count()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random add / remove / sync (stale, equal, one ahead, skipping) /
+    /// defer / apply-deferred sequences: every operation answers as the
+    /// full-copy reference does, and after each one the version sequence,
+    /// `members_at` at every version (and at versions never committed),
+    /// `history`, the deferred set and the set of every `(elem, home)`
+    /// ever listed agree with it.
+    #[test]
+    fn the_delta_log_is_the_full_copy_log(
+        ops in proptest::collection::vec((0u8..7, 1u64..10, 0u32..3, entries()), 0..40)
+    ) {
+        let mut state = CollectionState::new();
+        let mut model = FullCopyLog::new();
+        for (kind, elem, home, synced) in ops {
+            let (elem, home) = (ObjectId(elem), NodeId(home));
+            match kind {
+                0 | 1 => prop_assert_eq!(
+                    state.add(MemberEntry { elem, home }),
+                    model.add(MemberEntry { elem, home })
+                ),
+                2 => prop_assert_eq!(state.remove(elem), model.remove(elem)),
+                3 => prop_assert_eq!(state.defer_remove(elem), model.defer_remove(elem)),
+                4 => prop_assert_eq!(state.apply_deferred(), model.apply_deferred()),
+                // `elem` doubles as how far ahead of (or behind) the
+                // current version the sync claims to be: -2..=6.
+                _ => {
+                    let version = (state.version() + elem.0).saturating_sub(3);
+                    // Kind 5 syncs a membership one `add` away, as the
+                    // primary's replication does; kind 6 anything.
+                    let members = match kind {
+                        5 => state.members().with(MemberEntry { elem, home }).to_vec(),
+                        _ => synced,
+                    };
+                    prop_assert_eq!(
+                        state.sync_to(version, members.clone().into()),
+                        model.sync_to(version, members)
+                    );
+                }
+            }
+            prop_assert_eq!(state.version(), model.version);
+            prop_assert_eq!(state.members().to_vec(), model.members.clone());
+            prop_assert_eq!(state.deferred().collect::<BTreeSet<_>>(), model.deferred.clone());
+            let versions: Vec<u64> =
+                std::iter::once(0).chain(state.commits().map(|(v, _)| v)).collect();
+            let logged: Vec<u64> = model.log.iter().map(|(v, _)| *v).collect();
+            prop_assert_eq!(&versions, &logged);
+            let history: Vec<(u64, Vec<MemberEntry>)> =
+                state.history().map(|mv| (mv.version, mv.members.to_vec())).collect();
+            prop_assert_eq!(&history, &model.log);
+            for v in 0..=model.version + 1 {
+                let want = model.log.iter().find(|(at, _)| *at == v).map(|(_, m)| m.clone());
+                prop_assert_eq!(state.members_at(v).map(|m| m.to_vec()), want, "at v{}", v);
+            }
+            let listed: BTreeSet<MemberEntry> =
+                state.log().iter().flat_map(Change::listed).copied().collect();
+            let ever: BTreeSet<MemberEntry> =
+                model.log.iter().flat_map(|(_, m)| m).copied().collect();
+            prop_assert_eq!(listed, ever);
+        }
+    }
+}
+
+/// N writes at 512 members leave N small log entries and no array: each
+/// version's array is dropped by the state the moment its successor
+/// commits — on the primary and on a replica synced to it — and the
+/// entries themselves hold nothing on the heap.
+#[test]
+fn a_long_history_pins_no_array() {
+    let entry = |id: u64| MemberEntry {
+        elem: ObjectId(id),
+        home: NodeId(id as u32 % 3),
+    };
+    let (mut primary, mut replica) = (CollectionState::new(), CollectionState::new());
+    for id in 0..512 {
+        primary.add(entry(id));
+    }
+    replica.sync_to(primary.version(), primary.members().clone());
+    let preload = primary.log().len();
+    for round in 0..200u64 {
+        for add in [true, false] {
+            let before = primary.members().clone();
+            assert_eq!(before.holders(), 3, "primary, replica, this test");
+            let id = 1_000 + round;
+            assert!(if add {
+                primary.add(entry(id))
+            } else {
+                primary.remove(ObjectId(id))
+            });
+            assert_eq!(before.holders(), 2, "the primary let go");
+            assert!(replica.sync_to(primary.version(), primary.members().clone()));
+            assert_eq!(
+                before.holders(),
+                1,
+                "no logged array outlives its successor"
+            );
+            assert_eq!(primary.members().holders(), 2, "one array per version");
+        }
+    }
+    for state in [&primary, &replica] {
+        assert_eq!(state.len(), 512);
+        let writes = &state.log()[state.log().len() - 400..];
+        assert!(writes
+            .iter()
+            .all(|c| matches!(c, Change::Added(_) | Change::Removed(_))));
+    }
+    assert_eq!(primary.log().len(), preload + 400);
+    assert!(std::mem::size_of::<Change>() <= 3 * std::mem::size_of::<u64>());
+    assert_eq!(
+        replica.members_at(primary.version() - 1),
+        primary.members_at(primary.version() - 1)
+    );
+}
+
 /// One allocation per version across the fleet: after `add_member`, the
-/// primary's log entry, all three `ListMembers` replies and the
-/// Leaderless union are the same array.
+/// three replicas' live states, all three `ListMembers` replies and the
+/// Leaderless union are the same array — and nothing else holds it.
 #[test]
 fn a_version_is_one_array_across_a_threaded_fleet() {
     let timeout = SimDuration::from_millis(5_000);
@@ -121,10 +309,7 @@ fn a_version_is_one_array_across_a_threaded_fleet() {
     let logged = rt
         .with_service(cref.home, |s: &StoreServer| {
             let coll = s.collection(cref.id).unwrap();
-            assert!(Membership::ptr_eq(
-                coll.members(),
-                &coll.log().last().unwrap().members
-            ));
+            assert_eq!(coll.members().holders(), 3, "one per replica, no log");
             coll.members().clone()
         })
         .unwrap();

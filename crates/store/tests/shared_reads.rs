@@ -1,7 +1,8 @@
-//! `StoreServer::serve_shared` against `handle`: it answers exactly the
-//! membership reads, with exactly `handle`'s reply, and — on a threaded
-//! fleet where reads skip the mailbox whenever a replica is idle —
-//! concurrent readers still see only states the primary logged.
+//! `StoreServer::serve_inline` against `handle`: it takes every request,
+//! replies exactly as `handle` and leaves exactly `handle`'s state, and —
+//! on a threaded fleet where requests skip the mailbox whenever a replica
+//! is idle — concurrent readers still see only states the primary
+//! logged.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,9 +16,9 @@ use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::world::{Service, ServiceCtx};
 use weakset_store::prelude::*;
 
-/// Decides, per variant, whether a request is a membership read. No
-/// wildcard arm: a new `StoreMsg` variant does not compile until someone
-/// decides which side of `serve_shared` it belongs on.
+/// Decides, per variant, whether a request is a membership read — the
+/// requests that must change nothing. No wildcard arm: a new `StoreMsg`
+/// variant does not compile until someone decides which kind it is.
 fn is_membership_read(msg: &StoreMsg) -> bool {
     match msg {
         StoreMsg::ListMembers(_) => true,
@@ -185,14 +186,68 @@ fn every_request(coll: CollectionId, x: u64) -> Vec<StoreMsg> {
     ]
 }
 
+/// From one state, `msg` through the hook and through `handle`: `Ok(r)`
+/// is `handle`'s reply and leaves `handle`'s state; `Err(m)` hands `msg`
+/// back and leaves the state alone. Returns the state after `handle`,
+/// and whether the hook took the request.
+fn hook_is_handle<S>(state: &S, node: NodeId, msg: &StoreMsg) -> Result<(S, bool), TestCaseError>
+where
+    S: Service<StoreMsg> + Clone + PartialEq + std::fmt::Debug,
+{
+    let from = NodeId(9);
+    let (mut inline, mut mailbox) = (state.clone(), state.clone());
+    // Two copies of one stream: a handler that draws, draws the same.
+    let mut rngs = [(); 2].map(|()| SimRng::for_label(16, "svc.prop"));
+    let [inline_rng, mailbox_rng] = &mut rngs;
+    let now = SimTime::ZERO;
+    let served = inline.serve_inline(
+        &mut ServiceCtx {
+            now,
+            node,
+            rng: inline_rng,
+        },
+        from,
+        msg.clone(),
+    );
+    let reply = mailbox.handle(
+        &mut ServiceCtx {
+            now,
+            node,
+            rng: mailbox_rng,
+        },
+        from,
+        msg.clone(),
+    );
+    let took = served.is_ok();
+    match served {
+        Ok(served) => {
+            prop_assert_eq!(&served, &reply, "reply to {:?}", msg);
+            prop_assert_eq!(&inline, &mailbox, "state after {:?}", msg);
+            prop_assert_eq!(
+                inline_rng.range_u64(0, u64::MAX),
+                mailbox_rng.range_u64(0, u64::MAX),
+                "draws after {:?}",
+                msg
+            );
+        }
+        Err(back) => {
+            prop_assert_eq!(&back, msg, "handed back changed");
+            prop_assert_eq!(&inline, state, "declined {:?} but changed", msg);
+        }
+    }
+    Ok((mailbox, took))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// On any server state, for every request: `serve_shared` answers
-    /// iff the request is a membership read, `handle` then gives the same
-    /// reply, and neither changed the server.
+    /// On any server state, for every request: the hook takes it, replies
+    /// as `handle` does and leaves the state `handle` leaves — objects,
+    /// collections with their logs and deferred removals, locks, guards —
+    /// and a membership read changes nothing. Each request runs on the
+    /// state the ones before it left.
     #[test]
-    fn serve_shared_is_handle_on_reads_and_nothing_else(
+    fn the_hook_is_handle_on_every_request(
         steps in proptest::collection::vec((0u8..10, 0u64..4, 0u64..6), 0..40),
         x in 0u64..6,
     ) {
@@ -200,9 +255,6 @@ proptest! {
         for step in steps {
             server.apply(setup_step(step));
         }
-        let mut rng = SimRng::for_label(16, "svc.prop");
-        let mut ctx = ServiceCtx { now: SimTime::ZERO, node: NodeId(0), rng: &mut rng };
-        let from = NodeId(9);
         for coll in (0..5).map(CollectionId) {
             let have = server.collection(coll).map_or(0, CollectionState::version);
             // Floors below, at and above the replica's version, for
@@ -213,22 +265,40 @@ proptest! {
                 inner: Box::new(StoreMsg::ListMembers(coll)),
             });
             for msg in every_request(coll, x).into_iter().chain(session_reads) {
-                let before = format!("{server:?}");
-                let shared = server.serve_shared(from, &msg);
-                prop_assert_eq!(shared.is_some(), is_membership_read(&msg), "{:?}", msg);
-                if let Some(reply) = shared {
-                    prop_assert_eq!(server.handle(&mut ctx, from, msg.clone()), reply, "{:?}", msg);
-                    prop_assert_eq!(format!("{server:?}"), before, "{:?} changed the server", msg);
+                let (after, took) = hook_is_handle(&server, NodeId(0), &msg)?;
+                prop_assert!(took, "a plain server takes every request: {:?}", msg);
+                if is_membership_read(&msg) {
+                    prop_assert_eq!(&after, &server, "{:?} changed the server", msg);
                 }
+                server = after;
             }
         }
     }
 }
 
+/// A service that does not implement the hook declines everything, and
+/// hands each request back as it came.
+#[test]
+fn a_service_without_the_hook_declines_every_request() {
+    #[derive(Clone, Debug, PartialEq)]
+    struct Plain(StoreServer);
+    impl Service<StoreMsg> for Plain {
+        fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: StoreMsg) -> StoreMsg {
+            self.0.handle(ctx, from, msg)
+        }
+    }
+    let mut state = Plain(StoreServer::new());
+    for msg in every_request(CollectionId(1), 3) {
+        let (after, took) = hook_is_handle(&state, NodeId(0), &msg).unwrap();
+        assert!(!took);
+        state = after;
+    }
+}
+
 /// One writer doing add/remove cycles, four readers on their own OS
-/// threads and views. Whatever mix of shared and mailbox reads the
+/// threads and views. Whatever mix of in-place and mailbox requests the
 /// scheduler produces, a reader only ever sees states the primary
-/// logged: a `Primary` read is the logged array itself; a union read
+/// logged: a `Primary` read is the logged membership; a union read
 /// holds everything in its version's array and nothing that was never a
 /// member at or before that version (replicas may lag, never invent).
 #[test]
@@ -337,7 +407,7 @@ fn concurrent_readers_on_threads_see_only_logged_states() {
             assert!(read.version >= *floor, "{label}: below its floor {floor}");
             let logged = primary.members_at(read.version).expect("a logged version");
             if policy == ReadPolicy::Primary {
-                assert!(Membership::ptr_eq(&read.entries, logged), "{label}");
+                assert_eq!(read.entries, logged, "{label}");
                 continue;
             }
             assert!(

@@ -334,7 +334,7 @@ fn gossip_anti_entropy_converges_on_threads() {
         .expect("no node thread should hang at shutdown");
 }
 
-/// A gossip replica forwards `Service::serve_shared` like the plain
+/// A gossip replica implements `Service::serve_inline` like the plain
 /// server it wraps: with no schedule installed the fleet is idle, so
 /// every rpc of a membership read is answered on the caller's thread.
 #[test]

@@ -116,7 +116,8 @@ proptest! {
         let primary = world
             .service::<StoreServer>(set.cref().home)
             .expect("primary");
-        let log = primary.collection(set.cref().id).expect("collection").log();
+        let collection = primary.collection(set.cref().id).expect("collection");
+        let log: Vec<_> = collection.history().collect();
         let mut model = ModelSet::create();
         for w in log.windows(2) {
             let pre: SetValue = w[0].members.iter().map(|m| ElemId(m.elem.0)).collect();

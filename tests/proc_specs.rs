@@ -127,8 +127,7 @@ fn primary_history_contains_only_specified_transitions() {
         .expect("primary service");
     let coll = server.collection(r.set.cref().id).expect("collection");
     let history: Vec<SetValue> = coll
-        .log()
-        .iter()
+        .history()
         .map(|mv| mv.members.iter().map(|m| ElemId(m.elem.0)).collect())
         .collect();
     assert_eq!(history.len(), 9); // initial + 6 adds + 2 removes
@@ -197,8 +196,7 @@ fn replica_bulk_sync_is_not_a_specified_transition() {
     let history: Vec<SetValue> = replica_srv
         .collection(cref.id)
         .unwrap()
-        .log()
-        .iter()
+        .history()
         .map(|mv| mv.members.iter().map(|m| ElemId(m.elem.0)).collect())
         .collect();
     // {} -> {1,2,3} in one step: an unspecified (sync) transition.
@@ -208,8 +206,7 @@ fn replica_bulk_sync_is_not_a_specified_transition() {
     let phistory: Vec<SetValue> = primary_srv
         .collection(cref.id)
         .unwrap()
-        .log()
-        .iter()
+        .history()
         .map(|mv| mv.members.iter().map(|m| ElemId(m.elem.0)).collect())
         .collect();
     validate_history(&phistory).unwrap();

@@ -19,14 +19,13 @@
 //!   set grows.
 
 use crate::report::{pct, Table};
-use weakset::prelude::{Elements, IterConfig, IterStep, Semantics};
+use crate::scenarios::{gossip_fleet, replicated, Wan};
+use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives};
+use weakset::prelude::{Elements, IterConfig, IterStep, Semantics, WeakSet};
 use weakset_gossip::prelude::*;
+use weakset_obs::{Direction, ObsSnapshot};
 use weakset_runtime::prelude::RuntimeExt;
-use weakset_sim::latency::LatencyModel;
-use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
-use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{CollectionRef, ReadPolicy, StoreClient, StoreError, StoreWorld};
@@ -36,25 +35,13 @@ const N_MEMBERS: u64 = 24;
 const INTERVAL_MS: u64 = 20;
 
 fn gossip_world(n_replicas: usize, seed: u64) -> (StoreWorld, StoreClient, CollectionRef) {
-    let mut topo = Topology::new();
-    let cn = topo.add_node("client", 0);
-    let servers: Vec<NodeId> = topo.add_servers("s", n_replicas);
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
-    let mut world = StoreWorld::new(
-        config,
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(2)),
-    );
-    for &s in &servers {
-        world.install_service(s, Box::new(GossipNode::new(s)));
-    }
-    let client = StoreClient::new(cn, SimDuration::from_millis(100));
-    let cref = CollectionRef {
-        id: COLL,
-        home: servers[0],
-        replicas: servers[1..].to_vec(),
-    };
+    let Wan {
+        mut world,
+        client_node,
+        servers,
+    } = gossip_fleet(seed, n_replicas, SimDuration::from_millis(2));
+    let client = StoreClient::new(client_node, SimDuration::from_millis(100));
+    let cref = replicated(&servers);
     client
         .create_collection(&mut world, &cref)
         .expect("healthy world");
@@ -84,6 +71,25 @@ fn populate(w: &mut StoreWorld, client: &StoreClient, cref: &CollectionRef) {
             )
             .expect("healthy world");
     }
+}
+
+/// Two seconds of fan-out-2 anti-entropy, which must converge the
+/// replicas; gossip keeps running until the returned handle is stopped.
+fn converge(w: &mut StoreWorld, cref: &CollectionRef) -> GossipHandle {
+    let handle = engine::install(
+        w,
+        COLL,
+        cref.all_nodes(),
+        GossipConfig {
+            fanout: 2,
+            interval: SimDuration::from_millis(INTERVAL_MS),
+            ..GossipConfig::default()
+        },
+    );
+    let deadline = w.now() + SimDuration::from_secs(2);
+    w.run_until(deadline);
+    assert!(engine::converged(w, COLL, &cref.all_nodes()));
+    handle
 }
 
 /// One convergence measurement.
@@ -175,19 +181,7 @@ pub fn availability_points() -> Vec<AvailabilityPoint> {
     for &n in &[3usize, 5, 9] {
         let (mut w, client, cref) = gossip_world(n, 2000 + n as u64);
         populate(&mut w, &client, &cref);
-        let handle = engine::install(
-            &mut w,
-            COLL,
-            cref.all_nodes(),
-            GossipConfig {
-                fanout: 2,
-                interval: SimDuration::from_millis(INTERVAL_MS),
-                ..GossipConfig::default()
-            },
-        );
-        let deadline = w.now() + SimDuration::from_secs(2);
-        w.run_until(deadline);
-        assert!(engine::converged(&w, COLL, &cref.all_nodes()));
+        let handle = converge(&mut w, &cref);
         handle.stop();
         w.run_to_quiescence();
         // Cut the primary plus replicas until under half remain reachable.
@@ -245,19 +239,7 @@ pub fn iter_availability_points() -> Vec<IterAvailabilityPoint> {
         .map(|partition_ms| {
             let (mut w, client, cref) = gossip_world(5, 3000 + partition_ms);
             populate(&mut w, &client, &cref);
-            let handle = engine::install(
-                &mut w,
-                COLL,
-                cref.all_nodes(),
-                GossipConfig {
-                    fanout: 2,
-                    interval: SimDuration::from_millis(INTERVAL_MS),
-                    ..GossipConfig::default()
-                },
-            );
-            let deadline = w.now() + SimDuration::from_secs(2);
-            w.run_until(deadline);
-            assert!(engine::converged(&w, COLL, &cref.all_nodes()));
+            let handle = converge(&mut w, &cref);
             let mut primary_it = Elements::new(
                 Semantics::Optimistic,
                 client.clone(),
@@ -326,6 +308,52 @@ impl ReconcilePoint {
 /// Fixed symmetric-difference size for the E10d sweep.
 pub const RECONCILE_K: u64 = 32;
 
+/// Two replicas share a `GrowShrink` set of `n` dots, diverge by `k`
+/// fresh elements (half novel on each side) and reconcile with one
+/// push-pull exchange in `mode`, in a two-node world of their own.
+/// Returns the `(digest, delta)` bytes the exchange charged and whether
+/// the pair converged.
+fn reconcile_pair(seed: u64, n: u64, k: u64, mode: DigestMode) -> (u64, u64, bool) {
+    let Wan {
+        world: mut w,
+        servers,
+        ..
+    } = gossip_fleet(seed, 2, SimDuration::from_millis(2));
+    let entry = |i: u64, home| MemberEntry {
+        elem: ObjectId(i),
+        home,
+    };
+    let mut base = MembershipCrdt::new(GossipSemantics::GrowShrink);
+    for i in 1..=n {
+        base.add(servers[0], entry(i, servers[0]));
+    }
+    let mut a = base.clone();
+    let mut b = base;
+    for i in 0..k / 2 {
+        a.add(servers[0], entry(n + 1 + i, servers[0]));
+        b.add(servers[1], entry(n + k + 1 + i, servers[1]));
+    }
+    for (node, set) in [(servers[0], a), (servers[1], b)] {
+        w.with_service_mut(node, |g: &mut GossipNode| {
+            g.create_replica(COLL, GossipSemantics::GrowShrink);
+            *g.crdt_mut(COLL).expect("replica just created") = set;
+        });
+    }
+    engine::sync_pair(
+        &mut w,
+        COLL,
+        servers[0],
+        servers[1],
+        mode,
+        SimDuration::from_millis(200),
+    );
+    (
+        w.metrics().counter(weakset_obs::gossip::DIGEST_BYTES),
+        w.metrics().counter(weakset_obs::gossip::DELTA_BYTES),
+        engine::converged(&w, COLL, &servers),
+    )
+}
+
 /// E10d: sweeps the set size at fixed divergence, one point per digest
 /// mode. Both modes must converge; only the wire cost differs.
 pub fn reconcile_points() -> Vec<ReconcilePoint> {
@@ -335,70 +363,14 @@ pub fn reconcile_points() -> Vec<ReconcilePoint> {
             ("full", DigestMode::Full),
             ("merkle", DigestMode::MerkleRange),
         ] {
-            let mut topo = Topology::new();
-            let _cn = topo.add_node("client", 0);
-            let servers: Vec<NodeId> = topo.add_servers("s", 2);
-            let mut config = WorldConfig::seeded(4000 + n);
-            config.trace = false;
-            let mut w = StoreWorld::new(
-                config,
-                topo,
-                LatencyModel::Constant(SimDuration::from_millis(2)),
-            );
-            for &s in &servers {
-                w.install_service(s, Box::new(GossipNode::new(s)));
-            }
-            let mut base = MembershipCrdt::new(GossipSemantics::GrowShrink);
-            for i in 1..=n {
-                base.add(
-                    servers[0],
-                    MemberEntry {
-                        elem: ObjectId(i),
-                        home: servers[0],
-                    },
-                );
-            }
-            let mut a = base.clone();
-            let mut b = base;
-            for i in 0..RECONCILE_K / 2 {
-                a.add(
-                    servers[0],
-                    MemberEntry {
-                        elem: ObjectId(n + 1 + i),
-                        home: servers[0],
-                    },
-                );
-                b.add(
-                    servers[1],
-                    MemberEntry {
-                        elem: ObjectId(n + RECONCILE_K + 1 + i),
-                        home: servers[1],
-                    },
-                );
-            }
-            for (node, set) in [(servers[0], a), (servers[1], b)] {
-                w.with_service_mut(node, |g: &mut GossipNode| {
-                    g.create_replica(COLL, GossipSemantics::GrowShrink);
-                    *g.crdt_mut(COLL).expect("replica just created") = set;
-                });
-            }
-            engine::sync_pair(
-                &mut w,
-                COLL,
-                servers[0],
-                servers[1],
-                mode,
-                SimDuration::from_millis(200),
-            );
-            assert!(
-                engine::converged(&w, COLL, &servers),
-                "n={n} {label}: reconciliation must converge"
-            );
+            let (digest_bytes, delta_bytes, converged) =
+                reconcile_pair(4000 + n, n, RECONCILE_K, mode);
+            assert!(converged, "n={n} {label}: reconciliation must converge");
             out.push(ReconcilePoint {
                 set_size: n,
                 mode: label,
-                digest_bytes: w.metrics().counter(weakset_obs::gossip::DIGEST_BYTES),
-                delta_bytes: w.metrics().counter(weakset_obs::gossip::DELTA_BYTES),
+                digest_bytes,
+                delta_bytes,
             });
         }
     }
@@ -497,6 +469,102 @@ pub fn run() -> Vec<Table> {
     t4.note("expected: Full grows linearly with the set (it ships every live dot both");
     t4.note("ways); the Merkle-range curve flattens — O(k log n) descent plus k entries");
     vec![t, t2, t3, t4]
+}
+
+/// Runs anti-entropy (fan-out 1, every 10 ms) over `cref`'s replicas for
+/// 400 ms, to quiescence, and records whether they converged in the
+/// `gossip.converged` gauge.
+pub(crate) fn gossip_to_quiescence(world: &mut StoreWorld, cref: &CollectionRef) {
+    let until = world.now() + SimDuration::from_millis(400);
+    engine::install(
+        world,
+        cref.id,
+        cref.all_nodes(),
+        GossipConfig {
+            interval: SimDuration::from_millis(10),
+            fanout: 1,
+            until: Some(until),
+            ..GossipConfig::default()
+        },
+    );
+    world.run_to_quiescence();
+    let converged = engine::converged(world, cref.id, &cref.all_nodes());
+    world
+        .metrics_mut()
+        .gauge_set("gossip.converged", u64::from(converged));
+}
+
+/// The `n` for the snapshot's big-reconcile sub-phase: a million live
+/// dots in release (the headline anti-entropy-at-scale measurement),
+/// scaled down in debug so `cargo test` builds it in seconds.
+const BIG_N: u64 = if cfg!(debug_assertions) {
+    20_000
+} else {
+    1_000_000
+};
+
+/// `BENCH_e10.json`: three replicas diverge behind a partition and
+/// converge by digest-then-delta exchange; then E10d's pair at `BIG_N`
+/// dots and a 64-element divergence, where `MerkleRange` must cost
+/// `O(k log n)` bytes and `Full` ships the whole live-dot list.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let Wan {
+        mut world,
+        client_node,
+        servers,
+    } = gossip_fleet(seed, 3, SimDuration::from_millis(3));
+    world.events_mut().set_enabled(true);
+    let client = StoreClient::new(client_node, SimDuration::from_millis(50));
+    let cref = replicated(&servers);
+    client
+        .create_collection(&mut world, &cref)
+        .expect("healthy world at setup");
+    let set = WeakSet::new(client, cref.clone());
+    let record = |i: u64| ObjectRecord::new(ObjectId(i + 1), format!("obj-{i}"), vec![b'x'; 64]);
+    for i in 0..8u64 {
+        set.add(&mut world, record(i), servers[(i % 3) as usize])
+            .expect("healthy world at setup");
+    }
+    // Diverge one replica behind a partition, then let gossip repair it.
+    world.topology_mut().partition(&[servers[2]]);
+    for i in 8..12u64 {
+        let _ = set.add(&mut world, record(i), servers[0]);
+    }
+    world.topology_mut().heal_partition();
+    gossip_to_quiescence(&mut world, &cref);
+
+    let (full_digest, full_delta, full_conv) = reconcile_pair(seed, BIG_N, 64, DigestMode::Full);
+    let (mk_digest, mk_delta, mk_conv) = reconcile_pair(seed, BIG_N, 64, DigestMode::MerkleRange);
+    let m = world.metrics_mut();
+    m.add("e10.big.full.digest_bytes", full_digest);
+    m.add("e10.big.full.delta_bytes", full_delta);
+    m.add("e10.big.merkle.digest_bytes", mk_digest);
+    m.add("e10.big.merkle.delta_bytes", mk_delta);
+    m.gauge_set("e10.big.converged", u64::from(full_conv && mk_conv));
+
+    let snap = snapshot_with_trace(&mut world, "e10", seed);
+    let wire = counter(&snap, "gossip.digest_bytes") + counter(&snap, "gossip.delta_bytes");
+    let stale = counter(&snap, "gossip.replica_stale_rounds");
+    let full_wire = (full_digest + full_delta) as f64;
+    let merkle_wire = (mk_digest + mk_delta) as f64;
+    with_common_objectives(snap)
+        .with_objective("gossip_wire_bytes", wire, Direction::LowerIsBetter)
+        .with_objective("stale_replica_rounds", stale, Direction::LowerIsBetter)
+        .with_objective(
+            "gossip_digest_bytes_1m",
+            mk_digest as f64,
+            Direction::LowerIsBetter,
+        )
+        .with_objective(
+            "gossip_sync_bytes_1m",
+            merkle_wire,
+            Direction::LowerIsBetter,
+        )
+        .with_objective(
+            "merkle_advantage_1m",
+            full_wire / merkle_wire.max(1.0),
+            Direction::HigherIsBetter,
+        )
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //! shows the gap growing linearly with the shard count.
 
 use crate::report::{ms, Table};
-use crate::scenarios::wan;
+use crate::scenarios::{wan, Wan};
+use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives};
 use weakset::prelude::*;
+use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::time::SimDuration;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{ReadPolicy, StoreClient, StoreWorld};
@@ -43,11 +45,7 @@ impl Point {
     }
 }
 
-fn build_sharded(
-    w: &mut crate::scenarios::Wan,
-    shards: usize,
-    members: usize,
-) -> (ShardedWeakSet, StoreClient) {
+fn build_sharded(w: &mut Wan, shards: usize, members: usize) -> (ShardedWeakSet, StoreClient) {
     let client = StoreClient::new(w.client_node, SimDuration::from_millis(200));
     // Every shard lives on the SAME three-node group: that is the
     // co-location the batch envelope exploits.
@@ -101,34 +99,40 @@ fn batched_rounds(w: &mut StoreWorld, set: &ShardedWeakSet) {
     }
 }
 
+/// One point: `shards` shards of six members each on a three-node
+/// group, read sequentially and then batched. Returns the world too, for
+/// the snapshot to freeze.
+fn measure(seed: u64, shards: usize) -> (Wan, Point) {
+    let members = shards * 6;
+    let mut w = wan(seed, 3, SimDuration::from_millis(5));
+    let (set, client) = build_sharded(&mut w, shards, members);
+
+    let rpc0 = w.world.metrics().counter("rpc.sent");
+    let t0 = w.world.now();
+    sequential_rounds(&mut w.world, &set, &client);
+    let sequential_time = w.world.now().saturating_since(t0);
+    let rpc1 = w.world.metrics().counter("rpc.sent");
+    let t1 = w.world.now();
+    batched_rounds(&mut w.world, &set);
+    let batched_time = w.world.now().saturating_since(t1);
+    let rpc2 = w.world.metrics().counter("rpc.sent");
+
+    let point = Point {
+        shards,
+        members,
+        sequential_time,
+        sequential_rpcs: rpc1 - rpc0,
+        batched_time,
+        batched_rpcs: rpc2 - rpc1,
+    };
+    (w, point)
+}
+
 /// Runs the sweep.
 pub fn points() -> Vec<Point> {
     [2usize, 4, 8]
         .into_iter()
-        .map(|shards| {
-            let members = shards * 6;
-            let mut w = wan(300 + shards as u64, 3, SimDuration::from_millis(5));
-            let (set, client) = build_sharded(&mut w, shards, members);
-
-            let rpc0 = w.world.metrics().counter("rpc.sent");
-            let t0 = w.world.now();
-            sequential_rounds(&mut w.world, &set, &client);
-            let sequential_time = w.world.now().saturating_since(t0);
-            let rpc1 = w.world.metrics().counter("rpc.sent");
-            let t1 = w.world.now();
-            batched_rounds(&mut w.world, &set);
-            let batched_time = w.world.now().saturating_since(t1);
-            let rpc2 = w.world.metrics().counter("rpc.sent");
-
-            Point {
-                shards,
-                members,
-                sequential_time,
-                sequential_rpcs: rpc1 - rpc0,
-                batched_time,
-                batched_rpcs: rpc2 - rpc1,
-            }
-        })
+        .map(|shards| measure(300 + shards as u64, shards).1)
         .collect()
 }
 
@@ -159,6 +163,21 @@ pub fn run() -> Vec<Table> {
     }
     t.note("expected: batched time flat (~1 RTT/round) while sequential grows with shards; batched RPCs stay at 3/round");
     vec![t]
+}
+
+/// `BENCH_e11.json`: the sweep's four-shard point. The objective is the
+/// batched path's speedup over the sequential rounds.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let (mut w, point) = measure(seed, 4);
+    let snap = snapshot_with_trace(&mut w.world, "e11", seed);
+    let envelopes = counter(&snap, "net.batch.envelopes");
+    with_common_objectives(snap)
+        .with_objective(
+            "sharded_read_speedup",
+            point.speedup(),
+            Direction::HigherIsBetter,
+        )
+        .with_objective("batch_envelopes", envelopes, Direction::LowerIsBetter)
 }
 
 #[cfg(test)]

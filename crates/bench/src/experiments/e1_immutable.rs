@@ -8,8 +8,10 @@
 //! amortized, one fetch each).
 
 use crate::report::{ms, Table};
-use crate::scenarios::{populated_set, wan};
+use crate::scenarios::{drive, populated_set, wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::*;
+use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_spec::checker::{check_computation, Figure};
 
@@ -73,6 +75,16 @@ pub fn run() -> Vec<Table> {
     }
     t.note("expected: yielded == n, conformance always, time linear in n (~2 RPC per element)");
     vec![t]
+}
+
+/// `BENCH_e1.json`: one full snapshot iteration of 24 elements on four
+/// healthy servers.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 4, SimDuration::from_millis(5));
+    let set = populated_set(&mut w, 24, SimDuration::from_millis(100));
+    let mut it = set.elements(Semantics::Snapshot);
+    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    with_yield_objective(snapshot_with_trace(&mut w.world, "e1", seed))
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //! approximately the reachable fraction of the set.
 
 use crate::report::{pct, Table};
-use crate::scenarios::{populated_set, wan};
+use crate::scenarios::{drive, populated_set, wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::*;
+use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_spec::checker::{check_computation, Figure};
 
@@ -105,6 +107,18 @@ pub fn run() -> Vec<Table> {
     t.note("expected: fail rate jumps to 100% once any member is unreachable;");
     t.note("yields fall roughly with the reachable fraction (64 × (8-cut)/8)");
     vec![t]
+}
+
+/// `BENCH_e2.json`: the E1 snapshot's run with one of the four servers
+/// down throughout; the pessimistic iterator reports what it cannot
+/// reach.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 4, SimDuration::from_millis(5));
+    let set = populated_set(&mut w, 24, SimDuration::from_millis(100));
+    w.world.topology_mut().crash(w.servers[3]);
+    let mut it = set.elements(Semantics::Snapshot);
+    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    with_yield_objective(snapshot_with_trace(&mut w.world, "e2", seed))
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! still conforms to Figure 4.
 
 use crate::report::Table;
-use crate::scenarios::{populated_set, schedule_churn_over, wan};
+use crate::scenarios::{drive, populated_set, schedule_churn, schedule_churn_over, wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use std::collections::BTreeSet;
 use weakset::prelude::*;
+use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_spec::checker::{check_computation, Figure};
 use weakset_store::object::ObjectId;
@@ -125,6 +127,26 @@ pub fn run() -> Vec<Table> {
     t.note("expected: losses grow with churn while Figure 4 conformance never breaks;");
     t.note("the same runs violate Figure 3 (immutability) as soon as churn > 0");
     vec![t]
+}
+
+/// `BENCH_e3.json`: 30 mutations, half adds and half removes, land
+/// during one snapshot iteration of 18 elements.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 3, SimDuration::from_millis(5));
+    let set = populated_set(&mut w, 18, SimDuration::from_millis(100));
+    let now = w.world.now();
+    schedule_churn(
+        &mut w,
+        &set,
+        now,
+        SimDuration::from_millis(4),
+        30,
+        0.5,
+        seed,
+    );
+    let mut it = set.elements(Semantics::Snapshot);
+    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    with_yield_objective(snapshot_with_trace(&mut w.world, "e3", seed))
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //! 2. Pessimism: the first unreachable member aborts the run.
 
 use crate::report::Table;
-use crate::scenarios::{populated_set, schedule_growth, wan};
+use crate::scenarios::{drive, populated_set, replicated, schedule_growth, wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::*;
+use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_spec::checker::{check_computation, Figure};
 use weakset_store::prelude::ReadPolicy;
@@ -140,8 +142,8 @@ pub struct PolicyPoint {
 /// `Any` it finishes from the surviving replicas.
 pub fn quorum_points() -> Vec<PolicyPoint> {
     use weakset_store::collection::MemberEntry;
-    use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
-    use weakset_store::prelude::{CollectionRef, StoreClient};
+    use weakset_store::object::{ObjectId, ObjectRecord};
+    use weakset_store::prelude::StoreClient;
 
     [ReadPolicy::Primary, ReadPolicy::Quorum, ReadPolicy::Any]
         .into_iter()
@@ -150,11 +152,7 @@ pub fn quorum_points() -> Vec<PolicyPoint> {
             // Membership: primary on servers[0], replicas on 1 and 2.
             // Elements all live on servers[3] so cutting the primary
             // leaves them reachable.
-            let cref = CollectionRef {
-                id: CollectionId(1),
-                home: w.servers[0],
-                replicas: vec![w.servers[1], w.servers[2]],
-            };
+            let cref = replicated(&w.servers[..3]);
             let client = StoreClient::new(w.client_node, SimDuration::from_millis(200));
             client
                 .create_collection(&mut w.world, &cref)
@@ -273,6 +271,18 @@ pub fn run() -> Vec<Table> {
     t3.note("the paper's suggested 'quorum scheme by changing the last line': Primary");
     t3.note("reads die with the primary; Quorum (2-of-3) and Any reads finish the run");
     vec![t1, t2, t3]
+}
+
+/// `BENCH_e4.json`: a grow-only iteration of 12 elements while 20 more
+/// are added under it.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 3, SimDuration::from_millis(5));
+    let set = populated_set(&mut w, 12, SimDuration::from_millis(100));
+    let now = w.world.now();
+    schedule_growth(&mut w, &set, now, SimDuration::from_millis(4), 20);
+    let mut it = set.elements(Semantics::GrowOnly);
+    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    with_yield_objective(snapshot_with_trace(&mut w.world, "e4", seed))
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@
 //! and wins time-to-first by roughly a factor of `n`.
 
 use crate::report::{ms, Table};
-use weakset::prelude::PrefetchConfig;
+use crate::scenarios::{drive, populated_set, store_fleet, wan_with_model, Wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
+use weakset::prelude::{PrefetchConfig, Semantics};
 use weakset_fs::prelude::*;
+use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::latency::LatencyModel;
-use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
-use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
-use weakset_store::prelude::{StoreServer, StoreWorld};
+use weakset_store::prelude::StoreWorld;
 
 const N_VOLUMES: usize = 8;
 
@@ -32,24 +32,18 @@ fn fs_world_sized(
     file_size: usize,
     bandwidth_bytes_per_ms: Option<u64>,
 ) -> (StoreWorld, FileSystem) {
-    let mut topo = Topology::new();
-    let client = topo.add_node("client", 0);
-    let vols: Vec<NodeId> = topo.add_servers("vol", N_VOLUMES);
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
-    let mut world = StoreWorld::new(
-        config,
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(one_way_ms)),
-    );
+    let one_way = SimDuration::from_millis(one_way_ms);
+    let Wan {
+        mut world,
+        client_node,
+        servers: vols,
+    } = store_fleet(seed, N_VOLUMES, LatencyModel::Constant(one_way));
     if let Some(bpm) = bandwidth_bytes_per_ms {
         world.set_bandwidth(bpm, weakset_store::msg::StoreMsg::wire_size);
     }
-    for &v in &vols {
-        world.install_service(v, Box::new(StoreServer::new()));
-    }
-    let mut fs = FileSystem::format(&mut world, client, vols[0], SimDuration::from_millis(2_000))
-        .expect("healthy world");
+    let timeout = SimDuration::from_millis(2_000);
+    let mut fs =
+        FileSystem::format(&mut world, client_node, vols[0], timeout).expect("healthy world");
     flat_dir(
         &mut world,
         &mut fs,
@@ -237,6 +231,29 @@ pub fn run() -> Vec<Table> {
     t2.note("expected: totals scale with transfer time; the prefetch window overlaps");
     t2.note("transfers so dynls keeps its advantage as files grow");
     vec![t, t2]
+}
+
+/// `BENCH_e6.json`: not a directory listing but the layer under it — one
+/// snapshot iteration of 20 elements over a distance-graded WAN, where
+/// closest-first fetch ordering keeps per-invocation latency down.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan_with_model(
+        seed,
+        5,
+        LatencyModel::SiteDistance {
+            base: SimDuration::from_millis(1),
+            per_hop: SimDuration::from_millis(8),
+        },
+    );
+    let set = populated_set(&mut w, 20, SimDuration::from_millis(400));
+    let mut it = set.elements(Semantics::Snapshot);
+    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    let snap = snapshot_with_trace(&mut w.world, "e6", seed);
+    let p50 = snap
+        .latencies
+        .get("iter.fig4.invocation_us")
+        .map_or(0.0, |s| s.p50_us as f64);
+    with_yield_objective(snap).with_objective("invocation_p50_us", p50, Direction::LowerIsBetter)
 }
 
 #[cfg(test)]

@@ -7,32 +7,30 @@
 //! reconnecting.
 
 use crate::report::{pct, Table};
-use weakset::prelude::PrefetchConfig;
+use crate::scenarios::{replicated, store_fleet, wan, Wan};
+use crate::snapshot::{snapshot_with_trace, sum_suffix, with_common_objectives};
+use weakset::prelude::{PrefetchConfig, WeakSet};
 use weakset_fs::prelude::*;
+use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
-use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
-use weakset_store::prelude::{StoreServer, StoreWorld};
+use weakset_store::object::{ObjectId, ObjectRecord};
+use weakset_store::prelude::{ReadPolicy, StoreClient, StoreWorld};
 
 const N_FILES: usize = 64;
 const N_VOLUMES: usize = 8;
 
 fn fs_world(seed: u64) -> (StoreWorld, FileSystem, Vec<NodeId>, NodeId) {
-    let mut topo = Topology::new();
-    let client = topo.add_node("laptop", 0);
-    let vols: Vec<NodeId> = topo.add_servers("vol", N_VOLUMES);
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
-    let mut world = StoreWorld::new(
-        config,
-        topo,
+    let Wan {
+        mut world,
+        client_node: client,
+        servers: vols,
+    } = store_fleet(
+        seed,
+        N_VOLUMES,
         LatencyModel::Constant(SimDuration::from_millis(5)),
     );
-    for &v in &vols {
-        world.install_service(v, Box::new(StoreServer::new()));
-    }
     let mut fs = FileSystem::format(&mut world, client, vols[0], SimDuration::from_millis(300))
         .expect("healthy world");
     flat_dir(&mut world, &mut fs, &FsPath::root(), N_FILES, 64, &vols).expect("healthy world");
@@ -183,6 +181,43 @@ pub fn run() -> Vec<Table> {
     t2.note("expected: at most the already-in-flight window drains after disconnect;");
     t2.note("the listing completes after reconnection, nothing lost or duplicated");
     vec![t, t2]
+}
+
+/// `BENCH_e7.json`: the same availability question one layer down —
+/// membership reads under four policies against a three-replica
+/// collection whose primary is partitioned away.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 3, SimDuration::from_millis(5));
+    let client = StoreClient::new(w.client_node, SimDuration::from_millis(100));
+    let cref = replicated(&w.servers);
+    client
+        .create_collection(&mut w.world, &cref)
+        .expect("healthy world at setup");
+    let set = WeakSet::new(client.clone(), cref.clone());
+    for i in 0..9u64 {
+        set.add(
+            &mut w.world,
+            ObjectRecord::new(ObjectId(i + 1), format!("obj-{i}"), vec![b'x'; 64]),
+            w.servers[(i % 3) as usize],
+        )
+        .expect("healthy world at setup");
+    }
+    // Partition the primary away; quorum and leaderless keep answering.
+    w.world.topology_mut().partition(&[cref.home]);
+    for _ in 0..4 {
+        for policy in [
+            ReadPolicy::Primary,
+            ReadPolicy::Any,
+            ReadPolicy::Quorum,
+            ReadPolicy::Leaderless,
+        ] {
+            let _ = client.read_members(&mut w.world, &cref, policy);
+        }
+    }
+    w.world.topology_mut().heal_partition();
+    let snap = snapshot_with_trace(&mut w.world, "e7", seed);
+    let ok = sum_suffix(&snap, ".ok");
+    with_common_objectives(snap).with_objective("reads_ok", ok, Direction::HigherIsBetter)
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 
 use crate::report::Table;
 use crate::scenarios::{drive, populated_set, schedule_churn_over, schedule_growth, wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::*;
+use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_spec::checker::Figure;
 use weakset_spec::taxonomy::{classify_run, paper_class, Consistency, Currency, QueryClass};
@@ -178,6 +180,18 @@ pub fn run() -> Vec<Table> {
     }
     t2.note("truncated first-vintage results are weak: a strict subset of one state");
     vec![t, t2]
+}
+
+/// `BENCH_e8.json`: one full, undisturbed run per semantics over the
+/// same 12-element set.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 3, SimDuration::from_millis(5));
+    let set = populated_set(&mut w, 12, SimDuration::from_millis(100));
+    for sem in Semantics::ALL {
+        let mut it = set.elements(sem);
+        drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    }
+    with_yield_objective(snapshot_with_trace(&mut w.world, "e8", seed))
 }
 
 #[cfg(test)]

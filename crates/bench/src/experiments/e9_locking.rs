@@ -7,8 +7,10 @@
 //! leaves the lock stuck until repair.
 
 use crate::report::{ms, pct, Table};
-use crate::scenarios::{populated_set, wan, Wan};
+use crate::scenarios::{drive, populated_set, wan, Wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::*;
+use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{ObjectId, ObjectRecord};
@@ -204,6 +206,25 @@ pub fn run() -> Vec<Table> {
         if h.recovered { "ok" } else { "stalled" }.to_string(),
     ]);
     vec![t, t2]
+}
+
+/// `BENCH_e9.json`: client writes interleaved with a locked iteration
+/// of 10 elements bounce off the read lock (`store.write.err`) until the
+/// iterator returns.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut w = wan(seed, 2, SimDuration::from_millis(5));
+    let set = populated_set(&mut w, 10, SimDuration::from_millis(100));
+    let mut it = set.elements(Semantics::Locked);
+    for i in 0..10u64 {
+        it.next(&mut w.world);
+        let _ = set.add(
+            &mut w.world,
+            ObjectRecord::new(ObjectId(100 + i), format!("late-{i}"), vec![b'z'; 16]),
+            w.servers[0],
+        );
+    }
+    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    with_yield_objective(snapshot_with_trace(&mut w.world, "e9", seed))
 }
 
 #[cfg(test)]

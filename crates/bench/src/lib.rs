@@ -1,15 +1,14 @@
 //! # weakset-bench
 //!
-//! The experiment harness for the weak-sets reproduction: ten
-//! deterministic experiments (E1-E10) mapping the paper's figures and
-//! claims to regenerable tables (see DESIGN.md §4 and EXPERIMENTS.md).
+//! The experiment harness for the weak-sets reproduction: one registry
+//! ([`experiments::ALL`]) of deterministic experiments mapping the
+//! paper's figures and claims to regenerable tables (see DESIGN.md §4
+//! and EXPERIMENTS.md) and to the machine-readable `BENCH_<id>.json`
+//! snapshots CI holds byte-for-byte.
 //!
-//! Run all tables with `cargo run -p weakset-bench --bin experiments`,
-//! or a subset with e.g. `... --bin experiments e5 e6`.
-//!
-//! Machine-readable perf snapshots come from `--bin snapshot` (one
-//! `BENCH_<scenario>.json` per experiment plus fuzz throughput) and are
-//! gated against checked-in baselines by `--bin compare`.
+//! One binary, two subcommands: `cargo run -p weakset-bench --bin
+//! experiments [id…]` prints tables, `… --bin experiments -- snapshot
+//! [--out DIR] [--seed N] [id…]` writes snapshots.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,16 +1,17 @@
 //! Shared world/workload builders for the experiments.
 
 use weakset::prelude::*;
+use weakset_gossip::prelude::GossipNode;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
+use weakset_sim::world::{Service, WorldConfig};
+use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
-use weakset_store::prelude::{StoreClient, StoreServer, StoreWorld};
+use weakset_store::prelude::{CollectionRef, StoreClient, StoreServer, StoreWorld};
 
-/// A standard WAN deployment: one client plus `n_servers` servers at
-/// distinct sites.
+/// A deployment: one client plus servers at distinct sites.
 pub struct Wan {
     /// The world.
     pub world: StoreWorld,
@@ -25,21 +26,45 @@ pub fn wan(seed: u64, n_servers: usize, one_way: SimDuration) -> Wan {
     wan_with_model(seed, n_servers, LatencyModel::Constant(one_way))
 }
 
-/// Builds a WAN world with an arbitrary latency model. The determinism
-/// trace is off (experiment runs can be long) but the causal event sink
-/// is on: every snapshot carries per-kind event counts and
+/// Builds a WAN world with an arbitrary latency model and the causal
+/// event sink on: every snapshot carries per-kind event counts and
 /// critical-path objectives.
 pub fn wan_with_model(seed: u64, n_servers: usize, latency: LatencyModel) -> Wan {
+    let mut wan = store_fleet(seed, n_servers, latency);
+    wan.world.events_mut().set_enabled(true);
+    wan
+}
+
+/// Builds `n_servers` store servers, event sink off (the E6/E7 tables
+/// record nothing).
+pub fn store_fleet(seed: u64, n_servers: usize, latency: LatencyModel) -> Wan {
+    fleet(seed, n_servers, latency, |_| Box::new(StoreServer::new()))
+}
+
+/// Builds `n_replicas` gossip replicas behind constant one-way latency.
+pub fn gossip_fleet(seed: u64, n_replicas: usize, one_way: SimDuration) -> Wan {
+    fleet(seed, n_replicas, LatencyModel::Constant(one_way), |node| {
+        Box::new(GossipNode::new(node))
+    })
+}
+
+/// The one world builder: a client at site 0 and `n_servers` servers at
+/// the sites after it, each running what `service` makes for it. The
+/// determinism trace is off (experiment runs can be long).
+fn fleet(
+    seed: u64,
+    n_servers: usize,
+    latency: LatencyModel,
+    service: impl Fn(NodeId) -> Box<dyn Service<StoreMsg>>,
+) -> Wan {
     let mut topo = Topology::new();
     let client_node = topo.add_node("client", 0);
     let servers: Vec<NodeId> = topo.add_servers("server-", n_servers);
     let mut config = WorldConfig::seeded(seed);
     config.trace = false;
-    config.default_timeout = SimDuration::from_millis(200);
     let mut world = StoreWorld::new(config, topo, latency);
-    world.events_mut().set_enabled(true);
     for &s in &servers {
-        world.install_service(s, Box::new(StoreServer::new()));
+        world.install_service(s, service(s));
     }
     Wan {
         world,
@@ -48,11 +73,21 @@ pub fn wan_with_model(seed: u64, n_servers: usize, latency: LatencyModel) -> Wan
     }
 }
 
+/// Collection 1 with its primary on the first of `servers` and a replica
+/// on each of the others.
+pub fn replicated(servers: &[NodeId]) -> CollectionRef {
+    CollectionRef {
+        id: CollectionId(1),
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    }
+}
+
 /// Creates a weak set of `n` elements spread round-robin over the
 /// servers, returning the set handle.
 pub fn populated_set(wan: &mut Wan, n: usize, timeout: SimDuration) -> WeakSet {
     let client = StoreClient::new(wan.client_node, timeout);
-    let cref = weakset_store::prelude::CollectionRef::unreplicated(CollectionId(1), wan.servers[0]);
+    let cref = CollectionRef::unreplicated(CollectionId(1), wan.servers[0]);
     client
         .create_collection(&mut wan.world, &cref)
         .expect("healthy world at setup");

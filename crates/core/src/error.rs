@@ -1,13 +1,12 @@
 //! The failure exception and iterator step results.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use weakset_store::object::ObjectId;
 use weakset_store::prelude::{ObjectRecord, StoreError};
 
 /// The paper's "failure" exception: why an iterator invocation failed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Failure {
     /// The collection's membership could not be read (home/replicas
     /// unreachable or no quorum).

@@ -22,7 +22,6 @@ pub use elements::Elements;
 pub(crate) use elements::{drive, COLLECT_MAX_BLOCKS};
 
 use crate::error::IterStep;
-use serde::{Deserialize, Serialize};
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_spec::prelude::Outcome;
@@ -32,7 +31,7 @@ use weakset_store::object::ObjectId;
 use weakset_store::prelude::{ReadPolicy, StoreClient, StoreRt};
 
 /// The order in which unyielded members are attempted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FetchOrder {
     /// Lowest estimated latency first ("fetching closer files first").
     #[default]

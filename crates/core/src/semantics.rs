@@ -1,6 +1,5 @@
 //! The design space: which weak-set semantics an iterator provides.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use weakset_spec::checker::Figure;
 
@@ -13,7 +12,7 @@ use weakset_spec::checker::Figure;
 /// assert!(!Semantics::Optimistic.signals_failure());
 /// assert!(Semantics::Optimistic.may_block());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Semantics {
     /// Snapshot semantics: membership is captured atomically at the first
     /// invocation; later mutations are lost. Pessimistic about failures.

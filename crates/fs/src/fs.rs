@@ -18,7 +18,6 @@
 //!   reported as pending instead of failing the whole listing.
 
 use crate::path::FsPath;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use weakset::prelude::{DynamicSet, IterStep, PrefetchConfig};
@@ -31,7 +30,7 @@ use weakset_store::prelude::{
 };
 
 /// What kind of thing a directory entry names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EntryKind {
     /// A regular file.
     File,
@@ -40,7 +39,7 @@ pub enum EntryKind {
 }
 
 /// One entry of a directory listing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DirEntry {
     /// The entry's name within its directory.
     pub name: String,

@@ -1,6 +1,5 @@
 //! File system paths.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An absolute, normalized file system path (`/`, `/usr/wing/faces`).
@@ -12,7 +11,7 @@ use std::fmt;
 /// assert_eq!(p.parent().unwrap(), FsPath::root().join("usr"));
 /// assert_eq!(p.name(), Some("wing"));
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FsPath {
     components: Vec<String>,
 }

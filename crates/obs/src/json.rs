@@ -75,7 +75,7 @@ impl Json {
         }
     }
 
-    /// Serializes with two-space indentation and a trailing newline.
+    /// Renders with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

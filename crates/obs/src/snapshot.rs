@@ -1,10 +1,11 @@
 //! Frozen, machine-readable benchmark snapshots.
 //!
-//! An [`ObsSnapshot`] is what `weakset-bench --bin snapshot` writes to
-//! `BENCH_<scenario>.json` and what `--bin compare` diffs against the
-//! checked-in baselines. Serialization is canonical (sorted keys,
-//! integer microseconds, fixed-precision objective values), so two runs
-//! with the same seed produce byte-identical files.
+//! An [`ObsSnapshot`] is what `weakset-bench`'s `experiments snapshot`
+//! writes to `BENCH_<scenario>.json`; CI regenerates the checked-in
+//! baselines and fails on any byte of difference. Serialization is
+//! canonical (sorted keys, integer microseconds, fixed-precision
+//! objective values), so two runs with the same seed produce
+//! byte-identical files.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,9 +45,9 @@ impl fmt::Display for Direction {
     }
 }
 
-/// A named performance objective: the headline numbers the CI
-/// regression gate actually compares (raw counters are context, not
-/// gated).
+/// A named performance objective: the headline numbers a PR that moves
+/// a baseline quotes old → new (every byte of the file is gated; these
+/// are the ones with a direction).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Objective {
     /// The measured value.
@@ -55,31 +56,11 @@ pub struct Objective {
     pub direction: Direction,
 }
 
-impl Objective {
-    /// Relative regression of `current` vs this baseline objective, as
-    /// a fraction (`0.25` = 25% worse). Zero or negative means no
-    /// regression. A zero baseline regresses only if `current` moves
-    /// the wrong way at all.
-    pub fn regression(&self, current: f64) -> f64 {
-        let delta = match self.direction {
-            Direction::LowerIsBetter => current - self.value,
-            Direction::HigherIsBetter => self.value - current,
-        };
-        if delta <= 0.0 {
-            0.0
-        } else if self.value.abs() < f64::EPSILON {
-            f64::INFINITY
-        } else {
-            delta / self.value.abs()
-        }
-    }
-}
-
 /// A frozen, serializable view of one scenario's metrics plus named
 /// perf objectives.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObsSnapshot {
-    /// Scenario id (`"e1"`..`"e10"`, `"fuzz"`).
+    /// Scenario id (`"e1"`..`"e12"`, `"fuzz"`).
     pub scenario: String,
     /// The seed that produced this run.
     pub seed: u64,
@@ -112,7 +93,7 @@ impl ObsSnapshot {
         format!("BENCH_{}.json", self.scenario)
     }
 
-    /// Serializes to canonical pretty JSON (trailing newline included).
+    /// Renders as canonical pretty JSON (trailing newline included).
     pub fn to_json(&self) -> String {
         let counters = Json::Obj(
             self.counters
@@ -317,31 +298,6 @@ mod tests {
         let snap = MetricsRegistry::new().snapshot("empty", 0);
         let back = ObsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn regression_math() {
-        let lower = Objective {
-            value: 100.0,
-            direction: Direction::LowerIsBetter,
-        };
-        assert_eq!(lower.regression(100.0), 0.0);
-        assert_eq!(lower.regression(80.0), 0.0, "improvement is not regression");
-        assert!((lower.regression(130.0) - 0.30).abs() < 1e-9);
-
-        let higher = Objective {
-            value: 100.0,
-            direction: Direction::HigherIsBetter,
-        };
-        assert_eq!(higher.regression(120.0), 0.0);
-        assert!((higher.regression(70.0) - 0.30).abs() < 1e-9);
-
-        let zero = Objective {
-            value: 0.0,
-            direction: Direction::LowerIsBetter,
-        };
-        assert_eq!(zero.regression(0.0), 0.0);
-        assert_eq!(zero.regression(1.0), f64::INFINITY);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 use crate::node::Node;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How long a one-way message between two nodes takes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),

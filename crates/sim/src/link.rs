@@ -1,9 +1,7 @@
 //! Point-to-point link state.
 
-use serde::{Deserialize, Serialize};
-
 /// The administrative state of an (undirected) link between two nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkState {
     /// Whether the link is up. A down link carries no traffic at all.
     pub up: bool,

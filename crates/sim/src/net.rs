@@ -14,7 +14,6 @@
 
 use crate::node::NodeId;
 use crate::world::{ReplyToken, World};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -105,7 +104,7 @@ impl<M: Clone + fmt::Debug + BatchEnvelope + 'static> BatchBuffer<M> {
 ///
 /// Every variant corresponds to a failure the paper's model assumes is
 /// *detectable* ("signaled from the lower network and transport layers").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NetError {
     /// No reply arrived within the caller's timeout.
     Timeout,

@@ -1,13 +1,12 @@
 //! Simulated nodes (workstations/servers) and their lifecycle.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node in the simulated system.
 ///
 /// Node ids are dense indices assigned by [`crate::topology::Topology`] in
 /// creation order, which keeps per-node tables cheap.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -86,7 +85,7 @@ pub(crate) fn decimal_digits(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
 }
 
 /// Whether a node is currently able to send, receive, and serve requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NodeStatus {
     /// The node is running normally.
     Up,
@@ -96,7 +95,7 @@ pub enum NodeStatus {
 
 /// A simulated node: a name, a status, and a coarse "site" coordinate used
 /// by distance-based latency models ("fetch closer files first").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     id: NodeId,
     name: String,

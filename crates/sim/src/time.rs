@@ -5,7 +5,6 @@
 //! [`SimDuration`]), and all arithmetic is saturating so fault plans that
 //! schedule events "far in the future" cannot overflow.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// let t = SimTime::ZERO + SimDuration::from_millis(2);
 /// assert_eq!(t.as_micros(), 2_000);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -26,7 +25,7 @@ pub struct SimTime(u64);
 /// use weakset_sim::time::SimDuration;
 /// assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

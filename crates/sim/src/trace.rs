@@ -8,7 +8,6 @@
 use crate::net::NetError;
 use crate::node::{decimal_digits, NodeId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write as _};
 
 /// One recorded occurrence.
@@ -16,7 +15,7 @@ use std::fmt::{self, Write as _};
 /// `from`/`to` fields name the client and server nodes of the RPC or
 /// message concerned.
 #[allow(missing_docs)]
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A client issued an RPC.
     RpcSend { from: NodeId, to: NodeId },
@@ -107,7 +106,7 @@ impl TraceEvent {
 }
 
 /// A time-stamped record of everything that happened in a run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     enabled: bool,
     events: Vec<(SimTime, TraceEvent)>,
@@ -314,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn serializes_round_trip() {
+    fn debug_text_names_the_event_variant() {
         let mut t = Trace::new();
         t.record(
             SimTime::from_micros(5),
@@ -324,13 +323,6 @@ mod tests {
                 error: NetError::Timeout,
             },
         );
-        let json = serde_json_like(&t);
-        assert!(json.contains("RpcFailed"));
-    }
-
-    // serde_json is not a dependency; smoke-test Serialize via the debug
-    // representation of the serde data model using a tiny shim.
-    fn serde_json_like(t: &Trace) -> String {
-        format!("{t:?}")
+        assert!(format!("{t:?}").contains("RpcFailed"));
     }
 }

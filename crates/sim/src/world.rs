@@ -674,36 +674,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         token
     }
 
-    /// Performs a synchronous *batched* RPC: the parts are wrapped into
-    /// one [`BatchEnvelope`] that crosses the network as a single
-    /// message — one latency sample, one transfer-delay charge — and the
-    /// reply envelope is unwrapped back into per-part replies in request
-    /// order. This is how a quorum round-trip carries reads for every
-    /// key co-located on the destination shard group.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`NetError`] exactly when [`World::rpc`] does; a
-    /// failure loses the whole envelope.
-    pub fn rpc_batch(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        parts: Vec<M>,
-        timeout: SimDuration,
-    ) -> Result<Vec<M>, NetError>
-    where
-        M: BatchEnvelope,
-    {
-        self.metrics.incr("net.batch.envelopes");
-        self.metrics.add("net.batch.parts", parts.len() as u64);
-        let reply = self.rpc(from, to, M::wrap_batch(parts), timeout)?;
-        Ok(match reply.unwrap_batch() {
-            Ok(replies) => replies,
-            Err(single) => vec![single],
-        })
-    }
-
     /// Launches a batched request asynchronously (see [`World::send`]):
     /// the parts are wrapped into one envelope and a single token is
     /// returned. The reply (collected via [`World::try_take_reply`]) is
@@ -1414,9 +1384,11 @@ mod tests {
         w.install_service(s, Box::new(BatchPlusOne));
         let started = w.now();
         let parts = (0..4).map(BMsg::Val).collect();
-        let replies = w
-            .rpc_batch(c, s, parts, SimDuration::from_millis(200))
-            .unwrap();
+        let token = w.send_batch(c, s, parts);
+        let deadline = w.now() + SimDuration::from_millis(200);
+        assert_eq!(w.wait_any(&[token], deadline), Some(token));
+        let reply = w.try_take_reply(token).expect("completed").unwrap();
+        let replies = reply.unwrap_batch().expect("a reply envelope");
         assert_eq!(
             replies,
             (1..5).map(BMsg::Val).collect::<Vec<_>>(),

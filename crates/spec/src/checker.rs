@@ -5,11 +5,10 @@ use crate::constraint::{ConstraintKind, ConstraintViolation};
 use crate::specs::{self, EnsuresCtx, EnsuresError, Strictness};
 use crate::state::{Computation, IterRun, Outcome};
 use crate::value::{ElemId, SetValue};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The design points of the paper, by figure number.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Figure {
     /// Immutable set, failures ignored.
     Fig1,
@@ -94,7 +93,7 @@ impl fmt::Display for Figure {
 }
 
 /// One conformance violation found in a computation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
     /// The type's `constraint` clause failed.
     Constraint(ConstraintViolation),
@@ -174,7 +173,7 @@ impl fmt::Display for Violation {
 }
 
 /// The result of checking a computation against a figure.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Conformance {
     /// Every violation found, in discovery order.
     pub violations: Vec<Violation>,

@@ -8,11 +8,10 @@
 //! those are here too.
 
 use crate::state::Computation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which constraint clause a type specification carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConstraintKind {
     /// `∀ i<j: s_i = s_j` — the set never changes (Figures 1, 3).
     Immutable,
@@ -43,7 +42,7 @@ impl fmt::Display for ConstraintKind {
 
 /// A constraint violation: the pair of state indices for which the pairwise
 /// predicate failed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConstraintViolation {
     /// The earlier state index.
     pub i: usize,

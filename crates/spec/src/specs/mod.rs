@@ -30,11 +30,10 @@ pub mod set_ops;
 
 use crate::state::{Outcome, State};
 use crate::value::{ElemId, SetValue};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How to read the figures' branch conditions (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Strictness {
     /// Branch on "an unyielded allowed element exists" (the paper's intent).
     #[default]
@@ -58,7 +57,7 @@ pub struct EnsuresCtx<'a> {
 }
 
 /// Why an invocation violates an `ensures` clause.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EnsuresError {
     /// The spec requires yielding, but the outcome was something else.
     ExpectedYield {

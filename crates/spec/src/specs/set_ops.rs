@@ -23,11 +23,10 @@
 //! contains only legal transitions.
 
 use crate::value::{ElemId, SetValue};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A violation of one of the procedure `ensures` clauses.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcError {
     /// Which procedure's clause failed.
     pub proc: &'static str,
@@ -116,7 +115,7 @@ pub fn check_size(s_pre: &SetValue, i: usize) -> Result<(), ProcError> {
 }
 
 /// Which specified operation explains a state transition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transition {
     /// `post = pre ∪ {e}` with `e ∉ pre`.
     Add(ElemId),

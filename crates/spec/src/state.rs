@@ -7,10 +7,9 @@
 //! state — the ingredient of the paper's `reachable` construct.
 
 use crate::value::{ElemId, SetValue};
-use serde::{Deserialize, Serialize};
 
 /// One observed state σ, projected for a particular client.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct State {
     /// The value of the set object `s` in this state (true membership).
     pub members: SetValue,
@@ -50,7 +49,7 @@ impl State {
 /// complete within the observation window — the optimistic semantics
 /// (Figure 6) blocks rather than fail when everything unyielded is
 /// unreachable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// The iterator yielded an element and suspended.
     Yielded(ElemId),
@@ -72,7 +71,7 @@ impl Outcome {
 /// One invocation (initial call or resumption) of the `elements` iterator.
 ///
 /// `pre` and `post` index into the owning [`Computation`]'s state vector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Invocation {
     /// Index of the pre-state.
     pub pre: usize,
@@ -84,7 +83,7 @@ pub struct Invocation {
 
 /// One complete use of the iterator: the first call through termination (or
 /// through the end of observation, if it blocked or was abandoned).
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct IterRun {
     /// Index of the first-state (the state in which the iterator is first
     /// called). Equals the first invocation's pre-state index.
@@ -138,7 +137,7 @@ impl IterRun {
 ///
 /// States appear in chronological order. Runs may interleave with mutations:
 /// mutation transitions introduce new states between invocation boundaries.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Computation {
     /// σ0, σ1, …, σn in order.
     pub states: Vec<State>,

@@ -25,11 +25,10 @@
 
 use crate::checker::Figure;
 use crate::state::{Computation, IterRun};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Consistency degree of a query result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Consistency {
     /// Serializable: the result is exactly one state's value.
     Strong,
@@ -40,7 +39,7 @@ pub enum Consistency {
 }
 
 /// Currency ("vintage") of a query result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Currency {
     /// All data is as of the query's first state.
     FirstVintage,
@@ -49,7 +48,7 @@ pub enum Currency {
 }
 
 /// A point in the taxonomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryClass {
     /// Consistency degree.
     pub consistency: Consistency,

@@ -4,7 +4,6 @@
 //! `∪`, `−` (difference), `∈`, `⊆`, and `|s|`. [`SetValue`] is that value
 //! space over opaque element identities ([`ElemId`]).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 ///
 /// The specs only ever compare elements for equality and collect them into
 /// sets, so an integer id suffices; richer payloads live in the store layer.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElemId(pub u64);
 
 impl fmt::Debug for ElemId {
@@ -44,7 +43,7 @@ impl From<u64> for ElemId {
 /// assert_eq!(a.difference(&b).len(), 1);
 /// assert!(a.intersection(&b).is_subset(&a));
 /// ```
-#[derive(Clone, PartialEq, Eq, Default, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default, Hash)]
 pub struct SetValue {
     elems: BTreeSet<ElemId>,
 }

@@ -46,10 +46,9 @@ use crate::constraint::ConstraintKind;
 use crate::specs::{expect_yield, EnsuresError};
 use crate::state::{Computation, IterRun, Outcome};
 use crate::value::SetValue;
-use serde::{Deserialize, Serialize};
 
 /// Which state's membership an invocation is allowed to see.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Vintage {
     /// The run's first-state (`s_first`): snapshot vintages, Figures 1/3/4.
     First,
@@ -58,7 +57,7 @@ pub enum Vintage {
 }
 
 /// How inaccessibility restricts visibility, and the escape hatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureMode {
     /// Accessibility is ignored entirely — every member of the vintage is
     /// visible, and neither `fails` nor blocking is in the signature
@@ -75,7 +74,7 @@ pub enum FailureMode {
 }
 
 /// One figure expressed as visibility/arbitration axioms.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AxiomSet {
     /// The figure this axiom set instantiates (for reporting).
     pub figure: Figure,

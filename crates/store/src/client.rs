@@ -6,7 +6,6 @@ use crate::msg::StoreMsg;
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
 use crate::query::Query;
 use crate::session::SessionToken;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -28,7 +27,7 @@ pub type StoreWorld = World<StoreMsg>;
 pub type StoreRt = dyn Runtime<StoreMsg>;
 
 /// Why a store operation failed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// The network-level failure exception.
     Net(NetError),
@@ -97,7 +96,7 @@ impl StoreError {
 
 /// Where a collection lives: its primary (home) node and any secondary
 /// replicas.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CollectionRef {
     /// The collection's id.
     pub id: CollectionId,
@@ -128,7 +127,7 @@ impl CollectionRef {
 
 /// How membership reads pick replicas — the paper's pessimistic/optimistic
 /// split applied to the membership list itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReadPolicy {
     /// Read the primary only; fail if it is unreachable (pessimistic).
     #[default]
@@ -343,7 +342,7 @@ fn unstamp(reply: StoreMsg) -> (Option<VersionVector>, StoreMsg) {
 }
 
 /// A versioned membership read.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MembershipRead {
     /// Version of the replica that answered (highest version for quorum).
     pub version: u64,

@@ -23,7 +23,6 @@
 //! [`CollectionState::history`] — when they want a past membership back.
 
 use crate::object::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Deref;
@@ -32,7 +31,7 @@ use weakset_sim::node::NodeId;
 
 /// One member of a collection: the element and the node its object lives
 /// on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemberEntry {
     /// The member object's id.
     pub elem: ObjectId,
@@ -48,8 +47,7 @@ pub struct MemberEntry {
 /// the empty value, the conversions from a `Vec` or an iterator (which
 /// sort and dedup whatever is not already so — input is never trusted),
 /// and the methods here, which preserve it.
-#[derive(Clone, Default, Serialize, Deserialize)]
-#[serde(from = "Vec<MemberEntry>")]
+#[derive(Clone, Default)]
 pub struct Membership(
     /// `None` is the empty membership, so it allocates nothing.
     Option<Arc<[MemberEntry]>>,
@@ -222,7 +220,7 @@ impl<'a> IntoIterator for &'a Membership {
 
 /// A versioned membership snapshot, as [`CollectionState::history`]
 /// rebuilds it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MembershipVersion {
     /// Monotonic version number (0 = initial empty membership).
     pub version: u64,
@@ -234,7 +232,7 @@ pub struct MembershipVersion {
 /// one entry of a collection's version log. The two one-entry cases —
 /// every `add`, every `remove` of an element with one home, and every
 /// sync that amounts to either — allocate nothing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Change {
     /// The next version lists exactly one more entry.
     Added(MemberEntry),
@@ -246,7 +244,7 @@ pub enum Change {
 }
 
 /// The general [`Change`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Rewrite {
     /// Versions between the one before and the one committed, which
     /// this replica never held (a sync jumped over them).
@@ -336,7 +334,7 @@ impl Change {
 }
 
 /// The state of one collection replica (primary or secondary).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CollectionState {
     members: Membership,
     version: u64,

@@ -9,7 +9,6 @@
 //! deltas without depending on the gossip crate.
 
 use crate::collection::MemberEntry;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -19,7 +18,7 @@ use weakset_sim::node::NodeId;
 /// `replica`. Dots totally order events *per replica* and are globally
 /// unique, which lets replicas exchange exactly the events a peer has
 /// not yet observed.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Dot {
     /// The replica that issued the mutation.
     pub replica: NodeId,
@@ -42,7 +41,7 @@ impl fmt::Debug for Dot {
 /// (every exchange ships a digest; most find nothing new), so clones
 /// share one map and a mutator copies it only when it is shared *and* the
 /// mutation changes something. No clone ever sees another's mutation.
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct VersionVector {
     /// `None` is the empty vector, which allocates nothing; a map, once
     /// there, holds at least one slot.
@@ -147,7 +146,7 @@ impl VersionVector {
 }
 
 /// A membership entry tagged with the dot of the add that produced it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DottedEntry {
     /// The add event's dot.
     pub dot: Dot,
@@ -165,7 +164,7 @@ pub struct DottedEntry {
 /// it holds that `vv` covers but `live` omits was removed at the sender).
 /// Dots are 16 bytes on the simulated wire, so the live list stays cheap
 /// even when no entries need shipping.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MembershipDelta {
     /// The sender's full version vector.
     pub vv: VersionVector,

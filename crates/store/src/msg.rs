@@ -6,14 +6,13 @@ use crate::object::{CollectionId, ObjectId, ObjectRecord};
 use crate::query::Query;
 use crate::session::SessionToken;
 use crate::wire::{self, DeltaBatch, RangeReply, RangeSummary};
-use serde::{Deserialize, Serialize};
 
 /// Requests and replies exchanged with [`crate::server::StoreServer`]s.
 ///
 /// One enum covers both directions: the simulator's service interface is
 /// `M -> M`. Servers answer unknown/ill-typed requests with
 /// [`StoreMsg::BadRequest`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum StoreMsg {
     // ---- requests ----
     /// Fetch one object by id.

@@ -1,13 +1,12 @@
 //! Objects and their identities.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies an object (a file, a menu, a card-catalog entry, …) across
 /// the whole repository.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 impl fmt::Debug for ObjectId {
@@ -29,7 +28,7 @@ impl From<u64> for ObjectId {
 }
 
 /// Identifies a collection object (a directory, a query result set, …).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CollectionId(pub u64);
 
 impl CollectionId {
@@ -54,33 +53,16 @@ impl fmt::Display for CollectionId {
 
 /// A stored object: identity, a human-meaningful name, an opaque payload,
 /// and string attributes that queries match on.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ObjectRecord {
     /// The object's identity.
     pub id: ObjectId,
     /// Display name, e.g. `"golden-wok-menu"` or `"wing.face"`.
     pub name: String,
     /// Payload bytes (file contents, menu text, …).
-    #[serde(with = "bytes_serde")]
     pub payload: Bytes,
     /// Attributes for predicate queries, e.g. `cuisine = chinese`.
     pub attrs: BTreeMap<String, String>,
-}
-
-// Referenced by the `#[serde(with = ...)]` attribute; the vendored no-op
-// serde derive does not expand code that calls these, so silence dead_code.
-#[allow(dead_code)]
-mod bytes_serde {
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        b.as_ref().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        Vec::<u8>::deserialize(d).map(Bytes::from)
-    }
 }
 
 impl ObjectRecord {

@@ -7,7 +7,6 @@
 //! weak set materializes the union.
 
 use crate::object::ObjectRecord;
-use serde::{Deserialize, Serialize};
 
 /// A predicate on object records.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// ]);
 /// assert!(q.matches(&menu));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Query {
     /// Matches every object.
     All,

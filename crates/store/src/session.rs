@@ -23,12 +23,11 @@
 
 use crate::dotted::VersionVector;
 use crate::object::CollectionId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A per-client causal dependency vector, carried on session reads and
 /// mutations via [`crate::msg::StoreMsg::WithSession`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionToken {
     /// Per-collection scalar version floors (primary-serialized stores).
     floors: BTreeMap<CollectionId, u64>,

@@ -22,7 +22,6 @@
 //! `weakset-gossip`'s `DigestMode::MerkleRange` reconciliation.
 
 use crate::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use weakset_sim::node::NodeId;
 
@@ -115,7 +114,7 @@ pub fn delta_encoded_size(delta: &MembershipDelta) -> usize {
 /// One aligned range of the 64-bit dot-key space: the keys whose top
 /// `depth` bits equal `prefix`'s. Depth 0 is the whole space; each
 /// level of the reconciliation tree extends the prefix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RangeKey {
     /// The shared key prefix, left-aligned (low bits are zero).
     pub prefix: u64,
@@ -176,7 +175,7 @@ impl RangeKey {
 /// count plus an order-independent XOR hash. Two replicas whose
 /// summaries agree hold identical live dots in the range (up to hash
 /// collision); a mismatch is descended, not shipped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RangeSummary {
     /// The range summarized.
     pub key: RangeKey,
@@ -195,7 +194,7 @@ impl RangeSummary {
 
 /// A replica's answer for one queried range of a
 /// [`crate::msg::StoreMsg::GossipRangeReq`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RangeReply {
     /// The replica's summary matches the requester's: identical
     /// subtrees, nothing to do.
@@ -236,7 +235,7 @@ impl RangeReply {
 /// [`MembershipDelta`] it never carries the full live-dot list — only
 /// the entries to adopt and the dots to drop, each proportional to the
 /// symmetric difference the descent located.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeltaBatch {
     /// The sender's full version vector (the receiver joins it; it also
     /// certifies every dot in `drop` as observed by the sender).

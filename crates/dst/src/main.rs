@@ -47,15 +47,7 @@
 
 use std::path::{Path, PathBuf};
 use weakset_dst::prelude::*;
-
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use weakset_sim::trace::fnv1a;
 
 struct Args {
     iters: u64,
@@ -93,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed-from-env" => {
                 let raw = std::env::var("DST_SEED").unwrap_or_default();
-                seed = raw.parse().unwrap_or_else(|_| hash_str(&raw));
+                seed = raw.parse().unwrap_or_else(|_| fnv1a(raw.as_bytes()));
             }
             "--out" => out = PathBuf::from(value("--out")?),
             "--sharded" => sharded = true,

@@ -59,7 +59,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use weakset_obs::replay as names;
-use weakset_obs::FlightRecorder;
 use weakset_runtime::record::{hash_debug, RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 use weakset_runtime::threaded::ThreadedRuntime;
 use weakset_runtime::traits::{Clock, Observe, RtTask, Runtime, ServiceHost, Spawner, Transport};
@@ -263,12 +262,11 @@ fn build_schedule(s: &Scenario) -> Vec<(u64, SchedItem)> {
 /// The threaded stage: nodes are OS threads, the schedule is fault
 /// transitions merged with ops and applied by the driver thread, every
 /// mark is a region marker in the recorder's log, and the run closes
-/// with a deadline shutdown and — if anything went wrong — a
-/// flight-recorder dump.
+/// with a deadline shutdown. The recording is the black box: it holds
+/// every boundary crossing, typed and replayable.
 struct Threads {
     rt: ThreadedRuntime<StoreMsg>,
     rec: Recorder,
-    flight: FlightRecorder,
     client: NodeId,
     servers: Vec<NodeId>,
     schedule: Schedule<SchedItem>,
@@ -283,12 +281,6 @@ impl Threads {
         rec.set_workload(s.to_ron());
         rt.attach_recorder(rec.clone());
         rt.events_mut().set_enabled(true);
-        // Black box for the live run: boundary crossings land in a bounded
-        // ring, dumped as a Perfetto-loadable trace only when something goes
-        // wrong (a violation here, hung shutdown inside the runtime).
-        let flight = FlightRecorder::new(4096)
-            .with_dump_path(std::env::temp_dir().join(format!("weakset-flight-{}.json", s.seed)));
-        rt.attach_flight_recorder(flight.clone());
         let client = rt.add_node("client");
         let servers = (0..s.servers.max(1))
             .map(|i| rt.add_node(format!("s{i}")))
@@ -296,7 +288,6 @@ impl Threads {
         Threads {
             rt,
             rec,
-            flight,
             client,
             servers,
             schedule: Schedule::new(build_schedule(s)),
@@ -363,12 +354,6 @@ impl Stage for Threads {
                 unclosed.len(),
                 unclosed.join(", ")
             );
-        }
-        if !violations.is_empty() && !self.flight.has_dumped() {
-            match self.flight.dump() {
-                Ok(path) => eprintln!("record: flight recorder dumped to {}", path.display()),
-                Err(e) => eprintln!("record: flight-recorder dump failed: {e}"),
-            }
         }
         Closed {
             trace_hash: 0, // real scheduling has no deterministic trace

@@ -19,17 +19,15 @@
 //!   microseconds, disabled by default so quiescent runs pay nothing.
 //! * [`ObsSnapshot`] — a frozen, serializable view of a registry plus
 //!   named perf *objectives* (each tagged lower- or higher-is-better),
-//!   written to `BENCH_<scenario>.json` by `weakset-bench --bin
-//!   snapshot` and diffed against checked-in baselines by `--bin
-//!   compare`.
+//!   written to `BENCH_<id>.json` by `experiments snapshot`; the
+//!   checked-in baselines must regenerate byte-identically.
 //!
 //! Everything here is deterministic given deterministic inputs: maps
 //! are ordered, serialization is canonical, and no wall-clock time is
 //! ever recorded — two runs with the same seed produce byte-identical
 //! snapshots. The one deliberate exception is [`telemetry`], the live
 //! plane for the threaded (wall-clock) runtime: a scrape-able
-//! [`TelemetryHub`], Prometheus text exposition, a [`FlightRecorder`]
-//! black box, and a slow-op [`Watchdog`]. The simulator never
+//! [`TelemetryHub`] and Prometheus text exposition. The simulator never
 //! constructs those types, so simulated runs stay byte-identical.
 //!
 //! ## Example
@@ -79,8 +77,7 @@ pub use shard::{per_shard_stats, shard_key, ShardStats};
 pub use sink::{EventSink, ObsEvent, ObsKind, SpanId};
 pub use snapshot::{Direction, Objective, ObsSnapshot};
 pub use telemetry::{
-    http_get, parse_prometheus, prometheus_text, FlightRecorder, HubPublisher, TelemetryHub,
-    TelemetryServer, Watchdog, WatchdogGuard,
+    http_get, parse_prometheus, prometheus_text, HubPublisher, TelemetryHub, TelemetryServer,
 };
 
 /// One-stop imports for observability users.
@@ -97,7 +94,6 @@ pub mod prelude {
     pub use crate::sink::{EventSink, ObsEvent, ObsKind, SpanId};
     pub use crate::snapshot::{Direction, Objective, ObsSnapshot};
     pub use crate::telemetry::{
-        http_get, parse_prometheus, prometheus_text, FlightRecorder, HubPublisher, TelemetryHub,
-        TelemetryServer, Watchdog, WatchdogGuard,
+        http_get, parse_prometheus, prometheus_text, HubPublisher, TelemetryHub, TelemetryServer,
     };
 }

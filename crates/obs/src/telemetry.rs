@@ -5,7 +5,7 @@
 //! after the fact. This module is the exception: it exists so the
 //! threaded runtime (real OS threads, wall clock) can be watched *while
 //! it runs*, which is what the paper's degraded-but-usable systems need
-//! in production. Four pieces:
+//! in production. Two pieces:
 //!
 //! * [`TelemetryHub`] — a shared board that every runtime view
 //!   publishes its [`MetricsRegistry`] into on a cadence. Publishing
@@ -16,15 +16,10 @@
 //! * [`prometheus_text`] — renders a snapshot in the Prometheus text
 //!   exposition format (version 0.0.4): counters, gauges, and latency
 //!   summaries with `quantile` labels.
-//! * [`FlightRecorder`] — a fixed-size ring of the most recent
-//!   boundary events (rpc outcomes, sends, timer fires, fault
-//!   transitions). On trouble — watchdog trip, oracle failure, hung
-//!   shutdown — it is dumped as a Perfetto-loadable Chrome-trace file,
-//!   so the last moments before the incident are on disk.
-//! * [`Watchdog`] — a scanner thread over an in-flight-operation
-//!   table. Operations registered via [`Watchdog::guard`] that outlive
-//!   the deadline are flagged (`watchdog.slow_op`), recorded into the
-//!   flight ring, and trigger one flight-recorder dump.
+//!
+//! There is no separate black box here: a threaded run's boundary
+//! crossings go to its `weakset_runtime::record::Recorder`, whose
+//! recording replays through the simulator and its oracles.
 //!
 //! [`TelemetryServer`] ties them together: a `std::net::TcpListener`
 //! serving `GET /metrics` (Prometheus text) and `GET /snapshot.json`
@@ -35,29 +30,20 @@
 //! simulator never constructs these types, so simulator determinism is
 //! untouched.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
 use crate::registry::MetricsRegistry;
 use crate::snapshot::ObsSnapshot;
 
 // ---------------------------------------------------------------------
 // Well-known metric names
 // ---------------------------------------------------------------------
-
-/// Counter: operations flagged by the slow-op watchdog (an operation is
-/// flagged at most once).
-pub const WATCHDOG_SLOW_OP: &str = "watchdog.slow_op";
-
-/// Counter: watchdog scan passes over the in-flight table.
-pub const WATCHDOG_SCANS: &str = "watchdog.scans";
 
 /// Counter: rpcs that failed because no route existed to a live peer —
 /// a partition, not a slow peer.
@@ -217,8 +203,8 @@ struct HubInner {
     next_id: AtomicU64,
     /// Last full registry published by each live view, by publisher id.
     slots: Mutex<BTreeMap<u64, MetricsRegistry>>,
-    /// Counters owned by the plane itself (watchdog flags, scrape
-    /// counts) rather than any one view.
+    /// Counters owned by the plane itself (publish and scrape counts)
+    /// rather than any one view.
     shared: Mutex<MetricsRegistry>,
     /// Gauges sampled at merge time — atomic cells owned by the
     /// runtime (mailbox backlogs, queue depths), read without any
@@ -255,7 +241,7 @@ impl TelemetryHub {
         }
     }
 
-    /// Mutates the plane-owned shared registry (watchdog and server
+    /// Mutates the plane-owned shared registry (publish and server
     /// counters live here).
     pub fn with_shared(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         f(&mut lock(&self.inner.shared));
@@ -337,355 +323,6 @@ impl HubPublisher {
     /// The publish cadence (the staleness bound this view adds).
     pub fn cadence(&self) -> Duration {
         self.cadence
-    }
-}
-
-// ---------------------------------------------------------------------
-// The flight recorder
-// ---------------------------------------------------------------------
-
-/// One entry in the flight ring: a boundary event with wall time (in
-/// microseconds since the runtime started) and the node or route it
-/// concerns.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightEntry {
-    /// Microseconds since the runtime started.
-    pub at_us: u64,
-    /// The node, route (`"client->s0"`), or subsystem concerned.
-    pub node: String,
-    /// Dotted event kind (`"rpc"`, `"fault"`, `"watchdog.slow_op"`…).
-    pub kind: String,
-    /// Free-form detail.
-    pub detail: String,
-}
-
-struct FlightInner {
-    cap: usize,
-    dropped: u64,
-    ring: VecDeque<FlightEntry>,
-    dump_path: Option<PathBuf>,
-    dumped: bool,
-}
-
-/// A fixed-size ring buffer of recent boundary events, shared by every
-/// view of a runtime (clones share the ring). When something goes
-/// wrong, [`FlightRecorder::dump`] writes the ring as a
-/// Perfetto-loadable Chrome-trace file — the black box that survives
-/// the crash.
-#[derive(Clone)]
-pub struct FlightRecorder {
-    inner: Arc<Mutex<FlightInner>>,
-}
-
-impl FlightRecorder {
-    /// A ring holding at most `capacity` entries; older entries are
-    /// evicted (and counted) as new ones arrive.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            inner: Arc::new(Mutex::new(FlightInner {
-                cap: capacity.max(1),
-                dropped: 0,
-                ring: VecDeque::new(),
-                dump_path: None,
-                dumped: false,
-            })),
-        }
-    }
-
-    /// Configures where [`FlightRecorder::dump`] writes; builder-style.
-    pub fn with_dump_path(self, path: impl Into<PathBuf>) -> Self {
-        lock(&self.inner).dump_path = Some(path.into());
-        self
-    }
-
-    /// Appends one entry, evicting the oldest when full.
-    pub fn record(&self, at_us: u64, node: &str, kind: &str, detail: &str) {
-        let mut g = lock(&self.inner);
-        if g.ring.len() == g.cap {
-            g.ring.pop_front();
-            g.dropped += 1;
-        }
-        g.ring.push_back(FlightEntry {
-            at_us,
-            node: node.to_string(),
-            kind: kind.to_string(),
-            detail: detail.to_string(),
-        });
-    }
-
-    /// Entries currently in the ring, oldest first.
-    pub fn entries(&self) -> Vec<FlightEntry> {
-        lock(&self.inner).ring.iter().cloned().collect()
-    }
-
-    /// Number of entries currently held.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).ring.len()
-    }
-
-    /// True when the ring holds nothing.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.inner).ring.is_empty()
-    }
-
-    /// Entries evicted so far (how much history the ring has forgotten).
-    pub fn dropped(&self) -> u64 {
-        lock(&self.inner).dropped
-    }
-
-    /// Renders the ring as Chrome-trace JSON (Perfetto-loadable):
-    /// every entry is an instant event, tracks (`tid`) are one per node
-    /// name with `thread_name` metadata, all under `pid` 0.
-    pub fn to_chrome_trace(&self) -> String {
-        let g = lock(&self.inner);
-        // Stable track per node name, in order of first appearance.
-        let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in &g.ring {
-            let next = tids.len() as u64;
-            tids.entry(e.node.as_str()).or_insert(next);
-        }
-        let mut events: Vec<Json> = tids
-            .iter()
-            .map(|(node, tid)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str("thread_name".into())),
-                    ("ph".into(), Json::Str("M".into())),
-                    ("pid".into(), Json::u64(0)),
-                    ("tid".into(), Json::u64(*tid)),
-                    (
-                        "args".into(),
-                        Json::Obj(vec![("name".into(), Json::Str((*node).into()))]),
-                    ),
-                ])
-            })
-            .collect();
-        for e in &g.ring {
-            events.push(Json::Obj(vec![
-                ("name".into(), Json::Str(e.kind.clone())),
-                ("cat".into(), Json::Str("flight".into())),
-                ("ph".into(), Json::Str("i".into())),
-                ("ts".into(), Json::u64(e.at_us)),
-                ("s".into(), Json::Str("t".into())),
-                ("pid".into(), Json::u64(0)),
-                ("tid".into(), Json::u64(tids[e.node.as_str()])),
-                (
-                    "args".into(),
-                    Json::Obj(vec![
-                        ("detail".into(), Json::Str(e.detail.clone())),
-                        ("node".into(), Json::Str(e.node.clone())),
-                    ]),
-                ),
-            ]));
-        }
-        Json::Obj(vec![
-            ("traceEvents".into(), Json::Arr(events)),
-            ("displayTimeUnit".into(), Json::Str("ms".into())),
-        ])
-        .to_pretty()
-    }
-
-    /// Writes the ring to `path` (parent directories created).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn dump_to(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_chrome_trace())
-    }
-
-    /// Writes the ring to the configured dump path and returns it.
-    /// Subsequent calls overwrite (the latest state wins).
-    ///
-    /// # Errors
-    ///
-    /// `NotFound` when no dump path was configured, otherwise
-    /// filesystem failures.
-    pub fn dump(&self) -> io::Result<PathBuf> {
-        let path = lock(&self.inner).dump_path.clone().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "no flight-recorder dump path set")
-        })?;
-        self.dump_to(&path)?;
-        lock(&self.inner).dumped = true;
-        Ok(path)
-    }
-
-    /// Whether [`FlightRecorder::dump`] has succeeded at least once.
-    pub fn has_dumped(&self) -> bool {
-        lock(&self.inner).dumped
-    }
-}
-
-// ---------------------------------------------------------------------
-// The slow-op watchdog
-// ---------------------------------------------------------------------
-
-struct InflightOp {
-    label: String,
-    node: String,
-    started: Instant,
-    flagged: bool,
-}
-
-struct WatchdogInner {
-    deadline: Duration,
-    next_id: AtomicU64,
-    inflight: Mutex<BTreeMap<u64, InflightOp>>,
-    hub: TelemetryHub,
-    flight: Option<FlightRecorder>,
-    stop: AtomicBool,
-    slow_ops: AtomicU64,
-    join: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// A scanner thread watching registered in-flight operations.
-///
-/// Wrap an operation in [`Watchdog::guard`]; if it is still running
-/// when the scanner finds it past the deadline, the op is flagged
-/// exactly once: `watchdog.slow_op` is bumped on the hub, the flag is
-/// recorded into the flight ring, and the flight recorder dumps (first
-/// trip only — later trips overwrite nothing that matters, the ring
-/// keeps rolling). Cloning shares the same watchdog.
-#[derive(Clone)]
-pub struct Watchdog {
-    inner: Arc<WatchdogInner>,
-}
-
-impl Watchdog {
-    /// Starts the scanner thread. `scan_every` bounds detection latency
-    /// (a slow op is flagged within one scan after its deadline).
-    pub fn spawn(
-        deadline: Duration,
-        scan_every: Duration,
-        hub: TelemetryHub,
-        flight: Option<FlightRecorder>,
-    ) -> Watchdog {
-        let inner = Arc::new(WatchdogInner {
-            deadline,
-            next_id: AtomicU64::new(0),
-            inflight: Mutex::new(BTreeMap::new()),
-            hub,
-            flight,
-            stop: AtomicBool::new(false),
-            slow_ops: AtomicU64::new(0),
-            join: Mutex::new(None),
-        });
-        let scanner = Arc::clone(&inner);
-        let join = thread::Builder::new()
-            .name("weakset-watchdog".into())
-            .spawn(move || {
-                while !scanner.stop.load(Ordering::Relaxed) {
-                    Watchdog::scan(&scanner);
-                    thread::sleep(scan_every);
-                }
-            })
-            .expect("spawn watchdog thread");
-        *lock(&inner.join) = Some(join);
-        Watchdog { inner }
-    }
-
-    fn scan(inner: &WatchdogInner) {
-        inner.hub.with_shared(|m| m.incr(WATCHDOG_SCANS));
-        let mut newly_slow: Vec<(String, String, Duration)> = Vec::new();
-        {
-            let mut inflight = lock(&inner.inflight);
-            for op in inflight.values_mut() {
-                let elapsed = op.started.elapsed();
-                if !op.flagged && elapsed > inner.deadline {
-                    op.flagged = true;
-                    newly_slow.push((op.label.clone(), op.node.clone(), elapsed));
-                }
-            }
-        }
-        if newly_slow.is_empty() {
-            return;
-        }
-        inner
-            .slow_ops
-            .fetch_add(newly_slow.len() as u64, Ordering::SeqCst);
-        inner
-            .hub
-            .with_shared(|m| m.add(WATCHDOG_SLOW_OP, newly_slow.len() as u64));
-        let first_trip = inner.slow_ops.load(Ordering::SeqCst) == newly_slow.len() as u64;
-        if let Some(flight) = &inner.flight {
-            for (label, node, elapsed) in &newly_slow {
-                flight.record(
-                    elapsed.as_micros() as u64,
-                    node,
-                    "watchdog.slow_op",
-                    &format!("{label} in flight for {}us", elapsed.as_micros()),
-                );
-            }
-            if first_trip {
-                if let Err(e) = flight.dump() {
-                    eprintln!("watchdog: flight-recorder dump failed: {e}");
-                }
-            }
-        }
-    }
-
-    /// Registers an operation; dropping the guard deregisters it. An op
-    /// that outlives the deadline while registered is flagged.
-    pub fn guard(&self, node: &str, label: &str) -> WatchdogGuard {
-        let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
-        lock(&self.inner.inflight).insert(
-            id,
-            InflightOp {
-                label: label.to_string(),
-                node: node.to_string(),
-                started: Instant::now(),
-                flagged: false,
-            },
-        );
-        WatchdogGuard {
-            inner: Arc::clone(&self.inner),
-            id,
-        }
-    }
-
-    /// Operations flagged so far.
-    pub fn slow_ops(&self) -> u64 {
-        self.inner.slow_ops.load(Ordering::SeqCst)
-    }
-
-    /// The configured deadline.
-    pub fn deadline(&self) -> Duration {
-        self.inner.deadline
-    }
-
-    /// Stops and joins the scanner thread (idempotent; clones of this
-    /// watchdog keep answering [`Watchdog::slow_ops`] afterwards).
-    pub fn stop(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = lock(&self.inner.join).take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for WatchdogInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = lock(&self.join).take() {
-            let _ = join.join();
-        }
-    }
-}
-
-/// RAII registration of one in-flight operation (see
-/// [`Watchdog::guard`]).
-pub struct WatchdogGuard {
-    inner: Arc<WatchdogInner>,
-    id: u64,
-}
-
-impl Drop for WatchdogGuard {
-    fn drop(&mut self) {
-        lock(&self.inner.inflight).remove(&self.id);
     }
 }
 
@@ -957,73 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_ring_evicts_oldest_and_exports_perfetto() {
-        let fr = FlightRecorder::new(3);
-        for i in 0..5u64 {
-            fr.record(i, "client->s0", "rpc", &format!("call {i}"));
-        }
-        assert_eq!(fr.len(), 3);
-        assert_eq!(fr.dropped(), 2);
-        let entries = fr.entries();
-        assert_eq!(entries[0].at_us, 2, "oldest two evicted");
-        let json = fr.to_chrome_trace();
-        let parsed = Json::parse(&json).expect("perfetto dump parses");
-        let events = match parsed.get("traceEvents") {
-            Some(Json::Arr(a)) => a,
-            _ => panic!("missing traceEvents"),
-        };
-        // One thread_name metadata record plus three instants.
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("M"));
-        assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("i"));
-    }
-
-    #[test]
-    fn flight_dump_requires_a_path_then_writes_it() {
-        let fr = FlightRecorder::new(8);
-        fr.record(1, "n", "k", "d");
-        assert_eq!(fr.dump().unwrap_err().kind(), io::ErrorKind::NotFound);
-        assert!(!fr.has_dumped());
-        let path = std::env::temp_dir().join("weakset-flight-test/flight.json");
-        let fr = fr.with_dump_path(&path);
-        let written = fr.dump().expect("dump with a configured path");
-        assert_eq!(written, path);
-        assert!(fr.has_dumped());
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(Json::parse(&text).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn watchdog_flags_slow_ops_once_and_dumps_the_flight_ring() {
-        let hub = TelemetryHub::new();
-        let path =
-            std::env::temp_dir().join(format!("weakset-watchdog-test-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let fr = FlightRecorder::new(32).with_dump_path(&path);
-        let wd = Watchdog::spawn(
-            Duration::from_millis(20),
-            Duration::from_millis(5),
-            hub.clone(),
-            Some(fr.clone()),
-        );
-        {
-            let _slow = wd.guard("client", "net.rpc client->s0");
-            let fast = wd.guard("client", "net.rpc client->s1");
-            drop(fast);
-            thread::sleep(Duration::from_millis(120));
-        }
-        wd.stop();
-        assert_eq!(wd.slow_ops(), 1, "only the op that outlived the deadline");
-        assert_eq!(hub.merged().counter(WATCHDOG_SLOW_OP), 1);
-        assert!(hub.merged().counter(WATCHDOG_SCANS) >= 1);
-        assert!(fr.has_dumped(), "first trip dumps the ring");
-        let text = std::fs::read_to_string(&path).expect("dump exists on disk");
-        assert!(text.contains("watchdog.slow_op"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn server_serves_metrics_and_snapshot_live() {
         let hub = TelemetryHub::new();
         let mut p = hub.register(Duration::ZERO);
@@ -1078,7 +648,6 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        assert!(WATCHDOG_SLOW_OP.starts_with("watchdog."));
         assert!(UNCLOSED_SPANS.starts_with("trace."));
         assert_eq!(mailbox_backlog("s0"), "rt.node.s0.mailbox.backlog");
         assert_eq!(queue_depth_max("s1"), "rt.node.s1.queue.depth.max");

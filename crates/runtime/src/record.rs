@@ -26,30 +26,11 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use weakset_obs::ron::{push_str_lit, Parser, Tok};
 use weakset_sim::time::SimTime;
+pub use weakset_sim::trace::hash_debug;
 
 /// Artifact schema version; bump on any breaking change to the log
 /// grammar (mirrors the repro-artifact convention in `weakset-dst`).
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// FNV-1a over a value's `Debug` rendering, without allocating the
-/// rendering. Stable across backends because message `Debug` output
-/// depends only on message content (node ids match when nodes are
-/// created in the same order).
-pub fn hash_debug<T: fmt::Debug>(v: &T) -> u64 {
-    struct Fnv(u64);
-    impl fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            for b in s.bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let _ = fmt::write(&mut h, format_args!("{v:?}"));
-    h.0
-}
 
 /// How a recorded rpc ended, payloads hashed. Mirrors
 /// [`weakset_sim::net::NetError`] with raw node ids so the log is

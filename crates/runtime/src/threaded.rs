@@ -55,10 +55,10 @@
 //! its hub slot, so a scrape of the hub is exact up to one cadence of
 //! staleness per view and views still never share a metrics lock.
 //! Mailbox backlog and queue depth per node are lock-free atomic cells
-//! sampled by the hub at scrape time. An attached [`FlightRecorder`]
-//! keeps the last N boundary crossings (rpc outcomes, sends, timer
-//! fires, fault transitions) and is dumped on a hung shutdown; an
-//! attached [`Watchdog`] flags rpcs and waits that outlive a deadline.
+//! sampled by the hub at scrape time. Boundary crossings (rpc outcomes,
+//! sends, timer fires, fault transitions) are noted in one place, the
+//! attached [`Recorder`]: its recording is the black box, marked
+//! truncated when shutdown reports hung nodes.
 
 use crate::record::{hash_debug, RecEvent, RecOutcome, Recorder};
 use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport};
@@ -71,7 +71,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use weakset_obs::telemetry::{self, FlightRecorder, HubPublisher, TelemetryHub, Watchdog};
+use weakset_obs::telemetry::{self, HubPublisher, TelemetryHub};
 use weakset_sim::metrics::{EventSink, Metrics, SpanId, TraceContext};
 use weakset_sim::net::NetError;
 use weakset_sim::node::NodeId;
@@ -356,13 +356,6 @@ impl<M> Ord for TimerEntry<M> {
     }
 }
 
-/// One view's hookup to the live telemetry plane (see
-/// [`ThreadedRuntime::attach_telemetry`]).
-struct RtTelemetry {
-    publisher: HubPublisher,
-    hub: TelemetryHub,
-}
-
 /// The OS-thread execution environment. See the module docs for the
 /// view/fleet split.
 pub struct ThreadedRuntime<M: RtMessage> {
@@ -377,9 +370,9 @@ pub struct ThreadedRuntime<M: RtMessage> {
     events: EventSink,
     ctx: Vec<TraceContext>,
     recorder: Option<Recorder>,
-    telemetry: Option<RtTelemetry>,
-    flight: Option<FlightRecorder>,
-    watchdog: Option<Watchdog>,
+    /// This view's slot on the live telemetry plane (see
+    /// [`ThreadedRuntime::attach_telemetry`]); it owns its hub.
+    telemetry: Option<HubPublisher>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -477,8 +470,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             ctx: Vec::new(),
             recorder: None,
             telemetry: None,
-            flight: None,
-            watchdog: None,
         }
     }
 
@@ -517,52 +508,15 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         for h in lock(&self.shared.nodes).iter() {
             register_node_gauges(&hub, &h.name, &h.stats);
         }
-        self.telemetry = Some(RtTelemetry {
-            publisher: hub.register(cadence),
-            hub,
-        });
-    }
-
-    /// The hub this view publishes into, when telemetry is attached.
-    pub fn telemetry_hub(&self) -> Option<&TelemetryHub> {
-        self.telemetry.as_ref().map(|t| &t.hub)
-    }
-
-    /// Hooks a [`FlightRecorder`] into this view: every boundary
-    /// crossing (rpc outcomes, sends, timer fires, liveness and
-    /// reachability transitions) is appended to the shared ring, and a
-    /// shutdown that reports hung nodes dumps it. Clones made after
-    /// this call share the ring.
-    pub fn attach_flight_recorder(&mut self, flight: FlightRecorder) {
-        self.flight = Some(flight);
-    }
-
-    /// The attached flight recorder, when one is hooked in.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Hooks a slow-op [`Watchdog`] into this view: rpcs and waits are
-    /// registered as in-flight ops, so ones that outlive the watchdog's
-    /// deadline are flagged (`watchdog.slow_op`) while still running.
-    /// Clones made after this call share the watchdog.
-    pub fn attach_watchdog(&mut self, watchdog: Watchdog) {
-        self.watchdog = Some(watchdog);
-    }
-
-    /// Appends one flight-ring entry when a recorder is attached.
-    fn flight_note(&self, node: &str, kind: &str, detail: &str) {
-        if let Some(fl) = &self.flight {
-            fl.record(Clock::now(self).as_micros(), node, kind, detail);
-        }
+        self.telemetry = Some(hub.register(cadence));
     }
 
     /// Publishes this view's registry into the hub if its cadence is
     /// due. Costs one `Instant::now` when telemetry is attached,
     /// nothing otherwise.
     fn maybe_publish_telemetry(&mut self) {
-        if let Some(t) = &mut self.telemetry {
-            t.publisher.maybe_publish(&self.metrics);
+        if let Some(p) = &mut self.telemetry {
+            p.maybe_publish(&self.metrics);
         }
     }
 
@@ -570,8 +524,8 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// and end-of-worker flushes — the readings must not be one cadence
     /// stale when the view stops existing).
     pub fn flush_telemetry(&mut self) {
-        if let Some(t) = &mut self.telemetry {
-            t.publisher.publish(&self.metrics);
+        if let Some(p) = &mut self.telemetry {
+            p.publish(&self.metrics);
         }
     }
 
@@ -656,8 +610,8 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 move || node_loop(rx, stop, up, slot, start, node, stats)
             })
             .expect("spawn node thread");
-        if let Some(t) = &self.telemetry {
-            register_node_gauges(&t.hub, &name, &stats);
+        if let Some(p) = &self.telemetry {
+            register_node_gauges(p.hub(), &name, &stats);
         }
         nodes.push(Arc::new(NodeHandle {
             tx,
@@ -682,13 +636,10 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// Marks a node up or down. A down node eats incoming mail (callers
     /// time out) and the transport fast-fails new requests to it.
     pub fn set_node_up(&mut self, node: NodeId, up: bool) {
-        let mut name = node.to_string();
         if let Some(h) = self.shared.handle(node) {
             h.up.store(up, Ordering::SeqCst);
-            name.clone_from(&h.name);
         }
         self.note(RecEvent::SetNodeUp { node: node.0, up });
-        self.flight_note(&name, "fault", if up { "node up" } else { "node down" });
     }
 
     /// Crashes a node (alias for `set_node_up(node, false)`).
@@ -708,15 +659,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             }
         }
         self.note(RecEvent::SetReachable { a: a.0, b: b.0, ok });
-        self.flight_note(
-            &format!("{a}<->{b}"),
-            "fault",
-            if ok {
-                "route restored"
-            } else {
-                "route blocked"
-            },
-        );
     }
 
     /// Stops every node thread, waiting up to `timeout`. Returns the
@@ -744,27 +686,9 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 return Ok(());
             }
             if Instant::now() >= deadline {
+                // The recording is the black box: a valid prefix, marked.
                 if let Some(rec) = &self.recorder {
                     rec.mark_truncated();
-                }
-                // The black box survives the hang: name every wedged
-                // node in the flight ring, then dump it.
-                for node in &hung {
-                    let name = self.node_name(*node).unwrap_or_else(|| node.to_string());
-                    self.flight_note(
-                        &name,
-                        "shutdown.hung",
-                        &format!("did not stop within {timeout:?}"),
-                    );
-                }
-                if let Some(fl) = &self.flight {
-                    match fl.dump() {
-                        Ok(path) => eprintln!(
-                            "hung shutdown: flight recorder dumped to {}",
-                            path.display()
-                        ),
-                        Err(e) => eprintln!("hung shutdown: flight-recorder dump failed: {e}"),
-                    }
                 }
                 self.flush_telemetry();
                 return Err(hung);
@@ -805,9 +729,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 self.note(RecEvent::TimerFired {
                     label: entry.task.label().to_string(),
                 });
-            }
-            if self.flight.is_some() {
-                self.flight_note("timers", "timer.fired", entry.task.label());
             }
             entry.task.run(self);
         }
@@ -925,12 +846,10 @@ impl<M: RtMessage> Clone for ThreadedRuntime<M> {
             recorder: self.recorder.clone(),
             // Same hub, own publisher slot: the clone's readings merge
             // with — never overwrite — this view's.
-            telemetry: self.telemetry.as_ref().map(|t| RtTelemetry {
-                publisher: t.hub.register(t.publisher.cadence()),
-                hub: t.hub.clone(),
-            }),
-            flight: self.flight.clone(),
-            watchdog: self.watchdog.clone(),
+            telemetry: self
+                .telemetry
+                .as_ref()
+                .map(|p| p.hub().register(p.cadence())),
         }
     }
 }
@@ -1038,18 +957,13 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         timeout: SimDuration,
     ) -> Result<M, NetError> {
         let span = Observe::span_enter(self, "net.rpc", &|| from.link_label(to));
-        let req_hash = self.recorder.as_ref().map(|_| hash_debug(&msg));
-        // Only the recorder and the flight ring read the elapsed time.
-        let started = (req_hash.is_some() || self.flight.is_some()).then(Instant::now);
-        // The guard holds only an Arc into the watchdog; registered for
-        // exactly as long as the rpc is actually in flight.
-        let wd_guard = self
-            .watchdog
+        // Only the recorder reads the request hash and the elapsed time.
+        let noted = self
+            .recorder
             .as_ref()
-            .map(|w| w.guard(&from.to_string(), &format!("net.rpc {from}->{to}")));
+            .map(|_| (hash_debug(&msg), Instant::now()));
         let result = self.rpc_inner(from, to, msg, timeout);
-        drop(wd_guard);
-        if let (Some(req_hash), Some(started)) = (req_hash, started) {
+        if let Some((req_hash, started)) = noted {
             self.note(RecEvent::Rpc {
                 from: from.0,
                 to: to.0,
@@ -1057,13 +971,6 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
                 outcome: RecOutcome::of(&result),
                 elapsed_us: started.elapsed().as_micros() as u64,
             });
-        }
-        if let (Some(_), Some(started)) = (&self.flight, started) {
-            let detail = match &result {
-                Ok(_) => format!("ok in {}us", started.elapsed().as_micros()),
-                Err(e) => format!("{e} after {}us", started.elapsed().as_micros()),
-            };
-            self.flight_note(&format!("{from}->{to}"), "rpc", &detail);
         }
         if let Err(e) = &result {
             let err = *e;
@@ -1106,9 +1013,6 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
                 token,
             });
         }
-        if self.flight.is_some() {
-            self.flight_note(&format!("{from}->{to}"), "send", &format!("token {token}"));
-        }
         ReplyToken::from_raw(token)
     }
 
@@ -1135,12 +1039,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
 
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
         let started = Instant::now();
-        let wd_guard = self
-            .watchdog
-            .as_ref()
-            .map(|w| w.guard("view", &format!("net.wait_any {} tokens", tokens.len())));
         let winner = self.wait_any_inner(tokens, deadline);
-        drop(wd_guard);
         if self.recorder.is_some() {
             self.note(RecEvent::WaitAny {
                 winner: winner.map(ReplyToken::raw),
@@ -1803,7 +1702,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_hub_is_scrapeable_mid_run() {
+    fn live_hub_is_scrapeable_mid_run() {
         let hub = TelemetryHub::new();
         let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(5);
         rt.attach_telemetry(hub.clone(), Duration::ZERO);
@@ -1857,65 +1756,6 @@ mod tests {
         // the cross-backend parity suite see unchanged semantics.
         assert_eq!(rt.metrics.counter("rpc.failed"), 3);
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
-    }
-
-    #[test]
-    fn watchdog_flags_a_wedged_rpc_and_dumps_the_flight_ring() {
-        let hub = TelemetryHub::new();
-        let dump =
-            std::env::temp_dir().join(format!("weakset-rt-watchdog-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&dump);
-        let flight = FlightRecorder::new(64).with_dump_path(&dump);
-        let wd = Watchdog::spawn(
-            Duration::from_millis(40),
-            Duration::from_millis(10),
-            hub.clone(),
-            Some(flight.clone()),
-        );
-        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(13);
-        rt.attach_telemetry(hub.clone(), Duration::ZERO);
-        rt.attach_flight_recorder(flight.clone());
-        rt.attach_watchdog(wd.clone());
-        let c = rt.add_node("client");
-        let w = rt.add_node("wedged");
-        rt.install_service(w, Box::new(Wedge));
-        // The handler sleeps 2s; the rpc gives up after 300ms; the
-        // watchdog flags it in flight after ~40ms.
-        let reply = Transport::rpc(&mut rt, c, w, Msg::Val(1), SimDuration::from_millis(300));
-        assert_eq!(reply, Err(NetError::Timeout));
-        wd.stop();
-        assert!(wd.slow_ops() >= 1, "rpc outlived the watchdog deadline");
-        assert!(hub.merged().counter(telemetry::WATCHDOG_SLOW_OP) >= 1);
-        assert!(flight.has_dumped(), "first trip dumps the black box");
-        let text = std::fs::read_to_string(&dump).expect("perfetto dump on disk");
-        assert!(text.contains("watchdog.slow_op"));
-        assert!(text.contains("traceEvents"));
-        let _ = std::fs::remove_file(&dump);
-        // The wedged handler finishes within 2s; drain the fleet fully.
-        assert!(rt.shutdown(Duration::from_secs(5)).is_ok());
-    }
-
-    #[test]
-    fn hung_shutdown_dumps_the_flight_ring() {
-        let dump =
-            std::env::temp_dir().join(format!("weakset-rt-hungdump-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&dump);
-        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(17);
-        rt.attach_flight_recorder(FlightRecorder::new(32).with_dump_path(&dump));
-        let c = rt.add_node("client");
-        let w = rt.add_node("wedged");
-        rt.install_service(w, Box::new(Wedge));
-        let _token = Transport::send(&mut rt, c, w, Msg::Val(1));
-        thread::sleep(Duration::from_millis(100));
-        let hung = rt
-            .shutdown(Duration::from_millis(200))
-            .expect_err("wedged handler must be reported");
-        assert_eq!(hung, vec![w]);
-        let text = std::fs::read_to_string(&dump).expect("hung shutdown leaves a dump");
-        assert!(text.contains("shutdown.hung"));
-        assert!(text.contains("wedged"));
-        let _ = std::fs::remove_file(&dump);
-        assert!(rt.shutdown(Duration::from_secs(5)).is_ok());
     }
 
     #[test]

@@ -136,3 +136,156 @@ fn events_and_metrics_are_pinned() {
         0x9d78_e42e_5323_84e8,
     );
 }
+
+/// The payload hashes a threaded recording stores, pinned across commits:
+/// `record::hash_debug` of one message per `StoreMsg` variant, folded
+/// into one constant. Kept recordings are regression seeds only while
+/// these hashes hold. Constant measured at 7c75e4e.
+#[test]
+fn recording_payload_hashes_are_pinned() {
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+    use weak_sets::weakset_runtime::record::hash_debug;
+    use weak_sets::weakset_sim::node::NodeId;
+    use weak_sets::weakset_store::prelude::*;
+
+    let (c, o) = (CollectionId(7), ObjectId(42));
+    let entry = MemberEntry {
+        elem: o,
+        home: NodeId(2),
+    };
+    let dot = Dot {
+        replica: NodeId(1),
+        counter: 3,
+    };
+    let dotted = DottedEntry { dot, entry };
+    let mut vv = VersionVector::new();
+    vv.observe(dot);
+    vv.advance(NodeId(0));
+    let key = RangeKey {
+        prefix: 1 << 63,
+        depth: 1,
+    };
+    let summary = RangeSummary {
+        key,
+        count: 2,
+        hash: 0xfeed,
+    };
+    let record = ObjectRecord::new(o, "wing.face", &b"pixels"[..]).with_attr("site", "cmu");
+    let members = Membership::from(vec![
+        entry,
+        MemberEntry {
+            elem: ObjectId(9),
+            home: NodeId(0),
+        },
+    ]);
+    let mut session = SessionToken::new();
+    session.observe_version(c, 4);
+    session.observe_clock(c, &vv);
+    let delta = MembershipDelta {
+        vv: vv.clone(),
+        novel: vec![dotted],
+        live: vec![dot],
+    };
+    let all = vec![
+        StoreMsg::GetObject(o),
+        StoreMsg::PutObject(record.clone()),
+        StoreMsg::DeleteObject(o),
+        StoreMsg::QueryLocal(Query::And(vec![
+            Query::attr("site", "cmu"),
+            Query::Not(Box::new(Query::NameSuffix(".face".into()))),
+        ])),
+        StoreMsg::CreateCollection(c),
+        StoreMsg::ListMembers(c),
+        StoreMsg::AddMember { coll: c, entry },
+        StoreMsg::RemoveMember { coll: c, elem: o },
+        StoreMsg::SyncMembers {
+            coll: c,
+            version: 5,
+            members: members.clone(),
+        },
+        StoreMsg::AcquireReadLock { coll: c, token: 11 },
+        StoreMsg::ReleaseReadLock { coll: c, token: 11 },
+        StoreMsg::AcquireGrowGuard { coll: c, token: 12 },
+        StoreMsg::ReleaseGrowGuard { coll: c, token: 12 },
+        StoreMsg::GossipDeltaReq {
+            coll: c,
+            digest: vv.clone(),
+        },
+        StoreMsg::GossipPush {
+            coll: c,
+            delta: delta.clone(),
+        },
+        StoreMsg::GossipRangeReq {
+            coll: c,
+            ranges: vec![summary],
+        },
+        StoreMsg::GossipDeltaBatch {
+            coll: c,
+            batch: DeltaBatch {
+                vv: vv.clone(),
+                novel: vec![dotted],
+                drop: vec![dot],
+            },
+        },
+        StoreMsg::WithSession {
+            session,
+            inner: Box::new(StoreMsg::ListMembers(c)),
+        },
+        StoreMsg::Batch(vec![StoreMsg::GetObject(o), StoreMsg::ListMembers(c)]),
+        StoreMsg::BatchReply(vec![StoreMsg::Ack, StoreMsg::NotFound(o)]),
+        StoreMsg::Object(record),
+        StoreMsg::NotFound(o),
+        StoreMsg::Ack,
+        StoreMsg::Members {
+            version: 5,
+            entries: members.clone(),
+        },
+        StoreMsg::Matches(vec![o, ObjectId(9)]),
+        StoreMsg::Locked,
+        StoreMsg::NoSuchCollection(c),
+        StoreMsg::BadRequest,
+        StoreMsg::GossipDigest {
+            coll: c,
+            digest: vv.clone(),
+        },
+        StoreMsg::GossipDelta { coll: c, delta },
+        StoreMsg::GossipRangeResp {
+            coll: c,
+            digest: vv.clone(),
+            ranges: vec![
+                RangeReply::Match(key),
+                RangeReply::Split(vec![summary]),
+                RangeReply::Leaf {
+                    key,
+                    entries: vec![dotted],
+                },
+            ],
+        },
+        StoreMsg::SessionBehind {
+            coll: c,
+            have: 3,
+            need: 5,
+        },
+        StoreMsg::SessionStamped {
+            clock: vv,
+            inner: Box::new(StoreMsg::Members {
+                version: 5,
+                entries: members,
+            }),
+        },
+    ];
+    let variants: HashSet<_> = all.iter().map(discriminant).collect();
+    assert_eq!(
+        (variants.len(), all.len()),
+        (33, 33),
+        "one message per variant"
+    );
+    let folded = all.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, m| {
+        (acc ^ hash_debug(m)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        folded, 0x20e3_b378_c19d_63f6,
+        "payload hash fold is now {folded:#018x}"
+    );
+}

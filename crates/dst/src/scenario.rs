@@ -25,7 +25,10 @@ pub enum Deployment {
     Plain,
     /// `GossipNode`s converging by anti-entropy.
     Gossip {
-        /// Use the grow-only G-Set CRDT instead of the OR-Set.
+        /// Run every replica as `GossipSemantics::GrowOnly` (the Fig. 5
+        /// replica: removals ignored, join by union) instead of
+        /// `GossipSemantics::GrowShrink` (the Fig. 6 replica:
+        /// observed-remove).
         grow_only: bool,
         /// Reconcile with the Merkle-range digest mode instead of full
         /// version-vector digests.

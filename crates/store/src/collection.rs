@@ -9,10 +9,10 @@
 //!
 //! A membership rests and travels as one value, [`Membership`]: an
 //! immutable, sorted, duplicate-free array behind an `Arc`. A mutation
-//! builds the next version with one copy; from there the live state,
-//! every `ListMembers` reply and every replica the version is synced to
-//! share that one allocation, and it is freed when the last of them
-//! moves on.
+//! builds the next version with one allocation and two bulk copies; from
+//! there the live state, every `ListMembers` reply and every replica the
+//! version is synced to share that one allocation, and it is freed when
+//! the last of them moves on.
 //!
 //! Every mutation appends one [`Change`] to the collection's log: what
 //! the new version lists and delists — three words, never a copy of the
@@ -21,11 +21,18 @@
 //! that conformance checking consumes; its readers (`RunObserver`,
 //! tests) replay it — [`CollectionState::members_at`],
 //! [`CollectionState::history`] — when they want a past membership back.
+//!
+//! A replica sync logs the primary's step rather than re-deriving it:
+//! every array carries a process-unique id, and one built by `with` or
+//! by a single-entry `without` also names the id it was built from and
+//! where. When that is the array the replica holds, the change is read
+//! off in O(1); any other sync diffs the two runs.
 
 use crate::object::ObjectId;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use weakset_sim::node::NodeId;
 
@@ -47,23 +54,80 @@ pub struct MemberEntry {
 /// the empty value, the conversions from a `Vec` or an iterator (which
 /// sort and dedup whatever is not already so — input is never trusted),
 /// and the methods here, which preserve it.
+///
+/// Each array also carries an id, and, when `with` or `without` built it
+/// from another by one entry, that step: what lets
+/// [`CollectionState::sync_to`] log a sync without comparing the two
+/// runs. Neither shows in `Debug` or `PartialEq`.
 #[derive(Clone, Default)]
-pub struct Membership(
+pub struct Membership {
     /// `None` is the empty membership, so it allocates nothing.
-    Option<Arc<[MemberEntry]>>,
-);
+    run: Option<Arc<[MemberEntry]>>,
+    /// Unique to this array in this process; 0 for the empty membership.
+    id: u64,
+    /// The step that built this array, if it is one entry from another.
+    origin: Option<Origin>,
+}
+
+/// One step between two arrays: the array `parent` with one entry
+/// inserted at, or removed from, `index`.
+#[derive(Clone, Copy)]
+struct Origin {
+    parent: u64,
+    index: u32,
+    added: bool,
+}
+
+/// Where array ids come from; 0 is never handed out.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Membership {
     /// The empty membership.
     pub fn new() -> Self {
-        Membership(None)
+        Membership::default()
     }
 
     /// Wraps a run that is already strictly ascending.
     fn from_sorted(run: impl Into<Arc<[MemberEntry]>>) -> Self {
-        let run = run.into();
+        Membership::built(run.into(), None)
+    }
+
+    /// Wraps a strictly ascending run under a fresh id, with the step
+    /// that built it (the empty run is always [`Membership::new`]).
+    fn built(run: Arc<[MemberEntry]>, origin: Option<Origin>) -> Self {
         debug_assert!(run.windows(2).all(|w| w[0] < w[1]));
-        Membership((!run.is_empty()).then_some(run))
+        if run.is_empty() {
+            return Membership::new();
+        }
+        Membership {
+            run: Some(run),
+            // The id publishes no data: `fetch_add` alone makes it unique.
+            id: NEXT_ID.fetch_add(1, Relaxed),
+            origin,
+        }
+    }
+
+    /// The step from this array that inserts at, or removes, `index`.
+    fn step(&self, index: usize, added: bool) -> Option<Origin> {
+        Some(Origin {
+            parent: self.id,
+            index: u32::try_from(index).ok()?,
+            added,
+        })
+    }
+
+    /// What takes `before` to this membership, when this array was built
+    /// from `before`'s by one `with` or single-entry `without`: the entry
+    /// read off in O(1), exactly what [`Change::between`] would find.
+    /// `None` means "not known to be one step", never "not one step".
+    fn step_from(&self, before: &Membership) -> Option<Change> {
+        let origin = self.origin.filter(|o| o.parent == before.id)?;
+        let at = origin.index as usize;
+        Some(if origin.added {
+            Change::Added(self[at])
+        } else {
+            Change::Removed(before[at])
+        })
     }
 
     /// True when `elem` is a member (binary search).
@@ -71,23 +135,21 @@ impl Membership {
         self.binary_search_by_key(&elem, |m| m.elem).is_ok()
     }
 
-    /// This membership plus `entry`: one O(n) copy, or `self` again when
-    /// the entry is already listed.
+    /// This membership plus `entry`: one allocation and two bulk copies,
+    /// or `self` again when the entry is already listed.
     #[must_use]
     pub fn with(&self, entry: MemberEntry) -> Membership {
         match self.binary_search(&entry) {
             Ok(_) => self.clone(),
             Err(at) => {
-                let (before, after) = self.split_at(at);
-                // A chain of exact-size parts collects straight into
-                // the shared allocation: no intermediate `Vec`.
-                let run: Arc<[MemberEntry]> = before
-                    .iter()
-                    .chain(std::iter::once(&entry))
-                    .chain(after)
-                    .copied()
-                    .collect();
-                Membership::from_sorted(run)
+                // An exact-size fill collects straight into the shared
+                // allocation; every slot but `at` is then overwritten.
+                let mut run: Arc<[MemberEntry]> =
+                    std::iter::repeat_n(entry, self.len() + 1).collect();
+                let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
+                slots[..at].copy_from_slice(&self[..at]);
+                slots[at + 1..].copy_from_slice(&self[at..]);
+                Membership::built(run, self.step(at, true))
             }
         }
     }
@@ -98,20 +160,21 @@ impl Membership {
         start..start + self[start..].partition_point(|m| m.elem == elem)
     }
 
-    /// This membership minus every entry for `elem`: one O(n) copy, or
-    /// `self` again when `elem` is not a member.
+    /// This membership minus every entry for `elem`: one allocation and
+    /// two bulk copies, or `self` again when `elem` is not a member.
     #[must_use]
     pub fn without(&self, elem: ObjectId) -> Membership {
         let gone = self.span_of(elem);
         if gone.is_empty() {
             return self.clone();
         }
-        let run: Arc<[MemberEntry]> = self[..gone.start]
-            .iter()
-            .chain(&self[gone.end..])
-            .copied()
-            .collect();
-        Membership::from_sorted(run)
+        // The tail from `gone.len()` on already ends with the entries
+        // after `gone`; the slots before them get the entries before it.
+        let mut run: Arc<[MemberEntry]> = Arc::from(&self[gone.len()..]);
+        let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
+        slots[..gone.start].copy_from_slice(&self[..gone.start]);
+        let origin = self.step(gone.start, false).filter(|_| gone.len() == 1);
+        Membership::built(run, origin)
     }
 
     /// The set union, as a linear merge of the two sorted runs. Runs that
@@ -153,13 +216,13 @@ impl Membership {
     /// membership, which has none): what a test asks to learn whether
     /// anything still pins a version.
     pub fn holders(&self) -> usize {
-        self.0.as_ref().map_or(0, Arc::strong_count)
+        self.run.as_ref().map_or(0, Arc::strong_count)
     }
 
     /// True when both are the same allocation (or both empty): the
     /// "one array per version" property, for tests and short-cuts.
     pub fn ptr_eq(a: &Membership, b: &Membership) -> bool {
-        match (&a.0, &b.0) {
+        match (&a.run, &b.run) {
             (Some(x), Some(y)) => Arc::ptr_eq(x, y),
             (None, None) => true,
             _ => false,
@@ -171,7 +234,7 @@ impl Deref for Membership {
     type Target = [MemberEntry];
 
     fn deref(&self) -> &[MemberEntry] {
-        self.0.as_deref().unwrap_or(&[])
+        self.run.as_deref().unwrap_or(&[])
     }
 }
 
@@ -415,15 +478,20 @@ impl CollectionState {
 
     /// Replaces the entire membership with a newer version (replica sync),
     /// sharing the sender's array while it is current; the log keeps only
-    /// how it differs from the membership it replaces. Older or equal
-    /// versions are ignored (idempotent, out-of-order safe). Returns true
-    /// when applied.
+    /// how it differs from the membership it replaces — the sender's own
+    /// step, in O(1), when the next version was built from the array held
+    /// here, otherwise a diff of the two runs. Older or equal versions are
+    /// ignored (idempotent, out-of-order safe). Returns true when applied.
     pub fn sync_to(&mut self, version: u64, members: Membership) -> bool {
         if version <= self.version {
             return false;
         }
         let skipped = version - self.version - 1;
-        let change = Change::between(&self.members, &members, skipped);
+        let change = members
+            .step_from(&self.members)
+            .filter(|_| skipped == 0)
+            .unwrap_or_else(|| Change::between(&self.members, &members, skipped));
+        debug_assert_eq!(change, Change::between(&self.members, &members, skipped));
         self.commit(version, members, change);
         true
     }
@@ -597,6 +665,34 @@ mod tests {
             &empty,
             &m.without(ObjectId(1)).without(ObjectId(3))
         ));
+    }
+
+    #[test]
+    fn one_step_is_known_only_from_the_array_it_was_built_from() {
+        let held = Membership::from(vec![e(1, 0), e(3, 0), e(3, 1), e(5, 0)]);
+        let step = |next: &Membership| next.step_from(&held);
+        assert_eq!(step(&held.with(e(4, 0))), Some(Change::Added(e(4, 0))));
+        assert_eq!(step(&held.with(e(0, 0))), Some(Change::Added(e(0, 0))));
+        assert_eq!(
+            step(&held.without(ObjectId(5))),
+            Some(Change::Removed(e(5, 0)))
+        );
+        // Two entries delisted, two steps, the array itself, a copy, and
+        // a child of an equal array that is not this one: unknown.
+        assert_eq!(step(&held.without(ObjectId(3))), None);
+        assert_eq!(step(&held.with(e(4, 0)).with(e(6, 0))), None);
+        assert_eq!(step(&held.with(e(1, 0))), None);
+        assert_eq!(step(&held.with(e(4, 0)).to_vec().into()), None);
+        assert_eq!(step(&Membership::from(held.to_vec()).with(e(4, 0))), None);
+        // The empty membership is one array, wherever it came from.
+        let empty = held
+            .without(ObjectId(1))
+            .without(ObjectId(3))
+            .without(ObjectId(5));
+        assert_eq!(
+            Membership::new().with(e(2, 0)).step_from(&empty),
+            Some(Change::Added(e(2, 0)))
+        );
     }
 
     #[test]

@@ -92,6 +92,42 @@ proptest! {
     }
 }
 
+/// The bulk-copy builders where their copies are empty: `with` at either
+/// end, `without` of the first, last, only and a multi-home element —
+/// each against the sort-and-dedup oracle.
+#[test]
+fn with_and_without_at_the_edges() {
+    let e = |elem: u64, home: u32| MemberEntry {
+        elem: ObjectId(elem),
+        home: NodeId(home),
+    };
+    let raw = [e(6, 0), e(4, 1), e(2, 0), e(4, 0)];
+    let m = Membership::from(raw.to_vec());
+    // Before the first entry, after the last.
+    for entry in [e(1, 0), e(7, 0)] {
+        assert_eq!(
+            m.with(entry).to_vec(),
+            oracle(&raw, &[entry]),
+            "with {entry:?}"
+        );
+    }
+    // The first, the last, and one listed under two homes.
+    for gone in [2, 6, 4] {
+        let kept: Vec<MemberEntry> = raw.iter().filter(|x| x.elem.0 != gone).copied().collect();
+        assert_eq!(
+            m.without(ObjectId(gone)).to_vec(),
+            oracle(&kept, &[]),
+            "without {gone}"
+        );
+    }
+    let one = Membership::new().with(e(3, 1));
+    assert_eq!(one.to_vec(), oracle(&[e(3, 1)], &[]));
+    assert!(Membership::ptr_eq(
+        &one.without(ObjectId(3)),
+        &Membership::new()
+    ));
+}
+
 /// What `CollectionState` was before its log held changes: the same
 /// five operations, with one full copy of the membership per committed
 /// version. Kept here as the reference the delta log is checked against.
@@ -172,39 +208,69 @@ proptest! {
     /// full-copy reference does, and after each one the version sequence,
     /// `members_at` at every version (and at versions never committed),
     /// `history`, the deferred set and the set of every `(elem, home)`
-    /// ever listed agree with it.
+    /// ever listed agree with it. Synced arrays go in as built, so a
+    /// sync one step from the held array takes the O(1) path; a twin
+    /// fed a fresh copy of each diffs every sync, and logs the same.
     #[test]
     fn the_delta_log_is_the_full_copy_log(
-        ops in proptest::collection::vec((0u8..7, 1u64..10, 0u32..3, entries()), 0..40)
+        ops in proptest::collection::vec(
+            (0u8..10, 1u64..10, 0u32..3, 0u64..8, entries()),
+            0..40,
+        )
     ) {
         let mut state = CollectionState::new();
+        let mut twin = CollectionState::new();
         let mut model = FullCopyLog::new();
-        for (kind, elem, home, synced) in ops {
+        // The array `state` held before its current one.
+        let mut held = Membership::new();
+        for (kind, elem, home, ahead, synced) in ops {
             let (elem, home) = (ObjectId(elem), NodeId(home));
+            let entry = MemberEntry { elem, home };
+            let before = state.members().clone();
             match kind {
-                0 | 1 => prop_assert_eq!(
-                    state.add(MemberEntry { elem, home }),
-                    model.add(MemberEntry { elem, home })
-                ),
-                2 => prop_assert_eq!(state.remove(elem), model.remove(elem)),
-                3 => prop_assert_eq!(state.defer_remove(elem), model.defer_remove(elem)),
-                4 => prop_assert_eq!(state.apply_deferred(), model.apply_deferred()),
-                // `elem` doubles as how far ahead of (or behind) the
-                // current version the sync claims to be: -2..=6.
+                0 | 1 => {
+                    twin.add(entry);
+                    prop_assert_eq!(state.add(entry), model.add(entry));
+                }
+                2 => {
+                    twin.remove(elem);
+                    prop_assert_eq!(state.remove(elem), model.remove(elem));
+                }
+                3 => {
+                    twin.defer_remove(elem);
+                    prop_assert_eq!(state.defer_remove(elem), model.defer_remove(elem));
+                }
+                4 => {
+                    twin.apply_deferred();
+                    prop_assert_eq!(state.apply_deferred(), model.apply_deferred());
+                }
                 _ => {
-                    let version = (state.version() + elem.0).saturating_sub(3);
-                    // Kind 5 syncs a membership one `add` away, as the
-                    // primary's replication does; kind 6 anything.
-                    let members = match kind {
-                        5 => state.members().with(MemberEntry { elem, home }).to_vec(),
-                        _ => synced,
+                    let next = state.version() + 1;
+                    let (version, members) = match kind {
+                        // A child of the held array, as the primary's
+                        // replication carries it: one entry more, or
+                        // fewer (several, for a multi-home element).
+                        5 => (next, before.with(entry)),
+                        6 => (next, before.without(elem)),
+                        // A sibling: built from the array held before.
+                        7 => (next, held.with(entry)),
+                        // A child that is stale, equal, or skips
+                        // versions: -2..=5 from the current one.
+                        8 => ((state.version() + ahead).saturating_sub(2), before.with(entry)),
+                        // An array this replica never held.
+                        _ => ((state.version() + ahead).saturating_sub(2), synced.into()),
                     };
+                    twin.sync_to(version, members.to_vec().into());
                     prop_assert_eq!(
-                        state.sync_to(version, members.clone().into()),
-                        model.sync_to(version, members)
+                        state.sync_to(version, members.clone()),
+                        model.sync_to(version, members.to_vec())
                     );
                 }
             }
+            if !Membership::ptr_eq(&before, state.members()) {
+                held = before;
+            }
+            prop_assert_eq!(state.log(), twin.log());
             prop_assert_eq!(state.version(), model.version);
             prop_assert_eq!(state.members().to_vec(), model.members.clone());
             prop_assert_eq!(state.deferred().collect::<BTreeSet<_>>(), model.deferred.clone());
@@ -273,6 +339,8 @@ fn a_long_history_pins_no_array() {
     }
     assert_eq!(primary.log().len(), preload + 400);
     assert!(std::mem::size_of::<Change>() <= 3 * std::mem::size_of::<u64>());
+    // Every reply carries one: provenance may not quietly grow it.
+    assert!(std::mem::size_of::<Membership>() <= 40);
     assert_eq!(
         replica.members_at(primary.version() - 1),
         primary.members_at(primary.version() - 1)

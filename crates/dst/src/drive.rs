@@ -62,7 +62,8 @@ fn sleep_until(rt: &mut (impl Clock + ?Sized), t: SimTime) {
 
 /// A driver activity a stage may bracket. The `Display` form is the
 /// region-label grammar of recordings (fault edges, which only the
-/// log-bound stages see, are spelled in `replay`): labels are intrinsic
+/// log-bound stages bracket, spell theirs as
+/// [`FaultEdge`](crate::scenario::FaultEdge)): labels are intrinsic
 /// to the scenario item, never positional, so the recording shrinker can
 /// drop an item from the workload and excise exactly its regions from
 /// the log.

@@ -2,8 +2,8 @@
 //! runtime while a [`Recorder`] captures every observable boundary
 //! crossing, then re-drive the same scenario inside the deterministic
 //! simulator with the recorded nondeterminism pinned — delivery order,
-//! async completion winners, observed failures, fault-table transitions,
-//! and region-boundary clock reads are all substituted from the log.
+//! async completion winners, observed failures, and region-boundary
+//! clock reads are all substituted from the log.
 //!
 //! This puts a real (irreproducible) run in front of the whole DST
 //! toolchain: the conformance oracles judge it, repeated replays certify
@@ -32,8 +32,10 @@
 //!   clock by the observed stall,
 //! * a recorded `wait_any` pins the simulated wait to the recorded
 //!   winner's token,
-//! * recorded reachability/liveness transitions are applied to the
-//!   simulated topology at their log position.
+//! * a `fault.*` region re-applies the fault edge its label names in
+//!   the embedded workload (as an `op.*` region re-issues its op),
+//!   through the simulator's own `World::apply_fault`: the replayed run
+//!   carries the same `sim.fault.*` events a simulated one does.
 //!
 //! Every mismatch (payload hash, endpoints, call kind, missing or
 //! leftover entries) is a *divergence*: counted under
@@ -53,17 +55,17 @@
 
 use crate::drive::{drive, ms, Closed, Fleet, Mark, Schedule, Stage};
 use crate::run::RunReport;
-use crate::scenario::{Deployment, FaultSpec, Op, Scenario};
+use crate::scenario::{Deployment, Op, Scenario};
 use crate::shrink::{shrink_by, Field};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use weakset_obs::replay as names;
 use weakset_runtime::record::{hash_debug, RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 use weakset_runtime::threaded::ThreadedRuntime;
 use weakset_runtime::traits::{Clock, Observe, RtTask, Runtime, ServiceHost, Spawner, Transport};
+use weakset_sim::fault::FaultAction;
 use weakset_sim::latency::LatencyModel;
-use weakset_sim::link::LinkState;
 use weakset_sim::metrics::{SpanId, TraceContext};
 use weakset_sim::net::{BatchEnvelope, NetError};
 use weakset_sim::node::NodeId;
@@ -101,175 +103,57 @@ pub struct ReplayReport {
 }
 
 // ---------------------------------------------------------------------
-// The fault-transition expansion
+// The labelled workload
 // ---------------------------------------------------------------------
-//
-// Fault labels, like every [`Mark`], are intrinsic to the scenario item:
-// two identical items produce identical labels; the shrinker then removes
-// both regions at once and the candidate is simply rejected if that
-// breaks alignment.
 
-/// One scheduled topology change: a fault edge (down or up) expanded to
-/// node-index space, where index 0 is the client and server `i` is node
-/// `i + 1` — the ids both backends assign when nodes are created in
-/// order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Transition {
-    at_ms: u64,
-    label: String,
-    acts: Vec<TAct>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TAct {
-    Link { a: usize, b: usize, ok: bool },
-    Node { node: usize, up: bool },
-}
-
-/// Server index → global node index (client is 0, servers follow).
-fn sv(i: usize, n: usize) -> usize {
-    (i % n) + 1
-}
-
-/// Expands one fault into its down/up transitions. A partition cuts
-/// every link between the isolated side and everyone else — including
-/// the client — so the simulator's multi-hop routing cannot sneak
-/// around it and both backends agree on reachability.
-fn expand_one(f: &FaultSpec, n: usize) -> Vec<Transition> {
-    match f {
-        FaultSpec::Outage {
-            at_ms,
-            node,
-            for_ms,
-        } => {
-            let g = sv(*node, n);
-            vec![
-                Transition {
-                    at_ms: *at_ms,
-                    label: format!("fault.out.{at_ms}.{node}.{for_ms}.down"),
-                    acts: vec![TAct::Node { node: g, up: false }],
-                },
-                Transition {
-                    at_ms: at_ms + for_ms,
-                    label: format!("fault.out.{at_ms}.{node}.{for_ms}.up"),
-                    acts: vec![TAct::Node { node: g, up: true }],
-                },
-            ]
-        }
-        FaultSpec::Partition {
-            at_ms,
-            side,
-            for_ms,
-        } => {
-            let side_g: BTreeSet<usize> = side.iter().map(|&i| sv(i, n)).collect();
-            let mut cuts = Vec::new();
-            let mut heals = Vec::new();
-            for &a in &side_g {
-                for b in 0..=n {
-                    if !side_g.contains(&b) {
-                        cuts.push(TAct::Link { a, b, ok: false });
-                        heals.push(TAct::Link { a, b, ok: true });
-                    }
-                }
-            }
-            let side_label = side
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("-");
-            vec![
-                Transition {
-                    at_ms: *at_ms,
-                    label: format!("fault.part.{at_ms}.{side_label}.{for_ms}.cut"),
-                    acts: cuts,
-                },
-                Transition {
-                    at_ms: at_ms + for_ms,
-                    label: format!("fault.part.{at_ms}.{side_label}.{for_ms}.heal"),
-                    acts: heals,
-                },
-            ]
-        }
-        FaultSpec::Flap {
-            at_ms,
-            a,
-            b,
-            down_ms,
-            up_ms,
-            cycles,
-        } => {
-            let (ga, gb) = (sv(*a, n), sv(*b, n));
-            let mut out = Vec::new();
-            let mut t = *at_ms;
-            for i in 0..*cycles {
-                out.push(Transition {
-                    at_ms: t,
-                    label: format!("fault.flap.{at_ms}.{a}.{b}.{i}.down"),
-                    acts: vec![TAct::Link {
-                        a: ga,
-                        b: gb,
-                        ok: false,
-                    }],
-                });
-                t += down_ms;
-                out.push(Transition {
-                    at_ms: t,
-                    label: format!("fault.flap.{at_ms}.{a}.{b}.{i}.up"),
-                    acts: vec![TAct::Link {
-                        a: ga,
-                        b: gb,
-                        ok: true,
-                    }],
-                });
-                t += up_ms;
-            }
-            out
-        }
-    }
-}
-
-fn expand_faults(faults: &[FaultSpec], n: usize) -> Vec<Transition> {
-    let mut out: Vec<Transition> = faults.iter().flat_map(|f| expand_one(f, n)).collect();
-    out.sort_by_key(|t| t.at_ms); // stable: same-instant transitions keep spec order
-    out
-}
-
-/// One item of the threaded stage's schedule: a fault edge or a
-/// workload op.
-enum SchedItem {
-    Trans(Transition),
+/// One workload item a log-bound stage schedules: a fault edge or an op.
+#[derive(Clone)]
+enum Item {
+    Fault(FaultAction),
     Op(Op),
 }
 
-/// The merged schedule: fault transitions and workload ops, ordered by
-/// due time (transitions first on ties).
-fn build_schedule(s: &Scenario) -> Vec<(u64, SchedItem)> {
-    let mut keyed: Vec<(u64, u8, SchedItem)> = expand_faults(&s.faults, s.servers.max(1))
-        .into_iter()
-        .map(|t| (t.at_ms, 0, SchedItem::Trans(t)))
-        .collect();
-    let mut ops = s.ops.clone();
-    ops.sort_by_key(Op::at_ms);
-    keyed.extend(ops.into_iter().map(|o| (o.at_ms(), 1, SchedItem::Op(o))));
-    keyed.sort_by_key(|(at, kind, _)| (*at, *kind));
-    keyed.into_iter().map(|(at, _, item)| (at, item)).collect()
+/// The workload's timed items under their region labels: every fault's
+/// [`actions`](crate::scenario::FaultSpec::actions) in spec order, then
+/// the ops, stably sorted by due offset (fault edges first on ties).
+/// Labels, like every [`Mark`], are intrinsic to the scenario item: two
+/// identical items share one, and the recording shrinker then removes
+/// both regions at once — a candidate that breaks alignment is simply
+/// rejected.
+fn labelled_workload(s: &Scenario, servers: &[NodeId]) -> Vec<(u64, (String, Item))> {
+    let faults = s.faults.iter().flat_map(|f| f.actions(servers)).map(|e| {
+        let label = e.to_string();
+        (e.at_ms, (label, Item::Fault(e.action)))
+    });
+    let ops = s
+        .ops
+        .iter()
+        .map(|op| (op.at_ms(), (Mark::Op(op).to_string(), Item::Op(*op))));
+    let mut items: Vec<_> = faults.chain(ops).collect();
+    items.sort_by_key(|(at, _)| *at);
+    items
+}
+
+/// A recording's servers: every node after the client, node 0.
+fn recorded_servers(rec: &Recording) -> Vec<NodeId> {
+    (1..rec.nodes.len() as u32).map(NodeId).collect()
 }
 
 // ---------------------------------------------------------------------
 // Threaded stage (records)
 // ---------------------------------------------------------------------
 
-/// The threaded stage: nodes are OS threads, the schedule is fault
-/// transitions merged with ops and applied by the driver thread, every
-/// mark is a region marker in the recorder's log, and the run closes
-/// with a deadline shutdown. The recording is the black box: it holds
+/// The threaded stage: nodes are OS threads, the schedule is the
+/// labelled workload applied by the driver thread, every mark is a
+/// region marker in the recorder's log, and the run closes with a
+/// deadline shutdown. The recording is the black box: it holds
 /// every boundary crossing, typed and replayable.
 struct Threads {
     rt: ThreadedRuntime<StoreMsg>,
     rec: Recorder,
     client: NodeId,
     servers: Vec<NodeId>,
-    schedule: Schedule<SchedItem>,
+    schedule: Schedule<(String, Item)>,
     /// Final membership under the scenario's read policy, sorted.
     membership: Vec<u64>,
 }
@@ -282,15 +166,15 @@ impl Threads {
         rt.attach_recorder(rec.clone());
         rt.events_mut().set_enabled(true);
         let client = rt.add_node("client");
-        let servers = (0..s.servers.max(1))
+        let servers: Vec<NodeId> = (0..s.servers.max(1))
             .map(|i| rt.add_node(format!("s{i}")))
             .collect();
         Threads {
+            schedule: Schedule::new(labelled_workload(s, &servers)),
             rt,
             rec,
             client,
             servers,
-            schedule: Schedule::new(build_schedule(s)),
             membership: Vec::new(),
         }
     }
@@ -317,21 +201,11 @@ impl Stage for Threads {
     fn advance(&mut self, fleet: &Fleet, to_ms: Option<u64>) {
         let rec = &self.rec;
         self.schedule
-            .advance(&mut self.rt, to_ms, |rt, item| match item {
-                SchedItem::Trans(tr) => {
-                    rec.region(rt.now(), &tr.label);
-                    for act in &tr.acts {
-                        match *act {
-                            TAct::Link { a, b, ok } => {
-                                rt.set_reachable(NodeId(a as u32), NodeId(b as u32), ok);
-                            }
-                            TAct::Node { node, up } => rt.set_node_up(NodeId(node as u32), up),
-                        }
-                    }
-                }
-                SchedItem::Op(op) => {
-                    rec.region(rt.now(), &Mark::Op(op).to_string());
-                    fleet.apply_op(rt, *op);
+            .advance(&mut self.rt, to_ms, |rt, (label, item)| {
+                rec.region(rt.now(), label);
+                match item {
+                    Item::Fault(action) => rt.apply_fault(action),
+                    Item::Op(op) => fleet.apply_op(rt, *op),
                 }
             });
     }
@@ -417,15 +291,15 @@ fn is_matchable(ev: &RecEvent) -> bool {
 
 /// A [`Runtime`] that wraps the simulator and consumes a recording as
 /// the client code re-executes: transport calls are matched against the
-/// log (re-executed, substituted, or pinned), recorded fault transitions
-/// are applied to the simulated topology at their log position, and
-/// everything else delegates to the world.
+/// log (re-executed, substituted, or pinned), fault and op regions
+/// re-issue the workload item they name, and everything else delegates
+/// to the world.
 struct ReplayRuntime {
     world: StoreWorld,
     rec: Recording,
-    /// The embedded workload's ops by region label: what an `op.` region
-    /// re-issues.
-    ops_by_label: HashMap<String, Op>,
+    /// The embedded workload's items by region label: what an `op.` or
+    /// `fault.` region re-issues.
+    items: HashMap<String, Item>,
     /// Cursor into `rec.entries`: everything before it has been
     /// consumed (replayed, applied, or skipped as informational).
     pos: usize,
@@ -455,43 +329,13 @@ impl ReplayRuntime {
         self.past_end && self.rec.truncated
     }
 
-    fn apply_fault(&mut self, ev: &RecEvent) {
-        match *ev {
-            RecEvent::SetReachable { a, b, ok } => {
-                let state = if ok {
-                    LinkState::healthy()
-                } else {
-                    LinkState::down()
-                };
-                // set_link normalizes the key: one call covers both
-                // directions, matching the threaded fault table.
-                self.world
-                    .topology_mut()
-                    .set_link(NodeId(a), NodeId(b), state);
-                self.world.metrics_mut().incr(names::FAULT_APPLIED);
-            }
-            RecEvent::SetNodeUp { node, up } => {
-                if up {
-                    self.world.topology_mut().restart(NodeId(node));
-                } else {
-                    self.world.topology_mut().crash(NodeId(node));
-                }
-                self.world.metrics_mut().incr(names::FAULT_APPLIED);
-            }
-            _ => {}
-        }
-    }
-
-    /// Consumes fault/informational entries up to the next marker or
-    /// transport entry, so transitions recorded at a region's head take
-    /// effect before the driver issues its first call.
+    /// Skips informational entries up to the next marker or transport
+    /// entry.
     fn drain_passive(&mut self) {
-        while self.pos < self.rec.entries.len() {
-            let ev = self.rec.entries[self.pos].ev.clone();
-            if matches!(ev, RecEvent::Region { .. }) || is_matchable(&ev) {
+        while let Some(e) = self.rec.entries.get(self.pos) {
+            if matches!(e.ev, RecEvent::Region { .. }) || is_matchable(&e.ev) {
                 break;
             }
-            self.apply_fault(&ev);
             self.pos += 1;
         }
         if self.pos >= self.rec.entries.len() {
@@ -560,9 +404,9 @@ impl ReplayRuntime {
     }
 
     /// Re-aligns on the region marker at `j`: consumes through it
-    /// (applying fault entries, reporting any unreplayed transport
-    /// entries), pins the virtual clock to the marker's recorded
-    /// timestamp, and applies the region's leading passive entries.
+    /// (reporting any unreplayed transport entries), pins the virtual
+    /// clock to the marker's recorded timestamp, and skips the region's
+    /// leading passive entries.
     fn enter_region(&mut self, j: usize) {
         let skipped = self.rec.entries[self.pos..j]
             .iter()
@@ -572,11 +416,6 @@ impl ReplayRuntime {
             self.diverge(format!(
                 "{skipped} recorded call(s) before entry {j} were not re-issued"
             ));
-        }
-        while self.pos < j {
-            let ev = self.rec.entries[self.pos].ev.clone();
-            self.apply_fault(&ev);
-            self.pos += 1;
         }
         let at = SimTime::from_micros(self.rec.entries[j].at_us);
         self.pos = j + 1;
@@ -600,8 +439,7 @@ impl Stage for ReplayRuntime {
     }
 
     fn nodes(&self) -> (NodeId, Vec<NodeId>) {
-        let n = self.rec.nodes.len() as u32;
-        (NodeId(0), (1..n).map(NodeId).collect())
+        (NodeId(0), recorded_servers(&self.rec))
     }
 
     fn mark(&mut self, mark: Mark<'_>) -> bool {
@@ -634,16 +472,21 @@ impl Stage for ReplayRuntime {
     /// the next region of another kind, wherever the clock stands.
     fn advance(&mut self, fleet: &Fleet, _: Option<u64>) {
         while let Some((j, label)) = self.next_region() {
-            let is_op = label.starts_with("op.");
-            if !is_op && !label.starts_with("fault.") {
+            if !label.starts_with("op.") && !label.starts_with("fault.") {
                 break;
             }
-            let op = self.ops_by_label.get(label).copied();
-            let unknown = (is_op && op.is_none())
-                .then(|| format!("recorded op region '{label}' is not in the workload"));
+            let item = self.items.get(label).cloned();
+            let unknown = item
+                .is_none()
+                .then(|| format!("recorded region '{label}' is not in the workload"));
             self.enter_region(j);
-            if let Some(op) = op {
-                fleet.apply_op(self, op);
+            match item {
+                Some(Item::Fault(action)) => {
+                    self.world.apply_fault(action);
+                    self.world.metrics_mut().incr(names::FAULT_APPLIED);
+                }
+                Some(Item::Op(op)) => fleet.apply_op(self, op),
+                None => {}
             }
             if let Some(detail) = unknown {
                 self.diverge(detail);
@@ -977,10 +820,9 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
     let mut stage = ReplayRuntime {
         world,
         rec: rec.clone(),
-        ops_by_label: s
-            .ops
-            .iter()
-            .map(|o| (Mark::Op(o).to_string(), *o))
+        items: labelled_workload(&s, &recorded_servers(rec))
+            .into_iter()
+            .map(|(_, labelled)| labelled)
             .collect(),
         pos: 0,
         token_map: HashMap::new(),
@@ -1022,9 +864,9 @@ fn remove_regions(entries: &[RecEntry], labels: &[String]) -> Vec<RecEntry> {
 /// (by intrinsic label) leave the log.
 fn drop_item((rec, s): &(Recording, Scenario), field: Field, i: usize) -> (Recording, Scenario) {
     let labels: Vec<String> = match field {
-        Field::Faults => expand_one(&s.faults[i], s.servers.max(1))
-            .into_iter()
-            .map(|t| t.label)
+        Field::Faults => s.faults[i]
+            .actions(&recorded_servers(rec))
+            .map(|edge| edge.to_string())
             .collect(),
         Field::Ops => vec![Mark::Op(&s.ops[i]).to_string()],
         Field::Setup => vec![Mark::Setup(s.setup[i].0, s.setup[i].1).to_string()],
@@ -1091,78 +933,12 @@ pub fn load_recording(path: &Path) -> Result<Recording, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Chaos;
+    use crate::scenario::{Chaos, FaultSpec};
     use weakset::prelude::Semantics;
     use weakset_store::prelude::ReadPolicy;
 
     #[test]
-    fn partition_expansion_cuts_the_client_too() {
-        let f = FaultSpec::Partition {
-            at_ms: 10,
-            side: vec![0],
-            for_ms: 20,
-        };
-        let ts = expand_one(&f, 2);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts[0].label, "fault.part.10.0.20.cut");
-        assert_eq!(ts[1].label, "fault.part.10.0.20.heal");
-        assert_eq!(ts[1].at_ms, 30);
-        // Side {server 0} = node 1; complement = {client 0, node 2}.
-        assert_eq!(
-            ts[0].acts,
-            vec![
-                TAct::Link {
-                    a: 1,
-                    b: 0,
-                    ok: false
-                },
-                TAct::Link {
-                    a: 1,
-                    b: 2,
-                    ok: false
-                },
-            ]
-        );
-        assert!(ts[1]
-            .acts
-            .iter()
-            .all(|a| matches!(a, TAct::Link { ok: true, .. })));
-    }
-
-    #[test]
-    fn flap_expands_one_transition_pair_per_cycle() {
-        let f = FaultSpec::Flap {
-            at_ms: 5,
-            a: 0,
-            b: 1,
-            down_ms: 2,
-            up_ms: 3,
-            cycles: 2,
-        };
-        let ts = expand_one(&f, 3);
-        assert_eq!(ts.len(), 4);
-        assert_eq!(
-            ts.iter().map(|t| t.at_ms).collect::<Vec<_>>(),
-            vec![5, 7, 10, 12]
-        );
-        assert_eq!(ts[0].label, "fault.flap.5.0.1.0.down");
-        assert_eq!(ts[3].label, "fault.flap.5.0.1.1.up");
-    }
-
-    #[test]
-    fn outage_maps_server_index_to_global_node() {
-        let f = FaultSpec::Outage {
-            at_ms: 1,
-            node: 4, // wraps: 4 % 3 = server 1 = global node 2
-            for_ms: 9,
-        };
-        let ts = expand_one(&f, 3);
-        assert_eq!(ts[0].acts, vec![TAct::Node { node: 2, up: false }]);
-        assert_eq!(ts[1].acts, vec![TAct::Node { node: 2, up: true }]);
-    }
-
-    #[test]
-    fn schedule_orders_by_due_time_transitions_first() {
+    fn workload_orders_by_due_time_fault_edges_first() {
         let s = Scenario {
             seed: 1,
             servers: 2,
@@ -1187,11 +963,17 @@ mod tests {
             }],
             chaos: Chaos::None,
         };
-        let sched = build_schedule(&s);
-        assert_eq!(sched.len(), 3); // down, up, add
-        assert!(matches!(&sched[0], (5, SchedItem::Trans(_))));
-        assert!(matches!(&sched[1], (5, SchedItem::Op(_))));
-        assert!(matches!(&sched[2], (8, SchedItem::Trans(_))));
+        let servers = [NodeId(1), NodeId(2)];
+        let sched: Vec<(u64, String)> = labelled_workload(&s, &servers)
+            .into_iter()
+            .map(|(at, (label, _))| (at, label))
+            .collect();
+        let want = [
+            (5, "fault.out.5.0.3.down"),
+            (5, "op.5.add.9.0"),
+            (8, "fault.out.5.0.3.up"),
+        ];
+        assert_eq!(sched, want.map(|(at, l)| (at, l.to_string())));
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! (`shrink`) and repro artifacts (`repro`) possible.
 
 use crate::drive::{drive, ms, Closed, Fleet, Mark, Schedule, Stage};
-use crate::scenario::{FaultSpec, Op, Scenario};
+use crate::scenario::{Op, Scenario};
 use weakset_sim::fault::FaultPlan;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
-use weakset_sim::time::SimTime;
 use weakset_sim::topology::Topology;
 use weakset_sim::world::WorldConfig;
 use weakset_spec::prelude::Computation;
@@ -56,48 +55,11 @@ pub struct RunReport {
     pub events: Vec<weakset_sim::metrics::ObsEvent>,
 }
 
-fn build_plan(s: &Scenario, servers: &[NodeId], t0: SimTime) -> FaultPlan {
-    let node = |i: usize| servers[i % servers.len()];
-    let mut plan = FaultPlan::none();
-    for f in &s.faults {
-        plan = match f {
-            FaultSpec::Outage {
-                at_ms,
-                node: n,
-                for_ms,
-            } => plan.outage(t0 + ms(*at_ms), node(*n), ms(*for_ms)),
-            FaultSpec::Partition {
-                at_ms,
-                side,
-                for_ms,
-            } => {
-                let side: Vec<NodeId> = side.iter().map(|&i| node(i)).collect();
-                plan.partition_window(t0 + ms(*at_ms), &side, ms(*for_ms))
-            }
-            FaultSpec::Flap {
-                at_ms,
-                a,
-                b,
-                down_ms,
-                up_ms,
-                cycles,
-            } => plan.flap_link(
-                t0 + ms(*at_ms),
-                node(*a),
-                node(*b),
-                ms(*down_ms),
-                ms(*up_ms),
-                *cycles,
-            ),
-        };
-    }
-    plan
-}
-
 /// The simulator stage: nodes are topology entries of one seeded world,
-/// the fault schedule is a [`FaultPlan`] the event queue fires on its
-/// own, ops land at invocation boundaries, marks do nothing, and the run
-/// closes with the world's trace hash.
+/// the fault schedule is a [`FaultPlan`] of every fault's
+/// [`actions`](crate::scenario::FaultSpec::actions) that the event queue
+/// fires on its own, ops land at invocation boundaries, marks do
+/// nothing, and the run closes with the world's trace hash.
 struct Sim<'a> {
     scenario: &'a Scenario,
     world: StoreWorld,
@@ -148,8 +110,12 @@ impl Stage for Sim<'_> {
 
     fn origin(&mut self) {
         let t0 = self.ops.start(self.world.now());
-        self.world
-            .install_plan(&build_plan(self.scenario, &self.servers, t0));
+        let (faults, servers) = (&self.scenario.faults, &self.servers);
+        let mut plan = FaultPlan::none();
+        for edge in faults.iter().flat_map(|f| f.actions(servers)) {
+            plan = plan.at(t0 + ms(edge.at_ms), edge.action);
+        }
+        self.world.install_plan(&plan);
     }
 
     fn advance(&mut self, fleet: &Fleet, to_ms: Option<u64>) {
@@ -191,7 +157,7 @@ pub fn execute(s: &Scenario) -> RunReport {
 mod tests {
     use super::*;
     use crate::gen::{generate, mix};
-    use crate::scenario::{Chaos, Deployment};
+    use crate::scenario::{Chaos, Deployment, FaultSpec};
     use weakset::prelude::Semantics;
     use weakset_store::prelude::ReadPolicy;
 

@@ -12,9 +12,12 @@
 //! indices* (0-based, primary is server 0), not simulator `NodeId`s, so
 //! an artifact stays meaningful on its own.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use weakset::prelude::{FetchOrder, Semantics};
 use weakset_obs::ron::{Parser, Tok};
+use weakset_sim::fault::FaultAction;
+use weakset_sim::link::LinkState;
+use weakset_sim::node::NodeId;
 use weakset_store::prelude::ReadPolicy;
 
 /// How the servers are deployed.
@@ -116,7 +119,121 @@ pub enum FaultSpec {
     },
 }
 
+/// One timed edge of a [`FaultSpec`]: a topology change and when it
+/// happens. The `Display` form is the region label recordings bracket
+/// it with (`fault.out.<at>.<node>.<for>.down|up`,
+/// `fault.part.<at>.<side>.<for>.cut|heal`,
+/// `fault.flap.<at>.<a>.<b>.<cycle>.down|up`): intrinsic to the fault,
+/// like every op label, and only built by a stage that records one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultEdge<'a> {
+    /// Offset from the run origin, in milliseconds.
+    pub at_ms: u64,
+    /// The change, on the node ids the stage was given.
+    pub action: FaultAction,
+    fault: &'a FaultSpec,
+    edge: usize,
+}
+
+impl fmt::Display for FaultEdge<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let first = self.edge % 2 == 0;
+        match self.fault {
+            FaultSpec::Outage {
+                at_ms,
+                node,
+                for_ms,
+            } => {
+                let phase = if first { "down" } else { "up" };
+                write!(f, "fault.out.{at_ms}.{node}.{for_ms}.{phase}")
+            }
+            FaultSpec::Partition {
+                at_ms,
+                side,
+                for_ms,
+            } => {
+                write!(f, "fault.part.{at_ms}.")?;
+                for (i, n) in side.iter().enumerate() {
+                    let sep = if i > 0 { "-" } else { "" };
+                    write!(f, "{sep}{n}")?;
+                }
+                let phase = if first { "cut" } else { "heal" };
+                write!(f, ".{for_ms}.{phase}")
+            }
+            FaultSpec::Flap { at_ms, a, b, .. } => {
+                let phase = if first { "down" } else { "up" };
+                write!(f, "fault.flap.{at_ms}.{a}.{b}.{}.{phase}", self.edge / 2)
+            }
+        }
+    }
+}
+
 impl FaultSpec {
+    /// The fault as the topology changes every stage applies, in firing
+    /// order: an outage crashes and restarts, a partition imposes and
+    /// heals, a flap takes the link down and up once per cycle. Server
+    /// index `i` is `servers[i % servers.len()]`.
+    pub fn actions<'a>(
+        &'a self,
+        servers: &'a [NodeId],
+    ) -> impl Iterator<Item = FaultEdge<'a>> + 'a {
+        let node = move |i: usize| servers[i % servers.len()];
+        let edges = match *self {
+            FaultSpec::Flap { cycles, .. } => 2 * cycles,
+            FaultSpec::Outage { .. } | FaultSpec::Partition { .. } => 2,
+        };
+        (0..edges).map(move |edge| {
+            let first = edge % 2 == 0;
+            let (at_ms, action) = match *self {
+                FaultSpec::Outage {
+                    at_ms,
+                    node: n,
+                    for_ms,
+                } => {
+                    if first {
+                        (at_ms, FaultAction::Crash(node(n)))
+                    } else {
+                        (at_ms + for_ms, FaultAction::Restart(node(n)))
+                    }
+                }
+                FaultSpec::Partition {
+                    at_ms,
+                    ref side,
+                    for_ms,
+                } => {
+                    if first {
+                        let side = side.iter().map(|&i| node(i)).collect();
+                        (at_ms, FaultAction::Partition(side))
+                    } else {
+                        (at_ms + for_ms, FaultAction::HealPartition)
+                    }
+                }
+                FaultSpec::Flap {
+                    at_ms,
+                    a,
+                    b,
+                    down_ms,
+                    up_ms,
+                    ..
+                } => {
+                    let down_at = at_ms + (down_ms + up_ms) * (edge / 2) as u64;
+                    let (at, state) = if first {
+                        (down_at, LinkState::down())
+                    } else {
+                        (down_at + down_ms, LinkState::healthy())
+                    };
+                    (at, FaultAction::SetLink(node(a), node(b), state))
+                }
+            };
+            FaultEdge {
+                at_ms,
+                action,
+                fault: self,
+                edge,
+            }
+        })
+    }
+
     /// When the fault has fully healed, as an offset from the run origin.
     pub fn end_ms(&self) -> u64 {
         match *self {
@@ -615,6 +732,83 @@ mod tests {
         let mut trailing = sample().to_ron();
         trailing.push_str("extra");
         assert!(Scenario::from_ron(&trailing).is_err());
+    }
+
+    /// `(at_ms, label, action)` of every edge, on servers `n1..=n3`.
+    fn edges(f: &FaultSpec) -> Vec<(u64, String, FaultAction)> {
+        let servers = [NodeId(1), NodeId(2), NodeId(3)];
+        f.actions(&servers)
+            .map(|e| (e.at_ms, e.to_string(), e.action))
+            .collect()
+    }
+
+    #[test]
+    fn an_outage_crashes_and_restarts_its_wrapped_server() {
+        let f = FaultSpec::Outage {
+            at_ms: 1,
+            node: 4, // wraps: 4 % 3 = server 1 = node 2
+            for_ms: 9,
+        };
+        assert_eq!(
+            edges(&f),
+            vec![
+                (
+                    1,
+                    "fault.out.1.4.9.down".into(),
+                    FaultAction::Crash(NodeId(2))
+                ),
+                (
+                    10,
+                    "fault.out.1.4.9.up".into(),
+                    FaultAction::Restart(NodeId(2))
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_partition_imposes_then_heals() {
+        let f = FaultSpec::Partition {
+            at_ms: 10,
+            side: vec![0, 2],
+            for_ms: 20,
+        };
+        assert_eq!(
+            edges(&f),
+            vec![
+                (
+                    10,
+                    "fault.part.10.0-2.20.cut".into(),
+                    FaultAction::Partition(vec![NodeId(1), NodeId(3)])
+                ),
+                (
+                    30,
+                    "fault.part.10.0-2.20.heal".into(),
+                    FaultAction::HealPartition
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_flap_cycles_its_link_down_and_up() {
+        let f = FaultSpec::Flap {
+            at_ms: 5,
+            a: 0,
+            b: 1,
+            down_ms: 2,
+            up_ms: 3,
+            cycles: 2,
+        };
+        let got = edges(&f);
+        let at: Vec<u64> = got.iter().map(|e| e.0).collect();
+        assert_eq!(at, vec![5, 7, 10, 12]);
+        assert_eq!(got[0].1, "fault.flap.5.0.1.0.down");
+        assert_eq!(got[3].1, "fault.flap.5.0.1.1.up");
+        let (a, b) = (NodeId(1), NodeId(2));
+        assert_eq!(got[2].2, FaultAction::SetLink(a, b, LinkState::down()));
+        assert_eq!(got[3].2, FaultAction::SetLink(a, b, LinkState::healthy()));
+        assert_eq!(f.end_ms(), 15);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use weakset::prelude::{FetchOrder, Semantics};
 use weakset_dst::prelude::*;
 use weakset_runtime::record::RecEvent;
+use weakset_sim::metrics::ObsEvent;
 use weakset_store::prelude::ReadPolicy;
 
 fn base_scenario(seed: u64) -> Scenario {
@@ -71,9 +72,11 @@ fn replaying_a_recording_is_deterministic() {
 }
 
 /// Satellite 3: a partition plus a link flap during the live run. The
-/// recording must capture the reachability transitions, and the replay
-/// must reproduce the outcome divergence-free — including any
-/// blocked-then-healed behaviour the optimistic iterator saw.
+/// recording must bracket every fault edge in a region, and the replay
+/// must re-apply each one through the simulator — its `sim.fault.*`
+/// events are exactly a simulated run's — and reproduce the outcome
+/// divergence-free, including any blocked-then-healed behaviour the
+/// optimistic iterator saw.
 #[test]
 fn faulted_threaded_run_replays_deterministically() {
     let mut s = base_scenario(0xFA17);
@@ -104,19 +107,19 @@ fn faulted_threaded_run_replays_deterministically() {
         live.report.violations
     );
 
-    let cuts = live
-        .recording
-        .entries
-        .iter()
-        .filter(|e| matches!(e.ev, RecEvent::SetReachable { ok: false, .. }))
-        .count();
-    let heals = live
-        .recording
-        .entries
-        .iter()
-        .filter(|e| matches!(e.ev, RecEvent::SetReachable { ok: true, .. }))
-        .count();
-    assert!(cuts > 0, "partition + flap must record reachability cuts");
+    let fault_regions = |phases: [&str; 2]| {
+        live.recording
+            .entries
+            .iter()
+            .filter(|e| {
+                matches!(&e.ev, RecEvent::Region { label }
+                    if label.starts_with("fault.") && phases.iter().any(|p| label.ends_with(p)))
+            })
+            .count()
+    };
+    let cuts = fault_regions([".cut", ".down"]);
+    let heals = fault_regions([".heal", ".up"]);
+    assert_eq!(cuts, 3, "one partition and two flap cycles");
     assert_eq!(cuts, heals, "every recorded cut must record its heal");
 
     let a = replay_recording(&live.recording).expect("replay a");
@@ -126,10 +129,19 @@ fn faulted_threaded_run_replays_deterministically() {
     assert_eq!(a.report.yielded, live.report.yielded);
     assert_eq!(a.membership, live.membership);
     assert!(a.report.violations.is_empty(), "{:?}", a.report.violations);
-    assert!(
-        a.report.metrics.counter("replay.fault.applied") >= (cuts + heals) as u64,
-        "replay must apply the recorded transitions to the sim topology"
+    assert_eq!(
+        a.report.metrics.counter("replay.fault.applied"),
+        (cuts + heals) as u64,
+        "replay must re-apply every recorded fault region"
     );
+    let faults = |events: &[ObsEvent]| -> Vec<(String, String)> {
+        events
+            .iter()
+            .filter(|e| e.kind.starts_with("sim.fault."))
+            .map(|e| (e.kind.to_string(), e.detail.clone()))
+            .collect()
+    };
+    assert_eq!(faults(&a.report.events), faults(&execute(&s).events));
 }
 
 /// Satellite 4 (b): a hand-truncated recording — as a hung shutdown

@@ -8,12 +8,14 @@
 //! as a [`RecEntry`]: message departure order and payload hashes, rpc
 //! outcomes with their observed stall times (the clock reads that
 //! matter), async completion order (`wait_any` winners), timer-fire
-//! order, spawn and reachability transitions. The resulting
-//! [`Recording`] is a compact, schema-versioned log that `weakset-dst`
-//! can replay through the deterministic simulator, pinning delivery to
-//! the recorded interleaving and substituting the recorded failures —
-//! which puts a real run in front of the conformance oracles, the
-//! shrinker, and explain mode.
+//! order and spawns. Faults are not boundary crossings: the driver
+//! brackets each one in a [`RecEvent::Region`] whose label names it in
+//! the embedded workload. The resulting [`Recording`] is a compact,
+//! schema-versioned log that `weakset-dst` can replay through the
+//! deterministic simulator, pinning delivery to the recorded
+//! interleaving and substituting the recorded failures — which puts a
+//! real run in front of the conformance oracles, the shrinker, and
+//! explain mode.
 //!
 //! Payloads are hashed ([`hash_debug`], FNV-1a over the `Debug`
 //! rendering), not stored: replay re-executes the client against real
@@ -30,7 +32,7 @@ pub use weakset_sim::trace::hash_debug;
 
 /// Artifact schema version; bump on any breaking change to the log
 /// grammar (mirrors the repro-artifact convention in `weakset-dst`).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// How a recorded rpc ended, payloads hashed. Mirrors
 /// [`weakset_sim::net::NetError`] with raw node ids so the log is
@@ -172,22 +174,6 @@ pub enum RecEvent {
     TimerFired {
         /// The fired task's label.
         label: String,
-    },
-    /// The route between two nodes was blocked or restored.
-    SetReachable {
-        /// One endpoint (raw id).
-        a: u32,
-        /// The other endpoint (raw id).
-        b: u32,
-        /// `true` restores the route, `false` blocks it.
-        ok: bool,
-    },
-    /// A node was marked up or down.
-    SetNodeUp {
-        /// Raw node id.
-        node: u32,
-        /// The new liveness.
-        up: bool,
     },
 }
 
@@ -399,12 +385,6 @@ fn push_event(out: &mut String, ev: &RecEvent) {
             push_str_lit(out, label);
             out.push(')');
         }
-        RecEvent::SetReachable { a, b, ok } => {
-            out.push_str(&format!("SetReachable(a: {a}, b: {b}, ok: {ok})"));
-        }
-        RecEvent::SetNodeUp { node, up } => {
-            out.push_str(&format!("SetNodeUp(node: {node}, up: {up})"));
-        }
     }
 }
 
@@ -535,15 +515,6 @@ fn event_body(p: &mut Parser, tag: &str) -> Result<RecEvent, String> {
         },
         "TimerFired" => RecEvent::TimerFired {
             label: p.str_key("label")?,
-        },
-        "SetReachable" => RecEvent::SetReachable {
-            a: p.num_field("a")? as u32,
-            b: p.num_field("b")? as u32,
-            ok: p.bool_key("ok")?,
-        },
-        "SetNodeUp" => RecEvent::SetNodeUp {
-            node: p.num_field("node")? as u32,
-            up: p.bool_key("up")?,
         },
         other => return Err(format!("unknown event '{other}'")),
     })
@@ -684,18 +655,6 @@ mod tests {
                     },
                 },
                 RecEntry {
-                    at_us: 19,
-                    ev: RecEvent::SetReachable {
-                        a: 0,
-                        b: 1,
-                        ok: false,
-                    },
-                },
-                RecEntry {
-                    at_us: 20,
-                    ev: RecEvent::SetNodeUp { node: 1, up: false },
-                },
-                RecEntry {
                     at_us: 21,
                     ev: RecEvent::Rpc {
                         from: 0,
@@ -750,6 +709,19 @@ mod tests {
         assert!(err.contains("schema_version"), "{err}");
         assert!(Recording::from_ron("").is_err());
         assert!(Recording::from_ron("Recording(seed: nope)").is_err());
+    }
+
+    /// Schema 1 logged faults as reachability and liveness flips; schema
+    /// 2 names them by region. An old artifact is refused up front, not
+    /// misread.
+    #[test]
+    fn rejects_a_schema_1_recording() {
+        let v1 = sample().to_ron().replace(
+            &format!("schema_version: {SCHEMA_VERSION}"),
+            "schema_version: 1",
+        );
+        let err = Recording::from_ron(&v1).unwrap_err();
+        assert!(err.contains("unsupported schema_version 1"), "{err}");
     }
 
     #[test]

@@ -26,6 +26,15 @@
 //! guarantees. A handler that panics, on either path, crashes its node
 //! (`NodeSlot::run`).
 //!
+//! ## Faults
+//!
+//! The fleet's only fault table is the simulator's own [`Topology`],
+//! shared by every view and every node thread and changed only through
+//! [`ThreadedRuntime::apply_fault`]: a fault means what it means on the
+//! simulator — messages relay through up nodes, a new partition replaces
+//! the old one — and routes, liveness, a down node eating its mail and a
+//! panicking handler's crash all read or write that one table.
+//!
 //! ## Time and timers
 //!
 //! `now()` is `Instant::elapsed` since the runtime was created,
@@ -56,15 +65,15 @@
 //! staleness per view and views still never share a metrics lock.
 //! Mailbox backlog and queue depth per node are lock-free atomic cells
 //! sampled by the hub at scrape time. Boundary crossings (rpc outcomes,
-//! sends, timer fires, fault transitions) are noted in one place, the
-//! attached [`Recorder`]: its recording is the black box, marked
-//! truncated when shutdown reports hung nodes.
+//! sends, waits, timer fires) are noted in one place, the attached
+//! [`Recorder`]: its recording is the black box, marked truncated when
+//! shutdown reports hung nodes.
 
 use crate::record::{hash_debug, RecEvent, RecOutcome, Recorder};
 use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport};
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -72,11 +81,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use weakset_obs::telemetry::{self, HubPublisher, TelemetryHub};
+use weakset_sim::fault::FaultAction;
 use weakset_sim::metrics::{EventSink, Metrics, SpanId, TraceContext};
 use weakset_sim::net::NetError;
 use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
+use weakset_sim::topology::Topology;
 use weakset_sim::world::{ReplyToken, Service, ServiceCtx};
 
 /// How long a node thread blocks on its mailbox before re-checking the
@@ -179,16 +190,17 @@ impl<M> NodeSlot<M> {
     /// Runs `handler` on the installed service, with `msg` and the
     /// context a handler on `node` gets at `now`; `Err(msg)` when no
     /// service is installed. Both handler call sites go through here, so
-    /// a panicking handler is caught on either path: `Ok(Err(_))` tells
-    /// the caller to crash the node. The guard this runs under outlives
-    /// the unwind, so the slot is not poisoned.
+    /// a panicking handler is caught on either path and crashes `node`
+    /// in `topology`: `Ok(Err(NodeDown))`. The guard this runs under
+    /// outlives the unwind, so the slot is not poisoned.
     fn run<R>(
         &mut self,
+        topology: &Mutex<Topology>,
         now: SimTime,
         node: NodeId,
         msg: M,
         handler: impl FnOnce(&mut dyn Service<M>, &mut ServiceCtx<'_>, M) -> R,
-    ) -> Result<thread::Result<R>, M> {
+    ) -> Result<Result<R, NetError>, M> {
         let Some(svc) = self.svc.as_deref_mut() else {
             return Err(msg);
         };
@@ -197,32 +209,29 @@ impl<M> NodeSlot<M> {
             node,
             rng: &mut self.rng,
         };
-        Ok(catch_unwind(AssertUnwindSafe(|| {
-            handler(svc, &mut ctx, msg)
-        })))
+        Ok(
+            catch_unwind(AssertUnwindSafe(|| handler(svc, &mut ctx, msg))).map_err(|_panic| {
+                lock(topology).crash(node);
+                NetError::NodeDown(node)
+            }),
+        )
     }
 }
 
 /// The per-node state a view needs to reach a node, shared by the fleet
 /// table and, for the length of one rpc, the calling view. The pieces a
-/// node's own thread needs (`up`, `slot`, the stop flag) are
+/// node's own thread needs (`slot`, the topology, the stop flag) are
 /// `Arc`-cloned into it at spawn time — the thread deliberately does
 /// NOT hold the [`Shared`] fleet, so dropping the last view drops every
 /// mailbox sender and the threads drain out on their own.
 struct NodeHandle<M> {
     tx: Sender<Envelope<M>>,
-    up: Arc<AtomicBool>,
     slot: Arc<Mutex<NodeSlot<M>>>,
     join: Mutex<Option<JoinHandle<()>>>,
-    name: String,
     stats: MailboxStats,
 }
 
 impl<M: 'static> NodeHandle<M> {
-    fn is_up(&self) -> bool {
-        self.up.load(Ordering::SeqCst)
-    }
-
     /// Runs a request on the *caller's* thread, without crossing the
     /// mailbox, when the node is idle and its service takes it;
     /// `Err(msg)` sends the request through the mailbox as usual.
@@ -240,6 +249,7 @@ impl<M: 'static> NodeHandle<M> {
     /// poisoned slot is simply not idle.
     fn serve_inline(
         &self,
+        topology: &Mutex<Topology>,
         now: SimTime,
         to: NodeId,
         from: NodeId,
@@ -251,14 +261,11 @@ impl<M: 'static> NodeHandle<M> {
         let Ok(mut slot) = self.slot.try_lock() else {
             return Err(msg);
         };
-        match slot.run(now, to, msg, |svc, ctx, msg| {
+        match slot.run(topology, now, to, msg, |svc, ctx, msg| {
             svc.serve_inline(ctx, from, msg)
         })? {
             Ok(served) => served.map(Ok),
-            Err(_panic) => {
-                self.up.store(false, Ordering::SeqCst);
-                Ok(Err(NetError::NodeDown(to)))
-            }
+            Err(crashed) => Ok(Err(crashed)),
         }
     }
 
@@ -282,8 +289,10 @@ impl<M: 'static> NodeHandle<M> {
 /// densely, in `add_node` order, and a node is never removed.
 type Fleet<M> = Vec<Arc<NodeHandle<M>>>;
 
-fn node_up<M: 'static>(nodes: &Fleet<M>, node: NodeId) -> bool {
-    nodes.get(node.0 as usize).is_some_and(|h| h.is_up())
+/// Whether `node` is a fleet member and up (the topology only answers
+/// for ids it issued).
+fn is_up(topology: &Topology, node: NodeId) -> bool {
+    node.index() < topology.len() && topology.is_up(node)
 }
 
 /// Fleet state shared by every view.
@@ -292,38 +301,34 @@ struct Shared<M> {
     start: Instant,
     stop: Arc<AtomicBool>,
     nodes: Mutex<Fleet<M>>,
-    /// Symmetric blocked pairs, stored normalized `(min, max)`.
-    blocked: Mutex<HashSet<(NodeId, NodeId)>>,
+    /// The fault table, one topology node per fleet slot. It holds no
+    /// mailbox sender, so node threads share it (see [`NodeHandle`]).
+    topology: Arc<Mutex<Topology>>,
 }
 
 impl<M: 'static> Shared<M> {
     /// A share of `node`'s handle, so the caller can use it with the
     /// fleet table unlocked.
     fn handle(&self, node: NodeId) -> Option<Arc<NodeHandle<M>>> {
-        lock(&self.nodes).get(node.0 as usize).cloned()
+        lock(&self.nodes).get(node.index()).cloned()
     }
 
-    fn is_blocked(&self, a: NodeId, b: NodeId) -> bool {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        lock(&self.blocked).contains(&key)
-    }
-
-    /// `to`'s handle when a request from a live `from` may be delivered
-    /// to it: `to` must be known and up, and the route open.
-    fn route<'a>(
-        &self,
-        nodes: &'a Fleet<M>,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<&'a Arc<NodeHandle<M>>, NetError> {
-        let h = nodes
-            .get(to.0 as usize)
-            .filter(|h| h.is_up())
-            .ok_or(NetError::NodeDown(to))?;
-        if self.is_blocked(from, to) {
-            return Err(NetError::Unreachable { from, to });
+    /// `to`'s handle when a request from `from` may be delivered to it,
+    /// failing as the simulator fails it: `NodeDown(from)` for a down
+    /// caller, and with no route `NodeDown(to)` for a down (or unknown)
+    /// target, `Unreachable` for a live one. One pass over both tables,
+    /// and the locks are released: no handler ever runs under them.
+    fn route(&self, from: NodeId, to: NodeId) -> Result<Arc<NodeHandle<M>>, NetError> {
+        let nodes = lock(&self.nodes);
+        let topology = lock(&self.topology);
+        if !is_up(&topology, from) {
+            return Err(NetError::NodeDown(from));
         }
-        Ok(h)
+        match nodes.get(to.index()) {
+            Some(h) if topology.reachable(from, to) => Ok(Arc::clone(h)),
+            Some(_) if topology.is_up(to) => Err(NetError::Unreachable { from, to }),
+            _ => Err(NetError::NodeDown(to)),
+        }
     }
 }
 
@@ -385,7 +390,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 fn node_loop<M: RtMessage>(
     rx: Receiver<Envelope<M>>,
     stop: Arc<AtomicBool>,
-    up: Arc<AtomicBool>,
+    topology: Arc<Mutex<Topology>>,
     slot: Arc<Mutex<NodeSlot<M>>>,
     start: Instant,
     node: NodeId,
@@ -402,7 +407,7 @@ fn node_loop<M: RtMessage>(
                     stats.finished();
                     break;
                 }
-                if !up.load(Ordering::Relaxed) {
+                if !lock(&topology).is_up(node) {
                     // A crashed node eats its mail; the caller times out,
                     // matching the simulator's crashed-node behavior.
                     stats.finished();
@@ -415,17 +420,12 @@ fn node_loop<M: RtMessage>(
                     token,
                     reply,
                 } = env;
-                let outcome = lock(&slot)
-                    .run(now, node, msg, |svc, ctx, msg| svc.handle(ctx, from, msg))
-                    .map(|handled| {
-                        handled.map_err(|_panic| {
-                            // A panicking handler is a crashed node: this
-                            // caller is told so, later ones fast-fail, and
-                            // the thread lives on to eat the node's mail.
-                            up.store(false, Ordering::SeqCst);
-                            NetError::NodeDown(node)
-                        })
-                    });
+                // A panicking handler is a crashed node: this caller is
+                // told so, later ones fast-fail, and the thread lives on
+                // to eat the node's mail.
+                let outcome = lock(&slot).run(&topology, now, node, msg, |svc, ctx, msg| {
+                    svc.handle(ctx, from, msg)
+                });
                 // The slot is free and the op out of the queue BEFORE
                 // the reply goes out: a caller that sees the reply finds
                 // the node idle again.
@@ -457,7 +457,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 start: Instant::now(),
                 stop: Arc::new(AtomicBool::new(false)),
                 nodes: Mutex::new(Vec::new()),
-                blocked: Mutex::new(HashSet::new()),
+                topology: Arc::new(Mutex::new(Topology::new())),
             }),
             comp_tx,
             comp_rx,
@@ -474,10 +474,10 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     }
 
     /// Hooks a [`Recorder`] into this view: from now on every boundary
-    /// crossing (rpcs, sends, waits, timer fires, reachability and
-    /// liveness transitions) is appended to the shared log. Views cloned
-    /// *after* this call inherit the same recorder; a shutdown that
-    /// reports hung nodes marks the recording truncated.
+    /// crossing (rpcs, sends, waits, timer fires) is appended to the
+    /// shared log. Views cloned *after* this call inherit the same
+    /// recorder; a shutdown that reports hung nodes marks the recording
+    /// truncated.
     pub fn attach_recorder(&mut self, rec: Recorder) {
         self.recorder = Some(rec);
     }
@@ -505,8 +505,10 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// at scrape time with no publish round-trip. Views cloned *after*
     /// this call inherit the hub with their own publisher slot.
     pub fn attach_telemetry(&mut self, hub: TelemetryHub, cadence: Duration) {
-        for h in lock(&self.shared.nodes).iter() {
-            register_node_gauges(&hub, &h.name, &h.stats);
+        let nodes = lock(&self.shared.nodes);
+        let topology = lock(&self.shared.topology);
+        for (id, h) in topology.node_ids().zip(nodes.iter()) {
+            register_node_gauges(&hub, topology.node(id).name(), &h.stats);
         }
         self.telemetry = Some(hub.register(cadence));
     }
@@ -589,11 +591,15 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// unknown node.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let name = name.into();
-        // The table stays locked from taking the id to filling its place.
+        // The table stays locked from taking the id to filling its place;
+        // the topology issues the id, each node at a site of its own.
         let mut nodes = lock(&self.shared.nodes);
-        let node = NodeId(u32::try_from(nodes.len()).expect("fewer than 2^32 nodes"));
+        let node = {
+            let mut topology = lock(&self.shared.topology);
+            let site = topology.next_site();
+            topology.add_node(name.as_str(), site)
+        };
         let (tx, rx) = mpsc::channel();
-        let up = Arc::new(AtomicBool::new(true));
         let slot = Arc::new(Mutex::new(NodeSlot {
             svc: None,
             rng: SimRng::for_label(self.shared.seed, &format!("svc.{name}")),
@@ -603,11 +609,11 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             .name(format!("weakset-node-{name}"))
             .spawn({
                 let stop = Arc::clone(&self.shared.stop);
-                let up = Arc::clone(&up);
+                let topology = Arc::clone(&self.shared.topology);
                 let slot = Arc::clone(&slot);
                 let start = self.shared.start;
                 let stats = stats.clone();
-                move || node_loop(rx, stop, up, slot, start, node, stats)
+                move || node_loop(rx, stop, topology, slot, start, node, stats)
             })
             .expect("spawn node thread");
         if let Some(p) = &self.telemetry {
@@ -615,10 +621,8 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         }
         nodes.push(Arc::new(NodeHandle {
             tx,
-            up,
             slot,
             join: Mutex::new(Some(join)),
-            name: name.clone(),
             stats,
         }));
         drop(nodes);
@@ -630,35 +634,17 @@ impl<M: RtMessage> ThreadedRuntime<M> {
 
     /// The node's registered name, when it exists.
     pub fn node_name(&self, node: NodeId) -> Option<String> {
-        self.shared.handle(node).map(|h| h.name.clone())
+        let topology = lock(&self.shared.topology);
+        (node.index() < topology.len()).then(|| topology.node(node).name().to_string())
     }
 
-    /// Marks a node up or down. A down node eats incoming mail (callers
-    /// time out) and the transport fast-fails new requests to it.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
-        if let Some(h) = self.shared.handle(node) {
-            h.up.store(up, Ordering::SeqCst);
-        }
-        self.note(RecEvent::SetNodeUp { node: node.0, up });
-    }
-
-    /// Crashes a node (alias for `set_node_up(node, false)`).
-    pub fn crash(&mut self, node: NodeId) {
-        self.set_node_up(node, false);
-    }
-
-    /// Blocks or restores the (symmetric) route between two nodes.
-    pub fn set_reachable(&mut self, a: NodeId, b: NodeId, ok: bool) {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        {
-            let mut blocked = lock(&self.shared.blocked);
-            if ok {
-                blocked.remove(&key);
-            } else {
-                blocked.insert(key);
-            }
-        }
-        self.note(RecEvent::SetReachable { a: a.0, b: b.0, ok });
+    /// Applies one fault to the fleet's topology — the same change
+    /// [`weakset_sim::world::World::apply_fault`] makes to the
+    /// simulator's. A down node eats incoming mail (callers time out);
+    /// a request with no route fails fast, as on the simulator. Panics,
+    /// as the simulator does, on a node this fleet never added.
+    pub fn apply_fault(&mut self, action: &FaultAction) {
+        action.apply_to(&mut lock(&self.shared.topology));
     }
 
     /// Stops every node thread, waiting up to `timeout`. Returns the
@@ -746,22 +732,17 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        // One pass over the fleet tables — liveness, route — and the
-        // `nodes` lock is released: no handler ever runs under it.
-        let started;
-        let target = {
-            let nodes = lock(&self.shared.nodes);
-            if !node_up(&nodes, from) {
-                return Err(NetError::NodeDown(from));
-            }
-            self.metrics.incr("rpc.sent");
-            started = Instant::now();
-            self.shared.route(&nodes, from, to).cloned()
+        let started = Instant::now();
+        let target = match self.shared.route(from, to) {
+            // A down caller sends nothing.
+            Err(NetError::NodeDown(n)) if n == from => return Err(NetError::NodeDown(from)),
+            target => target,
         };
+        self.metrics.incr("rpc.sent");
         let launched = target.and_then(|h| {
             let now = started.saturating_duration_since(self.shared.start);
             let now = SimTime::from_micros(now.as_micros() as u64);
-            match h.serve_inline(now, to, from, msg) {
+            match h.serve_inline(&self.shared.topology, now, to, from, msg) {
                 Ok(handled) => handled.map(Launched::Served),
                 Err(msg) => {
                     let token = self.next_token;
@@ -986,22 +967,15 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         let token = self.next_token;
         self.next_token += 1;
         self.metrics.incr("rpc.sent");
-        let posted = {
-            let nodes = lock(&self.shared.nodes);
-            if node_up(&nodes, from) {
-                self.shared.route(&nodes, from, to).and_then(|h| {
-                    let env = Envelope {
-                        from,
-                        msg,
-                        token,
-                        reply: self.comp_tx.clone(),
-                    };
-                    h.post(to, env)
-                })
-            } else {
-                Err(NetError::NodeDown(from))
-            }
-        };
+        let posted = self.shared.route(from, to).and_then(|h| {
+            let env = Envelope {
+                from,
+                msg,
+                token,
+                reply: self.comp_tx.clone(),
+            };
+            h.post(to, env)
+        });
         if let Err(e) = posted {
             self.completed.insert(token, Err(e));
         }
@@ -1125,12 +1099,12 @@ impl<M: RtMessage> ServiceHost<M> for ThreadedRuntime<M> {
     }
 
     fn is_up(&self, node: NodeId) -> bool {
-        node_up(&lock(&self.shared.nodes), node)
+        is_up(&lock(&self.shared.topology), node)
     }
 
     fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        let nodes = lock(&self.shared.nodes);
-        node_up(&nodes, from) && self.shared.route(&nodes, from, to).is_ok()
+        let topology = lock(&self.shared.topology);
+        is_up(&topology, from) && is_up(&topology, to) && topology.reachable(from, to)
     }
 }
 
@@ -1153,6 +1127,7 @@ impl<M: RtMessage> Spawner<M> for ThreadedRuntime<M> {
 mod tests {
     use super::*;
     use crate::traits::{Runtime, RuntimeExt, TaskFn};
+    use weakset_sim::link::LinkState;
     use weakset_sim::net::BatchEnvelope;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -1217,22 +1192,31 @@ mod tests {
     #[test]
     fn rpc_to_down_node_fast_fails() {
         let (mut rt, c, s) = fleet();
-        rt.crash(s);
+        rt.apply_fault(&FaultAction::Crash(s));
         let reply = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
         assert_eq!(reply, Err(NetError::NodeDown(s)));
-        rt.set_node_up(s, true);
+        rt.apply_fault(&FaultAction::Restart(s));
         let reply = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
         assert_eq!(reply, Ok(Msg::Val(2)));
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
     #[test]
-    fn blocked_route_is_unreachable() {
+    fn a_cut_link_is_routed_around_as_on_the_simulator() {
         let (mut rt, c, s) = fleet();
-        rt.set_reachable(c, s, false);
-        let reply = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
-        assert_eq!(reply, Err(NetError::Unreachable { from: c, to: s }));
-        rt.set_reachable(c, s, true);
+        let relay = rt.add_node("relay");
+        rt.apply_fault(&FaultAction::SetLink(c, s, LinkState::down()));
+        assert!(ServiceHost::reachable(&rt, c, s), "client-relay-server");
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Val(1), SECS5),
+            Ok(Msg::Val(2))
+        );
+        rt.apply_fault(&FaultAction::Crash(relay));
+        assert_eq!(
+            Transport::rpc(&mut rt, c, s, Msg::Val(1), SECS5),
+            Err(NetError::Unreachable { from: c, to: s })
+        );
+        rt.apply_fault(&FaultAction::SetLink(c, s, LinkState::healthy()));
         assert!(ServiceHost::reachable(&rt, c, s));
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
@@ -1535,21 +1519,22 @@ mod tests {
         let get = |rt: &mut ThreadedRuntime<Msg>, from, to| {
             Transport::rpc(rt, from, to, Msg::Get, SimDuration::from_millis(80))
         };
-        rt.crash(s);
+        rt.apply_fault(&FaultAction::Crash(s));
         assert_eq!(get(&mut rt, c, s), Err(NetError::NodeDown(s)));
-        rt.set_node_up(s, true);
-        rt.set_reachable(c, s, false);
+        rt.apply_fault(&FaultAction::Restart(s));
+        // A partition, not a cut link: `empty` would relay around that.
+        rt.apply_fault(&FaultAction::Partition(vec![s]));
         assert_eq!(
             get(&mut rt, c, s),
             Err(NetError::Unreachable { from: c, to: s })
         );
-        rt.set_reachable(c, s, true);
+        rt.apply_fault(&FaultAction::HealPartition);
         assert_eq!(get(&mut rt, c, empty), Err(NetError::Timeout));
         assert_eq!(
             get(&mut rt, c, NodeId(99)),
             Err(NetError::NodeDown(NodeId(99)))
         );
-        rt.crash(c);
+        rt.apply_fault(&FaultAction::Crash(c));
         assert_eq!(get(&mut rt, c, s), Err(NetError::NodeDown(c)));
         assert_eq!(rt.metrics.counter("rpc.shared"), 0);
         assert_eq!(
@@ -1644,7 +1629,7 @@ mod tests {
             // serves again — `send` always through the mailbox, so this
             // panic is on the node's own thread for both services.
             assert_eq!(rt.with_service(s, |f: &Fragile| f.handled), Some(1));
-            rt.set_node_up(s, true);
+            rt.apply_fault(&FaultAction::Restart(s));
             assert_eq!(
                 Transport::rpc(&mut rt, c, s, Msg::Val(3), SECS5),
                 Ok(Msg::Val(3))
@@ -1736,15 +1721,15 @@ mod tests {
         rt.install_service(s, Box::new(Inc { hits: 0 }));
         let empty = rt.add_node("empty");
 
-        rt.set_reachable(c, s, false);
+        rt.apply_fault(&FaultAction::Partition(vec![s]));
         let un = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
         assert!(matches!(un, Err(NetError::Unreachable { .. })));
-        rt.set_reachable(c, s, true);
+        rt.apply_fault(&FaultAction::HealPartition);
 
-        rt.crash(s);
+        rt.apply_fault(&FaultAction::Crash(s));
         let down = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
         assert_eq!(down, Err(NetError::NodeDown(s)));
-        rt.set_node_up(s, true);
+        rt.apply_fault(&FaultAction::Restart(s));
 
         let to = Transport::rpc(&mut rt, c, empty, Msg::Val(1), SimDuration::from_millis(60));
         assert_eq!(to, Err(NetError::Timeout));
@@ -1837,10 +1822,10 @@ mod tests {
         rt.install_service(s, Box::new(Inc { hits: 0 }));
         let ok = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
         assert_eq!(ok, Ok(Msg::Val(2)));
-        rt.set_reachable(c, s, false);
+        rt.apply_fault(&FaultAction::Partition(vec![s]));
         let un = Transport::rpc(&mut rt, c, s, Msg::Val(1), SimDuration::from_secs(5));
         assert_eq!(un, Err(NetError::Unreachable { from: c, to: s }));
-        rt.set_reachable(c, s, true);
+        rt.apply_fault(&FaultAction::HealPartition);
         let token = Transport::send(&mut rt, c, s, Msg::Val(5));
         let deadline = Clock::now(&rt) + SimDuration::from_secs(5);
         assert_eq!(
@@ -1855,27 +1840,21 @@ mod tests {
         assert!(!rec.truncated);
         assert_eq!(rec.nodes, vec!["client".to_string(), "server".to_string()]);
         let evs: Vec<&RecEvent> = rec.entries.iter().map(|e| &e.ev).collect();
-        // Same request payload → same recorded hash, success then failure.
-        let rpc_hashes: Vec<(u64, bool)> = evs
+        // Same request payload → same recorded hash, success then the
+        // partition's failure; the fault itself is the driver's to record.
+        let rpcs: Vec<(u64, RecOutcome)> = evs
             .iter()
             .filter_map(|e| match e {
                 RecEvent::Rpc {
                     req_hash, outcome, ..
-                } => Some((*req_hash, matches!(outcome, RecOutcome::Ok { .. }))),
+                } => Some((*req_hash, *outcome)),
                 _ => None,
             })
             .collect();
-        assert_eq!(rpc_hashes.len(), 2);
-        assert_eq!(rpc_hashes[0].0, rpc_hashes[1].0);
-        assert!(rpc_hashes[0].1 && !rpc_hashes[1].1);
-        assert!(evs.iter().any(|e| matches!(
-            e,
-            RecEvent::SetReachable {
-                a: 0,
-                b: 1,
-                ok: false
-            }
-        )));
+        assert_eq!(rpcs.len(), 2);
+        assert_eq!(rpcs[0].0, rpcs[1].0);
+        assert!(matches!(rpcs[0].1, RecOutcome::Ok { .. }));
+        assert_eq!(rpcs[1].1, RecOutcome::Unreachable { from: 0, to: 1 });
         let sent_token = evs
             .iter()
             .find_map(|e| match e {

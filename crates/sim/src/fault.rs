@@ -8,7 +8,7 @@
 use crate::link::LinkState;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::PartitionGroup;
+use crate::topology::{PartitionGroup, Topology};
 
 /// A single state change applied to the topology at a scheduled time.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,6 +25,21 @@ pub enum FaultAction {
     HealPartition,
     /// Assign one node to a partition group (or back to the default).
     SetGroup(NodeId, Option<PartitionGroup>),
+}
+
+impl FaultAction {
+    /// Applies the change to `topology`: what a fault *is*, on every
+    /// backend that keeps a [`Topology`].
+    pub fn apply_to(&self, topology: &mut Topology) {
+        match self {
+            FaultAction::Crash(n) => topology.crash(*n),
+            FaultAction::Restart(n) => topology.restart(*n),
+            FaultAction::SetLink(a, b, state) => topology.set_link(*a, *b, *state),
+            FaultAction::Partition(side) => topology.partition(side),
+            FaultAction::HealPartition => topology.heal_partition(),
+            FaultAction::SetGroup(n, group) => topology.set_group(*n, *group),
+        }
+    }
 }
 
 /// A time-ordered script of fault actions.

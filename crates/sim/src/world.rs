@@ -860,7 +860,10 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         }
     }
 
-    fn apply_fault(&mut self, action: FaultAction) {
+    /// Applies one fault now, as a fired [`FaultPlan`] entry does: the
+    /// topology changes, and the change is counted, traced and recorded
+    /// as a `sim.fault.*` event.
+    pub fn apply_fault(&mut self, action: FaultAction) {
         let kind = match &action {
             FaultAction::Crash(_) => "sim.fault.crash",
             FaultAction::Restart(_) => "sim.fault.restart",
@@ -888,33 +891,16 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             };
             self.events.event(self.now.as_micros(), kind, detail);
         }
-        match action {
-            FaultAction::Crash(n) => {
-                self.topology.crash(n);
-                self.trace.record(self.now, TraceEvent::NodeCrashed(n));
-            }
-            FaultAction::Restart(n) => {
-                self.topology.restart(n);
-                self.trace.record(self.now, TraceEvent::NodeRestarted(n));
-            }
-            FaultAction::SetLink(a, b, s) => {
-                self.topology.set_link(a, b, s);
-                self.trace.record(self.now, TraceEvent::LinkChanged(a, b));
-            }
-            FaultAction::Partition(side) => {
-                self.topology.partition(&side);
-                self.trace
-                    .record(self.now, TraceEvent::PartitionImposed(side));
-            }
-            FaultAction::HealPartition => {
-                self.topology.heal_partition();
-                self.trace.record(self.now, TraceEvent::PartitionHealed);
-            }
-            FaultAction::SetGroup(n, g) => {
-                self.topology.set_group(n, g);
-                self.trace.record(self.now, TraceEvent::GroupChanged(n));
-            }
-        }
+        action.apply_to(&mut self.topology);
+        let ev = match action {
+            FaultAction::Crash(n) => TraceEvent::NodeCrashed(n),
+            FaultAction::Restart(n) => TraceEvent::NodeRestarted(n),
+            FaultAction::SetLink(a, b, _) => TraceEvent::LinkChanged(a, b),
+            FaultAction::Partition(side) => TraceEvent::PartitionImposed(side),
+            FaultAction::HealPartition => TraceEvent::PartitionHealed,
+            FaultAction::SetGroup(n, _) => TraceEvent::GroupChanged(n),
+        };
+        self.trace.record(self.now, ev);
     }
 }
 

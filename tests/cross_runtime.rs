@@ -237,7 +237,7 @@ fn optimistic_blocking_agrees_across_backends() {
     assert_eq!(it.next(&mut w), IterStep::Done);
     let sim_comp = it.take_computation(&w).unwrap();
 
-    // Threads: same story via the fleet's reachability fault table.
+    // Threads: the same partition, through the fleet's topology.
     let mut rt = ThreadedRuntime::<StoreMsg>::new(2);
     let tcn = rt.add_node("client");
     let ts0 = rt.add_node("s0");
@@ -245,11 +245,11 @@ fn optimistic_blocking_agrees_across_backends() {
     rt.install_service(ts0, Box::new(StoreServer::new()));
     rt.install_service(ts1, Box::new(StoreServer::new()));
     let set = setup_set(&mut rt, tcn, ts0, ts1);
-    rt.set_reachable(tcn, ts1, false);
+    rt.apply_fault(&FaultAction::Partition(vec![ts1]));
     let mut it = set.elements_observed(Semantics::Optimistic);
     assert!(matches!(it.next(&mut rt), IterStep::Yielded(_)));
     assert_eq!(it.next(&mut rt), IterStep::Blocked);
-    rt.set_reachable(tcn, ts1, true);
+    rt.apply_fault(&FaultAction::HealPartition);
     assert!(matches!(it.next(&mut rt), IterStep::Yielded(_)));
     assert_eq!(it.next(&mut rt), IterStep::Done);
     let rt_comp = it.take_computation(&rt).unwrap();
@@ -260,6 +260,93 @@ fn optimistic_blocking_agrees_across_backends() {
         check_computation(Figure::Fig6, comp).assert_ok();
         assert_eq!(comp.runs[0].yielded_set().len(), 2);
     }
+}
+
+/// One fault model: the DST's fault specs, mapped once to topology
+/// changes and applied to a simulated world and to a threaded fleet with
+/// the same roster, leave both with the same `is_up` / `reachable`
+/// matrix after every change. The cases that used to disagree: a
+/// server–server flap, which the client relays around, and a partition
+/// that replaces an earlier one (whose heal then heals both).
+#[test]
+fn fault_actions_mean_the_same_on_both_backends() {
+    use weakset_dst::prelude::FaultSpec;
+
+    let mut t = Topology::new();
+    let client = t.add_node("client", 0);
+    let servers = t.add_servers("s", 3);
+    let mut w = StoreWorld::new(
+        WorldConfig::seeded(SEED),
+        t,
+        LatencyModel::Constant(SimDuration::from_millis(1)),
+    );
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
+    assert_eq!(rt.add_node("client"), client);
+    for (i, &s) in servers.iter().enumerate() {
+        assert_eq!(rt.add_node(format!("s{i}")), s);
+    }
+    let all: Vec<NodeId> = std::iter::once(client).chain(servers.clone()).collect();
+    let view = |rt: &StoreRt| -> Vec<(bool, Vec<bool>)> {
+        all.iter()
+            .map(|&a| {
+                (
+                    rt.is_up(a),
+                    all.iter().map(|&b| rt.reachable(a, b)).collect(),
+                )
+            })
+            .collect()
+    };
+
+    let outage = vec![FaultSpec::Outage {
+        at_ms: 0,
+        node: 1,
+        for_ms: 10,
+    }];
+    let partition = vec![FaultSpec::Partition {
+        at_ms: 0,
+        side: vec![0],
+        for_ms: 10,
+    }];
+    let overlapping = vec![
+        FaultSpec::Partition {
+            at_ms: 0,
+            side: vec![1],
+            for_ms: 20,
+        },
+        FaultSpec::Partition {
+            at_ms: 5,
+            side: vec![1, 2],
+            for_ms: 5,
+        },
+    ];
+    let flap = vec![FaultSpec::Flap {
+        at_ms: 0,
+        a: 0,
+        b: 1,
+        down_ms: 1,
+        up_ms: 1,
+        cycles: 2,
+    }];
+    let mut disagreements = Vec::new();
+    for case in [outage, partition, overlapping, flap] {
+        let mut edges: Vec<_> = case.iter().flat_map(|f| f.actions(&servers)).collect();
+        edges.sort_by_key(|e| e.at_ms);
+        for edge in edges {
+            w.apply_fault(edge.action.clone());
+            rt.apply_fault(&edge.action);
+            let (sim, threads) = (view(&w), view(&rt));
+            if sim != threads {
+                disagreements.push(format!("{edge}: sim {sim:?} threads {threads:?}"));
+            }
+        }
+    }
+    rt.shutdown(Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+    assert_eq!(disagreements, Vec::<String>::new());
+    // Every case healed itself: both backends end fully connected.
+    assert!(view(&w)
+        .iter()
+        .all(|(up, row)| *up && row.iter().all(|&r| r)));
 }
 
 /// Three gossip replicas on real threads with five members added at the

@@ -30,10 +30,18 @@
 //!
 //! The fleet's only fault table is the simulator's own [`Topology`],
 //! shared by every view and every node thread and changed only through
-//! [`ThreadedRuntime::apply_fault`]: a fault means what it means on the
-//! simulator — messages relay through up nodes, a new partition replaces
-//! the old one — and routes, liveness, a down node eating its mail and a
-//! panicking handler's crash all read or write that one table.
+//! [`ThreadedRuntime::apply_fault`], `add_node` and a panicking
+//! handler's crash: a fault means what it means on the simulator —
+//! messages relay through up nodes, a new partition replaces the old
+//! one. Each change bumps a fleet-wide fault epoch, `Release`, before
+//! the table's lock is released. A view routes its rpcs and sends
+//! through its own copy of the fleet and fault tables, tagged with the
+//! epoch it was taken at: one `Acquire` load finds the copy current,
+//! and a moved epoch re-copies both tables under their locks. So a
+//! fault applied before an rpc or send begins, on any view or thread,
+//! is always seen by it; a fault racing one may or may not be, as on
+//! the simulator a fault racing a message in flight. Liveness queries
+//! and a down node eating its mail read the shared table itself.
 //!
 //! ## Time and timers
 //!
@@ -191,11 +199,11 @@ impl<M> NodeSlot<M> {
     /// context a handler on `node` gets at `now`; `Err(msg)` when no
     /// service is installed. Both handler call sites go through here, so
     /// a panicking handler is caught on either path and crashes `node`
-    /// in `topology`: `Ok(Err(NodeDown))`. The guard this runs under
+    /// in `faults`: `Ok(Err(NodeDown))`. The guard this runs under
     /// outlives the unwind, so the slot is not poisoned.
     fn run<R>(
         &mut self,
-        topology: &Mutex<Topology>,
+        faults: &Faults,
         now: SimTime,
         node: NodeId,
         msg: M,
@@ -211,19 +219,41 @@ impl<M> NodeSlot<M> {
         };
         Ok(
             catch_unwind(AssertUnwindSafe(|| handler(svc, &mut ctx, msg))).map_err(|_panic| {
-                lock(topology).crash(node);
+                faults.change(|topology| topology.crash(node));
                 NetError::NodeDown(node)
             }),
         )
     }
 }
 
+/// The fleet's fault table and the epoch that counts its changes.
+struct Faults {
+    topology: Mutex<Topology>,
+    /// Bumped by every change, under the topology lock, so the value
+    /// read under that lock names the table's state exactly. Starts at
+    /// 1: epoch 0 is [`Routes::stale`]'s, which no fleet ever has.
+    epoch: AtomicU64,
+}
+
+impl Faults {
+    /// Changes the topology, then bumps the epoch (`Release`) before the
+    /// lock is released: a view whose `Acquire` load sees the new epoch
+    /// re-copies the table, and one that began after the change returned
+    /// cannot miss it.
+    fn change<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
+        let mut topology = lock(&self.topology);
+        let changed = f(&mut topology);
+        self.epoch.fetch_add(1, Ordering::Release);
+        changed
+    }
+}
+
 /// The per-node state a view needs to reach a node, shared by the fleet
-/// table and, for the length of one rpc, the calling view. The pieces a
-/// node's own thread needs (`slot`, the topology, the stop flag) are
-/// `Arc`-cloned into it at spawn time — the thread deliberately does
-/// NOT hold the [`Shared`] fleet, so dropping the last view drops every
-/// mailbox sender and the threads drain out on their own.
+/// table and every view's copy of it. The pieces a node's own thread
+/// needs (`slot`, the fault table, the stop flag) are `Arc`-cloned into
+/// it at spawn time — the thread deliberately does NOT hold the
+/// [`Shared`] fleet, so dropping the last view drops every mailbox
+/// sender and the threads drain out on their own.
 struct NodeHandle<M> {
     tx: Sender<Envelope<M>>,
     slot: Arc<Mutex<NodeSlot<M>>>,
@@ -249,7 +279,7 @@ impl<M: 'static> NodeHandle<M> {
     /// poisoned slot is simply not idle.
     fn serve_inline(
         &self,
-        topology: &Mutex<Topology>,
+        faults: &Faults,
         now: SimTime,
         to: NodeId,
         from: NodeId,
@@ -261,7 +291,7 @@ impl<M: 'static> NodeHandle<M> {
         let Ok(mut slot) = self.slot.try_lock() else {
             return Err(msg);
         };
-        match slot.run(topology, now, to, msg, |svc, ctx, msg| {
+        match slot.run(faults, now, to, msg, |svc, ctx, msg| {
             svc.serve_inline(ctx, from, msg)
         })? {
             Ok(served) => served.map(Ok),
@@ -295,15 +325,35 @@ fn is_up(topology: &Topology, node: NodeId) -> bool {
     node.index() < topology.len() && topology.is_up(node)
 }
 
+/// `to`'s handle in `nodes` when a request from `from` may be delivered
+/// to it under `topology`, failing as the simulator fails it:
+/// `NodeDown(from)` for a down caller, and with no route `NodeDown(to)`
+/// for a down (or unknown) target, `Unreachable` for a live one.
+fn route<'a, M>(
+    nodes: &'a [Arc<NodeHandle<M>>],
+    topology: &Topology,
+    from: NodeId,
+    to: NodeId,
+) -> Result<&'a NodeHandle<M>, NetError> {
+    if !is_up(topology, from) {
+        return Err(NetError::NodeDown(from));
+    }
+    match nodes.get(to.index()) {
+        Some(h) if topology.reachable(from, to) => Ok(h),
+        Some(_) if topology.is_up(to) => Err(NetError::Unreachable { from, to }),
+        _ => Err(NetError::NodeDown(to)),
+    }
+}
+
 /// Fleet state shared by every view.
 struct Shared<M> {
     seed: u64,
     start: Instant,
     stop: Arc<AtomicBool>,
     nodes: Mutex<Fleet<M>>,
-    /// The fault table, one topology node per fleet slot. It holds no
-    /// mailbox sender, so node threads share it (see [`NodeHandle`]).
-    topology: Arc<Mutex<Topology>>,
+    /// One topology node per fleet slot. It holds no mailbox sender, so
+    /// node threads share it (see [`NodeHandle`]).
+    faults: Arc<Faults>,
 }
 
 impl<M: 'static> Shared<M> {
@@ -312,23 +362,59 @@ impl<M: 'static> Shared<M> {
     fn handle(&self, node: NodeId) -> Option<Arc<NodeHandle<M>>> {
         lock(&self.nodes).get(node.index()).cloned()
     }
+}
 
-    /// `to`'s handle when a request from `from` may be delivered to it,
-    /// failing as the simulator fails it: `NodeDown(from)` for a down
-    /// caller, and with no route `NodeDown(to)` for a down (or unknown)
-    /// target, `Unreachable` for a live one. One pass over both tables,
-    /// and the locks are released: no handler ever runs under them.
-    fn route(&self, from: NodeId, to: NodeId) -> Result<Arc<NodeHandle<M>>, NetError> {
-        let nodes = lock(&self.nodes);
-        let topology = lock(&self.topology);
-        if !is_up(&topology, from) {
-            return Err(NetError::NodeDown(from));
+/// A view's own copy of the fleet table and the fault table, as both
+/// stood at fault epoch `epoch`: what its rpcs and sends route through,
+/// with no lock taken and no handle cloned.
+struct Routes<M> {
+    epoch: u64,
+    nodes: Fleet<M>,
+    topology: Topology,
+}
+
+impl<M> Routes<M> {
+    /// A copy no fleet's epoch matches: the view's first rpc or send
+    /// takes a real one.
+    fn stale() -> Self {
+        Routes {
+            epoch: 0,
+            nodes: Vec::new(),
+            topology: Topology::new(),
         }
-        match nodes.get(to.index()) {
-            Some(h) if topology.reachable(from, to) => Ok(Arc::clone(h)),
-            Some(_) if topology.is_up(to) => Err(NetError::Unreachable { from, to }),
-            _ => Err(NetError::NodeDown(to)),
+    }
+
+    /// [`route`] through this copy, re-taken first if `shared`'s fault
+    /// epoch has moved: one `Acquire` load while it stands still, else a
+    /// copy of both tables under both locks (in `add_node`'s order),
+    /// tagged with the epoch read under the topology lock. Debug builds
+    /// re-derive the route from the live tables and insist the two agree
+    /// whenever the epoch has not moved since the copy.
+    fn route(
+        &mut self,
+        shared: &Shared<M>,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<&NodeHandle<M>, NetError> {
+        let faults = &shared.faults;
+        if faults.epoch.load(Ordering::Acquire) != self.epoch {
+            let nodes = lock(&shared.nodes);
+            let topology = lock(&faults.topology);
+            self.epoch = faults.epoch.load(Ordering::Relaxed);
+            self.nodes.clone_from(&nodes);
+            self.topology.clone_from(&topology);
         }
+        let routed = route(&self.nodes, &self.topology, from, to);
+        if cfg!(debug_assertions) {
+            let nodes = lock(&shared.nodes);
+            let topology = lock(&faults.topology);
+            if faults.epoch.load(Ordering::Relaxed) == self.epoch {
+                let live = route(&nodes, &topology, from, to);
+                let ptr = |r: Result<&NodeHandle<M>, NetError>| r.map(std::ptr::from_ref);
+                debug_assert_eq!(ptr(routed), ptr(live), "{from}->{to} at {}", self.epoch);
+            }
+        }
+        routed
     }
 }
 
@@ -365,6 +451,7 @@ impl<M> Ord for TimerEntry<M> {
 /// view/fleet split.
 pub struct ThreadedRuntime<M: RtMessage> {
     shared: Arc<Shared<M>>,
+    routes: Routes<M>,
     comp_tx: Sender<(u64, Result<M, NetError>)>,
     comp_rx: Receiver<(u64, Result<M, NetError>)>,
     completed: HashMap<u64, Result<M, NetError>>,
@@ -390,7 +477,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 fn node_loop<M: RtMessage>(
     rx: Receiver<Envelope<M>>,
     stop: Arc<AtomicBool>,
-    topology: Arc<Mutex<Topology>>,
+    faults: Arc<Faults>,
     slot: Arc<Mutex<NodeSlot<M>>>,
     start: Instant,
     node: NodeId,
@@ -407,7 +494,7 @@ fn node_loop<M: RtMessage>(
                     stats.finished();
                     break;
                 }
-                if !lock(&topology).is_up(node) {
+                if !lock(&faults.topology).is_up(node) {
                     // A crashed node eats its mail; the caller times out,
                     // matching the simulator's crashed-node behavior.
                     stats.finished();
@@ -423,7 +510,7 @@ fn node_loop<M: RtMessage>(
                 // A panicking handler is a crashed node: this caller is
                 // told so, later ones fast-fail, and the thread lives on
                 // to eat the node's mail.
-                let outcome = lock(&slot).run(&topology, now, node, msg, |svc, ctx, msg| {
+                let outcome = lock(&slot).run(&faults, now, node, msg, |svc, ctx, msg| {
                     svc.handle(ctx, from, msg)
                 });
                 // The slot is free and the op out of the queue BEFORE
@@ -457,8 +544,12 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 start: Instant::now(),
                 stop: Arc::new(AtomicBool::new(false)),
                 nodes: Mutex::new(Vec::new()),
-                topology: Arc::new(Mutex::new(Topology::new())),
+                faults: Arc::new(Faults {
+                    topology: Mutex::new(Topology::new()),
+                    epoch: AtomicU64::new(1),
+                }),
             }),
+            routes: Routes::stale(),
             comp_tx,
             comp_rx,
             completed: HashMap::new(),
@@ -506,7 +597,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// this call inherit the hub with their own publisher slot.
     pub fn attach_telemetry(&mut self, hub: TelemetryHub, cadence: Duration) {
         let nodes = lock(&self.shared.nodes);
-        let topology = lock(&self.shared.topology);
+        let topology = lock(&self.shared.faults.topology);
         for (id, h) in topology.node_ids().zip(nodes.iter()) {
             register_node_gauges(&hub, topology.node(id).name(), &h.stats);
         }
@@ -594,11 +685,10 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         // The table stays locked from taking the id to filling its place;
         // the topology issues the id, each node at a site of its own.
         let mut nodes = lock(&self.shared.nodes);
-        let node = {
-            let mut topology = lock(&self.shared.topology);
+        let node = self.shared.faults.change(|topology| {
             let site = topology.next_site();
             topology.add_node(name.as_str(), site)
-        };
+        });
         let (tx, rx) = mpsc::channel();
         let slot = Arc::new(Mutex::new(NodeSlot {
             svc: None,
@@ -609,11 +699,11 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             .name(format!("weakset-node-{name}"))
             .spawn({
                 let stop = Arc::clone(&self.shared.stop);
-                let topology = Arc::clone(&self.shared.topology);
+                let faults = Arc::clone(&self.shared.faults);
                 let slot = Arc::clone(&slot);
                 let start = self.shared.start;
                 let stats = stats.clone();
-                move || node_loop(rx, stop, topology, slot, start, node, stats)
+                move || node_loop(rx, stop, faults, slot, start, node, stats)
             })
             .expect("spawn node thread");
         if let Some(p) = &self.telemetry {
@@ -634,17 +724,20 @@ impl<M: RtMessage> ThreadedRuntime<M> {
 
     /// The node's registered name, when it exists.
     pub fn node_name(&self, node: NodeId) -> Option<String> {
-        let topology = lock(&self.shared.topology);
+        let topology = lock(&self.shared.faults.topology);
         (node.index() < topology.len()).then(|| topology.node(node).name().to_string())
     }
 
     /// Applies one fault to the fleet's topology — the same change
     /// [`weakset_sim::world::World::apply_fault`] makes to the
     /// simulator's. A down node eats incoming mail (callers time out);
-    /// a request with no route fails fast, as on the simulator. Panics,
-    /// as the simulator does, on a node this fleet never added.
+    /// a request with no route fails fast, as on the simulator. Every
+    /// view's next rpc or send sees the change. Panics, as the simulator
+    /// does, on a node this fleet never added.
     pub fn apply_fault(&mut self, action: &FaultAction) {
-        action.apply_to(&mut lock(&self.shared.topology));
+        self.shared
+            .faults
+            .change(|topology| action.apply_to(topology));
     }
 
     /// Stops every node thread, waiting up to `timeout`. Returns the
@@ -733,7 +826,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         timeout: SimDuration,
     ) -> Result<M, NetError> {
         let started = Instant::now();
-        let target = match self.shared.route(from, to) {
+        let target = match self.routes.route(&self.shared, from, to) {
             // A down caller sends nothing.
             Err(NetError::NodeDown(n)) if n == from => return Err(NetError::NodeDown(from)),
             target => target,
@@ -742,7 +835,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         let launched = target.and_then(|h| {
             let now = started.saturating_duration_since(self.shared.start);
             let now = SimTime::from_micros(now.as_micros() as u64);
-            match h.serve_inline(&self.shared.topology, now, to, from, msg) {
+            match h.serve_inline(&self.shared.faults, now, to, from, msg) {
                 Ok(handled) => handled.map(Launched::Served),
                 Err(msg) => {
                     let token = self.next_token;
@@ -809,12 +902,14 @@ impl<M: RtMessage> ThreadedRuntime<M> {
 }
 
 impl<M: RtMessage> Clone for ThreadedRuntime<M> {
-    /// A new view on the same fleet: shared nodes and routes, private
-    /// completion channel, token space, timers, metrics, and spans.
+    /// A new view on the same fleet: shared nodes and fault table,
+    /// private routes, completion channel, token space, timers, metrics,
+    /// and spans.
     fn clone(&self) -> Self {
         let (comp_tx, comp_rx) = mpsc::channel();
         ThreadedRuntime {
             shared: Arc::clone(&self.shared),
+            routes: Routes::stale(),
             comp_tx,
             comp_rx,
             completed: HashMap::new(),
@@ -967,7 +1062,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         let token = self.next_token;
         self.next_token += 1;
         self.metrics.incr("rpc.sent");
-        let posted = self.shared.route(from, to).and_then(|h| {
+        let posted = self.routes.route(&self.shared, from, to).and_then(|h| {
             let env = Envelope {
                 from,
                 msg,
@@ -1099,11 +1194,11 @@ impl<M: RtMessage> ServiceHost<M> for ThreadedRuntime<M> {
     }
 
     fn is_up(&self, node: NodeId) -> bool {
-        is_up(&lock(&self.shared.topology), node)
+        is_up(&lock(&self.shared.faults.topology), node)
     }
 
     fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        let topology = lock(&self.shared.topology);
+        let topology = lock(&self.shared.faults.topology);
         is_up(&topology, from) && is_up(&topology, to) && topology.reachable(from, to)
     }
 }
@@ -1648,6 +1743,75 @@ mod tests {
             // The node thread survived its handler: nothing hangs.
             assert_eq!(rt.shutdown(Duration::from_secs(2)), Ok(()));
         }
+    }
+
+    /// Two views of one fleet that only ever rpc and only ever send,
+    /// respectively: `Get`s from `from`.
+    struct NextCalls {
+        rpcs: ThreadedRuntime<Msg>,
+        sends: ThreadedRuntime<Msg>,
+        from: NodeId,
+    }
+
+    impl NextCalls {
+        /// Asserts that the next rpc and the next send to `to` both come
+        /// back `want` (the send's reply within half a second: a stale
+        /// route to a down node would post into a mailbox that eats it).
+        fn see(&mut self, to: NodeId, want: Result<Msg, NetError>, after: &str) {
+            let got = Transport::rpc(&mut self.rpcs, self.from, to, Msg::Get, SECS5);
+            assert_eq!(got, want, "rpc after {after}");
+            let sends = &mut self.sends;
+            let token = Transport::send(sends, self.from, to, Msg::Get);
+            let deadline = Clock::now(sends) + SimDuration::from_millis(500);
+            Transport::wait_any(sends, &[token], deadline);
+            let got = Transport::try_take_reply(sends, token);
+            assert_eq!(got, Some(want), "send after {after}");
+        }
+    }
+
+    #[test]
+    fn a_change_through_one_view_reaches_every_views_next_rpc_and_send() {
+        let (mut a, c, s, _gate) = register_fleet(7, false);
+        // Views that have routed once: each holds routes from before
+        // every change below and meets it with its very next call.
+        let mut next = NextCalls {
+            rpcs: a.clone(),
+            sends: a.clone(),
+            from: c,
+        };
+        next.see(s, Ok(Msg::Val(7)), "nothing");
+        let cut = Err(NetError::Unreachable { from: c, to: s });
+        for (fault, want) in [
+            (FaultAction::Crash(s), Err(NetError::NodeDown(s))),
+            (FaultAction::Restart(s), Ok(Msg::Val(7))),
+            (FaultAction::Partition(vec![s]), cut),
+            (FaultAction::HealPartition, Ok(Msg::Val(7))),
+        ] {
+            a.apply_fault(&fault);
+            next.see(s, want, &format!("{fault:?}"));
+        }
+        let late = a.add_node("late");
+        let register = Register {
+            value: 3,
+            gate: None,
+        };
+        a.install_service(late, Box::new(register));
+        next.see(late, Ok(Msg::Val(3)), "add_node");
+        let fragile = a.add_node("fragile");
+        let inline = Fragile {
+            inline: true,
+            handled: 0,
+        };
+        a.install_service(fragile, Box::new(inline));
+        next.see(fragile, Ok(Msg::Get), "add_node");
+        // The node is idle, so the panic runs on `a`'s thread, inside its
+        // inline hand-off: only the slot's crash tells the other views.
+        assert_eq!(
+            Transport::rpc(&mut a, c, fragile, Msg::Val(13), SECS5),
+            Err(NetError::NodeDown(fragile))
+        );
+        next.see(fragile, Err(NetError::NodeDown(fragile)), "an inline panic");
+        assert!(a.shutdown(Duration::from_secs(2)).is_ok());
     }
 
     #[test]

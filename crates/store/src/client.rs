@@ -15,7 +15,7 @@ use weakset_obs::telemetry::store_health;
 use weakset_runtime::prelude::*;
 use weakset_sim::net::{BatchBuffer, BatchEnvelope, NetError};
 use weakset_sim::node::NodeId;
-use weakset_sim::time::SimDuration;
+use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::world::{ReplyToken, World};
 
 /// The world type every store deployment runs in.
@@ -303,7 +303,11 @@ impl ReadFold {
                     }
                     (Some(merged), Merge::Union) => {
                         merged.version = merged.version.max(read.version);
-                        merged.entries = merged.entries.union(&read.entries);
+                        // The same array again: `union` would hand back a
+                        // clone of it only for the old one to be dropped.
+                        if !Membership::ptr_eq(&merged.entries, &read.entries) {
+                            merged.entries = merged.entries.union(&read.entries);
+                        }
                     }
                 }
             }
@@ -656,7 +660,7 @@ impl StoreClient {
         let plan = policy.plan();
         let started = world.now();
         let span = world.span_enter(plan.span, &|| cref.id.label());
-        let result = self.read_rounds(world, cref, plan);
+        let result = self.read_rounds(world, cref, plan, started);
         if let Err(e) = &result {
             let msg = e.to_string();
             world.trace_event("store.read.failed", &|| {
@@ -678,15 +682,16 @@ impl StoreClient {
     /// until the client's timeout, then surfaces
     /// [`StoreError::SessionBehind`] — blocking beats silently violating
     /// read-your-writes. Any satisfying replica suffices (redirect).
+    /// `started` is when the read began: the deadline counts from it.
     fn read_rounds(
         &self,
         world: &mut StoreRt,
         cref: &CollectionRef,
         plan: &ReadPlan,
+        started: SimTime,
     ) -> Result<MembershipRead, StoreError> {
         /// Delay between rounds while waiting for laggards to catch up.
         const WAIT_STEP: SimDuration = SimDuration::from_millis(5);
-        let started = world.now();
         let deadline = started + self.timeout;
         let secondaries = plan.secondaries(cref);
         // A lone contact needs neither a list nor a ranking.
@@ -830,7 +835,8 @@ impl StoreClient {
         if plan.session {
             for (shard, r) in shards.iter().zip(results.iter_mut()) {
                 if matches!(r, Err(StoreError::SessionBehind { .. })) {
-                    *r = self.read_rounds(world, shard, plan);
+                    let now = world.now();
+                    *r = self.read_rounds(world, shard, plan, now);
                 }
             }
         }
@@ -1001,6 +1007,7 @@ mod tests {
     use crate::server::StoreServer;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
+    use weakset_sim::trace::TraceEvent;
     use weakset_sim::world::WorldConfig;
 
     fn world_with(n_servers: usize) -> (StoreWorld, NodeId, Vec<NodeId>) {
@@ -1154,6 +1161,57 @@ mod tests {
             .read_members(&mut w, &cref, ReadPolicy::Leaderless)
             .unwrap_err()
             .is_failure());
+    }
+
+    #[test]
+    fn closest_first_reads_contact_in_stably_sorted_latency_order() {
+        // The client sits at site 4: estimates tie in pairs, and the home
+        // replica is not the closest. The sort must be stable: tied
+        // contacts keep `all_nodes()`'s order.
+        let sites = [7, 1, 4, 6, 2, 5, 3, 8, 0];
+        for n in [3, 9] {
+            let mut t = Topology::new();
+            let client = t.add_node("client", 4);
+            let servers: Vec<NodeId> = (0..n)
+                .map(|i| t.add_node(format!("s{i}"), sites[i]))
+                .collect();
+            let ms = SimDuration::from_millis;
+            let latency = LatencyModel::SiteDistance {
+                base: ms(1),
+                per_hop: ms(1),
+            };
+            let mut w = StoreWorld::new(WorldConfig::seeded(7), t, latency);
+            for &s in &servers {
+                w.install_service(s, Box::new(StoreServer::new()));
+            }
+            // No replica holds the collection, so every read below fails
+            // at each replica and contacts them all, once.
+            let cref = CollectionRef {
+                id: CollectionId(1),
+                home: servers[0],
+                replicas: servers[1..].to_vec(),
+            };
+            let mut want = cref.all_nodes();
+            want.sort_by_key(|&s| w.estimate_latency(client, s));
+            assert_ne!(want, cref.all_nodes());
+            let cl = StoreClient::new(client, ms(50)).with_session();
+            for policy in [
+                ReadPolicy::Any,
+                ReadPolicy::Leaderless,
+                ReadPolicy::CausalSession,
+            ] {
+                let before = w.trace().len();
+                assert!(cl.read_members(&mut w, &cref, policy).is_err());
+                let sent: Vec<NodeId> = w.trace().events()[before..]
+                    .iter()
+                    .filter_map(|(_, e)| match e {
+                        TraceEvent::RpcSend { to, .. } => Some(*to),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(sent, want, "{policy:?}, {n} replicas");
+            }
+        }
     }
 
     #[test]

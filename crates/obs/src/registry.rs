@@ -187,7 +187,7 @@ impl MetricsRegistry {
     }
 
     /// Folds another registry into this one: counters add, gauges take
-    /// the max, latency populations concatenate. Used to aggregate
+    /// the max, latency populations add up as multisets. Used to aggregate
     /// across DST iterations.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, value) in other.counters() {
@@ -208,7 +208,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self, scenario: &str, seed: u64) -> ObsSnapshot {
         let latencies: BTreeMap<String, LatencySummary> = self
             .latencies()
-            .map(|(name, rec)| (name.to_string(), rec.clone().summary()))
+            .map(|(name, rec)| (name.to_string(), rec.summary()))
             .collect();
         let owned = |(name, value): (&str, u64)| (name.to_string(), value);
         ObsSnapshot {
@@ -232,7 +232,7 @@ impl fmt::Display for MetricsRegistry {
             writeln!(f, "{name} (gauge) = {value}")?;
         }
         for (name, rec) in self.latencies() {
-            writeln!(f, "{name}: {}", rec.clone().summary())?;
+            writeln!(f, "{name}: {}", rec.summary())?;
         }
         Ok(())
     }
@@ -268,7 +268,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.observe("rpc", 30);
         m.observe("rpc", 10);
-        assert_eq!(m.latency_mut("rpc").p50(), Some(10));
+        assert_eq!(m.latency("rpc").and_then(LatencyRecorder::p50), Some(10));
         assert_eq!(m.latency("rpc").map(LatencyRecorder::len), Some(2));
         assert!(m.latency("missing").is_none());
     }
@@ -287,8 +287,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.gauge("g"), 5);
-        assert_eq!(a.latency_mut("l").max(), Some(20));
-        assert_eq!(a.latency_mut("only_b").len(), 1);
+        assert_eq!(a.latency("l").and_then(LatencyRecorder::max), Some(20));
+        assert_eq!(a.latency("only_b").map(LatencyRecorder::len), Some(1));
     }
 
     #[test]

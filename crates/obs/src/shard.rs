@@ -85,7 +85,7 @@ pub fn per_shard_stats(m: &MetricsRegistry) -> Vec<ShardStats> {
     for (key, rec) in m.latencies() {
         if let Some((shard, "read.us")) = parse_shard_key(key) {
             let i = slot(&mut out, shard);
-            out[i].read_p50_us = rec.clone().p50();
+            out[i].read_p50_us = rec.p50();
         }
     }
     out

@@ -278,9 +278,14 @@ impl TelemetryHub {
         self.merged().snapshot(scenario, seed)
     }
 
+    /// Copies and frees outside the hub-wide `slots` lock, which only
+    /// swaps the registry in: every scrape and every other view's publish
+    /// waits on that lock.
     fn publish(&self, id: u64, m: &MetricsRegistry) {
-        lock(&self.inner.slots).insert(id, m.clone());
+        let copy = m.clone();
+        let replaced = lock(&self.inner.slots).insert(id, copy);
         lock(&self.inner.shared).incr(PUBLISHES);
+        drop(replaced);
     }
 }
 

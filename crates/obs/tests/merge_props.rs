@@ -5,14 +5,9 @@
 //! only sound if `MetricsRegistry::merge` behaves like a commutative,
 //! associative fold: counters are sums, gauges are maxima, and latency
 //! populations are multiset unions whose quantiles do not depend on
-//! concatenation order. These tests pin exactly that.
-//!
-//! Equality is asserted on snapshots, not raw registries: a
-//! `LatencyRecorder` stores its population as an insertion-ordered
-//! `Vec`, so two recorders holding the same multiset in different
-//! orders are `!=` even though every quantile agrees. The snapshot
-//! (sorted summaries, ordered maps) is the canonical observable form —
-//! and the form the scrape endpoint actually serves.
+//! concatenation order. These tests pin exactly that, on the raw
+//! registries and on their snapshots (the form the scrape endpoint
+//! serves).
 
 use proptest::prelude::*;
 use weakset_obs::{LatencyRecorder, MetricsRegistry};
@@ -56,15 +51,17 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// merge(a, b) and merge(b, a) serve identical snapshots.
+    /// merge(a, b) and merge(b, a) are equal and serve identical snapshots.
     #[test]
     fn registry_merge_is_commutative(oa in ops(), ob in ops()) {
         let a = registry_of(&oa);
         let b = registry_of(&ob);
-        prop_assert_eq!(canon(&merged(&[a.clone(), b.clone()])), canon(&merged(&[b, a])));
+        let (ab, ba) = (merged(&[a.clone(), b.clone()]), merged(&[b, a]));
+        prop_assert_eq!(canon(&ab), canon(&ba));
+        prop_assert_eq!(ab, ba);
     }
 
-    /// (a ⊔ b) ⊔ c and a ⊔ (b ⊔ c) serve identical snapshots.
+    /// (a ⊔ b) ⊔ c and a ⊔ (b ⊔ c) are equal and serve identical snapshots.
     #[test]
     fn registry_merge_is_associative(oa in ops(), ob in ops(), oc in ops()) {
         let a = registry_of(&oa);
@@ -81,6 +78,7 @@ proptest! {
         right.merge(&a);
         right.merge(&bc);
         prop_assert_eq!(canon(&left), canon(&right));
+        prop_assert_eq!(left, right);
     }
 
     /// Merging an empty registry changes nothing (identity element).
@@ -93,22 +91,25 @@ proptest! {
     }
 
     /// Many views merged in arbitrary order — the hub's exact situation
-    /// — always serve the same quantiles. The permutation is derived
-    /// from a seed via repeated rotation+swap so proptest shrinks it.
+    /// — always build the same registry and serve the same quantiles.
+    /// The permutation is derived from a seed via repeated rotation+swap
+    /// so proptest shrinks it.
     #[test]
     fn quantiles_are_stable_under_any_merge_order(
         all in proptest::collection::vec(ops(), 2..6),
         perm_seed in any::<u64>(),
     ) {
         let regs: Vec<MetricsRegistry> = all.iter().map(|o| registry_of(o)).collect();
-        let baseline = canon(&merged(&regs));
+        let baseline = merged(&regs);
         let mut shuffled = regs;
         let mut s = perm_seed;
         for i in (1..shuffled.len()).rev() {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             shuffled.swap(i, (s >> 33) as usize % (i + 1));
         }
-        prop_assert_eq!(canon(&merged(&shuffled)), baseline);
+        let reordered = merged(&shuffled);
+        prop_assert_eq!(canon(&reordered), canon(&baseline));
+        prop_assert_eq!(reordered, baseline);
     }
 
     /// LatencyRecorder::merge is a multiset union: count, sum, and
@@ -131,10 +132,11 @@ proptest! {
         let mut ba = rec(&ys);
         ba.merge(&rec(&xs));
         let combined: Vec<u64> = xs.iter().chain(ys.iter()).copied().collect();
-        let mut direct = rec(&combined);
+        let direct = rec(&combined);
         prop_assert_eq!(ab.summary(), ba.summary());
         prop_assert_eq!(ab.summary(), direct.summary());
         prop_assert_eq!(ab.sum(), direct.sum());
+        prop_assert_eq!(&ab, &direct);
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             prop_assert_eq!(ab.quantile(q), ba.quantile(q));
         }

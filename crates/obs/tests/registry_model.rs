@@ -69,7 +69,7 @@ impl Model {
         let latencies: BTreeMap<String, LatencySummary> = self
             .latencies
             .iter()
-            .map(|(name, rec)| (name.clone(), rec.clone().summary()))
+            .map(|(name, rec)| (name.clone(), rec.summary()))
             .collect();
         ObsSnapshot {
             scenario: scenario.to_string(),
@@ -91,7 +91,7 @@ impl Model {
             writeln!(out, "{name} (gauge) = {value}").unwrap();
         }
         for (name, rec) in &self.latencies {
-            writeln!(out, "{name}: {}", rec.clone().summary()).unwrap();
+            writeln!(out, "{name}: {}", rec.summary()).unwrap();
         }
         out
     }

@@ -6,9 +6,17 @@
 //! non-integral numbers are emitted with six fractional digits. The
 //! parser accepts the full JSON grammar this writer produces (plus
 //! arbitrary whitespace), which is all the `compare` tool and the
-//! round-trip tests need.
+//! round-trip tests need. It takes time linear in its input and never
+//! panics: malformed, truncated or too deeply nested input (beyond
+//! [`MAX_DEPTH`]) is an `Err`.
 
 use std::fmt::Write as _;
+
+/// How deeply arrays and objects may nest before [`Json::parse`] gives
+/// up with an `Err`. The parser recurses once per level, so the bound
+/// keeps hostile input from overflowing the stack; snapshots nest 3
+/// deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order so emission is
 /// canonical: build them from sorted maps and two equal snapshots
@@ -134,12 +142,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with a byte offset on malformed input or
-    /// trailing garbage.
+    /// A human-readable message with a byte offset on malformed input,
+    /// trailing garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(input, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -195,13 +203,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and
+/// objects.
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(src, pos, depth + 1),
+        Some(b'[') => parse_arr(src, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_str(src, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -235,52 +249,48 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
 }
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_str(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("\\u{hex}: {e}"))?;
-                        out.push(char::from_u32(code).ok_or(format!("bad codepoint \\u{hex}"))?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one full UTF-8 character.
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Everything up to the next quote or backslash is copied as one
+        // slice: both are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&src[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or("truncated \\u escape")?;
+                let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                let code = u32::from_str_radix(hex, 16).map_err(|e| format!("\\u{hex}: {e}"))?;
+                out.push(char::from_u32(code).ok_or(format!("bad codepoint \\u{hex}"))?);
+                *pos += 4;
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -289,7 +299,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(src, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -302,7 +312,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -312,10 +323,10 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
+        let key = parse_str(src, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(src, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {

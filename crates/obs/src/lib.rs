@@ -25,10 +25,10 @@
 //! Everything here is deterministic given deterministic inputs: maps
 //! are ordered, serialization is canonical, and no wall-clock time is
 //! ever recorded — two runs with the same seed produce byte-identical
-//! snapshots. The one deliberate exception is [`telemetry`], the live
-//! plane for the threaded (wall-clock) runtime: a scrape-able
-//! [`TelemetryHub`] and Prometheus text exposition. The simulator never
-//! constructs those types, so simulated runs stay byte-identical.
+//! snapshots. That holds by construction: the crate reads no clock,
+//! opens no socket and spawns no thread. A wall-clock backend stamps
+//! times itself and hands them in; a fleet-wide reading is its views'
+//! registries folded with [`MetricsRegistry::merge`].
 //!
 //! ## Example
 //!
@@ -63,7 +63,7 @@ pub mod session;
 pub mod shard;
 pub mod sink;
 pub mod snapshot;
-pub mod telemetry;
+pub mod store_health;
 
 pub use causal::{
     category_of, critical_path, critical_path_of, CausalDag, CriticalPath, PathCategory, SpanNode,
@@ -76,9 +76,6 @@ pub use registry::MetricsRegistry;
 pub use shard::{per_shard_stats, shard_key, ShardStats};
 pub use sink::{EventSink, ObsEvent, ObsKind, SpanId};
 pub use snapshot::{Direction, Objective, ObsSnapshot};
-pub use telemetry::{
-    http_get, parse_prometheus, prometheus_text, HubPublisher, TelemetryHub, TelemetryServer,
-};
 
 /// One-stop imports for observability users.
 pub mod prelude {
@@ -93,7 +90,4 @@ pub mod prelude {
     pub use crate::shard::{per_shard_stats, shard_key, ShardStats};
     pub use crate::sink::{EventSink, ObsEvent, ObsKind, SpanId};
     pub use crate::snapshot::{Direction, Objective, ObsSnapshot};
-    pub use crate::telemetry::{
-        http_get, parse_prometheus, prometheus_text, HubPublisher, TelemetryHub, TelemetryServer,
-    };
 }

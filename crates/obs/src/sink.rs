@@ -111,6 +111,11 @@ pub struct ObsEvent {
 /// averages 464 a scenario (see the module docs).
 const ENABLED_RESERVE: usize = 512;
 
+/// Counter: spans still open when a run's sink was finished
+/// ([`EventSink::finish`]) — unbalanced instrumentation, surfaced
+/// instead of dropped.
+pub const UNCLOSED_SPANS: &str = "trace.unclosed_spans";
+
 /// Collects [`ObsEvent`]s when enabled; a no-op otherwise.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventSink {

@@ -1,13 +1,14 @@
 //! Property tests for registry and latency merging.
 //!
-//! The live telemetry hub folds per-view registries in whatever order
-//! the views happened to publish, and re-folds on every scrape. That is
+//! The fuzz snapshot (`BENCH_fuzz.json`) folds the DST corpus's
+//! per-scenario registries into one, and a threaded fleet-wide reading
+//! folds its views' registries, in whatever order the parts happen to
+//! finish. That is
 //! only sound if `MetricsRegistry::merge` behaves like a commutative,
 //! associative fold: counters are sums, gauges are maxima, and latency
 //! populations are multiset unions whose quantiles do not depend on
 //! concatenation order. These tests pin exactly that, on the raw
-//! registries and on their snapshots (the form the scrape endpoint
-//! serves).
+//! registries and on their snapshots (the form `BENCH_*.json` holds).
 
 use proptest::prelude::*;
 use weakset_obs::{LatencyRecorder, MetricsRegistry};

@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use weakset_obs::session as session_names;
-use weakset_obs::telemetry::store_health;
+use weakset_obs::store_health;
 use weakset_runtime::prelude::*;
 use weakset_sim::net::{BatchBuffer, BatchEnvelope, NetError};
 use weakset_sim::node::NodeId;

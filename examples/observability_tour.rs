@@ -1,15 +1,13 @@
 //! Observability tour: run a small weak-set workload, then inspect the
 //! metrics registry, the structured event sink, the causal span DAG
 //! (with its critical-path decomposition and a Perfetto-loadable trace
-//! export), a machine-readable `ObsSnapshot` of the run, and finally
-//! the live telemetry plane — the same registry served over HTTP as
-//! Prometheus text.
+//! export), and finally a machine-readable `ObsSnapshot` of the run.
+//! Everything is read after the fact, from the run's own registry and
+//! sink: a seeded run prints the same tour every time.
 //!
 //! Run with: `cargo run --example observability_tour`
 
 use weak_sets::prelude::*;
-use weakset_obs::telemetry::{TelemetryHub, TelemetryServer};
-use weakset_obs::{http_get, parse_prometheus};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut topo = Topology::new();
@@ -124,37 +122,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snap.file_name(),
         snap.to_json()
     );
-
-    // 5. The live plane: publish the same registry into a TelemetryHub
-    //    and scrape it over HTTP, exactly as Prometheus (or `curl
-    //    http://127.0.0.1:<port>/metrics`) would. On the threaded
-    //    runtime views publish here on a cadence while the run is
-    //    still going — see `examples/rt_quickstart.rs`.
-    let hub = TelemetryHub::new();
-    let mut publisher = hub.register(std::time::Duration::from_millis(10));
-    publisher.publish(world.metrics());
-    let endpoint = TelemetryServer::serve("127.0.0.1:0", hub, "tour", 7)?;
-    let (status, text) = http_get(
-        endpoint.addr(),
-        "/metrics",
-        std::time::Duration::from_secs(2),
-    )?;
-    let series = parse_prometheus(&text).map_err(std::io::Error::other)?;
-    println!(
-        "\n--- live telemetry (GET http://{}/metrics -> {status}) ---",
-        endpoint.addr()
-    );
-    println!(
-        "{} series; the iterator counters as Prometheus sees them:",
-        series.len()
-    );
-    for line in text
-        .lines()
-        .filter(|l| l.starts_with("weakset_iter"))
-        .take(4)
-    {
-        println!("    {line}");
-    }
-    endpoint.stop();
     Ok(())
 }

@@ -5,7 +5,8 @@
 //! runtime boundary — so it never knows which backend is driving it.
 //! The simulator gives virtual time and scripted faults; the threaded
 //! backend gives wall-clock time, real mailboxes, and a deadline-based
-//! shutdown. Run with:
+//! shutdown. Both count their rpcs under the same names, so the run ends
+//! by printing the threaded view's own `rpc.*` counters. Run with:
 //!
 //! ```text
 //! cargo run --example rt_quickstart
@@ -13,8 +14,6 @@
 
 use std::time::Duration;
 use weak_sets::prelude::*;
-use weakset_obs::telemetry::{TelemetryHub, TelemetryServer};
-use weakset_obs::{http_get, parse_prometheus};
 
 /// A backend-agnostic weak-set session: build a replicated collection,
 /// add members, iterate optimistically, and report what was yielded.
@@ -70,13 +69,8 @@ fn main() {
     );
 
     // Backend 2: real OS threads. Each node is a thread draining a
-    // mailbox; time is the wall clock; the same `demo` drives it. A
-    // telemetry hub rides along so the run is scrapeable while live.
+    // mailbox; time is the wall clock; the same `demo` drives it.
     let mut rt = ThreadedRuntime::<StoreMsg>::new(1);
-    let hub = TelemetryHub::new();
-    rt.attach_telemetry(hub.clone(), Duration::from_millis(10));
-    let endpoint = TelemetryServer::serve("127.0.0.1:0", hub, "rt_quickstart", 1)
-        .expect("bind the telemetry endpoint");
     let tcn = rt.add_node("client");
     let tservers: Vec<NodeId> = (0..3).map(|i| rt.add_node(format!("s{i}"))).collect();
     for &s in &tservers {
@@ -88,28 +82,18 @@ fn main() {
         rt.now().as_micros()
     );
 
-    // Scrape the live plane exactly as `curl http://.../metrics` would:
-    // Prometheus text exposition, fresh from the hub at request time.
-    rt.flush_telemetry();
-    let (status, text) =
-        http_get(endpoint.addr(), "/metrics", Duration::from_secs(2)).expect("scrape the endpoint");
-    let series = parse_prometheus(&text).expect("valid Prometheus exposition");
-    println!(
-        "telemetry: GET http://{}/metrics -> {status}, {} series, e.g.:",
-        endpoint.addr(),
-        series.len()
-    );
-    for line in text
-        .lines()
-        .filter(|l| l.starts_with("weakset_rpc"))
-        .take(3)
-    {
-        println!("    {line}");
+    // The view's own registry: every rpc `demo` made, under the names
+    // the simulator uses (`rpc.shared` counts those an idle node served
+    // on this thread, without crossing its mailbox).
+    println!("threads:   rpc counters of this view:");
+    for (name, value) in rt.metrics().counters() {
+        if name.starts_with("rpc.") {
+            println!("    {name} {value}");
+        }
     }
 
     rt.shutdown(Duration::from_secs(5))
         .expect("all node threads exit by the deadline");
-    endpoint.stop();
 
     assert_eq!(sim_got, rt_got, "both backends see the same membership");
     println!("both backends agree.");

@@ -194,6 +194,101 @@ fn causal_session_reads_agree_across_backends() {
     }
 }
 
+/// A collection replicated on all three `servers`, holding four members,
+/// and a client whose timeout no slow runner's rpc can reach.
+fn quorum_setup(
+    rt: &mut StoreRt,
+    servers: &[NodeId],
+    client_node: NodeId,
+) -> (StoreClient, CollectionRef) {
+    let client = StoreClient::new(client_node, SimDuration::from_secs(2));
+    let cref = CollectionRef {
+        id: COLL,
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    };
+    client.create_collection(rt, &cref).unwrap();
+    for i in 1..=4u64 {
+        let entry = MemberEntry {
+            elem: ObjectId(i),
+            home: servers[0],
+        };
+        client.add_member(rt, &cref, entry).unwrap();
+    }
+    (client, cref)
+}
+
+/// `n` `Quorum` reads, each answered by a majority with all four members.
+fn quorum_reads(rt: &mut StoreRt, client: &StoreClient, cref: &CollectionRef, n: usize) {
+    for _ in 0..n {
+        let read = client.read_members(rt, cref, ReadPolicy::Quorum);
+        assert_eq!(read.map(|r| r.entries.len()), Ok(4));
+    }
+}
+
+/// The counters both backends must agree on: `rpc.sent`, `rpc.ok`,
+/// every `rpc.failed*` and every `store.read.quorum.*`.
+fn rpc_family(rt: &StoreRt) -> Vec<(String, u64)> {
+    rt.metrics()
+        .counters()
+        .filter(|(name, _)| {
+            ["rpc.sent", "rpc.ok"].contains(name)
+                || name.starts_with("rpc.failed")
+                || name.starts_with("store.read.quorum.")
+        })
+        .map(|(name, value)| (name.to_string(), value))
+        .collect()
+}
+
+/// One rpc counter family on both backends: 20 healthy `Quorum` reads,
+/// then 5 with one replica partitioned away, count the same `rpc.sent`,
+/// `rpc.ok` and `rpc.failed` (and nothing else under `rpc.failed`) on
+/// the simulator and on threads, and a threaded view's `rpc.latency`
+/// population is exactly its successful rpcs.
+#[test]
+fn backends_count_one_rpc_family() {
+    let mut t = Topology::new();
+    let cn = t.add_node("client", 0);
+    let servers: Vec<NodeId> = t.add_servers("s", 3);
+    let mut w = StoreWorld::new(
+        WorldConfig::seeded(SEED),
+        t,
+        LatencyModel::Constant(SimDuration::from_millis(1)),
+    );
+    for &s in &servers {
+        w.install_service(s, Box::new(StoreServer::new()));
+    }
+    let (client, cref) = quorum_setup(&mut w, &servers, cn);
+    quorum_reads(&mut w, &client, &cref, 20);
+    w.apply_fault(FaultAction::Partition(vec![servers[2]]));
+    quorum_reads(&mut w, &client, &cref, 5);
+    let sim = rpc_family(&w);
+
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
+    let tcn = rt.add_node("client");
+    let tservers: Vec<NodeId> = (0..3).map(|i| rt.add_node(format!("s{i}"))).collect();
+    for &s in &tservers {
+        rt.install_service(s, Box::new(StoreServer::new()));
+    }
+    let (client, cref) = quorum_setup(&mut rt, &tservers, tcn);
+    quorum_reads(&mut rt, &client, &cref, 20);
+    rt.apply_fault(&FaultAction::Partition(vec![tservers[2]]));
+    quorum_reads(&mut rt, &client, &cref, 5);
+    let threads = rpc_family(&rt);
+    let ok = rt.metrics().counter("rpc.ok");
+    let latencies = rt.metrics().latency("rpc.latency").map_or(0, |l| l.len());
+    rt.shutdown(Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+
+    assert_eq!(sim, threads);
+    let count = |name: &str| sim.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    // 25 reads of three replicas, five of whose rpcs found no route.
+    assert_eq!(count("store.read.quorum.contacts"), Some(75));
+    assert_eq!(count("rpc.failed"), Some(5));
+    assert_eq!(count("rpc.sent"), count("rpc.ok").map(|ok| ok + 5));
+    assert_eq!(latencies as u64, ok, "one latency per successful rpc");
+}
+
 /// The old cross-runtime blocking story, now through one code path: an
 /// unreachable member blocks an optimistic run on either backend, and
 /// healing the route lets both finish with a Figure 6-conformant record.

@@ -1,0 +1,75 @@
+//! `obs::ron` on hostile input, through both artifacts written in it: no
+//! truncation of a checked-in scenario repro or of a threaded recording
+//! panics or parses as something else, and a long string literal
+//! tokenizes.
+
+use std::path::Path;
+use weakset::prelude::{FetchOrder, Semantics};
+use weakset_dst::prelude::*;
+use weakset_obs::ron::{push_str_lit, Parser};
+use weakset_runtime::Recording;
+use weakset_store::prelude::ReadPolicy;
+
+/// Parses every char-boundary prefix of `text` with `parse`: each is an
+/// `Err`, or `full` itself when only whitespace was cut.
+fn every_truncation<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    text: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) {
+    let full = parse(text).unwrap_or_else(|e| panic!("{what} parses whole: {e}"));
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        let (kept, lost) = text.split_at(cut);
+        match parse(kept) {
+            Ok(v) => {
+                assert!(lost.trim().is_empty(), "{what} cut at {cut} parsed");
+                assert_eq!(v, full, "{what} cut at {cut}");
+            }
+            Err(_) => assert!(!lost.trim().is_empty(), "{what} cut at {cut}"),
+        }
+    }
+}
+
+#[test]
+fn no_truncation_of_the_checked_in_repro_panics_or_misparses() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../dst/repro-chaos-example.ron");
+    let text = std::fs::read_to_string(path).expect("checked-in repro");
+    every_truncation("repro", &text, Scenario::from_ron);
+}
+
+#[test]
+fn no_truncation_of_a_threaded_recording_panics_or_misparses() {
+    let s = Scenario {
+        seed: 0x70,
+        servers: 1,
+        deployment: Deployment::Plain,
+        semantics: Semantics::Snapshot,
+        read_policy: ReadPolicy::Primary,
+        guard_growth: false,
+        fetch_order: FetchOrder::IdOrder,
+        think_ms: 1,
+        budget: 2,
+        start_ms: 1,
+        setup: vec![(1, 0)],
+        ops: vec![Op::Remove { at_ms: 2, elem: 1 }],
+        faults: vec![],
+        chaos: Chaos::None,
+    };
+    let text = record_scenario(&s).expect("record").recording.to_ron();
+    // Every event kind the run produced, every outcome, the embedded
+    // workload's escapes: all of it is cut somewhere.
+    assert!(text.contains("Rpc(") && text.contains("\\n"), "{text}");
+    every_truncation("recording", &text, Recording::from_ron);
+}
+
+#[test]
+fn a_one_mebibyte_string_literal_tokenizes() {
+    let unit = "weak sets \"yield\" \\ members\n\tacross é and 中\r";
+    let raw: String = unit.repeat((1 << 20) / unit.len() + 1);
+    assert!(raw.len() >= 1 << 20);
+    let mut lit = String::new();
+    push_str_lit(&mut lit, &raw);
+    let mut p = Parser::new(&lit).expect("tokenizes");
+    assert_eq!(p.string(), Ok(raw));
+    p.expect_end().expect("one token");
+}

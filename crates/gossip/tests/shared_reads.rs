@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use weakset_gossip::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
-use weakset_sim::time::SimTime;
 use weakset_sim::world::{Service, ServiceCtx};
 use weakset_store::prelude::*;
 
@@ -201,10 +200,9 @@ proptest! {
                     // draws the same.
                     let mut rngs = [(); 2].map(|()| SimRng::for_label(22, "svc.prop"));
                     let [inline_rng, mailbox_rng] = &mut rngs;
-                    let now = SimTime::ZERO;
-                    let mut ctx = ServiceCtx { now, node: HERE, rng: inline_rng };
+                    let mut ctx = ServiceCtx { node: HERE, rng: inline_rng };
                     let served = inline.serve_inline(&mut ctx, from, msg.clone());
-                    let mut ctx = ServiceCtx { now, node: HERE, rng: mailbox_rng };
+                    let mut ctx = ServiceCtx { node: HERE, rng: mailbox_rng };
                     let reply = mailbox.handle(&mut ctx, from, msg.clone());
                     prop_assert_eq!(served, Ok(reply), "reply to {:?}", msg);
                     prop_assert_eq!(&inline, &mailbox, "state after {:?}", msg);
@@ -242,7 +240,6 @@ fn both_read_paths_and_both_gate_outcomes_are_reached() {
         let inner = Box::new(StoreMsg::ListMembers(coll));
         let mut rng = SimRng::for_label(22, "svc.prop");
         let mut ctx = ServiceCtx {
-            now: SimTime::ZERO,
             node: HERE,
             rng: &mut rng,
         };

@@ -67,7 +67,9 @@
 //! Each view counts into its own registry, with the simulator's names
 //! and meanings (`rpc.sent`, `rpc.ok`, `rpc.failed`, `rpc.latency`),
 //! so views never share a metrics lock; a fleet-wide reading is the
-//! views' registries folded with `MetricsRegistry::merge`. Boundary
+//! views' registries folded with `MetricsRegistry::merge`. As there,
+//! `rpc.latency` times transport crossings only: an rpc served in place
+//! reads no clock (its caller's own histogram holds its time). Boundary
 //! crossings (rpc outcomes with their causes, sends, waits, timer
 //! fires) are noted in one place, the attached [`Recorder`]: its
 //! recording is the black box, marked truncated when shutdown reports
@@ -112,10 +114,10 @@ struct Envelope<M> {
 }
 
 /// How an rpc left its caller: handled in place on the idle target, or
-/// in the target's mailbox under this token.
+/// in the target's mailbox under this token at this instant.
 enum Launched<M> {
     Served(M),
-    Posted(u64),
+    Posted(u64, Instant),
 }
 
 /// A node's lock-free mailbox occupancy cell, shared by the posting
@@ -161,15 +163,14 @@ struct NodeSlot<M> {
 
 impl<M> NodeSlot<M> {
     /// Runs `handler` on the installed service, with `msg` and the
-    /// context a handler on `node` gets at `now`; `Err(msg)` when no
-    /// service is installed. Both handler call sites go through here, so
-    /// a panicking handler is caught on either path and crashes `node`
-    /// in `faults`: `Ok(Err(NodeDown))`. The guard this runs under
+    /// context a handler on `node` gets; `Err(msg)` when no service is
+    /// installed. Both handler call sites go through here, so a
+    /// panicking handler is caught on either path and crashes `node` in
+    /// `faults`: `Ok(Err(NodeDown))`. The guard this runs under
     /// outlives the unwind, so the slot is not poisoned.
     fn run<R>(
         &mut self,
         faults: &Faults,
-        now: SimTime,
         node: NodeId,
         msg: M,
         handler: impl FnOnce(&mut dyn Service<M>, &mut ServiceCtx<'_>, M) -> R,
@@ -178,7 +179,6 @@ impl<M> NodeSlot<M> {
             return Err(msg);
         };
         let mut ctx = ServiceCtx {
-            now,
             node,
             rng: &mut self.rng,
         };
@@ -245,7 +245,6 @@ impl<M: 'static> NodeHandle<M> {
     fn serve_inline(
         &self,
         faults: &Faults,
-        now: SimTime,
         to: NodeId,
         from: NodeId,
         msg: M,
@@ -256,7 +255,7 @@ impl<M: 'static> NodeHandle<M> {
         let Ok(mut slot) = self.slot.try_lock() else {
             return Err(msg);
         };
-        match slot.run(faults, now, to, msg, |svc, ctx, msg| {
+        match slot.run(faults, to, msg, |svc, ctx, msg| {
             svc.serve_inline(ctx, from, msg)
         })? {
             Ok(served) => served.map(Ok),
@@ -440,7 +439,6 @@ fn node_loop<M: RtMessage>(
     stop: Arc<AtomicBool>,
     faults: Arc<Faults>,
     slot: Arc<Mutex<NodeSlot<M>>>,
-    start: Instant,
     node: NodeId,
     stats: MailboxStats,
 ) {
@@ -460,7 +458,6 @@ fn node_loop<M: RtMessage>(
                     stats.finished();
                     continue;
                 }
-                let now = SimTime::from_micros(start.elapsed().as_micros() as u64);
                 let Envelope {
                     from,
                     msg,
@@ -470,7 +467,7 @@ fn node_loop<M: RtMessage>(
                 // A panicking handler is a crashed node: this caller is
                 // told so, later ones fast-fail, and the thread lives on
                 // to eat the node's mail.
-                let outcome = lock(&slot).run(&faults, now, node, msg, |svc, ctx, msg| {
+                let outcome = lock(&slot).run(&faults, node, msg, |svc, ctx, msg| {
                     svc.handle(ctx, from, msg)
                 });
                 // The slot is free and the op out of the queue BEFORE
@@ -608,9 +605,8 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 let stop = Arc::clone(&self.shared.stop);
                 let faults = Arc::clone(&self.shared.faults);
                 let slot = Arc::clone(&slot);
-                let start = self.shared.start;
                 let stats = stats.clone();
-                move || node_loop(rx, stop, faults, slot, start, node, stats)
+                move || node_loop(rx, stop, faults, slot, node, stats)
             })
             .expect("spawn node thread");
         nodes.push(Arc::new(NodeHandle {
@@ -727,7 +723,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        let started = Instant::now();
         let target = match self.routes.route(&self.shared, from, to) {
             // A down caller sends nothing.
             Err(NetError::NodeDown(n)) if n == from => return Err(NetError::NodeDown(from)),
@@ -735,32 +730,29 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         };
         self.metrics.incr("rpc.sent");
         let launched = target.and_then(|h| {
-            let now = started.saturating_duration_since(self.shared.start);
-            let now = SimTime::from_micros(now.as_micros() as u64);
-            match h.serve_inline(&self.shared.faults, now, to, from, msg) {
-                Ok(handled) => handled.map(Launched::Served),
-                Err(msg) => {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let env = Envelope {
-                        from,
-                        msg,
-                        token,
-                        reply: self.comp_tx.clone(),
-                    };
-                    h.post(to, env).map(|()| Launched::Posted(token))
-                }
-            }
+            let msg = match h.serve_inline(&self.shared.faults, to, from, msg) {
+                Ok(handled) => return handled.map(Launched::Served),
+                Err(msg) => msg,
+            };
+            // Only an rpc that crosses the mailbox reads the clock.
+            let started = Instant::now();
+            let token = self.next_token;
+            self.next_token += 1;
+            let env = Envelope {
+                from,
+                msg,
+                token,
+                reply: self.comp_tx.clone(),
+            };
+            h.post(to, env).map(|()| Launched::Posted(token, started))
         });
-        let token = match launched {
+        let (token, started) = match launched {
             Ok(Launched::Served(reply)) => {
                 self.metrics.incr("rpc.ok");
                 self.metrics.incr("rpc.shared");
-                self.metrics
-                    .observe("rpc.latency", started.elapsed().as_micros() as u64);
                 return Ok(reply);
             }
-            Ok(Launched::Posted(token)) => token,
+            Ok(Launched::Posted(token, started)) => (token, started),
             Err(e) => {
                 self.metrics.incr("rpc.failed");
                 return Err(e);
@@ -1391,7 +1383,8 @@ mod tests {
         for name in ["rpc.sent", "rpc.ok", "rpc.shared"] {
             assert_eq!(rt.metrics.counter(name), n, "{name}");
         }
-        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(50));
+        // Nothing crossed a transport, so nothing was timed.
+        assert_eq!(rt.metrics.latency("rpc.latency").map_or(0, |l| l.len()), 0);
         // `send` always crosses the mailbox, so this is `handle`'s reply.
         let token = Transport::send(&mut rt, c, s, Msg::Get);
         let deadline = Clock::now(&rt) + SECS5;
@@ -1409,6 +1402,7 @@ mod tests {
             Ok(Msg::Val(9))
         );
         assert_eq!(rt.metrics.counter("rpc.shared"), n);
+        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(1));
         assert_eq!(
             Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
             Ok(Msg::Val(9))
@@ -1705,6 +1699,8 @@ mod tests {
             Ok(Msg::Val(7))
         );
         assert_eq!(rt.metrics.counter("rpc.shared"), 1, "second read queued");
+        // Only the queued read is timed.
+        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(1));
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
 
         let rec = rt.recorder().unwrap().finish();

@@ -71,18 +71,17 @@ pub trait Service<M>: Any {
     ///
     /// A backend may call this from the *requesting* thread while it
     /// holds the service between two `handle` executions (the threaded
-    /// runtime does, see `weakset-runtime`'s `threaded` module). The
-    /// simulator never calls it.
+    /// runtime does, see `weakset-runtime`'s `threaded` module), with the
+    /// `ctx` `handle` would get. The simulator never calls it.
     fn serve_inline(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: M) -> Result<M, M> {
         Err(msg)
     }
 }
 
-/// Context passed to a [`Service`] handler.
+/// Context passed to a [`Service`] handler. It carries no time, so a
+/// backend builds one without reading a clock.
 #[derive(Debug)]
 pub struct ServiceCtx<'a> {
-    /// Current simulated time.
-    pub now: SimTime,
     /// The node this service runs on.
     pub node: NodeId,
     /// Deterministic randomness for the handler.
@@ -773,7 +772,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 let span = self.span_enter("svc.handle", || to.label());
                 let reply = {
                     let mut ctx = ServiceCtx {
-                        now: self.now,
                         node: to,
                         rng: &mut self.svc_rng,
                     };

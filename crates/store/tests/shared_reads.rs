@@ -12,7 +12,7 @@ use std::time::Duration;
 use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
-use weakset_sim::time::{SimDuration, SimTime};
+use weakset_sim::time::SimDuration;
 use weakset_sim::world::{Service, ServiceCtx};
 use weakset_store::prelude::*;
 
@@ -199,10 +199,8 @@ where
     // Two copies of one stream: a handler that draws, draws the same.
     let mut rngs = [(); 2].map(|()| SimRng::for_label(16, "svc.prop"));
     let [inline_rng, mailbox_rng] = &mut rngs;
-    let now = SimTime::ZERO;
     let served = inline.serve_inline(
         &mut ServiceCtx {
-            now,
             node,
             rng: inline_rng,
         },
@@ -211,7 +209,6 @@ where
     );
     let reply = mailbox.handle(
         &mut ServiceCtx {
-            now,
             node,
             rng: mailbox_rng,
         },

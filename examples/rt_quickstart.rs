@@ -83,8 +83,8 @@ fn main() {
     );
 
     // The view's own registry: every rpc `demo` made, under the names
-    // the simulator uses (`rpc.shared` counts those an idle node served
-    // on this thread, without crossing its mailbox).
+    // the simulator uses (`rpc.shared`: served in place by an idle node,
+    // so untimed: `rpc.latency` times mailbox crossings only).
     println!("threads:   rpc counters of this view:");
     for (name, value) in rt.metrics().counters() {
         if name.starts_with("rpc.") {

@@ -243,8 +243,9 @@ fn rpc_family(rt: &StoreRt) -> Vec<(String, u64)> {
 /// One rpc counter family on both backends: 20 healthy `Quorum` reads,
 /// then 5 with one replica partitioned away, count the same `rpc.sent`,
 /// `rpc.ok` and `rpc.failed` (and nothing else under `rpc.failed`) on
-/// the simulator and on threads, and a threaded view's `rpc.latency`
-/// population is exactly its successful rpcs.
+/// the simulator and on threads; a threaded view's `rpc.latency`
+/// population is exactly its successful rpcs that crossed a mailbox
+/// (`rpc.ok − rpc.shared`), and both backends time all 25 reads.
 #[test]
 fn backends_count_one_rpc_family() {
     let mut t = Topology::new();
@@ -263,6 +264,7 @@ fn backends_count_one_rpc_family() {
     w.apply_fault(FaultAction::Partition(vec![servers[2]]));
     quorum_reads(&mut w, &client, &cref, 5);
     let sim = rpc_family(&w);
+    let sim_reads = read_latencies(&w);
 
     let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
     let tcn = rt.add_node("client");
@@ -275,7 +277,8 @@ fn backends_count_one_rpc_family() {
     rt.apply_fault(&FaultAction::Partition(vec![tservers[2]]));
     quorum_reads(&mut rt, &client, &cref, 5);
     let threads = rpc_family(&rt);
-    let ok = rt.metrics().counter("rpc.ok");
+    let thread_reads = read_latencies(&rt);
+    let crossed = rt.metrics().counter("rpc.ok") - rt.metrics().counter("rpc.shared");
     let latencies = rt.metrics().latency("rpc.latency").map_or(0, |l| l.len());
     rt.shutdown(Duration::from_secs(10))
         .expect("no node thread should hang at shutdown");
@@ -286,7 +289,20 @@ fn backends_count_one_rpc_family() {
     assert_eq!(count("store.read.quorum.contacts"), Some(75));
     assert_eq!(count("rpc.failed"), Some(5));
     assert_eq!(count("rpc.sent"), count("rpc.ok").map(|ok| ok + 5));
-    assert_eq!(latencies as u64, ok, "one latency per successful rpc");
+    assert_eq!(
+        latencies as u64, crossed,
+        "one latency per successful rpc that crossed a mailbox"
+    );
+    // Every read is timed by its caller, on either path, so an rpc
+    // served in place is never unaccounted for.
+    assert_eq!((sim_reads, thread_reads), (25, 25));
+}
+
+/// How many `Quorum` reads the caller timed (`store.read.quorum.us`).
+fn read_latencies(rt: &StoreRt) -> usize {
+    rt.metrics()
+        .latency("store.read.quorum.us")
+        .map_or(0, |l| l.len())
 }
 
 /// The old cross-runtime blocking story, now through one code path: an

@@ -50,7 +50,9 @@ struct Named<V> {
 }
 
 impl<V: Default> Named<V> {
-    /// The value for `name`, created (default) on first use.
+    /// The value for `name`, created (default) on first use. Only the
+    /// memo hit is inlined; everything else is [`Named::resolve`].
+    #[inline]
     fn slot(&mut self, name: &str) -> &mut V {
         // Fibonacci hashing of where the caller's text lives and how
         // long it is; the top bits pick the line.
@@ -64,6 +66,13 @@ impl<V: Default> Named<V> {
         {
             return &mut self.slots[suggested].1;
         }
+        self.resolve(name, line)
+    }
+
+    /// A memo miss: the index decides, creating the slot on first use,
+    /// and memo line `line` remembers the answer.
+    #[cold]
+    fn resolve(&mut self, name: &str, line: usize) -> &mut V {
         let slot = match self.index.get(name) {
             Some(&slot) => slot,
             None => {
@@ -119,12 +128,14 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the named counter (saturating).
+    #[inline]
     pub fn add(&mut self, name: &str, delta: u64) {
         let slot = self.counters.slot(name);
         *slot = slot.saturating_add(delta);
     }
 
     /// Increments the named counter by one.
+    #[inline]
     pub fn incr(&mut self, name: &str) {
         self.add(name, 1);
     }

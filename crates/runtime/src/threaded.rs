@@ -906,7 +906,12 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        let span = Observe::span_enter(self, "net.rpc", &|| from.link_label(to));
+        // Only a recording sink gets a span: nothing reads an unrecorded
+        // one, and a handler run in place never sees the view's context.
+        let span = self
+            .events
+            .is_enabled()
+            .then(|| Observe::span_enter(self, "net.rpc", &|| from.link_label(to)));
         // Only the recorder reads the request hash and the elapsed time.
         let noted = self
             .recorder
@@ -926,7 +931,9 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
             let err = *e;
             Observe::trace_event(self, "net.rpc.failed", &|| format!("{from}->{to}: {err}"));
         }
-        Observe::span_exit(self, span);
+        if let Some(span) = span {
+            Observe::span_exit(self, span);
+        }
         result
     }
 

@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use weakset_obs::session as session_names;
 use weakset_obs::store_health;
 use weakset_runtime::prelude::*;
+use weakset_sim::metrics::Metrics;
 use weakset_sim::net::{BatchBuffer, BatchEnvelope, NetError};
 use weakset_sim::node::NodeId;
 use weakset_sim::time::{SimDuration, SimTime};
@@ -322,13 +323,21 @@ impl ReadFold {
         self.merge == Merge::First && self.read.is_some()
     }
 
-    fn finish(self) -> Result<MembershipRead, StoreError> {
+    /// The round's outcome. A successful round that some replica was
+    /// behind for was redirected, not blocked: the one place that counts
+    /// `session.read.redirect`, for sequential and batched rounds alike.
+    fn finish(self, metrics: &mut Metrics) -> Result<MembershipRead, StoreError> {
         let (got, need) = (self.got, self.need);
         if self.merge == Merge::Newest && got < need {
             return Err(StoreError::NoQuorum { got, need });
         }
         match (self.read, self.behind) {
-            (Some(read), _) => Ok(read),
+            (Some(read), behind) => {
+                if behind.is_some() {
+                    metrics.incr(session_names::READ_REDIRECT);
+                }
+                Ok(read)
+            }
             // Every replica behind beats a generic error: the caller
             // can wait and retry on SessionBehind.
             (None, Some((have, need))) => Err(StoreError::SessionBehind { have, need }),
@@ -429,9 +438,25 @@ impl StoreClient {
         self.timeout
     }
 
+    /// One rpc from this client's node: without retries, the bare rpc.
     fn call(&self, world: &mut StoreRt, to: NodeId, msg: StoreMsg) -> Result<StoreMsg, StoreError> {
-        // Only an attempt that may be retried needs its own copy of the
-        // request; the last one takes it.
+        if self.retries == 0 {
+            return world
+                .rpc(self.node, to, msg, self.timeout)
+                .map_err(StoreError::Net);
+        }
+        self.call_retrying(world, to, msg)
+    }
+
+    /// [`StoreClient::call`] with up to `self.retries` extra attempts on
+    /// network failure. Only an attempt that may be retried needs its
+    /// own copy of the request; the last one takes it.
+    fn call_retrying(
+        &self,
+        world: &mut StoreRt,
+        to: NodeId,
+        msg: StoreMsg,
+    ) -> Result<StoreMsg, StoreError> {
         for _ in 0..self.retries {
             if let Ok(reply) = world.rpc(self.node, to, msg.clone(), self.timeout) {
                 return Ok(reply);
@@ -706,7 +731,7 @@ impl StoreClient {
             &ranked
         };
         let mut waited = false;
-        let (result, redirected) = loop {
+        let result = loop {
             let mut fold = ReadFold::new(plan, nodes.len());
             for &node in nodes {
                 if let Some(counter) = plan.contacts_counter {
@@ -717,8 +742,7 @@ impl StoreClient {
                     break;
                 }
             }
-            let redirected = fold.behind.is_some();
-            match fold.finish() {
+            match fold.finish(world.metrics_mut()) {
                 // Every reachable replica is behind: wait for replication
                 // or anti-entropy to catch up, while the deadline allows.
                 Err(StoreError::SessionBehind { .. })
@@ -727,7 +751,7 @@ impl StoreClient {
                     waited = true;
                     world.sleep(WAIT_STEP);
                 }
-                result => break (result, redirected),
+                result => break result,
             }
         };
         let gave_up = plan.session && matches!(result, Err(StoreError::SessionBehind { .. }));
@@ -737,11 +761,6 @@ impl StoreClient {
         }
         if gave_up {
             world.metrics_mut().incr(session_names::READ_GAVE_UP);
-        }
-        // Some replica was behind, but another satisfied the session:
-        // the read was redirected, not blocked.
-        if redirected && result.is_ok() {
-            world.metrics_mut().incr(session_names::READ_REDIRECT);
         }
         result
     }
@@ -828,7 +847,10 @@ impl StoreClient {
                 }
             }
         }
-        let mut results: Vec<_> = folds.into_iter().map(ReadFold::finish).collect();
+        let mut results: Vec<_> = folds
+            .into_iter()
+            .map(|fold| fold.finish(world.metrics_mut()))
+            .collect();
         // Session reads do not give up after one round: a shard whose
         // replicas were all behind falls back to the sequential
         // wait/redirect loop, which retries until a fresh timeout.
@@ -1403,7 +1425,7 @@ mod tests {
         assert!(!fold.push(read(2, &[1])));
         assert!(!fold.push(read(2, &[9])));
         assert!(!fold.push(read(1, &[7])));
-        assert_eq!(fold.finish(), read(2, &[1]));
+        assert_eq!(fold.finish(&mut Metrics::new()), read(2, &[1]));
     }
 
     #[test]
@@ -1413,7 +1435,7 @@ mod tests {
         assert!(!fold.push(read(1, &[2, 9])));
         assert!(!fold.push(read(2, &[2, 5, 9])));
         assert!(!fold.push(read(3, &[1, 5, 9, 12])));
-        assert_eq!(fold.finish(), read(3, &[1, 2, 5, 9, 12]));
+        assert_eq!(fold.finish(&mut Metrics::new()), read(3, &[1, 2, 5, 9, 12]));
     }
 
     #[test]
@@ -1425,7 +1447,7 @@ mod tests {
         // merely behind: the caller can still wait for them.
         fold.push(Err(StoreError::Net(NetError::Timeout)));
         assert_eq!(
-            fold.finish(),
+            fold.finish(&mut Metrics::new()),
             Err(StoreError::SessionBehind { have: 3, need: 4 })
         );
     }
@@ -1437,7 +1459,7 @@ mod tests {
         assert!(fold.push(read(1, &[5])), "the first success settles it");
         fold.push(read(9, &[6]));
         fold.push(Err(StoreError::Protocol));
-        assert_eq!(fold.finish(), read(1, &[5]));
+        assert_eq!(fold.finish(&mut Metrics::new()), read(1, &[5]));
     }
 
     #[test]
@@ -1610,6 +1632,9 @@ mod tests {
             assert_eq!(r.entries.len(), expect, "shard {i}");
         }
         assert!(w.metrics().counter(session_names::READ_BEHIND) >= 1);
+        // Shard 1's read was redirected past the stale replica, and no
+        // other shard's was.
+        assert_eq!(w.metrics().counter(session_names::READ_REDIRECT), 1);
         // Sequential session reads see exactly the same memberships:
         // the batched path is an optimisation, not a semantic change.
         let sequential: Vec<_> = shards
@@ -1622,5 +1647,7 @@ mod tests {
         for (seq, bat) in sequential.iter().zip(&reads) {
             assert_eq!(Ok(seq), bat.as_ref());
         }
+        // ... and count the one redirect the same way.
+        assert_eq!(w.metrics().counter(session_names::READ_REDIRECT), 2);
     }
 }

@@ -305,6 +305,55 @@ fn read_latencies(rt: &StoreRt) -> usize {
         .map_or(0, |l| l.len())
 }
 
+/// The `rpc.sent`, `rpc.ok` and `rpc.failed` a `Primary` read by
+/// `client` spends on a collection whose home is down (the read fails).
+fn failed_read_rpcs(rt: &mut StoreRt, client: &StoreClient, cref: &CollectionRef) -> [u64; 3] {
+    let counts =
+        |rt: &StoreRt| ["rpc.sent", "rpc.ok", "rpc.failed"].map(|n| rt.metrics().counter(n));
+    let before = counts(rt);
+    let read = client.read_members(rt, cref, ReadPolicy::Primary);
+    assert!(matches!(read, Err(StoreError::Net(_))), "{read:?}");
+    let after = counts(rt);
+    [0, 1, 2].map(|i| after[i] - before[i])
+}
+
+/// A retrying client retries alike on both backends: `with_retries(2)`
+/// against a crashed home makes three attempts, each counted once as
+/// sent and once as failed, and none skipped by the retry-free fast path.
+#[test]
+fn retries_reach_a_crashed_node_alike_on_both_backends() {
+    let client_of = |node| StoreClient::new(node, SimDuration::from_millis(50)).with_retries(2);
+    let mut t = Topology::new();
+    let cn = t.add_node("client", 0);
+    let s = t.add_node("s0", 1);
+    let mut w = StoreWorld::new(
+        WorldConfig::seeded(SEED),
+        t,
+        LatencyModel::Constant(SimDuration::from_millis(1)),
+    );
+    w.install_service(s, Box::new(StoreServer::new()));
+    let cref = CollectionRef::unreplicated(COLL, s);
+    let client = client_of(cn);
+    client.create_collection(&mut w, &cref).unwrap();
+    w.apply_fault(FaultAction::Crash(s));
+    let sim = failed_read_rpcs(&mut w, &client, &cref);
+
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
+    let tcn = rt.add_node("client");
+    let ts = rt.add_node("s0");
+    rt.install_service(ts, Box::new(StoreServer::new()));
+    let cref = CollectionRef::unreplicated(COLL, ts);
+    let client = client_of(tcn);
+    client.create_collection(&mut rt, &cref).unwrap();
+    rt.apply_fault(&FaultAction::Crash(ts));
+    let threads = failed_read_rpcs(&mut rt, &client, &cref);
+    rt.shutdown(Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+
+    assert_eq!(sim, [3, 0, 3], "simulator: sent, ok, failed");
+    assert_eq!(threads, [3, 0, 3], "threads: sent, ok, failed");
+}
+
 /// The old cross-runtime blocking story, now through one code path: an
 /// unreachable member blocks an optimistic run on either backend, and
 /// healing the route lets both finish with a Figure 6-conformant record.

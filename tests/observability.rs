@@ -4,6 +4,7 @@
 
 use weak_sets::prelude::*;
 use weak_sets::weakset_sim::trace::TraceEvent;
+use weak_sets::weakset_sim::world::{Service, ServiceCtx};
 
 struct Rig {
     world: StoreWorld,
@@ -395,4 +396,94 @@ fn sharded_computation_is_one_trace_across_shard_groups() {
         handled_on.len() >= 2,
         "one computation should span multiple shard groups, saw {handled_on:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Spans on threads: an rpc opens one `net.rpc` span whichever path it
+// takes when the sink records, and leaves no trace when it does not.
+// ---------------------------------------------------------------------
+
+/// A `StoreServer` that never serves in place: every request to it
+/// crosses its node's mailbox.
+struct MailboxOnly(StoreServer);
+
+impl Service<StoreMsg> for MailboxOnly {
+    fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: StoreMsg) -> StoreMsg {
+        self.0.handle(ctx, from, msg)
+    }
+}
+
+/// Three idle replicas holding four members; the last one takes every
+/// request through its mailbox, the others serve in place.
+fn mixed_path_fleet() -> (ThreadedRuntime<StoreMsg>, StoreClient, CollectionRef) {
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(5);
+    let client_node = rt.add_node("client");
+    let servers: Vec<NodeId> = (0..3).map(|i| rt.add_node(format!("s{i}"))).collect();
+    rt.install_service(servers[0], Box::new(StoreServer::new()));
+    rt.install_service(servers[1], Box::new(StoreServer::new()));
+    rt.install_service(servers[2], Box::new(MailboxOnly(StoreServer::new())));
+    let client = StoreClient::new(client_node, SimDuration::from_secs(5));
+    let cref = CollectionRef {
+        id: CollectionId(1),
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    };
+    client.create_collection(&mut rt, &cref).unwrap();
+    for i in 1..=4u64 {
+        let entry = MemberEntry {
+            elem: ObjectId(i),
+            home: servers[0],
+        };
+        client.add_member(&mut rt, &cref, entry).unwrap();
+    }
+    (rt, client, cref)
+}
+
+/// With a recording sink, each of a `Leaderless` read's three rpcs — two
+/// served in place, one through a mailbox — opens exactly one `net.rpc`
+/// span, a child of the read's own span in the read's trace.
+#[test]
+fn threaded_rpcs_open_one_span_under_their_read_on_either_path() {
+    let (mut rt, client, cref) = mixed_path_fleet();
+    rt.events_mut().set_enabled(true);
+    let (sent, shared) = ("rpc.sent", "rpc.shared");
+    let before = (rt.metrics().counter(sent), rt.metrics().counter(shared));
+    let read = client.read_members(&mut rt, &cref, ReadPolicy::Leaderless);
+    assert_eq!(read.map(|r| r.entries.len()), Ok(4));
+    let paths = (
+        rt.metrics().counter(sent) - before.0,
+        rt.metrics().counter(shared) - before.1,
+    );
+    assert_eq!(paths, (3, 2), "three rpcs, two of them in place");
+    assert!(rt.finish_spans().is_empty());
+    let dag = CausalDag::from_events(&rt.events_mut().take_events());
+    let reads: Vec<&SpanNode> = dag
+        .spans()
+        .filter(|s| s.kind == "store.read.leaderless")
+        .collect();
+    assert_eq!(reads.len(), 1);
+    let rpcs: Vec<&SpanNode> = dag.spans().filter(|s| s.kind == "net.rpc").collect();
+    assert_eq!(rpcs.len(), 3, "one net.rpc span per rpc");
+    for rpc in rpcs {
+        assert_eq!((rpc.parent, rpc.trace), (Some(reads[0].id), reads[0].trace));
+    }
+    rt.shutdown(std::time::Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+}
+
+/// With a sink that records nothing, the same read leaves the view's
+/// span stack as it found it and nothing open to finish.
+#[test]
+fn a_quiet_threaded_sink_keeps_no_rpc_span() {
+    let (mut rt, client, cref) = mixed_path_fleet();
+    let outer = rt.span_enter("test.outer", &String::new);
+    let before = rt.current_ctx();
+    let read = client.read_members(&mut rt, &cref, ReadPolicy::Leaderless);
+    assert_eq!(read.map(|r| r.entries.len()), Ok(4));
+    assert_eq!(rt.current_ctx(), before);
+    rt.span_exit(outer);
+    assert!(rt.finish_spans().is_empty());
+    assert!(rt.events().is_empty());
+    rt.shutdown(std::time::Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
 }

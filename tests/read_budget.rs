@@ -1,0 +1,189 @@
+//! Where one idle-fleet read's time goes: a per-layer budget of a
+//! 64-member `read_members(Leaderless)` on three threaded replicas, the
+//! read the ledger's `rt-read-fanout` workload times end to end.
+//!
+//! Report-only (nothing is asserted about speed); DESIGN.md §6 quotes
+//! its table. Run it with
+//!
+//! ```text
+//! cargo test --release --test read_budget -- --ignored --nocapture
+//! ```
+//!
+//! Each row is the fastest, over 21 rounds of 20 000 calls after a
+//! warm-up, of one call's mean wall time: on a shared host the fastest
+//! round is the one least disturbed by other work. The fleet is idle,
+//! so every rpc runs its handler in place on this thread. The rows are
+//! differences of nested calls:
+//!
+//! * handler: `StoreServer::serve_inline(ListMembers)` on one replica,
+//!   called directly;
+//! * in-place rpc: `Transport::rpc` with that request, minus its handler;
+//! * client read loop: `read_members` minus its three rpcs and two clock
+//!   reads;
+//! * clock reads: two `Clock::now` calls, which time the read for
+//!   `store.read.leaderless.us`;
+//! * harness: an op the way the ledger times one — an `Instant` pair
+//!   around the read and a length-and-checksum check of its result —
+//!   minus the read.
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+use weak_sets::prelude::*;
+
+const MEMBERS: u64 = 64;
+const REPLICAS: usize = 3;
+const COLL: CollectionId = CollectionId(1);
+const ROUNDS: usize = 21;
+const BATCH: u32 = 20_000;
+
+/// Fastest-round mean wall time of one call of `step(row)` for every
+/// row, in nanoseconds. Rounds interleave the rows, so a drift of the
+/// host during the run lands on all of them alike.
+fn ns_per_call<const ROWS: usize>(mut step: impl FnMut(usize)) -> [f64; ROWS] {
+    let mut rounds = [[0.0; ROUNDS]; ROWS];
+    for round in 0..=ROUNDS {
+        for (row, samples) in rounds.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            for _ in 0..BATCH {
+                step(row);
+            }
+            // Round 0 is the warm-up.
+            if round > 0 {
+                samples[round - 1] = t0.elapsed().as_nanos() as f64 / f64::from(BATCH);
+            }
+        }
+    }
+    rounds.map(|samples| samples.into_iter().fold(f64::INFINITY, f64::min))
+}
+
+/// A check like the ledger's: an id/home checksum over the entries.
+fn checksum(entries: &[MemberEntry]) -> u64 {
+    entries.iter().fold(0u64, |acc, e| {
+        acc.wrapping_add(e.elem.0.rotate_left(17) ^ u64::from(e.home.0))
+    })
+}
+
+#[test]
+#[ignore = "report-only timing; run with --release -- --ignored --nocapture"]
+fn idle_fleet_leaderless_read_budget() {
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(1);
+    let servers: Vec<NodeId> = (0..REPLICAS)
+        .map(|i| rt.add_node(format!("s{i}")))
+        .collect();
+    for &s in &servers {
+        rt.install_service(s, Box::new(StoreServer::new()));
+    }
+    let client_node = rt.add_node("client");
+    let client = StoreClient::new(client_node, SimDuration::from_millis(5_000));
+    let cref = CollectionRef {
+        id: COLL,
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    };
+    let set = WeakSet::new(client.clone(), cref.clone());
+    client.create_collection(&mut rt, &cref).unwrap();
+    for id in 1..=MEMBERS {
+        let home = servers[id as usize % REPLICAS];
+        let rec = ObjectRecord::new(ObjectId(id), format!("m{id:016x}"), &[7u8; 32][..]);
+        set.add(&mut rt, rec, home).unwrap();
+    }
+    let want = client
+        .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
+        .unwrap();
+    assert_eq!(want.entries.len(), MEMBERS as usize);
+    let want_sum = checksum(&want.entries);
+
+    // The handler, called directly: a replica outside the fleet holding
+    // the same membership, so the fleet's own slots stay idle.
+    let mut replica = StoreServer::new();
+    let mut rng = SimRng::for_label(1, "budget");
+    let mut ctx = ServiceCtx {
+        node: servers[1],
+        rng: &mut rng,
+    };
+    replica.handle(&mut ctx, client_node, StoreMsg::CreateCollection(COLL));
+    for &entry in want.entries.iter() {
+        replica.handle(
+            &mut ctx,
+            client_node,
+            StoreMsg::AddMember { coll: COLL, entry },
+        );
+    }
+    let list = StoreMsg::ListMembers(COLL);
+    let timeout = client.timeout();
+    let mut lat = Vec::with_capacity(BATCH as usize);
+    let [handler, rpc, clock, read, op] = ns_per_call(|row| match row {
+        0 => {
+            let reply = replica.serve_inline(&mut ctx, client_node, black_box(list.clone()));
+            black_box(reply.is_ok());
+        }
+        1 => {
+            let reply = rt.rpc(client_node, servers[1], black_box(list.clone()), timeout);
+            black_box(reply.is_ok());
+        }
+        2 => {
+            black_box(Clock::now(&rt));
+        }
+        3 => {
+            let r = client.read_members(&mut rt, &cref, ReadPolicy::Leaderless);
+            black_box(r.is_ok());
+        }
+        _ => {
+            // What the ledger does around each op: time it, check it.
+            let t0 = Instant::now();
+            let ok = client
+                .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
+                .is_ok_and(|r| {
+                    r.entries.len() == MEMBERS as usize && checksum(&r.entries) == want_sum
+                });
+            if lat.len() == lat.capacity() {
+                lat.clear();
+            }
+            lat.push(t0.elapsed().as_nanos() as f64 / 1e3);
+            black_box(ok);
+        }
+    });
+
+    let contacts = REPLICAS as f64;
+    let rows = [
+        ("handler (ListMembers, per contact)", handler * contacts),
+        ("in-place rpc wrapping", (rpc - handler) * contacts),
+        ("client read loop", read - contacts * rpc - 2.0 * clock),
+        ("clock reads (2)", 2.0 * clock),
+        ("harness (timed, checked op)", op - read),
+    ];
+    println!("one {MEMBERS}-member Leaderless read, {REPLICAS} idle threaded replicas");
+    println!("{:<36} {:>9}", "layer", "ns / op");
+    for (layer, ns) in rows {
+        println!("{layer:<36} {ns:>9.0}");
+    }
+    println!("{:<36} {:>9.0}", "total (timed, checked op)", op);
+    println!(
+        "per call: handler {handler:.0} ns, in-place rpc {rpc:.0} ns, clock {clock:.0} ns, \
+         read_members {read:.0} ns"
+    );
+    assert!(rt.shutdown(Duration::from_secs(5)).is_ok());
+}
+
+/// The values every read moves stay as small as they are: a bigger
+/// `Membership` cost `rt-read-fanout` 3–5 % when it last grew (16 → 40
+/// bytes), so growing one should be a choice backed by a ledger number.
+#[test]
+fn the_values_a_read_moves_stay_small() {
+    use std::mem::size_of;
+    assert!(
+        size_of::<StoreMsg>() <= 80,
+        "StoreMsg: {}",
+        size_of::<StoreMsg>()
+    );
+    assert!(
+        size_of::<Membership>() <= 40,
+        "Membership: {}",
+        size_of::<Membership>()
+    );
+    assert!(
+        size_of::<MembershipRead>() <= 48,
+        "MembershipRead: {}",
+        size_of::<MembershipRead>()
+    );
+}

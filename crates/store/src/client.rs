@@ -304,9 +304,9 @@ impl ReadFold {
                     }
                     (Some(merged), Merge::Union) => {
                         merged.version = merged.version.max(read.version);
-                        // The same array again: `union` would hand back a
-                        // clone of it only for the old one to be dropped.
-                        if !Membership::ptr_eq(&merged.entries, &read.entries) {
+                        // The same content again: `union` would hand back
+                        // a clone of it only for the old one to be dropped.
+                        if merged.entries.id() != read.entries.id() {
                             merged.entries = merged.entries.union(&read.entries);
                         }
                     }

@@ -7,12 +7,13 @@
 //! their home nodes are — the containment structure of the paper's
 //! Figure 2.
 //!
-//! A membership rests and travels as one value, [`Membership`]: an
-//! immutable, sorted, duplicate-free array behind an `Arc`. A mutation
-//! builds the next version with one allocation and two bulk copies; from
-//! there the live state, every `ListMembers` reply and every replica the
-//! version is synced to share that one allocation, and it is freed when
-//! the last of them moves on.
+//! A membership rests and travels as one value, [`Membership`]: a
+//! sorted, duplicate-free array behind an `Arc`, copied on write. A
+//! write is one step: it shifts the entries in place when its value
+//! holds the array alone and the array has room, and otherwise builds
+//! the next array, with room, in one allocation. So a write copies only
+//! while a reply, a snapshot or an in-flight message still holds the
+//! version it replaces, and what any held value lists never changes.
 //!
 //! Every mutation appends one [`Change`] to the collection's log: what
 //! the new version lists and delists — three words, never a copy of the
@@ -22,16 +23,21 @@
 //! tests) replay it — [`CollectionState::members_at`],
 //! [`CollectionState::history`] — when they want a past membership back.
 //!
-//! A replica sync logs the primary's step rather than re-deriving it:
-//! every array carries a process-unique id, and one built by `with` or
-//! by a single-entry `without` also names the id it was built from and
-//! where. When that is the array the replica holds, the change is read
-//! off in O(1); any other sync diffs the two runs.
+//! A replica sync applies the primary's step rather than re-deriving
+//! it: every content carries a process-unique id, and one made by a
+//! one-entry write also names the id it was made from and where. When
+//! that is the content the replica holds, the change is read off in
+//! O(1) and applied to the replica's own array, which takes the
+//! primary's id; a replica whose array a reader still holds, that has
+//! no room, or that missed a step, shares the primary's array instead.
+//! A sync never allocates. Any sync that is not one known step diffs the two runs
+//! for its log entry.
 
 use crate::object::ObjectId;
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
+use std::num::NonZeroU32;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use weakset_sim::node::NodeId;
@@ -46,88 +52,133 @@ pub struct MemberEntry {
     pub home: NodeId,
 }
 
-/// One version of a collection's membership: immutable, sorted by
-/// `(elem, home)`, duplicate-free, and cheap to clone (a reference-count
-/// bump). It dereferences to `[MemberEntry]`.
+/// One version of a collection's membership: sorted by `(elem, home)`,
+/// duplicate-free, and cheap to clone (a reference-count bump). It
+/// dereferences to `[MemberEntry]`.
 ///
 /// The invariant holds by construction: the only ways to obtain one are
 /// the empty value, the conversions from a `Vec` or an iterator (which
 /// sort and dedup whatever is not already so — input is never trusted),
 /// and the methods here, which preserve it.
 ///
-/// Each array also carries an id, and, when `with` or `without` built it
-/// from another by one entry, that step: what lets
-/// [`CollectionState::sync_to`] log a sync without comparing the two
-/// runs. Neither shows in `Debug` or `PartialEq`.
-#[derive(Clone, Default)]
+/// A clone shares the array, and a write changes an array in place only
+/// through its one holder, so what a value lists changes only through
+/// that value. Each value carries an id naming what it lists — two values
+/// with one id list the same entries — and, when one entry was inserted
+/// or removed to make it from another content, that content's id and the
+/// step: what lets [`CollectionState::sync_to`] log and apply a sync
+/// without comparing the two runs. None of it shows in `Debug` or
+/// `PartialEq`.
+#[derive(Clone)]
 pub struct Membership {
-    /// `None` is the empty membership, so it allocates nothing.
+    /// The entries, then room for more; `None` until a write needs an
+    /// array, so the empty membership allocates nothing.
     run: Option<Arc<[MemberEntry]>>,
-    /// Unique to this array in this process; 0 for the empty membership.
+    /// How many of `run`'s slots hold entries.
+    len: u32,
+    /// The step from `parent`'s content to this one, packed by [`pack`].
+    /// Never 0, so an `Option<Membership>`, and every reply that wraps
+    /// one, is no bigger than the membership.
+    step: NonZeroU32,
+    /// Unique to this content in this process; 0 for the empty one.
     id: u64,
-    /// The step that built this array, if it is one entry from another.
-    origin: Option<Origin>,
-}
-
-/// One step between two arrays: the array `parent` with one entry
-/// inserted at, or removed from, `index`.
-#[derive(Clone, Copy)]
-struct Origin {
+    /// The id of the content `step` starts from.
     parent: u64,
-    index: u32,
-    added: bool,
 }
 
-/// Where array ids come from; 0 is never handed out.
+/// Where content ids come from; 0 is never handed out.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// [`Membership::step`] when no step is known.
+const NO_STEP: NonZeroU32 = NonZeroU32::MIN;
+
+/// [`Membership::step`] for one entry inserted at, or removed from,
+/// `index`: `2 + (index << 1 | added)`, or [`NO_STEP`] when that does
+/// not fit.
+fn pack(index: usize, added: bool) -> NonZeroU32 {
+    u32::try_from(index)
+        .ok()
+        .and_then(|i| i.checked_mul(2))
+        .and_then(|i| i.checked_add(2 + u32::from(added)))
+        .and_then(NonZeroU32::new)
+        .unwrap_or(NO_STEP)
+}
+
+/// The spare slots a new array of `len` entries gets: an eighth, so a
+/// run of inserts reallocates a logarithmic number of times. A set of
+/// fewer than eight gets none — its adds copy until a removal makes room
+/// — because most simulated collections list a handful of entries and
+/// see too few writes for spare slots to pay for their bytes.
+fn room(len: usize) -> usize {
+    len / 8
+}
 
 impl Membership {
     /// The empty membership.
     pub fn new() -> Self {
-        Membership::default()
+        Membership {
+            run: None,
+            len: 0,
+            step: NO_STEP,
+            id: 0,
+            parent: 0,
+        }
     }
 
-    /// Wraps a run that is already strictly ascending.
+    /// Wraps a run that is already strictly ascending, exactly sized,
+    /// under a fresh id (the empty run is always [`Membership::new`]).
     fn from_sorted(run: impl Into<Arc<[MemberEntry]>>) -> Self {
-        Membership::built(run.into(), None)
-    }
-
-    /// Wraps a strictly ascending run under a fresh id, with the step
-    /// that built it (the empty run is always [`Membership::new`]).
-    fn built(run: Arc<[MemberEntry]>, origin: Option<Origin>) -> Self {
+        let run = run.into();
         debug_assert!(run.windows(2).all(|w| w[0] < w[1]));
         if run.is_empty() {
             return Membership::new();
         }
-        Membership {
+        let mut sorted = Membership {
+            len: u32::try_from(run.len()).expect("fewer than 2^32 members"),
             run: Some(run),
-            // The id publishes no data: `fetch_add` alone makes it unique.
-            id: NEXT_ID.fetch_add(1, Relaxed),
-            origin,
-        }
+            ..Membership::new()
+        };
+        sorted.name(0, NO_STEP);
+        sorted
     }
 
-    /// The step from this array that inserts at, or removes, `index`.
-    fn step(&self, index: usize, added: bool) -> Option<Origin> {
-        Some(Origin {
-            parent: self.id,
-            index: u32::try_from(index).ok()?,
-            added,
-        })
-    }
-
-    /// What takes `before` to this membership, when this array was built
-    /// from `before`'s by one `with` or single-entry `without`: the entry
-    /// read off in O(1), exactly what [`Change::between`] would find.
-    /// `None` means "not known to be one step", never "not one step".
-    fn step_from(&self, before: &Membership) -> Option<Change> {
-        let origin = self.origin.filter(|o| o.parent == before.id)?;
-        let at = origin.index as usize;
-        Some(if origin.added {
-            Change::Added(self[at])
+    /// Gives this value's new content a name: a fresh id (0 when it is
+    /// empty), made from content `parent` by `step`.
+    fn name(&mut self, parent: u64, step: NonZeroU32) {
+        // The id publishes no data: `fetch_add` alone makes it unique.
+        self.id = if self.len == 0 {
+            0
         } else {
-            Change::Removed(before[at])
+            NEXT_ID.fetch_add(1, Relaxed)
+        };
+        self.parent = parent;
+        self.step = step;
+    }
+
+    /// What takes `before` to this membership, when one write made this
+    /// content from `before`'s by one entry: where, and the entry, read
+    /// off in O(1) — exactly what [`Change::between`] would find. `None`
+    /// means "not known to be one step", never "not one step".
+    fn step_from(&self, before: &Membership) -> Option<(usize, Change)> {
+        let packed = self
+            .step
+            .get()
+            .checked_sub(2)
+            .filter(|_| self.parent == before.id)?;
+        let at = (packed >> 1) as usize;
+        Some(if packed & 1 == 1 {
+            (at, Change::Added(self[at]))
+        } else {
+            (at, Change::Removed(before[at]))
         })
+    }
+
+    /// Names what this value lists: two values with one id list the same
+    /// entries, and 0 is the empty membership. A write gives its result
+    /// a new id; a replica that applies the primary's step takes the
+    /// primary's.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// True when `elem` is a member (binary search).
@@ -135,50 +186,106 @@ impl Membership {
         self.binary_search_by_key(&elem, |m| m.elem).is_ok()
     }
 
-    /// This membership plus `entry`: one allocation and two bulk copies,
-    /// or `self` again when the entry is already listed.
+    /// This membership plus `entry`, or `self` again when the entry is
+    /// already listed: the write step on a clone, so a new array.
     #[must_use]
     pub fn with(&self, entry: MemberEntry) -> Membership {
-        match self.binary_search(&entry) {
-            Ok(_) => self.clone(),
-            Err(at) => {
-                // An exact-size fill collects straight into the shared
-                // allocation; every slot but `at` is then overwritten.
-                let mut run: Arc<[MemberEntry]> =
-                    std::iter::repeat_n(entry, self.len() + 1).collect();
-                let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
-                slots[..at].copy_from_slice(&self[..at]);
-                slots[at + 1..].copy_from_slice(&self[at..]);
-                Membership::built(run, self.step(at, true))
-            }
+        let mut next = self.clone();
+        if let Err(at) = self.binary_search(&entry) {
+            next.write(at..at, Some(entry));
         }
+        next
     }
 
     /// Where `elem`'s entries sit (one per home it is listed under).
-    fn span_of(&self, elem: ObjectId) -> std::ops::Range<usize> {
+    fn span_of(&self, elem: ObjectId) -> Range<usize> {
         let start = self.partition_point(|m| m.elem < elem);
         start..start + self[start..].partition_point(|m| m.elem == elem)
     }
 
-    /// This membership minus every entry for `elem`: one allocation and
-    /// two bulk copies, or `self` again when `elem` is not a member.
+    /// This membership minus every entry for `elem`, or `self` again
+    /// when `elem` is not a member: the write step on a clone, so a new
+    /// array.
     #[must_use]
     pub fn without(&self, elem: ObjectId) -> Membership {
+        let mut next = self.clone();
         let gone = self.span_of(elem);
-        if gone.is_empty() {
-            return self.clone();
+        if !gone.is_empty() {
+            next.write(gone, None);
         }
-        // The tail from `gone.len()` on already ends with the entries
-        // after `gone`; the slots before them get the entries before it.
-        let mut run: Arc<[MemberEntry]> = Arc::from(&self[gone.len()..]);
-        let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
-        slots[..gone.start].copy_from_slice(&self[..gone.start]);
-        let origin = self.step(gone.start, false).filter(|_| gone.len() == 1);
-        Membership::built(run, origin)
+        next
     }
 
-    /// The set union, as a linear merge of the two sorted runs. Runs that
-    /// share their allocation, or are equal, are not copied at all.
+    /// The write: `self[gone]` replaced by `entry`, if any, as a new
+    /// content, which records the step when one entry moved.
+    fn write(&mut self, gone: Range<usize>, entry: Option<MemberEntry>) {
+        let one = gone.len() + usize::from(entry.is_some()) == 1;
+        let step = if one {
+            pack(gone.start, entry.is_some())
+        } else {
+            NO_STEP
+        };
+        let parent = self.id;
+        self.splice(gone, entry);
+        self.name(parent, step);
+    }
+
+    /// This value's slots, when it is their only holder and they have
+    /// room for `extra` more entries: what a write may shift in place.
+    fn owned(&mut self, extra: usize) -> Option<&mut [MemberEntry]> {
+        let need = self.len() + extra;
+        Arc::get_mut(self.run.as_mut()?).filter(|slots| slots.len() >= need)
+    }
+
+    /// The one array step under every write: `self[gone]` replaced by
+    /// `entry`, if any. It shifts the entries after `gone` in place when
+    /// [`Membership::owned`] allows, and otherwise builds the next array
+    /// with [`room`] in one allocation. The caller names the result.
+    fn splice(&mut self, gone: Range<usize>, entry: Option<MemberEntry>) {
+        let (len, put) = (self.len(), usize::from(entry.is_some()));
+        let (at, next) = (gone.start, len - gone.len() + put);
+        if let Some(slots) = self.owned(put) {
+            slots.copy_within(gone.end..len, at + put);
+            slots[at..at + put].copy_from_slice(entry.as_slice());
+        } else if next == 0 {
+            self.run = None;
+        } else {
+            // An exact-size fill collects straight into the new
+            // allocation; the entries then overwrite their slots.
+            let fill = entry.unwrap_or_else(|| self[0]);
+            let mut run: Arc<[MemberEntry]> =
+                std::iter::repeat_n(fill, next + room(next)).collect();
+            let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
+            slots[..at].copy_from_slice(&self[..at]);
+            slots[at..at + put].copy_from_slice(entry.as_slice());
+            slots[at + put..next].copy_from_slice(&self[gone.end..]);
+            self.run = Some(run);
+        }
+        self.len = u32::try_from(next).expect("fewer than 2^32 members");
+    }
+
+    /// Becomes `next` without allocating. When `next` is `change` at
+    /// `at` from this content, and this value holds its array alone with
+    /// room, the step is applied here and `next`'s name taken; otherwise
+    /// this value shares `next`'s array.
+    fn follow(&mut self, next: Membership, at: Option<usize>, change: &Change) {
+        match (at, change) {
+            (Some(at), Change::Added(entry)) if self.owned(1).is_some() => {
+                self.splice(at..at, Some(*entry));
+            }
+            (Some(at), Change::Removed(_)) if self.owned(0).is_some() => {
+                self.splice(at..at + 1, None);
+            }
+            _ => {
+                *self = next;
+                return;
+            }
+        }
+        (self.id, self.parent, self.step) = (next.id, next.parent, next.step);
+    }
+
+    /// The set union, as a linear merge of the two sorted runs. Runs
+    /// with one id, or equal, are not copied at all.
     #[must_use]
     pub fn union(&self, other: &Membership) -> Membership {
         if self == other || other.is_empty() {
@@ -212,29 +319,31 @@ impl Membership {
         Membership::from_sorted(merged)
     }
 
-    /// How many values share this membership's array (0 for the empty
-    /// membership, which has none): what a test asks to learn whether
-    /// anything still pins a version.
+    /// How many values share this membership's array (0 when it has
+    /// none): what a test asks to learn whether anything still pins a
+    /// version, or whether the next write can shift in place.
     pub fn holders(&self) -> usize {
         self.run.as_ref().map_or(0, Arc::strong_count)
     }
+}
 
-    /// True when both are the same allocation (or both empty): the
-    /// "one array per version" property, for tests and short-cuts.
-    pub fn ptr_eq(a: &Membership, b: &Membership) -> bool {
-        match (&a.run, &b.run) {
-            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-            (None, None) => true,
-            _ => false,
-        }
+impl Default for Membership {
+    fn default() -> Self {
+        Membership::new()
     }
 }
 
 impl Deref for Membership {
     type Target = [MemberEntry];
 
+    /// Inlined across crates: the length check keeps it from being a
+    /// leaf rustc inlines by itself, and every read derefs.
+    #[inline]
     fn deref(&self) -> &[MemberEntry] {
-        self.run.as_deref().unwrap_or(&[])
+        match &self.run {
+            Some(run) => &run[..self.len as usize],
+            None => &[],
+        }
     }
 }
 
@@ -249,7 +358,7 @@ impl fmt::Debug for Membership {
 
 impl PartialEq for Membership {
     fn eq(&self, other: &Membership) -> bool {
-        Membership::ptr_eq(self, other) || **self == **other
+        self.id == other.id || **self == **other
     }
 }
 
@@ -445,25 +554,29 @@ impl CollectionState {
         self.members.contains(elem)
     }
 
-    /// The current membership; cloning it shares the array.
+    /// The current membership. Cloning it shares the array, so the next
+    /// write here copies it while the clone lives.
     pub fn members(&self) -> &Membership {
         &self.members
     }
 
     /// Adds a member; returns true (and bumps the version) when it was new.
     pub fn add(&mut self, entry: MemberEntry) -> bool {
-        if self.members.contains(entry.elem) {
+        // With no entry for the element, its first slot is the entry's.
+        let at = self.members.partition_point(|m| m.elem < entry.elem);
+        if self.members.get(at).is_some_and(|m| m.elem == entry.elem) {
             return false;
         }
-        let next = self.members.with(entry);
-        self.commit(self.version + 1, next, Change::Added(entry));
+        self.members.write(at..at, Some(entry));
+        self.commit(self.version + 1, Change::Added(entry));
         true
     }
 
     /// Removes a member; returns true (and bumps the version) when it was
     /// present.
     pub fn remove(&mut self, elem: ObjectId) -> bool {
-        let change = match &self.members[self.members.span_of(elem)] {
+        let gone = self.members.span_of(elem);
+        let change = match &self.members[gone.clone()] {
             [] => return false,
             [one] => Change::Removed(*one),
             homes => Change::Rewritten(Box::new(Rewrite {
@@ -471,36 +584,38 @@ impl CollectionState {
                 ..Rewrite::default()
             })),
         };
-        let next = self.members.without(elem);
-        self.commit(self.version + 1, next, change);
+        self.members.write(gone, None);
+        self.commit(self.version + 1, change);
         true
     }
 
-    /// Replaces the entire membership with a newer version (replica sync),
-    /// sharing the sender's array while it is current; the log keeps only
-    /// how it differs from the membership it replaces — the sender's own
-    /// step, in O(1), when the next version was built from the array held
-    /// here, otherwise a diff of the two runs. Older or equal versions are
-    /// ignored (idempotent, out-of-order safe). Returns true when applied.
+    /// Moves to a newer version of the membership (replica sync) without
+    /// allocating. When `members` was made by one write from the content
+    /// held here, that step is read off in O(1) and logged, and applied
+    /// to this replica's own array when it holds that alone with room;
+    /// otherwise the replica shares the sender's array. A sync that is
+    /// not one known step logs a diff of the two runs. Older or equal
+    /// versions are ignored (idempotent, out-of-order safe). Returns true
+    /// when applied.
     pub fn sync_to(&mut self, version: u64, members: Membership) -> bool {
         if version <= self.version {
             return false;
         }
         let skipped = version - self.version - 1;
-        let change = members
-            .step_from(&self.members)
-            .filter(|_| skipped == 0)
-            .unwrap_or_else(|| Change::between(&self.members, &members, skipped));
+        let (at, change) = match members.step_from(&self.members) {
+            Some((at, change)) if skipped == 0 => (Some(at), change),
+            _ => (None, Change::between(&self.members, &members, skipped)),
+        };
         debug_assert_eq!(change, Change::between(&self.members, &members, skipped));
-        self.commit(version, members, change);
+        self.members.follow(members, at, &change);
+        self.commit(version, change);
         true
     }
 
-    /// Makes `members` the current membership and logs how it got there.
-    fn commit(&mut self, version: u64, members: Membership, change: Change) {
+    /// Logs how the current membership got to `version`.
+    fn commit(&mut self, version: u64, change: Change) {
         debug_assert_eq!(version, self.version + change.span());
         self.version = version;
-        self.members = members;
         self.log.push(change);
     }
 
@@ -642,8 +757,65 @@ mod tests {
         assert_eq!(c.members().holders(), 1);
         // The current version is served from the live array, older ones
         // are rebuilt.
-        assert!(Membership::ptr_eq(&c.members_at(2).unwrap(), c.members()));
+        assert!(same(&c.members_at(2).unwrap(), c.members()));
         assert_eq!(c.members_at(1), Some(first));
+    }
+
+    /// Both values hold one array and name one content.
+    fn same(a: &Membership, b: &Membership) -> bool {
+        a.as_ptr() == b.as_ptr() && a.id() == b.id()
+    }
+
+    #[test]
+    fn a_write_shifts_in_place_unless_a_clone_holds_the_array() {
+        let mut c = CollectionState::new();
+        for id in [1, 3, 5] {
+            c.add(e(id, 0));
+        }
+        let (at, id) = (c.members().as_ptr(), c.members().id());
+        assert!(c.remove(ObjectId(3)));
+        assert_eq!(c.members().as_ptr(), at, "a removal always fits");
+        assert_ne!(c.members().id(), id, "a new content, a new id");
+        assert!(c.add(e(4, 0)));
+        assert_eq!(c.members().as_ptr(), at, "so does an add after it");
+        let held = c.members().clone();
+        assert!(c.remove(ObjectId(1)));
+        assert_ne!(c.members().as_ptr(), at, "a held array is copied");
+        assert_eq!(held[..], [e(1, 0), e(4, 0), e(5, 0)]);
+        assert_eq!(c.members()[..], [e(4, 0), e(5, 0)]);
+        drop(held);
+        let at = c.members().as_ptr();
+        assert!(c.remove(ObjectId(4)) && c.add(e(0, 0)));
+        assert_eq!(c.members().as_ptr(), at);
+        assert_eq!(c.members()[..], [e(0, 0), e(5, 0)]);
+    }
+
+    #[test]
+    fn a_replica_applies_the_primarys_step_to_its_own_array() {
+        let (mut p, mut r) = (CollectionState::new(), CollectionState::new());
+        for id in [1, 2] {
+            p.add(e(id, 0));
+            r.sync_to(p.version(), p.members().clone());
+        }
+        assert!(same(r.members(), p.members()), "no array with room yet");
+        // The primary's array is shared, so it copies; the replica's old
+        // one is then its own.
+        p.remove(ObjectId(1));
+        r.sync_to(3, p.members().clone());
+        assert_ne!(r.members().as_ptr(), p.members().as_ptr());
+        assert_eq!(r.members().id(), p.members().id());
+        assert_eq!((r.members().holders(), p.members().holders()), (1, 1));
+        // From here on both shift in place, through the empty set.
+        let at = (p.members().as_ptr(), r.members().as_ptr());
+        p.remove(ObjectId(2));
+        r.sync_to(4, p.members().clone());
+        assert_eq!((r.members().id(), r.members().holders()), (0, 1));
+        p.add(e(3, 0));
+        r.sync_to(5, p.members().clone());
+        assert_eq!((p.members().as_ptr(), r.members().as_ptr()), at);
+        assert_eq!(r.members()[..], [e(3, 0)]);
+        assert_eq!(r.members().id(), p.members().id());
+        assert_eq!(r.log(), p.log());
     }
 
     #[test]
@@ -653,24 +825,22 @@ mod tests {
         assert_eq!(format!("{m:?}"), format!("{:?}", &m[..]));
         assert!(m.contains(ObjectId(1)) && !m.contains(ObjectId(2)));
         // Already listed: the same array comes back.
-        assert!(Membership::ptr_eq(&m, &m.with(e(3, 0))));
-        assert!(Membership::ptr_eq(&m, &m.without(ObjectId(2))));
-        assert!(Membership::ptr_eq(&m, &m.union(&m.clone())));
+        assert!(same(&m, &m.with(e(3, 0))));
+        assert!(same(&m, &m.without(ObjectId(2))));
+        assert!(same(&m, &m.union(&m.clone())));
         // `without` drops every home an element is listed under.
         assert_eq!(m.without(ObjectId(1))[..], [e(3, 0)]);
         // The empty membership holds no allocation to share.
         let empty: Membership = Vec::new().into();
-        assert!(Membership::ptr_eq(&empty, &Membership::new()));
-        assert!(Membership::ptr_eq(
-            &empty,
-            &m.without(ObjectId(1)).without(ObjectId(3))
-        ));
+        for empty in [empty, m.without(ObjectId(1)).without(ObjectId(3))] {
+            assert_eq!((empty.holders(), empty.id()), (0, 0));
+        }
     }
 
     #[test]
     fn one_step_is_known_only_from_the_array_it_was_built_from() {
         let held = Membership::from(vec![e(1, 0), e(3, 0), e(3, 1), e(5, 0)]);
-        let step = |next: &Membership| next.step_from(&held);
+        let step = |next: &Membership| next.step_from(&held).map(|(_, change)| change);
         assert_eq!(step(&held.with(e(4, 0))), Some(Change::Added(e(4, 0))));
         assert_eq!(step(&held.with(e(0, 0))), Some(Change::Added(e(0, 0))));
         assert_eq!(
@@ -691,7 +861,7 @@ mod tests {
             .without(ObjectId(5));
         assert_eq!(
             Membership::new().with(e(2, 0)).step_from(&empty),
-            Some(Change::Added(e(2, 0)))
+            Some((0, Change::Added(e(2, 0))))
         );
     }
 

@@ -19,7 +19,7 @@
 //!   primary/any/quorum membership reads.
 //! * [`collection`] — versioned membership state with a full mutation log
 //!   (the omniscient history that conformance checking replays), and
-//!   [`collection::Membership`], the immutable sorted array every
+//!   [`collection::Membership`], the copy-on-write sorted array every
 //!   version is held and shipped as.
 //! * [`dotted`] — dots, version vectors, and membership deltas: the wire
 //!   data for the `weakset-gossip` anti-entropy protocol.

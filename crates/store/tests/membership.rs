@@ -1,7 +1,8 @@
 //! [`Membership`] as a value: its set algebra against the sort-and-dedup
-//! oracle it replaced, the one-array-per-version sharing it exists for,
-//! observed across a threaded fleet, and the version log of changes
-//! against the log of full copies it replaced.
+//! oracle it replaced, copy-on-write (a held version never changes, and
+//! an idle write shifts each replica's own array in place, observed
+//! across a threaded fleet), and the version log of changes against the
+//! log of full copies it replaced.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -122,10 +123,8 @@ fn with_and_without_at_the_edges() {
     }
     let one = Membership::new().with(e(3, 1));
     assert_eq!(one.to_vec(), oracle(&[e(3, 1)], &[]));
-    assert!(Membership::ptr_eq(
-        &one.without(ObjectId(3)),
-        &Membership::new()
-    ));
+    let none = one.without(ObjectId(3));
+    assert_eq!((none.holders(), none.id()), (0, 0), "the empty membership");
 }
 
 /// What `CollectionState` was before its log held changes: the same
@@ -267,7 +266,7 @@ proptest! {
                     );
                 }
             }
-            if !Membership::ptr_eq(&before, state.members()) {
+            if before.id() != state.members().id() {
                 held = before;
             }
             prop_assert_eq!(state.log(), twin.log());
@@ -297,7 +296,9 @@ proptest! {
 /// N writes at 512 members leave N small log entries and no array: each
 /// version's array is dropped by the state the moment its successor
 /// commits — on the primary and on a replica synced to it — and the
-/// entries themselves hold nothing on the heap.
+/// entries themselves hold nothing on the heap. The test holds each
+/// version across its write, so every write copies and the replica
+/// shares the primary's array: the held-snapshot case.
 #[test]
 fn a_long_history_pins_no_array() {
     let entry = |id: u64| MemberEntry {
@@ -327,7 +328,7 @@ fn a_long_history_pins_no_array() {
                 1,
                 "no logged array outlives its successor"
             );
-            assert_eq!(primary.members().holders(), 2, "one array per version");
+            assert_eq!(primary.members().holders(), 2, "the replica shares it");
         }
     }
     for state in [&primary, &replica] {
@@ -339,19 +340,135 @@ fn a_long_history_pins_no_array() {
     }
     assert_eq!(primary.log().len(), preload + 400);
     assert!(std::mem::size_of::<Change>() <= 3 * std::mem::size_of::<u64>());
-    // Every reply carries one: provenance may not quietly grow it.
+    // Every reply carries one: provenance may not quietly grow it, nor
+    // take the niche that keeps the enums around it as small.
     assert!(std::mem::size_of::<Membership>() <= 40);
+    assert_eq!(
+        std::mem::size_of::<Option<Membership>>(),
+        std::mem::size_of::<Membership>()
+    );
     assert_eq!(
         replica.members_at(primary.version() - 1),
         primary.members_at(primary.version() - 1)
     );
 }
 
-/// One allocation per version across the fleet: after `add_member`, the
-/// three replicas' live states, all three `ListMembers` replies and the
-/// Leaderless union are the same array — and nothing else holds it.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Writes shift arrays in place, so nothing but the holder count
+    /// keeps a reader's version still. A primary (first synced to a
+    /// membership that lists some elements under several homes, so some
+    /// removals are multi-home) and two replicas run random adds,
+    /// removals and syncs — sent now or queued and delivered oldest or
+    /// newest first, so in order, skipping, or stale — while clones of
+    /// any state's membership are taken and dropped. After every step:
+    /// each held clone lists what it listed when taken, each state is
+    /// its full-copy reference, and any two live values with one id list
+    /// the same entries.
+    #[test]
+    fn a_held_version_never_changes(
+        first in entries(),
+        ops in proptest::collection::vec((0u8..8, 1u64..12, 0u32..3, 0usize..3), 0..64)
+    ) {
+        let mut states: [CollectionState; 3] = Default::default();
+        let mut models = [FullCopyLog::new(), FullCopyLog::new(), FullCopyLog::new()];
+        states[0].sync_to(1, first.clone().into());
+        models[0].sync_to(1, Membership::from(first).to_vec());
+        // Syncs sent to each replica and not yet delivered.
+        let mut queued: [Vec<(u64, Membership)>; 2] = Default::default();
+        let mut held: Vec<(Membership, Vec<MemberEntry>)> = Vec::new();
+        for (kind, elem, home, pick) in ops {
+            let (elem, home) = (ObjectId(elem), NodeId(home));
+            let r = 1 + pick % 2;
+            match kind {
+                0 | 1 => {
+                    let entry = MemberEntry { elem, home };
+                    prop_assert_eq!(states[0].add(entry), models[0].add(entry));
+                }
+                2 => prop_assert_eq!(states[0].remove(elem), models[0].remove(elem)),
+                3 | 4 => {
+                    let (version, members) = if kind == 3 {
+                        (states[0].version(), states[0].members().clone())
+                    } else {
+                        match queued[r - 1].pop() {
+                            Some(sent) => sent,
+                            None => continue,
+                        }
+                    };
+                    let want = members.to_vec();
+                    prop_assert_eq!(
+                        states[r].sync_to(version, members),
+                        models[r].sync_to(version, want)
+                    );
+                }
+                5 => queued[r - 1].push((states[0].version(), states[0].members().clone())),
+                6 if !queued[r - 1].is_empty() => {
+                    let (version, members) = queued[r - 1].remove(0);
+                    let want = members.to_vec();
+                    prop_assert_eq!(
+                        states[r].sync_to(version, members),
+                        models[r].sync_to(version, want)
+                    );
+                }
+                6 => {}
+                _ if held.len() > pick => {
+                    held.swap_remove(pick);
+                }
+                _ => {
+                    let members = states[pick].members().clone();
+                    let listed = members.to_vec();
+                    held.push((members, listed));
+                }
+            }
+            for (members, listed) in &held {
+                prop_assert_eq!(&members.to_vec(), listed);
+            }
+            for (state, model) in states.iter().zip(&models) {
+                prop_assert_eq!(state.version(), model.version);
+                prop_assert_eq!(state.members().to_vec(), model.members.clone());
+                let history: Vec<(u64, Vec<MemberEntry>)> =
+                    state.history().map(|mv| (mv.version, mv.members.to_vec())).collect();
+                prop_assert_eq!(&history, &model.log);
+            }
+            let live = states
+                .iter()
+                .map(CollectionState::members)
+                .chain(held.iter().map(|(members, _)| members))
+                .chain(queued.iter().flatten().map(|(_, members)| members));
+            let mut named: BTreeMap<u64, &[MemberEntry]> = BTreeMap::new();
+            for members in live {
+                let listed = *named.entry(members.id()).or_insert(members);
+                prop_assert_eq!(listed, &members[..], "id {}", members.id());
+            }
+        }
+    }
+}
+
+/// What a replica holds of collection 1: its array's holder count and
+/// address, its version, and its membership's id.
+fn replica_state(rt: &ThreadedRuntime<StoreMsg>, node: NodeId) -> (usize, usize, u64, u64) {
+    rt.with_service(node, |s: &StoreServer| {
+        let coll = s.collection(CollectionId(1)).unwrap();
+        let members = coll.members();
+        (
+            members.holders(),
+            members.as_ptr() as usize,
+            coll.version(),
+            members.id(),
+        )
+    })
+    .unwrap()
+}
+
+/// Each replica owns its array, and an idle write shifts it in place.
+/// After a preload and two idle writes: every replica's array has one
+/// holder; further idle writes leave every buffer where it was; the
+/// three `ListMembers` replies name one version, and the Leaderless
+/// read is one of them, uncopied; and replies held across a write keep
+/// listing their version while all three replicas move on.
 #[test]
-fn a_version_is_one_array_across_a_threaded_fleet() {
+fn an_idle_write_shifts_each_replicas_own_array() {
     let timeout = SimDuration::from_millis(5_000);
     let mut rt = ThreadedRuntime::<StoreMsg>::new(15);
     let cn = rt.add_node("client");
@@ -365,37 +482,82 @@ fn a_version_is_one_array_across_a_threaded_fleet() {
         home: servers[0],
         replicas: servers[1..].to_vec(),
     };
+    let entry = |id: u64| MemberEntry {
+        elem: ObjectId(id),
+        home: servers[id as usize % 3],
+    };
     client.create_collection(&mut rt, &cref).unwrap();
-    for id in [7, 3, 5] {
-        let entry = MemberEntry {
-            elem: ObjectId(id),
-            home: servers[id as usize % 3],
-        };
-        client.add_member(&mut rt, &cref, entry).unwrap();
+    for id in 1..=64 {
+        client.add_member(&mut rt, &cref, entry(id)).unwrap();
+    }
+    client.add_member(&mut rt, &cref, entry(100)).unwrap();
+    client.remove_member(&mut rt, &cref, ObjectId(3)).unwrap();
+
+    let states: Vec<_> = servers.iter().map(|&s| replica_state(&rt, s)).collect();
+    for (&node, &(holders, _, version, id)) in servers.iter().zip(&states) {
+        assert_eq!((holders, version), (1, 66), "{node} owns its array");
+        assert_eq!(id, states[0].3, "{node} names the primary's version");
+    }
+    // A removal always fits, and so does an add after it: both shift
+    // all three arrays in place.
+    client.remove_member(&mut rt, &cref, ObjectId(5)).unwrap();
+    client.add_member(&mut rt, &cref, entry(3)).unwrap();
+    for (&node, before) in servers.iter().zip(&states) {
+        let after = replica_state(&rt, node);
+        assert_eq!((after.0, after.1, after.2), (1, before.1, 68), "{node}");
     }
 
-    let logged = rt
-        .with_service(cref.home, |s: &StoreServer| {
-            let coll = s.collection(cref.id).unwrap();
-            assert_eq!(coll.members().holders(), 3, "one per replica, no log");
-            coll.members().clone()
-        })
-        .unwrap();
-    assert_eq!(logged.len(), 3);
-    for &node in &servers {
-        match rt.rpc(cn, node, StoreMsg::ListMembers(cref.id), timeout) {
-            Ok(StoreMsg::Members {
-                version: 3,
-                entries,
-            }) => assert!(Membership::ptr_eq(&entries, &logged), "reply of {node}"),
-            other => panic!("{node} answered {other:?}"),
-        }
-    }
+    let replies: Vec<Membership> = servers
+        .iter()
+        .map(
+            |&node| match rt.rpc(cn, node, StoreMsg::ListMembers(cref.id), timeout) {
+                Ok(StoreMsg::Members {
+                    version: 68,
+                    entries,
+                }) => entries,
+                other => panic!("{node} answered {other:?}"),
+            },
+        )
+        .collect();
+    let listed = replies[0].to_vec();
+    let want: Vec<MemberEntry> = (1..=64)
+        .chain([100])
+        .filter(|&id| id != 5)
+        .map(entry)
+        .collect();
+    assert_eq!(listed, want);
+    assert!(replies.iter().all(|r| r.id() == replies[0].id()));
     let read = client
         .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
         .unwrap();
-    assert_eq!(read.version, 3);
-    assert!(Membership::ptr_eq(&read.entries, &logged));
+    assert_eq!((read.version, read.entries.id()), (68, replies[0].id()));
+    assert!(
+        replies.iter().any(|r| r.as_ptr() == read.entries.as_ptr()),
+        "the union of one version is that version"
+    );
+
+    client.remove_member(&mut rt, &cref, ObjectId(7)).unwrap();
+    for reply in &replies {
+        assert_eq!(reply.to_vec(), listed, "a held reply never changes");
+    }
+    let moved: Vec<_> = servers.iter().map(|&s| replica_state(&rt, s)).collect();
+    for (&node, &(_, _, version, id)) in servers.iter().zip(&moved) {
+        assert_eq!(version, 69, "{node}");
+        assert_ne!(id, replies[0].id(), "{node}");
+        assert_eq!(id, moved[0].3, "{node}");
+    }
+    assert_eq!(read.entries.to_vec(), listed);
+    let now = client
+        .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
+        .unwrap();
+    assert_eq!(
+        now.entries.to_vec(),
+        want.iter()
+            .filter(|m| m.elem != ObjectId(7))
+            .copied()
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(now.entries.id(), moved[0].3);
 
     rt.shutdown(Duration::from_secs(10))
         .expect("no node thread should hang at shutdown");

@@ -26,6 +26,9 @@
 //!   around the read and a length-and-checksum check of its result —
 //!   minus the read.
 
+mod budget;
+
+use budget::ns_per_call;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use weak_sets::prelude::*;
@@ -33,28 +36,7 @@ use weak_sets::prelude::*;
 const MEMBERS: u64 = 64;
 const REPLICAS: usize = 3;
 const COLL: CollectionId = CollectionId(1);
-const ROUNDS: usize = 21;
 const BATCH: u32 = 20_000;
-
-/// Fastest-round mean wall time of one call of `step(row)` for every
-/// row, in nanoseconds. Rounds interleave the rows, so a drift of the
-/// host during the run lands on all of them alike.
-fn ns_per_call<const ROWS: usize>(mut step: impl FnMut(usize)) -> [f64; ROWS] {
-    let mut rounds = [[0.0; ROUNDS]; ROWS];
-    for round in 0..=ROUNDS {
-        for (row, samples) in rounds.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            for _ in 0..BATCH {
-                step(row);
-            }
-            // Round 0 is the warm-up.
-            if round > 0 {
-                samples[round - 1] = t0.elapsed().as_nanos() as f64 / f64::from(BATCH);
-            }
-        }
-    }
-    rounds.map(|samples| samples.into_iter().fold(f64::INFINITY, f64::min))
-}
 
 /// A check like the ledger's: an id/home checksum over the entries.
 fn checksum(entries: &[MemberEntry]) -> u64 {
@@ -112,7 +94,8 @@ fn idle_fleet_leaderless_read_budget() {
     let list = StoreMsg::ListMembers(COLL);
     let timeout = client.timeout();
     let mut lat = Vec::with_capacity(BATCH as usize);
-    let [handler, rpc, clock, read, op] = ns_per_call(|row| match row {
+    let step = |row, _, undo| match row {
+        _ if undo => {}
         0 => {
             let reply = replica.serve_inline(&mut ctx, client_node, black_box(list.clone()));
             black_box(reply.is_ok());
@@ -142,7 +125,8 @@ fn idle_fleet_leaderless_read_budget() {
             lat.push(t0.elapsed().as_nanos() as f64 / 1e3);
             black_box(ok);
         }
-    });
+    };
+    let [handler, rpc, clock, read, op] = ns_per_call(BATCH, step);
 
     let contacts = REPLICAS as f64;
     let rows = [

@@ -12,6 +12,11 @@
 //!
 //! Expected shape: dynls wins total latency by roughly the window factor
 //! and wins time-to-first by roughly a factor of `n`.
+//!
+//! E6c prices the writes under the listings: building a directory whose
+//! membership is replicated on two more volumes, over 1 MB/s links. Each
+//! new file's entry reaches the replicas as one step, so a sync's bytes
+//! do not grow with the directory.
 
 use crate::report::{ms, Table};
 use crate::scenarios::{drive, populated_set, store_fleet, wan_with_model, Wan};
@@ -21,7 +26,7 @@ use weakset_fs::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::time::SimDuration;
-use weakset_store::prelude::StoreWorld;
+use weakset_store::prelude::{StoreMsg, StoreWorld};
 
 const N_VOLUMES: usize = 8;
 
@@ -194,6 +199,66 @@ pub fn size_points() -> Vec<SizePoint> {
     out
 }
 
+/// One replicated-directory build under finite bandwidth.
+pub struct BuildPoint {
+    /// Files created.
+    pub n: usize,
+    /// Simulated time to create them all.
+    pub total: SimDuration,
+    /// Replica syncs sent.
+    pub syncs: usize,
+    /// Wire bytes of those syncs.
+    pub sync_bytes: usize,
+}
+
+/// Creates `n` 64-byte files in a directory replicated on two more
+/// volumes, over 1 MB/s links, for each `n`.
+pub fn build_points() -> Vec<BuildPoint> {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    [16usize, 64, 256]
+        .into_iter()
+        .map(|n| {
+            let Wan {
+                mut world,
+                client_node,
+                servers: vols,
+            } = store_fleet(
+                612,
+                N_VOLUMES,
+                LatencyModel::Constant(SimDuration::from_millis(5)),
+            );
+            // (syncs, their bytes), noted as the bandwidth model sizes
+            // each message.
+            let sent = Rc::new(Cell::new((0, 0)));
+            let noted = Rc::clone(&sent);
+            world.set_bandwidth(1_000, move |msg: &StoreMsg| {
+                let bytes = msg.wire_size();
+                if let StoreMsg::SyncMembers { .. } = msg {
+                    let (syncs, total) = noted.get();
+                    noted.set((syncs + 1, total + bytes));
+                }
+                bytes
+            });
+            let timeout = SimDuration::from_millis(2_000);
+            let mut fs = FileSystem::format(&mut world, client_node, vols[0], timeout)
+                .expect("healthy world")
+                .with_dir_replicas(vec![vols[1], vols[2]]);
+            let dir = FsPath::parse("/shared").expect("a valid path");
+            fs.mkdir(&mut world, &dir, vols[0]).expect("healthy world");
+            let start = world.now();
+            flat_dir(&mut world, &mut fs, &dir, n, 64, &vols).expect("healthy world");
+            let (syncs, sync_bytes) = sent.get();
+            BuildPoint {
+                n,
+                total: world.now().saturating_since(start),
+                syncs,
+                sync_bytes,
+            }
+        })
+        .collect()
+}
+
 /// Formats the sweep as the E6 table.
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
@@ -230,7 +295,22 @@ pub fn run() -> Vec<Table> {
     }
     t2.note("expected: totals scale with transfer time; the prefetch window overlaps");
     t2.note("transfers so dynls keeps its advantage as files grow");
-    vec![t, t2]
+
+    let mut t3 = Table::new(
+        "E6c: building a directory replicated on 2 more volumes, over 1 MB/s links",
+        &["files", "total (ms)", "replica syncs", "bytes per sync"],
+    );
+    for p in build_points() {
+        t3.row(&[
+            p.n.to_string(),
+            ms(p.total),
+            p.syncs.to_string(),
+            format!("{:.1}", p.sync_bytes as f64 / p.syncs.max(1) as f64),
+        ]);
+    }
+    t3.note("expected: each file's entry reaches a replica as one step, so bytes per");
+    t3.note("sync stay flat and the build time grows linearly in the files");
+    vec![t, t2, t3]
 }
 
 /// `BENCH_e6.json`: not a directory listing but the layer under it — one
@@ -299,6 +379,19 @@ mod tests {
         let w1 = find(&ps, 64, 5, "dynls w=1");
         let ratio = w1.total.as_micros() as f64 / ls.total.as_micros() as f64;
         assert!((0.5..=1.5).contains(&ratio), "ratio = {ratio}");
+    }
+
+    #[test]
+    fn a_replica_sync_costs_the_same_bytes_in_any_directory() {
+        let ps = build_points();
+        let per_sync = |p: &BuildPoint| p.sync_bytes as f64 / p.syncs as f64;
+        for p in &ps {
+            assert_eq!(p.syncs, 2 * p.n, "one step per file per replica");
+            assert_eq!(per_sync(p), per_sync(&ps[0]), "{} files", p.n);
+        }
+        // Linear in the files: 16x the files, at most 17x the time.
+        let (small, large) = (&ps[0], &ps[2]);
+        assert!(large.total.as_micros() <= 17 * small.total.as_micros());
     }
 
     #[test]

@@ -168,6 +168,7 @@ impl GossipNode {
         let members = || StoreMsg::Members {
             version: digest.total(),
             entries: crdt.elements(),
+            committed: false,
         };
         let Some(session) = session else {
             return Some(members());
@@ -378,7 +379,8 @@ mod tests {
             reply,
             StoreMsg::Members {
                 version: 3,
-                entries: vec![e(2)].into()
+                entries: vec![e(2)].into(),
+                committed: false,
             }
         );
         // The wrapped server's versioned log evolved in lock-step.

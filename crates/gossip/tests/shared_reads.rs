@@ -103,7 +103,7 @@ fn every_request(coll: CollectionId, x: u64, session: &SessionToken) -> Vec<Stor
         StoreMsg::SyncMembers {
             coll,
             version: x,
-            members: Membership::new(),
+            step: SyncStep::Full(Membership::new()),
         },
         StoreMsg::AcquireReadLock { coll, token: x },
         StoreMsg::ReleaseReadLock { coll, token: x },

@@ -17,8 +17,13 @@ pub const WRITE_OK: &str = "store.write.ok";
 /// Counter: writes that failed.
 pub const WRITE_ERR: &str = "store.write.err";
 
-/// Counter: best-effort replica sync messages launched.
+/// Counter: replica syncs a replica acknowledged, which then held the
+/// synced version.
 pub const REPLICA_SYNC_SENT: &str = "store.replica_sync.sent";
 
-/// Counter: replica sync messages that could not be launched.
+/// Counter: replica syncs that were lost or refused.
 pub const REPLICA_SYNC_FAILED: &str = "store.replica_sync.failed";
+
+/// Counter: replica syncs that carried the whole membership, because
+/// the replica had missed an earlier write's step.
+pub const REPLICA_SYNC_FULL: &str = "store.replica_sync.full";

@@ -32,7 +32,7 @@ pub use weakset_sim::trace::hash_debug;
 
 /// Artifact schema version; bump on any breaking change to the log
 /// grammar (mirrors the repro-artifact convention in `weakset-dst`).
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// How a recorded rpc ended, payloads hashed. Mirrors
 /// [`weakset_sim::net::NetError`] with raw node ids so the log is
@@ -712,16 +712,22 @@ mod tests {
     }
 
     /// Schema 1 logged faults as reachability and liveness flips; schema
-    /// 2 names them by region. An old artifact is refused up front, not
-    /// misread.
+    /// 2 names them by region, and hashes replica syncs that carry the
+    /// whole membership, where schema 3 hashes the step they carry. An
+    /// old artifact is refused up front, not replayed into divergences.
     #[test]
-    fn rejects_a_schema_1_recording() {
-        let v1 = sample().to_ron().replace(
-            &format!("schema_version: {SCHEMA_VERSION}"),
-            "schema_version: 1",
-        );
-        let err = Recording::from_ron(&v1).unwrap_err();
-        assert!(err.contains("unsupported schema_version 1"), "{err}");
+    fn rejects_a_schema_1_or_2_recording() {
+        for old in [1, 2] {
+            let text = sample().to_ron().replace(
+                &format!("schema_version: {SCHEMA_VERSION}"),
+                &format!("schema_version: {old}"),
+            );
+            let err = Recording::from_ron(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported schema_version {old}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The repository client: typed operations over the message protocol.
 
-use crate::collection::{MemberEntry, Membership};
+use crate::collection::{MemberEntry, Membership, SyncStep};
 use crate::dotted::VersionVector;
 use crate::msg::StoreMsg;
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
@@ -303,12 +303,18 @@ impl ReadFold {
                         }
                     }
                     (Some(merged), Merge::Union) => {
-                        merged.version = merged.version.max(read.version);
-                        // The same content again: `union` would hand back
-                        // a clone of it only for the old one to be dropped.
-                        if merged.entries.id() != read.entries.id() {
+                        // Two primary-serialized replies at one version
+                        // list the same entries: `union` would compare
+                        // them only to hand back a clone. A marked
+                        // `merged` is one reply's entries, and any reply
+                        // folded into it since listed nothing more.
+                        let same = merged.version == read.version
+                            && merged.entries.is_serialized()
+                            && read.entries.is_serialized();
+                        if !same {
                             merged.entries = merged.entries.union(&read.entries);
                         }
+                        merged.version = merged.version.max(read.version);
                     }
                 }
             }
@@ -592,7 +598,7 @@ impl StoreClient {
             coll: cref.id,
             entry,
         };
-        self.mutate_primary_then_sync(world, cref, msg)
+        self.mutate_primary_then_sync(world, cref, msg, SyncStep::Add(entry))
     }
 
     /// Removes a member (primary-first, best-effort replica sync).
@@ -610,14 +616,22 @@ impl StoreClient {
             coll: cref.id,
             elem,
         };
-        self.mutate_primary_then_sync(world, cref, msg)
+        self.mutate_primary_then_sync(world, cref, msg, SyncStep::Remove(elem))
     }
 
+    /// Runs `msg` on the primary, then forwards `step`, the write it
+    /// carries, to every secondary when the primary committed it. A
+    /// replica that missed an earlier step answers
+    /// [`StoreMsg::SessionBehind`] and is sent the primary's whole
+    /// membership instead. A write the primary did not commit (a no-op,
+    /// or a removal a grow guard deferred) gives the replicas nothing to
+    /// replay.
     fn mutate_primary_then_sync(
         &self,
         world: &mut StoreRt,
         cref: &CollectionRef,
         msg: StoreMsg,
+        step: SyncStep,
     ) -> Result<u64, StoreError> {
         let started = world.now();
         // With a session attached, the mutation rides in a WithSession
@@ -640,30 +654,40 @@ impl StoreClient {
             store_health::WRITE_ERR
         });
         let (clock, reply) = unstamp(primary?);
-        let (version, entries) = match reply {
-            StoreMsg::Members { version, entries } => (version, entries),
+        let (version, entries, committed) = match reply {
+            StoreMsg::Members {
+                version,
+                entries,
+                committed,
+            } => (version, entries, committed),
             StoreMsg::Locked => return Err(StoreError::Locked),
             StoreMsg::NoSuchCollection(c) => return Err(StoreError::NoSuchCollection(c)),
             _ => return Err(StoreError::Protocol),
         };
         self.session_observe(cref.id, version, clock.as_ref());
+        if !committed {
+            return Ok(version);
+        }
+        let sync = |step| StoreMsg::SyncMembers {
+            coll: cref.id,
+            version,
+            step,
+        };
         for &replica in &cref.replicas {
             // Best effort: a stale replica is the paper's "one node may
             // have more up-to-date information than another".
-            let synced = self.call(
-                world,
-                replica,
-                StoreMsg::SyncMembers {
-                    coll: cref.id,
-                    version,
-                    members: entries.clone(),
-                },
-            );
-            world.metrics_mut().incr(if synced.is_ok() {
-                store_health::REPLICA_SYNC_SENT
-            } else {
-                store_health::REPLICA_SYNC_FAILED
-            });
+            let mut synced = self.call(world, replica, sync(step.clone()));
+            if let Ok(StoreMsg::SessionBehind { .. }) = synced {
+                world.metrics_mut().incr(store_health::REPLICA_SYNC_FULL);
+                synced = self.call(world, replica, sync(SyncStep::Full(entries.clone())));
+            }
+            world
+                .metrics_mut()
+                .incr(if matches!(synced, Ok(StoreMsg::Ack)) {
+                    store_health::REPLICA_SYNC_SENT
+                } else {
+                    store_health::REPLICA_SYNC_FAILED
+                });
         }
         Ok(version)
     }
@@ -910,7 +934,9 @@ impl StoreClient {
     ) -> Result<MembershipRead, StoreError> {
         let (clock, reply) = unstamp(reply?);
         match reply {
-            StoreMsg::Members { version, entries } => {
+            StoreMsg::Members {
+                version, entries, ..
+            } => {
                 if plan.session {
                     self.session_observe(coll, version, clock.as_ref());
                 }
@@ -1114,6 +1140,75 @@ mod tests {
             cl.read_members(&mut w, &cref, ReadPolicy::Primary),
             Err(StoreError::Net(_))
         ));
+    }
+
+    #[test]
+    fn a_replica_that_missed_a_step_is_sent_one_full_sync() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let (mut w, c, s) = world_with(2);
+        // Every sync the client sends, as (wire size, carries the whole
+        // membership); the bandwidth model charges nothing.
+        let sent: Rc<RefCell<Vec<(usize, bool)>>> = Rc::default();
+        let noted = Rc::clone(&sent);
+        w.set_bandwidth(1, move |msg: &StoreMsg| {
+            if let StoreMsg::SyncMembers { step, .. } = msg {
+                let full = matches!(step, SyncStep::Full(_));
+                noted.borrow_mut().push((msg.wire_size(), full));
+            }
+            0
+        });
+        let cl = StoreClient::new(c, SimDuration::from_millis(50));
+        let cref = CollectionRef {
+            id: CollectionId(1),
+            home: s[0],
+            replicas: vec![s[1]],
+        };
+        cl.create_collection(&mut w, &cref).unwrap();
+        cl.add_member(&mut w, &cref, entry(1, s[0])).unwrap();
+        let idle = sent.borrow()[0];
+        assert_eq!((sent.borrow().len(), idle.1), (1, false));
+        // The replica misses the second write's step...
+        w.topology_mut().partition(&[s[1]]);
+        cl.add_member(&mut w, &cref, entry(2, s[0])).unwrap();
+        w.topology_mut().heal_partition();
+        // ... so it answers the third's with SessionBehind, and is sent
+        // the whole membership once.
+        sent.borrow_mut().clear();
+        assert_eq!(cl.add_member(&mut w, &cref, entry(3, s[0])), Ok(3));
+        assert_eq!(
+            sent.borrow()
+                .iter()
+                .map(|&(_, full)| full)
+                .collect::<Vec<_>>(),
+            [false, true]
+        );
+        let counter = |name| w.metrics().counter(name);
+        assert_eq!(counter(store_health::REPLICA_SYNC_FULL), 1);
+        assert_eq!(counter(store_health::REPLICA_SYNC_FAILED), 1);
+        assert_eq!(counter(store_health::REPLICA_SYNC_SENT), 2);
+        // It now lists the primary's version.
+        w.topology_mut().partition(&[s[0]]);
+        let read = cl.read_members(&mut w, &cref, ReadPolicy::Any).unwrap();
+        assert_eq!((read.version, read.entries.len()), (3, 3));
+        w.topology_mut().heal_partition();
+        // An idle write's sync costs the same bytes at 4,096 members as
+        // at one.
+        let big = CollectionRef {
+            id: CollectionId(2),
+            ..cref.clone()
+        };
+        for &node in &s {
+            w.with_service_mut::<StoreServer, _>(node, |srv| {
+                let state = srv.preload_collection(big.id);
+                for id in 1..4096 {
+                    state.add(entry(id, s[0]));
+                }
+            });
+        }
+        sent.borrow_mut().clear();
+        assert_eq!(cl.add_member(&mut w, &big, entry(5000, s[0])), Ok(4096));
+        assert_eq!(*sent.borrow(), [idle]);
     }
 
     #[test]
@@ -1568,7 +1663,7 @@ mod tests {
                 srv.apply(StoreMsg::SyncMembers {
                     coll,
                     version: 2,
-                    members,
+                    step: SyncStep::Full(members),
                 });
             });
         });

@@ -73,7 +73,7 @@ pub mod prelude {
         CollectionRef, MembershipRead, ReadPolicy, StoreClient, StoreError, StoreRt, StoreWorld,
     };
     pub use crate::collection::{
-        Change, CollectionState, MemberEntry, Membership, MembershipVersion, Rewrite,
+        Change, CollectionState, MemberEntry, Membership, MembershipVersion, Rewrite, SyncStep,
     };
     pub use crate::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
     pub use crate::msg::StoreMsg;

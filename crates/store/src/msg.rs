@@ -1,6 +1,6 @@
 //! The client/server message protocol.
 
-use crate::collection::{MemberEntry, Membership};
+use crate::collection::{MemberEntry, Membership, SyncStep};
 use crate::dotted::{MembershipDelta, VersionVector};
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
 use crate::query::Query;
@@ -42,14 +42,18 @@ pub enum StoreMsg {
         /// The member to remove.
         elem: ObjectId,
     },
-    /// Overwrite a secondary replica with a newer membership version.
+    /// Bring a secondary replica to a version the primary committed. A
+    /// replica that holds `version` (or a later one) afterwards answers
+    /// [`StoreMsg::Ack`]; one that missed an earlier step answers
+    /// [`StoreMsg::SessionBehind`], and the sender follows up with
+    /// [`SyncStep::Full`].
     SyncMembers {
         /// Target collection.
         coll: CollectionId,
-        /// Version being pushed.
+        /// The version the step commits.
         version: u64,
-        /// Full membership at that version.
-        members: Membership,
+        /// The write that committed it, or the whole membership.
+        step: SyncStep,
     },
     /// Block collection mutations (strong baseline). `token` identifies
     /// the holder.
@@ -160,6 +164,10 @@ pub enum StoreMsg {
         version: u64,
         /// Membership at that version.
         entries: Membership,
+        /// True when this is the reply to a mutation that committed
+        /// `version`: false for a read, a no-op write, and a removal a
+        /// grow guard deferred.
+        committed: bool,
     },
     /// Local query results.
     Matches(Vec<ObjectId>),
@@ -196,14 +204,16 @@ pub enum StoreMsg {
         ranges: Vec<RangeReply>,
     },
     /// The replica has not applied the session's dependencies for this
-    /// collection yet (reply to [`StoreMsg::WithSession`]). The client
-    /// redirects to another replica or waits and retries.
+    /// collection yet (reply to [`StoreMsg::WithSession`]): the client
+    /// redirects to another replica or waits and retries. Also the reply
+    /// to a [`StoreMsg::SyncMembers`] step the replica cannot take.
     SessionBehind {
-        /// The collection the session read targeted.
+        /// The collection the session read or the sync targeted.
         coll: CollectionId,
         /// The replica's current version (scalar total for gossip).
         have: u64,
-        /// The session's required floor (scalar total for gossip).
+        /// The session's required floor (scalar total for gossip), or
+        /// the version the sync's step starts from.
         need: u64,
     },
     /// A reply from a gossip replica to a [`StoreMsg::WithSession`]
@@ -236,7 +246,14 @@ impl StoreMsg {
                         .sum::<usize>()
             }
             StoreMsg::Members { entries, .. } => HEADER + entries.len() * 12,
-            StoreMsg::SyncMembers { members, .. } => HEADER + members.len() * 12,
+            StoreMsg::SyncMembers { step, .. } => {
+                HEADER
+                    + match step {
+                        SyncStep::Add(_) => 12,
+                        SyncStep::Remove(_) => 8,
+                        SyncStep::Full(members) => members.len() * 12,
+                    }
+            }
             StoreMsg::Matches(ids) => HEADER + ids.len() * 8,
             StoreMsg::GossipDeltaReq { digest, .. } | StoreMsg::GossipDigest { digest, .. } => {
                 HEADER + digest.len() * 16

@@ -73,10 +73,11 @@ impl StoreServer {
     /// the only place they are answered: `handle_msg` calls it first.
     ///
     /// A session-gated read is refused until this replica has applied
-    /// the session's dependencies. Versions are primary-serialized and
-    /// replica sync ships full snapshots, so `version >= floor` implies
-    /// every dependency has been applied here. A bare read is the same
-    /// read with floor 0.
+    /// the session's dependencies. Versions are primary-serialized, and
+    /// a replica reaches a version only by replaying every step before it
+    /// or by taking the primary's whole membership at it, so `version >=
+    /// floor` implies every dependency has been applied here. A bare read
+    /// is the same read with floor 0.
     fn read(&self, msg: &StoreMsg) -> Option<StoreMsg> {
         let (id, need) = match msg {
             StoreMsg::ListMembers(id) => (*id, 0),
@@ -90,6 +91,7 @@ impl StoreServer {
             Some(c) if c.version() >= need => StoreMsg::Members {
                 version: c.version(),
                 entries: c.members().clone(),
+                committed: false,
             },
             Some(c) => StoreMsg::SessionBehind {
                 coll: id,
@@ -157,11 +159,18 @@ impl StoreServer {
             StoreMsg::SyncMembers {
                 coll,
                 version,
-                members,
+                step,
             } => match self.collections.get_mut(&coll) {
                 Some(c) => {
-                    c.sync_to(version, members);
-                    StoreMsg::Ack
+                    if c.sync(version, step) {
+                        StoreMsg::Ack
+                    } else {
+                        StoreMsg::SessionBehind {
+                            coll,
+                            have: c.version(),
+                            need: version - 1,
+                        }
+                    }
                 }
                 None => StoreMsg::NoSuchCollection(coll),
             },
@@ -238,10 +247,12 @@ impl StoreServer {
         }
         match self.collections.get_mut(&coll) {
             Some(c) => {
+                let before = c.version();
                 f(c);
                 StoreMsg::Members {
                     version: c.version(),
                     entries: c.members().clone(),
+                    committed: c.version() != before,
                 }
             }
             None => StoreMsg::NoSuchCollection(coll),
@@ -269,7 +280,7 @@ impl Service<StoreMsg> for StoreServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collection::{MemberEntry, Membership};
+    use crate::collection::{MemberEntry, Membership, SyncStep};
     use crate::query::Query;
 
     fn entry(id: u64) -> MemberEntry {
@@ -314,7 +325,8 @@ mod tests {
             r,
             StoreMsg::Members {
                 version: 1,
-                entries: vec![entry(1)].into()
+                entries: vec![entry(1)].into(),
+                committed: true,
             }
         );
         let r = s.handle_msg(StoreMsg::RemoveMember {
@@ -325,9 +337,23 @@ mod tests {
             r,
             StoreMsg::Members {
                 version: 2,
-                entries: Membership::new()
+                entries: Membership::new(),
+                committed: true,
             }
         );
+        // Removing it again commits nothing.
+        let r = s.handle_msg(StoreMsg::RemoveMember {
+            coll: c,
+            elem: ObjectId(1),
+        });
+        assert!(matches!(
+            r,
+            StoreMsg::Members {
+                version: 2,
+                committed: false,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -399,14 +425,34 @@ mod tests {
         let mut s = StoreServer::new();
         let c = CollectionId(2);
         s.handle_msg(StoreMsg::CreateCollection(c));
-        let r = s.handle_msg(StoreMsg::SyncMembers {
+        let mut sync = |version, step| {
+            let reply = s.handle_msg(StoreMsg::SyncMembers {
+                coll: c,
+                version,
+                step,
+            });
+            (reply, s.collection(c).unwrap().members().to_vec())
+        };
+        // A step from a version this replica does not hold is refused, a
+        // full membership is not, and the next step then is taken.
+        let (need, both) = (4, vec![entry(3), entry(4)]);
+        let behind = StoreMsg::SessionBehind {
             coll: c,
-            version: 5,
-            members: vec![entry(3)].into(),
-        });
-        assert_eq!(r, StoreMsg::Ack);
-        assert_eq!(s.collection(c).unwrap().version(), 5);
-        assert!(s.collection(c).unwrap().contains(ObjectId(3)));
+            have: 0,
+            need,
+        };
+        assert_eq!(sync(5, SyncStep::Add(entry(4))), (behind, vec![]));
+        let full = SyncStep::Full(vec![entry(3)].into());
+        assert_eq!(sync(5, full), (StoreMsg::Ack, vec![entry(3)]));
+        assert_eq!(
+            sync(6, SyncStep::Add(entry(4))),
+            (StoreMsg::Ack, both.clone())
+        );
+        // A version it holds, or an older one, is acknowledged again and
+        // changes nothing.
+        let stale = SyncStep::Remove(ObjectId(3));
+        assert_eq!(sync(6, stale.clone()), (StoreMsg::Ack, both.clone()));
+        assert_eq!(sync(1, stale), (StoreMsg::Ack, both));
     }
 
     #[test]
@@ -517,7 +563,7 @@ mod tests {
         s.handle_msg(StoreMsg::SyncMembers {
             coll: c,
             version: 3,
-            members: vec![entry(1), entry(2)].into(),
+            step: SyncStep::Full(vec![entry(1), entry(2)].into()),
         });
         assert!(matches!(
             s.handle_msg(gated(&tok)),

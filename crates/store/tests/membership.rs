@@ -1,8 +1,9 @@
 //! [`Membership`] as a value: its set algebra against the sort-and-dedup
 //! oracle it replaced, copy-on-write (a held version never changes, and
 //! an idle write shifts each replica's own array in place, observed
-//! across a threaded fleet), and the version log of changes against the
-//! log of full copies it replaced.
+//! across a threaded fleet), and the version log of changes — on a
+//! primary and on replicas replaying its steps — against the log of full
+//! copies it replaced.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,64 +68,40 @@ proptest! {
             .collect();
         prop_assert_eq!(a.union(&far).to_vec(), [a.to_vec(), far.to_vec()].concat());
     }
-
-    /// Driven as `CollectionState` drives it — one home per element —
-    /// `with` / `without` / `contains` track a map.
-    #[test]
-    fn with_and_without_agree_with_a_map(
-        ops in proptest::collection::vec((0u8..3, 1u64..12, 0u32..3), 0..48)
-    ) {
-        let mut m = Membership::new();
-        let mut model: BTreeMap<ObjectId, NodeId> = BTreeMap::new();
-        for (kind, elem, home) in ops {
-            let (elem, home) = (ObjectId(elem), NodeId(home));
-            prop_assert_eq!(m.contains(elem), model.contains_key(&elem));
-            if kind == 0 {
-                m = m.without(elem);
-                model.remove(&elem);
-            } else if !m.contains(elem) {
-                m = m.with(MemberEntry { elem, home });
-                model.insert(elem, home);
-            }
-            let want: Vec<MemberEntry> =
-                model.iter().map(|(&elem, &home)| MemberEntry { elem, home }).collect();
-            prop_assert_eq!(m.to_vec(), want);
-        }
-    }
 }
 
-/// The bulk-copy builders where their copies are empty: `with` at either
-/// end, `without` of the first, last, only and a multi-home element —
-/// each against the sort-and-dedup oracle.
+/// The copying write where its copies are empty: an add at either end,
+/// a removal of the first, last, only and a multi-home element — each
+/// while a clone holds the version, so the write builds a new array —
+/// against the sort-and-dedup oracle.
 #[test]
-fn with_and_without_at_the_edges() {
-    let e = |elem: u64, home: u32| MemberEntry {
-        elem: ObjectId(elem),
-        home: NodeId(home),
-    };
+fn copying_writes_at_the_edges() {
     let raw = [e(6, 0), e(4, 1), e(2, 0), e(4, 0)];
-    let m = Membership::from(raw.to_vec());
+    let held = |write: &dyn Fn(&mut CollectionState) -> bool| {
+        let mut state = CollectionState::new();
+        state.sync_to(1, raw.to_vec().into());
+        let before = state.members().clone();
+        assert!(write(&mut state));
+        assert_eq!(before.to_vec(), oracle(&raw, &[]), "a held version");
+        state.members().to_vec()
+    };
     // Before the first entry, after the last.
     for entry in [e(1, 0), e(7, 0)] {
-        assert_eq!(
-            m.with(entry).to_vec(),
-            oracle(&raw, &[entry]),
-            "with {entry:?}"
-        );
+        let listed = held(&|state| state.add(entry));
+        assert_eq!(listed, oracle(&raw, &[entry]), "add {entry:?}");
     }
     // The first, the last, and one listed under two homes.
     for gone in [2, 6, 4] {
         let kept: Vec<MemberEntry> = raw.iter().filter(|x| x.elem.0 != gone).copied().collect();
-        assert_eq!(
-            m.without(ObjectId(gone)).to_vec(),
-            oracle(&kept, &[]),
-            "without {gone}"
-        );
+        let listed = held(&|state| state.remove(ObjectId(gone)));
+        assert_eq!(listed, oracle(&kept, &[]), "remove {gone}");
     }
-    let one = Membership::new().with(e(3, 1));
-    assert_eq!(one.to_vec(), oracle(&[e(3, 1)], &[]));
-    let none = one.without(ObjectId(3));
-    assert_eq!((none.holders(), none.id()), (0, 0), "the empty membership");
+    let mut one = CollectionState::new();
+    one.add(e(3, 1));
+    let before = one.members().clone();
+    assert!(one.remove(ObjectId(3)));
+    assert_eq!(one.members().holders(), 0, "the empty membership");
+    assert_eq!(before.to_vec(), [e(3, 1)]);
 }
 
 /// What `CollectionState` was before its log held changes: the same
@@ -185,6 +162,25 @@ impl FullCopyLog {
         newer
     }
 
+    /// `CollectionState::sync`: a step is replayed one version behind,
+    /// a full membership taken from any older one.
+    fn sync(&mut self, version: u64, step: &SyncStep) -> bool {
+        let next = self.version + 1 == version;
+        match step {
+            SyncStep::Add(entry) if next => {
+                self.add(*entry);
+            }
+            SyncStep::Remove(elem) if next => {
+                self.remove(*elem);
+            }
+            SyncStep::Full(members) => {
+                self.sync_to(version, members.to_vec());
+            }
+            SyncStep::Add(_) | SyncStep::Remove(_) => {}
+        }
+        self.version >= version
+    }
+
     fn defer_remove(&mut self, elem: ObjectId) -> bool {
         let present = self.contains(elem);
         if present {
@@ -202,14 +198,14 @@ impl FullCopyLog {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random add / remove / sync (stale, equal, one ahead, skipping) /
-    /// defer / apply-deferred sequences: every operation answers as the
+    /// Random add / remove / sync (a step stale, equal, next or
+    /// skipping; a full membership at any of those) / defer /
+    /// apply-deferred sequences: every operation answers as the
     /// full-copy reference does, and after each one the version sequence,
     /// `members_at` at every version (and at versions never committed),
     /// `history`, the deferred set and the set of every `(elem, home)`
-    /// ever listed agree with it. Synced arrays go in as built, so a
-    /// sync one step from the held array takes the O(1) path; a twin
-    /// fed a fresh copy of each diffs every sync, and logs the same.
+    /// ever listed agree with it. A twin takes each step `state` replays
+    /// as the full membership it led to, and logs the same.
     #[test]
     fn the_delta_log_is_the_full_copy_log(
         ops in proptest::collection::vec(
@@ -220,12 +216,9 @@ proptest! {
         let mut state = CollectionState::new();
         let mut twin = CollectionState::new();
         let mut model = FullCopyLog::new();
-        // The array `state` held before its current one.
-        let mut held = Membership::new();
         for (kind, elem, home, ahead, synced) in ops {
             let (elem, home) = (ObjectId(elem), NodeId(home));
             let entry = MemberEntry { elem, home };
-            let before = state.members().clone();
             match kind {
                 0 | 1 => {
                     twin.add(entry);
@@ -244,30 +237,26 @@ proptest! {
                     prop_assert_eq!(state.apply_deferred(), model.apply_deferred());
                 }
                 _ => {
-                    let next = state.version() + 1;
-                    let (version, members) = match kind {
-                        // A child of the held array, as the primary's
-                        // replication carries it: one entry more, or
-                        // fewer (several, for a multi-home element).
-                        5 => (next, before.with(entry)),
-                        6 => (next, before.without(elem)),
-                        // A sibling: built from the array held before.
-                        7 => (next, held.with(entry)),
-                        // A child that is stale, equal, or skips
-                        // versions: -2..=5 from the current one.
-                        8 => ((state.version() + ahead).saturating_sub(2), before.with(entry)),
-                        // An array this replica never held.
-                        _ => ((state.version() + ahead).saturating_sub(2), synced.into()),
+                    let version = match kind {
+                        // The next version, as an idle primary's
+                        // replication carries it.
+                        5..=7 => state.version() + 1,
+                        // Stale, equal, or skipping: -2..=5 from the
+                        // current one.
+                        _ => (state.version() + ahead).saturating_sub(2),
                     };
-                    twin.sync_to(version, members.to_vec().into());
-                    prop_assert_eq!(
-                        state.sync_to(version, members.clone()),
-                        model.sync_to(version, members.to_vec())
-                    );
+                    let step = match kind {
+                        5 | 8 => SyncStep::Add(entry),
+                        6 => SyncStep::Remove(elem),
+                        // An array this replica never held.
+                        _ => SyncStep::Full(synced.into()),
+                    };
+                    let before = state.version();
+                    prop_assert_eq!(state.sync(version, step.clone()), model.sync(version, &step));
+                    if state.version() != before {
+                        twin.sync_to(state.version(), state.members().to_vec().into());
+                    }
                 }
-            }
-            if before.id() != state.members().id() {
-                held = before;
             }
             prop_assert_eq!(state.log(), twin.log());
             prop_assert_eq!(state.version(), model.version);
@@ -295,10 +284,11 @@ proptest! {
 
 /// N writes at 512 members leave N small log entries and no array: each
 /// version's array is dropped by the state the moment its successor
-/// commits — on the primary and on a replica synced to it — and the
-/// entries themselves hold nothing on the heap. The test holds each
-/// version across its write, so every write copies and the replica
-/// shares the primary's array: the held-snapshot case.
+/// commits — on the primary and on a replica replaying its steps — and
+/// the entries themselves hold nothing on the heap. The test holds each
+/// of the primary's versions across its write, so every write copies
+/// there: the held-snapshot case. The replica's array is its own, and it
+/// shifts in place.
 #[test]
 fn a_long_history_pins_no_array() {
     let entry = |id: u64| MemberEntry {
@@ -308,29 +298,35 @@ fn a_long_history_pins_no_array() {
     let (mut primary, mut replica) = (CollectionState::new(), CollectionState::new());
     for id in 0..512 {
         primary.add(entry(id));
+        assert!(replica.sync(primary.version(), SyncStep::Add(entry(id))));
     }
-    replica.sync_to(primary.version(), primary.members().clone());
     let preload = primary.log().len();
+    let mut copied = 0;
     for round in 0..200u64 {
         for add in [true, false] {
             let before = primary.members().clone();
-            assert_eq!(before.holders(), 3, "primary, replica, this test");
+            assert_eq!(before.holders(), 2, "the primary and this test");
+            let at = replica.members().as_ptr();
             let id = 1_000 + round;
-            assert!(if add {
-                primary.add(entry(id))
+            let step = if add {
+                assert!(primary.add(entry(id)));
+                SyncStep::Add(entry(id))
             } else {
-                primary.remove(ObjectId(id))
-            });
-            assert_eq!(before.holders(), 2, "the primary let go");
-            assert!(replica.sync_to(primary.version(), primary.members().clone()));
+                assert!(primary.remove(ObjectId(id)));
+                SyncStep::Remove(ObjectId(id))
+            };
             assert_eq!(
                 before.holders(),
                 1,
                 "no logged array outlives its successor"
             );
-            assert_eq!(primary.members().holders(), 2, "the replica shares it");
+            assert!(replica.sync(primary.version(), step));
+            assert_eq!(replica.members().holders(), 1, "the replica owns its array");
+            copied += usize::from(replica.members().as_ptr() != at);
         }
     }
+    assert!(copied <= 1, "the replica copied {copied} times");
+    assert_eq!(replica.members(), primary.members());
     for state in [&primary, &replica] {
         assert_eq!(state.len(), 512);
         let writes = &state.log()[state.log().len() - 400..];
@@ -339,18 +335,85 @@ fn a_long_history_pins_no_array() {
             .all(|c| matches!(c, Change::Added(_) | Change::Removed(_))));
     }
     assert_eq!(primary.log().len(), preload + 400);
+    assert_eq!(replica.log(), primary.log());
     assert!(std::mem::size_of::<Change>() <= 3 * std::mem::size_of::<u64>());
-    // Every reply carries one: provenance may not quietly grow it, nor
+    // Every reply carries one: the mark may not quietly grow it, nor
     // take the niche that keeps the enums around it as small.
-    assert!(std::mem::size_of::<Membership>() <= 40);
+    assert!(std::mem::size_of::<Membership>() <= 24);
     assert_eq!(
         std::mem::size_of::<Option<Membership>>(),
         std::mem::size_of::<Membership>()
     );
-    assert_eq!(
-        replica.members_at(primary.version() - 1),
-        primary.members_at(primary.version() - 1)
+}
+
+/// An entry with a small id, on a small node.
+fn e(elem: u64, home: u32) -> MemberEntry {
+    MemberEntry {
+        elem: ObjectId(elem),
+        home: NodeId(home),
+    }
+}
+
+/// A replica one version behind replays the primary's step on its own
+/// array, in place, and logs what the primary logged; one further
+/// behind refuses a step until a full sync, which takes the primary's
+/// array.
+#[test]
+fn a_replica_replays_the_primarys_step_on_its_own_array() {
+    let (mut p, mut r) = (CollectionState::new(), CollectionState::new());
+    for id in [1, 2, 3] {
+        p.add(e(id, 0));
+        assert!(r.sync(p.version(), SyncStep::Add(e(id, 0))));
+    }
+    assert_eq!(r.members(), p.members());
+    assert_ne!(
+        r.members().as_ptr(),
+        p.members().as_ptr(),
+        "each owns its array"
     );
+    // A removal always fits, and so does an add after it: both states
+    // shift in place, through the empty set.
+    let at = (p.members().as_ptr(), r.members().as_ptr());
+    for id in [1, 2, 3] {
+        p.remove(ObjectId(id));
+        assert!(r.sync(p.version(), SyncStep::Remove(ObjectId(id))));
+    }
+    p.add(e(4, 0));
+    assert!(r.sync(7, SyncStep::Add(e(4, 0))));
+    assert_eq!((p.members().as_ptr(), r.members().as_ptr()), at);
+    assert_eq!(
+        (r.members().to_vec(), r.members().holders()),
+        (vec![e(4, 0)], 1)
+    );
+    assert_eq!(r.log(), p.log());
+    // A step it already took changes nothing; one past the next is owed.
+    assert!(r.sync(7, SyncStep::Add(e(9, 0))));
+    p.add(e(5, 0));
+    p.add(e(6, 0));
+    assert!(!r.sync(9, SyncStep::Add(e(6, 0))));
+    assert_eq!((r.version(), r.log()), (7, &p.log()[..7]));
+    // A full sync takes the primary's array and logs the gap.
+    assert!(r.sync(9, SyncStep::Full(p.members().clone())));
+    assert_eq!(r.members().as_ptr(), p.members().as_ptr());
+    assert_eq!(
+        (r.log()[7].listed(), r.log()[7].span()),
+        (&[e(5, 0), e(6, 0)][..], 2)
+    );
+}
+
+/// What a state holds is marked primary-serialized, whichever way it got
+/// there; a value built any other way is not.
+#[test]
+fn only_a_states_membership_is_marked_serialized() {
+    let mut c = CollectionState::new();
+    assert!(c.members().is_serialized());
+    c.add(e(1, 0));
+    let read = c.members().clone();
+    assert!(read.is_serialized());
+    let built = Membership::from(vec![e(2, 0)]);
+    assert!(!built.is_serialized() && !read.union(&built).is_serialized());
+    c.sync_to(3, built);
+    assert!(c.members().is_serialized());
 }
 
 proptest! {
@@ -359,69 +422,86 @@ proptest! {
     /// Writes shift arrays in place, so nothing but the holder count
     /// keeps a reader's version still. A primary (first synced to a
     /// membership that lists some elements under several homes, so some
-    /// removals are multi-home) and two replicas run random adds,
-    /// removals and syncs — sent now or queued and delivered oldest or
-    /// newest first, so in order, skipping, or stale — while clones of
-    /// any state's membership are taken and dropped. After every step:
-    /// each held clone lists what it listed when taken, each state is
-    /// its full-copy reference, and any two live values with one id list
-    /// the same entries.
+    /// removals are multi-home) runs random adds and removals, and each
+    /// one it commits queues its step for each of two replicas, with the
+    /// membership it led to, as the client sends them. Queued syncs are
+    /// delivered newest or oldest first, delivered again, or lost; a
+    /// replica that cannot take a step is sent the membership instead.
+    /// Meanwhile clones of any state's membership are taken and dropped.
+    /// After every step: each held clone lists what it listed when
+    /// taken, each state is its full-copy reference, and any two marked
+    /// values at one version list the same entries.
     #[test]
     fn a_held_version_never_changes(
         first in entries(),
-        ops in proptest::collection::vec((0u8..8, 1u64..12, 0u32..3, 0usize..3), 0..64)
+        ops in proptest::collection::vec((0u8..9, 1u64..12, 0u32..3, 0usize..3), 0..64)
     ) {
         let mut states: [CollectionState; 3] = Default::default();
         let mut models = [FullCopyLog::new(), FullCopyLog::new(), FullCopyLog::new()];
         states[0].sync_to(1, first.clone().into());
         models[0].sync_to(1, Membership::from(first).to_vec());
         // Syncs sent to each replica and not yet delivered.
-        let mut queued: [Vec<(u64, Membership)>; 2] = Default::default();
-        let mut held: Vec<(Membership, Vec<MemberEntry>)> = Vec::new();
+        let mut queued: [Vec<(u64, SyncStep, Membership)>; 2] = Default::default();
+        // Clones taken: the value, its state's version, what it listed.
+        let mut held: Vec<(Membership, u64, Vec<MemberEntry>)> = Vec::new();
         for (kind, elem, home, pick) in ops {
             let (elem, home) = (ObjectId(elem), NodeId(home));
             let r = 1 + pick % 2;
-            match kind {
+            let before = states[0].version();
+            let step = match kind {
                 0 | 1 => {
                     let entry = MemberEntry { elem, home };
                     prop_assert_eq!(states[0].add(entry), models[0].add(entry));
+                    Some(SyncStep::Add(entry))
                 }
-                2 => prop_assert_eq!(states[0].remove(elem), models[0].remove(elem)),
-                3 | 4 => {
-                    let (version, members) = if kind == 3 {
-                        (states[0].version(), states[0].members().clone())
-                    } else {
-                        match queued[r - 1].pop() {
-                            Some(sent) => sent,
-                            None => continue,
-                        }
+                2 => {
+                    prop_assert_eq!(states[0].remove(elem), models[0].remove(elem));
+                    Some(SyncStep::Remove(elem))
+                }
+                3..=5 => {
+                    // Newest first, oldest first, or the oldest now and
+                    // again later.
+                    let queue = &mut queued[r - 1];
+                    let sent = match kind {
+                        3 => queue.pop(),
+                        4 if !queue.is_empty() => Some(queue.remove(0)),
+                        _ => queue.first().cloned(),
                     };
-                    let want = members.to_vec();
-                    prop_assert_eq!(
-                        states[r].sync_to(version, members),
-                        models[r].sync_to(version, want)
-                    );
+                    if let Some((version, step, members)) = sent {
+                        let took = states[r].sync(version, step.clone());
+                        prop_assert_eq!(took, models[r].sync(version, &step));
+                        if !took {
+                            let full = SyncStep::Full(members);
+                            prop_assert!(states[r].sync(version, full.clone()));
+                            prop_assert!(models[r].sync(version, &full));
+                        }
+                    }
+                    None
                 }
-                5 => queued[r - 1].push((states[0].version(), states[0].members().clone())),
-                6 if !queued[r - 1].is_empty() => {
-                    let (version, members) = queued[r - 1].remove(0);
-                    let want = members.to_vec();
-                    prop_assert_eq!(
-                        states[r].sync_to(version, members),
-                        models[r].sync_to(version, want)
-                    );
+                6 => {
+                    if !queued[r - 1].is_empty() {
+                        queued[r - 1].remove(0);
+                    }
+                    None
                 }
-                6 => {}
                 _ if held.len() > pick => {
                     held.swap_remove(pick);
+                    None
                 }
                 _ => {
                     let members = states[pick].members().clone();
                     let listed = members.to_vec();
-                    held.push((members, listed));
+                    held.push((members, states[pick].version(), listed));
+                    None
+                }
+            };
+            if let Some(step) = step.filter(|_| states[0].version() != before) {
+                for queue in &mut queued {
+                    let members = states[0].members().clone();
+                    queue.push((states[0].version(), step.clone(), members));
                 }
             }
-            for (members, listed) in &held {
+            for (members, _, listed) in &held {
                 prop_assert_eq!(&members.to_vec(), listed);
             }
             for (state, model) in states.iter().zip(&models) {
@@ -433,21 +513,25 @@ proptest! {
             }
             let live = states
                 .iter()
-                .map(CollectionState::members)
-                .chain(held.iter().map(|(members, _)| members))
-                .chain(queued.iter().flatten().map(|(_, members)| members));
-            let mut named: BTreeMap<u64, &[MemberEntry]> = BTreeMap::new();
-            for members in live {
-                let listed = *named.entry(members.id()).or_insert(members);
-                prop_assert_eq!(listed, &members[..], "id {}", members.id());
+                .map(|state| (state.version(), state.members()))
+                .chain(held.iter().map(|(members, version, _)| (*version, members)))
+                .chain(queued.iter().flatten().map(|(version, _, members)| (*version, members)));
+            let mut at: BTreeMap<u64, &[MemberEntry]> = BTreeMap::new();
+            for (version, members) in live {
+                prop_assert!(members.is_serialized());
+                let listed = *at.entry(version).or_insert(members);
+                prop_assert_eq!(listed, &members[..], "v{}", version);
             }
         }
     }
 }
 
 /// What a replica holds of collection 1: its array's holder count and
-/// address, its version, and its membership's id.
-fn replica_state(rt: &ThreadedRuntime<StoreMsg>, node: NodeId) -> (usize, usize, u64, u64) {
+/// address, its version, and what it lists.
+fn replica_state(
+    rt: &ThreadedRuntime<StoreMsg>,
+    node: NodeId,
+) -> (usize, usize, u64, Vec<MemberEntry>) {
     rt.with_service(node, |s: &StoreServer| {
         let coll = s.collection(CollectionId(1)).unwrap();
         let members = coll.members();
@@ -455,7 +539,7 @@ fn replica_state(rt: &ThreadedRuntime<StoreMsg>, node: NodeId) -> (usize, usize,
             members.holders(),
             members.as_ptr() as usize,
             coll.version(),
-            members.id(),
+            members.to_vec(),
         )
     })
     .unwrap()
@@ -494,9 +578,9 @@ fn an_idle_write_shifts_each_replicas_own_array() {
     client.remove_member(&mut rt, &cref, ObjectId(3)).unwrap();
 
     let states: Vec<_> = servers.iter().map(|&s| replica_state(&rt, s)).collect();
-    for (&node, &(holders, _, version, id)) in servers.iter().zip(&states) {
-        assert_eq!((holders, version), (1, 66), "{node} owns its array");
-        assert_eq!(id, states[0].3, "{node} names the primary's version");
+    for (&node, (holders, _, version, listed)) in servers.iter().zip(&states) {
+        assert_eq!((*holders, *version), (1, 66), "{node} owns its array");
+        assert_eq!(listed, &states[0].3, "{node} lists the primary's version");
     }
     // A removal always fits, and so does an add after it: both shift
     // all three arrays in place.
@@ -514,6 +598,7 @@ fn an_idle_write_shifts_each_replicas_own_array() {
                 Ok(StoreMsg::Members {
                     version: 68,
                     entries,
+                    committed: false,
                 }) => entries,
                 other => panic!("{node} answered {other:?}"),
             },
@@ -526,11 +611,13 @@ fn an_idle_write_shifts_each_replicas_own_array() {
         .map(entry)
         .collect();
     assert_eq!(listed, want);
-    assert!(replies.iter().all(|r| r.id() == replies[0].id()));
+    assert!(replies
+        .iter()
+        .all(|r| r.is_serialized() && *r == replies[0]));
     let read = client
         .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
         .unwrap();
-    assert_eq!((read.version, read.entries.id()), (68, replies[0].id()));
+    assert_eq!((read.version, read.entries.to_vec()), (68, listed.clone()));
     assert!(
         replies.iter().any(|r| r.as_ptr() == read.entries.as_ptr()),
         "the union of one version is that version"
@@ -540,24 +627,24 @@ fn an_idle_write_shifts_each_replicas_own_array() {
     for reply in &replies {
         assert_eq!(reply.to_vec(), listed, "a held reply never changes");
     }
-    let moved: Vec<_> = servers.iter().map(|&s| replica_state(&rt, s)).collect();
-    for (&node, &(_, _, version, id)) in servers.iter().zip(&moved) {
-        assert_eq!(version, 69, "{node}");
-        assert_ne!(id, replies[0].id(), "{node}");
-        assert_eq!(id, moved[0].3, "{node}");
+    let now: Vec<MemberEntry> = want
+        .iter()
+        .filter(|m| m.elem != ObjectId(7))
+        .copied()
+        .collect();
+    for &node in &servers {
+        let (_, _, version, moved) = replica_state(&rt, node);
+        assert_eq!((version, &moved), (69, &now), "{node}");
     }
     assert_eq!(read.entries.to_vec(), listed);
-    let now = client
+    let read = client
         .read_members(&mut rt, &cref, ReadPolicy::Leaderless)
         .unwrap();
-    assert_eq!(
-        now.entries.to_vec(),
-        want.iter()
-            .filter(|m| m.elem != ObjectId(7))
-            .copied()
-            .collect::<Vec<_>>()
+    assert_eq!((read.version, read.entries.to_vec()), (69, now));
+    assert!(
+        read.entries.is_serialized(),
+        "one replica's version, unmerged"
     );
-    assert_eq!(now.entries.id(), moved[0].3);
 
     rt.shutdown(Duration::from_secs(10))
         .expect("no node thread should hang at shutdown");

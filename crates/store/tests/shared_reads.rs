@@ -87,7 +87,7 @@ fn setup_step((kind, coll, x): (u8, u64, u64)) -> StoreMsg {
         4 => StoreMsg::SyncMembers {
             coll,
             version: x + 3,
-            members: (0..x).map(entry).collect(),
+            step: SyncStep::Full((0..x).map(entry).collect()),
         },
         5 => StoreMsg::AcquireReadLock { coll, token: x },
         6 => StoreMsg::ReleaseReadLock { coll, token: x },
@@ -123,7 +123,17 @@ fn every_request(coll: CollectionId, x: u64) -> Vec<StoreMsg> {
         StoreMsg::SyncMembers {
             coll,
             version: x,
-            members: Membership::new(),
+            step: SyncStep::Full(Membership::new()),
+        },
+        StoreMsg::SyncMembers {
+            coll,
+            version: x,
+            step: SyncStep::Add(entry(x)),
+        },
+        StoreMsg::SyncMembers {
+            coll,
+            version: x,
+            step: SyncStep::Remove(ObjectId(x)),
         },
         StoreMsg::AcquireReadLock { coll, token: x },
         StoreMsg::ReleaseReadLock { coll, token: x },
@@ -156,6 +166,7 @@ fn every_request(coll: CollectionId, x: u64) -> Vec<StoreMsg> {
         StoreMsg::Members {
             version: x,
             entries: Membership::new(),
+            committed: false,
         },
         StoreMsg::Matches(vec![ObjectId(x)]),
         StoreMsg::Locked,
@@ -424,10 +435,10 @@ fn concurrent_readers_on_threads_see_only_logged_states() {
         // The last read of each reader follows the last write.
         let (_, last) = reads.last().expect("at least one read");
         assert_eq!(last.version, primary.version(), "{}", policy.label());
-        assert_eq!(
-            last.entries.id(),
-            primary.members().id(),
-            "{}: the primary's version, not a merge of it",
+        assert_eq!(last.entries, *primary.members(), "{}", policy.label());
+        assert!(
+            last.entries.is_serialized(),
+            "{}: one replica's version, not a merge of them",
             policy.label()
         );
     }

@@ -72,6 +72,8 @@ fn generated_scenarios_are_pinned() {
 /// moved" is judged by the simulator producing the same traces as its
 /// parent. One FNV-style fold per generator over 64 scenarios; a change
 /// that moves a constant must say why the traces were meant to move.
+/// Last moved when a replica sync began carrying the committed write's
+/// step instead of the whole membership (fewer bytes, so other timings).
 #[test]
 fn corpus_trace_hash_is_pinned() {
     fn pin(leg: &str, gen: fn(u64) -> Scenario, pinned: u64) {
@@ -80,17 +82,18 @@ fn corpus_trace_hash_is_pinned() {
         });
         assert_eq!(folded, pinned, "{leg}: corpus hash is now {folded:#018x}");
     }
-    pin("plain", generate, 0x91b0_98e4_098a_bb83);
-    pin("sharded", generate_sharded, 0xeb69_dca3_7443_191d);
-    pin("causal", generate_causal, 0x05fc_05b5_b8af_26d0);
-    pin("merkle", generate_merkle, 0x78a6_aac3_6a78_75f1);
+    pin("plain", generate, 0xa10a_1a2b_747c_ed40);
+    pin("sharded", generate_sharded, 0xb321_d1d0_b26d_c6ab);
+    pin("causal", generate_causal, 0x289a_41fa_c4b0_8594);
+    pin("merkle", generate_merkle, 0xc095_b068_c80e_ce0b);
 }
 
 /// What each run *recorded*, pinned across commits beside its trace hash:
 /// the causal event stream (every kind, detail, span edge, parent and
 /// trace id, in order) and the metrics registry as it prints. Constants
 /// measured at 2afe24d, before the simulator's bookkeeping was made
-/// cheaper; a change that moves one recorded a different byte.
+/// cheaper, and moved with the trace hashes above; a change that moves
+/// one recorded a different byte.
 #[test]
 fn events_and_metrics_are_pinned() {
     fn fnv(acc: u64, text: &str) -> u64 {
@@ -114,33 +117,35 @@ fn events_and_metrics_are_pinned() {
     pin(
         "plain",
         generate,
-        0xb082_9227_f072_5814,
-        0x35d0_a334_26af_bc38,
+        0xbdae_3dc7_eaff_3ea0,
+        0xbe59_3192_e968_95e2,
     );
     pin(
         "sharded",
         generate_sharded,
-        0x4cdc_493b_d219_5f85,
-        0xa3c5_2445_829b_64a3,
+        0x78a7_ff58_418f_24ae,
+        0xb302_89dc_d72b_ef88,
     );
     pin(
         "causal",
         generate_causal,
-        0x3a0a_9826_8ec5_32f1,
-        0x3bda_4778_4cd6_47dc,
+        0x222e_b061_af3f_55b9,
+        0x60a5_7ae9_c1ad_4f9c,
     );
     pin(
         "merkle",
         generate_merkle,
-        0x9b17_b8a4_dee5_268f,
-        0x9d78_e42e_5323_84e8,
+        0x0753_29f0_aa1f_7f11,
+        0xc3c0_01e5_fb7b_f8c1,
     );
 }
 
 /// The payload hashes a threaded recording stores, pinned across commits:
 /// `record::hash_debug` of one message per `StoreMsg` variant, folded
 /// into one constant. Kept recordings are regression seeds only while
-/// these hashes hold. Constant measured at 7c75e4e.
+/// these hashes hold. Constant moved when `SyncMembers` began carrying a
+/// step and `Members` whether it committed; recordings made before that
+/// carry the old schema version and are refused.
 #[test]
 fn recording_payload_hashes_are_pinned() {
     use std::collections::HashSet;
@@ -202,7 +207,17 @@ fn recording_payload_hashes_are_pinned() {
         StoreMsg::SyncMembers {
             coll: c,
             version: 5,
-            members: members.clone(),
+            step: SyncStep::Add(entry),
+        },
+        StoreMsg::SyncMembers {
+            coll: c,
+            version: 5,
+            step: SyncStep::Remove(o),
+        },
+        StoreMsg::SyncMembers {
+            coll: c,
+            version: 5,
+            step: SyncStep::Full(members.clone()),
         },
         StoreMsg::AcquireReadLock { coll: c, token: 11 },
         StoreMsg::ReleaseReadLock { coll: c, token: 11 },
@@ -240,6 +255,7 @@ fn recording_payload_hashes_are_pinned() {
         StoreMsg::Members {
             version: 5,
             entries: members.clone(),
+            committed: true,
         },
         StoreMsg::Matches(vec![o, ObjectId(9)]),
         StoreMsg::Locked,
@@ -272,20 +288,21 @@ fn recording_payload_hashes_are_pinned() {
             inner: Box::new(StoreMsg::Members {
                 version: 5,
                 entries: members,
+                committed: false,
             }),
         },
     ];
     let variants: HashSet<_> = all.iter().map(discriminant).collect();
     assert_eq!(
         (variants.len(), all.len()),
-        (33, 33),
-        "one message per variant"
+        (33, 35),
+        "one message per variant, and a sync per step"
     );
     let folded = all.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, m| {
         (acc ^ hash_debug(m)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(
-        folded, 0x20e3_b378_c19d_63f6,
+        folded, 0xf3ee_af96_ee6e_9f9f,
         "payload hash fold is now {folded:#018x}"
     );
 }

@@ -151,7 +151,8 @@ fn idle_fleet_leaderless_read_budget() {
 
 /// The values every read moves stay as small as they are: a bigger
 /// `Membership` cost `rt-read-fanout` 3–5 % when it last grew (16 → 40
-/// bytes), so growing one should be a choice backed by a ledger number.
+/// bytes, since shrunk to 24), so growing one should be a choice backed
+/// by a ledger number.
 #[test]
 fn the_values_a_read_moves_stay_small() {
     use std::mem::size_of;
@@ -161,7 +162,7 @@ fn the_values_a_read_moves_stay_small() {
         size_of::<StoreMsg>()
     );
     assert!(
-        size_of::<Membership>() <= 40,
+        size_of::<Membership>() <= 24,
         "Membership: {}",
         size_of::<Membership>()
     );

@@ -79,6 +79,7 @@ fn a_write_never_overtakes_the_views_own_send() {
             Ok(StoreMsg::Members {
                 version: 2 * i,
                 entries: Membership::new(),
+                committed: true,
             }),
             "round {i}"
         );
@@ -126,7 +127,7 @@ fn concurrent_writers_are_serialised_whichever_path_they_take() {
         .unwrap();
 
     // Each writer adds its own 500 elements and removes the even ones.
-    let counters: Vec<(u64, u64, u64)> = thread::scope(|scope| {
+    let counters: Vec<(u64, u64, u64, u64)> = thread::scope(|scope| {
         let writers: Vec<_> = (0..VIEWS)
             .map(|w| {
                 let node = rt.add_node(format!("w{w}"));
@@ -147,6 +148,7 @@ fn concurrent_writers_are_serialised_whichever_path_they_take() {
                         m.counter("rpc.sent"),
                         m.counter("rpc.ok"),
                         m.counter("rpc.shared"),
+                        m.counter("store.replica_sync.full"),
                     )
                 })
             })
@@ -191,18 +193,21 @@ fn concurrent_writers_are_serialised_whichever_path_they_take() {
     }
     assert_eq!(history.last().unwrap().members, *primary.members());
 
-    // One event per rpc either way: a write and its two syncs each, and
-    // the three `CreateCollection`s of the set-up.
+    // One event per rpc either way: a write and its two steps each, a
+    // full sync for each step a replica refused because another
+    // writer's later step overtook it, and the three
+    // `CreateCollection`s of the set-up.
     let m = rt.metrics();
     let setup = (
         m.counter("rpc.sent"),
         m.counter("rpc.ok"),
         m.counter("rpc.shared"),
+        0,
     );
-    let (sent, ok, shared) = counters
-        .iter()
-        .fold(setup, |(a, b, c), (x, y, z)| (a + x, b + y, c + z));
-    assert_eq!(sent, 3 * writes + 3);
+    let (sent, ok, shared, full) = counters.iter().fold(setup, |(a, b, c, d), (w, x, y, z)| {
+        (a + w, b + x, c + y, d + z)
+    });
+    assert_eq!(sent, 3 * writes + 3 + full);
     assert_eq!(ok, sent, "no rpc failed");
     // Every hook call on a `Counting` is taken (the plain server takes
     // everything), so the two entry counters partition the rpcs.

@@ -17,7 +17,8 @@
 //! thread. The rows are differences of nested calls:
 //!
 //! * array step: `CollectionState::{add, remove}` on a primary's state
-//!   and `sync_to` on two replicas' states, called directly;
+//!   and `sync` of the same step on two replicas' states, called
+//!   directly;
 //! * handler: the same writes as `AddMember` / `RemoveMember` and
 //!   `SyncMembers` requests to three `StoreServer`s, minus the array step;
 //! * in-place rpc: the same requests through `Transport::rpc`, minus
@@ -42,6 +43,12 @@ const TIMEOUT: SimDuration = SimDuration::from_millis(5_000);
 /// round are distinct and spread across the array.
 fn victim(members: u64, i: u32) -> ObjectId {
     ObjectId(2 * (u64::from(i).wrapping_mul(0x9e37_79b9) % members) + 1)
+}
+
+/// The step a replica replays for the write `add` of `entry`, or
+/// `remove` of `elem`.
+fn step(entry: Option<MemberEntry>, elem: ObjectId) -> SyncStep {
+    entry.map_or(SyncStep::Remove(elem), SyncStep::Add)
 }
 
 /// One collection held three ways: as bare states, by standalone servers
@@ -106,9 +113,9 @@ impl Rig {
             Some(entry) => primary.add(entry),
             None => primary.remove(elem),
         });
-        let (version, members) = (primary.version(), primary.members().clone());
+        let version = primary.version();
         for replica in replicas {
-            black_box(replica.sync_to(version, members.clone()));
+            black_box(replica.sync(version, step(entry, elem)));
         }
     }
 
@@ -126,14 +133,14 @@ impl Rig {
             None => StoreMsg::RemoveMember { coll, elem },
         };
         let from = self.cref.home;
-        let StoreMsg::Members { version, entries } = primary.handle(&mut ctx, from, request) else {
+        let StoreMsg::Members { version, .. } = primary.handle(&mut ctx, from, request) else {
             panic!("the primary refused a write");
         };
         for replica in replicas {
             let sync = StoreMsg::SyncMembers {
                 coll,
                 version,
-                members: entries.clone(),
+                step: step(entry, elem),
             };
             black_box(replica.handle(&mut ctx, from, sync));
         }
@@ -152,8 +159,7 @@ impl Rig {
             Some(entry) => StoreMsg::AddMember { coll, entry },
             None => StoreMsg::RemoveMember { coll, elem },
         };
-        let Ok(StoreMsg::Members { version, entries }) =
-            rt.rpc(from, self.cref.home, request, TIMEOUT)
+        let Ok(StoreMsg::Members { version, .. }) = rt.rpc(from, self.cref.home, request, TIMEOUT)
         else {
             panic!("the primary refused a write");
         };
@@ -161,7 +167,7 @@ impl Rig {
             let sync = StoreMsg::SyncMembers {
                 coll,
                 version,
-                members: entries.clone(),
+                step: step(entry, elem),
             };
             black_box(rt.rpc(from, replica, sync, TIMEOUT).is_ok());
         }

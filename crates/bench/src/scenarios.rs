@@ -6,7 +6,7 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
-use weakset_sim::world::{Service, WorldConfig};
+use weakset_sim::world::Service;
 use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreServer, StoreWorld};
@@ -60,9 +60,7 @@ fn fleet(
     let mut topo = Topology::new();
     let client_node = topo.add_node("client", 0);
     let servers: Vec<NodeId> = topo.add_servers("server-", n_servers);
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
-    let mut world = StoreWorld::new(config, topo, latency);
+    let mut world = StoreWorld::new(seed, topo, latency);
     for &s in &servers {
         world.install_service(s, service(s));
     }

@@ -135,7 +135,6 @@ mod tests {
     use super::*;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::prelude::StoreServer;
     use weakset_store::prelude::StoreWorld;
 
@@ -145,7 +144,7 @@ mod tests {
         let cn = t.add_node("client", 0);
         let home = t.add_node("home", 1);
         let rep = t.add_node("rep", 2);
-        let mut w = StoreWorld::new(WorldConfig::seeded(1), t, LatencyModel::default());
+        let mut w = StoreWorld::new(1, t, LatencyModel::default());
         w.install_service(home, Box::new(StoreServer::new()));
         w.install_service(rep, Box::new(StoreServer::new()));
         let set = WeakSetBuilder::new(CollectionId(5), home)
@@ -177,7 +176,7 @@ mod tests {
     fn create_fails_against_missing_service() {
         let mut t = Topology::new();
         let home = t.add_node("home", 0);
-        let mut w = StoreWorld::new(WorldConfig::seeded(1), t, LatencyModel::default());
+        let mut w = StoreWorld::new(1, t, LatencyModel::default());
         // No service installed: CreateCollection times out.
         let r = WeakSetBuilder::new(CollectionId(1), home)
             .timeout(SimDuration::from_millis(10))

@@ -429,7 +429,6 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_spec::checker::{check_computation, Figure};
     use weakset_store::prelude::StoreWorld;
     use weakset_store::prelude::{CollectionRef, StoreClient};
@@ -438,11 +437,7 @@ mod tests {
         let mut t = Topology::new();
         let client_node = t.add_node("client", 0);
         let home = t.add_node("home", 1);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w = StoreWorld::new(1, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(home, Box::new(StoreServer::new()));
         let cref = CollectionRef::unreplicated(CollectionId(1), home);
         let client = StoreClient::new(client_node, SimDuration::from_millis(50));

@@ -180,7 +180,6 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::{SimDuration, SimTime};
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::object::ObjectRecord;
     use weakset_store::prelude::StoreServer;
     use weakset_store::prelude::StoreWorld;
@@ -189,11 +188,7 @@ mod tests {
         let mut t = Topology::new();
         let cn = t.add_node("client", 0);
         let servers: Vec<_> = t.add_servers("s", n);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(37),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(5)),
-        );
+        let mut w = StoreWorld::new(37, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         for &s in &servers {
             w.install_service(s, Box::new(StoreServer::new()));
         }

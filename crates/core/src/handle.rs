@@ -158,7 +158,6 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_spec::checker::check_computation;
     use weakset_store::object::CollectionId;
     use weakset_store::prelude::StoreServer;
@@ -168,11 +167,7 @@ mod tests {
         let mut t = Topology::new();
         let cn = t.add_node("client", 0);
         let servers: Vec<_> = t.add_servers("s", n);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(29),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w = StoreWorld::new(29, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         for &s in &servers {
             w.install_service(s, Box::new(StoreServer::new()));
         }

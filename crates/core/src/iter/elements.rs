@@ -474,7 +474,6 @@ mod tests {
     use weakset_sim::node::NodeId;
     use weakset_sim::time::SimTime;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_spec::checker::{check_computation, Checker, Figure};
     use weakset_spec::constraint::ConstraintKind;
     use weakset_spec::specs::fig6;
@@ -485,11 +484,7 @@ mod tests {
         let mut t = Topology::new();
         let cn = t.add_node("client", 0);
         let servers: Vec<_> = t.add_servers("s", n);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(11),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w = StoreWorld::new(11, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         for &s in &servers {
             w.install_service(s, Box::new(StoreServer::new()));
         }

@@ -177,7 +177,6 @@ mod tests {
     use super::*;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::prelude::StoreWorld;
 
     #[test]
@@ -187,7 +186,7 @@ mod tests {
         let near = t.add_node("near", 1);
         let far = t.add_node("far", 9);
         let w = StoreWorld::new(
-            WorldConfig::seeded(0),
+            0,
             t,
             LatencyModel::SiteDistance {
                 base: SimDuration::from_millis(1),

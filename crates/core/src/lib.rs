@@ -44,7 +44,7 @@
 //! let me = topo.add_node("laptop", 0);
 //! let s1 = topo.add_node("server-1", 1);
 //! let s2 = topo.add_node("server-2", 2);
-//! let mut world = StoreWorld::new(WorldConfig::seeded(42), topo, LatencyModel::default());
+//! let mut world = StoreWorld::new(42, topo, LatencyModel::default());
 //! world.install_service(s1, Box::new(StoreServer::new()));
 //! world.install_service(s2, Box::new(StoreServer::new()));
 //!

@@ -179,7 +179,6 @@ mod tests {
     use super::*;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::object::ObjectId;
     use weakset_store::prelude::{StoreServer, StoreWorld};
 
@@ -188,7 +187,7 @@ mod tests {
         let cn = t.add_node("client", 0);
         let servers: Vec<_> = t.add_servers("s", n_servers);
         let mut w = StoreWorld::new(
-            WorldConfig::seeded(31),
+            31,
             t,
             LatencyModel::Constant(SimDuration::from_millis(latency_ms)),
         );
@@ -361,7 +360,7 @@ mod tests {
         let near = t.add_node("near", 1);
         let far = t.add_node("far", 8);
         let mut w = StoreWorld::new(
-            WorldConfig::seeded(3),
+            3,
             t,
             LatencyModel::SiteDistance {
                 base: SimDuration::from_millis(1),

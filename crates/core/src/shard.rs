@@ -455,7 +455,6 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_spec::checker::check_computation;
     use weakset_store::prelude::StoreWorld;
     use weakset_store::prelude::{ReadPolicy, StoreServer};
@@ -478,11 +477,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(seed),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w = StoreWorld::new(seed, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         for id in w.topology().node_ids().collect::<Vec<_>>() {
             if id != cn {
                 w.install_service(id, Box::new(StoreServer::new()));

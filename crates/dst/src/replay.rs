@@ -72,7 +72,7 @@ use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
-use weakset_sim::world::{ReplyToken, Service, Task, WorldConfig};
+use weakset_sim::world::{ReplyToken, Service, Task};
 use weakset_store::prelude::{StoreMsg, StoreRt, StoreWorld};
 
 /// What recording one scenario on the threaded runtime produced.
@@ -811,11 +811,7 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
     for (i, name) in rec.nodes.iter().enumerate() {
         t.add_node(name.clone(), i as u32);
     }
-    let mut world = StoreWorld::new(
-        WorldConfig::seeded(rec.seed),
-        t,
-        LatencyModel::Constant(ms(1)),
-    );
+    let mut world = StoreWorld::new(rec.seed, t, LatencyModel::Constant(ms(1)));
     world.events_mut().set_enabled(true);
     let mut stage = ReplayRuntime {
         world,

@@ -15,7 +15,6 @@ use weakset_sim::fault::FaultPlan;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
 use weakset_spec::prelude::Computation;
 use weakset_store::object::CollectionId;
 use weakset_store::prelude::{StoreRt, StoreWorld};
@@ -73,11 +72,7 @@ impl<'a> Sim<'a> {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);
         let servers = t.add_servers("s", s.servers.max(1));
-        let mut world = StoreWorld::new(
-            WorldConfig::seeded(s.seed),
-            t,
-            LatencyModel::Constant(ms(1)),
-        );
+        let mut world = StoreWorld::new(s.seed, t, LatencyModel::Constant(ms(1)));
         // Record the causal event stream: explain mode and the Perfetto
         // exporter both read it off the report. Pure observation — enabling
         // it never touches the RNG or the event queue, so trace hashes are

@@ -646,18 +646,13 @@ mod tests {
     use super::*;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::prelude::StoreServer;
 
     fn setup(n: usize) -> (StoreWorld, FileSystem, Vec<NodeId>) {
         let mut t = Topology::new();
         let cn = t.add_node("client", 0);
         let servers: Vec<_> = t.add_servers("vol", n);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(41),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(2)),
-        );
+        let mut w = StoreWorld::new(41, t, LatencyModel::Constant(SimDuration::from_millis(2)));
         for &s in &servers {
             w.install_service(s, Box::new(StoreServer::new()));
         }

@@ -69,7 +69,6 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::msg::StoreMsg;
     use weakset_store::object::ObjectId;
     use weakset_store::prelude::{StoreClient, StoreServer};
@@ -79,11 +78,8 @@ mod tests {
         let mut t = Topology::new();
         let laptop = t.add_node("laptop", 0);
         let server = t.add_node("server", 1);
-        let mut w: StoreWorld = StoreWorld::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w: StoreWorld =
+            StoreWorld::new(1, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(server, Box::new(StoreServer::new()));
         let client = StoreClient::new(laptop, SimDuration::from_millis(20));
         let mut mc = MobileClient::new(laptop);
@@ -101,7 +97,12 @@ mod tests {
         mc.reconnect(&mut w);
         assert!(mc.is_connected());
         // Reachable again (NotFound is a server answer, not a net error).
-        let r = w.rpc_default(laptop, server, StoreMsg::GetObject(ObjectId(1)));
+        let r = w.rpc(
+            laptop,
+            server,
+            StoreMsg::GetObject(ObjectId(1)),
+            SimDuration::from_millis(100),
+        );
         assert!(matches!(r, Ok(StoreMsg::NotFound(_))));
     }
 
@@ -110,11 +111,8 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node("a", 0);
         let b = t.add_node("b", 1);
-        let mut w: StoreWorld = StoreWorld::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w: StoreWorld =
+            StoreWorld::new(1, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         let mut ma = MobileClient::new(a);
         let mut mb = MobileClient::new(b);
         ma.disconnect(&mut w);

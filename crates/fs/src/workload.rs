@@ -126,18 +126,13 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::WorldConfig;
     use weakset_store::prelude::StoreServer;
 
     fn setup(n: usize) -> (StoreWorld, FileSystem, Vec<NodeId>) {
         let mut t = Topology::new();
         let cn = t.add_node("client", 0);
         let vols: Vec<_> = t.add_servers("vol", n);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(7),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w = StoreWorld::new(7, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         for &v in &vols {
             w.install_service(v, Box::new(StoreServer::new()));
         }

@@ -49,7 +49,7 @@
 //! let client = topo.add_node("client", 0);
 //! let a = topo.add_node("a", 1);
 //! let b = topo.add_node("b", 2);
-//! let mut world = StoreWorld::new(WorldConfig::seeded(7), topo, LatencyModel::default());
+//! let mut world = StoreWorld::new(7, topo, LatencyModel::default());
 //! world.install_service(a, Box::new(GossipNode::new(a)));
 //! world.install_service(b, Box::new(GossipNode::new(b)));
 //!

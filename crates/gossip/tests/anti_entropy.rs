@@ -7,7 +7,6 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
 use weakset_store::client::ReadPolicy;
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{CollectionId, ObjectId};
@@ -20,11 +19,7 @@ fn setup(n: usize, seed: u64) -> (StoreWorld, StoreClient, CollectionRef) {
     let mut t = Topology::new();
     let cn = t.add_node("client", 0);
     let servers: Vec<NodeId> = t.add_servers("s", n);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(seed),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(seed, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     for &s in &servers {
         w.install_service(s, Box::new(GossipNode::new(s)));
     }

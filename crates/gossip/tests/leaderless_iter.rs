@@ -15,7 +15,6 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
 use weakset_spec::checker::{check_computation, Figure};
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
@@ -27,11 +26,7 @@ fn setup(n: usize, semantics: GossipSemantics) -> (StoreWorld, StoreClient, Coll
     let mut t = Topology::new();
     let cn = t.add_node("client", 0);
     let servers: Vec<NodeId> = t.add_servers("s", n);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(29),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(29, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     for &s in &servers {
         w.install_service(
             s,

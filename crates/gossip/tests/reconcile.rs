@@ -19,7 +19,6 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
 use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreServer, StoreWorld};
@@ -39,11 +38,7 @@ fn setup(n: usize, seed: u64) -> (StoreWorld, StoreClient, CollectionRef) {
     let mut t = Topology::new();
     let cn = t.add_node("client", 0);
     let servers: Vec<NodeId> = t.add_servers("s", n);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(seed),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(seed, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     for &s in &servers {
         w.install_service(s, Box::new(GossipNode::new(s)));
     }
@@ -276,11 +271,7 @@ fn unexpected_replies_count_as_failures() {
         let _client = t.add_node("client", 0);
         let gossip_node = t.add_node("g", 1);
         let plain_node = t.add_node("p", 2);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(5),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w = StoreWorld::new(5, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(gossip_node, Box::new(GossipNode::new(gossip_node)));
         // The peer is a bare store server: no gossip vocabulary.
         w.install_service(plain_node, Box::new(StoreServer::new()));

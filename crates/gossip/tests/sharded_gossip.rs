@@ -13,7 +13,6 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
-use weakset_sim::world::WorldConfig;
 use weakset_spec::checker::check_computation;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{StoreClient, StoreWorld};
@@ -35,11 +34,7 @@ fn sharded_gossip_world(
             }
         })
         .collect();
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(31),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(31, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     for id in w.topology().node_ids().collect::<Vec<_>>() {
         if id != cn {
             w.install_service(

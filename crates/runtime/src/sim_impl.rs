@@ -157,7 +157,7 @@ mod tests {
     use crate::traits::{RuntimeExt, TaskFn};
     use weakset_sim::net::BatchEnvelope;
     use weakset_sim::topology::Topology;
-    use weakset_sim::world::{ServiceCtx, WorldConfig};
+    use weakset_sim::world::ServiceCtx;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -196,7 +196,7 @@ mod tests {
         let a = t.add_node("a", 0);
         let b = t.add_node("b", 1);
         let mut w = World::new(
-            WorldConfig::default(),
+            0,
             t,
             weakset_sim::latency::LatencyModel::Constant(SimDuration::from_millis(1)),
         );

@@ -952,6 +952,11 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
             h.post(to, env)
         });
         if let Err(e) = posted {
+            // As on the simulator, a send that cannot leave counts as
+            // failed, unless its own caller is down.
+            if e != NetError::NodeDown(from) {
+                self.metrics.incr("rpc.failed");
+            }
             self.completed.insert(token, Err(e));
         }
         if let Some(req_hash) = req_hash {
@@ -1747,6 +1752,22 @@ mod tests {
         let to = Transport::rpc(&mut rt, c, empty, Msg::Val(1), SimDuration::from_millis(60));
         assert_eq!(to, Err(NetError::Timeout));
 
+        // A send that finds no route, or a crashed server, fails at once.
+        rt.apply_fault(&FaultAction::Partition(vec![s]));
+        let un = Transport::send(&mut rt, c, s, Msg::Val(1));
+        assert!(matches!(
+            Transport::try_take_reply(&mut rt, un),
+            Some(Err(NetError::Unreachable { .. }))
+        ));
+        rt.apply_fault(&FaultAction::HealPartition);
+        rt.apply_fault(&FaultAction::Crash(s));
+        let down = Transport::send(&mut rt, c, s, Msg::Val(1));
+        assert_eq!(
+            Transport::try_take_reply(&mut rt, down),
+            Some(Err(NetError::NodeDown(s)))
+        );
+        rt.apply_fault(&FaultAction::Restart(s));
+
         // As on the simulator: one name for every cause, which only the
         // recording (`RecOutcome`) tells apart.
         let rpc: Vec<(&str, u64)> = rt
@@ -1754,7 +1775,7 @@ mod tests {
             .counters()
             .filter(|(name, _)| name.starts_with("rpc."))
             .collect();
-        assert_eq!(rpc, [("rpc.failed", 3), ("rpc.sent", 3)]);
+        assert_eq!(rpc, [("rpc.failed", 5), ("rpc.sent", 5)]);
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 

@@ -35,9 +35,9 @@
 //! let mut topo = Topology::new();
 //! let client = topo.add_node("client", 0);
 //! let server = topo.add_node("server", 1);
-//! let mut world = World::new(WorldConfig::seeded(7), topo, LatencyModel::default());
+//! let mut world = World::new(7, topo, LatencyModel::default());
 //! world.install_service(server, Box::new(Echo));
-//! let reply = world.rpc_default(client, server, "hi".to_string())?;
+//! let reply = world.rpc(client, server, "hi".to_string(), SimDuration::from_millis(100))?;
 //! assert_eq!(reply, "hi");
 //! # Ok::<(), weakset_sim::net::NetError>(())
 //! ```
@@ -69,6 +69,5 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{PartitionGroup, Topology};
-    pub use crate::trace::{Trace, TraceEvent};
-    pub use crate::world::{ReplyToken, Service, ServiceCtx, Task, World, WorldConfig};
+    pub use crate::world::{ReplyToken, Service, ServiceCtx, Task, World};
 }

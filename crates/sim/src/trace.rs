@@ -1,22 +1,26 @@
-//! Structured run traces.
+//! The simulator's determinism fingerprint, and the FNV-1a hashes
+//! recordings and hashed `$DST_SEED`s use.
 //!
-//! The trace is the simulator-side "computation history": every RPC, fault
-//! action, and task firing is recorded with its simulated time. The spec
-//! crate consumes higher-level traces; this one exists for debugging and for
-//! experiment post-processing.
+//! A run's histories are kept elsewhere: the spec crate's `Computation`
+//! for the oracles and the `EventSink` causal log. The world only needs
+//! a run's *name*, so every RPC, fault action and task firing is folded,
+//! with its simulated time, into a running 64-bit digest as it happens
+//! ([`crate::world::World::trace_hash`]); no record of it is kept.
 
 use crate::net::NetError;
 use crate::node::{decimal_digits, NodeId};
 use crate::time::SimTime;
 use std::fmt::{self, Write as _};
 
-/// One recorded occurrence.
+/// One occurrence folded into a run's fingerprint.
 ///
 /// `from`/`to` fields name the client and server nodes of the RPC or
-/// message concerned.
-#[allow(missing_docs)]
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
+/// message concerned. Its `Debug` text is part of the digest's
+/// definition, so it must not change; that text is the only reader of
+/// most fields, which dead-code analysis ignores.
+#[allow(dead_code)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum TraceEvent<'a> {
     /// A client issued an RPC.
     RpcSend { from: NodeId, to: NodeId },
     /// The request reached the server and was handled.
@@ -36,7 +40,7 @@ pub enum TraceEvent {
     /// A node restarted.
     NodeRestarted(NodeId),
     /// A partition was imposed isolating these nodes.
-    PartitionImposed(Vec<NodeId>),
+    PartitionImposed(&'a [NodeId]),
     /// All partitions healed.
     PartitionHealed,
     /// A link's state changed.
@@ -46,10 +50,8 @@ pub enum TraceEvent {
     /// A scheduled task ran.
     TaskRan {
         /// The task's label.
-        label: String,
+        label: &'a str,
     },
-    /// Free-form annotation from user code.
-    Note(String),
 }
 
 /// FNV-1a (64-bit) of `bytes`: hashed `$DST_SEED`s and, through
@@ -108,7 +110,7 @@ impl<const PRIME: u64> fmt::Write for Fnv<PRIME> {
     }
 }
 
-impl TraceEvent {
+impl TraceEvent<'_> {
     /// Folds exactly the bytes of `format!("{self:?}")` into `h`.
     ///
     /// The four `{ from, to }` variants are most of every trace (one
@@ -135,92 +137,36 @@ impl TraceEvent {
     }
 }
 
-/// A time-stamped record of everything that happened in a run.
-#[derive(Clone, Debug, Default)]
-pub struct Trace {
-    enabled: bool,
-    events: Vec<(SimTime, TraceEvent)>,
-}
-
-/// Records an enabled trace has room for from the start. A constant, not
-/// an option: the DST corpus averages 259 records a scenario, and a trace
-/// that grows there by doubling from empty copies itself seven times.
-const ENABLED_RESERVE: usize = 256;
+/// A run's determinism fingerprint: a 64-bit FNV-1a-style digest of
+/// every event's time and `Debug` text, folded as the event happens.
+///
+/// Two runs have equal digests exactly when they recorded the same
+/// events in the same order at the same simulated times. This is the
+/// fingerprint `weakset-dst` compares across replays: any stray system
+/// entropy or iteration-order dependence in the simulator shows up as a
+/// digest mismatch for a fixed seed.
+///
+/// The digest is *defined* over `format!("{ev:?}")` — checked-in repro
+/// artifacts and the pinned corpus constants in `weakset-dst` hold
+/// values of it — but computed without building that string: the
+/// rendering is streamed into the hash.
+pub(crate) struct Trace(Fnv<TRACE_PRIME>);
 
 impl Trace {
-    /// An enabled, empty trace.
-    pub fn new() -> Self {
-        Trace {
-            enabled: true,
-            events: Vec::with_capacity(ENABLED_RESERVE),
-        }
+    /// The digest of a run in which nothing has happened yet.
+    pub(crate) fn new() -> Self {
+        Trace(Fnv::new())
     }
 
-    /// A trace that discards everything (for long benchmark runs).
-    pub fn disabled() -> Self {
-        Trace {
-            enabled: false,
-            events: Vec::new(),
-        }
+    /// Folds one event, at simulated time `at`, into the digest.
+    pub(crate) fn record(&mut self, at: SimTime, event: TraceEvent<'_>) {
+        self.0.fold(&at.as_micros().to_le_bytes());
+        event.fold_debug(&mut self.0);
     }
 
-    /// Whether events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event (no-op when disabled).
-    pub fn record(&mut self, at: SimTime, event: TraceEvent) {
-        if self.enabled {
-            self.events.push((at, event));
-        }
-    }
-
-    /// All recorded events in time order.
-    pub fn events(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Counts events matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> usize {
-        self.events.iter().filter(|(_, e)| pred(e)).count()
-    }
-
-    /// Drops all recorded events, keeping the enabled flag.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// A 64-bit FNV-1a digest of the whole trace.
-    ///
-    /// The hash folds every event's time and debug rendering, so two runs
-    /// have equal hashes exactly when they recorded the same events in the
-    /// same order at the same simulated times. This is the determinism
-    /// fingerprint `weakset-dst` compares across replays: any stray
-    /// system entropy or iteration-order dependence in the simulator shows
-    /// up as a digest mismatch for a fixed seed.
-    ///
-    /// The digest is *defined* over `format!("{ev:?}")` — checked-in
-    /// repro artifacts and the pinned corpus constants in
-    /// `weakset-dst` hold values of it — but computed without building
-    /// that string: the rendering is streamed into the hash.
-    pub fn hash(&self) -> u64 {
-        let mut h = Fnv::<TRACE_PRIME>::new();
-        for (at, ev) in &self.events {
-            h.fold(&at.as_micros().to_le_bytes());
-            ev.fold_debug(&mut h);
-        }
-        h.0
+    /// The digest of everything recorded so far.
+    pub(crate) fn hash(&self) -> u64 {
+        self.0 .0
     }
 }
 
@@ -228,43 +174,8 @@ impl Trace {
 mod tests {
     use super::*;
 
-    #[test]
-    fn records_in_order() {
-        let mut t = Trace::new();
-        t.record(SimTime::from_micros(1), TraceEvent::PartitionHealed);
-        t.record(SimTime::from_micros(2), TraceEvent::NodeCrashed(NodeId(0)));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].0, SimTime::from_micros(1));
-    }
-
-    #[test]
-    fn disabled_trace_discards() {
-        let mut t = Trace::disabled();
-        t.record(SimTime::ZERO, TraceEvent::PartitionHealed);
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn count_filters() {
-        let mut t = Trace::new();
-        t.record(SimTime::ZERO, TraceEvent::NodeCrashed(NodeId(0)));
-        t.record(SimTime::ZERO, TraceEvent::NodeCrashed(NodeId(1)));
-        t.record(SimTime::ZERO, TraceEvent::PartitionHealed);
-        assert_eq!(t.count(|e| matches!(e, TraceEvent::NodeCrashed(_))), 2);
-    }
-
-    #[test]
-    fn clear_keeps_enabled() {
-        let mut t = Trace::new();
-        t.record(SimTime::ZERO, TraceEvent::PartitionHealed);
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.is_enabled());
-    }
-
     /// The digest as it was first defined: one `String` per event.
-    fn hash_by_definition(t: &Trace) -> u64 {
+    fn hash_by_definition(events: &[(SimTime, TraceEvent<'_>)]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |bytes: &[u8]| {
             for &b in bytes {
@@ -272,7 +183,7 @@ mod tests {
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
         };
-        for (at, ev) in t.events() {
+        for (at, ev) in events {
             fold(&at.as_micros().to_le_bytes());
             fold(format!("{ev:?}").as_bytes());
         }
@@ -307,37 +218,39 @@ mod tests {
             ]);
         }
         every.extend([
-            TraceEvent::PartitionImposed(Vec::new()),
-            TraceEvent::PartitionImposed(ids.to_vec()),
+            TraceEvent::PartitionImposed(&[]),
+            TraceEvent::PartitionImposed(&ids),
             TraceEvent::PartitionHealed,
         ]);
-        for text in [
+        for label in [
             "",
             "gossip.round",
             "say \"hi\"",
             "back\\slash\n\ttab",
             "naïve – 集合 \u{7f}",
         ] {
-            every.push(TraceEvent::TaskRan { label: text.into() });
-            every.push(TraceEvent::Note(text.into()));
+            every.push(TraceEvent::TaskRan { label });
         }
 
-        let mut t = Trace::new();
-        for (i, ev) in every.iter().enumerate() {
+        for (i, &ev) in every.iter().enumerate() {
             // One event at a time, so a wrong byte names its variant.
+            let at = SimTime::from_micros(i as u64);
             let mut one = Trace::new();
-            one.record(SimTime::from_micros(i as u64), ev.clone());
-            assert_eq!(one.hash(), hash_by_definition(&one), "{ev:?}");
-            t.record(SimTime::from_micros(i as u64 * 1_000_003), ev.clone());
+            one.record(at, ev);
+            assert_eq!(one.hash(), hash_by_definition(&[(at, ev)]), "{ev:?}");
         }
-        assert_eq!(t.hash(), hash_by_definition(&t));
-
-        let mut off = Trace::disabled();
-        off.record(SimTime::ZERO, TraceEvent::PartitionHealed);
-        assert_eq!(off.hash(), hash_by_definition(&off));
+        let run: Vec<_> = (0..)
+            .zip(&every)
+            .map(|(i, &ev)| (SimTime::from_micros(i * 1_000_003), ev))
+            .collect();
+        let mut t = Trace::new();
+        for &(at, ev) in &run {
+            t.record(at, ev);
+        }
+        assert_eq!(t.hash(), hash_by_definition(&run));
         assert_eq!(
-            off.hash(),
             Trace::new().hash(),
+            hash_by_definition(&[]),
             "nothing recorded, nothing folded"
         );
     }
@@ -353,15 +266,11 @@ mod tests {
 
     #[test]
     fn debug_text_names_the_event_variant() {
-        let mut t = Trace::new();
-        t.record(
-            SimTime::from_micros(5),
-            TraceEvent::RpcFailed {
-                from: NodeId(0),
-                to: NodeId(1),
-                error: NetError::Timeout,
-            },
-        );
-        assert!(format!("{t:?}").contains("RpcFailed"));
+        let failed = TraceEvent::RpcFailed {
+            from: NodeId(0),
+            to: NodeId(1),
+            error: NetError::Timeout,
+        };
+        assert!(format!("{failed:?}").contains("RpcFailed"));
     }
 }

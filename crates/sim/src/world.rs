@@ -94,7 +94,8 @@ pub struct ServiceCtx<'a> {
 /// Tasks receive `&mut World` and may themselves call [`World::rpc`]; the
 /// event loop is re-entrant, so nested pumping preserves global time order.
 pub trait Task<M> {
-    /// Label recorded in the trace when the task fires.
+    /// Label folded into the run's fingerprint, and recorded as a
+    /// `sim.task` event by an enabled sink, when the task fires.
     fn label(&self) -> &str {
         "task"
     }
@@ -111,45 +112,10 @@ where
     }
 }
 
-/// Tunables for a run.
-#[derive(Clone, Debug)]
-pub struct WorldConfig {
-    /// Seed from which every random stream is derived.
-    pub seed: u64,
-    /// Default RPC timeout used by [`World::rpc_default`].
-    pub default_timeout: SimDuration,
-    /// When true, an RPC to a currently-unreachable node fails fast with
-    /// [`NetError::Unreachable`] after `detect_delay` (the paper assumes
-    /// failures are detectable from lower layers). When false, such RPCs
-    /// burn the full timeout.
-    pub fast_fail: bool,
-    /// How long failure detection takes when `fast_fail` is on.
-    pub detect_delay: SimDuration,
-    /// Whether to keep a full event trace.
-    pub trace: bool,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            seed: 0,
-            default_timeout: SimDuration::from_millis(100),
-            fast_fail: true,
-            detect_delay: SimDuration::from_millis(2),
-            trace: true,
-        }
-    }
-}
-
-impl WorldConfig {
-    /// A default config with the given seed.
-    pub fn seeded(seed: u64) -> Self {
-        WorldConfig {
-            seed,
-            ..Default::default()
-        }
-    }
-}
+/// How long failure detection takes: a request to a node with no route
+/// to it, or a crashed one, fails this long after it was sent (the paper
+/// assumes failures are detectable from lower layers).
+const DETECT_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// The simulation world. Generic over the message type `M` exchanged between
 /// clients and services.
@@ -166,7 +132,9 @@ pub struct World<M> {
     lat_rng: SimRng,
     drop_rng: SimRng,
     svc_rng: SimRng,
-    config: WorldConfig,
+    /// Seed from which every random stream is derived.
+    seed: u64,
+    /// The run's determinism fingerprint, folded as events happen.
     trace: Trace,
     metrics: Metrics,
     events: EventSink,
@@ -183,13 +151,9 @@ pub struct World<M> {
 }
 
 impl<M: Clone + std::fmt::Debug + 'static> World<M> {
-    /// Creates a world over a topology with the given latency model.
-    pub fn new(config: WorldConfig, topology: Topology, latency: LatencyModel) -> Self {
-        let trace = if config.trace {
-            Trace::new()
-        } else {
-            Trace::disabled()
-        };
+    /// Creates a world over a topology with the given latency model;
+    /// every random stream of the run is derived from `seed`.
+    pub fn new(seed: u64, topology: Topology, latency: LatencyModel) -> Self {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::default(),
@@ -198,11 +162,11 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             completed: HashMap::new(),
             next_token: 0,
             latency,
-            lat_rng: SimRng::for_label(config.seed, "latency"),
-            drop_rng: SimRng::for_label(config.seed, "drops"),
-            svc_rng: SimRng::for_label(config.seed, "service"),
-            config,
-            trace,
+            lat_rng: SimRng::for_label(seed, "latency"),
+            drop_rng: SimRng::for_label(seed, "drops"),
+            svc_rng: SimRng::for_label(seed, "service"),
+            seed,
+            trace: Trace::new(),
             metrics: Metrics::new(),
             events: EventSink::new(),
             ctx: Vec::new(),
@@ -245,16 +209,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Mutable access to the network graph (tests and fault injection).
     pub fn topology_mut(&mut self) -> &mut Topology {
         &mut self.topology
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &WorldConfig {
-        &self.config
-    }
-
-    /// The run trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Run metrics.
@@ -336,7 +290,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// generation, client decisions, ...). Same `(seed, label)` ⇒ same
     /// stream.
     pub fn rng_for(&self, label: &str) -> SimRng {
-        SimRng::for_label(self.config.seed, label)
+        SimRng::for_label(self.seed, label)
     }
 
     /// The latency model in force.
@@ -406,15 +360,11 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         }
     }
 
-    /// Adds a note to the trace at the current time.
-    pub fn note(&mut self, msg: impl Into<String>) {
-        self.trace.record(self.now, TraceEvent::Note(msg.into()));
-    }
-
-    /// The determinism fingerprint of everything recorded so far: a stable
-    /// digest of the trace (see [`Trace::hash`]). Two runs of the same
-    /// `(seed, workload, fault plan)` must report equal fingerprints;
-    /// `weakset-dst` fails a run whose replay diverges.
+    /// The determinism fingerprint of everything that has happened so
+    /// far: a 64-bit digest of every RPC, fault action and task firing
+    /// with its simulated time, folded as each happened. Two runs of the
+    /// same `(seed, workload, fault plan)` must report equal
+    /// fingerprints; `weakset-dst` fails a run whose replay diverges.
     pub fn trace_hash(&self) -> u64 {
         self.trace.hash()
     }
@@ -456,16 +406,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.queue.len()
     }
 
-    /// Performs a synchronous RPC from `from` to `to` with the default
-    /// timeout. See [`World::rpc`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`NetError`] exactly when [`World::rpc`] does.
-    pub fn rpc_default(&mut self, from: NodeId, to: NodeId, msg: M) -> Result<M, NetError> {
-        self.rpc(from, to, msg, self.config.default_timeout)
-    }
-
     /// Performs a synchronous RPC: sends `msg` from node `from` to the
     /// service on node `to`, pumps the event loop, and returns the reply.
     ///
@@ -476,8 +416,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// # Errors
     ///
     /// * [`NetError::NodeDown`] — the *calling* node is crashed.
-    /// * [`NetError::Unreachable`] — fast failure detection reported no
-    ///   route (only when [`WorldConfig::fast_fail`] is set).
+    /// * [`NetError::Unreachable`] / [`NetError::NodeDown`] of `to` —
+    ///   failure detection reported no route, or a crashed server, at
+    ///   send time (after a 2 ms detection delay).
     /// * [`NetError::Timeout`] — no reply within `timeout` (message lost,
     ///   server crashed/partitioned mid-flight, or no service installed).
     pub fn rpc(
@@ -513,8 +454,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         let started = self.now;
         let deadline = self.now + timeout;
 
-        if self.config.fast_fail && !self.topology.reachable(from, to) {
-            let detect_at = (self.now + self.config.detect_delay).min(deadline);
+        if !self.topology.reachable(from, to) {
+            let detect_at = (self.now + DETECT_DELAY).min(deadline);
             self.run_until(detect_at);
             let err = if self.topology.is_up(to) {
                 NetError::Unreachable { from, to }
@@ -615,10 +556,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// reply. Several requests can be in flight at once — this is how
     /// dynamic sets fetch member objects in parallel.
     ///
-    /// Failure detection behaves as for [`World::rpc`]: with
-    /// [`WorldConfig::fast_fail`], a request to an unreachable node
-    /// completes with an error after `detect_delay`; otherwise it simply
-    /// never completes and the caller's deadline applies.
+    /// Failure detection behaves as for [`World::rpc`]: a request to an
+    /// unreachable node completes with an error after the 2 ms detection
+    /// delay.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
         let token = ReplyToken(self.next_token);
         self.next_token += 1;
@@ -629,7 +569,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             self.completed.insert(token, Err(NetError::NodeDown(from)));
             return token;
         }
-        if self.config.fast_fail && !self.topology.reachable(from, to) {
+        if !self.topology.reachable(from, to) {
             let err = if self.topology.is_up(to) {
                 NetError::Unreachable { from, to }
             } else {
@@ -637,7 +577,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             };
             let ctx = self.current_ctx();
             self.queue.push(
-                self.now + self.config.detect_delay,
+                self.now + DETECT_DELAY,
                 EventKind::CompleteError {
                     token,
                     error: err,
@@ -844,9 +784,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             }
             EventKind::Task(task) => {
                 self.metrics.incr("sim.dispatch.task");
-                let label = task.label().to_string();
+                let label = task.label();
                 if self.events.is_enabled() {
-                    self.events.event(self.now.as_micros(), "sim.task", &label);
+                    self.events.event(self.now.as_micros(), "sim.task", label);
                 }
                 self.trace.record(self.now, TraceEvent::TaskRan { label });
                 // Background work roots its own traces: run it with an
@@ -890,13 +830,13 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             self.events.event(self.now.as_micros(), kind, detail);
         }
         action.apply_to(&mut self.topology);
-        let ev = match action {
-            FaultAction::Crash(n) => TraceEvent::NodeCrashed(n),
-            FaultAction::Restart(n) => TraceEvent::NodeRestarted(n),
-            FaultAction::SetLink(a, b, _) => TraceEvent::LinkChanged(a, b),
+        let ev = match &action {
+            FaultAction::Crash(n) => TraceEvent::NodeCrashed(*n),
+            FaultAction::Restart(n) => TraceEvent::NodeRestarted(*n),
+            FaultAction::SetLink(a, b, _) => TraceEvent::LinkChanged(*a, *b),
             FaultAction::Partition(side) => TraceEvent::PartitionImposed(side),
             FaultAction::HealPartition => TraceEvent::PartitionHealed,
-            FaultAction::SetGroup(n, _) => TraceEvent::GroupChanged(n),
+            FaultAction::SetGroup(n, _) => TraceEvent::GroupChanged(*n),
         };
         self.trace.record(self.now, ev);
     }
@@ -926,15 +866,14 @@ mod tests {
         }
     }
 
+    /// The timeout of a test rpc that is not about timeouts.
+    const TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
     fn two_node_world() -> (World<u64>, NodeId, NodeId) {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);
         let server = t.add_node("server", 1);
-        let mut w = World::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(5)),
-        );
+        let mut w = World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         w.install_service(server, Box::new(PlusOne));
         (w, client, server)
     }
@@ -942,7 +881,7 @@ mod tests {
     #[test]
     fn rpc_round_trips_and_advances_time() {
         let (mut w, c, s) = two_node_world();
-        let r = w.rpc_default(c, s, 41);
+        let r = w.rpc(c, s, 41, TIMEOUT);
         assert_eq!(r, Ok(42));
         // One-way 5ms, round trip 10ms.
         assert_eq!(w.now(), SimTime::from_millis(10));
@@ -953,7 +892,7 @@ mod tests {
     fn rpc_to_crashed_server_fails() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().crash(s);
-        let r = w.rpc_default(c, s, 1);
+        let r = w.rpc(c, s, 1, TIMEOUT);
         assert_eq!(r, Err(NetError::NodeDown(s)));
     }
 
@@ -961,33 +900,17 @@ mod tests {
     fn rpc_from_crashed_client_fails_locally() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().crash(c);
-        assert_eq!(w.rpc_default(c, s, 1), Err(NetError::NodeDown(c)));
+        assert_eq!(w.rpc(c, s, 1, TIMEOUT), Err(NetError::NodeDown(c)));
     }
 
     #[test]
-    fn partition_gives_unreachable_with_fast_fail() {
+    fn partition_gives_unreachable_after_the_detection_delay() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().partition(&[s]);
-        let r = w.rpc_default(c, s, 1);
+        let r = w.rpc(c, s, 1, TIMEOUT);
         assert_eq!(r, Err(NetError::Unreachable { from: c, to: s }));
-        // Detection took detect_delay, not the whole timeout.
+        // Detection took DETECT_DELAY, not the whole timeout.
         assert_eq!(w.now(), SimTime::from_millis(2));
-    }
-
-    #[test]
-    fn partition_times_out_without_fast_fail() {
-        let mut t = Topology::new();
-        let c = t.add_node("c", 0);
-        let s = t.add_node("s", 1);
-        t.partition(&[s]);
-        let mut cfg = WorldConfig::seeded(1);
-        cfg.fast_fail = false;
-        let mut w: World<u64> =
-            World::new(cfg, t, LatencyModel::Constant(SimDuration::from_millis(5)));
-        w.install_service(s, Box::new(PlusOne));
-        let r = w.rpc(c, s, 1, SimDuration::from_millis(50));
-        assert_eq!(r, Err(NetError::Timeout));
-        assert_eq!(w.now(), SimTime::from_millis(50));
     }
 
     #[test]
@@ -1004,11 +927,8 @@ mod tests {
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
         t.set_link(c, s, LinkState::lossy(1.0));
-        let mut w: World<u64> = World::new(
-            WorldConfig::seeded(3),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w: World<u64> =
+            World::new(3, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(s, Box::new(PlusOne));
         assert_eq!(
             w.rpc(c, s, 1, SimDuration::from_millis(10)),
@@ -1023,28 +943,21 @@ mod tests {
         // Crash the server 1ms after the request leaves; delivery needs 5ms.
         w.schedule_fault(SimTime::from_millis(1), FaultAction::Crash(s));
         let r = w.rpc(c, s, 1, SimDuration::from_millis(30));
-        // fast_fail doesn't trigger: the server was up at send time.
+        // Failure detection doesn't trigger: the server was up at send
+        // time.
         assert_eq!(r, Err(NetError::Timeout));
-        assert_eq!(
-            w.trace()
-                .count(|e| matches!(e, TraceEvent::MessageLost { .. })),
-            1
-        );
+        assert_eq!(w.metrics().counter("msg.dropped"), 1);
     }
 
     #[test]
     fn background_task_fires_during_rpc() {
         let (mut w, c, s) = two_node_world();
         w.spawn_at(SimTime::from_millis(3), |w: &mut World<u64>| {
-            w.note("mutation happened");
+            w.metrics_mut().incr("test.mutation");
         });
-        let r = w.rpc_default(c, s, 1);
+        let r = w.rpc(c, s, 1, TIMEOUT);
         assert_eq!(r, Ok(2));
-        assert_eq!(
-            w.trace()
-                .count(|e| matches!(e, TraceEvent::Note(n) if n == "mutation happened")),
-            1
-        );
+        assert_eq!(w.metrics().counter("test.mutation"), 1);
     }
 
     #[test]
@@ -1053,7 +966,7 @@ mod tests {
         // A concurrent client task performing its own RPC mid-way through
         // the main client's RPC.
         w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
-            let r = w.rpc_default(c, s, 100);
+            let r = w.rpc(c, s, 100, TIMEOUT);
             assert_eq!(r, Ok(101));
         });
         let r = w.rpc(c, s, 1, SimDuration::from_millis(200));
@@ -1074,14 +987,11 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
-        let mut w: World<u64> = World::new(
-            WorldConfig::seeded(5),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(1)),
-        );
+        let mut w: World<u64> =
+            World::new(5, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(s, Box::new(Counter { hits: 0 }));
-        w.rpc_default(c, s, 9).unwrap();
-        w.rpc_default(c, s, 9).unwrap();
+        w.rpc(c, s, 9, TIMEOUT).unwrap();
+        w.rpc(c, s, 9, TIMEOUT).unwrap();
         assert_eq!(w.service::<Counter>(s).unwrap().hits, 2);
         w.service_mut::<Counter>(s).unwrap().hits = 0;
         assert_eq!(w.service::<Counter>(s).unwrap().hits, 0);
@@ -1102,7 +1012,7 @@ mod tests {
             let c = t.add_node("c", 0);
             let servers: Vec<NodeId> = (0..4).map(|i| t.add_node(format!("s{i}"), i + 1)).collect();
             let mut w: World<u64> = World::new(
-                WorldConfig::seeded(seed),
+                seed,
                 t,
                 LatencyModel::Uniform {
                     lo: SimDuration::from_millis(1),
@@ -1115,7 +1025,7 @@ mod tests {
             let mut outs = Vec::new();
             for i in 0..20 {
                 let s = servers[(i % servers.len() as u64) as usize];
-                if let Ok(v) = w.rpc_default(c, s, i) {
+                if let Ok(v) = w.rpc(c, s, i, TIMEOUT) {
                     outs.push(v);
                 }
             }
@@ -1135,10 +1045,7 @@ mod tests {
         assert_eq!(w.pending_events(), 2);
         w.run_to_quiescence();
         assert!(w.topology().is_up(s));
-        assert_eq!(
-            w.trace().count(|e| matches!(e, TraceEvent::NodeCrashed(_))),
-            1
-        );
+        assert_eq!(w.metrics().counter("sim.fault.crash"), 1);
     }
 
     #[test]
@@ -1159,11 +1066,8 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let servers: Vec<NodeId> = (0..4).map(|i| t.add_node(format!("s{i}"), 1)).collect();
-        let mut w: World<u64> = World::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(5)),
-        );
+        let mut w: World<u64> =
+            World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         for &s in &servers {
             w.install_service(s, Box::new(PlusOne));
         }
@@ -1188,7 +1092,7 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().partition(&[s]);
         let token = w.send(c, s, 1);
-        // Not complete yet: detection takes detect_delay.
+        // Not complete yet: detection takes DETECT_DELAY.
         assert!(w.try_take_reply(token).is_none());
         let done = w.wait_any(&[token], SimTime::from_millis(50));
         assert_eq!(done, Some(token));
@@ -1224,11 +1128,8 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
-        let mut w: World<u64> = World::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(5)),
-        );
+        let mut w: World<u64> =
+            World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         w.install_service(s, Box::new(PlusOne));
         // Message size = its value in bytes; 1000 bytes/ms.
         w.set_bandwidth(1000, |m: &u64| *m as usize);
@@ -1253,7 +1154,7 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.events_mut().set_enabled(true);
         let root = w.span_enter("iter.fig4.invocation", String::new);
-        w.rpc_default(c, s, 1).unwrap();
+        w.rpc(c, s, 1, TIMEOUT).unwrap();
         w.span_exit(root);
         let at = w.now().as_micros();
         assert!(w.events_mut().finish(at).is_empty());
@@ -1280,7 +1181,7 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.events_mut().set_enabled(true);
         w.topology_mut().partition(&[s]);
-        assert!(w.rpc_default(c, s, 1).is_err());
+        assert!(w.rpc(c, s, 1, TIMEOUT).is_err());
         let at = w.now().as_micros();
         assert!(w.events_mut().finish(at).is_empty());
         let events = w.events_mut().take_events();
@@ -1298,7 +1199,7 @@ mod tests {
         // A concurrent task fires mid-RPC and performs its own RPC; its
         // spans must not parent under the pumping client's span.
         w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
-            let _ = w.rpc_default(c, s, 100);
+            let _ = w.rpc(c, s, 100, TIMEOUT);
         });
         let outer = w.span_enter("iter.fig5.invocation", String::new);
         w.rpc(c, s, 1, SimDuration::from_millis(200)).unwrap();
@@ -1320,9 +1221,9 @@ mod tests {
     fn heal_restores_service_after_partition() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().partition(&[s]);
-        assert!(w.rpc_default(c, s, 1).is_err());
+        assert!(w.rpc(c, s, 1, TIMEOUT).is_err());
         w.topology_mut().heal_partition();
-        assert_eq!(w.rpc_default(c, s, 1), Ok(2));
+        assert_eq!(w.rpc(c, s, 1, TIMEOUT), Ok(2));
     }
 
     /// A protocol with a batch variant, mirroring how `StoreMsg` opts in.
@@ -1360,11 +1261,8 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
-        let mut w: World<BMsg> = World::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(5)),
-        );
+        let mut w: World<BMsg> =
+            World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         w.install_service(s, Box::new(BatchPlusOne));
         let started = w.now();
         let parts = (0..4).map(BMsg::Val).collect();
@@ -1395,11 +1293,8 @@ mod tests {
         let c = t.add_node("c", 0);
         let s1 = t.add_node("s1", 1);
         let s2 = t.add_node("s2", 2);
-        let mut w: World<BMsg> = World::new(
-            WorldConfig::seeded(1),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(5)),
-        );
+        let mut w: World<BMsg> =
+            World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         w.install_service(s1, Box::new(BatchPlusOne));
         w.install_service(s2, Box::new(BatchPlusOne));
         let mut buf = crate::net::BatchBuffer::new(c);

@@ -56,7 +56,7 @@ fn run_script(s: &WorldScript) -> (u64, u64, Vec<Result<u64, NetError>>) {
         topo.crash(nodes[c % s.n_nodes]);
     }
     let mut world: World<u64> = World::new(
-        WorldConfig::seeded(s.seed),
+        s.seed,
         topo,
         LatencyModel::Uniform {
             lo: SimDuration::from_millis(1),
@@ -203,7 +203,7 @@ proptest! {
         let dead = nodes[n - 1];
         topo.crash(dead);
         let mut world: World<u64> = World::new(
-            WorldConfig::seeded(seed),
+            seed,
             topo,
             LatencyModel::Constant(SimDuration::from_millis(2)),
         );

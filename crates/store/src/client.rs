@@ -1055,18 +1055,12 @@ mod tests {
     use crate::server::StoreServer;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
-    use weakset_sim::trace::TraceEvent;
-    use weakset_sim::world::WorldConfig;
 
     fn world_with(n_servers: usize) -> (StoreWorld, NodeId, Vec<NodeId>) {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);
         let servers: Vec<NodeId> = t.add_servers("s", n_servers);
-        let mut w = StoreWorld::new(
-            WorldConfig::seeded(7),
-            t,
-            LatencyModel::Constant(SimDuration::from_millis(2)),
-        );
+        let mut w = StoreWorld::new(7, t, LatencyModel::Constant(SimDuration::from_millis(2)));
         for &s in &servers {
             w.install_service(s, Box::new(StoreServer::new()));
         }
@@ -1297,7 +1291,8 @@ mod tests {
                 base: ms(1),
                 per_hop: ms(1),
             };
-            let mut w = StoreWorld::new(WorldConfig::seeded(7), t, latency);
+            let mut w = StoreWorld::new(7, t, latency);
+            w.events_mut().set_enabled(true);
             for &s in &servers {
                 w.install_service(s, Box::new(StoreServer::new()));
             }
@@ -1311,20 +1306,21 @@ mod tests {
             let mut want = cref.all_nodes();
             want.sort_by_key(|&s| w.estimate_latency(client, s));
             assert_ne!(want, cref.all_nodes());
+            // Each contact is one `net.rpc` span, detailed `client->server`.
+            let want: Vec<String> = want.iter().map(|&s| client.link_label(s)).collect();
             let cl = StoreClient::new(client, ms(50)).with_session();
             for policy in [
                 ReadPolicy::Any,
                 ReadPolicy::Leaderless,
                 ReadPolicy::CausalSession,
             ] {
-                let before = w.trace().len();
                 assert!(cl.read_members(&mut w, &cref, policy).is_err());
-                let sent: Vec<NodeId> = w.trace().events()[before..]
-                    .iter()
-                    .filter_map(|(_, e)| match e {
-                        TraceEvent::RpcSend { to, .. } => Some(*to),
-                        _ => None,
-                    })
+                let sent: Vec<String> = w
+                    .events_mut()
+                    .take_events()
+                    .into_iter()
+                    .filter(|e| e.kind == "net.rpc")
+                    .map(|e| e.detail)
                     .collect();
                 assert_eq!(sent, want, "{policy:?}, {n} replicas");
             }

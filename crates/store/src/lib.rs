@@ -38,7 +38,7 @@
 //! let mut topo = Topology::new();
 //! let me = topo.add_node("client", 0);
 //! let srv = topo.add_node("server", 1);
-//! let mut world = StoreWorld::new(WorldConfig::seeded(1), topo, LatencyModel::default());
+//! let mut world = StoreWorld::new(1, topo, LatencyModel::default());
 //! world.install_service(srv, Box::new(StoreServer::new()));
 //!
 //! let client = StoreClient::new(me, SimDuration::from_millis(100));

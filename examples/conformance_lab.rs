@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let near = topo.add_node("replica-host", 1);
     let far = topo.add_node("primary-host", 6);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(5),
+        5,
         topo,
         LatencyModel::SiteDistance {
             base: SimDuration::from_millis(2),

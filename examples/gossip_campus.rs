@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let north = topo.add_node("north-campus", 1);
     let south = topo.add_node("south-campus", 2);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(1995),
+        1995,
         topo,
         LatencyModel::SiteDistance {
             base: SimDuration::from_millis(2),

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let branch_a = topo.add_node("branch-a", 5);
     let branch_b = topo.add_node("branch-b", 1);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(11),
+        11,
         topo,
         LatencyModel::SiteDistance {
             base: SimDuration::from_millis(2),

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let office = topo.add_node("office-server", 1);
     let archive = topo.add_node("archive-server", 2);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(93),
+        93,
         topo,
         LatencyModel::Exponential {
             floor: SimDuration::from_millis(5),

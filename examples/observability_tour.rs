@@ -15,11 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let servers: Vec<NodeId> = (0..3)
         .map(|i| topo.add_node(format!("server-{i}"), i + 1))
         .collect();
-    let mut world = StoreWorld::new(
-        WorldConfig::seeded(7),
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(5)),
-    );
+    let mut world = StoreWorld::new(7, topo, LatencyModel::Constant(SimDuration::from_millis(5)));
     for &s in &servers {
         world.install_service(s, Box::new(StoreServer::new()));
     }

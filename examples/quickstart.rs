@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| topo.add_node(format!("server-{i}"), i + 1))
         .collect();
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(2026),
+        2026,
         topo,
         LatencyModel::Uniform {
             lo: SimDuration::from_millis(2),

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|(i, name)| topo.add_node(*name, i as u32 + 1))
         .collect();
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(7),
+        7,
         topo,
         LatencyModel::SiteDistance {
             base: SimDuration::from_millis(2),

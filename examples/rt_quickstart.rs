@@ -54,11 +54,7 @@ fn main() {
     let mut topo = Topology::new();
     let cn = topo.add_node("client", 0);
     let servers: Vec<NodeId> = topo.add_servers("s", 3);
-    let mut world = StoreWorld::new(
-        WorldConfig::seeded(1),
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(2)),
-    );
+    let mut world = StoreWorld::new(1, topo, LatencyModel::Constant(SimDuration::from_millis(2)));
     for &s in &servers {
         world.install_service(s, Box::new(StoreServer::new()));
     }

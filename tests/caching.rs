@@ -17,10 +17,8 @@ fn rig(seed: u64, ttl: Option<SimDuration>) -> Rig {
     let servers: Vec<NodeId> = (0..3)
         .map(|i| topo.add_node(format!("s{i}"), i + 1))
         .collect();
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
     let mut world = StoreWorld::new(
-        config,
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(5)),
     );

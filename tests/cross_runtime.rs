@@ -107,11 +107,7 @@ fn run_sim(semantics: Semantics, policy: ReadPolicy) -> ScenarioOutcome {
     let mut t = Topology::new();
     let cn = t.add_node("client", 0);
     let servers: Vec<NodeId> = t.add_servers("s", 3);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(SEED),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     for &s in &servers {
         w.install_service(s, Box::new(StoreServer::new()));
     }
@@ -251,11 +247,7 @@ fn backends_count_one_rpc_family() {
     let mut t = Topology::new();
     let cn = t.add_node("client", 0);
     let servers: Vec<NodeId> = t.add_servers("s", 3);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(SEED),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     for &s in &servers {
         w.install_service(s, Box::new(StoreServer::new()));
     }
@@ -326,11 +318,7 @@ fn retries_reach_a_crashed_node_alike_on_both_backends() {
     let mut t = Topology::new();
     let cn = t.add_node("client", 0);
     let s = t.add_node("s0", 1);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(SEED),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     w.install_service(s, Box::new(StoreServer::new()));
     let cref = CollectionRef::unreplicated(COLL, s);
     let client = client_of(cn);
@@ -352,6 +340,66 @@ fn retries_reach_a_crashed_node_alike_on_both_backends() {
 
     assert_eq!(sim, [3, 0, 3], "simulator: sent, ok, failed");
     assert_eq!(threads, [3, 0, 3], "threads: sent, ok, failed");
+}
+
+/// What a bare `send` to the partitioned replica `cut`, then a batched
+/// `Quorum` read that names it, spend: both find it unroutable at once.
+fn unroutable_sends(
+    rt: &mut StoreRt,
+    client: &StoreClient,
+    cref: &CollectionRef,
+    cn: NodeId,
+    cut: NodeId,
+) -> Vec<(String, u64)> {
+    let token = rt.send(cn, cut, StoreMsg::GetObject(ObjectId(1)));
+    let deadline = rt.now() + SimDuration::from_millis(50);
+    assert_eq!(rt.wait_any(&[token], deadline), Some(token));
+    let reply = rt.try_take_reply(token);
+    assert!(
+        matches!(reply, Some(Err(NetError::Unreachable { .. }))),
+        "{reply:?}"
+    );
+    let reads = client.read_members_batched(rt, std::slice::from_ref(cref), ReadPolicy::Quorum);
+    let sizes: Vec<_> = reads
+        .iter()
+        .map(|r| r.as_ref().map(|r| r.entries.len()))
+        .collect();
+    assert_eq!(sizes, [Ok(4)], "two of three replicas are a quorum");
+    rpc_family(rt)
+}
+
+/// A request that cannot leave counts alike on both backends: a send to
+/// a partitioned replica counts once under `rpc.sent` and once under
+/// `rpc.failed`, whether it is a bare `send` or one envelope of a
+/// batched read.
+#[test]
+fn unroutable_sends_count_alike_on_both_backends() {
+    let mut t = Topology::new();
+    let cn = t.add_node("client", 0);
+    let servers: Vec<NodeId> = t.add_servers("s", 3);
+    let mut w = StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(1)));
+    for &s in &servers {
+        w.install_service(s, Box::new(StoreServer::new()));
+    }
+    let (client, cref) = quorum_setup(&mut w, &servers, cn);
+    w.apply_fault(FaultAction::Partition(vec![servers[2]]));
+    let sim = unroutable_sends(&mut w, &client, &cref, cn, servers[2]);
+
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
+    let tcn = rt.add_node("client");
+    let tservers: Vec<NodeId> = (0..3).map(|i| rt.add_node(format!("s{i}"))).collect();
+    for &s in &tservers {
+        rt.install_service(s, Box::new(StoreServer::new()));
+    }
+    let (client, cref) = quorum_setup(&mut rt, &tservers, tcn);
+    rt.apply_fault(&FaultAction::Partition(vec![tservers[2]]));
+    let threads = unroutable_sends(&mut rt, &client, &cref, tcn, tservers[2]);
+    rt.shutdown(Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+
+    assert_eq!(sim, threads);
+    let count = |name: &str| sim.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert_eq!(count("rpc.failed"), Some(2), "the send and one envelope");
 }
 
 /// The old cross-runtime blocking story, now through one code path: an
@@ -380,11 +428,7 @@ fn optimistic_blocking_agrees_across_backends() {
     let cn = t.add_node("client", 0);
     let s0 = t.add_node("s0", 1);
     let s1 = t.add_node("s1", 2);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(2),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(2)),
-    );
+    let mut w = StoreWorld::new(2, t, LatencyModel::Constant(SimDuration::from_millis(2)));
     w.install_service(s0, Box::new(StoreServer::new()));
     w.install_service(s1, Box::new(StoreServer::new()));
     let set = setup_set(&mut w, cn, s0, s1);
@@ -435,11 +479,7 @@ fn fault_actions_mean_the_same_on_both_backends() {
     let mut t = Topology::new();
     let client = t.add_node("client", 0);
     let servers = t.add_servers("s", 3);
-    let mut w = StoreWorld::new(
-        WorldConfig::seeded(SEED),
-        t,
-        LatencyModel::Constant(SimDuration::from_millis(1)),
-    );
+    let mut w = StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(1)));
     let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
     assert_eq!(rt.add_node("client"), client);
     for (i, &s) in servers.iter().enumerate() {

@@ -12,10 +12,8 @@ fn build_world(seed: u64) -> (StoreWorld, WeakSet, Vec<NodeId>) {
     let servers: Vec<NodeId> = (0..3)
         .map(|i| topo.add_node(format!("s{i}"), i + 1))
         .collect();
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
     let mut world = StoreWorld::new(
-        config,
+        seed,
         topo,
         LatencyModel::Uniform {
             lo: SimDuration::from_millis(1),

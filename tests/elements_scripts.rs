@@ -116,7 +116,7 @@ fn run(semantics: Semantics, config: IterConfig, script: Script) -> String {
         .map(|&site| topo.add_node(format!("s{site}"), site))
         .collect();
     let mut w = StoreWorld::new(
-        WorldConfig::seeded(18),
+        18,
         topo,
         LatencyModel::SiteDistance {
             base: ms(1),

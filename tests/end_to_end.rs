@@ -34,10 +34,8 @@ fn deploy(seed: u64) -> Deployment {
     let servers: Vec<NodeId> = (0..4)
         .map(|i| topo.add_node(format!("s{i}"), i + 1))
         .collect();
-    let mut config = WorldConfig::seeded(seed);
-    config.trace = false;
     let mut world = StoreWorld::new(
-        config,
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(5)),
     );

@@ -18,7 +18,7 @@ fn dfs(seed: u64, n_files: usize) -> Dfs {
         .map(|i| topo.add_node(format!("vol{i}"), i + 1))
         .collect();
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(3)),
     );
@@ -184,7 +184,7 @@ fn strict_ls_sorted_dynls_unordered_closest_first() {
     let near = topo.add_node("near", 1);
     let far = topo.add_node("far", 8);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(6),
+        6,
         topo,
         LatencyModel::SiteDistance {
             base: SimDuration::from_millis(1),

@@ -20,7 +20,7 @@ fn rig(seed: u64, guarded: bool) -> Rig {
     let cn = topo.add_node("client", 0);
     let server = topo.add_node("server", 1);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(5)),
     );
@@ -115,11 +115,7 @@ fn guard_is_released_on_failure_too() {
     let cn = topo.add_node("client", 0);
     let s0 = topo.add_node("s0", 1);
     let s1 = topo.add_node("s1", 2);
-    let mut world = StoreWorld::new(
-        WorldConfig::seeded(3),
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(5)),
-    );
+    let mut world = StoreWorld::new(3, topo, LatencyModel::Constant(SimDuration::from_millis(5)));
     world.install_service(s0, Box::new(StoreServer::new()));
     world.install_service(s1, Box::new(StoreServer::new()));
     let client = StoreClient::new(cn, SimDuration::from_millis(100));

@@ -23,7 +23,7 @@ fn rig(seed: u64, n: u64) -> Rig {
     let cn = topo.add_node("client", 0);
     let server = topo.add_node("server", 1);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(2)),
     );

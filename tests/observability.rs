@@ -1,9 +1,9 @@
 //! Observability integration tests: the instrumented metrics must agree
-//! with the ground-truth `Trace` of the same run, and snapshots must be
-//! deterministic (same seed ⇒ byte-identical JSON) and round-trippable.
+//! with the enabled `EventSink` (the causal log) of the same run, and
+//! snapshots must be deterministic (same seed ⇒ byte-identical JSON) and
+//! round-trippable.
 
 use weak_sets::prelude::*;
-use weak_sets::weakset_sim::trace::TraceEvent;
 use weak_sets::weakset_sim::world::{Service, ServiceCtx};
 
 struct Rig {
@@ -12,7 +12,8 @@ struct Rig {
 }
 
 /// A seeded workload with enough variety to touch most counters: writes
-/// across three servers, a crash fault mid-run, and a Snapshot iteration.
+/// across three servers, a crash fault mid-run, and a Snapshot iteration,
+/// with the causal sink on.
 fn run_workload(seed: u64) -> Rig {
     let mut topo = Topology::new();
     let laptop = topo.add_node("laptop", 0);
@@ -20,13 +21,14 @@ fn run_workload(seed: u64) -> Rig {
         .map(|i| topo.add_node(format!("server-{i}"), i + 1))
         .collect();
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::Uniform {
             lo: SimDuration::from_millis(1),
             hi: SimDuration::from_millis(9),
         },
     );
+    world.events_mut().set_enabled(true);
     for &s in &servers {
         world.install_service(s, Box::new(StoreServer::new()));
     }
@@ -52,20 +54,23 @@ fn run_workload(seed: u64) -> Rig {
     Rig { world, set }
 }
 
-/// The metrics registry and the event trace are independent recorders of
-/// the same run; their counts of the same phenomena must agree exactly.
+/// The metrics registry and the causal event sink are independent
+/// recorders of the same run; their counts of the same phenomena must
+/// agree exactly. Every rpc opens one `net.rpc` span, and a failed one
+/// records a `net.rpc.failed` event under it.
 #[test]
 fn counters_agree_with_trace() {
     let rig = run_workload(99);
     let w = &rig.world;
     let m = w.metrics();
-    let t = w.trace();
-    assert!(t.is_enabled(), "workload must keep the trace on");
+    let sink = w.events();
+    assert!(sink.is_enabled(), "workload must keep the sink on");
 
-    let sent = t.count(|e| matches!(e, TraceEvent::RpcSend { .. }));
-    let ok = t.count(|e| matches!(e, TraceEvent::RpcOk { .. }));
-    let failed = t.count(|e| matches!(e, TraceEvent::RpcFailed { .. }));
-    let crashes = t.count(|e| matches!(e, TraceEvent::NodeCrashed(_)));
+    let sent = sink.count_kind("net.rpc");
+    let failed = sink.count_kind("net.rpc.failed");
+    let ok = sent - failed;
+    let crashes = sink.count_kind("sim.fault.crash");
+    assert!(failed > 0 && crashes == 1, "the crash fails some rpcs");
 
     assert_eq!(m.counter("rpc.sent"), sent as u64);
     assert_eq!(m.counter("rpc.ok"), ok as u64);
@@ -146,7 +151,7 @@ fn span_rig(seed: u64, n: usize) -> (StoreWorld, WeakSet, Vec<NodeId>) {
         .map(|i| topo.add_node(format!("server-{i}"), i + 1))
         .collect();
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(2)),
     );
@@ -335,11 +340,7 @@ fn sharded_computation_is_one_trace_across_shard_groups() {
     let servers: Vec<NodeId> = (0..3)
         .map(|i| topo.add_node(format!("server-{i}"), i + 1))
         .collect();
-    let mut world = StoreWorld::new(
-        WorldConfig::seeded(9),
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(2)),
-    );
+    let mut world = StoreWorld::new(9, topo, LatencyModel::Constant(SimDuration::from_millis(2)));
     world.events_mut().set_enabled(true);
     for &s in &servers {
         world.install_service(s, Box::new(StoreServer::new()));

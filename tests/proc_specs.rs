@@ -21,7 +21,7 @@ fn rig(seed: u64) -> Rig {
     let cn = topo.add_node("client", 0);
     let server = topo.add_node("server", 1);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(2)),
     );
@@ -152,11 +152,7 @@ fn replica_bulk_sync_is_not_a_specified_transition() {
     let cn = topo.add_node("client", 0);
     let primary = topo.add_node("primary", 1);
     let replica = topo.add_node("replica", 2);
-    let mut world = StoreWorld::new(
-        WorldConfig::seeded(5),
-        topo,
-        LatencyModel::Constant(SimDuration::from_millis(2)),
-    );
+    let mut world = StoreWorld::new(5, topo, LatencyModel::Constant(SimDuration::from_millis(2)));
     world.install_service(primary, Box::new(StoreServer::new()));
     world.install_service(replica, Box::new(StoreServer::new()));
     let client = StoreClient::new(cn, SimDuration::from_millis(100));

@@ -48,10 +48,8 @@ fn build(script: &EnvScript) -> Built {
     let servers: Vec<NodeId> = (0..4)
         .map(|i| topo.add_node(format!("s{i}"), i + 1))
         .collect();
-    let mut config = WorldConfig::seeded(script.seed);
-    config.trace = false;
     let mut world = StoreWorld::new(
-        config,
+        script.seed,
         topo,
         LatencyModel::Constant(SimDuration::from_millis(script.latency_ms)),
     );

@@ -27,7 +27,7 @@ fn rig(seed: u64) -> Rig {
     let replica = topo.add_node("replica", 1);
     let primary = topo.add_node("primary", 6);
     let mut world = StoreWorld::new(
-        WorldConfig::seeded(seed),
+        seed,
         topo,
         LatencyModel::SiteDistance {
             base: SimDuration::from_millis(2),

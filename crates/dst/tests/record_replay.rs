@@ -138,7 +138,7 @@ fn faulted_threaded_run_replays_deterministically() {
         events
             .iter()
             .filter(|e| e.kind.starts_with("sim.fault."))
-            .map(|e| (e.kind.to_string(), e.detail.clone()))
+            .map(|e| (e.kind.to_string(), e.detail.to_string()))
             .collect()
     };
     assert_eq!(faults(&a.report.events), faults(&execute(&s).events));

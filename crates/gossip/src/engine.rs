@@ -277,7 +277,9 @@ pub fn sync_pair(
     timeout: SimDuration,
 ) {
     world.metrics_mut().incr(names::EXCHANGES);
-    let span = world.span_enter("gossip.exchange", &|| origin.link_label(peer));
+    let span = world.span_enter("gossip.exchange", &|| {
+        origin.link_label(peer).as_str().into()
+    });
     match digest_mode {
         // The pull reply carries the peer's full vector, which is
         // exactly the digest the return push needs: two RPCs total.

@@ -40,7 +40,7 @@
 //! All inputs are simulated times and ordered collections, so the same
 //! seed always produces the same decomposition, byte for byte.
 
-use crate::sink::{ObsEvent, SpanId};
+use crate::sink::{Label, ObsEvent, SpanId};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -78,7 +78,7 @@ pub struct SpanNode {
     /// Dotted span kind, e.g. `"net.rpc"` or `"iter.fig4.invocation"`.
     pub kind: String,
     /// Free-form detail from the begin edge.
-    pub detail: String,
+    pub detail: Label,
     /// Begin time, simulated microseconds.
     pub begin_us: u64,
     /// End time, simulated microseconds. Equals `begin_us` when the

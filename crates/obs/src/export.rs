@@ -34,7 +34,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> String {
                     Some(n) => n,
                     None => continue,
                 };
-                let mut args = vec![("detail".to_string(), Json::Str(node.detail.clone()))];
+                let mut args = vec![("detail".to_string(), Json::Str(node.detail.to_string()))];
                 if let Some(p) = node.parent {
                     args.push(("parent".to_string(), Json::u64(p.0)));
                 }
@@ -54,7 +54,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> String {
             }
             Some(_) => {} // end edges are folded into the X event
             None => {
-                let mut args = vec![("detail".to_string(), Json::Str(e.detail.clone()))];
+                let mut args = vec![("detail".to_string(), Json::Str(e.detail.to_string()))];
                 if let Some(p) = e.parent {
                     args.push(("parent".to_string(), Json::u64(p.0)));
                 }

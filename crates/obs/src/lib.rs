@@ -74,7 +74,7 @@ pub use json::Json;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use registry::MetricsRegistry;
 pub use shard::{per_shard_stats, shard_key, ShardStats};
-pub use sink::{EventSink, ObsEvent, ObsKind, SpanId};
+pub use sink::{EventSink, Label, ObsEvent, ObsKind, SpanId};
 pub use snapshot::{Direction, Objective, ObsSnapshot};
 
 /// One-stop imports for observability users.
@@ -88,6 +88,6 @@ pub mod prelude {
     pub use crate::latency::{LatencyRecorder, LatencySummary};
     pub use crate::registry::MetricsRegistry;
     pub use crate::shard::{per_shard_stats, shard_key, ShardStats};
-    pub use crate::sink::{EventSink, ObsEvent, ObsKind, SpanId};
+    pub use crate::sink::{EventSink, Label, ObsEvent, ObsKind, SpanId};
     pub use crate::snapshot::{Direction, Objective, ObsSnapshot};
 }

@@ -9,12 +9,13 @@
 //!
 //! Recording an event allocates nothing the event does not keep: its
 //! kind is a clone of a name the sink already holds ([`ObsKind`]), its
-//! detail is moved in when the caller built a `String` for it, and
-//! the open-span ledger is a stack. The buffer itself is sized when the
-//! sink is enabled (512 events, the DST corpus mean rounded up — a
-//! constant, because a run cannot know its length in advance and every
-//! caller in the workspace would pass the same number); a sink that is
-//! never enabled reserves nothing.
+//! detail is a [`Label`] (text of up to 22 bytes, such as a node or link
+//! name, is held inline, so recording it allocates nothing; a longer
+//! `String` is moved in), and the open-span ledger is a stack. The
+//! buffer itself is sized when the sink is enabled (512 events, the DST
+//! corpus mean rounded up — a constant, because a run cannot know its
+//! length in advance and every caller in the workspace would pass the
+//! same number); a sink that is never enabled reserves nothing.
 
 use crate::causal::{TraceContext, TraceId};
 use std::fmt;
@@ -84,11 +85,116 @@ impl PartialEq<&str> for ObsKind {
     }
 }
 
+/// Bytes of text a [`Label`] holds inline: with its length and its tag
+/// that makes a `Label` the size of a `String`.
+const INLINE: usize = 22;
+
+/// An event's detail text, such as `"n0->n1"`: an immutable string that
+/// keeps up to 22 bytes inline and boxes longer text.
+///
+/// The simulator records a node or link name per message, built in place
+/// at no allocation. A label derefs to, prints (`Display` and `Debug`)
+/// as, and compares with `==` as its `str`: readers see exactly the
+/// bytes a `String` detail had.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Label(Repr);
+
+/// Text of up to `INLINE` bytes is always `Inline`, its unused bytes
+/// zero, so derived equality is equality of the text.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Boxed(Box<str>),
+}
+
+impl Label {
+    /// The concatenation of `parts`, written in place when it fits
+    /// inline, else into one allocation of exactly its length.
+    pub fn concat(parts: &[&str]) -> Label {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > INLINE {
+            return Label(Repr::Boxed(parts.concat().into_boxed_str()));
+        }
+        let mut bytes = [0; INLINE];
+        let mut at = 0;
+        for part in parts {
+            bytes[at..at + part.len()].copy_from_slice(part.as_bytes());
+            at += part.len();
+        }
+        let len = len as u8;
+        Label(Repr::Inline { len, bytes })
+    }
+
+    /// The label's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("a label is built from whole strs"),
+            Repr::Boxed(text) => text,
+        }
+    }
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Label::concat(&[])
+    }
+}
+
+impl Deref for Label {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Label {
+    fn from(text: &str) -> Self {
+        Label::concat(&[text])
+    }
+}
+
+/// Short text is copied inline (the `String` is freed); longer text
+/// moves into a box, the `String`'s buffer shrunk to its length.
+impl From<String> for Label {
+    fn from(text: String) -> Self {
+        if text.len() <= INLINE {
+            Label::from(text.as_str())
+        } else {
+            Label(Repr::Boxed(text.into_boxed_str()))
+        }
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialEq<String> for Label {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
 /// One structured event, stamped with simulated microseconds.
 ///
 /// Recording one costs a push: the kind is a shared name ([`ObsKind`]),
-/// not a copy, and the detail is whatever `String` the caller handed
-/// over. `Debug` and `==` read exactly as when `kind` was a `String`.
+/// not a copy, and the detail a [`Label`]. `Debug` and `==` read exactly
+/// as when `kind` and `detail` were `String`s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObsEvent {
     /// Simulated time of the event, in microseconds since run start.
@@ -96,7 +202,7 @@ pub struct ObsEvent {
     /// Dotted event kind, e.g. `"sim.fault.crash"` or `"span.begin"`.
     pub kind: ObsKind,
     /// Free-form detail (node id, figure key, …).
-    pub detail: String,
+    pub detail: Label,
     /// The span this event opens/closes, when it is a span edge.
     pub span: Option<SpanId>,
     /// The parent span, for span-begin edges and attributed point
@@ -108,7 +214,7 @@ pub struct ObsEvent {
 }
 
 /// Events an enabled sink has room for from the start: the DST corpus
-/// averages 464 a scenario (see the module docs).
+/// averages 469.3 a scenario (see the module docs).
 const ENABLED_RESERVE: usize = 512;
 
 /// Counter: spans still open when a run's sink was finished
@@ -166,7 +272,7 @@ impl EventSink {
         &mut self,
         at_us: u64,
         kind: &str,
-        detail: String,
+        detail: Label,
         span: Option<SpanId>,
         parent: Option<SpanId>,
         trace: Option<TraceId>,
@@ -190,18 +296,18 @@ impl EventSink {
     }
 
     /// Records a point event. No-op when disabled.
-    pub fn event(&mut self, at_us: u64, kind: &str, detail: impl Into<String>) {
+    pub fn event(&mut self, at_us: u64, kind: &str, detail: impl Into<Label>) {
         self.event_in(at_us, kind, detail, None)
     }
 
     /// Records a point event attributed to a trace/parent span. No-op
-    /// when disabled. A `String` detail is moved into the event, a
-    /// `&str` is copied.
+    /// when disabled. The detail becomes a [`Label`]: short text is held
+    /// inline, a longer `String` is moved in.
     pub fn event_in(
         &mut self,
         at_us: u64,
         kind: &str,
-        detail: impl Into<String>,
+        detail: impl Into<Label>,
         ctx: Option<TraceContext>,
     ) {
         if self.enabled {
@@ -220,7 +326,7 @@ impl EventSink {
         &mut self,
         at_us: u64,
         kind: &str,
-        detail: impl Into<String>,
+        detail: impl Into<Label>,
         ctx: Option<TraceContext>,
     ) -> TraceContext {
         let id = SpanId(self.next_span);
@@ -259,12 +365,12 @@ impl EventSink {
         if let Some(at) = at {
             self.open.remove(at);
         }
-        self.record(at_us, "span.end", String::new(), Some(id), None, None);
+        self.record(at_us, "span.end", Label::default(), Some(id), None, None);
     }
 
     /// Opens a root span with no trace context. Prefer
     /// [`EventSink::begin_span`] when a parent context is available.
-    pub fn begin(&mut self, at_us: u64, kind: &str, detail: impl Into<String>) -> SpanId {
+    pub fn begin(&mut self, at_us: u64, kind: &str, detail: impl Into<Label>) -> SpanId {
         self.begin_span(at_us, kind, detail, None).span
     }
 
@@ -281,7 +387,8 @@ impl EventSink {
         let unclosed = std::mem::take(&mut self.open);
         if self.enabled {
             for &id in &unclosed {
-                self.record(at_us, "span.unclosed", String::new(), Some(id), None, None);
+                let none = Label::default();
+                self.record(at_us, "span.unclosed", none, Some(id), None, None);
             }
         }
         unclosed
@@ -474,6 +581,42 @@ mod tests {
         assert_eq!(s.finish(12), vec![ids[0], ids[2], ids[3]]);
         assert_eq!(s.count_kind("span.end"), 2);
         assert_eq!(s.count_kind("span.unclosed"), 3);
+    }
+
+    #[test]
+    fn a_label_holds_22_bytes_inline_and_boxes_more() {
+        assert_eq!(std::mem::size_of::<Label>(), std::mem::size_of::<String>());
+        for len in [0, 22, 23] {
+            let text = "x".repeat(len);
+            for label in [Label::from(text.as_str()), Label::from(text.clone())] {
+                assert_eq!(label.as_str(), text);
+                assert_eq!(matches!(label.0, Repr::Inline { .. }), len <= 22);
+            }
+        }
+        // 'é' (2 bytes) after 21 ASCII bytes would straddle byte 22.
+        let text = format!("{}é", "a".repeat(21));
+        let label = Label::concat(&[&text[..21], "é"]);
+        assert!(matches!(label.0, Repr::Boxed(_)) && label == text);
+        assert_eq!(Label::concat(&["ab", "", "cd"]), Label::from("abcd"));
+    }
+
+    #[test]
+    fn a_label_reads_as_the_str_it_holds() {
+        for text in [
+            "",
+            "n0->n1: \"timeout\"",
+            "fig3 failed: no route from n0 to n1",
+        ] {
+            let label = Label::from(text);
+            assert_eq!(
+                format!("{label}|{label:?}|{label:>40}"),
+                format!("{text}|{text:?}|{text:>40}")
+            );
+            let owned = text.to_owned();
+            assert!(label == text && label == owned && label.len() == text.len());
+            assert_eq!(label, Label::from(owned));
+        }
+        assert_ne!(Label::from("n1"), Label::from("n10"));
     }
 
     #[test]

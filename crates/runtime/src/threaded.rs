@@ -911,7 +911,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         let span = self
             .events
             .is_enabled()
-            .then(|| Observe::span_enter(self, "net.rpc", &|| from.link_label(to)));
+            .then(|| Observe::span_enter(self, "net.rpc", &|| from.link_label(to).as_str().into()));
         // Only the recorder reads the request hash and the elapsed time.
         let noted = self
             .recorder

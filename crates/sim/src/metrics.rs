@@ -11,9 +11,9 @@
 
 pub use weakset_obs::{
     category_of, chrome_trace, critical_path, critical_path_of, per_shard_stats, shard_key,
-    CausalDag, CriticalPath, Direction, EventSink, LatencyRecorder, LatencySummary, Objective,
-    ObsEvent, ObsKind, ObsSnapshot, PathCategory, ShardStats, SpanId, SpanNode, TraceContext,
-    TraceId,
+    CausalDag, CriticalPath, Direction, EventSink, Label, LatencyRecorder, LatencySummary,
+    Objective, ObsEvent, ObsKind, ObsSnapshot, PathCategory, ShardStats, SpanId, SpanNode,
+    TraceContext, TraceId,
 };
 
 /// Named counters, gauges, and latency recorders for a run.

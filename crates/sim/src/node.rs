@@ -1,6 +1,7 @@
 //! Simulated nodes (workstations/servers) and their lifecycle.
 
 use std::fmt;
+use weakset_obs::Label;
 
 /// Identifies a node in the simulated system.
 ///
@@ -15,22 +16,23 @@ impl NodeId {
         self.0 as usize
     }
 
-    /// This id's `Display` text (`n7`) in a `String` of exactly that size,
-    /// built without going through `fmt`: span details are written once
-    /// per simulated message.
-    pub fn label(self) -> String {
+    /// This id's `Display` text (`n7`), built in place without going
+    /// through `fmt`: span details are written once per simulated
+    /// message.
+    pub fn label(self) -> Label {
         id_label('n', u64::from(self.0))
     }
 
     /// `format!("{self}->{to}")`, the detail of every per-link span and
-    /// event, in a `String` of exactly that size.
-    pub fn link_label(self, to: NodeId) -> String {
-        let len = 4 + decimal_len(u64::from(self.0)) + decimal_len(u64::from(to.0));
-        let mut out = String::with_capacity(len);
-        push_id(&mut out, 'n', u64::from(self.0));
-        out.push_str("->");
-        push_id(&mut out, 'n', u64::from(to.0));
-        out
+    /// event, built in place (the widest pair, 24 bytes, is boxed).
+    pub fn link_label(self, to: NodeId) -> Label {
+        let (mut from_buf, mut to_buf) = ([0; 20], [0; 20]);
+        Label::concat(&[
+            "n",
+            digits(u64::from(self.0), &mut from_buf),
+            "->n",
+            digits(u64::from(to.0), &mut to_buf),
+        ])
     }
 }
 
@@ -46,27 +48,17 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// `format!("{prefix}{v}")` without going through `fmt`, in a `String` of
-/// exactly that size: how a one-letter id type writes its `Display` text
+/// `format!("{prefix}{v}")`, built in place without going through
+/// `fmt`: how a one-letter id type writes its `Display` text
 /// ([`NodeId::label`]; `weakset-store`'s `CollectionId::label`).
-pub fn id_label(prefix: char, v: u64) -> String {
-    let mut out = String::with_capacity(prefix.len_utf8() + decimal_len(v));
-    push_id(&mut out, prefix, v);
-    out
+pub fn id_label(prefix: char, v: u64) -> Label {
+    let mut buf = [0; 20];
+    Label::concat(&[prefix.encode_utf8(&mut [0; 4]), digits(v, &mut buf)])
 }
 
-fn push_id(out: &mut String, prefix: char, v: u64) {
-    out.push(prefix);
-    out.extend(
-        decimal_digits(v, &mut [0; 20])
-            .iter()
-            .map(|&d| char::from(d)),
-    );
-}
-
-/// How many decimal digits `v` prints as.
-fn decimal_len(v: u64) -> usize {
-    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+/// [`decimal_digits`] as text.
+fn digits(v: u64, buf: &mut [u8; 20]) -> &str {
+    std::str::from_utf8(decimal_digits(v, buf)).expect("decimal digits are ASCII")
 }
 
 /// The decimal digits of `v`, as `Display` prints them, written into the
@@ -172,16 +164,15 @@ mod tests {
         for v in [0, 9, 10, 4_096, u32::MAX] {
             let id = NodeId(v);
             assert_eq!(id.label(), id.to_string());
-            assert_eq!(id.label().capacity(), id.label().len(), "sized exactly");
             for w in [0, 9, 10, 4_096, u32::MAX] {
                 let link = id.link_label(NodeId(w));
                 assert_eq!(link, format!("{id}->{}", NodeId(w)));
-                assert_eq!(link.capacity(), link.len(), "sized exactly");
             }
         }
-        let widest = id_label('c', u64::MAX);
-        assert_eq!(widest, format!("c{}", u64::MAX));
-        assert_eq!(widest.capacity(), widest.len(), "sized exactly");
+        let widest = NodeId(u32::MAX).link_label(NodeId(u32::MAX));
+        assert_eq!(widest.len(), 24, "boxed, past the 22 inline bytes");
+        assert_eq!(widest, "n4294967295->n4294967295");
+        assert_eq!(id_label('c', u64::MAX), format!("c{}", u64::MAX));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::event::{run_task, EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::latency::LatencyModel;
-use crate::metrics::{EventSink, Metrics, SpanId, TraceContext};
+use crate::metrics::{EventSink, Label, Metrics, SpanId, TraceContext};
 use crate::net::{BatchEnvelope, NetError};
 use crate::node::NodeId;
 use crate::rng::SimRng;
@@ -138,11 +138,14 @@ pub struct World<M> {
     trace: Trace,
     metrics: Metrics,
     events: EventSink,
-    /// Stack of open causal spans for the code currently running; the
-    /// top is the context new spans and outgoing messages inherit.
-    /// Swapped out while dispatched work (tasks, service handlers)
-    /// runs, so background work never parents under the pumping RPC.
+    /// Stack of open causal spans; the top is the context new spans and
+    /// outgoing messages inherit. Dispatched work (a task, a service
+    /// handler) sees only the entries from `ctx_base` up, so background
+    /// work never parents under the pumping RPC; one stack serves every
+    /// nesting level, so dispatching allocates nothing.
     ctx: Vec<TraceContext>,
+    /// Where the running work's part of `ctx` starts.
+    ctx_base: usize,
     /// Link throughput in bytes per millisecond; `None` = infinite.
     bandwidth_bytes_per_ms: Option<u64>,
     /// Measures a message's wire size for transfer-time charging.
@@ -170,6 +173,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             metrics: Metrics::new(),
             events: EventSink::new(),
             ctx: Vec::new(),
+            ctx_base: 0,
             bandwidth_bytes_per_ms: None,
             sizer: None,
         }
@@ -235,26 +239,28 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Opens a causal span under the current context (or as a fresh
     /// trace root when none is open) and makes it the current context.
-    /// `detail` is built lazily so a disabled sink pays no allocation.
+    /// `detail` is built only when the sink records, and a short one
+    /// (a [`NodeId::label`] or [`NodeId::link_label`]) is built in place:
+    /// neither a disabled sink nor an enabled one allocates for it.
     /// Pair with [`World::span_exit`].
-    pub fn span_enter(&mut self, kind: &str, detail: impl FnOnce() -> String) -> SpanId {
-        let parent = self.ctx.last().copied();
+    pub fn span_enter<D: Into<Label>>(&mut self, kind: &str, detail: impl FnOnce() -> D) -> SpanId {
+        let parent = self.current_ctx();
         self.span_enter_under(parent, kind, detail)
     }
 
     /// Opens a causal span under an explicit parent context (e.g. an
     /// iterator's stored trace root) and makes it the current context.
-    pub fn span_enter_under(
+    pub fn span_enter_under<D: Into<Label>>(
         &mut self,
         parent: Option<TraceContext>,
         kind: &str,
-        detail: impl FnOnce() -> String,
+        detail: impl FnOnce() -> D,
     ) -> SpanId {
         let at = self.now.as_micros();
         let d = if self.events.is_enabled() {
-            detail()
+            detail().into()
         } else {
-            String::new()
+            Label::default()
         };
         let ctx = self.events.begin_span(at, kind, d, parent);
         self.ctx.push(ctx);
@@ -273,17 +279,33 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// The current causal context: the innermost open span, which
     /// outgoing messages and child spans inherit.
     pub fn current_ctx(&self) -> Option<TraceContext> {
-        self.ctx.last().copied()
+        self.ctx[self.ctx_base..].last().copied()
     }
 
     /// Records a point event attributed to the current causal context.
-    /// No-op (and no allocation) when the sink is disabled.
-    pub fn trace_event(&mut self, kind: &str, detail: impl FnOnce() -> String) {
+    /// No-op when the sink is disabled; `detail` is built only when it
+    /// records, and a short one allocates nothing (see
+    /// [`World::span_enter`]).
+    pub fn trace_event<D: Into<Label>>(&mut self, kind: &str, detail: impl FnOnce() -> D) {
         if self.events.is_enabled() {
             let ctx = self.current_ctx();
             self.events
-                .event_in(self.now.as_micros(), kind, detail(), ctx);
+                .event_in(self.now.as_micros(), kind, detail().into(), ctx);
         }
+    }
+
+    /// Starts a level of dispatched work that sees `ctx` alone; returns
+    /// the outer level for [`World::end_dispatched`].
+    fn begin_dispatched(&mut self, ctx: Option<TraceContext>) -> usize {
+        let outer = std::mem::replace(&mut self.ctx_base, self.ctx.len());
+        self.ctx.extend(ctx);
+        outer
+    }
+
+    /// Drops whatever the work left on the stack; restores `outer`.
+    fn end_dispatched(&mut self, outer: usize) {
+        self.ctx.truncate(self.ctx_base);
+        self.ctx_base = outer;
     }
 
     /// A fresh deterministic RNG stream labelled for a consumer (workload
@@ -707,8 +729,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 };
                 // Handlers run under the *message's* context, not
                 // whatever span the pumping client has open.
-                let saved = std::mem::take(&mut self.ctx);
-                self.ctx.extend(ctx);
+                let outer = self.begin_dispatched(ctx);
                 let span = self.span_enter("svc.handle", || to.label());
                 let reply = {
                     let mut ctx = ServiceCtx {
@@ -718,7 +739,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     svc.handle(&mut ctx, from, msg)
                 };
                 self.span_exit(span);
-                self.ctx = saved;
+                self.end_dispatched(outer);
                 self.services[to.index()] = Some(svc);
                 self.trace
                     .record(self.now, TraceEvent::RpcHandled { from, to });
@@ -791,9 +812,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 self.trace.record(self.now, TraceEvent::TaskRan { label });
                 // Background work roots its own traces: run it with an
                 // empty context stack.
-                let saved = std::mem::take(&mut self.ctx);
+                let outer = self.begin_dispatched(None);
                 run_task(task, self);
-                self.ctx = saved;
+                self.end_dispatched(outer);
             }
         }
     }
@@ -1215,6 +1236,48 @@ mod tests {
             .map(|&r| dag.span(r).unwrap().trace)
             .collect();
         assert_ne!(traces[0], traces[1]);
+    }
+
+    #[test]
+    fn nested_dispatch_keeps_each_levels_context() {
+        let (mut w, c, s) = two_node_world();
+        w.events_mut().set_enabled(true);
+        // The client's request lands at 5 ms, while the task (fired at
+        // 2 ms) pumps for its own reply: three levels on one stack.
+        w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
+            assert_eq!(w.current_ctx(), None, "a task starts with no context");
+            let work = w.span_enter("task.work", String::new);
+            w.rpc(c, s, 100, TIMEOUT).unwrap();
+            assert_eq!(w.current_ctx().map(|x| x.span), Some(work));
+            w.span_exit(work);
+        });
+        let outer = w.span_enter("iter.fig5.invocation", String::new);
+        w.rpc(c, s, 1, SimDuration::from_millis(200)).unwrap();
+        assert_eq!(w.current_ctx().map(|x| x.span), Some(outer));
+        w.span_exit(outer);
+        assert!(w.ctx.is_empty() && w.ctx_base == 0, "every level unwound");
+        // Each handler ran under its own message's rpc, in its own trace.
+        let dag = crate::metrics::CausalDag::from_events(w.events().events());
+        let node = |id: SpanId| dag.span(id).unwrap();
+        let handled: Vec<_> = (dag.roots().iter())
+            .flat_map(|&root| dag.descendants(root).into_iter().map(move |id| (root, id)))
+            .filter(|&(_, id)| node(id).kind == "svc.handle")
+            .map(|(root, id)| {
+                let rpc = node(id).parent.map(node).unwrap();
+                (
+                    node(root).kind.as_str(),
+                    rpc.kind.as_str(),
+                    node(id).begin_us,
+                )
+            })
+            .collect();
+        assert_eq!(
+            handled,
+            [
+                ("iter.fig5.invocation", "net.rpc", 5_000),
+                ("task.work", "net.rpc", 7_000)
+            ]
+        );
     }
 
     #[test]

@@ -1307,7 +1307,7 @@ mod tests {
             want.sort_by_key(|&s| w.estimate_latency(client, s));
             assert_ne!(want, cref.all_nodes());
             // Each contact is one `net.rpc` span, detailed `client->server`.
-            let want: Vec<String> = want.iter().map(|&s| client.link_label(s)).collect();
+            let want: Vec<_> = want.iter().map(|&s| client.link_label(s)).collect();
             let cl = StoreClient::new(client, ms(50)).with_session();
             for policy in [
                 ReadPolicy::Any,
@@ -1315,7 +1315,7 @@ mod tests {
                 ReadPolicy::CausalSession,
             ] {
                 assert!(cl.read_members(&mut w, &cref, policy).is_err());
-                let sent: Vec<String> = w
+                let sent: Vec<_> = w
                     .events_mut()
                     .take_events()
                     .into_iter()

@@ -35,7 +35,7 @@ impl CollectionId {
     /// This id's `Display` text (`c7`), built without going through
     /// `fmt`: it is the detail of every membership-read span.
     pub fn label(self) -> String {
-        weakset_sim::node::id_label('c', self.0)
+        weakset_sim::node::id_label('c', self.0).as_str().into()
     }
 }
 

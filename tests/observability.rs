@@ -391,7 +391,7 @@ fn sharded_computation_is_one_trace_across_shard_groups() {
         .into_iter()
         .filter_map(|id| dag.span(id))
         .filter(|s| s.kind == "svc.handle")
-        .map(|s| s.detail.clone())
+        .map(|s| s.detail.to_string())
         .collect();
     assert!(
         handled_on.len() >= 2,

@@ -14,8 +14,9 @@
 //! [`CollectionState`]: weakset_store::collection::CollectionState
 
 use crate::crdt::{GossipSemantics, MembershipCrdt};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use weakset_runtime::prelude::*;
+use weakset_sim::idmap::IdMap;
 use weakset_sim::node::NodeId;
 use weakset_sim::world::{Service, ServiceCtx};
 use weakset_store::dotted::VersionVector;
@@ -32,11 +33,11 @@ use weakset_store::server::StoreServer;
 pub struct GossipNode {
     node: NodeId,
     inner: StoreServer,
-    replicas: HashMap<CollectionId, MembershipCrdt>,
+    replicas: IdMap<CollectionId, MembershipCrdt>,
     /// Removals deferred while the wrapped server holds a grow guard
     /// (§3.3): mirrored here so the CRDT releases its ghosts at the same
     /// moment the primary-path state does.
-    pending_removes: HashMap<CollectionId, BTreeSet<ObjectId>>,
+    pending_removes: IdMap<CollectionId, BTreeSet<ObjectId>>,
     default_semantics: GossipSemantics,
 }
 
@@ -48,8 +49,8 @@ impl GossipNode {
         GossipNode {
             node,
             inner: StoreServer::new(),
-            replicas: HashMap::new(),
-            pending_removes: HashMap::new(),
+            replicas: IdMap::default(),
+            pending_removes: IdMap::default(),
             default_semantics: GossipSemantics::default(),
         }
     }

@@ -79,7 +79,7 @@ use crate::record::{hash_debug, RecEvent, RecOutcome, Recorder};
 use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport};
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -88,6 +88,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use weakset_obs::sink::UNCLOSED_SPANS;
 use weakset_sim::fault::FaultAction;
+use weakset_sim::idmap::IdMap;
 use weakset_sim::metrics::{EventSink, Metrics, SpanId, TraceContext};
 use weakset_sim::net::NetError;
 use weakset_sim::node::NodeId;
@@ -417,7 +418,7 @@ pub struct ThreadedRuntime<M: RtMessage> {
     routes: Routes<M>,
     comp_tx: Sender<(u64, Result<M, NetError>)>,
     comp_rx: Receiver<(u64, Result<M, NetError>)>,
-    completed: HashMap<u64, Result<M, NetError>>,
+    completed: IdMap<u64, Result<M, NetError>>,
     next_token: u64,
     timers: BinaryHeap<TimerEntry<M>>,
     timer_seq: u64,
@@ -509,7 +510,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             routes: Routes::stale(),
             comp_tx,
             comp_rx,
-            completed: HashMap::new(),
+            completed: IdMap::default(),
             next_token: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -802,7 +803,7 @@ impl<M: RtMessage> Clone for ThreadedRuntime<M> {
             routes: Routes::stale(),
             comp_tx,
             comp_rx,
-            completed: HashMap::new(),
+            completed: IdMap::default(),
             next_token: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,

@@ -17,6 +17,8 @@
 //!   and flapping links.
 //! * [`latency::LatencyModel`] — constant/uniform/exponential/site-distance
 //!   latency, the last enabling "fetch closer files first".
+//! * [`idmap::IdMap`] — the hash map every id-keyed table on the message
+//!   path uses: one keyed multiply per id instead of SipHash.
 //! * [`rng::SimRng`] — labelled deterministic random streams; a run is a
 //!   pure function of `(seed, workload, fault plan)`.
 //!
@@ -47,6 +49,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod idmap;
 pub mod latency;
 pub mod link;
 pub mod metrics;

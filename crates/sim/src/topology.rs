@@ -11,9 +11,9 @@
 //! for: every mutator leaves a connected-component label per node behind
 //! and `reachable` compares two labels.
 
+use crate::idmap::IdMap;
 use crate::link::LinkState;
 use crate::node::{Node, NodeId, NodeStatus};
-use std::collections::HashMap;
 
 /// A partition group id. Nodes in different groups cannot exchange messages
 /// while the partition is in force.
@@ -53,7 +53,7 @@ pub struct PartitionGroup(pub u32);
 pub struct Topology {
     nodes: Vec<Node>,
     /// Sparse overrides; absent pairs are healthy links.
-    links: HashMap<(NodeId, NodeId), LinkState>,
+    links: IdMap<(NodeId, NodeId), LinkState>,
     /// Partition group per node; `None` means the default (connected) group.
     groups: Vec<Option<PartitionGroup>>,
     /// Connected-component label per node: the lowest index among the up

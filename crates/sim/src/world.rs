@@ -22,6 +22,7 @@
 
 use crate::event::{run_task, EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultPlan};
+use crate::idmap::IdMap;
 use crate::latency::LatencyModel;
 use crate::metrics::{EventSink, Label, Metrics, SpanId, TraceContext};
 use crate::net::{BatchEnvelope, NetError};
@@ -31,7 +32,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Correlates a reply with the RPC that is waiting for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -126,7 +126,7 @@ pub struct World<M> {
     /// Indexed by the dense [`NodeId`]; `None` where nothing is installed
     /// (or while the node's handler is running).
     services: Vec<Option<Box<dyn Service<M>>>>,
-    completed: HashMap<ReplyToken, Result<M, NetError>>,
+    completed: IdMap<ReplyToken, Result<M, NetError>>,
     next_token: u64,
     latency: LatencyModel,
     lat_rng: SimRng,
@@ -162,7 +162,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             queue: EventQueue::default(),
             topology,
             services: Vec::new(),
-            completed: HashMap::new(),
+            completed: IdMap::default(),
             next_token: 0,
             latency,
             lat_rng: SimRng::for_label(seed, "latency"),

@@ -6,14 +6,15 @@
 //! and the TTL bounds how stale a hit can be.
 
 use crate::object::{ObjectId, ObjectRecord};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use weakset_sim::idmap::IdMap;
 use weakset_sim::time::{SimDuration, SimTime};
 
 /// A TTL cache of object records.
 #[derive(Clone, Debug)]
 pub struct ObjectCache {
     ttl: SimDuration,
-    entries: HashMap<ObjectId, (SimTime, ObjectRecord)>,
+    entries: IdMap<ObjectId, (SimTime, ObjectRecord)>,
     hits: u64,
     misses: u64,
 }
@@ -23,7 +24,7 @@ impl ObjectCache {
     pub fn new(ttl: SimDuration) -> Self {
         ObjectCache {
             ttl,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -34,19 +35,25 @@ impl ObjectCache {
         Self::new(SimDuration::MAX)
     }
 
-    /// Looks up an unexpired entry.
+    /// Looks up an unexpired entry, and evicts an expired one, in one
+    /// lookup. A miss on an absent id may grow a full table: `entry`
+    /// makes room for the insert it expects, which the `put` that
+    /// follows a miss would make anyway.
     pub fn get(&mut self, now: SimTime, id: ObjectId) -> Option<&ObjectRecord> {
-        let fresh = match self.entries.get(&id) {
-            Some((at, _)) => now.saturating_since(*at) <= self.ttl,
-            None => false,
-        };
-        if fresh {
-            self.hits += 1;
-            self.entries.get(&id).map(|(_, rec)| rec)
-        } else {
-            self.misses += 1;
-            self.entries.remove(&id);
-            None
+        match self.entries.entry(id) {
+            Entry::Occupied(e) if now.saturating_since(e.get().0) <= self.ttl => {
+                self.hits += 1;
+                Some(&e.into_mut().1)
+            }
+            Entry::Occupied(e) => {
+                self.misses += 1;
+                e.remove();
+                None
+            }
+            Entry::Vacant(_) => {
+                self.misses += 1;
+                None
+            }
         }
     }
 
@@ -89,28 +96,22 @@ mod tests {
         ObjectRecord::new(ObjectId(id), format!("o{id}"), &b""[..])
     }
 
+    /// A fresh hit (the TTL bound is inclusive), a stale hit and an
+    /// absent id: what each returns, counts and leaves resident.
     #[test]
-    fn hit_within_ttl() {
+    fn get_hits_fresh_evicts_stale_and_misses_absent() {
         let mut c = ObjectCache::new(SimDuration::from_millis(10));
         c.put(SimTime::ZERO, rec(1));
-        assert!(c.get(SimTime::from_millis(5), ObjectId(1)).is_some());
-        assert_eq!(c.stats(), (1, 0));
-    }
-
-    #[test]
-    fn miss_after_ttl_evicts() {
-        let mut c = ObjectCache::new(SimDuration::from_millis(10));
-        c.put(SimTime::ZERO, rec(1));
-        assert!(c.get(SimTime::from_millis(11), ObjectId(1)).is_none());
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), (0, 1));
-    }
-
-    #[test]
-    fn unknown_id_is_miss() {
-        let mut c = ObjectCache::new(SimDuration::from_millis(10));
-        assert!(c.get(SimTime::ZERO, ObjectId(9)).is_none());
-        assert_eq!(c.stats(), (0, 1));
+        c.put(SimTime::from_millis(5), rec(2));
+        assert_eq!(c.get(SimTime::from_millis(10), ObjectId(1)), Some(&rec(1)));
+        assert_eq!((c.len(), c.stats()), (2, (1, 0)));
+        assert_eq!(c.get(SimTime::from_millis(11), ObjectId(1)), None);
+        assert_eq!((c.len(), c.stats()), (1, (1, 1)));
+        assert_eq!(c.get(SimTime::from_millis(11), ObjectId(9)), None);
+        assert_eq!(c.get(SimTime::from_millis(11), ObjectId(1)), None);
+        assert_eq!((c.len(), c.stats()), (1, (1, 3)));
+        assert_eq!(c.get(SimTime::from_millis(15), ObjectId(2)), Some(&rec(2)));
+        assert_eq!((c.len(), c.stats()), (1, (2, 3)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use crate::collection::CollectionState;
 use crate::msg::StoreMsg;
 use crate::object::{CollectionId, ObjectId, ObjectRecord};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use weakset_sim::idmap::IdMap;
 use weakset_sim::node::NodeId;
 use weakset_sim::world::{Service, ServiceCtx};
 
@@ -11,10 +12,10 @@ use weakset_sim::world::{Service, ServiceCtx};
 /// (primary or secondary) hosted here.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StoreServer {
-    objects: HashMap<ObjectId, ObjectRecord>,
-    collections: HashMap<CollectionId, CollectionState>,
-    read_locks: HashMap<CollectionId, BTreeSet<u64>>,
-    grow_guards: HashMap<CollectionId, BTreeSet<u64>>,
+    objects: IdMap<ObjectId, ObjectRecord>,
+    collections: IdMap<CollectionId, CollectionState>,
+    read_locks: IdMap<CollectionId, BTreeSet<u64>>,
+    grow_guards: IdMap<CollectionId, BTreeSet<u64>>,
 }
 
 impl StoreServer {

@@ -3,8 +3,6 @@
 use crate::fs::{FileSystem, FsError};
 use crate::path::FsPath;
 use weakset_sim::node::NodeId;
-use weakset_sim::rng::SimRng;
-use weakset_store::placement::Placement;
 use weakset_store::prelude::StoreWorld;
 
 /// Shape of a synthetic tree.
@@ -53,8 +51,8 @@ impl TreeSpec {
         dirs_total * self.files_per_dir
     }
 
-    /// Builds the tree into `fs`, placing each file and directory home via
-    /// `placement` over `volumes`.
+    /// Builds the tree into `fs`, homing its files and directories on
+    /// `volumes` round-robin, in creation order.
     ///
     /// # Errors
     ///
@@ -65,25 +63,24 @@ impl TreeSpec {
         world: &mut StoreWorld,
         fs: &mut FileSystem,
         volumes: &[NodeId],
-        placement: &mut Placement,
-        rng: &mut SimRng,
     ) -> Result<TreeStats, FsError> {
         let mut stats = TreeStats::default();
         let payload = vec![b'x'; self.file_size];
         let mut frontier = vec![FsPath::root()];
+        let mut homes = volumes.iter().copied().cycle();
         for level in 0..=self.depth {
             let mut next = Vec::new();
             for dir in &frontier {
                 for f in 0..self.files_per_dir {
                     let p = dir.join(format!("file-{level}-{f}"));
-                    let home = placement.choose(volumes, rng);
+                    let home = homes.next().expect("no volume to place on");
                     fs.create_file(world, &p, &payload, home)?;
                     stats.files.push(p);
                 }
                 if level < self.depth {
                     for d in 0..self.fanout {
                         let p = dir.join(format!("dir-{level}-{d}"));
-                        let home = placement.choose(volumes, rng);
+                        let home = homes.next().expect("no volume to place on");
                         fs.mkdir(world, &p, home)?;
                         stats.dirs.push(p.clone());
                         next.push(p);
@@ -149,11 +146,7 @@ mod tests {
             files_per_dir: 3,
             file_size: 10,
         };
-        let mut placement = Placement::round_robin();
-        let mut rng = SimRng::new(1);
-        let stats = spec
-            .build(&mut w, &mut fs, &vols, &mut placement, &mut rng)
-            .unwrap();
+        let stats = spec.build(&mut w, &mut fs, &vols).unwrap();
         // Dirs: level0 creates 2, level1 creates 4 → 6.
         assert_eq!(stats.dirs.len(), 6);
         // Files: (1 + 2 + 4) dirs × 3 files.
@@ -182,15 +175,7 @@ mod tests {
     #[test]
     fn default_spec_is_buildable() {
         let (mut w, mut fs, vols) = setup(2);
-        let stats = TreeSpec::default()
-            .build(
-                &mut w,
-                &mut fs,
-                &vols,
-                &mut Placement::round_robin(),
-                &mut SimRng::new(2),
-            )
-            .unwrap();
+        let stats = TreeSpec::default().build(&mut w, &mut fs, &vols).unwrap();
         assert_eq!(stats.files.len(), TreeSpec::default().expected_files());
     }
 }

@@ -283,32 +283,6 @@ impl<M: 'static> NodeHandle<M> {
 /// densely, in `add_node` order, and a node is never removed.
 type Fleet<M> = Vec<Arc<NodeHandle<M>>>;
 
-/// Whether `node` is a fleet member and up (the topology only answers
-/// for ids it issued).
-fn is_up(topology: &Topology, node: NodeId) -> bool {
-    node.index() < topology.len() && topology.is_up(node)
-}
-
-/// `to`'s handle in `nodes` when a request from `from` may be delivered
-/// to it under `topology`, failing as the simulator fails it:
-/// `NodeDown(from)` for a down caller, and with no route `NodeDown(to)`
-/// for a down (or unknown) target, `Unreachable` for a live one.
-fn route<'a, M>(
-    nodes: &'a [Arc<NodeHandle<M>>],
-    topology: &Topology,
-    from: NodeId,
-    to: NodeId,
-) -> Result<&'a NodeHandle<M>, NetError> {
-    if !is_up(topology, from) {
-        return Err(NetError::NodeDown(from));
-    }
-    match nodes.get(to.index()) {
-        Some(h) if topology.reachable(from, to) => Ok(h),
-        Some(_) if topology.is_up(to) => Err(NetError::Unreachable { from, to }),
-        _ => Err(NetError::NodeDown(to)),
-    }
-}
-
 /// Fleet state shared by every view.
 struct Shared<M> {
     seed: u64,
@@ -348,9 +322,10 @@ impl<M> Routes<M> {
         }
     }
 
-    /// [`route`] through this copy, re-taken first if `shared`'s fault
-    /// epoch has moved: one `Acquire` load while it stands still, else a
-    /// copy of both tables under both locks (in `add_node`'s order),
+    /// `to`'s handle when [`Topology::route`] lets a request from `from`
+    /// through this copy, re-taken first if `shared`'s fault epoch has
+    /// moved: one `Acquire` load while it stands still, else a copy of
+    /// both tables under both locks (in `add_node`'s order),
     /// tagged with the epoch read under the topology lock. Debug builds
     /// re-derive the route from the live tables and insist the two agree
     /// whenever the epoch has not moved since the copy.
@@ -368,12 +343,16 @@ impl<M> Routes<M> {
             self.nodes.clone_from(&nodes);
             self.topology.clone_from(&topology);
         }
-        let routed = route(&self.nodes, &self.topology, from, to);
+        // A routed id is one the topology issued, so the fleet holds it.
+        let routed = self
+            .topology
+            .route(from, to)
+            .map(|()| &*self.nodes[to.index()]);
         if cfg!(debug_assertions) {
             let nodes = lock(&shared.nodes);
             let topology = lock(&faults.topology);
             if faults.epoch.load(Ordering::Relaxed) == self.epoch {
-                let live = route(&nodes, &topology, from, to);
+                let live = topology.route(from, to).map(|()| &*nodes[to.index()]);
                 let ptr = |r: Result<&NodeHandle<M>, NetError>| r.map(std::ptr::from_ref);
                 debug_assert_eq!(ptr(routed), ptr(live), "{from}->{to} at {}", self.epoch);
             }
@@ -712,11 +691,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         }
     }
 
-    /// The wall-clock instant `t` maps to.
-    fn instant_at(&self, t: SimTime) -> Instant {
-        self.shared.start + Duration::from_micros(t.as_micros())
-    }
-
     fn rpc_inner(
         &mut self,
         from: NodeId,
@@ -760,33 +734,41 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             }
         };
         let deadline = started + Duration::from_micros(timeout.as_micros());
+        let result = match self.wait_until(&[ReplyToken::from_raw(token)], deadline) {
+            Some(_) => self
+                .completed
+                .remove(&token)
+                .expect("a completed token has its reply"),
+            None => Err(NetError::Timeout),
+        };
+        if result.is_ok() {
+            self.metrics.incr("rpc.ok");
+            self.metrics
+                .observe("rpc.latency", started.elapsed().as_micros() as u64);
+        } else {
+            self.metrics.incr("rpc.failed");
+        }
+        result
+    }
+
+    /// Waits until one of `tokens` completes (its reply is left in
+    /// `completed`) or `deadline` passes, firing due timers meanwhile.
+    fn wait_until(&mut self, tokens: &[ReplyToken], deadline: Instant) -> Option<ReplyToken> {
         loop {
             self.drain_completions();
-            if let Some(result) = self.completed.remove(&token) {
-                if result.is_ok() {
-                    self.metrics.incr("rpc.ok");
-                    self.metrics
-                        .observe("rpc.latency", started.elapsed().as_micros() as u64);
-                } else {
-                    self.metrics.incr("rpc.failed");
-                }
-                return result;
+            if let Some(&t) = tokens
+                .iter()
+                .find(|t| self.completed.contains_key(&t.raw()))
+            {
+                return Some(t);
             }
             self.run_due_timers();
             let now = Instant::now();
             if now >= deadline {
-                self.metrics.incr("rpc.failed");
-                return Err(NetError::Timeout);
+                return None;
             }
-            match self.comp_rx.recv_timeout((deadline - now).min(WAIT_SLICE)) {
-                Ok((t, r)) => {
-                    self.completed.insert(t, r);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Our own sender is alive (self.comp_tx), so this
-                    // cannot happen; treat as a timeout slice.
-                }
+            if let Ok((t, r)) = self.comp_rx.recv_timeout((deadline - now).min(WAIT_SLICE)) {
+                self.completed.insert(t, r);
             }
         }
     }
@@ -993,7 +975,8 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
 
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
         let started = Instant::now();
-        let winner = self.wait_any_inner(tokens, deadline);
+        let wall_deadline = self.shared.start + Duration::from_micros(deadline.as_micros());
+        let winner = self.wait_until(tokens, wall_deadline);
         if self.recorder.is_some() {
             self.note(RecEvent::WaitAny {
                 winner: winner.map(ReplyToken::raw),
@@ -1008,32 +991,6 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
     /// deterministic element-id tie-break.
     fn estimate_latency(&self, _a: NodeId, _b: NodeId) -> SimDuration {
         SimDuration::ZERO
-    }
-}
-
-impl<M: RtMessage> ThreadedRuntime<M> {
-    fn wait_any_inner(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
-        let wall_deadline = self.instant_at(deadline);
-        loop {
-            self.drain_completions();
-            if let Some(&t) = tokens
-                .iter()
-                .find(|t| self.completed.contains_key(&t.raw()))
-            {
-                return Some(t);
-            }
-            self.run_due_timers();
-            let now = Instant::now();
-            if now >= wall_deadline {
-                return None;
-            }
-            if let Ok((t, r)) = self
-                .comp_rx
-                .recv_timeout((wall_deadline - now).min(WAIT_SLICE))
-            {
-                self.completed.insert(t, r);
-            }
-        }
     }
 }
 
@@ -1078,12 +1035,11 @@ impl<M: RtMessage> ServiceHost<M> for ThreadedRuntime<M> {
     }
 
     fn is_up(&self, node: NodeId) -> bool {
-        is_up(&lock(&self.shared.faults.topology), node)
+        lock(&self.shared.faults.topology).is_up(node)
     }
 
     fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        let topology = lock(&self.shared.faults.topology);
-        is_up(&topology, from) && is_up(&topology, to) && topology.reachable(from, to)
+        lock(&self.shared.faults.topology).reachable(from, to)
     }
 }
 

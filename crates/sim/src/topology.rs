@@ -13,6 +13,7 @@
 
 use crate::idmap::IdMap;
 use crate::link::LinkState;
+use crate::net::NetError;
 use crate::node::{Node, NodeId, NodeStatus};
 
 /// A partition group id. Nodes in different groups cannot exchange messages
@@ -159,9 +160,10 @@ impl Topology {
         self.relabel();
     }
 
-    /// True when the node is up.
+    /// True when the node is up; false for an id this topology never
+    /// issued.
     pub fn is_up(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].is_up()
+        self.nodes.get(id.index()).is_some_and(Node::is_up)
     }
 
     fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -265,6 +267,34 @@ impl Topology {
     /// O(1): two status checks and one label comparison.
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
         self.is_up(a) && self.is_up(b) && self.comp[a.index()] == self.comp[b.index()]
+    }
+
+    /// Whether a request from `from` may be delivered to `to` now: the one
+    /// failure rule both runtimes apply. `NodeDown(from)` for a down
+    /// caller; with no route, `Unreachable` for a live target and
+    /// `NodeDown(to)` for a down one or an id never issued.
+    ///
+    /// # Errors
+    ///
+    /// The [`NetError`] the request fails with.
+    pub fn route(&self, from: NodeId, to: NodeId) -> Result<(), NetError> {
+        if self.reachable(from, to) {
+            Ok(())
+        } else if !self.is_up(from) {
+            Err(NetError::NodeDown(from))
+        } else {
+            Err(self.unroutable(from, to))
+        }
+    }
+
+    /// How a request with no route to `to` fails: `Unreachable` for a
+    /// live target, `NodeDown(to)` for a down one or an id never issued.
+    pub(crate) fn unroutable(&self, from: NodeId, to: NodeId) -> NetError {
+        if self.is_up(to) {
+            NetError::Unreachable { from, to }
+        } else {
+            NetError::NodeDown(to)
+        }
     }
 
     /// The set of nodes currently reachable from `from` (including itself,
@@ -488,6 +518,26 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), all.len(), "no NodeId collisions");
+    }
+
+    #[test]
+    fn route_fails_by_one_rule() {
+        let (mut t, a, b, c) = three();
+        let never = NodeId(9);
+        t.partition(&[c]);
+        let mut down = t.clone();
+        down.crash(b);
+        let rows = [
+            (&t, a, b, Ok(())),
+            (&down, b, a, Err(NetError::NodeDown(b))),
+            (&down, a, b, Err(NetError::NodeDown(b))),
+            (&t, a, c, Err(NetError::Unreachable { from: a, to: c })),
+            (&t, a, never, Err(NetError::NodeDown(never))),
+        ];
+        for (topo, from, to, want) in rows {
+            assert_eq!(topo.route(from, to), want, "{from} -> {to}");
+        }
+        assert!(!t.is_up(never) && !t.reachable(a, never));
     }
 
     #[test]

@@ -391,22 +391,25 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.trace.hash()
     }
 
+    /// Fires the earliest pending event if it is due at or before
+    /// `deadline`, moving the clock to it; `false` when none is.
+    fn fire_next(&mut self, deadline: SimTime) -> bool {
+        match self.queue.peek_time() {
+            Some(t) if t <= deadline => {
+                let ev = self.queue.pop().expect("peeked event vanished");
+                self.now = t;
+                self.dispatch(ev.kind);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Advances simulated time to `deadline`, firing every event scheduled
     /// before or at it.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let ev = self.queue.pop().expect("peeked event vanished");
-                    self.now = t;
-                    self.dispatch(ev.kind);
-                }
-                _ => break,
-            }
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        while self.fire_next(deadline) {}
+        self.now = self.now.max(deadline);
     }
 
     /// Sleeps the calling client for `d`, letting background work fire.
@@ -417,10 +420,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Fires every remaining event.
     pub fn run_to_quiescence(&mut self) {
-        while let Some(ev) = self.queue.pop() {
-            self.now = ev.at;
-            self.dispatch(ev.kind);
-        }
+        while self.fire_next(SimTime::MAX) {}
     }
 
     /// Number of pending events.
@@ -467,7 +467,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        if !self.topology.is_up(from) {
+        let routed = self.topology.route(from, to);
+        if routed == Err(NetError::NodeDown(from)) {
             return Err(NetError::NodeDown(from));
         }
         self.trace
@@ -475,101 +476,48 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.metrics.incr("rpc.sent");
         let started = self.now;
         let deadline = self.now + timeout;
-
-        if !self.topology.reachable(from, to) {
-            let detect_at = (self.now + DETECT_DELAY).min(deadline);
-            self.run_until(detect_at);
-            let err = if self.topology.is_up(to) {
-                NetError::Unreachable { from, to }
-            } else {
-                NetError::NodeDown(to)
-            };
-            self.trace.record(
-                self.now,
-                TraceEvent::RpcFailed {
-                    from,
-                    to,
-                    error: err,
-                },
-            );
-            self.metrics.incr("rpc.failed");
-            return Err(err);
-        }
-
-        let token = ReplyToken(self.next_token);
-        self.next_token += 1;
-
-        let drop_p = self.topology.link(from, to).drop_prob;
-        if self.drop_rng.chance(drop_p) {
-            self.trace
-                .record(self.now, TraceEvent::MessageLost { from, to });
-            self.metrics.incr("msg.dropped");
-            self.trace_event("net.msg.lost", || from.link_label(to));
-        } else {
-            let lat = self.latency.sample(
-                self.topology.node(from),
-                self.topology.node(to),
-                &mut self.lat_rng,
-            ) + self.transfer_delay(&msg);
-            let ctx = self.current_ctx();
-            self.queue.push(
-                self.now + lat,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg,
-                    token,
-                    ctx,
-                },
-            );
-        }
-
-        loop {
-            if let Some(result) = self.completed.remove(&token) {
-                match &result {
-                    Ok(_) => {
-                        self.trace.record(self.now, TraceEvent::RpcOk { from, to });
-                        self.metrics.incr("rpc.ok");
-                        self.metrics.observe(
-                            "rpc.latency",
-                            self.now.saturating_since(started).as_micros(),
-                        );
-                    }
-                    Err(e) => {
-                        self.trace.record(
-                            self.now,
-                            TraceEvent::RpcFailed {
-                                from,
-                                to,
-                                error: *e,
-                            },
-                        );
-                        self.metrics.incr("rpc.failed");
-                    }
-                }
-                return result;
-            }
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let ev = self.queue.pop().expect("peeked event vanished");
-                    self.now = t;
-                    self.dispatch(ev.kind);
-                }
-                _ => {
+        let result = if routed.is_ok() {
+            let token = self.launch(from, to, msg);
+            match self.wait_any(&[token], deadline) {
+                Some(_) => self
+                    .completed
+                    .remove(&token)
+                    .expect("a completed token has its reply"),
+                None => {
+                    // Not monotone: a task's nested rpc may have run the
+                    // clock past this deadline (ROADMAP item 1).
                     self.now = deadline;
-                    self.trace.record(
-                        self.now,
-                        TraceEvent::RpcFailed {
-                            from,
-                            to,
-                            error: NetError::Timeout,
-                        },
-                    );
-                    self.metrics.incr("rpc.failed");
-                    return Err(NetError::Timeout);
+                    Err(NetError::Timeout)
                 }
             }
+        } else {
+            // Failure detection answers after its delay, from the
+            // topology as it stands then.
+            self.run_until((self.now + DETECT_DELAY).min(deadline));
+            Err(self.topology.unroutable(from, to))
+        };
+        match &result {
+            Ok(_) => {
+                self.trace.record(self.now, TraceEvent::RpcOk { from, to });
+                self.metrics.incr("rpc.ok");
+                self.metrics.observe(
+                    "rpc.latency",
+                    self.now.saturating_since(started).as_micros(),
+                );
+            }
+            Err(e) => {
+                self.trace.record(
+                    self.now,
+                    TraceEvent::RpcFailed {
+                        from,
+                        to,
+                        error: *e,
+                    },
+                );
+                self.metrics.incr("rpc.failed");
+            }
         }
+        result
     }
 
     /// Sends a request *asynchronously*: the message is launched and a
@@ -582,46 +530,50 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// unreachable node completes with an error after the 2 ms detection
     /// delay.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
-        let token = ReplyToken(self.next_token);
-        self.next_token += 1;
         self.trace
             .record(self.now, TraceEvent::RpcSend { from, to });
         self.metrics.incr("rpc.sent");
-        if !self.topology.is_up(from) {
-            self.completed.insert(token, Err(NetError::NodeDown(from)));
-            return token;
+        match self.topology.route(from, to) {
+            Ok(()) => self.launch(from, to, msg),
+            Err(error) => {
+                let token = self.next_token();
+                // A down caller fails at once; any other failure is
+                // detected after the detection delay.
+                if error == NetError::NodeDown(from) {
+                    self.completed.insert(token, Err(error));
+                } else {
+                    let ctx = self.current_ctx();
+                    self.queue.push(
+                        self.now + DETECT_DELAY,
+                        EventKind::CompleteError { token, error, ctx },
+                    );
+                }
+                token
+            }
         }
-        if !self.topology.reachable(from, to) {
-            let err = if self.topology.is_up(to) {
-                NetError::Unreachable { from, to }
-            } else {
-                NetError::NodeDown(to)
-            };
-            let ctx = self.current_ctx();
-            self.queue.push(
-                self.now + DETECT_DELAY,
-                EventKind::CompleteError {
-                    token,
-                    error: err,
-                    ctx,
-                },
-            );
+    }
+
+    fn next_token(&mut self) -> ReplyToken {
+        self.next_token += 1;
+        ReplyToken(self.next_token - 1)
+    }
+
+    /// Puts a routed request on the wire under a fresh token: lost at the
+    /// link's drop rate, else delivered one sampled latency from now,
+    /// under the current context.
+    fn launch(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
+        let token = self.next_token();
+        let ctx = self.current_ctx();
+        if self.drop_rng.chance(self.topology.link(from, to).drop_prob) {
+            // Never completes; the caller's deadline applies.
+            self.lose(from, to, ctx);
             return token;
-        }
-        let drop_p = self.topology.link(from, to).drop_prob;
-        if self.drop_rng.chance(drop_p) {
-            self.trace
-                .record(self.now, TraceEvent::MessageLost { from, to });
-            self.metrics.incr("msg.dropped");
-            self.trace_event("net.msg.lost", || from.link_label(to));
-            return token; // never completes; caller's deadline applies
         }
         let lat = self.latency.sample(
             self.topology.node(from),
             self.topology.node(to),
             &mut self.lat_rng,
         ) + self.transfer_delay(&msg);
-        let ctx = self.current_ctx();
         self.queue.push(
             self.now + lat,
             EventKind::Deliver {
@@ -633,6 +585,22 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             },
         );
         token
+    }
+
+    /// A message from `from` to `to` is lost: counted, traced, and
+    /// recorded under `ctx` when the sink records.
+    fn lose(&mut self, from: NodeId, to: NodeId, ctx: Option<TraceContext>) {
+        self.trace
+            .record(self.now, TraceEvent::MessageLost { from, to });
+        self.metrics.incr("msg.dropped");
+        if self.events.is_enabled() {
+            self.events.event_in(
+                self.now.as_micros(),
+                "net.msg.lost",
+                from.link_label(to),
+                ctx,
+            );
+        }
     }
 
     /// Launches a batched request asynchronously (see [`World::send`]):
@@ -663,18 +631,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             if let Some(&t) = tokens.iter().find(|t| self.completed.contains_key(t)) {
                 return Some(t);
             }
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let ev = self.queue.pop().expect("peeked event vanished");
-                    self.now = t;
-                    self.dispatch(ev.kind);
-                }
-                _ => {
-                    if self.now < deadline {
-                        self.now = deadline;
-                    }
-                    return None;
-                }
+            if !self.fire_next(deadline) {
+                self.now = self.now.max(deadline);
+                return None;
             }
         }
     }
@@ -707,18 +666,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 self.metrics.incr("sim.dispatch.deliver");
                 // Mid-flight state changes: the message dies if the route or
                 // the server vanished while it travelled.
-                if !self.topology.is_up(to) || !self.topology.reachable(from, to) {
-                    self.trace
-                        .record(self.now, TraceEvent::MessageLost { from, to });
-                    self.metrics.incr("msg.dropped");
-                    if self.events.is_enabled() {
-                        self.events.event_in(
-                            self.now.as_micros(),
-                            "net.msg.lost",
-                            from.link_label(to),
-                            ctx,
-                        );
-                    }
+                if !self.topology.reachable(from, to) {
+                    self.lose(from, to, ctx);
                     return;
                 }
                 let Some(mut svc) = self.services.get_mut(to.index()).and_then(Option::take) else {
@@ -744,19 +693,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 self.trace
                     .record(self.now, TraceEvent::RpcHandled { from, to });
                 // Reply drop sampling uses the same link.
-                let drop_p = self.topology.link(to, from).drop_prob;
-                if self.drop_rng.chance(drop_p) {
-                    self.trace
-                        .record(self.now, TraceEvent::MessageLost { from: to, to: from });
-                    self.metrics.incr("msg.dropped");
-                    if self.events.is_enabled() {
-                        self.events.event_in(
-                            self.now.as_micros(),
-                            "net.msg.lost",
-                            to.link_label(from),
-                            ctx,
-                        );
-                    }
+                if self.drop_rng.chance(self.topology.link(to, from).drop_prob) {
+                    self.lose(to, from, ctx);
                     return;
                 }
                 let lat = self.latency.sample(
@@ -783,18 +721,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 ctx,
             } => {
                 self.metrics.incr("sim.dispatch.reply");
-                if !self.topology.is_up(to) || !self.topology.reachable(from, to) {
-                    self.trace
-                        .record(self.now, TraceEvent::MessageLost { from, to });
-                    self.metrics.incr("msg.dropped");
-                    if self.events.is_enabled() {
-                        self.events.event_in(
-                            self.now.as_micros(),
-                            "net.msg.lost",
-                            from.link_label(to),
-                            ctx,
-                        );
-                    }
+                if !self.topology.reachable(from, to) {
+                    self.lose(from, to, ctx);
                     return;
                 }
                 self.completed.insert(token, Ok(msg));
@@ -992,6 +920,28 @@ mod tests {
         });
         let r = w.rpc(c, s, 1, SimDuration::from_millis(200));
         assert_eq!(r, Ok(2));
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: fixing it re-pins"]
+    fn rpc_timeout_never_sets_the_clock_back() {
+        let mut t = Topology::new();
+        let client = t.add_node("client", 0);
+        let mute = t.add_node("mute", 1);
+        let mut w: World<u64> =
+            World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(1)));
+        // The task's rpc times out at 25 ms, past the outer one's 10 ms.
+        w.spawn_at(SimTime::from_millis(5), move |w: &mut World<u64>| {
+            let r = w.rpc(client, mute, 0, SimDuration::from_millis(20));
+            assert_eq!(r, Err(NetError::Timeout));
+        });
+        let r = w.rpc(client, mute, 0, SimDuration::from_millis(10));
+        assert_eq!(r, Err(NetError::Timeout));
+        assert!(
+            w.now() >= SimTime::from_millis(25),
+            "clock read {:?}",
+            w.now()
+        );
     }
 
     #[test]

@@ -962,18 +962,10 @@ impl StoreClient {
         world: &mut StoreRt,
         cref: &CollectionRef,
     ) -> Result<(), StoreError> {
-        match self.call(
-            world,
-            cref.home,
-            StoreMsg::AcquireReadLock {
-                coll: cref.id,
-                token: self.lock_token,
-            },
-        )? {
-            StoreMsg::Ack => Ok(()),
-            StoreMsg::NoSuchCollection(c) => Err(StoreError::NoSuchCollection(c)),
-            _ => Err(StoreError::Protocol),
-        }
+        self.hold(world, cref, |coll, token| StoreMsg::AcquireReadLock {
+            coll,
+            token,
+        })
     }
 
     /// Acquires a grow guard on the primary (§3.3): removals are deferred
@@ -987,18 +979,10 @@ impl StoreClient {
         world: &mut StoreRt,
         cref: &CollectionRef,
     ) -> Result<(), StoreError> {
-        match self.call(
-            world,
-            cref.home,
-            StoreMsg::AcquireGrowGuard {
-                coll: cref.id,
-                token: self.lock_token,
-            },
-        )? {
-            StoreMsg::Ack => Ok(()),
-            StoreMsg::NoSuchCollection(c) => Err(StoreError::NoSuchCollection(c)),
-            _ => Err(StoreError::Protocol),
-        }
+        self.hold(world, cref, |coll, token| StoreMsg::AcquireGrowGuard {
+            coll,
+            token,
+        })
     }
 
     /// Releases this client's grow guard; when the last guard goes, the
@@ -1012,17 +996,10 @@ impl StoreClient {
         world: &mut StoreRt,
         cref: &CollectionRef,
     ) -> Result<(), StoreError> {
-        match self.call(
-            world,
-            cref.home,
-            StoreMsg::ReleaseGrowGuard {
-                coll: cref.id,
-                token: self.lock_token,
-            },
-        )? {
-            StoreMsg::Ack => Ok(()),
-            _ => Err(StoreError::Protocol),
-        }
+        self.hold(world, cref, |coll, token| StoreMsg::ReleaseGrowGuard {
+            coll,
+            token,
+        })
     }
 
     /// Releases this client's read lock on the primary.
@@ -1035,15 +1012,23 @@ impl StoreClient {
         world: &mut StoreRt,
         cref: &CollectionRef,
     ) -> Result<(), StoreError> {
-        match self.call(
-            world,
-            cref.home,
-            StoreMsg::ReleaseReadLock {
-                coll: cref.id,
-                token: self.lock_token,
-            },
-        )? {
+        self.hold(world, cref, |coll, token| StoreMsg::ReleaseReadLock {
+            coll,
+            token,
+        })
+    }
+
+    /// Sends one lock or guard request, built from the collection and
+    /// this client's lock token, to `cref`'s home, and maps its `Ack`.
+    fn hold(
+        &self,
+        world: &mut StoreRt,
+        cref: &CollectionRef,
+        request: impl FnOnce(CollectionId, u64) -> StoreMsg,
+    ) -> Result<(), StoreError> {
+        match self.call(world, cref.home, request(cref.id, self.lock_token))? {
             StoreMsg::Ack => Ok(()),
+            StoreMsg::NoSuchCollection(c) => Err(StoreError::NoSuchCollection(c)),
             _ => Err(StoreError::Protocol),
         }
     }

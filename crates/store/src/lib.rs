@@ -25,7 +25,6 @@
 //!   data for the `weakset-gossip` anti-entropy protocol.
 //! * [`query`] — predicate queries ("all Chinese restaurant menus").
 //! * [`cache`] — client-side TTL object cache.
-//! * [`placement`] — policies for placing new objects on nodes.
 //! * [`wire`] — compact encodings (varint + dot-list dedup) and the
 //!   Merkle-range reconciliation message payloads.
 //!
@@ -60,7 +59,6 @@ pub mod collection;
 pub mod dotted;
 pub mod msg;
 pub mod object;
-pub mod placement;
 pub mod query;
 pub mod server;
 pub mod session;
@@ -78,7 +76,6 @@ pub mod prelude {
     pub use crate::dotted::{Dot, DottedEntry, MembershipDelta, VersionVector};
     pub use crate::msg::StoreMsg;
     pub use crate::object::{CollectionId, ObjectId, ObjectRecord};
-    pub use crate::placement::Placement;
     pub use crate::query::Query;
     pub use crate::server::StoreServer;
     pub use crate::session::SessionToken;

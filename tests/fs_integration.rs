@@ -154,11 +154,7 @@ fn deep_tree_builds_and_lists_recursively() {
         files_per_dir: 2,
         file_size: 16,
     };
-    let mut placement = Placement::round_robin();
-    let mut rng = d.world.rng_for("tree");
-    let stats = spec
-        .build(&mut d.world, &mut d.fs, &d.vols, &mut placement, &mut rng)
-        .unwrap();
+    let stats = spec.build(&mut d.world, &mut d.fs, &d.vols).unwrap();
     // Every directory lists its expected children.
     for dir in std::iter::once(&FsPath::root()).chain(stats.dirs.iter()) {
         let ls = d.fs.ls(&mut d.world, dir).unwrap();

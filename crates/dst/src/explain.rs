@@ -53,12 +53,21 @@ pub fn explain(report: &RunReport) -> Option<String> {
         }
     }
     if failures.is_empty() {
+        // No fault is to blame: the oracle rejected what invocations
+        // that completed returned or yielded. Show the last of those.
         let _ = writeln!(
             out,
-            "no failed invocation in the event stream: the violation was \
-             injected into the recorded history (chaos), or the driver \
-             wedged without an iterator failure."
+            "no failed invocation in the event stream: the oracle rejected \
+             invocations that completed. The run's last outcomes:"
         );
+        let outcomes: Vec<&ObsEvent> = report
+            .events
+            .iter()
+            .filter(|e| e.kind == "iter.outcome")
+            .collect();
+        for e in &outcomes[outcomes.len().saturating_sub(4)..] {
+            let _ = writeln!(out, "  {}us {}", e.at_us, e.detail);
+        }
         return Some(out);
     }
 
@@ -209,7 +218,7 @@ fn fault_cause<'a>(events: &'a [ObsEvent], node: &str, before_us: u64) -> Option
 mod tests {
     use super::*;
     use crate::run::execute;
-    use crate::scenario::{Chaos, Deployment, FaultSpec, Scenario};
+    use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
     use weakset::prelude::{FetchOrder, Semantics};
     use weakset_store::prelude::ReadPolicy;
 
@@ -285,7 +294,56 @@ mod tests {
         let report = execute(&s);
         assert!(!report.violations.is_empty());
         let text = explain(&report).expect("violations always explain");
-        assert!(text.contains("injected into the recorded history"));
+        assert!(text.contains("the oracle rejected invocations that completed"));
+        assert!(!text.contains("chaos"), "{text}");
+        assert!(text.contains(" returned\n"), "{text}");
+    }
+
+    /// Class C (ROADMAP item 1): a leaderless snapshot read that returns
+    /// without yielding an element the oracle expected. No invocation
+    /// failed, so the post-mortem blames no fault and shows the last
+    /// outcomes instead.
+    #[test]
+    fn a_wrong_return_is_not_blamed_on_faults() {
+        let s = Scenario {
+            seed: 6645496270588172950,
+            servers: 4,
+            deployment: Deployment::Gossip {
+                grow_only: false,
+                merkle: false,
+            },
+            semantics: Semantics::Snapshot,
+            read_policy: ReadPolicy::Leaderless,
+            fetch_order: FetchOrder::ClosestFirst,
+            think_ms: 4,
+            budget: 28,
+            start_ms: 70,
+            setup: vec![(2, 1)],
+            ops: vec![
+                Op::Add {
+                    at_ms: 17,
+                    elem: 101,
+                    home: 0,
+                },
+                Op::Add {
+                    at_ms: 18,
+                    elem: 100,
+                    home: 2,
+                },
+            ],
+            faults: vec![FaultSpec::Outage {
+                at_ms: 75,
+                node: 0,
+                for_ms: 35,
+            }],
+            ..partitioned(Semantics::Snapshot)
+        };
+        let report = execute(&s);
+        assert!(!report.violations.is_empty(), "class C no longer shows");
+        let text = explain(&report).expect("violations always explain");
+        assert!(text.contains("the oracle rejected invocations that completed"));
+        assert!(text.contains("fig4 returned"), "{text}");
+        assert!(!text.contains("cause:"), "{text}");
     }
 
     #[test]

@@ -42,6 +42,18 @@ pub fn mix(seed: u64, iter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One fuzz leg: the name `weakset-dst --leg` takes, and its generator.
+/// Each leg is one set of runs the gate judges.
+pub type Leg = (&'static str, fn(u64) -> Scenario);
+
+/// Every fuzz leg, one row per generator.
+pub const LEGS: [Leg; 4] = [
+    ("plain", generate),
+    ("sharded", generate_sharded),
+    ("causal", generate_causal),
+    ("merkle", generate_merkle),
+];
+
 /// Generates the scenario for `seed`. Pure: the same seed always yields
 /// the same scenario, and the generated scenario never sets
 /// [`Chaos::PhantomYield`].
@@ -144,9 +156,9 @@ fn gen_churn(rng: &mut SimRng, setup: &[(u64, usize)], servers: usize, n: u64) -
     ops
 }
 
-/// What a generator leg decides for itself; [`Leg::finish`] draws the
-/// client-side tail every leg shares.
-struct Leg {
+/// What a generator decides for itself; [`Draft::finish`] draws the
+/// client-side tail every generator shares.
+struct Draft {
     servers: usize,
     deployment: Deployment,
     semantics: Semantics,
@@ -157,7 +169,7 @@ struct Leg {
     faults: Vec<FaultSpec>,
 }
 
-impl Leg {
+impl Draft {
     fn finish(self, seed: u64, rng: &mut SimRng) -> Scenario {
         Scenario {
             seed,
@@ -199,7 +211,7 @@ fn gen_plain(seed: u64, rng: &mut SimRng) -> Scenario {
         // (no faults) or membership stays put (no ops).
         faults.clear();
     }
-    Leg {
+    Draft {
         servers,
         deployment: Deployment::Plain,
         semantics,
@@ -254,7 +266,7 @@ pub fn generate_sharded(seed: u64) -> Scenario {
         // Same freshness rule as plain quorum scenarios, per group.
         faults.clear();
     }
-    Leg {
+    Draft {
         servers,
         deployment: Deployment::Sharded { shards },
         semantics,
@@ -305,7 +317,7 @@ fn causal_plain(seed: u64, rng: &mut SimRng) -> Scenario {
     } else {
         (Vec::new(), gen_faults(rng, servers, 3, 5, 101))
     };
-    Leg {
+    Draft {
         servers,
         deployment: Deployment::Plain,
         semantics,
@@ -376,7 +388,7 @@ fn gen_gossip(seed: u64, rng: &mut SimRng, win: &GossipWindows, merkle: bool) ->
         .collect();
     ops.sort_by_key(Op::at_ms);
     let faults = gen_faults(rng, servers, 2, start_ms + win.fault_lead_ms, start_ms + 51);
-    Leg {
+    Draft {
         servers,
         deployment: Deployment::Gossip {
             grow_only: rng.chance(0.5),

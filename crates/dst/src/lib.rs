@@ -24,10 +24,12 @@
 //! interleaving through the simulator, where the same oracles, shrinker
 //! (over the *recording*), and causal explainer apply.
 //!
-//! The `weakset-dst` binary is the CI gate:
+//! A fuzz leg is one row of [`gen::LEGS`] — a named generator — and
+//! [`run::campaign`] runs one leg from one seed. The `weakset-dst`
+//! binary is the CI gate around it:
 //!
 //! ```text
-//! cargo run -p weakset-dst -- --iters 500 --seed 42
+//! cargo run -p weakset-dst -- --leg plain --iters 500 --seed 42
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,14 +48,16 @@ pub mod shrink;
 /// One-stop imports for fuzzer tests and harnesses.
 pub mod prelude {
     pub use crate::explain::explain;
-    pub use crate::gen::{generate, generate_causal, generate_merkle, generate_sharded, mix};
+    pub use crate::gen::{
+        generate, generate_causal, generate_merkle, generate_sharded, mix, Leg, LEGS,
+    };
     pub use crate::oracle::{axioms_for, check, check_with_session, spec_for};
     pub use crate::replay::{
         load_recording, rec_path, record_scenario, replay_recording, shrink_recording,
         write_recording, RecordedRun, ReplayReport,
     };
     pub use crate::repro::{artifact_path, load, replay, write_artifact};
-    pub use crate::run::{execute, RunReport, COLL};
+    pub use crate::run::{campaign, execute, Failure, RunReport, COLL};
     pub use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
     pub use crate::shrink::shrink;
 }

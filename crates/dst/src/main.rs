@@ -1,158 +1,180 @@
-//! The fuzz gate binary: generate and execute N scenarios, shrink and
-//! persist any violation, exit nonzero if anything failed. Each failure
-//! also ships its causal post-mortem (`explain-<seed>.txt`) and a
-//! Perfetto-loadable trace of the shrunk run (`trace-<seed>.json`).
+//! The fuzz gate binary: run one leg's campaign of N scenarios, shrink
+//! and persist any violation, exit nonzero if anything failed.
 //!
 //! ```text
-//! weakset-dst [--iters N] [--seed S | --seed-from-env] [--out DIR]
-//!             [--sharded | --policies causal-session | --digest-mode merkle]
+//! weakset-dst [--leg NAME] [--iters N] [--seed S | --seed-from-env] [--out DIR]
+//! weakset-dst --record SEED [--out DIR]   # threaded run → dst/rec-SEED.ron
+//! weakset-dst --replay PATH [--out DIR]   # recording → sim + oracles
 //! ```
 //!
-//! `--sharded` draws every scenario from the sharded-deployment
-//! generator (hash-ring routing, batched membership reads, fan-out
-//! iteration) instead of the plain/gossip mix.
-//!
-//! `--digest-mode merkle` draws every scenario from the merkle-gossip
-//! generator: gossip deployments that sample *both* digest modes, so
-//! half the runs reconcile by Merkle-range descent and half by the
-//! classic full-digest exchange, judged against the same figures.
-//!
-//! `--policies causal-session` draws from the causal-session generator:
-//! every scenario reads with `ReadPolicy::CausalSession` over plain and
-//! gossip deployments (including gossip iteration racing anti-entropy
-//! lag), and the oracle additionally enforces the session floor through
-//! the visibility checker. Failures ship a `vis-<seed>.txt`
-//! counterexample (the violated axioms plus the recorded computations)
-//! next to the usual repro artifact.
+//! `--leg` names the row of [`weakset_dst::gen::LEGS`] whose generator
+//! draws every scenario (default `plain`); [`weakset_dst::run::campaign`]
+//! runs it.
 //!
 //! `--seed-from-env` reads the base seed from `$DST_SEED` (decimal, or
 //! any string — non-numeric values are hashed), so CI can vary coverage
 //! per run while every failure stays replayable from the printed seed.
 //!
-//! Two further modes bridge to the real runtime:
-//!
-//! ```text
-//! weakset-dst --record SEED [--out DIR]   # threaded run → dst/rec-SEED.ron
-//! weakset-dst --replay PATH [--out DIR]   # recording → sim + oracles
-//! ```
+//! Every failure goes through one pipeline, `ship`: shrink, then write
+//! the shrunk repro (`repro-<seed>.ron`, or `rec-<seed>-min.ron` for a
+//! recording), the visibility-checker counterexample (`vis-`), the
+//! causal post-mortem (`explain-`) and a Perfetto-loadable trace of the
+//! shrunk run (`trace-`).
 //!
 //! `--record` generates seed `SEED`'s scenario (forced to the plain
 //! deployment), runs it on the *threaded* runtime with a recorder
-//! attached, writes the recording, then immediately replays it twice to
-//! certify determinism and agreement with the live run. `--replay`
-//! loads a previously captured recording (e.g. from a production
-//! incident) and re-drives it through the simulator: oracle violations
-//! shrink (over the recording) and ship with a causal post-mortem, and
-//! any log/sim divergence fails the run loudly.
+//! attached, writes the recording, then replays it twice to certify
+//! determinism and agreement with the live run. `--replay` loads a
+//! previously captured recording (e.g. from a production incident) and
+//! re-drives it through the simulator: oracle violations shrink (over
+//! the recording) and ship like any other failure, and any log/sim
+//! divergence fails the run loudly.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use weakset_dst::prelude::*;
+use weakset_runtime::record::Recording;
 use weakset_sim::trace::fnv1a;
 
 struct Args {
+    leg: &'static Leg,
     iters: u64,
     seed: u64,
     out: PathBuf,
-    sharded: bool,
-    causal: bool,
-    merkle: bool,
     record: Option<u64>,
     replay: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut iters = 200u64;
-    let mut seed = 1u64;
-    let mut out = PathBuf::from("dst");
-    let mut sharded = false;
-    let mut causal = false;
-    let mut merkle = false;
-    let mut record = None;
-    let mut replay = None;
+    let mut args = Args {
+        leg: &LEGS[0],
+        iters: 200,
+        seed: 1,
+        out: PathBuf::from("dst"),
+        record: None,
+        replay: None,
+    };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        let mut value = |name: &str| argv.next().ok_or(format!("{name} needs a value"));
+        let mut value = || argv.next().ok_or(format!("{arg} needs a value"));
+        let number = |v: String| v.parse::<u64>().map_err(|e| format!("{arg}: {e}"));
         match arg.as_str() {
-            "--iters" => {
-                iters = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("--iters: {e}"))?;
+            "--leg" => {
+                let name = value()?;
+                args.leg = LEGS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .ok_or(format!("--leg: unknown leg '{name}'"))?;
             }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--iters" => args.iters = number(value()?)?,
+            "--seed" => args.seed = number(value()?)?,
             "--seed-from-env" => {
                 let raw = std::env::var("DST_SEED").unwrap_or_default();
-                seed = raw.parse().unwrap_or_else(|_| fnv1a(raw.as_bytes()));
+                args.seed = raw.parse().unwrap_or_else(|_| fnv1a(raw.as_bytes()));
             }
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--sharded" => sharded = true,
-            "--policies" => match value("--policies")?.as_str() {
-                "causal-session" => causal = true,
-                other => return Err(format!("--policies: unknown policy set '{other}'")),
-            },
-            "--digest-mode" => match value("--digest-mode")?.as_str() {
-                "merkle" => merkle = true,
-                other => return Err(format!("--digest-mode: unknown mode '{other}'")),
-            },
-            "--record" => {
-                record = Some(
-                    value("--record")?
-                        .parse()
-                        .map_err(|e| format!("--record: {e}"))?,
-                );
-            }
-            "--replay" => replay = Some(PathBuf::from(value("--replay")?)),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: weakset-dst [--iters N] [--seed S | --seed-from-env] [--out DIR] [--sharded | --policies causal-session | --digest-mode merkle]\n       weakset-dst --record SEED [--out DIR]\n       weakset-dst --replay PATH [--out DIR]"
-                        .into(),
-                );
-            }
+            "--out" => args.out = PathBuf::from(value()?),
+            "--record" => args.record = Some(number(value()?)?),
+            "--replay" => args.replay = Some(PathBuf::from(value()?)),
+            "--help" | "-h" => return Err("weakset-dst: the fuzz gate".into()),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if record.is_some() && replay.is_some() {
+    if args.record.is_some() && args.replay.is_some() {
         return Err("--record and --replay are mutually exclusive".into());
     }
-    if (sharded as u8) + (causal as u8) + (merkle as u8) > 1 {
-        return Err(
-            "--sharded, --policies causal-session, and --digest-mode merkle are mutually exclusive"
-                .into(),
-        );
-    }
-    Ok(Args {
-        iters,
-        seed,
-        out,
-        sharded,
-        causal,
-        merkle,
-        record,
-        replay,
-    })
+    Ok(args)
 }
 
-/// Replays `rec` twice, prints both verdicts, and ships the failure
-/// pipeline (shrink-the-recording, explain, perfetto trace) when the
-/// oracles object. Returns the process exit code: divergence or
-/// nondeterminism is an infrastructure failure (1); a reproduced oracle
-/// violation is a *successful* repro (0) unless `violations_fail`.
-fn run_replay(rec: &weakset_runtime::record::Recording, out: &Path, violations_fail: bool) -> i32 {
-    let a = match replay_recording(rec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("replay failed: {e}");
-            return 1;
+/// Where a failure pipeline starts.
+enum Failing<'a> {
+    /// A generated scenario the oracles rejected.
+    Scenario(&'a Scenario),
+    /// A recording whose replay the oracles rejected.
+    Recording(&'a Recording),
+}
+
+/// The failure pipeline, for a generated scenario and a recording alike:
+/// shrink it, write the shrunk repro, then the shrunk run's visibility
+/// counterexample, causal post-mortem and Perfetto trace. A recording's
+/// files are tagged `rec-<seed>` where a scenario's are tagged `<seed>`.
+fn ship(out: &Path, failing: Failing<'_>) {
+    let (tag, small, report) = match failing {
+        Failing::Scenario(s) => {
+            let (small, execs) = shrink(s);
+            let report = execute(&small);
+            eprintln!(
+                "  shrunk in {execs} executions to {} setup / {} ops / {} faults ({})",
+                small.setup.len(),
+                small.ops.len(),
+                small.faults.len(),
+                report.violations.join("; ")
+            );
+            match write_artifact(out, &small, &report.violations) {
+                Ok(path) => eprintln!("  repro artifact: {}", path.display()),
+                Err(e) => eprintln!("  could not write repro artifact: {e}"),
+            }
+            (small.seed.to_string(), small, report)
+        }
+        Failing::Recording(rec) => {
+            let (small, execs) = shrink_recording(rec);
+            eprintln!(
+                "  recording shrunk in {execs} replay(s): {} -> {} log entries",
+                rec.entries.len(),
+                small.entries.len()
+            );
+            let name = format!("rec-{}-min.ron", rec.seed);
+            save(out, &name, &small.to_ron(), "shrunk recording");
+            let Ok(min) = replay_recording(&small) else {
+                return;
+            };
+            let workload = Scenario::from_ron(&small.workload)
+                .expect("a recording that replays has a workload");
+            (format!("rec-{}", rec.seed), workload, min.report)
         }
     };
-    let b = match replay_recording(rec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("second replay failed: {e}");
-            return 1;
+    // Every leg is judged by the visibility checker, so every failure
+    // ships the axiom set, what it violated and the recorded
+    // computations: enough to re-judge the run by hand.
+    let mut vis = format!(
+        "scenario seed {}\naxioms: {:?}\nviolations:\n",
+        small.seed,
+        axioms_for(&small)
+    );
+    for v in &report.violations {
+        let _ = writeln!(vis, "  - {v}");
+    }
+    for (ci, comp) in report.computations.iter().enumerate() {
+        let _ = writeln!(vis, "computation {ci}: {comp:?}");
+    }
+    let name = format!("vis-{tag}.txt");
+    save(out, &name, &vis, "visibility counterexample");
+    if let Some(text) = explain(&report) {
+        eprintln!("{text}");
+        save(out, &format!("explain-{tag}.txt"), &text, "explanation");
+        let trace = weakset_sim::metrics::chrome_trace(&report.events);
+        save(out, &format!("trace-{tag}.json"), &trace, "perfetto trace");
+    }
+}
+
+/// Writes `text` to `out/name`, creating `out`, and says where it went.
+fn save(out: &Path, name: &str, text: &str, what: &str) {
+    let path = out.join(name);
+    match std::fs::create_dir_all(out).and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => eprintln!("  {what}: {}", path.display()),
+        Err(e) => eprintln!("  could not write {what}: {e}"),
+    }
+}
+
+/// Replays `rec` twice and prints the verdict. Divergence or
+/// nondeterminism is an infrastructure failure (exit code 1); a
+/// reproduced oracle violation is a successful repro (0) and ships
+/// through `ship`. Returns the code and the first replay.
+fn run_replay(rec: &Recording, out: &Path) -> (i32, Option<ReplayReport>) {
+    let (a, b) = match (replay_recording(rec), replay_recording(rec)) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("replay failed: {e}");
+            return (1, None);
         }
     };
 
@@ -189,38 +211,9 @@ fn run_replay(rec: &weakset_runtime::record::Recording, out: &Path, violations_f
             a.report.violations.len(),
             a.report.violations.join("; ")
         );
-        let (small, execs) = shrink_recording(rec);
-        eprintln!(
-            "  recording shrunk in {execs} replay(s): {} -> {} log entries",
-            rec.entries.len(),
-            small.entries.len()
-        );
-        let min_path = out.join(format!("rec-{}-min.ron", rec.seed));
-        if std::fs::create_dir_all(out)
-            .and_then(|()| std::fs::write(&min_path, small.to_ron()))
-            .is_ok()
-        {
-            eprintln!("  shrunk recording: {}", min_path.display());
-        }
-        if let Ok(min) = replay_recording(&small) {
-            if let Some(text) = explain(&min.report) {
-                eprintln!("{text}");
-                let explain_path = out.join(format!("explain-rec-{}.txt", rec.seed));
-                if std::fs::write(&explain_path, &text).is_ok() {
-                    eprintln!("  explanation: {}", explain_path.display());
-                }
-                let trace_path = out.join(format!("trace-rec-{}.json", rec.seed));
-                let trace = weakset_sim::metrics::chrome_trace(&min.report.events);
-                if std::fs::write(&trace_path, trace).is_ok() {
-                    eprintln!("  perfetto trace: {}", trace_path.display());
-                }
-            }
-        }
-        if violations_fail {
-            code = 1;
-        }
+        ship(out, Failing::Recording(rec));
     }
-    code
+    (code, Some(a))
 }
 
 /// `--record SEED`: one threaded run, recorded, written, then replayed
@@ -263,25 +256,22 @@ fn run_record(seed: u64, out: &Path) -> i32 {
     // Live violations (oracle objections to the real run) are exactly
     // what recording is for — reproduce them under the sim. Only
     // divergence/nondeterminism fails the record gate.
-    let mut code = run_replay(&live.recording, out, false);
-    if !live.recording.truncated {
-        let a = replay_recording(&live.recording);
-        if let Ok(a) = a {
-            if a.report.yielded != live.report.yielded
-                || a.membership != live.membership
-                || a.report.violations != live.report.violations
-            {
-                eprintln!(
-                    "REPLAY DISAGREES with the live run:\n  live   yielded {:?} membership {:?} violations {:?}\n  replay yielded {:?} membership {:?} violations {:?}",
-                    live.report.yielded,
-                    live.membership,
-                    live.report.violations,
-                    a.report.yielded,
-                    a.membership,
-                    a.report.violations
-                );
-                code = 1;
-            }
+    let (mut code, first) = run_replay(&live.recording, out);
+    if let (false, Some(a)) = (live.recording.truncated, first) {
+        if a.report.yielded != live.report.yielded
+            || a.membership != live.membership
+            || a.report.violations != live.report.violations
+        {
+            eprintln!(
+                "REPLAY DISAGREES with the live run:\n  live   yielded {:?} membership {:?} violations {:?}\n  replay yielded {:?} membership {:?} violations {:?}",
+                live.report.yielded,
+                live.membership,
+                live.report.violations,
+                a.report.yielded,
+                a.membership,
+                a.report.violations
+            );
+            code = 1;
         }
     }
     code
@@ -291,7 +281,8 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
+            let legs = LEGS.map(|(name, _)| name).join("|");
+            eprintln!("{msg}\nusage: weakset-dst [--leg {legs}] [--iters N] [--seed S | --seed-from-env] [--out DIR]\n       weakset-dst --record SEED [--out DIR]\n       weakset-dst --replay PATH [--out DIR]");
             std::process::exit(2);
         }
     };
@@ -307,95 +298,26 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        std::process::exit(run_replay(&rec, &args.out, false));
+        std::process::exit(run_replay(&rec, &args.out).0);
     }
 
-    let mut combined: u64 = 0;
-    let mut failures = 0u64;
-    for i in 0..args.iters {
-        let scenario = if args.sharded {
-            generate_sharded(mix(args.seed, i))
-        } else if args.causal {
-            generate_causal(mix(args.seed, i))
-        } else if args.merkle {
-            generate_merkle(mix(args.seed, i))
-        } else {
-            generate(mix(args.seed, i))
-        };
-        let report = execute(&scenario);
-        combined = combined.rotate_left(1) ^ report.trace_hash;
-        if report.violations.is_empty() {
-            continue;
-        }
-        failures += 1;
+    let (combined, failures) = campaign(args.leg, args.seed, args.iters);
+    for f in &failures {
         eprintln!(
-            "FAIL seed {} (iter {i}): {}",
-            scenario.seed,
-            report.violations.join("; ")
+            "FAIL seed {} (iter {}): {}",
+            f.scenario.seed,
+            f.iter,
+            f.violations.join("; ")
         );
-        let (small, execs) = shrink(&scenario);
-        let small_report = execute(&small);
-        eprintln!(
-            "  shrunk in {execs} executions to {} setup / {} ops / {} faults ({})",
-            small.setup.len(),
-            small.ops.len(),
-            small.faults.len(),
-            small_report.violations.join("; ")
-        );
-        match write_artifact(&args.out, &small, &small_report.violations) {
-            Ok(path) => eprintln!("  repro artifact: {}", path.display()),
-            Err(e) => eprintln!("  could not write repro artifact: {e}"),
-        }
-        if args.causal {
-            // Visibility-checker counterexample: the axiom set the run
-            // was judged against, what it violated, and the recorded
-            // computation(s) — enough to re-judge the run by hand.
-            let mut vis = String::new();
-            vis.push_str(&format!(
-                "scenario seed {}\naxioms: {:?}\n",
-                small.seed,
-                axioms_for(&small)
-            ));
-            vis.push_str("violations:\n");
-            for v in &small_report.violations {
-                vis.push_str(&format!("  - {v}\n"));
-            }
-            for (ci, comp) in small_report.computations.iter().enumerate() {
-                vis.push_str(&format!("computation {ci}: {comp:?}\n"));
-            }
-            let vis_path = args.out.join(format!("vis-{}.txt", small.seed));
-            if let Err(e) = std::fs::write(&vis_path, &vis) {
-                eprintln!("  could not write visibility counterexample: {e}");
-            } else {
-                eprintln!("  visibility counterexample: {}", vis_path.display());
-            }
-        }
-        // Explain mode: walk the shrunk run's causal DAG backwards and
-        // ship the post-mortem (plus a Perfetto-loadable trace of the
-        // whole run) next to the repro artifact.
-        if let Some(text) = explain(&small_report) {
-            eprintln!("{text}");
-            let explain_path = args.out.join(format!("explain-{}.txt", small.seed));
-            if let Err(e) = std::fs::write(&explain_path, &text) {
-                eprintln!("  could not write explanation: {e}");
-            } else {
-                eprintln!("  explanation: {}", explain_path.display());
-            }
-            let trace_path = args.out.join(format!("trace-{}.json", small.seed));
-            let trace = weakset_sim::metrics::chrome_trace(&small_report.events);
-            if let Err(e) = std::fs::write(&trace_path, trace) {
-                eprintln!("  could not write trace: {e}");
-            } else {
-                eprintln!("  perfetto trace: {}", trace_path.display());
-            }
-        }
+        ship(&args.out, Failing::Scenario(&f.scenario));
     }
-
     println!(
-        "weakset-dst: {} scenario(s) from seed {}, combined trace hash {combined:016x}, {failures} failure(s)",
-        args.iters, args.seed
+        "weakset-dst: {} scenario(s) from seed {}, combined trace hash {combined:016x}, {} failure(s)",
+        args.iters,
+        args.seed,
+        failures.len()
     );
-    if failures > 0 {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

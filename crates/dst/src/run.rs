@@ -10,6 +10,7 @@
 //! (`shrink`) and repro artifacts (`repro`) possible.
 
 use crate::drive::{drive, ms, Closed, Fleet, Mark, Schedule, Stage};
+use crate::gen::{mix, Leg};
 use crate::scenario::{Op, Scenario};
 use weakset_sim::fault::FaultPlan;
 use weakset_sim::latency::LatencyModel;
@@ -146,6 +147,38 @@ impl Stage for Sim<'_> {
 /// same scenario in, same [`RunReport`] (including `trace_hash`) out.
 pub fn execute(s: &Scenario) -> RunReport {
     drive(s, &mut Sim::new(s)).unwrap_or_else(|e| panic!("{e}: the prelude precedes all faults"))
+}
+
+/// A scenario a [`campaign`] drew that the oracles rejected, unshrunk.
+#[derive(Clone, Debug)]
+pub struct Failure {
+    /// The campaign iteration that drew it.
+    pub iter: u64,
+    /// The scenario as generated.
+    pub scenario: Scenario,
+    /// Its run's [`RunReport::violations`].
+    pub violations: Vec<String>,
+}
+
+/// Executes `iters` scenarios of one leg, the `i`-th generated from
+/// `mix(seed, i)`. Returns every run's trace hash folded in iteration
+/// order, and the failures in that order.
+pub fn campaign(&(_, generate): &Leg, seed: u64, iters: u64) -> (u64, Vec<Failure>) {
+    let mut combined = 0u64;
+    let mut failures = Vec::new();
+    for iter in 0..iters {
+        let scenario = generate(mix(seed, iter));
+        let report = execute(&scenario);
+        combined = combined.rotate_left(1) ^ report.trace_hash;
+        if !report.violations.is_empty() {
+            failures.push(Failure {
+                iter,
+                scenario,
+                violations: report.violations,
+            });
+        }
+    }
+    (combined, failures)
 }
 
 #[cfg(test)]

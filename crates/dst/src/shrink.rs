@@ -83,6 +83,11 @@ pub(crate) fn shrink_by<C>(
 /// Shrinks a violating scenario to a locally minimal one, returning it
 /// and the number of executions spent. If `s` does not actually violate,
 /// it is returned unchanged.
+///
+/// Only list items are dropped; every scalar field stays. So a shrunk
+/// scenario keeps `guard_growth: true` after its last `Remove` is
+/// dropped: the flag decides whether the run takes a grow guard, and
+/// dropping it would reproduce a different run.
 pub fn shrink(s: &Scenario) -> (Scenario, usize) {
     shrink_by(
         s.clone(),

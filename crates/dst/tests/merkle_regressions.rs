@@ -1,4 +1,4 @@
-//! Regressions the `--digest-mode merkle` fuzz leg found in the
+//! Regressions the `merkle` fuzz leg found in the
 //! Merkle-range exchange, pinned as replayable scenarios.
 
 use weakset_dst::prelude::*;

@@ -15,16 +15,16 @@
 //!
 //! An `rpc` whose target is idle — empty mailbox, nobody inside the
 //! handler — first offers the request to [`Service::serve_inline`] on
-//! the *calling* thread, under the node's own slot lock and with the
-//! [`ServiceCtx`] the node thread would have built. A service whose
+//! the *calling* thread, under the node's own slot lock. A service whose
 //! handlers are bounded state steps runs the request there, reads and
 //! writes alike, and the rpc returns without a thread hand-off; a
 //! service that hands the request back, and any busy node, goes through
 //! the mailbox. `send`/`send_batch` always use the mailbox. The slot
 //! lock, not the node's thread, is the node's serialisation point: see
 //! `NodeHandle::serve_inline` for the two conditions and what each
-//! guarantees. A handler that panics, on either path, crashes its node
-//! (`NodeSlot::run`).
+//! guarantees. Both paths make one guarded call, `NodeSlot::serve`: one
+//! [`ServiceCtx`], one `catch_unwind` around the `dyn Service` call, so
+//! a handler that panics, on either path, crashes its node.
 //!
 //! ## Faults
 //!
@@ -114,13 +114,6 @@ struct Envelope<M> {
     reply: Sender<(u64, Result<M, NetError>)>,
 }
 
-/// How an rpc left its caller: handled in place on the idle target, or
-/// in the target's mailbox under this token at this instant.
-enum Launched<M> {
-    Served(M),
-    Posted(u64, Instant),
-}
-
 /// A node's lock-free mailbox occupancy cell, shared by the posting
 /// views and the node's own thread: `depth` counts envelopes posted but
 /// not yet finished (queued, plus the request currently inside the
@@ -158,37 +151,48 @@ fn saturating_dec(cell: &AtomicU64) {
 /// stream its handlers draw from — one stream, whichever thread runs
 /// the handler.
 struct NodeSlot<M> {
+    node: NodeId,
     svc: Option<Box<dyn Service<M> + Send>>,
     rng: SimRng,
 }
 
-impl<M> NodeSlot<M> {
-    /// Runs `handler` on the installed service, with `msg` and the
-    /// context a handler on `node` gets; `Err(msg)` when no service is
-    /// installed. Both handler call sites go through here, so a
-    /// panicking handler is caught on either path and crashes `node` in
-    /// `faults`: `Ok(Err(NodeDown))`. The guard this runs under
-    /// outlives the unwind, so the slot is not poisoned.
-    fn run<R>(
-        &mut self,
-        faults: &Faults,
-        node: NodeId,
-        msg: M,
-        handler: impl FnOnce(&mut dyn Service<M>, &mut ServiceCtx<'_>, M) -> R,
-    ) -> Result<Result<R, NetError>, M> {
+/// What one guarded handler run came to: a reply, the request handed
+/// back for the mailbox (no service, or `serve_inline` declined it), or
+/// a panic that crashed the node.
+enum Served<M> {
+    Reply(M),
+    Declined(M),
+    Crashed,
+}
+
+impl<M: 'static> NodeSlot<M> {
+    /// Runs `msg` from `from` on the installed service — `serve_inline`
+    /// when `inline`, else `handle` — with this node's context. The one
+    /// panic guard of both paths: a panicking handler crashes the node
+    /// in `faults`. The guard this runs under outlives the unwind, so
+    /// the slot is not poisoned.
+    fn serve(&mut self, faults: &Faults, from: NodeId, msg: M, inline: bool) -> Served<M> {
         let Some(svc) = self.svc.as_deref_mut() else {
-            return Err(msg);
+            return Served::Declined(msg);
         };
         let mut ctx = ServiceCtx {
-            node,
+            node: self.node,
             rng: &mut self.rng,
         };
-        Ok(
-            catch_unwind(AssertUnwindSafe(|| handler(svc, &mut ctx, msg))).map_err(|_panic| {
-                faults.change(|topology| topology.crash(node));
-                NetError::NodeDown(node)
-            }),
-        )
+        match catch_unwind(AssertUnwindSafe(|| {
+            if inline {
+                svc.serve_inline(&mut ctx, from, msg)
+            } else {
+                Ok(svc.handle(&mut ctx, from, msg))
+            }
+        })) {
+            Ok(Ok(reply)) => Served::Reply(reply),
+            Ok(Err(msg)) => Served::Declined(msg),
+            Err(_panic) => {
+                faults.change(|topology| topology.crash(self.node));
+                Served::Crashed
+            }
+        }
     }
 }
 
@@ -229,9 +233,8 @@ struct NodeHandle<M> {
 
 impl<M: 'static> NodeHandle<M> {
     /// Runs a request on the *caller's* thread, without crossing the
-    /// mailbox, when the node is idle and its service takes it;
-    /// `Err(msg)` sends the request through the mailbox as usual.
-    /// `Ok(Err(_))`: the handler panicked and the node is now down.
+    /// mailbox, when the node is idle and its service takes it; a
+    /// declined request goes through the mailbox as usual.
     ///
     /// Two conditions, both required. `depth == 0`: nothing is posted
     /// and unfinished by anyone, so every earlier `send` of the calling
@@ -243,25 +246,14 @@ impl<M: 'static> NodeHandle<M> {
     /// orders this one against every other — `depth` itself only gates,
     /// which is why `Relaxed` is enough for it. A busy, wedged or
     /// poisoned slot is simply not idle.
-    fn serve_inline(
-        &self,
-        faults: &Faults,
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-    ) -> Result<Result<M, NetError>, M> {
+    fn serve_inline(&self, faults: &Faults, from: NodeId, msg: M) -> Served<M> {
         if self.stats.depth.load(Ordering::Relaxed) != 0 {
-            return Err(msg);
+            return Served::Declined(msg);
         }
         let Ok(mut slot) = self.slot.try_lock() else {
-            return Err(msg);
+            return Served::Declined(msg);
         };
-        match slot.run(faults, to, msg, |svc, ctx, msg| {
-            svc.serve_inline(ctx, from, msg)
-        })? {
-            Ok(served) => served.map(Ok),
-            Err(crashed) => Ok(Err(crashed)),
-        }
+        slot.serve(faults, from, msg, true)
     }
 
     /// Puts one envelope into the node's mailbox. `Err` when its thread
@@ -444,23 +436,24 @@ fn node_loop<M: RtMessage>(
                     token,
                     reply,
                 } = env;
-                // A panicking handler is a crashed node: this caller is
-                // told so, later ones fast-fail, and the thread lives on
-                // to eat the node's mail.
-                let outcome = lock(&slot).run(&faults, node, msg, |svc, ctx, msg| {
-                    svc.handle(ctx, from, msg)
-                });
+                let served = lock(&slot).serve(&faults, from, msg, false);
                 // The slot is free and the op out of the queue BEFORE
                 // the reply goes out: a caller that sees the reply finds
                 // the node idle again.
                 stats.finished();
-                // No service installed yet: the request is dropped and
-                // the caller times out — same as the simulator's
-                // service-less node. A dead receiver just means the
-                // requesting view is gone; nothing to do with the reply.
-                if let Ok(outcome) = outcome {
-                    let _ = reply.send((token, outcome));
-                }
+                let outcome = match served {
+                    Served::Reply(m) => Ok(m),
+                    // A panicking handler is a crashed node: this caller
+                    // is told so, later ones fast-fail, and the thread
+                    // lives on to eat the node's mail.
+                    Served::Crashed => Err(NetError::NodeDown(node)),
+                    // No service installed yet: the request is dropped
+                    // and the caller times out — same as the simulator's
+                    // service-less node.
+                    Served::Declined(_) => continue,
+                };
+                // A dead receiver just means the requesting view is gone.
+                let _ = reply.send((token, outcome));
             }
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
@@ -575,6 +568,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         });
         let (tx, rx) = mpsc::channel();
         let slot = Arc::new(Mutex::new(NodeSlot {
+            node,
             svc: None,
             rng: SimRng::for_label(self.shared.seed, &format!("svc.{name}")),
         }));
@@ -698,41 +692,43 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         msg: M,
         timeout: SimDuration,
     ) -> Result<M, NetError> {
-        let target = match self.routes.route(&self.shared, from, to) {
+        let h = match self.routes.route(&self.shared, from, to) {
+            Ok(h) => h,
             // A down caller sends nothing.
             Err(NetError::NodeDown(n)) if n == from => return Err(NetError::NodeDown(from)),
-            target => target,
-        };
-        self.metrics.incr("rpc.sent");
-        let launched = target.and_then(|h| {
-            let msg = match h.serve_inline(&self.shared.faults, to, from, msg) {
-                Ok(handled) => return handled.map(Launched::Served),
-                Err(msg) => msg,
-            };
-            // Only an rpc that crosses the mailbox reads the clock.
-            let started = Instant::now();
-            let token = self.next_token;
-            self.next_token += 1;
-            let env = Envelope {
-                from,
-                msg,
-                token,
-                reply: self.comp_tx.clone(),
-            };
-            h.post(to, env).map(|()| Launched::Posted(token, started))
-        });
-        let (token, started) = match launched {
-            Ok(Launched::Served(reply)) => {
-                self.metrics.incr("rpc.ok");
-                self.metrics.incr("rpc.shared");
-                return Ok(reply);
-            }
-            Ok(Launched::Posted(token, started)) => (token, started),
             Err(e) => {
+                self.metrics.incr("rpc.sent");
                 self.metrics.incr("rpc.failed");
                 return Err(e);
             }
         };
+        self.metrics.incr("rpc.sent");
+        let msg = match h.serve_inline(&self.shared.faults, from, msg) {
+            Served::Reply(reply) => {
+                self.metrics.incr("rpc.ok");
+                self.metrics.incr("rpc.shared");
+                return Ok(reply);
+            }
+            Served::Declined(msg) => msg,
+            Served::Crashed => {
+                self.metrics.incr("rpc.failed");
+                return Err(NetError::NodeDown(to));
+            }
+        };
+        // Only an rpc that crosses the mailbox reads the clock.
+        let started = Instant::now();
+        let token = self.next_token;
+        self.next_token += 1;
+        let env = Envelope {
+            from,
+            msg,
+            token,
+            reply: self.comp_tx.clone(),
+        };
+        if let Err(e) = h.post(to, env) {
+            self.metrics.incr("rpc.failed");
+            return Err(e);
+        }
         let deadline = started + Duration::from_micros(timeout.as_micros());
         let result = match self.wait_until(&[ReplyToken::from_raw(token)], deadline) {
             Some(_) => self
@@ -1579,6 +1575,57 @@ mod tests {
             // The node thread survived its handler: nothing hangs.
             assert_eq!(rt.shutdown(Duration::from_secs(2)), Ok(()));
         }
+    }
+
+    /// Replies, in place or from its mailbox alike, with the node it runs
+    /// on and one draw from its RNG stream.
+    struct Draws;
+
+    impl Service<Msg> for Draws {
+        fn handle(&mut self, ctx: &mut ServiceCtx<'_>, _from: NodeId, _msg: Msg) -> Msg {
+            let draw = ctx.rng.range_u64(0, u64::MAX);
+            Msg::Batch(vec![Msg::Val(ctx.node.0.into()), Msg::Val(draw)])
+        }
+
+        fn serve_inline(
+            &mut self,
+            ctx: &mut ServiceCtx<'_>,
+            from: NodeId,
+            msg: Msg,
+        ) -> Result<Msg, Msg> {
+            Ok(self.handle(ctx, from, msg))
+        }
+    }
+
+    #[test]
+    fn a_handler_gets_one_context_on_either_path() {
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(37);
+        let c = rt.add_node("client");
+        let s = rt.add_node("draws");
+        rt.install_service(s, Box::new(Draws));
+        // The node's one stream, whichever thread runs the handler.
+        let mut stream = SimRng::for_label(37, "svc.draws");
+        for i in 0..30 {
+            let reply = if i % 3 == 2 {
+                let token = Transport::send(&mut rt, c, s, Msg::Get);
+                let deadline = Clock::now(&rt) + SECS5;
+                assert_eq!(
+                    Transport::wait_any(&mut rt, &[token], deadline),
+                    Some(token)
+                );
+                Transport::try_take_reply(&mut rt, token)
+            } else {
+                Some(Transport::rpc(&mut rt, c, s, Msg::Get, SECS5))
+            };
+            let want = vec![
+                Msg::Val(s.0.into()),
+                Msg::Val(stream.range_u64(0, u64::MAX)),
+            ];
+            assert_eq!(reply, Some(Ok(Msg::Batch(want))), "call {i}");
+        }
+        // A reply leaves its node idle, so every rpc ran in place.
+        assert_eq!(rt.metrics.counter("rpc.shared"), 20);
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
     /// Two views of one fleet that only ever rpc and only ever send,

@@ -18,6 +18,9 @@
 //! * handler: `StoreServer::serve_inline(ListMembers)` on one replica,
 //!   called directly;
 //! * in-place rpc: `Transport::rpc` with that request, minus its handler;
+//! * its floor: an uncontended `Mutex::try_lock` and unlock plus a
+//!   `catch_unwind` around one `dyn Service::serve_inline` call, minus
+//!   the handler — what the guarded call cannot shed;
 //! * client read loop: `read_members` minus its three rpcs and two clock
 //!   reads;
 //! * clock reads: two `Clock::now` calls, which time the read for
@@ -25,11 +28,16 @@
 //! * harness: an op the way the ledger times one — an `Instant` pair
 //!   around the read and a length-and-checksum check of its result —
 //!   minus the read.
+//!
+//! A last row times a whole `read_members(Primary)`, the read a
+//! `WeakSet` handle makes (`rt-mixed-rw` makes it four times a cycle).
 
 mod budget;
 
 use budget::ns_per_call;
 use std::hint::black_box;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use weak_sets::prelude::*;
 
@@ -75,22 +83,27 @@ fn idle_fleet_leaderless_read_budget() {
     assert_eq!(want.entries.len(), MEMBERS as usize);
     let want_sum = checksum(&want.entries);
 
-    // The handler, called directly: a replica outside the fleet holding
-    // the same membership, so the fleet's own slots stay idle.
+    // The handler, called directly: replicas outside the fleet holding
+    // the same membership, so the fleet's own slots stay idle. The
+    // floor's replica sits behind a slot lock and a `dyn` call.
     let mut replica = StoreServer::new();
+    let mut floor_replica = StoreServer::new();
     let mut rng = SimRng::for_label(1, "budget");
     let mut ctx = ServiceCtx {
         node: servers[1],
         rng: &mut rng,
     };
-    replica.handle(&mut ctx, client_node, StoreMsg::CreateCollection(COLL));
-    for &entry in want.entries.iter() {
-        replica.handle(
-            &mut ctx,
-            client_node,
-            StoreMsg::AddMember { coll: COLL, entry },
-        );
+    for r in [&mut replica, &mut floor_replica] {
+        r.handle(&mut ctx, client_node, StoreMsg::CreateCollection(COLL));
+        for &entry in want.entries.iter() {
+            r.handle(
+                &mut ctx,
+                client_node,
+                StoreMsg::AddMember { coll: COLL, entry },
+            );
+        }
     }
+    let floor: Mutex<Box<dyn Service<StoreMsg> + Send>> = Mutex::new(Box::new(floor_replica));
     let list = StoreMsg::ListMembers(COLL);
     let timeout = client.timeout();
     let mut lat = Vec::with_capacity(BATCH as usize);
@@ -101,14 +114,28 @@ fn idle_fleet_leaderless_read_budget() {
             black_box(reply.is_ok());
         }
         1 => {
+            let mut slot = floor
+                .try_lock()
+                .expect("nothing else takes the floor's slot");
+            let svc: &mut dyn Service<StoreMsg> = &mut **slot;
+            let reply = catch_unwind(AssertUnwindSafe(|| {
+                svc.serve_inline(&mut ctx, client_node, black_box(list.clone()))
+            }));
+            black_box(matches!(reply, Ok(Ok(_))));
+        }
+        2 => {
             let reply = rt.rpc(client_node, servers[1], black_box(list.clone()), timeout);
             black_box(reply.is_ok());
         }
-        2 => {
+        3 => {
             black_box(Clock::now(&rt));
         }
-        3 => {
+        4 => {
             let r = client.read_members(&mut rt, &cref, ReadPolicy::Leaderless);
+            black_box(r.is_ok());
+        }
+        5 => {
+            let r = client.read_members(&mut rt, &cref, ReadPolicy::Primary);
             black_box(r.is_ok());
         }
         _ => {
@@ -126,12 +153,16 @@ fn idle_fleet_leaderless_read_budget() {
             black_box(ok);
         }
     };
-    let [handler, rpc, clock, read, op] = ns_per_call(BATCH, step);
+    let [handler, floor, rpc, clock, read, primary, op] = ns_per_call(BATCH, step);
 
     let contacts = REPLICAS as f64;
     let rows = [
         ("handler (ListMembers, per contact)", handler * contacts),
         ("in-place rpc wrapping", (rpc - handler) * contacts),
+        (
+            "  its floor (try_lock, catch_unwind)",
+            (floor - handler) * contacts,
+        ),
         ("client read loop", read - contacts * rpc - 2.0 * clock),
         ("clock reads (2)", 2.0 * clock),
         ("harness (timed, checked op)", op - read),
@@ -143,8 +174,12 @@ fn idle_fleet_leaderless_read_budget() {
     }
     println!("{:<36} {:>9.0}", "total (timed, checked op)", op);
     println!(
-        "per call: handler {handler:.0} ns, in-place rpc {rpc:.0} ns, clock {clock:.0} ns, \
-         read_members {read:.0} ns"
+        "{:<36} {:>9.0}",
+        "read_members(Primary), whole call", primary
+    );
+    println!(
+        "per call: handler {handler:.0} ns, floor {floor:.0} ns, in-place rpc {rpc:.0} ns, \
+         clock {clock:.0} ns, read_members {read:.0} ns"
     );
     assert!(rt.shutdown(Duration::from_secs(5)).is_ok());
 }
@@ -160,6 +195,12 @@ fn the_values_a_read_moves_stay_small() {
         size_of::<StoreMsg>() <= 80,
         "StoreMsg: {}",
         size_of::<StoreMsg>()
+    );
+    // What an in-place rpc hands back through `dyn Runtime`.
+    assert!(
+        size_of::<Result<StoreMsg, NetError>>() <= 80,
+        "Result<StoreMsg, NetError>: {}",
+        size_of::<Result<StoreMsg, NetError>>()
     );
     assert!(
         size_of::<Membership>() <= 24,

@@ -147,22 +147,22 @@ mod tests {
         };
         let ax = axioms_for(&s(Semantics::Optimistic));
         assert_eq!(
-            (ax.vintage, ax.failure),
+            (ax.vintage(), ax.failure()),
             (Vintage::Pre, FailureMode::Optimistic)
         );
         let ax = axioms_for(&s(Semantics::Snapshot));
         assert_eq!(
-            (ax.vintage, ax.failure),
+            (ax.vintage(), ax.failure()),
             (Vintage::First, FailureMode::Pessimistic)
         );
         let ax = axioms_for(&s(Semantics::GrowOnly));
         assert_eq!(
-            (ax.vintage, ax.failure),
+            (ax.vintage(), ax.failure()),
             (Vintage::Pre, FailureMode::Pessimistic)
         );
         let ax = axioms_for(&s(Semantics::Locked));
         assert_eq!(
-            (ax.vintage, ax.failure),
+            (ax.vintage(), ax.failure()),
             (Vintage::First, FailureMode::Pessimistic)
         );
     }

@@ -63,7 +63,7 @@ use std::time::Duration;
 use weakset_obs::replay as names;
 use weakset_runtime::record::{hash_debug, RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 use weakset_runtime::threaded::ThreadedRuntime;
-use weakset_runtime::traits::{Clock, Observe, RtTask, Runtime, ServiceHost, Spawner, Transport};
+use weakset_runtime::traits::{Clock, Observe, RtTask, ServiceHost, Spawner, Transport};
 use weakset_sim::fault::FaultAction;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::metrics::{SpanId, TraceContext};
@@ -72,7 +72,7 @@ use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
-use weakset_sim::world::{ReplyToken, Service, Task};
+use weakset_sim::world::{ReplyToken, Service};
 use weakset_store::prelude::{StoreMsg, StoreRt, StoreWorld};
 
 /// What recording one scenario on the threaded runtime produced.
@@ -289,11 +289,11 @@ fn is_matchable(ev: &RecEvent) -> bool {
     )
 }
 
-/// A [`Runtime`] that wraps the simulator and consumes a recording as
-/// the client code re-executes: transport calls are matched against the
-/// log (re-executed, substituted, or pinned), fault and op regions
-/// re-issue the workload item they name, and everything else delegates
-/// to the world.
+/// A [`Runtime`](weakset_runtime::traits::Runtime) that wraps the
+/// simulator and consumes a recording as the client code re-executes:
+/// transport calls are matched against the log (re-executed, substituted,
+/// or pinned), fault and op regions re-issue the workload item they name,
+/// and everything else delegates to the world.
 struct ReplayRuntime {
     world: StoreWorld,
     rec: Recording,
@@ -753,26 +753,12 @@ impl ServiceHost<StoreMsg> for ReplayRuntime {
     }
 }
 
-/// Bridges a backend-agnostic task onto the simulator's queue. Spawned
-/// tasks run against the bare world (not the replayer): nothing in a
-/// Plain deployment spawns, so recorded `TimerFired` entries stay
-/// informational.
-struct TaskAdapter(Box<dyn RtTask<StoreMsg>>);
-
-impl Task<StoreMsg> for TaskAdapter {
-    fn label(&self) -> &str {
-        self.0.label()
-    }
-
-    fn run(self: Box<Self>, world: &mut StoreWorld) {
-        let rt: &mut dyn Runtime<StoreMsg> = world;
-        self.0.run(rt)
-    }
-}
-
+/// Spawned tasks run against the bare world (not the replayer), through
+/// the simulator's own [`Spawner`]: nothing in a Plain deployment spawns,
+/// so recorded `TimerFired` entries stay informational.
 impl Spawner<StoreMsg> for ReplayRuntime {
     fn spawn_in(&mut self, d: SimDuration, task: Box<dyn RtTask<StoreMsg>>) {
-        self.world.spawn_in(d, TaskAdapter(task));
+        Spawner::spawn_in(&mut self.world, d, task);
     }
 }
 

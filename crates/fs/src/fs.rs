@@ -518,18 +518,19 @@ impl FileSystem {
         members.dedup_by_key(|m| m.elem);
         let set = DynamicSet::over_members(world, &self.client, members, cfg);
         Ok(FindStream {
-            set,
+            listing: DynLs { set },
             query: query.clone(),
             dirs_skipped,
         })
     }
 }
 
-/// A streaming recursive search: fetched objects are filtered by the
-/// query client-side; directory-entry markers are skipped.
+/// A streaming recursive search: a listing of the gathered members, the
+/// query that filters fetched objects client-side (directory-entry markers
+/// are skipped), and the number of directories the traversal skipped.
 #[derive(Debug)]
 pub struct FindStream {
-    set: DynamicSet,
+    listing: DynLs,
     query: Query,
     dirs_skipped: usize,
 }
@@ -543,44 +544,24 @@ impl FindStream {
 
     /// Candidate entries discovered (before filtering).
     pub fn candidates(&self) -> usize {
-        self.set.members_found()
+        self.listing.total()
     }
 
     /// The next matching file, unordered.
     pub fn next(&mut self, world: &mut StoreWorld) -> DynLsStep {
-        loop {
-            match self.set.next(world) {
-                IterStep::Yielded(rec) => {
-                    let is_dirent = rec.attr("kind") == Some("dir");
-                    if !is_dirent && self.query.matches(&rec) {
-                        return DynLsStep::Entry(DirEntry::from_record(&rec));
-                    }
-                }
-                IterStep::Done => return DynLsStep::Complete,
-                IterStep::Blocked => {
-                    return DynLsStep::Partial {
-                        unreachable: self.set.pending().len(),
-                    }
-                }
-                IterStep::Failed(_) => unreachable!("dynamic sets do not fail"),
-            }
-        }
+        self.listing.next_where(world, |rec| {
+            rec.attr("kind") != Some("dir") && self.query.matches(rec)
+        })
     }
 
     /// Retries entries previously reported unreachable.
     pub fn retry(&mut self) {
-        self.set.retry_pending();
+        self.listing.retry();
     }
 
     /// Drains everything currently fetchable.
     pub fn drain_available(&mut self, world: &mut StoreWorld) -> (Vec<DirEntry>, DynLsStep) {
-        let mut out = Vec::new();
-        loop {
-            match self.next(world) {
-                DynLsStep::Entry(e) => out.push(e),
-                step => return (out, step),
-            }
-        }
+        drain(|| self.next(world))
     }
 }
 
@@ -598,13 +579,25 @@ impl DynLs {
 
     /// The next entry to arrive, unordered.
     pub fn next(&mut self, world: &mut StoreWorld) -> DynLsStep {
-        match self.set.next(world) {
-            IterStep::Yielded(rec) => DynLsStep::Entry(DirEntry::from_record(&rec)),
-            IterStep::Done => DynLsStep::Complete,
-            IterStep::Blocked => DynLsStep::Partial {
-                unreachable: self.set.pending().len(),
-            },
-            IterStep::Failed(_) => unreachable!("dynamic sets do not fail"),
+        self.next_where(world, |_| true)
+    }
+
+    /// The next arriving entry whose record `keep` accepts.
+    fn next_where(
+        &mut self,
+        world: &mut StoreWorld,
+        keep: impl Fn(&ObjectRecord) -> bool,
+    ) -> DynLsStep {
+        loop {
+            return match self.set.next(world) {
+                IterStep::Yielded(rec) if !keep(&rec) => continue,
+                IterStep::Yielded(rec) => DynLsStep::Entry(DirEntry::from_record(&rec)),
+                IterStep::Done => DynLsStep::Complete,
+                IterStep::Blocked => DynLsStep::Partial {
+                    unreachable: self.set.pending().len(),
+                },
+                IterStep::Failed(_) => unreachable!("dynamic sets do not fail"),
+            };
         }
     }
 
@@ -616,12 +609,17 @@ impl DynLs {
     /// Drives the listing until it completes or only unreachable entries
     /// remain, returning what arrived.
     pub fn drain_available(&mut self, world: &mut StoreWorld) -> (Vec<DirEntry>, DynLsStep) {
-        let mut out = Vec::new();
-        loop {
-            match self.next(world) {
-                DynLsStep::Entry(e) => out.push(e),
-                step => return (out, step),
-            }
+        drain(|| self.next(world))
+    }
+}
+
+/// Polls `next` until it stops producing entries.
+fn drain(mut next: impl FnMut() -> DynLsStep) -> (Vec<DirEntry>, DynLsStep) {
+    let mut out = Vec::new();
+    loop {
+        match next() {
+            DynLsStep::Entry(e) => out.push(e),
+            step => return (out, step),
         }
     }
 }

@@ -274,49 +274,66 @@ impl Checker {
 
     /// Checks a computation, returning every violation found.
     pub fn check(&self, comp: &Computation) -> Conformance {
-        let mut out = Conformance::default();
-        if let Err(v) = self.constraint.check(comp) {
-            out.violations.push(Violation::Constraint(v));
-        }
-        for (ri, run) in comp.runs.iter().enumerate() {
-            self.check_run(comp, ri, run, &mut out);
-        }
-        out
+        walk(
+            comp,
+            self.constraint,
+            self.strictness,
+            |ctx, outcome| self.figure.check_invocation(ctx, outcome),
+            |_, _, _, _, _| {},
+        )
     }
+}
 
-    fn check_run(&self, comp: &Computation, ri: usize, run: &IterRun, out: &mut Conformance) {
-        let n_states = comp.states.len();
+/// The one walk over a computation that both conformance checkers share.
+///
+/// It checks `constraint` over every pair of states, then replays each
+/// run: state indices must be in bounds and in order, and nothing may
+/// follow a terminal outcome. It keeps the `yielded` history object as the
+/// `remembers` clause prescribes and hands every invocation one
+/// [`EnsuresCtx`] for `rule` to judge. A well-formed run is then handed to
+/// `end_run` with its final `yielded` value and terminal outcome; a
+/// malformed one is not.
+pub(crate) fn walk(
+    comp: &Computation,
+    constraint: ConstraintKind,
+    strictness: Strictness,
+    rule: impl Fn(&EnsuresCtx<'_>, Outcome) -> Result<(), EnsuresError>,
+    mut end_run: impl FnMut(usize, &IterRun, &SetValue, Option<Outcome>, &mut Vec<Violation>),
+) -> Conformance {
+    let mut out = Vec::new();
+    if let Err(v) = constraint.check(comp) {
+        out.push(Violation::Constraint(v));
+    }
+    let n_states = comp.states.len();
+    'runs: for (ri, run) in comp.runs.iter().enumerate() {
+        let malformed = |detail| Violation::Malformed { run: ri, detail };
         if run.first >= n_states {
-            out.violations.push(Violation::Malformed {
-                run: ri,
-                detail: format!("first-state index {} out of bounds", run.first),
-            });
-            return;
+            out.push(malformed(format!(
+                "first-state index {} out of bounds",
+                run.first
+            )));
+            continue;
         }
         let s_first = comp.states[run.first].members.clone();
         let mut yielded = SetValue::empty();
-        let mut terminated = false;
+        let mut end = None;
         let mut prev_post = run.first;
         for (ii, inv) in run.invocations.iter().enumerate() {
             if inv.pre >= n_states || inv.post >= n_states || inv.pre > inv.post {
-                out.violations.push(Violation::Malformed {
-                    run: ri,
-                    detail: format!(
-                        "invocation {ii} has bad state indices pre={} post={}",
-                        inv.pre, inv.post
-                    ),
-                });
-                return;
+                out.push(malformed(format!(
+                    "invocation {ii} has bad state indices pre={} post={}",
+                    inv.pre, inv.post
+                )));
+                continue 'runs;
             }
             if inv.pre < prev_post {
-                out.violations.push(Violation::Malformed {
-                    run: ri,
-                    detail: format!("invocation {ii} pre-state precedes previous post-state"),
-                });
-                return;
+                out.push(malformed(format!(
+                    "invocation {ii} pre-state precedes previous post-state"
+                )));
+                continue 'runs;
             }
-            if terminated {
-                out.violations.push(Violation::AfterTermination {
+            if end.is_some() {
+                out.push(Violation::AfterTermination {
                     run: ri,
                     invocation: ii,
                 });
@@ -326,10 +343,10 @@ impl Checker {
                 s_first: &s_first,
                 pre: &comp.states[inv.pre],
                 yielded_pre: &yielded,
-                strictness: self.strictness,
+                strictness,
             };
-            if let Err(error) = self.figure.check_invocation(&ctx, inv.outcome) {
-                out.violations.push(Violation::Ensures {
+            if let Err(error) = rule(&ctx, inv.outcome) {
+                out.push(Violation::Ensures {
                     run: ri,
                     invocation: ii,
                     error,
@@ -339,12 +356,14 @@ impl Checker {
                 Outcome::Yielded(e) => {
                     yielded.insert(e);
                 }
-                Outcome::Returned | Outcome::Failed => terminated = true,
+                Outcome::Returned | Outcome::Failed => end = Some(inv.outcome),
                 Outcome::Blocked => {}
             }
             prev_post = inv.post;
         }
+        end_run(ri, run, &yielded, end, &mut out);
     }
+    Conformance { violations: out }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! There is no failure case: every element of `s_first` is eventually
 //! yielded exactly once, then the iterator terminates normally.
 
-use super::{expect_yield, EnsuresCtx, EnsuresError, Strictness};
+use super::{expect_return, expect_yield, EnsuresCtx, EnsuresError, Strictness};
 use crate::state::Outcome;
 
 /// Checks one invocation against Figure 1's `ensures` clause.
@@ -38,10 +38,7 @@ pub fn check_invocation(ctx: &EnsuresCtx<'_>, outcome: Outcome) -> Result<(), En
     if more_to_yield {
         expect_yield(ctx.s_first, ctx.yielded_pre, ctx.s_first, outcome)
     } else {
-        match outcome {
-            Outcome::Returned => Ok(()),
-            got => Err(EnsuresError::ExpectedReturn { got }),
-        }
+        expect_return(outcome)
     }
 }
 

@@ -20,7 +20,7 @@
 //! members remain inaccessible, the iterator signals failure rather than
 //! wait for repair.
 
-use super::{expect_yield, EnsuresCtx, EnsuresError, Strictness};
+use super::{expect_fail, expect_return, expect_yield, EnsuresCtx, EnsuresError, Strictness};
 use crate::state::Outcome;
 
 /// Checks one invocation against Figure 3's `ensures` clause.
@@ -51,15 +51,9 @@ pub fn check_invocation(ctx: &EnsuresCtx<'_>, outcome: Outcome) -> Result<(), En
     if yield_branch {
         expect_yield(&reach_first, ctx.yielded_pre, ctx.s_first, outcome)
     } else if fail_branch {
-        match outcome {
-            Outcome::Failed => Ok(()),
-            got => Err(EnsuresError::ExpectedFail { got }),
-        }
+        expect_fail(outcome)
     } else {
-        match outcome {
-            Outcome::Returned => Ok(()),
-            got => Err(EnsuresError::ExpectedReturn { got }),
-        }
+        expect_return(outcome)
     }
 }
 

@@ -21,7 +21,7 @@
 //! it, a conforming iterator need never terminate — the specification
 //! permits unbounded runs.
 
-use super::{expect_yield, EnsuresCtx, EnsuresError, Strictness};
+use super::{expect_fail, expect_return, expect_yield, EnsuresCtx, EnsuresError, Strictness};
 use crate::state::Outcome;
 
 /// Checks one invocation against Figure 5's `ensures` clause.
@@ -49,15 +49,9 @@ pub fn check_invocation(ctx: &EnsuresCtx<'_>, outcome: Outcome) -> Result<(), En
     if yield_branch {
         expect_yield(&reach_pre, ctx.yielded_pre, s_pre, outcome)
     } else if return_branch {
-        match outcome {
-            Outcome::Returned => Ok(()),
-            got => Err(EnsuresError::ExpectedReturn { got }),
-        }
+        expect_return(outcome)
     } else {
-        match outcome {
-            Outcome::Failed => Ok(()),
-            got => Err(EnsuresError::ExpectedFail { got }),
-        }
+        expect_fail(outcome)
     }
 }
 

@@ -25,8 +25,9 @@
 //! the first-state and last-state" (§3.4). [`yields_were_members`] checks
 //! that derived property over a whole computation.
 
-use super::{expect_yield, EnsuresCtx, EnsuresError};
+use super::{expect_return, expect_yield, EnsuresCtx, EnsuresError};
 use crate::state::{Computation, IterRun, Outcome};
+use crate::value::ElemId;
 
 /// Checks one invocation against Figure 6's `ensures` clause.
 ///
@@ -52,19 +53,26 @@ pub fn check_invocation(ctx: &EnsuresCtx<'_>, outcome: Outcome) -> Result<(), En
         let reach_pre = ctx.pre.reachable_now();
         expect_yield(&reach_pre, ctx.yielded_pre, s_pre, outcome)
     } else {
-        match outcome {
-            Outcome::Returned => Ok(()),
-            got => Err(EnsuresError::ExpectedReturn { got }),
-        }
+        expect_return(outcome)
     }
 }
 
 /// The §3.4 derived property: every element yielded by `run` was a member
 /// of the set in some state between the run's first-state and last-state.
 pub fn yields_were_members(comp: &Computation, run: &IterRun) -> bool {
+    phantom_yields(comp, run).next().is_none()
+}
+
+/// The yields of `run`, in order, that break [`yields_were_members`]: the
+/// one definition of §3.4's rule, which the visibility checker reports as
+/// its phantom-yield axiom.
+pub fn phantom_yields<'a>(
+    comp: &'a Computation,
+    run: &'a IterRun,
+) -> impl Iterator<Item = ElemId> + 'a {
     run.yields()
         .into_iter()
-        .all(|e| comp.was_member_between(e, run.first, run.last()))
+        .filter(|&e| !comp.was_member_between(e, run.first, run.last()))
 }
 
 #[cfg(test)]

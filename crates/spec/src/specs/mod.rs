@@ -158,6 +158,23 @@ pub(crate) fn expect_yield(
     }
 }
 
+/// The `returns` branch: the outcome must be normal termination.
+pub(crate) fn expect_return(outcome: Outcome) -> Result<(), EnsuresError> {
+    match outcome {
+        Outcome::Returned => Ok(()),
+        got => Err(EnsuresError::ExpectedReturn { got }),
+    }
+}
+
+/// The `signals (failure)` branch: the outcome must be the failure
+/// exception.
+pub(crate) fn expect_fail(outcome: Outcome) -> Result<(), EnsuresError> {
+    match outcome {
+        Outcome::Failed => Ok(()),
+        got => Err(EnsuresError::ExpectedFail { got }),
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;

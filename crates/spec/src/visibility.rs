@@ -30,21 +30,27 @@
 //! * *visibility soundness* (§3.4): every yielded element was a member of
 //!   the set in some arbitrated state between the run's first-state and
 //!   last-state. For Figures 1/3/4/5 this is a theorem of the `ensures`
-//!   clauses; stating it once here is what lets Figure 6's hand-written
-//!   `yields_were_members` check retire.
+//!   clauses. It has one definition, [`fig6::phantom_yields`]: this
+//!   module reports every phantom yield it finds, and Figure 6's
+//!   [`fig6::yields_were_members`] tests that there is none.
 //! * *structure*: state indices are monotone and in bounds, and no
 //!   invocation follows a terminal outcome.
 //!
-//! [`check_execution`] folds all of this over a computation and returns
-//! the same [`Conformance`] the classic per-figure checker produces; the
-//! liberal reading of the branch conditions (see [`crate::specs`]) is
-//! used throughout. `weakset-dst`'s oracle instantiates every figure
-//! through this module.
+//! [`check_execution`] is the computation walk the per-figure
+//! [`Checker`](crate::checker::Checker) also runs — arbitration, structure
+//! and the `yielded` history object — with this module's generic `ensures`
+//! clause as its per-invocation rule, plus the soundness and session axioms
+//! for every well-formed run. It returns the same [`Conformance`], and uses
+//! the liberal reading of the branch conditions (see [`crate::specs`])
+//! throughout. `weakset-dst`'s oracle instantiates every figure through
+//! this module.
 
-use crate::checker::{Conformance, Figure, Violation};
+use crate::checker::{walk, Conformance, Figure, Violation};
 use crate::constraint::ConstraintKind;
-use crate::specs::{expect_yield, EnsuresError};
-use crate::state::{Computation, IterRun, Outcome};
+use crate::specs::{
+    expect_fail, expect_return, expect_yield, fig6, EnsuresCtx, EnsuresError, Strictness,
+};
+use crate::state::{Computation, Outcome};
 use crate::value::SetValue;
 
 /// Which state's membership an invocation is allowed to see.
@@ -76,12 +82,9 @@ pub enum FailureMode {
 /// One figure expressed as visibility/arbitration axioms.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AxiomSet {
-    /// The figure this axiom set instantiates (for reporting).
+    /// The figure this axiom set instantiates; it fixes the
+    /// [`vintage`](Self::vintage) and the [`failure`](Self::failure) axioms.
     pub figure: Figure,
-    /// Visibility vintage.
-    pub vintage: Vintage,
-    /// Failure axioms.
-    pub failure: FailureMode,
     /// Arbitration constraint over the logged state order.
     pub arbitration: ConstraintKind,
     /// Causal-session floor: elements whose visibility the session
@@ -92,18 +95,27 @@ pub struct AxiomSet {
 impl AxiomSet {
     /// The axiom set of a figure with its canonical constraint.
     pub fn for_figure(figure: Figure) -> Self {
-        let (vintage, failure) = match figure {
-            Figure::Fig1 => (Vintage::First, FailureMode::Total),
-            Figure::Fig3 | Figure::Fig4 => (Vintage::First, FailureMode::Pessimistic),
-            Figure::Fig5 => (Vintage::Pre, FailureMode::Pessimistic),
-            Figure::Fig6 => (Vintage::Pre, FailureMode::Optimistic),
-        };
         AxiomSet {
             figure,
-            vintage,
-            failure,
             arbitration: figure.constraint(),
             session_floor: SetValue::empty(),
+        }
+    }
+
+    /// Visibility vintage, fixed by the figure.
+    pub fn vintage(&self) -> Vintage {
+        match self.figure {
+            Figure::Fig1 | Figure::Fig3 | Figure::Fig4 => Vintage::First,
+            Figure::Fig5 | Figure::Fig6 => Vintage::Pre,
+        }
+    }
+
+    /// Failure axioms, fixed by the figure.
+    pub fn failure(&self) -> FailureMode {
+        match self.figure {
+            Figure::Fig1 => FailureMode::Total,
+            Figure::Fig3 | Figure::Fig4 | Figure::Fig5 => FailureMode::Pessimistic,
+            Figure::Fig6 => FailureMode::Optimistic,
         }
     }
 
@@ -123,187 +135,70 @@ impl AxiomSet {
         self.session_floor = floor;
         self
     }
-}
 
-/// Checks one recorded computation against an axiom set.
-pub fn check_execution(axioms: &AxiomSet, comp: &Computation) -> Conformance {
-    let mut out = Conformance::default();
-    // Arbitration: the logged state order must satisfy the constraint.
-    if let Err(v) = axioms.arbitration.check(comp) {
-        out.violations.push(Violation::Constraint(v));
-    }
-    for (ri, run) in comp.runs.iter().enumerate() {
-        check_run(axioms, comp, ri, run, &mut out);
-    }
-    out
-}
-
-fn check_run(
-    axioms: &AxiomSet,
-    comp: &Computation,
-    ri: usize,
-    run: &IterRun,
-    out: &mut Conformance,
-) {
-    let n_states = comp.states.len();
-    if run.first >= n_states {
-        out.violations.push(Violation::Malformed {
-            run: ri,
-            detail: format!("first-state index {} out of bounds", run.first),
-        });
-        return;
-    }
-    let s_first = comp.states[run.first].members.clone();
-    let mut yielded = SetValue::empty();
-    let mut terminated = false;
-    let mut returned = false;
-    let mut prev_post = run.first;
-    for (ii, inv) in run.invocations.iter().enumerate() {
-        if inv.pre >= n_states || inv.post >= n_states || inv.pre > inv.post {
-            out.violations.push(Violation::Malformed {
-                run: ri,
-                detail: format!(
-                    "invocation {ii} has bad state indices pre={} post={}",
-                    inv.pre, inv.post
-                ),
-            });
-            return;
-        }
-        if inv.pre < prev_post {
-            out.violations.push(Violation::Malformed {
-                run: ri,
-                detail: format!("invocation {ii} pre-state precedes previous post-state"),
-            });
-            return;
-        }
-        if terminated {
-            out.violations.push(Violation::AfterTermination {
-                run: ri,
-                invocation: ii,
-            });
-            continue;
-        }
-        let pre = &comp.states[inv.pre];
+    /// The generic `ensures` clause, parameterized by the vintage and the
+    /// failure axioms (liberal reading — see [`crate::specs`] module docs).
+    fn check_invocation(&self, ctx: &EnsuresCtx<'_>, outcome: Outcome) -> Result<(), EnsuresError> {
+        let yielded = ctx.yielded_pre;
         // The visibility relation: which members this invocation may see.
-        let base = match axioms.vintage {
-            Vintage::First => s_first.clone(),
-            Vintage::Pre => pre.members.clone(),
+        let base = match self.vintage() {
+            Vintage::First => ctx.s_first.clone(),
+            Vintage::Pre => ctx.pre.members.clone(),
         };
-        let visible = match axioms.failure {
+        let failure = self.failure();
+        let visible = match failure {
             FailureMode::Total => base.clone(),
-            FailureMode::Pessimistic | FailureMode::Optimistic => pre.reachable_of(&base),
+            FailureMode::Pessimistic | FailureMode::Optimistic => ctx.pre.reachable_of(&base),
         };
-        let eligible = visible.difference(&yielded);
-        let unyielded = base.difference(&yielded);
-        let verdict = check_invocation(
-            axioms.failure,
-            &base,
-            &visible,
-            &eligible,
-            &unyielded,
-            &yielded,
-            inv.outcome,
-        );
-        if let Err(error) = verdict {
-            out.violations.push(Violation::Ensures {
-                run: ri,
-                invocation: ii,
-                error,
-            });
-        }
-        match inv.outcome {
-            Outcome::Yielded(e) => {
-                yielded.insert(e);
+        let eligible = visible.difference(yielded);
+        let unyielded = base.difference(yielded);
+        match (failure, outcome) {
+            (FailureMode::Total | FailureMode::Optimistic, Outcome::Failed) => {
+                return Err(EnsuresError::FailureNotAllowed)
             }
-            Outcome::Returned => {
-                terminated = true;
-                returned = true;
+            (FailureMode::Total | FailureMode::Pessimistic, Outcome::Blocked) => {
+                return Err(EnsuresError::BlockNotAllowed)
             }
-            Outcome::Failed => terminated = true,
-            Outcome::Blocked => {}
+            _ => {}
         }
-        prev_post = inv.post;
-    }
-    // Visibility soundness (§3.4): every yield was an arbitrated member
-    // at some state within the run's span.
-    for e in run.yields() {
-        if !comp.was_member_between(e, run.first, run.last()) {
-            out.violations
-                .push(Violation::PhantomYield { run: ri, elem: e });
+        if unyielded.is_empty() {
+            return expect_return(outcome);
         }
-    }
-    // Session axiom (session-order ⊆ visibility): a run that claims the
-    // set is drained must have yielded every session dependency.
-    if returned && !axioms.session_floor.is_empty() {
-        let missing = axioms.session_floor.difference(&yielded);
-        if !missing.is_empty() {
-            out.violations
-                .push(Violation::SessionHidden { run: ri, missing });
+        match failure {
+            FailureMode::Optimistic if outcome == Outcome::Blocked => Ok(()),
+            FailureMode::Pessimistic if eligible.is_empty() => expect_fail(outcome),
+            _ => expect_yield(&visible, yielded, &base, outcome),
         }
     }
 }
 
-/// The generic `ensures` clause, parameterized by the failure axioms
-/// (liberal reading — see [`crate::specs`] module docs).
-fn check_invocation(
-    failure: FailureMode,
-    base: &SetValue,
-    visible: &SetValue,
-    eligible: &SetValue,
-    unyielded: &SetValue,
-    yielded: &SetValue,
-    outcome: Outcome,
-) -> Result<(), EnsuresError> {
-    match failure {
-        FailureMode::Total => {
-            if outcome == Outcome::Failed {
-                return Err(EnsuresError::FailureNotAllowed);
-            }
-            if outcome == Outcome::Blocked {
-                return Err(EnsuresError::BlockNotAllowed);
-            }
-            if !unyielded.is_empty() {
-                expect_yield(visible, yielded, base, outcome)
-            } else {
-                expect_return(outcome)
-            }
-        }
-        FailureMode::Pessimistic => {
-            if outcome == Outcome::Blocked {
-                return Err(EnsuresError::BlockNotAllowed);
-            }
-            if !eligible.is_empty() {
-                expect_yield(visible, yielded, base, outcome)
-            } else if !unyielded.is_empty() {
-                match outcome {
-                    Outcome::Failed => Ok(()),
-                    got => Err(EnsuresError::ExpectedFail { got }),
+/// Checks one recorded computation against an axiom set: the walk
+/// [`Checker`](crate::checker::Checker) also runs, with the generic
+/// `ensures` clause, then, for every well-formed run, visibility soundness
+/// and the session axiom.
+pub fn check_execution(axioms: &AxiomSet, comp: &Computation) -> Conformance {
+    walk(
+        comp,
+        axioms.arbitration,
+        Strictness::Liberal,
+        |ctx, outcome| axioms.check_invocation(ctx, outcome),
+        |ri, run, yielded, end, out| {
+            // Visibility soundness (§3.4): every yield was an arbitrated
+            // member at some state within the run's span.
+            out.extend(
+                fig6::phantom_yields(comp, run)
+                    .map(|elem| Violation::PhantomYield { run: ri, elem }),
+            );
+            // Session axiom (session-order ⊆ visibility): a run that claims
+            // the set is drained must have yielded every session dependency.
+            if end == Some(Outcome::Returned) && !axioms.session_floor.is_empty() {
+                let missing = axioms.session_floor.difference(yielded);
+                if !missing.is_empty() {
+                    out.push(Violation::SessionHidden { run: ri, missing });
                 }
-            } else {
-                expect_return(outcome)
             }
-        }
-        FailureMode::Optimistic => {
-            if outcome == Outcome::Failed {
-                return Err(EnsuresError::FailureNotAllowed);
-            }
-            if !unyielded.is_empty() {
-                if outcome == Outcome::Blocked {
-                    return Ok(());
-                }
-                expect_yield(visible, yielded, base, outcome)
-            } else {
-                expect_return(outcome)
-            }
-        }
-    }
-}
-
-fn expect_return(outcome: Outcome) -> Result<(), EnsuresError> {
-    match outcome {
-        Outcome::Returned => Ok(()),
-        got => Err(EnsuresError::ExpectedReturn { got }),
-    }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -311,7 +206,7 @@ mod tests {
     use super::*;
     use crate::checker::check_computation_with;
     use crate::explore::{enumerate, Bounds};
-    use crate::state::{Invocation, Recorder, State};
+    use crate::state::{Invocation, IterRun, Recorder, State};
     use crate::value::ElemId;
 
     fn sv(ids: &[u64]) -> SetValue {
@@ -449,28 +344,31 @@ mod tests {
     #[test]
     fn axiom_table_matches_the_paper() {
         let a = AxiomSet::for_figure(Figure::Fig1);
-        assert_eq!((a.vintage, a.failure), (Vintage::First, FailureMode::Total));
+        assert_eq!(
+            (a.vintage(), a.failure()),
+            (Vintage::First, FailureMode::Total)
+        );
         assert_eq!(a.arbitration, ConstraintKind::Immutable);
         let a = AxiomSet::for_figure(Figure::Fig3);
         assert_eq!(
-            (a.vintage, a.failure),
+            (a.vintage(), a.failure()),
             (Vintage::First, FailureMode::Pessimistic)
         );
         let a = AxiomSet::for_figure(Figure::Fig4);
         assert_eq!(
-            (a.vintage, a.failure),
+            (a.vintage(), a.failure()),
             (Vintage::First, FailureMode::Pessimistic)
         );
         assert_eq!(a.arbitration, ConstraintKind::None);
         let a = AxiomSet::for_figure(Figure::Fig5);
         assert_eq!(
-            (a.vintage, a.failure),
+            (a.vintage(), a.failure()),
             (Vintage::Pre, FailureMode::Pessimistic)
         );
         assert_eq!(a.arbitration, ConstraintKind::GrowOnly);
         let a = AxiomSet::for_figure(Figure::Fig6);
         assert_eq!(
-            (a.vintage, a.failure),
+            (a.vintage(), a.failure()),
             (Vintage::Pre, FailureMode::Optimistic)
         );
         assert_eq!(a.arbitration, ConstraintKind::None);

@@ -507,9 +507,8 @@ impl StoreClient {
         let reply = self
             .call(world, home, StoreMsg::GetObject(id))
             .inspect_err(|e| {
-                let msg = e.to_string();
                 world.trace_event("store.fetch.failed", &|| {
-                    format!("object={id} home={home}: {msg}")
+                    format!("object={id} home={home}: {e}")
                 });
             })?;
         let result = match reply {
@@ -711,9 +710,8 @@ impl StoreClient {
         let span = world.span_enter(plan.span, &|| cref.id.label());
         let result = self.read_rounds(world, cref, plan, started);
         if let Err(e) = &result {
-            let msg = e.to_string();
             world.trace_event("store.read.failed", &|| {
-                format!("{} {}: {}", plan.label, cref.id, msg)
+                format!("{} {}: {e}", plan.label, cref.id)
             });
         }
         world.span_exit(span);
@@ -741,8 +739,15 @@ impl StoreClient {
     ) -> Result<MembershipRead, StoreError> {
         /// Delay between rounds while waiting for laggards to catch up.
         const WAIT_STEP: SimDuration = SimDuration::from_millis(5);
-        let deadline = started + self.timeout;
         let secondaries = plan.secondaries(cref);
+        // One reply outside a session has nothing to arbitrate: `First`
+        // and `Union` fold it to itself. `Newest` stays on the fold, which
+        // counts the contact and reports a failed one as `NoQuorum`.
+        if secondaries.is_empty() && !plan.session && plan.merge != Merge::Newest {
+            let reply = self.call(world, cref.home, self.list_request(cref.id, plan));
+            return self.decode_list(world, cref.id, plan, reply);
+        }
+        let deadline = started + self.timeout;
         // A lone contact needs neither a list nor a ranking.
         let mut ranked: Vec<NodeId>;
         let nodes: &[NodeId] = if secondaries.is_empty() {
@@ -888,9 +893,8 @@ impl StoreClient {
         }
         for (shard, r) in shards.iter().zip(&results) {
             if let Err(e) = r {
-                let msg = e.to_string();
                 world.trace_event("store.read.failed", &|| {
-                    format!("batched {} {}: {}", plan.label, shard.id, msg)
+                    format!("batched {} {}: {e}", plan.label, shard.id)
                 });
             }
         }
@@ -1394,6 +1398,125 @@ mod tests {
             cl.read_members(&mut w, &cref, ReadPolicy::Primary),
             Err(StoreError::NoSuchCollection(CollectionId(42)))
         );
+    }
+
+    /// The state of a read's home node.
+    #[derive(Clone, Copy, Debug)]
+    enum Home {
+        Serving,
+        Missing,
+        Crashed,
+        Cut,
+    }
+
+    /// One read on a fresh three-server fleet whose home is `s[0]`: its
+    /// result, and the `store.read.*` and `rpc.*` counters it moved as
+    /// sorted `name` (moved by one) or `name+n` words.
+    fn one_read(
+        policy: ReadPolicy,
+        replicated: bool,
+        home: Home,
+    ) -> (Result<(u64, Vec<MemberEntry>), StoreError>, String) {
+        let (mut w, c, s) = world_with(3);
+        let mut cl = StoreClient::new(c, SimDuration::from_millis(50));
+        if policy == ReadPolicy::CausalSession {
+            cl = cl.with_session();
+        }
+        let cref = CollectionRef {
+            id: CollectionId(1),
+            home: s[0],
+            replicas: if replicated { vec![s[1], s[2]] } else { vec![] },
+        };
+        if !matches!(home, Home::Missing) {
+            cl.create_collection(&mut w, &cref).unwrap();
+            cl.add_member(&mut w, &cref, entry(1, s[0])).unwrap();
+        }
+        match home {
+            Home::Crashed => w.topology_mut().crash(s[0]),
+            Home::Cut => w.topology_mut().partition(&[s[0]]),
+            Home::Serving | Home::Missing => {}
+        }
+        let before: BTreeMap<String, u64> = w
+            .metrics()
+            .counters()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
+        let result = cl
+            .read_members(&mut w, &cref, policy)
+            .map(|r| (r.version, r.entries.to_vec()));
+        let moved: Vec<String> = w
+            .metrics()
+            .counters()
+            .filter(|(k, _)| k.starts_with("store.read.") || k.starts_with("rpc."))
+            .filter_map(|(k, v)| {
+                let n = v - before.get(k).copied().unwrap_or(0);
+                match n {
+                    0 => None,
+                    1 => Some(k.to_owned()),
+                    n => Some(format!("{k}+{n}")),
+                }
+            })
+            .collect();
+        (result, moved.join(" "))
+    }
+
+    /// A round with one contact and no session gives its one reply's
+    /// outcome: what the fold makes of it, counters included. `Quorum`
+    /// needs a majority of one, so a failed contact is `NoQuorum`.
+    #[test]
+    fn a_one_contact_read_is_its_reply() {
+        use ReadPolicy::*;
+        let served = Ok((1, vec![entry(1, NodeId(1))]));
+        let missing = Err(StoreError::NoSuchCollection(CollectionId(1)));
+        let down = Err(StoreError::Net(NetError::NodeDown(NodeId(1))));
+        let cut = Err(StoreError::Net(NetError::Unreachable {
+            from: NodeId(0),
+            to: NodeId(1),
+        }));
+        let no_quorum = Err(StoreError::NoQuorum { got: 0, need: 1 });
+        #[rustfmt::skip]
+        let cases = [
+            (Primary, true, Home::Serving, &served, "rpc.ok rpc.sent store.read.primary.ok"),
+            (Primary, true, Home::Missing, &missing, "rpc.ok rpc.sent store.read.primary.err"),
+            (Primary, true, Home::Crashed, &down, "rpc.failed rpc.sent store.read.primary.err"),
+            (Primary, true, Home::Cut, &cut, "rpc.failed rpc.sent store.read.primary.err"),
+            (Primary, false, Home::Serving, &served, "rpc.ok rpc.sent store.read.primary.ok"),
+            (Primary, false, Home::Missing, &missing, "rpc.ok rpc.sent store.read.primary.err"),
+            (Primary, false, Home::Crashed, &down, "rpc.failed rpc.sent store.read.primary.err"),
+            (Primary, false, Home::Cut, &cut, "rpc.failed rpc.sent store.read.primary.err"),
+            (Any, false, Home::Serving, &served, "rpc.ok rpc.sent store.read.any.ok"),
+            (Any, false, Home::Missing, &missing, "rpc.ok rpc.sent store.read.any.err"),
+            (Any, false, Home::Crashed, &down, "rpc.failed rpc.sent store.read.any.err"),
+            (Any, false, Home::Cut, &cut, "rpc.failed rpc.sent store.read.any.err"),
+            (Quorum, false, Home::Serving, &served,
+                "rpc.ok rpc.sent store.read.quorum.contacts store.read.quorum.ok"),
+            (Quorum, false, Home::Missing, &no_quorum,
+                "rpc.ok rpc.sent store.read.quorum.contacts store.read.quorum.err"),
+            (Quorum, false, Home::Crashed, &no_quorum,
+                "rpc.failed rpc.sent store.read.quorum.contacts store.read.quorum.err"),
+            (Quorum, false, Home::Cut, &no_quorum,
+                "rpc.failed rpc.sent store.read.quorum.contacts store.read.quorum.err"),
+            (Leaderless, false, Home::Serving, &served, "rpc.ok rpc.sent store.read.leaderless.ok"),
+            (Leaderless, false, Home::Missing, &missing, "rpc.ok rpc.sent store.read.leaderless.err"),
+            (Leaderless, false, Home::Crashed, &down, "rpc.failed rpc.sent store.read.leaderless.err"),
+            (Leaderless, false, Home::Cut, &cut, "rpc.failed rpc.sent store.read.leaderless.err"),
+            (CausalSession, false, Home::Serving, &served,
+                "rpc.ok rpc.sent store.read.causal_session.ok"),
+            (CausalSession, false, Home::Missing, &missing,
+                "rpc.ok rpc.sent store.read.causal_session.err"),
+            (CausalSession, false, Home::Crashed, &down,
+                "rpc.failed rpc.sent store.read.causal_session.err"),
+            (CausalSession, false, Home::Cut, &cut,
+                "rpc.failed rpc.sent store.read.causal_session.err"),
+        ];
+        for (policy, replicated, home, want, counters) in cases {
+            let case = format!("{policy:?}, replicated {replicated}, home {home:?}");
+            assert_eq!(
+                one_read(policy, replicated, home),
+                (want.clone(), counters.to_owned()),
+                "{case}"
+            );
+        }
     }
 
     #[test]

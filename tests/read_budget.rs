@@ -30,7 +30,9 @@
 //!   minus the read.
 //!
 //! A last row times a whole `read_members(Primary)`, the read a
-//! `WeakSet` handle makes (`rt-mixed-rw` makes it four times a cycle).
+//! `WeakSet` handle makes (`rt-mixed-rw` makes it four times a cycle),
+//! and splits off its client read loop, one contact: the whole call
+//! minus one in-place rpc and two clock reads.
 
 mod budget;
 
@@ -176,6 +178,11 @@ fn idle_fleet_leaderless_read_budget() {
     println!(
         "{:<36} {:>9.0}",
         "read_members(Primary), whole call", primary
+    );
+    println!(
+        "{:<36} {:>9.0}",
+        "  client read loop, one contact",
+        primary - rpc - 2.0 * clock
     );
     println!(
         "per call: handler {handler:.0} ns, floor {floor:.0} ns, in-place rpc {rpc:.0} ns, \

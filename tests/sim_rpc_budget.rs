@@ -8,6 +8,8 @@
 //! batch stays inside the buffer's 512-event reserve, so the count is
 //! the rpc's own: a `String` per recorded detail or a context `Vec` per
 //! delivered message shows up as one allocation per rpc each.
+//! `a_failed_read_on_a_quiet_sink_allocates_nothing` counts the same way
+//! over failed store reads with the sink off.
 //!
 //! The ignored test prints ns per warmed rpc with the sink off and on
 //! (report-only; DESIGN.md §6 quotes it). Run it with
@@ -121,6 +123,33 @@ fn a_warmed_rpc_allocates_nothing() {
         allocs as f64 / CALLS as f64
     });
     assert_eq!(per_rpc, [0.0, 0.0], "allocations per rpc, sink [off, on]");
+}
+
+/// A failed read formats its trace text only for a sink that records
+/// it: a `read_members(Primary)` to a crashed home, on a world whose
+/// sink is off, after a warm-up that names its counters.
+#[test]
+fn a_failed_read_on_a_quiet_sink_allocates_nothing() {
+    let mut t = Topology::new();
+    let client = t.add_node("client", 0);
+    let home = t.add_node("home", 1);
+    let mut w = World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
+    w.install_service(home, Box::new(StoreServer::new()));
+    let cl = StoreClient::new(client, TIMEOUT);
+    let cref = CollectionRef::unreplicated(CollectionId(1), home);
+    cl.create_collection(&mut w, &cref).unwrap();
+    w.topology_mut().crash(home);
+    let mut read = || cl.read_members(&mut w, &cref, ReadPolicy::Primary);
+    for _ in 0..CALLS {
+        assert_eq!(read(), Err(StoreError::Net(NetError::NodeDown(home))));
+    }
+    let allocs = allocs_during(|| {
+        for _ in 0..CALLS {
+            black_box(read().is_err());
+        }
+    });
+    assert!(!w.events().is_enabled());
+    assert_eq!(allocs, 0, "allocations over {CALLS} failed reads");
 }
 
 #[test]

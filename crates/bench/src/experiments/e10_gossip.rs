@@ -107,7 +107,7 @@ pub struct ConvergencePoint {
 }
 
 /// E10a: sweeps replica count × fan-out, measuring time-to-convergence.
-pub fn convergence_points() -> Vec<ConvergencePoint> {
+fn convergence_points() -> Vec<ConvergencePoint> {
     let mut out = Vec::new();
     for &n in &[3usize, 5, 9] {
         for &fanout in &[1usize, 2, 3] {
@@ -176,7 +176,7 @@ fn classify(r: Result<usize, StoreError>) -> (&'static str, usize) {
 
 /// E10b: after convergence, cuts the primary plus a majority of replicas
 /// and probes each read policy.
-pub fn availability_points() -> Vec<AvailabilityPoint> {
+fn availability_points() -> Vec<AvailabilityPoint> {
     let mut out = Vec::new();
     for &n in &[3usize, 5, 9] {
         let (mut w, client, cref) = gossip_world(n, 2000 + n as u64);
@@ -233,7 +233,7 @@ pub struct IterAvailabilityPoint {
 /// E10c: a 5-host deployment converges, the primary side drops out for a
 /// configurable window, and two optimistic iterators race: one reading
 /// the primary, one leaderless.
-pub fn iter_availability_points() -> Vec<IterAvailabilityPoint> {
+fn iter_availability_points() -> Vec<IterAvailabilityPoint> {
     [100u64, 400, 1600]
         .into_iter()
         .map(|partition_ms| {
@@ -356,7 +356,7 @@ fn reconcile_pair(seed: u64, n: u64, k: u64, mode: DigestMode) -> (u64, u64, boo
 
 /// E10d: sweeps the set size at fixed divergence, one point per digest
 /// mode. Both modes must converge; only the wire cost differs.
-pub fn reconcile_points() -> Vec<ReconcilePoint> {
+fn reconcile_points() -> Vec<ReconcilePoint> {
     let mut out = Vec::new();
     for &n in &[1_000u64, 8_000, 64_000] {
         for (label, mode) in [

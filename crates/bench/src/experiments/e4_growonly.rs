@@ -35,7 +35,7 @@ pub struct GrowthPoint {
 }
 
 /// The producer/consumer race sweep.
-pub fn growth_points() -> Vec<GrowthPoint> {
+fn growth_points() -> Vec<GrowthPoint> {
     [4.0f64, 2.0, 1.0, 0.5]
         .into_iter()
         .map(|interval_ratio| {
@@ -84,7 +84,7 @@ pub struct FailurePoint {
 }
 
 /// The pessimistic-abort sweep: a partition hits mid-run.
-pub fn failure_points() -> Vec<FailurePoint> {
+fn failure_points() -> Vec<FailurePoint> {
     [40u64, 200, 400]
         .into_iter()
         .map(|cut_after_ms| {
@@ -140,7 +140,7 @@ pub struct PolicyPoint {
 /// The quorum ablation: the membership primary is cut mid-run. With
 /// `Primary` reads the run dies; with `Quorum` (2-of-3 replicas) or
 /// `Any` it finishes from the surviving replicas.
-pub fn quorum_points() -> Vec<PolicyPoint> {
+fn quorum_points() -> Vec<PolicyPoint> {
     use weakset_store::collection::MemberEntry;
     use weakset_store::object::{ObjectId, ObjectRecord};
     use weakset_store::prelude::StoreClient;

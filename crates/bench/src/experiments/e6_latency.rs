@@ -156,7 +156,7 @@ pub struct SizePoint {
 
 /// File-size sweep over 1 MB/s links: transfer time dominates as files
 /// grow; parallel prefetching overlaps the transfers.
-pub fn size_points() -> Vec<SizePoint> {
+fn size_points() -> Vec<SizePoint> {
     let mut out = Vec::new();
     const N: usize = 32;
     const BPM: u64 = 1_000; // 1 MB/s
@@ -213,7 +213,7 @@ pub struct BuildPoint {
 
 /// Creates `n` 64-byte files in a directory replicated on two more
 /// volumes, over 1 MB/s links, for each `n`.
-pub fn build_points() -> Vec<BuildPoint> {
+fn build_points() -> Vec<BuildPoint> {
     use std::cell::Cell;
     use std::rc::Rc;
     [16usize, 64, 256]

@@ -138,7 +138,7 @@ pub fn rows() -> Vec<Row> {
 
 /// Classification of the partial results of *failed* snapshot runs
 /// (Figures 3/4 under a mid-run partition): `(figure, class)`.
-pub fn partial_rows() -> Vec<(Figure, QueryClass)> {
+fn partial_rows() -> Vec<(Figure, QueryClass)> {
     [Figure::Fig3, Figure::Fig4]
         .into_iter()
         .map(|figure| {

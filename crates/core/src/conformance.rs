@@ -65,7 +65,7 @@ impl HistorySource {
     }
 
     /// The default: the home node runs a bare [`StoreServer`].
-    pub fn plain_store() -> Self {
+    fn plain_store() -> Self {
         HistorySource::new(|world, home, coll, visit| {
             world.with_service(home, |s: &StoreServer| {
                 if let Some(state) = s.collection(coll) {

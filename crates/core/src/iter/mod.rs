@@ -89,18 +89,6 @@ impl IterConfig {
             ..IterConfig::default()
         }
     }
-
-    /// Defaults with [`ReadPolicy::CausalSession`] membership reads:
-    /// leaderless union reads carrying the client's session token, so
-    /// every run sees the session's own writes and never goes back in
-    /// time (read-your-writes + monotonic reads). The client must be
-    /// built with `StoreClient::with_session`.
-    pub fn causal_session() -> Self {
-        IterConfig {
-            read_policy: ReadPolicy::CausalSession,
-            ..IterConfig::default()
-        }
-    }
 }
 
 /// Orders fetch candidates per the configured [`FetchOrder`].

@@ -49,7 +49,10 @@
 //! world.install_service(s2, Box::new(StoreServer::new()));
 //!
 //! // A weak set whose membership list lives on s1.
-//! let set = WeakSetBuilder::new(CollectionId(1), s1).client_node(me).create(&mut world)?;
+//! let client = StoreClient::new(me, SimDuration::from_millis(100));
+//! let cref = CollectionRef::unreplicated(CollectionId(1), s1);
+//! client.create_collection(&mut world, &cref)?;
+//! let set = WeakSet::new(client, cref);
 //! set.add(&mut world, ObjectRecord::new(ObjectId(1), "menu-1", &b"dim sum"[..]), s1)?;
 //! set.add(&mut world, ObjectRecord::new(ObjectId(2), "menu-2", &b"noodles"[..]), s2)?;
 //!
@@ -71,7 +74,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod conformance;
 pub mod dynamic_set;
 pub mod error;
@@ -83,7 +85,6 @@ pub mod shard;
 
 /// One-stop imports for weak-set users.
 pub mod prelude {
-    pub use crate::builder::WeakSetBuilder;
     pub use crate::conformance::{HistorySource, RunObserver, StepEvidence};
     pub use crate::dynamic_set::DynamicSet;
     pub use crate::error::{Failure, IterStep};

@@ -10,7 +10,6 @@ use weakset_spec::checker::Figure;
 /// use weakset_spec::checker::Figure;
 /// assert_eq!(Semantics::Optimistic.figure(), Figure::Fig6);
 /// assert!(!Semantics::Optimistic.signals_failure());
-/// assert!(Semantics::Optimistic.may_block());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Semantics {
@@ -63,13 +62,6 @@ impl Semantics {
     pub fn signals_failure(self) -> bool {
         !self.plan().retry
     }
-
-    /// Whether this iterator may block (return
-    /// [`crate::error::IterStep::Blocked`]) — the other answer to the
-    /// same plan column.
-    pub fn may_block(self) -> bool {
-        self.plan().retry
-    }
 }
 
 impl fmt::Display for Semantics {
@@ -100,8 +92,6 @@ mod tests {
     fn failure_and_blocking_signatures() {
         assert!(Semantics::Snapshot.signals_failure());
         assert!(!Semantics::Optimistic.signals_failure());
-        assert!(Semantics::Optimistic.may_block());
-        assert!(!Semantics::GrowOnly.may_block());
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::error::{Failure, IterStep};
 use crate::handle::WeakSet;
 use crate::iter::{drive, Elements, IterConfig, COLLECT_MAX_BLOCKS};
 use crate::semantics::Semantics;
-use weakset_sim::metrics::shard_key;
 use weakset_sim::node::NodeId;
 use weakset_spec::prelude::Computation;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
@@ -47,86 +46,33 @@ fn splitmix64(mut x: u64) -> u64 {
 /// A deterministic consistent-hash ring mapping element ids to shard
 /// ids.
 ///
-/// Each shard owns `vnodes` points on a `u64` ring; an element routes
-/// to the shard owning the first point at or after its own hash
-/// (wrapping). The classic stability property holds by construction:
-/// adding a shard only moves keys *to* the new shard, and removing one
-/// only moves *its* keys — everything else stays put.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Each shard owns 64 points on a `u64` ring; an element routes to the
+/// shard owning the first point at or after its own hash (wrapping). A
+/// ring over one more shard only moves keys *to* the new shard: every
+/// other point stays where it was.
+#[derive(Clone, Debug)]
 pub struct ShardRouter {
-    vnodes: usize,
     /// Sorted `(point, shard)` pairs; ties break toward the smaller
     /// shard id (sort order), deterministically.
     ring: Vec<(u64, u32)>,
-    /// Shard ids present, ascending.
-    shards: Vec<u32>,
 }
 
 impl ShardRouter {
     /// Ring points per shard. Enough that a four-shard ring splits keys
     /// within a few percent of evenly.
-    pub const DEFAULT_VNODES: usize = 64;
+    const VNODES: u64 = 64;
 
-    /// A ring over shard ids `0..shards` with the default vnode count.
+    /// A ring over shard ids `0..shards`.
     pub fn new(shards: usize) -> Self {
-        Self::with_vnodes(shards, Self::DEFAULT_VNODES)
-    }
-
-    /// A ring over shard ids `0..shards` with an explicit vnode count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vnodes` is zero (a shard with no ring presence can
-    /// never be routed to).
-    pub fn with_vnodes(shards: usize, vnodes: usize) -> Self {
-        assert!(vnodes > 0, "a shard needs at least one ring point");
-        let mut r = ShardRouter {
-            vnodes,
-            ring: Vec::new(),
-            shards: Vec::new(),
-        };
-        for id in 0..shards as u32 {
-            r.add_shard(id);
+        let mut ring = Vec::with_capacity(shards * Self::VNODES as usize);
+        for shard in 0..shards as u32 {
+            ring.extend(
+                (0..Self::VNODES)
+                    .map(|v| (splitmix64(POINT_SALT ^ (u64::from(shard) << 32) ^ v), shard)),
+            );
         }
-        r
-    }
-
-    fn point(shard: u32, vnode: usize) -> u64 {
-        splitmix64(POINT_SALT ^ (u64::from(shard) << 32) ^ vnode as u64)
-    }
-
-    /// Adds a shard's points to the ring. Idempotent.
-    pub fn add_shard(&mut self, id: u32) {
-        if self.shards.contains(&id) {
-            return;
-        }
-        self.shards.push(id);
-        self.shards.sort_unstable();
-        for v in 0..self.vnodes {
-            self.ring.push((Self::point(id, v), id));
-        }
-        self.ring.sort_unstable();
-    }
-
-    /// Removes a shard's points from the ring. Idempotent.
-    pub fn remove_shard(&mut self, id: u32) {
-        self.shards.retain(|&s| s != id);
-        self.ring.retain(|&(_, s)| s != id);
-    }
-
-    /// Shard ids on the ring, ascending.
-    pub fn shards(&self) -> &[u32] {
-        &self.shards
-    }
-
-    /// Number of shards on the ring.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when the ring has no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        ring.sort_unstable();
+        ShardRouter { ring }
     }
 
     /// Routes an element to its shard: the owner of the first ring
@@ -149,6 +95,12 @@ impl ShardRouter {
 /// shards (for bases below 2^53 / 1024).
 pub fn shard_collection_id(base: CollectionId, shard: u32) -> CollectionId {
     CollectionId(base.0 * 1024 + u64::from(shard) + 1)
+}
+
+/// The metric name for `name` scoped to one shard:
+/// `shard.<index>.<name>` (see [`ShardedWeakSet::read_all_batched`]).
+pub fn shard_key(shard: usize, name: &str) -> String {
+    format!("shard.{shard}.{name}")
 }
 
 /// One shard's replica group: where its sub-collection lives.
@@ -213,11 +165,6 @@ impl ShardedWeakSet {
             router,
             shards,
         })
-    }
-
-    /// The routing ring.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
     }
 
     /// Number of shards.
@@ -408,11 +355,6 @@ impl ShardedElements {
         self.semantics
     }
 
-    /// The shard currently being drained (== `shard_count` once done).
-    pub fn current_shard(&self) -> usize {
-        self.current
-    }
-
     /// One invocation: the next step from the current shard, advancing
     /// to the next shard on `Done`. Opens an `iter.sharded.invocation`
     /// causal span so every per-shard step (and its cross-group RPCs)
@@ -524,29 +466,31 @@ mod tests {
         }
     }
 
+    /// Every element's shard on rings of 1..=4 shards, and every shard's
+    /// sub-collection id, folded into one FNV-1a digest of their bytes.
     #[test]
-    fn router_add_remove_round_trips() {
-        let mut r = ShardRouter::with_vnodes(3, 8);
-        assert_eq!(r.shards(), &[0, 1, 2]);
-        r.add_shard(1); // idempotent
-        assert_eq!(r.len(), 3);
-        r.remove_shard(1);
-        assert_eq!(r.shards(), &[0, 2]);
-        assert!(!r.is_empty());
-        for k in 0..128u64 {
-            assert_ne!(r.shard_for(ObjectId(k)), 1, "removed shard owns nothing");
+    fn routing_is_pinned() {
+        let mut bytes = Vec::new();
+        for shards in 1..=4usize {
+            let r = ShardRouter::new(shards);
+            for elem in 1..=4_096u64 {
+                bytes.extend_from_slice(&(shards as u64).to_le_bytes());
+                bytes.extend_from_slice(&elem.to_le_bytes());
+                bytes.extend_from_slice(&r.shard_for(ObjectId(elem)).to_le_bytes());
+            }
+            for shard in 0..shards as u32 {
+                bytes.extend_from_slice(
+                    &shard_collection_id(CollectionId(1), shard).0.to_le_bytes(),
+                );
+            }
         }
-        r.add_shard(1);
-        let fresh = ShardRouter::with_vnodes(3, 8);
-        assert_eq!(r, fresh, "remove+add restores the exact ring");
+        assert_eq!(weakset_sim::trace::fnv1a(&bytes), 0x16e3_ef9a_2010_51f2);
     }
 
     #[test]
     #[should_panic(expected = "empty ring")]
     fn routing_on_empty_ring_panics() {
-        let mut r = ShardRouter::with_vnodes(1, 4);
-        r.remove_shard(0);
-        let _ = r.shard_for(ObjectId(1));
+        let _ = ShardRouter::new(0).shard_for(ObjectId(1));
     }
 
     #[test]
@@ -575,14 +519,23 @@ mod tests {
         let (mut w, set, groups) = sharded_setup(13, 2, 3, ReadPolicy::Quorum);
         populate(&mut w, &set, &groups, 6);
         set.size(&mut w).unwrap();
-        let stats = weakset_sim::metrics::per_shard_stats(w.metrics());
-        assert_eq!(stats.len(), 2);
-        for s in &stats {
-            assert!(s.reads_ok >= 1, "shard {} read ok", s.shard);
-            assert_eq!(s.reads_err, 0);
-            assert!(s.read_p50_us.is_some());
-            assert_eq!(s.queue_depth_max, 3, "home + 2 replicas per envelope");
+        let m = w.metrics();
+        for i in 0..2 {
+            assert!(
+                m.counter(&shard_key(i, "read.ok")) >= 1,
+                "shard {i} read ok"
+            );
+            assert_eq!(m.counter(&shard_key(i, "read.err")), 0);
+            assert!(m
+                .latency(&shard_key(i, "read.us"))
+                .is_some_and(|r| r.p50().is_some()));
+            assert_eq!(
+                m.gauge(&shard_key(i, "queue.depth.max")),
+                3,
+                "home + 2 replicas per envelope"
+            );
         }
+        assert_eq!(m.counter(&shard_key(2, "read.ok")), 0, "two shards only");
     }
 
     #[test]
@@ -635,17 +588,15 @@ mod tests {
     }
 
     proptest! {
-        /// Consistent-hash stability: growing the ring only moves keys
-        /// to the new shard; shrinking only moves the removed shard's
-        /// keys.
+        /// Consistent-hash stability: a ring over one more shard only
+        /// moves keys to the new shard.
         #[test]
-        fn routing_is_stable_under_shard_add_remove(
+        fn routing_is_stable_when_a_shard_is_added(
             keys in proptest::collection::vec(any::<u64>(), 1..200),
             shards in 1usize..8,
         ) {
-            let before = ShardRouter::with_vnodes(shards, 16);
-            let mut grown = before.clone();
-            grown.add_shard(shards as u32);
+            let before = ShardRouter::new(shards);
+            let grown = ShardRouter::new(shards + 1);
             for &k in &keys {
                 let old = before.shard_for(ObjectId(k));
                 let new = grown.shard_for(ObjectId(k));
@@ -653,20 +604,6 @@ mod tests {
                     new == old || new == shards as u32,
                     "key {k} moved {old} -> {new}, not to the new shard"
                 );
-            }
-            let victim = (keys[0] % shards as u64) as u32;
-            let mut shrunk = before.clone();
-            shrunk.remove_shard(victim);
-            if !shrunk.is_empty() {
-                for &k in &keys {
-                    let old = before.shard_for(ObjectId(k));
-                    let new = shrunk.shard_for(ObjectId(k));
-                    if old != victim {
-                        prop_assert_eq!(new, old, "unowned key {} moved on remove", k);
-                    } else {
-                        prop_assert_ne!(new, victim);
-                    }
-                }
             }
         }
 

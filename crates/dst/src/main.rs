@@ -220,7 +220,7 @@ fn run_replay(rec: &Recording, out: &Path) -> (i32, Option<ReplayReport>) {
 /// twice and compared against the live outcome.
 fn run_record(seed: u64, out: &Path) -> i32 {
     let mut scenario = generate(seed);
-    scenario.deployment = Deployment::Plain; // replay v1 drives Plain only
+    scenario.deployment = Deployment::Plain; // replay v1 does not drive Gossip
     let live = match record_scenario(&scenario) {
         Ok(r) => r,
         Err(e) => {

@@ -47,9 +47,9 @@
 //! ## Scope (v1)
 //!
 //! Recording captures any threaded run; *replay* drives
-//! [`Deployment::Plain`] workloads (gossip and sharded deployments spawn
-//! background tasks and fan-out schedules whose regions v1 does not
-//! bracket). The live run's report carries `trace_hash: 0` — real
+//! [`Deployment::Plain`] and [`Deployment::Sharded`] workloads (a
+//! gossip deployment spawns anti-entropy tasks whose regions v1 does
+//! not bracket). The live run's report carries `trace_hash: 0` — real
 //! scheduling has no deterministic trace; determinism is a property of
 //! the *replay*.
 
@@ -249,9 +249,9 @@ fn final_membership(stage: &mut impl Stage, fleet: &Fleet) -> Vec<u64> {
     membership
 }
 
-const PLAIN_ONLY: &str = "record/replay v1 drives Plain deployments only";
+const NO_GOSSIP: &str = "record/replay v1 does not drive Gossip deployments";
 
-/// Runs a [`Deployment::Plain`] scenario on the threaded runtime with a
+/// Runs a Plain or Sharded scenario on the threaded runtime with a
 /// [`Recorder`] attached, producing a replayable [`Recording`] alongside
 /// the live run's oracle-checked report.
 ///
@@ -263,11 +263,11 @@ const PLAIN_ONLY: &str = "record/replay v1 drives Plain deployments only";
 ///
 /// # Errors
 ///
-/// Non-`Plain` deployments (unsupported by replay v1) and failures in
+/// Gossip deployments (unsupported by replay v1) and failures in
 /// the faultless prelude (collection creation, setup adds).
 pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
-    if s.deployment != Deployment::Plain {
-        return Err(PLAIN_ONLY.into());
+    if matches!(s.deployment, Deployment::Gossip { .. }) {
+        return Err(NO_GOSSIP.into());
     }
     let mut stage = Threads::new(s);
     let report = drive(s, &mut stage)?;
@@ -754,8 +754,9 @@ impl ServiceHost<StoreMsg> for ReplayRuntime {
 }
 
 /// Spawned tasks run against the bare world (not the replayer), through
-/// the simulator's own [`Spawner`]: nothing in a Plain deployment spawns,
-/// so recorded `TimerFired` entries stay informational.
+/// the simulator's own [`Spawner`]: nothing in a Plain or Sharded
+/// deployment spawns, so recorded `TimerFired` entries stay
+/// informational.
 impl Spawner<StoreMsg> for ReplayRuntime {
     fn spawn_in(&mut self, d: SimDuration, task: Box<dyn RtTask<StoreMsg>>) {
         Spawner::spawn_in(&mut self.world, d, task);
@@ -774,13 +775,13 @@ impl Spawner<StoreMsg> for ReplayRuntime {
 ///
 /// # Errors
 ///
-/// An unparsable embedded workload, a non-`Plain` deployment, a node
+/// An unparsable embedded workload, a Gossip deployment, a node
 /// roster that does not fit the workload, or a prelude (collection
 /// creation, setup adds) the log does not let succeed.
 pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
     let s = Scenario::from_ron(&rec.workload).map_err(|e| format!("embedded workload: {e}"))?;
-    if s.deployment != Deployment::Plain {
-        return Err(PLAIN_ONLY.into());
+    if matches!(s.deployment, Deployment::Gossip { .. }) {
+        return Err(NO_GOSSIP.into());
     }
     let n = s.servers.max(1);
     if rec.nodes.len() != n + 1 {
@@ -1060,7 +1061,7 @@ mod tests {
             workload: s.to_ron(),
             entries: vec![],
         };
-        assert!(replay_recording(&rec).unwrap_err().contains("Plain"));
+        assert!(replay_recording(&rec).unwrap_err().contains("Gossip"));
         let plain = Scenario {
             deployment: Deployment::Plain,
             ..s
@@ -1075,7 +1076,8 @@ mod tests {
 
     /// The fleet builder is the driver's, not a stage's, so the threaded
     /// stage runs every deployment — oracle on — even though
-    /// `record_scenario` still refuses the ones replay v1 cannot re-drive.
+    /// `record_scenario` still refuses Gossip, which replay v1 cannot
+    /// re-drive.
     #[test]
     fn quiet_sharded_and_gossip_runs_conform_on_threads() {
         let gossip = Deployment::Gossip {

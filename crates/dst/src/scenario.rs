@@ -235,7 +235,7 @@ impl FaultSpec {
     }
 
     /// When the fault has fully healed, as an offset from the run origin.
-    pub fn end_ms(&self) -> u64 {
+    fn end_ms(&self) -> u64 {
         match *self {
             FaultSpec::Outage { at_ms, for_ms, .. } => at_ms + for_ms,
             FaultSpec::Partition { at_ms, for_ms, .. } => at_ms + for_ms,
@@ -548,6 +548,56 @@ fn list_field<T>(
     Ok(items)
 }
 
+/// The most servers an artifact may deploy: the threaded stage starts
+/// one OS thread per server.
+const MAX_SERVERS: u64 = 64;
+/// The most down/up cycles one flap may run (two fault edges each).
+const MAX_CYCLES: u64 = 1_000;
+/// The latest offset or longest span a time field may name (one hour),
+/// so no fault's end overflows.
+const MAX_MS: u64 = 3_600_000;
+
+/// `v` when it is at most `max`, else an `Err` naming `field`.
+fn at_most(field: &str, v: u64, max: u64) -> Result<u64, String> {
+    if v <= max {
+        Ok(v)
+    } else {
+        Err(format!("{field} {v} is out of range (at most {max})"))
+    }
+}
+
+/// Rejects the values a stage cannot build or schedule.
+fn check_ranges(s: &Scenario) -> Result<(), String> {
+    at_most("servers", s.servers as u64, MAX_SERVERS)?;
+    at_most("think_ms", s.think_ms, MAX_MS)?;
+    at_most("start_ms", s.start_ms, MAX_MS)?;
+    for op in &s.ops {
+        at_most("at_ms", op.at_ms(), MAX_MS)?;
+    }
+    for f in &s.faults {
+        match *f {
+            FaultSpec::Outage { at_ms, for_ms, .. }
+            | FaultSpec::Partition { at_ms, for_ms, .. } => {
+                at_most("at_ms", at_ms, MAX_MS)?;
+                at_most("for_ms", for_ms, MAX_MS)?;
+            }
+            FaultSpec::Flap {
+                at_ms,
+                down_ms,
+                up_ms,
+                cycles,
+                ..
+            } => {
+                at_most("at_ms", at_ms, MAX_MS)?;
+                at_most("down_ms", down_ms, MAX_MS)?;
+                at_most("up_ms", up_ms, MAX_MS)?;
+                at_most("cycles", cycles as u64, MAX_CYCLES)?;
+            }
+        }
+    }
+    Ok(())
+}
+
 fn scenario(p: &mut Parser) -> Result<Scenario, String> {
     p.keyword("Scenario")?;
     p.expect(Tok::LParen)?;
@@ -586,6 +636,7 @@ fn scenario(p: &mut Parser) -> Result<Scenario, String> {
         chaos: named(p, "chaos", &CHAOS)?,
     };
     p.expect(Tok::RParen)?;
+    check_ranges(&s)?;
     Ok(s)
 }
 

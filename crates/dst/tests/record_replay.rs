@@ -260,3 +260,45 @@ fn violating_recording_shrinks_and_explains() {
     // The causal explainer accepts the replayed report as-is.
     let _ = explain(&min.report);
 }
+
+/// A fault-free sharded run (6 servers in 3 quorum groups) records, and
+/// two replays are divergence-free, hash-equal and agree with the live
+/// run, for every semantics.
+#[test]
+fn a_quiet_sharded_run_replays_deterministically() {
+    for semantics in Semantics::ALL {
+        let s = Scenario {
+            servers: 6,
+            deployment: Deployment::Sharded { shards: 3 },
+            semantics,
+            read_policy: ReadPolicy::Quorum,
+            setup: (1..=6).map(|i| (i, i as usize - 1)).collect(),
+            ops: vec![],
+            ..base_scenario(23)
+        };
+        let live = record_scenario(&s).expect("record");
+        assert!(
+            live.report.violations.is_empty(),
+            "{semantics}: {:?}",
+            live.report.violations
+        );
+        assert!(!live.recording.truncated, "{semantics}");
+        let a = replay_recording(&live.recording).expect("replay a");
+        let b = replay_recording(&live.recording).expect("replay b");
+        assert_eq!(a.divergences, Vec::<String>::new(), "{semantics}");
+        assert_eq!(b.divergences, Vec::<String>::new(), "{semantics}");
+        assert_eq!(a.report.trace_hash, b.report.trace_hash, "{semantics}");
+        assert_eq!(a.report.yielded, b.report.yielded, "{semantics}");
+        assert_eq!(a.report.yielded, live.report.yielded, "{semantics}");
+        assert_eq!(a.membership, live.membership, "{semantics}");
+        assert!(
+            a.report.violations.is_empty(),
+            "{semantics}: {:?}",
+            a.report.violations
+        );
+        assert!(
+            a.report.metrics.counter("replay.rpc.replayed") > 0,
+            "{semantics}"
+        );
+    }
+}

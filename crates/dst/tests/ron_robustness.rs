@@ -1,10 +1,12 @@
 //! `obs::ron` on hostile input, through both artifacts written in it: no
 //! truncation of a checked-in scenario repro or of a threaded recording
-//! panics or parses as something else, and a long string literal
-//! tokenizes.
+//! panics or parses as something else, a long string literal tokenizes,
+//! and a scenario no stage could run is an `Err`, not a panic or a fleet
+//! of a hundred thousand threads.
 
 use std::path::Path;
 use weakset::prelude::{FetchOrder, Semantics};
+use weakset_dst::gen::LEGS;
 use weakset_dst::prelude::*;
 use weakset_obs::ron::{push_str_lit, Parser};
 use weakset_runtime::Recording;
@@ -72,4 +74,59 @@ fn a_one_mebibyte_string_literal_tokenizes() {
     let mut p = Parser::new(&lit).expect("tokenizes");
     assert_eq!(p.string(), Ok(raw));
     p.expect_end().expect("one token");
+}
+
+#[test]
+fn out_of_range_scenarios_are_errors() {
+    let s = Scenario {
+        seed: 1,
+        servers: 3,
+        deployment: Deployment::Plain,
+        semantics: Semantics::GrowOnly,
+        read_policy: ReadPolicy::Primary,
+        guard_growth: false,
+        fetch_order: FetchOrder::IdOrder,
+        think_ms: 1,
+        budget: 8,
+        start_ms: 10,
+        setup: vec![(1, 0)],
+        ops: vec![],
+        faults: vec![
+            FaultSpec::Outage {
+                at_ms: 12,
+                node: 1,
+                for_ms: 20,
+            },
+            FaultSpec::Flap {
+                at_ms: 15,
+                a: 0,
+                b: 2,
+                down_ms: 2,
+                up_ms: 3,
+                cycles: 2,
+            },
+        ],
+        chaos: Chaos::None,
+    };
+    let text = s.to_ron();
+    assert_eq!(Scenario::from_ron(&text), Ok(s));
+    for (from, to) in [
+        ("servers: 3", "servers: 100000"),
+        ("cycles: 2", "cycles: 18446744073709551615"),
+        ("for_ms: 20", "for_ms: 18446744073709551615"),
+    ] {
+        assert!(text.contains(from), "{from}");
+        let err = Scenario::from_ron(&text.replace(from, to)).expect_err(to);
+        assert!(err.contains("out of range"), "{to}: {err}");
+    }
+}
+
+#[test]
+fn every_generated_scenario_round_trips() {
+    for (leg, generate) in LEGS {
+        for seed in 0..2_000 {
+            let s = generate(seed);
+            assert_eq!(Scenario::from_ron(&s.to_ron()), Ok(s), "{leg} seed {seed}");
+        }
+    }
 }

@@ -190,11 +190,6 @@ impl FileSystem {
         self.files.get(path).copied()
     }
 
-    /// Known directories (client-side namespace).
-    pub fn dir_paths(&self) -> impl Iterator<Item = &FsPath> {
-        self.dirs.keys()
-    }
-
     fn fresh_obj(&mut self) -> ObjectId {
         let id = ObjectId(self.next_obj);
         self.next_obj += 1;
@@ -277,7 +272,7 @@ impl FileSystem {
     /// # Errors
     ///
     /// As for [`FileSystem::mkdir`].
-    pub fn create_file_with_attrs(
+    fn create_file_with_attrs(
         &mut self,
         world: &mut StoreWorld,
         path: &FsPath,
@@ -301,26 +296,6 @@ impl FileSystem {
         self.files
             .insert(path.clone(), MemberEntry { elem: id, home });
         Ok(id)
-    }
-
-    /// Removes a file from its directory (the payload object is deleted
-    /// too).
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::NotFound`] for unknown paths, [`FsError::Store`] on
-    /// communication failure.
-    pub fn unlink(&mut self, world: &mut StoreWorld, path: &FsPath) -> Result<(), FsError> {
-        let entry = self
-            .files
-            .get(path)
-            .copied()
-            .ok_or(FsError::NotFound(path.clone()))?;
-        let parent = self.parent_of(path)?;
-        self.client.remove_member(world, &parent, entry.elem)?;
-        let _ = self.client.delete_object(world, entry.home, entry.elem);
-        self.files.remove(path);
-        Ok(())
     }
 
     /// Metadata for one file or directory, fetched from its home node.
@@ -358,46 +333,6 @@ impl FileSystem {
             }
         }
         Err(FsError::NotFound(path.clone()))
-    }
-
-    /// Renames a file, possibly across directories: the member moves from
-    /// the old parent's collection to the new one and the object's name
-    /// is rewritten in place.
-    ///
-    /// Not atomic — exactly the weak-set behaviour §1 warns about: a
-    /// concurrent listing may observe the file in neither directory (the
-    /// remove landed, the add has not) or with its old name.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::NotFound`] / [`FsError::AlreadyExists`] /
-    /// [`FsError::Store`].
-    pub fn rename(
-        &mut self,
-        world: &mut StoreWorld,
-        from: &FsPath,
-        to: &FsPath,
-    ) -> Result<(), FsError> {
-        let entry = self
-            .files
-            .get(from)
-            .copied()
-            .ok_or(FsError::NotFound(from.clone()))?;
-        if self.files.contains_key(to) || self.dirs.contains_key(to) {
-            return Err(FsError::AlreadyExists(to.clone()));
-        }
-        let new_parent = self.parent_of(to)?;
-        let old_parent = self.parent_of(from)?;
-        // Rewrite the object's name first so a window where the file is
-        // linked nowhere never shows a stale name afterwards.
-        let mut rec = self.client.fetch_object(world, entry.home, entry.elem)?;
-        rec.name = to.name().expect("non-root").to_string();
-        self.client.put_object(world, entry.home, rec)?;
-        self.client.remove_member(world, &old_parent, entry.elem)?;
-        self.client.add_member(world, &new_parent, entry)?;
-        self.files.remove(from);
-        self.files.insert(to.clone(), entry);
-        Ok(())
     }
 
     /// Reads one file's contents.
@@ -469,7 +404,7 @@ impl FileSystem {
     /// # Errors
     ///
     /// As for [`FileSystem::dynls`].
-    pub fn dynls_with_policy(
+    fn dynls_with_policy(
         &self,
         world: &mut StoreWorld,
         path: &FsPath,
@@ -487,8 +422,8 @@ impl FileSystem {
     /// given predicate", §1.1): gathers the membership of every known
     /// directory at or below `root`, then streams matching files back
     /// with dynamic-set semantics. Directories whose membership list is
-    /// unreachable are *skipped* — partial results, reported in
-    /// [`FindStream::dirs_skipped`].
+    /// unreachable are *skipped*: their files are missing from the
+    /// partial result.
     ///
     /// # Errors
     ///
@@ -504,14 +439,12 @@ impl FileSystem {
             return Err(FsError::NotFound(root.clone()));
         }
         let mut members: Vec<MemberEntry> = Vec::new();
-        let mut dirs_skipped = 0;
         for (path, cref) in &self.dirs {
             if !path.starts_with(root) {
                 continue;
             }
-            match self.client.read_members(world, cref, ReadPolicy::Primary) {
-                Ok(read) => members.extend(&read.entries),
-                Err(_) => dirs_skipped += 1,
+            if let Ok(read) = self.client.read_members(world, cref, ReadPolicy::Primary) {
+                members.extend(&read.entries);
             }
         }
         members.sort_by_key(|m| m.elem);
@@ -520,28 +453,20 @@ impl FileSystem {
         Ok(FindStream {
             listing: DynLs { set },
             query: query.clone(),
-            dirs_skipped,
         })
     }
 }
 
-/// A streaming recursive search: a listing of the gathered members, the
-/// query that filters fetched objects client-side (directory-entry markers
-/// are skipped), and the number of directories the traversal skipped.
+/// A streaming recursive search: a listing of the gathered members and
+/// the query that filters fetched objects client-side (directory-entry
+/// markers are skipped).
 #[derive(Debug)]
 pub struct FindStream {
     listing: DynLs,
     query: Query,
-    dirs_skipped: usize,
 }
 
 impl FindStream {
-    /// Directories the traversal could not read (unreachable membership
-    /// lists).
-    pub fn dirs_skipped(&self) -> usize {
-        self.dirs_skipped
-    }
-
     /// Candidate entries discovered (before filtering).
     pub fn candidates(&self) -> usize {
         self.listing.total()
@@ -707,18 +632,16 @@ mod tests {
     }
 
     #[test]
-    fn read_and_unlink() {
+    fn read_returns_the_payload() {
         let (mut w, mut fs, servers) = setup(1);
         let p = FsPath::parse("/f").unwrap();
         fs.create_file(&mut w, &p, b"payload", servers[0]).unwrap();
         let rec = fs.read_file(&mut w, &p).unwrap();
         assert_eq!(&rec.payload[..], b"payload");
-        fs.unlink(&mut w, &p).unwrap();
         assert!(matches!(
-            fs.read_file(&mut w, &p),
+            fs.read_file(&mut w, &FsPath::parse("/g").unwrap()),
             Err(FsError::NotFound(_))
         ));
-        assert!(fs.ls(&mut w, &FsPath::root()).unwrap().is_empty());
     }
 
     #[test]
@@ -798,7 +721,6 @@ mod tests {
             .unwrap();
         // Candidates include everything (files + dirent markers).
         assert_eq!(stream.candidates(), 5);
-        assert_eq!(stream.dirs_skipped(), 0);
         let (hits, end) = stream.drain_available(&mut w);
         assert_eq!(end, DynLsStep::Complete);
         let mut names: Vec<_> = hits.iter().map(|e| e.name.clone()).collect();
@@ -857,7 +779,6 @@ mod tests {
                 weakset::prelude::PrefetchConfig::default(),
             )
             .unwrap();
-        assert_eq!(stream.dirs_skipped(), 1);
         let (hits, end) = stream.drain_available(&mut w);
         // "near" plus the /far dirent marker is filtered out; the marker
         // lives on the cut server so it is pending, not listed.
@@ -933,48 +854,12 @@ mod tests {
     }
 
     #[test]
-    fn rename_moves_across_directories() {
-        let (mut w, mut fs, servers) = setup(2);
-        let a = FsPath::parse("/a").unwrap();
-        let b = FsPath::parse("/b").unwrap();
-        fs.mkdir(&mut w, &a, servers[0]).unwrap();
-        fs.mkdir(&mut w, &b, servers[1]).unwrap();
-        let old = a.join("draft.txt");
-        fs.create_file(&mut w, &old, b"text", servers[0]).unwrap();
-        let new = b.join("final.txt");
-        fs.rename(&mut w, &old, &new).unwrap();
-        // Old path gone, new path live with the new name and old bytes.
-        assert!(matches!(
-            fs.read_file(&mut w, &old),
-            Err(FsError::NotFound(_))
-        ));
-        let rec = fs.read_file(&mut w, &new).unwrap();
-        assert_eq!(&rec.payload[..], b"text");
-        assert_eq!(rec.name, "final.txt");
-        assert!(fs.ls(&mut w, &a).unwrap().is_empty());
-        let lb = fs.ls(&mut w, &b).unwrap();
-        assert_eq!(lb.len(), 1);
-        assert_eq!(lb[0].name, "final.txt");
-        // Collision and missing-source errors.
-        assert!(matches!(
-            fs.rename(&mut w, &old, &new),
-            Err(FsError::NotFound(_))
-        ));
-        fs.create_file(&mut w, &old, b"again", servers[0]).unwrap();
-        assert!(matches!(
-            fs.rename(&mut w, &old, &new),
-            Err(FsError::AlreadyExists(_))
-        ));
-    }
-
-    #[test]
     fn dir_accessors() {
         let (mut w, mut fs, servers) = setup(1);
         let d = FsPath::parse("/d").unwrap();
         fs.mkdir(&mut w, &d, servers[0]).unwrap();
         assert!(fs.dir(&d).is_some());
         assert!(fs.dir(&FsPath::parse("/nope").unwrap()).is_none());
-        assert_eq!(fs.dir_paths().count(), 2); // root + /d
         let f = d.join("f");
         fs.create_file(&mut w, &f, b"", servers[0]).unwrap();
         assert!(fs.file(&f).is_some());

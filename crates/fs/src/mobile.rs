@@ -36,11 +36,6 @@ impl MobileClient {
         self.node
     }
 
-    /// Whether the client is currently connected.
-    pub fn is_connected(&self) -> bool {
-        self.connected
-    }
-
     /// Disconnects from the network (no-op if already disconnected).
     pub fn disconnect(&mut self, world: &mut StoreWorld) {
         if self.connected {
@@ -83,19 +78,19 @@ mod tests {
         w.install_service(server, Box::new(StoreServer::new()));
         let client = StoreClient::new(laptop, SimDuration::from_millis(20));
         let mut mc = MobileClient::new(laptop);
-        assert!(mc.is_connected());
+        assert!(mc.connected);
         assert!(client
             .fetch_object(&mut w, server, ObjectId(1))
             .is_err_and(|e| !matches!(e, weakset_store::prelude::StoreError::Net(_))));
         mc.disconnect(&mut w);
-        assert!(!mc.is_connected());
+        assert!(!mc.connected);
         assert!(matches!(
             client.fetch_object(&mut w, server, ObjectId(1)),
             Err(weakset_store::prelude::StoreError::Net(_))
         ));
         mc.disconnect(&mut w); // idempotent
         mc.reconnect(&mut w);
-        assert!(mc.is_connected());
+        assert!(mc.connected);
         // Reachable again (NotFound is a server answer, not a net error).
         let r = w.rpc(
             laptop,

@@ -39,18 +39,6 @@ pub struct TreeStats {
 }
 
 impl TreeSpec {
-    /// Total files the spec will create.
-    pub fn expected_files(&self) -> usize {
-        // Directories at each level: fanout^level, for level 0..=depth.
-        let mut dirs_total = 0usize;
-        let mut level = 1usize;
-        for _ in 0..=self.depth {
-            dirs_total += level;
-            level *= self.fanout.max(1);
-        }
-        dirs_total * self.files_per_dir
-    }
-
     /// Builds the tree into `fs`, homing its files and directories on
     /// `volumes` round-robin, in creation order.
     ///
@@ -137,6 +125,18 @@ mod tests {
         (w, fs, vols)
     }
 
+    /// Total files `spec` will create.
+    fn expected_files(spec: &TreeSpec) -> usize {
+        // Directories at each level: fanout^level, for level 0..=depth.
+        let mut dirs_total = 0usize;
+        let mut level = 1usize;
+        for _ in 0..=spec.depth {
+            dirs_total += level;
+            level *= spec.fanout.max(1);
+        }
+        dirs_total * spec.files_per_dir
+    }
+
     #[test]
     fn builds_expected_shape() {
         let (mut w, mut fs, vols) = setup(3);
@@ -151,7 +151,7 @@ mod tests {
         assert_eq!(stats.dirs.len(), 6);
         // Files: (1 + 2 + 4) dirs × 3 files.
         assert_eq!(stats.files.len(), 21);
-        assert_eq!(spec.expected_files(), 21);
+        assert_eq!(expected_files(&spec), 21);
         // Spot-check a listing.
         let root_ls = fs.ls(&mut w, &FsPath::root()).unwrap();
         assert_eq!(root_ls.len(), 3 + 2); // 3 files + 2 subdirs
@@ -176,6 +176,6 @@ mod tests {
     fn default_spec_is_buildable() {
         let (mut w, mut fs, vols) = setup(2);
         let stats = TreeSpec::default().build(&mut w, &mut fs, &vols).unwrap();
-        assert_eq!(stats.files.len(), TreeSpec::default().expected_files());
+        assert_eq!(stats.files.len(), expected_files(&TreeSpec::default()));
     }
 }

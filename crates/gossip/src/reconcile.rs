@@ -7,7 +7,7 @@
 //! replicas' live-dot sets instead, by descending an implicit Merkle
 //! tree over a hashed 64-bit key space:
 //!
-//! 1. each live dot is mapped to a key by [`dot_key`] (a splitmix64-style
+//! 1. each live dot is mapped to a key by `dot_key` (a splitmix64-style
 //!    mix, so keys spread uniformly no matter how dots cluster);
 //! 2. a [`RangeTree`] summarizes any aligned key range as `(count, XOR
 //!    of per-dot hashes)` — an order-independent fingerprint computable
@@ -56,7 +56,7 @@ fn mix64(mut x: u64) -> u64 {
 /// Where `dot` lives in the 64-bit reconciliation key space. Mixing the
 /// replica id before folding in the counter keeps consecutive counters
 /// from the same replica uniformly spread.
-pub fn dot_key(dot: Dot) -> u64 {
+fn dot_key(dot: Dot) -> u64 {
     mix64(mix64(dot.replica.0 as u64) ^ dot.counter)
 }
 
@@ -67,7 +67,7 @@ fn dot_hash(dot: Dot) -> u64 {
 }
 
 /// A queryable snapshot of one replica's live-dot set: entries sorted by
-/// [`dot_key`], with a prefix-XOR table so any contiguous span's
+/// `dot_key`, with a prefix-XOR table so any contiguous span's
 /// fingerprint costs two lookups. Both sides of an exchange use the same
 /// structure (the initiator to pick frontiers and diff leaves, the
 /// responder inside [`RangeTree::respond`]).
@@ -137,7 +137,7 @@ impl RangeTree {
     }
 
     /// The live entries whose keys fall in `key`.
-    pub fn entries_in(&self, key: RangeKey) -> Vec<DottedEntry> {
+    fn entries_in(&self, key: RangeKey) -> Vec<DottedEntry> {
         let (lo, hi) = self.span(key);
         self.keyed[lo..hi].iter().map(|&(_, e)| e).collect()
     }

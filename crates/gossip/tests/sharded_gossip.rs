@@ -8,6 +8,7 @@
 //! runs still conform to the paper's figures.
 
 use weakset::prelude::*;
+use weakset::shard::shard_key;
 use weakset_gossip::prelude::*;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
@@ -141,12 +142,16 @@ fn sharded_leaderless_reads_survive_all_primaries_partitioned() {
     }
 
     // Per-shard observability was recorded by the batched read.
-    let stats = weakset_sim::metrics::per_shard_stats(w.metrics());
-    assert_eq!(stats.len(), 2);
-    for s in &stats {
-        assert!(s.reads_ok >= 1, "shard {}", s.shard);
-        assert_eq!(s.queue_depth_max, 3, "whole group shares one envelope");
+    let m = w.metrics();
+    for i in 0..2 {
+        assert!(m.counter(&shard_key(i, "read.ok")) >= 1, "shard {i}");
+        assert_eq!(
+            m.gauge(&shard_key(i, "queue.depth.max")),
+            3,
+            "whole group shares one envelope"
+        );
     }
+    assert_eq!(m.counter(&shard_key(2, "read.ok")), 0, "two shards only");
 }
 
 #[test]

@@ -218,7 +218,7 @@ impl Parser {
     }
 
     /// `true` or `false`.
-    pub fn bool_value(&mut self) -> Result<bool, String> {
+    fn bool_value(&mut self) -> Result<bool, String> {
         match self.ident()?.as_str() {
             "true" => Ok(true),
             "false" => Ok(false),

@@ -8,7 +8,6 @@
 //! byte-identical files.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use crate::json::Json;
 use crate::latency::LatencySummary;
@@ -28,20 +27,6 @@ impl Direction {
             Direction::LowerIsBetter => "lower_is_better",
             Direction::HigherIsBetter => "higher_is_better",
         }
-    }
-
-    fn parse(s: &str) -> Option<Direction> {
-        match s {
-            "lower_is_better" => Some(Direction::LowerIsBetter),
-            "higher_is_better" => Some(Direction::HigherIsBetter),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Direction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -153,107 +138,6 @@ impl ObsSnapshot {
         ])
         .to_pretty()
     }
-
-    /// Parses a snapshot previously produced by [`ObsSnapshot::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A descriptive message on malformed JSON, a missing field, or an
-    /// unknown schema version.
-    pub fn from_json(input: &str) -> Result<ObsSnapshot, String> {
-        let root = Json::parse(input)?;
-        let scenario = root
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or("missing field: scenario")?
-            .to_string();
-        let seed = root
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("missing field: seed")?;
-        let schema_version = root
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing field: schema_version")?;
-        let schema_version = u32::try_from(schema_version)
-            .map_err(|_| format!("schema_version {schema_version} out of range for u32"))?;
-        if schema_version != Self::SCHEMA_VERSION {
-            return Err(format!(
-                "unknown schema_version {schema_version} (expected {})",
-                Self::SCHEMA_VERSION
-            ));
-        }
-        let counters = u64_map(&root, "counters")?;
-        let gauges = u64_map(&root, "gauges")?;
-
-        let mut latencies = BTreeMap::new();
-        for (name, value) in obj_fields(&root, "latencies")? {
-            let field = |f: &str| -> Result<u64, String> {
-                value
-                    .get(f)
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("latency {name:?}: missing field {f}"))
-            };
-            latencies.insert(
-                name.clone(),
-                LatencySummary {
-                    count: field("count")?,
-                    min_us: field("min_us")?,
-                    p50_us: field("p50_us")?,
-                    p99_us: field("p99_us")?,
-                    max_us: field("max_us")?,
-                    mean_us: field("mean_us")?,
-                },
-            );
-        }
-
-        let mut objectives = BTreeMap::new();
-        for (name, value) in obj_fields(&root, "objectives")? {
-            let raw = value
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or(format!("objective {name:?}: missing value"))?;
-            let direction = value
-                .get("direction")
-                .and_then(Json::as_str)
-                .and_then(Direction::parse)
-                .ok_or(format!("objective {name:?}: bad direction"))?;
-            objectives.insert(
-                name.clone(),
-                Objective {
-                    value: raw,
-                    direction,
-                },
-            );
-        }
-
-        Ok(ObsSnapshot {
-            scenario,
-            seed,
-            schema_version,
-            counters,
-            gauges,
-            latencies,
-            objectives,
-        })
-    }
-}
-
-fn obj_fields<'a>(root: &'a Json, key: &str) -> Result<&'a [(String, Json)], String> {
-    root.get(key)
-        .and_then(Json::fields)
-        .ok_or(format!("missing object field: {key}"))
-}
-
-fn u64_map(root: &Json, key: &str) -> Result<BTreeMap<String, u64>, String> {
-    let mut out = BTreeMap::new();
-    for (name, value) in obj_fields(root, key)? {
-        let v = value
-            .as_u64()
-            .ok_or(format!("{key}.{name}: expected unsigned integer"))?;
-        out.insert(name.clone(), v);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -275,12 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_byte_identically() {
-        let snap = sample();
-        let json = snap.to_json();
-        let back = ObsSnapshot::from_json(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.to_json(), json);
+    fn json_is_canonical() {
+        let json = sample().to_json();
+        assert_eq!(Json::parse(&json).unwrap().to_pretty(), json);
     }
 
     #[test]
@@ -294,46 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_round_trips() {
-        let snap = MetricsRegistry::new().snapshot("empty", 0);
-        let back = ObsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn from_json_rejects_bad_input() {
-        assert!(ObsSnapshot::from_json("not json").is_err());
-        assert!(ObsSnapshot::from_json("{}").is_err());
-        let wrong_version = sample()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 999");
-        assert!(ObsSnapshot::from_json(&wrong_version).is_err());
-    }
-
-    #[test]
-    fn from_json_rejects_non_u32_schema_versions() {
-        // Out of u32 range: must be a parse error, not a silent
-        // truncation to some in-range value.
-        let too_big = sample()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 4294967297");
-        let err = ObsSnapshot::from_json(&too_big).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
-        // Fractional and negative versions are not unsigned integers.
-        for bad in ["1.5", "-1"] {
-            let text = sample().to_json().replace(
-                "\"schema_version\": 1",
-                &format!("\"schema_version\": {bad}"),
-            );
-            assert!(ObsSnapshot::from_json(&text).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn directions_parse_and_display() {
-        for d in [Direction::LowerIsBetter, Direction::HigherIsBetter] {
-            assert_eq!(Direction::parse(&d.to_string()), Some(d));
-        }
-        assert_eq!(Direction::parse("sideways"), None);
+    fn empty_snapshot_is_canonical() {
+        let json = MetricsRegistry::new().snapshot("empty", 0).to_json();
+        assert_eq!(Json::parse(&json).unwrap().to_pretty(), json);
     }
 }

@@ -5,7 +5,7 @@
 
 use std::path::Path;
 use weakset_obs::json::MAX_DEPTH;
-use weakset_obs::{Json, ObsSnapshot};
+use weakset_obs::Json;
 
 /// Runs `f` on a thread with a 2 MiB stack, the default for spawned
 /// threads, so an unbounded recursion shows up as an abort here too.
@@ -55,13 +55,14 @@ fn no_truncation_of_a_checked_in_snapshot_panics_or_misparses() {
         }
         files += 1;
         let text = std::fs::read_to_string(&path).expect("readable snapshot");
-        let full = ObsSnapshot::from_json(&text).expect("checked-in snapshot parses");
+        let full = Json::parse(&text).expect("checked-in snapshot parses");
+        assert_eq!(full.to_pretty(), text, "{name} is canonical");
         for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
             let (kept, lost) = text.split_at(cut);
-            match ObsSnapshot::from_json(kept) {
-                Ok(snap) => {
+            match Json::parse(kept) {
+                Ok(doc) => {
                     assert!(lost.trim().is_empty(), "{name} cut at {cut} parsed");
-                    assert_eq!(snap, full, "{name} cut at {cut}");
+                    assert_eq!(doc, full, "{name} cut at {cut}");
                 }
                 Err(_) => assert!(!lost.trim().is_empty(), "{name} cut at {cut}"),
             }

@@ -596,12 +596,6 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         node
     }
 
-    /// The node's registered name, when it exists.
-    pub fn node_name(&self, node: NodeId) -> Option<String> {
-        let topology = lock(&self.shared.faults.topology);
-        (node.index() < topology.len()).then(|| topology.node(node).name().to_string())
-    }
-
     /// Applies one fault to the fleet's topology — the same change
     /// [`weakset_sim::world::World::apply_fault`] makes to the
     /// simulator's. A down node eats incoming mail (callers time out);
@@ -1251,7 +1245,6 @@ mod tests {
             .shutdown(Duration::from_millis(200))
             .expect_err("wedged handler must be reported, not waited out");
         assert_eq!(hung, vec![wedged]);
-        assert_eq!(rt.node_name(wedged).as_deref(), Some("wedged"));
         let rec = rt.recorder().expect("recorder attached").finish();
         assert!(rec.truncated, "failed shutdown must truncate the recording");
         // The completed prefix is still there: both nodes and the send.

@@ -50,7 +50,8 @@ impl FaultAction {
 /// let server = NodeId(1);
 /// let plan = FaultPlan::none()
 ///     .outage(SimTime::from_millis(10), server, SimDuration::from_millis(5))
-///     .partition_window(SimTime::from_millis(40), &[laptop], SimDuration::from_millis(20))
+///     .partition_at(SimTime::from_millis(40), &[laptop])
+///     .heal_at(SimTime::from_millis(60))
 ///     .flap_link(SimTime::from_millis(100), laptop, server,
 ///                SimDuration::from_millis(2), SimDuration::from_millis(8), 3);
 /// assert_eq!(plan.len(), 2 + 2 + 6);
@@ -97,18 +98,13 @@ impl FaultPlan {
         self.at(t, FaultAction::HealPartition)
     }
 
-    /// Partitions `side` at `t` and heals `duration` later.
-    pub fn partition_window(self, t: SimTime, side: &[NodeId], duration: SimDuration) -> Self {
-        self.partition_at(t, side).heal_at(t + duration)
-    }
-
     /// Takes the link between `a` and `b` down at `t`.
-    pub fn link_down_at(self, t: SimTime, a: NodeId, b: NodeId) -> Self {
+    fn link_down_at(self, t: SimTime, a: NodeId, b: NodeId) -> Self {
         self.at(t, FaultAction::SetLink(a, b, LinkState::down()))
     }
 
     /// Brings the link between `a` and `b` back up at `t`.
-    pub fn link_up_at(self, t: SimTime, a: NodeId, b: NodeId) -> Self {
+    fn link_up_at(self, t: SimTime, a: NodeId, b: NodeId) -> Self {
         self.at(t, FaultAction::SetLink(a, b, LinkState::healthy()))
     }
 
@@ -183,20 +179,6 @@ mod tests {
         assert_eq!(
             plan.actions()[1],
             (SimTime::from_millis(14), FaultAction::Restart(NodeId(0)))
-        );
-    }
-
-    #[test]
-    fn partition_window_heals() {
-        let plan = FaultPlan::none().partition_window(
-            SimTime::from_millis(2),
-            &[NodeId(3)],
-            SimDuration::from_millis(6),
-        );
-        assert_eq!(plan.len(), 2);
-        assert_eq!(
-            plan.actions()[1],
-            (SimTime::from_millis(8), FaultAction::HealPartition)
         );
     }
 

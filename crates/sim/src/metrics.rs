@@ -10,10 +10,9 @@
 //! (`SimDuration::as_micros`), the simulator's native resolution.
 
 pub use weakset_obs::{
-    category_of, chrome_trace, critical_path, critical_path_of, per_shard_stats, shard_key,
-    CausalDag, CriticalPath, Direction, EventSink, Label, LatencyRecorder, LatencySummary,
-    Objective, ObsEvent, ObsKind, ObsSnapshot, PathCategory, ShardStats, SpanId, SpanNode,
-    TraceContext, TraceId,
+    category_of, chrome_trace, critical_path, critical_path_of, CausalDag, CriticalPath, Direction,
+    EventSink, Label, LatencyRecorder, LatencySummary, Objective, ObsEvent, ObsKind, ObsSnapshot,
+    PathCategory, SpanId, SpanNode, TraceContext, TraceId,
 };
 
 /// Named counters, gauges, and latency recorders for a run.

@@ -59,19 +59,12 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Time elapsed since `earlier`, or `None` when `earlier` is later
-    /// than `self` (an out-of-order timestamp pair).
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Time elapsed since `earlier`, or zero if `earlier` is later.
     ///
     /// Saturating here means the caller subtracted timestamps out of
     /// order — on a monotonic event loop that is a causality or
     /// scheduler-ordering bug upstream, so debug builds assert instead
-    /// of masking it. A caller that genuinely expects reordered
-    /// instants should branch on [`SimTime::checked_duration_since`].
+    /// of masking it.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         debug_assert!(
             earlier.0 <= self.0,
@@ -209,18 +202,6 @@ mod tests {
     fn add_duration_to_time() {
         let t = SimTime::from_micros(10) + SimDuration::from_micros(5);
         assert_eq!(t, SimTime::from_micros(15));
-    }
-
-    #[test]
-    fn checked_duration_since_detects_out_of_order() {
-        let a = SimTime::from_micros(5);
-        let b = SimTime::from_micros(9);
-        assert_eq!(a.checked_duration_since(b), None);
-        assert_eq!(
-            b.checked_duration_since(a),
-            Some(SimDuration::from_micros(4))
-        );
-        assert_eq!(b.saturating_since(a), SimDuration::from_micros(4));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct PartitionGroup(pub u32);
 /// and fault plans then crash nodes, take links down, or impose partitions.
 ///
 /// Invariant: for up nodes `a` and `b`, `comp[a] == comp[b]` exactly when
-/// a path of [open edges](Topology::edge_open) joins them. The seven
+/// a path of open edges (`edge_open`) joins them. The seven
 /// mutators keep it: [`add_node`](Topology::add_node) merges the
 /// newcomer's neighbours in O(n); [`crash`](Topology::crash),
 /// [`restart`](Topology::restart), [`set_link`](Topology::set_link),
@@ -93,13 +93,6 @@ impl Topology {
             }
         }
         id
-    }
-
-    /// Adds `n` nodes named `prefix-i`, all at distinct sites `0..n`.
-    pub fn add_nodes(&mut self, prefix: &str, n: usize) -> Vec<NodeId> {
-        (0..n)
-            .map(|i| self.add_node(format!("{prefix}-{i}"), i as u32))
-            .collect()
     }
 
     /// One site past the highest site currently in use (0 when empty).
@@ -229,7 +222,7 @@ impl Topology {
 
     /// True when a *single hop* from `a` to `b` is currently possible:
     /// both nodes up, link up, same partition group.
-    pub fn edge_open(&self, a: NodeId, b: NodeId) -> bool {
+    fn edge_open(&self, a: NodeId, b: NodeId) -> bool {
         a != b && self.is_up(a) && self.is_up(b) && self.link(a, b).up && self.same_group(a, b)
     }
 
@@ -369,7 +362,7 @@ mod tests {
             ),
         ) {
             let mut t = Topology::new();
-            t.add_nodes("n", n);
+            t.add_servers("n", n);
             assert_labels_match_search(&t)?;
             for (op, a, b, flag, side) in steps {
                 let len = t.len();
@@ -489,17 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn add_nodes_assigns_distinct_sites() {
-        let mut t = Topology::new();
-        let ids = t.add_nodes("srv", 4);
-        assert_eq!(ids.len(), 4);
-        assert_eq!(t.node(ids[2]).name(), "srv-2");
-        assert_eq!(t.node(ids[2]).site(), 2);
-        assert_eq!(t.len(), 4);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
     fn add_servers_continues_site_numbering() {
         let mut t = Topology::new();
         assert_eq!(t.next_site(), 0);
@@ -511,6 +493,8 @@ mod tests {
         // A second fleet lands on fresh sites and fresh ids.
         let more = t.add_servers("shard", 2);
         assert_eq!(t.node(more[0]).site(), 4);
+        assert_eq!(t.len(), 6);
+        assert!(!t.is_empty());
         let mut all = vec![client];
         all.extend(&servers);
         all.extend(&more);

@@ -315,11 +315,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         SimRng::for_label(self.seed, label)
     }
 
-    /// The latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// Deterministic latency estimate from `a` to `b` (for closest-first
     /// scheduling).
     pub fn estimate_latency(&self, a: NodeId, b: NodeId) -> SimDuration {
@@ -421,11 +416,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Fires every remaining event.
     pub fn run_to_quiescence(&mut self) {
         while self.fire_next(SimTime::MAX) {}
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Performs a synchronous RPC: sends `msg` from node `from` to the
@@ -1013,7 +1003,7 @@ mod tests {
             .crash_at(SimTime::from_millis(1), s)
             .restart_at(SimTime::from_millis(2), s);
         w.install_plan(&plan);
-        assert_eq!(w.pending_events(), 2);
+        assert_eq!(w.queue.len(), 2);
         w.run_to_quiescence();
         assert!(w.topology().is_up(s));
         assert_eq!(w.metrics().counter("sim.fault.crash"), 1);

@@ -12,7 +12,7 @@
 //!    world, every distributed iterator must yield exactly the model's
 //!    element set.
 
-use crate::state::{Outcome, Recorder, State};
+use crate::state::Outcome;
 use crate::value::{ElemId, SetValue};
 
 /// The immutable set type of Figure 1.
@@ -39,11 +39,6 @@ impl ModelSet {
         ModelSet {
             value: SetValue::empty(),
         }
-    }
-
-    /// A model set holding a given value.
-    pub fn from_value(value: SetValue) -> Self {
-        ModelSet { value }
     }
 
     /// `add`: ensures `t_post = s_pre ∪ {e}` ∧ `new(t)`.
@@ -81,31 +76,6 @@ impl ModelSet {
             done: false,
         }
     }
-
-    /// Runs `elements` to completion while recording the computation, for
-    /// conformance checking against Figure 1.
-    pub fn elements_recorded(&self) -> (Vec<ElemId>, crate::state::Computation) {
-        let st = || State::fully_accessible(self.value.clone());
-        let mut rec = Recorder::new(st());
-        rec.begin_run();
-        let mut out = Vec::new();
-        let mut it = self.elements();
-        loop {
-            match it.next_invocation() {
-                Outcome::Yielded(e) => {
-                    out.push(e);
-                    rec.record_invocation(st(), Outcome::Yielded(e));
-                }
-                Outcome::Returned => {
-                    rec.record_invocation(st(), Outcome::Returned);
-                    break;
-                }
-                _ => unreachable!("the model never fails or blocks"),
-            }
-        }
-        rec.end_run();
-        (out, rec.finish())
-    }
 }
 
 impl FromIterator<ElemId> for ModelSet {
@@ -128,7 +98,7 @@ pub struct ModelElements {
 impl ModelElements {
     /// One invocation, in the paper's terms: yields an unyielded element
     /// of `s_first` (suspends) or terminates.
-    pub fn next_invocation(&mut self) -> Outcome {
+    fn next_invocation(&mut self) -> Outcome {
         if self.done {
             return Outcome::Returned;
         }
@@ -166,6 +136,32 @@ mod tests {
     use super::*;
     use crate::checker::{check_computation, Figure};
     use crate::specs::set_ops::{check_add, check_create, check_remove, check_size};
+    use crate::state::{Computation, Recorder, State};
+
+    /// Runs `elements` to completion while recording the computation, for
+    /// conformance checking against Figure 1.
+    fn recorded(s: &ModelSet) -> (Vec<ElemId>, Computation) {
+        let st = || State::fully_accessible(s.value.clone());
+        let mut rec = Recorder::new(st());
+        rec.begin_run();
+        let mut out = Vec::new();
+        let mut it = s.elements();
+        loop {
+            match it.next_invocation() {
+                Outcome::Yielded(e) => {
+                    out.push(e);
+                    rec.record_invocation(st(), Outcome::Yielded(e));
+                }
+                Outcome::Returned => {
+                    rec.record_invocation(st(), Outcome::Returned);
+                    break;
+                }
+                _ => unreachable!("the model never fails or blocks"),
+            }
+        }
+        rec.end_run();
+        (out, rec.finish())
+    }
 
     #[test]
     fn operations_satisfy_their_procedure_specs() {
@@ -187,7 +183,7 @@ mod tests {
     fn recorded_model_run_conforms_to_fig1_by_construction() {
         for n in 0..6u64 {
             let s: ModelSet = (1..=n).map(ElemId).collect();
-            let (yields, comp) = s.elements_recorded();
+            let (yields, comp) = recorded(&s);
             assert_eq!(yields.len(), n as usize);
             check_computation(Figure::Fig1, &comp).assert_ok();
             // The most-constrained behaviour satisfies every figure.
@@ -217,7 +213,7 @@ mod tests {
         let s = ModelSet::create();
         let mut it = s.elements();
         assert_eq!(it.next_invocation(), Outcome::Returned);
-        let (yields, comp) = s.elements_recorded();
+        let (yields, comp) = recorded(&s);
         assert!(yields.is_empty());
         check_computation(Figure::Fig1, &comp).assert_ok();
     }

@@ -116,7 +116,7 @@ impl IterRun {
     }
 
     /// The outcome of the final invocation, if any.
-    pub fn final_outcome(&self) -> Option<Outcome> {
+    fn final_outcome(&self) -> Option<Outcome> {
         self.invocations.last().map(|i| i.outcome)
     }
 
@@ -174,7 +174,7 @@ impl Computation {
     /// # Panics
     ///
     /// Panics if the computation has no states.
-    pub fn current_index(&self) -> usize {
+    fn current_index(&self) -> usize {
         assert!(!self.states.is_empty(), "computation has no states");
         self.states.len() - 1
     }

@@ -527,23 +527,6 @@ impl StoreClient {
         result
     }
 
-    /// Deletes an object from a node.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Net`] on communication failure.
-    pub fn delete_object(
-        &self,
-        world: &mut StoreRt,
-        home: NodeId,
-        id: ObjectId,
-    ) -> Result<(), StoreError> {
-        match self.call(world, home, StoreMsg::DeleteObject(id))? {
-            StoreMsg::Ack => Ok(()),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
     /// Runs a query against one node's local objects.
     ///
     /// # Errors
@@ -1070,10 +1053,9 @@ mod tests {
         let rec = ObjectRecord::new(ObjectId(1), "a", &b"hi"[..]);
         cl.put_object(&mut w, s[0], rec.clone()).unwrap();
         assert_eq!(cl.fetch_object(&mut w, s[0], ObjectId(1)).unwrap(), rec);
-        cl.delete_object(&mut w, s[0], ObjectId(1)).unwrap();
         assert_eq!(
-            cl.fetch_object(&mut w, s[0], ObjectId(1)),
-            Err(StoreError::NotFound(ObjectId(1)))
+            cl.fetch_object(&mut w, s[0], ObjectId(2)),
+            Err(StoreError::NotFound(ObjectId(2)))
         );
     }
 

@@ -374,7 +374,7 @@ impl Change {
     }
 
     /// The entries this change delisted.
-    pub fn delisted(&self) -> &[MemberEntry] {
+    fn delisted(&self) -> &[MemberEntry] {
         match self {
             Change::Added(_) => &[],
             Change::Removed(entry) => std::slice::from_ref(entry),

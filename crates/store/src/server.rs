@@ -50,7 +50,7 @@ impl StoreServer {
     }
 
     /// True when someone holds a read lock on the collection.
-    pub fn is_read_locked(&self, id: CollectionId) -> bool {
+    fn is_read_locked(&self, id: CollectionId) -> bool {
         self.read_locks.get(&id).is_some_and(|s| !s.is_empty())
     }
 

@@ -11,7 +11,7 @@
 //! * integers are LEB128 varints ([`varint_len`]);
 //! * a dot list is grouped by replica — the `NodeId` is written once per
 //!   group, followed by the group's counters delta-encoded in ascending
-//!   order ([`dots_encoded_size`]) — so a million dots minted by a
+//!   order (`dots_encoded_size`) — so a million dots minted by a
 //!   handful of replicas cost about one varint each, not 16 bytes;
 //! * a version vector is its `(replica, counter)` pairs as varints
 //!   ([`vv_encoded_size`]);
@@ -46,7 +46,7 @@ pub fn vv_encoded_size(vv: &VersionVector) -> usize {
 /// Dot lists nearly always arrive in dot order (they are read off ordered
 /// maps), where the groups are runs and one pass sizes them; a list that
 /// turns out not to be ascending is grouped first.
-pub fn dots_encoded_size<I>(dots: I) -> usize
+fn dots_encoded_size<I>(dots: I) -> usize
 where
     I: IntoIterator<Item = Dot>,
     I::IntoIter: Clone,
@@ -73,7 +73,7 @@ where
     varint_len(groups) + size + run.map_or(0, |(_, n)| varint_len(n))
 }
 
-/// [`dots_encoded_size`] for a list in any order: the encoding's
+/// `dots_encoded_size` for a list in any order: the encoding's
 /// definition, group by group.
 fn dots_grouped_size(dots: impl Iterator<Item = Dot>) -> usize {
     let mut groups: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
@@ -95,7 +95,7 @@ fn dots_grouped_size(dots: impl Iterator<Item = Dot>) -> usize {
 
 /// Encoded size of a dotted-entry list: the dots as a deduped list plus
 /// each entry's element id and home node.
-pub fn entries_encoded_size(entries: &[DottedEntry]) -> usize {
+fn entries_encoded_size(entries: &[DottedEntry]) -> usize {
     dots_encoded_size(entries.iter().map(|e| e.dot))
         + entries
             .iter()

@@ -24,10 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // to get a time-stamped feed of faults and scheduled tasks.
     world.events_mut().set_enabled(true);
 
-    let set = WeakSetBuilder::new(CollectionId(1), servers[0])
-        .client_node(laptop)
-        .timeout(SimDuration::from_millis(100))
-        .create(&mut world)?;
+    let client = StoreClient::new(laptop, SimDuration::from_millis(100));
+    let cref = CollectionRef::unreplicated(CollectionId(1), servers[0]);
+    client.create_collection(&mut world, &cref)?;
+    let set = WeakSet::new(client, cref);
     for i in 0..12u64 {
         let home = servers[(i % 3) as usize];
         set.add(

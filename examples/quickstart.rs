@@ -26,10 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A weak set whose membership list lives on server-0; elements are
     // scattered over all three servers.
-    let set = WeakSetBuilder::new(CollectionId(1), servers[0])
-        .client_node(laptop)
-        .timeout(SimDuration::from_millis(100))
-        .create(&mut world)?;
+    let client = StoreClient::new(laptop, SimDuration::from_millis(100));
+    let cref = CollectionRef::unreplicated(CollectionId(1), servers[0]);
+    client.create_collection(&mut world, &cref)?;
+    let set = WeakSet::new(client, cref);
     for i in 0..9u64 {
         let home = servers[(i % 3) as usize];
         set.add(

@@ -39,7 +39,7 @@ pub struct Point {
 
 impl Point {
     /// Sequential-over-batched time ratio (higher = batching wins more).
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         let b = self.batched_time.as_micros().max(1);
         self.sequential_time.as_micros() as f64 / b as f64
     }

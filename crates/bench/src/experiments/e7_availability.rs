@@ -98,7 +98,7 @@ pub struct MobileOutcome {
 
 /// Runs the mobile scenario: disconnect after ~a third of the listing,
 /// reconnect later, finish.
-pub fn mobile() -> MobileOutcome {
+fn mobile() -> MobileOutcome {
     let (mut w, fs, _vols, client) = fs_world(710);
     let mut mc = MobileClient::new(client);
     let mut listing = fs

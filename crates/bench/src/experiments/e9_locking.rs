@@ -111,7 +111,7 @@ pub struct HazardOutcome {
 
 /// The §3.1 hazard: a reader's disconnection extends the lock
 /// indefinitely.
-pub fn hazard() -> HazardOutcome {
+fn hazard() -> HazardOutcome {
     let mut w = wan(910, 3, SimDuration::from_millis(5));
     let set = populated_set(&mut w, 8, SimDuration::from_millis(200));
     let mut it = set.elements(Semantics::Locked);

@@ -28,9 +28,11 @@
 //! the run as a `weakset-spec` computation, machine-checked against the
 //! corresponding figure.
 //!
-//! [`dynamic_set::DynamicSet`] is the paper's target system: Figure 6
-//! semantics plus parallel prefetching ([`prefetch::PrefetchEngine`]),
-//! closest-first fetching, and partial results under failures.
+//! [`dynamic_set::DynamicSet`] is the paper's target system: parallel
+//! prefetching, closest-first fetching, and partial results under
+//! failures. It lists the membership it read at open and never fails, it
+//! blocks: Figure 4's first-state membership with Figure 6's failure
+//! handling, not the Figure 6 iterator, and no oracle judges it.
 //!
 //! ## Quickstart
 //!
@@ -79,20 +81,16 @@ pub mod dynamic_set;
 pub mod error;
 pub mod handle;
 pub mod iter;
-pub mod prefetch;
 pub mod semantics;
 pub mod shard;
 
 /// One-stop imports for weak-set users.
 pub mod prelude {
     pub use crate::conformance::{HistorySource, RunObserver, StepEvidence};
-    pub use crate::dynamic_set::DynamicSet;
+    pub use crate::dynamic_set::{DynamicSet, PrefetchConfig};
     pub use crate::error::{Failure, IterStep};
     pub use crate::handle::WeakSet;
     pub use crate::iter::{Elements, FetchOrder, IterConfig};
-    pub use crate::prefetch::{PrefetchConfig, PrefetchEngine, PrefetchStep};
     pub use crate::semantics::Semantics;
-    pub use crate::shard::{
-        shard_collection_id, ShardGroup, ShardRouter, ShardedElements, ShardedWeakSet,
-    };
+    pub use crate::shard::{ShardGroup, ShardRouter, ShardedElements, ShardedWeakSet};
 }

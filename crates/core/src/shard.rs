@@ -93,7 +93,7 @@ impl ShardRouter {
 /// `base`. Shard ids get their own block of the collection-id space so
 /// they never collide with `base` itself or with other logical sets'
 /// shards (for bases below 2^53 / 1024).
-pub fn shard_collection_id(base: CollectionId, shard: u32) -> CollectionId {
+fn shard_collection_id(base: CollectionId, shard: u32) -> CollectionId {
     CollectionId(base.0 * 1024 + u64::from(shard) + 1)
 }
 
@@ -135,8 +135,8 @@ pub struct ShardedWeakSet {
 }
 
 impl ShardedWeakSet {
-    /// Creates the shard sub-collections (one per group, ids derived
-    /// with [`shard_collection_id`]) and binds the routed set.
+    /// Creates the shard sub-collections (one per group, each id in its
+    /// own block of the collection-id space) and binds the routed set.
     ///
     /// # Errors
     ///

@@ -53,10 +53,10 @@ pub mod prelude {
     };
     pub use crate::oracle::{axioms_for, check, check_with_session, spec_for};
     pub use crate::replay::{
-        load_recording, rec_path, record_scenario, replay_recording, shrink_recording,
-        write_recording, RecordedRun, ReplayReport,
+        load_recording, record_scenario, replay_recording, shrink_recording, write_recording,
+        RecordedRun, ReplayReport,
     };
-    pub use crate::repro::{artifact_path, load, replay, write_artifact};
+    pub use crate::repro::{load, replay, write_artifact};
     pub use crate::run::{campaign, execute, Failure, RunReport, COLL};
     pub use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
     pub use crate::shrink::shrink;

@@ -885,12 +885,12 @@ pub fn shrink_recording(rec: &Recording) -> (Recording, usize) {
 
 /// Where a recording with the given id lives under `dir`
 /// (`rec-<id>.ron`, next to the scenario repro artifacts).
-pub fn rec_path(dir: &Path, id: u64) -> PathBuf {
+fn rec_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("rec-{id}.ron"))
 }
 
-/// Writes the recording to [`rec_path`]`(dir, recording.seed)`,
-/// creating `dir` when needed.
+/// Writes the recording to `dir/rec-<seed>.ron`, creating `dir` when
+/// needed.
 ///
 /// # Errors
 ///

@@ -7,7 +7,7 @@ use crate::scenario::Scenario;
 use std::path::{Path, PathBuf};
 
 /// Where the artifact for `seed` lives under `dir`.
-pub fn artifact_path(dir: &Path, seed: u64) -> PathBuf {
+fn artifact_path(dir: &Path, seed: u64) -> PathBuf {
     dir.join(format!("repro-{seed}.ron"))
 }
 

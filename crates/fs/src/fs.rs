@@ -185,11 +185,6 @@ impl FileSystem {
         self.dirs.get(path)
     }
 
-    /// The member entry backing a file.
-    pub fn file(&self, path: &FsPath) -> Option<MemberEntry> {
-        self.files.get(path).copied()
-    }
-
     fn fresh_obj(&mut self) -> ObjectId {
         let id = ObjectId(self.next_obj);
         self.next_obj += 1;
@@ -381,7 +376,7 @@ impl FileSystem {
     }
 
     /// `ls` over a dynamic set: opens a streaming, unordered, partial
-    /// listing.
+    /// listing of the membership read from the directory's primary.
     ///
     /// # Errors
     ///
@@ -393,31 +388,11 @@ impl FileSystem {
         path: &FsPath,
         cfg: PrefetchConfig,
     ) -> Result<DynLs, FsError> {
-        self.dynls_with_policy(world, path, ReadPolicy::Primary, cfg)
-    }
-
-    /// [`FileSystem::dynls`] with an explicit membership read policy —
-    /// with directory replicas ([`FileSystem::with_dir_replicas`]),
-    /// `ReadPolicy::Any` keeps listings available through a primary
-    /// outage at the price of possibly stale membership.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FileSystem::dynls`].
-    fn dynls_with_policy(
-        &self,
-        world: &mut StoreWorld,
-        path: &FsPath,
-        policy: ReadPolicy,
-        cfg: PrefetchConfig,
-    ) -> Result<DynLs, FsError> {
         let cref = self.dirs.get(path).ok_or(FsError::NotFound(path.clone()))?;
-        let set = DynamicSet::open_collection(world, &self.client, cref, policy, cfg)?;
-        Ok(DynLs { set })
+        let set = DynamicSet::open_collection(world, &self.client, cref, cfg)?;
+        Ok(DynLs { set, query: None })
     }
-}
 
-impl FileSystem {
     /// Recursive predicate search ("finding all files that satisfy a
     /// given predicate", §1.1): gathers the membership of every known
     /// directory at or below `root`, then streams matching files back
@@ -434,7 +409,7 @@ impl FileSystem {
         root: &FsPath,
         query: &Query,
         cfg: PrefetchConfig,
-    ) -> Result<FindStream, FsError> {
+    ) -> Result<DynLs, FsError> {
         if !self.dirs.contains_key(root) {
             return Err(FsError::NotFound(root.clone()));
         }
@@ -450,72 +425,36 @@ impl FileSystem {
         members.sort_by_key(|m| m.elem);
         members.dedup_by_key(|m| m.elem);
         let set = DynamicSet::over_members(world, &self.client, members, cfg);
-        Ok(FindStream {
-            listing: DynLs { set },
-            query: query.clone(),
+        Ok(DynLs {
+            set,
+            query: Some(query.clone()),
         })
     }
 }
 
-/// A streaming recursive search: a listing of the gathered members and
-/// the query that filters fetched objects client-side (directory-entry
-/// markers are skipped).
-#[derive(Debug)]
-pub struct FindStream {
-    listing: DynLs,
-    query: Query,
-}
-
-impl FindStream {
-    /// Candidate entries discovered (before filtering).
-    pub fn candidates(&self) -> usize {
-        self.listing.total()
-    }
-
-    /// The next matching file, unordered.
-    pub fn next(&mut self, world: &mut StoreWorld) -> DynLsStep {
-        self.listing.next_where(world, |rec| {
-            rec.attr("kind") != Some("dir") && self.query.matches(rec)
-        })
-    }
-
-    /// Retries entries previously reported unreachable.
-    pub fn retry(&mut self) {
-        self.listing.retry();
-    }
-
-    /// Drains everything currently fetchable.
-    pub fn drain_available(&mut self, world: &mut StoreWorld) -> (Vec<DirEntry>, DynLsStep) {
-        drain(|| self.next(world))
-    }
-}
-
-/// A streaming directory listing with dynamic-set semantics.
+/// A streaming listing with dynamic-set semantics: a directory's entries
+/// ([`FileSystem::dynls`]) or a subtree's matching files
+/// ([`FileSystem::find`]).
 #[derive(Debug)]
 pub struct DynLs {
     set: DynamicSet,
+    /// `find`'s filter, applied client-side to fetched records;
+    /// directory-entry markers never match it.
+    query: Option<Query>,
 }
 
 impl DynLs {
-    /// Total entries discovered at open time.
+    /// Total entries discovered at open time (for `find`, before
+    /// filtering).
     pub fn total(&self) -> usize {
         self.set.members_found()
     }
 
     /// The next entry to arrive, unordered.
     pub fn next(&mut self, world: &mut StoreWorld) -> DynLsStep {
-        self.next_where(world, |_| true)
-    }
-
-    /// The next arriving entry whose record `keep` accepts.
-    fn next_where(
-        &mut self,
-        world: &mut StoreWorld,
-        keep: impl Fn(&ObjectRecord) -> bool,
-    ) -> DynLsStep {
         loop {
             return match self.set.next(world) {
-                IterStep::Yielded(rec) if !keep(&rec) => continue,
+                IterStep::Yielded(rec) if !self.keeps(&rec) => continue,
                 IterStep::Yielded(rec) => DynLsStep::Entry(DirEntry::from_record(&rec)),
                 IterStep::Done => DynLsStep::Complete,
                 IterStep::Blocked => DynLsStep::Partial {
@@ -523,6 +462,13 @@ impl DynLs {
                 },
                 IterStep::Failed(_) => unreachable!("dynamic sets do not fail"),
             };
+        }
+    }
+
+    fn keeps(&self, rec: &ObjectRecord) -> bool {
+        match &self.query {
+            None => true,
+            Some(q) => rec.attr("kind") != Some("dir") && q.matches(rec),
         }
     }
 
@@ -534,17 +480,12 @@ impl DynLs {
     /// Drives the listing until it completes or only unreachable entries
     /// remain, returning what arrived.
     pub fn drain_available(&mut self, world: &mut StoreWorld) -> (Vec<DirEntry>, DynLsStep) {
-        drain(|| self.next(world))
-    }
-}
-
-/// Polls `next` until it stops producing entries.
-fn drain(mut next: impl FnMut() -> DynLsStep) -> (Vec<DirEntry>, DynLsStep) {
-    let mut out = Vec::new();
-    loop {
-        match next() {
-            DynLsStep::Entry(e) => out.push(e),
-            step => return (out, step),
+        let mut out = Vec::new();
+        loop {
+            match self.next(world) {
+                DynLsStep::Entry(e) => out.push(e),
+                step => return (out, step),
+            }
         }
     }
 }
@@ -719,8 +660,8 @@ mod tests {
                 weakset::prelude::PrefetchConfig::default(),
             )
             .unwrap();
-        // Candidates include everything (files + dirent markers).
-        assert_eq!(stream.candidates(), 5);
+        // The total counts everything (files + dirent markers).
+        assert_eq!(stream.total(), 5);
         let (hits, end) = stream.drain_available(&mut w);
         assert_eq!(end, DynLsStep::Complete);
         let mut names: Vec<_> = hits.iter().map(|e| e.name.clone()).collect();
@@ -803,33 +744,19 @@ mod tests {
     }
 
     #[test]
-    fn replicated_directories_list_through_primary_outage() {
+    fn a_listing_reads_the_directory_primary() {
         let (mut w, fs, servers) = setup(3);
         let mut fs = fs.with_dir_replicas(vec![servers[1], servers[2]]);
         let d = FsPath::parse("/shared").unwrap();
         fs.mkdir(&mut w, &d, servers[0]).unwrap();
         fs.create_file(&mut w, &d.join("a"), b"x", servers[1])
             .unwrap();
-        fs.create_file(&mut w, &d.join("b"), b"y", servers[2])
-            .unwrap();
-        // The directory's primary (servers[0]) goes down.
+        // The directory's primary (servers[0]) goes down: the listing
+        // dies at open although both replicas are up.
         w.topology_mut().crash(servers[0]);
-        // Primary-policy listing dies at open...
         assert!(fs
             .dynls(&mut w, &d, weakset::prelude::PrefetchConfig::default())
             .is_err());
-        // ...but Any-policy reads a replica and lists both files.
-        let mut listing = fs
-            .dynls_with_policy(
-                &mut w,
-                &d,
-                ReadPolicy::Any,
-                weakset::prelude::PrefetchConfig::default(),
-            )
-            .unwrap();
-        let (entries, end) = listing.drain_available(&mut w);
-        assert_eq!(end, DynLsStep::Complete);
-        assert_eq!(entries.len(), 2);
     }
 
     #[test]
@@ -860,8 +787,5 @@ mod tests {
         fs.mkdir(&mut w, &d, servers[0]).unwrap();
         assert!(fs.dir(&d).is_some());
         assert!(fs.dir(&FsPath::parse("/nope").unwrap()).is_none());
-        let f = d.join("f");
-        fs.create_file(&mut w, &f, b"", servers[0]).unwrap();
-        assert!(fs.file(&f).is_some());
     }
 }

@@ -25,7 +25,7 @@ pub mod workload;
 
 /// One-stop imports for file-system users.
 pub mod prelude {
-    pub use crate::fs::{DirEntry, DynLs, DynLsStep, EntryKind, FileSystem, FindStream, FsError};
+    pub use crate::fs::{DirEntry, DynLs, DynLsStep, EntryKind, FileSystem, FsError};
     pub use crate::mobile::MobileClient;
     pub use crate::path::FsPath;
     pub use crate::workload::{flat_dir, TreeSpec, TreeStats};

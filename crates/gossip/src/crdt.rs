@@ -72,7 +72,7 @@ fn dotted(entries: &BTreeMap<Dot, MemberEntry>) -> Vec<DottedEntry> {
 /// Which of the paper's two membership specifications a replica enforces.
 /// The two figures share one `ensures` shape and differ in one constraint
 /// clause, so they share one [`MembershipCrdt`] and differ in one column:
-/// [`GossipSemantics::shrinks`].
+/// whether removals take effect and travel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GossipSemantics {
     /// Figure 5: `s_i ⊆ s_j` — the membership only grows. Removals are
@@ -89,7 +89,7 @@ impl GossipSemantics {
     /// removed dot from an unseen one — removal dots, a delta's live
     /// list, the drop half of a join, the no-resurrection check — exists
     /// only under this column.
-    pub fn shrinks(self) -> bool {
+    fn shrinks(self) -> bool {
         self == GossipSemantics::GrowShrink
     }
 }

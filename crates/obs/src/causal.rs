@@ -247,7 +247,7 @@ pub enum PathCategory {
 }
 
 /// The category a span's kind maps to.
-pub fn category_of(kind: &str) -> PathCategory {
+fn category_of(kind: &str) -> PathCategory {
     if kind.starts_with("net.") {
         PathCategory::Network
     } else if kind.starts_with("gossip.") {

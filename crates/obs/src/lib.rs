@@ -64,8 +64,8 @@ pub mod snapshot;
 pub mod store_health;
 
 pub use causal::{
-    category_of, critical_path, critical_path_of, CausalDag, CriticalPath, PathCategory, SpanNode,
-    TraceContext, TraceId,
+    critical_path, critical_path_of, CausalDag, CriticalPath, PathCategory, SpanNode, TraceContext,
+    TraceId,
 };
 pub use export::chrome_trace;
 pub use json::Json;
@@ -77,8 +77,8 @@ pub use snapshot::{Direction, Objective, ObsSnapshot};
 /// One-stop imports for observability users.
 pub mod prelude {
     pub use crate::causal::{
-        category_of, critical_path, critical_path_of, CausalDag, CriticalPath, PathCategory,
-        SpanNode, TraceContext, TraceId,
+        critical_path, critical_path_of, CausalDag, CriticalPath, PathCategory, SpanNode,
+        TraceContext, TraceId,
     };
     pub use crate::export::chrome_trace;
     pub use crate::json::Json;

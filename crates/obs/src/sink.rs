@@ -22,7 +22,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Identifies one span across its `begin`/`end` pair.
+/// Identifies one span across its `begin_span`/`end` pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
@@ -368,13 +368,7 @@ impl EventSink {
         self.record(at_us, "span.end", Label::default(), Some(id), None, None);
     }
 
-    /// Opens a root span with no trace context. Prefer
-    /// [`EventSink::begin_span`] when a parent context is available.
-    pub fn begin(&mut self, at_us: u64, kind: &str, detail: impl Into<Label>) -> SpanId {
-        self.begin_span(at_us, kind, detail, None).span
-    }
-
-    /// Closes a span previously opened with [`EventSink::begin`].
+    /// Closes a span previously opened with [`EventSink::begin_span`].
     pub fn end(&mut self, at_us: u64, id: SpanId) {
         self.end_span(at_us, id)
     }
@@ -439,7 +433,7 @@ mod tests {
         let mut s = EventSink::new();
         assert!(!s.is_enabled());
         s.event(10, "x", "y");
-        let id = s.begin(20, "op", "a");
+        let id = s.begin_span(20, "op", "a", None).span;
         s.end(30, id);
         assert!(s.is_empty());
     }
@@ -448,7 +442,7 @@ mod tests {
     fn enabled_sink_records_events_and_spans() {
         let mut s = EventSink::enabled();
         s.event(5, "sim.fault.crash", "node-2");
-        let id = s.begin(10, "iter.fig4", "snapshot");
+        let id = s.begin_span(10, "iter.fig4", "snapshot", None).span;
         s.end(40, id);
         assert_eq!(s.len(), 3);
         assert_eq!(s.count_kind("sim.fault.crash"), 1);
@@ -462,9 +456,9 @@ mod tests {
     #[test]
     fn span_ids_are_unique_and_survive_toggling() {
         let mut s = EventSink::new();
-        let a = s.begin(0, "op", "");
+        let a = s.begin_span(0, "op", "", None).span;
         s.set_enabled(true);
-        let b = s.begin(1, "op", "");
+        let b = s.begin_span(1, "op", "", None).span;
         assert_ne!(a, b);
         assert_eq!(s.len(), 1, "only the enabled begin recorded");
         assert_eq!(b.to_string(), "span#1");
@@ -575,7 +569,9 @@ mod tests {
     #[test]
     fn spans_may_close_out_of_order_and_finish_stays_ascending() {
         let mut s = EventSink::enabled();
-        let ids: Vec<SpanId> = (0..5).map(|i| s.begin(i, "op", "")).collect();
+        let ids: Vec<SpanId> = (0..5)
+            .map(|i| s.begin_span(i, "op", "", None).span)
+            .collect();
         s.end(10, ids[1]);
         s.end(11, ids[4]);
         assert_eq!(s.finish(12), vec![ids[0], ids[2], ids[3]]);

@@ -10,8 +10,8 @@
 //! (`SimDuration::as_micros`), the simulator's native resolution.
 
 pub use weakset_obs::{
-    category_of, chrome_trace, critical_path, critical_path_of, CausalDag, CriticalPath, Direction,
-    EventSink, Label, LatencyRecorder, LatencySummary, Objective, ObsEvent, ObsKind, ObsSnapshot,
+    chrome_trace, critical_path, critical_path_of, CausalDag, CriticalPath, Direction, EventSink,
+    Label, LatencyRecorder, LatencySummary, Objective, ObsEvent, ObsKind, ObsSnapshot,
     PathCategory, SpanId, SpanNode, TraceContext, TraceId,
 };
 

@@ -71,7 +71,7 @@ impl SimRng {
     }
 
     /// Uniform draw in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    fn unit_f64(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 

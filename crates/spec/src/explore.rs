@@ -153,34 +153,6 @@ pub fn enumerate(bounds: Bounds) -> Vec<Computation> {
     out
 }
 
-/// True when the computation's membership never changes.
-pub fn is_immutable(comp: &Computation) -> bool {
-    comp.states.windows(2).all(|w| w[0].members == w[1].members)
-}
-
-/// True when every member is accessible in every state.
-pub fn is_fully_accessible(comp: &Computation) -> bool {
-    comp.states
-        .iter()
-        .all(|s| s.members.is_subset(&s.accessible))
-}
-
-/// True when no invocation failed.
-pub fn is_failure_free(comp: &Computation) -> bool {
-    comp.runs
-        .iter()
-        .flat_map(|r| r.invocations.iter())
-        .all(|i| i.outcome != Outcome::Failed)
-}
-
-/// True when no invocation blocked.
-pub fn is_block_free(comp: &Computation) -> bool {
-    comp.runs
-        .iter()
-        .flat_map(|r| r.invocations.iter())
-        .all(|i| i.outcome != Outcome::Blocked)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +160,34 @@ mod tests {
 
     fn space() -> Vec<Computation> {
         enumerate(Bounds::default())
+    }
+
+    /// True when the computation's membership never changes.
+    fn is_immutable(comp: &Computation) -> bool {
+        comp.states.windows(2).all(|w| w[0].members == w[1].members)
+    }
+
+    /// True when every member is accessible in every state.
+    fn is_fully_accessible(comp: &Computation) -> bool {
+        comp.states
+            .iter()
+            .all(|s| s.members.is_subset(&s.accessible))
+    }
+
+    /// True when no invocation failed.
+    fn is_failure_free(comp: &Computation) -> bool {
+        comp.runs
+            .iter()
+            .flat_map(|r| r.invocations.iter())
+            .all(|i| i.outcome != Outcome::Failed)
+    }
+
+    /// True when no invocation blocked.
+    fn is_block_free(comp: &Computation) -> bool {
+        comp.runs
+            .iter()
+            .flat_map(|r| r.invocations.iter())
+            .all(|i| i.outcome != Outcome::Blocked)
     }
 
     #[test]

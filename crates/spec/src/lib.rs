@@ -60,9 +60,7 @@ pub mod prelude {
         check_computation, check_computation_with, Checker, Conformance, Figure, Violation,
     };
     pub use crate::constraint::{ConstraintKind, ConstraintViolation};
-    pub use crate::explore::{
-        enumerate, is_block_free, is_failure_free, is_fully_accessible, is_immutable, Bounds,
-    };
+    pub use crate::explore::{enumerate, Bounds};
     pub use crate::model::{ModelElements, ModelSet};
     pub use crate::render::{render, render_verdict};
     pub use crate::specs::set_ops::{

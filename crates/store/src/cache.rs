@@ -30,11 +30,6 @@ impl ObjectCache {
         }
     }
 
-    /// A cache whose entries never expire.
-    pub fn unbounded() -> Self {
-        Self::new(SimDuration::MAX)
-    }
-
     /// Looks up an unexpired entry, and evicts an expired one, in one
     /// lookup. A miss on an absent id may grow a full table: `entry`
     /// makes room for the insert it expects, which the `put` that
@@ -124,7 +119,7 @@ mod tests {
 
     #[test]
     fn invalidate_and_clear() {
-        let mut c = ObjectCache::unbounded();
+        let mut c = ObjectCache::new(SimDuration::MAX);
         c.put(SimTime::ZERO, rec(1));
         c.put(SimTime::ZERO, rec(2));
         c.invalidate(ObjectId(1));
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn unbounded_never_expires() {
-        let mut c = ObjectCache::unbounded();
+        let mut c = ObjectCache::new(SimDuration::MAX);
         c.put(SimTime::ZERO, rec(1));
         assert!(c.get(SimTime::from_secs(1_000_000), ObjectId(1)).is_some());
     }

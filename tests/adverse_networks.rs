@@ -205,7 +205,6 @@ fn dynamic_set_paints_through_churn_and_faults_together() {
         &mut r.world,
         &client,
         r.set.cref(),
-        ReadPolicy::Primary,
         PrefetchConfig {
             window: 4,
             fetch_timeout: SimDuration::from_millis(80),

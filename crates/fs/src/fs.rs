@@ -153,7 +153,10 @@ impl FileSystem {
     }
 
     /// Replicates every *subsequently created* directory's membership list
-    /// onto these nodes.
+    /// onto these nodes. No listing reads those replicas: `ls`, `dynls`
+    /// and `find` (and `stat`, through the parent) read a directory's
+    /// primary, so the replicas only cost each write a sync, the bytes
+    /// E6c counts.
     #[must_use]
     pub fn with_dir_replicas(mut self, replicas: Vec<NodeId>) -> Self {
         self.replicas = replicas;

@@ -29,10 +29,12 @@
 //!   around the read and a length-and-checksum check of its result —
 //!   minus the read.
 //!
-//! A last row times a whole `read_members(Primary)`, the read a
-//! `WeakSet` handle makes (`rt-mixed-rw` makes it four times a cycle),
-//! and splits off its client read loop, one contact: the whole call
-//! minus one in-place rpc and two clock reads.
+//! Two rows below the table time a whole `read_members(Primary)`, the
+//! read a `WeakSet` handle makes (`rt-mixed-rw` makes it four times a
+//! cycle), and split off its client read loop, one contact: the whole
+//! call minus one in-place rpc and two clock reads. A last row times a
+//! whole `read_members(Quorum)`: three contacts and no session, like
+//! `Leaderless`, but every reply is heard and the newest kept.
 
 mod budget;
 
@@ -140,6 +142,10 @@ fn idle_fleet_leaderless_read_budget() {
             let r = client.read_members(&mut rt, &cref, ReadPolicy::Primary);
             black_box(r.is_ok());
         }
+        6 => {
+            let r = client.read_members(&mut rt, &cref, ReadPolicy::Quorum);
+            black_box(r.is_ok());
+        }
         _ => {
             // What the ledger does around each op: time it, check it.
             let t0 = Instant::now();
@@ -155,7 +161,7 @@ fn idle_fleet_leaderless_read_budget() {
             black_box(ok);
         }
     };
-    let [handler, floor, rpc, clock, read, primary, op] = ns_per_call(BATCH, step);
+    let [handler, floor, rpc, clock, read, primary, quorum, op] = ns_per_call(BATCH, step);
 
     let contacts = REPLICAS as f64;
     let rows = [
@@ -184,6 +190,7 @@ fn idle_fleet_leaderless_read_budget() {
         "  client read loop, one contact",
         primary - rpc - 2.0 * clock
     );
+    println!("{:<36} {:>9.0}", "read_members(Quorum), whole call", quorum);
     println!(
         "per call: handler {handler:.0} ns, floor {floor:.0} ns, in-place rpc {rpc:.0} ns, \
          clock {clock:.0} ns, read_members {read:.0} ns"

@@ -9,7 +9,9 @@
 //! the rpc's own: a `String` per recorded detail or a context `Vec` per
 //! delivered message shows up as one allocation per rpc each.
 //! `a_failed_read_on_a_quiet_sink_allocates_nothing` counts the same way
-//! over failed store reads with the sink off.
+//! over failed store reads with the sink off, and
+//! `a_sessionless_read_allocates_only_its_contact_list` over successful
+//! reads under each sessionless policy.
 //!
 //! The ignored test prints ns per warmed rpc with the sink off and on
 //! (report-only; DESIGN.md §6 quotes it). Run it with
@@ -150,6 +152,60 @@ fn a_failed_read_on_a_quiet_sink_allocates_nothing() {
     });
     assert!(!w.events().is_enabled());
     assert_eq!(allocs, 0, "allocations over {CALLS} failed reads");
+}
+
+/// A read with no session allocates only the list of replicas it ranks:
+/// warmed reads of a 64-member collection on three replicas, on a
+/// world whose sink is off. `Primary` contacts one node and makes no
+/// list; every server hands back a shared membership, so no reply
+/// copies one.
+#[test]
+fn a_sessionless_read_allocates_only_its_contact_list() {
+    let mut t = Topology::new();
+    let client = t.add_node("client", 0);
+    let servers: Vec<NodeId> = (1..=3).map(|i| t.add_node(format!("s{i}"), i)).collect();
+    let mut w = World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
+    for &s in &servers {
+        w.install_service(s, Box::new(StoreServer::new()));
+    }
+    let cl = StoreClient::new(client, TIMEOUT);
+    let cref = CollectionRef {
+        id: CollectionId(1),
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    };
+    cl.create_collection(&mut w, &cref).unwrap();
+    for id in 1..=64 {
+        let entry = MemberEntry {
+            elem: ObjectId(id),
+            home: servers[id as usize % 3],
+        };
+        cl.add_member(&mut w, &cref, entry).unwrap();
+    }
+    let policies = [
+        ReadPolicy::Primary,
+        ReadPolicy::Any,
+        ReadPolicy::Quorum,
+        ReadPolicy::Leaderless,
+    ];
+    let per_read = policies.map(|policy| {
+        let mut read = || cl.read_members(&mut w, &cref, policy);
+        for _ in 0..CALLS {
+            assert_eq!(read().map(|r| (r.version, r.entries.len())), Ok((64, 64)));
+        }
+        let allocs = allocs_during(|| {
+            for _ in 0..CALLS {
+                black_box(read().is_ok());
+            }
+        });
+        allocs as f64 / CALLS as f64
+    });
+    assert!(!w.events().is_enabled());
+    assert_eq!(
+        per_read,
+        [0.0, 1.0, 1.0, 1.0],
+        "allocations per read, {policies:?}"
+    );
 }
 
 #[test]

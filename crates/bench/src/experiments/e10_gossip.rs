@@ -20,7 +20,7 @@
 
 use crate::report::{pct, Table};
 use crate::scenarios::{gossip_fleet, replicated, Wan};
-use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives};
+use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives, world_events};
 use weakset::prelude::{Elements, IterConfig, IterStep, Semantics, WeakSet};
 use weakset_gossip::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
@@ -542,7 +542,8 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
     m.add("e10.big.merkle.delta_bytes", mk_delta);
     m.gauge_set("e10.big.converged", u64::from(full_conv && mk_conv));
 
-    let snap = snapshot_with_trace(&mut world, "e10", seed);
+    let events = world_events(&mut world);
+    let snap = snapshot_with_trace(world.metrics_mut(), &events, "e10", seed);
     let wire = counter(&snap, "gossip.digest_bytes") + counter(&snap, "gossip.delta_bytes");
     let stale = counter(&snap, "gossip.replica_stale_rounds");
     let full_wire = (full_digest + full_delta) as f64;

@@ -11,7 +11,7 @@
 
 use crate::report::{ms, Table};
 use crate::scenarios::{wan, Wan};
-use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives};
+use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives, world_events};
 use weakset::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::time::SimDuration;
@@ -169,7 +169,8 @@ pub fn run() -> Vec<Table> {
 /// batched path's speedup over the sequential rounds.
 pub fn snapshot(seed: u64) -> ObsSnapshot {
     let (mut w, point) = measure(seed, 4);
-    let snap = snapshot_with_trace(&mut w.world, "e11", seed);
+    let events = world_events(&mut w.world);
+    let snap = snapshot_with_trace(w.world.metrics_mut(), &events, "e11", seed);
     let envelopes = counter(&snap, "net.batch.envelopes");
     with_common_objectives(snap)
         .with_objective(

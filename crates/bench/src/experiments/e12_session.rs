@@ -12,7 +12,7 @@
 
 use super::e10_gossip::gossip_to_quiescence;
 use crate::scenarios::{gossip_fleet, replicated, Wan};
-use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives};
+use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives, world_events};
 use weakset::prelude::WeakSet;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::time::SimDuration;
@@ -96,7 +96,8 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
     world.topology_mut().heal_partition();
     world.run_to_quiescence();
 
-    let snap = snapshot_with_trace(&mut world, "e12", seed);
+    let events = world_events(&mut world);
+    let snap = snapshot_with_trace(world.metrics_mut(), &events, "e12", seed);
     let wait_p50 = snap
         .latencies
         .get(weakset_obs::session::READ_WAIT_US)

@@ -8,8 +8,8 @@
 //! Figure 6.
 
 use crate::report::{ms, Table};
-use crate::scenarios::{drive, populated_set, wan};
-use crate::snapshot::{snapshot_with_trace, with_yield_objective};
+use crate::scenarios::{populated_set, wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective, world_events};
 use weakset::prelude::*;
 use weakset_obs::ObsSnapshot;
 use weakset_sim::fault::FaultPlan;
@@ -53,8 +53,8 @@ pub fn points() -> Vec<Point> {
             }
             let start = w.world.now();
             let mut it = set.elements_observed(Semantics::Optimistic);
-            let (yielded, step, blocked) =
-                drive(&mut w.world, &mut it, 40, SimDuration::from_millis(50));
+            let (yielded, step) = it.drain(&mut w.world, 40, SimDuration::from_millis(50));
+            let blocked = w.world.metrics().counter("iter.fig6.blocked") as usize;
             let sim_time = w.world.now().saturating_since(start);
             let comp = it.take_computation(&w.world).expect("observed");
             let conforms = check_computation(Figure::Fig6, &comp).is_ok()
@@ -68,7 +68,7 @@ pub fn points() -> Vec<Point> {
             );
             Point {
                 heal_after_ms,
-                yielded,
+                yielded: yielded.len(),
                 blocked,
                 terminated: step == IterStep::Done,
                 sim_time,
@@ -119,10 +119,16 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
         it.next(&mut w.world);
     }
     w.world.topology_mut().crash(w.servers[1]);
-    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
+    it.drain(&mut w.world, 3, SimDuration::from_millis(10));
     w.world.topology_mut().restart(w.servers[1]);
-    drive(&mut w.world, &mut it, 5, SimDuration::from_millis(10));
-    with_yield_objective(snapshot_with_trace(&mut w.world, "e5", seed))
+    it.drain(&mut w.world, 5, SimDuration::from_millis(10));
+    let events = world_events(&mut w.world);
+    with_yield_objective(snapshot_with_trace(
+        w.world.metrics_mut(),
+        &events,
+        "e5",
+        seed,
+    ))
 }
 
 #[cfg(test)]

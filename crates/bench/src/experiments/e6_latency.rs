@@ -19,8 +19,8 @@
 //! do not grow with the directory.
 
 use crate::report::{ms, Table};
-use crate::scenarios::{drive, populated_set, store_fleet, wan_with_model, Wan};
-use crate::snapshot::{snapshot_with_trace, with_yield_objective};
+use crate::scenarios::{populated_set, store_fleet, wan_with_model, Wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective, world_events};
 use weakset::prelude::{PrefetchConfig, Semantics};
 use weakset_fs::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
@@ -327,8 +327,9 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
     );
     let set = populated_set(&mut w, 20, SimDuration::from_millis(400));
     let mut it = set.elements(Semantics::Snapshot);
-    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
-    let snap = snapshot_with_trace(&mut w.world, "e6", seed);
+    it.drain(&mut w.world, 3, SimDuration::from_millis(10));
+    let events = world_events(&mut w.world);
+    let snap = snapshot_with_trace(w.world.metrics_mut(), &events, "e6", seed);
     let p50 = snap
         .latencies
         .get("iter.fig4.invocation_us")

@@ -8,7 +8,7 @@
 
 use crate::report::{pct, Table};
 use crate::scenarios::{replicated, store_fleet, wan, Wan};
-use crate::snapshot::{snapshot_with_trace, sum_suffix, with_common_objectives};
+use crate::snapshot::{snapshot_with_trace, sum_suffix, with_common_objectives, world_events};
 use weakset::prelude::{PrefetchConfig, WeakSet};
 use weakset_fs::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
@@ -215,7 +215,8 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
         }
     }
     w.world.topology_mut().heal_partition();
-    let snap = snapshot_with_trace(&mut w.world, "e7", seed);
+    let events = world_events(&mut w.world);
+    let snap = snapshot_with_trace(w.world.metrics_mut(), &events, "e7", seed);
     let ok = sum_suffix(&snap, ".ok");
     with_common_objectives(snap).with_objective("reads_ok", ok, Direction::HigherIsBetter)
 }

@@ -7,8 +7,8 @@
 //! leaves the lock stuck until repair.
 
 use crate::report::{ms, pct, Table};
-use crate::scenarios::{drive, populated_set, wan, Wan};
-use crate::snapshot::{snapshot_with_trace, with_yield_objective};
+use crate::scenarios::{populated_set, wan, Wan};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective, world_events};
 use weakset::prelude::*;
 use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
@@ -223,8 +223,14 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
             w.servers[0],
         );
     }
-    drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
-    with_yield_objective(snapshot_with_trace(&mut w.world, "e9", seed))
+    it.drain(&mut w.world, 3, SimDuration::from_millis(10));
+    let events = world_events(&mut w.world);
+    with_yield_objective(snapshot_with_trace(
+        w.world.metrics_mut(),
+        &events,
+        "e9",
+        seed,
+    ))
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ pub mod e7_availability;
 pub mod e8_taxonomy;
 pub mod e9_locking;
 pub mod fuzz;
+mod rows;
 
 use crate::report::Table;
 use weakset_obs::ObsSnapshot;

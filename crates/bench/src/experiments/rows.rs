@@ -1,0 +1,142 @@
+//! The figure experiments' rows as fuzzer scenarios.
+//!
+//! A row of E1–E4 or E8 is a [`Scenario`] run by the fuzzer's own
+//! driver ([`execute`]): the fleet, the churn (issued through the client
+//! at invocation boundaries) and the verdict are the ones every
+//! generated run gets. [`judged`] refuses a row the oracle rejects, and
+//! the projections below read a table's columns off the
+//! [`RunReport`].
+
+use weakset::prelude::{FetchOrder, Semantics};
+use weakset_dst::prelude::{execute, Chaos, Deployment, Op, RunReport, Scenario};
+use weakset_spec::checker::{check_computation, Figure};
+use weakset_spec::prelude::{Computation, IterRun, SetValue};
+use weakset_store::prelude::ReadPolicy;
+
+/// A cut that outlasts any run: a partition's longest legal window.
+pub(crate) const NEVER_HEALS_MS: u64 = 3_600_000;
+
+/// A quiet row: `n` members (ids `1..=n`) homed round-robin over
+/// `servers` plain servers, iteration from the run origin with no think
+/// time, and a yield budget no row reaches unless it says so.
+pub(crate) fn base(seed: u64, servers: usize, semantics: Semantics, n: u64) -> Scenario {
+    Scenario {
+        seed,
+        servers,
+        deployment: Deployment::Plain,
+        semantics,
+        read_policy: ReadPolicy::Primary,
+        guard_growth: false,
+        fetch_order: FetchOrder::ClosestFirst,
+        think_ms: 0,
+        budget: 1_000,
+        start_ms: 0,
+        setup: (0..n).map(|i| (i + 1, i as usize % servers)).collect(),
+        ops: Vec::new(),
+        faults: Vec::new(),
+        chaos: Chaos::None,
+    }
+}
+
+/// `count` workload ops `every_ms` apart after the run origin: adds of
+/// fresh elements (ids from 10,000) homed round-robin over `servers`
+/// or, when `removes`, every second op a removal of the next initial
+/// member (ids from 1).
+pub(crate) fn churn(servers: usize, every_ms: u64, count: u64, removes: bool) -> Vec<Op> {
+    (0..count)
+        .map(|k| {
+            let at_ms = every_ms * (k + 1);
+            if removes && k % 2 == 1 {
+                Op::Remove {
+                    at_ms,
+                    elem: k / 2 + 1,
+                }
+            } else {
+                Op::Add {
+                    at_ms,
+                    elem: 10_000 + k,
+                    home: k as usize % servers,
+                }
+            }
+        })
+        .collect()
+}
+
+/// Runs `row` through the fuzzer's driver.
+///
+/// # Panics
+///
+/// When the oracle rejects the run; the message carries the row's
+/// artifact text, a repro that `weakset_dst::repro::{load, replay}`
+/// re-run.
+pub(crate) fn judged(row: &Scenario) -> RunReport {
+    let report = execute(row);
+    assert!(
+        report.violations.is_empty(),
+        "an experiment row violates its figure: {:?}\n{}",
+        report.violations,
+        row.to_ron()
+    );
+    report
+}
+
+/// The row's recorded computation (a plain deployment records one).
+pub(crate) fn computation(report: &RunReport) -> &Computation {
+    &report.computations[0]
+}
+
+/// The row's one iterator run.
+pub(crate) fn iter_run(report: &RunReport) -> &IterRun {
+    &computation(report).runs[0]
+}
+
+/// The membership when the run's schedule had drained.
+pub(crate) fn final_members(report: &RunReport) -> &SetValue {
+    &computation(report).current().members
+}
+
+/// Whether the recorded computation also satisfies `figure`.
+pub(crate) fn conforms(report: &RunReport, figure: Figure) -> bool {
+    check_computation(figure, computation(report)).is_ok()
+}
+
+/// Simulated time spent inside iterator invocations, in milliseconds.
+pub(crate) fn iteration_ms(report: &RunReport) -> f64 {
+    let us: u64 = report
+        .metrics
+        .latencies()
+        .filter(|(name, _)| name.starts_with("iter.") && name.ends_with(".invocation_us"))
+        .map(|(_, l)| l.sum())
+        .sum();
+    us as f64 / 1000.0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::{e1_immutable, e2_immutable_failures, e3_snapshot_loss};
+    use crate::experiments::{e4_growonly, e8_taxonomy};
+
+    #[test]
+    fn every_row_is_an_artifact() {
+        let rows = [
+            e1_immutable::rows(),
+            e2_immutable_failures::rows(),
+            e3_snapshot_loss::rows(),
+            e4_growonly::rows(),
+            e8_taxonomy::rows(),
+        ];
+        for row in rows.into_iter().flatten() {
+            assert_eq!(Scenario::from_ron(&row.to_ron()), Ok(row));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "an experiment row violates its figure")]
+    fn a_sabotaged_row_is_refused() {
+        judged(&Scenario {
+            chaos: Chaos::PhantomYield,
+            ..base(1, 2, Semantics::Snapshot, 4)
+        });
+    }
+}

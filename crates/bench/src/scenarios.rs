@@ -1,10 +1,11 @@
-//! Shared world/workload builders for the experiments.
+//! The worlds of the experiments that build their own (E5–E7, E9–E12):
+//! E1–E4 and E8 are fuzzer scenarios (`experiments::rows`).
 
 use weakset::prelude::*;
 use weakset_gossip::prelude::GossipNode;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
-use weakset_sim::time::{SimDuration, SimTime};
+use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
 use weakset_sim::world::Service;
 use weakset_store::msg::StoreMsg;
@@ -102,153 +103,14 @@ pub fn populated_set(wan: &mut Wan, n: usize, timeout: SimDuration) -> WeakSet {
     set
 }
 
-/// Schedules `count` membership mutations, evenly spaced `interval`
-/// apart starting at `start`: with probability `add_fraction` an add of a
-/// fresh element, otherwise a remove of a random element among ids
-/// `1..=existing` (the initial population).
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_churn_over(
-    wan: &mut Wan,
-    set: &WeakSet,
-    start: SimTime,
-    interval: SimDuration,
-    count: usize,
-    add_fraction: f64,
-    existing: u64,
-    seed: u64,
-) {
-    let mut rng = wan.world.rng_for(&format!("churn-{seed}"));
-    let cref = set.cref().clone();
-    let n_existing = existing.max(1);
-    for k in 0..count {
-        let at = start + interval.saturating_mul(k as u64 + 1);
-        let cref = cref.clone();
-        let is_add = rng.chance(add_fraction);
-        let fresh = 10_000 + k as u64;
-        let victim = rng.range_u64(1, n_existing + 1);
-        let home = wan.servers[k % wan.servers.len()];
-        // Environment actions apply at the servers directly (loopback):
-        // realistic interleaving in time without recursing through the
-        // event loop for long mutation streams.
-        wan.world.spawn_at(at, move |w: &mut StoreWorld| {
-            if is_add {
-                let rec =
-                    ObjectRecord::new(ObjectId(fresh), format!("fresh-{fresh}"), vec![b'y'; 64]);
-                if let Some(srv) = w.service_mut::<StoreServer>(home) {
-                    srv.apply(weakset_store::msg::StoreMsg::PutObject(rec));
-                }
-                if let Some(primary) = w.service_mut::<StoreServer>(cref.home) {
-                    primary.apply(weakset_store::msg::StoreMsg::AddMember {
-                        coll: cref.id,
-                        entry: weakset_store::collection::MemberEntry {
-                            elem: ObjectId(fresh),
-                            home,
-                        },
-                    });
-                }
-            } else if let Some(primary) = w.service_mut::<StoreServer>(cref.home) {
-                primary.apply(weakset_store::msg::StoreMsg::RemoveMember {
-                    coll: cref.id,
-                    elem: ObjectId(victim),
-                });
-            }
-        });
-    }
-}
-
-/// [`schedule_churn_over`] with a default population of 1000.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_churn(
-    wan: &mut Wan,
-    set: &WeakSet,
-    start: SimTime,
-    interval: SimDuration,
-    count: usize,
-    add_fraction: f64,
-    seed: u64,
-) {
-    schedule_churn_over(wan, set, start, interval, count, add_fraction, 1_000, seed);
-}
-
-/// Schedules `count` pure additions (grow-only churn).
-pub fn schedule_growth(
-    wan: &mut Wan,
-    set: &WeakSet,
-    start: SimTime,
-    interval: SimDuration,
-    count: usize,
-) {
-    schedule_churn(wan, set, start, interval, count, 1.1, 0);
-}
-
-/// Drives an iterator to its terminal step (bounded), returning
-/// `(yield count, final step, blocked invocations)`.
-pub fn drive(
-    world: &mut StoreWorld,
-    it: &mut Elements,
-    max_blocks: usize,
-    wait: SimDuration,
-) -> (usize, IterStep, usize) {
-    let mut yields = 0;
-    let mut blocks = 0;
-    let mut consecutive = 0;
-    loop {
-        match it.next(world) {
-            IterStep::Yielded(_) => {
-                consecutive = 0;
-                yields += 1;
-            }
-            IterStep::Blocked => {
-                blocks += 1;
-                consecutive += 1;
-                if consecutive >= max_blocks {
-                    return (yields, IterStep::Blocked, blocks);
-                }
-                world.sleep(wait);
-            }
-            step => return (yields, step, blocks),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weakset::semantics::Semantics;
 
     #[test]
     fn wan_and_population_build() {
         let mut w = wan(1, 4, SimDuration::from_millis(5));
         let set = populated_set(&mut w, 12, SimDuration::from_millis(100));
         assert_eq!(set.size(&mut w.world).unwrap(), 12);
-    }
-
-    #[test]
-    fn drive_completes_a_simple_run() {
-        let mut w = wan(2, 3, SimDuration::from_millis(2));
-        let set = populated_set(&mut w, 9, SimDuration::from_millis(100));
-        let mut it = set.elements(Semantics::Optimistic);
-        let (yields, step, blocks) = drive(&mut w.world, &mut it, 3, SimDuration::from_millis(10));
-        assert_eq!(yields, 9);
-        assert_eq!(step, IterStep::Done);
-        assert_eq!(blocks, 0);
-    }
-
-    #[test]
-    fn churn_mutates_during_sleep() {
-        let mut w = wan(3, 2, SimDuration::from_millis(1));
-        let set = populated_set(&mut w, 5, SimDuration::from_millis(100));
-        let now = w.world.now();
-        schedule_churn(
-            &mut w,
-            &set,
-            now,
-            SimDuration::from_millis(5),
-            10,
-            1.1, // all adds
-            0,
-        );
-        w.world.sleep(SimDuration::from_millis(200));
-        assert_eq!(set.size(&mut w.world).unwrap(), 15);
     }
 }

@@ -1,6 +1,6 @@
 //! What every `BENCH_<id>.json` has in common: the seed the checked-in
-//! baselines were produced with, and the helpers that freeze a world's
-//! [`MetricsRegistry`](weakset_obs::MetricsRegistry) into an
+//! baselines were produced with, and the helpers that freeze a run's
+//! [`MetricsRegistry`] — a world's or a judged row's — into an
 //! [`ObsSnapshot`] and attach its named *objectives* — the numbers a PR
 //! that moves a baseline quotes old → new. The runs themselves live in
 //! [`crate::experiments`], one `snapshot` function per module.
@@ -11,7 +11,9 @@
 //! byte-identically, and CI fails on any byte of difference from the
 //! checked-in files.
 
-use weakset_obs::{critical_path, CausalDag, CriticalPath, Direction, ObsEvent, ObsSnapshot};
+use weakset_obs::{
+    critical_path, CausalDag, CriticalPath, Direction, MetricsRegistry, ObsEvent, ObsSnapshot,
+};
 use weakset_store::prelude::StoreWorld;
 
 /// The seed every checked-in baseline was produced with.
@@ -46,19 +48,12 @@ pub(crate) fn with_yield_objective(snap: ObsSnapshot) -> ObsSnapshot {
     with_common_objectives(snap).with_objective("yields", yields, Direction::HigherIsBetter)
 }
 
-/// Closes the world's span ledger and drains the causal event stream,
-/// folding per-kind event counts into the metrics registry
-/// (`events.<kind>`) so trace-volume regressions show up next to every
-/// other counter.
-fn drain_events(world: &mut StoreWorld) -> Vec<ObsEvent> {
+/// Closes the world's span ledger and takes its causal event stream.
+pub(crate) fn world_events(world: &mut StoreWorld) -> Vec<ObsEvent> {
     let at = world.now().as_micros();
     let unclosed = world.events_mut().finish(at);
     debug_assert!(unclosed.is_empty(), "unclosed spans: {unclosed:?}");
-    let events = world.events_mut().take_events();
-    for e in &events {
-        world.metrics_mut().incr(&format!("events.{}", e.kind));
-    }
-    events
+    world.events_mut().take_events()
 }
 
 /// Attaches the gated trace objectives: the critical-path decomposition
@@ -102,13 +97,22 @@ pub(crate) fn with_trace_objectives(
     )
 }
 
-/// Drains the event stream, takes the metrics snapshot, and attaches
-/// the trace objectives — the common tail of every world-backed
-/// scenario.
-pub(crate) fn snapshot_with_trace(world: &mut StoreWorld, id: &str, seed: u64) -> ObsSnapshot {
-    let events = drain_events(world);
-    let snap = world.metrics().snapshot(id, seed);
-    let cp = critical_path(&CausalDag::from_events(&events));
+/// Folds per-kind event counts into `metrics` (`events.<kind>`, so
+/// trace-volume regressions show up next to every other counter), takes
+/// its snapshot, and attaches the trace objectives — the common tail of
+/// every scenario that records events, whether a world's
+/// ([`world_events`]) or a judged row's report.
+pub(crate) fn snapshot_with_trace(
+    metrics: &mut MetricsRegistry,
+    events: &[ObsEvent],
+    id: &str,
+    seed: u64,
+) -> ObsSnapshot {
+    for e in events {
+        metrics.incr(&format!("events.{}", e.kind));
+    }
+    let snap = metrics.snapshot(id, seed);
+    let cp = critical_path(&CausalDag::from_events(events));
     with_trace_objectives(snap, &cp, events.len())
 }
 

@@ -1,11 +1,13 @@
 //! The experiment registry: one row per experiment id, one module per
-//! row (see DESIGN.md §4 for the index and EXPERIMENTS.md for results).
+//! row (E10's judged tables, E10b and E10c, in a second one; see
+//! DESIGN.md §4 for the index and EXPERIMENTS.md for results).
 //!
 //! A row's two views run the same module's code: `tables` prints the
 //! paper-shaped sweep, `snapshot` freezes one small instrumented run of
 //! it into the `BENCH_<id>.json` the CI gate regenerates. Both are pure
 //! functions of their seeds.
 
+pub mod e10_availability;
 pub mod e10_gossip;
 pub mod e11_sharded;
 pub mod e12_session;

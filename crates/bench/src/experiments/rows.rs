@@ -1,16 +1,16 @@
-//! The figure experiments' rows as fuzzer scenarios.
+//! The figure and replication experiments' rows as fuzzer scenarios.
 //!
-//! A row of E1–E4 or E8 is a [`Scenario`] run by the fuzzer's own
-//! driver ([`execute`]): the fleet, the churn (issued through the client
-//! at invocation boundaries) and the verdict are the ones every
-//! generated run gets. [`judged`] refuses a row the oracle rejects, and
-//! the projections below read a table's columns off the
-//! [`RunReport`].
+//! A row of E1–E4, E8, E10b, E10c or E12 is a [`Scenario`] run by the
+//! fuzzer's own driver ([`execute`]): the fleet, the churn (issued
+//! through the client at invocation boundaries), the fault schedule and
+//! the verdict are the ones every generated run gets. [`judged`] refuses
+//! a row the oracle rejects, and the projections below read a table's
+//! columns off the [`RunReport`].
 
 use weakset::prelude::{FetchOrder, Semantics};
-use weakset_dst::prelude::{execute, Chaos, Deployment, Op, RunReport, Scenario};
+use weakset_dst::prelude::{execute, Chaos, Deployment, FaultSpec, Op, RunReport, Scenario};
 use weakset_spec::checker::{check_computation, Figure};
-use weakset_spec::prelude::{Computation, IterRun, SetValue};
+use weakset_spec::prelude::{Computation, IterRun, Outcome, SetValue};
 use weakset_store::prelude::ReadPolicy;
 
 /// A cut that outlasts any run: a partition's longest legal window.
@@ -35,6 +35,40 @@ pub(crate) fn base(seed: u64, servers: usize, semantics: Semantics, n: u64) -> S
         ops: Vec::new(),
         faults: Vec::new(),
         chaos: Chaos::None,
+    }
+}
+
+/// A Fig. 6 row on gossip replicas, read under `policy`: servers
+/// `0..cut` (the primary and `cut - 1` replicas) are partitioned away at
+/// `at_ms` for `for_ms`, and iteration starts with the cut. The `n`
+/// members are homed round-robin over the servers the cut spares, and
+/// their adds reach the replicas only by anti-entropy, which starts
+/// 5 ms after the run's setup.
+pub(crate) fn gossip_cut(
+    seed: u64,
+    servers: usize,
+    cut: usize,
+    policy: ReadPolicy,
+    n: u64,
+    at_ms: u64,
+    for_ms: u64,
+) -> Scenario {
+    Scenario {
+        deployment: Deployment::Gossip {
+            grow_only: false,
+            merkle: false,
+        },
+        read_policy: policy,
+        start_ms: at_ms,
+        setup: (0..n)
+            .map(|i| (i + 1, cut + i as usize % (servers - cut)))
+            .collect(),
+        faults: vec![FaultSpec::Partition {
+            at_ms,
+            side: (0..cut).collect(),
+            for_ms,
+        }],
+        ..base(seed, servers, Semantics::Optimistic, n)
     }
 }
 
@@ -95,6 +129,32 @@ pub(crate) fn final_members(report: &RunReport) -> &SetValue {
     &computation(report).current().members
 }
 
+/// What the run's first invocation did: `yielded`, `returned`,
+/// `failed` or `blocked`.
+pub(crate) fn first_step(report: &RunReport) -> &'static str {
+    match iter_run(report).invocations[0].outcome {
+        Outcome::Yielded(_) => "yielded",
+        Outcome::Returned => "returned",
+        Outcome::Failed => "failed",
+        Outcome::Blocked => "blocked",
+    }
+}
+
+/// Yields the run completed before its partition healed.
+pub(crate) fn yields_during_cut(report: &RunReport) -> usize {
+    let heal_us = report
+        .events
+        .iter()
+        .find(|e| e.kind == "sim.fault.heal_partition")
+        .map_or(u64::MAX, |e| e.at_us);
+    report
+        .events
+        .iter()
+        .filter(|e| e.at_us < heal_us && e.kind == "iter.outcome")
+        .filter(|e| e.detail.as_str().contains(" yielded "))
+        .count()
+}
+
 /// Whether the recorded computation also satisfies `figure`.
 pub(crate) fn conforms(report: &RunReport, figure: Figure) -> bool {
     check_computation(figure, computation(report)).is_ok()
@@ -114,8 +174,8 @@ pub(crate) fn iteration_ms(report: &RunReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{e1_immutable, e2_immutable_failures, e3_snapshot_loss};
-    use crate::experiments::{e4_growonly, e8_taxonomy};
+    use crate::experiments::{e10_availability, e12_session, e1_immutable};
+    use crate::experiments::{e2_immutable_failures, e3_snapshot_loss, e4_growonly, e8_taxonomy};
 
     #[test]
     fn every_row_is_an_artifact() {
@@ -125,6 +185,9 @@ mod tests {
             e3_snapshot_loss::rows(),
             e4_growonly::rows(),
             e8_taxonomy::rows(),
+            e10_availability::cut_rows(),
+            e10_availability::outage_rows(),
+            e12_session::rows(),
         ];
         for row in rows.into_iter().flatten() {
             assert_eq!(Scenario::from_ron(&row.to_ron()), Ok(row));

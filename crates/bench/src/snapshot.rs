@@ -231,31 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn session_scenario_contrasts_staleness_with_wait_cost() {
+    fn session_scenario_stays_fresh_and_pays_in_wait() {
+        // The session row never misses its own writes (the oracle's
+        // session floor, which `judged` enforces) and pays for that with
+        // parked wait time. The sessionless contrast, a leaderless read
+        // the oracle refuses, is `e12_session`'s test.
         let snap = build("e12", 13);
-        // The sessionless leaderless reads see the laggard secondaries
-        // at least once, while the session client never misses its own
-        // writes and pays for that with parked wait time.
+        let objective = |name: &str| snap.objectives.get(name).expect(name).value;
+        assert_eq!(objective("session_stale_reads"), 0.0);
+        assert!(objective("session_fresh_reads") > 0.0);
         assert!(
-            counter(&snap, "e12.read.leaderless.stale") > 0.0,
-            "leaderless baseline never went stale — the contrast is gone"
-        );
-        let stale = snap
-            .objectives
-            .get("session_stale_reads")
-            .expect("objective present")
-            .value;
-        assert_eq!(stale, 0.0, "session read missed its own write");
-        assert!(counter(&snap, "e12.read.session.fresh") > 0.0);
-        let wait = snap
-            .objectives
-            .get("session_wait_p50_us")
-            .expect("objective present")
-            .value;
-        assert!(
-            wait > 0.0,
+            objective("session_wait_p50_us") > 0.0,
             "session reads never waited — partition had no effect"
         );
-        assert_eq!(snap.gauges.get("gossip.converged"), Some(&1));
     }
 }

@@ -346,9 +346,11 @@ impl Elements {
         }
     }
 
-    /// Ends the run on `step`: the hold is released *before* the step is
-    /// recorded, so a guard's deferred removals are in the primary's log
-    /// by the time the observer closes the run.
+    /// Ends the run on `step`. A grow guard is released *after* the step
+    /// is recorded: the run ends at its terminal step, and the removals
+    /// the guard deferred land after it, outside the run (DESIGN.md §5).
+    /// A read lock is still released before the step is recorded; which
+    /// order Fig. 3 wants is open (ROADMAP item 2).
     fn terminate(
         &mut self,
         world: &mut StoreRt,
@@ -356,8 +358,13 @@ impl Elements {
         evidence: &StepEvidence,
     ) -> IterStep {
         self.terminated = true;
-        self.release(world);
-        self.record(world, &step, evidence);
+        if self.semantics.plan().hold == Hold::GrowGuard {
+            self.record(world, &step, evidence);
+            self.release(world);
+        } else {
+            self.release(world);
+            self.record(world, &step, evidence);
+        }
         step
     }
 

@@ -543,7 +543,9 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
 /// The invocation loop: drives `it` until it returns, fails, exhausts
 /// the yield budget, the stage has no further invocation, or the driver
 /// gives up waiting. Returns the ids yielded, in order, and the number of
-/// invocations issued (blocked ones included).
+/// invocations issued (blocked ones included). Only blocked invocations
+/// count towards the wedge bound: yields are capped by
+/// [`Scenario::budget`].
 fn invoke(
     s: &Scenario,
     stage: &mut impl Stage,
@@ -556,6 +558,8 @@ fn invoke(
     // been yielded?" on every loop turn.
     let mut yielded_ids: BTreeSet<u64> = BTreeSet::new();
     let mut steps = 0usize;
+    // Blocked invocations in all, and since the last yield.
+    let mut idle = 0usize;
     let mut waits = 0usize;
     let budget = s.budget.max(1);
     loop {
@@ -602,16 +606,17 @@ fn invoke(
             }
             IterStep::Blocked => {
                 waits += 1;
+                idle += 1;
                 if waits > MAX_WAITS {
                     violations.push("driver wedged: iterator blocked past every heal".into());
                     break;
                 }
+                if idle > 4 * MAX_WAITS {
+                    violations.push("driver wedged: invocation budget exhausted".into());
+                    break;
+                }
                 stage.rt().sleep(ms(5));
             }
-        }
-        if steps > 4 * MAX_WAITS {
-            violations.push("driver wedged: invocation budget exhausted".into());
-            break;
         }
     }
     (yielded, steps)

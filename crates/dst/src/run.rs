@@ -225,6 +225,21 @@ mod tests {
     }
 
     #[test]
+    fn a_long_run_is_not_cut_by_the_wedge_bound() {
+        // 1,700 yields is more than four times the driver's patience
+        // (400 waits): only blocked invocations count.
+        let s = Scenario {
+            budget: 5_000,
+            think_ms: 0,
+            setup: (1..=1_700).map(|e| (e, e as usize % 2)).collect(),
+            ..quiet(Semantics::Snapshot)
+        };
+        let report = execute(&s);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.yielded.len(), 1_700);
+    }
+
+    #[test]
     fn phantom_yield_chaos_is_always_caught() {
         for sem in Semantics::ALL {
             let sabotaged = Scenario {

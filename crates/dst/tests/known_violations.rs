@@ -1,9 +1,9 @@
 //! The four classes of violation the plain fuzz leg finds, one shrunk
 //! repro each (ROADMAP item 1, DESIGN.md §5). `DST_SEED=1 weakset-dst
 //! --leg plain --iters 50000 --seed-from-env` wrote them; each is the
-//! smallest of its class (for B, the smallest that shows B alone). They
-//! are ignored until their class is fixed: run them with `--ignored`,
-//! and un-ignore one with its fix.
+//! smallest of its class (for B, the smallest that shows B alone). A, C
+//! and D are ignored until their class is fixed: run them with
+//! `--ignored`, and un-ignore one with its fix. B is fixed.
 
 use weakset_dst::prelude::*;
 
@@ -43,10 +43,10 @@ fn fig5_run_fails_after_the_outage_heals() {
     );
 }
 
-/// Class B: a guarded grow-only run ends in `Failed`, and the removal its
-/// grow guard deferred lands inside the run.
+/// Class B, fixed: a guarded grow-only run ends in `Failed`, and the
+/// removal its grow guard deferred landed inside the run while
+/// `Elements::terminate` released the guard before recording the step.
 #[test]
-#[ignore = "class B: a failed guarded grow-only run sees a removal land (ROADMAP item 1)"]
 fn fig5_failed_run_keeps_the_set_grow_only() {
     assert_conforms(
         "Scenario(

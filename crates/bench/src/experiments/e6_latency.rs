@@ -21,7 +21,7 @@
 use crate::report::{ms, Table};
 use crate::scenarios::{populated_set, store_fleet, wan_with_model, Wan};
 use crate::snapshot::{snapshot_with_trace, with_yield_objective, world_events};
-use weakset::prelude::{PrefetchConfig, Semantics};
+use weakset::prelude::Semantics;
 use weakset_fs::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::latency::LatencyModel;
@@ -103,15 +103,7 @@ pub fn points() -> Vec<Point> {
             let (mut w, fs) = fs_world(601, latency_ms, n);
             let start = w.now();
             let mut listing = fs
-                .dynls(
-                    &mut w,
-                    &FsPath::root(),
-                    PrefetchConfig {
-                        window,
-                        fetch_timeout: SimDuration::from_millis(500),
-                        ..Default::default()
-                    },
-                )
+                .dynls(&mut w, &FsPath::root(), window)
                 .expect("healthy world");
             let mut first: Option<SimDuration> = None;
             let mut count = 0;
@@ -175,17 +167,7 @@ fn size_points() -> Vec<SizePoint> {
         {
             let (mut w, fs) = fs_world_sized(611, 5, N, file_size, Some(BPM));
             let start = w.now();
-            let mut listing = fs
-                .dynls(
-                    &mut w,
-                    &FsPath::root(),
-                    PrefetchConfig {
-                        window: 8,
-                        fetch_timeout: SimDuration::from_secs(10),
-                        ..Default::default()
-                    },
-                )
-                .expect("healthy world");
+            let mut listing = fs.dynls(&mut w, &FsPath::root(), 8).expect("healthy world");
             let (entries, end) = listing.drain_available(&mut w);
             assert_eq!(end, DynLsStep::Complete);
             assert_eq!(entries.len(), N);

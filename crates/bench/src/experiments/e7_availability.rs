@@ -9,7 +9,7 @@
 use crate::report::{pct, Table};
 use crate::scenarios::{replicated, store_fleet, wan, Wan};
 use crate::snapshot::{snapshot_with_trace, sum_suffix, with_common_objectives, world_events};
-use weakset::prelude::{PrefetchConfig, WeakSet};
+use weakset::prelude::WeakSet;
 use weakset_fs::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::latency::LatencyModel;
@@ -67,7 +67,7 @@ pub fn points() -> Vec<Point> {
                 Err(_) => (false, 0),
             };
             let mut listing = fs
-                .dynls(&mut w, &FsPath::root(), PrefetchConfig::default())
+                .dynls(&mut w, &FsPath::root(), 8)
                 .expect("membership home reachable");
             let (entries, end) = listing.drain_available(&mut w);
             let pending = match end {
@@ -102,15 +102,7 @@ fn mobile() -> MobileOutcome {
     let (mut w, fs, _vols, client) = fs_world(710);
     let mut mc = MobileClient::new(client);
     let mut listing = fs
-        .dynls(
-            &mut w,
-            &FsPath::root(),
-            PrefetchConfig {
-                window: 4,
-                fetch_timeout: SimDuration::from_millis(60),
-                ..Default::default()
-            },
-        )
+        .dynls(&mut w, &FsPath::root(), 4)
         .expect("connected at open");
     let mut before = 0;
     for _ in 0..N_FILES / 3 {

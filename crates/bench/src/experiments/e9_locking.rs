@@ -36,8 +36,9 @@ fn writer_task(wan: &mut Wan, set: &WeakSet, count: usize, interval: SimDuration
     for k in 0..count {
         let at = wan.world.now() + interval.saturating_mul(k as u64 + 1);
         let cref = cref.clone();
-        // Loopback environment action (see scenarios::schedule_churn_over):
-        // the lock check still happens at the primary.
+        // A loopback environment action: the write is applied to the
+        // servers' state directly, with no message and no latency, but the
+        // lock check still happens at the primary.
         wan.world
             .spawn_at(at, move |w: &mut weakset_store::prelude::StoreWorld| {
                 let id = ObjectId(50_000 + k as u64);

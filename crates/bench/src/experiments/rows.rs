@@ -28,6 +28,7 @@ pub(crate) fn base(seed: u64, servers: usize, semantics: Semantics, n: u64) -> S
         read_policy: ReadPolicy::Primary,
         guard_growth: false,
         fetch_order: FetchOrder::ClosestFirst,
+        window: 1,
         think_ms: 0,
         budget: 1_000,
         start_ms: 0,

@@ -1,5 +1,6 @@
-//! The worlds of the experiments that build their own (E5–E7, E9–E12):
-//! E1–E4 and E8 are fuzzer scenarios (`experiments::rows`).
+//! The worlds of the experiments that build their own (E5–E7, E9, E10a
+//! and E11): E1–E4, E8, E10b, E10c and E12 are fuzzer scenarios
+//! (`experiments::rows`).
 
 use weakset::prelude::*;
 use weakset_gossip::prelude::GossipNode;

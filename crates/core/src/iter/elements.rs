@@ -2,7 +2,7 @@
 //! a row of [`Semantics::plan`], and [`Elements`] is the state machine
 //! that row drives.
 
-use super::{fetch_first_reachable, order_candidates, outcome_of, IterConfig};
+use super::{fetch_first_reachable, order_candidates, outcome_of, IterConfig, Window};
 use crate::conformance::{RunObserver, StepEvidence};
 use crate::error::{Failure, IterStep};
 use crate::semantics::Semantics;
@@ -153,16 +153,23 @@ pub(crate) fn drive(
 ///
 /// The other three are pessimistic: the first invocation that finds the
 /// membership unreadable, or every unyielded member unreachable, fails
-/// the run.
+/// the run. With an [`IterConfig::window`] above 1, "unreachable" means
+/// that the invocation's own fetches reached no unyielded member.
 #[derive(Debug)]
 pub struct Elements {
     semantics: Semantics,
     client: StoreClient,
-    cref: CollectionRef,
+    /// The collection the run reads and holds; `None` only for a
+    /// [`Elements::pinned`] run, which does neither, over no collection.
+    cref: Option<CollectionRef>,
     config: IterConfig,
     /// A pinning plan's `(version, membership)`, read by the first
-    /// invocation; cloning it is a refcount bump.
+    /// invocation or handed to [`Elements::pinned`]; cloning it is a
+    /// refcount bump.
     pinned: Option<(u64, Membership)>,
+    /// Fetches in flight across invocations; made by the first windowed
+    /// round, so a run at window 1 carries one empty pointer.
+    window: Option<Box<Window>>,
     yielded: BTreeSet<ObjectId>,
     terminated: bool,
     /// Whether the primary currently counts this run among the holders
@@ -184,6 +191,15 @@ impl Elements {
         cref: CollectionRef,
         config: IterConfig,
     ) -> Self {
+        Self::build(semantics, client, Some(cref), config)
+    }
+
+    fn build(
+        semantics: Semantics,
+        client: StoreClient,
+        cref: Option<CollectionRef>,
+        config: IterConfig,
+    ) -> Self {
         Elements {
             semantics,
             client,
@@ -191,11 +207,30 @@ impl Elements {
             cache: config.cache_ttl.map(ObjectCache::new),
             config,
             pinned: None,
+            window: None,
             yielded: BTreeSet::new(),
             terminated: false,
             holding: false,
             observer: None,
             trace: None,
+        }
+    }
+
+    /// A [`Semantics::Snapshot`] run over a membership the caller already
+    /// holds, pinned as the first invocation's read would be (Figure 4's
+    /// first state). `read` is the collection and version it came from,
+    /// if one: a run that has them can be observed and judged, one without
+    /// claims version 0.
+    pub fn pinned(
+        client: StoreClient,
+        members: Membership,
+        read: Option<(CollectionRef, u64)>,
+        config: IterConfig,
+    ) -> Self {
+        let (cref, version) = read.unzip();
+        Elements {
+            pinned: Some((version.unwrap_or(0), members)),
+            ..Self::build(Semantics::Snapshot, client, cref, config)
         }
     }
 
@@ -316,9 +351,9 @@ impl Elements {
             return Ok(());
         }
         match self.semantics.plan().hold {
-            Hold::ReadLock => self.client.acquire_read_lock(world, &self.cref)?,
+            Hold::ReadLock => self.client.acquire_read_lock(world, self.cref())?,
             Hold::GrowGuard if self.config.guard_growth => {
-                self.client.acquire_grow_guard(world, &self.cref)?;
+                self.client.acquire_grow_guard(world, self.cref())?;
             }
             Hold::GrowGuard | Hold::Nothing => return Ok(()),
         }
@@ -334,8 +369,8 @@ impl Elements {
             return;
         }
         let _ = match self.semantics.plan().hold {
-            Hold::ReadLock => self.client.release_read_lock(world, &self.cref),
-            Hold::GrowGuard => self.client.release_grow_guard(world, &self.cref),
+            Hold::ReadLock => self.client.release_read_lock(world, self.cref()),
+            Hold::GrowGuard => self.client.release_grow_guard(world, self.cref()),
             Hold::Nothing => Ok(()),
         };
     }
@@ -368,6 +403,13 @@ impl Elements {
         step
     }
 
+    /// The collection a run that reads or holds acts on.
+    fn cref(&self) -> &CollectionRef {
+        self.cref
+            .as_ref()
+            .expect("only a pinned run, which neither reads nor holds, has no collection")
+    }
+
     /// The membership this invocation consults: the pinned one, or a
     /// fresh read (which a pinning plan then keeps).
     fn membership(&mut self, world: &mut StoreRt) -> Result<(u64, Membership), StoreError> {
@@ -376,7 +418,7 @@ impl Elements {
         }
         let read = self
             .client
-            .read_members(world, &self.cref, self.config.read_policy)?;
+            .read_members(world, self.cref(), self.config.read_policy)?;
         let current = (read.version, read.entries);
         if self.semantics.plan().pin {
             self.pinned = Some(current.clone());
@@ -414,8 +456,17 @@ impl Elements {
             &mut candidates,
             self.config.fetch_order,
         );
-        let (found, unreachable) =
-            fetch_first_reachable(world, &self.client, &candidates, &mut self.cache);
+        let (found, unreachable) = if self.config.window > 1 {
+            self.window.get_or_insert_with(Box::default).first_arrival(
+                world,
+                &self.client,
+                self.config.window,
+                &candidates,
+                &mut self.cache,
+            )
+        } else {
+            fetch_first_reachable(world, &self.client, &candidates, &mut self.cache)
+        };
         evidence.confirmed_unreachable = unreachable;
         let Some(rec) = found else {
             return Err(Failure::MembersUnreachable {

@@ -14,20 +14,24 @@
 //! | `Optimistic` | 6 | the current one | nothing | block and retry |
 //!
 //! This module holds what every plan shares: the tunables
-//! ([`IterConfig`]), candidate ordering and the cache-aware fetch.
+//! ([`IterConfig`]), candidate ordering and the cache-aware fetch, one
+//! `rpc` at a time or through a [`Window`] of fetches in flight.
 
 mod elements;
+mod window;
 
 pub use elements::Elements;
 pub(crate) use elements::{drive, COLLECT_MAX_BLOCKS};
+pub(crate) use window::Window;
 
 use crate::error::IterStep;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_spec::prelude::Outcome;
 use weakset_spec::value::ElemId;
+use weakset_store::cache::ObjectCache;
 use weakset_store::collection::MemberEntry;
-use weakset_store::object::ObjectId;
+use weakset_store::object::{ObjectId, ObjectRecord};
 use weakset_store::prelude::{ReadPolicy, StoreClient, StoreRt};
 
 /// The order in which unyielded members are attempted.
@@ -62,6 +66,10 @@ pub struct IterConfig {
     /// cheaper and a locally-held copy counts as accessible. `None`
     /// disables caching.
     pub cache_ttl: Option<SimDuration>,
+    /// Fetches an invocation keeps in flight ("fetching files in
+    /// parallel", §1.1), each bounded by the client's timeout; at 1 it
+    /// fetches one member at a time by `rpc`.
+    pub window: usize,
 }
 
 impl Default for IterConfig {
@@ -73,6 +81,7 @@ impl Default for IterConfig {
             retry_interval: SimDuration::from_millis(20),
             guard_growth: false,
             cache_ttl: None,
+            window: 1,
         }
     }
 }
@@ -117,18 +126,12 @@ pub(crate) fn fetch_first_reachable(
     world: &mut StoreRt,
     client: &StoreClient,
     candidates: &[MemberEntry],
-    cache: &mut Option<weakset_store::cache::ObjectCache>,
-) -> (Option<weakset_store::object::ObjectRecord>, Vec<ObjectId>) {
+    cache: &mut Option<ObjectCache>,
+) -> (Option<ObjectRecord>, Vec<ObjectId>) {
     let mut unreachable = Vec::new();
     for m in candidates {
-        if let Some(c) = cache.as_mut() {
-            let now = world.now();
-            if let Some(rec) = c.get(now, m.elem) {
-                let rec = rec.clone();
-                world.metrics_mut().incr("store.cache.hit");
-                return (Some(rec), unreachable);
-            }
-            world.metrics_mut().incr("store.cache.miss");
+        if let Some(rec) = cached(world, cache, m.elem) {
+            return (Some(rec), unreachable);
         }
         match client.fetch_object(world, m.home, m.elem) {
             Ok(rec) => {
@@ -138,16 +141,38 @@ pub(crate) fn fetch_first_reachable(
                 return (Some(rec), unreachable);
             }
             Err(_) => {
-                // Attributed to the current invocation span, so a
-                // failure explanation can name the member and its home.
-                world.trace_event("iter.fetch.unreachable", &|| {
-                    format!("elem={} home={}", m.elem, m.home)
-                });
+                note_unreachable(world, m);
                 unreachable.push(m.elem);
             }
         }
     }
     (None, unreachable)
+}
+
+/// The cache's live copy of `elem`, counting the hit or miss; `None`
+/// without a cache.
+fn cached(
+    world: &mut StoreRt,
+    cache: &mut Option<ObjectCache>,
+    elem: ObjectId,
+) -> Option<ObjectRecord> {
+    let c = cache.as_mut()?;
+    let now = world.now();
+    if let Some(rec) = c.get(now, elem) {
+        let rec = rec.clone();
+        world.metrics_mut().incr("store.cache.hit");
+        return Some(rec);
+    }
+    world.metrics_mut().incr("store.cache.miss");
+    None
+}
+
+/// Records a failed fetch of `m` under the current invocation span, so a
+/// failure explanation can name the member and its home.
+fn note_unreachable(world: &mut StoreRt, m: &MemberEntry) {
+    world.trace_event("iter.fetch.unreachable", &|| {
+        format!("elem={} home={}", m.elem, m.home)
+    });
 }
 
 /// Converts an [`IterStep`] into the spec-level [`Outcome`].

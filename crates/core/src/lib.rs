@@ -28,11 +28,12 @@
 //! the run as a `weakset-spec` computation, machine-checked against the
 //! corresponding figure.
 //!
-//! [`dynamic_set::DynamicSet`] is the paper's target system: parallel
-//! prefetching, closest-first fetching, and partial results under
-//! failures. It lists the membership it read at open and never fails, it
-//! blocks: Figure 4's first-state membership with Figure 6's failure
-//! handling, not the Figure 6 iterator, and no oracle judges it.
+//! The paper's target system, dynamic sets — parallel prefetching,
+//! closest-first fetching, partial results under failures — is the same
+//! engine: [`iter::IterConfig::window`] keeps fetches in flight in
+//! [`iter::IterConfig::fetch_order`], and [`iter::Elements::pinned`]
+//! lists a membership read at open as a Figure 4 run, which an observer
+//! records and the checker judges like any other.
 //!
 //! ## Quickstart
 //!
@@ -77,7 +78,6 @@
 #![forbid(unsafe_code)]
 
 pub mod conformance;
-pub mod dynamic_set;
 pub mod error;
 pub mod handle;
 pub mod iter;
@@ -87,7 +87,6 @@ pub mod shard;
 /// One-stop imports for weak-set users.
 pub mod prelude {
     pub use crate::conformance::{HistorySource, RunObserver, StepEvidence};
-    pub use crate::dynamic_set::{DynamicSet, PrefetchConfig};
     pub use crate::error::{Failure, IterStep};
     pub use crate::handle::WeakSet;
     pub use crate::iter::{Elements, FetchOrder, IterConfig};

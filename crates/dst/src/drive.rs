@@ -246,6 +246,7 @@ impl Fleet {
             read_policy: s.read_policy,
             fetch_order: s.fetch_order,
             guard_growth: s.guard_growth,
+            window: s.window,
             ..IterConfig::default()
         };
         let set = match s.deployment {

@@ -234,6 +234,7 @@ mod tests {
             read_policy: ReadPolicy::Primary,
             guard_growth: false,
             fetch_order: FetchOrder::IdOrder,
+            window: 1,
             think_ms: 1,
             budget: 16,
             start_ms: 10,

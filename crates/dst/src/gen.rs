@@ -47,11 +47,12 @@ pub fn mix(seed: u64, iter: u64) -> u64 {
 pub type Leg = (&'static str, fn(u64) -> Scenario);
 
 /// Every fuzz leg, one row per generator.
-pub const LEGS: [Leg; 4] = [
+pub const LEGS: [Leg; 5] = [
     ("plain", generate),
     ("sharded", generate_sharded),
     ("causal", generate_causal),
     ("merkle", generate_merkle),
+    ("window", generate_window),
 ];
 
 /// Generates the scenario for `seed`. Pure: the same seed always yields
@@ -182,6 +183,7 @@ impl Draft {
             guard_growth: self.semantics == Semantics::GrowOnly
                 && self.ops.iter().any(|o| matches!(o, Op::Remove { .. })),
             fetch_order: pick_fetch_order(rng),
+            window: 1,
             think_ms: rng.range_u64(1, 5),
             budget: rng.range_u64(24, 41) as usize,
             start_ms: self.start_ms,
@@ -402,6 +404,18 @@ fn gen_gossip(seed: u64, rng: &mut SimRng, win: &GossipWindows, merkle: bool) ->
         faults,
     }
     .finish(seed, rng)
+}
+
+/// Generates [`generate`]'s scenario for `seed` with a fetch window
+/// drawn from {1, 2, 8} under its own RNG label, so every semantics runs
+/// with fetches in flight across its invocations. Yield order is
+/// unconstrained by every figure, so the plain envelope stays sound.
+fn generate_window(seed: u64) -> Scenario {
+    let mut rng = SimRng::for_label(seed, "dst.gen.window");
+    Scenario {
+        window: [1, 2, 8][rng.index(3)],
+        ..generate(seed)
+    }
 }
 
 /// Generates a gossip scenario that samples *both* digest modes for

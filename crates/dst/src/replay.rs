@@ -930,6 +930,7 @@ mod tests {
             read_policy: ReadPolicy::Primary,
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
+            window: 1,
             think_ms: 1,
             budget: 8,
             start_ms: 10,
@@ -1044,6 +1045,7 @@ mod tests {
             read_policy: ReadPolicy::Primary,
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
+            window: 1,
             think_ms: 1,
             budget: 8,
             start_ms: 10,
@@ -1102,6 +1104,7 @@ mod tests {
                 read_policy,
                 guard_growth: false,
                 fetch_order: weakset::prelude::FetchOrder::IdOrder,
+                window: 1,
                 think_ms: 1,
                 budget: 16,
                 start_ms: 60,

@@ -199,6 +199,7 @@ mod tests {
             read_policy: ReadPolicy::Primary,
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
+            window: 1,
             think_ms: 1,
             budget: 16,
             start_ms: 10,
@@ -286,6 +287,7 @@ mod tests {
             read_policy: ReadPolicy::Quorum,
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
+            window: 1,
             think_ms: 1,
             budget: 16,
             start_ms: 10,

@@ -279,6 +279,10 @@ pub struct Scenario {
     pub guard_growth: bool,
     /// Fetch candidate ordering.
     pub fetch_order: FetchOrder,
+    /// Object fetches an invocation keeps in flight
+    /// ([`IterConfig::window`](weakset::prelude::IterConfig::window)); 1
+    /// fetches one member at a time.
+    pub window: usize,
     /// Client think time between invocations, in milliseconds.
     pub think_ms: u64,
     /// Maximum yields before the driver abandons the run (non-terminal
@@ -403,6 +407,11 @@ impl Scenario {
         writeln!(s, "    guard_growth: {},", self.guard_growth)?;
         let order = name_of(&ORDERS, self.fetch_order);
         writeln!(s, "    fetch_order: {order},")?;
+        // Written only when it is not 1, so artifacts written before the
+        // field existed stay byte-identical.
+        if self.window != 1 {
+            writeln!(s, "    window: {},", self.window)?;
+        }
         writeln!(s, "    think_ms: {},", self.think_ms)?;
         writeln!(s, "    budget: {},", self.budget)?;
         writeln!(s, "    start_ms: {},", self.start_ms)?;
@@ -556,6 +565,8 @@ const MAX_CYCLES: u64 = 1_000;
 /// The latest offset or longest span a time field may name (one hour),
 /// so no fault's end overflows.
 const MAX_MS: u64 = 3_600_000;
+/// The most fetches a run may keep in flight.
+const MAX_WINDOW: u64 = 64;
 
 /// `v` when it is at most `max`, else an `Err` naming `field`.
 fn at_most(field: &str, v: u64, max: u64) -> Result<u64, String> {
@@ -569,6 +580,7 @@ fn at_most(field: &str, v: u64, max: u64) -> Result<u64, String> {
 /// Rejects the values a stage cannot build or schedule.
 fn check_ranges(s: &Scenario) -> Result<(), String> {
     at_most("servers", s.servers as u64, MAX_SERVERS)?;
+    at_most("window", s.window as u64, MAX_WINDOW)?;
     at_most("think_ms", s.think_ms, MAX_MS)?;
     at_most("start_ms", s.start_ms, MAX_MS)?;
     for op in &s.ops {
@@ -621,6 +633,14 @@ fn scenario(p: &mut Parser) -> Result<Scenario, String> {
         read_policy,
         guard_growth,
         fetch_order: named(p, "fetch_order", &ORDERS)?,
+        window: if p.peek() == Some(&Tok::Ident("window".into())) {
+            match p.num_field("window")? {
+                0 => return Err("window must be at least 1".into()),
+                w => w as usize,
+            }
+        } else {
+            1
+        },
         think_ms: p.num_field("think_ms")?,
         budget: p.num_field("budget")? as usize,
         start_ms: p.num_field("start_ms")?,
@@ -656,6 +676,7 @@ mod tests {
             read_policy: ReadPolicy::Leaderless,
             guard_growth: true,
             fetch_order: FetchOrder::IdOrder,
+            window: 8,
             think_ms: 2,
             budget: 16,
             start_ms: 60,

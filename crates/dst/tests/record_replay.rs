@@ -18,6 +18,7 @@ fn base_scenario(seed: u64) -> Scenario {
         read_policy: ReadPolicy::Primary,
         guard_growth: false,
         fetch_order: FetchOrder::IdOrder,
+        window: 1,
         think_ms: 1,
         budget: 16,
         start_ms: 10,

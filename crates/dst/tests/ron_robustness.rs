@@ -49,6 +49,7 @@ fn no_truncation_of_a_threaded_recording_panics_or_misparses() {
         read_policy: ReadPolicy::Primary,
         guard_growth: false,
         fetch_order: FetchOrder::IdOrder,
+        window: 1,
         think_ms: 1,
         budget: 2,
         start_ms: 1,
@@ -86,6 +87,7 @@ fn out_of_range_scenarios_are_errors() {
         read_policy: ReadPolicy::Primary,
         guard_growth: false,
         fetch_order: FetchOrder::IdOrder,
+        window: 8,
         think_ms: 1,
         budget: 8,
         start_ms: 10,
@@ -112,6 +114,7 @@ fn out_of_range_scenarios_are_errors() {
     assert_eq!(Scenario::from_ron(&text), Ok(s));
     for (from, to) in [
         ("servers: 3", "servers: 100000"),
+        ("window: 8", "window: 65"),
         ("cycles: 2", "cycles: 18446744073709551615"),
         ("for_ms: 20", "for_ms: 18446744073709551615"),
     ] {
@@ -119,6 +122,7 @@ fn out_of_range_scenarios_are_errors() {
         let err = Scenario::from_ron(&text.replace(from, to)).expect_err(to);
         assert!(err.contains("out of range"), "{to}: {err}");
     }
+    assert!(Scenario::from_ron(&text.replace("window: 8", "window: 0")).is_err());
 }
 
 #[test]

@@ -18,12 +18,12 @@
 //!   reported as pending instead of failing the whole listing.
 
 use crate::path::FsPath;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use weakset::prelude::{DynamicSet, IterStep, PrefetchConfig};
+use weakset::prelude::{Elements, IterConfig, IterStep};
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
-use weakset_store::collection::MemberEntry;
+use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{
     CollectionRef, Query, ReadPolicy, StoreClient, StoreError, StoreWorld,
@@ -379,7 +379,8 @@ impl FileSystem {
     }
 
     /// `ls` over a dynamic set: opens a streaming, unordered, partial
-    /// listing of the membership read from the directory's primary.
+    /// listing of the membership read from the directory's primary, a
+    /// Figure 4 run with `window` fetches in flight, closest first.
     ///
     /// # Errors
     ///
@@ -389,11 +390,12 @@ impl FileSystem {
         &self,
         world: &mut StoreWorld,
         path: &FsPath,
-        cfg: PrefetchConfig,
+        window: usize,
     ) -> Result<DynLs, FsError> {
         let cref = self.dirs.get(path).ok_or(FsError::NotFound(path.clone()))?;
-        let set = DynamicSet::open_collection(world, &self.client, cref, cfg)?;
-        Ok(DynLs { set, query: None })
+        let read = self.client.read_members(world, cref, ReadPolicy::Primary)?;
+        let read_from = Some((cref.clone(), read.version));
+        Ok(self.listing(read.entries, read_from, window, None))
     }
 
     /// Recursive predicate search ("finding all files that satisfy a
@@ -411,36 +413,69 @@ impl FileSystem {
         world: &mut StoreWorld,
         root: &FsPath,
         query: &Query,
-        cfg: PrefetchConfig,
+        window: usize,
     ) -> Result<DynLs, FsError> {
         if !self.dirs.contains_key(root) {
             return Err(FsError::NotFound(root.clone()));
         }
-        let mut members: Vec<MemberEntry> = Vec::new();
-        for (path, cref) in &self.dirs {
-            if !path.starts_with(root) {
-                continue;
-            }
-            if let Ok(read) = self.client.read_members(world, cref, ReadPolicy::Primary) {
-                members.extend(&read.entries);
-            }
+        let members: Membership = self
+            .dirs
+            .iter()
+            .filter(|(path, _)| path.starts_with(root))
+            .filter_map(|(_, cref)| {
+                self.client
+                    .read_members(world, cref, ReadPolicy::Primary)
+                    .ok()
+            })
+            .flat_map(|read| read.entries.to_vec())
+            .collect();
+        Ok(self.listing(members, None, window, Some(query.clone())))
+    }
+
+    /// A listing of `opened`, read from one directory's `read_from` or
+    /// from several.
+    fn listing(
+        &self,
+        opened: Membership,
+        read_from: Option<(CollectionRef, u64)>,
+        window: usize,
+        query: Option<Query>,
+    ) -> DynLs {
+        let config = IterConfig {
+            window,
+            ..IterConfig::default()
+        };
+        DynLs {
+            run: Elements::pinned(
+                self.client.clone(),
+                opened.clone(),
+                read_from,
+                config.clone(),
+            ),
+            client: self.client.clone(),
+            config,
+            opened,
+            listed: BTreeSet::new(),
+            query,
         }
-        members.sort_by_key(|m| m.elem);
-        members.dedup_by_key(|m| m.elem);
-        let set = DynamicSet::over_members(world, &self.client, members, cfg);
-        Ok(DynLs {
-            set,
-            query: Some(query.clone()),
-        })
     }
 }
 
 /// A streaming listing with dynamic-set semantics: a directory's entries
 /// ([`FileSystem::dynls`]) or a subtree's matching files
 /// ([`FileSystem::find`]).
+/// Each run is a Snapshot [`Elements`] run pinned to the membership read
+/// at open, or after a [`DynLs::retry`] to its unlisted rest.
 #[derive(Debug)]
 pub struct DynLs {
-    set: DynamicSet,
+    run: Elements,
+    client: StoreClient,
+    config: IterConfig,
+    /// The membership read at open: what the listing lists, retries
+    /// included.
+    opened: Membership,
+    /// Members of `opened` fetched so far, by every run.
+    listed: BTreeSet<ObjectId>,
     /// `find`'s filter, applied client-side to fetched records;
     /// directory-entry markers never match it.
     query: Option<Query>,
@@ -450,21 +485,23 @@ impl DynLs {
     /// Total entries discovered at open time (for `find`, before
     /// filtering).
     pub fn total(&self) -> usize {
-        self.set.members_found()
+        self.opened.len()
     }
 
-    /// The next entry to arrive, unordered.
+    /// The next entry to arrive, unordered; [`DynLsStep::Partial`] from
+    /// a run that could not list everything, until [`DynLs::retry`].
     pub fn next(&mut self, world: &mut StoreWorld) -> DynLsStep {
-        loop {
-            return match self.set.next(world) {
-                IterStep::Yielded(rec) if !self.keeps(&rec) => continue,
-                IterStep::Yielded(rec) => DynLsStep::Entry(DirEntry::from_record(&rec)),
-                IterStep::Done => DynLsStep::Complete,
-                IterStep::Blocked => DynLsStep::Partial {
-                    unreachable: self.set.pending().len(),
-                },
-                IterStep::Failed(_) => unreachable!("dynamic sets do not fail"),
-            };
+        while let IterStep::Yielded(rec) = self.run.next(world) {
+            self.listed.insert(rec.id);
+            if self.keeps(&rec) {
+                return DynLsStep::Entry(DirEntry::from_record(&rec));
+            }
+        }
+        // A pinned Snapshot run returns once it has listed all it was
+        // given, and fails on the members it could not reach.
+        match self.opened.len() - self.listed.len() {
+            0 => DynLsStep::Complete,
+            unreachable => DynLsStep::Partial { unreachable },
         }
     }
 
@@ -475,9 +512,16 @@ impl DynLs {
         }
     }
 
-    /// Retries entries previously reported unreachable.
+    /// Retries entries previously reported unreachable: a fresh run over
+    /// the members of the opening membership not yet listed.
     pub fn retry(&mut self) {
-        self.set.retry_pending();
+        let rest: Vec<MemberEntry> = self
+            .opened
+            .iter()
+            .filter(|m| !self.listed.contains(&m.elem))
+            .copied()
+            .collect();
+        self.run = Elements::pinned(self.client.clone(), rest.into(), None, self.config.clone());
     }
 
     /// Drives the listing until it completes or only unreachable entries
@@ -611,7 +655,7 @@ mod tests {
                 .unwrap();
         }
         w.topology_mut().partition(&[servers[2]]);
-        let mut listing = fs.dynls(&mut w, &dir, PrefetchConfig::default()).unwrap();
+        let mut listing = fs.dynls(&mut w, &dir, 8).unwrap();
         assert_eq!(listing.total(), 3);
         let (entries, end) = listing.drain_available(&mut w);
         assert_eq!(entries.len(), 2);
@@ -622,6 +666,33 @@ mod tests {
         let (more, end2) = listing.drain_available(&mut w);
         assert_eq!(more.len(), 1);
         assert_eq!(end2, DynLsStep::Complete);
+    }
+
+    #[test]
+    fn an_observed_windowed_dynls_conforms_to_fig4() {
+        use weakset::prelude::RunObserver;
+        use weakset_spec::checker::{check_computation, Figure};
+        let (mut w, mut fs, servers) = setup(3);
+        let dir = FsPath::root();
+        for i in 0..9 {
+            fs.create_file(&mut w, &dir.join(format!("f{i}")), b"x", servers[i % 3])
+                .unwrap();
+        }
+        let cref = fs.dir(&dir).unwrap().clone();
+        let mut listing = fs.dynls(&mut w, &dir, 8).unwrap();
+        listing
+            .run
+            .observe(RunObserver::new(cref.id, cref.home, fs.client().node()));
+        // A volume drops out after the open: its three files fail before
+        // any other reply arrives, yet the run lists the other six, and
+        // fails on the three only then, as Figure 4 requires.
+        w.topology_mut().partition(&[servers[2]]);
+        let (listed, end) = listing.drain_available(&mut w);
+        assert_eq!(listed.len(), 6);
+        assert_eq!(end, DynLsStep::Partial { unreachable: 3 });
+        let comp = listing.run.take_computation(&w).unwrap();
+        assert_eq!(comp.runs.len(), 1);
+        check_computation(Figure::Fig4, &comp).assert_ok();
     }
 
     #[test]
@@ -660,7 +731,7 @@ mod tests {
                 &mut w,
                 &FsPath::root(),
                 &Query::NameSuffix(".face".into()),
-                weakset::prelude::PrefetchConfig::default(),
+                8,
             )
             .unwrap();
         // The total counts everything (files + dirent markers).
@@ -683,24 +754,12 @@ mod tests {
             .unwrap();
         fs.create_file(&mut w, &b.join("outside"), b"x", servers[1])
             .unwrap();
-        let mut stream = fs
-            .find(
-                &mut w,
-                &a,
-                &Query::All,
-                weakset::prelude::PrefetchConfig::default(),
-            )
-            .unwrap();
+        let mut stream = fs.find(&mut w, &a, &Query::All, 8).unwrap();
         let (hits, _) = stream.drain_available(&mut w);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].name, "inside");
         assert!(matches!(
-            fs.find(
-                &mut w,
-                &FsPath::parse("/missing").unwrap(),
-                &Query::All,
-                weakset::prelude::PrefetchConfig::default()
-            ),
+            fs.find(&mut w, &FsPath::parse("/missing").unwrap(), &Query::All, 8),
             Err(FsError::NotFound(_))
         ));
     }
@@ -715,14 +774,7 @@ mod tests {
         fs.create_file(&mut w, &FsPath::parse("/near").unwrap(), b"x", servers[0])
             .unwrap();
         w.topology_mut().partition(&[servers[2]]);
-        let mut stream = fs
-            .find(
-                &mut w,
-                &FsPath::root(),
-                &Query::All,
-                weakset::prelude::PrefetchConfig::default(),
-            )
-            .unwrap();
+        let mut stream = fs.find(&mut w, &FsPath::root(), &Query::All, 8).unwrap();
         let (hits, end) = stream.drain_available(&mut w);
         // "near" plus the /far dirent marker is filtered out; the marker
         // lives on the cut server so it is pending, not listed.
@@ -757,9 +809,7 @@ mod tests {
         // The directory's primary (servers[0]) goes down: the listing
         // dies at open although both replicas are up.
         w.topology_mut().crash(servers[0]);
-        assert!(fs
-            .dynls(&mut w, &d, weakset::prelude::PrefetchConfig::default())
-            .is_err());
+        assert!(fs.dynls(&mut w, &d, 8).is_err());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * the strict Unix-like [`fs::FileSystem::ls`], which must access every
 //!   file before returning anything and fails outright under partitions;
 //! * [`fs::FileSystem::dynls`], a dynamic-set listing that streams entries
-//!   unordered as parallel fetches complete, yields partial results under
-//!   failures, and resumes after heals.
+//!   unordered as parallel fetches complete and yields partial results
+//!   under failures: a Figure 4 run over the membership read at open,
+//!   whose rest [`fs::DynLs::retry`] lists after a heal.
 //!
 //! Supporting cast: [`path::FsPath`], [`mobile::MobileClient`] for
 //! disconnection scenarios, and [`workload`] generators for the

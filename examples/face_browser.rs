@@ -69,15 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Dynamic-set ls: faces stream in as they arrive, nearest volumes
     // first; the two faces on the dead volume stay pending.
     let t0 = world.now();
-    let mut listing = fs.dynls(
-        &mut world,
-        &faces_dir,
-        PrefetchConfig {
-            window: 4,
-            fetch_timeout: SimDuration::from_millis(80),
-            order: FetchOrder::ClosestFirst,
-        },
-    )?;
+    let mut listing = fs.dynls(&mut world, &faces_dir, 4)?;
     println!("dynamic ls: streaming {} entries...", listing.total());
     loop {
         match listing.next(&mut world) {

@@ -42,15 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut traveller = MobileClient::new(laptop);
-    let mut listing = fs.dynls(
-        &mut world,
-        &dir,
-        PrefetchConfig {
-            window: 3,
-            fetch_timeout: SimDuration::from_millis(60),
-            order: FetchOrder::ClosestFirst,
-        },
-    )?;
+    let mut listing = fs.dynls(&mut world, &dir, 3)?;
 
     // Grab a few entries at the gate...
     let mut synced = 0;

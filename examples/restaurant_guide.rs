@@ -2,10 +2,13 @@
 //! Chinese restaurants before choosing where to eat for dinner."
 //!
 //! Menus live on restaurant servers all over the city; the tourist runs a
-//! *query-opened dynamic set*. A partition takes a neighbourhood offline
-//! mid-browse — the tourist still gets every reachable menu ("we would
-//! not go hungry if our restaurant search missed some (but not all)
-//! Chinese restaurants"), and the rest arrive after repair.
+//! *query-opened dynamic set*: every reachable neighbourhood evaluates the
+//! query locally, and the union of their answers is the membership a
+//! Figure 4 run lists, four fetches in flight. A partition takes a
+//! neighbourhood offline mid-browse — the tourist still gets every
+//! reachable menu ("we would not go hungry if our restaurant search
+//! missed some (but not all) Chinese restaurants"), and a second run over
+//! the rest fetches them after repair.
 //!
 //! Run with: `cargo run --example restaurant_guide`
 
@@ -58,45 +61,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Query: all Chinese menus in Pittsburgh, closest neighbourhoods
-    // first, four fetches in flight.
+    // Query: all Chinese menus in Pittsburgh. Each neighbourhood answers
+    // for the menus it holds; one that cannot be reached is skipped, and
+    // its menus are simply absent (partial results are the point).
     let query = Query::And(vec![
         Query::attr("cuisine", "chinese"),
         Query::attr("city", "pittsburgh"),
     ]);
-    let mut menus = DynamicSet::open_query(
-        &mut world,
-        &client,
-        &hoods,
-        &query,
-        PrefetchConfig {
-            window: 4,
-            fetch_timeout: SimDuration::from_millis(120),
-            order: FetchOrder::ClosestFirst,
-        },
-    );
+    let mut matched = Vec::new();
+    let mut answered = 0;
+    for &hood in &hoods {
+        if let Ok(ids) = client.query_node(&mut world, hood, &query) {
+            answered += 1;
+            matched.extend(ids.into_iter().map(|elem| MemberEntry { elem, home: hood }));
+        }
+    }
+    let matched = Membership::from(matched);
     println!(
-        "query matched {} chinese menus across {} neighbourhoods\n",
-        menus.members_found(),
-        hoods.len() - menus.nodes_skipped()
+        "query matched {} chinese menus across {answered} neighbourhoods\n",
+        matched.len()
     );
+    // Closest neighbourhoods first, four fetches in flight.
+    let config = IterConfig {
+        window: 4,
+        fetch_order: FetchOrder::ClosestFirst,
+        ..IterConfig::default()
+    };
+    let mut menus = Elements::pinned(client.clone(), matched.clone(), None, config.clone());
 
     // Downtown drops off the network while we browse.
     world.topology_mut().partition(&[hoods[3]]);
     println!("(downtown just lost connectivity)\n");
 
-    let (arrived, end) = menus.drain_available(&mut world);
+    let (arrived, end) = menus.drain(&mut world, 1, SimDuration::ZERO);
     for menu in &arrived {
         println!("  menu arrived: {}", menu.name);
     }
     println!("\nfirst pass: {} menus, status {end:?}", arrived.len());
-    println!("unreachable menus pending: {}", menus.pending().len());
+    let pending: Vec<MemberEntry> = matched
+        .iter()
+        .filter(|m| !menus.yielded().contains(&m.elem))
+        .copied()
+        .collect();
+    println!("unreachable menus pending: {}", pending.len());
 
     // Dinner can wait a minute — the neighbourhood comes back.
     world.topology_mut().heal_partition();
     world.sleep(SimDuration::from_millis(50));
-    menus.retry_pending();
-    let (late, end) = menus.drain_available(&mut world);
+    let mut menus = Elements::pinned(client, pending.into(), None, config);
+    let (late, end) = menus.drain(&mut world, 1, SimDuration::ZERO);
     for menu in &late {
         println!("  late menu arrived: {}", menu.name);
     }

@@ -200,30 +200,36 @@ fn dynamic_set_paints_through_churn_and_faults_together() {
             }
         });
     }
+    // The membership read once, at open; each run lists what the ones
+    // before it could not reach, four fetches in flight.
     let client = r.set.client().clone();
-    let mut ds = DynamicSet::open_collection(
-        &mut r.world,
-        &client,
-        r.set.cref(),
-        PrefetchConfig {
-            window: 4,
-            fetch_timeout: SimDuration::from_millis(80),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let opened = client
+        .read_members(&mut r.world, r.set.cref(), ReadPolicy::Primary)
+        .unwrap()
+        .entries;
+    let config = IterConfig {
+        window: 4,
+        ..IterConfig::default()
+    };
+    let mut listed = std::collections::BTreeSet::new();
     let mut got = 0;
     let mut rounds = 0;
     loop {
-        let (batch, end) = ds.drain_available(&mut r.world);
+        let rest: Vec<MemberEntry> = opened
+            .iter()
+            .filter(|m| !listed.contains(&m.elem))
+            .copied()
+            .collect();
+        let mut run = Elements::pinned(client.clone(), rest.into(), None, config.clone());
+        let (batch, end) = run.drain(&mut r.world, 1, SimDuration::ZERO);
         got += batch.len();
+        listed.extend(batch.iter().map(|rec| rec.id));
         match end {
             IterStep::Done => break,
-            IterStep::Blocked => {
+            IterStep::Failed(Failure::MembersUnreachable { .. }) => {
                 rounds += 1;
                 assert!(rounds < 50);
                 r.world.sleep(SimDuration::from_millis(25));
-                ds.retry_pending();
             }
             other => panic!("{other:?}"),
         }

@@ -737,6 +737,7 @@ fn recorded_threaded_runs_replay_to_identical_verdicts() {
                 read_policy: policy,
                 guard_growth: false,
                 fetch_order: FetchOrder::IdOrder,
+                window: 1,
                 think_ms: 1,
                 budget: 16,
                 start_ms: 10,

@@ -60,7 +60,8 @@ fn legs<T>(pins: [(&'static str, T); LEGS.len()]) -> impl Iterator<Item = (&'sta
 /// This pins what the fuzzer finds, failures included; it is not a
 /// zero-failure gate (the merkle leg's one failure here is a known
 /// violation, ROADMAP item 1). Constants measured at c4eb3ce with
-/// `weakset-dst --iters 620 --seed 1` and each leg's flag of that time.
+/// `weakset-dst --iters 620 --seed 1` and each leg's flag of that time;
+/// the window leg's (its one failure is class A) when it was added.
 #[test]
 fn campaign_is_pinned() {
     let pins = [
@@ -68,6 +69,7 @@ fn campaign_is_pinned() {
         ("sharded", (0xa01d_d79f_44d7_92cf, 0)),
         ("causal", (0x346d_a09e_c53e_9cf5, 0)),
         ("merkle", (0xa586_61b9_09da_c407, 1)),
+        ("window", (0x0550_cd03_2132_69fa, 1)),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let (combined, failures) = campaign(&(name, generate), 1, 620);
@@ -84,7 +86,8 @@ fn campaign_is_pinned() {
 /// the traces they produce: one FNV fold per generator over the artifact
 /// text of 1,000 scenarios. Equal trace hashes cannot tell a moved draw
 /// that two schedules happen to absorb; equal text can. Constants
-/// measured at f5f802f, before the generators' shared parts were folded.
+/// measured at f5f802f, before the generators' shared parts were folded;
+/// the window leg's when it was added.
 #[test]
 fn generated_scenarios_are_pinned() {
     let pins = [
@@ -92,6 +95,7 @@ fn generated_scenarios_are_pinned() {
         ("sharded", 0xf42f_f4a5_6b11_f6ba),
         ("causal", 0x15e8_c191_e63c_2cb8),
         ("merkle", 0x2d93_7ae1_c976_43e6),
+        ("window", 0x5806_e0cd_8653_db98),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let folded = (0..1000).fold(0xcbf2_9ce4_8422_2325u64, |acc, i| {
@@ -120,6 +124,7 @@ fn corpus_trace_hash_is_pinned() {
         ("sharded", 0xb321_d1d0_b26d_c6ab),
         ("causal", 0x289a_41fa_c4b0_8594),
         ("merkle", 0xc095_b068_c80e_ce0b),
+        ("window", 0xd300_a197_e393_7f67),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let folded = (0..64).fold(0xcbf2_9ce4_8422_2325, |acc, i| {
@@ -147,6 +152,7 @@ fn events_and_metrics_are_pinned() {
         ("sharded", (0x78a7_ff58_418f_24ae, 0xb302_89dc_d72b_ef88)),
         ("causal", (0x222e_b061_af3f_55b9, 0x60a5_7ae9_c1ad_4f9c)),
         ("merkle", (0x0753_29f0_aa1f_7f11, 0xc3c0_01e5_fb7b_f8c1)),
+        ("window", (0x2b9d_e937_5782_275f, 0xe575_cbf8_9334_16c8)),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let (mut e, mut m) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);

@@ -61,9 +61,7 @@ fn directory_iteration_conforms_as_a_weak_set() {
 fn strict_and_dynamic_listings_agree_when_healthy() {
     let mut d = dfs(2, 16);
     let strict = d.fs.ls(&mut d.world, &FsPath::root()).unwrap();
-    let mut dyn_listing =
-        d.fs.dynls(&mut d.world, &FsPath::root(), PrefetchConfig::default())
-            .unwrap();
+    let mut dyn_listing = d.fs.dynls(&mut d.world, &FsPath::root(), 8).unwrap();
     let (mut entries, end) = dyn_listing.drain_available(&mut d.world);
     assert_eq!(end, DynLsStep::Complete);
     entries.sort_by(|a, b| a.name.cmp(&b.name));
@@ -77,16 +75,7 @@ fn concurrent_creation_during_listing_is_weakly_visible() {
     // A colleague creates files while the listing runs: dynls (snapshot
     // membership at open) misses them; a second listing sees them.
     let mut d = dfs(3, 8);
-    let mut dyn_listing =
-        d.fs.dynls(
-            &mut d.world,
-            &FsPath::root(),
-            PrefetchConfig {
-                window: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let mut dyn_listing = d.fs.dynls(&mut d.world, &FsPath::root(), 1).unwrap();
     // Pull two entries, then create a new file from another node.
     for _ in 0..2 {
         assert!(matches!(
@@ -115,17 +104,7 @@ fn concurrent_creation_during_listing_is_weakly_visible() {
 fn mobile_disconnect_mid_listing_then_finish() {
     let mut d = dfs(4, 12);
     let mut mc = MobileClient::new(d.laptop);
-    let mut listing =
-        d.fs.dynls(
-            &mut d.world,
-            &FsPath::root(),
-            PrefetchConfig {
-                window: 2,
-                fetch_timeout: SimDuration::from_millis(50),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let mut listing = d.fs.dynls(&mut d.world, &FsPath::root(), 2).unwrap();
     let mut got = 0;
     for _ in 0..4 {
         match listing.next(&mut d.world) {
@@ -198,16 +177,7 @@ fn strict_ls_sorted_dynls_unordered_closest_first() {
         .unwrap();
     let strict = fs.ls(&mut world, &FsPath::root()).unwrap();
     assert_eq!(strict[0].name, "aaa");
-    let mut listing = fs
-        .dynls(
-            &mut world,
-            &FsPath::root(),
-            PrefetchConfig {
-                window: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    let mut listing = fs.dynls(&mut world, &FsPath::root(), 1).unwrap();
     match listing.next(&mut world) {
         DynLsStep::Entry(e) => assert_eq!(e.name, "zzz", "closest first"),
         other => panic!("{other:?}"),

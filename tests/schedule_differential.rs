@@ -31,6 +31,7 @@ fn schedule(seed: u64, ops: Vec<Op>) -> Scenario {
         read_policy: weakset_store::prelude::ReadPolicy::Primary,
         guard_growth: false,
         fetch_order: weakset::prelude::FetchOrder::IdOrder,
+        window: 1,
         think_ms: 2,
         budget: 32,
         start_ms: 20,

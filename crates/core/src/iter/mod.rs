@@ -15,7 +15,7 @@
 //!
 //! This module holds what every plan shares: the tunables
 //! ([`IterConfig`]), candidate ordering and the cache-aware fetch, one
-//! `rpc` at a time or through a [`Window`] of fetches in flight.
+//! `rpc` at a time or through a `Window` of fetches in flight.
 
 mod elements;
 mod window;

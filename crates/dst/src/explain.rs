@@ -300,7 +300,7 @@ mod tests {
         assert!(text.contains(" returned\n"), "{text}");
     }
 
-    /// Class C (ROADMAP item 1): a leaderless snapshot read that returns
+    /// Class C (ROADMAP item 4): a leaderless snapshot read that returns
     /// without yielding an element the oracle expected. No invocation
     /// failed, so the post-mortem blames no fault and shows the last
     /// outcomes instead.

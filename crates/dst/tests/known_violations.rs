@@ -1,9 +1,10 @@
 //! The four classes of violation the plain fuzz leg finds, one shrunk
-//! repro each (ROADMAP item 1, DESIGN.md §5). `DST_SEED=1 weakset-dst
-//! --leg plain --iters 50000 --seed-from-env` wrote them; each is the
-//! smallest of its class (for B, the smallest that shows B alone). A, C
-//! and D are ignored until their class is fixed: run them with
-//! `--ignored`, and un-ignore one with its fix. B is fixed.
+//! repro each (ROADMAP item 1 for A and D, item 4 for C, DESIGN.md §5).
+//! `DST_SEED=1 weakset-dst --leg plain --iters 50000 --seed-from-env`
+//! wrote them; each is the smallest of its class (for B, the smallest
+//! that shows B alone). A, C and D are ignored until their class is
+//! fixed: run them with `--ignored`, and un-ignore one with its fix. B
+//! is fixed.
 
 use weakset_dst::prelude::*;
 
@@ -71,7 +72,7 @@ fn fig5_failed_run_keeps_the_set_grow_only() {
 /// Class C: a leaderless snapshot over gossip returns without yielding
 /// an element the oracle's first state holds.
 #[test]
-#[ignore = "class C: a leaderless snapshot returns without a member it should yield (ROADMAP item 1)"]
+#[ignore = "class C: a leaderless snapshot returns without a member it should yield (ROADMAP item 4)"]
 fn fig4_leaderless_snapshot_yields_every_member() {
     assert_conforms(
         "Scenario(

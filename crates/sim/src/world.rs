@@ -475,7 +475,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     .expect("a completed token has its reply"),
                 None => {
                     // Not monotone: a task's nested rpc may have run the
-                    // clock past this deadline (ROADMAP item 1).
+                    // clock past this deadline (ROADMAP item 2).
                     self.now = deadline;
                     Err(NetError::Timeout)
                 }
@@ -913,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "ROADMAP item 1: fixing it re-pins"]
+    #[ignore = "ROADMAP item 2: fixing it re-pins"]
     fn rpc_timeout_never_sets_the_clock_back() {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);

@@ -1368,7 +1368,7 @@ mod tests {
     /// counts as `store.write.err`; today it counts `store.write.ok`
     /// (`BENCH_e9.json`'s 20 writes). The fix re-pins that file.
     #[test]
-    #[ignore = "known miscount: a Locked write counts store.write.ok"]
+    #[ignore = "ROADMAP item 2: a Locked write counts store.write.ok"]
     fn a_locked_write_counts_as_a_write_error() {
         let (mut w, c, s) = world_with(1);
         let cl = StoreClient::new(c, SimDuration::from_millis(50));

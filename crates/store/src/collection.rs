@@ -8,10 +8,12 @@
 //! Figure 2.
 //!
 //! A membership rests and travels as one value, [`Membership`]: a
-//! sorted, duplicate-free array behind an `Arc`, copied on write. A
-//! write is one step: it shifts the entries in place when its value
-//! holds the array alone and the array has room, and otherwise builds
-//! the next array, with room, in one allocation. So a write copies only
+//! sorted, duplicate-free run in an array behind an `Arc`, with room at
+//! both ends, copied on write. A write is one step: when its value holds
+//! the array alone, it moves the shorter side of the gap into that
+//! side's room — a quarter of the entries at a random position — or,
+//! with none there, re-centres the run; otherwise it builds the next
+//! array, its room centred, in one allocation. So a write copies only
 //! while a reply, a snapshot or an in-flight message still holds the
 //! version it replaces, and what any held value lists never changes.
 //!
@@ -35,6 +37,7 @@
 use crate::object::ObjectId;
 use std::cmp::Ordering;
 use std::fmt;
+use std::num::NonZeroU32;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 use weakset_sim::node::NodeId;
@@ -68,21 +71,24 @@ pub struct MemberEntry {
 /// mark shows in neither `Debug` nor `PartialEq`.
 #[derive(Clone)]
 pub struct Membership {
-    /// The entries, then room for more; `None` until a write needs an
+    /// Room, the entries, then room; `None` until a write needs an
     /// array, so the empty membership allocates nothing.
     run: Option<Arc<[MemberEntry]>>,
-    /// How many of `run`'s slots hold entries.
+    /// One past the slot of the first entry, so never zero: the niche
+    /// `Option<Membership>` takes. Its top bit is the [`SERIALIZED`] mark.
+    head: NonZeroU32,
+    /// How many slots, from the first entry's, hold entries.
     len: u32,
-    /// Held by a [`CollectionState`], or cloned from one that was. It
-    /// sits in the padding after `len`.
-    serialized: bool,
 }
 
-/// The spare slots a new array of `len` entries gets: an eighth, so a
-/// run of inserts reallocates a logarithmic number of times. A set of
-/// fewer than eight gets none — its adds copy until a removal makes room
-/// — because most simulated collections list a handful of entries and
-/// see too few writes for spare slots to pay for their bytes.
+/// The primary-serialized mark in `Membership::head`.
+const SERIALIZED: u32 = 1 << 31;
+
+/// The spare slots a new array of `len` entries gets, half on each side:
+/// an eighth, so a run of inserts reallocates a logarithmic number of
+/// times. A set of fewer than eight gets none — its adds copy until a
+/// removal makes room — because most simulated collections list a handful
+/// of entries and see too few writes for spare slots to pay their bytes.
 fn room(len: usize) -> usize {
     len / 8
 }
@@ -92,8 +98,8 @@ impl Membership {
     pub fn new() -> Self {
         Membership {
             run: None,
+            head: NonZeroU32::MIN,
             len: 0,
-            serialized: false,
         }
     }
 
@@ -105,11 +111,23 @@ impl Membership {
         if run.is_empty() {
             return Membership::new();
         }
-        Membership {
-            len: u32::try_from(run.len()).expect("fewer than 2^32 members"),
-            run: Some(run),
-            serialized: false,
-        }
+        let mut members = Membership::new();
+        members.place(0, run.len());
+        members.run = Some(run);
+        members
+    }
+
+    /// The slot of the first entry.
+    #[inline]
+    fn start(&self) -> usize {
+        ((self.head.get() & !SERIALIZED) - 1) as usize
+    }
+
+    /// Puts the entries at `start..start + len`, keeping the mark.
+    fn place(&mut self, start: usize, len: usize) {
+        assert!(start < (SERIALIZED - 1) as usize, "fewer than 2^31 slots");
+        self.head = NonZeroU32::MIN.saturating_add(start as u32) | (self.head.get() & SERIALIZED);
+        self.len = u32::try_from(len).expect("fewer than 2^32 members");
     }
 
     /// True when this value was a [`CollectionState`]'s membership: two
@@ -117,7 +135,7 @@ impl Membership {
     /// entries. A read built any other way (a union, a CRDT's elements)
     /// is not marked.
     pub fn is_serialized(&self) -> bool {
-        self.serialized
+        self.head.get() & SERIALIZED != 0
     }
 
     /// True when `elem` is a member (binary search).
@@ -131,38 +149,53 @@ impl Membership {
         start..start + self[start..].partition_point(|m| m.elem == elem)
     }
 
-    /// This value's slots, when it is their only holder and they have
-    /// room for `extra` more entries: what a write may shift in place.
-    fn owned(&mut self, extra: usize) -> Option<&mut [MemberEntry]> {
-        let need = self.len() + extra;
-        Arc::get_mut(self.run.as_mut()?).filter(|slots| slots.len() >= need)
-    }
-
     /// The one array step under every write: `self[gone]` replaced by
-    /// `entry`, if any. It shifts the entries after `gone` in place when
-    /// [`Membership::owned`] allows, and otherwise builds the next array
-    /// with [`room`] in one allocation.
+    /// `entry`, if any. When this value holds its array alone, it moves
+    /// the entries on the shorter side of `gone` into the room on that
+    /// side or, with none there, both sides so that the room left splits
+    /// evenly. Otherwise it builds the next array with [`room`], centred,
+    /// in one allocation.
     fn splice(&mut self, gone: Range<usize>, entry: Option<MemberEntry>) {
-        let (len, put) = (self.len(), usize::from(entry.is_some()));
+        let (start, len, put) = (self.start(), self.len(), usize::from(entry.is_some()));
         let (at, next) = (gone.start, len - gone.len() + put);
-        if let Some(slots) = self.owned(put) {
-            slots.copy_within(gone.end..len, at + put);
-            slots[at..at + put].copy_from_slice(entry.as_slice());
-        } else if next == 0 {
-            self.run = None;
-        } else {
-            // An exact-size fill collects straight into the new
-            // allocation; the entries then overwrite their slots.
-            let fill = entry.unwrap_or_else(|| self[0]);
-            let mut run: Arc<[MemberEntry]> =
-                std::iter::repeat_n(fill, next + room(next)).collect();
-            let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
-            slots[..at].copy_from_slice(&self[..at]);
-            slots[at..at + put].copy_from_slice(entry.as_slice());
-            slots[at + put..next].copy_from_slice(&self[gone.end..]);
-            self.run = Some(run);
+        let slots = self.run.as_ref().map_or(0, |run| run.len());
+        // Where the entries start if those before `gone` move, or if
+        // those after it do; else where the room left is centred.
+        let front = (start + gone.len()).checked_sub(put);
+        let back = (start + next <= slots).then_some(start);
+        let fewer = if at < len - gone.end { front } else { back };
+        let first = fewer.or((next <= slots).then(|| (slots - next) / 2));
+        match (first, self.run.as_mut().and_then(|run| Arc::get_mut(run))) {
+            (Some(first), Some(slots)) => {
+                let (tail, to) = (start + gone.end..start + len, first + at + put);
+                if first == start {
+                    slots.copy_within(tail, to);
+                } else if to == tail.start {
+                    slots.copy_within(start..start + at, first);
+                } else {
+                    // Both sides: the whole run, then its tail aside.
+                    slots.copy_within(start..start + len, first);
+                    slots.copy_within(first + gone.end..first + len, to);
+                }
+                slots[first + at..first + at + put].copy_from_slice(entry.as_slice());
+                self.place(first, next);
+            }
+            _ if next == 0 => (self.run, self.len) = (None, 0),
+            _ => {
+                // An exact-size fill collects straight into the new
+                // allocation; the entries then overwrite their slots.
+                let (fill, first) = (entry.unwrap_or_else(|| self[0]), room(next) / 2);
+                let mut run: Arc<[MemberEntry]> =
+                    std::iter::repeat_n(fill, next + room(next)).collect();
+                let slots = Arc::get_mut(&mut run).expect("a fresh array has one holder");
+                let slots = &mut slots[first..first + next];
+                slots[..at].copy_from_slice(&self[..at]);
+                slots[at..at + put].copy_from_slice(entry.as_slice());
+                slots[at + put..].copy_from_slice(&self[gone.end..]);
+                self.run = Some(run);
+                self.place(first, next);
+            }
         }
-        self.len = u32::try_from(next).expect("fewer than 2^32 members");
     }
 
     /// The set union, as a linear merge of the two sorted runs. Equal
@@ -206,6 +239,13 @@ impl Membership {
     pub fn holders(&self) -> usize {
         self.run.as_ref().map_or(0, Arc::strong_count)
     }
+
+    /// Where this membership's array is (null when it has none).
+    pub fn array_ptr(&self) -> *const MemberEntry {
+        self.run
+            .as_ref()
+            .map_or(std::ptr::null(), |run| run.as_ptr())
+    }
 }
 
 impl Default for Membership {
@@ -222,7 +262,7 @@ impl Deref for Membership {
     #[inline]
     fn deref(&self) -> &[MemberEntry] {
         match &self.run {
-            Some(run) => &run[..self.len as usize],
+            Some(run) => &run[self.start()..self.start() + self.len as usize],
             None => &[],
         }
     }
@@ -421,7 +461,7 @@ impl CollectionState {
     pub fn new() -> Self {
         CollectionState {
             members: Membership {
-                serialized: true,
+                head: NonZeroU32::MIN | SERIALIZED,
                 ..Membership::new()
             },
             version: 0,
@@ -522,7 +562,7 @@ impl CollectionState {
         }
         let change = Change::between(&self.members, &members, version - self.version - 1);
         self.members = Membership {
-            serialized: true,
+            head: members.head | SERIALIZED,
             ..members
         };
         self.commit(version, change);
@@ -689,20 +729,20 @@ mod tests {
         for id in [1, 3, 5] {
             c.add(e(id, 0));
         }
-        let at = c.members().as_ptr();
+        let at = c.members().array_ptr();
         assert!(c.remove(ObjectId(3)));
-        assert_eq!(c.members().as_ptr(), at, "a removal always fits");
+        assert_eq!(c.members().array_ptr(), at, "a removal always fits");
         assert!(c.add(e(4, 0)));
-        assert_eq!(c.members().as_ptr(), at, "so does an add after it");
+        assert_eq!(c.members().array_ptr(), at, "so does an add after it");
         let held = c.members().clone();
         assert!(c.remove(ObjectId(1)));
-        assert_ne!(c.members().as_ptr(), at, "a held array is copied");
+        assert_ne!(c.members().array_ptr(), at, "a held array is copied");
         assert_eq!(held[..], [e(1, 0), e(4, 0), e(5, 0)]);
         assert_eq!(c.members()[..], [e(4, 0), e(5, 0)]);
         drop(held);
-        let at = c.members().as_ptr();
+        let at = c.members().array_ptr();
         assert!(c.remove(ObjectId(4)) && c.add(e(0, 0)));
-        assert_eq!(c.members().as_ptr(), at);
+        assert_eq!(c.members().array_ptr(), at);
         assert_eq!(c.members()[..], [e(0, 0), e(5, 0)]);
     }
 

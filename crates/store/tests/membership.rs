@@ -1,7 +1,8 @@
 //! [`Membership`] as a value: its set algebra against the sort-and-dedup
-//! oracle it replaced, copy-on-write (a held version never changes, and
-//! an idle write shifts each replica's own array in place, observed
-//! across a threaded fleet), and the version log of changes — on a
+//! oracle it replaced, its writes against a set model (where the array
+//! stays and where it is rebuilt), copy-on-write (a held version never
+//! changes, and an idle write shifts each replica's own array in place,
+//! observed across a threaded fleet), and the version log of changes — on a
 //! primary and on replicas replaying its steps — against the log of full
 //! copies it replaced.
 
@@ -102,6 +103,100 @@ fn copying_writes_at_the_edges() {
     assert!(one.remove(ObjectId(3)));
     assert_eq!(one.members().holders(), 0, "the empty membership");
     assert_eq!(before.to_vec(), [e(3, 1)]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random adds before the first entry, after the last or between,
+    /// and removals of the first, the last or any entry, through the
+    /// empty set, with a clone of the state's membership taken and
+    /// dropped at random steps. After each write the state lists what a
+    /// `BTreeSet` model lists, in its order; a held clone lists what it
+    /// listed when taken; `holders()` counts the state and a clone that
+    /// still shares its array; and the state keeps its array exactly
+    /// when it held it alone and the array had room on either side (a
+    /// removal always has). Otherwise the write builds an array of the
+    /// model's size: `len / 8` spare slots past its `len` entries, or
+    /// none at all for the empty set.
+    #[test]
+    fn writes_anywhere_match_a_set_model(
+        ops in proptest::collection::vec((0u8..6, any::<u16>(), 0u8..4), 0..300)
+    ) {
+        let mut state = CollectionState::new();
+        let mut model: BTreeSet<MemberEntry> = BTreeSet::new();
+        // The slots of the state's array, and whether the held clone
+        // still shares it.
+        let (mut slots, mut shared) = (0, false);
+        let mut held: Option<(Membership, Vec<MemberEntry>)> = None;
+        for (kind, pick, clone) in ops {
+            match clone {
+                0 if held.is_none() => {
+                    let members = state.members().clone();
+                    shared = slots > 0;
+                    held = Some((members.clone(), members.to_vec()));
+                }
+                1 => (held, shared) = (None, false),
+                _ => {}
+            }
+            let ids: Vec<u64> = model.iter().map(|m| m.elem.0).collect();
+            let (first, last) = match ids[..] {
+                [] => (1 << 20, 1 << 20),
+                [first, .., last] => (first, last),
+                [one] => (one, one),
+            };
+            let pick = u64::from(pick);
+            let elem = match kind {
+                0 => first - 1 - pick % 4,
+                1 => last + 1 + pick % 4,
+                // Between the ends, or on an entry: then nothing is new.
+                2 => first + pick % (last - first + 2),
+                3 => first,
+                4 => last,
+                _ => ids.get(pick as usize % ids.len().max(1)).copied().unwrap_or(first),
+            };
+            let entry = e(elem, (elem % 3) as u32);
+            let (len, array) = (model.len(), state.members().array_ptr());
+            let adding = kind < 3;
+            let wrote = if adding {
+                let new = !model.iter().any(|m| m.elem == entry.elem);
+                if new {
+                    model.insert(entry);
+                }
+                prop_assert_eq!(state.add(entry), new);
+                new
+            } else {
+                let present = model.remove(&entry);
+                prop_assert_eq!(state.remove(entry.elem), present);
+                present
+            };
+            let members = state.members();
+            prop_assert_eq!(members.to_vec(), model.iter().copied().collect::<Vec<_>>());
+            if wrote {
+                // A removal always fits; an add fits while a slot is spare.
+                let in_place = !shared && (!adding || len < slots);
+                prop_assert_eq!(
+                    members.array_ptr() == array,
+                    in_place,
+                    "{} of {:?} at {}",
+                    kind,
+                    entry,
+                    len
+                );
+                if !in_place {
+                    let next = model.len();
+                    slots = if next == 0 { 0 } else { next + next / 8 };
+                }
+                shared = false;
+            } else {
+                prop_assert_eq!(members.array_ptr(), array);
+            }
+            prop_assert_eq!(members.holders(), usize::from(slots > 0) + usize::from(shared));
+            if let Some((clone, listed)) = &held {
+                prop_assert_eq!(&clone.to_vec(), listed);
+            }
+        }
+    }
 }
 
 /// What `CollectionState` was before its log held changes: the same
@@ -306,7 +401,7 @@ fn a_long_history_pins_no_array() {
         for add in [true, false] {
             let before = primary.members().clone();
             assert_eq!(before.holders(), 2, "the primary and this test");
-            let at = replica.members().as_ptr();
+            let at = replica.members().array_ptr();
             let id = 1_000 + round;
             let step = if add {
                 assert!(primary.add(entry(id)));
@@ -322,7 +417,7 @@ fn a_long_history_pins_no_array() {
             );
             assert!(replica.sync(primary.version(), step));
             assert_eq!(replica.members().holders(), 1, "the replica owns its array");
-            copied += usize::from(replica.members().as_ptr() != at);
+            copied += usize::from(replica.members().array_ptr() != at);
         }
     }
     assert!(copied <= 1, "the replica copied {copied} times");
@@ -367,20 +462,20 @@ fn a_replica_replays_the_primarys_step_on_its_own_array() {
     }
     assert_eq!(r.members(), p.members());
     assert_ne!(
-        r.members().as_ptr(),
-        p.members().as_ptr(),
+        r.members().array_ptr(),
+        p.members().array_ptr(),
         "each owns its array"
     );
     // A removal always fits, and so does an add after it: both states
     // shift in place, through the empty set.
-    let at = (p.members().as_ptr(), r.members().as_ptr());
+    let at = (p.members().array_ptr(), r.members().array_ptr());
     for id in [1, 2, 3] {
         p.remove(ObjectId(id));
         assert!(r.sync(p.version(), SyncStep::Remove(ObjectId(id))));
     }
     p.add(e(4, 0));
     assert!(r.sync(7, SyncStep::Add(e(4, 0))));
-    assert_eq!((p.members().as_ptr(), r.members().as_ptr()), at);
+    assert_eq!((p.members().array_ptr(), r.members().array_ptr()), at);
     assert_eq!(
         (r.members().to_vec(), r.members().holders()),
         (vec![e(4, 0)], 1)
@@ -394,7 +489,7 @@ fn a_replica_replays_the_primarys_step_on_its_own_array() {
     assert_eq!((r.version(), r.log()), (7, &p.log()[..7]));
     // A full sync takes the primary's array and logs the gap.
     assert!(r.sync(9, SyncStep::Full(p.members().clone())));
-    assert_eq!(r.members().as_ptr(), p.members().as_ptr());
+    assert_eq!(r.members().array_ptr(), p.members().array_ptr());
     assert_eq!(
         (r.log()[7].listed(), r.log()[7].span()),
         (&[e(5, 0), e(6, 0)][..], 2)
@@ -537,7 +632,7 @@ fn replica_state(
         let members = coll.members();
         (
             members.holders(),
-            members.as_ptr() as usize,
+            members.array_ptr() as usize,
             coll.version(),
             members.to_vec(),
         )

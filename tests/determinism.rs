@@ -59,7 +59,7 @@ fn legs<T>(pins: [(&'static str, T); LEGS.len()]) -> impl Iterator<Item = (&'sta
 /// leg at seed 1, its combined trace hash and how many scenarios failed.
 /// This pins what the fuzzer finds, failures included; it is not a
 /// zero-failure gate (the merkle leg's one failure here is a known
-/// violation, ROADMAP item 1). Constants measured at c4eb3ce with
+/// class-C violation, ROADMAP item 4). Constants measured at c4eb3ce with
 /// `weakset-dst --iters 620 --seed 1` and each leg's flag of that time;
 /// the window leg's (its one failure is class A) when it was added.
 #[test]

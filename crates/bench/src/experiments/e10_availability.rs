@@ -15,7 +15,7 @@
 //!   primary-read run blocks until the heal; both finish.
 
 use super::e10_gossip::N_MEMBERS;
-use super::rows::{first_step, gossip_cut, judged, yields_during_cut};
+use super::rows::{first_step, gossip_cut, judged, yields_around_cut};
 use crate::report::{pct, Table};
 use weakset_dst::prelude::Scenario;
 use weakset_store::prelude::ReadPolicy;
@@ -78,7 +78,7 @@ pub(crate) fn cut_table() -> Table {
         let reports: Vec<_> = rows.iter().map(judged).collect();
         let served: Vec<String> = reports
             .iter()
-            .map(|r| pct(yields_during_cut(r), N_MEMBERS as usize))
+            .map(|r| pct(yields_around_cut(r)[1], N_MEMBERS as usize))
             .collect();
         t.row(&[
             n.to_string(),
@@ -112,8 +112,8 @@ pub(crate) fn outage_table() -> Table {
         let leaderless = judged(&rows[1]);
         t.row(&[
             ms.to_string(),
-            yields_during_cut(&primary).to_string(),
-            yields_during_cut(&leaderless).to_string(),
+            yields_around_cut(&primary)[1].to_string(),
+            yields_around_cut(&leaderless)[1].to_string(),
             primary.yielded.len().to_string(),
             leaderless.yielded.len().to_string(),
         ]);
@@ -139,7 +139,7 @@ mod tests {
                     ("blocked", 0)
                 };
                 assert_eq!(first_step(&report), first, "n={n} {policy:?}");
-                assert_eq!(yields_during_cut(&report), served, "n={n} {policy:?}");
+                assert_eq!(yields_around_cut(&report)[1], served, "n={n} {policy:?}");
                 assert_eq!(report.yielded.len(), N_MEMBERS as usize, "n={n} {policy:?}");
             }
         }
@@ -152,10 +152,10 @@ mod tests {
             .map(|rows| {
                 let primary = judged(&rows[0]);
                 let leaderless = judged(&rows[1]);
-                assert_eq!(yields_during_cut(&primary), 0, "primary reads block");
+                assert_eq!(yields_around_cut(&primary)[1], 0, "primary reads block");
                 assert_eq!(primary.yielded.len(), N_MEMBERS as usize);
                 assert_eq!(leaderless.yielded.len(), N_MEMBERS as usize);
-                yields_during_cut(&leaderless)
+                yields_around_cut(&leaderless)[1]
             })
             .collect();
         // Leaderless progress is real in every window and grows with the

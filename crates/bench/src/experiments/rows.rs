@@ -1,6 +1,7 @@
-//! The figure and replication experiments' rows as fuzzer scenarios.
+//! The figure, listing and replication experiments' rows as fuzzer
+//! scenarios.
 //!
-//! A row of E1–E4, E8, E10b, E10c or E12 is a [`Scenario`] run by the
+//! A row of E1–E4, E6–E8, E10b, E10c or E12 is a [`Scenario`] run by the
 //! fuzzer's own driver ([`execute`]): the fleet, the churn (issued
 //! through the client at invocation boundaries), the fault schedule and
 //! the verdict are the ones every generated run gets. [`judged`] refuses
@@ -8,7 +9,7 @@
 //! columns off the [`RunReport`].
 
 use weakset::prelude::{FetchOrder, Semantics};
-use weakset_dst::prelude::{execute, Chaos, Deployment, FaultSpec, Op, RunReport, Scenario};
+use weakset_dst::prelude::{execute, Chaos, Deployment, FaultSpec, Link, Op, RunReport, Scenario};
 use weakset_spec::checker::{check_computation, Figure};
 use weakset_spec::prelude::{Computation, IterRun, Outcome, SetValue};
 use weakset_store::prelude::ReadPolicy;
@@ -29,6 +30,9 @@ pub(crate) fn base(seed: u64, servers: usize, semantics: Semantics, n: u64) -> S
         guard_growth: false,
         fetch_order: FetchOrder::ClosestFirst,
         window: 1,
+        link: Link::DEFAULT,
+        bandwidth: None,
+        file_size: None,
         think_ms: 0,
         budget: 1_000,
         start_ms: 0,
@@ -36,6 +40,19 @@ pub(crate) fn base(seed: u64, servers: usize, semantics: Semantics, n: u64) -> S
         ops: Vec::new(),
         faults: Vec::new(),
         chaos: Chaos::None,
+    }
+}
+
+/// A directory listing (E6, E7): `n` files homed round-robin over eight
+/// servers behind 5 ms links, listed by a Snapshot run with `window`
+/// fetches in flight, as `FileSystem::dynls` lists. At window 1 it is
+/// also the rpc sequence of the strict `ls`, which shows nothing before
+/// it completes.
+pub(crate) fn listing(seed: u64, n: u64, window: usize) -> Scenario {
+    Scenario {
+        window,
+        link: Link::Constant { one_way_ms: 5 },
+        ..base(seed, 8, Semantics::Snapshot, n)
     }
 }
 
@@ -141,19 +158,44 @@ pub(crate) fn first_step(report: &RunReport) -> &'static str {
     }
 }
 
-/// Yields the run completed before its partition healed.
-pub(crate) fn yields_during_cut(report: &RunReport) -> usize {
-    let heal_us = report
-        .events
-        .iter()
-        .find(|e| e.kind == "sim.fault.heal_partition")
-        .map_or(u64::MAX, |e| e.at_us);
+/// The instants of the run's yields, in microseconds (its
+/// `iter.outcome` events).
+fn yield_instants(report: &RunReport) -> impl Iterator<Item = u64> + '_ {
     report
         .events
         .iter()
-        .filter(|e| e.at_us < heal_us && e.kind == "iter.outcome")
-        .filter(|e| e.detail.as_str().contains(" yielded "))
-        .count()
+        .filter(|e| e.kind == "iter.outcome" && e.detail.as_str().contains(" yielded "))
+        .map(|e| e.at_us)
+}
+
+/// The run's yields before its partition began, while it lasted, and
+/// after it healed, read off its `iter.outcome` and `sim.fault.*`
+/// events.
+pub(crate) fn yields_around_cut(report: &RunReport) -> [usize; 3] {
+    let at = |kind: &str| {
+        let first = report.events.iter().find(|e| e.kind == kind);
+        first.map_or(u64::MAX, |e| e.at_us)
+    };
+    let (cut_us, heal_us) = (at("sim.fault.partition"), at("sim.fault.heal_partition"));
+    let mut phases = [0; 3];
+    for at_us in yield_instants(report) {
+        phases[usize::from(at_us >= cut_us) + usize::from(at_us >= heal_us)] += 1;
+    }
+    phases
+}
+
+/// A listing's time-to-first and total, in milliseconds after its first
+/// invocation began: its first yield and its terminal step, read off
+/// its events.
+pub(crate) fn listing_ms(report: &RunReport) -> (f64, f64) {
+    let events = &report.events;
+    let begun = events.iter().find(|e| e.kind.ends_with(".invocation"));
+    let start_us = begun.map_or(0, |e| e.at_us);
+    let end = events.iter().rfind(|e| e.kind == "iter.outcome");
+    let end_us = end.map_or(start_us, |e| e.at_us);
+    let first_us = yield_instants(report).next().unwrap_or(end_us);
+    let ms = |us: u64| (us - start_us) as f64 / 1000.0;
+    (ms(first_us), ms(end_us))
 }
 
 /// Whether the recorded computation also satisfies `figure`.
@@ -175,8 +217,9 @@ pub(crate) fn iteration_ms(report: &RunReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{e10_availability, e12_session, e1_immutable};
-    use crate::experiments::{e2_immutable_failures, e3_snapshot_loss, e4_growonly, e8_taxonomy};
+    use crate::experiments::{e10_availability, e12_session, e1_immutable, e6_latency};
+    use crate::experiments::{e2_immutable_failures, e3_snapshot_loss, e4_growonly};
+    use crate::experiments::{e7_availability, e8_taxonomy};
 
     #[test]
     fn every_row_is_an_artifact() {
@@ -189,6 +232,11 @@ mod tests {
             e10_availability::cut_rows(),
             e10_availability::outage_rows(),
             e12_session::rows(),
+            vec![e6_latency::row(64, 20, 4), e6_latency::size_row(65_536, 8)],
+            vec![
+                e7_availability::cut_row(2, 8),
+                e7_availability::mobile_row(),
+            ],
         ];
         for row in rows.into_iter().flatten() {
             assert_eq!(Scenario::from_ron(&row.to_ron()), Ok(row));

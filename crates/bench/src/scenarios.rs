@@ -1,5 +1,5 @@
-//! The worlds of the experiments that build their own (E5–E7, E9, E10a
-//! and E11): E1–E4, E8, E10b, E10c and E12 are fuzzer scenarios
+//! The worlds of the experiments that build their own (E5, E9, E10a,
+//! E10d and E11): E1–E4, E6–E8, E10b, E10c and E12 are fuzzer scenarios
 //! (`experiments::rows`).
 
 use weakset::prelude::*;
@@ -23,24 +23,14 @@ pub struct Wan {
     pub servers: Vec<NodeId>,
 }
 
-/// Builds a WAN world with constant one-way latency.
+/// Builds `n_servers` store servers behind constant one-way latency,
+/// with the causal event sink on: every snapshot carries per-kind event
+/// counts and critical-path objectives.
 pub fn wan(seed: u64, n_servers: usize, one_way: SimDuration) -> Wan {
-    wan_with_model(seed, n_servers, LatencyModel::Constant(one_way))
-}
-
-/// Builds a WAN world with an arbitrary latency model and the causal
-/// event sink on: every snapshot carries per-kind event counts and
-/// critical-path objectives.
-pub fn wan_with_model(seed: u64, n_servers: usize, latency: LatencyModel) -> Wan {
-    let mut wan = store_fleet(seed, n_servers, latency);
+    let latency = LatencyModel::Constant(one_way);
+    let mut wan = fleet(seed, n_servers, latency, |_| Box::new(StoreServer::new()));
     wan.world.events_mut().set_enabled(true);
     wan
-}
-
-/// Builds `n_servers` store servers, event sink off (the E6/E7 tables
-/// record nothing).
-pub fn store_fleet(seed: u64, n_servers: usize, latency: LatencyModel) -> Wan {
-    fleet(seed, n_servers, latency, |_| Box::new(StoreServer::new()))
 }
 
 /// Builds `n_replicas` gossip replicas behind constant one-way latency.

@@ -207,10 +207,7 @@ pub(crate) struct Fleet {
     set: TestSet,
     read_policy: ReadPolicy,
     gossip: Option<GossipHandle>,
-}
-
-fn object(elem: u64) -> ObjectRecord {
-    ObjectRecord::new(ObjectId(elem), format!("e{elem}"), &b"dst"[..])
+    file_size: Option<u64>,
 }
 
 impl Fleet {
@@ -235,7 +232,7 @@ impl Fleet {
                 },
             );
         }
-        let mut client = StoreClient::new(client_node, ms(50));
+        let mut client = StoreClient::new(client_node, ms(s.timeout_ms()));
         if s.read_policy == ReadPolicy::CausalSession {
             // One shared session token across the client, every shard
             // clone, and the iterator: its writes become the floors the
@@ -289,6 +286,7 @@ impl Fleet {
             set,
             read_policy: s.read_policy,
             gossip: None,
+            file_size: s.file_size,
         };
 
         // Initial membership, before the run origin.
@@ -297,7 +295,7 @@ impl Fleet {
                 let home = fleet.servers[home % fleet.servers.len()];
                 fleet
                     .set
-                    .add(stage.rt(), object(elem), home)
+                    .add(stage.rt(), fleet.object(elem), home)
                     .map_err(|e| format!("setup add failed: {e:?}"))?;
             }
         }
@@ -324,13 +322,22 @@ impl Fleet {
         Ok(fleet)
     }
 
+    /// Element `elem`'s object, carrying the scenario's file size.
+    fn object(&self, elem: u64) -> ObjectRecord {
+        let name = format!("e{elem}");
+        match self.file_size {
+            None => ObjectRecord::new(ObjectId(elem), name, &b"dst"[..]),
+            Some(bytes) => ObjectRecord::new(ObjectId(elem), name, vec![b'x'; bytes as usize]),
+        }
+    }
+
     /// Applies one workload op through the client, ignoring its outcome
     /// (see the module docs).
     pub(crate) fn apply_op(&self, rt: &mut StoreRt, op: Op) {
         match op {
             Op::Add { elem, home, .. } => {
                 let home = self.servers[home % self.servers.len()];
-                let _ = self.set.add(rt, object(elem), home);
+                let _ = self.set.add(rt, self.object(elem), home);
             }
             Op::Remove { elem, .. } => {
                 let _ = self.set.remove(rt, ObjectId(elem));
@@ -499,11 +506,13 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
         TestSet::Sharded(set) => TestElements::Sharded(set.elements_observed(s.semantics)),
     };
 
+    let sent_before = stage.rt().metrics().counter("rpc.sent");
     let (yielded, steps) = if started {
         invoke(s, stage, &fleet, &mut it, &mut violations)
     } else {
         (Vec::new(), 0)
     };
+    let iter_sent = stage.rt().metrics().counter("rpc.sent") - sent_before;
 
     // Drain the schedule: leftover ops, fault heals, gossip convergence.
     stage.advance(&fleet, Some(s.horizon_ms() + 60));
@@ -533,6 +542,7 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
         trace_hash: closed.trace_hash,
         yielded,
         steps,
+        iter_sent,
         violations,
         computations,
         sim_time_us: closed.sim_time_us,

@@ -218,7 +218,7 @@ fn fault_cause<'a>(events: &'a [ObsEvent], node: &str, before_us: u64) -> Option
 mod tests {
     use super::*;
     use crate::run::execute;
-    use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
+    use crate::scenario::{Chaos, Deployment, FaultSpec, Link, Op, Scenario};
     use weakset::prelude::{FetchOrder, Semantics};
     use weakset_store::prelude::ReadPolicy;
 
@@ -235,6 +235,9 @@ mod tests {
             guard_growth: false,
             fetch_order: FetchOrder::IdOrder,
             window: 1,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: 1,
             budget: 16,
             start_ms: 10,

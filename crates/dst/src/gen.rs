@@ -26,7 +26,7 @@
 //!   flap ends up), so optimistic runs can always be driven to
 //!   termination.
 
-use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
+use crate::scenario::{Chaos, Deployment, FaultSpec, Link, Op, Scenario};
 use weakset::prelude::{FetchOrder, Semantics};
 use weakset_sim::rng::SimRng;
 use weakset_store::prelude::ReadPolicy;
@@ -184,6 +184,9 @@ impl Draft {
                 && self.ops.iter().any(|o| matches!(o, Op::Remove { .. })),
             fetch_order: pick_fetch_order(rng),
             window: 1,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: rng.range_u64(1, 5),
             budget: rng.range_u64(24, 41) as usize,
             start_ms: self.start_ms,
@@ -414,6 +417,9 @@ fn generate_window(seed: u64) -> Scenario {
     let mut rng = SimRng::for_label(seed, "dst.gen.window");
     Scenario {
         window: [1, 2, 8][rng.index(3)],
+        link: Link::DEFAULT,
+        bandwidth: None,
+        file_size: None,
         ..generate(seed)
     }
 }

@@ -58,6 +58,6 @@ pub mod prelude {
     };
     pub use crate::repro::{load, replay, write_artifact};
     pub use crate::run::{campaign, execute, Failure, RunReport, COLL};
-    pub use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
+    pub use crate::scenario::{Chaos, Deployment, FaultSpec, Link, Op, Scenario};
     pub use crate::shrink::shrink;
 }

@@ -916,7 +916,7 @@ pub fn load_recording(path: &Path) -> Result<Recording, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Chaos, FaultSpec};
+    use crate::scenario::{Chaos, FaultSpec, Link};
     use weakset::prelude::Semantics;
     use weakset_store::prelude::ReadPolicy;
 
@@ -931,6 +931,9 @@ mod tests {
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
             window: 1,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: 1,
             budget: 8,
             start_ms: 10,
@@ -1046,6 +1049,9 @@ mod tests {
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
             window: 1,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: 1,
             budget: 8,
             start_ms: 10,
@@ -1105,6 +1111,9 @@ mod tests {
                 guard_growth: false,
                 fetch_order: weakset::prelude::FetchOrder::IdOrder,
                 window: 1,
+                link: Link::DEFAULT,
+                bandwidth: None,
+                file_size: None,
                 think_ms: 1,
                 budget: 16,
                 start_ms: 60,

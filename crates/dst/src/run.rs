@@ -13,12 +13,11 @@ use crate::drive::{drive, ms, Closed, Fleet, Mark, Schedule, Stage};
 use crate::gen::{mix, Leg};
 use crate::scenario::{Op, Scenario};
 use weakset_sim::fault::FaultPlan;
-use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::topology::Topology;
 use weakset_spec::prelude::Computation;
 use weakset_store::object::CollectionId;
-use weakset_store::prelude::{StoreRt, StoreWorld};
+use weakset_store::prelude::{StoreMsg, StoreRt, StoreWorld};
 
 /// The collection every scenario iterates over.
 pub const COLL: CollectionId = CollectionId(1);
@@ -36,6 +35,10 @@ pub struct RunReport {
     pub yielded: Vec<u64>,
     /// Iterator invocations issued (including blocked ones).
     pub steps: usize,
+    /// Requests the backend counted as sent (`rpc.sent`) from the first
+    /// invocation to the last: the run's membership reads and fetches,
+    /// and any op the schedule landed between them.
+    pub iter_sent: u64,
     /// Every oracle violation, human-readable. Empty means the run
     /// conformed to its figure.
     pub violations: Vec<String>,
@@ -73,7 +76,10 @@ impl<'a> Sim<'a> {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);
         let servers = t.add_servers("s", s.servers.max(1));
-        let mut world = StoreWorld::new(s.seed, t, LatencyModel::Constant(ms(1)));
+        let mut world = StoreWorld::new(s.seed, t, s.link.model());
+        if let Some(bytes_per_ms) = s.bandwidth {
+            world.set_bandwidth(bytes_per_ms, StoreMsg::wire_size);
+        }
         // Record the causal event stream: explain mode and the Perfetto
         // exporter both read it off the report. Pure observation — enabling
         // it never touches the RNG or the event queue, so trace hashes are
@@ -185,7 +191,7 @@ pub fn campaign(&(_, generate): &Leg, seed: u64, iters: u64) -> (u64, Vec<Failur
 mod tests {
     use super::*;
     use crate::gen::{generate, mix};
-    use crate::scenario::{Chaos, Deployment, FaultSpec};
+    use crate::scenario::{Chaos, Deployment, FaultSpec, Link};
     use weakset::prelude::Semantics;
     use weakset_store::prelude::ReadPolicy;
 
@@ -200,6 +206,9 @@ mod tests {
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
             window: 1,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: 1,
             budget: 16,
             start_ms: 10,
@@ -288,6 +297,9 @@ mod tests {
             guard_growth: false,
             fetch_order: weakset::prelude::FetchOrder::IdOrder,
             window: 1,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: 1,
             budget: 16,
             start_ms: 10,

@@ -16,8 +16,10 @@ use std::fmt::{self, Write as _};
 use weakset::prelude::{FetchOrder, Semantics};
 use weakset_obs::ron::{Parser, Tok};
 use weakset_sim::fault::FaultAction;
+use weakset_sim::latency::LatencyModel;
 use weakset_sim::link::LinkState;
 use weakset_sim::node::NodeId;
+use weakset_sim::time::SimDuration;
 use weakset_store::prelude::ReadPolicy;
 
 /// How the servers are deployed.
@@ -46,6 +48,57 @@ pub enum Deployment {
         /// execution time).
         shards: usize,
     },
+}
+
+/// How long a message takes one way. The client sits at site 0 and
+/// server `i` at site `i + 1`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Link {
+    /// Every message takes `one_way_ms`.
+    Constant {
+        /// One-way latency in milliseconds.
+        one_way_ms: u64,
+    },
+    /// `base_ms + per_hop_ms × |site(a) − site(b)|`: near servers answer
+    /// first, which closest-first fetching ranks.
+    SiteDistance {
+        /// Latency between two nodes of one site, in milliseconds.
+        base_ms: u64,
+        /// Extra latency per unit of site distance, in milliseconds.
+        per_hop_ms: u64,
+    },
+}
+
+impl Link {
+    /// The fuzzer's links: 1 ms between any two nodes.
+    pub const DEFAULT: Link = Link::Constant { one_way_ms: 1 };
+
+    /// The simulator's model of these links.
+    pub(crate) fn model(self) -> LatencyModel {
+        let ms = SimDuration::from_millis;
+        match self {
+            Link::Constant { one_way_ms } => LatencyModel::Constant(ms(one_way_ms)),
+            Link::SiteDistance {
+                base_ms,
+                per_hop_ms,
+            } => LatencyModel::SiteDistance {
+                base: ms(base_ms),
+                per_hop: ms(per_hop_ms),
+            },
+        }
+    }
+
+    /// The longest one-way hop from the client to one of `servers`
+    /// servers, in milliseconds.
+    fn worst_ms(self, servers: usize) -> u64 {
+        match self {
+            Link::Constant { one_way_ms } => one_way_ms,
+            Link::SiteDistance {
+                base_ms,
+                per_hop_ms,
+            } => base_ms + per_hop_ms * servers as u64,
+        }
+    }
 }
 
 /// One workload mutation, scheduled at a millisecond offset from the
@@ -283,6 +336,15 @@ pub struct Scenario {
     /// ([`IterConfig::window`](weakset::prelude::IterConfig::window)); 1
     /// fetches one member at a time.
     pub window: usize,
+    /// The links every message crosses in the simulator (a threaded
+    /// stage delivers at once). No generator draws this or the next two
+    /// fields: the paper's latency experiments (E6, E7) set them.
+    pub link: Link,
+    /// Link bandwidth in bytes per millisecond: a message also takes its
+    /// wire size over it. `None`: unbounded.
+    pub bandwidth: Option<u64>,
+    /// Payload bytes of every member's object; `None`: a 3-byte payload.
+    pub file_size: Option<u64>,
     /// Client think time between invocations, in milliseconds.
     pub think_ms: u64,
     /// Maximum yields before the driver abandons the run (non-terminal
@@ -305,6 +367,16 @@ impl Scenario {
     /// True when any scheduled op is a removal.
     pub fn has_removals(&self) -> bool {
         self.ops.iter().any(|o| matches!(o, Op::Remove { .. }))
+    }
+
+    /// The client's rpc timeout in milliseconds: 50, or twice a round
+    /// trip that carries one object over the slowest hop, if longer.
+    pub(crate) fn timeout_ms(&self) -> u64 {
+        let transfer = match (self.bandwidth, self.file_size) {
+            (Some(bytes_per_ms), Some(bytes)) => bytes.div_ceil(bytes_per_ms),
+            _ => 0,
+        };
+        (2 * (2 * self.link.worst_ms(self.servers) + transfer)).max(50)
     }
 
     /// The last scheduled event's offset (ops, faults, or iteration
@@ -407,10 +479,29 @@ impl Scenario {
         writeln!(s, "    guard_growth: {},", self.guard_growth)?;
         let order = name_of(&ORDERS, self.fetch_order);
         writeln!(s, "    fetch_order: {order},")?;
-        // Written only when it is not 1, so artifacts written before the
-        // field existed stay byte-identical.
+        // These are written only when they differ from the default, so
+        // artifacts written before the fields existed stay byte-identical.
         if self.window != 1 {
             writeln!(s, "    window: {},", self.window)?;
+        }
+        match self.link {
+            link if link == Link::DEFAULT => {}
+            Link::Constant { one_way_ms } => {
+                writeln!(s, "    link: Constant(one_way_ms: {one_way_ms}),")?
+            }
+            Link::SiteDistance {
+                base_ms,
+                per_hop_ms,
+            } => writeln!(
+                s,
+                "    link: SiteDistance(base_ms: {base_ms}, per_hop_ms: {per_hop_ms}),"
+            )?,
+        }
+        if let Some(bandwidth) = self.bandwidth {
+            writeln!(s, "    bandwidth: {bandwidth},")?;
+        }
+        if let Some(file_size) = self.file_size {
+            writeln!(s, "    file_size: {file_size},")?;
         }
         writeln!(s, "    think_ms: {},", self.think_ms)?;
         writeln!(s, "    budget: {},", self.budget)?;
@@ -493,6 +584,33 @@ fn deployment(p: &mut Parser) -> Result<Deployment, String> {
     }
 }
 
+fn link(p: &mut Parser) -> Result<Link, String> {
+    match p.ident()?.as_str() {
+        "Constant" => p.parens(|p| {
+            Ok(Link::Constant {
+                one_way_ms: p.num_key("one_way_ms")?,
+            })
+        }),
+        "SiteDistance" => p.parens(|p| {
+            Ok(Link::SiteDistance {
+                base_ms: p.num_field("base_ms")?,
+                per_hop_ms: p.num_key("per_hop_ms")?,
+            })
+        }),
+        other => Err(format!("unknown link '{other}'")),
+    }
+}
+
+/// `name: <num>,` when the next field is `name`, which a writer leaves
+/// out at its default.
+fn optional_num(p: &mut Parser, name: &str) -> Result<Option<u64>, String> {
+    if p.peek() == Some(&Tok::Ident(name.into())) {
+        p.num_field(name).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
 fn op(p: &mut Parser) -> Result<Op, String> {
     let tag = p.ident()?;
     p.parens(|p| {
@@ -567,6 +685,11 @@ const MAX_CYCLES: u64 = 1_000;
 const MAX_MS: u64 = 3_600_000;
 /// The most fetches a run may keep in flight.
 const MAX_WINDOW: u64 = 64;
+/// The longest a link field may make one hop (ten seconds).
+const MAX_LINK_MS: u64 = 10_000;
+/// The largest object a member may carry (one mebibyte): the stage
+/// stores one per member.
+const MAX_FILE_SIZE: u64 = 1 << 20;
 
 /// `v` when it is at most `max`, else an `Err` naming `field`.
 fn at_most(field: &str, v: u64, max: u64) -> Result<u64, String> {
@@ -581,6 +704,22 @@ fn at_most(field: &str, v: u64, max: u64) -> Result<u64, String> {
 fn check_ranges(s: &Scenario) -> Result<(), String> {
     at_most("servers", s.servers as u64, MAX_SERVERS)?;
     at_most("window", s.window as u64, MAX_WINDOW)?;
+    match s.link {
+        Link::Constant { one_way_ms } => {
+            at_most("one_way_ms", one_way_ms, MAX_LINK_MS)?;
+        }
+        Link::SiteDistance {
+            base_ms,
+            per_hop_ms,
+        } => {
+            at_most("base_ms", base_ms, MAX_LINK_MS)?;
+            at_most("per_hop_ms", per_hop_ms, MAX_LINK_MS)?;
+        }
+    }
+    if s.bandwidth == Some(0) {
+        return Err("bandwidth must be at least 1".into());
+    }
+    at_most("file_size", s.file_size.unwrap_or(0), MAX_FILE_SIZE)?;
     at_most("think_ms", s.think_ms, MAX_MS)?;
     at_most("start_ms", s.start_ms, MAX_MS)?;
     for op in &s.ops {
@@ -633,14 +772,20 @@ fn scenario(p: &mut Parser) -> Result<Scenario, String> {
         read_policy,
         guard_growth,
         fetch_order: named(p, "fetch_order", &ORDERS)?,
-        window: if p.peek() == Some(&Tok::Ident("window".into())) {
-            match p.num_field("window")? {
-                0 => return Err("window must be at least 1".into()),
-                w => w as usize,
-            }
-        } else {
-            1
+        window: match optional_num(p, "window")? {
+            Some(0) => return Err("window must be at least 1".into()),
+            w => w.unwrap_or(1) as usize,
         },
+        link: if p.peek() == Some(&Tok::Ident("link".into())) {
+            p.key("link")?;
+            let l = link(p)?;
+            p.expect(Tok::Comma)?;
+            l
+        } else {
+            Link::DEFAULT
+        },
+        bandwidth: optional_num(p, "bandwidth")?,
+        file_size: optional_num(p, "file_size")?,
         think_ms: p.num_field("think_ms")?,
         budget: p.num_field("budget")? as usize,
         start_ms: p.num_field("start_ms")?,
@@ -677,6 +822,9 @@ mod tests {
             guard_growth: true,
             fetch_order: FetchOrder::IdOrder,
             window: 8,
+            link: Link::DEFAULT,
+            bandwidth: None,
+            file_size: None,
             think_ms: 2,
             budget: 16,
             start_ms: 60,
@@ -744,6 +892,50 @@ mod tests {
         assert!(text.contains("deployment: Sharded(shards: 3)"));
         assert_eq!(Scenario::from_ron(&text).unwrap(), s);
         assert!(Scenario::from_ron(&text.replace("shards: 3", "shards: 0")).is_err());
+    }
+
+    #[test]
+    fn links_and_files_round_trip_and_defaults_are_not_written() {
+        let text = sample().to_ron();
+        for field in ["link", "bandwidth", "file_size"] {
+            assert!(!text.contains(field), "{field}");
+        }
+        for link in [
+            Link::Constant { one_way_ms: 20 },
+            Link::SiteDistance {
+                base_ms: 1,
+                per_hop_ms: 8,
+            },
+        ] {
+            let s = Scenario {
+                link,
+                bandwidth: Some(1_000),
+                file_size: Some(65_536),
+                ..sample()
+            };
+            assert_eq!(Scenario::from_ron(&s.to_ron()).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn the_timeout_grows_only_past_the_fuzzers_links() {
+        assert_eq!(sample().timeout_ms(), 50);
+        let far = Scenario {
+            link: Link::SiteDistance {
+                base_ms: 1,
+                per_hop_ms: 8,
+            },
+            ..sample()
+        };
+        // Three servers: the farthest hop is 1 + 3 × 8 = 25 ms.
+        assert_eq!(far.timeout_ms(), 100);
+        let slow = Scenario {
+            link: Link::Constant { one_way_ms: 5 },
+            bandwidth: Some(1_000),
+            file_size: Some(65_536),
+            ..sample()
+        };
+        assert_eq!(slow.timeout_ms(), 2 * (10 + 66));
     }
 
     #[test]

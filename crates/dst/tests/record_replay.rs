@@ -19,6 +19,9 @@ fn base_scenario(seed: u64) -> Scenario {
         guard_growth: false,
         fetch_order: FetchOrder::IdOrder,
         window: 1,
+        link: Link::DEFAULT,
+        bandwidth: None,
+        file_size: None,
         think_ms: 1,
         budget: 16,
         start_ms: 10,

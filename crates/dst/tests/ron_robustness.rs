@@ -50,6 +50,9 @@ fn no_truncation_of_a_threaded_recording_panics_or_misparses() {
         guard_growth: false,
         fetch_order: FetchOrder::IdOrder,
         window: 1,
+        link: Link::DEFAULT,
+        bandwidth: None,
+        file_size: None,
         think_ms: 1,
         budget: 2,
         start_ms: 1,
@@ -88,6 +91,12 @@ fn out_of_range_scenarios_are_errors() {
         guard_growth: false,
         fetch_order: FetchOrder::IdOrder,
         window: 8,
+        link: Link::SiteDistance {
+            base_ms: 1,
+            per_hop_ms: 8,
+        },
+        bandwidth: Some(1_000),
+        file_size: Some(1_024),
         think_ms: 1,
         budget: 8,
         start_ms: 10,
@@ -117,12 +126,27 @@ fn out_of_range_scenarios_are_errors() {
         ("window: 8", "window: 65"),
         ("cycles: 2", "cycles: 18446744073709551615"),
         ("for_ms: 20", "for_ms: 18446744073709551615"),
+        ("base_ms: 1,", "base_ms: 10001,"),
+        ("per_hop_ms: 8", "per_hop_ms: 10001"),
+        ("file_size: 1024", "file_size: 1048577"),
     ] {
         assert!(text.contains(from), "{from}");
         let err = Scenario::from_ron(&text.replace(from, to)).expect_err(to);
         assert!(err.contains("out of range"), "{to}: {err}");
     }
     assert!(Scenario::from_ron(&text.replace("window: 8", "window: 0")).is_err());
+    let err = Scenario::from_ron(&text.replace("bandwidth: 1000", "bandwidth: 0"));
+    assert!(err.expect_err("zero bandwidth").contains("at least 1"));
+    // A constant link is capped like a site-distance one, and each cap
+    // is itself legal.
+    let constant = |ms: u64| {
+        let link = format!("Constant(one_way_ms: {ms})");
+        text.replace("SiteDistance(base_ms: 1, per_hop_ms: 8)", &link)
+    };
+    let err = Scenario::from_ron(&constant(10_001)).expect_err("a ten-second hop");
+    assert!(err.contains("out of range"), "{err}");
+    assert!(Scenario::from_ron(&constant(10_000)).is_ok());
+    assert!(Scenario::from_ron(&text.replace("file_size: 1024", "file_size: 1048576")).is_ok());
 }
 
 #[test]

@@ -121,7 +121,6 @@ pub struct FileSystem {
     files: BTreeMap<FsPath, MemberEntry>,
     next_obj: u64,
     next_coll: u64,
-    replicas: Vec<NodeId>,
 }
 
 impl FileSystem {
@@ -144,23 +143,11 @@ impl FileSystem {
             files: BTreeMap::new(),
             next_obj: 1,
             next_coll: 1,
-            replicas: Vec::new(),
         };
         let root = CollectionRef::unreplicated(CollectionId(0), root_home);
         fs.client.create_collection(world, &root)?;
         fs.dirs.insert(FsPath::root(), root);
         Ok(fs)
-    }
-
-    /// Replicates every *subsequently created* directory's membership list
-    /// onto these nodes. No listing reads those replicas: `ls`, `dynls`
-    /// and `find` (and `stat`, through the parent) read a directory's
-    /// primary, so the replicas only cost each write a sync, the bytes
-    /// E6c counts.
-    #[must_use]
-    pub fn with_dir_replicas(mut self, replicas: Vec<NodeId>) -> Self {
-        self.replicas = replicas;
-        self
     }
 
     /// A second client view of the same namespace from another node
@@ -174,7 +161,6 @@ impl FileSystem {
             // colliding (a real FS would allocate ids at the server).
             next_obj: self.next_obj + 1_000_000,
             next_coll: self.next_coll + 1_000_000,
-            replicas: self.replicas.clone(),
         }
     }
 
@@ -210,7 +196,8 @@ impl FileSystem {
             .ok_or(FsError::NotFound(parent))
     }
 
-    /// Creates a directory whose membership list lives on `home`. A
+    /// Creates a directory whose membership list lives on `home` alone:
+    /// every listing reads a directory's primary. A
     /// directory-entry marker object is stored on `home` and linked into
     /// the parent directory.
     ///
@@ -231,11 +218,7 @@ impl FileSystem {
         let parent = self.parent_of(path)?;
         let name = path.name().expect("non-root path has a name").to_string();
         let coll = self.fresh_coll();
-        let cref = CollectionRef {
-            id: coll,
-            home,
-            replicas: self.replicas.clone(),
-        };
+        let cref = CollectionRef::unreplicated(coll, home);
         self.client.create_collection(world, &cref)?;
         // The dirent marker makes the directory visible in listings.
         let marker = self.fresh_obj();
@@ -402,8 +385,8 @@ impl FileSystem {
     /// given predicate", §1.1): gathers the membership of every known
     /// directory at or below `root`, then streams matching files back
     /// with dynamic-set semantics. Directories whose membership list is
-    /// unreachable are *skipped*: their files are missing from the
-    /// partial result.
+    /// unreachable are skipped: their files are missing from the partial
+    /// result, and [`DynLs::skipped`] names them.
     ///
     /// # Errors
     ///
@@ -418,18 +401,17 @@ impl FileSystem {
         if !self.dirs.contains_key(root) {
             return Err(FsError::NotFound(root.clone()));
         }
-        let members: Membership = self
-            .dirs
-            .iter()
-            .filter(|(path, _)| path.starts_with(root))
-            .filter_map(|(_, cref)| {
-                self.client
-                    .read_members(world, cref, ReadPolicy::Primary)
-                    .ok()
-            })
-            .flat_map(|read| read.entries.to_vec())
-            .collect();
-        Ok(self.listing(members, None, window, Some(query.clone())))
+        let mut members = Vec::new();
+        let mut skipped = Vec::new();
+        for (path, cref) in self.dirs.iter().filter(|(path, _)| path.starts_with(root)) {
+            match self.client.read_members(world, cref, ReadPolicy::Primary) {
+                Ok(read) => members.extend_from_slice(&read.entries),
+                Err(_) => skipped.push(path.clone()),
+            }
+        }
+        let mut listing = self.listing(members.into(), None, window, Some(query.clone()));
+        listing.skipped = skipped;
+        Ok(listing)
     }
 
     /// A listing of `opened`, read from one directory's `read_from` or
@@ -457,6 +439,7 @@ impl FileSystem {
             opened,
             listed: BTreeSet::new(),
             query,
+            skipped: Vec::new(),
         }
     }
 }
@@ -479,6 +462,8 @@ pub struct DynLs {
     /// `find`'s filter, applied client-side to fetched records;
     /// directory-entry markers never match it.
     query: Option<Query>,
+    /// The directories `find` could not read the membership of.
+    skipped: Vec<FsPath>,
 }
 
 impl DynLs {
@@ -486,6 +471,12 @@ impl DynLs {
     /// filtering).
     pub fn total(&self) -> usize {
         self.opened.len()
+    }
+
+    /// The directories whose membership `find` could not read at open,
+    /// so none of their files are listed; empty for `dynls`.
+    pub fn skipped(&self) -> &[FsPath] {
+        &self.skipped
     }
 
     /// The next entry to arrive, unordered; [`DynLsStep::Partial`] from
@@ -775,6 +766,7 @@ mod tests {
             .unwrap();
         w.topology_mut().partition(&[servers[2]]);
         let mut stream = fs.find(&mut w, &FsPath::root(), &Query::All, 8).unwrap();
+        assert_eq!(stream.skipped(), [far]);
         let (hits, end) = stream.drain_available(&mut w);
         // "near" plus the /far dirent marker is filtered out; the marker
         // lives on the cut server so it is pending, not listed.
@@ -800,14 +792,13 @@ mod tests {
 
     #[test]
     fn a_listing_reads_the_directory_primary() {
-        let (mut w, fs, servers) = setup(3);
-        let mut fs = fs.with_dir_replicas(vec![servers[1], servers[2]]);
+        let (mut w, mut fs, servers) = setup(3);
         let d = FsPath::parse("/shared").unwrap();
         fs.mkdir(&mut w, &d, servers[0]).unwrap();
         fs.create_file(&mut w, &d.join("a"), b"x", servers[1])
             .unwrap();
         // The directory's primary (servers[0]) goes down: the listing
-        // dies at open although both replicas are up.
+        // dies at open.
         w.topology_mut().crash(servers[0]);
         assert!(fs.dynls(&mut w, &d, 8).is_err());
     }

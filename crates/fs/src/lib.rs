@@ -13,8 +13,13 @@
 //!   whose rest [`fs::DynLs::retry`] lists after a heal.
 //!
 //! Supporting cast: [`path::FsPath`], [`mobile::MobileClient`] for
-//! disconnection scenarios, and [`workload`] generators for the
-//! experiments.
+//! disconnection scenarios, and [`workload`] generators for tests and
+//! examples.
+//!
+//! The paper's evaluation of the two listings (E6, E7 in `weakset-bench`)
+//! does not build a file system: a directory there is a fuzzer
+//! scenario's collection and each listing its Snapshot run (`ls` at
+//! window 1, read all-or-nothing), so the oracle judges every row.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! Synthetic directory-tree workloads for experiments.
+//! Synthetic directory-tree workloads for tests and examples.
 
 use crate::fs::{FileSystem, FsError};
 use crate::path::FsPath;

@@ -964,10 +964,11 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
     }
 
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
-        let started = Instant::now();
+        // Only the recorder reads the elapsed time.
+        let started = self.recorder.as_ref().map(|_| Instant::now());
         let wall_deadline = self.shared.start + Duration::from_micros(deadline.as_micros());
         let winner = self.wait_until(tokens, wall_deadline);
-        if self.recorder.is_some() {
+        if let Some(started) = started {
             self.note(RecEvent::WaitAny {
                 winner: winner.map(ReplyToken::raw),
                 elapsed_us: started.elapsed().as_micros() as u64,

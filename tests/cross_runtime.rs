@@ -701,7 +701,7 @@ fn sharded_quorum_fanout_runs_on_threads() {
 fn recorded_threaded_runs_replay_to_identical_verdicts() {
     use weak_sets::weakset_runtime::record::hash_debug;
     use weakset_dst::prelude::{
-        record_scenario, replay_recording, Chaos, Deployment, Op, Scenario,
+        record_scenario, replay_recording, Chaos, Deployment, Link, Op, Scenario,
     };
 
     fn verdicts(comp: &Computation) -> Vec<(Figure, bool)> {
@@ -738,6 +738,9 @@ fn recorded_threaded_runs_replay_to_identical_verdicts() {
                 guard_growth: false,
                 fetch_order: FetchOrder::IdOrder,
                 window: 1,
+                link: Link::DEFAULT,
+                bandwidth: None,
+                file_size: None,
                 think_ms: 1,
                 budget: 16,
                 start_ms: 10,

@@ -183,3 +183,30 @@ fn strict_ls_sorted_dynls_unordered_closest_first() {
         other => panic!("{other:?}"),
     }
 }
+
+#[test]
+fn find_names_the_directory_whose_home_is_cut() {
+    let mut d = dfs(7, 0);
+    let near = FsPath::parse("/near").unwrap();
+    let far = FsPath::parse("/far").unwrap();
+    d.fs.mkdir(&mut d.world, &near, d.vols[1]).unwrap();
+    d.fs.mkdir(&mut d.world, &far, d.vols[2]).unwrap();
+    for (dir, name) in [(&near, "a"), (&far, "b")] {
+        d.fs.create_file(&mut d.world, &dir.join(name), b"x", d.vols[3])
+            .unwrap();
+    }
+    // /far's home goes; the volume holding its file stays up.
+    d.world.topology_mut().partition(&[d.vols[2]]);
+    let mut found =
+        d.fs.find(&mut d.world, &FsPath::root(), &Query::All, 8)
+            .unwrap();
+    assert_eq!(found.skipped(), [far]);
+    let (hits, end) = found.drain_available(&mut d.world);
+    let names: Vec<&str> = hits.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(names, ["a"], "b is not listed: its directory was not read");
+    // The root lists /far's entry marker, which lives on the cut home.
+    assert_eq!(end, DynLsStep::Partial { unreachable: 1 });
+    // A dynls reads one directory and skips none.
+    let listing = d.fs.dynls(&mut d.world, &near, 8).unwrap();
+    assert!(listing.skipped().is_empty());
+}

@@ -32,6 +32,9 @@ fn schedule(seed: u64, ops: Vec<Op>) -> Scenario {
         guard_growth: false,
         fetch_order: weakset::prelude::FetchOrder::IdOrder,
         window: 1,
+        link: Link::DEFAULT,
+        bandwidth: None,
+        file_size: None,
         think_ms: 2,
         budget: 32,
         start_ms: 20,

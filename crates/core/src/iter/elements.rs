@@ -46,7 +46,9 @@ pub(crate) struct IterPlan {
     /// [`IterConfig::block_attempts`] rounds,
     /// [`IterConfig::retry_interval`] apart — and then report
     /// [`IterStep::Blocked`], never failing; otherwise one round, then a
-    /// terminal [`IterStep::Failed`].
+    /// terminal [`IterStep::Failed`]. Either way, a run whose last read
+    /// left nothing unyielded first waits out an unreadable membership
+    /// ([`DRAINED_WAITS`]), spending no rounds.
     pub(crate) retry: bool,
     span: &'static str,
     latency: &'static str,
@@ -91,6 +93,13 @@ impl Semantics {
 /// [`crate::shard::ShardedWeakSet::collect`]): consecutive blocked
 /// invocations before they give up.
 pub(crate) const COLLECT_MAX_BLOCKS: usize = 3;
+
+/// How often a Fig. 5/6 invocation whose last read left nothing
+/// unyielded re-reads an unreadable membership, [`DRAINED_WAIT`] apart,
+/// before the figure's usual step: only `returns` is left, and it needs a
+/// read (DESIGN.md §5). 400 × 5 ms is the fuzz driver's own patience.
+pub(crate) const DRAINED_WAITS: usize = 400;
+pub(crate) const DRAINED_WAIT: SimDuration = SimDuration::from_millis(5);
 
 /// Drives `next` to its terminal step, or until it blocks `max_blocks`
 /// consecutive times, sleeping `wait` between blocked invocations (a
@@ -154,7 +163,12 @@ pub(crate) fn drive(
 /// The other three are pessimistic: the first invocation that finds the
 /// membership unreadable, or every unyielded member unreachable, fails
 /// the run. With an [`IterConfig::window`] above 1, "unreachable" means
-/// that the invocation's own fetches reached no unyielded member.
+/// that the invocation's own fetches reached no unyielded member. Before
+/// failing or blocking, a GrowOnly or Optimistic run whose last read left
+/// nothing unyielded waits out an unreadable membership inside the
+/// invocation (400 re-reads, 5 ms apart), spending no
+/// [`IterConfig::block_attempts`]: only `returns` is left, and it needs a
+/// read.
 #[derive(Debug)]
 pub struct Elements {
     semantics: Semantics,
@@ -171,6 +185,8 @@ pub struct Elements {
     /// round, so a run at window 1 carries one empty pointer.
     window: Option<Box<Window>>,
     yielded: BTreeSet<ObjectId>,
+    /// The last membership read held one unyielded member, now yielded.
+    drained: bool,
     terminated: bool,
     /// Whether the primary currently counts this run among the holders
     /// of the plan's lock or guard — as far as the client knows.
@@ -209,6 +225,7 @@ impl Elements {
             pinned: None,
             window: None,
             yielded: BTreeSet::new(),
+            drained: false,
             terminated: false,
             holding: false,
             observer: None,
@@ -468,6 +485,7 @@ impl Elements {
             fetch_first_reachable(world, &self.client, &candidates, &mut self.cache)
         };
         evidence.confirmed_unreachable = unreachable;
+        self.drained = found.is_some() && candidates.len() == 1;
         let Some(rec) = found else {
             return Err(Failure::MembersUnreachable {
                 remaining: candidates.len(),
@@ -501,9 +519,15 @@ impl Elements {
         } else {
             1
         };
+        let mut waits = DRAINED_WAITS;
         let failure = loop {
             match self.round(world, &mut evidence) {
                 Ok(step) => return step,
+                // Only `returns` is left, and it needs a read.
+                Err(Failure::MembershipUnavailable(_)) if self.drained && waits > 0 => {
+                    waits -= 1;
+                    world.sleep(DRAINED_WAIT);
+                }
                 Err(failure) => {
                     left -= 1;
                     if left == 0 {
@@ -560,16 +584,14 @@ mod tests {
                 ObjectRecord::new(ObjectId(id), format!("o{id}"), &b"x"[..]),
             )
             .unwrap();
-        client
-            .add_member(
-                w,
-                cref,
-                MemberEntry {
-                    elem: ObjectId(id),
-                    home,
-                },
-            )
-            .unwrap();
+        client.add_member(w, cref, member(id, home)).unwrap();
+    }
+
+    fn member(id: u64, home: NodeId) -> MemberEntry {
+        MemberEntry {
+            elem: ObjectId(id),
+            home,
+        }
     }
 
     /// Every name in the plan table is spelled from the key of the
@@ -607,14 +629,7 @@ mod tests {
         // A writer is refused while the run is live.
         let writer = StoreClient::new(client.node(), SimDuration::from_millis(50));
         assert_eq!(
-            writer.add_member(
-                &mut w,
-                &cref,
-                MemberEntry {
-                    elem: ObjectId(9),
-                    home: servers[0]
-                }
-            ),
+            writer.add_member(&mut w, &cref, member(9, servers[0])),
             Err(StoreError::Locked)
         );
         assert!(matches!(it.next(&mut w), IterStep::Yielded(_)));
@@ -622,14 +637,7 @@ mod tests {
         assert!(!it.holds());
         // Writer succeeds after release.
         assert!(writer
-            .add_member(
-                &mut w,
-                &cref,
-                MemberEntry {
-                    elem: ObjectId(9),
-                    home: servers[0]
-                }
-            )
+            .add_member(&mut w, &cref, member(9, servers[0]))
             .is_ok());
         // The run conforms to Figure 3 with the relaxed per-run constraint
         // (mutations happened after the run ended).
@@ -669,14 +677,7 @@ mod tests {
         assert_eq!(it.next(&mut w), IterStep::Done);
         let writer = StoreClient::new(client.node(), SimDuration::from_millis(50));
         assert!(writer
-            .add_member(
-                &mut w,
-                &cref,
-                MemberEntry {
-                    elem: ObjectId(9),
-                    home: servers[0]
-                }
-            )
+            .add_member(&mut w, &cref, member(9, servers[0]))
             .is_ok());
     }
 
@@ -703,14 +704,7 @@ mod tests {
         // But the primary never heard the release: writers still stall.
         let writer = StoreClient::new(servers[1], SimDuration::from_millis(50));
         assert_eq!(
-            writer.add_member(
-                &mut w,
-                &cref,
-                MemberEntry {
-                    elem: ObjectId(9),
-                    home: servers[0]
-                }
-            ),
+            writer.add_member(&mut w, &cref, member(9, servers[0])),
             Err(StoreError::Locked)
         );
     }
@@ -1119,6 +1113,64 @@ mod tests {
             w.now()
         );
         assert!(w.now() < SimTime::from_secs(1));
+    }
+
+    // ---- Every member yielded, the membership unreadable (Figs. 5, 6) ----
+
+    /// A run that has yielded the only member of a one-server set, whose
+    /// home is then cut from the client.
+    fn drained_then_cut(semantics: Semantics) -> (StoreWorld, Elements) {
+        let (mut w, client, cref, servers) = setup(1);
+        add(&mut w, &client, &cref, 1, servers[0]);
+        let observer = RunObserver::new(cref.id, cref.home, client.node());
+        let mut it = Elements::new(semantics, client, cref, IterConfig::default());
+        it.observe(observer);
+        assert_eq!(it.next(&mut w).elem(), Some(ObjectId(1)));
+        w.topology_mut().partition(&[servers[0]]);
+        (w, it)
+    }
+
+    #[test]
+    fn drained_run_waits_out_a_cut_home_and_returns() {
+        for (sem, fig) in [
+            (Semantics::GrowOnly, Figure::Fig5),
+            (Semantics::Optimistic, Figure::Fig6),
+        ] {
+            let (mut w, mut it) = drained_then_cut(sem);
+            let heal_at = w.now() + SimDuration::from_millis(100);
+            w.install_plan(&FaultPlan::none().heal_at(heal_at));
+            assert_eq!(it.next(&mut w), IterStep::Done, "{sem:?}");
+            assert!(w.now() >= heal_at, "{sem:?} returned at {}", w.now());
+            check_computation(fig, &it.take_computation(&w).unwrap()).assert_ok();
+        }
+    }
+
+    #[test]
+    fn drained_run_takes_its_figures_step_once_the_wait_runs_out() {
+        let cfg = IterConfig::default();
+        for (sem, rounds) in [
+            (Semantics::GrowOnly, 1),
+            (Semantics::Optimistic, cfg.block_attempts),
+        ] {
+            let (mut w, mut it) = drained_then_cut(sem);
+            let before = w.now();
+            let step = it.next(&mut w);
+            match sem {
+                Semantics::Optimistic => assert_eq!(step, IterStep::Blocked),
+                _ => assert!(
+                    matches!(step, IterStep::Failed(Failure::MembershipUnavailable(_))),
+                    "{step:?}"
+                ),
+            }
+            // The wait's re-reads, then the figure's own rounds (Fig. 6
+            // still spends every block attempt), each read failing after
+            // the 2 ms failure detection.
+            let (waits, rounds) = (DRAINED_WAITS as u64, rounds as u64);
+            let expected = DRAINED_WAIT.saturating_mul(waits)
+                + cfg.retry_interval.saturating_mul(rounds - 1)
+                + SimDuration::from_millis(2).saturating_mul(waits + rounds);
+            assert_eq!(w.now().saturating_since(before), expected, "{sem:?}");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 use crate::oracle;
 use crate::run::{RunReport, COLL};
 use crate::scenario::{Chaos, Deployment, Op, Scenario};
-use std::collections::BTreeSet;
 use std::fmt;
 use weakset::prelude::{
     Elements, Failure, HistorySource, IterConfig, IterStep, Semantics, ShardGroup, ShardedElements,
@@ -45,8 +44,8 @@ use weakset_store::prelude::{
 };
 
 /// Bound on driver patience: how many 5 ms waits the driver tolerates
-/// while blocked or stalled before declaring the run wedged. All
-/// generated faults self-heal well inside this window.
+/// while blocked before declaring the run wedged. All generated faults
+/// self-heal well inside this window.
 const MAX_WAITS: usize = 400;
 
 pub(crate) fn ms(v: u64) -> SimDuration {
@@ -202,7 +201,6 @@ impl TestElements {
 /// Everything a scenario deploys, whichever stage runs it.
 pub(crate) struct Fleet {
     client: StoreClient,
-    client_node: NodeId,
     servers: Vec<NodeId>,
     set: TestSet,
     read_policy: ReadPolicy,
@@ -281,7 +279,6 @@ impl Fleet {
         };
         let mut fleet = Fleet {
             client,
-            client_node,
             servers,
             set,
             read_policy: s.read_policy,
@@ -358,73 +355,42 @@ impl Fleet {
         out
     }
 
-    /// Each collection's membership as its primary holds it, read
-    /// omnisciently (driver-side ground truth, never visible to the
-    /// iterator under test), in shard order.
-    fn ground_truth<'a>(&'a self, rt: &'a StoreRt) -> impl Iterator<Item = Vec<u64>> + 'a {
-        let ids = |c: &CollectionState| c.members().iter().map(|m| m.elem.0).collect();
-        self.set.crefs().map(move |cref| {
-            let mut out = Vec::new();
-            if self.gossip.is_some() {
-                GossipNode::visit_collection_history(rt, cref.home, cref.id, &mut |c| {
-                    out = ids(c);
-                });
-            } else {
-                rt.with_service(cref.home, |sv: &StoreServer| {
-                    if let Some(c) = sv.collection(cref.id) {
-                        out = ids(c);
-                    }
-                });
-            }
-            out
-        })
-    }
-
-    /// Whether every member the set currently holds has been yielded
-    /// while its membership cannot be read — judged omnisciently from the
-    /// backend's fault tables (a sharded read needs every shard readable).
-    fn tail_is_unreadable(&self, rt: &StoreRt, yielded: &BTreeSet<u64>) -> bool {
-        let live = |n: NodeId| rt.is_up(n) && rt.reachable(self.client_node, n);
-        let readable = |cref: &CollectionRef| match self.read_policy {
-            ReadPolicy::Quorum => {
-                let all = cref.all_nodes();
-                all.iter().filter(|&&n| live(n)).count() * 2 > all.len()
-            }
-            ReadPolicy::Any | ReadPolicy::Leaderless => cref.all_nodes().iter().any(|&n| live(n)),
-            // CausalSession, conservatively: the generator serializes
-            // every mutation at the home node, so a live home always
-            // dominates the session floor. A laggard-only view may or may
-            // not satisfy it — wait it out.
-            ReadPolicy::Primary | ReadPolicy::CausalSession => live(cref.home),
-        };
-        self.ground_truth(rt)
-            .flatten()
-            .all(|m| yielded.contains(&m))
-            && !self.set.crefs().all(readable)
-    }
-
     /// The causal-session floors the oracle will demand of each recorded
     /// run, one per collection: the elements the session had committed
     /// at run start, minus anything the workload ever tries to remove (a
     /// concurrent removal legitimately hides the element). The iterator
     /// must yield everything else before claiming the set drained — that
     /// is read-your-writes, machine-checked.
+    ///
+    /// The committed writes are each primary's membership, read
+    /// omnisciently off the server (driver-side ground truth, never
+    /// visible to the iterator under test); ROADMAP item 4 replaces this
+    /// read with the session's recorded history.
     fn session_floors(&self, rt: &StoreRt, s: &Scenario) -> Vec<SetValue> {
-        let removed: BTreeSet<u64> = s
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::Remove { elem, .. } => Some(*elem),
-                Op::Add { .. } => None,
-            })
-            .collect();
-        self.ground_truth(rt)
-            .map(|members| {
-                members
-                    .into_iter()
-                    .filter(|e| !removed.contains(e))
-                    .map(ElemId)
-                    .collect()
+        let removed = |e| {
+            s.ops
+                .iter()
+                .any(|op| matches!(*op, Op::Remove { elem, .. } if elem == e))
+        };
+        let floor = |c: &CollectionState| -> SetValue {
+            let members = c.members().iter().map(|m| m.elem.0);
+            members.filter(|&e| !removed(e)).map(ElemId).collect()
+        };
+        self.set
+            .crefs()
+            .map(|cref| {
+                if self.gossip.is_none() {
+                    let read = |sv: &StoreServer| sv.collection(cref.id).map(floor);
+                    return rt
+                        .with_service(cref.home, read)
+                        .flatten()
+                        .unwrap_or_default();
+                }
+                let mut out = SetValue::default();
+                GossipNode::visit_collection_history(rt, cref.home, cref.id, &mut |c| {
+                    out = floor(c)
+                });
+                out
             })
             .collect()
     }
@@ -565,9 +531,6 @@ fn invoke(
     violations: &mut Vec<String>,
 ) -> (Vec<u64>, usize) {
     let mut yielded: Vec<u64> = Vec::new();
-    // The same ids as a set: the tail guard below asks "has every member
-    // been yielded?" on every loop turn.
-    let mut yielded_ids: BTreeSet<u64> = BTreeSet::new();
     let mut steps = 0usize;
     // Blocked invocations in all, and since the last yield.
     let mut idle = 0usize;
@@ -575,24 +538,6 @@ fn invoke(
     let budget = s.budget.max(1);
     loop {
         stage.advance(fleet, None);
-
-        // Tail guard for the semantics that read membership on every
-        // invocation: when everything the set currently holds has been
-        // yielded and membership is unreadable, the only legal step is
-        // `Return` — which requires a successful read. Wait for the
-        // (self-healing) fault to clear instead of forcing an illegal
-        // terminal step. Omniscient, driver-only knowledge.
-        if matches!(s.semantics, Semantics::Optimistic | Semantics::GrowOnly)
-            && fleet.tail_is_unreadable(stage.rt(), &yielded_ids)
-        {
-            waits += 1;
-            if waits > MAX_WAITS {
-                violations.push("driver wedged: membership never became readable".into());
-                break;
-            }
-            stage.rt().sleep(ms(5));
-            continue;
-        }
 
         if !stage.mark(Mark::Inv(steps + 1)) {
             break;
@@ -602,7 +547,6 @@ fn invoke(
             IterStep::Yielded(rec) => {
                 waits = 0;
                 yielded.push(rec.id.0);
-                yielded_ids.insert(rec.id.0);
                 if yielded.len() >= budget {
                     break;
                 }

@@ -256,7 +256,7 @@ const NO_GOSSIP: &str = "record/replay v1 does not drive Gossip deployments";
 /// the live run's oracle-checked report.
 ///
 /// This is [`crate::run::execute`]'s driver on another stage — same
-/// fleet, invocation loop, tail guard, and verdict — with every activity
+/// fleet, invocation loop, wait limits and verdict — with every activity
 /// bracketed in a region marker so replay can re-align on it. A hung
 /// shutdown is reported as a violation and marks the recording
 /// truncated rather than hanging the caller.

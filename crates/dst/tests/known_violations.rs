@@ -1,10 +1,9 @@
-//! The four classes of violation the plain fuzz leg finds, one shrunk
-//! repro each (ROADMAP item 1 for A and D, item 4 for C, DESIGN.md §5).
-//! `DST_SEED=1 weakset-dst --leg plain --iters 50000 --seed-from-env`
-//! wrote them; each is the smallest of its class (for B, the smallest
-//! that shows B alone). A, C and D are ignored until their class is
-//! fixed: run them with `--ignored`, and un-ignore one with its fix. B
-//! is fixed.
+//! The four classes of violation the plain fuzz leg found, one shrunk
+//! repro each (DESIGN.md §5). `DST_SEED=1 weakset-dst --leg plain
+//! --iters 50000 --seed-from-env` wrote them; each is the smallest of its
+//! class (for B, the smallest that shows B alone). A, B and D are fixed.
+//! Only C stays ignored, until ROADMAP item 4 decides it: run it with
+//! `--ignored`, and un-ignore it with its fix.
 
 use weakset_dst::prelude::*;
 
@@ -18,11 +17,12 @@ fn assert_conforms(ron: &str) {
     );
 }
 
-/// Class A: the tail membership read is launched, an outage starts, and
-/// the read times out after the heal, so a grow-only run with a member
-/// left to yield fails instead of terminating.
+/// Class A, fixed: the run has yielded its only member, so it has no
+/// member left to yield. Its tail membership read is launched, an outage
+/// starts, and the read times out after the heal; the run failed where
+/// Fig. 5 demands `returns`. It now waits out the unreadable membership
+/// inside the invocation.
 #[test]
-#[ignore = "class A: Fig. 5 run fails after the fault heals (ROADMAP item 1)"]
 fn fig5_run_fails_after_the_outage_heals() {
     assert_conforms(
         "Scenario(
@@ -94,10 +94,11 @@ fn fig4_leaderless_snapshot_yields_every_member() {
     );
 }
 
-/// Class D: an optimistic quorum read on two servers ends its run on a
-/// `Blocked` invocation instead of terminating.
+/// Class D, fixed: an optimistic quorum read on two servers, with its
+/// only member yielded, ended its run on a `Blocked` invocation instead
+/// of terminating. It now waits out the unreadable membership as class
+/// A does.
 #[test]
-#[ignore = "class D: an optimistic quorum run ends blocked (ROADMAP item 1)"]
 fn fig6_quorum_run_terminates() {
     assert_conforms(
         "Scenario(

@@ -66,6 +66,7 @@ pub fn run() -> Vec<Table> {
             "volumes cut (of 8)",
             "ls outcome",
             "ls entries",
+            "ls fetches",
             "dynls listed",
             "dynls pending",
             "dynls availability",
@@ -81,6 +82,7 @@ pub fn run() -> Vec<Table> {
             cut.to_string(),
             if complete { "ok" } else { "FAILED" }.to_string(),
             if complete { ls.yielded.len() } else { 0 }.to_string(),
+            fetches(&ls).to_string(),
             listed.to_string(),
             (N_FILES as usize - listed).to_string(),
             pct(listed, N_FILES as usize),
@@ -119,14 +121,24 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
 mod tests {
     use super::*;
 
+    /// Both listings also keep the fetch bound: each member listed is
+    /// fetched once, and each left pending at most twice, once when first
+    /// tried and once by the invocation that fails (DESIGN.md §5).
     #[test]
     fn ls_is_all_or_nothing_and_dynls_lists_what_it_can_reach() {
         for cut in CUTS {
-            assert_eq!(iter_run(&judged(&cut_row(cut, 1))).returned(), cut == 0);
+            let ls = judged(&cut_row(cut, 1));
+            assert_eq!(iter_run(&ls).returned(), cut == 0);
             let dynls = judged(&cut_row(cut, 8));
             let reachable = N_FILES as usize * (N_SERVERS - cut) / N_SERVERS;
             assert_eq!(dynls.yielded.len(), reachable, "cut={cut}");
             assert_eq!(iter_run(&dynls).returned(), cut == 0, "cut={cut}");
+            for (row, report) in [("ls", &ls), ("dynls", &dynls)] {
+                let listed = report.yielded.len() as u64;
+                let bound = listed + 2 * (N_FILES - listed);
+                let sent = fetches(report);
+                assert!(sent <= bound, "cut={cut} {row}: {sent} > {bound}");
+            }
         }
     }
 

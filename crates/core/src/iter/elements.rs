@@ -2,7 +2,7 @@
 //! a row of [`Semantics::plan`], and [`Elements`] is the state machine
 //! that row drives.
 
-use super::{fetch_first_reachable, order_candidates, outcome_of, IterConfig, Window};
+use super::{order_candidates, outcome_of, IterConfig, Window};
 use crate::conformance::{RunObserver, StepEvidence};
 use crate::error::{Failure, IterStep};
 use crate::semantics::Semantics;
@@ -162,8 +162,8 @@ pub(crate) fn drive(
 ///
 /// The other three are pessimistic: the first invocation that finds the
 /// membership unreadable, or every unyielded member unreachable, fails
-/// the run. With an [`IterConfig::window`] above 1, "unreachable" means
-/// that the invocation's own fetches reached no unyielded member. Before
+/// the run: "unreachable" means that the invocation's own fetches, up to
+/// [`IterConfig::window`] at a time, reached no unyielded member. Before
 /// failing or blocking, a GrowOnly or Optimistic run whose last read left
 /// nothing unyielded waits out an unreadable membership inside the
 /// invocation (400 re-reads, 5 ms apart), spending no
@@ -181,9 +181,9 @@ pub struct Elements {
     /// invocation or handed to [`Elements::pinned`]; cloning it is a
     /// refcount bump.
     pinned: Option<(u64, Membership)>,
-    /// Fetches in flight across invocations; made by the first windowed
-    /// round, so a run at window 1 carries one empty pointer.
-    window: Option<Box<Window>>,
+    /// Fetches in flight across invocations, and the members the run
+    /// failed to reach.
+    window: Window,
     yielded: BTreeSet<ObjectId>,
     /// The last membership read held one unyielded member, now yielded.
     drained: bool,
@@ -223,7 +223,7 @@ impl Elements {
             cache: config.cache_ttl.map(ObjectCache::new),
             config,
             pinned: None,
-            window: None,
+            window: Window::default(),
             yielded: BTreeSet::new(),
             drained: false,
             terminated: false,
@@ -473,17 +473,13 @@ impl Elements {
             &mut candidates,
             self.config.fetch_order,
         );
-        let (found, unreachable) = if self.config.window > 1 {
-            self.window.get_or_insert_with(Box::default).first_arrival(
-                world,
-                &self.client,
-                self.config.window,
-                &candidates,
-                &mut self.cache,
-            )
-        } else {
-            fetch_first_reachable(world, &self.client, &candidates, &mut self.cache)
-        };
+        let (found, unreachable) = self.window.first_arrival(
+            world,
+            &self.client,
+            self.config.window.max(1),
+            &candidates,
+            &mut self.cache,
+        );
         evidence.confirmed_unreachable = unreachable;
         self.drained = found.is_some() && candidates.len() == 1;
         let Some(rec) = found else {

@@ -14,8 +14,8 @@
 //! | `Optimistic` | 6 | the current one | nothing | block and retry |
 //!
 //! This module holds what every plan shares: the tunables
-//! ([`IterConfig`]), candidate ordering and the cache-aware fetch, one
-//! `rpc` at a time or through a `Window` of fetches in flight.
+//! ([`IterConfig`]), candidate ordering, and the cache-aware fetch
+//! through a `Window` of fetches in flight, one at a time at window 1.
 
 mod elements;
 mod window;
@@ -29,10 +29,8 @@ use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_spec::prelude::Outcome;
 use weakset_spec::value::ElemId;
-use weakset_store::cache::ObjectCache;
 use weakset_store::collection::MemberEntry;
-use weakset_store::object::{ObjectId, ObjectRecord};
-use weakset_store::prelude::{ReadPolicy, StoreClient, StoreRt};
+use weakset_store::prelude::{ReadPolicy, StoreRt};
 
 /// The order in which unyielded members are attempted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -68,7 +66,7 @@ pub struct IterConfig {
     pub cache_ttl: Option<SimDuration>,
     /// Fetches an invocation keeps in flight ("fetching files in
     /// parallel", §1.1), each bounded by the client's timeout; at 1 it
-    /// fetches one member at a time by `rpc`.
+    /// fetches one member at a time.
     pub window: usize,
 }
 
@@ -115,66 +113,6 @@ pub(crate) fn order_candidates(
     }
 }
 
-/// Tries candidates in order until a fetch succeeds, consulting (and
-/// filling) the optional client-side cache. A cache hit counts as a
-/// successful access: the client holds a copy, so the element is
-/// accessible to it regardless of the network.
-///
-/// Returns the fetched record (if any) and the list of members proven
-/// unreachable along the way.
-pub(crate) fn fetch_first_reachable(
-    world: &mut StoreRt,
-    client: &StoreClient,
-    candidates: &[MemberEntry],
-    cache: &mut Option<ObjectCache>,
-) -> (Option<ObjectRecord>, Vec<ObjectId>) {
-    let mut unreachable = Vec::new();
-    for m in candidates {
-        if let Some(rec) = cached(world, cache, m.elem) {
-            return (Some(rec), unreachable);
-        }
-        match client.fetch_object(world, m.home, m.elem) {
-            Ok(rec) => {
-                if let Some(c) = cache.as_mut() {
-                    c.put(world.now(), rec.clone());
-                }
-                return (Some(rec), unreachable);
-            }
-            Err(_) => {
-                note_unreachable(world, m);
-                unreachable.push(m.elem);
-            }
-        }
-    }
-    (None, unreachable)
-}
-
-/// The cache's live copy of `elem`, counting the hit or miss; `None`
-/// without a cache.
-fn cached(
-    world: &mut StoreRt,
-    cache: &mut Option<ObjectCache>,
-    elem: ObjectId,
-) -> Option<ObjectRecord> {
-    let c = cache.as_mut()?;
-    let now = world.now();
-    if let Some(rec) = c.get(now, elem) {
-        let rec = rec.clone();
-        world.metrics_mut().incr("store.cache.hit");
-        return Some(rec);
-    }
-    world.metrics_mut().incr("store.cache.miss");
-    None
-}
-
-/// Records a failed fetch of `m` under the current invocation span, so a
-/// failure explanation can name the member and its home.
-fn note_unreachable(world: &mut StoreRt, m: &MemberEntry) {
-    world.trace_event("iter.fetch.unreachable", &|| {
-        format!("elem={} home={}", m.elem, m.home)
-    });
-}
-
 /// Converts an [`IterStep`] into the spec-level [`Outcome`].
 pub(crate) fn outcome_of(step: &IterStep) -> Outcome {
     match step {
@@ -190,6 +128,7 @@ mod tests {
     use super::*;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
+    use weakset_store::object::ObjectId;
     use weakset_store::prelude::StoreWorld;
 
     #[test]

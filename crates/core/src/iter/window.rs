@@ -1,28 +1,35 @@
 //! The fetch window: up to [`IterConfig::window`](super::IterConfig::window)
 //! object fetches in flight across invocations — the paper's "fetching
 //! files in parallel" (§1.1). A listing then takes about `ceil(n / window)`
-//! round trips instead of `n`, and its first object one.
+//! round trips instead of `n`, and its first object one. At window 1 it
+//! fetches one member at a time.
 
-use super::{cached, note_unreachable};
+use weakset_sim::net::NetError;
 use weakset_sim::time::SimTime;
 use weakset_sim::world::ReplyToken;
 use weakset_store::cache::ObjectCache;
 use weakset_store::collection::MemberEntry;
 use weakset_store::msg::StoreMsg;
 use weakset_store::object::{ObjectId, ObjectRecord};
-use weakset_store::prelude::{StoreClient, StoreRt};
+use weakset_store::prelude::{StoreClient, StoreError, StoreRt};
 
 #[derive(Debug)]
 struct Inflight {
     token: ReplyToken,
     entry: MemberEntry,
     deadline: SimTime,
+    /// When the fetch was first launched, retries included.
+    started: SimTime,
+    /// Relaunches left before a network failure counts
+    /// ([`StoreClient::with_retries`]).
+    retries: usize,
     /// Launched by the current invocation. Only such a fetch's failure is
     /// the invocation's evidence; an earlier one's is stale.
     own: bool,
 }
 
-/// The fetches a run keeps in flight across its invocations.
+/// The fetches a run keeps in flight across its invocations, and the
+/// members it failed to reach.
 #[derive(Debug, Default)]
 pub(crate) struct Window {
     inflight: Vec<Inflight>,
@@ -30,20 +37,25 @@ pub(crate) struct Window {
     /// longer acts on; drained opportunistically so a late reply does
     /// not accumulate in the runtime's completion map.
     zombies: Vec<ReplyToken>,
-    /// Members a fetch of this run failed to reach, launched after every
-    /// other candidate so that each invocation does not refetch them.
-    suspects: Vec<ObjectId>,
+    /// Members a fetch of this run failed to reach. An invocation
+    /// launches one only when no other candidate is left, launched or
+    /// not.
+    failed: Vec<ObjectId>,
+    /// The in-flight tokens, rebuilt for each wait on more than one.
+    tokens: Vec<ReplyToken>,
 }
 
 impl Window {
-    /// [`fetch_first_reachable`](super::fetch_first_reachable) with up to
-    /// `size` fetches in flight, launched in `candidates`' order (suspects
-    /// last): the first record to arrive for a candidate, or a cache hit,
+    /// The first record to arrive for a candidate, or a cache hit, with
+    /// up to `size` fetches in flight, launched in `candidates`' order;
     /// and the members whose fetches *this call* launched and saw fail.
     ///
-    /// A fetch from an earlier invocation may be yielded if its member is
-    /// a candidate, and is fetched again if it fails; one whose member is
-    /// not (yielded, or gone from the membership acted on) is abandoned.
+    /// A member the run failed to reach is launched only once every
+    /// other candidate has failed too, and then by this call itself: so a
+    /// listing fetches a listed member once and a pending one at most
+    /// twice. A fetch from an earlier invocation may be yielded if its
+    /// member is a candidate; one whose member is not (yielded, or gone
+    /// from the membership acted on) is abandoned.
     pub(crate) fn first_arrival(
         &mut self,
         world: &mut StoreRt,
@@ -59,49 +71,59 @@ impl Window {
                 self.zombies.push(f.token);
             }
         }
-        let (fresh, suspects): (Vec<&MemberEntry>, Vec<_>) = candidates
-            .iter()
-            .partition(|m| !self.suspects.contains(&m.elem));
         let mut unreachable = Vec::new();
         loop {
             self.zombies.retain(|&t| world.try_take_reply(t).is_none());
-            for &m in fresh.iter().chain(&suspects) {
+            let fresh_left = candidates.iter().any(|m| !self.failed.contains(&m.elem));
+            for m in candidates {
                 if self.inflight.len() >= size {
                     break;
                 }
-                if unreachable.contains(&m.elem) || self.inflight.iter().any(|f| f.entry == *m) {
+                if (fresh_left && self.failed.contains(&m.elem))
+                    || unreachable.contains(&m.elem)
+                    || self.inflight.iter().any(|f| f.entry == *m)
+                {
                     continue;
                 }
-                if let Some(rec) = cached(world, cache, m.elem) {
-                    return (Some(rec), unreachable);
+                // A cached copy counts as reached: the client holds it.
+                if let Some(c) = cache.as_mut() {
+                    if let Some(rec) = c.get(world.now(), m.elem).cloned() {
+                        world.metrics_mut().incr("store.cache.hit");
+                        return (Some(rec), unreachable);
+                    }
+                    world.metrics_mut().incr("store.cache.miss");
                 }
-                let token = world.send(client.node(), m.home, StoreMsg::GetObject(m.elem));
                 self.inflight.push(Inflight {
-                    token,
+                    token: get(world, client, m),
                     entry: *m,
                     deadline: world.now() + client.timeout(),
+                    started: world.now(),
+                    retries: client.retries(),
                     own: true,
                 });
             }
             let Some(deadline) = self.inflight.iter().map(|f| f.deadline).min() else {
                 return (None, unreachable);
             };
-            let tokens: Vec<ReplyToken> = self.inflight.iter().map(|f| f.token).collect();
-            let f = match world.wait_any(&tokens, deadline) {
+            let tokens = match self.inflight.as_slice() {
+                [one] => std::slice::from_ref(&one.token),
+                all => {
+                    self.tokens.clear();
+                    self.tokens.extend(all.iter().map(|f| f.token));
+                    &self.tokens
+                }
+            };
+            let (f, reply) = match world.wait_any(tokens, deadline) {
                 Some(done) => {
                     let idx = self
                         .inflight
                         .iter()
                         .position(|f| f.token == done)
                         .expect("completed token is in flight");
-                    let f = self.inflight.swap_remove(idx);
-                    if let Some(Ok(StoreMsg::Object(rec))) = world.try_take_reply(done) {
-                        if let Some(c) = cache.as_mut() {
-                            c.put(world.now(), rec.clone());
-                        }
-                        return (Some(rec), unreachable);
-                    }
-                    f
+                    let reply = world
+                        .try_take_reply(done)
+                        .expect("a completed token has its reply");
+                    (self.inflight.swap_remove(idx), reply)
                 }
                 None => {
                     // Deadline hit: expire an overdue fetch.
@@ -111,18 +133,42 @@ impl Window {
                     };
                     let f = self.inflight.swap_remove(idx);
                     self.zombies.push(f.token);
-                    f
+                    (f, Err(NetError::Timeout))
                 }
             };
-            if !self.suspects.contains(&f.entry.elem) {
-                self.suspects.push(f.entry.elem);
+            if reply.is_err() && f.retries > 0 {
+                self.inflight.push(Inflight {
+                    token: get(world, client, &f.entry),
+                    deadline: world.now() + client.timeout(),
+                    retries: f.retries - 1,
+                    ..f
+                });
+                continue;
+            }
+            let reply = reply.map_err(StoreError::Net);
+            let (home, elem) = (f.entry.home, f.entry.elem);
+            if let Ok(rec) = StoreClient::fetched(world, home, elem, f.started, reply) {
+                if let Some(c) = cache.as_mut() {
+                    c.put(world.now(), rec.clone());
+                }
+                return (Some(rec), unreachable);
+            }
+            if !self.failed.contains(&elem) {
+                self.failed.push(elem);
             }
             if f.own {
-                note_unreachable(world, &f.entry);
-                unreachable.push(f.entry.elem);
+                // Under the invocation's span, for failure explanations.
+                let detail = || format!("elem={elem} home={home}");
+                world.trace_event("iter.fetch.unreachable", &detail);
+                unreachable.push(elem);
             }
         }
     }
+}
+
+/// Sends the request that fetches `m` from its home.
+fn get(world: &mut StoreRt, client: &StoreClient, m: &MemberEntry) -> ReplyToken {
+    world.send(client.node(), m.home, StoreMsg::GetObject(m.elem))
 }
 
 #[cfg(test)]
@@ -288,8 +334,10 @@ mod tests {
     fn a_member_that_failed_is_refetched_only_after_the_rest() {
         // Member 0, first in id order, is on the cut server; menus 1..=4
         // are reachable. After its first failure, member 0 is fetched
-        // again only when no other member is left to fill the window:
-        // three fetches in five invocations, not one per invocation.
+        // again only when no other member is left, launched or not: by
+        // the fifth invocation, which must see its own fetch fail before
+        // it fails. Two fetches in five invocations, not one per
+        // invocation, and not one per spare slot.
         let (mut w, client, servers) = setup(2, 100);
         let mut members = load_menus(&mut w, &client, &servers[1..], 4);
         members.push(MemberEntry {
@@ -309,7 +357,7 @@ mod tests {
             end,
             IterStep::Failed(Failure::MembersUnreachable { remaining: 1 })
         );
-        assert_eq!(w.metrics().counter("rpc.sent") - sent, 4 + 3);
+        assert_eq!(w.metrics().counter("rpc.sent") - sent, 4 + 2);
     }
 
     #[test]

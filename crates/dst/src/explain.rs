@@ -17,12 +17,11 @@ use std::fmt::Write as _;
 use weakset_sim::metrics::{CausalDag, ObsEvent};
 
 /// Point-event kinds that count as failure evidence under an invocation.
-const EVIDENCE_KINDS: [&str; 6] = [
+const EVIDENCE_KINDS: [&str; 5] = [
     "iter.fetch.unreachable",
     "store.read.failed",
     "store.fetch.failed",
     "net.rpc.failed",
-    "net.send.failed",
     "net.msg.lost",
 ];
 

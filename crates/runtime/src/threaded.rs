@@ -69,7 +69,8 @@
 //! so views never share a metrics lock; a fleet-wide reading is the
 //! views' registries folded with `MetricsRegistry::merge`. As there,
 //! `rpc.latency` times transport crossings only: an rpc served in place
-//! reads no clock (its caller's own histogram holds its time). Boundary
+//! reads no clock (its caller's own histogram holds its time). A `send`
+//! is counted the same way, where it ends (`complete`). Boundary
 //! crossings (rpc outcomes with their causes, sends, waits, timer
 //! fires) are noted in one place, the attached [`Recorder`]: its
 //! recording is the black box, marked truncated when shutdown reports
@@ -105,13 +106,19 @@ const MAILBOX_SLICE: Duration = Duration::from_millis(20);
 /// check of timers and deadlines.
 const WAIT_SLICE: Duration = Duration::from_millis(2);
 
+/// What a node's thread sends back for a request: its reply or error,
+/// or `None` when the request was dropped (a down node ate it, or no
+/// service was installed). Its caller then times out; the notice only
+/// ends a send's account.
+type Completion<M> = (u64, Option<Result<M, NetError>>);
+
 /// One request crossing a node's mailbox, with the channel its reply
 /// should come back on.
 struct Envelope<M> {
     from: NodeId,
     msg: M,
     token: u64,
-    reply: Sender<(u64, Result<M, NetError>)>,
+    reply: Sender<Completion<M>>,
 }
 
 /// A node's lock-free mailbox occupancy cell, shared by the posting
@@ -382,14 +389,27 @@ impl<M> Ord for TimerEntry<M> {
     }
 }
 
+/// A request `send` launched whose outcome has not arrived: what its
+/// account needs when it does.
+struct OpenSend {
+    from: NodeId,
+    to: NodeId,
+    started: Instant,
+    /// Its `net.rpc` span, open under the sender's context; only a
+    /// recording sink gets one.
+    span: Option<TraceContext>,
+}
+
 /// The OS-thread execution environment. See the module docs for the
 /// view/fleet split.
 pub struct ThreadedRuntime<M: RtMessage> {
     shared: Arc<Shared<M>>,
     routes: Routes<M>,
-    comp_tx: Sender<(u64, Result<M, NetError>)>,
-    comp_rx: Receiver<(u64, Result<M, NetError>)>,
+    comp_tx: Sender<Completion<M>>,
+    comp_rx: Receiver<Completion<M>>,
     completed: IdMap<u64, Result<M, NetError>>,
+    /// Requests `send` launched that have not ended yet.
+    sends: IdMap<u64, OpenSend>,
     next_token: u64,
     timers: BinaryHeap<TimerEntry<M>>,
     timer_seq: u64,
@@ -428,6 +448,7 @@ fn node_loop<M: RtMessage>(
                     // A crashed node eats its mail; the caller times out,
                     // matching the simulator's crashed-node behavior.
                     stats.finished();
+                    let _ = env.reply.send((env.token, None));
                     continue;
                 }
                 let Envelope {
@@ -442,15 +463,15 @@ fn node_loop<M: RtMessage>(
                 // the node idle again.
                 stats.finished();
                 let outcome = match served {
-                    Served::Reply(m) => Ok(m),
+                    Served::Reply(m) => Some(Ok(m)),
                     // A panicking handler is a crashed node: this caller
                     // is told so, later ones fast-fail, and the thread
                     // lives on to eat the node's mail.
-                    Served::Crashed => Err(NetError::NodeDown(node)),
+                    Served::Crashed => Some(Err(NetError::NodeDown(node))),
                     // No service installed yet: the request is dropped
                     // and the caller times out — same as the simulator's
                     // service-less node.
-                    Served::Declined(_) => continue,
+                    Served::Declined(_) => None,
                 };
                 // A dead receiver just means the requesting view is gone.
                 let _ = reply.send((token, outcome));
@@ -483,6 +504,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             comp_tx,
             comp_rx,
             completed: IdMap::default(),
+            sends: IdMap::default(),
             next_token: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -656,6 +678,42 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// without blocking.
     fn drain_completions(&mut self) {
         while let Ok((token, result)) = self.comp_rx.try_recv() {
+            self.complete(token, result);
+        }
+    }
+
+    /// Makes `result` the reply waiting under `token`. A request `send`
+    /// launched ends here and is accounted as an rpc is: `rpc.ok` and an
+    /// `rpc.latency` sample, or `rpc.failed` and a `net.rpc.failed`
+    /// event, and its `net.rpc` span closes. `None` (the request was
+    /// dropped) completes nothing, so its caller waits out its deadline,
+    /// and ends the send as a timeout, as the simulator ends a lost one.
+    fn complete(&mut self, token: u64, result: Option<Result<M, NetError>>) {
+        if let Some(open) = self.sends.remove(&token) {
+            let error = match &result {
+                Some(Ok(_)) => None,
+                Some(Err(e)) => Some(*e),
+                None => Some(NetError::Timeout),
+            };
+            if error.is_none() {
+                self.metrics.incr("rpc.ok");
+                let took = open.started.elapsed().as_micros() as u64;
+                self.metrics.observe("rpc.latency", took);
+            } else {
+                self.metrics.incr("rpc.failed");
+            }
+            if let Some(span) = open.span {
+                let at = Clock::now(self).as_micros();
+                if let Some(e) = error {
+                    let (from, to) = (open.from, open.to);
+                    let detail = format!("{from}->{to}: {e}");
+                    self.events
+                        .event_in(at, "net.rpc.failed", detail, Some(span));
+                }
+                self.events.end_span(at, span.span);
+            }
+        }
+        if let Some(result) = result {
             self.completed.insert(token, result);
         }
     }
@@ -758,7 +816,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 return None;
             }
             if let Ok((t, r)) = self.comp_rx.recv_timeout((deadline - now).min(WAIT_SLICE)) {
-                self.completed.insert(t, r);
+                self.complete(t, r);
             }
         }
     }
@@ -776,6 +834,7 @@ impl<M: RtMessage> Clone for ThreadedRuntime<M> {
             comp_tx,
             comp_rx,
             completed: IdMap::default(),
+            sends: IdMap::default(),
             next_token: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -910,11 +969,27 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         result
     }
 
+    /// Accounted as an rpc is, where it ends (`complete`): its
+    /// `net.rpc` span opens now, under the current context, without
+    /// becoming current.
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
         let req_hash = self.recorder.as_ref().map(|_| hash_debug(&msg));
         let token = self.next_token;
         self.next_token += 1;
         self.metrics.incr("rpc.sent");
+        let span = self.events.is_enabled().then(|| {
+            let at = Clock::now(self).as_micros();
+            let parent = self.ctx.last().copied();
+            self.events
+                .begin_span(at, "net.rpc", from.link_label(to), parent)
+        });
+        let open = OpenSend {
+            from,
+            to,
+            started: Instant::now(),
+            span,
+        };
+        self.sends.insert(token, open);
         let posted = self.routes.route(&self.shared, from, to).and_then(|h| {
             let env = Envelope {
                 from,
@@ -925,12 +1000,8 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
             h.post(to, env)
         });
         if let Err(e) = posted {
-            // As on the simulator, a send that cannot leave counts as
-            // failed, unless its own caller is down.
-            if e != NetError::NodeDown(from) {
-                self.metrics.incr("rpc.failed");
-            }
-            self.completed.insert(token, Err(e));
+            // A send that cannot leave ends at once.
+            self.complete(token, Some(Err(e)));
         }
         if let Some(req_hash) = req_hash {
             self.note(RecEvent::Send {
@@ -1361,7 +1432,8 @@ mod tests {
             Ok(Msg::Val(9))
         );
         assert_eq!(rt.metrics.counter("rpc.shared"), n);
-        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(1));
+        // The send and the write crossed the mailbox: both are timed.
+        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(2));
         assert_eq!(
             Transport::rpc(&mut rt, c, s, Msg::Get, SECS5),
             Ok(Msg::Val(9))
@@ -1709,8 +1781,8 @@ mod tests {
             Ok(Msg::Val(7))
         );
         assert_eq!(rt.metrics.counter("rpc.shared"), 1, "second read queued");
-        // Only the queued read is timed.
-        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(1));
+        // Only the write's send and the queued read are timed.
+        assert_eq!(rt.metrics.latency("rpc.latency").map(|l| l.len()), Some(2));
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
 
         let rec = rt.recorder().unwrap().finish();
@@ -1792,6 +1864,42 @@ mod tests {
         Observe::span_exit(&mut clean, span);
         assert!(clean.finish_spans().is_empty());
         assert_eq!(clean.metrics.counter(UNCLOSED_SPANS), 0);
+    }
+
+    /// A send is accounted as an rpc is, where it ends: a reply counts
+    /// `rpc.ok` and closes the span it opened under the sender's
+    /// context; a request a node drops (here: no service installed)
+    /// ends as a timeout, while its caller still waits out its own
+    /// deadline.
+    #[test]
+    fn a_send_is_accounted_where_it_ends() {
+        let (mut rt, c, s, _gate) = register_fleet(7, false);
+        let empty = rt.add_node("empty");
+        rt.events_mut().set_enabled(true);
+        let read = Observe::span_enter(&mut rt, "rt.read", &String::new);
+        let answered = Transport::send(&mut rt, c, s, Msg::Get);
+        Observe::span_exit(&mut rt, read);
+        let deadline = Clock::now(&rt) + SECS5;
+        assert_eq!(
+            Transport::wait_any(&mut rt, &[answered], deadline),
+            Some(answered)
+        );
+        let dropped = Transport::send(&mut rt, c, empty, Msg::Get);
+        let deadline = Clock::now(&rt) + SimDuration::from_millis(200);
+        assert_eq!(Transport::wait_any(&mut rt, &[dropped], deadline), None);
+        let rpc: Vec<(&str, u64)> = rt
+            .metrics
+            .counters()
+            .filter(|(name, _)| name.starts_with("rpc."))
+            .collect();
+        assert_eq!(rpc, [("rpc.failed", 1), ("rpc.ok", 1), ("rpc.sent", 2)]);
+        let events = rt.events().events();
+        let sends: Vec<_> = events.iter().filter(|e| e.kind == "net.rpc").collect();
+        assert_eq!(sends.len(), 2);
+        assert_eq!(sends[0].parent, Some(read), "under the sender's context");
+        assert_eq!(rt.events().count_kind("net.rpc.failed"), 1);
+        assert!(rt.finish_spans().is_empty());
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
     #[test]

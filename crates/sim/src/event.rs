@@ -36,7 +36,6 @@ pub(crate) enum EventKind<M> {
     CompleteError {
         token: ReplyToken,
         error: crate::net::NetError,
-        ctx: Option<TraceContext>,
     },
     /// A fault-plan action takes effect.
     Fault(FaultAction),

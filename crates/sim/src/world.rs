@@ -117,6 +117,16 @@ where
 /// assumes failures are detectable from lower layers).
 const DETECT_DELAY: SimDuration = SimDuration::from_millis(2);
 
+/// A request [`World::send`] launched whose outcome has not arrived:
+/// what its account needs when it does.
+struct OpenSend {
+    from: NodeId,
+    to: NodeId,
+    started: SimTime,
+    /// Its `net.rpc` span, open under the sender's context.
+    span: TraceContext,
+}
+
 /// The simulation world. Generic over the message type `M` exchanged between
 /// clients and services.
 pub struct World<M> {
@@ -127,6 +137,8 @@ pub struct World<M> {
     /// (or while the node's handler is running).
     services: Vec<Option<Box<dyn Service<M>>>>,
     completed: IdMap<ReplyToken, Result<M, NetError>>,
+    /// Requests [`World::send`] launched that have not ended yet.
+    sends: IdMap<ReplyToken, OpenSend>,
     next_token: u64,
     latency: LatencyModel,
     lat_rng: SimRng,
@@ -163,6 +175,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             topology,
             services: Vec::new(),
             completed: IdMap::default(),
+            sends: IdMap::default(),
             next_token: 0,
             latency,
             lat_rng: SimRng::for_label(seed, "latency"),
@@ -467,7 +480,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         let started = self.now;
         let deadline = self.now + timeout;
         let result = if routed.is_ok() {
-            let token = self.launch(from, to, msg);
+            let token = self.next_token();
+            self.launch(token, from, to, msg, self.current_ctx());
             match self.wait_any(&[token], deadline) {
                 Some(_) => self
                     .completed
@@ -518,29 +532,86 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     ///
     /// Failure detection behaves as for [`World::rpc`]: a request to an
     /// unreachable node completes with an error after the 2 ms detection
-    /// delay.
+    /// delay. The request is accounted as an rpc is, where it ends
+    /// (`World::end_send`); its `net.rpc` span opens now, under the
+    /// current context, without becoming current.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
         self.trace
             .record(self.now, TraceEvent::RpcSend { from, to });
         self.metrics.incr("rpc.sent");
+        let detail = if self.events.is_enabled() {
+            from.link_label(to)
+        } else {
+            Label::default()
+        };
+        let parent = self.current_ctx();
+        let span = self
+            .events
+            .begin_span(self.now.as_micros(), "net.rpc", detail, parent);
+        let open = OpenSend {
+            from,
+            to,
+            started: self.now,
+            span,
+        };
+        let token = self.next_token();
+        self.sends.insert(token, open);
         match self.topology.route(from, to) {
-            Ok(()) => self.launch(from, to, msg),
+            Ok(()) => self.launch(token, from, to, msg, Some(span)),
             Err(error) => {
-                let token = self.next_token();
                 // A down caller fails at once; any other failure is
                 // detected after the detection delay.
                 if error == NetError::NodeDown(from) {
-                    self.completed.insert(token, Err(error));
+                    self.complete(token, Err(error));
                 } else {
-                    let ctx = self.current_ctx();
                     self.queue.push(
                         self.now + DETECT_DELAY,
-                        EventKind::CompleteError { token, error, ctx },
+                        EventKind::CompleteError { token, error },
                     );
                 }
-                token
             }
         }
+        token
+    }
+
+    /// Makes `result` the reply waiting under `token`, ending the send
+    /// that launched it, if one did.
+    fn complete(&mut self, token: ReplyToken, result: Result<M, NetError>) {
+        self.end_send(token, result.as_ref().map(|_| ()).map_err(|e| *e));
+        self.completed.insert(token, result);
+    }
+
+    /// Ends the request [`World::send`] launched under `token`, if it is
+    /// still open, accounted as [`World::rpc`] accounts itself: `rpc.ok`
+    /// and an `rpc.latency` sample, or `rpc.failed` and a
+    /// `net.rpc.failed` event, its `net.rpc` span closes, and the trace
+    /// records the outcome. A send ends when its reply or error arrives,
+    /// or when its request or reply is lost: then as a timeout, which is
+    /// what its caller sees at its own deadline (DESIGN.md §6).
+    fn end_send(&mut self, token: ReplyToken, outcome: Result<(), NetError>) {
+        let Some(open) = self.sends.remove(&token) else {
+            return;
+        };
+        let (at, from, to) = (self.now.as_micros(), open.from, open.to);
+        match outcome {
+            Ok(()) => {
+                self.trace.record(self.now, TraceEvent::RpcOk { from, to });
+                self.metrics.incr("rpc.ok");
+                let took = self.now.saturating_since(open.started);
+                self.metrics.observe("rpc.latency", took.as_micros());
+            }
+            Err(error) => {
+                let failed = TraceEvent::RpcFailed { from, to, error };
+                self.trace.record(self.now, failed);
+                self.metrics.incr("rpc.failed");
+                if self.events.is_enabled() {
+                    let detail = format!("{from}->{to}: {error}");
+                    self.events
+                        .event_in(at, "net.rpc.failed", detail, Some(open.span));
+                }
+            }
+        }
+        self.events.end_span(at, open.span.span);
     }
 
     fn next_token(&mut self) -> ReplyToken {
@@ -548,16 +619,21 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         ReplyToken(self.next_token - 1)
     }
 
-    /// Puts a routed request on the wire under a fresh token: lost at the
+    /// Puts a routed request on the wire under `token`: lost at the
     /// link's drop rate, else delivered one sampled latency from now,
-    /// under the current context.
-    fn launch(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
-        let token = self.next_token();
-        let ctx = self.current_ctx();
+    /// under `ctx`.
+    fn launch(
+        &mut self,
+        token: ReplyToken,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        ctx: Option<TraceContext>,
+    ) {
         if self.drop_rng.chance(self.topology.link(from, to).drop_prob) {
             // Never completes; the caller's deadline applies.
-            self.lose(from, to, ctx);
-            return token;
+            self.lose(from, to, ctx, token);
+            return;
         }
         let lat = self.latency.sample(
             self.topology.node(from),
@@ -574,12 +650,11 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 ctx,
             },
         );
-        token
     }
 
-    /// A message from `from` to `to` is lost: counted, traced, and
-    /// recorded under `ctx` when the sink records.
-    fn lose(&mut self, from: NodeId, to: NodeId, ctx: Option<TraceContext>) {
+    /// A message from `from` to `to`, for `token`, is lost: counted,
+    /// traced, and recorded under `ctx` when the sink records.
+    fn lose(&mut self, from: NodeId, to: NodeId, ctx: Option<TraceContext>, token: ReplyToken) {
         self.trace
             .record(self.now, TraceEvent::MessageLost { from, to });
         self.metrics.incr("msg.dropped");
@@ -591,6 +666,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 ctx,
             );
         }
+        self.end_send(token, Err(NetError::Timeout));
     }
 
     /// Launches a batched request asynchronously (see [`World::send`]):
@@ -633,18 +709,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.metrics
             .gauge_max("sim.queue.depth.max", self.queue.len() as u64);
         match kind {
-            EventKind::CompleteError { token, error, ctx } => {
+            EventKind::CompleteError { token, error } => {
                 self.metrics.incr("sim.dispatch.complete_error");
-                if self.events.is_enabled() {
-                    self.events.event_in(
-                        self.now.as_micros(),
-                        "net.send.failed",
-                        error.to_string(),
-                        ctx,
-                    );
-                }
-                self.completed.insert(token, Err(error));
-                self.metrics.incr("rpc.failed");
+                self.complete(token, Err(error));
             }
             EventKind::Deliver {
                 from,
@@ -657,13 +724,14 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 // Mid-flight state changes: the message dies if the route or
                 // the server vanished while it travelled.
                 if !self.topology.reachable(from, to) {
-                    self.lose(from, to, ctx);
+                    self.lose(from, to, ctx, token);
                     return;
                 }
                 let Some(mut svc) = self.services.get_mut(to.index()).and_then(Option::take) else {
                     self.trace
                         .record(self.now, TraceEvent::MessageLost { from, to });
                     self.metrics.incr("msg.no_service");
+                    self.end_send(token, Err(NetError::Timeout));
                     return;
                 };
                 // Handlers run under the *message's* context, not
@@ -684,7 +752,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     .record(self.now, TraceEvent::RpcHandled { from, to });
                 // Reply drop sampling uses the same link.
                 if self.drop_rng.chance(self.topology.link(to, from).drop_prob) {
-                    self.lose(to, from, ctx);
+                    self.lose(to, from, ctx, token);
                     return;
                 }
                 let lat = self.latency.sample(
@@ -712,10 +780,10 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             } => {
                 self.metrics.incr("sim.dispatch.reply");
                 if !self.topology.reachable(from, to) {
-                    self.lose(from, to, ctx);
+                    self.lose(from, to, ctx, token);
                     return;
                 }
-                self.completed.insert(token, Ok(msg));
+                self.complete(token, Ok(msg));
             }
             EventKind::Fault(action) => {
                 self.metrics.incr("sim.dispatch.fault");
@@ -1135,6 +1203,55 @@ mod tests {
             handle.trace, root_node.trace,
             "server work joins the caller's trace"
         );
+    }
+
+    /// A send is accounted as an rpc is, where it ends: its span under
+    /// the sender's context covers the round trip, and the handler's
+    /// span nests under it.
+    #[test]
+    fn a_send_is_accounted_like_an_rpc() {
+        let (mut w, c, s) = two_node_world();
+        w.events_mut().set_enabled(true);
+        let root = w.span_enter("iter.fig4.invocation", String::new);
+        let token = w.send(c, s, 1);
+        w.span_exit(root);
+        assert_eq!(w.wait_any(&[token], SimTime::from_millis(50)), Some(token));
+        assert_eq!(w.try_take_reply(token), Some(Ok(2)));
+        let m = w.metrics();
+        let counts = ["rpc.sent", "rpc.ok", "rpc.failed"].map(|n| m.counter(n));
+        assert_eq!(counts, [1, 1, 0]);
+        assert_eq!(m.latency("rpc.latency").map(|l| l.len()), Some(1));
+        let at = w.now().as_micros();
+        assert!(w.events_mut().finish(at).is_empty());
+        let dag = crate::metrics::CausalDag::from_events(&w.events_mut().take_events());
+        let root_node = dag.span(dag.roots()[0]).unwrap();
+        let send = dag.span(root_node.children[0]).unwrap();
+        assert_eq!(
+            (send.kind.as_str(), send.duration_us()),
+            ("net.rpc", 10_000)
+        );
+        assert_eq!(dag.span(send.children[0]).unwrap().kind, "svc.handle");
+    }
+
+    /// A send that fails, or whose request is lost, ends as a failed rpc:
+    /// no span is left open for its caller's deadline to close.
+    #[test]
+    fn a_failed_or_lost_send_ends_failed() {
+        let (mut w, c, s) = two_node_world();
+        w.events_mut().set_enabled(true);
+        w.topology_mut().partition(&[s]);
+        let unrouted = w.send(c, s, 1);
+        w.topology_mut().heal_partition();
+        w.topology_mut().set_link(c, s, LinkState::lossy(1.0));
+        let lost = w.send(c, s, 1);
+        assert_eq!(w.wait_any(&[lost], SimTime::from_millis(50)), None);
+        assert!(matches!(w.try_take_reply(unrouted), Some(Err(_))));
+        let m = w.metrics();
+        let counts = ["rpc.sent", "rpc.ok", "rpc.failed"].map(|n| m.counter(n));
+        assert_eq!(counts, [2, 0, 2]);
+        let at = w.now().as_micros();
+        assert!(w.events_mut().finish(at).is_empty());
+        assert_eq!(w.events().count_kind("net.rpc.failed"), 2);
     }
 
     #[test]

@@ -446,6 +446,12 @@ impl StoreClient {
         self.timeout
     }
 
+    /// Extra attempts each request gets on network failure
+    /// ([`StoreClient::with_retries`]).
+    pub fn retries(&self) -> usize {
+        self.retries
+    }
+
     /// One rpc from this client's node: without retries, the bare rpc.
     fn call(&self, world: &mut StoreRt, to: NodeId, msg: StoreMsg) -> Result<StoreMsg, StoreError> {
         if self.retries == 0 {
@@ -503,16 +509,32 @@ impl StoreClient {
         id: ObjectId,
     ) -> Result<ObjectRecord, StoreError> {
         let started = world.now();
-        // Network errors return before the metrics below: the store
-        // fetch never happened, so only the causal stream records it
-        // (`store.fetch.us`/`.err` stay store-level signals).
-        let reply = self
-            .call(world, home, StoreMsg::GetObject(id))
-            .inspect_err(|e| {
-                world.trace_event("store.fetch.failed", &|| {
-                    format!("object={id} home={home}: {e}")
-                });
-            })?;
+        let reply = self.call(world, home, StoreMsg::GetObject(id));
+        Self::fetched(world, home, id, started, reply)
+    }
+
+    /// The fetch account: decodes the final reply to a `GetObject(id)`
+    /// sent to `home` at `started`, retries spent, and records it. Every
+    /// object fetch ends here, one at a time or in flight with others.
+    /// A network error records only a `store.fetch.failed` event: the
+    /// store fetch never happened, so `store.fetch.us`/`.ok`/`.err` stay
+    /// store-level signals.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreClient::fetch_object`].
+    pub fn fetched(
+        world: &mut StoreRt,
+        home: NodeId,
+        id: ObjectId,
+        started: SimTime,
+        reply: Result<StoreMsg, StoreError>,
+    ) -> Result<ObjectRecord, StoreError> {
+        let reply = reply.inspect_err(|e| {
+            world.trace_event("store.fetch.failed", &|| {
+                format!("object={id} home={home}: {e}")
+            });
+        })?;
         let result = match reply {
             StoreMsg::Object(rec) => Ok(rec),
             StoreMsg::NotFound(id) => Err(StoreError::NotFound(id)),

@@ -61,18 +61,18 @@ fn legs<T>(pins: [(&'static str, T); LEGS.len()]) -> impl Iterator<Item = (&'sta
 /// zero-failure gate (the merkle leg's one failure here is a known
 /// class-C violation, ROADMAP item 4). Constants measured at c4eb3ce with
 /// `weakset-dst --iters 620 --seed 1` and each leg's flag of that time,
-/// the window leg's when it was added. Last moved when a Fig. 5/6 run
-/// began waiting out an unreadable membership itself (the window leg's
-/// class-A failure went, and the driver stopped pausing before an
-/// invocation, which moved the plain, sharded and causal folds).
+/// the window leg's when it was added. Last moved when every object
+/// fetch went through the fetch window, window 1 included, and a run
+/// stopped refetching a member it failed to reach while others were left
+/// (every leg: a fetch is a send now, and failed ones are retried later).
 #[test]
 fn campaign_is_pinned() {
     let pins = [
-        ("plain", (0xba1d_6723_1f18_b3f3, 0)),
-        ("sharded", (0x9f27_00fc_130c_2203, 0)),
-        ("causal", (0x6e51_c7de_684e_f22a, 0)),
-        ("merkle", (0xa586_61b9_09da_c407, 1)),
-        ("window", (0xafc6_b5e2_f9ab_8381, 0)),
+        ("plain", (0x7f15_9e63_41aa_a2e5, 0)),
+        ("sharded", (0x4822_fc87_235c_559e, 0)),
+        ("causal", (0xab5c_6edc_2d80_6928, 0)),
+        ("merkle", (0x8e81_6897_9511_82d8, 1)),
+        ("window", (0x1f3f_95f6_101b_02fe, 0)),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let (combined, failures) = campaign(&(name, generate), 1, 620);
@@ -118,17 +118,17 @@ fn generated_scenarios_are_pinned() {
 /// moved" is judged by the simulator producing the same traces as its
 /// parent. One FNV-style fold per generator over 64 scenarios; a change
 /// that moves a constant must say why the traces were meant to move.
-/// Last moved when a Fig. 5/6 run began waiting out an unreadable
-/// membership inside its invocation instead of the driver pausing before
-/// it (plain and sharded: other read timings).
+/// Last moved when every object fetch went through the fetch window and
+/// a run stopped refetching a member it failed to reach while others
+/// were left (every leg but sharded, whose 64 runs fail no fetch).
 #[test]
 fn corpus_trace_hash_is_pinned() {
     let pins = [
-        ("plain", 0x307f_5610_e1cd_9006),
+        ("plain", 0xf2ca_38fd_ba3e_bda6),
         ("sharded", 0x4a4e_07fe_2b48_21d0),
-        ("causal", 0x289a_41fa_c4b0_8594),
-        ("merkle", 0xc095_b068_c80e_ce0b),
-        ("window", 0xd300_a197_e393_7f67),
+        ("causal", 0x8cf2_2829_b2ce_ade4),
+        ("merkle", 0xdd3e_8d33_cae1_14cf),
+        ("window", 0x622a_8524_de85_f7d7),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let folded = (0..64).fold(0xcbf2_9ce4_8422_2325, |acc, i| {
@@ -142,8 +142,8 @@ fn corpus_trace_hash_is_pinned() {
 /// the causal event stream (every kind, detail, span edge, parent and
 /// trace id, in order) and the metrics registry as it prints. Constants
 /// measured at 2afe24d, before the simulator's bookkeeping was made
-/// cheaper, and moved with the trace hashes above (last with the Fig. 5/6
-/// wait); a change that moves one recorded a different byte.
+/// cheaper, and moved with the trace hashes above (last with the fetch
+/// window at window 1); a change that moves one recorded a different byte.
 #[test]
 fn events_and_metrics_are_pinned() {
     fn fnv(acc: u64, text: &str) -> u64 {
@@ -152,11 +152,11 @@ fn events_and_metrics_are_pinned() {
         })
     }
     let pins = [
-        ("plain", (0x73aa_1183_3308_5cb6, 0x34ac_05d1_85b4_ee99)),
+        ("plain", (0x2464_da4b_71aa_c655, 0x3491_ab95_b72e_e6f2)),
         ("sharded", (0x4d13_3501_e775_c5aa, 0xfe00_8d3d_e2ce_82c8)),
-        ("causal", (0x222e_b061_af3f_55b9, 0x60a5_7ae9_c1ad_4f9c)),
-        ("merkle", (0x0753_29f0_aa1f_7f11, 0xc3c0_01e5_fb7b_f8c1)),
-        ("window", (0x2b9d_e937_5782_275f, 0xe575_cbf8_9334_16c8)),
+        ("causal", (0x8120_2224_9644_d071, 0x1e87_2460_6c3a_fcd2)),
+        ("merkle", (0xaffd_c8d3_9558_c551, 0x138d_380a_d840_e807)),
+        ("window", (0xbc2f_aad4_7038_f88a, 0xe5c0_7845_773b_7219)),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let (mut e, mut m) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);

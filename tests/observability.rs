@@ -15,6 +15,11 @@ struct Rig {
 /// across three servers, a crash fault mid-run, and a Snapshot iteration,
 /// with the causal sink on.
 fn run_workload(seed: u64) -> Rig {
+    run_workload_at(seed, 1)
+}
+
+/// [`run_workload`] with `window` fetches in flight.
+fn run_workload_at(seed: u64, window: usize) -> Rig {
     let mut topo = Topology::new();
     let laptop = topo.add_node("laptop", 0);
     let servers: Vec<NodeId> = (0..3)
@@ -35,7 +40,11 @@ fn run_workload(seed: u64) -> Rig {
     let client = StoreClient::new(laptop, SimDuration::from_millis(100));
     let cref = CollectionRef::unreplicated(CollectionId(1), servers[0]);
     client.create_collection(&mut world, &cref).unwrap();
-    let set = WeakSet::new(client, cref);
+    let config = IterConfig {
+        window,
+        ..IterConfig::default()
+    };
+    let set = WeakSet::new(client, cref).with_config(config);
     for i in 0..12u64 {
         let home = servers[(i % 3) as usize];
         set.add(
@@ -55,49 +64,58 @@ fn run_workload(seed: u64) -> Rig {
 
 /// The metrics registry and the causal event sink are independent
 /// recorders of the same run; their counts of the same phenomena must
-/// agree exactly. Every rpc opens one `net.rpc` span, and a failed one
-/// records a `net.rpc.failed` event under it.
+/// agree exactly. Every rpc, and every send (one fetch at a time or four
+/// in flight), opens one `net.rpc` span, and a failed one records a
+/// `net.rpc.failed` event under it.
 #[test]
 fn counters_agree_with_trace() {
-    let rig = run_workload(99);
-    let w = &rig.world;
-    let m = w.metrics();
-    let sink = w.events();
-    assert!(sink.is_enabled(), "workload must keep the sink on");
+    for window in [1, 4] {
+        let rig = run_workload_at(99, window);
+        let w = &rig.world;
+        let m = w.metrics();
+        let sink = w.events();
+        assert!(sink.is_enabled(), "workload must keep the sink on");
 
-    let sent = sink.count_kind("net.rpc");
-    let failed = sink.count_kind("net.rpc.failed");
-    let ok = sent - failed;
-    let crashes = sink.count_kind("sim.fault.crash");
-    assert!(failed > 0 && crashes == 1, "the crash fails some rpcs");
+        let sent = sink.count_kind("net.rpc");
+        let failed = sink.count_kind("net.rpc.failed");
+        let ok = sent - failed;
+        let crashes = sink.count_kind("sim.fault.crash");
+        assert!(failed > 0 && crashes == 1, "the crash fails some rpcs");
 
-    assert_eq!(m.counter("rpc.sent"), sent as u64);
-    assert_eq!(m.counter("rpc.ok"), ok as u64);
-    assert_eq!(m.counter("rpc.failed"), failed as u64);
-    assert_eq!(m.counter("sim.fault.crash"), crashes as u64);
-    // Every completed RPC contributes one latency sample.
-    assert_eq!(m.latency("rpc.latency").map_or(0, |l| l.len()), ok);
-    // Delivered requests and their replies are dispatched separately.
-    assert_eq!(m.counter("sim.dispatch.deliver"), ok as u64);
-    assert_eq!(m.counter("sim.dispatch.reply"), ok as u64);
+        assert_eq!(m.counter("rpc.sent"), sent as u64, "window {window}");
+        assert_eq!(m.counter("rpc.ok"), ok as u64, "window {window}");
+        assert_eq!(m.counter("rpc.failed"), failed as u64, "window {window}");
+        assert_eq!(m.counter("sim.fault.crash"), crashes as u64);
+        // Every completed RPC contributes one latency sample.
+        assert_eq!(m.latency("rpc.latency").map_or(0, |l| l.len()), ok);
+        // Delivered requests and their replies are dispatched separately.
+        assert_eq!(m.counter("sim.dispatch.deliver"), ok as u64);
+        assert_eq!(m.counter("sim.dispatch.reply"), ok as u64);
+    }
 }
 
 /// Store- and iterator-level counters line up with what the workload did.
 #[test]
 fn stack_counters_reflect_the_workload() {
-    let rig = run_workload(99);
-    let m = rig.world.metrics();
-    assert_eq!(m.counter("store.write.ok"), 12);
-    assert_eq!(m.counter("store.read.primary.ok"), 1);
-    // One Snapshot (Figure 4) run: every yield is a fetched element, and
-    // the run ended exactly once (returned, failed, or blocked).
-    assert_eq!(m.counter("iter.fig4.yielded"), m.counter("store.fetch.ok"));
-    assert_eq!(
-        m.counter("iter.fig4.returned")
-            + m.counter("iter.fig4.failed")
-            + m.counter("iter.fig4.blocked"),
-        1
-    );
+    for window in [1, 4] {
+        let rig = run_workload_at(99, window);
+        let m = rig.world.metrics();
+        assert_eq!(m.counter("store.write.ok"), 12);
+        assert_eq!(m.counter("store.read.primary.ok"), 1);
+        // One Snapshot (Figure 4) run: every yield is a fetched element,
+        // and the run ended exactly once (returned, failed, or blocked).
+        assert_eq!(
+            m.counter("iter.fig4.yielded"),
+            m.counter("store.fetch.ok"),
+            "window {window}"
+        );
+        assert_eq!(
+            m.counter("iter.fig4.returned")
+                + m.counter("iter.fig4.failed")
+                + m.counter("iter.fig4.blocked"),
+            1
+        );
+    }
 }
 
 /// Same seed ⇒ identical snapshot, different seed ⇒ (at least) different

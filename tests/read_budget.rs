@@ -34,7 +34,10 @@
 //! cycle), and split off its client read loop, one contact: the whole
 //! call minus one in-place rpc and two clock reads. A last row times a
 //! whole `read_members(Quorum)`: three contacts and no session, like
-//! `Leaderless`, but every reply is heard and the newest kept.
+//! `Leaderless`, but every reply is heard and the newest kept. The last
+//! row times a window-1 drain of the 64 members, pinned (Fig. 4, no
+//! membership read), fastest of 21 rounds of 200: each fetch is a `send`
+//! through the fetch window, so it crosses its owner's mailbox.
 
 mod budget;
 
@@ -195,6 +198,15 @@ fn idle_fleet_leaderless_read_budget() {
         "per call: handler {handler:.0} ns, floor {floor:.0} ns, in-place rpc {rpc:.0} ns, \
          clock {clock:.0} ns, read_members {read:.0} ns"
     );
+    let [drain] = ns_per_call(200, |_, _, undo| {
+        if !undo {
+            let members = want.entries.clone();
+            let mut it = Elements::pinned(client.clone(), members, None, IterConfig::default());
+            let (got, end) = it.drain(&mut rt, 1, SimDuration::ZERO);
+            black_box((got.len(), end));
+        }
+    });
+    println!("{:<36} {:>9.0}", "window-1 drain, whole run", drain);
     assert!(rt.shutdown(Duration::from_secs(5)).is_ok());
 }
 

@@ -275,18 +275,10 @@ impl Topology {
             Ok(())
         } else if !self.is_up(from) {
             Err(NetError::NodeDown(from))
+        } else if self.is_up(to) {
+            Err(NetError::Unreachable { from, to })
         } else {
-            Err(self.unroutable(from, to))
-        }
-    }
-
-    /// How a request with no route to `to` fails: `Unreachable` for a
-    /// live target, `NodeDown(to)` for a down one or an id never issued.
-    pub(crate) fn unroutable(&self, from: NodeId, to: NodeId) -> NetError {
-        if self.is_up(to) {
-            NetError::Unreachable { from, to }
-        } else {
-            NetError::NodeDown(to)
+            Err(NetError::NodeDown(to))
         }
     }
 

@@ -61,18 +61,18 @@ fn legs<T>(pins: [(&'static str, T); LEGS.len()]) -> impl Iterator<Item = (&'sta
 /// zero-failure gate (the merkle leg's one failure here is a known
 /// class-C violation, ROADMAP item 4). Constants measured at c4eb3ce with
 /// `weakset-dst --iters 620 --seed 1` and each leg's flag of that time,
-/// the window leg's when it was added. Last moved when every object
-/// fetch went through the fetch window, window 1 included, and a run
-/// stopped refetching a member it failed to reach while others were left
-/// (every leg: a fetch is a send now, and failed ones are retried later).
+/// the window leg's when it was added. Last moved when an rpc became a
+/// send and a wait (every leg: a reply is stamped when it arrives, an
+/// unroutable request fails at its detection delay's end with the error
+/// found at send time, and a timeout no longer sets the clock back).
 #[test]
 fn campaign_is_pinned() {
     let pins = [
-        ("plain", (0x7f15_9e63_41aa_a2e5, 0)),
-        ("sharded", (0x4822_fc87_235c_559e, 0)),
-        ("causal", (0xab5c_6edc_2d80_6928, 0)),
-        ("merkle", (0x8e81_6897_9511_82d8, 1)),
-        ("window", (0x1f3f_95f6_101b_02fe, 0)),
+        ("plain", (0x7893_719f_8135_8c1a, 0)),
+        ("sharded", (0xcd11_6772_5f26_2ec6, 0)),
+        ("causal", (0xc5f7_334c_dfb2_eec3, 0)),
+        ("merkle", (0xe426_b64a_f80c_9202, 1)),
+        ("window", (0x6e94_ba3a_fdb0_a4ff, 0)),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let (combined, failures) = campaign(&(name, generate), 1, 620);
@@ -118,17 +118,17 @@ fn generated_scenarios_are_pinned() {
 /// moved" is judged by the simulator producing the same traces as its
 /// parent. One FNV-style fold per generator over 64 scenarios; a change
 /// that moves a constant must say why the traces were meant to move.
-/// Last moved when every object fetch went through the fetch window and
-/// a run stopped refetching a member it failed to reach while others
-/// were left (every leg but sharded, whose 64 runs fail no fetch).
+/// Last moved when an rpc became a send and a wait (every leg: its
+/// outcome is recorded when the reply arrives, not when its caller
+/// resumes).
 #[test]
 fn corpus_trace_hash_is_pinned() {
     let pins = [
-        ("plain", 0xf2ca_38fd_ba3e_bda6),
-        ("sharded", 0x4a4e_07fe_2b48_21d0),
-        ("causal", 0x8cf2_2829_b2ce_ade4),
-        ("merkle", 0xdd3e_8d33_cae1_14cf),
-        ("window", 0x622a_8524_de85_f7d7),
+        ("plain", 0xb5a9_ad75_092a_8e49),
+        ("sharded", 0xc2d8_325d_d2be_dc0d),
+        ("causal", 0xe467_97d6_66b8_086b),
+        ("merkle", 0x7c20_f56e_12b1_0c62),
+        ("window", 0x10a8_eed9_e867_aff2),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let folded = (0..64).fold(0xcbf2_9ce4_8422_2325, |acc, i| {
@@ -142,8 +142,9 @@ fn corpus_trace_hash_is_pinned() {
 /// the causal event stream (every kind, detail, span edge, parent and
 /// trace id, in order) and the metrics registry as it prints. Constants
 /// measured at 2afe24d, before the simulator's bookkeeping was made
-/// cheaper, and moved with the trace hashes above (last with the fetch
-/// window at window 1); a change that moves one recorded a different byte.
+/// cheaper, and moved with the trace hashes above (last when an rpc
+/// became a send and a wait, and a Locked write a write error); a change
+/// that moves one recorded a different byte.
 #[test]
 fn events_and_metrics_are_pinned() {
     fn fnv(acc: u64, text: &str) -> u64 {
@@ -152,11 +153,11 @@ fn events_and_metrics_are_pinned() {
         })
     }
     let pins = [
-        ("plain", (0x2464_da4b_71aa_c655, 0x3491_ab95_b72e_e6f2)),
-        ("sharded", (0x4d13_3501_e775_c5aa, 0xfe00_8d3d_e2ce_82c8)),
-        ("causal", (0x8120_2224_9644_d071, 0x1e87_2460_6c3a_fcd2)),
-        ("merkle", (0xaffd_c8d3_9558_c551, 0x138d_380a_d840_e807)),
-        ("window", (0xbc2f_aad4_7038_f88a, 0xe5c0_7845_773b_7219)),
+        ("plain", (0x1847_20ae_b7d1_33b5, 0xec87_5c03_a53d_b9bc)),
+        ("sharded", (0xd839_8024_3ebc_cf90, 0xbf18_2455_9e16_731e)),
+        ("causal", (0x4909_4eae_73d0_d6c2, 0x18e7_6078_0653_5392)),
+        ("merkle", (0xc4ad_d10a_e805_d1d7, 0x5f61_1976_ee19_aced)),
+        ("window", (0xd464_917d_67bd_5d26, 0xb40b_e34d_dd6a_a6f8)),
     ];
     for (&(name, generate), pinned) in legs(pins) {
         let (mut e, mut m) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);

@@ -47,16 +47,37 @@ impl Service<StoreMsg> for Counting {
     }
 }
 
+/// A `StoreServer` that hands every add to its mailbox.
+struct MailedAdds(StoreServer);
+
+impl Service<StoreMsg> for MailedAdds {
+    fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: StoreMsg) -> StoreMsg {
+        self.0.handle(ctx, from, msg)
+    }
+
+    fn serve_inline(
+        &mut self,
+        ctx: &mut ServiceCtx<'_>,
+        from: NodeId,
+        msg: StoreMsg,
+    ) -> Result<StoreMsg, StoreMsg> {
+        match msg {
+            StoreMsg::AddMember { .. } => Err(msg),
+            msg => self.0.serve_inline(ctx, from, msg),
+        }
+    }
+}
+
 /// One view's `send(add)` is always applied before its following
-/// `rpc(remove)`, though the rpc may run in place and the send never
-/// does: the write-side twin of the runtime's
+/// `rpc(remove)`, though the add crosses the mailbox and the rpc may run
+/// in place: the write-side twin of the runtime's
 /// `a_read_never_overtakes_the_views_own_send`.
 #[test]
 fn a_write_never_overtakes_the_views_own_send() {
     let mut rt = ThreadedRuntime::<StoreMsg>::new(23);
     let c = rt.add_node("client");
     let s = rt.add_node("server");
-    rt.install_service(s, Box::new(StoreServer::new()));
+    rt.install_service(s, Box::new(MailedAdds(StoreServer::new())));
     assert_eq!(
         rt.rpc(c, s, StoreMsg::CreateCollection(COLL), SECS5),
         Ok(StoreMsg::Ack)

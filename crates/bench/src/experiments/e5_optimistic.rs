@@ -5,77 +5,45 @@
 //! fails: it yields everything reachable, blocks, and — once the heal
 //! lands — resumes and finishes. Availability degrades gracefully with
 //! repair time instead of collapsing, and every run conforms to
-//! Figure 6.
+//! Figure 6. The never-healed run is the one the driver gives up on: it
+//! ends blocked, which Figure 6 allows for as long as the cut stands.
 
-use crate::report::{ms, Table};
-use crate::scenarios::{populated_set, wan};
-use crate::snapshot::{snapshot_with_trace, with_yield_objective, world_events};
-use weakset::prelude::*;
+use super::rows::{base, conforms, iter_run, judged, run_ms, NEVER_HEALS_MS};
+use crate::report::Table;
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
+use weakset::prelude::Semantics;
+use weakset_dst::prelude::{FaultSpec, Link, RunReport, Scenario};
 use weakset_obs::ObsSnapshot;
-use weakset_sim::fault::FaultPlan;
-use weakset_sim::time::SimDuration;
-use weakset_spec::checker::{check_computation, Figure};
-use weakset_spec::specs::fig6;
+use weakset_spec::checker::Figure;
 
-const N_ELEMS: usize = 32;
+const N_ELEMS: u64 = 32;
 const N_SERVERS: usize = 8;
+/// Repair times in ms; `None`: the partition never heals.
+const HEALS_MS: [Option<u64>; 4] = [Some(100), Some(500), Some(2_000), None];
 
-/// One sweep point.
-pub struct Point {
-    /// Repair time in ms (`None` = the partition never heals).
-    pub heal_after_ms: Option<u64>,
-    /// Elements eventually yielded.
-    pub yielded: usize,
-    /// Blocked invocations along the way.
-    pub blocked: usize,
-    /// Final step: true = terminated, false = still blocked at budget.
-    pub terminated: bool,
-    /// Total simulated time spent.
-    pub sim_time: SimDuration,
-    /// Figure 6 conformance (including the §3.4 membership property).
-    pub conforms: bool,
+/// The row for one repair time: 32 members on eight servers behind 5 ms
+/// links, and servers 4..8 (not the membership primary) cut from the
+/// run origin for `heal_after_ms`.
+fn row(heal_after_ms: Option<u64>) -> Scenario {
+    Scenario {
+        link: Link::Constant { one_way_ms: 5 },
+        faults: vec![FaultSpec::Partition {
+            at_ms: 0,
+            side: (N_SERVERS / 2..N_SERVERS).collect(),
+            for_ms: heal_after_ms.unwrap_or(NEVER_HEALS_MS),
+        }],
+        ..base(500, N_SERVERS, Semantics::Optimistic, N_ELEMS)
+    }
 }
 
-/// Runs the sweep.
-pub fn points() -> Vec<Point> {
-    [Some(100u64), Some(500), Some(2_000), None]
-        .into_iter()
-        .map(|heal_after_ms| {
-            let mut w = wan(500, N_SERVERS, SimDuration::from_millis(5));
-            let set = populated_set(&mut w, N_ELEMS, SimDuration::from_millis(200));
-            // Cut half the servers (not the membership home).
-            let side: Vec<_> = w.servers[N_SERVERS / 2..].to_vec();
-            w.world.topology_mut().partition(&side);
-            if let Some(h) = heal_after_ms {
-                w.world.install_plan(
-                    &FaultPlan::none().heal_at(w.world.now() + SimDuration::from_millis(h)),
-                );
-            }
-            let start = w.world.now();
-            let mut it = set.elements_observed(Semantics::Optimistic);
-            let (yielded, step) = it.drain(&mut w.world, 40, SimDuration::from_millis(50));
-            let blocked = w.world.metrics().counter("iter.fig6.blocked") as usize;
-            let sim_time = w.world.now().saturating_since(start);
-            let comp = it.take_computation(&w.world).expect("observed");
-            let conforms = check_computation(Figure::Fig6, &comp).is_ok()
-                && comp
-                    .runs
-                    .iter()
-                    .all(|run| fig6::yields_were_members(&comp, run));
-            assert!(
-                !matches!(step, IterStep::Failed(_)),
-                "optimistic runs never fail"
-            );
-            Point {
-                heal_after_ms,
-                yielded: yielded.len(),
-                blocked,
-                terminated: step == IterStep::Done,
-                sim_time,
-                conforms,
-            }
-        })
-        .collect()
+/// Every row of the E5 table, in table order.
+pub fn rows() -> Vec<Scenario> {
+    HEALS_MS.into_iter().map(row).collect()
+}
+
+/// The run's blocked invocations.
+fn blocked(report: &RunReport) -> u64 {
+    report.metrics.counter("iter.fig6.blocked")
 }
 
 /// Formats the sweep as the E5 table.
@@ -91,41 +59,46 @@ pub fn run() -> Vec<Table> {
             "fig6 conforms",
         ],
     );
-    for p in points() {
+    for (heal_after_ms, row) in HEALS_MS.into_iter().zip(rows()) {
+        let report = judged(&row);
         t.row(&[
-            p.heal_after_ms
-                .map_or("never".to_string(), |h| h.to_string()),
-            p.yielded.to_string(),
-            p.blocked.to_string(),
-            p.terminated.to_string(),
-            ms(p.sim_time),
-            p.conforms.to_string(),
+            heal_after_ms.map_or("never".to_string(), |h| h.to_string()),
+            report.yielded.len().to_string(),
+            blocked(&report).to_string(),
+            iter_run(&report).returned().to_string(),
+            format!("{:.2}", run_ms(&report).1),
+            conforms(&report, Figure::Fig6).to_string(),
         ]);
     }
     t.note("expected: every healed run eventually yields all 32 (availability = 100%),");
     t.note("paying block time that grows with repair time; the never-healed run yields");
     t.note("the reachable half and blocks instead of failing (contrast E2/E4b)");
+    t.note("sim time runs from the first invocation to the last; 5 ms between blocked ones");
     vec![t]
 }
 
-/// `BENCH_e5.json`: not the table's partition sweep but a mid-run
-/// *crash* on two servers — the iterator yields a prefix, blocks instead
-/// of failing while a server is down, and finishes after the restart.
-pub fn snapshot(seed: u64) -> ObsSnapshot {
-    let mut w = wan(seed, 2, SimDuration::from_millis(5));
-    let set = populated_set(&mut w, 12, SimDuration::from_millis(50));
-    let mut it = set.elements(Semantics::Optimistic);
-    for _ in 0..4 {
-        it.next(&mut w.world);
+/// Not the table's partition sweep but a mid-run *crash*: 12 members on
+/// two servers behind 5 ms links, and server 1 down from 80 ms into the
+/// run for 300 ms. The iterator yields a prefix, blocks instead of
+/// failing while the server is down, and finishes after the restart.
+fn crash_row(seed: u64) -> Scenario {
+    Scenario {
+        link: Link::Constant { one_way_ms: 5 },
+        faults: vec![FaultSpec::Outage {
+            at_ms: 80,
+            node: 1,
+            for_ms: 300,
+        }],
+        ..base(seed, 2, Semantics::Optimistic, 12)
     }
-    w.world.topology_mut().crash(w.servers[1]);
-    it.drain(&mut w.world, 3, SimDuration::from_millis(10));
-    w.world.topology_mut().restart(w.servers[1]);
-    it.drain(&mut w.world, 5, SimDuration::from_millis(10));
-    let events = world_events(&mut w.world);
+}
+
+/// `BENCH_e5.json`: the crash row, judged.
+pub fn snapshot(seed: u64) -> ObsSnapshot {
+    let mut report = judged(&crash_row(seed));
     with_yield_objective(snapshot_with_trace(
-        w.world.metrics_mut(),
-        &events,
+        &mut report.metrics,
+        &report.events,
         "e5",
         seed,
     ))
@@ -136,35 +109,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn healed_runs_reach_full_availability() {
-        for p in points() {
-            if p.heal_after_ms.is_some() {
-                assert_eq!(p.yielded, N_ELEMS, "heal={:?}", p.heal_after_ms);
-                assert!(p.terminated);
-            }
-        }
+    fn healed_runs_reach_full_availability_and_block_longer_the_later_the_heal() {
+        let times: Vec<f64> = HEALS_MS[..3]
+            .iter()
+            .map(|&heal| {
+                let report = judged(&row(heal));
+                assert_eq!(report.yielded.len() as u64, N_ELEMS, "heal={heal:?}");
+                assert!(iter_run(&report).returned(), "heal={heal:?}");
+                assert!(conforms(&report, Figure::Fig6), "heal={heal:?}");
+                run_ms(&report).1
+            })
+            .collect();
+        assert!(times.windows(2).all(|w| w[0] < w[1]), "{times:?}");
     }
 
     #[test]
-    fn unhealed_run_yields_reachable_half_and_blocks() {
-        let p = points().into_iter().last().expect("points");
-        assert_eq!(p.heal_after_ms, None);
-        assert_eq!(p.yielded, N_ELEMS / 2);
-        assert!(!p.terminated);
-        assert!(p.blocked > 0);
+    fn unhealed_run_yields_reachable_half_and_ends_blocked() {
+        let report = judged(&row(None));
+        assert_eq!(report.yielded.len() as u64, N_ELEMS / 2);
+        assert!(!iter_run(&report).returned());
+        assert!(!iter_run(&report).failed());
+        assert!(blocked(&report) > 0);
+        assert!(conforms(&report, Figure::Fig6));
     }
 
     #[test]
-    fn block_time_grows_with_repair_time() {
-        let ps = points();
-        assert!(ps[0].sim_time < ps[1].sim_time);
-        assert!(ps[1].sim_time < ps[2].sim_time);
-    }
-
-    #[test]
-    fn all_runs_conform_to_fig6() {
-        for p in points() {
-            assert!(p.conforms, "heal={:?}", p.heal_after_ms);
-        }
+    fn the_crash_row_blocks_then_finishes() {
+        let report = judged(&crash_row(42));
+        assert_eq!(report.yielded.len(), 12);
+        assert!(iter_run(&report).returned());
+        assert!(blocked(&report) > 0);
     }
 }

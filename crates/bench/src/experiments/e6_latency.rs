@@ -15,7 +15,7 @@
 //! Expected shape: dynls wins total latency by roughly the window factor
 //! and wins time-to-first by roughly a factor of `n`.
 
-use super::rows::{base, judged, listing, listing_ms};
+use super::rows::{base, judged, listing, run_ms};
 use crate::report::Table;
 use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::Semantics;
@@ -63,7 +63,7 @@ pub(crate) fn size_row(file_size: u64, window: usize) -> Scenario {
 fn measure(windows: &[usize], row: impl Fn(usize) -> Scenario) -> Vec<(String, f64, f64)> {
     let mut out = Vec::new();
     for &window in windows {
-        let (first, total) = listing_ms(&judged(&row(window)));
+        let (first, total) = run_ms(&judged(&row(window)));
         if window == 1 {
             // All-or-nothing: nothing shows before the listing completes.
             out.push(("ls (strict)".to_string(), total, total));

@@ -1,118 +1,65 @@
 //! E9 — §3.1's warning made measurable: what strong consistency costs.
 //!
-//! While a locked iteration runs, writers are refused. Sweeps the set
+//! While a locked iteration runs, writers are refused. E9a sweeps the set
 //! size (which stretches the lock hold time) and compares writer success
-//! against the same workload under snapshot iteration (no locks). Also
-//! reproduces the disconnection hazard: a client that vanishes mid-run
-//! leaves the lock stuck until repair.
+//! against the same workload under snapshot iteration (no locks): its
+//! rows are scenarios the fuzzer's driver runs and the oracle judges,
+//! whose writes the iterating client issues between its invocations.
+//! E9b reproduces the disconnection hazard: a client that vanishes
+//! mid-run leaves the lock stuck until repair. It needs a second client
+//! that writes while the reader is cut off, and a scenario has one
+//! client, so E9b is the one world this module builds itself.
 
-use crate::report::{ms, pct, Table};
+use super::rows::{base, churn, iteration_ms, judged};
+use crate::report::{pct, Table};
 use crate::scenarios::{populated_set, wan, Wan};
-use crate::snapshot::{snapshot_with_trace, with_yield_objective, world_events};
+use crate::snapshot::{snapshot_with_trace, with_yield_objective};
 use weakset::prelude::*;
+use weakset_dst::prelude::{Link, RunReport, Scenario};
+use weakset_obs::store_health::{WRITE_ERR, WRITE_OK};
 use weakset_obs::ObsSnapshot;
 use weakset_sim::time::SimDuration;
 use weakset_store::collection::MemberEntry;
-use weakset_store::object::{ObjectId, ObjectRecord};
+use weakset_store::object::ObjectId;
 use weakset_store::prelude::{StoreClient, StoreError};
 
-/// One sweep point.
-pub struct Point {
-    /// Set size.
-    pub n: usize,
-    /// Iteration semantics.
-    pub semantics: Semantics,
-    /// Simulated lock hold / iteration time.
-    pub run_time: SimDuration,
-    /// Writer attempts during the run.
-    pub writer_attempts: usize,
-    /// Writer attempts refused with `Locked`.
-    pub writer_stalled: usize,
-}
+const SIZES: [u64; 3] = [8, 32, 128];
+const SEMANTICS: [Semantics; 2] = [Semantics::Locked, Semantics::Snapshot];
 
-fn writer_task(wan: &mut Wan, set: &WeakSet, count: usize, interval: SimDuration) {
-    let cref = set.cref().clone();
-    let home = wan.servers[1];
-    for k in 0..count {
-        let at = wan.world.now() + interval.saturating_mul(k as u64 + 1);
-        let cref = cref.clone();
-        // A loopback environment action: the write is applied to the
-        // servers' state directly, with no message and no latency, but the
-        // lock check still happens at the primary.
-        wan.world
-            .spawn_at(at, move |w: &mut weakset_store::prelude::StoreWorld| {
-                let id = ObjectId(50_000 + k as u64);
-                let rec = ObjectRecord::new(id, format!("w{k}"), &b"w"[..]);
-                if let Some(srv) = w.service_mut::<weakset_store::prelude::StoreServer>(home) {
-                    srv.apply(weakset_store::msg::StoreMsg::PutObject(rec));
-                }
-                let result = w
-                    .service_mut::<weakset_store::prelude::StoreServer>(cref.home)
-                    .map(|primary| {
-                        primary.apply(weakset_store::msg::StoreMsg::AddMember {
-                            coll: cref.id,
-                            entry: MemberEntry { elem: id, home },
-                        })
-                    });
-                let name = match result {
-                    Some(weakset_store::msg::StoreMsg::Members { .. }) => "writer.ok",
-                    Some(weakset_store::msg::StoreMsg::Locked) => "writer.stalled",
-                    _ => "writer.failed",
-                };
-                w.metrics_mut().incr(name);
-            });
+/// The row for `n` members on four servers behind 5 ms links, iterated
+/// under `semantics`, with one write per member 10 ms apart (about one
+/// per yield), so every write lands while the run is still going.
+fn row(n: u64, semantics: Semantics) -> Scenario {
+    Scenario {
+        link: Link::Constant { one_way_ms: 5 },
+        ops: churn(4, 10, n, false),
+        ..base(900 + n, 4, semantics, n)
     }
 }
 
-/// Runs the sweep.
-pub fn points() -> Vec<Point> {
-    let mut out = Vec::new();
-    for &n in &[8usize, 32, 128] {
-        for semantics in [Semantics::Locked, Semantics::Snapshot] {
-            let mut w = wan(900 + n as u64, 4, SimDuration::from_millis(5));
-            let set = populated_set(&mut w, n, SimDuration::from_millis(200));
-            // One writer op per expected yield (~10ms each), so every
-            // attempt lands while the iteration is still running.
-            let attempts = n;
-            writer_task(&mut w, &set, attempts, SimDuration::from_millis(10));
-            let start = w.world.now();
-            let mut it = set.elements(semantics);
-            loop {
-                match it.next(&mut w.world) {
-                    IterStep::Yielded(_) => {}
-                    IterStep::Done => break,
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            let run_time = w.world.now().saturating_since(start);
-            // Let stragglers land.
-            w.world.run_to_quiescence();
-            let stalled = w.world.metrics().counter("writer.stalled") as usize;
-            let ok = w.world.metrics().counter("writer.ok") as usize;
-            out.push(Point {
-                n,
-                semantics,
-                run_time,
-                writer_attempts: stalled + ok,
-                writer_stalled: stalled,
-            });
-        }
-    }
-    out
+/// Every row of the E9a table, in table order.
+pub fn rows() -> Vec<Scenario> {
+    SIZES
+        .into_iter()
+        .flat_map(|n| SEMANTICS.map(|semantics| row(n, semantics)))
+        .collect()
 }
 
-/// Outcome of the disconnection hazard scenario.
-pub struct HazardOutcome {
-    /// Writer result while the lock was stuck.
-    pub stalled_while_stuck: bool,
-    /// Writer result after the disconnected reader returned and
-    /// released.
-    pub recovered: bool,
+/// The run's writes after setup, and how many of them the primary
+/// refused.
+fn writes(row: &Scenario, report: &RunReport) -> (u64, u64) {
+    let (ok, err) = (
+        report.metrics.counter(WRITE_OK),
+        report.metrics.counter(WRITE_ERR),
+    );
+    (ok + err - row.setup.len() as u64, err)
 }
 
 /// The §3.1 hazard: a reader's disconnection extends the lock
-/// indefinitely.
-fn hazard() -> HazardOutcome {
+/// indefinitely. Returns what a writer elsewhere met while the lock was
+/// stuck, then after the reconnected reader released it: `stalled` or
+/// `ok`.
+fn hazard() -> [&'static str; 2] {
     let mut w = wan(910, 3, SimDuration::from_millis(5));
     let set = populated_set(&mut w, 8, SimDuration::from_millis(200));
     let mut it = set.elements(Semantics::Locked);
@@ -125,20 +72,17 @@ fn hazard() -> HazardOutcome {
     // Its next invocation fails and its release RPC is lost silently.
     let step = it.next(&mut w.world);
     assert!(matches!(step, IterStep::Failed(_)));
-    // A writer elsewhere in the connected majority still stalls.
+    // A writer elsewhere in the connected majority.
     let writer = StoreClient::new(w.servers[1], SimDuration::from_millis(100));
-    let home = w.servers[0];
-    let stalled_while_stuck = matches!(
-        writer.add_member(
-            &mut w.world,
-            set.cref(),
-            MemberEntry {
-                elem: ObjectId(99_999),
-                home
-            }
-        ),
-        Err(StoreError::Locked)
-    );
+    let entry = MemberEntry {
+        elem: ObjectId(99_999),
+        home: w.servers[0],
+    };
+    let write = |w: &mut Wan| match writer.add_member(&mut w.world, set.cref(), entry) {
+        Err(StoreError::Locked) => "stalled",
+        _ => "ok",
+    };
+    let stuck = write(&mut w);
     // The laptop reconnects and releases (modelled by re-running release
     // through a reconnected abort).
     w.world.topology_mut().heal_partition();
@@ -146,20 +90,7 @@ fn hazard() -> HazardOutcome {
     releaser
         .release_read_lock(&mut w.world, set.cref())
         .expect("release after reconnect");
-    let recovered = writer
-        .add_member(
-            &mut w.world,
-            set.cref(),
-            MemberEntry {
-                elem: ObjectId(99_999),
-                home,
-            },
-        )
-        .is_ok();
-    HazardOutcome {
-        stalled_while_stuck,
-        recovered,
-    }
+    [stuck, write(&mut w)]
 }
 
 /// Formats the sweep + hazard as the E9 tables.
@@ -175,60 +106,48 @@ pub fn run() -> Vec<Table> {
             "stall rate",
         ],
     );
-    for p in points() {
+    for row in rows() {
+        let report = judged(&row);
+        let (attempts, stalled) = writes(&row, &report);
         t.row(&[
-            p.n.to_string(),
-            p.semantics.to_string(),
-            ms(p.run_time),
-            p.writer_attempts.to_string(),
-            p.writer_stalled.to_string(),
-            pct(p.writer_stalled, p.writer_attempts),
+            row.setup.len().to_string(),
+            row.semantics.to_string(),
+            format!("{:.2}", iteration_ms(&report)),
+            attempts.to_string(),
+            stalled.to_string(),
+            pct(stalled as usize, attempts as usize),
         ]);
     }
     t.note("expected: locked iteration stalls ~all concurrent writers, and the stall");
     t.note("window grows linearly with n; snapshot iteration stalls none");
 
-    let h = hazard();
     let mut t2 = Table::new(
         "E9b (§3.1): disconnection extends the lock indefinitely",
         &["phase", "writer outcome"],
     );
-    t2.row(&[
-        "reader disconnected, lock stuck".to_string(),
-        if h.stalled_while_stuck {
-            "stalled"
-        } else {
-            "ok"
-        }
-        .to_string(),
-    ]);
-    t2.row(&[
-        "reader reconnected, lock released".to_string(),
-        if h.recovered { "ok" } else { "stalled" }.to_string(),
-    ]);
+    let phases = [
+        "reader disconnected, lock stuck",
+        "reader reconnected, lock released",
+    ];
+    for (phase, outcome) in phases.into_iter().zip(hazard()) {
+        t2.row(&[phase.to_string(), outcome.to_string()]);
+    }
     vec![t, t2]
 }
 
-/// `BENCH_e9.json`: client writes interleaved with a locked iteration
-/// of 10 elements bounce off the read lock (`store.write.err`) until the
-/// iterator returns.
+/// `BENCH_e9.json`: a locked iteration of 10 members on two servers
+/// behind 5 ms links, judged, and ten client adds 10 ms apart from the
+/// run origin: every one bounces off the read lock (`store.write.err`)
+/// until the iterator returns.
 pub fn snapshot(seed: u64) -> ObsSnapshot {
-    let mut w = wan(seed, 2, SimDuration::from_millis(5));
-    let set = populated_set(&mut w, 10, SimDuration::from_millis(100));
-    let mut it = set.elements(Semantics::Locked);
-    for i in 0..10u64 {
-        it.next(&mut w.world);
-        let _ = set.add(
-            &mut w.world,
-            ObjectRecord::new(ObjectId(100 + i), format!("late-{i}"), vec![b'z'; 16]),
-            w.servers[0],
-        );
-    }
-    it.drain(&mut w.world, 3, SimDuration::from_millis(10));
-    let events = world_events(&mut w.world);
+    let mut report = judged(&Scenario {
+        link: Link::Constant { one_way_ms: 5 },
+        ops: churn(2, 10, 10, false),
+        ..base(seed, 2, Semantics::Locked, 10)
+    });
     with_yield_objective(snapshot_with_trace(
-        w.world.metrics_mut(),
-        &events,
+        &mut report.metrics,
+        &report.events,
         "e9",
         seed,
     ))
@@ -240,40 +159,25 @@ mod tests {
 
     #[test]
     fn locked_iteration_stalls_writers_snapshot_does_not() {
-        for p in points() {
-            match p.semantics {
+        let mut hold_ms = Vec::new();
+        for row in rows() {
+            let report = judged(&row);
+            let (attempts, stalled) = writes(&row, &report);
+            assert_eq!(attempts, row.ops.len() as u64, "{}", row.semantics);
+            match row.semantics {
                 Semantics::Locked => {
-                    assert!(
-                        p.writer_stalled * 10 >= p.writer_attempts * 8,
-                        "n={} stalled {}/{}",
-                        p.n,
-                        p.writer_stalled,
-                        p.writer_attempts
-                    );
+                    assert_eq!(stalled, attempts, "n={}", row.setup.len());
+                    hold_ms.push(iteration_ms(&report));
                 }
-                Semantics::Snapshot => {
-                    assert_eq!(p.writer_stalled, 0, "n={}", p.n);
-                }
-                _ => unreachable!(),
+                _ => assert_eq!(stalled, 0, "n={}", row.setup.len()),
             }
         }
-    }
-
-    #[test]
-    fn lock_hold_time_grows_with_set_size() {
-        let ps = points();
-        let locked: Vec<_> = ps
-            .iter()
-            .filter(|p| p.semantics == Semantics::Locked)
-            .collect();
-        assert!(locked[0].run_time < locked[1].run_time);
-        assert!(locked[1].run_time < locked[2].run_time);
+        // The lock is held longer the larger the set.
+        assert!(hold_ms.windows(2).all(|w| w[0] < w[1]), "{hold_ms:?}");
     }
 
     #[test]
     fn disconnection_hazard_reproduces() {
-        let h = hazard();
-        assert!(h.stalled_while_stuck);
-        assert!(h.recovered);
+        assert_eq!(hazard(), ["stalled", "ok"]);
     }
 }

@@ -1,7 +1,7 @@
 //! The figure, listing and replication experiments' rows as fuzzer
 //! scenarios.
 //!
-//! A row of E1–E4, E6–E8, E10b, E10c or E12 is a [`Scenario`] run by the
+//! A row of E1–E9a, E10b, E10c or E12 is a [`Scenario`] run by the
 //! fuzzer's own driver ([`execute`]): the fleet, the churn (issued
 //! through the client at invocation boundaries), the fault schedule and
 //! the verdict are the ones every generated run gets. [`judged`] refuses
@@ -184,10 +184,10 @@ pub(crate) fn yields_around_cut(report: &RunReport) -> [usize; 3] {
     phases
 }
 
-/// A listing's time-to-first and total, in milliseconds after its first
-/// invocation began: its first yield and its terminal step, read off
+/// A run's time to first yield and total, in milliseconds after its
+/// first invocation began: its first yield and its last step, read off
 /// its events.
-pub(crate) fn listing_ms(report: &RunReport) -> (f64, f64) {
+pub(crate) fn run_ms(report: &RunReport) -> (f64, f64) {
     let events = &report.events;
     let begun = events.iter().find(|e| e.kind.ends_with(".invocation"));
     let start_us = begun.map_or(0, |e| e.at_us);
@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::experiments::{e10_availability, e12_session, e1_immutable, e6_latency};
     use crate::experiments::{e2_immutable_failures, e3_snapshot_loss, e4_growonly};
-    use crate::experiments::{e7_availability, e8_taxonomy};
+    use crate::experiments::{e5_optimistic, e7_availability, e8_taxonomy, e9_locking};
 
     #[test]
     fn every_row_is_an_artifact() {
@@ -228,7 +228,9 @@ mod tests {
             e2_immutable_failures::rows(),
             e3_snapshot_loss::rows(),
             e4_growonly::rows(),
+            e5_optimistic::rows(),
             e8_taxonomy::rows(),
+            e9_locking::rows(),
             e10_availability::cut_rows(),
             e10_availability::outage_rows(),
             e12_session::rows(),

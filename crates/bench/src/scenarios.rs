@@ -1,5 +1,5 @@
-//! The worlds of the experiments that build their own (E5, E9, E10a,
-//! E10d and E11): E1–E4, E6–E8, E10b, E10c and E12 are fuzzer scenarios
+//! The worlds of the experiments that build their own (E9b, E10a, E10d
+//! and E11): E1–E9a, E10b, E10c and E12 are fuzzer scenarios
 //! (`experiments::rows`).
 
 use weakset::prelude::*;

@@ -377,6 +377,15 @@ impl ShardedElements {
         step
     }
 
+    /// Aborts every shard's run ([`Elements::abort`]): a shard run that
+    /// holds a read lock or a grow guard releases it, and every later
+    /// invocation answers [`IterStep::Done`].
+    pub fn abort(&mut self, world: &mut StoreRt) {
+        for it in &mut self.iters {
+            it.abort(world);
+        }
+    }
+
     /// Finishes observation on every shard, returning each attached
     /// observer's computation in shard order (empty when opened
     /// unobserved).

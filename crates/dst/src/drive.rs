@@ -24,7 +24,7 @@
 
 use crate::oracle;
 use crate::run::{RunReport, COLL};
-use crate::scenario::{Chaos, Deployment, Op, Scenario};
+use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
 use std::fmt;
 use weakset::prelude::{
     Elements, Failure, HistorySource, IterConfig, IterStep, Semantics, ShardGroup, ShardedElements,
@@ -44,8 +44,11 @@ use weakset_store::prelude::{
 };
 
 /// Bound on driver patience: how many 5 ms waits the driver tolerates
-/// while blocked before declaring the run wedged. All generated faults
-/// self-heal well inside this window.
+/// while blocked before it ends the run. Blocked that long once every
+/// fault of the scenario has healed, the run is wedged; blocked while a
+/// fault still stands, it is Fig. 6 working ("blocks until an unyielded
+/// member becomes reachable"). All generated faults self-heal well
+/// inside this window.
 const MAX_WAITS: usize = 400;
 
 pub(crate) fn ms(v: u64) -> SimDuration {
@@ -187,6 +190,14 @@ impl TestElements {
         match self {
             TestElements::One(it) => it.next(rt),
             TestElements::Sharded(it) => it.next(rt),
+        }
+    }
+
+    /// Ends a run the driver leaves open, releasing whatever it holds.
+    fn abort(&mut self, rt: &mut StoreRt) {
+        match self {
+            TestElements::One(it) => it.abort(rt),
+            TestElements::Sharded(it) => it.abort(rt),
         }
     }
 
@@ -451,6 +462,9 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
     let fleet = Fleet::build(s, stage)?;
 
     stage.origin();
+    // When the scenario's last fault heals, read off the scenario itself.
+    let last_heal_ms = s.faults.iter().map(FaultSpec::end_ms).max().unwrap_or(0);
+    let healed_at = stage.rt().now() + ms(last_heal_ms);
     stage.advance(&fleet, Some(s.start_ms));
     let started = stage.mark(Mark::Start);
     // Snapshot the session's committed writes at run start; the oracle
@@ -474,7 +488,7 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
 
     let sent_before = stage.rt().metrics().counter("rpc.sent");
     let (yielded, steps) = if started {
-        invoke(s, stage, &fleet, &mut it, &mut violations)
+        invoke(s, stage, &fleet, &mut it, healed_at, &mut violations)
     } else {
         (Vec::new(), 0)
     };
@@ -522,12 +536,15 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
 /// gives up waiting. Returns the ids yielded, in order, and the number of
 /// invocations issued (blocked ones included). Only blocked invocations
 /// count towards the wedge bound: yields are capped by
-/// [`Scenario::budget`].
+/// [`Scenario::budget`]. A run the driver stops at its budget or its
+/// patience is aborted, so it gives back any lock or guard it holds;
+/// giving up on a run blocked before `healed_at` is no violation.
 fn invoke(
     s: &Scenario,
     stage: &mut impl Stage,
     fleet: &Fleet,
     it: &mut TestElements,
+    healed_at: SimTime,
     violations: &mut Vec<String>,
 ) -> (Vec<u64>, usize) {
     let mut yielded: Vec<u64> = Vec::new();
@@ -548,6 +565,7 @@ fn invoke(
                 waits = 0;
                 yielded.push(rec.id.0);
                 if yielded.len() >= budget {
+                    it.abort(stage.rt());
                     break;
                 }
                 stage.rt().sleep(ms(s.think_ms));
@@ -563,11 +581,15 @@ fn invoke(
                 waits += 1;
                 idle += 1;
                 if waits > MAX_WAITS {
-                    violations.push("driver wedged: iterator blocked past every heal".into());
+                    if stage.rt().now() >= healed_at {
+                        violations.push("driver wedged: iterator blocked past every heal".into());
+                    }
+                    it.abort(stage.rt());
                     break;
                 }
                 if idle > 4 * MAX_WAITS {
                     violations.push("driver wedged: invocation budget exhausted".into());
+                    it.abort(stage.rt());
                     break;
                 }
                 stage.rt().sleep(ms(5));

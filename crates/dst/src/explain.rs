@@ -302,10 +302,10 @@ mod tests {
         assert!(text.contains(" returned\n"), "{text}");
     }
 
-    /// Class C (ROADMAP item 4): a leaderless snapshot read that returns
-    /// without yielding an element the oracle expected. No invocation
-    /// failed, so the post-mortem blames no fault and shows the last
-    /// outcomes instead.
+    /// Class C (ROADMAP items 13 and 14): a leaderless snapshot read
+    /// that returns without yielding an element the oracle expected. No
+    /// invocation failed, so the post-mortem blames no fault and shows
+    /// the last outcomes instead.
     #[test]
     fn a_wrong_return_is_not_blamed_on_faults() {
         let s = Scenario {

@@ -193,6 +193,9 @@ mod tests {
     use crate::gen::{generate, mix};
     use crate::scenario::{Chaos, Deployment, FaultSpec, Link};
     use weakset::prelude::Semantics;
+    use weakset_sim::fault::FaultAction;
+    use weakset_sim::time::SimTime;
+    use weakset_spec::prelude::Outcome;
     use weakset_store::prelude::ReadPolicy;
 
     /// A small, fault-free plain scenario for targeted tests.
@@ -247,6 +250,32 @@ mod tests {
         let report = execute(&s);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.yielded.len(), 1_700);
+    }
+
+    #[test]
+    fn a_run_still_blocked_after_the_last_heal_is_wedged() {
+        // The scenario's one fault heals 5 ms after the run origin, but
+        // server 1 is crashed outside its schedule before iteration
+        // starts: the run blocks with every listed fault healed.
+        let s = Scenario {
+            start_ms: 1_000,
+            faults: vec![FaultSpec::Partition {
+                at_ms: 0,
+                side: vec![1],
+                for_ms: 5,
+            }],
+            ..quiet(Semantics::Optimistic)
+        };
+        let mut sim = Sim::new(&s);
+        let crash = FaultAction::Crash(sim.servers[1]);
+        sim.world.schedule_fault(SimTime::from_millis(500), crash);
+        let report = drive(&s, &mut sim).expect("the setup is faultless");
+        assert_eq!(
+            report.violations,
+            vec!["driver wedged: iterator blocked past every heal".to_string()]
+        );
+        let run = &report.computations[0].runs[0];
+        assert_eq!(run.invocations.last().unwrap().outcome, Outcome::Blocked);
     }
 
     #[test]

@@ -288,7 +288,7 @@ impl FaultSpec {
     }
 
     /// When the fault has fully healed, as an offset from the run origin.
-    fn end_ms(&self) -> u64 {
+    pub(crate) fn end_ms(&self) -> u64 {
         match *self {
             FaultSpec::Outage { at_ms, for_ms, .. } => at_ms + for_ms,
             FaultSpec::Partition { at_ms, for_ms, .. } => at_ms + for_ms,

@@ -2,8 +2,9 @@
 //! repro each (DESIGN.md §5). `DST_SEED=1 weakset-dst --leg plain
 //! --iters 50000 --seed-from-env` wrote them; each is the smallest of its
 //! class (for B, the smallest that shows B alone). A, B and D are fixed.
-//! Only C stays ignored, until ROADMAP item 4 decides it: run it with
-//! `--ignored`, and un-ignore it with its fix.
+//! Only C stays ignored, until ROADMAP items 13 and 14 decide it (gossip
+//! rounds that hold the foreground, and the generator's envelope): run
+//! it with `--ignored`, and un-ignore it with its fix.
 
 use weakset_dst::prelude::*;
 
@@ -72,7 +73,7 @@ fn fig5_failed_run_keeps_the_set_grow_only() {
 /// Class C: a leaderless snapshot over gossip returns without yielding
 /// an element the oracle's first state holds.
 #[test]
-#[ignore = "class C: a leaderless snapshot returns without a member it should yield (ROADMAP item 4)"]
+#[ignore = "class C: a leaderless snapshot returns without a member it should yield (ROADMAP items 13 and 14)"]
 fn fig4_leaderless_snapshot_yields_every_member() {
     assert_conforms(
         "Scenario(

@@ -78,7 +78,7 @@ pub enum FsError {
     Store(StoreError),
     /// Strict `ls` could not fetch every entry.
     Incomplete {
-        /// Entries fetched before the failure.
+        /// Entries fetched: every one the listing could reach.
         fetched: usize,
         /// Total entries in the directory.
         total: usize,
@@ -333,32 +333,27 @@ impl FileSystem {
         Ok(self.client.fetch_object(world, entry.home, entry.elem)?)
     }
 
-    /// The strict baseline `ls`: fetch *all* entries, sort by name,
-    /// all-or-nothing.
+    /// The strict baseline `ls`: a [`FileSystem::dynls`] run of window 1
+    /// drained, its entries sorted by name, all-or-nothing.
     ///
     /// # Errors
     ///
     /// [`FsError::NotFound`] for unknown directories, [`FsError::Store`]
     /// when the membership cannot be read, and [`FsError::Incomplete`]
-    /// when any entry fetch fails — partial listings are not returned.
+    /// when any entry cannot be fetched — partial listings are not
+    /// returned; its `fetched` counts every entry the run did reach.
     pub fn ls(&self, world: &mut StoreWorld, path: &FsPath) -> Result<Vec<DirEntry>, FsError> {
-        let cref = self.dirs.get(path).ok_or(FsError::NotFound(path.clone()))?;
-        let read = self.client.read_members(world, cref, ReadPolicy::Primary)?;
-        let total = read.entries.len();
-        let mut out = Vec::with_capacity(total);
-        for m in &read.entries {
-            match self.client.fetch_object(world, m.home, m.elem) {
-                Ok(rec) => out.push(DirEntry::from_record(&rec)),
-                Err(_) => {
-                    return Err(FsError::Incomplete {
-                        fetched: out.len(),
-                        total,
-                    })
-                }
+        let mut listing = self.dynls(world, path, 1)?;
+        match listing.drain_available(world) {
+            (mut out, DynLsStep::Complete) => {
+                out.sort_by(|a, b| a.name.cmp(&b.name));
+                Ok(out)
             }
+            (listed, _) => Err(FsError::Incomplete {
+                fetched: listed.len(),
+                total: listing.total(),
+            }),
         }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(out)
     }
 
     /// `ls` over a dynamic set: opens a streaming, unordered, partial

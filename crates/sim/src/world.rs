@@ -515,11 +515,16 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         token
     }
 
-    /// Makes `result` the reply waiting under `token`, ending the send
-    /// that launched it, if one did.
+    /// Makes `result` the reply waiting under `token` and ends the send
+    /// that launched it, if that send is still open. A reply to a send
+    /// already ended — an rpc that timed out — is dropped here: nobody
+    /// waits for it. A window's abandoned sends stay open, so their
+    /// late replies are kept for it.
     fn complete(&mut self, token: ReplyToken, result: Result<M, NetError>) {
-        self.end_send(token, result.as_ref().map(|_| ()).map_err(|e| *e));
-        self.completed.insert(token, result);
+        if self.sends.contains_key(&token) {
+            self.end_send(token, result.as_ref().map(|_| ()).map_err(|e| *e));
+            self.completed.insert(token, result);
+        }
     }
 
     /// Ends the request [`World::send`] launched under `token`, if it is
@@ -941,6 +946,21 @@ mod tests {
             "clock read {:?}",
             w.now()
         );
+    }
+
+    #[test]
+    fn a_late_reply_to_a_timed_out_rpc_is_not_kept() {
+        let (mut w, c, s) = two_node_world();
+        for i in 0..100 {
+            let r = w.rpc(c, s, i, SimDuration::from_millis(1));
+            assert_eq!(r, Err(NetError::Timeout));
+        }
+        w.run_to_quiescence();
+        assert_eq!(w.completed.len(), 0, "late replies kept");
+        // A send nobody ended still keeps its reply for its token.
+        let token = w.send(c, s, 1);
+        w.run_to_quiescence();
+        assert_eq!(w.try_take_reply(token), Some(Ok(2)));
     }
 
     #[test]

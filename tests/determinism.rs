@@ -59,8 +59,8 @@ fn legs<T>(pins: [(&'static str, T); LEGS.len()]) -> impl Iterator<Item = (&'sta
 /// leg at seed 1, its combined trace hash and how many scenarios failed.
 /// This pins what the fuzzer finds, failures included; it is not a
 /// zero-failure gate (the merkle leg's one failure here is a known
-/// class-C violation, ROADMAP item 4). Constants measured at c4eb3ce with
-/// `weakset-dst --iters 620 --seed 1` and each leg's flag of that time,
+/// class-C violation, ROADMAP items 13 and 14). Constants measured at
+/// c4eb3ce with `weakset-dst --iters 620 --seed 1` and each leg's flag of that time,
 /// the window leg's when it was added. Last moved when an rpc became a
 /// send and a wait (every leg: a reply is stamped when it arrives, an
 /// unroutable request fails at its detection delay's end with the error

@@ -80,15 +80,17 @@ fn convergence_points() -> Vec<ConvergencePoint> {
                 },
             );
             let start = w.now();
-            // Step one interval at a time until every replica agrees.
-            let mut rounds = 0u64;
+            // Step a millisecond at a time until every replica agrees: a
+            // round is woken by its exchanges' replies, so it spans many
+            // steps, and the rounds are the ones begun by then.
             while !engine::converged(&w, COLL, &cref.all_nodes()) {
-                assert!(rounds < 1_000, "gossip failed to converge");
-                let deadline = w.now() + SimDuration::from_millis(INTERVAL_MS);
+                let ms = w.now().saturating_since(start).as_millis();
+                assert!(ms < 20_000, "gossip failed to converge");
+                let deadline = w.now() + SimDuration::from_millis(1);
                 w.run_until(deadline);
-                rounds += 1;
             }
             let ms = w.now().saturating_since(start).as_millis();
+            let rounds = w.metrics().counter("gossip.rounds");
             let shipped = w.metrics().counter("gossip.novel_shipped");
             handle.stop();
             w.run_to_quiescence();
@@ -287,15 +289,17 @@ pub fn snapshot(seed: u64) -> ObsSnapshot {
         let _ = set.add(&mut world, record(i), servers[0]);
     }
     world.topology_mut().heal_partition();
-    // 400 ms of fan-out-1 anti-entropy every 10 ms, to quiescence.
-    let until = world.now() + SimDuration::from_millis(400);
+    // 400 ms of fan-out-1 anti-entropy every 10 ms, then stopped and
+    // drained to quiescence.
     let config = GossipConfig {
         interval: SimDuration::from_millis(10),
         fanout: 1,
-        until: Some(until),
         ..GossipConfig::default()
     };
-    engine::install(&mut world, cref.id, cref.all_nodes(), config);
+    let gossip = engine::install(&mut world, cref.id, cref.all_nodes(), config);
+    let deadline = world.now() + SimDuration::from_millis(400);
+    world.run_until(deadline);
+    gossip.stop();
     world.run_to_quiescence();
     let converged = engine::converged(&world, cref.id, &cref.all_nodes());
     world

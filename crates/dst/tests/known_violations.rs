@@ -1,10 +1,9 @@
 //! The four classes of violation the plain fuzz leg found, one shrunk
 //! repro each (DESIGN.md §5). `DST_SEED=1 weakset-dst --leg plain
 //! --iters 50000 --seed-from-env` wrote them; each is the smallest of its
-//! class (for B, the smallest that shows B alone). A, B and D are fixed.
-//! Only C stays ignored, until ROADMAP items 13 and 14 decide it (gossip
-//! rounds that hold the foreground, and the generator's envelope): run
-//! it with `--ignored`, and un-ignore it with its fix.
+//! class (for B, the smallest that shows B alone). All four are fixed:
+//! C went when anti-entropy rounds stopped holding the foreground's waits
+//! (ROADMAP item 13).
 
 use weakset_dst::prelude::*;
 
@@ -70,10 +69,12 @@ fn fig5_failed_run_keeps_the_set_grow_only() {
     );
 }
 
-/// Class C: a leaderless snapshot over gossip returns without yielding
-/// an element the oracle's first state holds.
+/// Class C, fixed: a leaderless snapshot over gossip returned without
+/// yielding an element the oracle's first state holds. Its adds, due at
+/// 17 and 18 ms, waited inside anti-entropy rounds that held the
+/// driver's waits, so the run began late, after the outage of the home
+/// had begun. A round's exchanges are now woken by their own replies.
 #[test]
-#[ignore = "class C: a leaderless snapshot returns without a member it should yield (ROADMAP items 13 and 14)"]
 fn fig4_leaderless_snapshot_yields_every_member() {
     assert_conforms(
         "Scenario(

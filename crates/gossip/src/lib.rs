@@ -23,10 +23,9 @@
 //!   from it, and the anti-entropy messages
 //!   ([`weakset_store::msg::StoreMsg::GossipDeltaReq`] and friends) are
 //!   served.
-//! * [`engine`] — periodic anti-entropy rounds as scheduled events on the
-//!   [`weakset_sim`] event loop: configurable fan-out and interval, with
-//!   digest-then-delta push-pull exchanges so only missing dots cross
-//!   the wire.
+//! * [`engine`] — periodic anti-entropy rounds, woken by their own
+//!   replies on either runtime: configurable fan-out and interval, and
+//!   push-pull exchanges that ship only the missing dots.
 //! * [`reconcile`] — Merkle-range reconciliation over the live-dot
 //!   space, selected by [`engine::DigestMode::MerkleRange`]: replicas
 //!   locate their symmetric difference by descending mismatched hash

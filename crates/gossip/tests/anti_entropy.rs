@@ -9,8 +9,11 @@ use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
 use weakset_store::client::ReadPolicy;
 use weakset_store::collection::MemberEntry;
+use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreError, StoreWorld};
+
+const SECS: SimDuration = SimDuration::from_secs(1);
 
 const COLL: CollectionId = CollectionId(1);
 
@@ -204,27 +207,83 @@ fn leaderless_reads_survive_primary_isolating_partition() {
     w.run_to_quiescence();
 }
 
-/// `until` bounds the schedule without an explicit stop.
+/// `stop` is honoured at a round's start: the round in flight finishes,
+/// and none follows, so the schedule drains to quiescence.
 #[test]
-fn until_deadline_stops_the_schedule() {
+fn stop_ends_the_schedule_at_the_next_round() {
     let (mut w, client, cref) = setup(2, 3);
     client
         .add_member(&mut w, &cref, entry(1, cref.home))
         .unwrap();
-    let _handle = engine::install(
+    let handle = engine::install(
         &mut w,
         COLL,
         cref.all_nodes(),
         GossipConfig {
             interval: SimDuration::from_millis(10),
-            until: Some(SimTime::from_millis(100)),
             ..GossipConfig::default()
         },
     );
-    // Quiescence is reachable because the round past the deadline exits
-    // without rescheduling.
+    w.run_until(SimTime::from_millis(100));
+    handle.stop();
+    let rounds = w.metrics().counter("gossip.rounds");
+    assert!(rounds > 0);
+    // Quiescence is reachable because the next round exits without
+    // rescheduling.
     w.run_to_quiescence();
-    assert!(w.now() >= SimTime::from_millis(100));
+    assert_eq!(w.metrics().counter("gossip.rounds"), rounds);
+    assert!(w.now() < SimTime::from_millis(200));
+    assert!(engine::converged(&w, COLL, &cref.all_nodes()));
+}
+
+/// A client rpc that overlaps a round returns one round trip after it
+/// was sent: the round's exchanges are woken by their own replies, so
+/// none holds the client's wait until the round ends.
+#[test]
+fn a_round_in_flight_never_holds_a_client_rpc() {
+    let mut t = Topology::new();
+    let client = t.add_node("client", 0);
+    let servers: Vec<NodeId> = t.add_servers("s", 3);
+    let mut w = StoreWorld::new(17, t, LatencyModel::Constant(SimDuration::from_millis(5)));
+    for &s in &servers {
+        w.install_service(s, Box::new(GossipNode::new(s)));
+    }
+    let cref = CollectionRef {
+        id: COLL,
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    };
+    let cl = StoreClient::new(client, SimDuration::from_millis(50));
+    cl.create_collection(&mut w, &cref).unwrap();
+    cl.add_member(&mut w, &cref, entry(1, cref.home)).unwrap();
+    let handle = engine::install(
+        &mut w,
+        COLL,
+        cref.all_nodes(),
+        GossipConfig {
+            interval: SimDuration::from_millis(10),
+            ..GossipConfig::default()
+        },
+    );
+    // The first round starts 1 ms after the read is sent, and its
+    // exchanges (10 ms each) outlast the read's reply.
+    let before_round = w.now() + SimDuration::from_millis(9);
+    w.run_until(before_round);
+    let sent = w.now();
+    let read = w.rpc(client, servers[1], StoreMsg::ListMembers(COLL), SECS);
+    assert!(matches!(read, Ok(StoreMsg::Members { .. })), "{read:?}");
+    assert_eq!(
+        w.now(),
+        sent + SimDuration::from_millis(10),
+        "one round trip"
+    );
+    assert_eq!(w.metrics().counter("gossip.rounds"), 1);
+    assert!(
+        w.metrics().counter("rpc.ok") < w.metrics().counter("rpc.sent"),
+        "the round is in flight"
+    );
+    handle.stop();
+    w.run_to_quiescence();
     assert!(engine::converged(&w, COLL, &cref.all_nodes()));
 }
 

@@ -20,6 +20,7 @@ use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
 use weakset_store::collection::{MemberEntry, Membership};
+use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreServer, StoreWorld};
 
@@ -318,10 +319,15 @@ fn crashed_replica_with_unreplicated_dots_is_not_converged() {
     assert_eq!(w.metrics().gauge(names::UNREPLICATED_DOTS), 0);
     let stale_before = w.metrics().counter(names::REPLICA_STALE_ROUNDS);
     // A second member lands on the primary, which crashes before any
-    // round can replicate the new dot.
-    client
-        .add_member(&mut w, &cref, entry(2, cref.home))
-        .unwrap();
+    // round can replicate the new dot: in the same instant, through the
+    // primary's own handler. (A client's add takes round trips, and a
+    // round running beside them may replicate the dot first.)
+    w.with_service_mut(cref.home, |g: &mut GossipNode| {
+        g.apply(StoreMsg::AddMember {
+            coll: COLL,
+            entry: entry(2, cref.home),
+        })
+    });
     w.topology_mut().crash(cref.home);
     let deadline = w.now() + SimDuration::from_millis(300);
     w.run_until(deadline);

@@ -49,9 +49,10 @@ pub const REPLICA_STALE_ROUNDS: &str = "gossip.replica_stale_rounds";
 /// Gauge (max): most replicas simultaneously stale in any round.
 pub const STALE_REPLICAS_MAX: &str = "gossip.stale_replicas.max";
 
-/// Gauge (max): dots held *only* by currently-crashed replicas — state
-/// that would be lost if they never recovered, and the reason
-/// [`CONVERGED`] alone cannot certify durability.
+/// Gauge (max): dots held *only* by replicas a round's exchanges did not
+/// reach (crashed or cut off) — state that would be lost if they never
+/// came back, and the reason [`CONVERGED`] alone cannot certify
+/// durability.
 pub const UNREPLICATED_DOTS: &str = "gossip.unreplicated_dots";
 
 /// Gauge: 1 when every live replica's digest equals the all-replica

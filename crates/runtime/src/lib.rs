@@ -44,7 +44,8 @@ pub mod traits;
 
 pub use record::{RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 pub use traits::{
-    Clock, Observe, RtMessage, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, TaskFn, Transport,
+    Clock, Observe, RtMessage, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, TaskFn,
+    Transport, Wake,
 };
 
 /// One-stop imports: every boundary trait, so `world.now()` etc. resolve
@@ -57,6 +58,6 @@ pub mod prelude {
     pub use crate::threaded::ThreadedRuntime;
     pub use crate::traits::{
         Clock, Observe, RtMessage, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, TaskFn,
-        Transport,
+        Transport, Wake,
     };
 }

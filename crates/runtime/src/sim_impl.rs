@@ -1,4 +1,4 @@
-//! The simulator as a [`Runtime`]: trait impls for
+//! The simulator as a [`Runtime`](crate::traits::Runtime): trait impls for
 //! [`weakset_sim::world::World`] that delegate to its inherent methods.
 //!
 //! Nothing here adds behavior — the impls exist so `&mut World<M>`
@@ -6,7 +6,7 @@
 //! callers (tests, DST, benches) keep hitting the inherent methods
 //! directly; only `dyn`-typed callers dispatch through these.
 
-use crate::traits::{Clock, Observe, RtMessage, RtTask, Runtime, ServiceHost, Spawner, Transport};
+use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport, Wake};
 use std::any::Any;
 use weakset_sim::metrics::{Metrics, SpanId, TraceContext};
 use weakset_sim::net::NetError;
@@ -131,7 +131,8 @@ impl<M: RtMessage> ServiceHost<M> for World<M> {
 }
 
 /// Bridges a backend-agnostic [`RtTask`] into the simulator's event
-/// queue as a [`weakset_sim::world::Task`].
+/// queue as a [`weakset_sim::world::Task`]. Boxed once, at
+/// [`Spawner::spawn_in`]: each [`Wake`] re-queues the same box.
 struct TaskAdapter<M: RtMessage>(Box<dyn RtTask<M>>);
 
 impl<M: RtMessage> Task<M> for TaskAdapter<M> {
@@ -139,9 +140,12 @@ impl<M: RtMessage> Task<M> for TaskAdapter<M> {
         self.0.label()
     }
 
-    fn run(self: Box<Self>, world: &mut World<M>) {
-        let rt: &mut dyn Runtime<M> = world;
-        self.0.run(rt)
+    fn run(mut self: Box<Self>, world: &mut World<M>) {
+        match self.0.run(world) {
+            Wake::Never => {}
+            Wake::At(t) => world.spawn_boxed_at(t, self),
+            Wake::Reply(token, deadline) => world.wake_on_reply(token, deadline, self),
+        }
     }
 }
 
@@ -154,7 +158,8 @@ impl<M: RtMessage> Spawner<M> for World<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{RuntimeExt, TaskFn};
+    use crate::traits::{Runtime, RuntimeExt, TaskFn};
+    use std::sync::{Arc, Mutex};
     use weakset_sim::net::BatchEnvelope;
     use weakset_sim::topology::Topology;
     use weakset_sim::world::ServiceCtx;
@@ -238,10 +243,65 @@ mod tests {
                 SimDuration::from_millis(5),
                 Box::new(TaskFn(move |rt: &mut (dyn Runtime<Msg> + 'static)| {
                     rt.with_service_mut(b, |e: &mut Echo| e.hits = 42);
+                    Wake::Never
                 })),
             );
             rt.sleep(SimDuration::from_millis(10));
         }
         assert_eq!(w.service::<Echo>(b).map(|e| e.hits), Some(42));
+    }
+
+    /// What a [`pinger`] saw when it was woken: the time, and what it
+    /// found under its token.
+    type Seen = Arc<Mutex<Option<(SimTime, ReplyToken, Option<Result<Msg, NetError>>)>>>;
+
+    /// A task that sends `Val(1)` from `a` to `b`, asks to be woken on
+    /// the reply with a 50 ms deadline, and then records what it saw.
+    fn pinger(a: NodeId, b: NodeId, seen: &Seen) -> Box<dyn RtTask<Msg>> {
+        let seen = Arc::clone(seen);
+        let mut sent = None;
+        Box::new(TaskFn(
+            move |rt: &mut (dyn Runtime<Msg> + 'static)| match sent {
+                None => {
+                    let token = rt.send(a, b, Msg::Val(1));
+                    sent = Some(token);
+                    Wake::Reply(token, rt.now() + SimDuration::from_millis(50))
+                }
+                Some(token) => {
+                    let reply = rt.try_take_reply(token);
+                    *seen.lock().unwrap() = Some((rt.now(), token, reply));
+                    Wake::Never
+                }
+            },
+        ))
+    }
+
+    #[test]
+    fn a_task_woken_on_a_reply_runs_when_it_lands() {
+        let (mut w, a, b) = world();
+        let seen = Seen::default();
+        Spawner::spawn_in(&mut w, SimDuration::ZERO, pinger(a, b, &seen));
+        w.sleep(SimDuration::from_millis(100));
+        let (at, _, reply) = seen.lock().unwrap().take().expect("the task was woken");
+        // One round trip over 1 ms links, not the 50 ms deadline.
+        assert_eq!(at, SimTime::from_millis(2));
+        assert_eq!(reply, Some(Ok(Msg::Val(2))));
+        assert_eq!(w.metrics().counter("rpc.ok"), 1);
+    }
+
+    #[test]
+    fn a_task_whose_request_is_lost_runs_at_its_deadline() {
+        let (mut w, a, b) = world();
+        w.topology_mut()
+            .set_link(a, b, weakset_sim::link::LinkState::lossy(1.0));
+        let seen = Seen::default();
+        Spawner::spawn_in(&mut w, SimDuration::ZERO, pinger(a, b, &seen));
+        w.sleep(SimDuration::from_millis(100));
+        let (at, token, reply) = seen.lock().unwrap().take().expect("the task was woken");
+        assert_eq!(at, SimTime::from_millis(50));
+        assert_eq!(reply, None);
+        assert_eq!(w.metrics().counter("msg.dropped"), 1);
+        assert_eq!(w.metrics().counter("rpc.failed"), 1);
+        assert_eq!(w.try_take_reply(token), None, "nothing stays in completed");
     }
 }

@@ -52,7 +52,13 @@
 //! ([`Spawner::spawn_in`]) live on the *view's* timer heap and fire
 //! only while that view is inside `sleep`, `rpc`, or `wait_any` — the
 //! threaded analogue of the simulator firing tasks while the client
-//! pumps the event loop.
+//! pumps the event loop. A task is woken and never waits itself: each
+//! run returns its [`Wake`], and the view re-queues the same box on its
+//! heap — at an instant, or on a reply token, whose completion moves the
+//! task to the front of the heap and whose deadline, if it comes first,
+//! ends the request as a timed-out `rpc` and fires the task. Every wait
+//! of the view is one loop (`ThreadedRuntime::wait_until`), which
+//! blocks on the completion channel until the next timer is due.
 //!
 //! ## Shutdown
 //!
@@ -79,7 +85,7 @@
 //! hung nodes.
 
 use crate::record::{hash_debug, RecEvent, RecOutcome, Recorder};
-use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport};
+use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport, Wake};
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -103,10 +109,6 @@ use weakset_sim::world::{ReplyToken, Service, ServiceCtx};
 /// How long a node thread blocks on its mailbox before re-checking the
 /// stop flag. Bounds both shutdown latency and idle wakeup rate.
 const MAILBOX_SLICE: Duration = Duration::from_millis(20);
-
-/// How long a waiting client blocks on its completion channel per
-/// check of timers and deadlines.
-const WAIT_SLICE: Duration = Duration::from_millis(2);
 
 /// Drops a late reply out of line, off the path every reply takes:
 /// dropped inside `complete`, it read ~3.5 % slower on `ledger`'s
@@ -369,12 +371,21 @@ impl<M> Routes<M> {
     }
 }
 
-/// A deferred task on a view's timer heap; earliest `(at, seq)` pops
-/// first.
+/// What a timer on a view's heap does when it comes due.
+enum Timer<M> {
+    /// Runs the task.
+    Run(Box<dyn RtTask<M>>),
+    /// The deadline of the task waiting on this token's reply: it ends
+    /// the request as a timed-out rpc and fires the task, or finds the
+    /// task already woken by the reply.
+    Deadline(u64),
+}
+
+/// A timer on a view's heap; earliest `(at, seq)` pops first.
 struct TimerEntry<M> {
     at: SimTime,
     seq: u64,
-    task: Box<dyn RtTask<M>>,
+    timer: Timer<M>,
 }
 
 impl<M> PartialEq for TimerEntry<M> {
@@ -431,6 +442,9 @@ pub struct ThreadedRuntime<M: RtMessage> {
     next_token: u64,
     timers: BinaryHeap<TimerEntry<M>>,
     timer_seq: u64,
+    /// Tasks waiting on a reply, by token, until it lands or their
+    /// [`Timer::Deadline`] comes.
+    woken: IdMap<u64, Box<dyn RtTask<M>>>,
     metrics: Metrics,
     events: EventSink,
     ctx: Vec<TraceContext>,
@@ -526,6 +540,7 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             next_token: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
+            woken: IdMap::default(),
             metrics: Metrics::new(),
             events: EventSink::new(),
             ctx: Vec::new(),
@@ -705,7 +720,8 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// reply to an rpc that already timed out is dropped here, as the
     /// simulator drops one. `None` (the request was dropped) completes
     /// nothing and ends it as a timeout, as the simulator ends a lost
-    /// one; its caller waits out its deadline.
+    /// one; its caller waits out its deadline. A task waiting on the
+    /// reply moves to the front of the timer heap.
     fn complete(&mut self, token: u64, result: Option<Result<M, NetError>>) {
         let Some(open) = self.sends.remove(&token) else {
             discard(result);
@@ -719,6 +735,9 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         self.end(open, error);
         if let Some(result) = result {
             self.completed.insert(token, result);
+            if let Some(task) = self.woken.remove(&token) {
+                self.push_timer(SimTime::ZERO, Timer::Run(task));
+            }
         }
     }
 
@@ -806,6 +825,12 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         Launch::Ended(outcome)
     }
 
+    fn push_timer(&mut self, at: SimTime, timer: Timer<M>) {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timers.push(TimerEntry { at, seq, timer });
+    }
+
     /// Fires every timer that is due as of the wall clock. Timers only
     /// run here — i.e. while this view sleeps or waits — mirroring the
     /// simulator firing tasks while the client pumps the event loop.
@@ -816,17 +841,39 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 break;
             }
             let entry = self.timers.pop().expect("peeked timer vanished");
+            let mut task = match entry.timer {
+                Timer::Run(task) => task,
+                Timer::Deadline(token) => match self.woken.remove(&token) {
+                    Some(task) => {
+                        self.complete(token, None);
+                        task
+                    }
+                    None => continue,
+                },
+            };
             if self.recorder.is_some() {
                 self.note(RecEvent::TimerFired {
-                    label: entry.task.label().to_string(),
+                    label: task.label().to_string(),
                 });
             }
-            entry.task.run(self);
+            match task.run(self) {
+                Wake::Never => {}
+                Wake::At(at) => self.push_timer(at, Timer::Run(task)),
+                Wake::Reply(token, _) if self.completed.contains_key(&token.raw()) => {
+                    self.push_timer(SimTime::ZERO, Timer::Run(task));
+                }
+                Wake::Reply(token, deadline) => {
+                    self.woken.insert(token.raw(), task);
+                    self.push_timer(deadline, Timer::Deadline(token.raw()));
+                }
+            }
         }
     }
 
     /// Waits until one of `tokens` completes (its reply is left in
-    /// `completed`) or `deadline` passes, firing due timers meanwhile.
+    /// `completed`) or `deadline` passes, firing due timers meanwhile:
+    /// between them it blocks on the completion channel until the next
+    /// timer is due.
     fn wait_until(&mut self, tokens: &[ReplyToken], deadline: Instant) -> Option<ReplyToken> {
         loop {
             self.drain_completions();
@@ -841,7 +888,17 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             if now >= deadline {
                 return None;
             }
-            if let Ok((t, r)) = self.comp_rx.recv_timeout((deadline - now).min(WAIT_SLICE)) {
+            let wake = match self.timers.peek() {
+                Some(e) => {
+                    let due = self.shared.start + Duration::from_micros(e.at.as_micros());
+                    deadline.min(due)
+                }
+                None => deadline,
+            };
+            if let Ok((t, r)) = self
+                .comp_rx
+                .recv_timeout(wake.saturating_duration_since(now))
+            {
                 self.complete(t, r);
             }
         }
@@ -864,6 +921,7 @@ impl<M: RtMessage> Clone for ThreadedRuntime<M> {
             next_token: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
+            woken: IdMap::default(),
             metrics: Metrics::new(),
             events: EventSink::new(),
             ctx: Vec::new(),
@@ -878,23 +936,11 @@ impl<M: RtMessage> Clock for ThreadedRuntime<M> {
     }
 
     /// Sleeps wall time, firing due timers as they come up (so gossip
-    /// rounds progress while a client waits between retries).
+    /// rounds progress while a client waits between retries): a wait
+    /// for no token.
     fn sleep(&mut self, d: SimDuration) {
         self.note(RecEvent::Sleep { us: d.as_micros() });
-        let deadline = Clock::now(self) + d;
-        loop {
-            self.run_due_timers();
-            let now = Clock::now(self);
-            if now >= deadline {
-                return;
-            }
-            let wake = match self.timers.peek() {
-                Some(e) if e.at < deadline => e.at,
-                _ => deadline,
-            };
-            let gap = wake.as_micros().saturating_sub(now.as_micros());
-            thread::sleep(Duration::from_micros(gap.max(1)));
-        }
+        self.wait_until(&[], Instant::now() + Duration::from_micros(d.as_micros()));
     }
 
     fn rng_for(&self, label: &str) -> SimRng {
@@ -1123,9 +1169,7 @@ impl<M: RtMessage> Spawner<M> for ThreadedRuntime<M> {
             });
         }
         let at = Clock::now(self) + d;
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(TimerEntry { at, seq, task });
+        self.push_timer(at, Timer::Run(task));
     }
 }
 
@@ -1261,11 +1305,77 @@ mod tests {
                 SimDuration::from_millis(5),
                 Box::new(TaskFn(move |rt: &mut (dyn Runtime<Msg> + 'static)| {
                     rt.with_service_mut(s, |svc: &mut Inc| svc.hits = 99);
+                    Wake::Never
                 })),
             );
             dynrt.sleep(SimDuration::from_millis(30));
         }
         assert_eq!(rt.with_service(s, |svc: &Inc| svc.hits), Some(99));
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    /// What a [`pinger`] saw when it was woken: how long after its send,
+    /// its token, and what it found under the token.
+    type Seen = Arc<Mutex<Option<(Duration, ReplyToken, Option<Result<Msg, NetError>>)>>>;
+
+    /// A task that sends `Val(1)` from `c` to `s`, asks to be woken on
+    /// the reply with a deadline `patience` away, and then records what
+    /// it saw.
+    fn pinger(c: NodeId, s: NodeId, patience: SimDuration, seen: &Seen) -> Box<dyn RtTask<Msg>> {
+        let seen = Arc::clone(seen);
+        let mut sent: Option<(ReplyToken, Instant)> = None;
+        Box::new(TaskFn(
+            move |rt: &mut (dyn Runtime<Msg> + 'static)| match sent {
+                None => {
+                    let token = rt.send(c, s, Msg::Val(1));
+                    sent = Some((token, Instant::now()));
+                    Wake::Reply(token, rt.now() + patience)
+                }
+                Some((token, at)) => {
+                    let reply = rt.try_take_reply(token);
+                    *lock(&seen) = Some((at.elapsed(), token, reply));
+                    Wake::Never
+                }
+            },
+        ))
+    }
+
+    #[test]
+    fn a_task_woken_on_a_reply_runs_when_it_lands() {
+        let (mut rt, c, s) = fleet();
+        let seen = Seen::default();
+        Spawner::spawn_in(&mut rt, SimDuration::ZERO, pinger(c, s, SECS5, &seen));
+        // The sleep outlasts the mailbox round trip, not the deadline.
+        Clock::sleep(&mut rt, SimDuration::from_millis(200));
+        let (took, _, reply) = lock(&seen).take().expect("woken while the view slept");
+        assert_eq!(reply, Some(Ok(Msg::Val(2))));
+        assert!(
+            took < Duration::from_secs(1),
+            "woken {took:?} after its send"
+        );
+        assert_eq!(rt.metrics.counter("rpc.ok"), 1);
+        assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
+    }
+
+    #[test]
+    fn a_task_whose_request_is_dropped_runs_at_its_deadline() {
+        let (mut rt, c, _s) = fleet();
+        // No service: the node's thread drops the request.
+        let bare = rt.add_node("bare");
+        let seen = Seen::default();
+        let patience = SimDuration::from_millis(50);
+        Spawner::spawn_in(&mut rt, SimDuration::ZERO, pinger(c, bare, patience, &seen));
+        Clock::sleep(&mut rt, SimDuration::from_millis(300));
+        let (took, token, reply) = lock(&seen).take().expect("woken at its deadline");
+        assert_eq!(reply, None);
+        assert!(
+            took >= Duration::from_millis(50),
+            "woken {took:?} after its send"
+        );
+        assert_eq!(rt.metrics.counter("rpc.failed"), 1);
+        assert_eq!(Transport::try_take_reply(&mut rt, token), None);
+        assert!(rt.completed.is_empty(), "nothing stays in completed");
+        assert!(rt.woken.is_empty());
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
@@ -1403,6 +1513,7 @@ mod tests {
             SimDuration::from_millis(10),
             Box::new(TaskFn(move |_: &mut (dyn Runtime<Msg> + 'static)| {
                 let _ = release.send(());
+                Wake::Never
             })),
         );
     }

@@ -107,6 +107,20 @@ pub trait ServiceHost<M: RtMessage> {
     fn reachable(&self, from: NodeId, to: NodeId) -> bool;
 }
 
+/// When a runtime task runs next: what [`RtTask::run`] returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wake {
+    /// Never: the task is done, and its box is dropped.
+    Never,
+    /// At this instant, or at once if it has passed.
+    At(SimTime),
+    /// When the reply under this token lands, or at the deadline if that
+    /// comes first. The request then ends as a timed-out
+    /// [`Transport::rpc`] does: it counts `rpc.failed`, and
+    /// [`Transport::try_take_reply`] finds nothing under the token.
+    Reply(ReplyToken, SimTime),
+}
+
 /// A unit of deferred work, the runtime-agnostic analogue of
 /// [`weakset_sim::world::Task`]. `Send` because the threaded backend
 /// carries pending tasks across view clones handed to other threads.
@@ -115,27 +129,33 @@ pub trait RtTask<M: RtMessage>: Send {
     fn label(&self) -> &str {
         "task"
     }
-    /// Runs the task against whichever backend scheduled it. Tasks may
-    /// re-spawn themselves via [`Spawner::spawn_in`].
-    fn run(self: Box<Self>, rt: &mut (dyn Runtime<M> + 'static));
+    /// Runs one step of the task against whichever backend scheduled it,
+    /// and says when to run the next. The backend keeps the box and fires
+    /// it again then, so a step never waits itself: it calls no
+    /// [`Transport::rpc`], [`Clock::sleep`] or [`Transport::wait_any`],
+    /// and no foreground wait is held by it.
+    fn run(&mut self, rt: &mut (dyn Runtime<M> + 'static)) -> Wake;
 }
 
-/// Adapts a closure into an [`RtTask`] (there is no blanket `FnOnce`
+/// Adapts a closure into an [`RtTask`] (there is no blanket `FnMut`
 /// impl: downstream crates implement `RtTask` for their own types, and
 /// a blanket would conflict).
 pub struct TaskFn<F>(pub F);
 
-impl<M: RtMessage, F: FnOnce(&mut (dyn Runtime<M> + 'static)) + Send> RtTask<M> for TaskFn<F> {
-    fn run(self: Box<Self>, rt: &mut (dyn Runtime<M> + 'static)) {
+impl<M: RtMessage, F: FnMut(&mut (dyn Runtime<M> + 'static)) -> Wake + Send> RtTask<M>
+    for TaskFn<F>
+{
+    fn run(&mut self, rt: &mut (dyn Runtime<M> + 'static)) -> Wake {
         (self.0)(rt)
     }
 }
 
 /// Deferred scheduling.
 pub trait Spawner<M: RtMessage> {
-    /// Schedules `task` to run `d` from now. The simulator fires it from
-    /// the event queue; the threaded backend fires it from the driving
-    /// view's timer heap while that view sleeps or waits.
+    /// Schedules `task` to run `d` from now, and again at each [`Wake`]
+    /// its runs return. The simulator fires it from the event queue; the
+    /// threaded backend fires it from the driving view's timer heap while
+    /// that view sleeps or waits.
     fn spawn_in(&mut self, d: SimDuration, task: Box<dyn RtTask<M>>);
 }
 

@@ -41,6 +41,8 @@ pub(crate) enum EventKind<M> {
     Fault(FaultAction),
     /// An arbitrary scheduled task (background mutator, concurrent client).
     Task(Box<dyn Task<M>>),
+    /// The deadline of a task waiting on this token's reply.
+    Deadline(ReplyToken),
 }
 
 pub(crate) struct QueuedEvent<M> {

@@ -13,6 +13,15 @@
 //!   pumping, *other* scheduled work (background mutators installed with
 //!   [`World::spawn_at`], fault-plan actions) fires in timestamp order, so
 //!   concurrency and failures genuinely interleave with the client's RPCs.
+//! * Background work is woken, and never pumps the event loop itself. A
+//!   runtime task (the gossip engine's rounds) runs one step at a time:
+//!   each step sends, and the task is fired again when the reply lands or
+//!   its deadline passes ([`World::wake_on_reply`]), or at a later instant
+//!   ([`World::spawn_boxed_at`]). So a foreground wait that fires a task
+//!   resumes at the instant its own reply or deadline fires. A wait that
+//!   begins inside a dispatched task would hold the wait that fired it
+//!   until it ends; it counts `sim.wait.nested`, and no runtime task makes
+//!   one.
 //! * Servers are [`Service`] implementations installed per node; handlers
 //!   run at message-delivery time and are local (no nested RPC from a
 //!   handler — multi-node operations are orchestrated by clients, as in the
@@ -91,8 +100,11 @@ pub struct ServiceCtx<'a> {
 /// A unit of scheduled work that runs against the world (e.g. a background
 /// mutator or a concurrent client operation).
 ///
-/// Tasks receive `&mut World` and may themselves call [`World::rpc`]; the
-/// event loop is re-entrant, so nested pumping preserves global time order.
+/// Tasks receive `&mut World`. The event loop is re-entrant, so a task may
+/// call [`World::rpc`] and pump it, preserving global time order, but the
+/// wait that fired it then resumes only when the task returns: such a wait
+/// counts `sim.wait.nested`. A task that must not hold the foreground sends
+/// and re-queues itself instead ([`World::wake_on_reply`]).
 pub trait Task<M> {
     /// Label folded into the run's fingerprint, and recorded as a
     /// `sim.task` event by an enabled sink, when the task fires.
@@ -139,6 +151,12 @@ pub struct World<M> {
     completed: IdMap<ReplyToken, Result<M, NetError>>,
     /// Requests [`World::send`] launched that have not ended yet.
     sends: IdMap<ReplyToken, OpenSend>,
+    /// Tasks waiting on a reply ([`World::wake_on_reply`]), fired when it
+    /// lands or at their deadline.
+    woken: IdMap<ReplyToken, Box<dyn Task<M>>>,
+    /// How many dispatched tasks are running: a wait that begins while
+    /// one is counts `sim.wait.nested`.
+    tasks_running: u32,
     next_token: u64,
     latency: LatencyModel,
     lat_rng: SimRng,
@@ -176,6 +194,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             services: Vec::new(),
             completed: IdMap::default(),
             sends: IdMap::default(),
+            woken: IdMap::default(),
+            tasks_running: 0,
             next_token: 0,
             latency,
             lat_rng: SimRng::for_label(seed, "latency"),
@@ -368,8 +388,27 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Schedules a task at an absolute time.
     pub fn spawn_at(&mut self, t: SimTime, task: impl Task<M> + 'static) {
-        let at = if t < self.now { self.now } else { t };
-        self.queue.push(at, EventKind::Task(Box::new(task)));
+        self.spawn_boxed_at(t, Box::new(task));
+    }
+
+    /// Schedules a boxed task at an absolute time, or now if `t` has
+    /// passed: a task re-queues the box it runs in, and allocates nothing.
+    pub fn spawn_boxed_at(&mut self, t: SimTime, task: Box<dyn Task<M>>) {
+        self.queue.push(t.max(self.now), EventKind::Task(task));
+    }
+
+    /// Fires `task` when the reply under `token` lands, or at `deadline`
+    /// if that comes first. At the deadline the request ends as a
+    /// timed-out [`World::rpc`] does, and the task finds nothing under
+    /// the token. A reply already in fires the task at once.
+    pub fn wake_on_reply(&mut self, token: ReplyToken, deadline: SimTime, task: Box<dyn Task<M>>) {
+        if self.completed.contains_key(&token) {
+            self.spawn_boxed_at(self.now, task);
+            return;
+        }
+        self.woken.insert(token, task);
+        self.queue
+            .push(deadline.max(self.now), EventKind::Deadline(token));
     }
 
     /// Schedules a task `d` from now.
@@ -416,6 +455,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Advances simulated time to `deadline`, firing every event scheduled
     /// before or at it.
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.note_wait();
         while self.fire_next(deadline) {}
         self.now = self.now.max(deadline);
     }
@@ -519,11 +559,15 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// that launched it, if that send is still open. A reply to a send
     /// already ended — an rpc that timed out — is dropped here: nobody
     /// waits for it. A window's abandoned sends stay open, so their
-    /// late replies are kept for it.
+    /// late replies are kept for it. A task waiting on the reply
+    /// ([`World::wake_on_reply`]) fires now.
     fn complete(&mut self, token: ReplyToken, result: Result<M, NetError>) {
         if self.sends.contains_key(&token) {
             self.end_send(token, result.as_ref().map(|_| ()).map_err(|e| *e));
             self.completed.insert(token, result);
+            if let Some(task) = self.woken.remove(&token) {
+                self.fire_task(task);
+            }
         }
     }
 
@@ -640,6 +684,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// passes. Returns the completed token (its reply is left for
     /// [`World::try_take_reply`]), or `None` on deadline.
     pub fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
+        self.note_wait();
         loop {
             if let Some(&t) = tokens.iter().find(|t| self.completed.contains_key(t)) {
                 return Some(t);
@@ -649,6 +694,29 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 return None;
             }
         }
+    }
+
+    /// A wait begins: nested when a dispatched task is running, which
+    /// then holds whichever wait fired it until this one ends.
+    fn note_wait(&mut self) {
+        if self.tasks_running > 0 {
+            self.metrics.incr("sim.wait.nested");
+        }
+    }
+
+    /// Runs a task now, rooting its own traces: with an empty context
+    /// stack.
+    fn fire_task(&mut self, task: Box<dyn Task<M>>) {
+        let label = task.label();
+        if self.events.is_enabled() {
+            self.events.event(self.now.as_micros(), "sim.task", label);
+        }
+        self.trace.record(self.now, TraceEvent::TaskRan { label });
+        let outer = self.begin_dispatched(None);
+        self.tasks_running += 1;
+        run_task(task, self);
+        self.tasks_running -= 1;
+        self.end_dispatched(outer);
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
@@ -738,16 +806,15 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             }
             EventKind::Task(task) => {
                 self.metrics.incr("sim.dispatch.task");
-                let label = task.label();
-                if self.events.is_enabled() {
-                    self.events.event(self.now.as_micros(), "sim.task", label);
+                self.fire_task(task);
+            }
+            EventKind::Deadline(token) => {
+                self.metrics.incr("sim.dispatch.deadline");
+                // Stale once the reply has woken the task.
+                if let Some(task) = self.woken.remove(&token) {
+                    self.end_send(token, Err(NetError::Timeout));
+                    self.fire_task(task);
                 }
-                self.trace.record(self.now, TraceEvent::TaskRan { label });
-                // Background work roots its own traces: run it with an
-                // empty context stack.
-                let outer = self.begin_dispatched(None);
-                run_task(task, self);
-                self.end_dispatched(outer);
             }
         }
     }
@@ -925,6 +992,21 @@ mod tests {
         });
         let r = w.rpc(c, s, 1, SimDuration::from_millis(200));
         assert_eq!(r, Ok(2));
+    }
+
+    #[test]
+    fn a_wait_inside_a_task_is_counted_nested() {
+        let (mut w, c, s) = two_node_world();
+        w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
+            assert_eq!(w.rpc(c, s, 100, TIMEOUT), Ok(101));
+        });
+        assert_eq!(w.rpc(c, s, 1, TIMEOUT), Ok(2));
+        assert_eq!(w.metrics().counter("sim.wait.nested"), 1);
+        // The outer reply landed at 10 ms, but the task's rpc held the
+        // wait that fired it until its own reply, at 12 ms.
+        assert_eq!(w.now(), SimTime::from_millis(12));
+        w.sleep(TIMEOUT);
+        assert_eq!(w.metrics().counter("sim.wait.nested"), 1);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! `a_failed_read_on_a_quiet_sink_allocates_nothing` counts the same way
 //! over failed store reads with the sink off, and
 //! `a_sessionless_read_allocates_only_its_contact_list` over successful
-//! reads under each sessionless policy.
+//! reads under each sessionless policy, and `a_woken_step_allocates_nothing`
+//! over the steps of a runtime task woken on its replies.
 //!
 //! The ignored test prints ns per warmed rpc with the sink off and on
 //! (report-only; DESIGN.md §6 quotes it). Run it with
@@ -26,6 +27,8 @@ use budget::ns_per_call;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use weak_sets::prelude::*;
 
 /// Counts the allocation requests of threads that asked for it; every
@@ -206,6 +209,45 @@ fn a_sessionless_read_allocates_only_its_contact_list() {
         [0.0, 1.0, 1.0, 1.0],
         "allocations per read, {policies:?}"
     );
+}
+
+/// A runtime task woken on its reply re-queues the box it runs in: a
+/// task that sends a `ListMembers` to a store server, is woken when the
+/// reply lands and sends the next, on a world whose sink is off, after
+/// `CALLS` warm-up steps (they size the event queue and the wake table).
+/// Each step is one send and one wake.
+#[test]
+fn a_woken_step_allocates_nothing() {
+    let mut t = Topology::new();
+    let client = t.add_node("client", 0);
+    let server = t.add_node("server", 1);
+    let mut w = World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
+    w.install_service(server, Box::new(StoreServer::new()));
+    let cl = StoreClient::new(client, TIMEOUT);
+    let cref = CollectionRef::unreplicated(CollectionId(1), server);
+    cl.create_collection(&mut w, &cref).unwrap();
+    let steps = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&steps);
+    let mut pending = None;
+    let ping = TaskFn(move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+        if let Some(token) = pending.take() {
+            let reply = rt.try_take_reply(token);
+            assert!(matches!(reply, Some(Ok(StoreMsg::Members { .. }))));
+            counted.fetch_add(1, Ordering::Relaxed);
+        }
+        let token = rt.send(client, server, StoreMsg::ListMembers(CollectionId(1)));
+        pending = Some(token);
+        Wake::Reply(token, rt.now() + TIMEOUT)
+    });
+    Spawner::spawn_in(&mut w, SimDuration::ZERO, Box::new(ping));
+    // One step per 10 ms round trip.
+    let span = SimDuration::from_millis(10 * CALLS);
+    w.sleep(span);
+    let warm = steps.load(Ordering::Relaxed);
+    let allocs = allocs_during(|| w.sleep(span));
+    assert_eq!(steps.load(Ordering::Relaxed) - warm, CALLS);
+    assert!(!w.events().is_enabled());
+    assert_eq!(allocs, 0, "allocations over {CALLS} woken steps");
 }
 
 #[test]

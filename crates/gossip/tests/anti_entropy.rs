@@ -287,6 +287,53 @@ fn a_round_in_flight_never_holds_a_client_rpc() {
     assert!(engine::converged(&w, COLL, &cref.all_nodes()));
 }
 
+/// The traffic keeps its shape: a round's exchanges run one after
+/// another, origins in replica order, and the next round starts one
+/// interval after the round's last exchange ends; `stop` is honoured at
+/// the next round's start. Three converged replicas behind 5 ms links,
+/// so each exchange is one 10 ms pull (its push is skipped).
+#[test]
+fn a_round_runs_its_exchanges_in_order_and_then_rests_an_interval() {
+    let mut t = Topology::new();
+    let client = t.add_node("client", 0);
+    let servers: Vec<NodeId> = t.add_servers("s", 3);
+    let mut w = StoreWorld::new(5, t, LatencyModel::Constant(SimDuration::from_millis(5)));
+    for &s in &servers {
+        w.install_service(s, Box::new(GossipNode::new(s)));
+    }
+    let cref = CollectionRef {
+        id: COLL,
+        home: servers[0],
+        replicas: servers[1..].to_vec(),
+    };
+    let cl = StoreClient::new(client, SimDuration::from_millis(50));
+    cl.create_collection(&mut w, &cref).unwrap();
+    w.events_mut().set_enabled(true);
+    let t0 = w.now();
+    let handle = engine::install(
+        &mut w,
+        COLL,
+        cref.all_nodes(),
+        GossipConfig {
+            interval: SimDuration::from_millis(10),
+            ..GossipConfig::default()
+        },
+    );
+    // Stopped in the middle of the second round, which runs to its end.
+    w.run_until(t0 + SimDuration::from_millis(55));
+    handle.stop();
+    w.run_to_quiescence();
+    let sends: Vec<(u64, String)> = (w.events().events().iter())
+        .filter(|e| e.kind == "net.rpc")
+        .map(|e| ((e.at_us - t0.as_micros()) / 1000, e.detail.as_str().into()))
+        .collect();
+    let at: Vec<u64> = sends.iter().map(|(ms, _)| *ms).collect();
+    assert_eq!(at, [10, 20, 30, 50, 60, 70], "{sends:?}");
+    let origins: Vec<&str> = sends.iter().map(|(_, link)| &link[..2]).collect();
+    assert_eq!(origins, ["n1", "n2", "n3", "n1", "n2", "n3"], "{sends:?}");
+    assert_eq!(w.metrics().counter("gossip.rounds"), 2);
+}
+
 /// A one-shot pairwise sync without a schedule.
 #[test]
 fn sync_pair_repairs_two_replicas() {

@@ -10,9 +10,10 @@
 //!
 //! The paper models each invocation as atomic; the implementation is not.
 //! The observer therefore picks one *linearization point* per invocation —
-//! the membership version the implementation actually acted on
-//! ([`StepEvidence::members_version`], verified to be a real logged state)
-//! — and evaluates the spec's pre-state there. Accessibility is sampled
+//! the membership version the implementation actually acted on (one per
+//! collection for a run over a union, verified to be a real logged state;
+//! see [`RunObserver::record_step`]) — and evaluates the spec's pre-state
+//! there. Accessibility is sampled
 //! from the topology at recording time and then corrected by *observed
 //! evidence*: an element whose fetch succeeded during the invocation was
 //! reachable ([`StepEvidence::confirmed_reachable`]); one whose fetch
@@ -33,9 +34,9 @@ use weakset_runtime::prelude::*;
 use weakset_sim::node::NodeId;
 use weakset_spec::prelude::{Computation, Outcome, Recorder, SetValue, State};
 use weakset_spec::value::ElemId;
-use weakset_store::collection::{CollectionState, MemberEntry, Membership};
+use weakset_store::collection::{CollectionState, MemberEntry};
 use weakset_store::object::{CollectionId, ObjectId};
-use weakset_store::prelude::{StoreRt, StoreServer};
+use weakset_store::prelude::{CollectionRef, StoreRt, StoreServer};
 
 /// Where the observer finds the omniscient membership history: a
 /// visitor over the hosted [`CollectionState`] whose version log is
@@ -64,17 +65,6 @@ impl HistorySource {
         HistorySource(Box::new(f))
     }
 
-    /// The default: the home node runs a bare [`StoreServer`].
-    fn plain_store() -> Self {
-        HistorySource::new(|world, home, coll, visit| {
-            world.with_service(home, |s: &StoreServer| {
-                if let Some(state) = s.collection(coll) {
-                    visit(state);
-                }
-            });
-        })
-    }
-
     /// Reads one value out of the collection's state, or `None` when the
     /// home hosts no such collection.
     fn inspect<R>(
@@ -95,9 +85,16 @@ impl HistorySource {
     }
 }
 
+/// The default: the home node runs a bare [`StoreServer`].
 impl Default for HistorySource {
     fn default() -> Self {
-        HistorySource::plain_store()
+        HistorySource::new(|world, home, coll, visit| {
+            world.with_service(home, |s: &StoreServer| {
+                if let Some(state) = s.collection(coll) {
+                    visit(state);
+                }
+            });
+        })
     }
 }
 
@@ -107,12 +104,10 @@ impl fmt::Debug for HistorySource {
     }
 }
 
-/// What one invocation observed, reported by the iterator implementation.
+/// What one invocation observed, reported by the iterator implementation
+/// beside the versions it acted on ([`RunObserver::record_step`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepEvidence {
-    /// The membership version this invocation acted on (its linearization
-    /// point). `None` means "the current primary state at recording time".
-    pub members_version: Option<u64>,
     /// Elements proven reachable during the invocation (successful fetch).
     pub confirmed_reachable: Vec<ObjectId>,
     /// Elements proven unreachable during the invocation (failed fetch).
@@ -122,17 +117,7 @@ pub struct StepEvidence {
     pub membership_unreachable: bool,
 }
 
-impl StepEvidence {
-    /// Evidence for an invocation that acted on membership version `v`.
-    pub fn at_version(v: u64) -> Self {
-        StepEvidence {
-            members_version: Some(v),
-            ..Default::default()
-        }
-    }
-}
-
-/// The home's membership as the observer last replayed it from the
+/// A collection's membership as the observer last replayed it from the
 /// version log: the first `commits` changes applied to the empty set,
 /// which is the membership at `version`.
 #[derive(Debug)]
@@ -158,13 +143,11 @@ impl Replay {
     }
 }
 
-/// Observes one iterator run and produces a checkable [`Computation`].
+/// One collection the observer watches at its primary.
 #[derive(Debug)]
-pub struct RunObserver {
-    recorder: Option<Recorder>,
+struct Watched {
     coll: CollectionId,
     home: NodeId,
-    client_node: NodeId,
     seen_version: u64,
     /// The membership at `seen_version`; `None` until the first
     /// invocation fixes where observation starts (or while the home
@@ -176,115 +159,164 @@ pub struct RunObserver {
     /// clamped up, so the ensures clause — not a constraint artifact —
     /// reports the staleness.
     window_floor: u64,
+    /// The primary's version at the last look.
+    latest: u64,
+    /// How many log entries element homes were learned from.
+    homes_commits: usize,
+}
+
+/// Observes one iterator run and produces a checkable [`Computation`].
+///
+/// A run over a union of collections (a sharded set's shards) is one
+/// computation of the logical set, whose states are the union of the
+/// replayed logs: at each recording point the observer appends each
+/// collection's changes up to the version the invocation read, one
+/// collection after another, one state per change. That is sound because
+/// the driver applies mutations only between invocations. An invocation
+/// whose version vector is no state so appended is reported
+/// ([`RunObserver::unexplained`]), not mapped onto one.
+#[derive(Debug)]
+pub struct RunObserver {
+    recorder: Option<Recorder>,
+    watched: Vec<Watched>,
+    client_node: NodeId,
     /// Observation starts at the first recorded invocation; history from
     /// before that (workload setup) is not part of the computation.
     initialized: bool,
-    /// Homes of every element ever listed in the log (for accessibility
-    /// sampling), and how many log entries they were learned from.
+    /// Homes of every element ever listed in a watched log (for
+    /// accessibility sampling).
     homes: BTreeMap<ObjectId, NodeId>,
-    homes_commits: usize,
-    finished: Option<Computation>,
+    /// The replays' union as last built, until a replay moves.
+    union: Option<SetValue>,
+    /// The elements whose homes are reachable, as built since the last
+    /// look: the world does not change inside one recording call.
+    reachable: Option<SetValue>,
+    unexplained: Vec<String>,
     source: HistorySource,
-}
-
-fn to_set(members: &[MemberEntry]) -> SetValue {
-    members.iter().map(|m| ElemId(m.elem.0)).collect()
 }
 
 impl RunObserver {
     /// Starts observing a run of an iterator owned by a client on
     /// `client_node` over the collection whose primary is `home`.
     pub fn new(coll: CollectionId, home: NodeId, client_node: NodeId) -> Self {
-        RunObserver {
-            recorder: None,
-            coll,
-            home,
-            client_node,
+        Self::union(&[CollectionRef::unreplicated(coll, home)], client_node)
+    }
+
+    /// Starts observing a run over the union of `crefs`, in that order.
+    pub fn union(crefs: &[CollectionRef], client_node: NodeId) -> Self {
+        let watch = |c: &CollectionRef| Watched {
+            coll: c.id,
+            home: c.home,
             seen_version: 0,
             replay: None,
             window_floor: 0,
+            latest: 0,
+            homes_commits: 0,
+        };
+        RunObserver {
+            recorder: None,
+            watched: crefs.iter().map(watch).collect(),
+            client_node,
             initialized: false,
             homes: BTreeMap::new(),
-            homes_commits: 0,
-            finished: None,
+            union: None,
+            reachable: None,
+            unexplained: Vec::new(),
             source: HistorySource::default(),
         }
     }
 
     /// Replaces the history accessor — required when the home node's
     /// service is not a bare [`StoreServer`] (e.g. a gossip replica
-    /// wrapping one).
+    /// wrapping one). One source serves every watched collection.
     #[must_use]
     pub fn with_history_source(mut self, source: HistorySource) -> Self {
         self.source = source;
         self
     }
 
-    fn log_members(&self, world: &StoreRt, version: u64) -> Option<Membership> {
-        self.source
-            .inspect(world, self.home, self.coll, |coll| coll.members_at(version))
-            .flatten()
+    /// The invocations whose version vector was no state of the union,
+    /// one message each (never any over a single collection).
+    pub fn unexplained(&self) -> &[String] {
+        &self.unexplained
     }
 
-    fn latest_version(&self, world: &StoreRt) -> u64 {
-        self.source
-            .inspect(world, self.home, self.coll, CollectionState::version)
-            .unwrap_or(0)
-    }
-
-    /// Takes in the entries listed by commits logged since the last call.
-    fn learn_homes(&mut self, world: &StoreRt) {
-        let (homes, learned) = (&mut self.homes, &mut self.homes_commits);
-        self.source.inspect(world, self.home, self.coll, |coll| {
-            let log = coll.log();
-            // A log shorter than what was learned from is another
-            // state's (the home's service was replaced): start over.
-            for change in log.get(*learned..).unwrap_or(log) {
-                for m in change.listed() {
-                    homes.insert(m.elem, m.home);
+    /// Reads every watched primary's version, and takes in the entries
+    /// listed by commits it logged since the last look.
+    fn look(&mut self, world: &StoreRt) {
+        self.reachable = None;
+        for w in &mut self.watched {
+            let (homes, learned) = (&mut self.homes, &mut w.homes_commits);
+            let state = |coll: &CollectionState| {
+                let log = coll.log();
+                // A log shorter than what was learned from is another
+                // state's (the home's service was replaced): start over.
+                for change in log.get(*learned..).unwrap_or(log) {
+                    for m in change.listed() {
+                        homes.insert(m.elem, m.home);
+                    }
                 }
-            }
-            *learned = log.len();
-        });
-    }
-
-    /// Starts the replay at the last version logged at or below
-    /// `seen_version`.
-    fn start_replay(&mut self, world: &StoreRt) {
-        let at = self.seen_version;
-        self.replay = self.source.inspect(world, self.home, self.coll, |coll| {
-            let mut replay = Replay {
-                commits: 0,
-                version: 0,
-                // Sized for where replays usually start: the present.
-                members: Vec::with_capacity(coll.len()),
+                *learned = log.len();
+                coll.version()
             };
-            while replay.step(coll, at) {}
-            replay
-        });
+            w.latest = self
+                .source
+                .inspect(world, w.home, w.coll, state)
+                .unwrap_or(0);
+        }
     }
 
-    /// Applies the next logged change to the replay when its version is
-    /// at most `upto`; false when there is none.
-    fn step_replay(&mut self, world: &StoreRt, upto: u64) -> bool {
-        let Some(replay) = &mut self.replay else {
-            return false;
-        };
-        self.source
-            .inspect(world, self.home, self.coll, |coll| replay.step(coll, upto))
-            .unwrap_or(false)
+    /// The version `versions` claims for collection `i`, or its latest,
+    /// clamped up to its window floor.
+    fn target(&self, i: usize, versions: &[u64]) -> u64 {
+        let w = &self.watched[i];
+        versions
+            .get(i)
+            .copied()
+            .unwrap_or(w.latest)
+            .max(w.window_floor)
     }
 
-    fn sample_accessible(&self, world: &StoreRt, evidence: &StepEvidence) -> SetValue {
+    /// Starts every replay that has not started at the last version
+    /// logged at or below its `seen_version`.
+    fn start_replays(&mut self, world: &StoreRt) {
+        for w in self.watched.iter_mut().filter(|w| w.replay.is_none()) {
+            self.union = None;
+            let at = w.seen_version;
+            w.replay = self.source.inspect(world, w.home, w.coll, |coll| {
+                let mut replay = Replay {
+                    commits: 0,
+                    version: 0,
+                    // Sized for where replays usually start: the present.
+                    members: Vec::with_capacity(coll.len()),
+                };
+                while replay.step(coll, at) {}
+                replay
+            });
+        }
+    }
+
+    /// The version collection `i`'s replay stands at.
+    fn replayed_version(&self, i: usize) -> Option<u64> {
+        self.watched[i].replay.as_ref().map(|r| r.version)
+    }
+
+    /// The union of the replayed memberships as a spec value.
+    fn replayed(&mut self) -> SetValue {
+        let replays = self.watched.iter().filter_map(|w| w.replay.as_ref());
+        let members = replays.flat_map(|r| &r.members);
+        let union = || members.map(|m| ElemId(m.elem.0)).collect();
+        self.union.get_or_insert_with(union).clone()
+    }
+
+    fn sample_accessible(&mut self, world: &StoreRt, evidence: &StepEvidence) -> SetValue {
         if evidence.membership_unreachable {
             return SetValue::empty();
         }
-        let mut acc: SetValue = self
-            .homes
-            .iter()
-            .filter(|&(_, &h)| world.reachable(self.client_node, h))
-            .map(|(&e, _)| ElemId(e.0))
-            .collect();
+        let (homes, client) = (&self.homes, self.client_node);
+        let reachable = homes.iter().filter(|&(_, &h)| world.reachable(client, h));
+        let sample = || reachable.map(|(&e, _)| ElemId(e.0)).collect();
+        let mut acc = self.reachable.get_or_insert_with(sample).clone();
         for e in &evidence.confirmed_reachable {
             acc.insert(ElemId(e.0));
         }
@@ -294,21 +326,29 @@ impl RunObserver {
         acc
     }
 
-    /// Feeds all primary-log states in `(seen, upto]` to the recorder as
-    /// mutation states — one logged change applied at a time, never a
-    /// membership rebuilt per version. True when the replay then stands
-    /// at a version committed in `[seen, upto]`, false when there is none.
-    fn sync_to(&mut self, world: &StoreRt, upto: u64) -> bool {
-        self.learn_homes(world);
-        let from = self.seen_version;
-        if self.replay.is_none() {
-            self.start_replay(world);
-        }
+    /// Feeds collection `i`'s primary-log states in `(seen, upto]` to the
+    /// recorder as mutation states — one logged change applied at a
+    /// time, never a membership rebuilt per version. True when its replay
+    /// then stands at a version committed in `[seen, upto]`, false when
+    /// there is none.
+    fn sync_to(&mut self, world: &StoreRt, i: usize, upto: u64) -> bool {
+        let from = self.watched[i].seen_version;
         // The state at `seen` itself opens the computation when nothing
         // has yet, provided `seen` is a version the home committed.
-        let mut opening = self.recorder.is_none() && self.replayed_version() == Some(from);
-        while opening || self.step_replay(world, upto) {
-            opening = false;
+        let mut opening = self.recorder.is_none() && self.replayed_version(i) == Some(from);
+        while opening || {
+            // Nothing is logged past the version the last look saw.
+            let w = &mut self.watched[i];
+            let (latest, replay) = (w.latest, &mut w.replay);
+            let behind = replay
+                .as_ref()
+                .is_some_and(|r| r.version < upto.min(latest));
+            let step = |coll: &CollectionState| replay.as_mut().is_some_and(|r| r.step(coll, upto));
+            behind && self.source.inspect(world, w.home, w.coll, step) == Some(true)
+        } {
+            if !std::mem::take(&mut opening) {
+                self.union = None;
+            }
             let st = State {
                 members: self.replayed(),
                 // Accessibility of pure-mutation states is not
@@ -323,80 +363,93 @@ impl RunObserver {
                 None => self.recorder = Some(Recorder::new(st)),
             }
         }
-        if upto > self.seen_version {
-            self.seen_version = upto;
+        let w = &mut self.watched[i];
+        w.seen_version = w.seen_version.max(upto);
+        self.replayed_version(i) >= Some(from)
+    }
+
+    /// The pre-state membership at `versions`. Over one collection: its
+    /// state at the clamped claim, looked up in the log when it lies
+    /// behind observation. Over a union: each collection in order synced
+    /// to its clamped claim, and the invocation reported unless every
+    /// collection stands exactly there and none moved while an earlier
+    /// one had changes left.
+    fn pre_members(&mut self, world: &StoreRt, versions: &[u64]) -> SetValue {
+        self.start_replays(world);
+        if let [w] = &*self.watched {
+            let version = self.target(0, versions);
+            if version < w.seen_version {
+                let at = |coll: &CollectionState| coll.members_at(version).unwrap_or_default();
+                let members = self.source.inspect(world, w.home, w.coll, at);
+                return members.iter().flatten().map(|m| ElemId(m.elem.0)).collect();
+            }
+            return if self.sync_to(world, 0, version) {
+                self.replayed()
+            } else {
+                SetValue::empty()
+            };
         }
-        self.replayed_version() >= Some(from)
-    }
-
-    /// The version the replay stands at.
-    fn replayed_version(&self) -> Option<u64> {
-        self.replay.as_ref().map(|r| r.version)
-    }
-
-    /// The replayed membership as a spec value (empty before any replay).
-    fn replayed(&self) -> SetValue {
-        self.replay
-            .as_ref()
-            .map_or_else(SetValue::empty, |r| to_set(&r.members))
+        let mut behind = None;
+        for i in 0..self.watched.len() {
+            let (target, from) = (self.target(i, versions), self.replayed_version(i));
+            self.sync_to(world, i, target);
+            let at = self.replayed_version(i);
+            let coll = self.watched[i].coll;
+            if at != Some(target) || (at > from && behind.is_some()) {
+                self.unexplained.push(format!(
+                    "a union read {coll} at version {target}, no state of the union \
+                     (replayed to {from:?}, then {at:?}; {behind:?} had changes left)"
+                ));
+            }
+            if behind.is_none() && at < Some(self.watched[i].latest) {
+                behind = Some(coll);
+            }
+        }
+        self.replayed()
     }
 
     /// Marks the start of an invocation: mutations already applied at this
     /// instant must precede the invocation's linearization point. Iterator
     /// implementations call this on entry to `next`.
     pub fn mark_invocation_start(&mut self, world: &StoreRt) {
-        let latest = self.latest_version(world);
-        if latest > self.window_floor {
-            self.window_floor = latest;
+        self.look(world);
+        for w in &mut self.watched {
+            w.window_floor = w.window_floor.max(w.latest);
         }
     }
 
     /// Records one completed invocation with its outcome and evidence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`RunObserver::finish`].
-    pub fn record_step(&mut self, world: &StoreRt, outcome: Outcome, evidence: &StepEvidence) {
-        assert!(self.finished.is_none(), "observer already finished");
-        let claimed = evidence
-            .members_version
-            .unwrap_or_else(|| self.latest_version(world));
-        // The linearization point must fall inside this invocation's
-        // window; stale claims (including a stale *first* read, when the
-        // iterator marked its start) are clamped up to the window floor.
-        let version = claimed.max(self.window_floor);
+    /// `versions` are the membership versions it acted on (its
+    /// linearization point), one per watched collection in order; empty
+    /// means each collection's current version at recording time.
+    pub fn record_step(
+        &mut self,
+        world: &StoreRt,
+        outcome: Outcome,
+        versions: &[u64],
+        evidence: &StepEvidence,
+    ) {
+        self.look(world);
         if !self.initialized {
             // Observation starts here; earlier history (workload setup)
             // is outside the computation.
-            self.seen_version = version;
+            for i in 0..self.watched.len() {
+                self.watched[i].seen_version = self.target(i, versions);
+            }
             self.initialized = true;
         }
-        let members = if version < self.seen_version {
-            self.learn_homes(world);
-            to_set(&self.log_members(world, version).unwrap_or_default())
-        } else if self.sync_to(world, version) {
-            self.replayed()
-        } else {
-            SetValue::empty()
-        };
         let pre = State {
-            members,
+            members: self.pre_members(world, versions),
             accessible: self.sample_accessible(world, evidence),
         };
-        let rec = match &mut self.recorder {
-            Some(r) => r,
-            None => {
-                self.recorder = Some(Recorder::new(pre.clone()));
-                self.recorder.as_mut().expect("just installed")
-            }
-        };
+        let rec = self
+            .recorder
+            .get_or_insert_with(|| Recorder::new(pre.clone()));
+        rec.observe_state(pre.clone());
         if !rec.run_open() {
-            // First invocation: its linearization state is the run's
-            // first-state. Push it so begin_run anchors there.
-            rec.observe_state(pre.clone());
+            // First invocation: its linearization state, just pushed, is
+            // the run's first-state, where begin_run anchors.
             rec.begin_run();
-        } else {
-            rec.observe_state(pre.clone());
         }
         rec.record_invocation(pre, outcome);
         // A terminal outcome closes the run; a later record_step then
@@ -407,14 +460,22 @@ impl RunObserver {
         if outcome.is_terminal() {
             rec.end_run();
         }
-        self.window_floor = self.latest_version(world);
+        for w in &mut self.watched {
+            w.window_floor = w.latest;
+        }
     }
 
     /// Ends observation, returning the recorded computation.
     pub fn finish(mut self, world: &StoreRt) -> Computation {
-        let latest = self.latest_version(world);
-        if self.initialized && latest > self.seen_version {
-            self.sync_to(world, latest);
+        if self.initialized {
+            self.look(world);
+            self.start_replays(world);
+            for i in 0..self.watched.len() {
+                let latest = self.watched[i].latest;
+                if latest > self.watched[i].seen_version {
+                    self.sync_to(world, i, latest);
+                }
+            }
         }
         match self.recorder.take() {
             Some(r) => r.finish(),
@@ -463,14 +524,16 @@ mod tests {
         obs.record_step(
             &w,
             Outcome::Yielded(ElemId(1)),
-            &StepEvidence::at_version(2),
+            &[2],
+            &StepEvidence::default(),
         );
         obs.record_step(
             &w,
             Outcome::Yielded(ElemId(2)),
-            &StepEvidence::at_version(2),
+            &[2],
+            &StepEvidence::default(),
         );
-        obs.record_step(&w, Outcome::Returned, &StepEvidence::at_version(2));
+        obs.record_step(&w, Outcome::Returned, &[2], &StepEvidence::default());
         let comp = obs.finish(&w);
         assert_eq!(comp.runs.len(), 1);
         check_computation(Figure::Fig4, &comp).assert_ok();
@@ -486,16 +549,18 @@ mod tests {
         obs.record_step(
             &w,
             Outcome::Yielded(ElemId(1)),
-            &StepEvidence::at_version(1),
+            &[1],
+            &StepEvidence::default(),
         );
         // Growth between invocations.
         client.add_member(&mut w, &cref, entry(2, home)).unwrap();
         obs.record_step(
             &w,
             Outcome::Yielded(ElemId(2)),
-            &StepEvidence::at_version(2),
+            &[2],
+            &StepEvidence::default(),
         );
-        obs.record_step(&w, Outcome::Returned, &StepEvidence::at_version(2));
+        obs.record_step(&w, Outcome::Returned, &[2], &StepEvidence::default());
         let comp = obs.finish(&w);
         // Grow-only constraint holds across the recorded history.
         check_computation(Figure::Fig5, &comp).assert_ok();
@@ -515,11 +580,12 @@ mod tests {
         obs.record_step(
             &w,
             Outcome::Yielded(ElemId(1)),
-            &StepEvidence::at_version(2),
+            &[2],
+            &StepEvidence::default(),
         );
         // Failing now (elem 2 unreachable) conforms to Fig 4/5; the
         // sampled accessibility shows 2 inaccessible.
-        obs.record_step(&w, Outcome::Failed, &StepEvidence::at_version(2));
+        obs.record_step(&w, Outcome::Failed, &[2], &StepEvidence::default());
         let comp = obs.finish(&w);
         check_computation(Figure::Fig4, &comp).assert_ok();
         check_computation(Figure::Fig5, &comp).assert_ok();
@@ -535,11 +601,10 @@ mod tests {
         // Claim 1 was observed unreachable even though topology says
         // reachable: a failure outcome then conforms.
         let ev = StepEvidence {
-            members_version: Some(1),
             confirmed_unreachable: vec![ObjectId(1)],
             ..Default::default()
         };
-        obs.record_step(&w, Outcome::Failed, &ev);
+        obs.record_step(&w, Outcome::Failed, &[1], &ev);
         let comp = obs.finish(&w);
         check_computation(Figure::Fig4, &comp).assert_ok();
     }
@@ -550,12 +615,11 @@ mod tests {
         client.add_member(&mut w, &cref, entry(1, home)).unwrap();
         let mut obs = RunObserver::new(cref.id, home, cn);
         let ev = StepEvidence {
-            members_version: Some(1),
             membership_unreachable: true,
             ..Default::default()
         };
         // Blocked with membership unreachable conforms to Fig 6.
-        obs.record_step(&w, Outcome::Blocked, &ev);
+        obs.record_step(&w, Outcome::Blocked, &[1], &ev);
         let comp = obs.finish(&w);
         check_computation(Figure::Fig6, &comp).assert_ok();
     }

@@ -1,7 +1,7 @@
 //! The `WeakSet` handle: the paper's set interface (`create`, `add`,
 //! `remove`, `size`, `elements`) bound to a distributed collection.
 
-use crate::conformance::{HistorySource, RunObserver};
+use crate::conformance::HistorySource;
 use crate::error::{Failure, IterStep};
 use crate::iter::{Elements, IterConfig, COLLECT_MAX_BLOCKS};
 use crate::semantics::Semantics;
@@ -116,28 +116,10 @@ impl WeakSet {
         )
     }
 
-    /// Opens an iterator with a conformance observer already attached.
+    /// Opens an iterator with a conformance observer already attached
+    /// (see [`Elements::observed`] for another history source).
     pub fn elements_observed(&self, semantics: Semantics) -> Elements {
-        let mut it = self.elements(semantics);
-        it.observe(RunObserver::new(
-            self.cref.id,
-            self.cref.home,
-            self.client.node(),
-        ));
-        it
-    }
-
-    /// Opens an observed iterator whose observer reads the omniscient
-    /// membership history through a custom [`HistorySource`] — required
-    /// when the home node's service wraps the store (e.g. the gossip
-    /// replica nodes of `weakset-gossip`).
-    pub fn elements_observed_via(&self, semantics: Semantics, source: HistorySource) -> Elements {
-        let mut it = self.elements(semantics);
-        it.observe(
-            RunObserver::new(self.cref.id, self.cref.home, self.client.node())
-                .with_history_source(source),
-        );
-        it
+        self.elements(semantics).observed(HistorySource::default())
     }
 
     /// Convenience: drives a fresh iterator to its terminal step,

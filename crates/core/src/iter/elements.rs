@@ -3,7 +3,7 @@
 //! that row drives.
 
 use super::{order_candidates, outcome_of, IterConfig, Window};
-use crate::conformance::{RunObserver, StepEvidence};
+use crate::conformance::{HistorySource, RunObserver, StepEvidence};
 use crate::error::{Failure, IterStep};
 use crate::semantics::Semantics;
 use std::collections::BTreeSet;
@@ -15,7 +15,7 @@ use weakset_store::collection::{MemberEntry, Membership};
 use weakset_store::object::{ObjectId, ObjectRecord};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreError, StoreRt};
 
-/// What a run holds at the collection's primary while it lasts.
+/// What a run holds at each of its collections' primaries while it lasts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Hold {
     /// Nothing: writers proceed while the run is live.
@@ -89,9 +89,8 @@ impl Semantics {
     }
 }
 
-/// The patience of both `collect`s ([`crate::handle::WeakSet::collect`],
-/// [`crate::shard::ShardedWeakSet::collect`]): consecutive blocked
-/// invocations before they give up.
+/// The patience of [`crate::handle::WeakSet::collect`]: consecutive
+/// blocked invocations before it gives up.
 pub(crate) const COLLECT_MAX_BLOCKS: usize = 3;
 
 /// How often a Fig. 5/6 invocation whose last read left nothing
@@ -101,41 +100,16 @@ pub(crate) const COLLECT_MAX_BLOCKS: usize = 3;
 pub(crate) const DRAINED_WAITS: usize = 400;
 pub(crate) const DRAINED_WAIT: SimDuration = SimDuration::from_millis(5);
 
-/// Drives `next` to its terminal step, or until it blocks `max_blocks`
-/// consecutive times, sleeping `wait` between blocked invocations (a
-/// yield resets the count). Returns the records yielded and the final
-/// step.
-pub(crate) fn drive(
-    world: &mut StoreRt,
-    max_blocks: usize,
-    wait: SimDuration,
-    mut next: impl FnMut(&mut StoreRt) -> IterStep,
-) -> (Vec<ObjectRecord>, IterStep) {
-    let mut out = Vec::new();
-    let mut blocks = 0;
-    loop {
-        match next(world) {
-            IterStep::Yielded(rec) => {
-                blocks = 0;
-                out.push(rec);
-            }
-            IterStep::Blocked => {
-                blocks += 1;
-                if blocks >= max_blocks {
-                    return (out, IterStep::Blocked);
-                }
-                world.sleep(wait);
-            }
-            step => return (out, step),
-        }
-    }
-}
-
 /// An open `elements` iterator, at any point of the design space.
 ///
 /// Every invocation has the same skeleton — find the membership, pick an
 /// unyielded member, fetch its object from its home node, yield it — and
-/// the run's [`Semantics`] decides the rest:
+/// the run's [`Semantics`] decides the rest. The membership is one
+/// collection's, or the union of several ([`Elements::union`], a sharded
+/// set's shards): a read then reads each collection in turn and fails at
+/// the first that fails, a pinning plan pins the union, and a hold is
+/// taken on every collection in the first invocation and given back on
+/// all of them.
 ///
 /// * **Locked** (the strong baseline §3.1 warns about) takes a read lock
 ///   on the primary before reading the membership and holds it until the
@@ -173,14 +147,17 @@ pub(crate) fn drive(
 pub struct Elements {
     semantics: Semantics,
     client: StoreClient,
-    /// The collection the run reads and holds; `None` only for a
-    /// [`Elements::pinned`] run, which does neither, over no collection.
-    cref: Option<CollectionRef>,
+    /// The collections whose union the run reads and holds, in order;
+    /// empty only for a [`Elements::pinned`] run, which does neither.
+    crefs: Vec<CollectionRef>,
     config: IterConfig,
-    /// A pinning plan's `(version, membership)`, read by the first
-    /// invocation or handed to [`Elements::pinned`]; cloning it is a
-    /// refcount bump.
-    pinned: Option<(u64, Membership)>,
+    /// Each collection's membership as the run's last successful read
+    /// returned it, in `crefs` order, and the version it was at.
+    reads: Vec<Membership>,
+    versions: Vec<u64>,
+    /// `reads` is a pinning plan's, read by the first invocation or
+    /// handed to [`Elements::pinned`], and is never read again.
+    pinned: bool,
     /// Fetches in flight across invocations, and the members the run
     /// failed to reach.
     window: Window,
@@ -188,9 +165,10 @@ pub struct Elements {
     /// The last membership read held one unyielded member, now yielded.
     drained: bool,
     terminated: bool,
-    /// Whether the primary currently counts this run among the holders
-    /// of the plan's lock or guard — as far as the client knows.
-    holding: bool,
+    /// How many of `crefs`, from the first, currently count this run
+    /// among the holders of the plan's lock or guard at their primary —
+    /// as far as the client knows.
+    held: usize,
     cache: Option<ObjectCache>,
     observer: Option<RunObserver>,
     /// Causal context of the computation's trace root (the first
@@ -207,27 +185,31 @@ impl Elements {
         cref: CollectionRef,
         config: IterConfig,
     ) -> Self {
-        Self::build(semantics, client, Some(cref), config)
+        Self::union(semantics, client, vec![cref], config)
     }
 
-    fn build(
+    /// An iterator over the union of `crefs`, one logical set whose
+    /// collections share no element (a sharded set's shards).
+    pub fn union(
         semantics: Semantics,
         client: StoreClient,
-        cref: Option<CollectionRef>,
+        crefs: Vec<CollectionRef>,
         config: IterConfig,
     ) -> Self {
         Elements {
             semantics,
             client,
-            cref,
+            crefs,
             cache: config.cache_ttl.map(ObjectCache::new),
             config,
-            pinned: None,
+            reads: Vec::new(),
+            versions: Vec::new(),
+            pinned: false,
             window: Window::default(),
             yielded: BTreeSet::new(),
             drained: false,
             terminated: false,
-            holding: false,
+            held: 0,
             observer: None,
             trace: None,
         }
@@ -237,7 +219,7 @@ impl Elements {
     /// holds, pinned as the first invocation's read would be (Figure 4's
     /// first state). `read` is the collection and version it came from,
     /// if one: a run that has them can be observed and judged, one without
-    /// claims version 0.
+    /// reads and holds no collection.
     pub fn pinned(
         client: StoreClient,
         members: Membership,
@@ -246,8 +228,15 @@ impl Elements {
     ) -> Self {
         let (cref, version) = read.unzip();
         Elements {
-            pinned: Some((version.unwrap_or(0), members)),
-            ..Self::build(Semantics::Snapshot, client, cref, config)
+            reads: vec![members],
+            versions: version.into_iter().collect(),
+            pinned: true,
+            ..Self::union(
+                Semantics::Snapshot,
+                client,
+                cref.into_iter().collect(),
+                config,
+            )
         }
     }
 
@@ -259,6 +248,15 @@ impl Elements {
     /// Attaches a conformance observer to this run.
     pub fn observe(&mut self, observer: RunObserver) {
         self.observer = Some(observer);
+    }
+
+    /// This run with an observer of every collection it reads attached,
+    /// reading their history through `source`.
+    #[must_use]
+    pub fn observed(mut self, source: HistorySource) -> Self {
+        let observer = RunObserver::union(&self.crefs, self.client.node());
+        self.observe(observer.with_history_source(source));
+        self
     }
 
     /// Finishes observation and returns the recorded computation, if an
@@ -290,9 +288,9 @@ impl Elements {
     }
 
     /// Whether this run currently holds its semantics' read lock or grow
-    /// guard at the primary.
+    /// guard at its collections' primaries.
     pub fn holds(&self) -> bool {
-        self.holding
+        self.held > 0
     }
 
     /// Releases whatever the run holds and terminates it without
@@ -304,15 +302,33 @@ impl Elements {
     }
 
     /// Drives the iterator until it terminates or blocks `max_blocks`
-    /// consecutive times, sleeping `wait` between blocked invocations.
-    /// Returns the records yielded and the final step.
+    /// consecutive times, sleeping `wait` between blocked invocations (a
+    /// yield resets the count). Returns the records yielded and the final
+    /// step.
     pub fn drain(
         &mut self,
         world: &mut StoreRt,
         max_blocks: usize,
         wait: SimDuration,
     ) -> (Vec<ObjectRecord>, IterStep) {
-        drive(world, max_blocks, wait, |w| self.next(w))
+        let mut out = Vec::new();
+        let mut blocks = 0;
+        loop {
+            match self.next(world) {
+                IterStep::Yielded(rec) => {
+                    blocks = 0;
+                    out.push(rec);
+                }
+                IterStep::Blocked => {
+                    blocks += 1;
+                    if blocks >= max_blocks {
+                        return (out, IterStep::Blocked);
+                    }
+                    world.sleep(wait);
+                }
+                step => return (out, step),
+            }
+        }
     }
 
     /// One invocation: yield an unyielded member, terminate, fail or
@@ -326,9 +342,9 @@ impl Elements {
     ///
     /// Each invocation also opens an `iter.<fig>.invocation` causal
     /// span: the first invocation roots the computation's trace, later
-    /// invocations parent under that root (or under whatever span is
-    /// already open — the sharded fan-out case), so every store read
-    /// and RPC the step performs joins one cross-node span tree.
+    /// invocations parent under that root (or under whatever span the
+    /// caller has open), so every store read and RPC the step performs —
+    /// on every collection of a union — joins one cross-node span tree.
     pub fn next(&mut self, world: &mut StoreRt) -> IterStep {
         let started = world.now();
         let plan = self.semantics.plan();
@@ -361,40 +377,49 @@ impl Elements {
         step
     }
 
-    /// Takes the plan's hold at the primary, once per run. The store
-    /// refuses nothing here, so an error is a communication failure.
+    /// Takes the plan's hold at every collection's primary, in order,
+    /// once per run. The store refuses nothing here, so an error is a
+    /// communication failure.
     fn acquire(&mut self, world: &mut StoreRt) -> Result<(), StoreError> {
-        if self.holding {
-            return Ok(());
-        }
-        match self.semantics.plan().hold {
-            Hold::ReadLock => self.client.acquire_read_lock(world, self.cref())?,
-            Hold::GrowGuard if self.config.guard_growth => {
-                self.client.acquire_grow_guard(world, self.cref())?;
+        let hold = match self.semantics.plan().hold {
+            Hold::GrowGuard if !self.config.guard_growth => return Ok(()),
+            hold => hold,
+        };
+        while let Some(cref) = self.crefs.get(self.held) {
+            match hold {
+                Hold::ReadLock => self.client.acquire_read_lock(world, cref)?,
+                Hold::GrowGuard => self.client.acquire_grow_guard(world, cref)?,
+                Hold::Nothing => return Ok(()),
             }
-            Hold::GrowGuard | Hold::Nothing => return Ok(()),
+            self.held += 1;
         }
-        self.holding = true;
         Ok(())
     }
 
-    /// Gives the hold back. Best effort: if the primary is unreachable
+    /// Gives every hold back. Best effort: if a primary is unreachable
     /// the lock or guard leaks there until the run's owner reconnects
     /// (§3.1's hazard) — the client only *thinks* it released.
     fn release(&mut self, world: &mut StoreRt) {
-        if !std::mem::take(&mut self.holding) {
-            return;
+        let held = std::mem::take(&mut self.held);
+        for cref in &self.crefs[..held] {
+            let _ = match self.semantics.plan().hold {
+                Hold::ReadLock => self.client.release_read_lock(world, cref),
+                Hold::GrowGuard => self.client.release_grow_guard(world, cref),
+                Hold::Nothing => Ok(()),
+            };
         }
-        let _ = match self.semantics.plan().hold {
-            Hold::ReadLock => self.client.release_read_lock(world, self.cref()),
-            Hold::GrowGuard => self.client.release_grow_guard(world, self.cref()),
-            Hold::Nothing => Ok(()),
-        };
     }
 
+    /// Records `step` with the versions of the run's last read, if this
+    /// invocation read (or holds pinned) the membership.
     fn record(&mut self, world: &StoreRt, step: &IterStep, evidence: &StepEvidence) {
         if let Some(obs) = &mut self.observer {
-            obs.record_step(world, outcome_of(step), evidence);
+            let versions = if evidence.membership_unreachable {
+                &[]
+            } else {
+                &self.versions[..]
+            };
+            obs.record_step(world, outcome_of(step), versions, evidence);
         }
     }
 
@@ -420,33 +445,42 @@ impl Elements {
         step
     }
 
-    /// The collection a run that reads or holds acts on.
-    fn cref(&self) -> &CollectionRef {
-        self.cref
-            .as_ref()
-            .expect("only a pinned run, which neither reads nor holds, has no collection")
-    }
-
-    /// The membership this invocation consults: the pinned one, or a
-    /// fresh read (which a pinning plan then keeps).
-    fn membership(&mut self, world: &mut StoreRt) -> Result<(u64, Membership), StoreError> {
-        if let Some(pinned) = &self.pinned {
-            return Ok(pinned.clone());
+    /// Makes `reads` the membership this invocation consults: the pinned
+    /// one, or a fresh read of every collection in turn (which a pinning
+    /// plan then keeps). The first read that fails fails the whole read,
+    /// and the last successful one stands.
+    fn read(&mut self, world: &mut StoreRt) -> Result<(), StoreError> {
+        if self.pinned {
+            return Ok(());
         }
-        let read = self
-            .client
-            .read_members(world, self.cref(), self.config.read_policy)?;
-        let current = (read.version, read.entries);
-        if self.semantics.plan().pin {
-            self.pinned = Some(current.clone());
+        // This read goes after the last one until it succeeds.
+        let last = self.reads.len();
+        for cref in &self.crefs {
+            match self
+                .client
+                .read_members(world, cref, self.config.read_policy)
+            {
+                Ok(read) => {
+                    self.versions.push(read.version);
+                    self.reads.push(read.entries);
+                }
+                Err(e) => {
+                    self.versions.truncate(last);
+                    self.reads.truncate(last);
+                    return Err(e);
+                }
+            }
         }
-        Ok(current)
+        self.versions.drain(..last);
+        self.reads.drain(..last);
+        self.pinned = self.semantics.plan().pin;
+        Ok(())
     }
 
     /// One membership-read/fetch round. `Ok` is the invocation's step,
     /// already recorded; `Err` says why nothing could be yielded, with
     /// what the round learned folded into `evidence` — which is sticky
-    /// across rounds: the version and the unreachable members come from
+    /// across rounds: the versions and the unreachable members come from
     /// the last round that got that far, and the membership counts as
     /// unreachable only if no round read it.
     fn round(
@@ -454,18 +488,14 @@ impl Elements {
         world: &mut StoreRt,
         evidence: &mut StepEvidence,
     ) -> Result<IterStep, Failure> {
-        let (version, members) = self
-            .membership(world)
-            .map_err(Failure::MembershipUnavailable)?;
-        evidence.members_version = Some(version);
+        self.read(world).map_err(Failure::MembershipUnavailable)?;
         evidence.membership_unreachable = false;
-        let mut candidates: Vec<MemberEntry> = members
-            .iter()
+        let mut candidates: Vec<MemberEntry> = (self.reads.iter().flatten())
             .filter(|m| !self.yielded.contains(&m.elem))
             .copied()
             .collect();
         if candidates.is_empty() {
-            return Ok(self.terminate(world, IterStep::Done, &StepEvidence::at_version(version)));
+            return Ok(self.terminate(world, IterStep::Done, &StepEvidence::default()));
         }
         order_candidates(
             world,

@@ -21,7 +21,7 @@ mod elements;
 mod window;
 
 pub use elements::Elements;
-pub(crate) use elements::{drive, COLLECT_MAX_BLOCKS};
+pub(crate) use elements::COLLECT_MAX_BLOCKS;
 pub(crate) use window::Window;
 
 use crate::error::IterStep;

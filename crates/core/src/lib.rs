@@ -91,5 +91,5 @@ pub mod prelude {
     pub use crate::handle::WeakSet;
     pub use crate::iter::{Elements, FetchOrder, IterConfig};
     pub use crate::semantics::Semantics;
-    pub use crate::shard::{ShardGroup, ShardRouter, ShardedElements, ShardedWeakSet};
+    pub use crate::shard::{ShardGroup, ShardRouter, ShardedWeakSet};
 }

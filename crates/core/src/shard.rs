@@ -1,30 +1,31 @@
 //! Sharded weak sets: one logical set partitioned across shard groups
-//! by a deterministic consistent-hash ring, read in batched quorum
-//! rounds.
+//! by a deterministic consistent-hash ring.
 //!
 //! A [`ShardedWeakSet`] splits a collection into `n` sub-collections
 //! (shards), each with its own primary/replica group, and routes every
 //! element to exactly one shard through a [`ShardRouter`]. Because the
 //! routing is a function of the element id alone, shards partition the
-//! element space: no element can appear in two shards, so fanning an
-//! `elements` iteration out across shards and concatenating the yields
-//! preserves each figure's constraint — every per-shard run is itself a
-//! conforming Figure-3/4/5/6 computation over its sub-collection, and
-//! disjointness rules out cross-shard duplicate yields.
+//! element space: no element can appear in two shards.
 //!
-//! Membership reads ride the batched quorum path
+//! The set is still one logical object (PAPER.md: "logically one
+//! object, physically scattered"), and its `elements` run is one
+//! [`Elements`] run over the union of the shards: each membership read
+//! reads every shard in turn, a Snapshot pins the union, a Locked or
+//! guarded run holds every shard from its first invocation, and one
+//! observer records one computation of the logical set.
+//!
+//! A whole-set `size` rides the batched path
 //! (`StoreClient::read_members_batched`): one envelope per replica node
-//! carries the reads for every shard co-located there, so a whole-set
-//! `size` costs one round-trip per *node* instead of one per shard per
-//! replica.
+//! carries the reads for every shard co-located there, so it costs one
+//! round-trip per *node* instead of one per shard per replica.
 
-use crate::conformance::{HistorySource, RunObserver};
-use crate::error::{Failure, IterStep};
+use crate::conformance::HistorySource;
+use crate::error::Failure;
 use crate::handle::WeakSet;
-use crate::iter::{drive, Elements, IterConfig, COLLECT_MAX_BLOCKS};
+use crate::iter::{Elements, IterConfig};
 use crate::semantics::Semantics;
+use std::sync::{Arc, OnceLock};
 use weakset_sim::node::NodeId;
-use weakset_spec::prelude::Computation;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{CollectionRef, StoreClient, StoreRt};
 
@@ -52,26 +53,36 @@ fn splitmix64(mut x: u64) -> u64 {
 /// other point stays where it was.
 #[derive(Clone, Debug)]
 pub struct ShardRouter {
-    /// Sorted `(point, shard)` pairs; ties break toward the smaller
-    /// shard id (sort order), deterministically.
-    ring: Vec<(u64, u32)>,
+    ring: Ring,
 }
+
+/// Sorted `(point, shard)` pairs; ties break toward the smaller shard id
+/// (sort order), deterministically.
+type Ring = Arc<[(u64, u32)]>;
 
 impl ShardRouter {
     /// Ring points per shard. Enough that a four-shard ring splits keys
     /// within a few percent of evenly.
     const VNODES: u64 = 64;
 
-    /// A ring over shard ids `0..shards`.
+    /// A ring over shard ids `0..shards`. A ring is a function of the
+    /// shard count alone, so rings over up to 8 shards are built once per
+    /// process: a sharded scenario builds one, and sorting its points
+    /// cost about as much as a membership read.
     pub fn new(shards: usize) -> Self {
-        let mut ring = Vec::with_capacity(shards * Self::VNODES as usize);
-        for shard in 0..shards as u32 {
-            ring.extend(
-                (0..Self::VNODES)
-                    .map(|v| (splitmix64(POINT_SALT ^ (u64::from(shard) << 32) ^ v), shard)),
-            );
-        }
-        ring.sort_unstable();
+        static BUILT: [OnceLock<Ring>; 8] = [const { OnceLock::new() }; 8];
+        let build = || {
+            let mut ring = Vec::with_capacity(shards * Self::VNODES as usize);
+            for shard in 0..shards as u32 {
+                let point = |v| (splitmix64(POINT_SALT ^ (u64::from(shard) << 32) ^ v), shard);
+                ring.extend((0..Self::VNODES).map(point));
+            }
+            ring.sort_unstable();
+            Arc::from(ring)
+        };
+        let ring = BUILT
+            .get(shards)
+            .map_or_else(build, |c| c.get_or_init(build).clone());
         ShardRouter { ring }
     }
 
@@ -124,14 +135,15 @@ impl ShardGroup {
 
 /// A weak set partitioned across shard groups.
 ///
-/// Mutations route to the owning shard's primary; whole-set membership
-/// reads are batched (one envelope per replica node); iteration fans
-/// out across the shards' own `elements` iterators in shard order.
+/// Mutations route to the owning shard's primary; `size` is batched
+/// (one envelope per replica node); `elements` is one run over the
+/// union of the shards.
 #[derive(Clone, Debug)]
 pub struct ShardedWeakSet {
     client: StoreClient,
     router: ShardRouter,
     shards: Vec<WeakSet>,
+    config: IterConfig,
 }
 
 impl ShardedWeakSet {
@@ -164,6 +176,7 @@ impl ShardedWeakSet {
             client,
             router,
             shards,
+            config,
         })
     }
 
@@ -245,10 +258,7 @@ impl ShardedWeakSet {
         &self,
         world: &mut StoreRt,
     ) -> Vec<Result<weakset_store::client::MembershipRead, weakset_store::client::StoreError>> {
-        let policy = self.shards.first().map_or_else(
-            || IterConfig::default().read_policy,
-            |s| s.config().read_policy,
-        );
+        let policy = self.config.read_policy;
         let crefs: Vec<CollectionRef> = self.shards.iter().map(|s| s.cref().clone()).collect();
         let started = world.now();
         let results = self.client.read_members_batched(world, &crefs, policy);
@@ -268,139 +278,25 @@ impl ShardedWeakSet {
         results
     }
 
-    /// Opens a fan-out `elements` iterator: each shard contributes its
-    /// own iterator of the chosen semantics, driven in shard order, and
-    /// the yields concatenate. Routing disjointness guarantees the
-    /// merged sequence never yields the same element twice.
-    pub fn elements(&self, semantics: Semantics) -> ShardedElements {
-        ShardedElements {
-            iters: self.shards.iter().map(|s| s.elements(semantics)).collect(),
-            current: 0,
-            semantics,
-            trace: None,
-        }
+    /// Opens an `elements` iterator of the chosen semantics over the
+    /// union of the shards.
+    pub fn elements(&self, semantics: Semantics) -> Elements {
+        let crefs = self.shards.iter().map(|s| s.cref().clone()).collect();
+        Elements::union(semantics, self.client.clone(), crefs, self.config.clone())
     }
 
-    /// Opens a fan-out iterator with a conformance observer attached to
-    /// every shard's run.
-    pub fn elements_observed(&self, semantics: Semantics) -> ShardedElements {
-        let mut it = self.elements(semantics);
-        for (iter, shard) in it.iters.iter_mut().zip(&self.shards) {
-            iter.observe(RunObserver::new(
-                shard.cref().id,
-                shard.cref().home,
-                self.client.node(),
-            ));
-        }
-        it
-    }
-
-    /// Opens an observed fan-out iterator whose per-shard observers
-    /// read omniscient history through custom sources (needed when the
-    /// shard homes run wrapped services, e.g. gossip replicas). The
-    /// closure is called once per shard index.
-    pub fn elements_observed_via(
-        &self,
-        semantics: Semantics,
-        mut source_for: impl FnMut(usize) -> HistorySource,
-    ) -> ShardedElements {
-        let mut it = self.elements(semantics);
-        for (i, (iter, shard)) in it.iters.iter_mut().zip(&self.shards).enumerate() {
-            iter.observe(
-                RunObserver::new(shard.cref().id, shard.cref().home, self.client.node())
-                    .with_history_source(source_for(i)),
-            );
-        }
-        it
-    }
-
-    /// Convenience: drives a fresh fan-out iterator to its terminal
-    /// step, returning everything yielded plus the terminal step.
-    pub fn collect(
-        &self,
-        world: &mut StoreRt,
-        semantics: Semantics,
-    ) -> (Vec<ObjectRecord>, IterStep) {
-        let retry = self.shards.first().map_or_else(
-            || IterConfig::default().retry_interval,
-            |s| s.config().retry_interval,
-        );
-        let mut it = self.elements(semantics);
-        drive(world, COLLECT_MAX_BLOCKS, retry, |w| it.next(w))
-    }
-}
-
-/// A fan-out `elements` iterator over a sharded weak set.
-///
-/// Shards are drained in shard order: `next` drives the current shard's
-/// iterator until it returns `Done`, then moves on. A `Failed` or
-/// `Blocked` step surfaces as-is (the current shard's semantics decide
-/// how its own failures present; earlier shards' yields stand, exactly
-/// as a single set's earlier yields stand when a later invocation
-/// fails).
-#[derive(Debug)]
-pub struct ShardedElements {
-    iters: Vec<Elements>,
-    current: usize,
-    semantics: Semantics,
-    /// Causal context of the whole computation's trace root (the first
-    /// fan-out invocation); per-shard invocation spans nest under it so
-    /// one sharded computation is one cross-group trace.
-    trace: Option<weakset_sim::metrics::TraceContext>,
-}
-
-impl ShardedElements {
-    /// Which semantics every per-shard iterator provides.
-    pub fn semantics(&self) -> Semantics {
-        self.semantics
-    }
-
-    /// One invocation: the next step from the current shard, advancing
-    /// to the next shard on `Done`. Opens an `iter.sharded.invocation`
-    /// causal span so every per-shard step (and its cross-group RPCs)
-    /// joins a single trace rooted at the first fan-out invocation.
-    pub fn next(&mut self, world: &mut StoreRt) -> IterStep {
-        let span = world.span_enter_under(self.trace, "iter.sharded.invocation", &String::new);
-        if self.trace.is_none() {
-            self.trace = world.current_ctx();
-        }
-        let step = loop {
-            match self.iters.get_mut(self.current) {
-                Some(it) => match it.next(world) {
-                    IterStep::Done => self.current += 1,
-                    step => break step,
-                },
-                None => break IterStep::Done,
-            }
-        };
-        world.span_exit(span);
-        step
-    }
-
-    /// Aborts every shard's run ([`Elements::abort`]): a shard run that
-    /// holds a read lock or a grow guard releases it, and every later
-    /// invocation answers [`IterStep::Done`].
-    pub fn abort(&mut self, world: &mut StoreRt) {
-        for it in &mut self.iters {
-            it.abort(world);
-        }
-    }
-
-    /// Finishes observation on every shard, returning each attached
-    /// observer's computation in shard order (empty when opened
-    /// unobserved).
-    pub fn take_computations(&mut self, world: &StoreRt) -> Vec<Computation> {
-        self.iters
-            .iter_mut()
-            .filter_map(|it| it.take_computation(world))
-            .collect()
+    /// Opens an iterator with a conformance observer of every shard
+    /// attached (see [`Elements::observed`] for another history source).
+    pub fn elements_observed(&self, semantics: Semantics) -> Elements {
+        self.elements(semantics).observed(HistorySource::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Failure;
+    use crate::error::IterStep;
+    use crate::iter::COLLECT_MAX_BLOCKS;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
     use weakset_sim::latency::LatencyModel;
@@ -548,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_iteration_conforms_per_shard_for_every_semantics() {
+    fn a_union_run_is_one_conforming_computation_for_every_semantics() {
         let (mut w, set, groups) = sharded_setup(17, 3, 1, ReadPolicy::Primary);
         populate(&mut w, &set, &groups, 9);
         for sem in Semantics::ALL {
@@ -565,35 +461,34 @@ mod tests {
                 }
             }
             assert_eq!(got.len(), 9, "{sem}");
-            let comps = it.take_computations(&w);
-            assert_eq!(comps.len(), 3, "{sem}: one computation per shard");
-            for comp in &comps {
-                check_computation(sem.figure(), comp).assert_ok();
-            }
+            let observer = it.take_observer().expect("observed");
+            assert_eq!(observer.unexplained(), &[] as &[String], "{sem}");
+            let comp = observer.finish(&w);
+            assert_eq!(comp.runs.len(), 1, "{sem}: one run of the logical set");
+            check_computation(sem.figure(), &comp).assert_ok();
         }
     }
 
     #[test]
-    fn shard_failure_surfaces_and_earlier_yields_stand() {
+    fn a_shard_that_cannot_be_read_fails_the_union_read() {
         let (mut w, set, groups) = sharded_setup(19, 2, 1, ReadPolicy::Primary);
         populate(&mut w, &set, &groups, 8);
-        // Crash the SECOND shard's home: draining shard 0 succeeds,
-        // then the fan-out fails when it reaches shard 1.
+        // Crash the SECOND shard's home: the first read reads shard 0,
+        // then fails at shard 1, and the pessimistic run fails before it
+        // yields anything.
         w.topology_mut().crash(groups[1].home);
-        let (got, end) = set.collect(&mut w, Semantics::GrowOnly);
+        let mut it = set.elements_observed(Semantics::GrowOnly);
+        let (got, end) = it.drain(&mut w, COLLECT_MAX_BLOCKS, SimDuration::from_millis(20));
         assert!(matches!(
             end,
             IterStep::Failed(Failure::MembershipUnavailable(_))
         ));
-        let shard0: BTreeSet<ObjectId> = (1..=8)
-            .map(ObjectId)
-            .filter(|&id| set.shard_for(id) == 0)
-            .collect();
-        assert_eq!(
-            got.iter().map(|r| r.id).collect::<BTreeSet<_>>(),
-            shard0,
-            "shard 0 drained fully before the failure"
-        );
+        assert!(got.is_empty(), "nothing is yielded from half a read");
+        check_computation(
+            Semantics::GrowOnly.figure(),
+            &it.take_computation(&w).unwrap(),
+        )
+        .assert_ok();
     }
 
     proptest! {
@@ -618,7 +513,7 @@ mod tests {
 
         /// Fig 5 (grow-only) across shards under partitions: with at
         /// most a minority of each shard group's replicas cut off,
-        /// quorum reads still see every member and the fan-out yields
+        /// quorum reads still see every member and the union run yields
         /// EXACTLY the union of the shards' members — every member
         /// once, no duplicates, no phantoms.
         #[test]
@@ -656,9 +551,8 @@ mod tests {
             let got_set: BTreeSet<ObjectId> = got.iter().copied().collect();
             prop_assert_eq!(got.len(), got_set.len(), "duplicate yields");
             prop_assert_eq!(&got_set, &expect, "yields != union of shard members");
-            for comp in it.take_computations(&w) {
-                check_computation(Semantics::GrowOnly.figure(), &comp).assert_ok();
-            }
+            let comp = it.take_computation(&w).expect("observed");
+            check_computation(Semantics::GrowOnly.figure(), &comp).assert_ok();
         }
     }
 }

@@ -27,8 +27,8 @@ use crate::run::{RunReport, COLL};
 use crate::scenario::{Chaos, Deployment, FaultSpec, Op, Scenario};
 use std::fmt;
 use weakset::prelude::{
-    Elements, Failure, HistorySource, IterConfig, IterStep, Semantics, ShardGroup, ShardedElements,
-    ShardedWeakSet, WeakSet,
+    Elements, Failure, HistorySource, IterConfig, IterStep, Semantics, ShardGroup, ShardedWeakSet,
+    WeakSet,
 };
 use weakset_gossip::prelude::{
     engine, DigestMode, GossipConfig, GossipHandle, GossipNode, GossipSemantics,
@@ -143,8 +143,9 @@ pub(crate) trait Stage {
 }
 
 /// The set under test: one plain collection, or a routed sharded set.
-/// Every workload mutation and iterator invocation goes through this, so
-/// the driver is deployment-agnostic past construction.
+/// Every workload mutation goes through this, and its `elements` run is
+/// one [`Elements`] either way, so the driver is deployment-agnostic past
+/// construction.
 pub(crate) enum TestSet {
     One(WeakSet),
     Sharded(ShardedWeakSet),
@@ -165,6 +166,14 @@ impl TestSet {
         }
     }
 
+    /// A run over the whole set.
+    fn elements(&self, semantics: Semantics) -> Elements {
+        match self {
+            TestSet::One(s) => s.elements(semantics),
+            TestSet::Sharded(s) => s.elements(semantics),
+        }
+    }
+
     /// Every collection the set spans, in shard order.
     fn crefs(&self) -> impl Iterator<Item = &CollectionRef> {
         let shards = match self {
@@ -175,37 +184,6 @@ impl TestSet {
             TestSet::One(s) => s.cref(),
             TestSet::Sharded(s) => s.shard(i).cref(),
         })
-    }
-}
-
-/// The observed iterator under test: a single run, or a fan-out across
-/// shards (one observed run per shard).
-enum TestElements {
-    One(Box<Elements>),
-    Sharded(ShardedElements),
-}
-
-impl TestElements {
-    fn next(&mut self, rt: &mut StoreRt) -> IterStep {
-        match self {
-            TestElements::One(it) => it.next(rt),
-            TestElements::Sharded(it) => it.next(rt),
-        }
-    }
-
-    /// Ends a run the driver leaves open, releasing whatever it holds.
-    fn abort(&mut self, rt: &mut StoreRt) {
-        match self {
-            TestElements::One(it) => it.abort(rt),
-            TestElements::Sharded(it) => it.abort(rt),
-        }
-    }
-
-    fn take_computations(&mut self, rt: &StoreRt) -> Vec<Computation> {
-        match self {
-            TestElements::One(it) => it.take_computation(rt).into_iter().collect(),
-            TestElements::Sharded(it) => it.take_computations(rt),
-        }
     }
 }
 
@@ -366,44 +344,39 @@ impl Fleet {
         out
     }
 
-    /// The causal-session floors the oracle will demand of each recorded
-    /// run, one per collection: the elements the session had committed
-    /// at run start, minus anything the workload ever tries to remove (a
-    /// concurrent removal legitimately hides the element). The iterator
-    /// must yield everything else before claiming the set drained — that
-    /// is read-your-writes, machine-checked.
+    /// The causal-session floor the oracle will demand of the recorded
+    /// run: the elements the session had committed at run start, in any
+    /// collection of the set, minus anything the workload ever tries to
+    /// remove (a concurrent removal legitimately hides the element). The
+    /// iterator must yield everything else before claiming the set
+    /// drained — that is read-your-writes, machine-checked.
     ///
     /// The committed writes are each primary's membership, read
     /// omnisciently off the server (driver-side ground truth, never
     /// visible to the iterator under test); ROADMAP item 4 replaces this
     /// read with the session's recorded history.
-    fn session_floors(&self, rt: &StoreRt, s: &Scenario) -> Vec<SetValue> {
+    fn session_floor(&self, rt: &StoreRt, s: &Scenario) -> SetValue {
         let removed = |e| {
             s.ops
                 .iter()
                 .any(|op| matches!(*op, Op::Remove { elem, .. } if elem == e))
         };
-        let floor = |c: &CollectionState| -> SetValue {
+        let mut out = SetValue::default();
+        let mut floor = |c: &CollectionState| {
             let members = c.members().iter().map(|m| m.elem.0);
-            members.filter(|&e| !removed(e)).map(ElemId).collect()
+            for e in members.filter(|&e| !removed(e)) {
+                out.insert(ElemId(e));
+            }
         };
-        self.set
-            .crefs()
-            .map(|cref| {
-                if self.gossip.is_none() {
-                    let read = |sv: &StoreServer| sv.collection(cref.id).map(floor);
-                    return rt
-                        .with_service(cref.home, read)
-                        .flatten()
-                        .unwrap_or_default();
-                }
-                let mut out = SetValue::default();
-                GossipNode::visit_collection_history(rt, cref.home, cref.id, &mut |c| {
-                    out = floor(c)
-                });
-                out
-            })
-            .collect()
+        for cref in self.set.crefs() {
+            if self.gossip.is_none() {
+                let read = |sv: &StoreServer| sv.collection(cref.id).map(&mut floor);
+                rt.with_service(cref.home, read);
+            } else {
+                GossipNode::visit_collection_history(rt, cref.home, cref.id, &mut floor);
+            }
+        }
+        out
     }
 }
 
@@ -469,22 +442,18 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
     let started = stage.mark(Mark::Start);
     // Snapshot the session's committed writes at run start; the oracle
     // demands them back from every terminated run.
-    let floors = if s.read_policy == ReadPolicy::CausalSession {
-        fleet.session_floors(stage.rt(), s)
+    let floor = if s.read_policy == ReadPolicy::CausalSession {
+        fleet.session_floor(stage.rt(), s)
     } else {
-        Vec::new()
+        SetValue::empty()
     };
 
-    let mut it = match &fleet.set {
-        TestSet::One(set) if fleet.gossip.is_some() => {
-            TestElements::One(Box::new(set.elements_observed_via(
-                s.semantics,
-                HistorySource::new(GossipNode::visit_collection_history),
-            )))
-        }
-        TestSet::One(set) => TestElements::One(Box::new(set.elements_observed(s.semantics))),
-        TestSet::Sharded(set) => TestElements::Sharded(set.elements_observed(s.semantics)),
+    let source = if fleet.gossip.is_some() {
+        HistorySource::new(GossipNode::visit_collection_history)
+    } else {
+        HistorySource::default()
     };
+    let mut it = fleet.set.elements(s.semantics).observed(source);
 
     let sent_before = stage.rt().metrics().counter("rpc.sent");
     let (yielded, steps) = if started {
@@ -514,8 +483,12 @@ pub(crate) fn drive(s: &Scenario, stage: &mut impl Stage) -> Result<RunReport, S
     }
     stage.settle(&fleet);
 
-    let mut computations = it.take_computations(stage.rt());
-    judge(s, &mut computations, &floors, &mut violations);
+    let mut computations = Vec::new();
+    if let Some(observer) = it.take_observer() {
+        violations.extend(observer.unexplained().iter().cloned());
+        computations.push(observer.finish(stage.rt()));
+    }
+    judge(s, &mut computations, &floor, &mut violations);
     let closed = stage.close(&mut violations);
     Ok(RunReport {
         seed: s.seed,
@@ -543,7 +516,7 @@ fn invoke(
     s: &Scenario,
     stage: &mut impl Stage,
     fleet: &Fleet,
-    it: &mut TestElements,
+    it: &mut Elements,
     healed_at: SimTime,
     violations: &mut Vec<String>,
 ) -> (Vec<u64>, usize) {
@@ -599,12 +572,12 @@ fn invoke(
     (yielded, steps)
 }
 
-/// The verdict: every recorded computation against the scenario's figure
+/// The verdict: the recorded computation against the scenario's figure
 /// and its session floor, after any [`Chaos`] the scenario asks for.
 fn judge(
     s: &Scenario,
     computations: &mut [Computation],
-    floors: &[SetValue],
+    floor: &SetValue,
     violations: &mut Vec<String>,
 ) {
     if s.chaos == Chaos::PhantomYield {
@@ -613,17 +586,8 @@ fn judge(
     if computations.is_empty() {
         violations.push("observer produced no computation".into());
     }
-    let sharded = computations.len() > 1;
-    let empty_floor = SetValue::empty();
-    for (i, comp) in computations.iter().enumerate() {
-        let floor = floors.get(i).unwrap_or(&empty_floor);
-        for v in oracle::check_with_session(s, comp, floor) {
-            violations.push(if sharded {
-                format!("shard {i}: {v}")
-            } else {
-                v
-            });
-        }
+    for comp in computations.iter() {
+        violations.extend(oracle::check_with_session(s, comp, floor));
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Randomized end-to-end testing for the weak-set stack: a seeded
 //! generator ([`gen`]) picks a topology, a deployment (plain store,
-//! gossip replication, or a hash-ring-sharded set read through batched
-//! envelopes), an iterator design point (all four semantics × read
+//! gossip replication, or a hash-ring-sharded set iterated as one run
+//! over the union of its shards), an iterator design point (all four semantics × read
 //! policies), a mutation workload, and an adversarial fault
 //! schedule; a deterministic executor ([`run`]) drives the run inside
 //! `weakset-sim`; and a conformance oracle ([`oracle`]) machine-checks

@@ -676,6 +676,10 @@ impl Transport<StoreMsg> for ReplayRuntime {
         self.world.try_take_reply(token)
     }
 
+    fn abandon(&mut self, token: ReplyToken) {
+        self.world.abandon(token)
+    }
+
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
         let Some(RecEvent::WaitAny { winner, elapsed_us }) = self
             .counterpart(format_args!("wait_any"), |e| {
@@ -1098,7 +1102,7 @@ mod tests {
                 4,
                 Semantics::Snapshot,
                 ReadPolicy::Quorum,
-                2,
+                1,
             ),
             (gossip, 3, Semantics::Optimistic, ReadPolicy::Leaderless, 1),
         ] {

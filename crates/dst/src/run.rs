@@ -42,8 +42,8 @@ pub struct RunReport {
     /// Every oracle violation, human-readable. Empty means the run
     /// conformed to its figure.
     pub violations: Vec<String>,
-    /// The recorded computations, for post-mortems: one per shard under
-    /// a sharded deployment, at most one otherwise.
+    /// The recorded computations, for post-mortems: the run's one, over
+    /// every collection of the set (none when nothing was recorded).
     pub computations: Vec<Computation>,
     /// Simulated time consumed by the run, in microseconds.
     pub sim_time_us: u64,
@@ -353,8 +353,8 @@ mod tests {
             assert_eq!(got, vec![1, 2, 3, 4, 5, 6], "{sem}");
             assert_eq!(
                 report.computations.len(),
-                3,
-                "{sem}: one computation per shard"
+                1,
+                "{sem}: one computation of the logical set"
             );
         }
     }
@@ -371,9 +371,10 @@ mod tests {
                 !report.violations.is_empty(),
                 "{sem}: sabotage went undetected"
             );
+            let figure = sem.figure().to_string();
             assert!(
-                report.violations.iter().any(|v| v.starts_with("shard ")),
-                "{sem}: violation not attributed to a shard: {:?}",
+                report.violations.iter().any(|v| v.starts_with(&figure)),
+                "{sem}: the forged run is not judged as one set by {figure}: {:?}",
                 report.violations
             );
         }
@@ -382,7 +383,7 @@ mod tests {
     #[test]
     fn sharded_optimistic_rides_out_a_shard_primary_outage() {
         // Crash server 0 (shard 0's primary) mid-run: the optimistic
-        // fan-out blocks while its shard is dark, resumes on restart,
+        // union run blocks while its shard is dark, resumes on restart,
         // and still drains every member of every shard.
         let s = Scenario {
             semantics: Semantics::Optimistic,

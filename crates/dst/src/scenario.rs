@@ -41,8 +41,8 @@ pub enum Deployment {
     },
     /// A `ShardedWeakSet`: the servers split round-robin into `shards`
     /// replica groups, each owning one sub-collection; elements route by
-    /// the consistent-hash ring and membership reads ride the batched
-    /// envelope path.
+    /// the consistent-hash ring, and the run reads the union of the
+    /// shards.
     Sharded {
         /// Number of shard groups (clamped to the server count at
         /// execution time).

@@ -3,9 +3,9 @@
 //! Each shard's sub-collection runs its own anti-entropy schedule
 //! strictly inside its replica group (one `engine::install` per shard);
 //! convergence is per shard (`engine::converged` over each). Once the
-//! groups converge, leaderless batched reads and fan-out iteration keep
-//! working with EVERY shard primary partitioned away — and the per-shard
-//! runs still conform to the paper's figures.
+//! groups converge, leaderless batched reads and iteration over the
+//! union keep working with EVERY shard primary partitioned away — and
+//! the run still conforms to the paper's figures.
 
 use weakset::prelude::*;
 use weakset::shard::shard_key;
@@ -120,11 +120,12 @@ fn sharded_leaderless_reads_survive_all_primaries_partitioned() {
     // One batched leaderless round still counts the whole set.
     assert_eq!(set.size(&mut w).unwrap(), 8);
 
-    // And the fan-out optimistic iterator drains it, per-shard runs
-    // conforming to Figure 6 against the gossip-wrapped history.
-    let mut it = set.elements_observed_via(Semantics::Optimistic, |_| {
-        HistorySource::new(GossipNode::visit_collection_history)
-    });
+    // And one optimistic run over the union drains it, its one
+    // computation conforming to Figure 6 against the gossip-wrapped
+    // history of every shard.
+    let mut it = set
+        .elements(Semantics::Optimistic)
+        .observed(HistorySource::new(GossipNode::visit_collection_history));
     let mut got = Vec::new();
     loop {
         match it.next(&mut w) {
@@ -135,11 +136,8 @@ fn sharded_leaderless_reads_survive_all_primaries_partitioned() {
     }
     got.sort_unstable();
     assert_eq!(got, (1..=8).map(ObjectId).collect::<Vec<_>>());
-    let comps = it.take_computations(&w);
-    assert_eq!(comps.len(), 2, "one computation per shard");
-    for comp in &comps {
-        check_computation(Semantics::Optimistic.figure(), comp).assert_ok();
-    }
+    let comp = it.take_computation(&w).expect("observed");
+    check_computation(Semantics::Optimistic.figure(), &comp).assert_ok();
 
     // Per-shard observability was recorded by the batched read.
     let m = w.metrics();

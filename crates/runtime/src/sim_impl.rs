@@ -91,6 +91,10 @@ impl<M: RtMessage> Transport<M> for World<M> {
         World::wait_any(self, tokens, deadline)
     }
 
+    fn abandon(&mut self, token: ReplyToken) {
+        World::abandon(self, token)
+    }
+
     fn estimate_latency(&self, a: NodeId, b: NodeId) -> SimDuration {
         World::estimate_latency(self, a, b)
     }

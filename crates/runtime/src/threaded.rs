@@ -1103,6 +1103,15 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         winner
     }
 
+    /// Ends the request as a timed-out rpc's wait does, if it is still
+    /// open; a reply already in is dropped.
+    fn abandon(&mut self, token: ReplyToken) {
+        self.drain_completions();
+        if self.completed.remove(&token.raw()).is_none() {
+            self.complete(token.raw(), None);
+        }
+    }
+
     /// No latency model on real threads: everything estimates to zero,
     /// and closest-first candidate ordering falls back to its
     /// deterministic element-id tie-break.

@@ -86,6 +86,11 @@ pub trait Transport<M: RtMessage> {
     /// Blocks until one of `tokens` completes or `deadline` passes;
     /// the completed reply is left for [`Transport::try_take_reply`].
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken>;
+    /// Gives up on a request whose reply its caller will not take: it
+    /// ends now as a timed-out [`Transport::rpc`] does, counting
+    /// `rpc.failed`, unless it has ended already, and a reply already in
+    /// is dropped. The default does nothing.
+    fn abandon(&mut self, _token: ReplyToken) {}
     /// Deterministic latency estimate for closest-first scheduling.
     /// Backends without a latency model return zero (callers break ties
     /// by element id, so ordering stays deterministic).

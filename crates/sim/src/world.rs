@@ -680,6 +680,14 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.completed.remove(&token)
     }
 
+    /// Gives up on the request launched under `token`: it ends now as a
+    /// timed-out [`World::rpc`] does, if nothing ended it earlier, and a
+    /// reply already in is dropped, so a late one is never kept.
+    pub fn abandon(&mut self, token: ReplyToken) {
+        self.end_send(token, Err(NetError::Timeout));
+        self.completed.remove(&token);
+    }
+
     /// Pumps the event loop until one of `tokens` completes or `deadline`
     /// passes. Returns the completed token (its reply is left for
     /// [`World::try_take_reply`]), or `None` on deadline.

@@ -906,7 +906,10 @@ impl StoreClient {
                     _ => Err(StoreError::Protocol),
                 },
                 Some(Err(e)) => Err(StoreError::Net(e)),
-                None => Err(StoreError::Net(NetError::Timeout)),
+                None => {
+                    world.abandon(token);
+                    Err(StoreError::Net(NetError::Timeout))
+                }
             };
             match outcome {
                 Ok(replies) => {

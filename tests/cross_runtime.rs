@@ -12,6 +12,7 @@
 
 use std::time::Duration;
 use weak_sets::prelude::*;
+use weak_sets::weakset_sim::world::{Service, ServiceCtx};
 
 const COLL: CollectionId = CollectionId(7);
 const SEED: u64 = 42;
@@ -639,8 +640,10 @@ fn idle_gossip_replica_reads_skip_the_mailbox() {
         .expect("no node thread should hang at shutdown");
 }
 
-/// The sharded set's batched quorum fan-out — send_batch plus wait_any
-/// over reply tokens — works against real mailboxes and threads.
+/// A sharded set on real mailboxes and threads: its batched quorum
+/// `size` (send_batch plus wait_any over reply tokens) counts every
+/// member, and one Snapshot run over the union of the shards yields each
+/// member once and is judged as one set.
 #[test]
 fn sharded_quorum_fanout_runs_on_threads() {
     let mut rt = ThreadedRuntime::<StoreMsg>::new(9);
@@ -677,6 +680,7 @@ fn sharded_quorum_fanout_runs_on_threads() {
         .unwrap();
     }
 
+    assert_eq!(set.size(&mut rt), Ok(9));
     let mut it = set.elements_observed(Semantics::Snapshot);
     let mut yielded = Vec::new();
     loop {
@@ -688,6 +692,89 @@ fn sharded_quorum_fanout_runs_on_threads() {
     }
     yielded.sort_unstable();
     assert_eq!(yielded, (1..=9).collect::<Vec<u64>>());
+    let comp = it.take_computation(&rt).expect("observed");
+    check_computation(Figure::Fig4, &comp).assert_ok();
+    rt.shutdown(Duration::from_secs(10))
+        .expect("no node thread should hang at shutdown");
+}
+
+/// A `StoreServer` that spends `.1` on every request, in its mailbox.
+struct Slow(StoreServer, Duration);
+
+impl Service<StoreMsg> for Slow {
+    fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: StoreMsg) -> StoreMsg {
+        std::thread::sleep(self.1);
+        self.0.handle(ctx, from, msg)
+    }
+}
+
+/// A batched `Quorum` read of two shards, both on all three servers,
+/// whose replies come after the reading client's `timeout`: it fails for
+/// both shards, and its three envelopes end as timed-out rpcs end —
+/// `rpc.failed` at its deadline, and nothing for the late replies.
+/// Returns the `rpc.ok` and `rpc.failed` it counted, then the same once
+/// the late replies are in.
+fn timed_out_batched_read(
+    rt: &mut StoreRt,
+    servers: &[NodeId],
+    client_node: NodeId,
+    timeout: SimDuration,
+) -> [[u64; 2]; 2] {
+    let setup = StoreClient::new(client_node, SimDuration::from_secs(5));
+    let shards: Vec<CollectionRef> = (0..2)
+        .map(|i| CollectionRef {
+            id: CollectionId(100 + i as u64),
+            home: servers[i],
+            replicas: servers
+                .iter()
+                .copied()
+                .filter(|&s| s != servers[i])
+                .collect(),
+        })
+        .collect();
+    for cref in &shards {
+        setup.create_collection(rt, cref).unwrap();
+    }
+    let counts = |rt: &StoreRt| ["rpc.ok", "rpc.failed"].map(|n| rt.metrics().counter(n));
+    let before = counts(rt);
+    let client = StoreClient::new(client_node, timeout);
+    let reads = client.read_members_batched(rt, &shards, ReadPolicy::Quorum);
+    assert!(reads.iter().all(Result::is_err), "{reads:?}");
+    let at_return = counts(rt);
+    let settle = rt.now() + SimDuration::from_millis(300);
+    rt.wait_any(&[], settle);
+    let settled = counts(rt);
+    [0, 1].map(|i| [at_return[i] - before[i], settled[i] - before[i]])
+}
+
+#[test]
+fn a_timed_out_batched_read_ends_its_envelopes_on_both_backends() {
+    let ended = [[0, 0], [3, 3]];
+    let mut t = Topology::new();
+    let cn = t.add_node("client", 0);
+    let servers: Vec<NodeId> = t.add_servers("s", 3);
+    let mut w = StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(5)));
+    for &s in &servers {
+        w.install_service(s, Box::new(StoreServer::new()));
+    }
+    let sim = timed_out_batched_read(&mut w, &servers, cn, SimDuration::from_millis(3));
+    assert_eq!(
+        sim, ended,
+        "simulator: [rpc.ok, rpc.failed] at return, settled"
+    );
+
+    let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
+    let cn = rt.add_node("client");
+    let servers: Vec<NodeId> = (0..3).map(|i| rt.add_node(format!("s{i}"))).collect();
+    for &s in &servers {
+        let slow = Slow(StoreServer::new(), Duration::from_millis(20));
+        rt.install_service(s, Box::new(slow));
+    }
+    let threads = timed_out_batched_read(&mut rt, &servers, cn, SimDuration::from_millis(5));
+    assert_eq!(
+        threads, ended,
+        "threads: [rpc.ok, rpc.failed] at return, settled"
+    );
     rt.shutdown(Duration::from_secs(10))
         .expect("no node thread should hang at shutdown");
 }

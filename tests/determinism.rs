@@ -70,7 +70,7 @@ fn legs<T>(pins: [(&'static str, T); LEGS.len()]) -> impl Iterator<Item = (&'sta
 fn campaign_is_pinned() {
     let pins = [
         ("plain", (0xd0df_557b_0813_6996, 0)),
-        ("sharded", (0xcd11_6772_5f26_2ec6, 0)),
+        ("sharded", (0x2493_c921_1f49_67d2, 0)),
         ("causal", (0x9635_6159_79d9_d423, 0)),
         ("merkle", (0xac0d_1150_dfdc_12de, 0)),
         ("window", (0x767a_93c3_73fe_518c, 0)),
@@ -125,7 +125,7 @@ fn generated_scenarios_are_pinned() {
 fn corpus_trace_hash_is_pinned() {
     let pins = [
         ("plain", 0xf3c6_5167_b20b_72d6),
-        ("sharded", 0xc2d8_325d_d2be_dc0d),
+        ("sharded", 0xfd42_4139_d483_1406),
         ("causal", 0xf661_e71a_8002_ce02),
         ("merkle", 0x8e2d_a08c_637a_e58c),
         ("window", 0x47b5_4596_f9f0_a582),
@@ -154,7 +154,7 @@ fn events_and_metrics_are_pinned() {
     }
     let pins = [
         ("plain", (0xf476_e901_b838_d769, 0xb980_6f3e_da89_0c0c)),
-        ("sharded", (0xd839_8024_3ebc_cf90, 0xbf18_2455_9e16_731e)),
+        ("sharded", (0xa291_d3bb_a2b0_2dfb, 0xded6_49b9_82b3_e90e)),
         ("causal", (0x801e_171a_dc06_afd2, 0x6048_acf5_8a3e_f3a8)),
         ("merkle", (0x1910_4693_7e58_24b1, 0x55e1_ff2b_0deb_99fd)),
         ("window", (0x41b7_180c_5d33_900d, 0x33ba_7c3b_a644_c045)),

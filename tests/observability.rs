@@ -354,9 +354,10 @@ fn fig6_suspend_resume_stays_one_trace() {
     );
 }
 
-/// Sharded fan-out: one computation crossing several shard groups is one
-/// trace — the sharded invocations root it and every per-shard
-/// invocation (and its server legs on different shard homes) joins it.
+/// A sharded run: one computation crossing several shard groups is one
+/// trace — the run's own first invocation roots it, every later
+/// invocation parents under it, and the server legs under it land on
+/// different shard homes.
 #[test]
 fn sharded_computation_is_one_trace_across_shard_groups() {
     let mut topo = Topology::new();
@@ -397,17 +398,12 @@ fn sharded_computation_is_one_trace_across_shard_groups() {
     while !matches!(it.next(&mut world), IterStep::Done) {}
 
     let dag = dag_of(&mut world);
-    let root = assert_one_computation_trace(&dag, "iter.sharded.invocation");
-    let root_trace = dag.span(root).unwrap().trace;
-    // Every per-shard invocation joined the sharded computation's trace.
-    let per_shard: Vec<&SpanNode> = dag
+    let root = assert_one_computation_trace(&dag, "iter.fig4.invocation");
+    let invocations = dag
         .spans()
         .filter(|s| s.kind == "iter.fig4.invocation")
-        .collect();
-    assert!(per_shard.len() >= 3, "expected runs on several shards");
-    for s in &per_shard {
-        assert_eq!(s.trace, root_trace, "shard run escaped the trace");
-    }
+        .count();
+    assert_eq!(invocations, 10, "nine yields and the return, one run");
     // ... and the server legs under the trace touch more than one shard
     // group's home.
     let handled_on: std::collections::BTreeSet<String> = dag

@@ -25,13 +25,14 @@
 //! skewed the live interleaving. Between markers, each live transport
 //! call is matched against the next recorded one:
 //!
-//! * a recorded `Ok` rpc is **re-executed** against the simulated
-//!   services (and its reply hash verified),
-//! * a recorded *failure* is **substituted** — the error is returned
-//!   without touching the simulated network, after advancing the virtual
-//!   clock by the observed stall,
-//! * a recorded `wait_any` pins the simulated wait to the recorded
-//!   winner's token,
+//! * a recorded send — an rpc's too: an rpc is a send and a wait, and
+//!   `Transport::rpc` is the same code on every backend — is
+//!   **re-executed** against the simulated services (its endpoints and
+//!   payload hash verified),
+//! * a recorded `wait_any` **pins** the simulated wait to the recorded
+//!   winner's token; one that ran out is **substituted** — it returns no
+//!   winner at its caller's deadline, whatever the simulated network did,
+//! * a collected reply is checked against the recorded one's outcome,
 //! * a `fault.*` region re-applies the fault edge its label names in
 //!   the embedded workload (as an `op.*` region re-issues its op),
 //!   through the simulator's own `World::apply_fault`: the replayed run
@@ -283,17 +284,15 @@ pub fn record_scenario(s: &Scenario) -> Result<RecordedRun, String> {
 // ---------------------------------------------------------------------
 
 fn is_matchable(ev: &RecEvent) -> bool {
-    matches!(
-        ev,
-        RecEvent::Rpc { .. } | RecEvent::Send { .. } | RecEvent::WaitAny { .. }
-    )
+    matches!(ev, RecEvent::Send { .. } | RecEvent::WaitAny { .. })
 }
 
 /// A [`Runtime`](weakset_runtime::traits::Runtime) that wraps the
 /// simulator and consumes a recording as the client code re-executes:
-/// transport calls are matched against the log (re-executed, substituted,
-/// or pinned), fault and op regions re-issue the workload item they name,
-/// and everything else delegates to the world.
+/// transport calls are matched against the log (re-executed, pinned or
+/// substituted), fault and op regions re-issue the workload item they
+/// name, and everything else delegates to the world. It has no `rpc` of
+/// its own: `Transport::rpc` sends and waits through the matched calls.
 struct ReplayRuntime {
     world: StoreWorld,
     rec: Recording,
@@ -306,6 +305,11 @@ struct ReplayRuntime {
     /// Recorded raw token → the simulator token minted for the same
     /// logical send, so recorded `wait_any` winners pin sim waits.
     token_map: HashMap<u64, ReplyToken>,
+    /// Recorded raw token → how its collected reply ended, until its
+    /// send is replayed.
+    took: HashMap<u64, RecOutcome>,
+    /// Simulator token → the recorded outcome its reply must have.
+    expected: HashMap<ReplyToken, RecOutcome>,
     divergences: Vec<String>,
     /// The cursor ran past the last entry (or up to a region boundary
     /// with nothing left) — meaningful together with `rec.truncated`.
@@ -582,62 +586,6 @@ impl Observe for ReplayRuntime {
 }
 
 impl Transport<StoreMsg> for ReplayRuntime {
-    fn rpc(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: StoreMsg,
-        timeout: SimDuration,
-    ) -> Result<StoreMsg, NetError> {
-        let Some(RecEvent::Rpc {
-            from: rec_from,
-            to: rec_to,
-            req_hash,
-            outcome,
-            elapsed_us,
-        }) = self.counterpart(format_args!("rpc {from}->{to}"), |e| {
-            matches!(e, RecEvent::Rpc { .. })
-        })
-        else {
-            return self.world.rpc(from, to, msg, timeout);
-        };
-        self.check_call(
-            "rpc request",
-            (from, to, hash_debug(&msg)),
-            (rec_from, rec_to, req_hash),
-        );
-        match outcome {
-            RecOutcome::Ok { reply_hash } => {
-                self.world.metrics_mut().incr(names::RPC_REPLAYED);
-                let result = self.world.rpc(from, to, msg, timeout);
-                match &result {
-                    Ok(reply) => {
-                        if hash_debug(reply) != reply_hash {
-                            self.diverge(format!("rpc reply payload diverges ({from}->{to})"));
-                        }
-                    }
-                    Err(e) => {
-                        self.diverge(format!(
-                            "recorded rpc succeeded, simulated one failed ({from}->{to}): {e}"
-                        ));
-                    }
-                }
-                result
-            }
-            failed => {
-                // Inject the recorded failure without touching the
-                // simulated network; advance the virtual clock by the
-                // stall the live client observed.
-                self.world.metrics_mut().incr(names::RPC_SUBSTITUTED);
-                let stall = SimDuration::from_micros(elapsed_us.min(timeout.as_micros()));
-                self.world.sleep(stall);
-                Err(failed
-                    .to_net_error()
-                    .expect("non-Ok outcome maps to an error"))
-            }
-        }
-    }
-
     fn send(&mut self, from: NodeId, to: NodeId, msg: StoreMsg) -> ReplyToken {
         let Some(RecEvent::Send {
             from: rec_from,
@@ -655,8 +603,12 @@ impl Transport<StoreMsg> for ReplayRuntime {
             (from, to, hash_debug(&msg)),
             (rec_from, rec_to, req_hash),
         );
+        self.world.metrics_mut().incr(names::RPC_REPLAYED);
         let sim = self.world.send(from, to, msg);
         self.token_map.insert(token, sim);
+        if let Some(outcome) = self.took.remove(&token) {
+            self.expected.insert(sim, outcome);
+        }
         sim
     }
 
@@ -670,10 +622,20 @@ impl Transport<StoreMsg> for ReplayRuntime {
         Transport::send(self, from, to, StoreMsg::wrap_batch(parts))
     }
 
+    /// Availability is pinned by `wait_any` winners; what is taken must
+    /// end as the recorded reply did.
     fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<StoreMsg, NetError>> {
-        // Recorded TookReply entries are informational; availability is
-        // pinned by wait_any winners.
-        self.world.try_take_reply(token)
+        let taken = self.world.try_take_reply(token);
+        if let Some(reply) = &taken {
+            let got = RecOutcome::of(reply);
+            match self.expected.remove(&token) {
+                Some(want) if got != want => {
+                    self.diverge(format!("reply diverges: live {got:?}, recorded {want:?}"));
+                }
+                _ => {}
+            }
+        }
+        taken
     }
 
     fn abandon(&mut self, token: ReplyToken) {
@@ -716,6 +678,7 @@ impl Transport<StoreMsg> for ReplayRuntime {
                 // Recorded deadline expiry: substitute it, advancing the
                 // clock to the caller's deadline. Completions stay
                 // queued for later try_take_reply calls.
+                self.world.metrics_mut().incr(names::RPC_SUBSTITUTED);
                 if self.world.now() < deadline {
                     self.world.run_until(deadline);
                 }
@@ -813,6 +776,15 @@ pub fn replay_recording(rec: &Recording) -> Result<ReplayReport, String> {
             .collect(),
         pos: 0,
         token_map: HashMap::new(),
+        took: rec
+            .entries
+            .iter()
+            .filter_map(|e| match e.ev {
+                RecEvent::TookReply { token, outcome } => Some((token, outcome)),
+                _ => None,
+            })
+            .collect(),
+        expected: HashMap::new(),
         divergences: Vec::new(),
         past_end: false,
         membership: Vec::new(),
@@ -975,29 +947,28 @@ mod tests {
                 label: label.into(),
             },
         };
-        let rpc = |h: u64| RecEntry {
+        let send = |h: u64| RecEntry {
             at_us: 0,
-            ev: RecEvent::Rpc {
+            ev: RecEvent::Send {
                 from: 0,
                 to: 1,
                 req_hash: h,
-                outcome: RecOutcome::Timeout,
-                elapsed_us: 0,
+                token: h,
             },
         };
         let entries = vec![
-            rpc(1), // preamble, before any region: always kept
+            send(1), // preamble, before any region: always kept
             region("setup.1.0"),
-            rpc(2),
+            send(2),
             region("op.5.add.9.0"),
-            rpc(3),
+            send(3),
             region("end"),
         ];
         let kept = remove_regions(&entries, &["setup.1.0".to_string()]);
         assert_eq!(kept.len(), 4);
-        assert!(matches!(&kept[0].ev, RecEvent::Rpc { req_hash: 1, .. }));
+        assert!(matches!(&kept[0].ev, RecEvent::Send { req_hash: 1, .. }));
         assert!(matches!(&kept[1].ev, RecEvent::Region { label } if label == "op.5.add.9.0"));
-        assert!(matches!(&kept[2].ev, RecEvent::Rpc { req_hash: 3, .. }));
+        assert!(matches!(&kept[2].ev, RecEvent::Send { req_hash: 3, .. }));
         assert!(matches!(&kept[3].ev, RecEvent::Region { label } if label == "end"));
     }
 

@@ -193,9 +193,9 @@ fn payload_tampering_is_reported_as_divergence() {
     let idx = tampered
         .entries
         .iter()
-        .position(|e| matches!(e.ev, RecEvent::Rpc { .. }))
-        .expect("log contains rpcs");
-    if let RecEvent::Rpc { req_hash, .. } = &mut tampered.entries[idx].ev {
+        .position(|e| matches!(e.ev, RecEvent::Send { .. }))
+        .expect("log contains sends");
+    if let RecEvent::Send { req_hash, .. } = &mut tampered.entries[idx].ev {
         *req_hash ^= 0xDEAD_BEEF;
     }
 

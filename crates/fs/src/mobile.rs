@@ -64,7 +64,6 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
-    use weakset_store::msg::StoreMsg;
     use weakset_store::object::ObjectId;
     use weakset_store::prelude::{StoreClient, StoreServer};
 
@@ -92,13 +91,9 @@ mod tests {
         mc.reconnect(&mut w);
         assert!(mc.connected);
         // Reachable again (NotFound is a server answer, not a net error).
-        let r = w.rpc(
-            laptop,
-            server,
-            StoreMsg::GetObject(ObjectId(1)),
-            SimDuration::from_millis(100),
-        );
-        assert!(matches!(r, Ok(StoreMsg::NotFound(_))));
+        assert!(client
+            .fetch_object(&mut w, server, ObjectId(1))
+            .is_err_and(|e| !matches!(e, weakset_store::prelude::StoreError::Net(_))));
     }
 
     #[test]

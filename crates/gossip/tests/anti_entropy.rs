@@ -3,6 +3,7 @@
 //! leaderless membership reads.
 
 use weakset_gossip::prelude::*;
+use weakset_runtime::traits::Transport;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::{SimDuration, SimTime};

@@ -18,11 +18,13 @@
 /// non-zero value means the replay is not a faithful reproduction.
 pub const DIVERGENCE: &str = "replay.divergence";
 
-/// Counter: recorded rpcs re-executed against the simulated services.
+/// Counter: recorded requests (sends, an rpc's included) re-executed
+/// against the simulated services.
 pub const RPC_REPLAYED: &str = "replay.rpc.replayed";
 
-/// Counter: recorded rpc *failures* substituted from the log instead of
-/// re-executed (the sim network is healthy; the failure is injected).
+/// Counter: recorded waits that ran out, substituted from the log: the
+/// wait returns no winner at its deadline whatever the simulated network
+/// did, and the rpc waiting fails as the live one did.
 pub const RPC_SUBSTITUTED: &str = "replay.rpc.substituted";
 
 /// Counter: `wait_any` completions pinned to the recorded winner.

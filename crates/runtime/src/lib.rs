@@ -31,6 +31,12 @@
 //! | timers    | scheduled events             | heap drained in `sleep`/`wait`  |
 //! | services  | inline `HashMap` dispatch    | `Mutex` slot per node thread    |
 //! | tracing   | world-owned span stack       | view-owned span stack           |
+//! | requests  | one `Requests` table         | one `Requests` table per view   |
+//!
+//! A request's life cycle — its token, its account, its reply and the
+//! task waiting on it — is `weakset_sim::requests::Requests`'s on both
+//! backends, and [`Transport::rpc`] is written once: each backend only
+//! delivers and waits.
 //!
 //! See DESIGN.md ("Execution backends") for the full diagram.
 
@@ -44,7 +50,7 @@ pub mod traits;
 
 pub use record::{RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 pub use traits::{
-    Clock, Observe, RtMessage, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, TaskFn,
+    Clock, Launched, Observe, RtMessage, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, TaskFn,
     Transport, Wake,
 };
 

@@ -5,15 +5,17 @@
 //! nondeterminism, though, crosses a narrow boundary — the [`crate::traits`]
 //! methods. A [`Recorder`] hooked into
 //! [`crate::threaded::ThreadedRuntime`] captures every boundary crossing
-//! as a [`RecEntry`]: message departure order and payload hashes, rpc
-//! outcomes with their observed stall times (the clock reads that
-//! matter), async completion order (`wait_any` winners), timer-fire
-//! order and spawns. Faults are not boundary crossings: the driver
+//! as a [`RecEntry`]: message departure order and payload hashes, async
+//! completion order (`wait_any` winners, with their observed stall
+//! times: the clock reads that matter), collected replies, timer-fire
+//! order and spawns. An rpc is a send and a wait, and records as one:
+//! a [`RecEvent::Send`] and a [`RecEvent::WaitAny`]. Faults are not
+//! boundary crossings: the driver
 //! brackets each one in a [`RecEvent::Region`] whose label names it in
 //! the embedded workload. The resulting [`Recording`] is a compact,
 //! schema-versioned log that `weakset-dst` can replay through the
 //! deterministic simulator, pinning delivery to the recorded
-//! interleaving and substituting the recorded failures — which puts a
+//! interleaving and substituting the recorded timeouts — which puts a
 //! real run in front of the conformance oracles, the shrinker, and
 //! explain mode.
 //!
@@ -32,31 +34,31 @@ pub use weakset_sim::trace::hash_debug;
 
 /// Artifact schema version; bump on any breaking change to the log
 /// grammar (mirrors the repro-artifact convention in `weakset-dst`).
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
-/// How a recorded rpc ended, payloads hashed. Mirrors
+/// How a recorded request ended, payloads hashed. Mirrors
 /// [`weakset_sim::net::NetError`] with raw node ids so the log is
 /// self-contained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecOutcome {
-    /// The rpc returned a reply hashing to `reply_hash`.
+    /// The request's reply hashes to `reply_hash`.
     Ok {
         /// [`hash_debug`] of the reply message.
         reply_hash: u64,
     },
-    /// The rpc failed with `NodeDown(node)`.
+    /// The request failed with `NodeDown(node)`.
     NodeDown {
         /// Raw id of the down node.
         node: u32,
     },
-    /// The rpc failed with `Unreachable { from, to }`.
+    /// The request failed with `Unreachable { from, to }`.
     Unreachable {
         /// Raw id of the calling node.
         from: u32,
         /// Raw id of the unreachable node.
         to: u32,
     },
-    /// The rpc timed out.
+    /// The request timed out.
     Timeout,
 }
 
@@ -74,21 +76,6 @@ impl RecOutcome {
                 to: to.0,
             },
             Err(NetError::Timeout) => RecOutcome::Timeout,
-        }
-    }
-
-    /// The error this outcome stands for, or `None` for `Ok`.
-    pub fn to_net_error(self) -> Option<weakset_sim::net::NetError> {
-        use weakset_sim::net::NetError;
-        use weakset_sim::node::NodeId;
-        match self {
-            RecOutcome::Ok { .. } => None,
-            RecOutcome::NodeDown { node } => Some(NetError::NodeDown(NodeId(node))),
-            RecOutcome::Unreachable { from, to } => Some(NetError::Unreachable {
-                from: NodeId(from),
-                to: NodeId(to),
-            }),
-            RecOutcome::Timeout => Some(NetError::Timeout),
         }
     }
 }
@@ -115,22 +102,10 @@ pub enum RecEvent {
         /// The activity label (e.g. `setup.3.1`, `inv.12`).
         label: String,
     },
-    /// A synchronous rpc and its observed outcome.
-    Rpc {
-        /// Raw id of the calling node.
-        from: u32,
-        /// Raw id of the target node.
-        to: u32,
-        /// [`hash_debug`] of the request message.
-        req_hash: u64,
-        /// How it ended.
-        outcome: RecOutcome,
-        /// Observed wall-clock stall, in microseconds — the clock read
-        /// replay substitutes when the outcome is a failure.
-        elapsed_us: u64,
-    },
-    /// An async send (including batched envelopes) and the token the
-    /// caller got back.
+    /// A request left: an async send (including batched envelopes) or
+    /// an rpc, and the token the caller waits on. An rpc that ended as
+    /// it was launched (served in place, or failed before it left) waits
+    /// under its own token too, and its `WaitAny` is won at once.
     Send {
         /// Raw id of the calling node.
         from: u32,
@@ -142,8 +117,9 @@ pub enum RecEvent {
         /// The raw reply token minted for the caller.
         token: u64,
     },
-    /// A completed async reply was collected (informational; replay
-    /// derives availability from pinned `WaitAny` winners).
+    /// A completed reply was collected. Replay checks its outcome
+    /// against the simulated reply's; availability comes from pinned
+    /// `WaitAny` winners.
     TookReply {
         /// The raw token collected.
         token: u64,
@@ -151,7 +127,7 @@ pub enum RecEvent {
         outcome: RecOutcome,
     },
     /// A `wait_any` returned: the winning raw token, or `None` on
-    /// deadline.
+    /// deadline, which replay substitutes.
     WaitAny {
         /// The completed token, if any.
         winner: Option<u64>,
@@ -339,19 +315,6 @@ fn push_event(out: &mut String, ev: &RecEvent) {
             push_str_lit(out, label);
             out.push(')');
         }
-        RecEvent::Rpc {
-            from,
-            to,
-            req_hash,
-            outcome,
-            elapsed_us,
-        } => {
-            out.push_str(&format!(
-                "Rpc(from: {from}, to: {to}, req_hash: {req_hash}, outcome: "
-            ));
-            push_outcome(out, outcome);
-            out.push_str(&format!(", elapsed_us: {elapsed_us})"));
-        }
         RecEvent::Send {
             from,
             to,
@@ -464,21 +427,6 @@ fn event_body(p: &mut Parser, tag: &str) -> Result<RecEvent, String> {
         "Region" => RecEvent::Region {
             label: p.str_key("label")?,
         },
-        "Rpc" => {
-            let from = p.num_field("from")? as u32;
-            let to = p.num_field("to")? as u32;
-            let req_hash = p.num_field("req_hash")?;
-            p.key("outcome")?;
-            let outcome = outcome(p)?;
-            p.expect(Tok::Comma)?;
-            RecEvent::Rpc {
-                from,
-                to,
-                req_hash,
-                outcome,
-                elapsed_us: p.num_key("elapsed_us")?,
-            }
-        }
         "Send" => RecEvent::Send {
             from: p.num_field("from")? as u32,
             to: p.num_field("to")? as u32,
@@ -589,22 +537,18 @@ mod tests {
                 },
                 RecEntry {
                     at_us: 9,
-                    ev: RecEvent::Rpc {
+                    ev: RecEvent::Send {
                         from: 0,
                         to: 1,
                         req_hash: u64::MAX,
-                        outcome: RecOutcome::Ok { reply_hash: 7 },
-                        elapsed_us: 1200,
+                        token: 4,
                     },
                 },
                 RecEntry {
                     at_us: 11,
-                    ev: RecEvent::Rpc {
-                        from: 0,
-                        to: 1,
-                        req_hash: 1,
+                    ev: RecEvent::TookReply {
+                        token: 4,
                         outcome: RecOutcome::Unreachable { from: 0, to: 1 },
-                        elapsed_us: 80,
                     },
                 },
                 RecEntry {
@@ -656,12 +600,16 @@ mod tests {
                 },
                 RecEntry {
                     at_us: 21,
-                    ev: RecEvent::Rpc {
-                        from: 0,
-                        to: 1,
-                        req_hash: 3,
+                    ev: RecEvent::TookReply {
+                        token: 6,
                         outcome: RecOutcome::NodeDown { node: 1 },
-                        elapsed_us: 10,
+                    },
+                },
+                RecEntry {
+                    at_us: 22,
+                    ev: RecEvent::TookReply {
+                        token: 7,
+                        outcome: RecOutcome::Ok { reply_hash: 7 },
                     },
                 },
             ],
@@ -713,12 +661,19 @@ mod tests {
 
     /// Schema 1 logged faults as reachability and liveness flips; schema
     /// 2 names them by region, and hashes replica syncs that carry the
-    /// whole membership, where schema 3 hashes the step they carry. An
-    /// old artifact is refused up front, not replayed into divergences.
+    /// whole membership, where schema 3 hashes the step they carry.
+    /// Schema 3 logged an rpc as one `Rpc` entry, where schema 4 logs the
+    /// send and the wait it is. An old artifact is refused up front, not
+    /// replayed into divergences, and an `Rpc` entry is no event at all.
     #[test]
-    fn rejects_a_schema_1_or_2_recording() {
-        for old in [1, 2] {
-            let text = sample().to_ron().replace(
+    fn rejects_a_schema_1_2_or_3_recording() {
+        let rpc = "(at_us: 9, ev: Rpc(from: 0, to: 1, req_hash: 1, \
+                   outcome: Ok(reply_hash: 7), elapsed_us: 1200)),";
+        let with_rpc = sample()
+            .to_ron()
+            .replace("entries: [\n", &format!("entries: [\n        {rpc}\n"));
+        for old in [1, 2, 3] {
+            let text = with_rpc.replace(
                 &format!("schema_version: {SCHEMA_VERSION}"),
                 &format!("schema_version: {old}"),
             );
@@ -728,6 +683,8 @@ mod tests {
                 "{err}"
             );
         }
+        let err = Recording::from_ron(&with_rpc).unwrap_err();
+        assert!(err.contains("unknown event 'Rpc'"), "{err}");
     }
 
     #[test]
@@ -760,29 +717,23 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_map_to_net_errors() {
+    fn results_map_to_outcomes() {
         use weakset_sim::net::NetError;
         use weakset_sim::node::NodeId;
         let ok: Result<u64, NetError> = Ok(7);
-        assert!(matches!(RecOutcome::of(&ok), RecOutcome::Ok { .. }));
-        assert_eq!(RecOutcome::of(&ok).to_net_error(), None);
+        let reply_hash = hash_debug(&7u64);
+        assert_eq!(RecOutcome::of(&ok), RecOutcome::Ok { reply_hash });
         let down: Result<u64, NetError> = Err(NetError::NodeDown(NodeId(3)));
-        assert_eq!(
-            RecOutcome::of(&down).to_net_error(),
-            Some(NetError::NodeDown(NodeId(3)))
-        );
+        assert_eq!(RecOutcome::of(&down), RecOutcome::NodeDown { node: 3 });
         let un: Result<u64, NetError> = Err(NetError::Unreachable {
             from: NodeId(0),
             to: NodeId(2),
         });
         assert_eq!(
-            RecOutcome::of(&un).to_net_error(),
-            Some(NetError::Unreachable {
-                from: NodeId(0),
-                to: NodeId(2)
-            })
+            RecOutcome::of(&un),
+            RecOutcome::Unreachable { from: 0, to: 2 }
         );
         let t: Result<u64, NetError> = Err(NetError::Timeout);
-        assert_eq!(RecOutcome::of(&t).to_net_error(), Some(NetError::Timeout));
+        assert_eq!(RecOutcome::of(&t), RecOutcome::Timeout);
     }
 }

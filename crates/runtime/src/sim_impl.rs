@@ -1,5 +1,6 @@
 //! The simulator as a [`Runtime`](crate::traits::Runtime): trait impls for
-//! [`weakset_sim::world::World`] that delegate to its inherent methods.
+//! [`weakset_sim::world::World`] that delegate to its inherent methods;
+//! its rpc is [`Transport::rpc`]'s, a send and a wait.
 //!
 //! Nothing here adds behavior — the impls exist so `&mut World<M>`
 //! coerces to `&mut dyn Runtime<M>` at call sites. Concrete-typed
@@ -65,16 +66,6 @@ impl<M: RtMessage> Observe for World<M> {
 }
 
 impl<M: RtMessage> Transport<M> for World<M> {
-    fn rpc(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        timeout: SimDuration,
-    ) -> Result<M, NetError> {
-        World::rpc(self, from, to, msg, timeout)
-    }
-
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
         World::send(self, from, to, msg)
     }
@@ -291,6 +282,8 @@ mod tests {
         assert_eq!(at, SimTime::from_millis(2));
         assert_eq!(reply, Some(Ok(Msg::Val(2))));
         assert_eq!(w.metrics().counter("rpc.ok"), 1);
+        // The sleep ran past the 50 ms deadline, which the reply cancelled.
+        assert_eq!(w.metrics().counter("sim.dispatch.deadline"), 0);
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //!
 //! ## Idle hand-off
 //!
-//! An `rpc` and a `send` take one path (`ThreadedRuntime::launch`): a
+//! An `rpc` and a `send` take one path (`ThreadedRuntime::start`): a
 //! request whose target is idle — empty mailbox, nobody inside the
 //! handler — is first offered to [`Service::serve_inline`] on the
 //! *calling* thread, under the node's own slot lock. A service whose
 //! handlers are bounded state steps runs the request there, reads and
-//! writes alike: the rpc returns its reply without a thread hand-off,
-//! and the send leaves it waiting under its token. A service that hands
+//! writes alike. An rpc's [`Transport::launch`] then returns the reply
+//! straight back, with no token minted and nothing parked in the view's
+//! [`Requests`] table (DESIGN.md §6 measures the shapes that parked it);
+//! a send leaves it there under a token of its own. A service that hands
 //! the request back, and any busy node, goes through the mailbox. The
 //! slot lock, not the node's thread, is the node's serialisation point: see
 //! `NodeHandle::serve_inline` for the two conditions and what each
@@ -54,9 +56,10 @@
 //! threaded analogue of the simulator firing tasks while the client
 //! pumps the event loop. A task is woken and never waits itself: each
 //! run returns its [`Wake`], and the view re-queues the same box on its
-//! heap — at an instant, or on a reply token, whose completion moves the
-//! task to the front of the heap and whose deadline, if it comes first,
-//! ends the request as a timed-out `rpc` and fires the task. Every wait
+//! heap — at an instant, or on a reply token. The token's reply moves
+//! the task to the front of the heap and cancels its deadline; the
+//! deadline, if it comes first, ends the request as a timeout and fires
+//! the task (the [`Requests`] table's rules). Every wait
 //! of the view is one loop (`ThreadedRuntime::wait_until`), which
 //! blocks on the completion channel until the next timer is due.
 //!
@@ -74,21 +77,22 @@
 //! Each view counts into its own registry, with the simulator's names
 //! and meanings (`rpc.sent`, `rpc.ok`, `rpc.failed`, `rpc.latency`),
 //! so views never share a metrics lock; a fleet-wide reading is the
-//! views' registries folded with `MetricsRegistry::merge`. As there,
-//! every request is accounted once, where it ends (`ThreadedRuntime::end`),
-//! whether it was an rpc or a send, and `rpc.latency` times mailbox
-//! crossings only: a request served in place reads no clock (its
-//! caller's own histogram holds its time) and counts `rpc.shared`. Boundary
-//! crossings (rpc outcomes with their causes, sends, waits, timer
-//! fires) are noted in one place, the attached [`Recorder`]: its
-//! recording is the black box, marked truncated when shutdown reports
-//! hung nodes.
+//! views' registries folded with `MetricsRegistry::merge`. Every request
+//! is accounted once, where it ends, by the simulator's own code
+//! ([`Account::end`], through the view's [`Requests`] table), whether it
+//! was an rpc or a send, and `rpc.latency` times mailbox crossings only:
+//! a request served in place reads no clock (its caller's own histogram
+//! holds its time) and counts `rpc.shared`. Boundary crossings (sends,
+//! waits, collected replies, timer fires) are noted in one place, the
+//! attached [`Recorder`]: an rpc is a `Send` and a `WaitAny`, and one
+//! that ended at launch wins its wait at once. The recording is the
+//! black box, marked truncated when shutdown reports hung nodes.
 
 use crate::record::{hash_debug, RecEvent, RecOutcome, Recorder};
-use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport, Wake};
+use crate::traits::{
+    Clock, Launched, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport, Wake,
+};
 use std::any::Any;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -96,11 +100,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use weakset_obs::sink::UNCLOSED_SPANS;
+use weakset_sim::event::Queue;
 use weakset_sim::fault::FaultAction;
-use weakset_sim::idmap::IdMap;
 use weakset_sim::metrics::{EventSink, Metrics, SpanId, TraceContext};
 use weakset_sim::net::NetError;
 use weakset_sim::node::NodeId;
+use weakset_sim::requests::{Account, Books, Requests};
 use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
@@ -110,25 +115,18 @@ use weakset_sim::world::{ReplyToken, Service, ServiceCtx};
 /// stop flag. Bounds both shutdown latency and idle wakeup rate.
 const MAILBOX_SLICE: Duration = Duration::from_millis(20);
 
-/// Drops a late reply out of line, off the path every reply takes:
-/// dropped inside `complete`, it read ~3.5 % slower on `ledger`'s
-/// `rt-read-fanout` (DESIGN.md §5, "A late reply is not kept").
-#[cold]
-#[inline(never)]
-fn discard<T>(_: T) {}
-
 /// What a node's thread sends back for a request: its reply or error,
 /// or `None` when the request was dropped (a down node ate it, or no
 /// service was installed). Its caller then times out; the notice only
 /// ends a send's account.
-type Completion<M> = (u64, Option<Result<M, NetError>>);
+type Completion<M> = (ReplyToken, Option<Result<M, NetError>>);
 
 /// One request crossing a node's mailbox, with the channel its reply
 /// should come back on.
 struct Envelope<M> {
     from: NodeId,
     msg: M,
-    token: u64,
+    token: ReplyToken,
     reply: Sender<Completion<M>>,
 }
 
@@ -376,58 +374,13 @@ enum Timer<M> {
     /// Runs the task.
     Run(Box<dyn RtTask<M>>),
     /// The deadline of the task waiting on this token's reply: it ends
-    /// the request as a timed-out rpc and fires the task, or finds the
-    /// task already woken by the reply.
-    Deadline(u64),
+    /// the request as a timeout and fires the task. The reply, if it
+    /// comes first, cancels it.
+    Deadline(ReplyToken),
 }
 
-/// A timer on a view's heap; earliest `(at, seq)` pops first.
-struct TimerEntry<M> {
-    at: SimTime,
-    seq: u64,
-    timer: Timer<M>,
-}
-
-impl<M> PartialEq for TimerEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for TimerEntry<M> {}
-
-impl<M> PartialOrd for TimerEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for TimerEntry<M> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// What a request's account needs when it ends.
-struct OpenSend {
-    from: NodeId,
-    to: NodeId,
-    /// When it was posted to a mailbox; `None` for one that never was.
-    started: Option<Instant>,
-    /// Its `net.rpc` span, open under the sender's context; only a
-    /// recording sink gets one.
-    span: Option<TraceContext>,
-}
-
-/// Where launching a request left it.
-enum Launch<M> {
-    /// Ended on the spot, accounted: served in place, or failed before
-    /// it could leave.
-    Ended(Result<M, NetError>),
-    /// In its target's mailbox under this token, its account open.
-    Posted(u64),
-}
+/// A view's requests, and the tasks woken on their replies.
+type Table<M> = Requests<M, Box<dyn RtTask<M>>>;
 
 /// The OS-thread execution environment. See the module docs for the
 /// view/fleet split.
@@ -436,19 +389,19 @@ pub struct ThreadedRuntime<M: RtMessage> {
     routes: Routes<M>,
     comp_tx: Sender<Completion<M>>,
     comp_rx: Receiver<Completion<M>>,
-    completed: IdMap<u64, Result<M, NetError>>,
-    /// Requests posted to a mailbox that have not ended yet.
-    sends: IdMap<u64, OpenSend>,
-    next_token: u64,
-    timers: BinaryHeap<TimerEntry<M>>,
-    timer_seq: u64,
-    /// Tasks waiting on a reply, by token, until it lands or their
-    /// [`Timer::Deadline`] comes.
-    woken: IdMap<u64, Box<dyn RtTask<M>>>,
+    /// This view's requests, and the tasks waiting on a reply until it
+    /// lands or their [`Timer::Deadline`] comes.
+    requests: Table<M>,
+    timers: Queue<Timer<M>>,
     metrics: Metrics,
     events: EventSink,
     ctx: Vec<TraceContext>,
     recorder: Option<Recorder>,
+}
+
+/// The wall time since `start`, in the simulator's units.
+fn since(start: Instant) -> SimTime {
+    SimTime::from_micros(start.elapsed().as_micros() as u64)
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -535,12 +488,8 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             routes: Routes::stale(),
             comp_tx,
             comp_rx,
-            completed: IdMap::default(),
-            sends: IdMap::default(),
-            next_token: 0,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
-            woken: IdMap::default(),
+            requests: Requests::default(),
+            timers: Queue::default(),
             metrics: Metrics::new(),
             events: EventSink::new(),
             ctx: Vec::new(),
@@ -707,87 +656,57 @@ impl<M: RtMessage> ThreadedRuntime<M> {
         &mut self.events
     }
 
-    /// Moves any newly-arrived completions into the completed map
-    /// without blocking.
+    /// Ends every request whose completion has arrived, without
+    /// blocking.
     fn drain_completions(&mut self) {
         while let Ok((token, result)) = self.comp_rx.try_recv() {
             self.complete(token, result);
         }
     }
 
-    /// Makes `result` the reply waiting under `token` and ends the
-    /// request posted under it, if that request is still open: a late
-    /// reply to an rpc that already timed out is dropped here, as the
-    /// simulator drops one. `None` (the request was dropped) completes
-    /// nothing and ends it as a timeout, as the simulator ends a lost
-    /// one; its caller waits out its deadline. A task waiting on the
-    /// reply moves to the front of the timer heap.
-    fn complete(&mut self, token: u64, result: Option<Result<M, NetError>>) {
-        let Some(open) = self.sends.remove(&token) else {
-            discard(result);
-            return;
-        };
-        let error = match &result {
-            Some(Ok(_)) => None,
-            Some(Err(e)) => Some(*e),
-            None => Some(NetError::Timeout),
-        };
-        self.end(open, error);
-        if let Some(result) = result {
-            self.completed.insert(token, result);
-            if let Some(task) = self.woken.remove(&token) {
-                self.push_timer(SimTime::ZERO, Timer::Run(task));
-            }
-        }
+    /// The request table, and the books its accounts are written into.
+    fn requests(&mut self) -> (&mut Table<M>, Books<'_, impl Fn() -> SimTime>) {
+        let start = self.shared.start;
+        let books = Books::new(&mut self.metrics, &mut self.events, move || since(start));
+        (&mut self.requests, books)
     }
 
-    /// The one account of every request, however it ended: `rpc.ok`,
-    /// with an `rpc.latency` sample when it crossed a mailbox, or
-    /// `rpc.failed` and a `net.rpc.failed` event; its span closes.
-    fn end(&mut self, open: OpenSend, error: Option<NetError>) {
-        match error {
-            None => {
-                self.metrics.incr("rpc.ok");
-                if let Some(started) = open.started {
-                    let took = started.elapsed().as_micros() as u64;
-                    self.metrics.observe("rpc.latency", took);
-                }
-            }
-            Some(_) => self.metrics.incr("rpc.failed"),
-        }
-        if let Some(span) = open.span {
-            let at = Clock::now(self).as_micros();
-            if let Some(e) = error {
-                let detail = format!("{}->{}: {e}", open.from, open.to);
-                self.events
-                    .event_in(at, "net.rpc.failed", detail, Some(span));
-            }
-            self.events.end_span(at, span.span);
+    /// The request under `token` ends with what its node sent back:
+    /// `None` (the node dropped it) ends it as a timeout, and its caller
+    /// waits out its own deadline. A task its reply wakes moves to the
+    /// front of the timer heap, and its deadline is cancelled.
+    fn complete(&mut self, token: ReplyToken, result: Option<Result<M, NetError>>) {
+        let (requests, books) = self.requests();
+        if let Some(task) = requests.complete(token, result, books) {
+            self.timers
+                .retain(|e| !matches!(e, Timer::Deadline(t) if *t == token));
+            self.timers.push(SimTime::ZERO, Timer::Run(task));
         }
     }
 
     /// The one path of `rpc` and `send`: routed through this view's
     /// tables, offered to [`NodeHandle::serve_inline`], else posted under
-    /// an account `complete` closes. A down caller sends nothing; only a
-    /// recording sink gets a span, and only a posted request a token.
+    /// an account opened in the view's [`Requests`] table. A request that
+    /// ends here is accounted here and mints no token. A down caller
+    /// sends nothing; only a recording sink gets a span.
     /// Out of line: inlined into `rpc`, an in-place rpc read ~8 ns slower
     /// (`tests/read_budget.rs`, DESIGN.md §6).
     #[inline(never)]
-    fn launch(&mut self, from: NodeId, to: NodeId, msg: M) -> Launch<M> {
+    fn start(&mut self, from: NodeId, to: NodeId, msg: M) -> Launched<M> {
         let routed = match self.routes.route(&self.shared, from, to) {
             Err(NetError::NodeDown(n)) if n == from => {
-                return Launch::Ended(Err(NetError::NodeDown(from)))
+                return Launched::Ended(Err(NetError::NodeDown(from)))
             }
             routed => routed,
         };
         self.metrics.incr("rpc.sent");
         let span = self.events.is_enabled().then(|| {
-            let at = self.shared.start.elapsed().as_micros() as u64;
+            let at = since(self.shared.start).as_micros();
             let parent = self.ctx.last().copied();
             self.events
                 .begin_span(at, "net.rpc", from.link_label(to), parent)
         });
-        let mut open = OpenSend {
+        let mut account = Account {
             from,
             to,
             started: None,
@@ -802,33 +721,25 @@ impl<M: RtMessage> ThreadedRuntime<M> {
                 }
                 Served::Crashed => Err(NetError::NodeDown(to)),
                 Served::Declined(msg) => {
-                    open.started = Some(Instant::now());
-                    let token = self.next_token;
+                    account.started = Some(since(self.shared.start));
+                    let token = self.requests.open(account);
                     let env = Envelope {
                         from,
                         msg,
                         token,
                         reply: self.comp_tx.clone(),
                     };
-                    match h.post(to, env) {
-                        Ok(()) => {
-                            self.next_token += 1;
-                            self.sends.insert(token, open);
-                            return Launch::Posted(token);
-                        }
-                        Err(e) => Err(e),
+                    if let Err(e) = h.post(to, env) {
+                        self.complete(token, Some(Err(e)));
+                        return Launched::Ended(self.requests.take(token).expect("ended"));
                     }
+                    return Launched::Pending(token);
                 }
             },
         };
-        self.end(open, outcome.as_ref().err().copied());
-        Launch::Ended(outcome)
-    }
-
-    fn push_timer(&mut self, at: SimTime, timer: Timer<M>) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(TimerEntry { at, seq, timer });
+        let (_, books) = self.requests();
+        account.end(outcome.as_ref().map(|_| ()).map_err(|e| *e), books);
+        Launched::Ended(outcome)
     }
 
     /// Fires every timer that is due as of the wall clock. Timers only
@@ -836,20 +747,20 @@ impl<M: RtMessage> ThreadedRuntime<M> {
     /// simulator firing tasks while the client pumps the event loop.
     fn run_due_timers(&mut self) {
         loop {
-            let due = self.timers.peek().is_some_and(|e| e.at <= Clock::now(self));
+            let due = self
+                .timers
+                .peek_time()
+                .is_some_and(|at| at <= Clock::now(self));
             if !due {
                 break;
             }
-            let entry = self.timers.pop().expect("peeked timer vanished");
-            let mut task = match entry.timer {
+            let (_, timer) = self.timers.pop().expect("peeked timer vanished");
+            let mut task = match timer {
                 Timer::Run(task) => task,
-                Timer::Deadline(token) => match self.woken.remove(&token) {
-                    Some(task) => {
-                        self.complete(token, None);
-                        task
-                    }
-                    None => continue,
-                },
+                Timer::Deadline(token) => {
+                    let (requests, books) = self.requests();
+                    requests.deadline(token, books)
+                }
             };
             if self.recorder.is_some() {
                 self.note(RecEvent::TimerFired {
@@ -858,29 +769,23 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             }
             match task.run(self) {
                 Wake::Never => {}
-                Wake::At(at) => self.push_timer(at, Timer::Run(task)),
-                Wake::Reply(token, _) if self.completed.contains_key(&token.raw()) => {
-                    self.push_timer(SimTime::ZERO, Timer::Run(task));
-                }
-                Wake::Reply(token, deadline) => {
-                    self.woken.insert(token.raw(), task);
-                    self.push_timer(deadline, Timer::Deadline(token.raw()));
-                }
+                Wake::At(at) => self.timers.push(at, Timer::Run(task)),
+                Wake::Reply(token, deadline) => match self.requests.wake_on_reply(token, task) {
+                    Some(task) => self.timers.push(SimTime::ZERO, Timer::Run(task)),
+                    None => self.timers.push(deadline, Timer::Deadline(token)),
+                },
             }
         }
     }
 
-    /// Waits until one of `tokens` completes (its reply is left in
-    /// `completed`) or `deadline` passes, firing due timers meanwhile:
+    /// Waits until one of `tokens` completes (its reply is left in the
+    /// [`Requests`] table) or `deadline` passes, firing due timers meanwhile:
     /// between them it blocks on the completion channel until the next
     /// timer is due.
     fn wait_until(&mut self, tokens: &[ReplyToken], deadline: Instant) -> Option<ReplyToken> {
         loop {
             self.drain_completions();
-            if let Some(&t) = tokens
-                .iter()
-                .find(|t| self.completed.contains_key(&t.raw()))
-            {
+            if let Some(&t) = tokens.iter().find(|&&t| self.requests.is_done(t)) {
                 return Some(t);
             }
             self.run_due_timers();
@@ -888,9 +793,9 @@ impl<M: RtMessage> ThreadedRuntime<M> {
             if now >= deadline {
                 return None;
             }
-            let wake = match self.timers.peek() {
-                Some(e) => {
-                    let due = self.shared.start + Duration::from_micros(e.at.as_micros());
+            let wake = match self.timers.peek_time() {
+                Some(at) => {
+                    let due = self.shared.start + Duration::from_micros(at.as_micros());
                     deadline.min(due)
                 }
                 None => deadline,
@@ -916,12 +821,8 @@ impl<M: RtMessage> Clone for ThreadedRuntime<M> {
             routes: Routes::stale(),
             comp_tx,
             comp_rx,
-            completed: IdMap::default(),
-            sends: IdMap::default(),
-            next_token: 0,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
-            woken: IdMap::default(),
+            requests: Requests::default(),
+            timers: Queue::default(),
             metrics: Metrics::new(),
             events: EventSink::new(),
             ctx: Vec::new(),
@@ -932,7 +833,7 @@ impl<M: RtMessage> Clone for ThreadedRuntime<M> {
 
 impl<M: RtMessage> Clock for ThreadedRuntime<M> {
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.shared.start.elapsed().as_micros() as u64)
+        since(self.shared.start)
     }
 
     /// Sleeps wall time, firing due timers as they come up (so gossip
@@ -1003,70 +904,35 @@ impl<M: RtMessage> Observe for ThreadedRuntime<M> {
 }
 
 impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
-    /// A `send` and a wait: served in place, its reply comes straight
-    /// back; posted, it is waited for until `timeout`, which ends it.
-    fn rpc(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        timeout: SimDuration,
-    ) -> Result<M, NetError> {
-        // Only the recorder reads the request hash and the elapsed time.
-        let noted = self
-            .recorder
-            .as_ref()
-            .map(|_| (hash_debug(&msg), Instant::now()));
-        let result = match self.launch(from, to, msg) {
-            Launch::Ended(result) => result,
-            Launch::Posted(token) => {
-                let deadline = Instant::now() + Duration::from_micros(timeout.as_micros());
-                match self.wait_until(&[ReplyToken::from_raw(token)], deadline) {
-                    Some(_) => self
-                        .completed
-                        .remove(&token)
-                        .expect("a completed token has its reply"),
-                    None => {
-                        self.complete(token, None);
-                        Err(NetError::Timeout)
-                    }
-                }
-            }
-        };
-        if let Some((req_hash, started)) = noted {
-            self.note(RecEvent::Rpc {
-                from: from.0,
-                to: to.0,
-                req_hash,
-                outcome: RecOutcome::of(&result),
-                elapsed_us: started.elapsed().as_micros() as u64,
-            });
+    /// Served in place, or failed before it could leave, the request has
+    /// ended, and its reply comes straight back. Under a recorder it is
+    /// sent instead, its reply parked, so the log holds what every rpc
+    /// is: a `Send`, a `WaitAny` (won at once) and the reply taken.
+    fn launch(&mut self, from: NodeId, to: NodeId, msg: M) -> Launched<M> {
+        match self.recorder {
+            None => self.start(from, to, msg),
+            Some(_) => Launched::Pending(Transport::send(self, from, to, msg)),
         }
-        result
     }
 
     /// Launched as an rpc is; a request that ended on the spot leaves
-    /// its reply or error waiting under a token of its own.
+    /// its reply or error in the [`Requests`] table under a token of its
+    /// own.
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
         let req_hash = self.recorder.as_ref().map(|_| hash_debug(&msg));
-        let token = match self.launch(from, to, msg) {
-            Launch::Posted(token) => token,
-            Launch::Ended(result) => {
-                let token = self.next_token;
-                self.next_token += 1;
-                self.completed.insert(token, result);
-                token
-            }
+        let token = match self.start(from, to, msg) {
+            Launched::Pending(token) => token,
+            Launched::Ended(result) => self.requests.park(result),
         };
         if let Some(req_hash) = req_hash {
             self.note(RecEvent::Send {
                 from: from.0,
                 to: to.0,
                 req_hash,
-                token,
+                token: token.raw(),
             });
         }
-        ReplyToken::from_raw(token)
+        token
     }
 
     fn send_batch(&mut self, from: NodeId, to: NodeId, parts: Vec<M>) -> ReplyToken {
@@ -1077,7 +943,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
 
     fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<M, NetError>> {
         self.drain_completions();
-        let taken = self.completed.remove(&token.raw());
+        let taken = self.requests.take(token);
         if let Some(result) = &taken {
             if self.recorder.is_some() {
                 self.note(RecEvent::TookReply {
@@ -1103,13 +969,12 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
         winner
     }
 
-    /// Ends the request as a timed-out rpc's wait does, if it is still
-    /// open; a reply already in is dropped.
+    /// Ends the request as a timeout, if it is still pending once every
+    /// arrived completion is in; a reply already in is dropped.
     fn abandon(&mut self, token: ReplyToken) {
         self.drain_completions();
-        if self.completed.remove(&token.raw()).is_none() {
-            self.complete(token.raw(), None);
-        }
+        let (requests, books) = self.requests();
+        requests.abandon(token, books);
     }
 
     /// No latency model on real threads: everything estimates to zero,
@@ -1178,7 +1043,7 @@ impl<M: RtMessage> Spawner<M> for ThreadedRuntime<M> {
             });
         }
         let at = Clock::now(self) + d;
-        self.push_timer(at, Timer::Run(task));
+        self.timers.push(at, Timer::Run(task));
     }
 }
 
@@ -1363,6 +1228,10 @@ mod tests {
             "woken {took:?} after its send"
         );
         assert_eq!(rt.metrics.counter("rpc.ok"), 1);
+        assert!(
+            rt.timers.is_empty(),
+            "the reply cancelled the task's deadline"
+        );
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
@@ -1383,8 +1252,7 @@ mod tests {
         );
         assert_eq!(rt.metrics.counter("rpc.failed"), 1);
         assert_eq!(Transport::try_take_reply(&mut rt, token), None);
-        assert!(rt.completed.is_empty(), "nothing stays in completed");
-        assert!(rt.woken.is_empty());
+        assert_eq!(rt.requests.held(), (0, 0), "nothing stays in the table");
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
@@ -1572,7 +1440,7 @@ mod tests {
             Transport::rpc(&mut rt, c, s, Msg::Val(6), SECS5),
             Ok(Msg::Val(6))
         );
-        assert_eq!(rt.completed.len(), 0, "a late reply was kept");
+        assert_eq!(rt.requests.held(), (0, 0), "a late reply was kept");
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
     }
 
@@ -1712,66 +1580,6 @@ mod tests {
         );
         assert_eq!(rt.metrics.counter("rpc.failed"), 8);
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
-    }
-
-    /// An `rpc` is a `send` and a wait: on every path a request can take,
-    /// both ways of asking leave the same reply and the same account,
-    /// where only a reply that crossed the mailbox is timed.
-    #[test]
-    fn rpc_and_send_share_one_account() {
-        // `register_fleet`'s client and server.
-        let (c, s) = (NodeId(0), NodeId(1));
-        let failed = &[("rpc.failed", 1), ("rpc.sent", 1)][..];
-        let cut = Err(NetError::Unreachable { from: c, to: s });
-        type Counters = &'static [(&'static str, u64)];
-        let cases: [(&str, Msg, Result<Msg, NetError>, Counters); 6] = [
-            (
-                "in place",
-                Msg::Get,
-                Ok(Msg::Val(7)),
-                &[("rpc.ok", 1), ("rpc.sent", 1), ("rpc.shared", 1)],
-            ),
-            (
-                "mailbox",
-                Msg::Val(8),
-                Ok(Msg::Val(8)),
-                &[("rpc.ok", 1), ("rpc.sent", 1)],
-            ),
-            ("unroutable", Msg::Get, cut, failed),
-            ("down target", Msg::Get, Err(NetError::NodeDown(s)), failed),
-            ("down caller", Msg::Get, Err(NetError::NodeDown(c)), &[]),
-            ("timeout", Msg::Get, Err(NetError::Timeout), failed),
-        ];
-        for (case, msg, want, counters) in cases {
-            for via_send in [false, true] {
-                let (mut rt, _, _, _gate) = register_fleet(7, false);
-                let mut to = s;
-                match case {
-                    "unroutable" => rt.apply_fault(&FaultAction::Partition(vec![s])),
-                    "down target" => rt.apply_fault(&FaultAction::Crash(s)),
-                    "down caller" => rt.apply_fault(&FaultAction::Crash(c)),
-                    "timeout" => to = rt.add_node("empty"),
-                    _ => {}
-                }
-                // A request that ends on the spot needs no wait at all.
-                let waits = matches!(case, "mailbox" | "timeout");
-                let short = SimDuration::from_millis(if waits { 80 } else { 0 });
-                let msg = msg.clone();
-                let got = if via_send {
-                    sent(&mut rt, c, to, msg, short)
-                } else {
-                    Transport::rpc(&mut rt, c, to, msg, short)
-                };
-                assert_eq!(got, want, "{case}, send: {via_send}");
-                let timed = usize::from(case == "mailbox");
-                assert_eq!(
-                    accounted(&rt),
-                    (counters.to_vec(), timed),
-                    "{case}, send: {via_send}"
-                );
-                assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
-            }
-        }
     }
 
     #[test]
@@ -2023,19 +1831,47 @@ mod tests {
         assert!(rt.shutdown(Duration::from_secs(2)).is_ok());
 
         let rec = rt.recorder().unwrap().finish();
-        let rpcs: Vec<(u64, RecOutcome)> = rec
-            .entries
-            .iter()
-            .filter_map(|e| match &e.ev {
-                RecEvent::Rpc {
-                    req_hash, outcome, ..
-                } => Some((*req_hash, *outcome)),
+        let evs: Vec<&RecEvent> = rec.entries.iter().map(|e| &e.ev).collect();
+        let reads = rpcs_of(&evs, hash_debug(&Msg::Get));
+        assert_eq!(
+            reads.len(),
+            2,
+            "one Send, wait and reply per read, shared or not"
+        );
+        assert!(matches!(reads[0].2, RecOutcome::Ok { .. }));
+        assert_eq!(reads[0].2, reads[1].2, "same reply hash");
+        assert!(reads[0].1 < 1_000, "the shared read's wait is won at once");
+    }
+
+    /// Each rpc of `req_hash` in a recording, in order: its `Send`'s
+    /// token, the stall of the `WaitAny` its token won, and the outcome
+    /// of the reply taken under it.
+    fn rpcs_of(evs: &[&RecEvent], req_hash: u64) -> Vec<(u64, u64, RecOutcome)> {
+        let sent = evs.iter().filter_map(|e| match e {
+            RecEvent::Send {
+                req_hash: h, token, ..
+            } if *h == req_hash => Some(*token),
+            _ => None,
+        });
+        sent.map(|t| {
+            let waited = evs.iter().find_map(|e| match e {
+                RecEvent::WaitAny {
+                    winner: Some(w),
+                    elapsed_us,
+                } if *w == t => Some(*elapsed_us),
                 _ => None,
-            })
-            .collect();
-        assert_eq!(rpcs.len(), 2, "one Rpc event per read, shared or not");
-        assert!(matches!(rpcs[0].1, RecOutcome::Ok { .. }));
-        assert_eq!(rpcs[0], rpcs[1], "same request hash, same reply hash");
+            });
+            let took = evs.iter().find_map(|e| match e {
+                RecEvent::TookReply { token, outcome } if *token == t => Some(*outcome),
+                _ => None,
+            });
+            (
+                t,
+                waited.expect("its wait won"),
+                took.expect("its reply taken"),
+            )
+        })
+        .collect()
     }
 
     #[test]
@@ -2206,24 +2042,18 @@ mod tests {
         assert_eq!(rec.nodes, vec!["client".to_string(), "server".to_string()]);
         let evs: Vec<&RecEvent> = rec.entries.iter().map(|e| &e.ev).collect();
         // Same request payload → same recorded hash, success then the
-        // partition's failure; the fault itself is the driver's to record.
-        let rpcs: Vec<(u64, RecOutcome)> = evs
-            .iter()
-            .filter_map(|e| match e {
-                RecEvent::Rpc {
-                    req_hash, outcome, ..
-                } => Some((*req_hash, *outcome)),
-                _ => None,
-            })
-            .collect();
+        // partition's failure, each a send and a wait; the fault itself
+        // is the driver's to record.
+        let rpcs = rpcs_of(&evs, hash_debug(&Msg::Val(1)));
         assert_eq!(rpcs.len(), 2);
-        assert_eq!(rpcs[0].0, rpcs[1].0);
-        assert!(matches!(rpcs[0].1, RecOutcome::Ok { .. }));
-        assert_eq!(rpcs[1].1, RecOutcome::Unreachable { from: 0, to: 1 });
+        assert!(matches!(rpcs[0].2, RecOutcome::Ok { .. }));
+        assert_eq!(rpcs[1].2, RecOutcome::Unreachable { from: 0, to: 1 });
         let sent_token = evs
             .iter()
             .find_map(|e| match e {
-                RecEvent::Send { token, .. } => Some(*token),
+                RecEvent::Send {
+                    req_hash, token, ..
+                } if *req_hash == hash_debug(&Msg::Val(5)) => Some(*token),
                 _ => None,
             })
             .expect("send recorded");

@@ -1,7 +1,8 @@
 //! The object-safe execution-environment traits.
 //!
 //! The split follows ownership: [`Clock`] owns time, [`Transport`] owns
-//! delivery and completion, [`ServiceHost`] owns the per-node handlers
+//! delivery and completion (and, since an rpc's timeout is read off a
+//! clock, extends it), [`ServiceHost`] owns the per-node handlers
 //! and liveness, [`Spawner`] owns deferred work, and [`Observe`] owns
 //! metrics and the causal span stack. [`Runtime`] is their sum — the
 //! type that client-side code takes as `&mut dyn Runtime<M>`.
@@ -65,17 +66,50 @@ pub trait Observe {
     fn trace_event(&mut self, kind: &str, detail: &dyn Fn() -> String);
 }
 
-/// Message delivery and completion.
-pub trait Transport<M: RtMessage> {
-    /// Synchronous RPC: send, wait (advancing this backend's notion of
-    /// time), return the reply or the failure.
+/// Where launching a request left it: what [`Transport::launch`]
+/// returns.
+#[derive(Debug)]
+pub enum Launched<M> {
+    /// Ended on the spot, accounted: its reply, or why it failed.
+    Ended(Result<M, NetError>),
+    /// In flight under this token.
+    Pending(ReplyToken),
+}
+
+/// Message delivery and completion. A backend delivers and waits; a
+/// request's life cycle is `weakset_sim::requests::Requests`'s.
+pub trait Transport<M: RtMessage>: Clock {
+    /// Synchronous RPC: [`Transport::launch`]es `msg` and, unless the
+    /// request ended there, waits until `timeout` from now for its reply,
+    /// or [`Transport::abandon`]s it as a timeout. Fails with `NodeDown`
+    /// of a down caller (which sends nothing), `Unreachable` or `NodeDown`
+    /// of `to` when failure detection says so, else `Timeout`.
     fn rpc(
         &mut self,
         from: NodeId,
         to: NodeId,
         msg: M,
         timeout: SimDuration,
-    ) -> Result<M, NetError>;
+    ) -> Result<M, NetError> {
+        let token = match self.launch(from, to, msg) {
+            Launched::Ended(result) => return result,
+            Launched::Pending(token) => token,
+        };
+        let deadline = self.now() + timeout;
+        if self.wait_any(&[token], deadline).is_some() {
+            if let Some(result) = self.try_take_reply(token) {
+                return result;
+            }
+        }
+        self.abandon(token);
+        Err(NetError::Timeout)
+    }
+    /// Launches a request for [`Transport::rpc`]. A backend that can end
+    /// a request on the spot returns its reply straight back; the
+    /// default [`Transport::send`]s it.
+    fn launch(&mut self, from: NodeId, to: NodeId, msg: M) -> Launched<M> {
+        Launched::Pending(self.send(from, to, msg))
+    }
     /// Launches a request asynchronously; collect with
     /// [`Transport::try_take_reply`] / [`Transport::wait_any`].
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken;
@@ -87,9 +121,9 @@ pub trait Transport<M: RtMessage> {
     /// the completed reply is left for [`Transport::try_take_reply`].
     fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken>;
     /// Gives up on a request whose reply its caller will not take: it
-    /// ends now as a timed-out [`Transport::rpc`] does, counting
-    /// `rpc.failed`, unless it has ended already, and a reply already in
-    /// is dropped. The default does nothing.
+    /// ends now as a timeout, counting `rpc.failed`, unless it has ended
+    /// already, and a reply already in is dropped. The default does
+    /// nothing.
     fn abandon(&mut self, _token: ReplyToken) {}
     /// Deterministic latency estimate for closest-first scheduling.
     /// Backends without a latency model return zero (callers break ties
@@ -120,9 +154,9 @@ pub enum Wake {
     /// At this instant, or at once if it has passed.
     At(SimTime),
     /// When the reply under this token lands, or at the deadline if that
-    /// comes first. The request then ends as a timed-out
-    /// [`Transport::rpc`] does: it counts `rpc.failed`, and
-    /// [`Transport::try_take_reply`] finds nothing under the token.
+    /// comes first. The request then ends as a timeout: it counts
+    /// `rpc.failed`, and [`Transport::try_take_reply`] finds nothing
+    /// under the token. A reply that comes first cancels the deadline.
     Reply(ReplyToken, SimTime),
 }
 

@@ -1,13 +1,14 @@
 //! The discrete-event queue.
 //!
 //! Events are ordered by `(time, sequence)`: ties in simulated time are
-//! broken by insertion order, which makes every run deterministic.
+//! broken by insertion order, which makes every run deterministic. The
+//! threaded runtime keeps its timers in the same [`Queue`].
 
 use crate::fault::FaultAction;
 use crate::metrics::TraceContext;
 use crate::node::NodeId;
 use crate::time::SimTime;
-use crate::world::{ReplyToken, Task, World};
+use crate::world::{ReplyToken, Task};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -41,124 +42,136 @@ pub(crate) enum EventKind<M> {
     Fault(FaultAction),
     /// An arbitrary scheduled task (background mutator, concurrent client).
     Task(Box<dyn Task<M>>),
-    /// The deadline of a task waiting on this token's reply.
+    /// The deadline of a task waiting on this token's reply; cancelled
+    /// when the reply wakes the task first.
     Deadline(ReplyToken),
 }
 
-pub(crate) struct QueuedEvent<M> {
-    pub at: SimTime,
-    pub seq: u64,
-    pub kind: EventKind<M>,
+/// The world's event queue.
+pub(crate) type EventQueue<M> = Queue<EventKind<M>>;
+
+/// One queued `K`, due at `at`.
+struct Queued<K> {
+    at: SimTime,
+    seq: u64,
+    kind: K,
 }
 
-impl<M> PartialEq for QueuedEvent<M> {
+impl<K> PartialEq for Queued<K> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<M> Eq for QueuedEvent<M> {}
+impl<K> Eq for Queued<K> {}
 
-impl<M> PartialOrd for QueuedEvent<M> {
+impl<K> PartialOrd for Queued<K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for QueuedEvent<M> {
-    /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest* event.
+impl<K> Ord for Queued<K> {
+    /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest* one.
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// A min-queue of events keyed by `(time, seq)`.
-pub(crate) struct EventQueue<M> {
-    heap: BinaryHeap<QueuedEvent<M>>,
+/// A min-queue of `K`s keyed by `(time, seq)`: the world's events, and
+/// the threaded runtime's timers.
+pub struct Queue<K> {
+    heap: BinaryHeap<Queued<K>>,
     next_seq: u64,
 }
 
-impl<M> Default for EventQueue<M> {
+impl<K> Default for Queue<K> {
     fn default() -> Self {
-        EventQueue {
+        Queue {
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 }
 
-impl<M> EventQueue<M> {
-    pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+impl<K> Queue<K> {
+    /// Queues `kind` at `at`, after everything already queued at `at`.
+    pub fn push(&mut self, at: SimTime, kind: K) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(QueuedEvent { at, seq, kind });
+        self.heap.push(Queued { at, seq, kind });
     }
 
-    /// Time of the earliest pending event.
+    /// Time of the earliest entry.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
-    pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        self.heap.pop()
+    /// Takes the earliest entry, with its time.
+    pub fn pop(&mut self) -> Option<(SimTime, K)> {
+        self.heap.pop().map(|e| (e.at, e.kind))
     }
 
+    /// Drops every entry `keep` refuses; the rest keep their order,
+    /// which `(at, seq)` alone decides.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.heap.retain(|e| keep(&e.kind));
+    }
+
+    /// How many entries are queued.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    #[allow(dead_code)] // symmetry with len(); used by tests
+    /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
 
-/// Run a boxed task against the world. Lives here so `EventKind` can stay
-/// private while `World` dispatches it.
-pub(crate) fn run_task<M>(task: Box<dyn Task<M>>, world: &mut World<M>) {
-    task.run(world)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultAction;
-
-    fn fault_event(_us: u64) -> EventKind<()> {
-        // Any payload works for ordering tests; reuse a fault action.
-        EventKind::Fault(FaultAction::HealPartition)
-    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q: EventQueue<()> = EventQueue::default();
-        q.push(SimTime::from_micros(30), fault_event(30));
-        q.push(SimTime::from_micros(10), fault_event(10));
-        q.push(SimTime::from_micros(20), fault_event(20));
-        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.at.as_micros())
-            .collect();
-        assert_eq!(times, vec![10, 20, 30]);
+        let mut q = Queue::default();
+        for us in [30, 10, 20] {
+            q.push(SimTime::from_micros(us), us);
+        }
+        let kinds: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+        assert_eq!(kinds, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<()> = EventQueue::default();
+        let mut q = Queue::default();
         let t = SimTime::from_micros(5);
-        for _ in 0..4 {
-            q.push(t, fault_event(5));
+        for i in 0..4 {
+            q.push(t, i);
         }
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        let kinds: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+        assert_eq!(kinds, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn peek_time_sees_earliest() {
-        let mut q: EventQueue<()> = EventQueue::default();
+        let mut q = Queue::default();
         assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_micros(9), fault_event(9));
-        q.push(SimTime::from_micros(2), fault_event(2));
+        q.push(SimTime::from_micros(9), ());
+        q.push(SimTime::from_micros(2), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn retain_drops_only_what_it_refuses() {
+        let mut q = Queue::default();
+        for i in 0..6 {
+            q.push(SimTime::from_micros(6 - i), i);
+        }
+        q.retain(|&k| k % 2 == 0);
+        let kinds: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+        assert_eq!(kinds, vec![4, 2, 0]);
     }
 }

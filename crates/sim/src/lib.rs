@@ -11,8 +11,11 @@
 //!
 //! * [`topology::Topology`] — nodes, links, partitions, and the transitive
 //!   reachability relation that grounds the paper's `reachable` construct.
-//! * [`world::World`] — the event loop: synchronous client RPC that pumps
-//!   scheduled background work (mutators, fault actions) in timestamp order.
+//! * [`world::World`] — the event loop: a client's wait for its replies
+//!   pumps scheduled background work (mutators, fault actions) in
+//!   timestamp order.
+//! * [`requests::Requests`] — a request's life cycle (token, account,
+//!   reply, the task waiting on it), kept once for every backend.
 //! * [`fault::FaultPlan`] — scripted crashes, outages, partitions, heals,
 //!   and flapping links.
 //! * [`latency::LatencyModel`] — constant/uniform/exponential/site-distance
@@ -39,7 +42,10 @@
 //! let server = topo.add_node("server", 1);
 //! let mut world = World::new(7, topo, LatencyModel::default());
 //! world.install_service(server, Box::new(Echo));
-//! let reply = world.rpc(client, server, "hi".to_string(), SimDuration::from_millis(100))?;
+//! let token = world.send(client, server, "hi".to_string());
+//! let deadline = world.now() + SimDuration::from_millis(100);
+//! assert_eq!(world.wait_any(&[token], deadline), Some(token));
+//! let reply = world.try_take_reply(token).expect("its reply is in")?;
 //! assert_eq!(reply, "hi");
 //! # Ok::<(), weakset_sim::net::NetError>(())
 //! ```
@@ -55,6 +61,7 @@ pub mod link;
 pub mod metrics;
 pub mod net;
 pub mod node;
+pub mod requests;
 pub mod rng;
 pub mod time;
 pub mod topology;

@@ -8,9 +8,11 @@
 //! interleave *between* invocations and while messages are in flight. The
 //! world realizes this with a single-threaded discrete-event loop:
 //!
-//! * Client code runs synchronously and calls [`World::rpc`], which pumps
-//!   the event queue until the reply arrives or the timeout expires. While
-//!   pumping, *other* scheduled work (background mutators installed with
+//! * Client code runs synchronously: it [`World::send`]s a request and
+//!   calls [`World::wait_any`], which pumps the event queue until the
+//!   reply arrives or the deadline passes (the runtime crate's
+//!   `Transport::rpc` is exactly that pair). While pumping, *other*
+//!   scheduled work (background mutators installed with
 //!   [`World::spawn_at`], fault-plan actions) fires in timestamp order, so
 //!   concurrency and failures genuinely interleave with the client's RPCs.
 //! * Background work is woken, and never pumps the event loop itself. A
@@ -29,35 +31,20 @@
 //! * Determinism: all randomness comes from labelled [`SimRng`] streams
 //!   derived from the run seed, and event ties break by insertion order.
 
-use crate::event::{run_task, EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultPlan};
-use crate::idmap::IdMap;
 use crate::latency::LatencyModel;
 use crate::metrics::{EventSink, Label, Metrics, SpanId, TraceContext};
 use crate::net::{BatchEnvelope, NetError};
 use crate::node::NodeId;
+use crate::requests::{Account, Books, Requests};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
 use std::any::Any;
 
-/// Correlates a reply with the RPC that is waiting for it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ReplyToken(u64);
-
-impl ReplyToken {
-    /// Builds a token from a raw id. Alternative runtime backends (see
-    /// `weakset-runtime`) mint their own tokens with this.
-    pub const fn from_raw(raw: u64) -> Self {
-        ReplyToken(raw)
-    }
-
-    /// The raw id behind this token.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
+pub use crate::requests::ReplyToken;
 
 /// A message handler installed on a node.
 ///
@@ -101,9 +88,9 @@ pub struct ServiceCtx<'a> {
 /// mutator or a concurrent client operation).
 ///
 /// Tasks receive `&mut World`. The event loop is re-entrant, so a task may
-/// call [`World::rpc`] and pump it, preserving global time order, but the
-/// wait that fired it then resumes only when the task returns: such a wait
-/// counts `sim.wait.nested`. A task that must not hold the foreground sends
+/// wait on a reply ([`World::wait_any`]) and pump it, preserving global
+/// time order, but the wait that fired it then resumes only when the task
+/// returns: such a wait counts `sim.wait.nested`. A task that must not hold the foreground sends
 /// and re-queues itself instead ([`World::wake_on_reply`]).
 pub trait Task<M> {
     /// Label folded into the run's fingerprint, and recorded as a
@@ -129,15 +116,8 @@ where
 /// assumes failures are detectable from lower layers).
 const DETECT_DELAY: SimDuration = SimDuration::from_millis(2);
 
-/// A request [`World::send`] launched whose outcome has not arrived:
-/// what its account needs when it does.
-struct OpenSend {
-    from: NodeId,
-    to: NodeId,
-    started: SimTime,
-    /// Its `net.rpc` span, open under the sender's context.
-    span: TraceContext,
-}
+/// The world's requests, and the tasks woken on their replies.
+type Table<M> = Requests<M, Box<dyn Task<M>>>;
 
 /// The simulation world. Generic over the message type `M` exchanged between
 /// clients and services.
@@ -148,16 +128,12 @@ pub struct World<M> {
     /// Indexed by the dense [`NodeId`]; `None` where nothing is installed
     /// (or while the node's handler is running).
     services: Vec<Option<Box<dyn Service<M>>>>,
-    completed: IdMap<ReplyToken, Result<M, NetError>>,
-    /// Requests [`World::send`] launched that have not ended yet.
-    sends: IdMap<ReplyToken, OpenSend>,
-    /// Tasks waiting on a reply ([`World::wake_on_reply`]), fired when it
-    /// lands or at their deadline.
-    woken: IdMap<ReplyToken, Box<dyn Task<M>>>,
+    /// Every request's life cycle, and the tasks waiting on a reply
+    /// ([`World::wake_on_reply`]).
+    requests: Table<M>,
     /// How many dispatched tasks are running: a wait that begins while
     /// one is counts `sim.wait.nested`.
     tasks_running: u32,
-    next_token: u64,
     latency: LatencyModel,
     lat_rng: SimRng,
     drop_rng: SimRng,
@@ -192,11 +168,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             queue: EventQueue::default(),
             topology,
             services: Vec::new(),
-            completed: IdMap::default(),
-            sends: IdMap::default(),
-            woken: IdMap::default(),
+            requests: Requests::default(),
             tasks_running: 0,
-            next_token: 0,
             latency,
             lat_rng: SimRng::for_label(seed, "latency"),
             drop_rng: SimRng::for_label(seed, "drops"),
@@ -399,16 +372,16 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Fires `task` when the reply under `token` lands, or at `deadline`
     /// if that comes first. At the deadline the request ends as a
-    /// timed-out [`World::rpc`] does, and the task finds nothing under
-    /// the token. A reply already in fires the task at once.
+    /// timed-out one does, and the task finds nothing under the token;
+    /// the reply, if it comes first, cancels the deadline. A reply
+    /// already in fires the task at once.
     pub fn wake_on_reply(&mut self, token: ReplyToken, deadline: SimTime, task: Box<dyn Task<M>>) {
-        if self.completed.contains_key(&token) {
-            self.spawn_boxed_at(self.now, task);
-            return;
+        match self.requests.wake_on_reply(token, task) {
+            Some(task) => self.spawn_boxed_at(self.now, task),
+            None => self
+                .queue
+                .push(deadline.max(self.now), EventKind::Deadline(token)),
         }
-        self.woken.insert(token, task);
-        self.queue
-            .push(deadline.max(self.now), EventKind::Deadline(token));
     }
 
     /// Schedules a task `d` from now.
@@ -443,9 +416,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     fn fire_next(&mut self, deadline: SimTime) -> bool {
         match self.queue.peek_time() {
             Some(t) if t <= deadline => {
-                let ev = self.queue.pop().expect("peeked event vanished");
+                let (_, kind) = self.queue.pop().expect("peeked event vanished");
                 self.now = t;
-                self.dispatch(ev.kind);
+                self.dispatch(kind);
                 true
             }
             _ => false,
@@ -471,42 +444,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         while self.fire_next(SimTime::MAX) {}
     }
 
-    /// Performs a synchronous RPC: [`World::send`]s `msg` from node
-    /// `from` to the service on node `to`, pumps the event loop until the
-    /// reply arrives or `timeout` passes ([`World::wait_any`]), and takes
-    /// the reply. It is accounted as a send is, where it ends.
-    ///
-    /// Simulated time advances while waiting; background tasks and fault
-    /// actions scheduled in the meantime fire in order, so the world can
-    /// change under the caller exactly as the paper's model allows.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::NodeDown`] — the *calling* node is crashed.
-    /// * [`NetError::Unreachable`] / [`NetError::NodeDown`] of `to` —
-    ///   failure detection reported no route, or a crashed server, at
-    ///   send time (after a 2 ms detection delay).
-    /// * [`NetError::Timeout`] — no reply within `timeout` (message lost,
-    ///   server crashed/partitioned mid-flight, or no service installed).
-    ///   The request ends then, if nothing ended it earlier.
-    pub fn rpc(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        timeout: SimDuration,
-    ) -> Result<M, NetError> {
-        let deadline = self.now + timeout;
-        let token = self.send(from, to, msg);
-        if self.wait_any(&[token], deadline).is_none() {
-            self.end_send(token, Err(NetError::Timeout));
-            return Err(NetError::Timeout);
-        }
-        self.completed
-            .remove(&token)
-            .expect("a completed token has its reply")
-    }
-
     /// Sends a request *asynchronously*: the message is launched and a
     /// token is returned immediately, without advancing time. Use
     /// [`World::try_take_reply`] or [`World::wait_any`] to collect the
@@ -516,15 +453,16 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// A crashed caller sends nothing: its request fails at once with
     /// [`NetError::NodeDown`] of `from`, unaccounted. A request to a node
     /// with no route to it, or a crashed one, completes with that error
-    /// after the 2 ms detection delay. Every other request is accounted
-    /// where it ends (`World::end_send`); its `net.rpc` span opens now,
-    /// under the current context, without becoming current.
+    /// after the 2 ms detection delay. A message lost in flight, or sent
+    /// to a node with no service, ends its request as a timeout, which
+    /// its caller sees at its own deadline. Every other request is
+    /// accounted where it ends, in the [`Requests`] table; its `net.rpc`
+    /// span opens now, under the current context, without becoming
+    /// current.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
-        let token = self.next_token();
         let routed = self.topology.route(from, to);
         if routed == Err(NetError::NodeDown(from)) {
-            self.completed.insert(token, Err(NetError::NodeDown(from)));
-            return token;
+            return self.requests.park(Err(NetError::NodeDown(from)));
         }
         self.trace
             .record(self.now, TraceEvent::RpcSend { from, to });
@@ -538,13 +476,12 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         let span = self
             .events
             .begin_span(self.now.as_micros(), "net.rpc", detail, parent);
-        let open = OpenSend {
+        let token = self.requests.open(Account {
             from,
             to,
-            started: self.now,
-            span,
-        };
-        self.sends.insert(token, open);
+            started: Some(self.now),
+            span: Some(span),
+        });
         match routed {
             Ok(()) => self.launch(token, from, to, msg, Some(span)),
             Err(error) => self.queue.push(
@@ -555,59 +492,25 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         token
     }
 
-    /// Makes `result` the reply waiting under `token` and ends the send
-    /// that launched it, if that send is still open. A reply to a send
-    /// already ended — an rpc that timed out — is dropped here: nobody
-    /// waits for it. A window's abandoned sends stay open, so their
-    /// late replies are kept for it. A task waiting on the reply
-    /// ([`World::wake_on_reply`]) fires now.
-    fn complete(&mut self, token: ReplyToken, result: Result<M, NetError>) {
-        if self.sends.contains_key(&token) {
-            self.end_send(token, result.as_ref().map(|_| ()).map_err(|e| *e));
-            self.completed.insert(token, result);
-            if let Some(task) = self.woken.remove(&token) {
-                self.fire_task(task);
-            }
-        }
+    /// The request table, and the books its accounts are written into
+    /// now.
+    fn requests(&mut self) -> (&mut Table<M>, Books<'_, impl Fn() -> SimTime>) {
+        let now = self.now;
+        let books = Books::new(&mut self.metrics, &mut self.events, move || now);
+        let books = books.traced(&mut self.trace);
+        (&mut self.requests, books)
     }
 
-    /// Ends the request [`World::send`] launched under `token`, if it is
-    /// still open: the one account of every request, `rpc.ok` and an
-    /// `rpc.latency` sample, or `rpc.failed` and a `net.rpc.failed`
-    /// event; its `net.rpc` span closes, and the trace records the
-    /// outcome. A send ends when its reply or error arrives, when its
-    /// request or reply is lost (then as a timeout, which is what its
-    /// caller sees at its own deadline), or when an [`World::rpc`]
-    /// waiting for it times out (DESIGN.md §6).
-    fn end_send(&mut self, token: ReplyToken, outcome: Result<(), NetError>) {
-        let Some(open) = self.sends.remove(&token) else {
-            return;
-        };
-        let (at, from, to) = (self.now.as_micros(), open.from, open.to);
-        match outcome {
-            Ok(()) => {
-                self.trace.record(self.now, TraceEvent::RpcOk { from, to });
-                self.metrics.incr("rpc.ok");
-                let took = self.now.saturating_since(open.started);
-                self.metrics.observe("rpc.latency", took.as_micros());
-            }
-            Err(error) => {
-                let failed = TraceEvent::RpcFailed { from, to, error };
-                self.trace.record(self.now, failed);
-                self.metrics.incr("rpc.failed");
-                if self.events.is_enabled() {
-                    let detail = format!("{from}->{to}: {error}");
-                    self.events
-                        .event_in(at, "net.rpc.failed", detail, Some(open.span));
-                }
-            }
+    /// The request under `token` ends with `result`, or as a timeout when
+    /// its message was lost (`None`). A task its reply wakes fires now,
+    /// and its deadline is cancelled.
+    fn complete(&mut self, token: ReplyToken, result: Option<Result<M, NetError>>) {
+        let (requests, books) = self.requests();
+        if let Some(task) = requests.complete(token, result, books) {
+            self.queue
+                .retain(|e| !matches!(e, EventKind::Deadline(t) if *t == token));
+            self.fire_task(task);
         }
-        self.events.end_span(at, open.span.span);
-    }
-
-    fn next_token(&mut self) -> ReplyToken {
-        self.next_token += 1;
-        ReplyToken(self.next_token - 1)
     }
 
     /// Puts a routed request on the wire under `token`: lost at the
@@ -657,7 +560,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 ctx,
             );
         }
-        self.end_send(token, Err(NetError::Timeout));
+        self.complete(token, None);
     }
 
     /// Launches a batched request asynchronously (see [`World::send`]):
@@ -677,15 +580,15 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Collects the reply for an asynchronously-sent request if it has
     /// already completed. Does not advance time.
     pub fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<M, NetError>> {
-        self.completed.remove(&token)
+        self.requests.take(token)
     }
 
     /// Gives up on the request launched under `token`: it ends now as a
-    /// timed-out [`World::rpc`] does, if nothing ended it earlier, and a
-    /// reply already in is dropped, so a late one is never kept.
+    /// timeout, if nothing ended it earlier, and a reply already in is
+    /// dropped, so a late one is never kept.
     pub fn abandon(&mut self, token: ReplyToken) {
-        self.end_send(token, Err(NetError::Timeout));
-        self.completed.remove(&token);
+        let (requests, books) = self.requests();
+        requests.abandon(token, books);
     }
 
     /// Pumps the event loop until one of `tokens` completes or `deadline`
@@ -694,7 +597,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     pub fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
         self.note_wait();
         loop {
-            if let Some(&t) = tokens.iter().find(|t| self.completed.contains_key(t)) {
+            if let Some(&t) = tokens.iter().find(|&&t| self.requests.is_done(t)) {
                 return Some(t);
             }
             if !self.fire_next(deadline) {
@@ -722,7 +625,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.trace.record(self.now, TraceEvent::TaskRan { label });
         let outer = self.begin_dispatched(None);
         self.tasks_running += 1;
-        run_task(task, self);
+        task.run(self);
         self.tasks_running -= 1;
         self.end_dispatched(outer);
     }
@@ -734,7 +637,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         match kind {
             EventKind::CompleteError { token, error } => {
                 self.metrics.incr("sim.dispatch.complete_error");
-                self.complete(token, Err(error));
+                self.complete(token, Some(Err(error)));
             }
             EventKind::Deliver {
                 from,
@@ -754,7 +657,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     self.trace
                         .record(self.now, TraceEvent::MessageLost { from, to });
                     self.metrics.incr("msg.no_service");
-                    self.end_send(token, Err(NetError::Timeout));
+                    self.complete(token, None);
                     return;
                 };
                 // Handlers run under the *message's* context, not
@@ -806,7 +709,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     self.lose(from, to, ctx, token);
                     return;
                 }
-                self.complete(token, Ok(msg));
+                self.complete(token, Some(Ok(msg)));
             }
             EventKind::Fault(action) => {
                 self.metrics.incr("sim.dispatch.fault");
@@ -818,11 +721,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             }
             EventKind::Deadline(token) => {
                 self.metrics.incr("sim.dispatch.deadline");
-                // Stale once the reply has woken the task.
-                if let Some(task) = self.woken.remove(&token) {
-                    self.end_send(token, Err(NetError::Timeout));
-                    self.fire_task(task);
-                }
+                let (requests, books) = self.requests();
+                let task = requests.deadline(token, books);
+                self.fire_task(task);
             }
         }
     }
@@ -897,6 +798,39 @@ mod tests {
 
     /// The timeout of a test rpc that is not about timeouts.
     const TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
+    /// `weakset-runtime`'s `Transport::rpc`, which this crate's tests
+    /// cannot name: a send, a wait until the timeout, then the reply or
+    /// the request abandoned.
+    trait Rpc<M> {
+        fn rpc(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            msg: M,
+            timeout: SimDuration,
+        ) -> Result<M, NetError>;
+    }
+
+    impl<M: Clone + std::fmt::Debug + 'static> Rpc<M> for World<M> {
+        fn rpc(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            msg: M,
+            timeout: SimDuration,
+        ) -> Result<M, NetError> {
+            let token = self.send(from, to, msg);
+            let deadline = self.now() + timeout;
+            if self.wait_any(&[token], deadline).is_some() {
+                if let Some(result) = self.try_take_reply(token) {
+                    return result;
+                }
+            }
+            self.abandon(token);
+            Err(NetError::Timeout)
+        }
+    }
 
     fn two_node_world() -> (World<u64>, NodeId, NodeId) {
         let mut t = Topology::new();
@@ -1046,7 +980,7 @@ mod tests {
             assert_eq!(r, Err(NetError::Timeout));
         }
         w.run_to_quiescence();
-        assert_eq!(w.completed.len(), 0, "late replies kept");
+        assert_eq!(w.requests.held(), (0, 0), "late replies kept");
         // A send nobody ended still keeps its reply for its token.
         let token = w.send(c, s, 1);
         w.run_to_quiescence();
@@ -1203,57 +1137,6 @@ mod tests {
         // Complete before anything runs the event loop.
         assert_eq!(w.try_take_reply(token), Some(Err(NetError::NodeDown(c))));
         assert_eq!(w.now(), SimTime::from_millis(0));
-    }
-
-    /// An `rpc` is a `send` and a wait: on every outcome, both ways of
-    /// asking leave the same result, counters, trace and clock.
-    #[test]
-    fn rpc_and_send_share_one_account() {
-        // `two_node_world`'s client and server.
-        let (c, s) = (NodeId(0), NodeId(1));
-        let failed = &[("rpc.failed", 1), ("rpc.sent", 1)][..];
-        type Counters = &'static [(&'static str, u64)];
-        let cases: [(&str, Result<u64, NetError>, Counters); 5] = [
-            ("reply", Ok(2), &[("rpc.ok", 1), ("rpc.sent", 1)]),
-            (
-                "unroutable",
-                Err(NetError::Unreachable { from: c, to: s }),
-                failed,
-            ),
-            ("down target", Err(NetError::NodeDown(s)), failed),
-            ("down caller", Err(NetError::NodeDown(c)), &[]),
-            ("timeout", Err(NetError::Timeout), failed),
-        ];
-        for (case, want, counters) in cases {
-            let [by_rpc, by_send] = [false, true].map(|via_send| {
-                let (mut w, c, mut s) = two_node_world();
-                match case {
-                    "unroutable" => w.topology_mut().partition(&[s]),
-                    "down target" => w.topology_mut().crash(s),
-                    "down caller" => w.topology_mut().crash(c),
-                    "timeout" => s = w.topology_mut().add_node("empty", 2),
-                    _ => {}
-                }
-                let got = if via_send {
-                    let token = w.send(c, s, 1);
-                    w.wait_any(&[token], w.now() + TIMEOUT);
-                    w.try_take_reply(token).unwrap_or(Err(NetError::Timeout))
-                } else {
-                    w.rpc(c, s, 1, TIMEOUT)
-                };
-                assert_eq!(got, want, "{case}, send: {via_send}");
-                let m = w.metrics();
-                let rpc: Vec<_> = m
-                    .counters()
-                    .filter(|(n, _)| n.starts_with("rpc."))
-                    .collect();
-                assert_eq!(rpc, counters, "{case}, send: {via_send}");
-                let samples = m.latency("rpc.latency").map_or(0, |l| l.len() as u64);
-                assert_eq!(samples, m.counter("rpc.ok"), "every reply is timed once");
-                (w.trace_hash(), w.now())
-            });
-            assert_eq!(by_rpc, by_send, "{case}: rpc and send+wait_any differ");
-        }
     }
 
     #[test]

@@ -4,6 +4,27 @@
 use proptest::prelude::*;
 use weakset_sim::prelude::*;
 
+/// `weakset-runtime`'s `Transport::rpc`, which this crate cannot name: a
+/// send, a wait until the timeout, then the reply or the request
+/// abandoned.
+fn rpc(
+    world: &mut World<u64>,
+    from: NodeId,
+    to: NodeId,
+    msg: u64,
+    timeout: SimDuration,
+) -> Result<u64, NetError> {
+    let token = world.send(from, to, msg);
+    let deadline = world.now() + timeout;
+    if world.wait_any(&[token], deadline).is_some() {
+        if let Some(result) = world.try_take_reply(token) {
+            return result;
+        }
+    }
+    world.abandon(token);
+    Err(NetError::Timeout)
+}
+
 /// A randomized world script: nodes, link cuts, partitions, rpc schedule.
 #[derive(Clone, Debug)]
 struct WorldScript {
@@ -72,7 +93,8 @@ fn run_script(s: &WorldScript) -> (u64, u64, Vec<Result<u64, NetError>>) {
         if f == t {
             continue;
         }
-        outs.push(world.rpc(
+        outs.push(rpc(
+            &mut world,
             f,
             t,
             (f.0 as u64) << 8 | t.0 as u64,
@@ -211,7 +233,7 @@ proptest! {
             world.install_service(nd, Box::new(Echo));
         }
         for &to in &nodes[1..] {
-            let r = world.rpc(nodes[0], to, 7, SimDuration::from_millis(50));
+            let r = rpc(&mut world, nodes[0], to, 7, SimDuration::from_millis(50));
             if to == dead {
                 prop_assert!(r.is_err());
             } else {

@@ -403,6 +403,166 @@ fn unroutable_sends_count_alike_on_both_backends() {
     assert_eq!(count("rpc.failed"), Some(2), "the send and one envelope");
 }
 
+/// Answers every request with `Ack` from its node's own thread: it
+/// serves nothing in place, so a threaded request to it crosses a
+/// mailbox.
+struct Acker;
+
+impl Service<StoreMsg> for Acker {
+    fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, _msg: StoreMsg) -> StoreMsg {
+        StoreMsg::Ack
+    }
+}
+
+/// What asking for one request left behind: the caller's result, the
+/// `rpc.*` counters, and how many replies were timed (`rpc.latency`).
+type Asked = (Result<StoreMsg, NetError>, Vec<(String, u64)>, usize);
+
+/// Asks `to` for `msg` by an `rpc`, or by a `send`, a wait and a take,
+/// each with `ms` to spare.
+fn ask(rt: &mut StoreRt, by_send: bool, ms: u64, to: NodeId, msg: StoreMsg) -> Asked {
+    let (from, timeout) = (NodeId(0), SimDuration::from_millis(ms));
+    let got = if by_send {
+        let token = rt.send(from, to, msg);
+        let deadline = rt.now() + timeout;
+        rt.wait_any(&[token], deadline);
+        rt.try_take_reply(token).unwrap_or(Err(NetError::Timeout))
+    } else {
+        rt.rpc(from, to, msg, timeout)
+    };
+    let counters = rt
+        .metrics()
+        .counters()
+        .filter(|(name, _)| name.starts_with("rpc."))
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
+    let timed = rt.metrics().latency("rpc.latency").map_or(0, |l| l.len());
+    (got, counters, timed)
+}
+
+/// One request life cycle on both backends (`weakset_sim::requests`): on
+/// every way a request can end, an `rpc` and a `send` with its wait
+/// leave the same result and the same account, and the two backends
+/// agree on both. A request counts `rpc.sent` and then one `rpc.ok` or
+/// one `rpc.failed`, except a down caller's, which sends nothing. The
+/// simulator times every reply; the threaded backend times the replies
+/// that crossed a mailbox, and counts one served in place `rpc.shared`.
+/// On the simulator both ways also leave the same trace and clock.
+#[test]
+fn rpc_and_send_share_one_account_on_both_backends() {
+    let get = || StoreMsg::GetObject(ObjectId(1));
+    // Each fleet: client, store server, `Acker`, and a node with no service.
+    let (c, store, acker, empty) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let ok = |shared: bool| {
+        let mut counters = vec![("rpc.ok", 1), ("rpc.sent", 1)];
+        counters.extend(shared.then_some(("rpc.shared", 1)));
+        counters
+    };
+    let failed = vec![("rpc.failed", 1), ("rpc.sent", 1)];
+    // (ending, fault first, target, result, threaded account, threaded timed)
+    let endings = [
+        (
+            "in place",
+            None,
+            store,
+            Ok(StoreMsg::NotFound(ObjectId(1))),
+            ok(true),
+            0,
+        ),
+        ("mailbox", None, acker, Ok(StoreMsg::Ack), ok(false), 1),
+        (
+            "unroutable",
+            Some(FaultAction::Partition(vec![store])),
+            store,
+            Err(NetError::Unreachable { from: c, to: store }),
+            failed.clone(),
+            0,
+        ),
+        (
+            "down target",
+            Some(FaultAction::Crash(store)),
+            store,
+            Err(NetError::NodeDown(store)),
+            failed.clone(),
+            0,
+        ),
+        (
+            "down caller",
+            Some(FaultAction::Crash(c)),
+            store,
+            Err(NetError::NodeDown(c)),
+            vec![],
+            0,
+        ),
+        (
+            "timeout",
+            None,
+            empty,
+            Err(NetError::Timeout),
+            failed.clone(),
+            0,
+        ),
+    ];
+    let named = |counters: &[(&str, u64)]| -> Vec<(String, u64)> {
+        counters.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    };
+    for (ending, fault, to, want, account, timed) in endings {
+        let [by_rpc, by_send] = [false, true].map(|by_send| {
+            let mut t = Topology::new();
+            for name in ["client", "store", "acker", "empty"] {
+                t.add_node(name, t.next_site());
+            }
+            let mut w =
+                StoreWorld::new(SEED, t, LatencyModel::Constant(SimDuration::from_millis(1)));
+            w.install_service(store, Box::new(StoreServer::new()));
+            w.install_service(acker, Box::new(Acker));
+            if let Some(fault) = fault.clone() {
+                w.apply_fault(fault);
+            }
+            let asked = ask(&mut w, by_send, 80, to, get());
+            (asked, w.trace_hash(), w.now())
+        });
+        assert_eq!(
+            by_rpc, by_send,
+            "{ending}: rpc and send differ on the simulator"
+        );
+        let (sim, _, _) = by_rpc;
+        assert_eq!(sim.0, want, "{ending} on the simulator");
+        let mut sim_account = named(&account);
+        sim_account.retain(|(name, _)| name != "rpc.shared");
+        let ended_ok = usize::from(want.is_ok());
+        assert_eq!(
+            (&sim.1, sim.2),
+            (&sim_account, ended_ok),
+            "{ending}: simulator account"
+        );
+
+        let [by_rpc, by_send] = [false, true].map(|by_send| {
+            let mut rt = ThreadedRuntime::<StoreMsg>::new(SEED);
+            for name in ["client", "store", "acker", "empty"] {
+                rt.add_node(name);
+            }
+            rt.install_service(store, Box::new(StoreServer::new()));
+            rt.install_service(acker, Box::new(Acker));
+            if let Some(fault) = &fault {
+                rt.apply_fault(fault);
+            }
+            // On threads a request that ends on the spot needs no wait.
+            let waits = matches!(ending, "mailbox" | "timeout");
+            let asked = ask(&mut rt, by_send, if waits { 80 } else { 0 }, to, get());
+            rt.shutdown(Duration::from_secs(10))
+                .expect("no node thread should hang at shutdown");
+            asked
+        });
+        assert_eq!(by_rpc, by_send, "{ending}: rpc and send differ on threads");
+        assert_eq!(
+            by_rpc,
+            (want, named(&account), timed),
+            "{ending} on threads"
+        );
+    }
+}
+
 /// The old cross-runtime blocking story, now through one code path: an
 /// unreachable member blocks an optimistic run on either backend, and
 /// healing the route lets both finish with a Figure 6-conformant record.
@@ -853,7 +1013,7 @@ fn recorded_threaded_runs_replay_to_identical_verdicts() {
             });
             assert!(
                 !live.recording.entries.iter().any(
-                    |e| matches!(e.ev, RecEvent::Rpc { req_hash, .. } if req_hash == sessionless)
+                    |e| matches!(e.ev, RecEvent::Send { req_hash, .. } if req_hash == sessionless)
                 ),
                 "{semantics:?}/{policy:?} read membership without its session"
             );

@@ -1,5 +1,6 @@
 //! What one warmed simulated rpc allocates and costs: an echo
-//! `World::rpc` between two nodes, with the event sink off and on.
+//! `Transport::rpc` on a `World` between two nodes, with the event sink
+//! off and on.
 //!
 //! `a_warmed_rpc_allocates_nothing` counts the allocations this thread
 //! makes (a counting global allocator, switched on per thread) over a
@@ -88,17 +89,40 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 const CALLS: u64 = 100;
 const TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
+/// The echo's message: a number, or the batch envelope every message
+/// type that crosses the runtime boundary has (never sent here).
+#[derive(Clone, Debug, PartialEq)]
+enum Msg {
+    Val(u64),
+    Batch(Vec<Msg>),
+}
+
+impl BatchEnvelope for Msg {
+    fn wrap_batch(parts: Vec<Self>) -> Self {
+        Msg::Batch(parts)
+    }
+    fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
+        match self {
+            Msg::Batch(parts) => Ok(parts),
+            other => Err(other),
+        }
+    }
+}
+
 struct PlusOne;
-impl Service<u64> for PlusOne {
-    fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: u64) -> u64 {
-        msg + 1
+impl Service<Msg> for PlusOne {
+    fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: Msg) -> Msg {
+        match msg {
+            Msg::Val(n) => Msg::Val(n + 1),
+            batch => batch,
+        }
     }
 }
 
 /// A client and an echo server 5 ms apart, after `CALLS` warm-up rpcs
 /// (they size the event queue, the reply table and the context stack),
 /// with the sink switched `on` and emptied.
-fn warmed(on: bool) -> (World<u64>, NodeId, NodeId) {
+fn warmed(on: bool) -> (World<Msg>, NodeId, NodeId) {
     let mut t = Topology::new();
     let client = t.add_node("client", 0);
     let server = t.add_node("server", 1);
@@ -106,7 +130,7 @@ fn warmed(on: bool) -> (World<u64>, NodeId, NodeId) {
     w.install_service(server, Box::new(PlusOne));
     w.events_mut().set_enabled(on);
     for i in 0..CALLS {
-        w.rpc(client, server, i, TIMEOUT).unwrap();
+        w.rpc(client, server, Msg::Val(i), TIMEOUT).unwrap();
     }
     // Keeps the buffer's capacity.
     w.events_mut().clear();
@@ -120,7 +144,7 @@ fn a_warmed_rpc_allocates_nothing() {
         let mut ok = 0;
         let allocs = allocs_during(|| {
             for i in 0..CALLS {
-                ok += u64::from(w.rpc(c, s, i, TIMEOUT) == Ok(i + 1));
+                ok += u64::from(w.rpc(c, s, Msg::Val(i), TIMEOUT) == Ok(Msg::Val(i + 1)));
             }
         });
         assert_eq!(ok, CALLS);
@@ -261,7 +285,7 @@ fn warmed_rpc_budget() {
             // Untimed: empty the sink so its buffer stays one size.
             w.events_mut().clear();
         } else {
-            black_box(w.rpc(*c, *s, u64::from(i), TIMEOUT).unwrap());
+            black_box(w.rpc(*c, *s, Msg::Val(u64::from(i)), TIMEOUT).unwrap());
         }
     });
     println!("| simulated echo rpc, warmed | ns per rpc |");

@@ -62,7 +62,9 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use weakset_obs::replay as names;
-use weakset_runtime::record::{hash_debug, RecEntry, RecEvent, RecOutcome, Recorder, Recording};
+use weakset_runtime::record::{
+    hash_debug, outcome_of, RecEntry, RecEvent, RecOutcome, Recorder, Recording,
+};
 use weakset_runtime::threaded::ThreadedRuntime;
 use weakset_runtime::traits::{Clock, Observe, RtTask, ServiceHost, Spawner, Transport};
 use weakset_sim::fault::FaultAction;
@@ -627,7 +629,7 @@ impl Transport<StoreMsg> for ReplayRuntime {
     fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<StoreMsg, NetError>> {
         let taken = self.world.try_take_reply(token);
         if let Some(reply) = &taken {
-            let got = RecOutcome::of(reply);
+            let got = outcome_of(reply);
             match self.expected.remove(&token) {
                 Some(want) if got != want => {
                     self.diverge(format!("reply diverges: live {got:?}, recorded {want:?}"));

@@ -91,9 +91,10 @@ mod tests {
         mc.reconnect(&mut w);
         assert!(mc.connected);
         // Reachable again (NotFound is a server answer, not a net error).
-        assert!(client
-            .fetch_object(&mut w, server, ObjectId(1))
-            .is_err_and(|e| !matches!(e, weakset_store::prelude::StoreError::Net(_))));
+        assert!(matches!(
+            client.fetch_object(&mut w, server, ObjectId(1)),
+            Err(weakset_store::prelude::StoreError::NotFound(ObjectId(1)))
+        ));
     }
 
     #[test]

@@ -29,6 +29,8 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use weakset_obs::ron::{push_str_lit, Parser, Tok};
+use weakset_sim::net::NetError;
+use weakset_sim::node::NodeId;
 use weakset_sim::time::SimTime;
 pub use weakset_sim::trace::hash_debug;
 
@@ -36,48 +38,13 @@ pub use weakset_sim::trace::hash_debug;
 /// grammar (mirrors the repro-artifact convention in `weakset-dst`).
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// How a recorded request ended, payloads hashed. Mirrors
-/// [`weakset_sim::net::NetError`] with raw node ids so the log is
-/// self-contained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecOutcome {
-    /// The request's reply hashes to `reply_hash`.
-    Ok {
-        /// [`hash_debug`] of the reply message.
-        reply_hash: u64,
-    },
-    /// The request failed with `NodeDown(node)`.
-    NodeDown {
-        /// Raw id of the down node.
-        node: u32,
-    },
-    /// The request failed with `Unreachable { from, to }`.
-    Unreachable {
-        /// Raw id of the calling node.
-        from: u32,
-        /// Raw id of the unreachable node.
-        to: u32,
-    },
-    /// The request timed out.
-    Timeout,
-}
+/// How a recorded request ended: the [`hash_debug`] of its reply, or
+/// its error. The text form names nodes by their raw ids.
+pub type RecOutcome = Result<u64, NetError>;
 
-impl RecOutcome {
-    /// Classifies a transport result into its recorded form.
-    pub fn of<M: fmt::Debug>(r: &Result<M, weakset_sim::net::NetError>) -> Self {
-        use weakset_sim::net::NetError;
-        match r {
-            Result::Ok(reply) => RecOutcome::Ok {
-                reply_hash: hash_debug(reply),
-            },
-            Err(NetError::NodeDown(n)) => RecOutcome::NodeDown { node: n.0 },
-            Err(NetError::Unreachable { from, to }) => RecOutcome::Unreachable {
-                from: from.0,
-                to: to.0,
-            },
-            Err(NetError::Timeout) => RecOutcome::Timeout,
-        }
-    }
+/// Classifies a transport result into its recorded form.
+pub fn outcome_of<M: fmt::Debug>(r: &Result<M, NetError>) -> RecOutcome {
+    r.as_ref().map(hash_debug).map_err(|e| *e)
 }
 
 /// One observable boundary crossing. Node ids are raw `NodeId.0`
@@ -290,14 +257,14 @@ impl Recorder {
 // ---------------------------------------------------------------------
 
 fn push_outcome(out: &mut String, o: &RecOutcome) {
-    match *o {
-        RecOutcome::Ok { reply_hash } => out.push_str(&format!("Ok(reply_hash: {reply_hash})")),
-        RecOutcome::NodeDown { node } => out.push_str(&format!("NodeDown(node: {node})")),
-        RecOutcome::Unreachable { from, to } => {
-            out.push_str(&format!("Unreachable(from: {from}, to: {to})"));
+    out.push_str(&match *o {
+        Ok(reply_hash) => format!("Ok(reply_hash: {reply_hash})"),
+        Err(NetError::NodeDown(node)) => format!("NodeDown(node: {})", node.0),
+        Err(NetError::Unreachable { from, to }) => {
+            format!("Unreachable(from: {}, to: {})", from.0, to.0)
         }
-        RecOutcome::Timeout => out.push_str("Timeout"),
-    }
+        Err(NetError::Timeout) => "Timeout".to_string(),
+    });
 }
 
 fn push_event(out: &mut String, ev: &RecEvent) {
@@ -394,26 +361,20 @@ impl Recording {
 }
 
 fn outcome(p: &mut Parser) -> Result<RecOutcome, String> {
-    match p.ident()?.as_str() {
-        "Ok" => p.parens(|p| {
-            Ok(RecOutcome::Ok {
-                reply_hash: p.num_key("reply_hash")?,
+    let node = |n: u64| NodeId(n as u32);
+    Ok(match p.ident()?.as_str() {
+        "Ok" => Ok(p.parens(|p| p.num_key("reply_hash"))?),
+        "NodeDown" => Err(NetError::NodeDown(node(p.parens(|p| p.num_key("node"))?))),
+        "Unreachable" => Err(p.parens(|p| {
+            let from = node(p.num_field("from")?);
+            Ok(NetError::Unreachable {
+                from,
+                to: node(p.num_key("to")?),
             })
-        }),
-        "NodeDown" => p.parens(|p| {
-            Ok(RecOutcome::NodeDown {
-                node: p.num_key("node")? as u32,
-            })
-        }),
-        "Unreachable" => p.parens(|p| {
-            Ok(RecOutcome::Unreachable {
-                from: p.num_field("from")? as u32,
-                to: p.num_key("to")? as u32,
-            })
-        }),
-        "Timeout" => Ok(RecOutcome::Timeout),
-        other => Err(format!("unknown outcome '{other}'")),
-    }
+        })?),
+        "Timeout" => Err(NetError::Timeout),
+        other => return Err(format!("unknown outcome '{other}'")),
+    })
 }
 
 fn event_body(p: &mut Parser, tag: &str) -> Result<RecEvent, String> {
@@ -548,7 +509,10 @@ mod tests {
                     at_us: 11,
                     ev: RecEvent::TookReply {
                         token: 4,
-                        outcome: RecOutcome::Unreachable { from: 0, to: 1 },
+                        outcome: Err(NetError::Unreachable {
+                            from: NodeId(0),
+                            to: NodeId(1),
+                        }),
                     },
                 },
                 RecEntry {
@@ -571,7 +535,7 @@ mod tests {
                     at_us: 14,
                     ev: RecEvent::TookReply {
                         token: 5,
-                        outcome: RecOutcome::Timeout,
+                        outcome: Err(NetError::Timeout),
                     },
                 },
                 RecEntry {
@@ -602,14 +566,14 @@ mod tests {
                     at_us: 21,
                     ev: RecEvent::TookReply {
                         token: 6,
-                        outcome: RecOutcome::NodeDown { node: 1 },
+                        outcome: Err(NetError::NodeDown(NodeId(1))),
                     },
                 },
                 RecEntry {
                     at_us: 22,
                     ev: RecEvent::TookReply {
                         token: 7,
-                        outcome: RecOutcome::Ok { reply_hash: 7 },
+                        outcome: Ok(7),
                     },
                 },
             ],
@@ -718,22 +682,17 @@ mod tests {
 
     #[test]
     fn results_map_to_outcomes() {
-        use weakset_sim::net::NetError;
-        use weakset_sim::node::NodeId;
         let ok: Result<u64, NetError> = Ok(7);
-        let reply_hash = hash_debug(&7u64);
-        assert_eq!(RecOutcome::of(&ok), RecOutcome::Ok { reply_hash });
-        let down: Result<u64, NetError> = Err(NetError::NodeDown(NodeId(3)));
-        assert_eq!(RecOutcome::of(&down), RecOutcome::NodeDown { node: 3 });
-        let un: Result<u64, NetError> = Err(NetError::Unreachable {
-            from: NodeId(0),
-            to: NodeId(2),
-        });
-        assert_eq!(
-            RecOutcome::of(&un),
-            RecOutcome::Unreachable { from: 0, to: 2 }
-        );
-        let t: Result<u64, NetError> = Err(NetError::Timeout);
-        assert_eq!(RecOutcome::of(&t), RecOutcome::Timeout);
+        assert_eq!(outcome_of(&ok), Ok(hash_debug(&7u64)));
+        for e in [
+            NetError::NodeDown(NodeId(3)),
+            NetError::Unreachable {
+                from: NodeId(0),
+                to: NodeId(2),
+            },
+            NetError::Timeout,
+        ] {
+            assert_eq!(outcome_of(&Err::<u64, _>(e)), Err(e));
+        }
     }
 }

@@ -88,7 +88,7 @@
 //! that ended at launch wins its wait at once. The recording is the
 //! black box, marked truncated when shutdown reports hung nodes.
 
-use crate::record::{hash_debug, RecEvent, RecOutcome, Recorder};
+use crate::record::{hash_debug, outcome_of, RecEvent, Recorder};
 use crate::traits::{
     Clock, Launched, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport, Wake,
 };
@@ -948,7 +948,7 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
             if self.recorder.is_some() {
                 self.note(RecEvent::TookReply {
                     token: token.raw(),
-                    outcome: RecOutcome::of(result),
+                    outcome: outcome_of(result),
                 });
             }
         }
@@ -1838,7 +1838,7 @@ mod tests {
             2,
             "one Send, wait and reply per read, shared or not"
         );
-        assert!(matches!(reads[0].2, RecOutcome::Ok { .. }));
+        assert!(reads[0].2.is_ok());
         assert_eq!(reads[0].2, reads[1].2, "same reply hash");
         assert!(reads[0].1 < 1_000, "the shared read's wait is won at once");
     }
@@ -1846,7 +1846,7 @@ mod tests {
     /// Each rpc of `req_hash` in a recording, in order: its `Send`'s
     /// token, the stall of the `WaitAny` its token won, and the outcome
     /// of the reply taken under it.
-    fn rpcs_of(evs: &[&RecEvent], req_hash: u64) -> Vec<(u64, u64, RecOutcome)> {
+    fn rpcs_of(evs: &[&RecEvent], req_hash: u64) -> Vec<(u64, u64, crate::record::RecOutcome)> {
         let sent = evs.iter().filter_map(|e| match e {
             RecEvent::Send {
                 req_hash: h, token, ..
@@ -2046,8 +2046,8 @@ mod tests {
         // is the driver's to record.
         let rpcs = rpcs_of(&evs, hash_debug(&Msg::Val(1)));
         assert_eq!(rpcs.len(), 2);
-        assert!(matches!(rpcs[0].2, RecOutcome::Ok { .. }));
-        assert_eq!(rpcs[1].2, RecOutcome::Unreachable { from: 0, to: 1 });
+        assert!(rpcs[0].2.is_ok());
+        assert_eq!(rpcs[1].2, Err(NetError::Unreachable { from: c, to: s }));
         let sent_token = evs
             .iter()
             .find_map(|e| match e {

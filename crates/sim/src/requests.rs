@@ -86,22 +86,17 @@ impl Account {
         } else {
             SimTime::ZERO
         };
-        match outcome {
+        let ev = match outcome {
             Ok(()) => {
                 books.metrics.incr("rpc.ok");
                 if let Some(started) = self.started {
                     let took = at.saturating_since(started);
                     books.metrics.observe("rpc.latency", took.as_micros());
                 }
-                if let Some(trace) = books.trace {
-                    trace.record(at, TraceEvent::RpcOk { from, to });
-                }
+                TraceEvent::RpcOk { from, to }
             }
             Err(error) => {
                 books.metrics.incr("rpc.failed");
-                if let Some(trace) = books.trace {
-                    trace.record(at, TraceEvent::RpcFailed { from, to, error });
-                }
                 if let (Some(span), true) = (self.span, books.events.is_enabled()) {
                     let detail = format!("{from}->{to}: {error}");
                     let at = at.as_micros();
@@ -109,7 +104,11 @@ impl Account {
                         .events
                         .event_in(at, "net.rpc.failed", detail, Some(span));
                 }
+                TraceEvent::RpcFailed { from, to, error }
             }
+        };
+        if let Some(trace) = books.trace {
+            trace.record(at, ev);
         }
         if let Some(span) = self.span {
             books.events.end_span(at.as_micros(), span.span);

@@ -2,27 +2,27 @@
 //! and fault-plan round trips under randomized topologies and schedules.
 
 use proptest::prelude::*;
+use weakset_runtime::traits::Transport;
+use weakset_sim::net::BatchEnvelope;
 use weakset_sim::prelude::*;
 
-/// `weakset-runtime`'s `Transport::rpc`, which this crate cannot name: a
-/// send, a wait until the timeout, then the reply or the request
-/// abandoned.
-fn rpc(
-    world: &mut World<u64>,
-    from: NodeId,
-    to: NodeId,
-    msg: u64,
-    timeout: SimDuration,
-) -> Result<u64, NetError> {
-    let token = world.send(from, to, msg);
-    let deadline = world.now() + timeout;
-    if world.wait_any(&[token], deadline).is_some() {
-        if let Some(result) = world.try_take_reply(token) {
-            return result;
+/// The scripts' message: a number. A runtime's messages also batch.
+#[derive(Clone, Debug, PartialEq)]
+enum Msg {
+    Num(u64),
+    Batch(Vec<Msg>),
+}
+
+impl BatchEnvelope for Msg {
+    fn wrap_batch(parts: Vec<Self>) -> Self {
+        Msg::Batch(parts)
+    }
+    fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
+        match self {
+            Msg::Batch(parts) => Ok(parts),
+            other => Err(other),
         }
     }
-    world.abandon(token);
-    Err(NetError::Timeout)
 }
 
 /// A randomized world script: nodes, link cuts, partitions, rpc schedule.
@@ -56,13 +56,16 @@ fn world_script() -> impl Strategy<Value = WorldScript> {
 }
 
 struct Echo;
-impl Service<u64> for Echo {
-    fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: u64) -> u64 {
-        msg.wrapping_mul(3)
+impl Service<Msg> for Echo {
+    fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: Msg) -> Msg {
+        match msg {
+            Msg::Num(n) => Msg::Num(n.wrapping_mul(3)),
+            batch => batch,
+        }
     }
 }
 
-fn run_script(s: &WorldScript) -> (u64, u64, Vec<Result<u64, NetError>>) {
+fn run_script(s: &WorldScript) -> (u64, u64, Vec<Result<Msg, NetError>>) {
     let mut topo = Topology::new();
     let nodes: Vec<NodeId> = (0..s.n_nodes)
         .map(|i| topo.add_node(format!("n{i}"), i as u32))
@@ -76,7 +79,7 @@ fn run_script(s: &WorldScript) -> (u64, u64, Vec<Result<u64, NetError>>) {
     for &c in &s.crashes {
         topo.crash(nodes[c % s.n_nodes]);
     }
-    let mut world: World<u64> = World::new(
+    let mut world: World<Msg> = World::new(
         s.seed,
         topo,
         LatencyModel::Uniform {
@@ -93,11 +96,10 @@ fn run_script(s: &WorldScript) -> (u64, u64, Vec<Result<u64, NetError>>) {
         if f == t {
             continue;
         }
-        outs.push(rpc(
-            &mut world,
+        outs.push(world.rpc(
             f,
             t,
-            (f.0 as u64) << 8 | t.0 as u64,
+            Msg::Num((f.0 as u64) << 8 | t.0 as u64),
             SimDuration::from_millis(40),
         ));
     }
@@ -224,7 +226,7 @@ proptest! {
         let nodes: Vec<NodeId> = (0..n).map(|i| topo.add_node(format!("n{i}"), i as u32)).collect();
         let dead = nodes[n - 1];
         topo.crash(dead);
-        let mut world: World<u64> = World::new(
+        let mut world: World<Msg> = World::new(
             seed,
             topo,
             LatencyModel::Constant(SimDuration::from_millis(2)),
@@ -233,11 +235,11 @@ proptest! {
             world.install_service(nd, Box::new(Echo));
         }
         for &to in &nodes[1..] {
-            let r = rpc(&mut world, nodes[0], to, 7, SimDuration::from_millis(50));
+            let r = world.rpc(nodes[0], to, Msg::Num(7), SimDuration::from_millis(50));
             if to == dead {
                 prop_assert!(r.is_err());
             } else {
-                prop_assert_eq!(r, Ok(21));
+                prop_assert_eq!(r, Ok(Msg::Num(21)));
             }
         }
     }

@@ -22,6 +22,7 @@ use weakset_gossip::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_runtime::prelude::RuntimeExt;
 use weakset_sim::time::SimDuration;
+use weakset_sim::traits::{Clock, Observe};
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::StoreClient;

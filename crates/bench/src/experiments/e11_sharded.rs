@@ -15,6 +15,7 @@ use crate::snapshot::{counter, snapshot_with_trace, with_common_objectives, worl
 use weakset::prelude::*;
 use weakset_obs::{Direction, ObsSnapshot};
 use weakset_sim::time::SimDuration;
+use weakset_sim::traits::{Clock, Observe};
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{ReadPolicy, StoreClient, StoreWorld};
 

@@ -8,6 +8,7 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
+use weakset_sim::traits::ServiceHost;
 use weakset_sim::world::Service;
 use weakset_store::msg::StoreMsg;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
@@ -47,7 +48,7 @@ fn fleet(
     seed: u64,
     n_servers: usize,
     latency: LatencyModel,
-    service: impl Fn(NodeId) -> Box<dyn Service<StoreMsg>>,
+    service: impl Fn(NodeId) -> Box<dyn Service<StoreMsg> + Send>,
 ) -> Wan {
     let mut topo = Topology::new();
     let client_node = topo.add_node("client", 0);

@@ -14,6 +14,7 @@
 use weakset_obs::{
     critical_path, CausalDag, CriticalPath, Direction, MetricsRegistry, ObsEvent, ObsSnapshot,
 };
+use weakset_sim::traits::Clock;
 use weakset_store::prelude::StoreWorld;
 
 /// The seed every checked-in baseline was produced with.

@@ -140,6 +140,7 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
+    use weakset_sim::traits::ServiceHost;
     use weakset_spec::checker::check_computation;
     use weakset_store::object::CollectionId;
     use weakset_store::prelude::StoreServer;

@@ -582,6 +582,7 @@ mod tests {
     use weakset_sim::node::NodeId;
     use weakset_sim::time::SimTime;
     use weakset_sim::topology::Topology;
+    use weakset_sim::traits::{Clock, ServiceHost};
     use weakset_spec::checker::{check_computation, Checker, Figure};
     use weakset_spec::constraint::ConstraintKind;
     use weakset_spec::specs::fig6;

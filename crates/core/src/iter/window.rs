@@ -182,6 +182,7 @@ mod tests {
     use weakset_sim::node::NodeId;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
+    use weakset_sim::traits::{Clock, Observe, ServiceHost};
     use weakset_spec::checker::{check_computation, Figure};
     use weakset_store::collection::{MemberEntry, Membership};
     use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};

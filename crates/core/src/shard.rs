@@ -302,6 +302,7 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
+    use weakset_sim::traits::{Observe, ServiceHost};
     use weakset_spec::checker::check_computation;
     use weakset_store::prelude::StoreWorld;
     use weakset_store::prelude::{ReadPolicy, StoreServer};

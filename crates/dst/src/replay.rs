@@ -70,7 +70,7 @@ use weakset_runtime::traits::{Clock, Observe, RtTask, ServiceHost, Spawner, Tran
 use weakset_sim::fault::FaultAction;
 use weakset_sim::latency::LatencyModel;
 use weakset_sim::metrics::{SpanId, TraceContext};
-use weakset_sim::net::{BatchEnvelope, NetError};
+use weakset_sim::net::NetError;
 use weakset_sim::node::NodeId;
 use weakset_sim::rng::SimRng;
 use weakset_sim::time::{SimDuration, SimTime};
@@ -561,10 +561,6 @@ impl Observe for ReplayRuntime {
         self.world.metrics_mut()
     }
 
-    fn span_enter(&mut self, kind: &str, detail: &dyn Fn() -> String) -> SpanId {
-        Observe::span_enter(&mut self.world, kind, detail)
-    }
-
     fn span_enter_under(
         &mut self,
         parent: Option<TraceContext>,
@@ -612,16 +608,6 @@ impl Transport<StoreMsg> for ReplayRuntime {
             self.expected.insert(sim, outcome);
         }
         sim
-    }
-
-    fn send_batch(&mut self, from: NodeId, to: NodeId, parts: Vec<StoreMsg>) -> ReplyToken {
-        // Mirror the threaded backend: one wrapped envelope, one Send
-        // entry in the log.
-        self.world.metrics_mut().incr("net.batch.envelopes");
-        self.world
-            .metrics_mut()
-            .add("net.batch.parts", parts.len() as u64);
-        Transport::send(self, from, to, StoreMsg::wrap_batch(parts))
     }
 
     /// Availability is pinned by `wait_any` winners; what is taken must

@@ -15,6 +15,7 @@ use crate::scenario::{Op, Scenario};
 use weakset_sim::fault::FaultPlan;
 use weakset_sim::node::NodeId;
 use weakset_sim::topology::Topology;
+use weakset_sim::traits::{Clock, Observe};
 use weakset_spec::prelude::Computation;
 use weakset_store::object::CollectionId;
 use weakset_store::prelude::{StoreMsg, StoreRt, StoreWorld};

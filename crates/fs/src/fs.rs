@@ -543,6 +543,7 @@ mod tests {
     use super::*;
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::topology::Topology;
+    use weakset_sim::traits::ServiceHost;
     use weakset_store::prelude::StoreServer;
 
     fn setup(n: usize) -> (StoreWorld, FileSystem, Vec<NodeId>) {

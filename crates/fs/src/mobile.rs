@@ -64,6 +64,7 @@ mod tests {
     use weakset_sim::latency::LatencyModel;
     use weakset_sim::time::SimDuration;
     use weakset_sim::topology::Topology;
+    use weakset_sim::traits::ServiceHost;
     use weakset_store::object::ObjectId;
     use weakset_store::prelude::{StoreClient, StoreServer};
 

@@ -8,6 +8,7 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::{SimDuration, SimTime};
 use weakset_sim::topology::Topology;
+use weakset_sim::traits::{Clock, Observe, ServiceHost};
 use weakset_store::client::ReadPolicy;
 use weakset_store::collection::MemberEntry;
 use weakset_store::msg::StoreMsg;

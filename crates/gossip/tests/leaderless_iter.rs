@@ -15,6 +15,7 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
+use weakset_sim::traits::{Clock, ServiceHost};
 use weakset_spec::checker::{check_computation, Figure};
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};

@@ -12,6 +12,7 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
+use weakset_sim::traits::{Clock, Observe, ServiceHost};
 use weakset_store::collection::MemberEntry;
 use weakset_store::object::{CollectionId, ObjectId};
 use weakset_store::prelude::{CollectionRef, ReadPolicy, StoreClient, StoreError, StoreWorld};

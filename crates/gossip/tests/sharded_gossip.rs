@@ -14,6 +14,7 @@ use weakset_sim::latency::LatencyModel;
 use weakset_sim::node::NodeId;
 use weakset_sim::time::SimDuration;
 use weakset_sim::topology::Topology;
+use weakset_sim::traits::{Clock, Observe, ServiceHost};
 use weakset_spec::checker::check_computation;
 use weakset_store::object::{CollectionId, ObjectId, ObjectRecord};
 use weakset_store::prelude::{StoreClient, StoreWorld};

@@ -1,18 +1,18 @@
 //! # weakset-runtime
 //!
-//! The execution-environment boundary for weak sets.
+//! The threaded backend of the weak-sets execution boundary, and its
+//! recorder.
 //!
 //! Everything above the store protocol — `weakset-store`'s client,
 //! `weakset`'s iterators, `weakset-gossip`'s anti-entropy rounds — runs
-//! against the object-safe traits in this crate instead of calling the
-//! simulator directly. Two backends implement them:
+//! against the object-safe traits of [`traits`] instead of calling a
+//! backend directly. They are `weakset-sim`'s, beside the types they
+//! name, and re-exported here. Two backends implement them:
 //!
-//! * [`weakset_sim::world::World`] — the discrete-event simulator. It
-//!   owns a virtual clock, delivers messages through a deterministic
-//!   event queue, and hosts services inline on one thread. Every
-//!   existing simulation, DST scenario, and bench keeps working
-//!   unchanged: `&mut World<M>` coerces implicitly to
-//!   `&mut dyn Runtime<M>`.
+//! * [`weakset_sim::world::World`] — the discrete-event simulator, in
+//!   `weakset-sim` itself. It owns a virtual clock, delivers messages
+//!   through a deterministic event queue, and hosts services inline on
+//!   one thread: `&mut World<M>` coerces to `&mut dyn Runtime<M>`.
 //! * [`threaded::ThreadedRuntime`] — real OS threads. Each node is a
 //!   thread draining an in-process mpsc mailbox; the clock is wall time
 //!   (`std::time::Instant`, reported in the same microsecond units as
@@ -24,12 +24,13 @@
 //!
 //! ## Who owns what
 //!
-//! | concern   | sim backend                  | threaded backend                |
+//! | concern   | sim backend (`weakset-sim`)  | threaded backend (this crate)   |
 //! |-----------|------------------------------|---------------------------------|
+//! | traits    | defined and implemented      | implemented, re-exported        |
 //! | time      | event-queue virtual clock    | `Instant` since runtime start   |
 //! | delivery  | ordered event queue          | per-node mpsc mailbox + thread  |
 //! | timers    | scheduled events             | heap drained in `sleep`/`wait`  |
-//! | services  | inline `HashMap` dispatch    | `Mutex` slot per node thread    |
+//! | services  | inline, a slot per node      | `Mutex` slot per node thread    |
 //! | tracing   | world-owned span stack       | view-owned span stack           |
 //! | requests  | one `Requests` table         | one `Requests` table per view   |
 //!
@@ -44,9 +45,8 @@
 #![forbid(unsafe_code)]
 
 pub mod record;
-pub mod sim_impl;
 pub mod threaded;
-pub mod traits;
+pub use weakset_sim::traits;
 
 pub use record::{RecEntry, RecEvent, RecOutcome, Recorder, Recording};
 pub use traits::{

@@ -858,11 +858,6 @@ impl<M: RtMessage> Observe for ThreadedRuntime<M> {
         &mut self.metrics
     }
 
-    fn span_enter(&mut self, kind: &str, detail: &dyn Fn() -> String) -> SpanId {
-        let parent = self.ctx.last().copied();
-        Observe::span_enter_under(self, parent, kind, detail)
-    }
-
     fn span_enter_under(
         &mut self,
         parent: Option<TraceContext>,
@@ -933,12 +928,6 @@ impl<M: RtMessage> Transport<M> for ThreadedRuntime<M> {
             });
         }
         token
-    }
-
-    fn send_batch(&mut self, from: NodeId, to: NodeId, parts: Vec<M>) -> ReplyToken {
-        self.metrics.incr("net.batch.envelopes");
-        self.metrics.add("net.batch.parts", parts.len() as u64);
-        Transport::send(self, from, to, M::wrap_batch(parts))
     }
 
     fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<M, NetError>> {

@@ -8,12 +8,13 @@ use crate::fault::FaultAction;
 use crate::metrics::TraceContext;
 use crate::node::NodeId;
 use crate::time::SimTime;
-use crate::world::{ReplyToken, Task};
+use crate::traits::{RtMessage, RtTask};
+use crate::world::ReplyToken;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
-pub(crate) enum EventKind<M> {
+pub(crate) enum EventKind<M: RtMessage> {
     /// A request message reaches the server node. Carries the causal
     /// context of the span that launched it, so server-side handling
     /// parents under the caller's trace.
@@ -40,8 +41,9 @@ pub(crate) enum EventKind<M> {
     },
     /// A fault-plan action takes effect.
     Fault(FaultAction),
-    /// An arbitrary scheduled task (background mutator, concurrent client).
-    Task(Box<dyn Task<M>>),
+    /// A task's next step (background mutator, concurrent client, gossip
+    /// round).
+    Task(Box<dyn RtTask<M>>),
     /// The deadline of a task waiting on this token's reply; cancelled
     /// when the reply wakes the task first.
     Deadline(ReplyToken),

@@ -14,6 +14,10 @@
 //! * [`world::World`] — the event loop: a client's wait for its replies
 //!   pumps scheduled background work (mutators, fault actions) in
 //!   timestamp order.
+//! * [`traits`] — the runtime boundary ([`traits::Runtime`] and its
+//!   parts) that the store client, iterators and gossip run against.
+//!   `World` implements it; so does `weakset-runtime`'s threaded backend,
+//!   which re-exports it.
 //! * [`requests::Requests`] — a request's life cycle (token, account,
 //!   reply, the task waiting on it), kept once for every backend.
 //! * [`fault::FaultPlan`] — scripted crashes, outages, partitions, heals,
@@ -30,9 +34,27 @@
 //! ```
 //! use weakset_sim::prelude::*;
 //!
+//! // A message crosses the boundary when it can travel in a batch.
+//! #[derive(Clone, Debug, PartialEq)]
+//! enum Msg {
+//!     Hi(String),
+//!     Batch(Vec<Msg>),
+//! }
+//! impl BatchEnvelope for Msg {
+//!     fn wrap_batch(parts: Vec<Self>) -> Self {
+//!         Msg::Batch(parts)
+//!     }
+//!     fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
+//!         match self {
+//!             Msg::Batch(parts) => Ok(parts),
+//!             other => Err(other),
+//!         }
+//!     }
+//! }
+//!
 //! struct Echo;
-//! impl Service<String> for Echo {
-//!     fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: String) -> String {
+//! impl Service<Msg> for Echo {
+//!     fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: Msg) -> Msg {
 //!         msg
 //!     }
 //! }
@@ -42,11 +64,9 @@
 //! let server = topo.add_node("server", 1);
 //! let mut world = World::new(7, topo, LatencyModel::default());
 //! world.install_service(server, Box::new(Echo));
-//! let token = world.send(client, server, "hi".to_string());
-//! let deadline = world.now() + SimDuration::from_millis(100);
-//! assert_eq!(world.wait_any(&[token], deadline), Some(token));
-//! let reply = world.try_take_reply(token).expect("its reply is in")?;
-//! assert_eq!(reply, "hi");
+//! let hi = Msg::Hi("hi".to_string());
+//! let reply = world.rpc(client, server, hi.clone(), SimDuration::from_millis(100))?;
+//! assert_eq!(reply, hi);
 //! # Ok::<(), weakset_sim::net::NetError>(())
 //! ```
 
@@ -66,6 +86,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 pub mod trace;
+pub mod traits;
 pub mod world;
 
 /// One-stop imports for simulator users.
@@ -79,5 +100,9 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{PartitionGroup, Topology};
-    pub use crate::world::{ReplyToken, Service, ServiceCtx, Task, World};
+    pub use crate::traits::{
+        Clock, Observe, RtMessage, RtTask, Runtime, RuntimeExt, ServiceHost, Spawner, TaskFn,
+        Transport, Wake,
+    };
+    pub use crate::world::{ReplyToken, Service, ServiceCtx, World};
 }

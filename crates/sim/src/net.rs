@@ -13,7 +13,8 @@
 //! scheduler-level flush queue that does the grouping.
 
 use crate::node::NodeId;
-use crate::world::{ReplyToken, World};
+use crate::traits::{RtMessage, Transport};
+use crate::world::ReplyToken;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -38,7 +39,7 @@ pub trait BatchEnvelope: Sized {
 ///
 /// Client code pushes individual requests keyed by destination; a
 /// [`BatchBuffer::flush`] then launches ONE envelope per destination
-/// (in deterministic `NodeId` order) via [`World::send_batch`] and
+/// (in deterministic `NodeId` order) via [`Transport::send_batch`] and
 /// returns the in-flight tokens. The buffer never advances simulated
 /// time — pushes are free, and the flush only *launches* messages, so
 /// requests queued in the same scheduling step genuinely share their
@@ -49,7 +50,7 @@ pub struct BatchBuffer<M> {
     pending: BTreeMap<NodeId, Vec<M>>,
 }
 
-impl<M: Clone + fmt::Debug + BatchEnvelope + 'static> BatchBuffer<M> {
+impl<M: RtMessage> BatchBuffer<M> {
     /// An empty buffer for requests originating at `from`.
     pub fn new(from: NodeId) -> Self {
         BatchBuffer {
@@ -78,25 +79,20 @@ impl<M: Clone + fmt::Debug + BatchEnvelope + 'static> BatchBuffer<M> {
     /// returns `(destination, token, parts)` per envelope in `NodeId`
     /// order. Replies arrive as envelopes; unwrap them with
     /// [`BatchEnvelope::unwrap_batch`] after
-    /// [`World::try_take_reply`].
-    pub fn flush(&mut self, world: &mut World<M>) -> Vec<(NodeId, ReplyToken, usize)> {
+    /// [`Transport::try_take_reply`].
+    pub fn flush(
+        &mut self,
+        rt: &mut (impl Transport<M> + ?Sized),
+    ) -> Vec<(NodeId, ReplyToken, usize)> {
         let pending = std::mem::take(&mut self.pending);
         pending
             .into_iter()
             .map(|(to, parts)| {
                 let n = parts.len();
-                let token = world.send_batch(self.from, to, parts);
+                let token = rt.send_batch(self.from, to, parts);
                 (to, token, n)
             })
             .collect()
-    }
-
-    /// Takes every queued request, grouped per destination in `NodeId`
-    /// order, without sending anything. Runtime-agnostic callers drain
-    /// the buffer and launch one envelope per group through whichever
-    /// transport they run on (`weakset-runtime`'s `Transport::send_batch`).
-    pub fn drain(&mut self) -> Vec<(NodeId, Vec<M>)> {
-        std::mem::take(&mut self.pending).into_iter().collect()
     }
 }
 

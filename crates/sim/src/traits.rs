@@ -1,20 +1,25 @@
-//! The object-safe execution-environment traits.
+//! The object-safe execution-environment traits: the boundary that the
+//! store client, the iterators and the gossip engine run against.
 //!
-//! The split follows ownership: [`Clock`] owns time, [`Transport`] owns
-//! delivery and completion (and, since an rpc's timeout is read off a
-//! clock, extends it), [`ServiceHost`] owns the per-node handlers
-//! and liveness, [`Spawner`] owns deferred work, and [`Observe`] owns
-//! metrics and the causal span stack. [`Runtime`] is their sum — the
-//! type that client-side code takes as `&mut dyn Runtime<M>`.
+//! [`World`](crate::world::World) implements them here, beside the types
+//! they name; `weakset-runtime`'s threaded backend implements them on
+//! real threads and re-exports them. The split follows ownership:
+//! [`Clock`] owns time, [`Transport`] owns delivery and completion (and
+//! extends `Clock`, since an rpc's timeout is read off a clock, and
+//! `Observe`, since a batch is counted), [`ServiceHost`] owns the
+//! per-node handlers and liveness, [`Spawner`] owns deferred work, and
+//! [`Observe`] owns metrics and the causal span stack. [`Runtime`] is
+//! their sum — the type that client-side code takes as
+//! `&mut dyn Runtime<M>`.
 
+use crate::metrics::{Metrics, SpanId, TraceContext};
+use crate::net::{BatchEnvelope, NetError};
+use crate::node::NodeId;
+use crate::rng::SimRng;
+use crate::time::{SimDuration, SimTime};
+use crate::world::{ReplyToken, Service};
 use std::any::Any;
 use std::fmt;
-use weakset_sim::metrics::{Metrics, SpanId, TraceContext};
-use weakset_sim::net::{BatchEnvelope, NetError};
-use weakset_sim::node::NodeId;
-use weakset_sim::rng::SimRng;
-use weakset_sim::time::{SimDuration, SimTime};
-use weakset_sim::world::{ReplyToken, Service};
 
 /// What a message type must satisfy to cross the runtime boundary:
 /// clonable, debuggable, batchable, and safe to hand to another thread.
@@ -50,7 +55,10 @@ pub trait Observe {
     fn metrics_mut(&mut self) -> &mut Metrics;
     /// Opens a causal span under the current context and makes it
     /// current. Pair with [`Observe::span_exit`].
-    fn span_enter(&mut self, kind: &str, detail: &dyn Fn() -> String) -> SpanId;
+    fn span_enter(&mut self, kind: &str, detail: &dyn Fn() -> String) -> SpanId {
+        let parent = self.current_ctx();
+        self.span_enter_under(parent, kind, detail)
+    }
     /// Opens a causal span under an explicit parent context.
     fn span_enter_under(
         &mut self,
@@ -77,8 +85,8 @@ pub enum Launched<M> {
 }
 
 /// Message delivery and completion. A backend delivers and waits; a
-/// request's life cycle is `weakset_sim::requests::Requests`'s.
-pub trait Transport<M: RtMessage>: Clock {
+/// request's life cycle is [`Requests`](crate::requests::Requests)'s.
+pub trait Transport<M: RtMessage>: Clock + Observe {
     /// Synchronous RPC: [`Transport::launch`]es `msg` and, unless the
     /// request ended there, waits until `timeout` from now for its reply,
     /// or [`Transport::abandon`]s it as a timeout. Fails with `NodeDown`
@@ -113,8 +121,14 @@ pub trait Transport<M: RtMessage>: Clock {
     /// Launches a request asynchronously; collect with
     /// [`Transport::try_take_reply`] / [`Transport::wait_any`].
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken;
-    /// Launches several sibling requests as one wire-level envelope.
-    fn send_batch(&mut self, from: NodeId, to: NodeId, parts: Vec<M>) -> ReplyToken;
+    /// Launches several sibling requests as one wire-level envelope,
+    /// counting `net.batch.envelopes` and `net.batch.parts`.
+    fn send_batch(&mut self, from: NodeId, to: NodeId, parts: Vec<M>) -> ReplyToken {
+        let metrics = self.metrics_mut();
+        metrics.incr("net.batch.envelopes");
+        metrics.add("net.batch.parts", parts.len() as u64);
+        self.send(from, to, M::wrap_batch(parts))
+    }
     /// Collects an async reply if it has completed. Never blocks.
     fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<M, NetError>>;
     /// Blocks until one of `tokens` completes or `deadline` passes;
@@ -160,11 +174,12 @@ pub enum Wake {
     Reply(ReplyToken, SimTime),
 }
 
-/// A unit of deferred work, the runtime-agnostic analogue of
-/// [`weakset_sim::world::Task`]. `Send` because the threaded backend
-/// carries pending tasks across view clones handed to other threads.
+/// A unit of deferred work: a background mutator, a gossip round, a
+/// concurrent client. `Send` because the threaded backend carries
+/// pending tasks across view clones handed to other threads.
 pub trait RtTask<M: RtMessage>: Send {
-    /// Label recorded when the task fires.
+    /// Label recorded when the task fires; the simulator folds it into
+    /// the run's fingerprint.
     fn label(&self) -> &str {
         "task"
     }

@@ -8,22 +8,24 @@
 //! interleave *between* invocations and while messages are in flight. The
 //! world realizes this with a single-threaded discrete-event loop:
 //!
-//! * Client code runs synchronously: it [`World::send`]s a request and
-//!   calls [`World::wait_any`], which pumps the event queue until the
-//!   reply arrives or the deadline passes (the runtime crate's
-//!   `Transport::rpc` is exactly that pair). While pumping, *other*
-//!   scheduled work (background mutators installed with
-//!   [`World::spawn_at`], fault-plan actions) fires in timestamp order, so
-//!   concurrency and failures genuinely interleave with the client's RPCs.
-//! * Background work is woken, and never pumps the event loop itself. A
-//!   runtime task (the gossip engine's rounds) runs one step at a time:
-//!   each step sends, and the task is fired again when the reply lands or
-//!   its deadline passes ([`World::wake_on_reply`]), or at a later instant
-//!   ([`World::spawn_boxed_at`]). So a foreground wait that fires a task
-//!   resumes at the instant its own reply or deadline fires. A wait that
-//!   begins inside a dispatched task would hold the wait that fired it
-//!   until it ends; it counts `sim.wait.nested`, and no runtime task makes
-//!   one.
+//! * `World` is a [`Runtime`](crate::traits::Runtime): it implements the
+//!   boundary traits of [`crate::traits`] itself, so `&mut World<M>`
+//!   coerces to `&mut dyn Runtime<M>`. Client code runs synchronously: it
+//!   [`Transport::send`]s a request and calls [`Transport::wait_any`],
+//!   which pumps the event queue until the reply arrives or the deadline
+//!   passes ([`Transport::rpc`] is exactly that pair). While pumping,
+//!   *other* scheduled work (tasks queued with [`World::spawn_at`] or
+//!   [`Spawner::spawn_in`], fault-plan actions) fires in timestamp order,
+//!   so concurrency and failures genuinely interleave with the client's
+//!   RPCs.
+//! * Every task is an [`RtTask`], and background work is woken: it never
+//!   pumps the event loop itself. A task runs one step at a time, and the
+//!   [`Wake`] each step returns re-queues the same box: at a later
+//!   instant, or when a reply lands or its deadline passes (the gossip
+//!   engine's rounds). So a foreground wait that fires a task resumes at
+//!   the instant its own reply or deadline fires. A wait that begins
+//!   inside a dispatched task would hold the wait that fired it until it
+//!   ends; it counts `sim.wait.nested`, and no runtime task makes one.
 //! * Servers are [`Service`] implementations installed per node; handlers
 //!   run at message-delivery time and are local (no nested RPC from a
 //!   handler — multi-node operations are orchestrated by clients, as in the
@@ -35,13 +37,14 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::latency::LatencyModel;
 use crate::metrics::{EventSink, Label, Metrics, SpanId, TraceContext};
-use crate::net::{BatchEnvelope, NetError};
+use crate::net::NetError;
 use crate::node::NodeId;
 use crate::requests::{Account, Books, Requests};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
+use crate::traits::{Clock, Observe, RtMessage, RtTask, ServiceHost, Spawner, Transport, Wake};
 use std::any::Any;
 
 pub use crate::requests::ReplyToken;
@@ -84,52 +87,24 @@ pub struct ServiceCtx<'a> {
     pub rng: &'a mut SimRng,
 }
 
-/// A unit of scheduled work that runs against the world (e.g. a background
-/// mutator or a concurrent client operation).
-///
-/// Tasks receive `&mut World`. The event loop is re-entrant, so a task may
-/// wait on a reply ([`World::wait_any`]) and pump it, preserving global
-/// time order, but the wait that fired it then resumes only when the task
-/// returns: such a wait counts `sim.wait.nested`. A task that must not hold the foreground sends
-/// and re-queues itself instead ([`World::wake_on_reply`]).
-pub trait Task<M> {
-    /// Label folded into the run's fingerprint, and recorded as a
-    /// `sim.task` event by an enabled sink, when the task fires.
-    fn label(&self) -> &str {
-        "task"
-    }
-    /// Runs the task.
-    fn run(self: Box<Self>, world: &mut World<M>);
-}
-
-impl<M, F> Task<M> for F
-where
-    F: FnOnce(&mut World<M>),
-{
-    fn run(self: Box<Self>, world: &mut World<M>) {
-        (*self)(world)
-    }
-}
-
 /// How long failure detection takes: a request to a node with no route
 /// to it, or a crashed one, fails this long after it was sent (the paper
 /// assumes failures are detectable from lower layers).
 const DETECT_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// The world's requests, and the tasks woken on their replies.
-type Table<M> = Requests<M, Box<dyn Task<M>>>;
+type Table<M> = Requests<M, Box<dyn RtTask<M>>>;
 
 /// The simulation world. Generic over the message type `M` exchanged between
 /// clients and services.
-pub struct World<M> {
+pub struct World<M: RtMessage> {
     now: SimTime,
     queue: EventQueue<M>,
     topology: Topology,
     /// Indexed by the dense [`NodeId`]; `None` where nothing is installed
     /// (or while the node's handler is running).
     services: Vec<Option<Box<dyn Service<M>>>>,
-    /// Every request's life cycle, and the tasks waiting on a reply
-    /// ([`World::wake_on_reply`]).
+    /// Every request's life cycle, and the tasks waiting on a reply.
     requests: Table<M>,
     /// How many dispatched tasks are running: a wait that begins while
     /// one is counts `sim.wait.nested`.
@@ -159,7 +134,7 @@ pub struct World<M> {
     sizer: Option<Box<dyn Fn(&M) -> usize>>,
 }
 
-impl<M: Clone + std::fmt::Debug + 'static> World<M> {
+impl<M: RtMessage> World<M> {
     /// Creates a world over a topology with the given latency model;
     /// every random stream of the run is derived from `seed`.
     pub fn new(seed: u64, topology: Topology, latency: LatencyModel) -> Self {
@@ -206,11 +181,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Read access to the network graph.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -219,16 +189,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Mutable access to the network graph (tests and fault injection).
     pub fn topology_mut(&mut self) -> &mut Topology {
         &mut self.topology
-    }
-
-    /// Run metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable run metrics (for client-side instrumentation).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// The structured event sink. Disabled by default; enable with
@@ -248,7 +208,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// `detail` is built only when the sink records, and a short one
     /// (a [`NodeId::label`] or [`NodeId::link_label`]) is built in place:
     /// neither a disabled sink nor an enabled one allocates for it.
-    /// Pair with [`World::span_exit`].
+    /// Pair with [`Observe::span_exit`].
     pub fn span_enter<D: Into<Label>>(&mut self, kind: &str, detail: impl FnOnce() -> D) -> SpanId {
         let parent = self.current_ctx();
         self.span_enter_under(parent, kind, detail)
@@ -271,21 +231,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         let ctx = self.events.begin_span(at, kind, d, parent);
         self.ctx.push(ctx);
         ctx.span
-    }
-
-    /// Closes a span opened with [`World::span_enter`] /
-    /// [`World::span_enter_under`] and pops it off the context stack.
-    /// Spans must close in LIFO order.
-    pub fn span_exit(&mut self, id: SpanId) {
-        let top = self.ctx.pop();
-        debug_assert_eq!(top.map(|c| c.span), Some(id), "span_exit out of LIFO order");
-        self.events.end_span(self.now.as_micros(), id);
-    }
-
-    /// The current causal context: the innermost open span, which
-    /// outgoing messages and child spans inherit.
-    pub fn current_ctx(&self) -> Option<TraceContext> {
-        self.ctx[self.ctx_base..].last().copied()
     }
 
     /// Records a point event attributed to the current causal context.
@@ -314,59 +259,21 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.ctx_base = outer;
     }
 
-    /// A fresh deterministic RNG stream labelled for a consumer (workload
-    /// generation, client decisions, ...). Same `(seed, label)` ⇒ same
-    /// stream.
-    pub fn rng_for(&self, label: &str) -> SimRng {
-        SimRng::for_label(self.seed, label)
-    }
-
-    /// Deterministic latency estimate from `a` to `b` (for closest-first
-    /// scheduling).
-    pub fn estimate_latency(&self, a: NodeId, b: NodeId) -> SimDuration {
-        self.latency
-            .estimate(self.topology.node(a), self.topology.node(b))
-    }
-
-    /// Installs (or replaces) the service on a node.
-    pub fn install_service(&mut self, node: NodeId, svc: Box<dyn Service<M>>) {
-        if self.services.len() <= node.index() {
-            self.services.resize_with(node.index() + 1, || None);
-        }
-        self.services[node.index()] = Some(svc);
-    }
-
     /// Downcasts the service on `node` to a concrete type.
     pub fn service<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.service_dyn(node).and_then(<dyn Any>::downcast_ref)
+        let svc: &dyn Any = self.services.get(node.index())?.as_deref()?;
+        svc.downcast_ref()
     }
 
     /// Mutable downcast of the service on `node`.
     pub fn service_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.service_dyn_mut(node).and_then(<dyn Any>::downcast_mut)
+        let svc: &mut dyn Any = self.services.get_mut(node.index())?.as_deref_mut()?;
+        svc.downcast_mut()
     }
 
-    /// Borrows the service on `node` untyped, for runtime-agnostic
-    /// inspection (the `weakset-runtime` trait boundary downcasts it).
-    pub fn service_dyn(&self, node: NodeId) -> Option<&dyn Any> {
-        let svc = self.services.get(node.index())?.as_ref()?;
-        Some(svc.as_ref() as &dyn Any)
-    }
-
-    /// Mutable untyped borrow of the service on `node`.
-    pub fn service_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Any> {
-        let svc = self.services.get_mut(node.index())?.as_mut()?;
-        Some(svc.as_mut() as &mut dyn Any)
-    }
-
-    /// Schedules a task at an absolute time.
-    pub fn spawn_at(&mut self, t: SimTime, task: impl Task<M> + 'static) {
-        self.spawn_boxed_at(t, Box::new(task));
-    }
-
-    /// Schedules a boxed task at an absolute time, or now if `t` has
-    /// passed: a task re-queues the box it runs in, and allocates nothing.
-    pub fn spawn_boxed_at(&mut self, t: SimTime, task: Box<dyn Task<M>>) {
+    /// Schedules a task to run at `t`, or now if `t` has passed, and
+    /// again at each [`Wake`] its runs return.
+    pub fn spawn_at(&mut self, t: SimTime, task: Box<dyn RtTask<M>>) {
         self.queue.push(t.max(self.now), EventKind::Task(task));
     }
 
@@ -375,18 +282,13 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// timed-out one does, and the task finds nothing under the token;
     /// the reply, if it comes first, cancels the deadline. A reply
     /// already in fires the task at once.
-    pub fn wake_on_reply(&mut self, token: ReplyToken, deadline: SimTime, task: Box<dyn Task<M>>) {
+    fn wake_on_reply(&mut self, token: ReplyToken, deadline: SimTime, task: Box<dyn RtTask<M>>) {
         match self.requests.wake_on_reply(token, task) {
-            Some(task) => self.spawn_boxed_at(self.now, task),
+            Some(task) => self.spawn_at(self.now, task),
             None => self
                 .queue
                 .push(deadline.max(self.now), EventKind::Deadline(token)),
         }
-    }
-
-    /// Schedules a task `d` from now.
-    pub fn spawn_in(&mut self, d: SimDuration, task: impl Task<M> + 'static) {
-        self.spawn_at(self.now + d, task);
     }
 
     /// Schedules one fault action.
@@ -433,63 +335,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.now = self.now.max(deadline);
     }
 
-    /// Sleeps the calling client for `d`, letting background work fire.
-    pub fn sleep(&mut self, d: SimDuration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
     /// Fires every remaining event.
     pub fn run_to_quiescence(&mut self) {
         while self.fire_next(SimTime::MAX) {}
-    }
-
-    /// Sends a request *asynchronously*: the message is launched and a
-    /// token is returned immediately, without advancing time. Use
-    /// [`World::try_take_reply`] or [`World::wait_any`] to collect the
-    /// reply. Several requests can be in flight at once — this is how
-    /// dynamic sets fetch member objects in parallel.
-    ///
-    /// A crashed caller sends nothing: its request fails at once with
-    /// [`NetError::NodeDown`] of `from`, unaccounted. A request to a node
-    /// with no route to it, or a crashed one, completes with that error
-    /// after the 2 ms detection delay. A message lost in flight, or sent
-    /// to a node with no service, ends its request as a timeout, which
-    /// its caller sees at its own deadline. Every other request is
-    /// accounted where it ends, in the [`Requests`] table; its `net.rpc`
-    /// span opens now, under the current context, without becoming
-    /// current.
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
-        let routed = self.topology.route(from, to);
-        if routed == Err(NetError::NodeDown(from)) {
-            return self.requests.park(Err(NetError::NodeDown(from)));
-        }
-        self.trace
-            .record(self.now, TraceEvent::RpcSend { from, to });
-        self.metrics.incr("rpc.sent");
-        let detail = if self.events.is_enabled() {
-            from.link_label(to)
-        } else {
-            Label::default()
-        };
-        let parent = self.current_ctx();
-        let span = self
-            .events
-            .begin_span(self.now.as_micros(), "net.rpc", detail, parent);
-        let token = self.requests.open(Account {
-            from,
-            to,
-            started: Some(self.now),
-            span: Some(span),
-        });
-        match routed {
-            Ok(()) => self.launch(token, from, to, msg, Some(span)),
-            Err(error) => self.queue.push(
-                self.now + DETECT_DELAY,
-                EventKind::CompleteError { token, error },
-            ),
-        }
-        token
     }
 
     /// The request table, and the books its accounts are written into
@@ -516,7 +364,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Puts a routed request on the wire under `token`: lost at the
     /// link's drop rate, else delivered one sampled latency from now,
     /// under `ctx`.
-    fn launch(
+    fn transmit(
         &mut self,
         token: ReplyToken,
         from: NodeId,
@@ -563,50 +411,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.complete(token, None);
     }
 
-    /// Launches a batched request asynchronously (see [`World::send`]):
-    /// the parts are wrapped into one envelope and a single token is
-    /// returned. The reply (collected via [`World::try_take_reply`]) is
-    /// an envelope; recover the per-part replies with
-    /// [`BatchEnvelope::unwrap_batch`].
-    pub fn send_batch(&mut self, from: NodeId, to: NodeId, parts: Vec<M>) -> ReplyToken
-    where
-        M: BatchEnvelope,
-    {
-        self.metrics.incr("net.batch.envelopes");
-        self.metrics.add("net.batch.parts", parts.len() as u64);
-        self.send(from, to, M::wrap_batch(parts))
-    }
-
-    /// Collects the reply for an asynchronously-sent request if it has
-    /// already completed. Does not advance time.
-    pub fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<M, NetError>> {
-        self.requests.take(token)
-    }
-
-    /// Gives up on the request launched under `token`: it ends now as a
-    /// timeout, if nothing ended it earlier, and a reply already in is
-    /// dropped, so a late one is never kept.
-    pub fn abandon(&mut self, token: ReplyToken) {
-        let (requests, books) = self.requests();
-        requests.abandon(token, books);
-    }
-
-    /// Pumps the event loop until one of `tokens` completes or `deadline`
-    /// passes. Returns the completed token (its reply is left for
-    /// [`World::try_take_reply`]), or `None` on deadline.
-    pub fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
-        self.note_wait();
-        loop {
-            if let Some(&t) = tokens.iter().find(|&&t| self.requests.is_done(t)) {
-                return Some(t);
-            }
-            if !self.fire_next(deadline) {
-                self.now = self.now.max(deadline);
-                return None;
-            }
-        }
-    }
-
     /// A wait begins: nested when a dispatched task is running, which
     /// then holds whichever wait fired it until this one ends.
     fn note_wait(&mut self) {
@@ -615,9 +419,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         }
     }
 
-    /// Runs a task now, rooting its own traces: with an empty context
-    /// stack.
-    fn fire_task(&mut self, task: Box<dyn Task<M>>) {
+    /// Runs one step of a task now, rooting its own traces: with an
+    /// empty context stack. The [`Wake`] it returns re-queues its box.
+    fn fire_task(&mut self, mut task: Box<dyn RtTask<M>>) {
         let label = task.label();
         if self.events.is_enabled() {
             self.events.event(self.now.as_micros(), "sim.task", label);
@@ -625,9 +429,14 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.trace.record(self.now, TraceEvent::TaskRan { label });
         let outer = self.begin_dispatched(None);
         self.tasks_running += 1;
-        task.run(self);
+        let wake = task.run(self);
         self.tasks_running -= 1;
         self.end_dispatched(outer);
+        match wake {
+            Wake::Never => {}
+            Wake::At(t) => self.spawn_at(t, task),
+            Wake::Reply(token, deadline) => self.wake_on_reply(token, deadline, task),
+        }
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
@@ -772,67 +581,234 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     }
 }
 
+impl<M: RtMessage> Clock for World<M> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Sleeps the calling client for `d`, letting background work fire.
+    fn sleep(&mut self, d: SimDuration) {
+        self.run_until(self.now + d);
+    }
+
+    fn rng_for(&self, label: &str) -> SimRng {
+        SimRng::for_label(self.seed, label)
+    }
+}
+
+impl<M: RtMessage> Observe for World<M> {
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    fn span_enter_under(
+        &mut self,
+        parent: Option<TraceContext>,
+        kind: &str,
+        detail: &dyn Fn() -> String,
+    ) -> SpanId {
+        World::span_enter_under(self, parent, kind, detail)
+    }
+
+    fn span_exit(&mut self, id: SpanId) {
+        let top = self.ctx.pop();
+        debug_assert_eq!(top.map(|c| c.span), Some(id), "span_exit out of LIFO order");
+        self.events.end_span(self.now.as_micros(), id);
+    }
+
+    /// The innermost open span of the running work, which outgoing
+    /// messages and child spans inherit.
+    fn current_ctx(&self) -> Option<TraceContext> {
+        self.ctx[self.ctx_base..].last().copied()
+    }
+
+    fn trace_event(&mut self, kind: &str, detail: &dyn Fn() -> String) {
+        World::trace_event(self, kind, detail)
+    }
+}
+
+impl<M: RtMessage> Transport<M> for World<M> {
+    /// Sends a request *asynchronously*: the message is launched and a
+    /// token is returned immediately, without advancing time. Use
+    /// [`Transport::try_take_reply`] or [`Transport::wait_any`] to collect
+    /// the reply. Several requests can be in flight at once — this is how
+    /// dynamic sets fetch member objects in parallel.
+    ///
+    /// A crashed caller sends nothing: its request fails at once with
+    /// [`NetError::NodeDown`] of `from`, unaccounted. A request to a node
+    /// with no route to it, or a crashed one, completes with that error
+    /// after the 2 ms detection delay. A message lost in flight, or sent
+    /// to a node with no service, ends its request as a timeout, which
+    /// its caller sees at its own deadline. Every other request is
+    /// accounted where it ends, in the [`Requests`] table; its `net.rpc`
+    /// span opens now, under the current context, without becoming
+    /// current.
+    fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> ReplyToken {
+        let routed = self.topology.route(from, to);
+        if routed == Err(NetError::NodeDown(from)) {
+            return self.requests.park(Err(NetError::NodeDown(from)));
+        }
+        self.trace
+            .record(self.now, TraceEvent::RpcSend { from, to });
+        self.metrics.incr("rpc.sent");
+        let detail = if self.events.is_enabled() {
+            from.link_label(to)
+        } else {
+            Label::default()
+        };
+        let parent = self.current_ctx();
+        let span = self
+            .events
+            .begin_span(self.now.as_micros(), "net.rpc", detail, parent);
+        let token = self.requests.open(Account {
+            from,
+            to,
+            started: Some(self.now),
+            span: Some(span),
+        });
+        match routed {
+            Ok(()) => self.transmit(token, from, to, msg, Some(span)),
+            Err(error) => self.queue.push(
+                self.now + DETECT_DELAY,
+                EventKind::CompleteError { token, error },
+            ),
+        }
+        token
+    }
+
+    fn try_take_reply(&mut self, token: ReplyToken) -> Option<Result<M, NetError>> {
+        self.requests.take(token)
+    }
+
+    /// Pumps the event loop until one of `tokens` completes or `deadline`
+    /// passes.
+    fn wait_any(&mut self, tokens: &[ReplyToken], deadline: SimTime) -> Option<ReplyToken> {
+        self.note_wait();
+        loop {
+            if let Some(&t) = tokens.iter().find(|&&t| self.requests.is_done(t)) {
+                return Some(t);
+            }
+            if !self.fire_next(deadline) {
+                self.now = self.now.max(deadline);
+                return None;
+            }
+        }
+    }
+
+    fn abandon(&mut self, token: ReplyToken) {
+        let (requests, books) = self.requests();
+        requests.abandon(token, books);
+    }
+
+    fn estimate_latency(&self, a: NodeId, b: NodeId) -> SimDuration {
+        self.latency
+            .estimate(self.topology.node(a), self.topology.node(b))
+    }
+}
+
+impl<M: RtMessage> ServiceHost<M> for World<M> {
+    fn install_service(&mut self, node: NodeId, svc: Box<dyn Service<M> + Send>) {
+        if self.services.len() <= node.index() {
+            self.services.resize_with(node.index() + 1, || None);
+        }
+        self.services[node.index()] = Some(svc);
+    }
+
+    fn with_service_any(&self, node: NodeId, f: &mut dyn FnMut(&dyn Any)) -> bool {
+        let svc = self.services.get(node.index()).and_then(Option::as_deref);
+        svc.map(|svc| f(svc)).is_some()
+    }
+
+    fn with_service_any_mut(&mut self, node: NodeId, f: &mut dyn FnMut(&mut dyn Any)) -> bool {
+        let svc = self.services.get_mut(node.index());
+        svc.and_then(Option::as_deref_mut)
+            .map(|svc| f(svc))
+            .is_some()
+    }
+
+    fn is_up(&self, node: NodeId) -> bool {
+        self.topology.is_up(node)
+    }
+
+    fn reachable(&self, from: NodeId, to: NodeId) -> bool {
+        self.topology.reachable(from, to)
+    }
+}
+
+impl<M: RtMessage> Spawner<M> for World<M> {
+    fn spawn_in(&mut self, d: SimDuration, task: Box<dyn RtTask<M>>) {
+        self.spawn_at(self.now + d, task);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkState;
+    use crate::net::BatchEnvelope;
+    use crate::traits::{Runtime, RuntimeExt, TaskFn};
+    use std::sync::{Arc, Mutex};
+    use Msg::{Batch, Val};
 
-    /// A service that echoes the request plus one.
-    struct PlusOne;
-    impl Service<u64> for PlusOne {
-        fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: u64) -> u64 {
-            msg + 1
+    /// A protocol with a batch variant, as `StoreMsg` has.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Msg {
+        Val(u64),
+        Batch(Vec<Msg>),
+    }
+    impl BatchEnvelope for Msg {
+        fn wrap_batch(parts: Vec<Self>) -> Self {
+            Batch(parts)
+        }
+        fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
+            match self {
+                Batch(parts) => Ok(parts),
+                other => Err(other),
+            }
         }
     }
 
-    /// A counting service for downcast tests.
+    /// A service that echoes the request plus one, part by part.
+    struct PlusOne;
+    impl Service<Msg> for PlusOne {
+        fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: Msg) -> Msg {
+            fn one(m: Msg) -> Msg {
+                match m {
+                    Val(n) => Val(n + 1),
+                    Batch(parts) => Batch(parts.into_iter().map(one).collect()),
+                }
+            }
+            one(msg)
+        }
+    }
+
+    /// A counting [`PlusOne`], for downcast tests.
     struct Counter {
         hits: u64,
     }
-    impl Service<u64> for Counter {
-        fn handle(&mut self, _ctx: &mut ServiceCtx<'_>, _from: NodeId, msg: u64) -> u64 {
+    impl Service<Msg> for Counter {
+        fn handle(&mut self, ctx: &mut ServiceCtx<'_>, from: NodeId, msg: Msg) -> Msg {
             self.hits += 1;
-            msg
+            PlusOne.handle(ctx, from, msg)
         }
     }
 
     /// The timeout of a test rpc that is not about timeouts.
     const TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
-    /// `weakset-runtime`'s `Transport::rpc`, which this crate's tests
-    /// cannot name: a send, a wait until the timeout, then the reply or
-    /// the request abandoned.
-    trait Rpc<M> {
-        fn rpc(
-            &mut self,
-            from: NodeId,
-            to: NodeId,
-            msg: M,
-            timeout: SimDuration,
-        ) -> Result<M, NetError>;
+    /// A task that runs `f` once.
+    fn once(mut f: impl FnMut(&mut dyn Runtime<Msg>) + Send + 'static) -> Box<dyn RtTask<Msg>> {
+        Box::new(TaskFn(move |rt: &mut (dyn Runtime<Msg> + 'static)| {
+            f(rt);
+            Wake::Never
+        }))
     }
 
-    impl<M: Clone + std::fmt::Debug + 'static> Rpc<M> for World<M> {
-        fn rpc(
-            &mut self,
-            from: NodeId,
-            to: NodeId,
-            msg: M,
-            timeout: SimDuration,
-        ) -> Result<M, NetError> {
-            let token = self.send(from, to, msg);
-            let deadline = self.now() + timeout;
-            if self.wait_any(&[token], deadline).is_some() {
-                if let Some(result) = self.try_take_reply(token) {
-                    return result;
-                }
-            }
-            self.abandon(token);
-            Err(NetError::Timeout)
-        }
-    }
-
-    fn two_node_world() -> (World<u64>, NodeId, NodeId) {
+    fn two_node_world() -> (World<Msg>, NodeId, NodeId) {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);
         let server = t.add_node("server", 1);
@@ -844,8 +820,8 @@ mod tests {
     #[test]
     fn rpc_round_trips_and_advances_time() {
         let (mut w, c, s) = two_node_world();
-        let r = w.rpc(c, s, 41, TIMEOUT);
-        assert_eq!(r, Ok(42));
+        let r = w.rpc(c, s, Val(41), TIMEOUT);
+        assert_eq!(r, Ok(Val(42)));
         // One-way 5ms, round trip 10ms.
         assert_eq!(w.now(), SimTime::from_millis(10));
         assert_eq!(w.metrics().counter("rpc.ok"), 1);
@@ -855,7 +831,7 @@ mod tests {
     fn rpc_to_crashed_server_fails() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().crash(s);
-        let r = w.rpc(c, s, 1, TIMEOUT);
+        let r = w.rpc(c, s, Val(1), TIMEOUT);
         assert_eq!(r, Err(NetError::NodeDown(s)));
     }
 
@@ -863,14 +839,14 @@ mod tests {
     fn rpc_from_crashed_client_fails_locally() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().crash(c);
-        assert_eq!(w.rpc(c, s, 1, TIMEOUT), Err(NetError::NodeDown(c)));
+        assert_eq!(w.rpc(c, s, Val(1), TIMEOUT), Err(NetError::NodeDown(c)));
     }
 
     #[test]
     fn partition_gives_unreachable_after_the_detection_delay() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().partition(&[s]);
-        let r = w.rpc(c, s, 1, TIMEOUT);
+        let r = w.rpc(c, s, Val(1), TIMEOUT);
         assert_eq!(r, Err(NetError::Unreachable { from: c, to: s }));
         // Detection took DETECT_DELAY, not the whole timeout.
         assert_eq!(w.now(), SimTime::from_millis(2));
@@ -880,7 +856,7 @@ mod tests {
     fn missing_service_times_out() {
         let (mut w, c, _s) = two_node_world();
         let extra = w.topology_mut().add_node("empty", 2);
-        let r = w.rpc(c, extra, 7, SimDuration::from_millis(20));
+        let r = w.rpc(c, extra, Val(7), SimDuration::from_millis(20));
         assert_eq!(r, Err(NetError::Timeout));
     }
 
@@ -890,11 +866,11 @@ mod tests {
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
         t.set_link(c, s, LinkState::lossy(1.0));
-        let mut w: World<u64> =
+        let mut w: World<Msg> =
             World::new(3, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(s, Box::new(PlusOne));
         assert_eq!(
-            w.rpc(c, s, 1, SimDuration::from_millis(10)),
+            w.rpc(c, s, Val(1), SimDuration::from_millis(10)),
             Err(NetError::Timeout)
         );
         assert!(w.metrics().counter("msg.dropped") >= 1);
@@ -905,7 +881,7 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         // Crash the server 1ms after the request leaves; delivery needs 5ms.
         w.schedule_fault(SimTime::from_millis(1), FaultAction::Crash(s));
-        let r = w.rpc(c, s, 1, SimDuration::from_millis(30));
+        let r = w.rpc(c, s, Val(1), SimDuration::from_millis(30));
         // Failure detection doesn't trigger: the server was up at send
         // time.
         assert_eq!(r, Err(NetError::Timeout));
@@ -915,11 +891,14 @@ mod tests {
     #[test]
     fn background_task_fires_during_rpc() {
         let (mut w, c, s) = two_node_world();
-        w.spawn_at(SimTime::from_millis(3), |w: &mut World<u64>| {
-            w.metrics_mut().incr("test.mutation");
-        });
-        let r = w.rpc(c, s, 1, TIMEOUT);
-        assert_eq!(r, Ok(2));
+        w.spawn_at(
+            SimTime::from_millis(3),
+            once(|w| {
+                w.metrics_mut().incr("test.mutation");
+            }),
+        );
+        let r = w.rpc(c, s, Val(1), TIMEOUT);
+        assert_eq!(r, Ok(Val(2)));
         assert_eq!(w.metrics().counter("test.mutation"), 1);
     }
 
@@ -928,21 +907,27 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         // A concurrent client task performing its own RPC mid-way through
         // the main client's RPC.
-        w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
-            let r = w.rpc(c, s, 100, TIMEOUT);
-            assert_eq!(r, Ok(101));
-        });
-        let r = w.rpc(c, s, 1, SimDuration::from_millis(200));
-        assert_eq!(r, Ok(2));
+        w.spawn_at(
+            SimTime::from_millis(2),
+            once(move |w| {
+                let r = w.rpc(c, s, Val(100), TIMEOUT);
+                assert_eq!(r, Ok(Val(101)));
+            }),
+        );
+        let r = w.rpc(c, s, Val(1), SimDuration::from_millis(200));
+        assert_eq!(r, Ok(Val(2)));
     }
 
     #[test]
     fn a_wait_inside_a_task_is_counted_nested() {
         let (mut w, c, s) = two_node_world();
-        w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
-            assert_eq!(w.rpc(c, s, 100, TIMEOUT), Ok(101));
-        });
-        assert_eq!(w.rpc(c, s, 1, TIMEOUT), Ok(2));
+        w.spawn_at(
+            SimTime::from_millis(2),
+            once(move |w| {
+                assert_eq!(w.rpc(c, s, Val(100), TIMEOUT), Ok(Val(101)));
+            }),
+        );
+        assert_eq!(w.rpc(c, s, Val(1), TIMEOUT), Ok(Val(2)));
         assert_eq!(w.metrics().counter("sim.wait.nested"), 1);
         // The outer reply landed at 10 ms, but the task's rpc held the
         // wait that fired it until its own reply, at 12 ms.
@@ -956,14 +941,17 @@ mod tests {
         let mut t = Topology::new();
         let client = t.add_node("client", 0);
         let mute = t.add_node("mute", 1);
-        let mut w: World<u64> =
+        let mut w: World<Msg> =
             World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         // The task's rpc times out at 25 ms, past the outer one's 10 ms.
-        w.spawn_at(SimTime::from_millis(5), move |w: &mut World<u64>| {
-            let r = w.rpc(client, mute, 0, SimDuration::from_millis(20));
-            assert_eq!(r, Err(NetError::Timeout));
-        });
-        let r = w.rpc(client, mute, 0, SimDuration::from_millis(10));
+        w.spawn_at(
+            SimTime::from_millis(5),
+            once(move |w| {
+                let r = w.rpc(client, mute, Val(0), SimDuration::from_millis(20));
+                assert_eq!(r, Err(NetError::Timeout));
+            }),
+        );
+        let r = w.rpc(client, mute, Val(0), SimDuration::from_millis(10));
         assert_eq!(r, Err(NetError::Timeout));
         assert!(
             w.now() >= SimTime::from_millis(25),
@@ -976,15 +964,15 @@ mod tests {
     fn a_late_reply_to_a_timed_out_rpc_is_not_kept() {
         let (mut w, c, s) = two_node_world();
         for i in 0..100 {
-            let r = w.rpc(c, s, i, SimDuration::from_millis(1));
+            let r = w.rpc(c, s, Val(i), SimDuration::from_millis(1));
             assert_eq!(r, Err(NetError::Timeout));
         }
         w.run_to_quiescence();
         assert_eq!(w.requests.held(), (0, 0), "late replies kept");
         // A send nobody ended still keeps its reply for its token.
-        let token = w.send(c, s, 1);
+        let token = w.send(c, s, Val(1));
         w.run_to_quiescence();
-        assert_eq!(w.try_take_reply(token), Some(Ok(2)));
+        assert_eq!(w.try_take_reply(token), Some(Ok(Val(2))));
     }
 
     #[test]
@@ -1001,11 +989,11 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
-        let mut w: World<u64> =
+        let mut w: World<Msg> =
             World::new(5, t, LatencyModel::Constant(SimDuration::from_millis(1)));
         w.install_service(s, Box::new(Counter { hits: 0 }));
-        w.rpc(c, s, 9, TIMEOUT).unwrap();
-        w.rpc(c, s, 9, TIMEOUT).unwrap();
+        w.rpc(c, s, Val(9), TIMEOUT).unwrap();
+        w.rpc(c, s, Val(9), TIMEOUT).unwrap();
         assert_eq!(w.service::<Counter>(s).unwrap().hits, 2);
         w.service_mut::<Counter>(s).unwrap().hits = 0;
         assert_eq!(w.service::<Counter>(s).unwrap().hits, 0);
@@ -1014,18 +1002,18 @@ mod tests {
         // nothing on it, and one past the table's end, both read empty.
         assert!(w.service::<Counter>(c).is_none());
         let late = w.topology_mut().add_node("late", 2);
-        assert!(w.service_dyn(late).is_none() && w.service_mut::<Counter>(late).is_none());
+        assert!(w.service::<Counter>(late).is_none() && w.service_mut::<Counter>(late).is_none());
         w.install_service(late, Box::new(Counter { hits: 7 }));
         assert_eq!(w.service::<Counter>(late).unwrap().hits, 7);
     }
 
     #[test]
     fn same_seed_same_run() {
-        fn run(seed: u64) -> (u64, Vec<u64>) {
+        fn run(seed: u64) -> (u64, Vec<Msg>) {
             let mut t = Topology::new();
             let c = t.add_node("c", 0);
             let servers: Vec<NodeId> = (0..4).map(|i| t.add_node(format!("s{i}"), i + 1)).collect();
-            let mut w: World<u64> = World::new(
+            let mut w: World<Msg> = World::new(
                 seed,
                 t,
                 LatencyModel::Uniform {
@@ -1039,7 +1027,7 @@ mod tests {
             let mut outs = Vec::new();
             for i in 0..20 {
                 let s = servers[(i % servers.len() as u64) as usize];
-                if let Ok(v) = w.rpc(c, s, i, TIMEOUT) {
+                if let Ok(v) = w.rpc(c, s, Val(i), TIMEOUT) {
                     outs.push(v);
                 }
             }
@@ -1080,12 +1068,12 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let servers: Vec<NodeId> = (0..4).map(|i| t.add_node(format!("s{i}"), 1)).collect();
-        let mut w: World<u64> =
+        let mut w: World<Msg> =
             World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         for &s in &servers {
             w.install_service(s, Box::new(PlusOne));
         }
-        let tokens: Vec<ReplyToken> = servers.iter().map(|&s| w.send(c, s, 1)).collect();
+        let tokens: Vec<ReplyToken> = servers.iter().map(|&s| w.send(c, s, Val(1))).collect();
         let deadline = SimTime::from_millis(100);
         let mut got = 0;
         let mut pending = tokens.clone();
@@ -1093,7 +1081,7 @@ mod tests {
             let done = w
                 .wait_any(&pending, deadline)
                 .expect("reply before deadline");
-            assert_eq!(w.try_take_reply(done), Some(Ok(2)));
+            assert_eq!(w.try_take_reply(done), Some(Ok(Val(2))));
             pending.retain(|&t| t != done);
             got += 1;
         }
@@ -1105,7 +1093,7 @@ mod tests {
     fn async_send_to_unreachable_completes_with_error() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().partition(&[s]);
-        let token = w.send(c, s, 1);
+        let token = w.send(c, s, Val(1));
         // Not complete yet: detection takes DETECT_DELAY.
         assert!(w.try_take_reply(token).is_none());
         let done = w.wait_any(&[token], SimTime::from_millis(50));
@@ -1123,7 +1111,7 @@ mod tests {
         let ghost = w.topology_mut().add_node("ghost", 5);
         // No service on ghost: the request is delivered but dropped, so
         // the token never completes and the deadline applies.
-        let token = w.send(c, ghost, 1);
+        let token = w.send(c, ghost, Val(1));
         assert_eq!(w.wait_any(&[token], SimTime::from_millis(7)), None);
         assert_eq!(w.now(), SimTime::from_millis(7));
         assert!(w.try_take_reply(token).is_none());
@@ -1133,7 +1121,7 @@ mod tests {
     fn send_from_crashed_node_completes_immediately() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().crash(c);
-        let token = w.send(c, s, 1);
+        let token = w.send(c, s, Val(1));
         // Complete before anything runs the event loop.
         assert_eq!(w.try_take_reply(token), Some(Err(NetError::NodeDown(c))));
         assert_eq!(w.now(), SimTime::from_millis(0));
@@ -1144,21 +1132,24 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
-        let mut w: World<u64> =
+        let mut w: World<Msg> =
             World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
         w.install_service(s, Box::new(PlusOne));
         // Message size = its value in bytes; 1000 bytes/ms.
-        w.set_bandwidth(1000, |m: &u64| *m as usize);
+        w.set_bandwidth(1000, |m: &Msg| match m {
+            Val(n) => *n as usize,
+            Batch(_) => 0,
+        });
         // 10_000-byte request and a 10_001-byte echo reply:
         // (5ms + 10ms) out + (5ms + 10.001ms) back.
         let started = w.now();
-        let r = w.rpc(c, s, 10_000, SimDuration::from_millis(200));
-        assert_eq!(r, Ok(10_001));
+        let r = w.rpc(c, s, Val(10_000), SimDuration::from_millis(200));
+        assert_eq!(r, Ok(Val(10_001)));
         let took = w.now().saturating_since(started);
         assert_eq!(took, SimDuration::from_micros(30_001));
         // A zero-byte request still pays its 1-byte echo reply (1us).
         let started = w.now();
-        w.rpc(c, s, 0, SimDuration::from_millis(200)).unwrap();
+        w.rpc(c, s, Val(0), SimDuration::from_millis(200)).unwrap();
         assert_eq!(
             w.now().saturating_since(started),
             SimDuration::from_micros(10_001)
@@ -1170,7 +1161,7 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.events_mut().set_enabled(true);
         let root = w.span_enter("iter.fig4.invocation", String::new);
-        w.rpc(c, s, 1, TIMEOUT).unwrap();
+        w.rpc(c, s, Val(1), TIMEOUT).unwrap();
         w.span_exit(root);
         let at = w.now().as_micros();
         assert!(w.events_mut().finish(at).is_empty());
@@ -1200,10 +1191,10 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.events_mut().set_enabled(true);
         let root = w.span_enter("iter.fig4.invocation", String::new);
-        let token = w.send(c, s, 1);
+        let token = w.send(c, s, Val(1));
         w.span_exit(root);
         assert_eq!(w.wait_any(&[token], SimTime::from_millis(50)), Some(token));
-        assert_eq!(w.try_take_reply(token), Some(Ok(2)));
+        assert_eq!(w.try_take_reply(token), Some(Ok(Val(2))));
         let m = w.metrics();
         let counts = ["rpc.sent", "rpc.ok", "rpc.failed"].map(|n| m.counter(n));
         assert_eq!(counts, [1, 1, 0]);
@@ -1227,10 +1218,10 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.events_mut().set_enabled(true);
         w.topology_mut().partition(&[s]);
-        let unrouted = w.send(c, s, 1);
+        let unrouted = w.send(c, s, Val(1));
         w.topology_mut().heal_partition();
         w.topology_mut().set_link(c, s, LinkState::lossy(1.0));
-        let lost = w.send(c, s, 1);
+        let lost = w.send(c, s, Val(1));
         assert_eq!(w.wait_any(&[lost], SimTime::from_millis(50)), None);
         assert!(matches!(w.try_take_reply(unrouted), Some(Err(_))));
         let m = w.metrics();
@@ -1246,7 +1237,7 @@ mod tests {
         let (mut w, c, s) = two_node_world();
         w.events_mut().set_enabled(true);
         w.topology_mut().partition(&[s]);
-        assert!(w.rpc(c, s, 1, TIMEOUT).is_err());
+        assert!(w.rpc(c, s, Val(1), TIMEOUT).is_err());
         let at = w.now().as_micros();
         assert!(w.events_mut().finish(at).is_empty());
         let events = w.events_mut().take_events();
@@ -1263,11 +1254,14 @@ mod tests {
         w.events_mut().set_enabled(true);
         // A concurrent task fires mid-RPC and performs its own RPC; its
         // spans must not parent under the pumping client's span.
-        w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
-            let _ = w.rpc(c, s, 100, TIMEOUT);
-        });
+        w.spawn_at(
+            SimTime::from_millis(2),
+            once(move |w| {
+                let _ = w.rpc(c, s, Val(100), TIMEOUT);
+            }),
+        );
         let outer = w.span_enter("iter.fig5.invocation", String::new);
-        w.rpc(c, s, 1, SimDuration::from_millis(200)).unwrap();
+        w.rpc(c, s, Val(1), SimDuration::from_millis(200)).unwrap();
         w.span_exit(outer);
         let at = w.now().as_micros();
         assert!(w.events_mut().finish(at).is_empty());
@@ -1288,15 +1282,18 @@ mod tests {
         w.events_mut().set_enabled(true);
         // The client's request lands at 5 ms, while the task (fired at
         // 2 ms) pumps for its own reply: three levels on one stack.
-        w.spawn_at(SimTime::from_millis(2), move |w: &mut World<u64>| {
-            assert_eq!(w.current_ctx(), None, "a task starts with no context");
-            let work = w.span_enter("task.work", String::new);
-            w.rpc(c, s, 100, TIMEOUT).unwrap();
-            assert_eq!(w.current_ctx().map(|x| x.span), Some(work));
-            w.span_exit(work);
-        });
+        w.spawn_at(
+            SimTime::from_millis(2),
+            once(move |w| {
+                assert_eq!(w.current_ctx(), None, "a task starts with no context");
+                let work = w.span_enter("task.work", &String::new);
+                w.rpc(c, s, Val(100), TIMEOUT).unwrap();
+                assert_eq!(w.current_ctx().map(|x| x.span), Some(work));
+                w.span_exit(work);
+            }),
+        );
         let outer = w.span_enter("iter.fig5.invocation", String::new);
-        w.rpc(c, s, 1, SimDuration::from_millis(200)).unwrap();
+        w.rpc(c, s, Val(1), SimDuration::from_millis(200)).unwrap();
         assert_eq!(w.current_ctx().map(|x| x.span), Some(outer));
         w.span_exit(outer);
         assert!(w.ctx.is_empty() && w.ctx_base == 0, "every level unwound");
@@ -1328,39 +1325,9 @@ mod tests {
     fn heal_restores_service_after_partition() {
         let (mut w, c, s) = two_node_world();
         w.topology_mut().partition(&[s]);
-        assert!(w.rpc(c, s, 1, TIMEOUT).is_err());
+        assert!(w.rpc(c, s, Val(1), TIMEOUT).is_err());
         w.topology_mut().heal_partition();
-        assert_eq!(w.rpc(c, s, 1, TIMEOUT), Ok(2));
-    }
-
-    /// A protocol with a batch variant, mirroring how `StoreMsg` opts in.
-    #[derive(Clone, Debug, PartialEq)]
-    enum BMsg {
-        Val(u64),
-        Batch(Vec<BMsg>),
-    }
-    impl crate::net::BatchEnvelope for BMsg {
-        fn wrap_batch(parts: Vec<Self>) -> Self {
-            BMsg::Batch(parts)
-        }
-        fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
-            match self {
-                BMsg::Batch(parts) => Ok(parts),
-                other => Err(other),
-            }
-        }
-    }
-    struct BatchPlusOne;
-    impl Service<BMsg> for BatchPlusOne {
-        fn handle(&mut self, _ctx: &mut ServiceCtx, _from: NodeId, msg: BMsg) -> BMsg {
-            fn one(m: BMsg) -> BMsg {
-                match m {
-                    BMsg::Val(n) => BMsg::Val(n + 1),
-                    BMsg::Batch(parts) => BMsg::Batch(parts.into_iter().map(one).collect()),
-                }
-            }
-            one(msg)
-        }
+        assert_eq!(w.rpc(c, s, Val(1), TIMEOUT), Ok(Val(2)));
     }
 
     #[test]
@@ -1368,11 +1335,11 @@ mod tests {
         let mut t = Topology::new();
         let c = t.add_node("c", 0);
         let s = t.add_node("s", 1);
-        let mut w: World<BMsg> =
+        let mut w: World<Msg> =
             World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
-        w.install_service(s, Box::new(BatchPlusOne));
+        w.install_service(s, Box::new(PlusOne));
         let started = w.now();
-        let parts = (0..4).map(BMsg::Val).collect();
+        let parts = (0..4).map(Val).collect();
         let token = w.send_batch(c, s, parts);
         let deadline = w.now() + SimDuration::from_millis(200);
         assert_eq!(w.wait_any(&[token], deadline), Some(token));
@@ -1380,7 +1347,7 @@ mod tests {
         let replies = reply.unwrap_batch().expect("a reply envelope");
         assert_eq!(
             replies,
-            (1..5).map(BMsg::Val).collect::<Vec<_>>(),
+            (1..5).map(Val).collect::<Vec<_>>(),
             "per-part replies in request order"
         );
         // One envelope out + one back: a single 10ms round trip, exactly
@@ -1400,14 +1367,14 @@ mod tests {
         let c = t.add_node("c", 0);
         let s1 = t.add_node("s1", 1);
         let s2 = t.add_node("s2", 2);
-        let mut w: World<BMsg> =
+        let mut w: World<Msg> =
             World::new(1, t, LatencyModel::Constant(SimDuration::from_millis(5)));
-        w.install_service(s1, Box::new(BatchPlusOne));
-        w.install_service(s2, Box::new(BatchPlusOne));
+        w.install_service(s1, Box::new(PlusOne));
+        w.install_service(s2, Box::new(PlusOne));
         let mut buf = crate::net::BatchBuffer::new(c);
-        buf.push(s1, BMsg::Val(10));
-        buf.push(s2, BMsg::Val(20));
-        buf.push(s1, BMsg::Val(11));
+        buf.push(s1, Val(10));
+        buf.push(s2, Val(20));
+        buf.push(s1, Val(11));
         assert_eq!(buf.pending_parts(), 3);
         let launched = buf.flush(&mut w);
         assert!(buf.is_empty());
@@ -1428,11 +1395,113 @@ mod tests {
             w.now().saturating_since(started),
             SimDuration::from_millis(10)
         );
-        use crate::net::BatchEnvelope as _;
         let r1 = w.try_take_reply(tokens[0]).unwrap().unwrap();
-        assert_eq!(
-            r1.unwrap_batch().unwrap(),
-            vec![BMsg::Val(11), BMsg::Val(12)]
-        );
+        assert_eq!(r1.unwrap_batch().unwrap(), vec![Val(11), Val(12)]);
+    }
+
+    /// Two nodes over 1 ms links, a [`Counter`] on the second.
+    fn counted_world() -> (World<Msg>, NodeId, NodeId) {
+        let mut t = Topology::new();
+        let a = t.add_node("a", 0);
+        let b = t.add_node("b", 1);
+        let mut w = World::new(0, t, LatencyModel::Constant(SimDuration::from_millis(1)));
+        w.install_service(b, Box::new(Counter { hits: 0 }));
+        (w, a, b)
+    }
+
+    #[test]
+    fn world_coerces_to_dyn_runtime() {
+        let (mut w, a, b) = counted_world();
+        let rt: &mut dyn Runtime<Msg> = &mut w;
+        let reply = rt.rpc(a, b, Val(1), SimDuration::from_millis(100));
+        assert_eq!(reply, Ok(Val(2)));
+        assert!(rt.now() > SimTime::ZERO);
+        assert!(rt.is_up(b));
+        assert!(rt.reachable(a, b));
+    }
+
+    #[test]
+    fn typed_service_access_through_dyn() {
+        let (mut w, _a, b) = counted_world();
+        let rt: &mut dyn Runtime<Msg> = &mut w;
+        let hits = rt.with_service(b, |e: &Counter| e.hits);
+        assert_eq!(hits, Some(0));
+        let bumped = rt.with_service_mut(b, |e: &mut Counter| {
+            e.hits += 7;
+            e.hits
+        });
+        assert_eq!(bumped, Some(7));
+        assert_eq!(rt.with_service(NodeId(99), |e: &Counter| e.hits), None);
+    }
+
+    #[test]
+    fn spawned_rt_task_fires_on_sim_queue() {
+        let (mut w, _a, b) = counted_world();
+        {
+            let rt: &mut dyn Runtime<Msg> = &mut w;
+            rt.spawn_in(
+                SimDuration::from_millis(5),
+                once(move |rt| {
+                    rt.with_service_mut(b, |e: &mut Counter| e.hits = 42);
+                }),
+            );
+            rt.sleep(SimDuration::from_millis(10));
+        }
+        assert_eq!(w.service::<Counter>(b).map(|e| e.hits), Some(42));
+    }
+
+    /// What a [`pinger`] saw when it was woken: the time, and what it
+    /// found under its token.
+    type Seen = Arc<Mutex<Option<(SimTime, ReplyToken, Option<Result<Msg, NetError>>)>>>;
+
+    /// A task that sends `Val(1)` from `a` to `b`, asks to be woken on
+    /// the reply with a 50 ms deadline, and then records what it saw.
+    fn pinger(a: NodeId, b: NodeId, seen: &Seen) -> Box<dyn RtTask<Msg>> {
+        let seen = Arc::clone(seen);
+        let mut sent = None;
+        Box::new(TaskFn(
+            move |rt: &mut (dyn Runtime<Msg> + 'static)| match sent {
+                None => {
+                    let token = rt.send(a, b, Val(1));
+                    sent = Some(token);
+                    Wake::Reply(token, rt.now() + SimDuration::from_millis(50))
+                }
+                Some(token) => {
+                    let reply = rt.try_take_reply(token);
+                    *seen.lock().unwrap() = Some((rt.now(), token, reply));
+                    Wake::Never
+                }
+            },
+        ))
+    }
+
+    #[test]
+    fn a_task_woken_on_a_reply_runs_when_it_lands() {
+        let (mut w, a, b) = counted_world();
+        let seen = Seen::default();
+        w.spawn_in(SimDuration::ZERO, pinger(a, b, &seen));
+        w.sleep(SimDuration::from_millis(100));
+        let (at, _, reply) = seen.lock().unwrap().take().expect("the task was woken");
+        // One round trip over 1 ms links, not the 50 ms deadline.
+        assert_eq!(at, SimTime::from_millis(2));
+        assert_eq!(reply, Some(Ok(Val(2))));
+        assert_eq!(w.metrics().counter("rpc.ok"), 1);
+        // The sleep ran past the 50 ms deadline, which the reply cancelled.
+        assert_eq!(w.metrics().counter("sim.dispatch.deadline"), 0);
+    }
+
+    #[test]
+    fn a_task_whose_request_is_lost_runs_at_its_deadline() {
+        let (mut w, a, b) = counted_world();
+        w.topology_mut().set_link(a, b, LinkState::lossy(1.0));
+        let seen = Seen::default();
+        w.spawn_in(SimDuration::ZERO, pinger(a, b, &seen));
+        w.sleep(SimDuration::from_millis(100));
+        let (at, token, reply) = seen.lock().unwrap().take().expect("the task was woken");
+        assert_eq!(at, SimTime::from_millis(50));
+        assert_eq!(reply, None);
+        assert_eq!(w.metrics().counter("msg.dropped"), 1);
+        assert_eq!(w.metrics().counter("rpc.failed"), 1);
+        assert_eq!(w.try_take_reply(token), None, "nothing stays in completed");
     }
 }

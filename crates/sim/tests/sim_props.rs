@@ -2,7 +2,6 @@
 //! and fault-plan round trips under randomized topologies and schedules.
 
 use proptest::prelude::*;
-use weakset_runtime::traits::Transport;
 use weakset_sim::net::BatchEnvelope;
 use weakset_sim::prelude::*;
 

@@ -882,9 +882,9 @@ impl StoreClient {
             .metrics_mut()
             .add("store.read.batched.contacts", buf.pending_parts() as u64);
         let mut launched: Vec<(NodeId, ReplyToken)> = buf
-            .drain()
+            .flush(world)
             .into_iter()
-            .map(|(to, parts)| (to, world.send_batch(self.node, to, parts)))
+            .map(|(to, token, _)| (to, token))
             .collect();
         let deadline = world.now() + self.timeout;
         let mut outstanding: Vec<ReplyToken> = launched.iter().map(|&(_, t)| t).collect();
@@ -1891,15 +1891,17 @@ mod tests {
         let replica = s[1];
         let coll = cref.id;
         let members = Membership::from(vec![entry(1, s[0]), entry(2, s[0])]);
-        w.spawn_in(SimDuration::from_millis(20), move |w: &mut StoreWorld| {
-            w.with_service_mut::<StoreServer, _>(replica, |srv| {
+        let catch_up = move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+            rt.with_service_mut(replica, |srv: &mut StoreServer| {
                 srv.apply(StoreMsg::SyncMembers {
                     coll,
                     version: 2,
-                    step: SyncStep::Full(members),
+                    step: SyncStep::Full(members.clone()),
                 });
             });
-        });
+            Wake::Never
+        };
+        w.spawn_in(SimDuration::from_millis(20), Box::new(TaskFn(catch_up)));
         let read = cl
             .read_members(&mut w, &cref, ReadPolicy::CausalSession)
             .unwrap();

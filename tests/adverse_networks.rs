@@ -184,15 +184,15 @@ fn dynamic_set_paints_through_churn_and_faults_together() {
         let cref = r.set.cref().clone();
         let at = r.world.now() + SimDuration::from_millis(25 * (k + 1));
         let home = r.servers[(k % 4) as usize];
-        r.world.spawn_at(at, move |w: &mut StoreWorld| {
-            if let Some(srv) = w.service_mut::<StoreServer>(home) {
+        let grow = move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+            rt.with_service_mut(home, |srv: &mut StoreServer| {
                 srv.preload_object(ObjectRecord::new(
                     ObjectId(500 + k),
                     format!("late{k}"),
                     &b"y"[..],
                 ));
-            }
-            if let Some(primary) = w.service_mut::<StoreServer>(cref.home) {
+            });
+            rt.with_service_mut(cref.home, |primary: &mut StoreServer| {
                 primary.apply(StoreMsg::AddMember {
                     coll: cref.id,
                     entry: MemberEntry {
@@ -200,8 +200,10 @@ fn dynamic_set_paints_through_churn_and_faults_together() {
                         home,
                     },
                 });
-            }
-        });
+            });
+            Wake::Never
+        };
+        r.world.spawn_at(at, Box::new(TaskFn(grow)));
     }
     // The membership read once, at open; each run lists what the ones
     // before it could not reach, four fetches in flight.

@@ -106,11 +106,13 @@ fn crash(w: &mut StoreWorld, node: NodeId) {
 /// action no client rpc carries and no replica hears of.
 fn remove_at_primary(w: &mut StoreWorld, at: SimTime, cref: &CollectionRef, elem: ObjectId) {
     let (home, coll) = (cref.home, cref.id);
-    w.spawn_at(at, move |w: &mut StoreWorld| {
-        if let Some(primary) = w.service_mut::<StoreServer>(home) {
+    let remove = move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+        rt.with_service_mut(home, |primary: &mut StoreServer| {
             primary.apply(StoreMsg::RemoveMember { coll, elem });
-        }
-    });
+        });
+        Wake::Never
+    };
+    w.spawn_at(at, Box::new(TaskFn(remove)));
 }
 
 /// One scripted run in a fresh world; returns everything it left behind.

@@ -73,25 +73,27 @@ fn apply_env(d: &mut Deployment, env: Env) {
                 let cref = cref.clone();
                 let home = d.servers[(k % 4) as usize];
                 let remove = env == Env::Churning && k % 2 == 1;
-                d.world.spawn_at(at, move |w: &mut StoreWorld| {
-                    let primary = w
-                        .service_mut::<StoreServer>(cref.home)
-                        .expect("primary service");
-                    if remove {
-                        primary.apply(StoreMsg::RemoveMember {
-                            coll: cref.id,
-                            elem: ObjectId(k + 1),
-                        });
-                    } else {
-                        primary.apply(StoreMsg::AddMember {
-                            coll: cref.id,
-                            entry: MemberEntry {
-                                elem: ObjectId(100 + k),
-                                home,
-                            },
-                        });
-                    }
-                });
+                let mutate = move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+                    rt.with_service_mut(cref.home, |primary: &mut StoreServer| {
+                        if remove {
+                            primary.apply(StoreMsg::RemoveMember {
+                                coll: cref.id,
+                                elem: ObjectId(k + 1),
+                            });
+                        } else {
+                            primary.apply(StoreMsg::AddMember {
+                                coll: cref.id,
+                                entry: MemberEntry {
+                                    elem: ObjectId(100 + k),
+                                    home,
+                                },
+                            });
+                        }
+                    })
+                    .expect("primary service");
+                    Wake::Never
+                };
+                d.world.spawn_at(at, Box::new(TaskFn(mutate)));
                 // The added objects must exist to be fetchable.
                 if !remove {
                     let rec = ObjectRecord::new(ObjectId(100 + k), format!("fresh{k}"), &b"y"[..]);

@@ -46,14 +46,16 @@ fn rig(seed: u64, guarded: bool) -> Rig {
         let cref = set.cref().clone();
         let victim = ObjectId(k as u64 + 5);
         let t = world.now() + SimDuration::from_millis(*at_ms);
-        world.spawn_at(t, move |w: &mut StoreWorld| {
-            if let Some(primary) = w.service_mut::<StoreServer>(cref.home) {
+        let delete = move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+            rt.with_service_mut(cref.home, |primary: &mut StoreServer| {
                 primary.apply(StoreMsg::RemoveMember {
                     coll: cref.id,
                     elem: victim,
                 });
-            }
-        });
+            });
+            Wake::Never
+        };
+        world.spawn_at(t, Box::new(TaskFn(delete)));
     }
     Rig { world, set }
 }

@@ -74,33 +74,37 @@ fn build(script: &EnvScript) -> Built {
         let cref = set.cref().clone();
         let home = servers[(key % 4) as usize];
         let fresh = 1_000 + key;
-        world.spawn_at(
-            t0 + SimDuration::from_millis(at_ms),
-            move |w: &mut StoreWorld| {
-                if is_add {
-                    if let Some(srv) = w.service_mut::<StoreServer>(home) {
-                        srv.preload_object(ObjectRecord::new(
-                            ObjectId(fresh),
-                            format!("f{fresh}"),
-                            &b"y"[..],
-                        ));
-                    }
-                    if let Some(primary) = w.service_mut::<StoreServer>(cref.home) {
-                        primary.apply(StoreMsg::AddMember {
-                            coll: cref.id,
-                            entry: MemberEntry {
-                                elem: ObjectId(fresh),
-                                home,
-                            },
-                        });
-                    }
-                } else if let Some(primary) = w.service_mut::<StoreServer>(cref.home) {
+        let mutate = move |rt: &mut (dyn Runtime<StoreMsg> + 'static)| {
+            if is_add {
+                rt.with_service_mut(home, |srv: &mut StoreServer| {
+                    srv.preload_object(ObjectRecord::new(
+                        ObjectId(fresh),
+                        format!("f{fresh}"),
+                        &b"y"[..],
+                    ));
+                });
+                rt.with_service_mut(cref.home, |primary: &mut StoreServer| {
+                    primary.apply(StoreMsg::AddMember {
+                        coll: cref.id,
+                        entry: MemberEntry {
+                            elem: ObjectId(fresh),
+                            home,
+                        },
+                    });
+                });
+            } else {
+                rt.with_service_mut(cref.home, |primary: &mut StoreServer| {
                     primary.apply(StoreMsg::RemoveMember {
                         coll: cref.id,
                         elem: ObjectId(key + 1),
                     });
-                }
-            },
+                });
+            }
+            Wake::Never
+        };
+        world.spawn_at(
+            t0 + SimDuration::from_millis(at_ms),
+            Box::new(TaskFn(mutate)),
         );
     }
     // Never partition the membership home (index 0): Fig 4/6 runs could
